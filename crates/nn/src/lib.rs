@@ -7,8 +7,9 @@
 //! - [`MultiHeadSelfAttention`] — the batched, parameter-sharing MHSA that
 //!   powers the paper's Heterogeneous Interaction Module
 //! - [`Module`] — the trainable-parameter trait consumed by `hire-optim`
-//! - [`mhsa_forward`] — the tape-free MHSA mirror used by frozen-model
-//!   serving (`hire-serve`)
+//! - [`mhsa_forward`] over [`MhsaWeights`] — the one tape-free MHSA
+//!   mirror used by serving (`hire-serve`), generic over the weight
+//!   storage format (`hire_tensor::WeightMatrix`: f32 or int8/f16)
 //! - loss functions ([`loss`])
 
 pub mod activation;
@@ -30,5 +31,5 @@ pub use linear::Linear;
 pub use loss::{bce_loss, mae, masked_mse_loss, mse_loss, rmse};
 pub use mlp::Mlp;
 pub use module::Module;
-pub use nograd::{mhsa_forward, mhsa_forward_quant, MhsaWeights, QuantMhsaWeights};
+pub use nograd::{mhsa_forward, MhsaWeights};
 pub use norm::LayerNorm;

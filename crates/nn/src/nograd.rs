@@ -12,29 +12,47 @@
 //! and layer norms here fan out over the `hire-par` pool and stay
 //! bit-identical at every thread count (DESIGN.md §11).
 
-use hire_tensor::{linalg, NdArray, QuantMode, QuantizedTensor};
+use hire_tensor::{linalg, NdArray, WeightMatrix};
 
-/// Weights of one multi-head self-attention layer, as plain arrays.
+/// Weights of one multi-head self-attention layer, stored as `W`: plain
+/// f32 arrays by default, or a compressed format such as
+/// `hire_tensor::QuantizedTensor` (activations stay f32 either way).
 ///
 /// Layout matches [`crate::MultiHeadSelfAttention`]: `w_q`/`w_k`/`w_v` are
 /// `[model_dim, heads * head_dim]`, `w_o` is `[heads * head_dim, model_dim]`.
 #[derive(Debug, Clone)]
-pub struct MhsaWeights {
+pub struct MhsaWeights<W = NdArray> {
     /// Query projection `[d, l*dk]`.
-    pub w_q: NdArray,
+    pub w_q: W,
     /// Key projection `[d, l*dk]`.
-    pub w_k: NdArray,
+    pub w_k: W,
     /// Value projection `[d, l*dk]`.
-    pub w_v: NdArray,
+    pub w_v: W,
     /// Output projection `[l*dk, d]`.
-    pub w_o: NdArray,
+    pub w_o: W,
     /// Number of attention heads `l`.
     pub heads: usize,
     /// Dimension of each head `dk`.
     pub head_dim: usize,
 }
 
-impl MhsaWeights {
+impl<W> MhsaWeights<W> {
+    /// The same layer with every projection converted by `f` (called in
+    /// `w_q`, `w_k`, `w_v`, `w_o` order) — how a layer is quantized, or
+    /// dequantized back for an oracle.
+    pub fn map<V>(&self, mut f: impl FnMut(&W) -> V) -> MhsaWeights<V> {
+        MhsaWeights {
+            w_q: f(&self.w_q),
+            w_k: f(&self.w_k),
+            w_v: f(&self.w_v),
+            w_o: f(&self.w_o),
+            heads: self.heads,
+            head_dim: self.head_dim,
+        }
+    }
+}
+
+impl<W: WeightMatrix> MhsaWeights<W> {
     /// Model (input/output) dimension `d`, read off `w_q`.
     pub fn model_dim(&self) -> usize {
         self.w_q.dims()[0]
@@ -46,8 +64,13 @@ impl MhsaWeights {
 ///
 /// Input `[batch, t, d]` (or `[t, d]`, treated as batch 1); output has the
 /// same shape. Every intermediate uses the same `linalg` kernel the tape
-/// path uses, in the same order, so outputs are bit-identical.
-pub fn mhsa_forward(x: &NdArray, w: &MhsaWeights) -> NdArray {
+/// path uses, in the same order, so f32 outputs are bit-identical to it.
+///
+/// The four projections go through [`WeightMatrix::linear_nd`], so the one
+/// function serves every storage format: against quantized projections it
+/// is bit-identical to running on the dequantized weights, at any thread
+/// count.
+pub fn mhsa_forward<W: WeightMatrix>(x: &NdArray, w: &MhsaWeights<W>) -> NdArray {
     let dims = x.dims().to_vec();
     assert!(
         dims.len() == 2 || dims.len() == 3,
@@ -77,9 +100,9 @@ pub fn mhsa_forward(x: &NdArray, w: &MhsaWeights) -> NdArray {
     let split = |proj: NdArray| -> NdArray {
         linalg::permute(&proj.reshaped([b, t, l, dk]), &[0, 2, 1, 3]).reshaped([b * l, t, dk])
     };
-    let q = split(linalg::linear_nd(&x3, &w.w_q));
-    let k = split(linalg::linear_nd(&x3, &w.w_k));
-    let v = split(linalg::linear_nd(&x3, &w.w_v));
+    let q = split(w.w_q.linear_nd(&x3));
+    let k = split(w.w_k.linear_nd(&x3));
+    let v = split(w.w_v.linear_nd(&x3));
 
     // A = softmax(Q K^T / sqrt(dk))  : [b*l, t, t]
     let scale = 1.0 / (dk as f32).sqrt();
@@ -92,109 +115,7 @@ pub fn mhsa_forward(x: &NdArray, w: &MhsaWeights) -> NdArray {
         &[0, 2, 1, 3],
     )
     .reshaped([b, t, l * dk]);
-    let out = linalg::linear_nd(&fused, &w.w_o);
-    if squeeze {
-        out.reshaped([t, d])
-    } else {
-        out
-    }
-}
-
-/// [`MhsaWeights`] with the four projection matrices compressed
-/// post-training (symmetric int8 or f16). Activations stay f32; the
-/// projections dequantize on the fly inside `linalg::linear_nd_dequant`.
-#[derive(Debug, Clone)]
-pub struct QuantMhsaWeights {
-    /// Query projection `[d, l*dk]`, quantized.
-    pub w_q: QuantizedTensor,
-    /// Key projection `[d, l*dk]`, quantized.
-    pub w_k: QuantizedTensor,
-    /// Value projection `[d, l*dk]`, quantized.
-    pub w_v: QuantizedTensor,
-    /// Output projection `[l*dk, d]`, quantized.
-    pub w_o: QuantizedTensor,
-    /// Number of attention heads `l`.
-    pub heads: usize,
-    /// Dimension of each head `dk`.
-    pub head_dim: usize,
-}
-
-impl QuantMhsaWeights {
-    /// Compresses an f32 layer's weights under `mode`.
-    pub fn from_weights(w: &MhsaWeights, mode: QuantMode) -> Self {
-        QuantMhsaWeights {
-            w_q: QuantizedTensor::quantize(&w.w_q, mode),
-            w_k: QuantizedTensor::quantize(&w.w_k, mode),
-            w_v: QuantizedTensor::quantize(&w.w_v, mode),
-            w_o: QuantizedTensor::quantize(&w.w_o, mode),
-            heads: w.heads,
-            head_dim: w.head_dim,
-        }
-    }
-
-    /// Model (input/output) dimension `d`, read off `w_q`.
-    pub fn model_dim(&self) -> usize {
-        self.w_q.dims()[0]
-    }
-
-    /// Worst per-element weight reconstruction error across the four
-    /// projections (see `QuantizedTensor::max_err`).
-    pub fn max_weight_err(&self) -> f32 {
-        self.w_q
-            .max_err()
-            .max(self.w_k.max_err())
-            .max(self.w_v.max_err())
-            .max(self.w_o.max_err())
-    }
-}
-
-/// [`mhsa_forward`] against quantized projections: the same kernel
-/// sequence with every `linear_nd` replaced by its dequantizing variant.
-/// Bit-identical to running [`mhsa_forward`] on `w.dequantize()`d weights,
-/// at any thread count.
-pub fn mhsa_forward_quant(x: &NdArray, w: &QuantMhsaWeights) -> NdArray {
-    let dims = x.dims().to_vec();
-    assert!(
-        dims.len() == 2 || dims.len() == 3,
-        "MHSA input must be [t, d] or [batch, t, d], got {dims:?}"
-    );
-    let squeeze = dims.len() == 2;
-    let (b, t, d) = if squeeze {
-        (1, dims[0], dims[1])
-    } else {
-        (dims[0], dims[1], dims[2])
-    };
-    assert_eq!(
-        d,
-        w.model_dim(),
-        "MHSA expected dim {}, got {d}",
-        w.model_dim()
-    );
-    let x3 = if squeeze {
-        x.reshape([1, t, d])
-    } else {
-        x.clone()
-    };
-    let l = w.heads;
-    let dk = w.head_dim;
-
-    let split = |proj: NdArray| -> NdArray {
-        linalg::permute(&proj.reshaped([b, t, l, dk]), &[0, 2, 1, 3]).reshaped([b * l, t, dk])
-    };
-    let q = split(linalg::linear_nd_dequant(&x3, &w.w_q));
-    let k = split(linalg::linear_nd_dequant(&x3, &w.w_k));
-    let v = split(linalg::linear_nd_dequant(&x3, &w.w_v));
-
-    let scale = 1.0 / (dk as f32).sqrt();
-    let scores = linalg::bmm(&q, &linalg::transpose_last2(&k)).map(|s| s * scale);
-    let attn = linalg::softmax_last(&scores);
-
-    let fused = linalg::permute(
-        &linalg::bmm(&attn, &v).reshaped([b, l, t, dk]),
-        &[0, 2, 1, 3],
-    )
-    .reshaped([b, t, l * dk]);
-    let out = linalg::linear_nd_dequant(&fused, &w.w_o);
+    let out = w.w_o.linear_nd(&fused);
     if squeeze {
         out.reshaped([t, d])
     } else {
@@ -207,7 +128,7 @@ mod tests {
     use super::*;
     use crate::attention::MultiHeadSelfAttention;
     use crate::module::Module;
-    use hire_tensor::Tensor;
+    use hire_tensor::{QuantMode, QuantizedTensor, Tensor};
     use rand::SeedableRng;
 
     fn weights_of(mhsa: &MultiHeadSelfAttention, heads: usize, head_dim: usize) -> MhsaWeights {
@@ -257,20 +178,13 @@ mod tests {
         let w = weights_of(&mhsa, 2, 4);
         let x = NdArray::randn([2, 5, 8], 0.0, 1.0, &mut rng);
         for mode in [QuantMode::Int8, QuantMode::F16] {
-            let qw = QuantMhsaWeights::from_weights(&w, mode);
+            let qw = w.map(|a| QuantizedTensor::quantize(a, mode));
             // Oracle: run the f32 forward on the *dequantized* weights.
-            let deq = MhsaWeights {
-                w_q: qw.w_q.dequantize(),
-                w_k: qw.w_k.dequantize(),
-                w_v: qw.w_v.dequantize(),
-                w_o: qw.w_o.dequantize(),
-                heads: 2,
-                head_dim: 4,
-            };
-            let got = mhsa_forward_quant(&x, &qw);
+            let deq = qw.map(QuantizedTensor::dequantize);
+            let got = mhsa_forward(&x, &qw);
             let want = mhsa_forward(&x, &deq);
             assert_eq!(got.as_slice(), want.as_slice(), "{mode:?}");
-            assert!(qw.max_weight_err() > 0.0, "random weights must round");
+            assert!(qw.w_q.max_err() > 0.0, "random weights must round");
         }
     }
 }

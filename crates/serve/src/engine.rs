@@ -27,6 +27,7 @@
 use crate::breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 use crate::cache::{CacheKey, CacheStats, ContextCache, ExportedContext};
 use crate::frozen::FrozenModel;
+use crate::him::HimWeights;
 use crate::quant::QuantizedModel;
 use crate::server::{Answer, ModelVersion, Predictor, RatingQuery, ServeError, ServedBy};
 use hire_baselines::{EntityMean, RatingModel};
@@ -35,7 +36,7 @@ use hire_core::{Backoff, BackoffConfig, HybridModel};
 use hire_data::{test_context_with_ratio, Dataset, PredictionContext};
 use hire_error::HireError;
 use hire_graph::{BipartiteGraph, EpochSource, EpochedGraph, NeighborhoodSampler, Rating};
-use hire_tensor::QuantMode;
+use hire_tensor::{NdArray, QuantMode, WeightMatrix};
 use hire_wal::{Wal, WalError, WalRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -1026,19 +1027,30 @@ impl ServeEngine {
     /// shards share the engine seed), so this is a cache warm-up, not a
     /// semantic change; rating-edge invalidation broadcasts drop the
     /// replica along with native entries.
+    ///
+    /// A context that does not contain the `(user, item)` cell is refused
+    /// and nothing is cached: no forward over it could answer the query,
+    /// so caching it would fail every later batch that touches the pair.
     pub fn adopt_context(
         &self,
         user: usize,
         item: usize,
         ctx: Arc<PredictionContext>,
         memo: Option<(ModelVersion, f32)>,
-    ) {
+    ) -> Result<(), ServeError> {
+        if ctx.user_row(user).is_none() || ctx.item_col(item).is_none() {
+            return Err(ServeError::Model(HireError::invalid_data(
+                "ServeEngine",
+                format!("adopted context does not contain the cell of query ({user}, {item})"),
+            )));
+        }
         let key = self.cache_key(user, item);
         let mut cache = lock(&self.cache);
         cache.insert(key.clone(), ctx.clone());
         if let Some((version, value)) = memo {
             cache.store_prediction(&key, &ctx, version, value);
         }
+        Ok(())
     }
 
     /// The cache key this engine uses for a query pair.
@@ -1185,23 +1197,28 @@ impl ServeEngine {
         counter.fetch_add(positions.len() as u64, Ordering::Relaxed);
     }
 
-    /// One guarded model-tier attempt over a same-shape group: chaos
-    /// hooks, panic isolation, deadline-aware forward, and output-shape
-    /// validation. `Ok(None)` means the deadline budget ran out.
-    fn model_attempt(
+    /// One guarded model-family attempt over a same-shape group — the
+    /// full-precision rung ([`sites::ENGINE_FORWARD`]) and the quantized
+    /// rung ([`sites::QUANT_FORWARD`]) are the same forward over different
+    /// weight storage: chaos hooks on `site`, panic isolation,
+    /// deadline-aware forward, and output-shape validation. `Ok(None)`
+    /// means the deadline budget ran out; `label` names the rung in errors.
+    fn forward_attempt<W: WeightMatrix>(
         &self,
-        model: &FrozenModel,
+        site: &'static str,
+        label: &str,
+        weights: &HimWeights<W>,
         refs: &[&PredictionContext],
         deadline: Option<Instant>,
-    ) -> Result<Option<Vec<hire_tensor::NdArray>>, ServeError> {
+    ) -> Result<Option<Vec<NdArray>>, ServeError> {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut truncate = false;
             if let Some(plan) = &self.faults {
-                if let Some(kind) = plan.fire(sites::ENGINE_FORWARD)? {
+                if let Some(kind) = plan.fire(site)? {
                     truncate = matches!(kind, FaultKind::WrongShape);
                 }
             }
-            let preds = model
+            let preds = weights
                 .forward_nograd_batch_within(refs, &self.dataset, deadline)
                 .map_err(ServeError::Model)?;
             Ok(preds.map(|mut p| {
@@ -1217,7 +1234,7 @@ impl ServeEngine {
                 Err(ServeError::Model(HireError::invalid_data(
                     "ServeEngine",
                     format!(
-                        "model returned {} predictions for {} contexts",
+                        "{label} returned {} predictions for {} contexts",
                         preds.len(),
                         refs.len()
                     ),
@@ -1226,57 +1243,50 @@ impl ServeEngine {
             Ok(result) => result,
             Err(_panic) => Err(ServeError::Model(HireError::invalid_data(
                 "ServeEngine",
-                "model forward panicked",
+                format!("{label} forward panicked"),
             ))),
         }
     }
 
-    /// One guarded quantized-tier attempt over a same-shape group — the
-    /// same contract as [`ServeEngine::model_attempt`] (chaos hooks on
-    /// [`sites::QUANT_FORWARD`], panic isolation, deadline awareness,
-    /// shape validation) over the slot's [`QuantizedModel`].
-    fn quant_attempt(
+    /// Scatters one group's forward output to the batch positions waiting
+    /// on it, tagged with the rung that produced it.
+    fn scatter(
         &self,
-        quant: &QuantizedModel,
-        refs: &[&PredictionContext],
-        deadline: Option<Instant>,
-    ) -> Result<Option<Vec<hire_tensor::NdArray>>, ServeError> {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut truncate = false;
-            if let Some(plan) = &self.faults {
-                if let Some(kind) = plan.fire(sites::QUANT_FORWARD)? {
-                    truncate = matches!(kind, FaultKind::WrongShape);
-                }
+        group: &[&PendingQuery],
+        preds: &[NdArray],
+        served_by: ServedBy,
+        version: ModelVersion,
+        out: &mut [Option<Answer>],
+    ) -> Result<(), ServeError> {
+        for (pred, PendingQuery { key, ctx, waiters }) in preds.iter().zip(group) {
+            let (row, col) = query_cell(key, ctx)?;
+            let value = pred.at(&[row, col]);
+            let (counter, bump): (_, fn(&mut TierStats)) = if served_by == ServedBy::Model {
+                // Memoize against the exact context the value was computed
+                // from (and the version that computed it): if the entry was
+                // invalidated and resampled in the meantime, the memo must
+                // not attach to the fresh context; if the model was swapped,
+                // the stamp keeps the memo scoped to this version.
+                // Quantized answers are *not* memoized: the memo is the
+                // exact model-tier value, and a later cache hit must not
+                // launder a lower-fidelity answer into the cache tier.
+                lock(&self.cache).store_prediction(key, ctx, version, value);
+                (&self.served_model, |s| s.model += 1)
+            } else {
+                (&self.served_quantized, |s| s.quantized += 1)
+            };
+            counter.fetch_add(waiters.len() as u64, Ordering::Relaxed);
+            let scenario = self.scenario_of(key.user, key.item);
+            for &i in waiters {
+                self.tally(version, scenario, bump);
+                out[i] = Some(Answer {
+                    rating: value,
+                    served_by,
+                    version,
+                });
             }
-            let preds = quant
-                .forward_nograd_batch_within(refs, &self.dataset, deadline)
-                .map_err(ServeError::Model)?;
-            Ok(preds.map(|mut p| {
-                if truncate {
-                    // Chaos `WrongShape`: the quantized "model" loses one
-                    // output.
-                    p.pop();
-                }
-                p
-            }))
-        }));
-        match outcome {
-            Ok(Ok(Some(preds))) if preds.len() != refs.len() => {
-                Err(ServeError::Model(HireError::invalid_data(
-                    "ServeEngine",
-                    format!(
-                        "quantized model returned {} predictions for {} contexts",
-                        preds.len(),
-                        refs.len()
-                    ),
-                )))
-            }
-            Ok(result) => result,
-            Err(_panic) => Err(ServeError::Model(HireError::invalid_data(
-                "ServeEngine",
-                "quantized forward panicked",
-            ))),
         }
+        Ok(())
     }
 
     /// One guarded hybrid-tier attempt: chaos hooks on
@@ -1500,184 +1510,123 @@ impl Predictor for ServeEngine {
                     }
                 }
             }
-            let refs: Vec<&PredictionContext> = indices.iter().map(|&k| &*unique[k].ctx).collect();
-            if serve_quantized {
+            let group: Vec<&PendingQuery> = indices.iter().map(|&k| unique[k]).collect();
+            let refs: Vec<&PredictionContext> = group.iter().map(|p| &*p.ctx).collect();
+            // `Ok(None)`: the deadline ran out inside the forward; `Err`:
+            // the rung failed (after its retry budget, for the model tier).
+            let (served_by, outcome) = if serve_quantized {
                 let quant = slot
                     .quantized
                     .as_ref()
                     .expect("serve_quantized implies a quantized slot");
-                match self.quant_attempt(quant, &refs, deadline) {
-                    Ok(Some(preds)) => {
-                        for (p, &k) in indices.iter().enumerate() {
-                            let PendingQuery { key, ctx, waiters } = unique[k];
-                            let (row, col) = match (ctx.user_row(key.user), ctx.item_col(key.item))
-                            {
-                                (Some(r), Some(c)) => (r, c),
-                                _ => {
-                                    return Err(ServeError::Internal {
-                                        detail: format!(
-                                            "query ({}, {}) missing from its context",
-                                            key.user, key.item
-                                        ),
-                                    })
-                                }
-                            };
-                            let value = preds[p].at(&[row, col]);
-                            // Quantized answers are *not* memoized: the memo
-                            // is the exact model-tier value, and a later
-                            // cache hit must not launder a lower-fidelity
-                            // answer into the cache tier.
-                            self.served_quantized
-                                .fetch_add(waiters.len() as u64, Ordering::Relaxed);
-                            let scenario = self.scenario_of(key.user, key.item);
-                            for &i in waiters {
-                                self.tally(version, scenario, |s| s.quantized += 1);
-                                out[i] = Some(Answer {
-                                    rating: value,
-                                    served_by: ServedBy::Quantized,
-                                    version,
-                                });
-                            }
-                        }
-                        continue;
-                    }
-                    Ok(None) => {
-                        // Deadline ran out inside the quantized forward.
-                        if !self.resilience.fallback {
-                            return Err(ServeError::DeadlineExceeded);
-                        }
-                        self.answer_below_model(
-                            &waiters_of(indices),
-                            queries,
-                            &mut out,
-                            version,
-                            DegradeReason::Deadline,
-                        );
-                        continue;
-                    }
-                    Err(e) => {
-                        if !self.resilience.fallback {
-                            return Err(e);
-                        }
-                        self.answer_below_model(
-                            &waiters_of(indices),
-                            queries,
-                            &mut out,
-                            version,
-                            DegradeReason::Failure,
-                        );
-                        continue;
-                    }
-                }
-            }
-            // Model tier with retry: the first admitted attempt came from
-            // the breaker above; subsequent attempts re-admit.
-            let attempts = self.resilience.retry_attempts.max(1);
-            let mut backoff = Backoff::new(
-                self.resilience.retry_backoff.clone(),
-                context_seed(self.config.seed ^ 0xBACC0FF, refs.len(), indices[0]),
-            );
-            let mut result = None;
-            let mut last_err = None;
-            for attempt in 0..attempts {
-                if attempt > 0 {
-                    std::thread::sleep(backoff.next_delay());
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        break;
-                    }
-                    if let Some(breaker) = &self.breaker {
-                        if !breaker.admit() {
+                let outcome = self.forward_attempt(
+                    sites::QUANT_FORWARD,
+                    "quantized model",
+                    &quant.weights,
+                    &refs,
+                    deadline,
+                );
+                (ServedBy::Quantized, outcome)
+            } else {
+                // Model tier with retry: the first admitted attempt came
+                // from the breaker above; subsequent attempts re-admit.
+                let attempts = self.resilience.retry_attempts.max(1);
+                let mut backoff = Backoff::new(
+                    self.resilience.retry_backoff.clone(),
+                    context_seed(self.config.seed ^ 0xBACC0FF, refs.len(), indices[0]),
+                );
+                let mut outcome = Ok(None);
+                for attempt in 0..attempts {
+                    if attempt > 0 {
+                        std::thread::sleep(backoff.next_delay());
+                        if deadline.is_some_and(|d| Instant::now() >= d) {
                             break;
                         }
+                        if let Some(breaker) = &self.breaker {
+                            if !breaker.admit() {
+                                break;
+                            }
+                        }
+                    }
+                    match self.forward_attempt(
+                        sites::ENGINE_FORWARD,
+                        "model",
+                        &slot.model.weights,
+                        &refs,
+                        deadline,
+                    ) {
+                        Ok(Some(preds)) => {
+                            if let Some(breaker) = &self.breaker {
+                                breaker.record(true);
+                            }
+                            outcome = Ok(Some(preds));
+                            break;
+                        }
+                        Ok(None) => {
+                            // Deadline ran out inside the forward: not a
+                            // model failure — release the breaker admission
+                            // without an outcome and degrade (an earlier
+                            // attempt's error, if any, stays the outcome).
+                            if let Some(breaker) = &self.breaker {
+                                breaker.forfeit();
+                            }
+                            break;
+                        }
+                        Err(e) => {
+                            if let Some(breaker) = &self.breaker {
+                                breaker.record(false);
+                            }
+                            outcome = Err(e);
+                        }
                     }
                 }
-                match self.model_attempt(&slot.model, &refs, deadline) {
-                    Ok(Some(preds)) => {
-                        if let Some(breaker) = &self.breaker {
-                            breaker.record(true);
-                        }
-                        result = Some(preds);
-                        break;
-                    }
-                    Ok(None) => {
-                        // Deadline ran out inside the forward: not a model
-                        // failure — release the breaker admission without
-                        // an outcome and degrade.
-                        if let Some(breaker) = &self.breaker {
-                            breaker.forfeit();
-                        }
-                        break;
-                    }
-                    Err(e) => {
-                        if let Some(breaker) = &self.breaker {
-                            breaker.record(false);
-                        }
-                        last_err = Some(e);
-                    }
-                }
-            }
-            let preds = match result {
-                Some(preds) => preds,
-                None => {
-                    // The full-precision tier failed out its retry budget
-                    // (or its deadline): fall down the ladder — hybrid if
-                    // installed, graph statistics otherwise. The quantized
-                    // tier is *not* tried here: it shares the failing
-                    // forward machinery, so a model-tier fault would very
-                    // likely repeat there and burn more of the budget.
-                    if self.resilience.fallback {
-                        let reason = if last_err.is_some() {
-                            DegradeReason::Failure
-                        } else {
-                            DegradeReason::Deadline
-                        };
-                        self.answer_below_model(
-                            &waiters_of(indices),
-                            queries,
-                            &mut out,
-                            version,
-                            reason,
-                        );
-                        continue;
-                    }
-                    return Err(last_err.unwrap_or(ServeError::DeadlineExceeded));
-                }
+                (ServedBy::Model, outcome)
             };
-            for (p, &k) in indices.iter().enumerate() {
-                let PendingQuery { key, ctx, waiters } = unique[k];
-                let (row, col) = match (ctx.user_row(key.user), ctx.item_col(key.item)) {
-                    (Some(r), Some(c)) => (r, c),
-                    _ => {
-                        return Err(ServeError::Model(HireError::invalid_data(
-                            "ServeEngine",
-                            format!(
-                                "query ({}, {}) missing from its context",
-                                key.user, key.item
-                            ),
-                        )))
-                    }
-                };
-                let value = preds[p].at(&[row, col]);
-                // Memoize against the exact context the value was computed
-                // from (and the version that computed it): if the entry was
-                // invalidated and resampled in the meantime, the memo must
-                // not attach to the fresh context; if the model was swapped,
-                // the stamp keeps the memo scoped to this version.
-                lock(&self.cache).store_prediction(key, ctx, version, value);
-                self.served_model
-                    .fetch_add(waiters.len() as u64, Ordering::Relaxed);
-                let scenario = self.scenario_of(key.user, key.item);
-                for &i in waiters {
-                    self.tally(version, scenario, |s| s.model += 1);
-                    out[i] = Some(Answer {
-                        rating: value,
-                        served_by: ServedBy::Model,
+            let preds = match outcome {
+                Ok(Some(preds)) => preds,
+                // The rung failed out its retry budget (or its deadline):
+                // fall down the ladder — hybrid if installed, graph
+                // statistics otherwise. After a model-tier failure the
+                // quantized tier is *not* tried: it shares the failing
+                // forward machinery, so the fault would very likely repeat
+                // there and burn more of the budget.
+                failed if self.resilience.fallback => {
+                    let reason = if failed.is_err() {
+                        DegradeReason::Failure
+                    } else {
+                        DegradeReason::Deadline
+                    };
+                    self.answer_below_model(
+                        &waiters_of(indices),
+                        queries,
+                        &mut out,
                         version,
-                    });
+                        reason,
+                    );
+                    continue;
                 }
-            }
+                Ok(None) => return Err(ServeError::DeadlineExceeded),
+                Err(e) => return Err(e),
+            };
+            self.scatter(&group, &preds, served_by, version, &mut out)?;
         }
         collect_answers(out)
+    }
+}
+
+/// The cell of a forward's `[n, m]` output that answers `key`'s query.
+/// Resolution and [`ServeEngine::adopt_context`] only ever cache contexts
+/// that contain it, so a miss is a broken engine invariant: a typed
+/// [`ServeError::Internal`], whichever rung ran the forward.
+fn query_cell(key: &CacheKey, ctx: &PredictionContext) -> Result<(usize, usize), ServeError> {
+    match (ctx.user_row(key.user), ctx.item_col(key.item)) {
+        (Some(row), Some(col)) => Ok((row, col)),
+        _ => Err(ServeError::Internal {
+            detail: format!(
+                "query ({}, {}) missing from its context",
+                key.user, key.item
+            ),
+        }),
     }
 }
 
@@ -1725,5 +1674,55 @@ mod tests {
         let ok = collect_answers(vec![Some(answered.clone()), Some(answered)])
             .expect("fully answered batches pass through");
         assert_eq!(ok.len(), 2);
+    }
+
+    /// Regression: `adopt_context` used to cache any context unvalidated,
+    /// and one lacking the query's cell then failed every later batch that
+    /// touched the pair — the whole batch, fallback or not, with an error
+    /// type that depended on the rung. It is refused at the door now, and
+    /// the scatter's invariant check is one typed `Internal` for any rung.
+    #[test]
+    fn context_without_the_query_cell_is_refused_not_cached() {
+        let dataset = hire_data::SyntheticConfig::movielens_like()
+            .scaled(24, 20, (6, 10))
+            .generate(5);
+        let config = hire_core::HireConfig::fast()
+            .with_blocks(1)
+            .with_context_size(6, 6);
+        let model = hire_core::HireModel::new(&dataset, &config, &mut StdRng::seed_from_u64(2));
+        let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
+        let engine = ServeEngine::new(
+            frozen,
+            Arc::new(dataset),
+            EngineConfig::from_model_config(&config),
+        );
+        let (q, other) = (
+            RatingQuery { user: 1, item: 2 },
+            RatingQuery { user: 3, item: 4 },
+        );
+        let foreign = engine.context_for(&other).expect("sample");
+        assert!(foreign.user_row(q.user).is_none() || foreign.item_col(q.item).is_none());
+
+        let err = engine
+            .adopt_context(q.user, q.item, foreign.clone(), None)
+            .expect_err("a context without the query cell must be refused");
+        assert!(matches!(err, ServeError::Model(_)), "got {err:?}");
+        assert!(engine.export_cached(q.user, q.item).is_none());
+        let answers = engine
+            .predict_batch_tagged(&[q, other], None)
+            .expect("the refused context must not poison the batch");
+        assert!(answers.iter().all(|a| a.served_by == ServedBy::Model));
+
+        let own = engine.context_for(&q).expect("cached by the batch above");
+        engine
+            .adopt_context(q.user, q.item, own, None)
+            .expect("a context that holds the cell is adopted");
+
+        match query_cell(&engine.cache_key(q.user, q.item), &foreign) {
+            Err(ServeError::Internal { detail }) => {
+                assert!(detail.contains("(1, 2)"), "detail: {detail}")
+            }
+            other => panic!("expected ServeError::Internal, got {other:?}"),
+        }
     }
 }

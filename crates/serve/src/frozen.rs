@@ -2,61 +2,26 @@
 //!
 //! A [`FrozenModel`] holds the trained parameters as plain [`NdArray`]s —
 //! no `Tensor`, no `Rc`, no tape — so it is `Send + Sync` and can be shared
-//! across worker threads behind an `Arc`. Its forward pass reuses the exact
-//! same `linalg` kernels the autograd forward uses, in the same order, so
-//! predictions are **bit-identical** to the live model it was exported
-//! from (see `tests/equivalence.rs`).
+//! across worker threads behind an `Arc`. This module builds, loads and
+//! exports them; the forward itself is the shared one in [`crate::him`],
+//! instantiated at f32, whose predictions are **bit-identical** to the
+//! live model the weights were exported from (see `tests/equivalence.rs`).
 
+use crate::him::{HimBlock, HimWeights, Norm};
 use hire_ckpt::{CheckpointStore, TrainSnapshot};
 use hire_core::{HireConfig, HireModel};
 use hire_data::{Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
-use hire_nn::{mhsa_forward, MhsaWeights, Module};
-use hire_par::SendPtr;
-use hire_tensor::{linalg, NdArray};
+use hire_nn::{MhsaWeights, Module};
+use hire_tensor::NdArray;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// `LayerNorm::new` hard-codes this epsilon; the frozen mirror must match.
-pub(crate) const LAYER_NORM_EPS: f32 = 1e-5;
-
-/// Frozen LayerNorm affine parameters.
-#[derive(Debug, Clone)]
-pub(crate) struct FrozenNorm {
-    pub(crate) gamma: NdArray,
-    pub(crate) beta: NdArray,
-}
-
-/// One frozen HIM block (see `hire_core::him::HimBlock`).
-#[derive(Debug, Clone)]
-pub(crate) struct FrozenBlock {
-    pub(crate) mbu: Option<MhsaWeights>,
-    pub(crate) mbi: Option<MhsaWeights>,
-    pub(crate) mba: Option<MhsaWeights>,
-    pub(crate) norm_mbu: Option<FrozenNorm>,
-    pub(crate) norm_mbi: Option<FrozenNorm>,
-    pub(crate) norm_mba: Option<FrozenNorm>,
-    pub(crate) residual: bool,
-}
-
-/// A HIRE model exported for serving: plain-array weights plus the dataset
-/// schema facts needed to encode contexts.
+/// A HIRE model exported for serving: plain-array weights (with the dataset
+/// schema facts needed to encode contexts) plus the training configuration.
 #[derive(Debug, Clone)]
 pub struct FrozenModel {
-    pub(crate) user_embeddings: Vec<NdArray>,
-    pub(crate) item_embeddings: Vec<NdArray>,
-    pub(crate) rating_embedding: NdArray,
-    pub(crate) blocks: Vec<FrozenBlock>,
-    pub(crate) decoder_w: NdArray,
-    pub(crate) decoder_b: NdArray,
-    /// Output scale α of Eq. (16).
-    pub(crate) alpha: f32,
-    pub(crate) min_rating: f32,
-    pub(crate) rating_levels: usize,
-    pub(crate) user_id_only: bool,
-    pub(crate) item_id_only: bool,
-    pub(crate) attr_dim: usize,
+    pub(crate) weights: HimWeights<NdArray>,
     pub(crate) config: HireConfig,
 }
 
@@ -144,13 +109,12 @@ impl FrozenModel {
                     head_dim: config.head_dim,
                 })
             };
-            let norm =
-                |it: &mut std::vec::IntoIter<NdArray>, layer: &str| -> HireResult<FrozenNorm> {
-                    Ok(FrozenNorm {
-                        gamma: take_param(it, &format!("block[{b}].{layer}.gamma"), &[e])?,
-                        beta: take_param(it, &format!("block[{b}].{layer}.beta"), &[e])?,
-                    })
-                };
+            let norm = |it: &mut std::vec::IntoIter<NdArray>, layer: &str| -> HireResult<Norm> {
+                Ok(Norm {
+                    gamma: take_param(it, &format!("block[{b}].{layer}.gamma"), &[e])?,
+                    beta: take_param(it, &format!("block[{b}].{layer}.beta"), &[e])?,
+                })
+            };
             let mbu = config
                 .enable_mbu
                 .then(|| mhsa(&mut it, "mbu", e))
@@ -172,7 +136,7 @@ impl FrozenModel {
             let norm_mba = (config.enable_mba && config.layer_norm)
                 .then(|| norm(&mut it, "norm_mba"))
                 .transpose()?;
-            blocks.push(FrozenBlock {
+            blocks.push(HimBlock {
                 mbu,
                 mbi,
                 mba,
@@ -194,18 +158,20 @@ impl FrozenModel {
         }
 
         Ok(FrozenModel {
-            user_embeddings,
-            item_embeddings,
-            rating_embedding,
-            blocks,
-            decoder_w,
-            decoder_b,
-            alpha: dataset.max_rating(),
-            min_rating: dataset.min_rating,
-            rating_levels: dataset.rating_levels,
-            user_id_only: dataset.user_schema.is_id_only(),
-            item_id_only: dataset.item_schema.is_id_only(),
-            attr_dim: f,
+            weights: HimWeights {
+                user_embeddings,
+                item_embeddings,
+                rating_embedding,
+                blocks,
+                decoder_w,
+                decoder_b,
+                alpha: dataset.max_rating(),
+                min_rating: dataset.min_rating,
+                rating_levels: dataset.rating_levels,
+                user_id_only: dataset.user_schema.is_id_only(),
+                item_id_only: dataset.item_schema.is_id_only(),
+                attr_dim: f,
+            },
             config,
         })
     }
@@ -275,233 +241,51 @@ impl FrozenModel {
         &self.config
     }
 
+    /// Every weight array, in `HireModel::parameters()` order.
+    fn param_refs(&self) -> Vec<&NdArray> {
+        let w = &self.weights;
+        let mut out: Vec<&NdArray> = Vec::new();
+        out.extend(&w.user_embeddings);
+        out.extend(&w.item_embeddings);
+        out.push(&w.rating_embedding);
+        for b in &w.blocks {
+            for a in [&b.mbu, &b.mbi, &b.mba].into_iter().flatten() {
+                out.extend([&a.w_q, &a.w_k, &a.w_v, &a.w_o]);
+            }
+            for nm in [&b.norm_mbu, &b.norm_mbi, &b.norm_mba]
+                .into_iter()
+                .flatten()
+            {
+                out.extend([&nm.gamma, &nm.beta]);
+            }
+        }
+        out.push(&w.decoder_w);
+        out.push(&w.decoder_b);
+        out
+    }
+
     /// Exports the weights as a flat list in `HireModel::parameters()`
     /// order — the exact inverse of [`Self::from_parts`], so
     /// `FrozenModel::from_parts(dataset, config, frozen.parameters())`
     /// round-trips bit-identically, and `HireModel::load_parameters` can
     /// warm-start a live model from serving weights for fine-tuning.
     pub fn parameters(&self) -> Vec<NdArray> {
-        let mut out: Vec<NdArray> = Vec::new();
-        out.extend(self.user_embeddings.iter().cloned());
-        out.extend(self.item_embeddings.iter().cloned());
-        out.push(self.rating_embedding.clone());
-        for b in &self.blocks {
-            for w in [&b.mbu, &b.mbi, &b.mba].into_iter().flatten() {
-                out.push(w.w_q.clone());
-                out.push(w.w_k.clone());
-                out.push(w.w_v.clone());
-                out.push(w.w_o.clone());
-            }
-            for nm in [&b.norm_mbu, &b.norm_mbi, &b.norm_mba]
-                .into_iter()
-                .flatten()
-            {
-                out.push(nm.gamma.clone());
-                out.push(nm.beta.clone());
-            }
-        }
-        out.push(self.decoder_w.clone());
-        out.push(self.decoder_b.clone());
-        out
+        self.param_refs().into_iter().cloned().collect()
     }
 
     /// Number of attribute channels `h = h_u + h_i + 1`.
     pub fn num_attrs(&self) -> usize {
-        self.user_embeddings.len() + self.item_embeddings.len() + 1
+        self.weights.num_attrs()
     }
 
     /// Embedding width `e = h * f`.
     pub fn embed_dim(&self) -> usize {
-        self.num_attrs() * self.attr_dim
+        self.weights.embed_dim()
     }
 
     /// Total scalar parameter count.
     pub fn num_parameters(&self) -> usize {
-        let mut n: usize = self
-            .user_embeddings
-            .iter()
-            .chain(&self.item_embeddings)
-            .map(NdArray::numel)
-            .sum();
-        n += self.rating_embedding.numel();
-        for b in &self.blocks {
-            for w in [&b.mbu, &b.mbi, &b.mba].into_iter().flatten() {
-                n += w.w_q.numel() + w.w_k.numel() + w.w_v.numel() + w.w_o.numel();
-            }
-            for nm in [&b.norm_mbu, &b.norm_mbi, &b.norm_mba]
-                .into_iter()
-                .flatten()
-            {
-                n += nm.gamma.numel() + nm.beta.numel();
-            }
-        }
-        n + self.decoder_w.numel() + self.decoder_b.numel()
-    }
-
-    pub(crate) fn user_code(&self, dataset: &Dataset, user: usize, attr: usize) -> usize {
-        if self.user_id_only {
-            user
-        } else {
-            dataset.user_attrs[user][attr]
-        }
-    }
-
-    pub(crate) fn item_code(&self, dataset: &Dataset, item: usize, attr: usize) -> usize {
-        if self.item_id_only {
-            item
-        } else {
-            dataset.item_attrs[item][attr]
-        }
-    }
-
-    /// No-grad mirror of `ContextEncoder::encode`: `H ∈ R^{n×m×e}`.
-    fn encode(&self, ctx: &PredictionContext, dataset: &Dataset) -> HireResult<NdArray> {
-        let n = ctx.n();
-        let m = ctx.m();
-        let f = self.attr_dim;
-        for &u in &ctx.users {
-            if u >= dataset.num_users {
-                return Err(HireError::invalid_data(
-                    "FrozenModel",
-                    format!("context user {u} out of range {}", dataset.num_users),
-                ));
-            }
-        }
-        for &i in &ctx.items {
-            if i >= dataset.num_items {
-                return Err(HireError::invalid_data(
-                    "FrozenModel",
-                    format!("context item {i} out of range {}", dataset.num_items),
-                ));
-            }
-        }
-
-        let user_feats: Vec<NdArray> = self
-            .user_embeddings
-            .iter()
-            .enumerate()
-            .map(|(k, emb)| {
-                let codes: Vec<usize> = ctx
-                    .users
-                    .iter()
-                    .map(|&u| self.user_code(dataset, u, k))
-                    .collect();
-                linalg::gather_rows(emb, &codes)
-            })
-            .collect();
-        let refs: Vec<&NdArray> = user_feats.iter().collect();
-        let x_u = linalg::concat_last(&refs); // [n, hu*f]
-
-        let item_feats: Vec<NdArray> = self
-            .item_embeddings
-            .iter()
-            .enumerate()
-            .map(|(k, emb)| {
-                let codes: Vec<usize> = ctx
-                    .items
-                    .iter()
-                    .map(|&i| self.item_code(dataset, i, k))
-                    .collect();
-                linalg::gather_rows(emb, &codes)
-            })
-            .collect();
-        let refs: Vec<&NdArray> = item_feats.iter().collect();
-        let x_i = linalg::concat_last(&refs); // [m, hi*f]
-
-        // Rating channel: visible cells gather their level embedding,
-        // masked cells gather row 0 and are zeroed by the mask multiply —
-        // the same gather-then-mask the tape encoder performs, so signed
-        // zeros match too.
-        let mut codes = Vec::with_capacity(n * m);
-        for flat in 0..n * m {
-            let visible = ctx.input_mask.as_slice()[flat] == 1.0;
-            let code = if visible {
-                let value = ctx.ratings.as_slice()[flat];
-                ((value - self.min_rating).round() as usize).min(self.rating_levels - 1)
-            } else {
-                0
-            };
-            codes.push(code);
-        }
-        let raw_r = linalg::gather_rows(&self.rating_embedding, &codes); // [n*m, f]
-        let mut mask = NdArray::zeros([n * m, f]);
-        for flat in 0..n * m {
-            if ctx.input_mask.as_slice()[flat] == 1.0 {
-                for j in 0..f {
-                    mask.as_mut_slice()[flat * f + j] = 1.0;
-                }
-            }
-        }
-        let x_r = linalg::broadcast_zip(&raw_r, &mask, |x, y| x * y).reshaped(vec![n, m, f]);
-
-        let hu_f = self.user_embeddings.len() * f;
-        let hi_f = self.item_embeddings.len() * f;
-        let u_grid = linalg::broadcast_zip(
-            &x_u.reshape([n, 1, hu_f]),
-            &NdArray::ones([n, m, hu_f]),
-            |x, y| x * y,
-        );
-        let i_grid = linalg::broadcast_zip(
-            &x_i.reshape([1, m, hi_f]),
-            &NdArray::ones([n, m, hi_f]),
-            |x, y| x * y,
-        );
-        Ok(linalg::concat_last(&[&u_grid, &i_grid, &x_r]))
-    }
-
-    /// Residual-add + optional LayerNorm, mirroring `HimBlock::post`.
-    fn post(x: &NdArray, y: NdArray, residual: bool, norm: &Option<FrozenNorm>) -> NdArray {
-        let z = if residual {
-            linalg::broadcast_zip(x, &y, |a, b| a + b)
-        } else {
-            y
-        };
-        match norm {
-            Some(nm) => linalg::layer_norm_last_nd(&z, &nm.gamma, &nm.beta, LAYER_NORM_EPS),
-            None => z,
-        }
-    }
-
-    /// HIM blocks over a batch of stacked contexts `[B, n, m, e]`.
-    ///
-    /// Every MHSA call flattens the batch axis into the attention batch, so
-    /// each context's result is bit-identical to running it alone (all
-    /// kernels are row- or slice-wise along the flattened axis).
-    fn run_blocks(&self, mut x: NdArray, bsz: usize, n: usize, m: usize) -> NdArray {
-        let h = self.num_attrs();
-        let f = self.attr_dim;
-        let e = h * f;
-        for block in &self.blocks {
-            if let Some(w) = &block.mbu {
-                // tokens = users, batch = (context, item) pairs
-                let per_item = linalg::permute(&x, &[0, 2, 1, 3]).reshaped(vec![bsz * m, n, e]);
-                let y = mhsa_forward(&per_item, w);
-                let y = linalg::permute(&y.reshaped(vec![bsz, m, n, e]), &[0, 2, 1, 3]);
-                x = Self::post(&x, y, block.residual, &block.norm_mbu);
-            }
-            if let Some(w) = &block.mbi {
-                // tokens = items, batch = (context, user) pairs
-                let y = mhsa_forward(&x.reshape([bsz * n, m, e]), w).reshaped(vec![bsz, n, m, e]);
-                x = Self::post(&x, y, block.residual, &block.norm_mbi);
-            }
-            if let Some(w) = &block.mba {
-                // tokens = attributes, batch = all cells
-                let y =
-                    mhsa_forward(&x.reshape([bsz * n * m, h, f]), w).reshaped(vec![bsz, n, m, e]);
-                x = Self::post(&x, y, block.residual, &block.norm_mba);
-            }
-        }
-        x
-    }
-
-    /// Decoder: `α · sigmoid(H W + b)`, shape `[B, n, m]`.
-    fn decode(&self, x: &NdArray, bsz: usize, n: usize, m: usize) -> NdArray {
-        let y = linalg::linear_nd(x, &self.decoder_w); // [B, n, m, 1]
-        let y = linalg::broadcast_zip(&y, &self.decoder_b, |a, b| a + b);
-        let alpha = self.alpha;
-        y.map(|v| 1.0 / (1.0 + (-v).exp()))
-            .map(|v| v * alpha)
-            .reshaped(vec![bsz, n, m])
+        self.param_refs().into_iter().map(NdArray::numel).sum()
     }
 
     /// Tape-free forward: the predicted rating matrix `[n, m]`,
@@ -511,12 +295,7 @@ impl FrozenModel {
         ctx: &PredictionContext,
         dataset: &Dataset,
     ) -> HireResult<NdArray> {
-        let n = ctx.n();
-        let m = ctx.m();
-        let h = self.encode(ctx, dataset)?;
-        let e = self.embed_dim();
-        let x = self.run_blocks(h.reshaped(vec![1, n, m, e]), 1, n, m);
-        Ok(self.decode(&x, 1, n, m).reshaped(vec![n, m]))
+        self.weights.forward_nograd(ctx, dataset)
     }
 
     /// Batched tape-free forward over contexts of identical shape. Returns
@@ -531,74 +310,18 @@ impl FrozenModel {
             .map(|out| out.expect("no deadline given, forward cannot be cut short"))
     }
 
-    /// [`Self::forward_nograd_batch`] with a deadline budget: the forward
-    /// checks the clock between per-context encodes and before the block
-    /// stack, and returns `Ok(None)` if the deadline passed — so a serving
+    /// [`Self::forward_nograd_batch`] with a deadline budget: `Ok(None)` if
+    /// the deadline passed before the block stack started, so a serving
     /// worker never sinks a full forward into a query that already timed
-    /// out. (The block stack itself runs to completion once started; encode
-    /// dominates setup cost and the checks bound the overshoot to one
-    /// stacked forward.)
-    ///
-    /// Per-context encodes fan out across the `hire-par` pool, each writing
-    /// its own disjoint slab of the stacked input — so the encoded batch
-    /// (and everything downstream) stays bit-identical for any thread
-    /// count. A deadline hit on any worker raises a shared flag; encode
-    /// errors are reported in ascending context order and take precedence
-    /// over the (wall-clock-dependent) deadline outcome.
+    /// out. Encodes fan out over the `hire-par` pool; results are
+    /// bit-identical for any thread count.
     pub fn forward_nograd_batch_within(
         &self,
         ctxs: &[&PredictionContext],
         dataset: &Dataset,
         deadline: Option<Instant>,
     ) -> HireResult<Option<Vec<NdArray>>> {
-        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-        let Some(first) = ctxs.first() else {
-            return Ok(Some(Vec::new()));
-        };
-        let (n, m) = (first.n(), first.m());
-        let bsz = ctxs.len();
-        let e = self.embed_dim();
-        for ctx in ctxs {
-            if ctx.n() != n || ctx.m() != m {
-                return Err(HireError::invalid_data(
-                    "FrozenModel",
-                    format!(
-                        "batched contexts must share a shape: {}x{} vs {n}x{m}",
-                        ctx.n(),
-                        ctx.m()
-                    ),
-                ));
-            }
-        }
-        let slab = n * m * e;
-        let mut stacked = vec![0.0f32; bsz * slab];
-        let stacked_ptr = SendPtr(stacked.as_mut_ptr());
-        let timed_out = AtomicBool::new(false);
-        let outcomes: Vec<HireResult<()>> = hire_par::parallel_map_chunks(bsz, 1, |rr| {
-            for bi in rr {
-                if timed_out.load(Ordering::Relaxed) || expired() {
-                    timed_out.store(true, Ordering::Relaxed);
-                    return Ok(());
-                }
-                let h = self.encode(ctxs[bi], dataset)?;
-                // SAFETY: each context owns a disjoint slab of `stacked`.
-                unsafe { stacked_ptr.slice_mut(bi * slab, slab) }.copy_from_slice(h.as_slice());
-            }
-            Ok(())
-        });
-        for outcome in outcomes {
-            outcome?;
-        }
-        if timed_out.load(Ordering::Relaxed) || expired() {
-            return Ok(None);
-        }
-        let x = self.run_blocks(NdArray::from_vec(vec![bsz, n, m, e], stacked), bsz, n, m);
-        let out = self.decode(&x, bsz, n, m);
-        Ok(Some(
-            out.as_slice()
-                .chunks(n * m)
-                .map(|chunk| NdArray::from_vec(vec![n, m], chunk.to_vec()))
-                .collect(),
-        ))
+        self.weights
+            .forward_nograd_batch_within(ctxs, dataset, deadline)
     }
 }

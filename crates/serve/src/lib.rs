@@ -7,7 +7,11 @@
 //!   [`hire_tensor::NdArray`] weights (or loaded from a `hire-ckpt`
 //!   snapshot), with a tape-free forward that is bit-identical to the live
 //!   model, a batched variant for micro-batching, and a deadline-aware
-//!   variant that abandons work for queries that already timed out.
+//!   variant that abandons work for queries that already timed out. The
+//!   forward itself is written once, in the private `him` module, generic
+//!   over the weight storage format ([`hire_tensor::WeightMatrix`]);
+//!   [`FrozenModel`] and [`QuantizedModel`] are its f32 and int8/f16
+//!   instances, so neither has forward code of its own.
 //! - [`ContextCache`] — a capacity-bounded LRU memoizing sampled
 //!   [`hire_data::PredictionContext`]s per `(user, item, strategy, n, m)`
 //!   key, with explicit invalidation when new rating edges arrive.
@@ -21,8 +25,9 @@
 //!   a graph-statistics fallback predictor. Every [`Answer`] is tagged
 //!   with the tier that produced it ([`ServedBy`]).
 //! - [`QuantizedModel`] — a [`FrozenModel`] quantized post-training to
-//!   symmetric-per-tensor int8 (or f16), dequantized on the fly inside the
-//!   matmul kernels; rebuilt automatically on every model hot swap.
+//!   symmetric-per-tensor int8 (or f16) by a field-wise map over its
+//!   weights, dequantized on the fly inside the matmul kernels; rebuilt
+//!   automatically on every model hot swap.
 //! - [`CircuitBreaker`] — sliding-window failure-rate breaker
 //!   (closed / open / half-open) that sheds model-tier load when the
 //!   frozen forward is misbehaving.
@@ -54,6 +59,7 @@ pub mod cache;
 pub mod durable;
 pub mod engine;
 pub mod frozen;
+mod him;
 pub mod online;
 pub mod quant;
 pub mod server;

@@ -5,16 +5,17 @@
 //! A [`QuantizedModel`] is derived mechanically from any frozen model
 //! ([`QuantizedModel::from_frozen`]) — the engine rebuilds one on every
 //! `install_model` hot swap, so the quantized tier always tracks the
-//! incumbent version. Its forward mirrors the f32 forward operation for
-//! operation: embedding gathers, the three MHSA projections per HIM
-//! layer, and the decoder head read compressed weights
-//! (`linalg::gather_rows_dequant` / `linear_nd_dequant`), while
-//! activations, softmax, layer norms, and biases stay f32.
+//! incumbent version. It has no forward of its own: it runs the shared
+//! [`crate::him`] forward instantiated at `QuantizedTensor`, where the
+//! embedding gathers, the MHSA projections and the decoder head read
+//! compressed weights while activations, softmax, layer norms, and biases
+//! stay f32.
 //!
 //! Determinism: dequantization is a pure per-element function and the
 //! dequant kernels keep the single-accumulator ascending-`k` chain of the
 //! f32 kernels, so quantized predictions are bit-identical across thread
-//! counts.
+//! counts — and bit-identical to the f32 forward run on the dequantized
+//! weights (unit test in `crate::him`).
 //!
 //! Error bound: every compressed tensor records its worst per-element
 //! reconstruction error; [`QuantizedModel::max_weight_err`] is the max
@@ -24,45 +25,18 @@
 //! which keeps rating-scale deltas small — the test pins the observed
 //! bound).
 
-use crate::frozen::{FrozenModel, FrozenNorm, LAYER_NORM_EPS};
+use crate::frozen::FrozenModel;
+use crate::him::HimWeights;
 use hire_data::{Dataset, PredictionContext};
-use hire_error::{HireError, HireResult};
-use hire_nn::{mhsa_forward_quant, QuantMhsaWeights};
-use hire_par::SendPtr;
-use hire_tensor::{linalg, NdArray, QuantMode, QuantizedTensor};
-use std::sync::atomic::{AtomicBool, Ordering};
+use hire_error::HireResult;
+use hire_tensor::{NdArray, QuantMode, QuantizedTensor};
 use std::time::Instant;
-
-/// One HIM block with quantized MHSA projections; layer-norm affine
-/// parameters stay f32 (they are vectors — negligible memory, and norms
-/// are sensitive to weight rounding).
-#[derive(Debug, Clone)]
-struct QuantBlock {
-    mbu: Option<QuantMhsaWeights>,
-    mbi: Option<QuantMhsaWeights>,
-    mba: Option<QuantMhsaWeights>,
-    norm_mbu: Option<FrozenNorm>,
-    norm_mbi: Option<FrozenNorm>,
-    norm_mba: Option<FrozenNorm>,
-    residual: bool,
-}
 
 /// A frozen HIRE model with compressed weights — the second rung of the
 /// degradation ladder (DESIGN.md §13).
 #[derive(Debug, Clone)]
 pub struct QuantizedModel {
-    user_embeddings: Vec<QuantizedTensor>,
-    item_embeddings: Vec<QuantizedTensor>,
-    rating_embedding: QuantizedTensor,
-    blocks: Vec<QuantBlock>,
-    decoder_w: QuantizedTensor,
-    decoder_b: NdArray,
-    alpha: f32,
-    min_rating: f32,
-    rating_levels: usize,
-    user_id_only: bool,
-    item_id_only: bool,
-    attr_dim: usize,
+    pub(crate) weights: HimWeights<QuantizedTensor>,
     mode: QuantMode,
     max_weight_err: f32,
 }
@@ -72,61 +46,16 @@ impl QuantizedModel {
     /// calibration data, no retraining — safe to run inside the hot-swap
     /// path.
     pub fn from_frozen(model: &FrozenModel, mode: QuantMode) -> Self {
-        fn q(a: &NdArray, mode: QuantMode, max_err: &mut f32) -> QuantizedTensor {
+        let mut max_weight_err = 0.0f32;
+        let weights = model.weights.map(|a| {
             let t = QuantizedTensor::quantize(a, mode);
-            *max_err = max_err.max(t.max_err());
+            max_weight_err = max_weight_err.max(t.max_err());
             t
-        }
-        fn q_mhsa(
-            w: &hire_nn::MhsaWeights,
-            mode: QuantMode,
-            max_err: &mut f32,
-        ) -> QuantMhsaWeights {
-            let qw = QuantMhsaWeights::from_weights(w, mode);
-            *max_err = max_err.max(qw.max_weight_err());
-            qw
-        }
-        let mut max_err = 0.0f32;
-        let user_embeddings: Vec<_> = model
-            .user_embeddings
-            .iter()
-            .map(|a| q(a, mode, &mut max_err))
-            .collect();
-        let item_embeddings: Vec<_> = model
-            .item_embeddings
-            .iter()
-            .map(|a| q(a, mode, &mut max_err))
-            .collect();
-        let rating_embedding = q(&model.rating_embedding, mode, &mut max_err);
-        let blocks: Vec<QuantBlock> = model
-            .blocks
-            .iter()
-            .map(|b| QuantBlock {
-                mbu: b.mbu.as_ref().map(|w| q_mhsa(w, mode, &mut max_err)),
-                mbi: b.mbi.as_ref().map(|w| q_mhsa(w, mode, &mut max_err)),
-                mba: b.mba.as_ref().map(|w| q_mhsa(w, mode, &mut max_err)),
-                norm_mbu: b.norm_mbu.clone(),
-                norm_mbi: b.norm_mbi.clone(),
-                norm_mba: b.norm_mba.clone(),
-                residual: b.residual,
-            })
-            .collect();
-        let decoder_w = q(&model.decoder_w, mode, &mut max_err);
+        });
         QuantizedModel {
-            user_embeddings,
-            item_embeddings,
-            rating_embedding,
-            blocks,
-            decoder_w,
-            decoder_b: model.decoder_b.clone(),
-            alpha: model.alpha,
-            min_rating: model.min_rating,
-            rating_levels: model.rating_levels,
-            user_id_only: model.user_id_only,
-            item_id_only: model.item_id_only,
-            attr_dim: model.attr_dim,
+            weights,
             mode,
-            max_weight_err: max_err,
+            max_weight_err,
         }
     }
 
@@ -154,176 +83,19 @@ impl QuantizedModel {
     /// end to end on every CI run.
     pub fn prediction_bound(&self) -> f32 {
         match self.mode {
-            QuantMode::Int8 => 0.05 * self.alpha,
-            QuantMode::F16 => 0.01 * self.alpha,
+            QuantMode::Int8 => 0.05 * self.weights.alpha,
+            QuantMode::F16 => 0.01 * self.weights.alpha,
         }
     }
 
     /// Number of attribute channels `h = h_u + h_i + 1`.
     pub fn num_attrs(&self) -> usize {
-        self.user_embeddings.len() + self.item_embeddings.len() + 1
+        self.weights.num_attrs()
     }
 
     /// Embedding width `e = h * f`.
     pub fn embed_dim(&self) -> usize {
-        self.num_attrs() * self.attr_dim
-    }
-
-    fn user_code(&self, dataset: &Dataset, user: usize, attr: usize) -> usize {
-        if self.user_id_only {
-            user
-        } else {
-            dataset.user_attrs[user][attr]
-        }
-    }
-
-    fn item_code(&self, dataset: &Dataset, item: usize, attr: usize) -> usize {
-        if self.item_id_only {
-            item
-        } else {
-            dataset.item_attrs[item][attr]
-        }
-    }
-
-    /// Mirror of `FrozenModel::encode` with dequantizing gathers.
-    fn encode(&self, ctx: &PredictionContext, dataset: &Dataset) -> HireResult<NdArray> {
-        let n = ctx.n();
-        let m = ctx.m();
-        let f = self.attr_dim;
-        for &u in &ctx.users {
-            if u >= dataset.num_users {
-                return Err(HireError::invalid_data(
-                    "QuantizedModel",
-                    format!("context user {u} out of range {}", dataset.num_users),
-                ));
-            }
-        }
-        for &i in &ctx.items {
-            if i >= dataset.num_items {
-                return Err(HireError::invalid_data(
-                    "QuantizedModel",
-                    format!("context item {i} out of range {}", dataset.num_items),
-                ));
-            }
-        }
-
-        let user_feats: Vec<NdArray> = self
-            .user_embeddings
-            .iter()
-            .enumerate()
-            .map(|(k, emb)| {
-                let codes: Vec<usize> = ctx
-                    .users
-                    .iter()
-                    .map(|&u| self.user_code(dataset, u, k))
-                    .collect();
-                linalg::gather_rows_dequant(emb, &codes)
-            })
-            .collect();
-        let refs: Vec<&NdArray> = user_feats.iter().collect();
-        let x_u = linalg::concat_last(&refs); // [n, hu*f]
-
-        let item_feats: Vec<NdArray> = self
-            .item_embeddings
-            .iter()
-            .enumerate()
-            .map(|(k, emb)| {
-                let codes: Vec<usize> = ctx
-                    .items
-                    .iter()
-                    .map(|&i| self.item_code(dataset, i, k))
-                    .collect();
-                linalg::gather_rows_dequant(emb, &codes)
-            })
-            .collect();
-        let refs: Vec<&NdArray> = item_feats.iter().collect();
-        let x_i = linalg::concat_last(&refs); // [m, hi*f]
-
-        let mut codes = Vec::with_capacity(n * m);
-        for flat in 0..n * m {
-            let visible = ctx.input_mask.as_slice()[flat] == 1.0;
-            let code = if visible {
-                let value = ctx.ratings.as_slice()[flat];
-                ((value - self.min_rating).round() as usize).min(self.rating_levels - 1)
-            } else {
-                0
-            };
-            codes.push(code);
-        }
-        let raw_r = linalg::gather_rows_dequant(&self.rating_embedding, &codes); // [n*m, f]
-        let mut mask = NdArray::zeros([n * m, f]);
-        for flat in 0..n * m {
-            if ctx.input_mask.as_slice()[flat] == 1.0 {
-                for j in 0..f {
-                    mask.as_mut_slice()[flat * f + j] = 1.0;
-                }
-            }
-        }
-        let x_r = linalg::broadcast_zip(&raw_r, &mask, |x, y| x * y).reshaped(vec![n, m, f]);
-
-        let hu_f = self.user_embeddings.len() * f;
-        let hi_f = self.item_embeddings.len() * f;
-        let u_grid = linalg::broadcast_zip(
-            &x_u.reshape([n, 1, hu_f]),
-            &NdArray::ones([n, m, hu_f]),
-            |x, y| x * y,
-        );
-        let i_grid = linalg::broadcast_zip(
-            &x_i.reshape([1, m, hi_f]),
-            &NdArray::ones([n, m, hi_f]),
-            |x, y| x * y,
-        );
-        Ok(linalg::concat_last(&[&u_grid, &i_grid, &x_r]))
-    }
-
-    /// Residual-add + optional LayerNorm, mirroring `FrozenModel::post`.
-    fn post(x: &NdArray, y: NdArray, residual: bool, norm: &Option<FrozenNorm>) -> NdArray {
-        let z = if residual {
-            linalg::broadcast_zip(x, &y, |a, b| a + b)
-        } else {
-            y
-        };
-        match norm {
-            Some(nm) => linalg::layer_norm_last_nd(&z, &nm.gamma, &nm.beta, LAYER_NORM_EPS),
-            None => z,
-        }
-    }
-
-    /// HIM blocks over a batch of stacked contexts `[B, n, m, e]` with
-    /// quantized MHSA projections.
-    fn run_blocks(&self, mut x: NdArray, bsz: usize, n: usize, m: usize) -> NdArray {
-        let h = self.num_attrs();
-        let f = self.attr_dim;
-        let e = h * f;
-        for block in &self.blocks {
-            if let Some(w) = &block.mbu {
-                let per_item = linalg::permute(&x, &[0, 2, 1, 3]).reshaped(vec![bsz * m, n, e]);
-                let y = mhsa_forward_quant(&per_item, w);
-                let y = linalg::permute(&y.reshaped(vec![bsz, m, n, e]), &[0, 2, 1, 3]);
-                x = Self::post(&x, y, block.residual, &block.norm_mbu);
-            }
-            if let Some(w) = &block.mbi {
-                let y =
-                    mhsa_forward_quant(&x.reshape([bsz * n, m, e]), w).reshaped(vec![bsz, n, m, e]);
-                x = Self::post(&x, y, block.residual, &block.norm_mbi);
-            }
-            if let Some(w) = &block.mba {
-                let y = mhsa_forward_quant(&x.reshape([bsz * n * m, h, f]), w)
-                    .reshaped(vec![bsz, n, m, e]);
-                x = Self::post(&x, y, block.residual, &block.norm_mba);
-            }
-        }
-        x
-    }
-
-    /// Decoder: `α · sigmoid(H W + b)` with a dequantizing head matmul.
-    fn decode(&self, x: &NdArray, bsz: usize, n: usize, m: usize) -> NdArray {
-        let y = linalg::linear_nd_dequant(x, &self.decoder_w); // [B, n, m, 1]
-        let y = linalg::broadcast_zip(&y, &self.decoder_b, |a, b| a + b);
-        let alpha = self.alpha;
-        y.map(|v| 1.0 / (1.0 + (-v).exp()))
-            .map(|v| v * alpha)
-            .reshaped(vec![bsz, n, m])
+        self.weights.embed_dim()
     }
 
     /// Tape-free quantized forward: the predicted rating matrix `[n, m]`.
@@ -332,12 +104,7 @@ impl QuantizedModel {
         ctx: &PredictionContext,
         dataset: &Dataset,
     ) -> HireResult<NdArray> {
-        let n = ctx.n();
-        let m = ctx.m();
-        let h = self.encode(ctx, dataset)?;
-        let e = self.embed_dim();
-        let x = self.run_blocks(h.reshaped(vec![1, n, m, e]), 1, n, m);
-        Ok(self.decode(&x, 1, n, m).reshaped(vec![n, m]))
+        self.weights.forward_nograd(ctx, dataset)
     }
 
     /// Batched quantized forward with a deadline budget — the same
@@ -349,54 +116,7 @@ impl QuantizedModel {
         dataset: &Dataset,
         deadline: Option<Instant>,
     ) -> HireResult<Option<Vec<NdArray>>> {
-        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-        let Some(first) = ctxs.first() else {
-            return Ok(Some(Vec::new()));
-        };
-        let (n, m) = (first.n(), first.m());
-        let bsz = ctxs.len();
-        let e = self.embed_dim();
-        for ctx in ctxs {
-            if ctx.n() != n || ctx.m() != m {
-                return Err(HireError::invalid_data(
-                    "QuantizedModel",
-                    format!(
-                        "batched contexts must share a shape: {}x{} vs {n}x{m}",
-                        ctx.n(),
-                        ctx.m()
-                    ),
-                ));
-            }
-        }
-        let slab = n * m * e;
-        let mut stacked = vec![0.0f32; bsz * slab];
-        let stacked_ptr = SendPtr(stacked.as_mut_ptr());
-        let timed_out = AtomicBool::new(false);
-        let outcomes: Vec<HireResult<()>> = hire_par::parallel_map_chunks(bsz, 1, |rr| {
-            for bi in rr {
-                if timed_out.load(Ordering::Relaxed) || expired() {
-                    timed_out.store(true, Ordering::Relaxed);
-                    return Ok(());
-                }
-                let h = self.encode(ctxs[bi], dataset)?;
-                // SAFETY: each context owns a disjoint slab of `stacked`.
-                unsafe { stacked_ptr.slice_mut(bi * slab, slab) }.copy_from_slice(h.as_slice());
-            }
-            Ok(())
-        });
-        for outcome in outcomes {
-            outcome?;
-        }
-        if timed_out.load(Ordering::Relaxed) || expired() {
-            return Ok(None);
-        }
-        let x = self.run_blocks(NdArray::from_vec(vec![bsz, n, m, e], stacked), bsz, n, m);
-        let out = self.decode(&x, bsz, n, m);
-        Ok(Some(
-            out.as_slice()
-                .chunks(n * m)
-                .map(|chunk| NdArray::from_vec(vec![n, m], chunk.to_vec()))
-                .collect(),
-        ))
+        self.weights
+            .forward_nograd_batch_within(ctxs, dataset, deadline)
     }
 }

@@ -511,7 +511,9 @@ impl ShardedEngine {
             };
             for (s, engine) in self.shards.iter().enumerate() {
                 if s != owner {
-                    engine.adopt_context(user, item, Arc::clone(&ctx), memo);
+                    // Replication is a cache warm-up: a shard that refuses
+                    // the replica samples the context itself on demand.
+                    let _ = engine.adopt_context(user, item, Arc::clone(&ctx), memo);
                 }
             }
             let mut state = lock(hot);

@@ -19,6 +19,9 @@
 //!   with dequantize-on-the-fly kernels in [`linalg`]
 //!   (`matmul2d_dequant`, `linear_nd_dequant`, `gather_rows_dequant`),
 //!   bit-exact across thread counts like the f32 kernels.
+//! - [`WeightMatrix`] — the one trait that pairs a weight storage format
+//!   (f32 [`NdArray`], int8/f16 [`QuantizedTensor`]) with its [`linalg`]
+//!   kernels; every no-grad forward above it is generic over it.
 //! - [`simd`] — runtime-dispatched vector micro-kernels
 //!   (scalar/sse2/avx2, `HIRE_ISA` override) behind the [`linalg`] hot
 //!   paths, with a per-ISA determinism contract (DESIGN.md §16).
@@ -43,6 +46,7 @@ pub mod shape;
 pub mod simd;
 
 pub use autograd::Tensor;
+pub use linalg::WeightMatrix;
 pub use ndarray::NdArray;
 pub use quant::{QuantMode, QuantizedTensor};
 pub use shape::Shape;

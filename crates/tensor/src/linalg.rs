@@ -1084,6 +1084,45 @@ pub fn gather_rows_dequant(table: &QuantizedTensor, indices: &[usize]) -> NdArra
     NdArray::from_vec([indices.len(), f], out)
 }
 
+/// A 2-D weight in some storage format, read through the two kernels a
+/// no-grad forward needs. This trait and its two impls are the only place
+/// that pairs a format with its kernels: everything above (`hire-nn`'s
+/// MHSA, `hire-serve`'s HIM forward) is written once, generic over `W`,
+/// and monomorphises to the same kernel calls a hand-written copy would
+/// make — no `dyn`, no runtime format switch above this line.
+pub trait WeightMatrix: Sync {
+    /// `[rows, cols]` of the stored matrix.
+    fn dims(&self) -> &[usize];
+    /// `x: [..., d] x self: [d, k] -> [..., k]`.
+    fn linear_nd(&self, x: &NdArray) -> NdArray;
+    /// Rows of `self: [v, f]` by `indices`, as f32 `[n, f]`.
+    fn gather_rows(&self, indices: &[usize]) -> NdArray;
+}
+
+impl WeightMatrix for NdArray {
+    fn dims(&self) -> &[usize] {
+        NdArray::dims(self)
+    }
+    fn linear_nd(&self, x: &NdArray) -> NdArray {
+        linear_nd(x, self)
+    }
+    fn gather_rows(&self, indices: &[usize]) -> NdArray {
+        gather_rows(self, indices)
+    }
+}
+
+impl WeightMatrix for QuantizedTensor {
+    fn dims(&self) -> &[usize] {
+        QuantizedTensor::dims(self)
+    }
+    fn linear_nd(&self, x: &NdArray) -> NdArray {
+        linear_nd_dequant(x, self)
+    }
+    fn gather_rows(&self, indices: &[usize]) -> NdArray {
+        gather_rows_dequant(self, indices)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
