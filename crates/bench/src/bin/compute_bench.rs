@@ -1,7 +1,7 @@
 //! Kernel/compute benchmark: establishes the perf trajectory of the
 //! parallel compute layer and emits `BENCH_KERNELS.json`.
 //!
-//! Three sections:
+//! Four sections:
 //! 1. **matmul** — GFLOP/s at HIM-realistic shapes: the naive reference
 //!    loop, the blocked kernel forced to the scalar micro-kernel, and the
 //!    blocked kernel on the dispatched ISA (see `hire_tensor::simd`), all
@@ -10,10 +10,15 @@
 //!    against the reference on scalar/sse2, oracle-bounded on avx2 (whose
 //!    FMA chain rounds less — DESIGN.md §16), and always bitwise
 //!    thread-invariant against its own 1-thread result.
-//! 2. **him** — full HIM forward and forward+backward wall time on a
+//! 2. **mhsa** — the tape-free `hire_nn::mhsa_forward` at HIM's three
+//!    attention shapes (MBU, MBI, MBA of the `fast` config), 1 thread:
+//!    microseconds, achieved GFLOP/s from the shape's matmul FLOPs, and
+//!    that as a share of the matmul peak section 1 measured. Reported, not
+//!    gated — it is the per-layer number the serving forward is made of.
+//! 3. **him** — full HIM forward and forward+backward wall time on a
 //!    synthetic cold-start context across the thread sweep, with the loss
 //!    value asserted bit-identical at every thread count.
-//! 3. **serve** — saturation throughput from the sibling `serve_bench`
+//! 4. **serve** — saturation throughput from the sibling `serve_bench`
 //!    binary run with `--threads 1/2/4/8` (skipped under `--smoke`).
 //!
 //! `--smoke` shrinks every section to seconds and gates two regressions:
@@ -27,6 +32,7 @@ use hire_bench::write_json_atomic;
 use hire_core::{HireConfig, HireModel};
 use hire_data::{test_context_with_ratio, SyntheticConfig};
 use hire_graph::{NeighborhoodSampler, Rating};
+use hire_nn::{mhsa_forward, MhsaWeights};
 use hire_par::{with_pool, ThreadPool};
 use hire_tensor::linalg;
 use hire_tensor::NdArray;
@@ -133,6 +139,24 @@ struct MatmulReport {
 }
 
 #[derive(Serialize)]
+struct MhsaReport {
+    /// Which HIM attention this shape is: `mbu` | `mbi` | `mba`.
+    layer: &'static str,
+    /// `[batch, tokens, model_dim]` of the timed input.
+    shape: Vec<usize>,
+    heads: usize,
+    head_dim: usize,
+    /// Best-of wall time of one `mhsa_forward`, 1 thread.
+    micros_1t: f64,
+    /// Projection + QKᵀ + A·V + output-projection FLOPs over that time.
+    gflops_1t: f64,
+    /// `gflops_1t` over the dispatched 1-thread matmul GFLOP/s at the
+    /// 256×40×32 projection shape: how much of the kernel peak survives
+    /// the attention layer around it.
+    share_of_matmul_peak: f64,
+}
+
+#[derive(Serialize)]
 struct HimPoint {
     threads: usize,
     forward_ms: f64,
@@ -164,6 +188,7 @@ struct KernelBenchReport {
     /// container is not comparable to one from an 8-core host.
     host: hire_bench::HostInfo,
     matmul: Vec<MatmulReport>,
+    mhsa: Vec<MhsaReport>,
     him: HimReport,
     serve: Option<Vec<ServePoint>>,
 }
@@ -253,6 +278,52 @@ fn bench_matmul(n: usize, k: usize, m: usize, reps: usize) -> MatmulReport {
         dispatch_speedup_1t: t_scalar_1t / t_blocked_1t,
         sweep,
     }
+}
+
+/// Times `mhsa_forward` at the three attention shapes of a `fast`-config
+/// HIM block over an `n × m` context of `h` attributes (tokens = users,
+/// items, attributes), single-threaded, against `matmul_peak_gflops`.
+fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport> {
+    let cfg = HireConfig::fast();
+    let (n, m, f) = (cfg.context_users, cfg.context_items, cfg.attr_dim);
+    let (l, dk) = (cfg.heads, cfg.head_dim);
+    let e = h * f;
+    let one = Arc::new(ThreadPool::new(1));
+    let mut rng = StdRng::seed_from_u64(0x3A5A);
+    [
+        ("mbu", [m, n, e]),
+        ("mbi", [n, m, e]),
+        ("mba", [n * m, h, f]),
+    ]
+    .into_iter()
+    .map(|(layer, [b, t, d])| {
+        let mut weight = |rows, cols| NdArray::randn([rows, cols], 0.0, 0.1, &mut rng);
+        let w = MhsaWeights {
+            w_q: weight(d, l * dk),
+            w_k: weight(d, l * dk),
+            w_v: weight(d, l * dk),
+            w_o: weight(l * dk, d),
+            heads: l,
+            head_dim: dk,
+        };
+        let x = NdArray::randn([b, t, d], 0.0, 1.0, &mut rng);
+        let secs = time_best(reps, || {
+            let y = with_pool(&one, || mhsa_forward(&x, &w));
+            std::hint::black_box(&y);
+        });
+        let flops = (4 * 2 * b * t * d * l * dk + 2 * 2 * b * l * t * t * dk) as f64;
+        let gflops = flops / secs / 1e9;
+        MhsaReport {
+            layer,
+            shape: vec![b, t, d],
+            heads: l,
+            head_dim: dk,
+            micros_1t: secs * 1e6,
+            gflops_1t: gflops,
+            share_of_matmul_peak: gflops / matmul_peak_gflops,
+        }
+    })
+    .collect()
 }
 
 /// Times the full HIM forward and forward+backward across the thread
@@ -419,6 +490,20 @@ fn main() {
         })
         .collect();
 
+    // The movielens-like schema `bench_him` runs on: 4 user + 4 item
+    // attributes + the rating channel.
+    let mhsa = bench_mhsa(9, reps, matmul[0].gflops_blocked_1t);
+    for r in &mhsa {
+        eprintln!(
+            "  mhsa {} {:?}: {:.1} us, {:.2} GF/s ({:.0} % of the matmul peak)",
+            r.layer,
+            r.shape,
+            r.micros_1t,
+            r.gflops_1t,
+            100.0 * r.share_of_matmul_peak
+        );
+    }
+
     eprintln!("compute_bench: HIM forward/backward sweep...");
     let him = bench_him(args.smoke);
     for p in &him.sweep {
@@ -468,6 +553,7 @@ fn main() {
         host_threads,
         host,
         matmul,
+        mhsa,
         him,
         serve,
     };

@@ -31,5 +31,7 @@ pub use linear::Linear;
 pub use loss::{bce_loss, mae, masked_mse_loss, mse_loss, rmse};
 pub use mlp::Mlp;
 pub use module::Module;
-pub use nograd::{mhsa_forward, MhsaWeights};
+pub use nograd::{
+    mhsa_forward, mhsa_forward_into, mhsa_forward_with_isa, mhsa_workspace_len, MhsaWeights,
+};
 pub use norm::LayerNorm;

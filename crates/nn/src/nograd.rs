@@ -1,18 +1,25 @@
 //! Inference-only (no autograd tape) forward passes over plain [`NdArray`]s.
 //!
-//! These kernels mirror the tape-based modules operation for operation —
-//! same linalg kernels, same order — so a frozen model produces
-//! bit-identical outputs to the live model it was exported from. They exist
-//! for the serving path (`hire-serve`), where building a backward graph per
-//! query is pure overhead and `Tensor`'s `Rc` interior forbids sharing
-//! across worker threads.
+//! [`mhsa_forward`] produces, bit for bit, what the tape-based
+//! `MultiHeadSelfAttention` produces on the same ISA — so a frozen model
+//! agrees with the live model it was exported from — but it is not the same
+//! sequence of tensor ops. The tape splits heads with `permute`, builds
+//! `Kᵀ` and a `[batch·heads, t, t]` score tensor, and merges heads with
+//! another `permute`; here the three projections land in `[rows, l·dk]`
+//! buffers and `linalg::attention_into` reads each (batch, head) tile
+//! straight out of them and writes the merged layout straight back over Q. Every
+//! output element still runs the tape's per-element chain (DESIGN.md §16),
+//! and `tests/mhsa_oracle.rs` holds the two together over generated shapes.
+//! The tape-free form exists for the serving path (`hire-serve`), where
+//! building a backward graph per query is pure overhead and `Tensor`'s `Rc`
+//! interior forbids sharing across worker threads.
 //!
-//! Because these forwards bottom out in the same `linalg` kernels, they
-//! inherit the parallel compute layer transitively: the matmuls, softmax,
-//! and layer norms here fan out over the `hire-par` pool and stay
-//! bit-identical at every thread count (DESIGN.md §11).
+//! Projections and the attention tiles fan out over the `hire-par` pool in
+//! shape-only chunks and stay bit-identical at every thread count
+//! (DESIGN.md §11).
 
-use hire_tensor::{linalg, NdArray, WeightMatrix};
+use hire_tensor::simd::{self, Isa};
+use hire_tensor::{linalg, AttnGrid, NdArray, WeightMatrix};
 
 /// Weights of one multi-head self-attention layer, stored as `W`: plain
 /// f32 arrays by default, or a compressed format such as
@@ -20,6 +27,8 @@ use hire_tensor::{linalg, NdArray, WeightMatrix};
 ///
 /// Layout matches [`crate::MultiHeadSelfAttention`]: `w_q`/`w_k`/`w_v` are
 /// `[model_dim, heads * head_dim]`, `w_o` is `[heads * head_dim, model_dim]`.
+/// The fields are public, so the forward re-checks that relation on every
+/// call before any stride is derived from it.
 #[derive(Debug, Clone)]
 pub struct MhsaWeights<W = NdArray> {
     /// Query projection `[d, l*dk]`.
@@ -57,70 +66,133 @@ impl<W: WeightMatrix> MhsaWeights<W> {
     pub fn model_dim(&self) -> usize {
         self.w_q.dims()[0]
     }
+
+    /// The attention geometry of this layer over rows laid out
+    /// `[outer, tokens, inner]` (see [`AttnGrid`]). Panics unless all four
+    /// projections agree with `heads`, `head_dim` and one model dim — the
+    /// tile kernel derives its strides from these numbers.
+    fn grid(&self, [outer, tokens, inner]: [usize; 3]) -> AttnGrid {
+        let width = self.heads * self.head_dim;
+        let d = self.model_dim();
+        let qkv = [d, width];
+        assert!(
+            self.w_q.dims() == qkv
+                && self.w_k.dims() == qkv
+                && self.w_v.dims() == qkv
+                && self.w_o.dims() == [width, d],
+            "MHSA weights are inconsistent: {} heads x {} head_dim need w_q/w_k/w_v {qkv:?} \
+             and w_o {:?}, got w_q {:?}, w_k {:?}, w_v {:?}, w_o {:?}",
+            self.heads,
+            self.head_dim,
+            [width, d],
+            self.w_q.dims(),
+            self.w_k.dims(),
+            self.w_v.dims(),
+            self.w_o.dims(),
+        );
+        AttnGrid {
+            outer,
+            tokens,
+            inner,
+            heads: self.heads,
+            head_dim: self.head_dim,
+        }
+    }
 }
 
 /// Multi-head self-attention forward without autograd: the no-grad mirror
 /// of `MultiHeadSelfAttention::run`.
 ///
 /// Input `[batch, t, d]` (or `[t, d]`, treated as batch 1); output has the
-/// same shape. Every intermediate uses the same `linalg` kernel the tape
-/// path uses, in the same order, so f32 outputs are bit-identical to it.
+/// same shape and is bit-identical to the tape path's. A convenience
+/// wrapper that allocates the workspace and the output of
+/// [`mhsa_forward_into`].
 ///
-/// The four projections go through [`WeightMatrix::linear_nd`], so the one
-/// function serves every storage format: against quantized projections it
-/// is bit-identical to running on the dequantized weights, at any thread
-/// count.
+/// The four projections go through [`WeightMatrix::linear_into`], so the
+/// one function serves every storage format: against quantized projections
+/// it is bit-identical to running on the dequantized weights, at any
+/// thread count.
 pub fn mhsa_forward<W: WeightMatrix>(x: &NdArray, w: &MhsaWeights<W>) -> NdArray {
-    let dims = x.dims().to_vec();
-    assert!(
-        dims.len() == 2 || dims.len() == 3,
-        "MHSA input must be [t, d] or [batch, t, d], got {dims:?}"
-    );
-    let squeeze = dims.len() == 2;
-    let (b, t, d) = if squeeze {
-        (1, dims[0], dims[1])
-    } else {
-        (dims[0], dims[1], dims[2])
+    mhsa_forward_with_isa(x, w, simd::active_isa())
+}
+
+/// [`mhsa_forward`] on an explicit ISA path (tests and benchmarks; `isa`
+/// must be available on this host).
+pub fn mhsa_forward_with_isa<W: WeightMatrix>(
+    x: &NdArray,
+    w: &MhsaWeights<W>,
+    isa: Isa,
+) -> NdArray {
+    let layout = match *x.dims() {
+        [t, _] => [1, t, 1],
+        [b, t, _] => [b, t, 1],
+        ref dims => panic!("MHSA input must be [t, d] or [batch, t, d], got {dims:?}"),
     };
+    let d = *x.dims().last().expect("rank checked above");
     assert_eq!(
         d,
         w.model_dim(),
         "MHSA expected dim {}, got {d}",
         w.model_dim()
     );
-    let x3 = if squeeze {
-        x.reshape([1, t, d])
-    } else {
-        x.clone()
-    };
-    let l = w.heads;
-    let dk = w.head_dim;
+    let mut workspace = vec![0.0f32; mhsa_workspace_len(layout, w)];
+    let mut y = vec![0.0f32; x.numel()];
+    mhsa_forward_into(x.as_slice(), layout, w, isa, &mut workspace, &mut y);
+    NdArray::from_vec(x.shape().clone(), y)
+}
 
-    // [b, t, l*dk] -> [b, l, t, dk] -> [b*l, t, dk]
-    let split = |proj: NdArray| -> NdArray {
-        linalg::permute(&proj.reshaped([b, t, l, dk]), &[0, 2, 1, 3]).reshaped([b * l, t, dk])
-    };
-    let q = split(w.w_q.linear_nd(&x3));
-    let k = split(w.w_k.linear_nd(&x3));
-    let v = split(w.w_v.linear_nd(&x3));
+/// Floats of workspace [`mhsa_forward_into`] needs for `layout`: the Q
+/// (then merged-head output), K and V buffers plus the attention kernel's
+/// scratch. A function of the shapes only.
+pub fn mhsa_workspace_len<W: WeightMatrix>(layout: [usize; 3], w: &MhsaWeights<W>) -> usize {
+    let grid = w.grid(layout);
+    3 * grid.rows() * grid.width() + grid.scratch_len()
+}
 
-    // A = softmax(Q K^T / sqrt(dk))  : [b*l, t, t]
-    let scale = 1.0 / (dk as f32).sqrt();
-    let scores = linalg::bmm(&q, &linalg::transpose_last2(&k)).map(|s| s * scale);
-    let attn = linalg::softmax_last(&scores);
-
-    // [b*l, t, dk] -> [b, t, l*dk] -> W_O -> [b, t, d]
-    let fused = linalg::permute(
-        &linalg::bmm(&attn, &v).reshaped([b, l, t, dk]),
-        &[0, 2, 1, 3],
-    )
-    .reshaped([b, t, l * dk]);
-    let out = w.w_o.linear_nd(&fused);
-    if squeeze {
-        out.reshaped([t, d])
-    } else {
-        out
-    }
+/// [`mhsa_forward`] over a flat activation buffer, into caller-provided
+/// memory: `x` and `y` are `[rows, d]` with `rows = outer * tokens * inner`
+/// laid out `layout = [outer, tokens, inner]` row-major, attention running
+/// along `tokens` for every `(outer, inner)` pair independently.
+///
+/// Projections are row-wise, so which axis is the sequence only matters to
+/// the attention tiles — and they take it as a stride. That is what lets
+/// the HIM forward run MBU (`[B, n, m]`), MBI (`[B·n, m, 1]`) and MBA
+/// (`[B·n·m, h, 1]`) over one activation buffer without ever permuting it.
+/// `workspace` needs [`mhsa_workspace_len`] floats; its contents on entry
+/// are irrelevant.
+pub fn mhsa_forward_into<W: WeightMatrix>(
+    x: &[f32],
+    layout: [usize; 3],
+    w: &MhsaWeights<W>,
+    isa: Isa,
+    workspace: &mut [f32],
+    y: &mut [f32],
+) {
+    let grid = w.grid(layout);
+    let d = w.model_dim();
+    let proj = grid.rows() * grid.width();
+    assert!(
+        x.len() == grid.rows() * d && y.len() == x.len(),
+        "MHSA over {layout:?} rows of dim {d} got x of {} floats, y of {}",
+        x.len(),
+        y.len()
+    );
+    assert!(
+        workspace.len() >= mhsa_workspace_len(layout, w),
+        "MHSA workspace holds {} floats, needs {}",
+        workspace.len(),
+        mhsa_workspace_len(layout, w)
+    );
+    let (q, rest) = workspace.split_at_mut(proj);
+    let (k, rest) = rest.split_at_mut(proj);
+    let (v, scratch) = rest.split_at_mut(proj);
+    w.w_q.linear_into(x, q, isa);
+    w.w_k.linear_into(x, k, isa);
+    w.w_v.linear_into(x, v, isa);
+    // Each (batch, head) tile's output replaces its Q: `q` now holds the
+    // merged-head attention output.
+    linalg::attention_into_with_isa(&grid, q, k, v, scratch, isa);
+    w.w_o.linear_into(q, y, isa);
 }
 
 #[cfg(test)]
@@ -169,6 +241,37 @@ mod tests {
         let nograd = mhsa_forward(&x, &w);
         assert_eq!(nograd.dims(), &[4, 6]);
         assert_eq!(tape.as_slice(), nograd.as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "MHSA weights are inconsistent: 3 heads x 4 head_dim")]
+    fn rejects_heads_that_disagree_with_the_projections() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let mhsa = MultiHeadSelfAttention::new(8, 2, 4, &mut rng);
+        // The projections are [8, 2*4]; claiming a third head would send
+        // the tile kernel's strides past every row.
+        let w = weights_of(&mhsa, 3, 4);
+        mhsa_forward(&NdArray::randn([2, 5, 8], 0.0, 1.0, &mut rng), &w);
+    }
+
+    #[test]
+    #[should_panic(expected = "MHSA weights are inconsistent")]
+    fn rejects_an_output_projection_of_the_wrong_shape() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let mhsa = MultiHeadSelfAttention::new(8, 2, 4, &mut rng);
+        let mut w = weights_of(&mhsa, 2, 4);
+        w.w_o = NdArray::zeros([8, 6]);
+        mhsa_forward(&NdArray::randn([2, 5, 8], 0.0, 1.0, &mut rng), &w);
+    }
+
+    #[test]
+    #[should_panic(expected = "MHSA weights are inconsistent")]
+    fn rejects_a_key_projection_narrower_than_the_query() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        let mhsa = MultiHeadSelfAttention::new(8, 2, 4, &mut rng);
+        let mut w = weights_of(&mhsa, 2, 4);
+        w.w_k = NdArray::zeros([8, 4]);
+        mhsa_forward(&NdArray::randn([2, 5, 8], 0.0, 1.0, &mut rng), &w);
     }
 
     #[test]

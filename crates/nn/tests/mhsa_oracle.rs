@@ -1,0 +1,165 @@
+//! Fused ≡ reference, generated: `mhsa_forward` (projections → attention
+//! tiles over strided views → `W_O`) against the composition it replaced —
+//! head-split `permute`, `bmm` with a materialized `Kᵀ`, `softmax_last`,
+//! `bmm`, merge `permute` — kept here as the oracle, **bitwise**, on every
+//! ISA the host can run, at pool sizes 1 and 4, for f32, int8 and f16
+//! weights. The token counts straddle the softmax row kernel's 8-wide
+//! vector body (whose f64 lane fold the lane-parallel attention kernel must
+//! reproduce); batch × heads is mostly not a multiple of the 8- or 16-lane
+//! group.
+
+use hire_nn::{mhsa_forward_into, mhsa_forward_with_isa, mhsa_workspace_len, MhsaWeights};
+use hire_par::{with_pool, ThreadPool};
+use hire_tensor::simd::Isa;
+use hire_tensor::{linalg, NdArray, QuantMode, QuantizedTensor};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Arc;
+
+/// The unfused MHSA forward exactly as `hire_nn::mhsa_forward` composed it
+/// before the tile kernel (and as the tape's `MultiHeadSelfAttention` still
+/// does), every kernel pinned to `isa`.
+fn reference_mhsa(x: &NdArray, w: &MhsaWeights, isa: Isa) -> NdArray {
+    let (b, t) = (x.dims()[0], x.dims()[1]);
+    let (l, dk) = (w.heads, w.head_dim);
+    let linear = |x: &NdArray, w: &NdArray| {
+        let rows = x.numel() / x.dims()[2];
+        linalg::matmul2d_with_isa(&x.reshape([rows, x.dims()[2]]), w, isa).reshaped([
+            b,
+            t,
+            w.dims()[1],
+        ])
+    };
+    // [b, t, l*dk] -> [b, l, t, dk] -> [b*l, t, dk]
+    let split = |proj: NdArray| -> NdArray {
+        linalg::permute(&proj.reshaped([b, t, l, dk]), &[0, 2, 1, 3]).reshaped([b * l, t, dk])
+    };
+    let q = split(linear(x, &w.w_q));
+    let k = split(linear(x, &w.w_k));
+    let v = split(linear(x, &w.w_v));
+    let scale = 1.0 / (dk as f32).sqrt();
+    let scores = linalg::bmm_with_isa(&q, &linalg::transpose_last2(&k), isa).map(|s| s * scale);
+    let attn = linalg::softmax_last_with_isa(&scores, isa);
+    let fused = linalg::permute(
+        &linalg::bmm_with_isa(&attn, &v, isa).reshaped([b, l, t, dk]),
+        &[0, 2, 1, 3],
+    )
+    .reshaped([b, t, l * dk]);
+    linear(&fused, &w.w_o)
+}
+
+fn random_weights(d: usize, l: usize, dk: usize, rng: &mut StdRng) -> MhsaWeights {
+    let std = 1.0 / (d as f32).sqrt();
+    MhsaWeights {
+        w_q: NdArray::randn([d, l * dk], 0.0, std, rng),
+        w_k: NdArray::randn([d, l * dk], 0.0, std, rng),
+        w_v: NdArray::randn([d, l * dk], 0.0, std, rng),
+        w_o: NdArray::randn([l * dk, d], 0.0, std, rng),
+        heads: l,
+        head_dim: dk,
+    }
+}
+
+/// Fused vs oracle at one shape: all ISAs × pools {1, 4} × {f32, int8, f16}.
+/// The quantized forward is held to the oracle run on the *dequantized*
+/// weights (its declared contract).
+fn assert_matches_oracle(b: usize, t: usize, d: usize, l: usize, dk: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let w = random_weights(d, l, dk, &mut rng);
+    let x = NdArray::randn([b, t, d], 0.0, 1.5, &mut rng);
+    let quantized: Vec<MhsaWeights<QuantizedTensor>> = [QuantMode::Int8, QuantMode::F16]
+        .iter()
+        .map(|&mode| w.map(|a| QuantizedTensor::quantize(a, mode)))
+        .collect();
+    for isa in Isa::available() {
+        let want = reference_mhsa(&x, &w, isa);
+        let want_quant: Vec<NdArray> = quantized
+            .iter()
+            .map(|qw| reference_mhsa(&x, &qw.map(QuantizedTensor::dequantize), isa))
+            .collect();
+        for threads in [1, 4] {
+            with_pool(&Arc::new(ThreadPool::new(threads)), || {
+                let tag = format!("b={b} t={t} d={d} l={l} dk={dk} {isa:?} x{threads}");
+                let got = mhsa_forward_with_isa(&x, &w, isa);
+                assert_eq!(got.dims(), want.dims(), "{tag}");
+                assert_eq!(got.as_slice(), want.as_slice(), "f32 {tag}");
+                for (qw, want) in quantized.iter().zip(&want_quant) {
+                    let got = mhsa_forward_with_isa(&x, qw, isa);
+                    assert_eq!(got.as_slice(), want.as_slice(), "quantized {tag}");
+                }
+            });
+        }
+    }
+}
+
+const TOKENS: [usize; 7] = [1, 5, 7, 8, 9, 16, 17];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn fused_forward_matches_unfused_composition_bitwise(
+        b in 1usize..10,
+        ti in 0usize..TOKENS.len(),
+        d in 1usize..13,
+        (l, dk) in (1usize..6, 1usize..10),
+        seed in 0u64..1_000_000,
+    ) {
+        assert_matches_oracle(b, TOKENS[ti], d, l, dk, seed);
+    }
+
+    /// The `[outer, tokens, inner]` stride view: attention along the middle
+    /// axis equals permuting that axis last, running the plain forward and
+    /// permuting back — what HIM's MBU used to do with two whole-tensor
+    /// copies.
+    #[test]
+    fn strided_token_axis_matches_permuted_forward_bitwise(
+        (outer, inner) in (1usize..4, 1usize..7),
+        ti in 0usize..TOKENS.len(),
+        (l, dk) in (1usize..5, 1usize..10),
+        seed in 0u64..1_000_000,
+    ) {
+        let (t, d) = (TOKENS[ti], 6);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let w = random_weights(d, l, dk, &mut rng);
+        let x = NdArray::randn([outer, t, inner, d], 0.0, 1.5, &mut rng);
+        let by_sequence = linalg::permute(&x, &[0, 2, 1, 3]).reshaped([outer * inner, t, d]);
+        let layout = [outer, t, inner];
+        for isa in Isa::available() {
+            let want = linalg::permute(
+                &reference_mhsa(&by_sequence, &w, isa).reshaped([outer, inner, t, d]),
+                &[0, 2, 1, 3],
+            );
+            for threads in [1, 4] {
+                with_pool(&Arc::new(ThreadPool::new(threads)), || {
+                    // Poisoned workspace and output: nothing may be read
+                    // before it is written.
+                    let mut workspace = vec![f32::NAN; mhsa_workspace_len(layout, &w)];
+                    let mut y = vec![f32::NAN; x.numel()];
+                    mhsa_forward_into(x.as_slice(), layout, &w, isa, &mut workspace, &mut y);
+                    assert_eq!(
+                        y.as_slice(),
+                        want.as_slice(),
+                        "outer={outer} t={t} inner={inner} l={l} dk={dk} {isa:?} x{threads}"
+                    );
+                });
+            }
+        }
+    }
+}
+
+/// HIM's own shapes at a 16×16 context with 4×8 heads — MBA's 1024 tiles
+/// (5 or 9 attributes of width 8) span several parallel chunks and 64/128
+/// full lane groups — plus ragged groups and chunks, and token counts past
+/// the point (`t·dk·t > 16384`) where the oracle's `bmm` switches from the
+/// small-product to the packed, blocked matmul path.
+#[test]
+fn him_shapes_match_oracle_across_chunks() {
+    assert_matches_oracle(256, 5, 8, 4, 8, 1); // MBA, 5 attributes
+    assert_matches_oracle(256, 9, 8, 4, 8, 2); // MBA, 9 attributes
+    assert_matches_oracle(16, 16, 72, 4, 8, 3); // MBU / MBI
+    assert_matches_oracle(203, 3, 8, 3, 4, 4); // ragged lane groups and chunks
+    assert_matches_oracle(5, 33, 12, 2, 8, 5);
+    assert_matches_oracle(3, 48, 12, 3, 8, 6); // oracle on the blocked path
+}

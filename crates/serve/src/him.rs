@@ -7,19 +7,33 @@
 //! is `HimWeights<QuantizedTensor>`; both forwards are monomorphised copies
 //! of the code below. Nothing here knows which format it runs on — that is
 //! decided inside `hire_tensor::linalg`, behind `WeightMatrix`. Embedding
-//! gathers, the MHSA projections and the decoder head read `W`;
-//! activations, softmax, layer norms and biases are always f32.
+//! rows, the MHSA projections and the decoder head read `W`; activations,
+//! softmax, layer norms and biases are always f32.
 //!
-//! Every step reuses the `linalg` kernel the autograd forward uses, in the
-//! same order, so the f32 instance is **bit-identical** to the live model
-//! it was exported from (`tests/equivalence.rs`), and the quantized
-//! instance is bit-identical to the f32 instance run on the dequantized
-//! weights (unit test below). All kernels are bit-exact across
+//! # Shape of the computation
+//!
+//! A call owns one workspace, sized from the shapes and freed on return:
+//! two `[B·n·m, e]` activation buffers and one MHSA workspace. Contexts are
+//! encoded straight into the first buffer. Every attention layer then
+//! projects all `B·n·m` rows (MBA: all `B·n·m·h` attribute rows) at once —
+//! projection is row-wise, so MBU, MBI and MBA differ only in the
+//! `[outer, tokens, inner]` view handed to `hire_nn::mhsa_forward_into`:
+//! `[B, n, m]` (tokens = users), `[B·n, m, 1]` (tokens = items),
+//! `[B·n·m, h, 1]` (tokens = attributes). Nothing is ever permuted. The
+//! layer's output lands in the second buffer; residual + LayerNorm fold it
+//! back, and the two buffers swap roles when a layer has no norm.
+//!
+//! Per element this is the arithmetic of the autograd forward on the same
+//! ISA (DESIGN.md §9, §16), so the f32 instance is **bit-identical** to the
+//! live model it was exported from (`tests/equivalence.rs`), and the
+//! quantized instance is bit-identical to the f32 instance run on the
+//! dequantized weights (unit test below). All kernels are bit-exact across
 //! thread counts, and so is everything here.
 
 use hire_data::{Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
-use hire_nn::{mhsa_forward, MhsaWeights};
+use hire_nn::{mhsa_forward_into, mhsa_workspace_len, MhsaWeights};
+use hire_tensor::simd::{self, Isa};
 use hire_tensor::{linalg, NdArray, WeightMatrix};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -128,146 +142,190 @@ fn check_ids(kind: &str, ids: &[usize], bound: usize) -> HireResult<()> {
     }
 }
 
-/// One side's attribute features `[len(ids), tables.len() * f]`: each
-/// attribute's embedding rows, concatenated. ID-only schemas have a single
-/// table indexed by the entity id itself.
-fn side_features<W: WeightMatrix>(
+/// Writes one entity's attribute features — each table's embedding row,
+/// concatenated — into `out: [tables.len() * f]`. ID-only schemas have a
+/// single table indexed by the entity id itself.
+fn entity_features<W: WeightMatrix>(
     tables: &[W],
-    ids: &[usize],
+    id: usize,
     id_only: bool,
     attrs: &[Vec<usize>],
-) -> NdArray {
-    let feats: Vec<NdArray> = tables
-        .iter()
-        .enumerate()
-        .map(|(k, emb)| {
-            let codes: Vec<usize> = ids
-                .iter()
-                .map(|&id| if id_only { id } else { attrs[id][k] })
-                .collect();
-            emb.gather_rows(&codes)
-        })
-        .collect();
-    let refs: Vec<&NdArray> = feats.iter().collect();
-    linalg::concat_last(&refs)
-}
-
-/// Residual-add + optional LayerNorm, mirroring `HimBlock::post`.
-fn post(x: &NdArray, y: NdArray, residual: bool, norm: &Option<Norm>) -> NdArray {
-    let z = if residual {
-        linalg::broadcast_zip(x, &y, |a, b| a + b)
-    } else {
-        y
-    };
-    match norm {
-        Some(nm) => linalg::layer_norm_last_nd(&z, &nm.gamma, &nm.beta, LAYER_NORM_EPS),
-        None => z,
+    out: &mut [f32],
+) {
+    let f = out.len() / tables.len().max(1);
+    for (k, (emb, dst)) in tables.iter().zip(out.chunks_exact_mut(f)).enumerate() {
+        emb.row_into(if id_only { id } else { attrs[id][k] }, dst);
     }
 }
 
+/// Residual-add + optional LayerNorm, mirroring `HimBlock::post`, over the
+/// two activation buffers: on entry `x` is the layer's input and `y` its
+/// attention output; on return `x` is the block stack's next input (the
+/// buffers swap roles instead of copying when there is no norm).
+fn post<'a>(
+    x: &mut &'a mut [f32],
+    y: &mut &'a mut [f32],
+    residual: bool,
+    norm: &Option<Norm>,
+    isa: Isa,
+) {
+    if residual {
+        for (o, &a) in y.iter_mut().zip(x.iter()) {
+            *o += a;
+        }
+    }
+    match norm {
+        Some(nm) => linalg::layer_norm_last_into(
+            y,
+            nm.gamma.as_slice(),
+            nm.beta.as_slice(),
+            LAYER_NORM_EPS,
+            x,
+            isa,
+        ),
+        None => std::mem::swap(x, y),
+    }
+}
+
+/// One attention layer of a block: `(weights, norm, [outer, tokens, inner]
+/// view of the activation rows)`; `None` weights mean the layer is ablated.
+type Layer<'a, W> = (&'a Option<MhsaWeights<W>>, &'a Option<Norm>, [usize; 3]);
+
 impl<W: WeightMatrix> HimWeights<W> {
-    /// No-grad mirror of `ContextEncoder::encode`: `H ∈ R^{n×m×e}`.
-    fn encode(&self, ctx: &PredictionContext, dataset: &Dataset) -> HireResult<NdArray> {
-        let n = ctx.n();
-        let m = ctx.m();
-        let f = self.attr_dim;
+    /// No-grad mirror of `ContextEncoder::encode`: `H ∈ R^{n×m×e}` written
+    /// into `out`, cell `(i, j)` holding `[user_i attrs | item_j attrs |
+    /// rating_ij]`.
+    fn encode_into(
+        &self,
+        ctx: &PredictionContext,
+        dataset: &Dataset,
+        out: &mut [f32],
+    ) -> HireResult<()> {
+        let (n, m, f, e) = (ctx.n(), ctx.m(), self.attr_dim, self.embed_dim());
         check_ids("user", &ctx.users, dataset.num_users)?;
         check_ids("item", &ctx.items, dataset.num_items)?;
+        let hu_f = self.user_embeddings.len() * f;
+        let hi_f = self.item_embeddings.len() * f;
+        debug_assert_eq!(out.len(), n * m * e);
 
-        let x_u = side_features(
-            &self.user_embeddings,
-            &ctx.users,
-            self.user_id_only,
-            &dataset.user_attrs,
-        ); // [n, hu*f]
-        let x_i = side_features(
-            &self.item_embeddings,
-            &ctx.items,
-            self.item_id_only,
-            &dataset.item_attrs,
-        ); // [m, hi*f]
-
-        // Rating channel: visible cells gather their level embedding,
-        // masked cells gather row 0 and are zeroed by the mask multiply —
-        // the same gather-then-mask the tape encoder performs, so signed
-        // zeros match too.
-        let mut codes = Vec::with_capacity(n * m);
-        for flat in 0..n * m {
-            let visible = ctx.input_mask.as_slice()[flat] == 1.0;
-            let code = if visible {
-                let value = ctx.ratings.as_slice()[flat];
-                ((value - self.min_rating).round() as usize).min(self.rating_levels - 1)
-            } else {
-                0
-            };
-            codes.push(code);
+        // Each user's features once, into its first cell; each item's once,
+        // into the first row's cells; every other cell copies from those.
+        for (i, &user) in ctx.users.iter().enumerate() {
+            entity_features(
+                &self.user_embeddings,
+                user,
+                self.user_id_only,
+                &dataset.user_attrs,
+                &mut out[i * m * e..][..hu_f],
+            );
         }
-        let raw_r = self.rating_embedding.gather_rows(&codes); // [n*m, f]
-        let mut mask = NdArray::zeros([n * m, f]);
-        for flat in 0..n * m {
-            if ctx.input_mask.as_slice()[flat] == 1.0 {
-                for j in 0..f {
-                    mask.as_mut_slice()[flat * f + j] = 1.0;
+        for (j, &item) in ctx.items.iter().enumerate() {
+            entity_features(
+                &self.item_embeddings,
+                item,
+                self.item_id_only,
+                &dataset.item_attrs,
+                &mut out[j * e + hu_f..][..hi_f],
+            );
+        }
+        let (ratings, mask) = (ctx.ratings.as_slice(), ctx.input_mask.as_slice());
+        for i in 0..n {
+            for j in 0..m {
+                let cell = (i * m + j) * e;
+                if j > 0 {
+                    out.copy_within(i * m * e..i * m * e + hu_f, cell);
+                }
+                if i > 0 {
+                    out.copy_within(j * e + hu_f..j * e + hu_f + hi_f, cell + hu_f);
+                }
+                // Rating channel: a visible cell takes its level's
+                // embedding; a masked cell takes row 0 times 0.0 — what the
+                // tape encoder's gather-then-mask computes, so signed
+                // zeros match too.
+                let dst = &mut out[cell + hu_f + hi_f..cell + e];
+                if mask[i * m + j] == 1.0 {
+                    let level = (ratings[i * m + j] - self.min_rating).round() as usize;
+                    self.rating_embedding
+                        .row_into(level.min(self.rating_levels - 1), dst);
+                } else {
+                    self.rating_embedding.row_into(0, dst);
+                    for v in dst.iter_mut() {
+                        *v *= 0.0;
+                    }
                 }
             }
         }
-        let x_r = linalg::broadcast_zip(&raw_r, &mask, |x, y| x * y).reshaped(vec![n, m, f]);
-
-        let hu_f = self.user_embeddings.len() * f;
-        let hi_f = self.item_embeddings.len() * f;
-        let u_grid = linalg::broadcast_zip(
-            &x_u.reshape([n, 1, hu_f]),
-            &NdArray::ones([n, m, hu_f]),
-            |x, y| x * y,
-        );
-        let i_grid = linalg::broadcast_zip(
-            &x_i.reshape([1, m, hi_f]),
-            &NdArray::ones([n, m, hi_f]),
-            |x, y| x * y,
-        );
-        Ok(linalg::concat_last(&[&u_grid, &i_grid, &x_r]))
+        Ok(())
     }
 
-    /// HIM blocks over a batch of stacked contexts `[B, n, m, e]`.
+    /// The three attention layers of one block, each with the view it
+    /// takes of the B·n·m cell rows; MBA's rows are the `h` attribute slices
+    /// of every cell.
+    fn layers<'a>(
+        &self,
+        block: &'a HimBlock<W>,
+        bsz: usize,
+        n: usize,
+        m: usize,
+    ) -> [Layer<'a, W>; 3] {
+        [
+            (&block.mbu, &block.norm_mbu, [bsz, n, m]),
+            (&block.mbi, &block.norm_mbi, [bsz * n, m, 1]),
+            (
+                &block.mba,
+                &block.norm_mba,
+                [bsz * n * m, self.num_attrs(), 1],
+            ),
+        ]
+    }
+
+    /// MHSA workspace floats the block stack needs for `bsz` contexts of
+    /// `n × m` cells: the largest any layer asks for.
+    fn attention_workspace_len(&self, bsz: usize, n: usize, m: usize) -> usize {
+        self.blocks
+            .iter()
+            .flat_map(|block| self.layers(block, bsz, n, m))
+            .filter_map(|(w, _, view)| w.as_ref().map(|w| mhsa_workspace_len(view, w)))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// HIM blocks over a batch of stacked contexts `[B, n, m, e]` held in
+    /// `x`, with `y` as the second activation buffer; returns the two in
+    /// their final roles, `(result, spare)`.
     ///
-    /// Every MHSA call flattens the batch axis into the attention batch, so
+    /// Every MHSA call folds the batch axis into the attention batch, so
     /// each context's result is bit-identical to running it alone (all
-    /// kernels are row- or slice-wise along the flattened axis).
-    fn run_blocks(&self, mut x: NdArray, bsz: usize, n: usize, m: usize) -> NdArray {
-        let h = self.num_attrs();
-        let f = self.attr_dim;
-        let e = h * f;
+    /// kernels are row- or tile-wise along the flattened axis).
+    fn run_blocks<'a>(
+        &self,
+        mut x: &'a mut [f32],
+        mut y: &'a mut [f32],
+        workspace: &mut [f32],
+        [bsz, n, m]: [usize; 3],
+        isa: Isa,
+    ) -> (&'a mut [f32], &'a mut [f32]) {
         for block in &self.blocks {
-            if let Some(w) = &block.mbu {
-                // tokens = users, batch = (context, item) pairs
-                let per_item = linalg::permute(&x, &[0, 2, 1, 3]).reshaped(vec![bsz * m, n, e]);
-                let y = mhsa_forward(&per_item, w);
-                let y = linalg::permute(&y.reshaped(vec![bsz, m, n, e]), &[0, 2, 1, 3]);
-                x = post(&x, y, block.residual, &block.norm_mbu);
-            }
-            if let Some(w) = &block.mbi {
-                // tokens = items, batch = (context, user) pairs
-                let y = mhsa_forward(&x.reshape([bsz * n, m, e]), w).reshaped(vec![bsz, n, m, e]);
-                x = post(&x, y, block.residual, &block.norm_mbi);
-            }
-            if let Some(w) = &block.mba {
-                // tokens = attributes, batch = all cells
-                let y =
-                    mhsa_forward(&x.reshape([bsz * n * m, h, f]), w).reshaped(vec![bsz, n, m, e]);
-                x = post(&x, y, block.residual, &block.norm_mba);
+            for (w, norm, view) in self.layers(block, bsz, n, m) {
+                if let Some(w) = w {
+                    mhsa_forward_into(x, view, w, isa, workspace, y);
+                    post(&mut x, &mut y, block.residual, norm, isa);
+                }
             }
         }
-        x
+        (x, y)
     }
 
-    /// Decoder: `α · sigmoid(H W + b)`, shape `[B, n, m]`.
-    fn decode(&self, x: &NdArray, bsz: usize, n: usize, m: usize) -> NdArray {
-        let y = self.decoder_w.linear_nd(x); // [B, n, m, 1]
-        let y = linalg::broadcast_zip(&y, &self.decoder_b, |a, b| a + b);
-        let alpha = self.alpha;
-        y.map(|v| 1.0 / (1.0 + (-v).exp()))
-            .map(|v| v * alpha)
-            .reshaped(vec![bsz, n, m])
+    /// Decoder: `α · sigmoid(H W + b)` over the `rows` cells of `x`, using
+    /// `logits` (at least `rows` floats) as its buffer.
+    fn decode<'a>(&self, x: &[f32], logits: &'a mut [f32], rows: usize, isa: Isa) -> &'a [f32] {
+        let logits = &mut logits[..rows];
+        self.decoder_w.linear_into(x, logits, isa);
+        let (bias, alpha) = (self.decoder_b.as_slice()[0], self.alpha);
+        for v in logits.iter_mut() {
+            *v = 1.0 / (1.0 + (-(*v + bias)).exp()) * alpha;
+        }
+        logits
     }
 
     /// Tape-free forward: the predicted rating matrix `[n, m]`.
@@ -276,12 +334,10 @@ impl<W: WeightMatrix> HimWeights<W> {
         ctx: &PredictionContext,
         dataset: &Dataset,
     ) -> HireResult<NdArray> {
-        let n = ctx.n();
-        let m = ctx.m();
-        let h = self.encode(ctx, dataset)?;
-        let e = self.embed_dim();
-        let x = self.run_blocks(h.reshaped(vec![1, n, m, e]), 1, n, m);
-        Ok(self.decode(&x, 1, n, m).reshaped(vec![n, m]))
+        let preds = self
+            .forward_nograd_batch_within(&[ctx], dataset, None)?
+            .expect("a forward without a deadline cannot time out");
+        Ok(preds.into_iter().next().expect("one context in, one out"))
     }
 
     /// Batched tape-free forward over contexts of identical shape, with a
@@ -326,9 +382,13 @@ impl<W: WeightMatrix> HimWeights<W> {
             }
         }
         let slab = n * m * e;
-        let mut stacked = vec![0.0f32; bsz * slab];
-        let total = stacked.len();
-        let stacked_ptr = hire_par::SendPtr(stacked.as_mut_ptr());
+        let total = bsz * slab;
+        // The call's whole working memory: two activation buffers and the
+        // MHSA workspace, one allocation, sized by the shapes alone.
+        let mut memory = vec![0.0f32; 2 * total + self.attention_workspace_len(bsz, n, m)];
+        let (x, rest) = memory.split_at_mut(total);
+        let (y, workspace) = rest.split_at_mut(total);
+        let x_ptr = hire_par::SendPtr(x.as_mut_ptr());
         let timed_out = AtomicBool::new(false);
         let outcomes: Vec<HireResult<()>> = hire_par::parallel_map_chunks(bsz, 1, |rr| {
             for bi in rr {
@@ -336,13 +396,12 @@ impl<W: WeightMatrix> HimWeights<W> {
                     timed_out.store(true, Ordering::Relaxed);
                     return Ok(());
                 }
-                let h = self.encode(ctxs[bi], dataset)?;
-                debug_assert_eq!(h.numel(), slab, "encoded context {bi} is not one slab");
                 debug_assert!((bi + 1) * slab <= total, "slab {bi} ends past the stack");
                 // SAFETY: chunks partition `0..bsz`, so each `bi` is visited
                 // once and its slab `[bi * slab, (bi + 1) * slab)` is
-                // disjoint from every other and inside `stacked`.
-                unsafe { stacked_ptr.slice_mut(bi * slab, slab) }.copy_from_slice(h.as_slice());
+                // disjoint from every other and inside `x`.
+                let out = unsafe { x_ptr.slice_mut(bi * slab, slab) };
+                self.encode_into(ctxs[bi], dataset, out)?;
             }
             Ok(())
         });
@@ -352,10 +411,11 @@ impl<W: WeightMatrix> HimWeights<W> {
         if timed_out.load(Ordering::Relaxed) || expired() {
             return Ok(None);
         }
-        let x = self.run_blocks(NdArray::from_vec(vec![bsz, n, m, e], stacked), bsz, n, m);
-        let out = self.decode(&x, bsz, n, m);
+        let isa = simd::active_isa();
+        let (hidden, spare) = self.run_blocks(x, y, workspace, [bsz, n, m], isa);
+        let preds = self.decode(hidden, spare, bsz * n * m, isa);
         Ok(Some(
-            out.as_slice()
+            preds
                 .chunks(n * m)
                 .map(|chunk| NdArray::from_vec(vec![n, m], chunk.to_vec()))
                 .collect(),

@@ -16,15 +16,17 @@
 //!   suite.
 //! - [`init`] — Xavier/Kaiming/embedding initializers.
 //! - [`quant`] — post-training weight compression (symmetric int8 / f16)
-//!   with dequantize-on-the-fly kernels in [`linalg`]
-//!   (`matmul2d_dequant`, `linear_nd_dequant`, `gather_rows_dequant`),
-//!   bit-exact across thread counts like the f32 kernels.
+//!   with a dequantize-on-the-fly matmul in [`linalg`]
+//!   (`matmul2d_dequant`, reached through [`WeightMatrix`]), bit-exact
+//!   across thread counts like the f32 kernels.
 //! - [`WeightMatrix`] — the one trait that pairs a weight storage format
 //!   (f32 [`NdArray`], int8/f16 [`QuantizedTensor`]) with its [`linalg`]
 //!   kernels; every no-grad forward above it is generic over it.
 //! - [`simd`] — runtime-dispatched vector micro-kernels
-//!   (scalar/sse2/avx2, `HIRE_ISA` override) behind the [`linalg`] hot
-//!   paths, with a per-ISA determinism contract (DESIGN.md §16).
+//!   (scalar/sse2/avx2/avx512, `HIRE_ISA` override) behind the [`linalg`]
+//!   hot paths — matmul, softmax, layer norm and the attention-tile
+//!   primitive ([`AttnGrid`], [`linalg::attention_into`]) — with a per-ISA
+//!   determinism contract (DESIGN.md §16).
 //!
 //! ```
 //! use hire_tensor::{NdArray, Tensor};
@@ -50,3 +52,4 @@ pub use linalg::WeightMatrix;
 pub use ndarray::NdArray;
 pub use quant::{QuantMode, QuantizedTensor};
 pub use shape::Shape;
+pub use simd::AttnGrid;

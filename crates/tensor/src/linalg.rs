@@ -1,15 +1,18 @@
 //! Numeric kernels on [`NdArray`]: broadcast arithmetic, (batched) matrix
 //! multiplication, axis permutation, concatenation, softmax and reductions.
 //!
-//! All kernels allocate their output; in-place variants exist only where the
-//! training loop needs them ([`NdArray::add_assign`] and friends).
+//! Kernels that return an [`NdArray`] allocate it. The serving forward
+//! instead runs on the slice-level `*_into` forms ([`WeightMatrix::linear_into`],
+//! [`attention_into`], [`layer_norm_last_into`]), which write into
+//! caller-provided buffers over the same per-ISA kernels; in-place
+//! arithmetic on arrays lives on [`NdArray`] (`add_assign` and friends).
 //!
 //! # Parallelism and determinism
 //!
 //! The hot kernels (matmul family, softmax, layer norm, reductions) run on
 //! the `hire-par` pool and dispatch through [`crate::simd`] to the best
-//! instruction set the host supports (`scalar`/`sse2`/`avx2`, overridable
-//! via `HIRE_ISA`). Results are **bit-exact for every thread count on every
+//! instruction set the host supports (`scalar`/`sse2`/`avx2`/`avx512`,
+//! overridable via `HIRE_ISA`). Results are **bit-exact for every thread count on every
 //! ISA**: parallelism only splits *independent output regions* (matrix
 //! rows, softmax rows, batch entries), and every reduction either stays
 //! inside one region (a single register lane walking `k` in ascending
@@ -18,7 +21,8 @@
 //! shape, never on the thread count. Across ISAs, scalar and sse2 are
 //! bit-identical to [`matmul_reference`]; avx2 follows the documented
 //! relaxation in the [`crate::simd`] module docs (FMA chains, lane-parallel
-//! reductions — deterministic per ISA, oracle-bounded).
+//! reductions — deterministic per ISA, oracle-bounded) and avx512 is
+//! bit-identical to avx2.
 //!
 //! Each hot kernel also has a public `*_with_isa` twin taking an explicit
 //! [`Isa`], so the cross-check tests and `compute_bench` can exercise every
@@ -27,7 +31,7 @@
 use crate::ndarray::NdArray;
 use crate::quant::QuantizedTensor;
 use crate::shape::Shape;
-use crate::simd::{self, Isa};
+use crate::simd::{self, AttnGrid, Isa};
 use hire_par::SendPtr;
 
 /// Element-wise binary op with numpy-style broadcasting.
@@ -183,7 +187,7 @@ const BLOCK_THRESHOLD: usize = 16 * 1024;
 /// Reference i-k-j loop: `out[n,m] += a[n,k] * b[k,m]`.
 ///
 /// One f32 accumulator per output element, `k` strictly ascending — this
-/// chain is the bit-exactness contract that [`matmul_kernel`]'s blocked path
+/// chain is the bit-exactness contract that the blocked kernel
 /// reproduces. Public so tests can use it as an oracle and `compute_bench`
 /// can measure the blocking speedup against it.
 ///
@@ -205,12 +209,6 @@ pub fn matmul_reference(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usiz
             }
         }
     }
-}
-
-/// `out[n,m] += a[n,k] * b[k,m]`, cache-blocked and parallel over row
-/// blocks, on the process-wide dispatched ISA.
-fn matmul_kernel(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
-    matmul_kernel_with_isa(a, b, out, n, k, m, simd::active_isa());
 }
 
 /// `out[n,m] += a[n,k] * b[k,m]`, cache-blocked and parallel over row
@@ -373,8 +371,14 @@ pub fn matmul2d_tn(a: &NdArray, g: &NdArray) -> NdArray {
 /// are identical, or where `b` is a single `[k, m]` matrix shared across the
 /// batch. Returns `[..., n, m]`.
 pub fn bmm(a: &NdArray, b: &NdArray) -> NdArray {
+    bmm_with_isa(a, b, simd::active_isa())
+}
+
+/// [`bmm`] on an explicit ISA path (tests and benchmarks; `isa` must be
+/// available on this host).
+pub fn bmm_with_isa(a: &NdArray, b: &NdArray, isa: Isa) -> NdArray {
     if a.shape().rank() == 2 && b.shape().rank() == 2 {
-        return matmul2d(a, b);
+        return matmul2d_with_isa(a, b, isa);
     }
     let (a_batch, [n, k]) = a.shape().split_batch();
     if b.shape().rank() == 2 {
@@ -389,7 +393,7 @@ pub fn bmm(a: &NdArray, b: &NdArray) -> NdArray {
         );
         let rows: usize = a_batch.iter().product::<usize>() * n;
         let mut out = vec![0.0f32; rows * m];
-        matmul_kernel(a.as_slice(), b.as_slice(), &mut out, rows, k, m);
+        matmul_kernel_with_isa(a.as_slice(), b.as_slice(), &mut out, rows, k, m, isa);
         let mut dims = a_batch.to_vec();
         dims.push(n);
         dims.push(m);
@@ -421,13 +425,14 @@ pub fn bmm(a: &NdArray, b: &NdArray) -> NdArray {
         for bi in bis {
             // SAFETY: each batch entry owns a disjoint output slab.
             let out_bi = unsafe { out_ptr.slice_mut(bi * n * m, n * m) };
-            matmul_kernel(
+            matmul_kernel_with_isa(
                 &a_s[bi * n * k..(bi + 1) * n * k],
                 &b_s[bi * k * m..(bi + 1) * k * m],
                 out_bi,
                 n,
                 k,
                 m,
+                isa,
             );
         }
     });
@@ -683,6 +688,78 @@ pub fn softmax_backward_last(y: &NdArray, g: &NdArray) -> NdArray {
     NdArray::from_vec(y.shape().clone(), dx)
 }
 
+/// Multi-head attention core over projection buffers: for every (batch,
+/// head) tile of `grid`, `softmax(Q Kᵀ / √dk) V`, read from `qo`/`k`/`v`
+/// in their `[rows, heads * head_dim]` layout and written back over `qo`
+/// in the same layout (heads merged) — a tile's output occupies exactly the
+/// elements of its Q, which it is done with by then. No head-split copy,
+/// no `Kᵀ`, no score tensor is materialized. Per element this is the
+/// chain of `bmm → · scale → softmax_last → bmm` on the same ISA (see
+/// [`crate::simd::attention`]), so it is bit-identical to that composition.
+///
+/// Tiles fan out over the pool in chunks of [`AttnGrid::chunk_tiles`] — a
+/// function of the shape alone — each chunk using its own region of
+/// `scratch` (at least [`AttnGrid::scratch_len`] floats), so results are
+/// bit-identical for every thread count.
+pub fn attention_into(grid: &AttnGrid, qo: &mut [f32], k: &[f32], v: &[f32], scratch: &mut [f32]) {
+    attention_into_with_isa(grid, qo, k, v, scratch, simd::active_isa());
+}
+
+/// [`attention_into`] on an explicit ISA path (tests and benchmarks; `isa`
+/// must be available on this host).
+pub fn attention_into_with_isa(
+    grid: &AttnGrid,
+    qo: &mut [f32],
+    k: &[f32],
+    v: &[f32],
+    scratch: &mut [f32],
+    isa: Isa,
+) {
+    assert!(
+        isa.is_available(),
+        "ISA {} not available on this host",
+        isa.label()
+    );
+    let len = grid.rows() * grid.width();
+    assert!(
+        qo.len() == len && k.len() == len && v.len() == len,
+        "attention buffers must each hold {len} floats for {grid:?}, got q {} k {} v {}",
+        qo.len(),
+        k.len(),
+        v.len()
+    );
+    assert!(
+        len <= i32::MAX as usize,
+        "attention buffers of {len} floats exceed 32-bit gather indices"
+    );
+    assert!(
+        scratch.len() >= grid.scratch_len(),
+        "attention scratch holds {} floats, {grid:?} needs {}",
+        scratch.len(),
+        grid.scratch_len()
+    );
+    if len == 0 {
+        return;
+    }
+    let (grain, per_chunk) = (grid.chunk_tiles(), grid.chunk_scratch());
+    let qo_ptr = SendPtr(qo.as_mut_ptr());
+    let scratch_ptr = SendPtr(scratch.as_mut_ptr());
+    hire_par::parallel_for(grid.tiles(), grain, |tiles| {
+        // Move the `Sync` handle in whole (naming its raw field would
+        // capture the bare pointer).
+        let qo = qo_ptr;
+        // SAFETY: chunk `c` covers tiles `[c * grain, (c + 1) * grain)`, so
+        // each chunk takes a distinct scratch region, inside `scratch` by
+        // the length assert above.
+        let chunk_scratch =
+            unsafe { scratch_ptr.slice_mut(tiles.start / grain * per_chunk, per_chunk) };
+        // SAFETY: `qo` holds `len` floats like `k`; chunks partition the
+        // tiles and `AttnGrid` maps distinct tiles to disjoint Q segments,
+        // so no two tasks touch the same element.
+        unsafe { simd::attention_tiles(isa, grid, qo.0, k, v, tiles, chunk_scratch) };
+    });
+}
+
 /// Sum along the last axis: `[..., w] -> [...]`.
 pub fn sum_last(a: &NdArray) -> NdArray {
     let rank = a.shape().rank();
@@ -708,27 +785,6 @@ pub fn mean_last(a: &NdArray) -> NdArray {
     s
 }
 
-/// Applies a shared weight to the trailing feature axis without autograd:
-/// `x: [..., d] x w: [d, k] -> [..., k]`. The no-grad mirror of
-/// `Tensor::linear` — it flattens the leading axes into rows and runs the
-/// same [`matmul2d`] kernel, so results are bit-identical to the tape path.
-pub fn linear_nd(x: &NdArray, w: &NdArray) -> NdArray {
-    let dims = x.dims().to_vec();
-    let d = *dims.last().expect("linear_nd needs rank >= 1");
-    assert_eq!(
-        w.shape().rank(),
-        2,
-        "linear_nd weight must be 2-D, got {}",
-        w.shape()
-    );
-    let rows = dims[..dims.len() - 1].iter().product::<usize>();
-    let flat = x.reshape([rows, d]);
-    let out = matmul2d(&flat, w);
-    let mut out_dims = dims[..dims.len() - 1].to_vec();
-    out_dims.push(w.dims()[1]);
-    out.reshaped(out_dims)
-}
-
 /// Layer normalization over the last axis without autograd: the no-grad
 /// mirror of `Tensor::layer_norm_last`'s forward pass. Mean and variance
 /// accumulate in f64 with the identical operation order per row, and rows
@@ -747,31 +803,82 @@ pub fn layer_norm_last_nd_with_isa(
     eps: f32,
     isa: Isa,
 ) -> NdArray {
+    let w = *x.dims().last().expect("layer_norm_last_nd needs rank >= 1");
+    assert_eq!(gamma.dims(), &[w], "gamma must be [{w}]");
+    assert_eq!(beta.dims(), &[w], "beta must be [{w}]");
+    let mut y = vec![0.0f32; x.numel()];
+    layer_norm_last_into(
+        x.as_slice(),
+        gamma.as_slice(),
+        beta.as_slice(),
+        eps,
+        &mut y,
+        isa,
+    );
+    NdArray::from_vec(x.shape().clone(), y)
+}
+
+/// [`layer_norm_last_nd`] over rows of width `gamma.len()` of a flat
+/// buffer, written into `y` — the form the serving forward runs on its
+/// workspace. Same row kernels, same bits.
+pub fn layer_norm_last_into(
+    x: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    y: &mut [f32],
+    isa: Isa,
+) {
+    layer_norm_rows_into(x, gamma, beta, eps, y, None, isa);
+}
+
+/// The one row-parallel layer-norm forward behind the three public forms:
+/// `y` (and, for the tape, `saved = (xhat, inv_std)`) by disjoint row
+/// chunks, each chunk one call into the ISA's row kernel.
+fn layer_norm_rows_into(
+    x: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    y: &mut [f32],
+    saved: Option<(&mut [f32], &mut [f32])>,
+    isa: Isa,
+) {
     assert!(
         isa.is_available(),
         "ISA {} not available on this host",
         isa.label()
     );
-    let w = *x.dims().last().expect("layer_norm_last_nd needs rank >= 1");
-    let rows = x.numel() / w.max(1);
-    assert_eq!(gamma.dims(), &[w], "gamma must be [{w}]");
-    assert_eq!(beta.dims(), &[w], "beta must be [{w}]");
-    let mut y = vec![0.0f32; x.numel()];
+    let w = gamma.len();
+    assert_eq!(beta.len(), w, "beta must be [{w}]");
+    assert_eq!(x.len(), y.len(), "layer norm output must match its input");
+    let rows = x.len() / w.max(1);
+    assert_eq!(rows * w, x.len(), "layer norm input is not rows of {w}");
     let y_ptr = SendPtr(y.as_mut_ptr());
-    let xs = x.as_slice();
-    let gs = gamma.as_slice();
-    let bs = beta.as_slice();
-    hire_par::parallel_for(rows, row_grain(w), |rr| {
-        // SAFETY: row chunks are disjoint.
-        let chunk = unsafe { y_ptr.slice_mut(rr.start * w, rr.len() * w) };
-        for (ri, r) in rr.enumerate() {
-            let row = &xs[r * w..(r + 1) * w];
-            let (mean, istd) = simd::layer_norm_row_stats(isa, row, eps);
-            let dst = &mut chunk[ri * w..(ri + 1) * w];
-            simd::layer_norm_normalize_row(isa, row, mean, istd, gs, bs, dst, None);
-        }
+    let saved_ptrs = saved.map(|(xhat, inv_std)| {
+        assert_eq!(xhat.len(), x.len(), "xhat must match the input");
+        assert_eq!(inv_std.len(), rows, "inv_std must have one entry per row");
+        (SendPtr(xhat.as_mut_ptr()), SendPtr(inv_std.as_mut_ptr()))
     });
-    NdArray::from_vec(x.shape().clone(), y)
+    hire_par::parallel_for(rows, row_grain(w), |rr| {
+        // SAFETY: row chunks are disjoint in all three outputs.
+        let y_c = unsafe { y_ptr.slice_mut(rr.start * w, rr.len() * w) };
+        let saved_c = saved_ptrs.as_ref().map(|(xh, is)| unsafe {
+            (
+                xh.slice_mut(rr.start * w, rr.len() * w),
+                is.slice_mut(rr.start, rr.len()),
+            )
+        });
+        simd::layer_norm_rows(
+            isa,
+            &x[rr.start * w..rr.end * w],
+            gamma,
+            beta,
+            eps,
+            y_c,
+            saved_c,
+        );
+    });
 }
 
 /// Forward pass of layer norm for the autograd tape: returns `(y, xhat,
@@ -796,11 +903,6 @@ pub fn layer_norm_forward_last_with_isa(
     eps: f32,
     isa: Isa,
 ) -> (NdArray, NdArray, Vec<f32>) {
-    assert!(
-        isa.is_available(),
-        "ISA {} not available on this host",
-        isa.label()
-    );
     let w = *x.dims().last().expect("layer_norm needs rank >= 1");
     let rows = x.numel() / w.max(1);
     assert_eq!(gamma.dims(), &[w], "gamma must be [{w}]");
@@ -808,33 +910,15 @@ pub fn layer_norm_forward_last_with_isa(
     let mut y = vec![0.0f32; x.numel()];
     let mut xhat = vec![0.0f32; x.numel()];
     let mut inv_std = vec![0.0f32; rows];
-    let y_ptr = SendPtr(y.as_mut_ptr());
-    let xh_ptr = SendPtr(xhat.as_mut_ptr());
-    let is_ptr = SendPtr(inv_std.as_mut_ptr());
-    let xs = x.as_slice();
-    let gs = gamma.as_slice();
-    let bs = beta.as_slice();
-    hire_par::parallel_for(rows, row_grain(w), |rr| {
-        // SAFETY: row chunks are disjoint in all three outputs.
-        let y_c = unsafe { y_ptr.slice_mut(rr.start * w, rr.len() * w) };
-        let xh_c = unsafe { xh_ptr.slice_mut(rr.start * w, rr.len() * w) };
-        let is_c = unsafe { is_ptr.slice_mut(rr.start, rr.len()) };
-        for (ri, r) in rr.enumerate() {
-            let row = &xs[r * w..(r + 1) * w];
-            let (mean, istd) = simd::layer_norm_row_stats(isa, row, eps);
-            is_c[ri] = istd as f32;
-            simd::layer_norm_normalize_row(
-                isa,
-                row,
-                mean,
-                istd,
-                gs,
-                bs,
-                &mut y_c[ri * w..(ri + 1) * w],
-                Some(&mut xh_c[ri * w..(ri + 1) * w]),
-            );
-        }
-    });
+    layer_norm_rows_into(
+        x.as_slice(),
+        gamma.as_slice(),
+        beta.as_slice(),
+        eps,
+        &mut y,
+        Some((&mut xhat, &mut inv_std)),
+        isa,
+    );
     (
         NdArray::from_vec(x.shape().clone(), y),
         NdArray::from_vec(x.shape().clone(), xhat),
@@ -1013,11 +1097,6 @@ pub fn matmul2d_dequant(a: &NdArray, w: &QuantizedTensor) -> NdArray {
 /// chain of `isa`, so the bit-identity with
 /// `matmul2d_with_isa(a, w.dequantize(), isa)` holds per ISA.
 pub fn matmul2d_dequant_with_isa(a: &NdArray, w: &QuantizedTensor, isa: Isa) -> NdArray {
-    assert!(
-        isa.is_available(),
-        "ISA {} not available on this host",
-        isa.label()
-    );
     assert_eq!(
         a.shape().rank(),
         2,
@@ -1034,8 +1113,23 @@ pub fn matmul2d_dequant_with_isa(a: &NdArray, w: &QuantizedTensor, isa: Isa) -> 
         a.shape()
     );
     let mut out = vec![0.0f32; n * m];
+    matmul_dequant_kernel(a.as_slice(), w, &mut out, isa);
+    NdArray::from_vec([n, m], out)
+}
+
+/// `out[n,m] += a[n,k] * dequant(w)[k,m]` for a 2-D `w`, `n` read off
+/// `a.len()`; the kernel under [`matmul2d_dequant`] and the quantized
+/// [`WeightMatrix::linear_into`].
+fn matmul_dequant_kernel(a: &[f32], w: &QuantizedTensor, out: &mut [f32], isa: Isa) {
+    assert!(
+        isa.is_available(),
+        "ISA {} not available on this host",
+        isa.label()
+    );
+    let (k, m) = (w.dims()[0], w.dims()[1]);
+    let n = out.len() / m.max(1);
+    debug_assert_eq!(a.len(), n * k);
     let out_ptr = SendPtr(out.as_mut_ptr());
-    let a_s = a.as_slice();
     hire_par::parallel_for(n, ROW_BLOCK, |rows| {
         // SAFETY: chunks partition 0..n, so each task writes a disjoint
         // band of output rows.
@@ -1044,44 +1138,12 @@ pub fn matmul2d_dequant_with_isa(a: &NdArray, w: &QuantizedTensor, isa: Isa) -> 
         for kk in 0..k {
             w.deq_row_into(kk, &mut w_row);
             for (ri, r) in rows.clone().enumerate() {
-                let a_ik = a_s[r * k + kk];
+                let a_ik = a[r * k + kk];
                 let dst = &mut out_rows[ri * m..(ri + 1) * m];
                 simd::dequant_axpy(isa, a_ik, &w_row, dst);
             }
         }
     });
-    NdArray::from_vec([n, m], out)
-}
-
-/// [`linear_nd`] against a quantized weight: `x: [..., d] x w: [d, k] ->
-/// [..., k]`, dequantizing on the fly via [`matmul2d_dequant`].
-pub fn linear_nd_dequant(x: &NdArray, w: &QuantizedTensor) -> NdArray {
-    let dims = x.dims().to_vec();
-    let d = *dims.last().expect("linear_nd_dequant needs rank >= 1");
-    assert_eq!(w.dims().len(), 2, "linear_nd_dequant weight must be 2-D");
-    let rows = dims[..dims.len() - 1].iter().product::<usize>();
-    let flat = x.reshape([rows, d]);
-    let out = matmul2d_dequant(&flat, w);
-    let mut out_dims = dims[..dims.len() - 1].to_vec();
-    out_dims.push(w.dims()[1]);
-    out.reshaped(out_dims)
-}
-
-/// [`gather_rows`] from a quantized 2-D `table` `[v, f]`, producing an f32
-/// `[n, f]` — the embedding-lookup path of the quantized tier.
-pub fn gather_rows_dequant(table: &QuantizedTensor, indices: &[usize]) -> NdArray {
-    assert_eq!(
-        table.dims().len(),
-        2,
-        "gather_rows_dequant table must be 2-D"
-    );
-    let (v, f) = (table.dims()[0], table.dims()[1]);
-    let mut out = vec![0.0f32; indices.len() * f];
-    for (i, &ix) in indices.iter().enumerate() {
-        assert!(ix < v, "gather index {ix} out of range {v}");
-        table.deq_row_into(ix, &mut out[i * f..(i + 1) * f]);
-    }
-    NdArray::from_vec([indices.len(), f], out)
 }
 
 /// A 2-D weight in some storage format, read through the two kernels a
@@ -1093,21 +1155,45 @@ pub fn gather_rows_dequant(table: &QuantizedTensor, indices: &[usize]) -> NdArra
 pub trait WeightMatrix: Sync {
     /// `[rows, cols]` of the stored matrix.
     fn dims(&self) -> &[usize];
-    /// `x: [..., d] x self: [d, k] -> [..., k]`.
-    fn linear_nd(&self, x: &NdArray) -> NdArray;
-    /// Rows of `self: [v, f]` by `indices`, as f32 `[n, f]`.
-    fn gather_rows(&self, indices: &[usize]) -> NdArray;
+    /// `out = x · self` for row-major `x: [n, d]`, `self: [d, k]`,
+    /// `out: [n, k]` (overwritten), `n` read off `x.len()` — the no-grad
+    /// mirror of `Tensor::linear`, which flattens the leading axes into
+    /// rows of the same matmul kernel. Each output element runs `isa`'s
+    /// matmul chain over `d`, whatever `n` is — so projecting many rows at
+    /// once, or in any order, cannot change a bit.
+    fn linear_into(&self, x: &[f32], out: &mut [f32], isa: Isa);
+    /// Row `index` of `self: [v, f]` as f32 into `out: [f]`.
+    fn row_into(&self, index: usize, out: &mut [f32]);
+}
+
+/// Checks a [`WeightMatrix::linear_into`] call's shapes against `w: [d, k]`.
+fn check_linear(dims: &[usize], x: &[f32], out: &[f32]) {
+    assert_eq!(dims.len(), 2, "linear weight must be 2-D, got {dims:?}");
+    let (d, k) = (dims[0], dims[1]);
+    let n = x.len() / d.max(1);
+    assert!(
+        n * d == x.len() && n * k == out.len(),
+        "linear shapes mismatch: x holds {} floats, out {}, weight {dims:?}",
+        x.len(),
+        out.len()
+    );
 }
 
 impl WeightMatrix for NdArray {
     fn dims(&self) -> &[usize] {
         NdArray::dims(self)
     }
-    fn linear_nd(&self, x: &NdArray) -> NdArray {
-        linear_nd(x, self)
+    fn linear_into(&self, x: &[f32], out: &mut [f32], isa: Isa) {
+        check_linear(self.dims(), x, out);
+        let (d, k) = (self.dims()[0], self.dims()[1]);
+        out.fill(0.0);
+        matmul_kernel_with_isa(x, self.as_slice(), out, x.len() / d.max(1), d, k, isa);
     }
-    fn gather_rows(&self, indices: &[usize]) -> NdArray {
-        gather_rows(self, indices)
+    fn row_into(&self, index: usize, out: &mut [f32]) {
+        assert_eq!(self.shape().rank(), 2, "row_into table must be 2-D");
+        let (v, f) = (self.dims()[0], self.dims()[1]);
+        assert!(index < v, "row index {index} out of range {v}");
+        out.copy_from_slice(&self.as_slice()[index * f..(index + 1) * f]);
     }
 }
 
@@ -1115,11 +1201,18 @@ impl WeightMatrix for QuantizedTensor {
     fn dims(&self) -> &[usize] {
         QuantizedTensor::dims(self)
     }
-    fn linear_nd(&self, x: &NdArray) -> NdArray {
-        linear_nd_dequant(x, self)
+    fn linear_into(&self, x: &[f32], out: &mut [f32], isa: Isa) {
+        check_linear(self.dims(), x, out);
+        out.fill(0.0);
+        matmul_dequant_kernel(x, self, out, isa);
     }
-    fn gather_rows(&self, indices: &[usize]) -> NdArray {
-        gather_rows_dequant(self, indices)
+    fn row_into(&self, index: usize, out: &mut [f32]) {
+        assert!(
+            index < self.dims()[0],
+            "row index {index} out of range {}",
+            self.dims()[0]
+        );
+        self.deq_row_into(index, out);
     }
 }
 
@@ -1235,10 +1328,11 @@ mod tests {
     fn linear_nd_matches_flattened_matmul() {
         let x = NdArray::from_vec([2, 2, 3], (0..12).map(|v| v as f32 * 0.25).collect());
         let w = NdArray::from_vec([3, 4], (0..12).map(|v| v as f32 * 0.1 - 0.5).collect());
-        let y = linear_nd(&x, &w);
-        assert_eq!(y.dims(), &[2, 2, 4]);
+        // Poisoned output: `linear_into` overwrites, it does not accumulate.
+        let mut y = vec![f32::NAN; 2 * 2 * 4];
+        w.linear_into(x.as_slice(), &mut y, simd::active_isa());
         let flat = matmul2d(&x.reshape([4, 3]), &w);
-        assert_eq!(y.as_slice(), flat.as_slice());
+        assert_eq!(y, flat.as_slice());
     }
 
     #[test]
@@ -1289,6 +1383,29 @@ mod tests {
         assert_eq!(s.as_slice(), &[1., 1., 0., 0., 2., 2., 0., 0.]);
     }
 
+    #[test]
+    #[should_panic(expected = "attention buffers must each hold 48 floats")]
+    fn attention_rejects_buffers_that_disagree_with_the_grid() {
+        let grid = AttnGrid {
+            outer: 2,
+            tokens: 3,
+            inner: 1,
+            heads: 2,
+            head_dim: 4,
+        };
+        let (mut q, k, v) = (vec![0.0; 48], vec![0.0; 48], vec![0.0; 40]);
+        let mut scratch = vec![0.0; grid.scratch_len()];
+        attention_into(&grid, &mut q, &k, &v, &mut scratch);
+    }
+
+    #[test]
+    #[should_panic(expected = "linear shapes mismatch")]
+    fn linear_into_rejects_an_output_of_the_wrong_size() {
+        let w = NdArray::zeros([4, 5]);
+        let mut out = vec![0.0; 9];
+        w.linear_into(&[0.0; 8], &mut out, simd::active_isa());
+    }
+
     /// Deterministic pseudo-random fill (no rand dependency in this crate).
     fn lcg_fill(n: usize, seed: u64) -> Vec<f32> {
         let mut state = seed;
@@ -1321,19 +1438,25 @@ mod tests {
     #[test]
     fn linear_and_gather_dequant_match_f32_reference() {
         use crate::quant::QuantMode;
+        let isa = simd::active_isa();
         let x = NdArray::from_vec([2, 3, 4], lcg_fill(24, 3));
         let w = NdArray::from_vec([4, 5], lcg_fill(20, 5));
         let q = QuantizedTensor::quantize(&w, QuantMode::F16);
-        let got = linear_nd_dequant(&x, &q);
-        let want = linear_nd(&x, &q.dequantize());
-        assert_eq!(got.dims(), &[2, 3, 5]);
-        assert_eq!(got.as_slice(), want.as_slice());
+        let (mut got, mut want) = (vec![f32::NAN; 30], vec![f32::NAN; 30]);
+        q.linear_into(x.as_slice(), &mut got, isa);
+        q.dequantize().linear_into(x.as_slice(), &mut want, isa);
+        assert_eq!(got, want);
 
         let table = NdArray::from_vec([6, 3], lcg_fill(18, 9));
         let qt = QuantizedTensor::quantize(&table, QuantMode::Int8);
         let idx = [4usize, 0, 4, 5];
-        let g = gather_rows_dequant(&qt, &idx);
-        let gw = gather_rows(&qt.dequantize(), &idx);
-        assert_eq!(g.as_slice(), gw.as_slice());
+        let want = gather_rows(&qt.dequantize(), &idx);
+        for (k, &ix) in idx.iter().enumerate() {
+            let (mut from_quant, mut from_f32) = ([0.0f32; 3], [0.0f32; 3]);
+            qt.row_into(ix, &mut from_quant);
+            qt.dequantize().row_into(ix, &mut from_f32);
+            assert_eq!(from_quant, want.as_slice()[k * 3..(k + 1) * 3]);
+            assert_eq!(from_f32, from_quant);
+        }
     }
 }

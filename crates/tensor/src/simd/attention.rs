@@ -1,0 +1,364 @@
+//! The attention-tile primitive: `softmax(Q Kᵀ / √dk) V` for a range of
+//! independent (batch, head) tiles, read straight out of row-major
+//! `[rows, heads * head_dim]` projection buffers and written back over Q in
+//! the same merged-head layout — no head-split permute, no `Kᵀ` tensor, no
+//! `[batch * heads, t, t]` score tensor.
+//!
+//! # Per-element chains (DESIGN.md §16)
+//!
+//! Every tile computes exactly what the unfused composition
+//! `bmm(Q, Kᵀ) · scale → softmax_last → bmm(P, V)` computes on the same
+//! ISA, element for element:
+//!
+//! * `s[i][j]`: one accumulator from `0.0`, `c` ascending over `head_dim`,
+//!   mul-then-add (scalar/sse2) or one FMA per step (avx2/avx512) — the
+//!   `matmul_small` chain; then one multiply by `1/√dk`.
+//! * softmax row `i`: `max` → `exp(s - max)` → f64 sum → `(1/sum) as f32` →
+//!   scale — [`super::softmax_rows`]' chain for a row of width `t`,
+//!   including, on avx2/avx512, the order in which its eight f64 lane
+//!   accumulators fold.
+//! * `o[i][c]`: one accumulator from `0.0`, `j` ascending over the tokens,
+//!   the same mul-add/FMA step.
+//!
+//! One kernel per ISA family implements that:
+//!
+//! * scalar/sse2 — `scalar::attention_tiles`, one tile at a time through
+//!   `matmul_reference` and `scalar::softmax_rows` on gathered tiles: the
+//!   unfused chain by construction.
+//! * avx2/avx512 — `attention_lanes_kernel!`: 8 or 16 tiles ride in the
+//!   lanes of one vector, each lane running the *scalar* chain of its own
+//!   tile. HIM's tiles are tiny (MBA: `t` = the handful of attributes of one
+//!   cell; MBU/MBI: `t` = 16-odd context users/items; `dk` = 8), so a tile
+//!   on its own is mostly loop overhead and ragged vector tails; across
+//!   tiles every instruction is full width. FMA, `exp_ps` (the per-lane
+//!   mirror of `exp_scalar`, which the row kernel uses on tails) and the
+//!   f64 adds are exact per lane, so lane position cannot change a value;
+//!   the one order-sensitive step, the softmax sum, reproduces the row
+//!   kernel's fold explicitly (see the macro).
+
+use std::ops::Range;
+
+/// Geometry of one multi-head attention call over `[rows, heads *
+/// head_dim]` buffers whose rows are laid out `[outer, tokens, inner]`
+/// row-major. Attention runs along `tokens`; every `(outer, inner)` pair is
+/// an independent sequence. HIM's three attentions over one `[B, n, m]`
+/// grid of cells are three such views of the same rows: MBU
+/// `[B, n, m]` (tokens = users), MBI `[B·n, m, 1]` (tokens = items) and MBA
+/// `[B·n·m, h, 1]` over the `h` attribute rows of each cell.
+///
+/// Distinct `(outer, token, inner, head)` coordinates address distinct
+/// elements by construction, which is what lets tiles be written
+/// concurrently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AttnGrid {
+    /// Leading batch axis (rows between consecutive entries: `tokens * inner`).
+    pub outer: usize,
+    /// Sequence length `t`.
+    pub tokens: usize,
+    /// Trailing batch axis (rows between consecutive tokens).
+    pub inner: usize,
+    /// Attention heads `l`.
+    pub heads: usize,
+    /// Columns per head `dk`.
+    pub head_dim: usize,
+}
+
+/// Widest lane group of any ISA's `attention_lanes_kernel!`; sizes the
+/// scratch so its length does not depend on the dispatched ISA.
+const MAX_LANES: usize = 16;
+/// Multiply-adds one parallel chunk of tiles should carry — a few tens of
+/// microseconds, the same order as `linalg`'s row grains.
+const CHUNK_WORK: usize = 64 * 1024;
+
+impl AttnGrid {
+    /// Row width `heads * head_dim` of the Q/K/V buffers.
+    pub fn width(&self) -> usize {
+        self.heads * self.head_dim
+    }
+
+    /// Rows `outer * tokens * inner` of the Q/K/V buffers.
+    pub fn rows(&self) -> usize {
+        self.outer * self.tokens * self.inner
+    }
+
+    /// Number of independent (batch, head) tiles.
+    pub fn tiles(&self) -> usize {
+        self.outer * self.inner * self.heads
+    }
+
+    /// Elements between consecutive tokens of one tile.
+    pub(crate) fn token_stride(&self) -> usize {
+        self.inner * self.width()
+    }
+
+    /// Offset of tile `tile`'s `(token 0, column 0)` element. Tiles are
+    /// numbered `(outer, inner, head)` row-major, so consecutive tiles are
+    /// the heads of one sequence, then the next `inner` neighbour.
+    pub(crate) fn tile_base(&self, tile: usize) -> usize {
+        let (batch, head) = (tile / self.heads, tile % self.heads);
+        let (o, j) = (batch / self.inner, batch % self.inner);
+        (o * self.tokens * self.inner + j) * self.width() + head * self.head_dim
+    }
+
+    /// Tiles per parallel chunk: a function of the shape only (never of
+    /// the thread count or the ISA), and a multiple of every lane-group
+    /// width so only a call's last group can be ragged.
+    pub fn chunk_tiles(&self) -> usize {
+        let per_tile = (self.tokens * self.tokens * self.head_dim).max(1);
+        (CHUNK_WORK / per_tile).max(1).next_multiple_of(MAX_LANES)
+    }
+
+    /// Scratch floats one chunk of tiles needs, whichever kernel runs it:
+    /// gathered Q/Kᵀ/V tiles plus a score and a probability tile for the
+    /// tile-at-a-time kernel; K and V panels, one Q row and one score row
+    /// per lane for the lane-parallel one.
+    pub(crate) fn chunk_scratch(&self) -> usize {
+        let (t, dk) = (self.tokens, self.head_dim);
+        (3 * t * dk + 2 * t * t).max((2 * t * dk + dk + t) * MAX_LANES)
+    }
+
+    /// Scratch floats a whole call needs (one region per chunk, so the
+    /// amount is a function of the shape alone).
+    pub fn scratch_len(&self) -> usize {
+        self.tiles().div_ceil(self.chunk_tiles()) * self.chunk_scratch()
+    }
+}
+
+/// Generates `attention_lanes`, the lane-parallel kernel. `$ops` is a
+/// module of the ISA's vector primitives: `LANES`, `splat`, `load`,
+/// `store`, `gather`, `scatter`, `fmadd`, `mul`, `sub`, `max`, `exp`,
+/// `sum_zero`, `sum_add`, `sum_join`, `sum_recip`.
+///
+/// Layout: lane `λ` of every vector belongs to tile `group_start + λ`. The
+/// group's K and V are gathered once into `[token][column][lane]` panels,
+/// Q one row at a time, so every later operand is one full-width load;
+/// each output vector is scattered back over that row's Q. Dead lanes of a
+/// ragged last group alias the last live tile (valid reads) and are never
+/// written.
+macro_rules! attention_lanes_kernel {
+    ($(#[$attr:meta])* $ops:ident) => {
+        /// Attention over `tiles` of `grid`, `LANES` tiles per vector (see
+        /// [`crate::simd::attention`] for the lane layout and why each
+        /// lane's chain is the unfused one), overwriting each tile's Q with
+        /// its output. `scratch` holds at least `grid.chunk_scratch()`
+        /// floats.
+        ///
+        /// # Safety
+        ///
+        /// `qo` must point to `k.len()` floats (`grid.rows() *
+        /// grid.width()`, which must fit in `i32`: gather indices are
+        /// 32-bit element offsets), and nothing else may access the
+        /// `head_dim`-long Q segments of `tiles` during the call.
+        $(#[$attr])*
+        pub unsafe fn attention_lanes(
+            grid: &crate::simd::AttnGrid,
+            qo: *mut f32,
+            k: &[f32],
+            v: &[f32],
+            tiles: std::ops::Range<usize>,
+            scratch: &mut [f32],
+        ) {
+            use $ops::LANES;
+            let (t, dk) = (grid.tokens, grid.head_dim);
+            debug_assert!(t > 0 && k.len() <= i32::MAX as usize);
+            let stride = grid.token_stride();
+            let (kp, rest) = scratch.split_at_mut(t * dk * LANES);
+            let (vp, rest) = rest.split_at_mut(t * dk * LANES);
+            let (q_row, rest) = rest.split_at_mut(dk * LANES);
+            let s = &mut rest[..t * LANES];
+            let at = |token: usize, col: usize| (token * dk + col) * LANES;
+            let scale = $ops::splat(1.0 / (dk as f32).sqrt());
+            // Columns of a softmax row the avx2 row kernel runs through its
+            // eight-wide vector body; the rest is its scalar tail.
+            let body = t - t % 8;
+            let mut group = tiles.start;
+            while group < tiles.end {
+                let live = (tiles.end - group).min(LANES);
+                let mut base = [0i32; LANES];
+                for (lane, b) in base.iter_mut().enumerate() {
+                    let tile_base = grid.tile_base(group + lane.min(live - 1));
+                    debug_assert!(tile_base + (t - 1) * stride + dk <= k.len());
+                    *b = tile_base as i32;
+                }
+                // SAFETY (this block): every gather/scatter offset is
+                // `tile_base + token * stride + col` with `token < t`,
+                // `col < dk` — inside the buffers by the assert above — and
+                // scatters touch only live tiles' own Q segments; panel
+                // offsets `at(token, col) + LANES <= t * dk * LANES`, row
+                // offsets `col * LANES + LANES <= dk * LANES` and
+                // `j * LANES + LANES <= t * LANES`.
+                unsafe {
+                    for j in 0..t {
+                        for c in 0..dk {
+                            let offset = (j * stride + c) as i32;
+                            $ops::store(
+                                kp.as_mut_ptr().add(at(j, c)),
+                                $ops::gather(k.as_ptr(), &base, offset),
+                            );
+                            $ops::store(
+                                vp.as_mut_ptr().add(at(j, c)),
+                                $ops::gather(v.as_ptr(), &base, offset),
+                            );
+                        }
+                    }
+                    for i in 0..t {
+                        for c in 0..dk {
+                            let offset = (i * stride + c) as i32;
+                            $ops::store(
+                                q_row.as_mut_ptr().add(c * LANES),
+                                $ops::gather(qo as *const f32, &base, offset),
+                            );
+                        }
+                        // s[j] = (q_i · k_j) * scale, and the row max.
+                        let mut max = $ops::splat(f32::NEG_INFINITY);
+                        for j in 0..t {
+                            let mut acc = $ops::splat(0.0);
+                            for c in 0..dk {
+                                acc = $ops::fmadd(
+                                    $ops::load(q_row.as_ptr().add(c * LANES)),
+                                    $ops::load(kp.as_ptr().add(at(j, c))),
+                                    acc,
+                                );
+                            }
+                            let sj = $ops::mul(acc, scale);
+                            $ops::store(s.as_mut_ptr().add(j * LANES), sj);
+                            max = $ops::max(sj, max);
+                        }
+                        for j in 0..t {
+                            let e = $ops::exp($ops::sub($ops::load(s.as_ptr().add(j * LANES)), max));
+                            $ops::store(s.as_mut_ptr().add(j * LANES), e);
+                        }
+                        // The row kernel's f64 sum: body columns accumulate
+                        // by `j % 8` into two four-lane registers (`lo`:
+                        // residues 0–3, `hi`: 4–7), folded as
+                        // `((l0 + l1) + l2) + l3` with `l_r = lo_r + hi_r`;
+                        // tail columns then add one by one.
+                        let mut sum = $ops::sum_zero();
+                        for r in 0..4 {
+                            let (mut lo, mut hi) = ($ops::sum_zero(), $ops::sum_zero());
+                            let mut j = r;
+                            while j < body {
+                                lo = $ops::sum_add(lo, $ops::load(s.as_ptr().add(j * LANES)));
+                                hi = $ops::sum_add(hi, $ops::load(s.as_ptr().add((j + 4) * LANES)));
+                                j += 8;
+                            }
+                            let l = $ops::sum_join(lo, hi);
+                            sum = if r == 0 { l } else { $ops::sum_join(sum, l) };
+                        }
+                        for j in body..t {
+                            sum = $ops::sum_add(sum, $ops::load(s.as_ptr().add(j * LANES)));
+                        }
+                        let inv = $ops::sum_recip(sum);
+                        for j in 0..t {
+                            let p = $ops::mul($ops::load(s.as_ptr().add(j * LANES)), inv);
+                            $ops::store(s.as_mut_ptr().add(j * LANES), p);
+                        }
+                        for c in 0..dk {
+                            let mut acc = $ops::splat(0.0);
+                            for j in 0..t {
+                                acc = $ops::fmadd(
+                                    $ops::load(s.as_ptr().add(j * LANES)),
+                                    $ops::load(vp.as_ptr().add(at(j, c))),
+                                    acc,
+                                );
+                            }
+                            $ops::scatter(qo, &base, (i * stride + c) as i32, acc, live);
+                        }
+                    }
+                }
+                group += LANES;
+            }
+        }
+    };
+}
+pub(crate) use attention_lanes_kernel;
+
+/// Runs `tiles` of `grid` on `isa`'s kernel (see the module docs for
+/// which), overwriting each tile's Q with its output.
+///
+/// # Safety
+///
+/// `qo` must point to `k.len()` floats, and nothing else may access the Q
+/// segments of `tiles` during the call. (Shape/length consistency and the
+/// 32-bit index bound are checked by the safe caller,
+/// `linalg::attention_into_with_isa`.)
+pub(crate) unsafe fn attention_tiles(
+    isa: super::Isa,
+    grid: &AttnGrid,
+    qo: *mut f32,
+    k: &[f32],
+    v: &[f32],
+    tiles: Range<usize>,
+    scratch: &mut [f32],
+) {
+    use super::Isa;
+    debug_assert_eq!(k.len(), grid.rows() * grid.width());
+    debug_assert_eq!(v.len(), k.len());
+    debug_assert!(tiles.end <= grid.tiles() && scratch.len() >= grid.chunk_scratch());
+    // SAFETY: the caller's contract is each kernel's contract; Avx2/Avx512
+    // dispatch implies the features their kernels enable are present.
+    unsafe {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => super::avx2::attention_lanes(grid, qo, k, v, tiles, scratch),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => super::avx512::attention_lanes(grid, qo, k, v, tiles, scratch),
+            // sse2's chains are the scalar chains (as for `matmul_small`).
+            _ => super::scalar::attention_tiles(grid, qo, k, v, tiles, scratch),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every (tile, token) pair owns a distinct `head_dim`-long segment
+    /// inside the buffer — the disjointness the concurrent writes rest on.
+    #[test]
+    fn tiles_partition_the_buffer_into_disjoint_segments() {
+        for (outer, tokens, inner) in [(3, 5, 1), (2, 4, 3), (1, 1, 1), (4, 9, 2)] {
+            let grid = AttnGrid {
+                outer,
+                tokens,
+                inner,
+                heads: 3,
+                head_dim: 4,
+            };
+            let len = grid.rows() * grid.width();
+            let mut owner = vec![usize::MAX; len];
+            for tile in 0..grid.tiles() {
+                for token in 0..tokens {
+                    let at = grid.tile_base(tile) + token * grid.token_stride();
+                    for slot in &mut owner[at..at + grid.head_dim] {
+                        assert_eq!(*slot, usize::MAX, "{grid:?}: element claimed twice");
+                        *slot = tile;
+                    }
+                }
+            }
+            assert!(owner.iter().all(|&o| o != usize::MAX), "{grid:?}: gaps");
+        }
+    }
+
+    #[test]
+    fn chunking_depends_on_the_shape_alone_and_keeps_lane_groups_whole() {
+        let grid = AttnGrid {
+            outer: 256,
+            tokens: 9,
+            inner: 1,
+            heads: 4,
+            head_dim: 8,
+        };
+        assert_eq!(grid.chunk_tiles() % MAX_LANES, 0);
+        assert_eq!(
+            grid.scratch_len(),
+            grid.tiles().div_ceil(grid.chunk_tiles()) * grid.chunk_scratch()
+        );
+        // A single huge tile still gets a (one-group) chunk.
+        let huge = AttnGrid {
+            tokens: 4096,
+            ..grid
+        };
+        assert_eq!(huge.chunk_tiles(), MAX_LANES);
+    }
+}

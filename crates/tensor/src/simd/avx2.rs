@@ -232,7 +232,7 @@ const EXP_C5: f32 = 5.000_000_2e-1;
 /// Vectorized `exp` on 8 lanes. NaN propagates; +overflow saturates near
 /// `f32::MAX`'s exponent; underflow (including `-Inf`) flushes to 0.
 #[target_feature(enable = "avx2,fma")]
-fn exp_ps(x: __m256) -> __m256 {
+pub(super) fn exp_ps(x: __m256) -> __m256 {
     {
         let underflow = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(EXP_LO));
         let xc = _mm256_min_ps(
@@ -263,13 +263,15 @@ fn exp_ps(x: __m256) -> __m256 {
 
 /// Scalar mirror of [`exp_ps`]: identical operations (`mul_add` compiles
 /// to scalar FMA under this target feature), so row tails see the same
-/// function as the vector body.
+/// function as the vector body — and one lane of the lane-parallel
+/// attention kernel sees the same function as a narrow row's tail. NaN
+/// propagates as in the vector form (`f32::min` would swallow it).
 #[target_feature(enable = "avx2,fma")]
 fn exp_scalar(x: f32) -> f32 {
     if x < EXP_LO {
         return 0.0;
     }
-    let xc = x.min(EXP_HI);
+    let xc = if x > EXP_HI { EXP_HI } else { x };
     let n = (xc * LOG2E).round_ties_even();
     let r = (-n).mul_add(LN2_HI, xc);
     let r = (-n).mul_add(LN2_LO, r);
@@ -347,6 +349,15 @@ pub fn softmax_row(row: &[f32], dst: &mut [f32]) {
         for d in dst[body..].iter_mut() {
             *d *= inv;
         }
+    }
+}
+
+/// [`softmax_row`] over consecutive rows of width `w`, the row loop inside
+/// the target-feature function so the row kernel inlines.
+#[target_feature(enable = "avx2,fma")]
+pub fn softmax_rows(src: &[f32], dst: &mut [f32], w: usize) {
+    for (s, d) in src.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
+        softmax_row(s, d);
     }
 }
 
@@ -460,6 +471,30 @@ pub fn layer_norm_normalize_row(
                 }
             }
         }
+    }
+}
+
+/// Layer norm over consecutive rows of width `gamma.len()` — statistics
+/// then normalize per row, the row loop inside the target-feature function
+/// so both row kernels inline. `saved` receives `(xhat, inv_std)` for the
+/// tape's backward pass.
+#[target_feature(enable = "avx2,fma")]
+pub fn layer_norm_rows(
+    x: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    y: &mut [f32],
+    mut saved: Option<(&mut [f32], &mut [f32])>,
+) {
+    let w = gamma.len();
+    for (r, (row, y_row)) in x.chunks_exact(w).zip(y.chunks_exact_mut(w)).enumerate() {
+        let (mean, istd) = layer_norm_row_stats(row, eps);
+        let xhat = saved.as_mut().map(|(xhat, inv_std)| {
+            inv_std[r] = istd as f32;
+            &mut xhat[r * w..(r + 1) * w]
+        });
+        layer_norm_normalize_row(row, mean, istd, gamma, beta, y_row, xhat);
     }
 }
 
@@ -636,5 +671,184 @@ pub fn dequant_row_i8(qs: &[i8], scale: f32, out: &mut [f32]) {
     }
     for j in body..len {
         out[j] = qs[j] as f32 * scale;
+    }
+}
+
+// -------------------------------------------------------------------------
+// Attention tiles
+// -------------------------------------------------------------------------
+
+/// Eight-lane vector primitives of the lane-parallel attention kernel.
+mod lanes {
+    use std::arch::x86_64::*;
+
+    pub const LANES: usize = 8;
+    pub type V = __m256;
+    pub type I = __m256i;
+    /// Per-lane f64 sums: lanes 0–3, lanes 4–7.
+    pub type D = (__m256d, __m256d);
+
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub fn splat(x: f32) -> V {
+        _mm256_set1_ps(x)
+    }
+    /// # Safety
+    /// `p` must be valid for reading `LANES` floats.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn load(p: *const f32) -> V {
+        unsafe { _mm256_loadu_ps(p) }
+    }
+    /// # Safety
+    /// `p` must be valid for writing `LANES` floats.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn store(p: *mut f32, v: V) {
+        unsafe { _mm256_storeu_ps(p, v) }
+    }
+    /// Per-lane element offsets `base[lane] + offset`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn index(base: &[i32; LANES], offset: i32) -> I {
+        // SAFETY: `base` is exactly one unaligned 256-bit load.
+        let b = unsafe { _mm256_loadu_si256(base.as_ptr() as *const __m256i) };
+        _mm256_add_epi32(b, _mm256_set1_epi32(offset))
+    }
+    /// `p[base[lane] + offset]` per lane.
+    ///
+    /// # Safety
+    /// Every such element must be valid for reads.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn gather(p: *const f32, base: &[i32; LANES], offset: i32) -> V {
+        unsafe { _mm256_i32gather_ps::<4>(p, index(base, offset)) }
+    }
+    /// `p[base[lane] + offset] = v[lane]` for the first `live` lanes (avx2
+    /// has no scatter instruction: one scalar store per lane).
+    ///
+    /// # Safety
+    /// Every such element must be valid for writes.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn scatter(p: *mut f32, base: &[i32; LANES], offset: i32, v: V, live: usize) {
+        let mut lanes = [0.0f32; LANES];
+        // SAFETY: stack store of one YMM register; the element writes are
+        // the caller's contract.
+        unsafe {
+            _mm256_storeu_ps(lanes.as_mut_ptr(), v);
+            for (&b, &x) in base.iter().zip(&lanes).take(live) {
+                *p.add((b + offset) as usize) = x;
+            }
+        }
+    }
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub fn fmadd(a: V, b: V, c: V) -> V {
+        _mm256_fmadd_ps(a, b, c)
+    }
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub fn mul(a: V, b: V) -> V {
+        _mm256_mul_ps(a, b)
+    }
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub fn sub(a: V, b: V) -> V {
+        _mm256_sub_ps(a, b)
+    }
+    /// `x > acc ? x : acc` per lane — `acc.max(x)` of the row kernels for
+    /// every non-NaN `x`, and like it keeps `acc` when `x` is NaN.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub fn max(x: V, acc: V) -> V {
+        _mm256_max_ps(x, acc)
+    }
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub fn exp(x: V) -> V {
+        super::exp_ps(x)
+    }
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub fn sum_zero() -> D {
+        (_mm256_setzero_pd(), _mm256_setzero_pd())
+    }
+    /// `sum[lane] += e[lane] as f64`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub fn sum_add(sum: D, e: V) -> D {
+        (
+            _mm256_add_pd(sum.0, _mm256_cvtps_pd(_mm256_castps256_ps128(e))),
+            _mm256_add_pd(sum.1, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(e))),
+        )
+    }
+    /// `a[lane] + b[lane]` in f64.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub fn sum_join(a: D, b: D) -> D {
+        (_mm256_add_pd(a.0, b.0), _mm256_add_pd(a.1, b.1))
+    }
+    /// `(1.0 / sum[lane]) as f32`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub fn sum_recip(sum: D) -> V {
+        let one = _mm256_set1_pd(1.0);
+        _mm256_set_m128(
+            _mm256_cvtpd_ps(_mm256_div_pd(one, sum.1)),
+            _mm256_cvtpd_ps(_mm256_div_pd(one, sum.0)),
+        )
+    }
+}
+
+crate::simd::attention::attention_lanes_kernel! {
+    #[target_feature(enable = "avx2,fma")]
+    lanes
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The lane-parallel attention kernel leans on `exp_ps` being, lane for
+    /// lane, the function `exp_scalar` is — the same claim the softmax row
+    /// kernel makes between its vector body and its tail.
+    #[test]
+    fn exp_ps_is_the_lanewise_mirror_of_exp_scalar() {
+        if !crate::simd::Isa::Avx2.is_available() {
+            return;
+        }
+        let mut xs: Vec<f32> = (-2000..=200).map(|i| i as f32 * 0.05).collect();
+        xs.extend([
+            0.0,
+            -0.0,
+            1e-30,
+            -1e-30,
+            EXP_LO,
+            EXP_LO - 1e-4,
+            EXP_HI,
+            EXP_HI + 1.0,
+            -1e9,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+            f32::NAN,
+        ]);
+        while xs.len() % 8 != 0 {
+            xs.push(-1.0);
+        }
+        for chunk in xs.chunks_exact(8) {
+            let mut got = [0.0f32; 8];
+            // SAFETY: avx2+fma checked above; `chunk` and `got` are 8 floats.
+            let want: Vec<f32> = unsafe {
+                _mm256_storeu_ps(got.as_mut_ptr(), exp_ps(_mm256_loadu_ps(chunk.as_ptr())));
+                chunk.iter().map(|&x| exp_scalar(x)).collect()
+            };
+            for ((&x, g), w) in chunk.iter().zip(got).zip(want) {
+                assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "exp({x}): vector {g} vs scalar {w}"
+                );
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! AVX-512F matmul micro-kernel — 16 f32 lanes, fused multiply-add.
 //!
-//! Only the blocked matmul lives here; every other kernel of the
+//! Only the blocked matmul and the 16-lane instance of the lane-parallel
+//! attention kernel live here; every other kernel of the
 //! [`super::Isa::Avx512`] tier dispatches to the [`super::avx2`]
 //! implementations (an avx512f host always has avx2+fma).
 //!
@@ -186,4 +187,141 @@ fn edge_tile(
     for r in 0..rows {
         out[(i0 + r) * m + j0..(i0 + r) * m + j0 + jw].copy_from_slice(&tile[r][..jw]);
     }
+}
+
+/// Sixteen-lane vector primitives of the lane-parallel attention kernel.
+/// Every op is per-lane IEEE arithmetic, so a lane computes the same value
+/// here as in the eight-lane avx2 instance; `exp` literally runs the avx2
+/// polynomial on each 256-bit half.
+mod lanes {
+    use std::arch::x86_64::*;
+
+    pub const LANES: usize = 16;
+    pub type V = __m512;
+    pub type I = __m512i;
+    /// Per-lane f64 sums: lanes 0–7, lanes 8–15.
+    pub type D = (__m512d, __m512d);
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn halves(v: V) -> (__m256, __m256) {
+        let hi = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v));
+        (_mm512_castps512_ps256(v), _mm256_castpd_ps(hi))
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn join(lo: __m256, hi: __m256) -> V {
+        let lo = _mm512_castpd256_pd512(_mm256_castps_pd(lo));
+        _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi)))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub fn splat(x: f32) -> V {
+        _mm512_set1_ps(x)
+    }
+    /// # Safety
+    /// `p` must be valid for reading `LANES` floats.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub unsafe fn load(p: *const f32) -> V {
+        unsafe { _mm512_loadu_ps(p) }
+    }
+    /// # Safety
+    /// `p` must be valid for writing `LANES` floats.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub unsafe fn store(p: *mut f32, v: V) {
+        unsafe { _mm512_storeu_ps(p, v) }
+    }
+    /// Per-lane element offsets `base[lane] + offset`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn index(base: &[i32; LANES], offset: i32) -> I {
+        // SAFETY: `base` is exactly one unaligned 512-bit load.
+        let b = unsafe { _mm512_loadu_si512(base.as_ptr() as *const __m512i) };
+        _mm512_add_epi32(b, _mm512_set1_epi32(offset))
+    }
+    /// `p[base[lane] + offset]` per lane.
+    ///
+    /// # Safety
+    /// Every such element must be valid for reads.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub unsafe fn gather(p: *const f32, base: &[i32; LANES], offset: i32) -> V {
+        unsafe { _mm512_i32gather_ps::<4>(index(base, offset), p) }
+    }
+    /// `p[base[lane] + offset] = v[lane]` for the first `live` lanes.
+    ///
+    /// # Safety
+    /// Every such element must be valid for writes.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub unsafe fn scatter(p: *mut f32, base: &[i32; LANES], offset: i32, v: V, live: usize) {
+        let mask = ((1u32 << live) - 1) as __mmask16;
+        unsafe { _mm512_mask_i32scatter_ps::<4>(p, mask, index(base, offset), v) }
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub fn fmadd(a: V, b: V, c: V) -> V {
+        _mm512_fmadd_ps(a, b, c)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub fn mul(a: V, b: V) -> V {
+        _mm512_mul_ps(a, b)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub fn sub(a: V, b: V) -> V {
+        _mm512_sub_ps(a, b)
+    }
+    /// `x > acc ? x : acc` per lane (keeps `acc` when `x` is NaN).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub fn max(x: V, acc: V) -> V {
+        _mm512_max_ps(x, acc)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub fn exp(x: V) -> V {
+        let (lo, hi) = halves(x);
+        join(crate::simd::avx2::exp_ps(lo), crate::simd::avx2::exp_ps(hi))
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub fn sum_zero() -> D {
+        (_mm512_setzero_pd(), _mm512_setzero_pd())
+    }
+    /// `sum[lane] += e[lane] as f64`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub fn sum_add(sum: D, e: V) -> D {
+        let (lo, hi) = halves(e);
+        (
+            _mm512_add_pd(sum.0, _mm512_cvtps_pd(lo)),
+            _mm512_add_pd(sum.1, _mm512_cvtps_pd(hi)),
+        )
+    }
+    /// `a[lane] + b[lane]` in f64.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub fn sum_join(a: D, b: D) -> D {
+        (_mm512_add_pd(a.0, b.0), _mm512_add_pd(a.1, b.1))
+    }
+    /// `(1.0 / sum[lane]) as f32`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub fn sum_recip(sum: D) -> V {
+        let one = _mm512_set1_pd(1.0);
+        join(
+            _mm512_cvtpd_ps(_mm512_div_pd(one, sum.0)),
+            _mm512_cvtpd_ps(_mm512_div_pd(one, sum.1)),
+        )
+    }
+}
+
+crate::simd::attention::attention_lanes_kernel! {
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    lanes
 }

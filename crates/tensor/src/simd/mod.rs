@@ -1,16 +1,16 @@
 //! Runtime-dispatched SIMD micro-kernels for the linalg hot paths.
 //!
 //! The compute-heavy kernels in [`crate::linalg`] (blocked matmul, softmax,
-//! layer norm, the flat sanitize/norm scans, and the dequantize-on-the-fly
-//! matmul) each exist in up to three implementations selected once per
-//! process by [`active_isa`]:
+//! layer norm, the attention-tile kernel of [`attention`], the flat
+//! sanitize/norm scans, and the dequantize-on-the-fly matmul) each exist in
+//! up to four implementations selected once per process by [`active_isa`]:
 //!
 //! | ISA      | selected when                           | numeric contract |
 //! |----------|-----------------------------------------|------------------|
 //! | `scalar` | always available (the reference chains) | bit-exact with `matmul_reference` and the pre-SIMD kernels |
 //! | `sse2`   | x86-64 with SSE2                        | **bit-identical to `scalar`** (vector lanes are independent output elements; every step is a mul-then-add with the same per-op rounding as the scalar chain) |
 //! | `avx2`   | x86-64 with AVX2 **and** FMA            | per-ISA deterministic, oracle-bounded (see below) |
-//! | `avx512` | x86-64 with AVX-512F (plus AVX2+FMA)    | **bit-identical to `avx2`**: a wider matmul micro-kernel running the same per-element FMA chains; every other kernel dispatches to the avx2 implementation |
+//! | `avx512` | x86-64 with AVX-512F (plus AVX2+FMA)    | **bit-identical to `avx2`**: a wider matmul micro-kernel and a 16-lane attention kernel running the same per-element chains; every other kernel dispatches to the avx2 implementation |
 //!
 //! # The avx2 relaxation
 //!
@@ -47,6 +47,7 @@
 
 use std::sync::OnceLock;
 
+pub mod attention;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
 #[cfg(target_arch = "x86_64")]
@@ -54,6 +55,9 @@ pub(crate) mod avx512;
 pub(crate) mod scalar;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod sse2;
+
+pub(crate) use attention::attention_tiles;
+pub use attention::AttnGrid;
 
 /// Instruction-set architecture a kernel can be dispatched to.
 ///
@@ -246,82 +250,55 @@ pub fn matmul_small(isa: Isa, a: &[f32], b: &[f32], out: &mut [f32], n: usize, k
 }
 
 // ---------------------------------------------------------------------------
-// Softmax / layer-norm row helpers
+// Softmax / layer-norm row kernels
 // ---------------------------------------------------------------------------
 
 /// Softmax over `rows` consecutive rows of width `w`: `dst = softmax(src)`
 /// per row. One traversal structure shared by every ISA (max, exp+sum,
-/// scale — see [`scalar::softmax_row`]); avx2 substitutes a vectorized
-/// polynomial `exp` and lane-parallel reductions.
+/// scale — see `scalar::softmax_row`); avx2 substitutes a vectorized
+/// polynomial `exp` and lane-parallel reductions. The row loop runs inside
+/// the per-ISA function, so narrow rows do not pay a non-inlinable call
+/// each.
 pub fn softmax_rows(isa: Isa, src: &[f32], dst: &mut [f32], w: usize) {
     debug_assert_eq!(src.len(), dst.len());
     if w == 0 {
         return;
     }
     match isa {
-        Isa::Scalar | Isa::Sse2 => {
-            for (s, d) in src.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
-                scalar::softmax_row(s, d);
-            }
-        }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2/Avx512 dispatch implies avx2+fma are available.
-        Isa::Avx2 | Isa::Avx512 => unsafe {
-            for (s, d) in src.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
-                avx2::softmax_row(s, d);
-            }
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => {
-            for (s, d) in src.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
-                scalar::softmax_row(s, d);
-            }
-        }
+        Isa::Avx2 | Isa::Avx512 => unsafe { avx2::softmax_rows(src, dst, w) },
+        _ => scalar::softmax_rows(src, dst, w),
     }
 }
 
-/// Per-row mean and inverse standard deviation in f64 — the canonical
-/// statistics chain shared by the layer-norm tape forward, no-grad forward
-/// and backward. The avx2 path accumulates in four f64 lanes (relaxed
-/// order); scalar/sse2 keep the serial left-to-right sum.
-pub fn layer_norm_row_stats(isa: Isa, row: &[f32], eps: f32) -> (f64, f64) {
-    match isa {
-        Isa::Scalar | Isa::Sse2 => scalar::layer_norm_row_stats(row, eps),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2/Avx512 dispatch implies avx2+fma are available.
-        Isa::Avx2 | Isa::Avx512 => unsafe { avx2::layer_norm_row_stats(row, eps) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::layer_norm_row_stats(row, eps),
-    }
-}
-
-/// Normalizes one row given its statistics: `y = xhat * gamma + beta` with
-/// `xhat = (x - mean) * istd` computed in f64. Element-wise — given equal
-/// `(mean, istd)` every ISA produces identical bits; only the statistics
-/// reduction above is relaxed on avx2. `xhat_out`, when provided, receives
-/// the normalized values (the tape forward saves them for backward).
-#[allow(clippy::too_many_arguments)]
-pub fn layer_norm_normalize_row(
+/// Layer norm over consecutive rows of width `w = gamma.len()`:
+/// `y = xhat * gamma + beta` with `xhat = (x - mean) * istd`. Statistics
+/// accumulate in f64 — serial left-to-right on scalar/sse2, four f64 lanes
+/// folded in a fixed order on avx2 (the relaxation) — and the normalize
+/// step is element-wise, identical on every ISA given equal statistics.
+/// `saved`, when provided, receives `(xhat, inv_std)` (one `inv_std` per
+/// row) for the tape's backward pass. As with [`softmax_rows`], the row
+/// loop lives inside the per-ISA function.
+pub fn layer_norm_rows(
     isa: Isa,
-    row: &[f32],
-    mean: f64,
-    istd: f64,
+    x: &[f32],
     gamma: &[f32],
     beta: &[f32],
+    eps: f32,
     y: &mut [f32],
-    xhat_out: Option<&mut [f32]>,
+    saved: Option<(&mut [f32], &mut [f32])>,
 ) {
+    debug_assert_eq!(x.len(), y.len());
+    debug_assert_eq!(gamma.len(), beta.len());
+    if gamma.is_empty() {
+        return;
+    }
     match isa {
-        Isa::Scalar | Isa::Sse2 => {
-            scalar::layer_norm_normalize_row(row, mean, istd, gamma, beta, y, xhat_out)
-        }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2/Avx512 dispatch implies avx2+fma are available.
-        Isa::Avx2 | Isa::Avx512 => unsafe {
-            avx2::layer_norm_normalize_row(row, mean, istd, gamma, beta, y, xhat_out)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::layer_norm_normalize_row(row, mean, istd, gamma, beta, y, xhat_out),
+        Isa::Avx2 | Isa::Avx512 => unsafe { avx2::layer_norm_rows(x, gamma, beta, eps, y, saved) },
+        _ => scalar::layer_norm_rows(x, gamma, beta, eps, y, saved),
     }
 }
 

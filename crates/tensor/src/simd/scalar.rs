@@ -68,6 +68,13 @@ pub fn softmax_row(row: &[f32], dst: &mut [f32]) {
     }
 }
 
+/// [`softmax_row`] over consecutive rows of width `w`.
+pub fn softmax_rows(src: &[f32], dst: &mut [f32], w: usize) {
+    for (s, d) in src.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
+        softmax_row(s, d);
+    }
+}
+
 /// Per-row mean and inverse standard deviation in f64 — serial
 /// left-to-right sums, the canonical chain of the pre-SIMD kernels.
 pub fn layer_norm_row_stats(row: &[f32], eps: f32) -> (f64, f64) {
@@ -103,6 +110,28 @@ pub fn layer_norm_normalize_row(
                 y[j] = xh * gamma[j] + beta[j];
             }
         }
+    }
+}
+
+/// Layer norm over consecutive rows of width `gamma.len()`: statistics
+/// then normalize per row. `saved` receives `(xhat, inv_std)` for the
+/// tape's backward pass.
+pub fn layer_norm_rows(
+    x: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    y: &mut [f32],
+    mut saved: Option<(&mut [f32], &mut [f32])>,
+) {
+    let w = gamma.len();
+    for (r, (row, y_row)) in x.chunks_exact(w).zip(y.chunks_exact_mut(w)).enumerate() {
+        let (mean, istd) = layer_norm_row_stats(row, eps);
+        let xhat = saved.as_mut().map(|(xhat, inv_std)| {
+            inv_std[r] = istd as f32;
+            &mut xhat[r * w..(r + 1) * w]
+        });
+        layer_norm_normalize_row(row, mean, istd, gamma, beta, y_row, xhat);
     }
 }
 
@@ -167,5 +196,66 @@ pub fn axpy(a: f32, w: &[f32], dst: &mut [f32]) {
 pub fn dequant_row_i8(qs: &[i8], scale: f32, out: &mut [f32]) {
     for (o, &q) in out.iter_mut().zip(qs) {
         *o = q as f32 * scale;
+    }
+}
+
+/// Attention over `tiles` of `grid`, one tile at a time on the reference
+/// chains: gather the tile's Q, `Kᵀ` and V, `S = Q Kᵀ` through
+/// `matmul_reference`, scale, [`softmax_rows`], `O = P V` through
+/// `matmul_reference` again, and write `O` back over the tile's Q — the
+/// unfused `bmm → softmax_last → bmm` chain by construction. `scratch`
+/// holds at least `grid.chunk_scratch()` floats.
+///
+/// # Safety
+///
+/// `qo` must point to `k.len()` floats (`grid.rows() * grid.width()`), and
+/// nothing else may access the `head_dim`-long Q segments of `tiles`
+/// during the call.
+pub unsafe fn attention_tiles(
+    grid: &super::AttnGrid,
+    qo: *mut f32,
+    k: &[f32],
+    v: &[f32],
+    tiles: std::ops::Range<usize>,
+    scratch: &mut [f32],
+) {
+    use crate::linalg::matmul_reference;
+    let (t, dk) = (grid.tokens, grid.head_dim);
+    let stride = grid.token_stride();
+    let (q_tile, rest) = scratch.split_at_mut(t * dk);
+    let (kt, rest) = rest.split_at_mut(dk * t);
+    let (v_tile, rest) = rest.split_at_mut(t * dk);
+    let (s, rest) = rest.split_at_mut(t * t);
+    let p = &mut rest[..t * t];
+    let scale = 1.0 / (dk as f32).sqrt();
+    for tile in tiles {
+        let base = grid.tile_base(tile);
+        debug_assert!(base + (t - 1) * stride + dk <= k.len());
+        // SAFETY: segment `i` is `head_dim` floats at `base + i * stride`,
+        // inside the buffer (`k` has its length and is sliced at the same
+        // range below), and it belongs to this tile alone: `AttnGrid` maps
+        // distinct (tile, token) pairs to disjoint segments.
+        let segment =
+            |i: usize| unsafe { std::slice::from_raw_parts_mut(qo.add(base + i * stride), dk) };
+        for i in 0..t {
+            let row = base + i * stride..base + i * stride + dk;
+            q_tile[i * dk..(i + 1) * dk].copy_from_slice(segment(i));
+            v_tile[i * dk..(i + 1) * dk].copy_from_slice(&v[row.clone()]);
+            for (c, &x) in k[row].iter().enumerate() {
+                kt[c * t + i] = x;
+            }
+        }
+        s.fill(0.0);
+        matmul_reference(q_tile, kt, s, t, dk, t);
+        for x in s.iter_mut() {
+            *x *= scale;
+        }
+        softmax_rows(s, p, t);
+        let o_tile = &mut *q_tile;
+        o_tile.fill(0.0);
+        matmul_reference(p, v_tile, o_tile, t, t, dk);
+        for i in 0..t {
+            segment(i).copy_from_slice(&o_tile[i * dk..(i + 1) * dk]);
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! against the naive reference loop as an independent oracle.
 
 use hire_par::{with_pool, ThreadPool};
-use hire_tensor::{linalg, NdArray};
+use hire_tensor::{linalg, AttnGrid, NdArray};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -112,6 +112,67 @@ fn softmax_forward_and_backward_are_thread_invariant() {
     assert_thread_invariant("softmax_backward_last", || {
         linalg::softmax_backward_last(&y, &g)
     });
+}
+
+#[test]
+fn attention_tiles_are_thread_invariant_and_match_the_unfused_chain() {
+    // Both token-axis placements, enough tiles for several chunks, a ragged
+    // last lane group, and a token count on each side of the softmax row
+    // kernel's 8-wide body.
+    for (outer, tokens, inner, heads, head_dim) in
+        [(70, 5, 1, 3, 8), (3, 9, 7, 2, 6), (2, 17, 5, 4, 8)]
+    {
+        let grid = AttnGrid {
+            outer,
+            tokens,
+            inner,
+            heads,
+            head_dim,
+        };
+        let dims = [grid.rows(), grid.width()];
+        let (q, k, v) = (randn(&dims, 20), randn(&dims, 21), randn(&dims, 22));
+        let got = assert_thread_invariant("attention_into", || {
+            let mut qo = q.clone();
+            let mut scratch = vec![f32::NAN; grid.scratch_len()];
+            linalg::attention_into(
+                &grid,
+                qo.as_mut_slice(),
+                k.as_slice(),
+                v.as_slice(),
+                &mut scratch,
+            );
+            qo
+        });
+
+        // Per-tile oracle from the allocating kernels: gather the tile,
+        // `softmax(q kᵀ · scale) v`, compare the tile's output rows.
+        let width = grid.width();
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        for (o, j, head) in [
+            (0, 0, 0),
+            (outer - 1, inner - 1, heads - 1),
+            (outer / 2, inner / 2, 0),
+        ] {
+            let row = |t: usize| (o * tokens + t) * inner + j;
+            let tile = |a: &NdArray| {
+                let mut out = NdArray::zeros([tokens, head_dim]);
+                for t in 0..tokens {
+                    let at = row(t) * width + head * head_dim;
+                    out.as_mut_slice()[t * head_dim..(t + 1) * head_dim]
+                        .copy_from_slice(&a.as_slice()[at..at + head_dim]);
+                }
+                out
+            };
+            let scores =
+                linalg::matmul2d(&tile(&q), &linalg::transpose_last2(&tile(&k))).map(|s| s * scale);
+            let want = linalg::matmul2d(&linalg::softmax_last(&scores), &tile(&v));
+            assert_eq!(
+                tile(&got).as_slice(),
+                want.as_slice(),
+                "{grid:?} tile ({o}, {j}, {head})"
+            );
+        }
+    }
 }
 
 #[test]
