@@ -9,7 +9,7 @@ use hire_graph::{ContextSampler, NeighborhoodSampler, RandomSampler};
 use hire_nn::MultiHeadSelfAttention;
 use hire_tensor::{linalg, NdArray, Tensor};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 fn bench_matmul(c: &mut Criterion) {
@@ -131,6 +131,24 @@ fn bench_sampling(c: &mut Criterion) {
     });
     group.bench_function("random_32x32", |bench| {
         bench.iter(|| RandomSampler.sample(&graph, &[0], &[0], 32, 32, &mut rng));
+    });
+
+    // The serving benchmark's write-workload graph: item popularity is
+    // skewed enough that one item is rated by most users, so hop 2 of nearly
+    // every fresh pair walks a hub — the case the small graph never shows.
+    let (_, hub) = SyntheticConfig::million_scale()
+        .scaled(50_000, 10_000, (4, 16))
+        .generate_streaming(4);
+    let pairs: Vec<(usize, usize)> = (0..4096)
+        .map(|_| (rng.gen_range(0..50_000), rng.gen_range(0..10_000)))
+        .collect();
+    let mut next = 0;
+    group.bench_function("neighborhood_16x16_hub_50kx10k_fresh_pairs", |bench| {
+        bench.iter(|| {
+            let (u, i) = pairs[next % pairs.len()];
+            next += 1;
+            NeighborhoodSampler.sample(&hub, &[u], &[i], 16, 16, &mut rng)
+        });
     });
     group.finish();
 }

@@ -1,7 +1,7 @@
 //! Kernel/compute benchmark: establishes the perf trajectory of the
 //! parallel compute layer and emits `BENCH_KERNELS.json`.
 //!
-//! Four sections:
+//! Five sections:
 //! 1. **matmul** — GFLOP/s at HIM-realistic shapes: the naive reference
 //!    loop, the blocked kernel forced to the scalar micro-kernel, and the
 //!    blocked kernel on the dispatched ISA (see `hire_tensor::simd`), all
@@ -18,7 +18,13 @@
 //! 3. **him** — full HIM forward and forward+backward wall time on a
 //!    synthetic cold-start context across the thread sweep, with the loss
 //!    value asserted bit-identical at every thread count.
-//! 4. **serve** — saturation throughput from the sibling `serve_bench`
+//! 4. **sampler** — `NeighborhoodSampler` at never-repeated uniform pairs on
+//!    the default 600×400 `movielens_like` graph and on the streaming
+//!    50 000×10 000 `popularity_skew = 1.1` graph whose hub items are rated
+//!    by most users: microseconds per sample, and — from a plain BFS replica
+//!    that must reproduce every selection first — the adjacency entries
+//!    walked and RNG draws made per sample. Reported, not gated.
+//! 5. **serve** — saturation throughput from the sibling `serve_bench`
 //!    binary run with `--threads 1/2/4/8` (skipped under `--smoke`).
 //!
 //! `--smoke` shrinks every section to seconds and gates two regressions:
@@ -31,13 +37,14 @@
 use hire_bench::write_json_atomic;
 use hire_core::{HireConfig, HireModel};
 use hire_data::{test_context_with_ratio, SyntheticConfig};
-use hire_graph::{NeighborhoodSampler, Rating};
+use hire_graph::{BipartiteGraph, ContextSampler, ContextSelection, NeighborhoodSampler, Rating};
 use hire_nn::{mhsa_forward, MhsaWeights};
 use hire_par::{with_pool, ThreadPool};
 use hire_tensor::linalg;
 use hire_tensor::NdArray;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
@@ -157,6 +164,27 @@ struct MhsaReport {
 }
 
 #[derive(Serialize)]
+struct SamplerReport {
+    /// `[users, items]` of the sampled graph.
+    graph: Vec<usize>,
+    edges: usize,
+    max_item_degree: usize,
+    /// `[n, m]` context budgets.
+    context: Vec<usize>,
+    /// Distinct uniform `(user, item)` seed pairs, each sampled once a pass.
+    pairs: usize,
+    /// Mean wall time of one `NeighborhoodSampler::sample` over the pairs,
+    /// best pass.
+    micros_per_sample: f64,
+    /// Adjacency entries the BFS reads per sample (every neighbour of every
+    /// frontier entity of every hop), mean over the pairs.
+    entries_walked_per_sample: f64,
+    /// RNG draws per sample: one per candidate above the first in every hop
+    /// that overflows its budget, spent budgets included.
+    rng_draws_per_sample: f64,
+}
+
+#[derive(Serialize)]
 struct HimPoint {
     threads: usize,
     forward_ms: f64,
@@ -190,6 +218,7 @@ struct KernelBenchReport {
     matmul: Vec<MatmulReport>,
     mhsa: Vec<MhsaReport>,
     him: HimReport,
+    sampler: Vec<SamplerReport>,
     serve: Option<Vec<ServePoint>>,
 }
 
@@ -324,6 +353,138 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
         }
     })
     .collect()
+}
+
+/// One side of one hop of [`bfs_replica`]: the unselected neighbours of
+/// `frontier` in first-seen order, cut to what `picked` still lacks of
+/// `budget`; `counts` gains the adjacency entries read and the draws made.
+fn bfs_hop<'g>(
+    frontier: &[usize],
+    neighbors: impl Fn(usize) -> &'g [(usize, f32)],
+    selected: &mut [bool],
+    picked: &mut Vec<usize>,
+    budget: usize,
+    rng: &mut StdRng,
+    counts: &mut (usize, usize),
+) -> Vec<usize> {
+    let mut seen = selected.to_vec();
+    let mut next = Vec::new();
+    for &v in frontier {
+        counts.0 += neighbors(v).len();
+        for &(x, _) in neighbors(v) {
+            if !std::mem::replace(&mut seen[x], true) {
+                next.push(x);
+            }
+        }
+    }
+    let room = budget - picked.len();
+    if next.len() > room {
+        counts.1 += next.len() - 1;
+        next.shuffle(rng);
+        next.truncate(room);
+    }
+    for &x in &next {
+        selected[x] = true;
+    }
+    picked.extend_from_slice(&next);
+    next
+}
+
+/// The sampler's BFS written the plain way — membership in `Vec<bool>`,
+/// candidates in first-seen order, `shuffle` + `truncate` on overflow — so
+/// that the work it does can be counted. Returns the BFS part of the
+/// selection and the (adjacency entries read, RNG draws made).
+fn bfs_replica(
+    graph: &BipartiteGraph,
+    (user, item): (usize, usize),
+    (n, m): (usize, usize),
+    rng: &mut StdRng,
+) -> (ContextSelection, (usize, usize)) {
+    let (mut users, mut items) = (vec![user], vec![item]);
+    let mut user_selected = vec![false; graph.num_users()];
+    let mut item_selected = vec![false; graph.num_items()];
+    user_selected[user] = true;
+    item_selected[item] = true;
+    let (mut frontier_users, mut frontier_items) = (users.clone(), items.clone());
+    let mut counts = (0, 0);
+    while (users.len() < n || items.len() < m)
+        && (!frontier_users.is_empty() || !frontier_items.is_empty())
+    {
+        let next_items = bfs_hop(
+            &frontier_users,
+            |u| graph.user_neighbors(u),
+            &mut item_selected,
+            &mut items,
+            m,
+            rng,
+            &mut counts,
+        );
+        let next_users = bfs_hop(
+            &frontier_items,
+            |i| graph.item_neighbors(i),
+            &mut user_selected,
+            &mut users,
+            n,
+            rng,
+            &mut counts,
+        );
+        (frontier_users, frontier_items) = (next_users, next_items);
+    }
+    (ContextSelection { users, items }, counts)
+}
+
+/// Times `NeighborhoodSampler` at `pairs` never-repeated uniform seed pairs
+/// of `graph`, after checking every selection against [`bfs_replica`].
+fn bench_sampler(graph: &BipartiteGraph, pairs: usize, reps: usize) -> SamplerReport {
+    let cfg = HireConfig::fast();
+    let (n, m) = (cfg.context_users, cfg.context_items);
+    let mut rng = StdRng::seed_from_u64(0x5A3F);
+    let mut seen = std::collections::BTreeSet::new();
+    let seeds: Vec<(usize, usize)> = std::iter::repeat_with(|| {
+        (
+            rng.gen_range(0..graph.num_users()),
+            rng.gen_range(0..graph.num_items()),
+        )
+    })
+    .filter(|&pair| seen.insert(pair))
+    .take(pairs)
+    .collect();
+
+    let (mut entries, mut draws) = (0, 0);
+    for (k, &(u, i)) in seeds.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(k as u64);
+        let (bfs, (e, d)) = bfs_replica(graph, (u, i), (n, m), &mut rng);
+        // Same stream, so the sampler's own random fill (degree-0 seeds)
+        // continues where the replica stopped.
+        let mut rng = StdRng::seed_from_u64(k as u64);
+        let sel = NeighborhoodSampler.sample(graph, &[u], &[i], n, m, &mut rng);
+        assert!(
+            sel.users.starts_with(&bfs.users) && sel.items.starts_with(&bfs.items),
+            "the BFS replica diverged from the sampler at pair ({u}, {i})"
+        );
+        entries += e;
+        draws += d;
+    }
+    let secs = time_best(reps, || {
+        for (k, &(u, i)) in seeds.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(k as u64);
+            let sel = NeighborhoodSampler.sample(graph, &[u], &[i], n, m, &mut rng);
+            std::hint::black_box(&sel);
+        }
+    });
+    SamplerReport {
+        graph: vec![graph.num_users(), graph.num_items()],
+        edges: graph.num_ratings(),
+        max_item_degree: (0..graph.num_items())
+            .map(|i| graph.item_degree(i))
+            .max()
+            .unwrap_or(0),
+        context: vec![n, m],
+        pairs,
+        micros_per_sample: secs * 1e6 / pairs as f64,
+        entries_walked_per_sample: entries as f64 / pairs as f64,
+        rng_draws_per_sample: draws as f64 / pairs as f64,
+    }
 }
 
 /// Times the full HIM forward and forward+backward across the thread
@@ -517,6 +678,37 @@ fn main() {
         him.forward_speedup_4t, him.forward_backward_speedup_4t
     );
 
+    // The serving benchmark's two graphs: the default 600×400 one and the
+    // streaming hub graph of its write workload (smoke: a tenth of it).
+    // After the HIM sweep on purpose: freeing these multi-megabyte graphs
+    // first leaves the main thread's heap trimming on every tape forward,
+    // which triples the sweep's 1-thread point and nothing else.
+    let small = SyntheticConfig::movielens_like().generate(43).graph();
+    let (hub_users, hub_items) = if args.smoke {
+        (5_000, 1_000)
+    } else {
+        (50_000, 10_000)
+    };
+    let (_, hub) = SyntheticConfig::million_scale()
+        .scaled(hub_users, hub_items, (4, 16))
+        .generate_streaming(43);
+    let sampler: Vec<SamplerReport> = [&small, &hub]
+        .into_iter()
+        .map(|graph| {
+            let r = bench_sampler(graph, if args.smoke { 100 } else { 400 }, 5);
+            eprintln!(
+                "  sampler {}x{} (max item degree {}): {:.1} us/sample, {:.0} entries walked, {:.0} draws",
+                r.graph[0],
+                r.graph[1],
+                r.max_item_degree,
+                r.micros_per_sample,
+                r.entries_walked_per_sample,
+                r.rng_draws_per_sample
+            );
+            r
+        })
+        .collect();
+
     let serve = if args.smoke || args.no_serve {
         None
     } else {
@@ -555,6 +747,7 @@ fn main() {
         matmul,
         mhsa,
         him,
+        sampler,
         serve,
     };
     write_json_atomic(&args.out, &report).expect("write BENCH_KERNELS.json");

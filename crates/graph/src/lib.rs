@@ -18,6 +18,15 @@ pub mod bipartite;
 pub mod epoch;
 pub mod sampler;
 
+// The legacy samplers `tests/sampler_regression.rs` compares against are
+// written against the public API; the unit tests of `sampler`, which can
+// reach its private scratch, compile the same file under the crate's name.
+#[cfg(test)]
+extern crate self as hire_graph;
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 pub use bipartite::{BipartiteGraph, Rating, SocialGraph};
 pub use epoch::{EpochSource, EpochedGraph, PinnedGraph};
 pub use sampler::{
