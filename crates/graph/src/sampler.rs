@@ -3,7 +3,7 @@
 //! sampling, and feature-similarity sampling.
 //!
 //! Membership ("already selected", "already seen this hop") is tracked in a
-//! private per-thread [`Scratch`] of dense generation stamps rather than in
+//! private per-thread `Scratch` of dense generation stamps rather than in
 //! hash sets: a hop over a hub item touches tens of thousands of users, and
 //! one array store per neighbour is what that can cost. Candidates are still
 //! collected in first-seen order, so the vectors handed to `shuffle` — and

@@ -12,21 +12,25 @@
 //!   the snapshot fully covers. Without snapshots the log only grows;
 //!   with them it stays bounded.
 //! * [`recover`] rebuilds a crashed engine from the newest snapshot plus
-//!   the WAL tail: replays rating edges in their original commit order
-//!   (bit-identical CSR ⇒ bit-identical deterministic context samples),
-//!   reloads promoted weights from the checkpoint lineages named by the
-//!   `ModelPromoted` records, reinstates the demotion history, and
-//!   re-routes the online loop's holdout slice exactly as the crashed
-//!   loop had it.
+//!   the WAL tail, in two steps that sharded recovery (`hire-shard`) reuses
+//!   per shard log. [`fold_log`] folds the records into a [`LogFold`]:
+//!   rating edges in their original commit order, the online loop's
+//!   routing state, and the model lineage — promotions and demotions go
+//!   through the same [`Lineage::promote`] / [`Lineage::demote`] the live
+//!   engine ran, so the recovered lineage is the crashed one by
+//!   construction. [`rebuild_engine`] replays the edges (bit-identical CSR
+//!   ⇒ bit-identical deterministic context samples) and reloads every
+//!   slot's weights from the checkpoints the lineage names.
 //!
 //! The recovery contract, proven by `tests/wal_recovery.rs` at every
 //! kill point: **no acknowledged write is lost** (at `Group`/`Strict`
 //! durability) and the recovered engine answers **bit-identically** to
 //! an engine that never crashed.
 
-use crate::engine::{EngineConfig, LineageSnapshot, ServeEngine, SlotSource};
+use crate::engine::{EngineConfig, Lineage, ServeEngine, SlotSource};
 use crate::frozen::FrozenModel;
 use crate::online::{OnlineConfig, OnlineLoop, REJECTED_TAG};
+use crate::server::ModelVersion;
 use hire_ckpt::{CheckpointStore, PayloadReader, PayloadWriter, SNAPSHOT_EXT};
 use hire_data::Dataset;
 use hire_error::{HireError, HireResult};
@@ -43,24 +47,95 @@ pub const SERVING_TAG: &str = "serving";
 /// Serving-snapshot payload format version.
 const SNAPSHOT_FORMAT: u8 = 1;
 
-/// Everything a serving snapshot persists (decoded form).
-struct ServingSnapshot {
-    /// WAL LSN the snapshot is current as of: every record with a lower
-    /// LSN is reflected in the fields below.
-    covered: u64,
+/// The serving state a write-ahead log folds to, on top of the serving
+/// snapshot it continues (if any). A serving snapshot persists exactly the
+/// fields up to `lineage`.
+#[derive(Debug, Default)]
+pub struct LogFold {
+    /// WAL LSN the starting snapshot is current as of: every record with a
+    /// lower LSN is already reflected in it (0 = no snapshot).
+    pub covered: u64,
     /// The engine's full insert log, in commit order.
-    ratings: Vec<Rating>,
+    pub ratings: Vec<Rating>,
     /// Online-loop cursor (ratings consumed).
-    cursor: usize,
+    pub cursor: usize,
     /// Online-loop round counter.
-    round: u64,
+    pub round: u64,
     /// Arrival indices ever diverted to the holdout slice.
-    marked: BTreeSet<usize>,
+    pub marked: BTreeSet<usize>,
     /// Model lineage with reload sources.
-    lineage: LineageSnapshot,
+    pub lineage: Lineage,
+    /// The promotion/demotion records applied to `lineage`, in log order —
+    /// what sharded recovery compares across shard logs.
+    pub events: Vec<WalRecord>,
+    /// Records applied on top of the snapshot.
+    pub replayed: usize,
 }
 
-fn encode_source(w: &mut PayloadWriter, source: &SlotSource) {
+impl LogFold {
+    /// Applies one record, in log order.
+    ///
+    /// Promotion/demotion records are logged with the engine's install
+    /// lock held, so a valid log sequences versions exactly: each must
+    /// carry the lineage's `next_version`. One that does not — or a
+    /// demotion onto an empty history — means the log and the snapshot
+    /// disagree, and recovery must stop rather than serve a lineage it
+    /// cannot prove. The swap behind a record may not have completed
+    /// before the crash; the record is durable, so recovery rolls it
+    /// forward (the weights were checkpointed before it was logged).
+    pub fn apply(&mut self, record: &WalRecord) -> HireResult<()> {
+        self.replayed += 1;
+        match record {
+            WalRecord::Rating { user, item, value } => self.ratings.push(Rating {
+                user: *user as usize,
+                item: *item as usize,
+                value: *value,
+            }),
+            WalRecord::HoldoutMark { index } => {
+                self.marked.insert(*index as usize);
+            }
+            WalRecord::SnapshotBarrier { cursor, round, .. } => {
+                self.cursor = *cursor as usize;
+                self.round = *round;
+            }
+            WalRecord::ModelPromoted {
+                version,
+                tag,
+                steps,
+            } => {
+                self.expect_next_version("promotion", *version)?;
+                self.lineage.promote(SlotSource::Checkpoint {
+                    tag: tag.clone(),
+                    steps: *steps,
+                });
+                self.events.push(record.clone());
+            }
+            WalRecord::Demoted { new_version } => {
+                self.expect_next_version("demotion", *new_version)?;
+                self.lineage.demote().ok_or_else(|| {
+                    HireError::invalid_data("durable", "demotion record with an empty history")
+                })?;
+                self.events.push(record.clone());
+            }
+        }
+        Ok(())
+    }
+
+    fn expect_next_version(&self, what: &str, version: ModelVersion) -> HireResult<()> {
+        if version == self.lineage.next_version {
+            return Ok(());
+        }
+        Err(HireError::invalid_data(
+            "durable",
+            format!(
+                "{what} record for v{version} does not follow next version {}",
+                self.lineage.next_version
+            ),
+        ))
+    }
+}
+
+fn encode_source(w: &mut PayloadWriter, source: &SlotSource) -> HireResult<()> {
     match source {
         SlotSource::Base => w.put_u8(0),
         SlotSource::Checkpoint { tag, steps } => {
@@ -72,7 +147,15 @@ fn encode_source(w: &mut PayloadWriter, source: &SlotSource) {
                 w.put_u8(*b);
             }
         }
+        // E.g. a WAL attached after a checkpoint-less install.
+        SlotSource::Unsaved => {
+            return Err(HireError::invalid_data(
+                "ServingSnapshot",
+                "the lineage holds a slot whose weights were never checkpointed",
+            ))
+        }
     }
+    Ok(())
 }
 
 fn decode_source(r: &mut PayloadReader<'_>) -> HireResult<SlotSource> {
@@ -97,7 +180,7 @@ fn decode_source(r: &mut PayloadReader<'_>) -> HireResult<SlotSource> {
     }
 }
 
-fn encode_snapshot(snap: &ServingSnapshot) -> Vec<u8> {
+fn encode_snapshot(snap: &LogFold) -> HireResult<Vec<u8>> {
     let mut w = PayloadWriter::new();
     w.put_u8(SNAPSHOT_FORMAT);
     w.put_u64(snap.covered);
@@ -115,16 +198,16 @@ fn encode_snapshot(snap: &ServingSnapshot) -> Vec<u8> {
     }
     w.put_u64(snap.lineage.history.len() as u64);
     for (source, version) in &snap.lineage.history {
-        encode_source(&mut w, source);
+        encode_source(&mut w, source)?;
         w.put_u64(*version);
     }
-    encode_source(&mut w, &snap.lineage.current.0);
+    encode_source(&mut w, &snap.lineage.current.0)?;
     w.put_u64(snap.lineage.current.1);
     w.put_u64(snap.lineage.next_version);
-    w.finish()
+    Ok(w.finish())
 }
 
-fn decode_snapshot(payload: &[u8], label: &str) -> HireResult<ServingSnapshot> {
+fn decode_snapshot(payload: &[u8], label: &str) -> HireResult<LogFold> {
     let mut r = PayloadReader::new(payload, label);
     let format = r.take_u8("snapshot format")?;
     if format != SNAPSHOT_FORMAT {
@@ -161,17 +244,18 @@ fn decode_snapshot(payload: &[u8], label: &str) -> HireResult<ServingSnapshot> {
     let current_version = r.take_u64("current version")?;
     let next_version = r.take_u64("next version")?;
     r.expect_exhausted()?;
-    Ok(ServingSnapshot {
+    Ok(LogFold {
         covered,
         ratings,
         cursor,
         round,
         marked,
-        lineage: LineageSnapshot {
+        lineage: Lineage {
             history,
             current: (current_source, current_version),
             next_version,
         },
+        ..LogFold::default()
     })
 }
 
@@ -181,7 +265,7 @@ fn decode_snapshot(payload: &[u8], label: &str) -> HireResult<ServingSnapshot> {
 /// covered LSN.
 ///
 /// Lock order (the one `crate` convention that prevents deadlock):
-/// online state → engine write order → engine install order. Holding all
+/// online state → engine write order → engine install lock. Holding all
 /// three pins the WAL — no rating, mark, promotion, or demotion record
 /// can land between capturing the state and reading the covered LSN.
 pub fn write_snapshot(engine: &ServeEngine, online: &OnlineLoop) -> HireResult<u64> {
@@ -198,16 +282,17 @@ pub fn write_snapshot(engine: &ServeEngine, online: &OnlineLoop) -> HireResult<u
     let (payload, covered, cursor, round) = {
         let state = online.freeze_state();
         let (ratings, lineage, covered) = engine.durable_capture();
-        let snap = ServingSnapshot {
+        let snap = LogFold {
             covered,
             ratings,
             cursor: state.cursor,
             round: state.round,
             marked: state.marked.clone(),
             lineage,
+            ..LogFold::default()
         };
         (
-            encode_snapshot(&snap),
+            encode_snapshot(&snap)?,
             covered,
             state.cursor as u64,
             state.round,
@@ -247,6 +332,9 @@ pub struct Recovered {
     pub snapshot_covered: u64,
     /// Torn-tail bytes the WAL open repaired away.
     pub torn_bytes: u64,
+    /// Versions of demotion targets dropped because their checkpointed
+    /// weights could not be reloaded (see [`rebuild_engine`]).
+    pub dropped_history: Vec<ModelVersion>,
 }
 
 /// Rebuilds a serving engine + online loop after a crash, from the newest
@@ -257,9 +345,7 @@ pub struct Recovered {
 /// inputs the log's deltas apply to. Returns a typed error when the log
 /// is corrupt mid-stream, when a record sequence is inconsistent (e.g. a
 /// demotion with no history), or when the incumbent's checkpointed
-/// weights cannot be reloaded. History slots whose weights fail to load
-/// are dropped with a warning (losing a demotion target, never the
-/// incumbent).
+/// weights cannot be reloaded.
 pub fn recover(
     base_model: FrozenModel,
     dataset: Arc<Dataset>,
@@ -270,238 +356,116 @@ pub fn recover(
     wal_opts: WalOptions,
 ) -> HireResult<Recovered> {
     let (wal, wal_recovery) = Wal::open(wal_dir.as_ref(), wal_opts).map_err(HireError::from)?;
-    let wal = Arc::new(wal);
-
-    // ── 1. Newest serving snapshot, if one was ever written ───────────
-    let mut covered = 0u64;
-    let mut ratings: Vec<Rating> = Vec::new();
-    let mut cursor = 0usize;
-    let mut round = 0u64;
-    let mut marked: BTreeSet<usize> = BTreeSet::new();
-    let mut lineage = LineageSnapshot {
-        history: Vec::new(),
-        current: (SlotSource::Base, 1),
-        next_version: 2,
-    };
-    if let Some(dir) = &online_config.checkpoint_dir {
-        if dir.exists() {
-            let store =
-                CheckpointStore::open_tagged(dir, SERVING_TAG, online_config.keep_last.max(1))?;
-            if let Some((steps, payload)) = store.load_latest_raw()? {
-                let snap = decode_snapshot(&payload, "serving snapshot")?;
-                if snap.covered != steps {
-                    return Err(HireError::invalid_data(
-                        "durable",
-                        format!(
-                            "serving snapshot self-reports covered LSN {} under steps key {steps}",
-                            snap.covered
-                        ),
-                    ));
-                }
-                covered = snap.covered;
-                ratings = snap.ratings;
-                cursor = snap.cursor;
-                round = snap.round;
-                marked = snap.marked;
-                lineage = snap.lineage;
-            }
-        }
-    }
-
-    // ── 2. Fold the WAL tail over the snapshot ────────────────────────
-    // Records below the covered LSN are already reflected in the snapshot
-    // (they survive on disk only until truncation catches up).
-    let mut records_replayed = 0usize;
-    for (lsn, record) in &wal_recovery.records {
-        if *lsn < covered {
-            continue;
-        }
-        records_replayed += 1;
-        match record {
-            WalRecord::Rating { user, item, value } => ratings.push(Rating {
-                user: *user as usize,
-                item: *item as usize,
-                value: *value,
-            }),
-            WalRecord::HoldoutMark { index } => {
-                marked.insert(*index as usize);
-            }
-            WalRecord::ModelPromoted { .. } | WalRecord::Demoted { .. } => {
-                fold_model_event(&mut lineage, record)?;
-            }
-            WalRecord::SnapshotBarrier {
-                cursor: c,
-                round: r,
-                ..
-            } => {
-                cursor = *c as usize;
-                round = *r;
-            }
-        }
-    }
-
-    // ── 3. Rebuild the engine: base graph + replayed edges ────────────
-    // One copy-on-write commit per rating, in log order, retraces the
-    // crashed engine's epoch sequence — the final CSR is bit-identical,
-    // so every deterministic context sample (and therefore every answer)
-    // matches.
-    let engine = Arc::new(
-        ServeEngine::with_shared_graph(
-            base_model.clone(),
-            dataset.clone(),
-            base_graph,
-            engine_config,
-        )
-        .with_wal(wal),
-    );
-    for rating in &ratings {
-        engine.replay_rating(*rating);
-    }
-
-    // ── 4. Reload the model lineage from its checkpoint sources ───────
     let ckpt_dir = online_config.checkpoint_dir.clone();
-    restore_from_lineage(
-        &engine,
-        &lineage,
+    let fold = fold_log(&wal_recovery.records, ckpt_dir.as_deref())?;
+    let (engine, dropped_history) = rebuild_engine(
+        &fold,
+        Arc::new(wal),
         &base_model,
         &dataset,
+        base_graph,
+        engine_config,
         ckpt_dir.as_deref(),
     )?;
-
-    // ── 5. Sweep partial rejected-candidate artifacts ─────────────────
+    let engine = Arc::new(engine);
     if let Some(dir) = &ckpt_dir {
         prune_partial_rejected(dir);
     }
-
-    // ── 6. Rebuild the online loop's routing state ────────────────────
-    let total = ratings.len();
     let online = Arc::new(OnlineLoop::recovered(
         engine.clone(),
         online_config,
-        cursor,
-        round,
-        marked,
-        &ratings,
+        fold.cursor,
+        fold.round,
+        fold.marked,
+        &fold.ratings,
     ));
     Ok(Recovered {
         engine,
         online,
-        ratings: total,
-        records_replayed,
-        snapshot_covered: covered,
+        ratings: fold.ratings.len(),
+        records_replayed: fold.replayed,
+        snapshot_covered: fold.covered,
         torn_bytes: wal_recovery.truncated_bytes,
+        dropped_history,
     })
 }
 
-/// Applies one `ModelPromoted` / `Demoted` WAL record to a lineage being
-/// rebuilt. Returns `Ok(false)` (untouched) for every other record type.
-///
-/// Both records are logged with the engine's install order held, so a
-/// valid log sequences versions exactly: a promotion/demotion record must
-/// carry the lineage's `next_version`. A record that does not — or a
-/// demotion folding onto an empty history — means the log and the
-/// snapshot disagree, and recovery must stop rather than serve a lineage
-/// it cannot prove.
-pub fn fold_model_event(lineage: &mut LineageSnapshot, record: &WalRecord) -> HireResult<bool> {
-    match record {
-        WalRecord::ModelPromoted {
-            version,
-            tag,
-            steps,
-        } => {
-            // The swap itself may not have completed before the crash —
-            // the record is durable, so recovery rolls it forward (the
-            // weights were checkpointed before the record was logged).
-            if *version != lineage.next_version {
+/// Folds a log's surviving `records` over the newest [`SERVING_TAG`]
+/// snapshot in `snapshot_dir` (if the directory holds one). Records below
+/// the snapshot's covered LSN are already reflected in it (they survive on
+/// disk only until truncation catches up) and are skipped.
+pub fn fold_log(records: &[(u64, WalRecord)], snapshot_dir: Option<&Path>) -> HireResult<LogFold> {
+    let mut fold = LogFold::default();
+    if let Some(dir) = snapshot_dir.filter(|dir| dir.exists()) {
+        let store = CheckpointStore::open_tagged(dir, SERVING_TAG, 1)?;
+        if let Some((steps, payload)) = store.load_latest_raw()? {
+            fold = decode_snapshot(&payload, "serving snapshot")?;
+            if fold.covered != steps {
                 return Err(HireError::invalid_data(
                     "durable",
                     format!(
-                        "promotion record for v{version} does not follow next version {}",
-                        lineage.next_version
+                        "serving snapshot self-reports covered LSN {} under steps key {steps}",
+                        fold.covered
                     ),
                 ));
             }
-            let displaced = std::mem::replace(
-                &mut lineage.current,
-                (
-                    SlotSource::Checkpoint {
-                        tag: tag.clone(),
-                        steps: *steps,
-                    },
-                    *version,
-                ),
-            );
-            lineage.history.push(displaced);
-            if lineage.history.len() > 4 {
-                lineage.history.remove(0);
-            }
-            lineage.next_version = *version + 1;
-            Ok(true)
         }
-        WalRecord::Demoted { new_version } => {
-            if *new_version != lineage.next_version {
-                return Err(HireError::invalid_data(
-                    "durable",
-                    format!(
-                        "demotion record for v{new_version} does not follow next version {}",
-                        lineage.next_version
-                    ),
-                ));
-            }
-            let restored = lineage.history.pop().ok_or_else(|| {
-                HireError::invalid_data("durable", "demotion record with an empty history")
-            })?;
-            let displaced = std::mem::replace(&mut lineage.current, (restored.0, *new_version));
-            lineage.history.push(displaced);
-            lineage.next_version = *new_version + 1;
-            Ok(true)
-        }
-        _ => Ok(false),
     }
+    for (lsn, record) in records {
+        if *lsn >= fold.covered {
+            fold.apply(record)?;
+        }
+    }
+    Ok(fold)
 }
 
-/// Loads the weights every slot of `lineage` names and reinstates the
-/// lineage on `engine`. `Base` sources resolve to `base_model`;
-/// `Checkpoint` sources load `{tag}-{steps:012}.hckpt` from `ckpt_dir`.
-/// A history slot whose weights fail to load is dropped with a warning
-/// (a lost demotion target degrades gracefully); an unloadable incumbent
-/// is a typed error — recovery cannot serve weights it does not have.
-pub fn restore_from_lineage(
-    engine: &ServeEngine,
-    lineage: &LineageSnapshot,
+/// Rebuilds the engine a [`LogFold`] describes, with `wal` re-attached.
+///
+/// One copy-on-write commit per rating, in log order, retraces the crashed
+/// engine's epoch sequence — the final CSR is bit-identical, so every
+/// deterministic context sample (and therefore every answer) matches. The
+/// lineage's weights are then reloaded: `Base` sources resolve to
+/// `base_model`, `Checkpoint` sources load `{tag}-{steps:012}.hckpt` from
+/// `ckpt_dir`. A history slot whose weights fail to load is dropped — its
+/// version is returned beside the engine — while an unloadable incumbent
+/// is a typed error.
+pub fn rebuild_engine(
+    fold: &LogFold,
+    wal: Arc<Wal>,
     base_model: &FrozenModel,
-    dataset: &Dataset,
+    dataset: &Arc<Dataset>,
+    base_graph: Arc<BipartiteGraph>,
+    engine_config: EngineConfig,
     ckpt_dir: Option<&Path>,
-) -> HireResult<()> {
-    let resolve = |source: &SlotSource| -> HireResult<FrozenModel> {
-        match source {
-            SlotSource::Base => Ok(base_model.clone()),
-            SlotSource::Checkpoint { tag, steps } => {
-                let dir = ckpt_dir.ok_or_else(|| {
-                    HireError::invalid_data(
-                        "durable",
-                        "lineage references a checkpoint but no checkpoint_dir is configured",
-                    )
-                })?;
-                let path = dir.join(format!("{tag}-{steps:012}.{SNAPSHOT_EXT}"));
-                FrozenModel::from_snapshot_file(&path, dataset, base_model.config())
-            }
-        }
-    };
-    let mut history = Vec::with_capacity(lineage.history.len());
-    for (source, version) in &lineage.history {
-        match resolve(source) {
-            Ok(model) => history.push((model, source.clone(), *version)),
-            Err(err) => eprintln!("recovery: dropping history slot v{version}: {err}"),
-        }
+) -> HireResult<(ServeEngine, Vec<ModelVersion>)> {
+    let engine = ServeEngine::with_shared_graph(
+        base_model.clone(),
+        dataset.clone(),
+        base_graph,
+        engine_config,
+    )
+    .with_wal(wal);
+    for rating in &fold.ratings {
+        engine.replay_rating(*rating);
     }
-    let current_model = resolve(&lineage.current.0)?;
-    engine.restore_lineage(
-        history,
-        (current_model, lineage.current.0.clone(), lineage.current.1),
-        lineage.next_version,
-    );
-    Ok(())
+    let dropped = engine.restore_lineage(fold.lineage.clone(), |source| match source {
+        SlotSource::Base => Ok(base_model.clone()),
+        SlotSource::Checkpoint { tag, steps } => {
+            let dir = ckpt_dir.ok_or_else(|| {
+                HireError::invalid_data(
+                    "durable",
+                    "lineage references a checkpoint but no checkpoint_dir is configured",
+                )
+            })?;
+            let path = dir.join(format!("{tag}-{steps:012}.{SNAPSHOT_EXT}"));
+            FrozenModel::from_snapshot_file(&path, dataset, base_model.config())
+        }
+        SlotSource::Unsaved => Err(HireError::invalid_data(
+            "durable",
+            "lineage references weights that were never checkpointed",
+        )),
+    })?;
+    Ok((engine, dropped))
 }
 
 /// Removes partial rejected-candidate artifacts a crash can strand in the
@@ -549,7 +513,7 @@ mod tests {
 
     #[test]
     fn snapshot_payload_round_trips() {
-        let snap = ServingSnapshot {
+        let snap = LogFold {
             covered: 42,
             ratings: vec![
                 Rating {
@@ -566,7 +530,7 @@ mod tests {
             cursor: 2,
             round: 7,
             marked: [0usize, 5, 9].into_iter().collect(),
-            lineage: LineageSnapshot {
+            lineage: Lineage {
                 history: vec![
                     (SlotSource::Base, 1),
                     (
@@ -586,8 +550,9 @@ mod tests {
                 ),
                 next_version: 5,
             },
+            ..LogFold::default()
         };
-        let payload = encode_snapshot(&snap);
+        let payload = encode_snapshot(&snap).expect("encode");
         let back = decode_snapshot(&payload, "test").expect("decode");
         assert_eq!(back.covered, snap.covered);
         assert_eq!(back.ratings.len(), 2);
@@ -604,7 +569,7 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_payload_is_typed_error() {
-        let snap = ServingSnapshot {
+        let snap = LogFold {
             covered: 1,
             ratings: vec![Rating {
                 user: 1,
@@ -613,14 +578,9 @@ mod tests {
             }],
             cursor: 1,
             round: 1,
-            marked: BTreeSet::new(),
-            lineage: LineageSnapshot {
-                history: Vec::new(),
-                current: (SlotSource::Base, 1),
-                next_version: 2,
-            },
+            ..LogFold::default()
         };
-        let payload = encode_snapshot(&snap);
+        let payload = encode_snapshot(&snap).expect("encode");
         for cut in [0, 1, payload.len() / 2, payload.len() - 1] {
             assert!(
                 decode_snapshot(&payload[..cut], "test").is_err(),

@@ -34,7 +34,7 @@ use hire_baselines::{EntityMean, RatingModel};
 use hire_chaos::{sites, FaultKind, FaultPlan};
 use hire_core::{Backoff, BackoffConfig, HybridModel};
 use hire_data::{test_context_with_ratio, Dataset, PredictionContext};
-use hire_error::HireError;
+use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, EpochSource, EpochedGraph, NeighborhoodSampler, Rating};
 use hire_tensor::{NdArray, QuantMode, WeightMatrix};
 use hire_wal::{Wal, WalError, WalRecord};
@@ -185,18 +185,17 @@ fn make_slot(
 }
 
 /// The output of [`ServeEngine::prepare_install`]: a validated model plus
-/// its quantized companion, awaiting an infallible
-/// [`ServeEngine::commit_install`]. Dropping it aborts the install with no
-/// engine state touched.
+/// its quantized companion, awaiting [`ServeEngine::commit_install`].
+/// Dropping it aborts the install with no engine state touched.
 pub struct PreparedInstall {
     model: FrozenModel,
     quantized: Option<QuantizedModel>,
 }
 
-/// Where a slot's weights can be reloaded from after a crash. Tracked per
-/// slot (incumbent and demotion history) on WAL-attached engines, captured
-/// into serving snapshots, and resolved back to [`FrozenModel`]s by
-/// `crate::durable` recovery.
+/// Where a slot's weights can be reloaded from after a crash. Every slot
+/// of the [`Lineage`] (incumbent and demotion history) names one; serving
+/// snapshots persist them and `crate::durable` recovery resolves them back
+/// to [`FrozenModel`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SlotSource {
     /// The construction-time base model. Recovery receives it from the
@@ -210,27 +209,74 @@ pub enum SlotSource {
         /// The snapshot's step number within the lineage.
         steps: u64,
     },
+    /// The weights exist only in this process. Fine on an engine without a
+    /// write-ahead log; a WAL-attached engine refuses to install it and
+    /// [`crate::write_snapshot`] refuses to persist it, because no recovery
+    /// could reload the slot.
+    Unsaved,
 }
 
-/// Reload sources for the engine's slots, kept in lockstep with the slot
-/// history by the logged install/demote paths (WAL mode only).
-struct LineageSources {
-    history: Vec<SlotSource>,
-    current: SlotSource,
-}
-
-/// A consistent capture of the engine's model lineage: the demotion
-/// history (oldest first), the incumbent, and the next version to be
-/// handed out — each slot paired with where its weights can be reloaded
-/// from. Serialized into serving snapshots by `crate::durable`.
+/// The model lineage: the demotion history (oldest first), the incumbent,
+/// and the next version to be handed out — each slot paired with where its
+/// weights can be reloaded from. This type owns the only promotion and
+/// demotion transitions: the live engine ([`ServeEngine::commit_install`],
+/// [`ServeEngine::demote`]) and WAL replay ([`crate::durable::LogFold`])
+/// both call them, so a recovered lineage equals the live one by
+/// construction. Serialized into serving snapshots by `crate::durable`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LineageSnapshot {
-    /// Demotion history, oldest first.
+pub struct Lineage {
+    /// Demotion history, oldest first, at most [`Lineage::HISTORY_CAP`].
     pub history: Vec<(SlotSource, ModelVersion)>,
     /// The serving incumbent.
     pub current: (SlotSource, ModelVersion),
-    /// The next version number the engine would allocate.
+    /// The next version number to allocate (versions never repeat).
     pub next_version: ModelVersion,
+}
+
+impl Default for Lineage {
+    /// A freshly constructed engine: the base model serving as version 1.
+    fn default() -> Self {
+        Lineage {
+            history: Vec::new(),
+            current: (SlotSource::Base, 1),
+            next_version: 2,
+        }
+    }
+}
+
+impl Lineage {
+    /// Demotion targets kept. Demotion only ever steps back one slot at a
+    /// time, and every demotion re-installs under a *new* version.
+    pub const HISTORY_CAP: usize = 4;
+
+    /// Makes weights from `source` the incumbent under a fresh version,
+    /// which is returned; the displaced incumbent joins the history.
+    pub fn promote(&mut self, source: SlotSource) -> ModelVersion {
+        let version = self.next_version;
+        self.next_version += 1;
+        let displaced = std::mem::replace(&mut self.current, (source, version));
+        self.history.push(displaced);
+        if self.history.len() > Self::HISTORY_CAP {
+            self.history.remove(0);
+        }
+        version
+    }
+
+    /// Makes the newest history slot the incumbent again under a fresh
+    /// version, which is returned; the displaced incumbent takes its place
+    /// in the history. `None` (nothing changed) on an empty history.
+    pub fn demote(&mut self) -> Option<ModelVersion> {
+        let (source, _) = self.history.pop()?;
+        Some(self.promote(source))
+    }
+}
+
+/// Everything an install mutates besides the swap-visible slot, behind one
+/// lock — which is therefore also the install order.
+struct Installed {
+    lineage: Lineage,
+    /// The weights of the slots `lineage.history` names, found by version.
+    retired: Vec<Arc<ModelSlot>>,
 }
 
 /// Settings for the quantized mid-tier (the ladder rung between the
@@ -333,14 +379,14 @@ pub struct TierStats {
 /// is only memoized against the exact context it was computed from.
 pub struct ServeEngine {
     /// The incumbent model. Swapped atomically (`Arc` swap under a short
-    /// write lock) by [`ServeEngine::install_model`]; readers pin the
+    /// write lock) by [`ServeEngine::commit_install`]; readers pin the
     /// `Arc` once per batch and are never blocked mid-forward.
     slot: RwLock<Arc<ModelSlot>>,
-    /// Previously installed slots, oldest first (bounded), for
-    /// [`ServeEngine::demote`].
-    history: Mutex<Vec<Arc<ModelSlot>>>,
-    /// The next version number to hand out (versions are never reused).
-    next_version: AtomicU64,
+    /// The model lineage and the retired slots' weights, for
+    /// [`ServeEngine::demote`]. Holding the lock orders installs: the
+    /// version a promoted/demoted WAL record carries is the version the
+    /// swap under the same lock allocates.
+    installed: Mutex<Installed>,
     dataset: Arc<Dataset>,
     /// The serving graph: copy-on-write, epoch-pinned snapshots
     /// (`hire_graph::EpochedGraph`). Resolvers pin a snapshot + epoch
@@ -366,19 +412,13 @@ pub struct ServeEngine {
     /// for the online fine-tuning loop (see [`crate::online`]).
     inserted: Mutex<Vec<Rating>>,
     /// Durable write-ahead log, attached via [`ServeEngine::with_wal`].
-    /// When present, `insert_rating` appends before acking and model
-    /// installs go through [`ServeEngine::install_model_from`].
+    /// When present, `insert_rating` appends before acking and
+    /// [`ServeEngine::commit_install`] logs the promotion before swapping.
     wal: Option<Arc<Wal>>,
     /// Serializes WAL appends against graph commits so the log's record
     /// order is identical to the CSR commit order — the invariant that
     /// makes replayed recovery bit-exact.
     write_order: Mutex<()>,
-    /// Serializes the version peek + promoted/demoted WAL append against
-    /// the version allocation in `commit_install`.
-    install_order: Mutex<()>,
-    /// Reload source per slot, in lockstep with `history`/`slot` (WAL mode
-    /// only — on a WAL-less engine this is never read).
-    sources: Mutex<LineageSources>,
     /// Tier counters broken down by the model version that answered.
     version_stats: Mutex<BTreeMap<ModelVersion, TierStats>>,
     /// Tier counters broken down by cold-start scenario.
@@ -481,10 +521,17 @@ impl ServeEngine {
             .collect();
         let resilience = ResilienceConfig::default();
         let breaker = resilience.breaker.clone().map(CircuitBreaker::new);
+        let lineage = Lineage::default();
         ServeEngine {
-            slot: RwLock::new(make_slot(model, 1, resilience.quantized.as_ref())),
-            history: Mutex::new(Vec::new()),
-            next_version: AtomicU64::new(2),
+            slot: RwLock::new(make_slot(
+                model,
+                lineage.current.1,
+                resilience.quantized.as_ref(),
+            )),
+            installed: Mutex::new(Installed {
+                lineage,
+                retired: Vec::new(),
+            }),
             dataset,
             graph: EpochedGraph::from_arc(graph),
             cache: Mutex::new(ContextCache::new(config.cache_capacity)),
@@ -498,11 +545,6 @@ impl ServeEngine {
             inserted: Mutex::new(Vec::new()),
             wal: None,
             write_order: Mutex::new(()),
-            install_order: Mutex::new(()),
-            sources: Mutex::new(LineageSources {
-                history: Vec::new(),
-                current: SlotSource::Base,
-            }),
             version_stats: Mutex::new(BTreeMap::new()),
             scenario_stats: Mutex::new(BTreeMap::new()),
             served_model: AtomicU64::new(0),
@@ -557,9 +599,8 @@ impl ServeEngine {
     /// Attaches a write-ahead log (builder style). From here on,
     /// [`ServeEngine::insert_rating`] appends (and waits out the log's
     /// configured [`hire_wal::Durability`]) before acknowledging, and model
-    /// swaps must carry a checkpoint reference via
-    /// [`ServeEngine::install_model_from`] so recovery can reload the
-    /// promoted weights.
+    /// swaps must name the checkpoint holding the weights
+    /// ([`SlotSource::Checkpoint`]) so recovery can reload them.
     pub fn with_wal(mut self, wal: Arc<Wal>) -> Self {
         self.wal = Some(wal);
         self
@@ -607,99 +648,37 @@ impl ServeEngine {
     }
 
     /// Atomically installs `model` as the new serving incumbent under a
-    /// fresh, monotonically increasing version, and returns that version.
+    /// fresh, monotonically increasing version, and returns that version:
+    /// [`ServeEngine::prepare_install`] then
+    /// [`ServeEngine::commit_install`]. `source` names where the weights can
+    /// be reloaded from after a crash.
     ///
     /// In-flight batches finish on the slot they pinned at entry; new
     /// batches pick up the new slot. Prediction memos in the context cache
     /// are invalidated lazily by their version stamp — no cache sweep, no
-    /// serving pause. The displaced incumbent is pushed onto a bounded
-    /// history for [`ServeEngine::demote`].
+    /// serving pause. The displaced incumbent joins a bounded history for
+    /// [`ServeEngine::demote`].
+    pub fn install_model(
+        &self,
+        model: FrozenModel,
+        source: SlotSource,
+    ) -> Result<ModelVersion, ServeError> {
+        let prepared = self.prepare_install(model)?;
+        self.commit_install(prepared, source)
+    }
+
+    /// Phase one of an install: every step that depends on the candidate —
+    /// the chaos fire on [`sites::ONLINE_SWAP`], the compatibility check
+    /// against the incumbent, and building the quantized companion. No
+    /// engine state is touched and no version number is consumed, so an
+    /// abandoned prepare (e.g. a sharded install aborting because a sibling
+    /// shard's prepare failed) leaves the engine exactly as it was — version
+    /// counters included, which is what keeps shards in version lockstep.
     ///
     /// Chaos site [`sites::ONLINE_SWAP`]: an injected `Error` abandons the
     /// swap (typed, incumbent keeps serving); a `Delay` widens the race
     /// window against concurrent queries; a `Panic` fires before any state
     /// is touched, so a crashed swapper cannot corrupt the slot.
-    pub fn install_model(&self, model: FrozenModel) -> Result<ModelVersion, ServeError> {
-        if self.wal.is_some() {
-            return Err(ServeError::Model(HireError::invalid_data(
-                "ServeEngine",
-                "engine has a write-ahead log attached; use install_model_from so the \
-                 promotion is durable and recovery can reload the weights",
-            )));
-        }
-        let prepared = self.prepare_install(model)?;
-        Ok(self.commit_install(prepared))
-    }
-
-    /// [`ServeEngine::install_model`] for a WAL-attached engine: the swap is
-    /// logged durably as `ModelPromoted{version, tag, steps}` *before* it
-    /// takes effect, where `(tag, steps)` name the checkpoint (a
-    /// `hire_ckpt` tagged lineage in the online loop's checkpoint dir)
-    /// holding the promoted weights — recovery replays the record and
-    /// reloads exactly those bytes. Works on a WAL-less engine too (the
-    /// record is simply not written), so callers can be durability-agnostic.
-    pub fn install_model_from(
-        &self,
-        model: FrozenModel,
-        tag: &str,
-        steps: u64,
-    ) -> Result<ModelVersion, ServeError> {
-        let prepared = self.prepare_install(model)?;
-        self.commit_install_logged(prepared, tag, steps)
-    }
-
-    /// Phase two of a *logged* install: appends a durable
-    /// `ModelPromoted{version, tag, steps}` record — naming the checkpoint
-    /// the weights can be reloaded from — strictly before the swap takes
-    /// effect, so a crash can never observe a promoted model the log does
-    /// not know how to restore. On a WAL-less engine this is just
-    /// [`ServeEngine::commit_install`]. Sharded installs call this per
-    /// shard after *every* shard's prepare succeeded.
-    pub fn commit_install_logged(
-        &self,
-        prepared: PreparedInstall,
-        tag: &str,
-        steps: u64,
-    ) -> Result<ModelVersion, ServeError> {
-        let _order = lock(&self.install_order);
-        if let Some(wal) = &self.wal {
-            // `install_order` is held: nothing else can allocate a version
-            // between this peek and the commit below.
-            let version = self.next_version.load(Ordering::Relaxed);
-            wal.append_durable(&WalRecord::ModelPromoted {
-                version,
-                tag: tag.to_string(),
-                steps,
-            })
-            .map_err(wal_to_serve)?;
-        }
-        let version = self.commit_install(prepared);
-        if self.wal.is_some() {
-            // Mirror the slot-history push: the displaced incumbent's
-            // source joins the history, the checkpoint becomes current.
-            let mut sources = lock(&self.sources);
-            let displaced = std::mem::replace(
-                &mut sources.current,
-                SlotSource::Checkpoint {
-                    tag: tag.to_string(),
-                    steps,
-                },
-            );
-            sources.history.push(displaced);
-            if sources.history.len() > 4 {
-                sources.history.remove(0);
-            }
-        }
-        Ok(version)
-    }
-
-    /// Phase one of an install: every fallible step — the chaos fire on
-    /// [`sites::ONLINE_SWAP`], the compatibility check against the
-    /// incumbent, and building the quantized companion. No engine state is
-    /// touched and no version number is consumed, so an abandoned prepare
-    /// (e.g. a sharded install aborting because a sibling shard's prepare
-    /// failed) leaves the engine exactly as it was — version counters
-    /// included, which is what keeps shards in version lockstep.
     pub fn prepare_install(&self, model: FrozenModel) -> Result<PreparedInstall, ServeError> {
         if let Some(plan) = &self.faults {
             plan.fire(sites::ONLINE_SWAP)?;
@@ -728,11 +707,83 @@ impl ServeEngine {
         Ok(PreparedInstall { model, quantized })
     }
 
-    /// Phase two of an install: infallible. Allocates the fresh version,
-    /// swaps the slot pointer atomically, and pushes the displaced
-    /// incumbent onto the demotion history. Returns the new version.
-    pub fn commit_install(&self, prepared: PreparedInstall) -> ModelVersion {
-        let version = self.next_version.fetch_add(1, Ordering::Relaxed);
+    /// Phase two of an install: [`Lineage::promote`] plus the atomic slot
+    /// swap. On a WAL-attached engine a `ModelPromoted{version, tag, steps}`
+    /// record is durable strictly before the swap takes effect, so a crash
+    /// can never observe a promoted model the log does not know how to
+    /// restore; that needs `source` to be a [`SlotSource::Checkpoint`]
+    /// (written *before* this call) — any other source is refused, typed,
+    /// with nothing logged and no version consumed. Without a WAL this
+    /// cannot fail. Sharded installs call it per shard after *every* shard's
+    /// prepare succeeded.
+    pub fn commit_install(
+        &self,
+        prepared: PreparedInstall,
+        source: SlotSource,
+    ) -> Result<ModelVersion, ServeError> {
+        let mut installed = lock(&self.installed);
+        if self.wal.is_some() {
+            let SlotSource::Checkpoint { tag, steps } = &source else {
+                return Err(ServeError::Model(HireError::invalid_data(
+                    "ServeEngine",
+                    format!(
+                        "engine has a write-ahead log attached, and recovery could not \
+                         reload weights from {source:?}; checkpoint them and install \
+                         from SlotSource::Checkpoint"
+                    ),
+                )));
+            };
+            self.log_durably(&WalRecord::ModelPromoted {
+                version: installed.lineage.next_version,
+                tag: tag.clone(),
+                steps: *steps,
+            })?;
+        }
+        let version = installed.lineage.promote(source);
+        self.swap_in(&mut installed, prepared, version);
+        Ok(version)
+    }
+
+    /// Re-installs the previously displaced model under a **new** version
+    /// ([`Lineage::demote`]; version numbers never repeat — a demotion is
+    /// itself a swap, with the same pinning, memo-staleness and
+    /// logged-before-visible guarantees). Returns the new version, or
+    /// `Ok(None)` when there is no previous model to demote to. A failed
+    /// prepare (injected swap fault) or a refused WAL append leaves the
+    /// history intact for a retry.
+    pub fn demote(&self) -> Result<Option<ModelVersion>, ServeError> {
+        let mut installed = lock(&self.installed);
+        let target = installed.lineage.history.last();
+        let Some(previous) =
+            target.and_then(|(_, v)| installed.retired.iter().find(|s| s.version == *v))
+        else {
+            return Ok(None);
+        };
+        let prepared = self.prepare_install(previous.model.clone())?;
+        self.log_durably(&WalRecord::Demoted {
+            new_version: installed.lineage.next_version,
+        })?;
+        let version = installed
+            .lineage
+            .demote()
+            .expect("the demotion target was found under this lock");
+        self.swap_in(&mut installed, prepared, version);
+        Ok(Some(version))
+    }
+
+    /// Appends `record` and waits until it is durable; a no-op without a
+    /// WAL.
+    fn log_durably(&self, record: &WalRecord) -> Result<(), ServeError> {
+        if let Some(wal) = &self.wal {
+            wal.append_durable(record).map_err(wal_to_serve)?;
+        }
+        Ok(())
+    }
+
+    /// Swaps the slot pointer to `prepared` serving as `version` — the
+    /// version a [`Lineage`] transition just allocated — and keeps exactly
+    /// the weights the lineage's history still names.
+    fn swap_in(&self, installed: &mut Installed, prepared: PreparedInstall, version: ModelVersion) {
         let fresh = Arc::new(ModelSlot {
             model: prepared.model,
             version,
@@ -742,134 +793,68 @@ impl ServeEngine {
             let mut slot = self.slot.write().unwrap_or_else(|p| p.into_inner());
             std::mem::replace(&mut *slot, fresh)
         };
-        let mut history = lock(&self.history);
-        history.push(displaced);
-        // Keep a short lineage; demotion only ever steps back one at a
-        // time, and every demotion re-installs under a *new* version.
-        if history.len() > 4 {
-            history.remove(0);
-        }
-        version
+        installed.retired.push(displaced);
+        let history = &installed.lineage.history;
+        installed
+            .retired
+            .retain(|s| history.iter().any(|(_, v)| *v == s.version));
     }
 
-    /// Re-installs the previously displaced model under a **new** version
-    /// (version numbers never repeat — a demotion is itself a swap, with
-    /// the same pinning and memo-staleness guarantees). Returns the new
-    /// version, or `Ok(None)` when there is no previous model to demote
-    /// to.
-    pub fn demote(&self) -> Result<Option<ModelVersion>, ServeError> {
-        let _order = lock(&self.install_order);
-        // Peek rather than pop: a failed prepare (injected swap fault) or a
-        // refused WAL append must leave the history intact for a retry.
-        let Some(previous) = lock(&self.history).last().cloned() else {
-            return Ok(None);
-        };
-        let prepared = self.prepare_install(previous.model.clone())?;
-        if let Some(wal) = &self.wal {
-            let new_version = self.next_version.load(Ordering::Relaxed);
-            wal.append_durable(&WalRecord::Demoted { new_version })
-                .map_err(wal_to_serve)?;
-        }
-        lock(&self.history).pop();
-        let version = self.commit_install(prepared);
-        if self.wal.is_some() {
-            // Mirror the slot moves: the previous source leaves the
-            // history and becomes current, the displaced current's source
-            // joins the history (pushed by `commit_install` on the slot
-            // side).
-            let mut sources = lock(&self.sources);
-            let restored = sources
-                .history
-                .pop()
-                .expect("source history in lockstep with slot history");
-            let displaced = std::mem::replace(&mut sources.current, restored);
-            sources.history.push(displaced);
-        }
-        Ok(Some(version))
-    }
-
-    /// Reinstates a recovered model lineage wholesale: the demotion
-    /// history (oldest first, each with the version it served under), the
-    /// current incumbent, and the next version number to hand out. Used
-    /// only by crash recovery (`crate::durable`), which replays the WAL's
-    /// promoted/demoted events against checkpointed weights; quantized
-    /// companions are rebuilt per the engine's resilience config, exactly
-    /// as a live install would have.
-    pub fn restore_lineage(
+    /// Reinstates a recovered model lineage wholesale, resolving every
+    /// slot's weights through `load`. A history slot whose weights fail to
+    /// load is dropped (losing a demotion target degrades gracefully) and
+    /// its version returned; an unloadable incumbent is the error — the
+    /// engine cannot serve weights it does not have. Used only by crash
+    /// recovery (`crate::durable`); quantized companions are rebuilt per
+    /// the engine's resilience config, exactly as a live install would.
+    pub(crate) fn restore_lineage(
         &self,
-        history: Vec<(FrozenModel, SlotSource, ModelVersion)>,
-        current: (FrozenModel, SlotSource, ModelVersion),
-        next_version: ModelVersion,
-    ) {
-        let _order = lock(&self.install_order);
+        mut lineage: Lineage,
+        load: impl Fn(&SlotSource) -> HireResult<FrozenModel>,
+    ) -> HireResult<Vec<ModelVersion>> {
         let quant = self.resilience.quantized.as_ref();
-        let mut restored_slots = Vec::with_capacity(history.len());
-        let mut restored_sources = Vec::with_capacity(history.len());
-        for (model, source, version) in history {
-            restored_slots.push(make_slot(model, version, quant));
-            restored_sources.push(source);
-        }
-        let (current_model, current_source, current_version) = current;
-        {
-            let mut slot = self.slot.write().unwrap_or_else(|p| p.into_inner());
-            *slot = make_slot(current_model, current_version, quant);
-        }
-        *lock(&self.history) = restored_slots;
-        {
-            let mut sources = lock(&self.sources);
-            sources.history = restored_sources;
-            sources.current = current_source;
-        }
-        self.next_version.store(next_version, Ordering::Relaxed);
+        let current = make_slot(load(&lineage.current.0)?, lineage.current.1, quant);
+        let mut retired = Vec::with_capacity(lineage.history.len());
+        let mut dropped = Vec::new();
+        lineage
+            .history
+            .retain(|(source, version)| match load(source) {
+                Ok(model) => {
+                    retired.push(make_slot(model, *version, quant));
+                    true
+                }
+                Err(_) => {
+                    dropped.push(*version);
+                    false
+                }
+            });
+        let mut installed = lock(&self.installed);
+        *self.slot.write().unwrap_or_else(|p| p.into_inner()) = current;
+        *installed = Installed { lineage, retired };
+        Ok(dropped)
     }
 
     /// A consistent capture of the model lineage (demotion history,
     /// incumbent, next version), each slot paired with its reload source.
-    /// Meaningful on WAL-attached engines, where every install path keeps
-    /// the sources in lockstep with the slots.
-    pub fn lineage(&self) -> LineageSnapshot {
-        let _order = lock(&self.install_order);
-        self.lineage_locked()
-    }
-
-    /// [`ServeEngine::lineage`] body; caller holds `install_order`.
-    fn lineage_locked(&self) -> LineageSnapshot {
-        let sources = lock(&self.sources);
-        let slots = lock(&self.history);
-        assert_eq!(
-            sources.history.len(),
-            slots.len(),
-            "slot sources fell out of lockstep with the slot history"
-        );
-        let history = slots
-            .iter()
-            .zip(&sources.history)
-            .map(|(slot, source)| (source.clone(), slot.version))
-            .collect();
-        let current_slot = self.current_model();
-        LineageSnapshot {
-            history,
-            current: (sources.current.clone(), current_slot.version),
-            next_version: self.next_version.load(Ordering::Relaxed),
-        }
+    pub fn lineage(&self) -> Lineage {
+        lock(&self.installed).lineage.clone()
     }
 
     /// An atomically consistent capture of everything a serving snapshot
     /// persists: the full insert log, the model lineage, and the WAL
     /// position the capture is current as of. Holding `write_order` +
-    /// `install_order` together pins the log: no rating, promotion, or
+    /// `installed` together pins the log: no rating, promotion, or
     /// demotion record can land between reading the state and reading
     /// `next_lsn`, so replaying records at LSN ≥ the returned position on
     /// top of the capture reconstructs any later state exactly. (Holdout
     /// marks and barriers are the online loop's records; `crate::durable`
     /// holds the loop's state lock around this call to pin those too.)
-    pub(crate) fn durable_capture(&self) -> (Vec<Rating>, LineageSnapshot, u64) {
+    pub(crate) fn durable_capture(&self) -> (Vec<Rating>, Lineage, u64) {
         let _write = lock(&self.write_order);
-        let _install = lock(&self.install_order);
+        let installed = lock(&self.installed);
         let ratings = lock(&self.inserted).clone();
-        let lineage = self.lineage_locked();
         let next_lsn = self.wal.as_ref().map(|w| w.next_lsn()).unwrap_or(0);
-        (ratings, lineage, next_lsn)
+        (ratings, installed.lineage.clone(), next_lsn)
     }
 
     /// Recovery's half of [`ServeEngine::insert_rating`]: re-applies a
@@ -878,7 +863,7 @@ impl ServeEngine {
     /// through the same epoch sequence the crashed engine produced — the
     /// final CSR (and therefore every deterministic context sample) is
     /// bit-identical.
-    pub fn replay_rating(&self, rating: Rating) {
+    pub(crate) fn replay_rating(&self, rating: Rating) {
         let _order = lock(&self.write_order);
         self.graph.commit_edges(&[rating]);
         lock(&self.inserted).push(rating);

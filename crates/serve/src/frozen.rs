@@ -3,7 +3,7 @@
 //! A [`FrozenModel`] holds the trained parameters as plain [`NdArray`]s —
 //! no `Tensor`, no `Rc`, no tape — so it is `Send + Sync` and can be shared
 //! across worker threads behind an `Arc`. This module builds, loads and
-//! exports them; the forward itself is the shared one in [`crate::him`],
+//! exports them; the forward itself is the shared one in the private `him` module,
 //! instantiated at f32, whose predictions are **bit-identical** to the
 //! live model the weights were exported from (see `tests/equivalence.rs`).
 

@@ -47,6 +47,11 @@
 //! (overall and per cold-start scenario — [`ColdScenario`]), and promote
 //! only non-regressing candidates via an atomic versioned hot swap
 //! ([`ServeEngine::install_model`], [`ModelSlot`], [`ModelVersion`]).
+//! Promotions and demotions are transitions of one [`Lineage`]; with a
+//! write-ahead log attached they are logged before they take effect, and
+//! [`recover`] replays the same transitions ([`fold_log`] →
+//! [`rebuild_engine`]) to rebuild an engine that answers bit-identically
+//! to one that never crashed (DESIGN.md §15).
 //!
 //! Fault injection for all of the above lives in the `hire-chaos` crate;
 //! the serve sites are `server.batch`, `engine.resolve`, `engine.forward`,
@@ -67,10 +72,10 @@ pub mod server;
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 pub use cache::{CacheKey, CacheStats, CachedContext, ContextCache, ExportedContext};
 pub use durable::{
-    fold_model_event, recover, restore_from_lineage, write_snapshot, Recovered, SERVING_TAG,
+    fold_log, rebuild_engine, recover, write_snapshot, LogFold, Recovered, SERVING_TAG,
 };
 pub use engine::{
-    ColdScenario, EngineConfig, LineageSnapshot, ModelSlot, PreparedInstall, QuantTierConfig,
+    ColdScenario, EngineConfig, Lineage, ModelSlot, PreparedInstall, QuantTierConfig,
     ResilienceConfig, ServeEngine, SlotSource, TierStats,
 };
 pub use frozen::FrozenModel;

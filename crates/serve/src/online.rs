@@ -27,8 +27,10 @@
 //!   overall and per [`ColdScenario`]. Promotion requires no regression
 //!   (within `regression_tolerance`) overall **and** on every cold
 //!   scenario with enough samples.
-//! - **Swap / reject** — promotion is an atomic versioned swap
-//!   ([`ServeEngine::install_model`]); rejected candidates are
+//! - **Swap / reject** — the candidate is checkpointed under the
+//!   `candidate` lineage, then promoted by an atomic versioned swap
+//!   ([`ServeEngine::install_model`], naming that checkpoint as the
+//!   weights' reload source); rejected candidates are
 //!   checkpointed under the `rejected` lineage together with their eval
 //!   report, so a rejection is auditable, not silent.
 //! - **Demote** — [`OnlineLoop::maybe_demote`] watches the per-version
@@ -38,9 +40,9 @@
 //!
 //! Chaos sites: [`sites::TRAINER_STEP`] (inside the guarded trainer
 //! block), [`sites::SHADOW_EVAL`] (inside the guarded eval block) and
-//! [`sites::ONLINE_SWAP`] (inside [`ServeEngine::install_model`]).
+//! [`sites::ONLINE_SWAP`] (inside [`ServeEngine::prepare_install`]).
 
-use crate::engine::{context_seed, ColdScenario, ServeEngine};
+use crate::engine::{context_seed, ColdScenario, ServeEngine, SlotSource};
 use crate::frozen::FrozenModel;
 use crate::server::ModelVersion;
 use hire_chaos::{sites, FaultPlan};
@@ -522,35 +524,27 @@ impl OnlineLoop {
         }
 
         // ── Swap ──────────────────────────────────────────────────────
-        if self.engine.wal().is_some() {
-            // WAL mode: the candidate's weights must be durable *before*
-            // the `ModelPromoted` record is — recovery reloads them from
-            // the `candidate` lineage by (tag, round). A failed checkpoint
-            // therefore vetoes the swap; the incumbent keeps serving and
-            // the next round retries.
-            if !self.checkpoint(CANDIDATE_TAG, round, &candidate, &eval) {
-                return RoundOutcome::SwapFailed;
-            }
-            match self
-                .engine
-                .install_model_from(candidate.clone(), CANDIDATE_TAG, round)
-            {
-                Ok(version) => {
-                    state.pending.clear();
-                    self.round_barrier(state.cursor, round);
-                    RoundOutcome::Promoted { version, eval }
-                }
-                Err(_) => RoundOutcome::SwapFailed,
+        // The candidate's weights are checkpointed *before* the install:
+        // on a WAL-attached engine recovery reloads them from the
+        // `candidate` lineage by (tag, round), so the engine refuses a
+        // candidate whose checkpoint did not land — the incumbent keeps
+        // serving and the next round retries. Without a WAL the checkpoint
+        // is best-effort and the in-memory install is the source of truth.
+        let source = if self.checkpoint(CANDIDATE_TAG, round, &candidate, &eval) {
+            SlotSource::Checkpoint {
+                tag: CANDIDATE_TAG.to_string(),
+                steps: round,
             }
         } else {
-            match self.engine.install_model(candidate.clone()) {
-                Ok(version) => {
-                    self.checkpoint(CANDIDATE_TAG, round, &candidate, &eval);
-                    state.pending.clear();
-                    RoundOutcome::Promoted { version, eval }
-                }
-                Err(_) => RoundOutcome::SwapFailed,
+            SlotSource::Unsaved
+        };
+        match self.engine.install_model(candidate, source) {
+            Ok(version) => {
+                state.pending.clear();
+                self.round_barrier(state.cursor, round);
+                RoundOutcome::Promoted { version, eval }
             }
+            Err(_) => RoundOutcome::SwapFailed,
         }
     }
 
@@ -668,10 +662,8 @@ impl OnlineLoop {
 
     /// Durable record of a candidate: weights under the given lineage tag
     /// plus the eval report as JSON next to it. Returns whether the weight
-    /// snapshot actually landed on disk. Without a WAL this stays
-    /// best-effort (the in-memory outcome is the source of truth); in WAL
-    /// mode the swap path *requires* `true` before logging a promotion,
-    /// since recovery reloads the weights from this very snapshot.
+    /// snapshot actually landed on disk — recovery reloads a promoted
+    /// candidate's weights from this very snapshot.
     fn checkpoint(&self, tag: &str, round: u64, model: &FrozenModel, eval: &EvalReport) -> bool {
         let Some(dir) = &self.config.checkpoint_dir else {
             return false;

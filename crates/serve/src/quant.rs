@@ -6,9 +6,9 @@
 //! ([`QuantizedModel::from_frozen`]) — the engine rebuilds one on every
 //! `install_model` hot swap, so the quantized tier always tracks the
 //! incumbent version. It has no forward of its own: it runs the shared
-//! [`crate::him`] forward instantiated at `QuantizedTensor`, where the
-//! embedding gathers, the MHSA projections and the decoder head read
-//! compressed weights while activations, softmax, layer norms, and biases
+//! forward of the private `him` module instantiated at `QuantizedTensor`,
+//! where the embedding gathers, the MHSA projections and the decoder head
+//! read compressed weights while activations, softmax, layer norms, and biases
 //! stay f32.
 //!
 //! Determinism: dequantization is a pure per-element function and the

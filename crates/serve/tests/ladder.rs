@@ -18,7 +18,7 @@ use hire_core::{train_hybrid, HireConfig, HireModel, HybridConfig};
 use hire_data::Dataset;
 use hire_serve::{
     BreakerConfig, EngineConfig, FrozenModel, Predictor, QuantTierConfig, RatingQuery,
-    ResilienceConfig, ServeEngine, ServeError, ServedBy, Server, ServerConfig,
+    ResilienceConfig, ServeEngine, ServeError, ServedBy, Server, ServerConfig, SlotSource,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -361,7 +361,9 @@ fn tier_accounting_is_exact_under_mixed_chaos_and_hot_swaps() {
         // the identical weights keep the swap compatible by construction.
         if round % 2 == 1 {
             let clone = engine.current_model().model().clone();
-            engine.install_model(clone).expect("compatible swap");
+            engine
+                .install_model(clone, SlotSource::Unsaved)
+                .expect("compatible swap");
         }
     }
     let sum = |s: hire_serve::TierStats| s.model + s.quantized + s.hybrid + s.cache + s.fallback;
@@ -432,7 +434,9 @@ fn every_query_gets_exactly_one_typed_reply_across_five_tiers_and_swaps() {
             std::thread::spawn(move || {
                 for _ in 0..5 {
                     let clone = engine.current_model().model().clone();
-                    engine.install_model(clone).expect("compatible swap");
+                    engine
+                        .install_model(clone, SlotSource::Unsaved)
+                        .expect("compatible swap");
                     std::thread::sleep(Duration::from_millis(10));
                 }
             })

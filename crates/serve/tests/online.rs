@@ -6,8 +6,8 @@ use hire_core::{train, HireConfig, HireModel, TrainConfig};
 use hire_data::Dataset;
 use hire_graph::{BipartiteGraph, NeighborhoodSampler, Rating};
 use hire_serve::{
-    ColdScenario, EngineConfig, FrozenModel, OnlineConfig, OnlineLoop, Predictor, RatingQuery,
-    RoundOutcome, ServeEngine, ServedBy, CANDIDATE_TAG, REJECTED_TAG,
+    ColdScenario, EngineConfig, FrozenModel, Lineage, OnlineConfig, OnlineLoop, Predictor,
+    RatingQuery, RoundOutcome, ServeEngine, ServedBy, SlotSource, CANDIDATE_TAG, REJECTED_TAG,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -378,7 +378,22 @@ fn demote_reinstalls_previous_weights_under_a_new_version() {
     let mut rng = StdRng::seed_from_u64(99);
     let other = HireModel::new(&dataset, &model_config(), &mut rng);
     let other = FrozenModel::from_model(&other, &dataset).expect("freeze");
-    assert_eq!(engine.install_model(other).expect("install"), 2);
+    assert_eq!(
+        engine
+            .install_model(other, SlotSource::Unsaved)
+            .expect("install"),
+        2
+    );
+    // The lineage is readable on an engine without a write-ahead log too
+    // (it used to panic there after the first install).
+    assert_eq!(
+        engine.lineage(),
+        Lineage {
+            history: vec![(SlotSource::Base, 1)],
+            current: (SlotSource::Unsaved, 2),
+            next_version: 3,
+        }
+    );
     let v2 = engine.predict_batch_tagged(&qs, None).expect("serve");
     assert!(v2.iter().all(|a| a.version == 2));
     assert!(
@@ -392,6 +407,14 @@ fn demote_reinstalls_previous_weights_under_a_new_version() {
     let demoted = engine.demote().expect("demote").expect("history present");
     assert_eq!(demoted, 3);
     assert_eq!(engine.version(), 3);
+    assert_eq!(
+        engine.lineage(),
+        Lineage {
+            history: vec![(SlotSource::Unsaved, 2)],
+            current: (SlotSource::Base, 3),
+            next_version: 4,
+        }
+    );
     let v3 = engine.predict_batch_tagged(&qs, None).expect("serve");
     for (a, &b) in v3.iter().zip(&v1_bits) {
         assert_eq!(a.version, 3);
@@ -437,7 +460,12 @@ fn watchdog_demotes_a_version_that_degrades_to_fallback() {
         engine.current_model().model().parameters(),
     )
     .expect("clone weights");
-    assert_eq!(engine.install_model(same).expect("install"), 2);
+    assert_eq!(
+        engine
+            .install_model(same, SlotSource::Unsaved)
+            .expect("install"),
+        2
+    );
     let v2_queries: Vec<RatingQuery> = (0..16)
         .map(|k| RatingQuery {
             user: (k * 13 + 1) % USERS,

@@ -16,7 +16,7 @@ use hire_data::Dataset;
 use hire_graph::Rating;
 use hire_serve::{
     EngineConfig, FrozenModel, OnlineConfig, OnlineLoop, Predictor, RatingQuery, RoundOutcome,
-    ServeEngine, ServeError, Server, ServerConfig,
+    ServeEngine, ServeError, Server, ServerConfig, SlotSource,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -214,7 +214,7 @@ fn swap_faults_abandon_the_swap_typed() {
 
         // Direct install: typed injected error.
         let err = engine
-            .install_model(frozen(&dataset, 99))
+            .install_model(frozen(&dataset, 99), SlotSource::Unsaved)
             .expect_err("swap fault must surface");
         assert!(
             matches!(err, ServeError::Injected { .. }),
@@ -256,7 +256,7 @@ fn incompatible_candidate_is_refused_by_the_swap() {
     let other = HireModel::new(&dataset, &small, &mut rng);
     let other = FrozenModel::from_model(&other, &dataset).expect("freeze");
     let err = engine
-        .install_model(other)
+        .install_model(other, SlotSource::Unsaved)
         .expect_err("incompatible model must be refused");
     assert!(err.to_string().contains("incompatible"), "got {err}");
     assert_eq!(engine.version(), 1);
@@ -299,7 +299,8 @@ fn swap_racing_inflight_batches_is_bit_exact_per_version() {
             let mut next_is_b = true;
             while !stop.load(Ordering::Relaxed) {
                 let model = if next_is_b { b.clone() } else { a.clone() };
-                live.install_model(model).expect("swap");
+                live.install_model(model, SlotSource::Unsaved)
+                    .expect("swap");
                 next_is_b = !next_is_b;
                 std::thread::sleep(Duration::from_micros(200));
             }
@@ -368,7 +369,9 @@ fn no_query_is_dropped_across_swaps() {
         let engine = engine.clone();
         std::thread::spawn(move || {
             for _ in 0..10 {
-                engine.install_model(model_b.clone()).expect("swap");
+                engine
+                    .install_model(model_b.clone(), SlotSource::Unsaved)
+                    .expect("swap");
                 std::thread::sleep(Duration::from_micros(500));
             }
         })

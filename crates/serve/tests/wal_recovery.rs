@@ -13,16 +13,21 @@
 //! engine had at that point.
 
 use hire_chaos::{sites, FaultKind, FaultPlan};
+use hire_ckpt::{CheckpointStore, GuardSnapshot, OptimizerSnapshot, TrainSnapshot};
 use hire_core::{HireConfig, HireModel};
 use hire_data::Dataset;
 use hire_graph::Rating;
 use hire_serve::{
-    recover, write_snapshot, EngineConfig, FrozenModel, OnlineConfig, OnlineLoop, Predictor,
-    RatingQuery, RoundOutcome, ServeEngine,
+    fold_log, recover, write_snapshot, EngineConfig, FrozenModel, Lineage, OnlineConfig,
+    OnlineLoop, Predictor, RatingQuery, RoundOutcome, ServeEngine, ServeError, SlotSource,
+    CANDIDATE_TAG,
 };
 use hire_wal::{Durability, Wal, WalOptions, SEGMENT_EXT};
+use proptest::collection::vec;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -275,8 +280,29 @@ fn model_lineage_recovers_versions_and_weights() {
     assert_eq!(demoted_version, 3);
     let after_demote = tmp.path().join("after-demote");
     copy_dir(&wal_dir, &after_demote);
-    let recovered = recover_from(&dataset, &after_demote, online_config, strict_opts());
+    let recovered = recover_from(
+        &dataset,
+        &after_demote,
+        online_config.clone(),
+        strict_opts(),
+    );
     assert_eq!(recovered.engine.version(), 3);
+    assert_eq!(
+        probe_bits(recovered.engine.as_ref()),
+        probe_bits(engine.as_ref())
+    );
+    assert_eq!(recovered.dropped_history, Vec::<u64>::new());
+    assert_eq!(recovered.engine.lineage(), engine.lineage());
+    drop(recovered);
+
+    // Lose the demotion target's checkpoint: recovery still serves the
+    // incumbent, and names the history slot it had to drop.
+    std::fs::remove_file(ckpt_dir.join(format!("{CANDIDATE_TAG}-{:012}.hckpt", 1)))
+        .expect("remove the v2 checkpoint");
+    let recovered = recover_from(&dataset, &after_demote, online_config, strict_opts());
+    assert_eq!(recovered.dropped_history, vec![2]);
+    assert_eq!(recovered.engine.version(), 3);
+    assert!(recovered.engine.lineage().history.is_empty());
     assert_eq!(
         probe_bits(recovered.engine.as_ref()),
         probe_bits(engine.as_ref())
@@ -430,4 +456,203 @@ fn refused_append_means_nothing_happened() {
     let engine = wal_engine(&dataset, &wal_dir, strict_opts());
     engine.insert_rating(rating(0)).expect("clean insert");
     assert_eq!(engine.inserted_since(0).0.len(), 1);
+}
+
+/// Writes a weight checkpoint the way the online loop does before a
+/// promotion, and returns the reload source naming it.
+fn checkpoint_weights(dir: &Path, steps: u64, model: &FrozenModel) -> SlotSource {
+    let snapshot = TrainSnapshot {
+        completed_steps: steps,
+        config_fingerprint: 0,
+        params: model.parameters(),
+        rollback_step: 0,
+        rollback_params: Vec::new(),
+        optimizer: OptimizerSnapshot {
+            lamb_m: Vec::new(),
+            lamb_v: Vec::new(),
+            lamb_t: 0,
+            slow_weights: Vec::new(),
+            lookahead_steps: 0,
+        },
+        guard: GuardSnapshot {
+            ema: None,
+            healthy_steps: 0,
+            suspicious_streak: 0,
+            lr_scale: 1.0,
+            recoveries: 0,
+        },
+        rng_words: Vec::new(),
+    };
+    CheckpointStore::open_tagged(dir, CANDIDATE_TAG, 64)
+        .and_then(|store| store.save(&snapshot))
+        .expect("checkpoint weights");
+    SlotSource::Checkpoint {
+        tag: CANDIDATE_TAG.into(),
+        steps,
+    }
+}
+
+/// One step of a generated history.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Install candidate `k` from a fresh checkpoint.
+    Promote(usize),
+    /// Install without a checkpoint — a WAL-attached engine must refuse.
+    PromoteUnsaved,
+    Demote,
+    Insert,
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    (0u32..8).prop_map(|k| match k {
+        0..=2 => Op::Promote(k as usize),
+        3 | 4 => Op::Demote,
+        5 => Op::PromoteUnsaved,
+        _ => Op::Insert,
+    })
+}
+
+/// The lineage the log written so far folds to, and the ratings in it.
+fn folded(wal_dir: &Path, scratch: &Path) -> (Lineage, usize) {
+    let _ = std::fs::remove_dir_all(scratch);
+    copy_dir(wal_dir, scratch);
+    let (_, log) = Wal::open(scratch, strict_opts()).expect("open log copy");
+    let fold = fold_log(&log.records, None).expect("fold");
+    (fold.lineage, fold.ratings.len())
+}
+
+/// Drives `ops` against a WAL-attached engine whose `online.swap` and
+/// `wal.append` sites fail at `fault_rate`, checking after every step that
+/// the live lineage is the fold of the log written so far, that a refused
+/// step changed nothing, that versions never repeat and the history never
+/// exceeds its cap — and, at step `crash_at`, that a recovery from the
+/// disk image is the live engine, lineage and answer bits.
+fn run_history(label: &str, ops: &[Op], crash_at: usize, fault_seed: u64, fault_rate: f64) {
+    let tmp = TempDir::new(label);
+    let wal_dir = tmp.sub("wal");
+    let ckpt_dir = tmp.sub("ckpt");
+    let dataset = dataset();
+    let candidates: Vec<FrozenModel> = (0..3u64)
+        .map(|k| {
+            let mut rng = StdRng::seed_from_u64(50 + k);
+            let model = HireModel::new(&dataset, &model_config(), &mut rng);
+            FrozenModel::from_model(&model, &dataset).expect("freeze")
+        })
+        .collect();
+    let swap_faults = Arc::new(FaultPlan::new(fault_seed).with_fault(
+        sites::ONLINE_SWAP,
+        FaultKind::Error,
+        fault_rate,
+    ));
+    let wal_faults = Arc::new(FaultPlan::new(fault_seed ^ 0xA5).with_fault(
+        sites::WAL_APPEND,
+        FaultKind::Error,
+        fault_rate,
+    ));
+    let (wal, _) =
+        Wal::open_with_faults(&wal_dir, strict_opts(), Some(wal_faults)).expect("open wal");
+    let engine = ServeEngine::with_shared_graph(
+        base_model(&dataset),
+        dataset.clone(),
+        Arc::new(dataset.graph()),
+        engine_config(),
+    )
+    .with_faults(swap_faults)
+    .with_wal(Arc::new(wal));
+    let probes: Vec<RatingQuery> = (0..16)
+        .map(|k| RatingQuery {
+            user: (k * 7) % USERS,
+            item: (k * 11) % ITEMS,
+        })
+        .collect();
+    let bits = |pred: &ServeEngine| -> Vec<u32> {
+        let answers = pred.predict_batch(&probes).expect("probe batch");
+        answers.into_iter().map(f32::to_bits).collect()
+    };
+
+    let mut versions = BTreeSet::from([1]);
+    for (step, op) in ops.iter().enumerate() {
+        let before = engine.lineage();
+        let inserted_before = engine.inserted_since(0).1;
+        let moved = match op {
+            Op::Promote(k) => {
+                let source = checkpoint_weights(&ckpt_dir, step as u64, &candidates[*k]);
+                engine.install_model(candidates[*k].clone(), source).ok()
+            }
+            Op::PromoteUnsaved => {
+                let refused = engine.install_model(candidates[0].clone(), SlotSource::Unsaved);
+                assert!(
+                    matches!(
+                        refused,
+                        Err(ServeError::Model(_) | ServeError::Injected { .. })
+                    ),
+                    "step {step}: an unreloadable source must be refused, got {refused:?}"
+                );
+                None
+            }
+            Op::Demote => engine.demote().ok().flatten(),
+            Op::Insert => {
+                let acked = engine.insert_rating(rating(step)).is_ok();
+                assert_eq!(
+                    engine.inserted_since(0).1,
+                    inserted_before + usize::from(acked)
+                );
+                None
+            }
+        };
+        let live = engine.lineage();
+        match moved {
+            Some(version) => {
+                assert_eq!(live.current.1, version, "step {step} {op:?}");
+                assert!(versions.insert(version), "step {step}: v{version} reused");
+            }
+            None => assert_eq!(live, before, "step {step}: a refused {op:?} changed state"),
+        }
+        assert!(live.history.len() <= Lineage::HISTORY_CAP);
+        let (replayed, logged_ratings) = folded(&wal_dir, &tmp.path().join("fold"));
+        assert_eq!(live, replayed, "step {step} {op:?}: live vs folded log");
+        assert_eq!(engine.inserted_since(0).1, logged_ratings);
+
+        if step == crash_at {
+            let crash = tmp.path().join("crash");
+            copy_dir(&wal_dir, &crash);
+            let online_config = OnlineConfig {
+                checkpoint_dir: Some(ckpt_dir.clone()),
+                ..OnlineConfig::default()
+            };
+            let recovered = recover_from(&dataset, &crash, online_config, strict_opts());
+            assert_eq!(recovered.engine.lineage(), live, "recovered at step {step}");
+            assert_eq!(recovered.dropped_history, Vec::<u64>::new());
+            assert_eq!(bits(&recovered.engine), bits(&engine), "step {step}");
+        }
+    }
+}
+
+/// More promotions than the history holds, then demotions until none is
+/// left: the cap is crossed, and the history emptied, on the live side
+/// and the replay side alike.
+#[test]
+fn lineage_crosses_the_cap_and_empties_live_and_replayed() {
+    let n = Lineage::HISTORY_CAP + 2;
+    let mut ops: Vec<Op> = (0..n).map(|k| Op::Promote(k % 3)).collect();
+    ops.extend((0..=n).map(|_| Op::Demote));
+    ops.push(Op::Promote(1));
+    // Crash once with a full history and once with an empty one.
+    run_history("cap-full", &ops, n - 1, 0, 0.0);
+    run_history("cap-empty", &ops, 2 * n, 0, 0.0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Generated promote / demote / insert histories under injected
+    /// prepare faults and refused appends (see [`run_history`]).
+    #[test]
+    fn generated_histories_recover_to_the_live_lineage(
+        ops in vec(op_strategy(), 12..32),
+        crash_at in 0usize..12,
+        fault_seed in 0u64..1_000_000,
+    ) {
+        run_history("generated", &ops, crash_at, fault_seed, 0.2);
+    }
 }

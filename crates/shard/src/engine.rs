@@ -8,7 +8,7 @@ use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, Rating};
 use hire_serve::{
     Answer, CacheStats, EngineConfig, FrozenModel, ModelVersion, Predictor, RatingQuery,
-    ResilienceConfig, ServeEngine, ServeError, TierStats,
+    ResilienceConfig, ServeEngine, ServeError, SlotSource, TierStats,
 };
 use hire_wal::{shard_dir, ShardManifest, Wal, WalOptions};
 use std::collections::HashMap;
@@ -131,10 +131,10 @@ fn mix_user(user: usize) -> u64 {
 ///   so no shard (hot-key replicas included) serves a memo the new edge
 ///   staled.
 /// - **Swaps.** [`ShardedEngine::install_model`] is two-phase: prepare
-///   (fallible — validation, quantization, chaos site `online.swap`) on
-///   every shard, then commit (infallible pointer swap) on every shard.
-///   Any prepare failure aborts the whole install with every incumbent
-///   untouched, so shards never diverge in version.
+///   (validation, quantization, chaos site `online.swap`) on every shard,
+///   then commit (log the promotion if a WAL is attached, pointer swap) on
+///   every shard. Any prepare failure aborts the whole install with every
+///   incumbent untouched, so shards never diverge in version.
 /// - **Hot keys.** See [`HotKeyConfig`].
 ///
 /// All shards share one `EngineConfig` — in particular the sampling seed —
@@ -178,8 +178,7 @@ impl ShardedEngine {
         engine_config: EngineConfig,
         shard_config: ShardConfig,
     ) -> Self {
-        let n = shard_config.shards.max(1);
-        let shards: Vec<ServeEngine> = (0..n)
+        let shards = (0..shard_config.shards.max(1))
             .map(|_| {
                 ServeEngine::with_shared_graph(
                     model.clone(),
@@ -189,6 +188,13 @@ impl ShardedEngine {
                 )
             })
             .collect();
+        Self::from_shards(shards, shard_config)
+    }
+
+    /// Wraps already-built shard engines (construction, and recovery —
+    /// where each shard was rebuilt from its own log).
+    pub(crate) fn from_shards(shards: Vec<ServeEngine>, shard_config: ShardConfig) -> Self {
+        let n = shards.len();
         let hot_config = shard_config.hot_keys.filter(|_| n > 1);
         let hot = hot_config.as_ref().map(|cfg| {
             Mutex::new(HotState {
@@ -252,13 +258,13 @@ impl ShardedEngine {
     /// (builder style): writes (or validates) the `MANIFEST` naming the
     /// shard count, opens one log per shard under `root/shard-NNN/`, and
     /// attaches each to its engine — from here on every shard's
-    /// `insert_rating` appends before acking, and installs must go through
-    /// [`ShardedEngine::install_model_logged`].
+    /// `insert_rating` appends before acking, and
+    /// [`ShardedEngine::install_model`] logs the promotion on every shard.
     ///
     /// "Fresh" is enforced: a root whose logs already hold records needs
     /// [`crate::recovery::recover_sharded`], which replays them — opening
     /// it here would silently serve without the logged state.
-    pub fn with_wal_root(self, root: &Path, opts: WalOptions) -> HireResult<Self> {
+    pub fn with_wal_root(mut self, root: &Path, opts: WalOptions) -> HireResult<Self> {
         let n = self.shards.len();
         match ShardManifest::read(root).map_err(HireError::from)? {
             Some(manifest) if manifest.shards as usize != n => {
@@ -293,20 +299,13 @@ impl ShardedEngine {
             }
             wals.push(Arc::new(wal));
         }
-        Ok(self.with_wals(wals))
-    }
-
-    /// Attaches pre-opened logs, one per shard (recovery path — the logs'
-    /// records have already been replayed into the engines).
-    pub(crate) fn with_wals(mut self, wals: Vec<Arc<Wal>>) -> Self {
-        assert_eq!(wals.len(), self.shards.len(), "one WAL per shard required");
         self.shards = self
             .shards
             .into_iter()
             .zip(wals)
             .map(|(e, w)| e.with_wal(w))
             .collect();
-        self
+        Ok(self)
     }
 
     /// Number of shards.
@@ -395,53 +394,28 @@ impl ShardedEngine {
     }
 
     /// Atomically installs `model` on every shard under one version:
-    /// prepare everywhere (fallible), then commit everywhere (infallible).
+    /// prepare everywhere, then commit everywhere
+    /// ([`ServeEngine::prepare_install`] / [`ServeEngine::commit_install`]).
     /// A prepare failure — including an injected fault at the per-shard
     /// `online.swap` chaos site — aborts the whole install: no version is
-    /// consumed, every incumbent keeps serving, and the error is returned
-    /// typed. On success all shards answer under the same new version.
-    pub fn install_model(&self, model: FrozenModel) -> Result<ModelVersion, ServeError> {
-        if self.shards[0].wal().is_some() {
-            return Err(ServeError::Model(HireError::invalid_data(
-                "ShardedEngine",
-                "engine has write-ahead logs attached; use install_model_logged so the \
-                 promotion is durable on every shard",
-            )));
-        }
-        let mut prepared = Vec::with_capacity(self.shards.len());
-        for engine in &self.shards {
-            prepared.push(engine.prepare_install(model.clone())?);
-        }
-        let mut versions = self
-            .shards
-            .iter()
-            .zip(prepared)
-            .map(|(engine, p)| engine.commit_install(p));
-        let first = versions.next().expect("at least one shard");
-        for v in versions {
-            assert_eq!(first, v, "shards diverged in model version after commit");
-        }
-        Ok(first)
-    }
-
-    /// [`ShardedEngine::install_model`] for a WAL-attached engine: prepare
-    /// on every shard first (any failure aborts wholesale, nothing
-    /// logged), then per shard append a durable `ModelPromoted{tag,steps}`
-    /// record and commit. `(tag, steps)` must name the checkpoint holding
-    /// the weights — written *before* this call, or a crash after the
-    /// first shard's append leaves a promotion no recovery can reload.
+    /// consumed, nothing is logged, every incumbent keeps serving, and the
+    /// error is returned typed. On success all shards answer under the
+    /// same new version.
     ///
-    /// A failure in the append+commit phase (e.g. one shard's disk
-    /// refusing the fsync) returns the error with earlier shards already
-    /// on the new version. The divergence is bounded and repairable:
-    /// every shard's event log is a prefix of the longest one, and
-    /// [`crate::recovery::recover_sharded`] rolls lagging shards forward
+    /// With write-ahead logs attached each shard's commit appends a durable
+    /// `ModelPromoted` record first, so `source` must be the
+    /// [`SlotSource::Checkpoint`] holding the weights — written *before*
+    /// this call, or a crash after the first shard's append leaves a
+    /// promotion no recovery can reload. A failure in that phase (e.g. one
+    /// shard's disk refusing the fsync) returns the error with earlier
+    /// shards already on the new version. The divergence is bounded and
+    /// repairable: every shard's event log is a prefix of the longest one,
+    /// and [`crate::recovery::recover_sharded`] rolls lagging shards forward
     /// to restore lockstep.
-    pub fn install_model_logged(
+    pub fn install_model(
         &self,
         model: FrozenModel,
-        tag: &str,
-        steps: u64,
+        source: SlotSource,
     ) -> Result<ModelVersion, ServeError> {
         let mut prepared = Vec::with_capacity(self.shards.len());
         for engine in &self.shards {
@@ -449,11 +423,12 @@ impl ShardedEngine {
         }
         let mut first = None;
         for (engine, p) in self.shards.iter().zip(prepared) {
-            let v = engine.commit_install_logged(p, tag, steps)?;
-            match first {
-                None => first = Some(v),
-                Some(f) => assert_eq!(f, v, "shards diverged in model version after commit"),
-            }
+            let v = engine.commit_install(p, source.clone())?;
+            assert_eq!(
+                *first.get_or_insert(v),
+                v,
+                "shards diverged in model version after commit"
+            );
         }
         Ok(first.expect("at least one shard"))
     }

@@ -20,16 +20,15 @@
 //! lineage. Online-loop routing state and `SnapshotBarrier`-anchored
 //! truncation are single-engine concerns (`hire_serve::durable`) — the
 //! online loop fine-tunes against one engine, not a shard fan-out — so
-//! `HoldoutMark` and barrier records are ignored here and sharded logs
-//! are never truncated.
+//! the routing fields of each shard's [`hire_serve::LogFold`] go unused
+//! here and sharded logs are never truncated.
 
 use crate::engine::{ShardConfig, ShardedEngine};
 use hire_data::Dataset;
 use hire_error::{HireError, HireResult};
-use hire_graph::{BipartiteGraph, Rating};
-use hire_serve::durable::{fold_model_event, restore_from_lineage};
-use hire_serve::{EngineConfig, FrozenModel, LineageSnapshot, SlotSource};
-use hire_wal::{shard_dir, ShardManifest, Wal, WalOptions, WalRecord};
+use hire_graph::BipartiteGraph;
+use hire_serve::{fold_log, rebuild_engine, EngineConfig, FrozenModel, ModelVersion};
+use hire_wal::{shard_dir, ShardManifest, Wal, WalOptions};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -45,6 +44,9 @@ pub struct RecoveredShards {
     /// Catch-up records appended to lagging shard logs to restore
     /// lockstep (0 on a clean crash).
     pub rolled_forward: usize,
+    /// Per shard, the versions of demotion targets dropped because their
+    /// checkpointed weights could not be reloaded.
+    pub dropped_history_per_shard: Vec<Vec<ModelVersion>>,
 }
 
 /// Rebuilds a [`ShardedEngine`] from a sharded WAL root written by
@@ -83,38 +85,14 @@ pub fn recover_sharded(
         ));
     }
 
-    // ── Open every log and split records into ratings + model events ──
-    struct ShardFold {
-        wal: Arc<Wal>,
-        ratings: Vec<Rating>,
-        events: Vec<WalRecord>,
-    }
+    // ── Open and fold every log ───────────────────────────────────────
+    let mut wals = Vec::with_capacity(n);
     let mut folds = Vec::with_capacity(n);
     for idx in 0..n {
         let (wal, recovery) =
             Wal::open(shard_dir(wal_root, idx), wal_opts.clone()).map_err(HireError::from)?;
-        let mut ratings = Vec::new();
-        let mut events = Vec::new();
-        for (_, record) in recovery.records {
-            match record {
-                WalRecord::Rating { user, item, value } => ratings.push(Rating {
-                    user: user as usize,
-                    item: item as usize,
-                    value,
-                }),
-                WalRecord::ModelPromoted { .. } | WalRecord::Demoted { .. } => {
-                    events.push(record);
-                }
-                // Online-loop routing state: out of scope for sharded
-                // recovery (see module docs).
-                WalRecord::HoldoutMark { .. } | WalRecord::SnapshotBarrier { .. } => {}
-            }
-        }
-        folds.push(ShardFold {
-            wal: Arc::new(wal),
-            ratings,
-            events,
-        });
+        wals.push(Arc::new(wal));
+        folds.push(fold_log(&recovery.records, None)?);
     }
 
     // ── Reconcile: the longest event list is the truth ────────────────
@@ -137,48 +115,39 @@ pub fn recover_sharded(
     // ── Roll lagging shards forward, durably ──────────────────────────
     // Appending the missing records (rather than only patching in-memory
     // state) makes the repair survive a crash *during* recovery: the next
-    // recovery sees equal, or still prefix-chained, logs.
+    // recovery sees equal, or still prefix-chained, logs. Applying them to
+    // the fold too lands every shard on the target's lineage.
     let mut rolled_forward = 0usize;
-    for fold in &folds {
+    for (wal, fold) in wals.iter().zip(&mut folds) {
         for event in &target[fold.events.len()..] {
-            fold.wal.append_durable(event).map_err(HireError::from)?;
+            wal.append_durable(event).map_err(HireError::from)?;
+            fold.apply(event)?;
             rolled_forward += 1;
         }
     }
 
-    // ── Rebuild engines, replay edges, reinstate one lineage ──────────
-    let engine = ShardedEngine::with_shared_graph(
-        base_model.clone(),
-        Arc::clone(&dataset),
-        base_graph,
-        engine_config,
-        shard_config,
-    )
-    .with_wals(folds.iter().map(|f| Arc::clone(&f.wal)).collect());
-    let mut ratings_per_shard = Vec::with_capacity(n);
-    for (idx, fold) in folds.iter().enumerate() {
-        let shard = &engine.shard_engines()[idx];
-        for rating in &fold.ratings {
-            shard.replay_rating(*rating);
-        }
-        ratings_per_shard.push(fold.ratings.len());
-    }
-    let mut lineage = LineageSnapshot {
-        history: Vec::new(),
-        current: (SlotSource::Base, 1),
-        next_version: 2,
-    };
-    for event in &target {
-        fold_model_event(&mut lineage, event)?;
-    }
-    for shard in engine.shard_engines() {
-        restore_from_lineage(shard, &lineage, &base_model, &dataset, ckpt_dir)?;
+    // ── Rebuild every shard from its fold ─────────────────────────────
+    let mut shards = Vec::with_capacity(n);
+    let mut dropped_history_per_shard = Vec::with_capacity(n);
+    for (wal, fold) in wals.into_iter().zip(&folds) {
+        let (shard, dropped) = rebuild_engine(
+            fold,
+            wal,
+            &base_model,
+            &dataset,
+            Arc::clone(&base_graph),
+            engine_config.clone(),
+            ckpt_dir,
+        )?;
+        shards.push(shard);
+        dropped_history_per_shard.push(dropped);
     }
 
     Ok(RecoveredShards {
-        engine,
-        ratings_per_shard,
+        engine: ShardedEngine::from_shards(shards, shard_config),
+        ratings_per_shard: folds.iter().map(|f| f.ratings.len()).collect(),
         model_events: target.len(),
         rolled_forward,
+        dropped_history_per_shard,
     })
 }

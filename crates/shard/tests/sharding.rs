@@ -19,7 +19,7 @@ use hire_core::{HireConfig, HireModel};
 use hire_data::Dataset;
 use hire_graph::Rating;
 use hire_serve::{
-    EngineConfig, FrozenModel, Predictor, RatingQuery, ServeError, Server, ServerConfig,
+    EngineConfig, FrozenModel, Predictor, RatingQuery, ServeError, Server, ServerConfig, SlotSource,
 };
 use hire_shard::{HotKeyConfig, ShardConfig, ShardedEngine};
 use rand::rngs::StdRng;
@@ -206,7 +206,8 @@ fn serial_replay_across_inserts_and_hot_swaps_is_bit_identical() {
                 e.insert_rating(r).expect("insert");
             }
             if round == 5 {
-                e.install_model(swap_model.clone()).expect("swap");
+                e.install_model(swap_model.clone(), SlotSource::Unsaved)
+                    .expect("swap");
             }
         }
         log
@@ -240,7 +241,9 @@ fn concurrent_inserts_and_swaps_keep_every_query_answered() {
         std::thread::spawn(move || {
             let mut swaps = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                engine.install_model(model.clone()).expect("swap");
+                engine
+                    .install_model(model.clone(), SlotSource::Unsaved)
+                    .expect("swap");
                 swaps += 1;
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -345,7 +348,7 @@ fn failed_prepare_on_any_shard_aborts_the_whole_install() {
     let before: Vec<u64> = engine.shard_engines().iter().map(|e| e.version()).collect();
     assert_eq!(before, vec![1, 1, 1]);
     let err = engine
-        .install_model(frozen(&dataset))
+        .install_model(frozen(&dataset), SlotSource::Unsaved)
         .expect_err("shard 2's prepare must fail the install");
     assert!(
         matches!(err, ServeError::Injected { .. }),
@@ -361,7 +364,7 @@ fn failed_prepare_on_any_shard_aborts_the_whole_install() {
     // lockstep afterwards... except shard 2's plan fires every arrival, so
     // swap attempts there keep failing — which is exactly the point: the
     // sharded install keeps aborting atomically rather than diverging.
-    let again = engine.install_model(frozen(&dataset));
+    let again = engine.install_model(frozen(&dataset), SlotSource::Unsaved);
     assert!(again.is_err());
     assert_eq!(engine.version(), 1);
     let answers = engine
@@ -374,7 +377,9 @@ fn failed_prepare_on_any_shard_aborts_the_whole_install() {
 fn fault_free_install_moves_every_shard_in_lockstep() {
     let dataset = dataset();
     let engine = sharded(&dataset, 4, None);
-    let v = engine.install_model(frozen(&dataset)).expect("install");
+    let v = engine
+        .install_model(frozen(&dataset), SlotSource::Unsaved)
+        .expect("install");
     assert_eq!(v, 2);
     for shard in engine.shard_engines() {
         assert_eq!(shard.version(), 2);

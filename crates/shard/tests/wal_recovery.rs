@@ -6,15 +6,21 @@
 //! recovery rolls the lagging shards forward (durably). Divergent logs
 //! are a refusal, not a guess.
 
+use hire_chaos::{sites, FaultKind, FaultPlan};
 use hire_ckpt::{CheckpointStore, GuardSnapshot, OptimizerSnapshot, TrainSnapshot};
 use hire_core::{HireConfig, HireModel};
 use hire_data::Dataset;
 use hire_graph::Rating;
-use hire_serve::{EngineConfig, FrozenModel, Predictor, RatingQuery};
+use hire_serve::{
+    fold_log, EngineConfig, FrozenModel, Lineage, Predictor, RatingQuery, ServeError, SlotSource,
+};
 use hire_shard::{recover_sharded, ShardConfig, ShardedEngine};
 use hire_wal::{shard_dir, Durability, Wal, WalOptions, WalRecord};
+use proptest::collection::vec;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -154,9 +160,18 @@ fn checkpoint_weights(dir: &Path, tag: &str, steps: u64, model: &FrozenModel) {
         },
         rng_words: Vec::new(),
     };
-    CheckpointStore::open_tagged(dir, tag, 4)
+    // Keep more than a full lineage (history cap + incumbent) reloadable.
+    CheckpointStore::open_tagged(dir, tag, 8)
         .and_then(|store| store.save(&snapshot))
         .expect("checkpoint weights");
+}
+
+/// The reload source naming a [`checkpoint_weights`] file.
+fn checkpoint_source(tag: &str, steps: u64) -> SlotSource {
+    SlotSource::Checkpoint {
+        tag: tag.into(),
+        steps,
+    }
 }
 
 fn copy_tree(src: &Path, dst: &Path) {
@@ -207,7 +222,7 @@ fn sharded_recovery_is_bitwise_lockstep() {
     let candidate = frozen(&data, 11);
     checkpoint_weights(&ckpt_dir, "cand", 7, &candidate);
     let version = engine
-        .install_model_logged(candidate, "cand", 7)
+        .install_model(candidate, checkpoint_source("cand", 7))
         .expect("logged install");
     assert_eq!(version, 2);
     for k in 30..42 {
@@ -244,7 +259,7 @@ fn partial_install_rolls_lagging_shards_forward() {
     let candidate = frozen(&data, 11);
     checkpoint_weights(&ckpt_dir, "cand", 7, &candidate);
     engine
-        .install_model_logged(candidate.clone(), "cand", 7)
+        .install_model(candidate.clone(), checkpoint_source("cand", 7))
         .expect("logged install");
     drop(engine);
 
@@ -393,4 +408,200 @@ fn dirty_roots_and_shard_count_mismatches_are_refused() {
         err.to_string().contains("re-shard"),
         "error should name the mismatch, got: {err}"
     );
+}
+
+/// One step of a generated history.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Install candidate `k` on every shard from a fresh checkpoint.
+    Promote(usize),
+    /// Install without a checkpoint — WAL-attached shards must refuse.
+    PromoteUnsaved,
+    /// Demote every shard, in shard order.
+    Demote,
+    Insert,
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    (0u32..8).prop_map(|k| match k {
+        0..=2 => Op::Promote(k as usize),
+        3 | 4 => Op::Demote,
+        5 => Op::PromoteUnsaved,
+        _ => Op::Insert,
+    })
+}
+
+/// Demotes every shard. `ShardedEngine` has no demotion of its own, so
+/// this is what an operator would do: shard by shard, retrying a shard
+/// whose prepare hit an injected fault until it follows the others.
+fn demote_every_shard(engine: &ShardedEngine) -> Option<u64> {
+    let mut versions = BTreeSet::new();
+    for shard in engine.shard_engines() {
+        let version = loop {
+            match shard.demote() {
+                Ok(version) => break version,
+                Err(ServeError::Injected { .. }) => continue,
+                Err(other) => panic!("demote failed: {other:?}"),
+            }
+        };
+        versions.insert(version);
+    }
+    assert_eq!(versions.len(), 1, "shards demoted apart: {versions:?}");
+    versions.into_iter().next().expect("at least one shard")
+}
+
+/// Drives `ops` against a 3-shard WAL-attached engine whose per-shard
+/// `online.swap` sites fail at `fault_rate`, checking after every step
+/// that every shard's live lineage is the fold of that shard's log so far
+/// and the same on all shards, that an aborted install changed nothing,
+/// that versions never repeat and the history never exceeds its cap —
+/// and, at step `crash_at`, that a recovery from the disk image is the
+/// live engine, lineage and answer bits. (A refused *append* mid-install
+/// leaves shards apart by design; that is the roll-forward case above.)
+fn run_history(label: &str, ops: &[Op], crash_at: usize, fault_seed: u64, fault_rate: f64) {
+    const N: usize = 3;
+    let tmp = TempDir::new(label);
+    let root = tmp.sub("wal");
+    let ckpt_dir = tmp.sub("ckpt");
+    let data = dataset();
+    let config = ShardConfig {
+        shards: N,
+        hot_keys: None,
+    };
+    let candidates: Vec<FrozenModel> = (0..3).map(|k| frozen(&data, 50 + k)).collect();
+    let plans = (0..N as u64)
+        .map(|s| {
+            Arc::new(FaultPlan::new(fault_seed ^ s).with_fault(
+                sites::ONLINE_SWAP,
+                FaultKind::Error,
+                fault_rate,
+            ))
+        })
+        .collect();
+    let engine = ShardedEngine::with_shared_graph(
+        frozen(&data, 4),
+        Arc::clone(&data),
+        Arc::new(data.graph()),
+        engine_config(),
+        config.clone(),
+    )
+    .with_faults(plans)
+    .with_wal_root(&root, strict_opts())
+    .expect("attach wal root");
+    let probes: Vec<RatingQuery> = (0..16)
+        .map(|k| RatingQuery {
+            user: (k * 13) % USERS,
+            item: (k * 17) % ITEMS,
+        })
+        .collect();
+    let bits = |engine: &ShardedEngine| -> Vec<(u32, u64)> {
+        let answers = engine.predict_batch_tagged(&probes, None).expect("probes");
+        answers
+            .into_iter()
+            .map(|a| (a.rating.to_bits(), a.version))
+            .collect()
+    };
+
+    let mut versions = BTreeSet::from([1]);
+    for (step, op) in ops.iter().enumerate() {
+        let before = engine.shard_engines()[0].lineage();
+        let moved = match op {
+            Op::Promote(k) => {
+                checkpoint_weights(&ckpt_dir, "cand", step as u64, &candidates[*k]);
+                let source = checkpoint_source("cand", step as u64);
+                engine.install_model(candidates[*k].clone(), source).ok()
+            }
+            Op::PromoteUnsaved => {
+                let refused = engine.install_model(candidates[0].clone(), SlotSource::Unsaved);
+                assert!(
+                    matches!(
+                        refused,
+                        Err(ServeError::Model(_) | ServeError::Injected { .. })
+                    ),
+                    "step {step}: an unreloadable source must be refused, got {refused:?}"
+                );
+                None
+            }
+            Op::Demote => demote_every_shard(&engine),
+            Op::Insert => {
+                engine.insert_rating(rating(step)).expect("acked insert");
+                None
+            }
+        };
+        let live = engine.shard_engines()[0].lineage();
+        match moved {
+            Some(version) => {
+                assert_eq!(live.current.1, version, "step {step} {op:?}");
+                assert!(versions.insert(version), "step {step}: v{version} reused");
+            }
+            None => assert_eq!(live, before, "step {step}: a refused {op:?} changed state"),
+        }
+        assert!(live.history.len() <= Lineage::HISTORY_CAP);
+        let scratch = tmp.path().join("fold");
+        let _ = std::fs::remove_dir_all(&scratch);
+        copy_tree(&root, &scratch);
+        for (idx, shard) in engine.shard_engines().iter().enumerate() {
+            assert_eq!(shard.lineage(), live, "step {step}: shard {idx} fell apart");
+            let (_, log) = Wal::open(shard_dir(&scratch, idx), strict_opts()).expect("open copy");
+            let fold = fold_log(&log.records, None).expect("fold");
+            assert_eq!(
+                fold.lineage, live,
+                "step {step} {op:?}: shard {idx} vs its log"
+            );
+        }
+
+        if step == crash_at {
+            let crash = tmp.path().join("crash");
+            copy_tree(&root, &crash);
+            let recovered = recover_sharded(
+                frozen(&data, 4),
+                Arc::clone(&data),
+                Arc::new(data.graph()),
+                engine_config(),
+                config.clone(),
+                Some(&ckpt_dir),
+                &crash,
+                strict_opts(),
+            )
+            .expect("recover sharded");
+            assert_eq!(recovered.rolled_forward, 0);
+            for (idx, shard) in recovered.engine.shard_engines().iter().enumerate() {
+                assert_eq!(
+                    shard.lineage(),
+                    live,
+                    "recovered shard {idx} at step {step}"
+                );
+                assert!(recovered.dropped_history_per_shard[idx].is_empty());
+            }
+            assert_eq!(bits(&recovered.engine), bits(&engine), "step {step}");
+        }
+    }
+}
+
+/// More promotions than the history holds, then demotions until none is
+/// left: the cap is crossed, and the history emptied, on every shard's
+/// live side and replay side alike.
+#[test]
+fn lineage_crosses_the_cap_and_empties_on_every_shard() {
+    let n = Lineage::HISTORY_CAP + 2;
+    let mut ops: Vec<Op> = (0..n).map(|k| Op::Promote(k % 3)).collect();
+    ops.extend((0..=n).map(|_| Op::Demote));
+    ops.push(Op::Promote(1));
+    run_history("cap-full", &ops, n - 1, 0, 0.0);
+    run_history("cap-empty", &ops, 2 * n, 0, 0.0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Generated promote / demote / insert histories under injected
+    /// per-shard prepare faults (see [`run_history`]).
+    #[test]
+    fn generated_histories_keep_shards_in_lockstep_and_recover(
+        ops in vec(op_strategy(), 10..24),
+        crash_at in 0usize..10,
+        fault_seed in 0u64..1_000_000,
+    ) {
+        run_history("generated", &ops, crash_at, fault_seed, 0.15);
+    }
 }

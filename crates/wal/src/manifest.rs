@@ -1,8 +1,8 @@
 //! Sharded-log manifest: one root directory, one `MANIFEST` file naming the
 //! shard count, and one `shard-NNN/` WAL directory per shard.
 //!
-//! The manifest is the recovery root for [`ShardedEngine`]: recovery reads
-//! it, opens every shard's log, and rebuilds the shards in lockstep —
+//! The manifest is the recovery root for `hire_shard::ShardedEngine`:
+//! recovery reads it, opens every shard's log, and rebuilds the shards in lockstep —
 //! refusing to serve if the shard count on disk disagrees with the serving
 //! configuration.
 
