@@ -1,7 +1,7 @@
 //! Kernel/compute benchmark: establishes the perf trajectory of the
 //! parallel compute layer and emits `BENCH_KERNELS.json`.
 //!
-//! Five sections:
+//! Four sections:
 //! 1. **matmul** — GFLOP/s at HIM-realistic shapes: the naive reference
 //!    loop, the blocked kernel forced to the scalar micro-kernel, and the
 //!    blocked kernel on the dispatched ISA (see `hire_tensor::simd`), all
@@ -24,8 +24,6 @@
 //!    by most users: microseconds per sample, and — from a plain BFS replica
 //!    that must reproduce every selection first — the adjacency entries
 //!    walked and RNG draws made per sample. Reported, not gated.
-//! 5. **serve** — saturation throughput from the sibling `serve_bench`
-//!    binary run with `--threads 1/2/4/8` (skipped under `--smoke`).
 //!
 //! `--smoke` shrinks every section to seconds and gates two regressions:
 //! the 4-thread HIM forward must be no slower than the 1-thread run (with
@@ -55,11 +53,10 @@ USAGE:
     compute_bench [OPTIONS]
 
 OPTIONS:
-    --smoke         quick run: small shapes, no serve sweep, assert the
-                    4-thread HIM forward is no slower than 1-thread and
-                    (on avx2 hosts) that dispatch beats forced-scalar
+    --smoke         quick run: small shapes, assert the 4-thread HIM
+                    forward is no slower than 1-thread and (on avx2 hosts)
+                    that dispatch beats forced-scalar
     --out <path>    write the JSON report here [BENCH_KERNELS.json]
-    --no-serve      skip the serve_bench throughput sweep
     -h, --help      print this help";
 
 /// Thread counts every sweep measures.
@@ -81,20 +78,17 @@ const ISA_SMOKE_SPEEDUP: f64 = 1.2;
 struct Args {
     smoke: bool,
     out: String,
-    no_serve: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         smoke: false,
         out: "BENCH_KERNELS.json".to_string(),
-        no_serve: false,
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--smoke" => args.smoke = true,
-            "--no-serve" => args.no_serve = true,
             "--out" => {
                 args.out = it
                     .next()
@@ -202,12 +196,6 @@ struct HimReport {
 }
 
 #[derive(Serialize)]
-struct ServePoint {
-    threads: usize,
-    saturation_qps: f64,
-}
-
-#[derive(Serialize)]
 struct KernelBenchReport {
     smoke: bool,
     host_threads: usize,
@@ -219,7 +207,6 @@ struct KernelBenchReport {
     mhsa: Vec<MhsaReport>,
     him: HimReport,
     sampler: Vec<SamplerReport>,
-    serve: Option<Vec<ServePoint>>,
 }
 
 /// Times one `[n,k] x [k,m]` product: reference vs forced-scalar blocked
@@ -563,53 +550,6 @@ fn bench_him(smoke: bool) -> HimReport {
     }
 }
 
-/// Runs the sibling `serve_bench` binary once per thread count and reads
-/// the saturation throughput out of its JSON report. Returns `None` (with
-/// a warning) when the binary is missing — e.g. a `cargo run --bin
-/// compute_bench` without a full build.
-fn bench_serve() -> Option<Vec<ServePoint>> {
-    let serve_bench = std::env::current_exe()
-        .ok()?
-        .parent()?
-        .join(format!("serve_bench{}", std::env::consts::EXE_SUFFIX));
-    if !serve_bench.exists() {
-        eprintln!(
-            "compute_bench: {} not found; skipping serve sweep (build with `cargo build --release -p hire-bench` first)",
-            serve_bench.display()
-        );
-        return None;
-    }
-    let mut points = Vec::new();
-    for &threads in &THREAD_SWEEP {
-        let out = std::env::temp_dir().join(format!("compute_bench_serve_{threads}.json"));
-        eprintln!("compute_bench: serve_bench --threads {threads} ...");
-        let status = std::process::Command::new(&serve_bench)
-            .args([
-                "--threads",
-                &threads.to_string(),
-                "--duration-secs",
-                "1",
-                "--out",
-            ])
-            .arg(&out)
-            .status()
-            .ok()?;
-        if !status.success() {
-            eprintln!("compute_bench: serve_bench --threads {threads} failed; skipping sweep");
-            return None;
-        }
-        let text = std::fs::read_to_string(&out).ok()?;
-        let _ = std::fs::remove_file(&out);
-        let report = serde_json::from_str(&text).ok()?;
-        let qps = report.get("saturation")?.get("qps")?.as_f64()?;
-        points.push(ServePoint {
-            threads,
-            saturation_qps: qps,
-        });
-    }
-    Some(points)
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
@@ -709,12 +649,6 @@ fn main() {
         })
         .collect();
 
-    let serve = if args.smoke || args.no_serve {
-        None
-    } else {
-        bench_serve()
-    };
-
     // The "4 threads no slower than 1" gate only means something when the
     // host can actually run 4 threads at once; on smaller machines the
     // extra workers just contend for the same cores.
@@ -748,7 +682,6 @@ fn main() {
         mhsa,
         him,
         sampler,
-        serve,
     };
     write_json_atomic(&args.out, &report).expect("write BENCH_KERNELS.json");
     eprintln!("compute_bench: report written to {}", args.out);

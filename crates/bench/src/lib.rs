@@ -18,9 +18,6 @@
 use hire_data::{ColdStartScenario, ColdStartSplit, Dataset, SyntheticConfig};
 use hire_error::{HireError, HireResult};
 use hire_eval::{evaluate_model_isolated, EvalConfig, ModelResult, ModelSpec, SpeedTier};
-use hire_serve::RatingQuery;
-use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -272,72 +269,6 @@ pub fn run_scenario(
     run_scenario_with_specs(dataset, kind, scenario, args, specs)
 }
 
-/// Skewed query-log generator shared by the serving benchmarks: draws are
-/// zipfian (exponent `zipf_s`) over a fixed hot set of `(user, item)`
-/// pairs, with a `cold_frac` uniform-random cold tail — the mix a context
-/// cache and the hot-key replication machinery see in production-shaped
-/// traffic.
-pub struct QueryLog {
-    /// The hot set in rank order; useful for warming caches before timing.
-    pub hot: Vec<RatingQuery>,
-    /// Cumulative zipf weights over hot-set ranks.
-    cdf: Vec<f64>,
-    cold_frac: f64,
-    num_users: usize,
-    num_items: usize,
-}
-
-impl QueryLog {
-    /// Samples a `hot_pairs`-sized hot set uniformly over the id space
-    /// (minimum 1 pair) and precomputes the rank CDF `1/rank^zipf_s`.
-    pub fn new(
-        num_users: usize,
-        num_items: usize,
-        hot_pairs: usize,
-        zipf_s: f64,
-        cold_frac: f64,
-        rng: &mut StdRng,
-    ) -> Self {
-        let hot: Vec<RatingQuery> = (0..hot_pairs.max(1))
-            .map(|_| RatingQuery {
-                user: rng.gen_range(0..num_users),
-                item: rng.gen_range(0..num_items),
-            })
-            .collect();
-        let mut cdf = Vec::with_capacity(hot.len());
-        let mut total = 0.0f64;
-        for rank in 0..hot.len() {
-            total += 1.0 / ((rank + 1) as f64).powf(zipf_s);
-            cdf.push(total);
-        }
-        QueryLog {
-            hot,
-            cdf,
-            cold_frac,
-            num_users,
-            num_items,
-        }
-    }
-
-    /// Draws the next query: cold uniform pair with probability
-    /// `cold_frac`, otherwise a hot-set pair by zipf rank.
-    pub fn next(&self, rng: &mut StdRng) -> RatingQuery {
-        if rng.gen::<f64>() < self.cold_frac {
-            return RatingQuery {
-                user: rng.gen_range(0..self.num_users),
-                item: rng.gen_range(0..self.num_items),
-            };
-        }
-        let total = *self.cdf.last().expect("non-empty hot set");
-        let target = rng.gen::<f64>() * total;
-        let rank = self
-            .cdf
-            .partition_point(|&c| c < target)
-            .min(self.hot.len() - 1);
-        self.hot[rank]
-    }
-}
-
 /// Host execution environment, embedded in benchmark JSON reports so a
 /// recorded number can be read against the machine that produced it —
 /// a thread-sweep "speedup" measured on a 1-core container means
@@ -356,8 +287,8 @@ pub struct HostInfo {
     /// kernels actually ran with after flags and env were applied.
     pub compute_pool_threads: usize,
     /// Kernel path the SIMD dispatcher resolved to for this process
-    /// (`scalar` | `sse2` | `avx2`) — the ISA every recorded number
-    /// actually ran on.
+    /// (`scalar` | `sse2` | `avx2` | `avx512`) — the ISA every recorded
+    /// number actually ran on.
     pub dispatched_kernel: String,
     /// Raw `HIRE_ISA` override from the environment, if set (the
     /// dispatched kernel above already reflects it).
@@ -398,8 +329,7 @@ impl HostInfo {
         }
     }
 
-    /// One-line host description for benchmark stderr banners — the single
-    /// shared formatting used by `compute_bench` and `serve_bench`.
+    /// One-line host description for `compute_bench`'s stderr banner.
     pub fn summary(&self) -> String {
         format!(
             "{} hardware thread(s), isa features {}, dispatched kernel {}{}, HIRE_THREADS={}, pool {} thread(s)",
@@ -853,64 +783,6 @@ mod tests {
         let body = std::fs::read_to_string(&path).expect("read back");
         assert!(body.contains("42"));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn query_log_skews_toward_the_head() {
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(3);
-        let log = QueryLog::new(1000, 800, 64, 1.1, 0.0, &mut rng);
-        let head = log.hot[0];
-        let tail = log.hot[63];
-        let (mut head_hits, mut tail_hits) = (0u64, 0u64);
-        for _ in 0..20_000 {
-            let q = log.next(&mut rng);
-            if (q.user, q.item) == (head.user, head.item) {
-                head_hits += 1;
-            }
-            if (q.user, q.item) == (tail.user, tail.item) {
-                tail_hits += 1;
-            }
-        }
-        assert!(
-            head_hits > tail_hits * 5,
-            "rank 1 must dominate rank 64: head={head_hits} tail={tail_hits}"
-        );
-    }
-
-    #[test]
-    fn query_log_cold_fraction_leaves_the_hot_set() {
-        use rand::SeedableRng;
-        use std::collections::BTreeSet;
-        let mut rng = StdRng::seed_from_u64(5);
-        let log = QueryLog::new(100_000, 100_000, 8, 1.1, 0.5, &mut rng);
-        let hot: BTreeSet<(usize, usize)> = log.hot.iter().map(|q| (q.user, q.item)).collect();
-        let cold = (0..4_000)
-            .filter(|_| {
-                let q = log.next(&mut rng);
-                !hot.contains(&(q.user, q.item))
-            })
-            .count();
-        // Half the draws are cold, and a random pair in a 100k x 100k space
-        // essentially never collides with the 8-pair hot set.
-        assert!(
-            (1_600..=2_400).contains(&cold),
-            "expected ~2000 cold draws, got {cold}"
-        );
-    }
-
-    #[test]
-    fn query_log_stays_in_range_and_is_deterministic() {
-        use rand::SeedableRng;
-        let mut rng_a = StdRng::seed_from_u64(9);
-        let log_a = QueryLog::new(50, 30, 16, 1.3, 0.2, &mut rng_a);
-        let mut rng_b = StdRng::seed_from_u64(9);
-        let log_b = QueryLog::new(50, 30, 16, 1.3, 0.2, &mut rng_b);
-        for _ in 0..500 {
-            let (qa, qb) = (log_a.next(&mut rng_a), log_b.next(&mut rng_b));
-            assert_eq!((qa.user, qa.item), (qb.user, qb.item));
-            assert!(qa.user < 50 && qa.item < 30);
-        }
     }
 
     #[test]

@@ -219,6 +219,21 @@ impl CheckpointStore {
         Ok(())
     }
 
+    /// Retention by reference: deletes every snapshot of this lineage whose
+    /// step count `keep` rejects. For a lineage whose files something else
+    /// names — a serving model lineage can make an *old* snapshot the
+    /// incumbent again, so "the newest `keep_last`" is the wrong set there.
+    /// Open such a store with `keep_last = usize::MAX` so [`Self::save`]
+    /// prunes nothing by count.
+    pub fn retain(&self, keep: impl Fn(u64) -> bool) -> HireResult<()> {
+        for path in self.list()? {
+            if !self.steps_of(&path).is_some_and(&keep) {
+                let _ = fs::remove_file(&path);
+            }
+        }
+        Ok(())
+    }
+
     /// Scans for the newest snapshot that passes validation. Returns
     /// `Ok(None)` for an empty (or snapshot-free) store. Corrupt files are
     /// skipped with a stderr warning and reported in
@@ -355,6 +370,24 @@ mod tests {
         assert_eq!(files.len(), 2);
         assert_eq!(store.steps_of(&files[0]), Some(4));
         assert_eq!(store.steps_of(&files[1]), Some(5));
+    }
+
+    #[test]
+    fn retain_deletes_by_reference_not_by_age() {
+        let tmp = TempDir::new("retain");
+        let store = CheckpointStore::open_tagged(&tmp.0, "candidate", usize::MAX).unwrap();
+        let trainer = CheckpointStore::open(&tmp.0, 5).unwrap();
+        for step in [1, 2, 3, 4] {
+            store.save(&snap(step)).unwrap();
+            trainer.save(&snap(step)).unwrap();
+        }
+        assert_eq!(store.list().unwrap().len(), 4, "no pruning by count");
+        // An old snapshot is still referenced; two newer ones are not.
+        store.retain(|steps| steps == 2 || steps == 4).unwrap();
+        let kept = store.list().unwrap();
+        let kept: Vec<_> = kept.iter().map(|p| store.steps_of(p)).collect();
+        assert_eq!(kept, vec![Some(2), Some(4)]);
+        assert_eq!(trainer.list().unwrap().len(), 4, "other lineages untouched");
     }
 
     #[test]

@@ -799,8 +799,7 @@ mod tests {
     fn streaming_handles_the_hundred_thousand_user_regime() {
         // Scaled-down million preset: proves the streaming path holds up at
         // five-digit entity counts inside the default test budget. The full
-        // 1M x 100k build is exercised by the ignored test below and by
-        // serve_bench --users 1000000.
+        // 1M x 100k build is exercised by the ignored test below.
         let cfg = SyntheticConfig::million_scale().scaled(100_000, 10_000, (2, 6));
         let (dataset, g) = cfg.generate_streaming(3);
         assert_eq!(g.num_users(), 100_000);

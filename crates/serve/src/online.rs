@@ -94,7 +94,9 @@ pub struct OnlineConfig {
     /// durability, `candidate` = promoted, `rejected` = rejected with
     /// eval report). `None` disables all durable output.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Snapshots retained per lineage.
+    /// Snapshots retained in each lineage pruned by count (`ckpt`,
+    /// `rejected`, `serving`). `candidate` files are not counted: each is
+    /// kept for as long as the engine's [`crate::Lineage`] names it.
     pub keep_last: usize,
     /// Base seed for per-round fine-tuning RNG streams.
     pub seed: u64,
@@ -664,6 +666,13 @@ impl OnlineLoop {
     /// plus the eval report as JSON next to it. Returns whether the weight
     /// snapshot actually landed on disk — recovery reloads a promoted
     /// candidate's weights from this very snapshot.
+    ///
+    /// Retention differs by lineage. `rejected` keeps its newest
+    /// `keep_last` files. `candidate` keeps the files the engine's
+    /// [`crate::Lineage`] names — a demotion makes an *old* candidate the
+    /// incumbent again, so any count-based rule can delete weights that are
+    /// being served, and with them the engine's recoverability — plus the
+    /// one just written, which the lineage names once the install commits.
     fn checkpoint(&self, tag: &str, round: u64, model: &FrozenModel, eval: &EvalReport) -> bool {
         let Some(dir) = &self.config.checkpoint_dir else {
             return false;
@@ -690,8 +699,30 @@ impl OnlineLoop {
             },
             rng_words: Vec::new(),
         };
-        let saved = CheckpointStore::open_tagged(dir, tag, self.config.keep_last)
-            .and_then(|store| store.save(&snapshot))
+        let by_reference = tag == CANDIDATE_TAG;
+        let keep_last = if by_reference {
+            usize::MAX
+        } else {
+            self.config.keep_last
+        };
+        let saved = CheckpointStore::open_tagged(dir, tag, keep_last)
+            .and_then(|store| {
+                store.save(&snapshot)?;
+                if by_reference {
+                    let lineage = self.engine.lineage();
+                    let named: Vec<u64> = lineage
+                        .history
+                        .iter()
+                        .chain([&lineage.current])
+                        .filter_map(|(source, _)| match source {
+                            SlotSource::Checkpoint { tag: t, steps } if t == tag => Some(*steps),
+                            _ => None,
+                        })
+                        .collect();
+                    let _ = store.retain(|steps| steps == round || named.contains(&steps));
+                }
+                Ok(())
+            })
             .is_ok();
         let _ = std::fs::write(
             dir.join(format!("{tag}-{round:012}.eval.json")),

@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const USERS: usize = 40;
@@ -224,6 +224,71 @@ fn acked_inserts_survive_every_kill_point_bitwise() {
     assert_eq!(&probe_bits(recovered.engine.as_ref()), live_bits);
 }
 
+/// Concurrent writers through one engine, at both acknowledging durability
+/// levels: four threads push interleaved inserts, every call acked; the
+/// engine is dropped and rebuilt from the log alone. No acked write may be
+/// lost, the log's record order must be the order the live engine committed
+/// in (the write-order invariant, under contention), and the recovered
+/// engine must answer bit-identically. At `Group` one fsync has to have
+/// covered several writers — the point of the group window (DESIGN.md §15).
+#[test]
+fn concurrent_acked_writers_recover_in_commit_order_bitwise() {
+    const WRITERS: usize = 4;
+    const ACKED: usize = WRITERS * 40;
+    let dataset = dataset();
+    let probes: Vec<RatingQuery> = (0..16)
+        .map(|k| RatingQuery {
+            user: (k * 7) % USERS,
+            item: (k * 11) % ITEMS,
+        })
+        .collect();
+    let bits = |engine: &ServeEngine| -> Vec<u32> {
+        let answers = engine.predict_batch(&probes).expect("probe batch");
+        answers.into_iter().map(f32::to_bits).collect()
+    };
+    for durability in [Durability::Group, Durability::Strict] {
+        let tmp = TempDir::new(&format!("writers-{durability:?}"));
+        let wal_dir = tmp.sub("wal");
+        let opts = WalOptions {
+            durability,
+            ..WalOptions::default()
+        };
+        let engine = wal_engine(&dataset, &wal_dir, opts.clone());
+        let start = Barrier::new(WRITERS);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (engine, start) = (&engine, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for k in (w..ACKED).step_by(WRITERS) {
+                        engine.insert_rating(rating(k)).expect("acked insert");
+                    }
+                });
+            }
+        });
+        let (live_log, _) = engine.inserted_since(0);
+        assert_eq!(live_log.len(), ACKED);
+        let live_bits = bits(&engine);
+        let fsyncs = engine.wal().expect("wal attached").stats().fsyncs;
+        if durability == Durability::Group {
+            assert!(
+                fsyncs < ACKED as u64,
+                "group commit issued {fsyncs} fsyncs for {ACKED} acked writes"
+            );
+        }
+        drop(engine);
+
+        let recovered = recover_from(&dataset, &wal_dir, OnlineConfig::default(), opts);
+        assert_eq!(recovered.ratings, ACKED, "{durability:?}: acked write lost");
+        assert_eq!(
+            recovered.engine.inserted_since(0).0,
+            live_log,
+            "{durability:?}: log order is not the live commit order"
+        );
+        assert_eq!(bits(&recovered.engine), live_bits, "{durability:?}");
+    }
+}
+
 /// Promotions and demotions recover with the right version sequence and
 /// the right weights: a crash after a promoted round reloads the
 /// candidate's checkpointed weights; a crash after a demotion serves the
@@ -307,6 +372,103 @@ fn model_lineage_recovers_versions_and_weights() {
         probe_bits(recovered.engine.as_ref()),
         probe_bits(engine.as_ref())
     );
+}
+
+/// The `candidate-*.hckpt` files on disk, and the ones `lineage` names.
+fn candidate_files(ckpt_dir: &Path, lineage: &Lineage) -> (BTreeSet<PathBuf>, BTreeSet<PathBuf>) {
+    let on_disk = CheckpointStore::open_tagged(ckpt_dir, CANDIDATE_TAG, usize::MAX)
+        .and_then(|store| store.list())
+        .expect("list candidate files");
+    let named = lineage
+        .history
+        .iter()
+        .chain([&lineage.current])
+        .filter_map(|(source, _)| match source {
+            SlotSource::Checkpoint { tag, steps } if tag == CANDIDATE_TAG => {
+                Some(ckpt_dir.join(format!("{tag}-{steps:012}.hckpt")))
+            }
+            _ => None,
+        })
+        .collect();
+    (on_disk.into_iter().collect(), named)
+}
+
+/// Candidate weights are retained by reference, not by count. A demotion
+/// makes an *old* candidate the incumbent again: with the default
+/// `keep_last = 2`, promoting rounds 1, 2, 3, demoting, promoting round 4
+/// and demoting again leaves round 2's weights serving as v7 — two files
+/// older than the newest two. Pruning by count deleted them, and recovery
+/// failed on the missing incumbent with every acked rating behind it.
+#[test]
+fn a_demoted_incumbents_checkpoint_outlives_newer_candidates() {
+    let tmp = TempDir::new("retention");
+    let wal_dir = tmp.sub("wal");
+    let ckpt_dir = tmp.sub("ckpt");
+    let dataset = dataset();
+    let engine = wal_engine(&dataset, &wal_dir, strict_opts());
+    let online_config = OnlineConfig {
+        min_new_ratings: 12,
+        fine_tune_steps: 6,
+        batch_size: 2,
+        base_lr: 1e-4,
+        holdout_every: 4,
+        regression_tolerance: 10.0, // machinery test, not a quality test
+        checkpoint_dir: Some(ckpt_dir.clone()),
+        ..OnlineConfig::default()
+    };
+    let online = OnlineLoop::new(engine.clone(), online_config.clone());
+    let mut inserted = 0;
+    let mut promote = || {
+        for _ in 0..16 {
+            engine.insert_rating(rating(inserted)).expect("insert");
+            inserted += 1;
+        }
+        let outcome = online.run_round();
+        assert!(
+            matches!(outcome, RoundOutcome::Promoted { .. }),
+            "expected a promotion, got {outcome:?}"
+        );
+    };
+    let demote = || engine.demote().expect("demote").expect("history nonempty");
+    let crash_and_recover = |label: &str| {
+        let crash = tmp.path().join(label);
+        copy_dir(&wal_dir, &crash);
+        let recovered = recover_from(&dataset, &crash, online_config.clone(), strict_opts());
+        assert_eq!(recovered.engine.lineage(), engine.lineage(), "{label}");
+        assert_eq!(recovered.dropped_history, Vec::<u64>::new(), "{label}");
+        assert_eq!(
+            probe_bits(recovered.engine.as_ref()),
+            probe_bits(engine.as_ref()),
+            "{label}"
+        );
+    };
+
+    promote();
+    promote();
+    promote();
+    demote();
+    promote();
+    assert_eq!(demote(), 7);
+    let round_2 = SlotSource::Checkpoint {
+        tag: CANDIDATE_TAG.into(),
+        steps: 2,
+    };
+    assert_eq!(engine.lineage().current, (round_2, 7));
+    crash_and_recover("after-second-demotion");
+    let (on_disk, named) = candidate_files(&ckpt_dir, &engine.lineage());
+    assert_eq!(named.len(), 4);
+    assert_eq!(on_disk, named);
+
+    // The other half: a file the lineage stops naming is deleted (by the
+    // next checkpoint), so the directory stays bounded by the history cap.
+    promote();
+    promote();
+    promote();
+    let (on_disk, named) = candidate_files(&ckpt_dir, &engine.lineage());
+    assert!(on_disk.is_superset(&named), "{on_disk:?} vs {named:?}");
+    assert!(on_disk.len() <= named.len() + 1, "{on_disk:?} vs {named:?}");
+    assert!(!on_disk.contains(&ckpt_dir.join(format!("{CANDIDATE_TAG}-{:012}.hckpt", 1))));
+    crash_and_recover("after-the-cap");
 }
 
 /// The online loop's routing state — cursor, round, and which arrivals

@@ -359,7 +359,7 @@ impl ShardedEngine {
     }
 
     /// Max-over-mean routed load across shards (1.0 = perfectly even).
-    /// The CI smoke gate bounds this under zipf skew with hot-key
+    /// `tests/sharding.rs` bounds this at 2.0 under zipf skew with hot-key
     /// replication on.
     pub fn balance(&self) -> f64 {
         let loads: Vec<u64> = self

@@ -13,6 +13,11 @@
 //! 5. **Cross-shard swap atomicity** — a failing prepare on any shard
 //!    aborts the install with every incumbent (and version counter)
 //!    untouched.
+//! 6. **Load balance under skew** — zipf traffic over a hot set, with
+//!    hot-key replication on, puts at most 2× the mean load on any of four
+//!    shards, and every query is answered.
+//! 7. **Throughput scaling** — where the host has four hardware threads,
+//!    four shards replay that traffic at ≥ 2× the one-shard rate.
 
 use hire_chaos::{sites, FaultKind, FaultPlan};
 use hire_core::{HireConfig, HireModel};
@@ -23,9 +28,9 @@ use hire_serve::{
 };
 use hire_shard::{HotKeyConfig, ShardConfig, ShardedEngine};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const USERS: usize = 60;
 const ITEMS: usize = 45;
@@ -78,6 +83,33 @@ fn query_stream(len: usize) -> Vec<RatingQuery> {
                     item: (k * 17) % ITEMS,
                 }
             }
+        })
+        .collect()
+}
+
+/// The traffic the shard gates are stated for: zipf `s = 1.1` over 64 hot
+/// pairs drawn uniformly from the id space, plus a 10 % uniform cold tail.
+fn zipf_stream(len: usize) -> Vec<RatingQuery> {
+    let mut rng = StdRng::seed_from_u64(0x54A8D);
+    let uniform = |rng: &mut StdRng| RatingQuery {
+        user: rng.gen_range(0..USERS),
+        item: rng.gen_range(0..ITEMS),
+    };
+    let hot: Vec<RatingQuery> = (0..64).map(|_| uniform(&mut rng)).collect();
+    let mut total = 0.0f64;
+    let cdf: Vec<f64> = (1..=hot.len())
+        .map(|rank| {
+            total += (rank as f64).powf(-1.1);
+            total
+        })
+        .collect();
+    (0..len)
+        .map(|_| {
+            if rng.gen::<f64>() < 0.1 {
+                return uniform(&mut rng);
+            }
+            let target = rng.gen::<f64>() * total;
+            hot[cdf.partition_point(|&c| c < target).min(hot.len() - 1)]
         })
         .collect()
 }
@@ -329,6 +361,62 @@ fn hot_keys_are_replicated_and_spread_without_changing_predictions() {
     assert!(
         touched >= 2,
         "a replicated hot pair must be served by more than one shard"
+    );
+}
+
+#[test]
+fn zipf_traffic_is_answered_and_balanced_across_four_shards() {
+    let dataset = dataset();
+    let engine = sharded(&dataset, 4, Some(HotKeyConfig::default()));
+    let queries = zipf_stream(400);
+    let answered: usize = queries
+        .chunks(8)
+        .map(|batch| engine.predict_batch(batch).expect("fault-free batch").len())
+        .sum();
+    assert_eq!(answered, queries.len(), "every query answered");
+    let balance = engine.balance();
+    assert!(
+        balance <= 2.0,
+        "max-over-mean routed load {balance:.2} under zipf skew with replication on"
+    );
+    assert!(engine.hot_key_stats().replicated_pairs > 0);
+}
+
+/// Host-conditional, like every scaling claim in this workspace: two cores
+/// cannot express four-way shard parallelism, so the gate arms only where
+/// the hardware can deliver it. It runs under its own 4-thread pool, so the
+/// `HIRE_THREADS=1` CI cells neither fail it nor make it vacuous.
+#[test]
+fn four_shards_replay_zipf_traffic_at_twice_the_one_shard_rate() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < 4 {
+        eprintln!("scaling gate skipped: {cores} hardware thread(s), needs 4");
+        return;
+    }
+    let dataset = dataset();
+    let queries = zipf_stream(400);
+    let pool = Arc::new(hire_par::ThreadPool::new(4));
+    // A fresh engine (cold caches) per replay; best of three rides out the
+    // scheduler.
+    let best_secs = |shards: usize| {
+        (0..3)
+            .map(|_| {
+                let engine = sharded(&dataset, shards, Some(HotKeyConfig::default()));
+                let start = Instant::now();
+                hire_par::with_pool(&pool, || {
+                    for batch in queries.chunks(8) {
+                        engine.predict_batch(batch).expect("fault-free batch");
+                    }
+                });
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let (one, four) = (best_secs(1), best_secs(4));
+    assert!(
+        one >= 2.0 * four,
+        "4 shards replayed at {:.2}x the 1-shard rate on {cores} hardware threads (>= 2x required)",
+        one / four
     );
 }
 
