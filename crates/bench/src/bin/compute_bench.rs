@@ -7,7 +7,7 @@
 //!    blocked kernel on the dispatched ISA (see `hire_tensor::simd`), all
 //!    at 1 thread, then the dispatched kernel across the thread sweep.
 //!    Every variant is correctness-checked before it is timed: bitwise
-//!    against the reference on scalar/sse2, oracle-bounded on avx2 (whose
+//!    against the reference on scalar, oracle-bounded on avx2 (whose
 //!    FMA chain rounds less — DESIGN.md §16), and always bitwise
 //!    thread-invariant against its own 1-thread result.
 //! 2. **mhsa** — the tape-free `hire_nn::mhsa_forward` at HIM's three
@@ -123,7 +123,7 @@ struct MatmulReport {
     /// `[n, k, m]` of the timed product.
     shape: Vec<usize>,
     /// Kernel path the dispatched numbers below ran on
-    /// (`scalar` | `sse2` | `avx2`).
+    /// (`scalar` | `avx2` | `avx512`).
     isa: String,
     gflops_reference_1t: f64,
     /// Blocked kernel pinned to the scalar micro-kernel: the pre-SIMD
@@ -212,7 +212,7 @@ struct KernelBenchReport {
 /// Times one `[n,k] x [k,m]` product: reference vs forced-scalar blocked
 /// vs dispatched blocked at 1 thread, then the dispatched kernel across
 /// the sweep. Correctness runs first: the dispatched result must match the
-/// reference (bitwise on scalar/sse2, oracle-bounded on avx2 per DESIGN.md
+/// reference (bitwise on scalar, oracle-bounded on avx2 per DESIGN.md
 /// §16) and must be bitwise thread-invariant at every sweep thread count.
 fn bench_matmul(n: usize, k: usize, m: usize, reps: usize) -> MatmulReport {
     let mut rng = StdRng::seed_from_u64(0x11A7 ^ (n * k * m) as u64);

@@ -287,7 +287,7 @@ pub struct HostInfo {
     /// kernels actually ran with after flags and env were applied.
     pub compute_pool_threads: usize,
     /// Kernel path the SIMD dispatcher resolved to for this process
-    /// (`scalar` | `sse2` | `avx2` | `avx512`) — the ISA every recorded
+    /// (`scalar` | `avx2` | `avx512`) — the ISA every recorded
     /// number actually ran on.
     pub dispatched_kernel: String,
     /// Raw `HIRE_ISA` override from the environment, if set (the
@@ -796,7 +796,7 @@ mod tests {
             "sse2/neon are baseline on these targets"
         );
         assert!(
-            ["scalar", "sse2", "avx2", "avx512"].contains(&host.dispatched_kernel.as_str()),
+            ["scalar", "avx2", "avx512"].contains(&host.dispatched_kernel.as_str()),
             "unknown dispatched kernel {:?}",
             host.dispatched_kernel
         );

@@ -51,10 +51,11 @@ fn cheap_specs() -> Vec<ModelSpec> {
     ]
 }
 
+/// One model's row of a scenario report without its wall-clock timings.
+type ComparableRow = (String, String, Vec<(usize, f32, f32, f32)>, usize, bool);
+
 /// Everything except wall-clock timings, flattened for comparison.
-fn comparable(
-    reports: &[ScenarioReport],
-) -> Vec<(String, String, Vec<(usize, f32, f32, f32)>, usize, bool)> {
+fn comparable(reports: &[ScenarioReport]) -> Vec<ComparableRow> {
     reports
         .iter()
         .flat_map(|r| {

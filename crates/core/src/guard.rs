@@ -339,10 +339,10 @@ mod tests {
     #[test]
     fn checkpoint_from_values_round_trips() {
         let p = Tensor::parameter(NdArray::from_vec([2], vec![5.0, 6.0]));
-        let original = ParameterCheckpoint::capture(3, &[p.clone()]);
+        let original = ParameterCheckpoint::capture(3, std::slice::from_ref(&p));
         let rebuilt = ParameterCheckpoint::from_values(3, original.values().to_vec());
         p.set_value(NdArray::from_vec([2], vec![0.0, 0.0]));
-        rebuilt.restore(&[p.clone()]);
+        rebuilt.restore(std::slice::from_ref(&p));
         assert_eq!(p.value().as_slice(), &[5.0, 6.0]);
         assert_eq!(rebuilt.step(), 3);
     }
@@ -350,9 +350,9 @@ mod tests {
     #[test]
     fn checkpoint_round_trip() {
         let p = Tensor::parameter(NdArray::from_vec([2], vec![1.0, 2.0]));
-        let ckpt = ParameterCheckpoint::capture(7, &[p.clone()]);
+        let ckpt = ParameterCheckpoint::capture(7, std::slice::from_ref(&p));
         p.set_value(NdArray::from_vec([2], vec![9.0, 9.0]));
-        ckpt.restore(&[p.clone()]);
+        ckpt.restore(std::slice::from_ref(&p));
         assert_eq!(p.value().as_slice(), &[1.0, 2.0]);
         assert_eq!(ckpt.step(), 7);
     }

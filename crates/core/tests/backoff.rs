@@ -1,7 +1,6 @@
 //! Property tests for the shared backoff utility: the one schedule used by
-//! both training recovery (`hire_core::trainer`) and serving retries
-//! (`hire_serve::Server::predict_with_retry` / the engine's model-tier
-//! retry loop).
+//! both training recovery (`hire_core::trainer`) and serving retries (the
+//! engine's model-tier retry loop).
 
 use hire_core::{Backoff, BackoffConfig};
 use proptest::prelude::*;

@@ -301,7 +301,7 @@ mod tests {
         };
         let mut gm = GlobalMean::new();
         let r = evaluate_model(&mut gm, &d, &s, &cfg);
-        let table = format_table("Test Table", &[r.clone()]);
+        let table = format_table("Test Table", std::slice::from_ref(&r));
         assert!(table.contains("GlobalMean"));
         assert!(table.contains("Pre@5"));
         assert!(table.contains("NDCG@10"));

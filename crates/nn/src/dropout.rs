@@ -74,7 +74,7 @@ mod tests {
         let mean = y.mean_all();
         assert!((mean - 1.0).abs() < 0.05, "mean {mean} drifted");
         // Some elements must actually be dropped.
-        assert!(y.as_slice().iter().any(|&v| v == 0.0));
+        assert!(y.as_slice().contains(&0.0));
     }
 
     #[test]

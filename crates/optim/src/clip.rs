@@ -111,7 +111,7 @@ mod tests {
     #[test]
     fn clips_large_gradients() {
         let p = param_with_grad(&[3.0, 4.0]); // grad = [3, 4], norm 5
-        let stats = clip_grad_norm(&[p.clone()], 1.0);
+        let stats = clip_grad_norm(std::slice::from_ref(&p), 1.0);
         assert!((stats.pre_clip_norm - 5.0).abs() < 1e-5);
         assert!(stats.clipped && !stats.sanitized());
         let g = grad_of(&p);
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn leaves_small_gradients_alone() {
         let p = param_with_grad(&[0.3, 0.4]); // norm 0.5
-        let stats = clip_grad_norm(&[p.clone()], 1.0);
+        let stats = clip_grad_norm(std::slice::from_ref(&p), 1.0);
         assert!((stats.pre_clip_norm - 0.5).abs() < 1e-5);
         assert!(!stats.clipped);
         assert!((grad_of(&p).norm_l2() - 0.5).abs() < 1e-5);
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn nan_gradient_entries_are_zeroed_and_reported() {
         let p = param_with_raw_grad(&[f32::NAN, 3.0, 4.0]);
-        let stats = clip_grad_norm(&[p.clone()], 10.0);
+        let stats = clip_grad_norm(std::slice::from_ref(&p), 10.0);
         assert_eq!(stats.nonfinite_entries, 1);
         assert!(stats.sanitized());
         // The finite entries survive: norm = sqrt(3^2 + 4^2) = 5, no clip at 10.
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn all_nan_gradient_means_zero_step() {
         let p = param_with_raw_grad(&[f32::NAN, f32::NAN]);
-        let stats = clip_grad_norm(&[p.clone()], 1.0);
+        let stats = clip_grad_norm(std::slice::from_ref(&p), 1.0);
         assert_eq!(stats.nonfinite_entries, 2);
         assert_eq!(stats.pre_clip_norm, 0.0);
         assert!(!stats.clipped);
@@ -178,7 +178,7 @@ mod tests {
     fn degenerate_max_norm_disables_clipping_without_panicking() {
         for bad_norm in [0.0, -1.0, f32::NAN, f32::INFINITY] {
             let p = param_with_raw_grad(&[f32::NAN, 3.0, 4.0]);
-            let stats = clip_grad_norm(&[p.clone()], bad_norm);
+            let stats = clip_grad_norm(std::slice::from_ref(&p), bad_norm);
             // Sanitization still runs, the norm is still reported, but no
             // rescale happens against a meaningless threshold.
             assert_eq!(stats.nonfinite_entries, 1);

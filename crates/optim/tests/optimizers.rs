@@ -121,10 +121,11 @@ fn training_mlp_with_lamb_lookahead_converges() {
     let x = NdArray::randn([32, 4], 0.0, 1.0, &mut rng);
     // target: sum of inputs
     let y = {
-        let mut t = vec![0.0f32; 32];
-        for i in 0..32 {
-            t[i] = x.as_slice()[i * 4..(i + 1) * 4].iter().sum();
-        }
+        let t = x
+            .as_slice()
+            .chunks_exact(4)
+            .map(|row| row.iter().sum())
+            .collect();
         NdArray::from_vec([32, 1], t)
     };
     let total_steps = 400;

@@ -7,11 +7,11 @@
 //! 1. **Cache** — the exact per-entry prediction memo.
 //! 2. **Model** — a fresh frozen forward, guarded by a circuit breaker
 //!    and retried (seeded jittered backoff) on transient faults.
-//! 3. **Quantized** — the same architecture with int8/f16 weights
-//!    dequantized on the fly ([`crate::QuantizedModel`], rebuilt on every
-//!    hot swap). Served when the remaining deadline budget for a group is
-//!    thinner than [`QuantTierConfig::deadline_threshold`], or when a
-//!    half-open breaker has spent its probe budget.
+//! 3. **Quantized** — the same forward over int8/f16-stored weights
+//!    ([`crate::QuantizedModel`], rebuilt on every hot swap). Served when
+//!    the remaining deadline budget for a group is thinner than
+//!    [`QuantTierConfig::deadline_threshold`], or when a half-open breaker
+//!    has spent its probe budget.
 //! 4. **Hybrid** — a trained bias + content predictor
 //!    ([`hire_core::HybridModel`], installed via
 //!    [`ServeEngine::with_hybrid`]) that needs no sampled context; answers
@@ -23,6 +23,15 @@
 //! Answers are tagged with the tier that produced them
 //! ([`crate::ServedBy`]), so a caller can distinguish a degraded answer
 //! from a model answer.
+//!
+//! Each decision of the walk is written once, as a private function of
+//! [`ServeEngine`]: `enter` (where a group joins the ladder — the only
+//! reader of the deadline budget, the quantized threshold and the breaker's
+//! admission), `refuse_or_degrade` (the only reader of
+//! [`ResilienceConfig::fallback`]), `answer` (the only place an
+//! [`Answer`] is built and counted), `guarded` (the only `catch_unwind` and
+//! chaos hook) and `apply_rating` (the only graph write). `Rung` states the
+//! order.
 
 use crate::breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 use crate::cache::{CacheKey, CacheStats, ContextCache, ExportedContext};
@@ -42,12 +51,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 /// The sampling strategy tag recorded in cache keys.
 const STRATEGY: &str = "neighborhood";
+
+/// An entity with fewer than this many edges in the engine's *base* graph
+/// (the graph at construction) is cold for [`ColdScenario`] classification:
+/// exactly the entities with no observed ratings — the paper's cold-start
+/// case.
+const COLD_DEGREE_THRESHOLD: usize = 1;
 
 /// Engine settings (context sampling + cache).
 #[derive(Debug, Clone)]
@@ -64,11 +78,6 @@ pub struct EngineConfig {
     pub cache_capacity: usize,
     /// Base seed for deterministic per-query context sampling.
     pub seed: u64,
-    /// An entity with fewer than this many edges in the engine's *base*
-    /// graph (the graph at construction) is considered cold for
-    /// [`ColdScenario`] classification. The default 1 marks exactly the
-    /// entities with no observed ratings — the paper's cold-start case.
-    pub cold_degree_threshold: usize,
 }
 
 impl EngineConfig {
@@ -81,7 +90,6 @@ impl EngineConfig {
             keep_ratio: config.input_ratio,
             cache_capacity: 4096,
             seed: 0x48495245, // "HIRE"
-            cold_degree_threshold: 1,
         }
     }
 }
@@ -93,7 +101,7 @@ impl EngineConfig {
 /// and `warm_up` for queries where both entities have support.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ColdScenario {
-    /// Both entities have at least `cold_degree_threshold` base edges.
+    /// Both entities have at least one base edge.
     WarmUp,
     /// The user is cold, the item is warm.
     UserCold,
@@ -129,8 +137,11 @@ impl ColdScenario {
     }
 
     /// Classifies a query from base-graph degrees.
-    pub fn classify(user_degree: usize, item_degree: usize, threshold: usize) -> Self {
-        match (user_degree < threshold, item_degree < threshold) {
+    pub fn classify(user_degree: usize, item_degree: usize) -> Self {
+        match (
+            user_degree < COLD_DEGREE_THRESHOLD,
+            item_degree < COLD_DEGREE_THRESHOLD,
+        ) {
             (false, false) => ColdScenario::WarmUp,
             (true, false) => ColdScenario::UserCold,
             (false, true) => ColdScenario::ItemCold,
@@ -369,6 +380,20 @@ pub struct TierStats {
     pub failure_degraded: u64,
 }
 
+impl TierStats {
+    /// Adds `other`'s counts to `self`'s.
+    fn absorb(&mut self, other: &TierStats) {
+        self.model += other.model;
+        self.quantized += other.quantized;
+        self.hybrid += other.hybrid;
+        self.cache += other.cache;
+        self.fallback += other.fallback;
+        self.deadline_degraded += other.deadline_degraded;
+        self.breaker_degraded += other.breaker_degraded;
+        self.failure_degraded += other.failure_degraded;
+    }
+}
+
 /// Serves rating queries from a frozen model.
 ///
 /// Contexts are sampled deterministically per `(seed, user, item)` and
@@ -419,43 +444,64 @@ pub struct ServeEngine {
     /// order is identical to the CSR commit order — the invariant that
     /// makes replayed recovery bit-exact.
     write_order: Mutex<()>,
-    /// Tier counters broken down by the model version that answered.
-    version_stats: Mutex<BTreeMap<ModelVersion, TierStats>>,
-    /// Tier counters broken down by cold-start scenario.
-    scenario_stats: Mutex<BTreeMap<ColdScenario, TierStats>>,
-    served_model: AtomicU64,
-    served_quantized: AtomicU64,
-    served_hybrid: AtomicU64,
-    served_cache: AtomicU64,
-    served_fallback: AtomicU64,
-    deadline_degraded: AtomicU64,
-    breaker_degraded: AtomicU64,
-    failure_degraded: AtomicU64,
+    /// The one tier-counter store, keyed by the model version that answered
+    /// and the query's cold-start scenario. [`ServeEngine::tier_stats`],
+    /// [`ServeEngine::version_stats`] and [`ServeEngine::scenario_stats`]
+    /// are folds of it, so they agree by construction. A batch counts into
+    /// its own [`Batch`] and is flushed here, under one lock, before
+    /// `predict_batch_tagged` returns.
+    tiers: Mutex<BTreeMap<(ModelVersion, ColdScenario), TierStats>>,
 }
 
-/// Why a degraded (fallback-tier) answer was degraded.
-#[derive(Debug, Clone, Copy)]
+/// Why a group of queries left the model rungs.
+#[derive(Debug)]
 enum DegradeReason {
+    /// The deadline budget is gone, or ran out inside a forward.
     Deadline,
+    /// The breaker refused the model rung.
     Breaker,
-    Failure,
+    /// Context resolution or a model-family forward failed — out its retry
+    /// budget, for the model rung — with this error.
+    Failure(ServeError),
 }
 
-impl DegradeReason {
-    fn bump(self, stats: &mut TierStats) {
-        stats.fallback += 1;
-        match self {
-            DegradeReason::Deadline => stats.deadline_degraded += 1,
-            DegradeReason::Breaker => stats.breaker_degraded += 1,
-            DegradeReason::Failure => stats.failure_degraded += 1,
-        }
-    }
+/// The degradation ladder in descent order. `Memo` is the fast path in
+/// front of it: looked up while a query's context is resolved, before
+/// groups are formed, and never descended *to*. A group enters at `Model`
+/// or `Quantized` ([`ServeEngine::enter`]); a rung that cannot answer hands
+/// it to `Hybrid` and then `EntityMean`, which always answers
+/// ([`ServeEngine::refuse_or_degrade`]). `Model` never falls to
+/// `Quantized`: the two share the forward machinery, so the fault would
+/// very likely repeat there and burn more of the budget.
+#[derive(Debug, Clone, Copy)]
+enum Rung<'a> {
+    Memo,
+    Model,
+    Quantized,
+    Hybrid,
+    /// Tagged with why the query fell this far.
+    EntityMean(&'a DegradeReason),
+}
+
+/// One `predict_batch_tagged` call on its way out: the version it is
+/// pinned to, the reply slots, and the tier counts to flush.
+struct Batch<'a> {
+    queries: &'a [RatingQuery],
+    version: ModelVersion,
+    out: Vec<Option<Answer>>,
+    counts: BTreeMap<ColdScenario, TierStats>,
 }
 
 /// Poison recovery: cache and graph stay consistent across a panicking
 /// holder (plain data updates only).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// A typed refusal — of a caller's input, or of a rung's output — under the
+/// engine's name.
+fn invalid(detail: String) -> ServeError {
+    ServeError::Model(HireError::invalid_data("ServeEngine", detail))
 }
 
 /// Maps WAL failures onto the serving error surface: injected chaos faults
@@ -545,16 +591,7 @@ impl ServeEngine {
             inserted: Mutex::new(Vec::new()),
             wal: None,
             write_order: Mutex::new(()),
-            version_stats: Mutex::new(BTreeMap::new()),
-            scenario_stats: Mutex::new(BTreeMap::new()),
-            served_model: AtomicU64::new(0),
-            served_quantized: AtomicU64::new(0),
-            served_hybrid: AtomicU64::new(0),
-            served_cache: AtomicU64::new(0),
-            served_fallback: AtomicU64::new(0),
-            deadline_degraded: AtomicU64::new(0),
-            breaker_degraded: AtomicU64::new(0),
-            failure_degraded: AtomicU64::new(0),
+            tiers: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -644,7 +681,7 @@ impl ServeEngine {
     pub fn scenario_of(&self, user: usize, item: usize) -> ColdScenario {
         let ud = self.base_user_degree.get(user).copied().unwrap_or(0);
         let id = self.base_item_degree.get(item).copied().unwrap_or(0);
-        ColdScenario::classify(ud, id, self.config.cold_degree_threshold)
+        ColdScenario::classify(ud, id)
     }
 
     /// Atomically installs `model` as the new serving incumbent under a
@@ -687,16 +724,13 @@ impl ServeEngine {
         if model.embed_dim() != incumbent.model.embed_dim()
             || model.num_parameters() != incumbent.model.num_parameters()
         {
-            return Err(ServeError::Model(HireError::invalid_data(
-                "ServeEngine",
-                format!(
-                    "candidate model is incompatible with the incumbent: \
-                     embed dim {} vs {}, {} vs {} parameters",
-                    model.embed_dim(),
-                    incumbent.model.embed_dim(),
-                    model.num_parameters(),
-                    incumbent.model.num_parameters()
-                ),
+            return Err(invalid(format!(
+                "candidate model is incompatible with the incumbent: \
+                 embed dim {} vs {}, {} vs {} parameters",
+                model.embed_dim(),
+                incumbent.model.embed_dim(),
+                model.num_parameters(),
+                incumbent.model.num_parameters()
             )));
         }
         let quantized = self
@@ -724,13 +758,10 @@ impl ServeEngine {
         let mut installed = lock(&self.installed);
         if self.wal.is_some() {
             let SlotSource::Checkpoint { tag, steps } = &source else {
-                return Err(ServeError::Model(HireError::invalid_data(
-                    "ServeEngine",
-                    format!(
-                        "engine has a write-ahead log attached, and recovery could not \
-                         reload weights from {source:?}; checkpoint them and install \
-                         from SlotSource::Checkpoint"
-                    ),
+                return Err(invalid(format!(
+                    "engine has a write-ahead log attached, and recovery could not \
+                     reload weights from {source:?}; checkpoint them and install \
+                     from SlotSource::Checkpoint"
                 )));
             };
             self.log_durably(&WalRecord::ModelPromoted {
@@ -864,9 +895,32 @@ impl ServeEngine {
     /// final CSR (and therefore every deterministic context sample) is
     /// bit-identical.
     pub(crate) fn replay_rating(&self, rating: Rating) {
+        self.apply_rating(rating, None)
+            .expect("nothing is appended, so nothing can be refused");
+    }
+
+    /// The one graph write. Under `write_order`: append to `wal` when one
+    /// is given — *before* mutating any state, so a refused append leaves
+    /// the engine untouched — then the copy-on-write commit (pinned readers
+    /// keep their snapshots; the epoch bump makes an in-flight resolver
+    /// refuse to cache a sample of the displaced snapshot) and the insert
+    /// log. Holding the lock across all three makes WAL record order ≡
+    /// graph commit order ≡ `inserted` order, the invariant recovery's
+    /// replay depends on. Returns the appended record's LSN.
+    fn apply_rating(&self, rating: Rating, wal: Option<&Wal>) -> Result<Option<u64>, ServeError> {
         let _order = lock(&self.write_order);
+        let record = WalRecord::Rating {
+            user: rating.user as u64,
+            item: rating.item as u64,
+            value: rating.value,
+        };
+        let lsn = wal
+            .map(|wal| wal.append(&record))
+            .transpose()
+            .map_err(wal_to_serve)?;
         self.graph.commit_edges(&[rating]);
         lock(&self.inserted).push(rating);
+        Ok(lsn)
     }
 
     /// Ratings accepted by [`ServeEngine::insert_rating`] since `cursor`
@@ -880,24 +934,29 @@ impl ServeEngine {
 
     /// Tier counters broken down by answering model version.
     pub fn version_stats(&self) -> Vec<(ModelVersion, TierStats)> {
-        lock(&self.version_stats)
-            .iter()
-            .map(|(&v, &s)| (v, s))
-            .collect()
+        self.fold_tiers(|version, _| version).into_iter().collect()
     }
 
     /// Tier counters broken down by cold-start scenario.
     pub fn scenario_stats(&self) -> Vec<(ColdScenario, TierStats)> {
-        lock(&self.scenario_stats)
-            .iter()
-            .map(|(&c, &s)| (c, s))
+        self.fold_tiers(|_, scenario| scenario)
+            .into_iter()
             .collect()
     }
 
-    /// Applies one answer to the per-version and per-scenario breakdowns.
-    fn tally(&self, version: ModelVersion, scenario: ColdScenario, bump: impl Fn(&mut TierStats)) {
-        bump(lock(&self.version_stats).entry(version).or_default());
-        bump(lock(&self.scenario_stats).entry(scenario).or_default());
+    /// The tier-counter store summed by `key`.
+    fn fold_tiers<K: Ord>(
+        &self,
+        key: impl Fn(ModelVersion, ColdScenario) -> K,
+    ) -> BTreeMap<K, TierStats> {
+        let mut folded: BTreeMap<K, TierStats> = BTreeMap::new();
+        for (&(version, scenario), stats) in lock(&self.tiers).iter() {
+            folded
+                .entry(key(version, scenario))
+                .or_default()
+                .absorb(stats);
+        }
+        folded
     }
 
     /// The engine configuration.
@@ -917,16 +976,11 @@ impl ServeEngine {
 
     /// Per-tier serve counters.
     pub fn tier_stats(&self) -> TierStats {
-        TierStats {
-            model: self.served_model.load(Ordering::Relaxed),
-            quantized: self.served_quantized.load(Ordering::Relaxed),
-            hybrid: self.served_hybrid.load(Ordering::Relaxed),
-            cache: self.served_cache.load(Ordering::Relaxed),
-            fallback: self.served_fallback.load(Ordering::Relaxed),
-            deadline_degraded: self.deadline_degraded.load(Ordering::Relaxed),
-            breaker_degraded: self.breaker_degraded.load(Ordering::Relaxed),
-            failure_degraded: self.failure_degraded.load(Ordering::Relaxed),
+        let mut total = TierStats::default();
+        for stats in lock(&self.tiers).values() {
+            total.absorb(stats);
         }
+        total
     }
 
     /// Circuit-breaker state, if a breaker is configured.
@@ -944,45 +998,19 @@ impl ServeEngine {
     /// Returns the number of invalidated contexts.
     pub fn insert_rating(&self, rating: Rating) -> Result<usize, ServeError> {
         if rating.user >= self.dataset.num_users || rating.item >= self.dataset.num_items {
-            return Err(ServeError::Model(HireError::invalid_data(
-                "ServeEngine",
-                format!(
-                    "rating edge ({}, {}) out of range",
-                    rating.user, rating.item
-                ),
+            return Err(invalid(format!(
+                "rating edge ({}, {}) out of range",
+                rating.user, rating.item
             )));
         }
-        // Durable path: append to the WAL *before* mutating any state, under
-        // the write-order lock so WAL record order ≡ graph commit order ≡
-        // `inserted` order (the invariant recovery's replay depends on). A
-        // refused append leaves the engine untouched and unacknowledged.
-        let logged = if let Some(wal) = &self.wal {
-            let order = lock(&self.write_order);
-            let lsn = wal
-                .append(&WalRecord::Rating {
-                    user: rating.user as u64,
-                    item: rating.item as u64,
-                    value: rating.value,
-                })
-                .map_err(wal_to_serve)?;
-            self.graph.commit_edges(&[rating]);
-            lock(&self.inserted).push(rating);
-            drop(order);
-            Some((wal, lsn))
-        } else {
-            // Copy-on-write commit: pinned readers keep their snapshots, the
-            // epoch bump makes any in-flight resolver refuse to cache a
-            // sample taken against the displaced snapshot.
-            self.graph.commit_edges(&[rating]);
-            lock(&self.inserted).push(rating);
-            None
-        };
+        // A refused append leaves the engine untouched and unacknowledged.
+        let logged = self.apply_rating(rating, self.wal.as_deref())?;
         let invalidated = self.invalidate_cached_edge(rating.user, rating.item);
         // Durability wait happens outside the write-order lock (group commit
         // batches many waiters under one fsync). A failed commit means the
         // write is *not acknowledged*: the record may or may not survive a
         // crash, which is exactly the unacked contract.
-        if let Some((wal, lsn)) = logged {
+        if let (Some(wal), Some(lsn)) = (&self.wal, logged) {
             wal.commit(lsn).map_err(wal_to_serve)?;
         }
         Ok(invalidated)
@@ -1024,9 +1052,8 @@ impl ServeEngine {
         memo: Option<(ModelVersion, f32)>,
     ) -> Result<(), ServeError> {
         if ctx.user_row(user).is_none() || ctx.item_col(item).is_none() {
-            return Err(ServeError::Model(HireError::invalid_data(
-                "ServeEngine",
-                format!("adopted context does not contain the cell of query ({user}, {item})"),
+            return Err(invalid(format!(
+                "adopted context does not contain the cell of query ({user}, {item})"
             )));
         }
         let key = self.cache_key(user, item);
@@ -1052,141 +1079,177 @@ impl ServeEngine {
     /// Resolves the prediction context for a query: cache hit, or a fresh
     /// deterministic sample over the current graph.
     pub fn context_for(&self, query: &RatingQuery) -> Result<Arc<PredictionContext>, ServeError> {
+        self.check_range(query)?;
         self.resolve(self.version(), query).map(|(_, ctx, _)| ctx)
     }
 
     /// Validates a query against the dataset bounds (a caller bug, never
     /// degraded around).
     fn check_range(&self, query: &RatingQuery) -> Result<(), ServeError> {
-        if query.user >= self.dataset.num_users {
-            return Err(ServeError::Model(HireError::invalid_data(
-                "ServeEngine",
-                format!(
-                    "user {} out of range {}",
-                    query.user, self.dataset.num_users
-                ),
-            )));
-        }
-        if query.item >= self.dataset.num_items {
-            return Err(ServeError::Model(HireError::invalid_data(
-                "ServeEngine",
-                format!(
-                    "item {} out of range {}",
-                    query.item, self.dataset.num_items
-                ),
-            )));
+        for (entity, index, bound) in [
+            ("user", query.user, self.dataset.num_users),
+            ("item", query.item, self.dataset.num_items),
+        ] {
+            if index >= bound {
+                return Err(invalid(format!("{entity} {index} out of range {bound}")));
+            }
         }
         Ok(())
     }
 
-    /// `context_for` plus the cache key and any memoized prediction. The
-    /// memo is exact, not approximate: the model is frozen, sampling is
-    /// deterministic per `(seed, user, item)`, and graph updates invalidate
-    /// the whole entry — so a stored prediction is bit-identical to
-    /// recomputing it.
+    /// The one guard around everything a rung runs that is not plain data
+    /// movement: the chaos hook on `site` (a null check without a
+    /// [`FaultPlan`]; a fired `Delay` or `WrongShape` is handed to `body`,
+    /// a fired `Error` is the typed [`ServeError::Injected`]) and panic
+    /// isolation — a panic in the hook or in `body` is a typed
+    /// "`what` panicked" error, never an unwinding worker.
+    fn guarded<T>(
+        &self,
+        site: &'static str,
+        what: impl std::fmt::Display,
+        body: impl FnOnce(Option<FaultKind>) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        catch_unwind(AssertUnwindSafe(|| {
+            let fired = match &self.faults {
+                Some(plan) => plan.fire(site)?,
+                None => None,
+            };
+            body(fired)
+        }))
+        .unwrap_or_else(|_panic| Err(invalid(format!("{what} panicked"))))
+    }
+
+    /// Context resolution behind the guard ([`sites::ENGINE_RESOLVE`]): the
+    /// cached or freshly sampled context of an in-range `query`, its cache
+    /// key, and any memoized prediction. The memo is exact, not
+    /// approximate: the model is frozen, sampling is deterministic per
+    /// `(seed, user, item)`, and graph updates invalidate the whole entry —
+    /// so a stored prediction is bit-identical to recomputing it.
     fn resolve(
         &self,
         version: ModelVersion,
         query: &RatingQuery,
     ) -> Result<(CacheKey, Arc<PredictionContext>, Option<f32>), ServeError> {
-        self.check_range(query)?;
-        if let Some(plan) = &self.faults {
-            plan.fire(sites::ENGINE_RESOLVE)?;
-        }
-        let key = self.cache_key(query.user, query.item);
-        if let Some(hit) = lock(&self.cache).get(&key, version) {
-            return Ok((key, hit.ctx, hit.prediction));
-        }
-        // Pin the snapshot and its epoch atomically: if a rating commits
-        // while we sample, the guarded insert below refuses to cache the
-        // (possibly stale) sample — it is still good enough to answer this
-        // query, whose submission raced the write.
-        let pinned = self.graph.pin();
-        let mut rng = StdRng::seed_from_u64(context_seed(self.config.seed, query.user, query.item));
-        // The query cell is target-masked, so its placeholder value never
-        // reaches the model input.
-        let placeholder = Rating::new(query.user, query.item, self.dataset.min_rating);
-        let ctx = test_context_with_ratio(
-            &pinned,
-            &NeighborhoodSampler,
-            &[placeholder],
-            self.config.context_users,
-            self.config.context_items,
-            self.config.keep_ratio,
-            &mut rng,
-        )
-        .map_err(ServeError::Model)?;
-        let ctx = Arc::new(ctx);
-        lock(&self.cache).insert_if_current(key.clone(), ctx.clone(), &pinned, &self.graph);
-        Ok((key, ctx, None))
+        self.guarded(sites::ENGINE_RESOLVE, "context resolution", |_| {
+            let key = self.cache_key(query.user, query.item);
+            if let Some(hit) = lock(&self.cache).get(&key, version) {
+                return Ok((key, hit.ctx, hit.prediction));
+            }
+            // Pin the snapshot and its epoch atomically: if a rating
+            // commits while we sample, the guarded insert below refuses
+            // to cache the (possibly stale) sample — it is still good
+            // enough to answer this query, whose submission raced the
+            // write.
+            let pinned = self.graph.pin();
+            let mut rng =
+                StdRng::seed_from_u64(context_seed(self.config.seed, query.user, query.item));
+            // The query cell is target-masked, so its placeholder value
+            // never reaches the model input.
+            let placeholder = Rating::new(query.user, query.item, self.dataset.min_rating);
+            let ctx = test_context_with_ratio(
+                &pinned,
+                &NeighborhoodSampler,
+                &[placeholder],
+                self.config.context_users,
+                self.config.context_items,
+                self.config.keep_ratio,
+                &mut rng,
+            )
+            .map_err(ServeError::Model)?;
+            let ctx = Arc::new(ctx);
+            lock(&self.cache).insert_if_current(key.clone(), ctx.clone(), &pinned, &self.graph);
+            Ok((key, ctx, None))
+        })
     }
 
-    /// Graph-statistics answers for the fallback tier: user mean → item
-    /// mean → global mean over the live serving graph, clamped into the
-    /// dataset's rating range.
-    fn fallback_ratings(&self, queries: &[(usize, usize)]) -> Vec<f32> {
-        let graph = self.graph.latest();
-        let mut predictor = EntityMean::new();
-        // `fit` only computes the global mean; the RNG is unused but part
-        // of the `RatingModel` contract.
-        let mut rng = StdRng::seed_from_u64(0);
-        predictor.fit(&self.dataset, &graph, &mut rng);
-        let (lo, hi) = (self.dataset.min_rating, self.dataset.max_rating());
-        predictor
-            .predict(&self.dataset, &graph, queries)
-            .into_iter()
-            .map(|v| v.clamp(lo, hi))
-            .collect()
-    }
-
-    /// Answers `positions` of the incoming batch via the fallback tier,
-    /// attributing the degradation to `reason`. Fallback answers are
-    /// stamped with the batch's pinned `version` too: the fallback depends
-    /// on the graph rather than the model, but attributing it to the
-    /// serving version is what lets the demotion watchdog compare
-    /// fallback *rates* across versions.
-    fn degrade(
-        &self,
-        positions: &[usize],
-        queries: &[RatingQuery],
-        out: &mut [Option<Answer>],
-        version: ModelVersion,
-        reason: DegradeReason,
-    ) {
-        if positions.is_empty() {
-            return;
-        }
-        let pairs: Vec<(usize, usize)> = positions
-            .iter()
-            .map(|&i| (queries[i].user, queries[i].item))
-            .collect();
-        let ratings = self.fallback_ratings(&pairs);
-        for (&i, rating) in positions.iter().zip(ratings) {
-            out[i] = Some(Answer {
-                rating,
-                served_by: ServedBy::Fallback,
-                version,
-            });
-            let q = &queries[i];
-            self.tally(version, self.scenario_of(q.user, q.item), |s| {
-                reason.bump(s)
-            });
-        }
-        self.served_fallback
-            .fetch_add(positions.len() as u64, Ordering::Relaxed);
-        let counter = match reason {
-            DegradeReason::Deadline => &self.deadline_degraded,
-            DegradeReason::Breaker => &self.breaker_degraded,
-            DegradeReason::Failure => &self.failure_degraded,
+    /// The one answer sink: builds the [`Answer`] of batch position `i`,
+    /// tagged with the batch's pinned version, and counts it against the
+    /// query's scenario. Degraded answers carry the pinned version too: the
+    /// lower rungs depend on the graph rather than the model, but
+    /// attributing them to the serving version is what lets the demotion
+    /// watchdog compare fallback *rates* across versions.
+    fn answer(&self, batch: &mut Batch, i: usize, rating: f32, rung: Rung) {
+        let q = &batch.queries[i];
+        let stats = batch
+            .counts
+            .entry(self.scenario_of(q.user, q.item))
+            .or_default();
+        let (served_by, counter) = match rung {
+            Rung::Memo => (ServedBy::Cache, &mut stats.cache),
+            Rung::Model => (ServedBy::Model, &mut stats.model),
+            Rung::Quantized => (ServedBy::Quantized, &mut stats.quantized),
+            Rung::Hybrid => (ServedBy::Hybrid, &mut stats.hybrid),
+            Rung::EntityMean(reason) => {
+                *match reason {
+                    DegradeReason::Deadline => &mut stats.deadline_degraded,
+                    DegradeReason::Breaker => &mut stats.breaker_degraded,
+                    DegradeReason::Failure(_) => &mut stats.failure_degraded,
+                } += 1;
+                (ServedBy::Fallback, &mut stats.fallback)
+            }
         };
-        counter.fetch_add(positions.len() as u64, Ordering::Relaxed);
+        *counter += 1;
+        batch.out[i] = Some(Answer {
+            rating,
+            served_by,
+            version: batch.version,
+        });
     }
 
-    /// One guarded model-family attempt over a same-shape group — the
+    /// Where a group joins the ladder — the one reader of the deadline
+    /// budget, [`QuantTierConfig::deadline_threshold`] and the breaker's
+    /// admission. In order:
+    ///
+    /// 1. budget gone → below the model rungs: no forward is affordable,
+    ///    quantized included, and nothing is ever silently late;
+    /// 2. budget thinner than the threshold → `Quantized`: the
+    ///    full-precision forward would likely land late;
+    /// 3. breaker refuses → `Quantized` if it is *half-open* with its
+    ///    probes spent (probing is about readmitting the full-precision
+    ///    path; the quantized forward keeps answer quality up meanwhile),
+    ///    below the model rungs if it is open;
+    /// 4. otherwise `Model`, holding one breaker admission.
+    ///
+    /// `attempt` 0 is a group's entry. The model rung asks again before
+    /// each retry (`attempt` > 0), and continues only on `Model`; step 2 is
+    /// an entry decision and does not apply to it.
+    fn enter(
+        &self,
+        slot: &ModelSlot,
+        deadline: Option<Instant>,
+        attempt: usize,
+    ) -> Result<Rung<'static>, DegradeReason> {
+        let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        if left == Some(Duration::ZERO) {
+            return Err(DegradeReason::Deadline);
+        }
+        let quantized = slot
+            .quantized
+            .as_ref()
+            .and(self.resilience.quantized.as_ref());
+        if attempt == 0
+            && quantized
+                .zip(left)
+                .is_some_and(|(tier, left)| left < tier.deadline_threshold)
+        {
+            return Ok(Rung::Quantized);
+        }
+        match &self.breaker {
+            Some(breaker) if !breaker.admit() => {
+                if quantized.is_some() && breaker.state() == BreakerState::HalfOpen {
+                    Ok(Rung::Quantized)
+                } else {
+                    Err(DegradeReason::Breaker)
+                }
+            }
+            _ => Ok(Rung::Model),
+        }
+    }
+
+    /// One guarded model-family forward over a same-shape group — the
     /// full-precision rung ([`sites::ENGINE_FORWARD`]) and the quantized
     /// rung ([`sites::QUANT_FORWARD`]) are the same forward over different
-    /// weight storage: chaos hooks on `site`, panic isolation,
-    /// deadline-aware forward, and output-shape validation. `Ok(None)`
+    /// weight storage: deadline-aware, output-shape validated. `Ok(None)`
     /// means the deadline budget ran out; `label` names the rung in errors.
     fn forward_attempt<W: WeightMatrix>(
         &self,
@@ -1196,57 +1259,130 @@ impl ServeEngine {
         refs: &[&PredictionContext],
         deadline: Option<Instant>,
     ) -> Result<Option<Vec<NdArray>>, ServeError> {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut truncate = false;
-            if let Some(plan) = &self.faults {
-                if let Some(kind) = plan.fire(site)? {
-                    truncate = matches!(kind, FaultKind::WrongShape);
-                }
-            }
-            let preds = weights
+        let preds = self.guarded(site, format_args!("{label} forward"), |fired| {
+            let mut preds = weights
                 .forward_nograd_batch_within(refs, &self.dataset, deadline)
                 .map_err(ServeError::Model)?;
-            Ok(preds.map(|mut p| {
-                if truncate {
-                    // Chaos `WrongShape`: the "model" loses one output.
-                    p.pop();
-                }
-                p
-            }))
-        }));
-        match outcome {
-            Ok(Ok(Some(preds))) if preds.len() != refs.len() => {
-                Err(ServeError::Model(HireError::invalid_data(
-                    "ServeEngine",
-                    format!(
-                        "{label} returned {} predictions for {} contexts",
-                        preds.len(),
-                        refs.len()
-                    ),
-                )))
+            if let (Some(FaultKind::WrongShape), Some(preds)) = (fired, &mut preds) {
+                // Chaos `WrongShape`: the "model" loses one output.
+                preds.pop();
             }
-            Ok(result) => result,
-            Err(_panic) => Err(ServeError::Model(HireError::invalid_data(
-                "ServeEngine",
-                format!("{label} forward panicked"),
+            Ok(preds)
+        })?;
+        match preds {
+            Some(preds) if preds.len() != refs.len() => Err(invalid(format!(
+                "{label} returned {} predictions for {} contexts",
+                preds.len(),
+                refs.len()
             ))),
+            preds => Ok(preds),
         }
     }
 
+    /// The model rung: up to `retry_attempts` guarded forwards with seeded
+    /// jittered backoff between them. The first attempt runs on the
+    /// admission [`ServeEngine::enter`] granted the group; each retry asks
+    /// again. Every attempt settles its admission with the breaker: an
+    /// answer or an error is an outcome; a deadline that ran out inside the
+    /// forward is not a model failure, so the admission is forfeited
+    /// without one and the rung stops (an earlier attempt's error, if any,
+    /// stays the result).
+    fn model_rung(
+        &self,
+        slot: &ModelSlot,
+        refs: &[&PredictionContext],
+        deadline: Option<Instant>,
+        backoff_seed: u64,
+    ) -> Result<Option<Vec<NdArray>>, ServeError> {
+        let mut backoff = Backoff::new(self.resilience.retry_backoff.clone(), backoff_seed);
+        let mut outcome = Ok(None);
+        for attempt in 0..self.resilience.retry_attempts.max(1) {
+            if attempt > 0 {
+                std::thread::sleep(backoff.next_delay());
+                if !matches!(self.enter(slot, deadline, attempt), Ok(Rung::Model)) {
+                    break;
+                }
+            }
+            let attempted = self.forward_attempt(
+                sites::ENGINE_FORWARD,
+                "model",
+                &slot.model.weights,
+                refs,
+                deadline,
+            );
+            if let Some(breaker) = &self.breaker {
+                match &attempted {
+                    Ok(Some(_)) => breaker.record(true),
+                    Ok(None) => breaker.forfeit(),
+                    Err(_) => breaker.record(false),
+                }
+            }
+            match attempted {
+                Ok(None) => break,
+                Err(e) => outcome = Err(e),
+                answered => return answered,
+            }
+        }
+        outcome
+    }
+
+    /// Walks one group of same-shape contexts down the ladder from where
+    /// [`ServeEngine::enter`] puts it until a rung has answered every
+    /// waiter, or the walk is refused.
+    fn descend(
+        &self,
+        slot: &ModelSlot,
+        group: &[&PendingQuery],
+        deadline: Option<Instant>,
+        backoff_seed: u64,
+        batch: &mut Batch,
+    ) -> Result<(), ServeError> {
+        let refs: Vec<&PredictionContext> = group.iter().map(|p| &*p.ctx).collect();
+        let reason = match self.enter(slot, deadline, 0) {
+            Err(reason) => reason,
+            Ok(rung) => {
+                let outcome = if let Rung::Quantized = rung {
+                    let quantized = slot
+                        .quantized
+                        .as_ref()
+                        .expect("`enter` picks the quantized rung only off a quantized slot");
+                    self.forward_attempt(
+                        sites::QUANT_FORWARD,
+                        "quantized model",
+                        &quantized.weights,
+                        &refs,
+                        deadline,
+                    )
+                } else {
+                    self.model_rung(slot, &refs, deadline, backoff_seed)
+                };
+                match outcome {
+                    Ok(Some(preds)) => return self.scatter(group, &preds, rung, batch),
+                    Ok(None) => DegradeReason::Deadline,
+                    Err(e) => DegradeReason::Failure(e),
+                }
+            }
+        };
+        let waiters: Vec<usize> = group
+            .iter()
+            .flat_map(|p| p.waiters.iter().copied())
+            .collect();
+        self.refuse_or_degrade(&waiters, reason, batch)
+    }
+
     /// Scatters one group's forward output to the batch positions waiting
-    /// on it, tagged with the rung that produced it.
+    /// on it.
     fn scatter(
         &self,
         group: &[&PendingQuery],
         preds: &[NdArray],
-        served_by: ServedBy,
-        version: ModelVersion,
-        out: &mut [Option<Answer>],
+        rung: Rung,
+        batch: &mut Batch,
     ) -> Result<(), ServeError> {
         for (pred, PendingQuery { key, ctx, waiters }) in preds.iter().zip(group) {
             let (row, col) = query_cell(key, ctx)?;
             let value = pred.at(&[row, col]);
-            let (counter, bump): (_, fn(&mut TierStats)) = if served_by == ServedBy::Model {
+            if let Rung::Model = rung {
                 // Memoize against the exact context the value was computed
                 // from (and the version that computed it): if the entry was
                 // invalidated and resampled in the meantime, the memo must
@@ -1255,83 +1391,128 @@ impl ServeEngine {
                 // Quantized answers are *not* memoized: the memo is the
                 // exact model-tier value, and a later cache hit must not
                 // launder a lower-fidelity answer into the cache tier.
-                lock(&self.cache).store_prediction(key, ctx, version, value);
-                (&self.served_model, |s| s.model += 1)
-            } else {
-                (&self.served_quantized, |s| s.quantized += 1)
-            };
-            counter.fetch_add(waiters.len() as u64, Ordering::Relaxed);
-            let scenario = self.scenario_of(key.user, key.item);
+                lock(&self.cache).store_prediction(key, ctx, batch.version, value);
+            }
             for &i in waiters {
-                self.tally(version, scenario, bump);
-                out[i] = Some(Answer {
-                    rating: value,
-                    served_by,
-                    version,
-                });
+                self.answer(batch, i, value, rung);
             }
         }
         Ok(())
     }
 
-    /// One guarded hybrid-tier attempt: chaos hooks on
-    /// [`sites::HYBRID_FORWARD`] plus panic isolation around the (context-
-    /// free, never-failing by construction) hybrid predictor.
-    fn hybrid_attempt(
+    /// What happens to `positions` once the model rungs are out, for
+    /// `reason` — the one reader of [`ResilienceConfig::fallback`]. Without
+    /// it the walk is refused with the reason's typed error: an exhausted
+    /// budget is [`ServeError::DeadlineExceeded`], a refusing breaker
+    /// [`ServeError::CircuitOpen`], a failed rung its own error. With it
+    /// the ladder's tail answers, always: the hybrid predictor if one is
+    /// installed and healthy behind its guard
+    /// ([`sites::HYBRID_FORWARD`]; it needs no context), else graph
+    /// statistics.
+    fn refuse_or_degrade(
         &self,
-        hybrid: &HybridModel,
         positions: &[usize],
-        queries: &[RatingQuery],
-    ) -> Result<Vec<f32>, ServeError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            if let Some(plan) = &self.faults {
-                plan.fire(sites::HYBRID_FORWARD)?;
-            }
-            Ok(positions
-                .iter()
-                .map(|&i| hybrid.predict(queries[i].user, queries[i].item))
-                .collect())
-        }))
-        .unwrap_or_else(|_panic| {
-            Err(ServeError::Model(HireError::invalid_data(
-                "ServeEngine",
-                "hybrid forward panicked",
-            )))
-        })
+        reason: DegradeReason,
+        batch: &mut Batch,
+    ) -> Result<(), ServeError> {
+        if !self.resilience.fallback {
+            return Err(match reason {
+                DegradeReason::Deadline => ServeError::DeadlineExceeded,
+                DegradeReason::Breaker => ServeError::CircuitOpen,
+                DegradeReason::Failure(e) => e,
+            });
+        }
+        let pairs: Vec<(usize, usize)> = positions
+            .iter()
+            .map(|&i| (batch.queries[i].user, batch.queries[i].item))
+            .collect();
+        let hybrid = self.hybrid.as_ref().and_then(|hybrid| {
+            self.guarded(sites::HYBRID_FORWARD, "hybrid forward", |_| {
+                Ok(pairs.iter().map(|&(u, i)| hybrid.predict(u, i)).collect())
+            })
+            .ok()
+        });
+        let (ratings, rung) = match hybrid {
+            Some(ratings) => (ratings, Rung::Hybrid),
+            None => (self.entity_mean(&pairs), Rung::EntityMean(&reason)),
+        };
+        for (&i, rating) in positions.iter().zip(ratings) {
+            self.answer(batch, i, rating, rung);
+        }
+        Ok(())
     }
 
-    /// Answers `positions` below the model tiers: the hybrid predictor if
-    /// one is installed and healthy, otherwise graph statistics attributed
-    /// to `reason`. This is the tail of the ladder — it always answers.
-    fn answer_below_model(
+    /// The last rung: user mean → item mean → global mean over the live
+    /// serving graph (`hire_baselines::EntityMean`), clamped into the
+    /// dataset's rating range. Never fails, and costs the degrees it reads.
+    fn entity_mean(&self, pairs: &[(usize, usize)]) -> Vec<f32> {
+        let graph = self.graph.latest();
+        let mut predictor = EntityMean::new();
+        // `fit` computes the global mean and nothing else: an O(E) sum that
+        // `predict` reads only for a pair with neither side rated, so it is
+        // paid only by a batch that has one. (Its RNG is unused, but part
+        // of the `RatingModel` contract.)
+        if pairs
+            .iter()
+            .any(|&(u, i)| graph.user_degree(u) == 0 && graph.item_degree(i) == 0)
+        {
+            predictor.fit(&self.dataset, &graph, &mut StdRng::seed_from_u64(0));
+        }
+        let (lo, hi) = (self.dataset.min_rating, self.dataset.max_rating());
+        predictor
+            .predict(&self.dataset, &graph, pairs)
+            .into_iter()
+            .map(|v| v.clamp(lo, hi))
+            .collect()
+    }
+
+    /// Answers every query of `batch`: the memo fast path while contexts
+    /// resolve, then one descent per group of same-shape contexts.
+    fn walk(
         &self,
-        positions: &[usize],
-        queries: &[RatingQuery],
-        out: &mut [Option<Answer>],
-        version: ModelVersion,
-        reason: DegradeReason,
-    ) {
-        if positions.is_empty() {
-            return;
-        }
-        if let Some(hybrid) = &self.hybrid {
-            if let Ok(ratings) = self.hybrid_attempt(hybrid, positions, queries) {
-                for (&i, rating) in positions.iter().zip(ratings) {
-                    out[i] = Some(Answer {
-                        rating,
-                        served_by: ServedBy::Hybrid,
-                        version,
-                    });
-                    let q = &queries[i];
-                    self.tally(version, self.scenario_of(q.user, q.item), |s| s.hybrid += 1);
-                }
-                self.served_hybrid
-                    .fetch_add(positions.len() as u64, Ordering::Relaxed);
-                return;
+        slot: &ModelSlot,
+        deadline: Option<Instant>,
+        batch: &mut Batch,
+    ) -> Result<(), ServeError> {
+        // Deduplicate the batch: coalesced traffic is skewed, so one
+        // forward per distinct (user, item) answers every duplicate. The
+        // memo fast-path skips the forward entirely for contexts whose
+        // prediction was already computed and not invalidated since.
+        let mut pending: BTreeMap<(usize, usize), PendingQuery> = BTreeMap::new();
+        let queries = batch.queries;
+        for (i, q) in queries.iter().enumerate() {
+            if let Some(p) = pending.get_mut(&(q.user, q.item)) {
+                p.waiters.push(i);
+                continue;
             }
-            // A faulted/panicking hybrid falls through to graph statistics.
+            // Range violations are caller bugs and always surface; any
+            // *other* resolution failure (injected fault, sampling error,
+            // panic) leaves the query without a context, so the model
+            // rungs are unreachable for it — but the hybrid rung needs none.
+            self.check_range(q)?;
+            match self.resolve(batch.version, q) {
+                Ok((_, _, Some(memo))) => self.answer(batch, i, memo, Rung::Memo),
+                Ok((key, ctx, None)) => {
+                    let waiters = vec![i];
+                    pending.insert((q.user, q.item), PendingQuery { key, ctx, waiters });
+                }
+                Err(e) => self.refuse_or_degrade(&[i], DegradeReason::Failure(e), batch)?,
+            }
         }
-        self.degrade(positions, queries, out, version, reason);
+        // Group same-shape contexts into one stacked forward each; the
+        // sampler may return fewer rows/columns than budgeted on tiny
+        // graphs, so shapes can differ across queries.
+        let mut groups: BTreeMap<(usize, usize), (usize, Vec<&PendingQuery>)> = BTreeMap::new();
+        for (k, p) in pending.values().enumerate() {
+            let shape = (p.ctx.n(), p.ctx.m());
+            groups.entry(shape).or_insert((k, Vec::new())).1.push(p);
+        }
+        for (first, group) in groups.values() {
+            // The model rung's retry jitter is seeded per group.
+            let backoff_seed = context_seed(self.config.seed ^ 0xBACC0FF, group.len(), *first);
+            self.descend(slot, group, deadline, backoff_seed, batch)?;
+        }
+        Ok(())
     }
 }
 
@@ -1361,241 +1542,26 @@ impl Predictor for ServeEngine {
         // read/write, and answer below uses this slot, so a hot swap that
         // lands mid-batch never mixes model versions within a batch.
         let slot = self.current_model();
-        let version = slot.version;
-        let mut out: Vec<Option<Answer>> = vec![None; queries.len()];
-        // Deduplicate the batch: coalesced traffic is skewed, so one
-        // forward per distinct (user, item) answers every duplicate. The
-        // memo fast-path skips the forward entirely for contexts whose
-        // prediction was already computed and not invalidated since.
-        let mut pending: BTreeMap<(usize, usize), PendingQuery> = BTreeMap::new();
-        for (i, q) in queries.iter().enumerate() {
-            if out[i].is_some() {
-                continue;
-            }
-            if let Some(p) = pending.get_mut(&(q.user, q.item)) {
-                p.waiters.push(i);
-                continue;
-            }
-            // Range violations are caller bugs and always surface; any
-            // *other* resolution failure (injected fault, sampling error,
-            // panic) is part of the degradation ladder below.
-            self.check_range(q)?;
-            let resolved = catch_unwind(AssertUnwindSafe(|| self.resolve(version, q)))
-                .unwrap_or_else(|_panic| {
-                    Err(ServeError::Model(HireError::invalid_data(
-                        "ServeEngine",
-                        "context resolution panicked",
-                    )))
-                });
-            match resolved {
-                Ok((key, ctx, Some(memo))) => {
-                    self.served_cache.fetch_add(1, Ordering::Relaxed);
-                    self.tally(version, self.scenario_of(q.user, q.item), |s| s.cache += 1);
-                    let answer = Answer {
-                        rating: memo,
-                        served_by: ServedBy::Cache,
-                        version,
-                    };
-                    out[i] = Some(answer);
-                    let _ = (key, ctx);
-                }
-                Ok((key, ctx, None)) => {
-                    pending.insert(
-                        (q.user, q.item),
-                        PendingQuery {
-                            key,
-                            ctx,
-                            waiters: vec![i],
-                        },
-                    );
-                }
-                Err(e) => {
-                    // No context, so the model tiers are unreachable for
-                    // this query — but the hybrid tier needs none.
-                    if self.resilience.fallback {
-                        self.answer_below_model(
-                            &[i],
-                            queries,
-                            &mut out,
-                            version,
-                            DegradeReason::Failure,
-                        );
-                    } else {
-                        return Err(e);
-                    }
-                }
+        let mut batch = Batch {
+            queries,
+            version: slot.version,
+            out: vec![None; queries.len()],
+            counts: BTreeMap::new(),
+        };
+        let walked = self.walk(&slot, deadline, &mut batch);
+        // Count before replying — what a refused walk answered on its way
+        // included — so a caller that has its reply also sees it counted.
+        {
+            let mut tiers = lock(&self.tiers);
+            for (scenario, counted) in &batch.counts {
+                tiers
+                    .entry((batch.version, *scenario))
+                    .or_default()
+                    .absorb(counted);
             }
         }
-        // Group same-shape contexts into one stacked forward each; the
-        // sampler may return fewer rows/columns than budgeted on tiny
-        // graphs, so shapes can differ across queries.
-        let unique: Vec<&PendingQuery> = pending.values().collect();
-        let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for (k, p) in unique.iter().enumerate() {
-            groups.entry((p.ctx.n(), p.ctx.m())).or_default().push(k);
-        }
-        for indices in groups.values() {
-            let waiters_of = |indices: &[usize]| -> Vec<usize> {
-                indices
-                    .iter()
-                    .flat_map(|&k| unique[k].waiters.iter().copied())
-                    .collect()
-            };
-            // Deadline ladder rung: a group whose budget is already gone
-            // cannot afford any forward, quantized included — it is
-            // answered from the context-free tiers, never silently late.
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                if self.resilience.fallback {
-                    self.answer_below_model(
-                        &waiters_of(indices),
-                        queries,
-                        &mut out,
-                        version,
-                        DegradeReason::Deadline,
-                    );
-                    continue;
-                }
-                return Err(ServeError::DeadlineExceeded);
-            }
-            // Quantized rung, budget trigger: when the remaining budget is
-            // thinner than the configured threshold, the full-precision
-            // forward would likely land late — serve the cheaper quantized
-            // forward instead.
-            let mut serve_quantized = slot.quantized.is_some()
-                && match (&self.resilience.quantized, deadline) {
-                    (Some(cfg), Some(d)) => {
-                        d.saturating_duration_since(Instant::now()) < cfg.deadline_threshold
-                    }
-                    _ => false,
-                };
-            // Breaker rung: an open breaker skips the model tier outright.
-            // A *half-open* breaker whose probe budget is spent still
-            // serves the quantized tier: probing is about readmitting the
-            // guarded full-precision path, and the quantized forward keeps
-            // answer quality up while those probes are in flight.
-            if !serve_quantized {
-                if let Some(breaker) = &self.breaker {
-                    if !breaker.admit() {
-                        if slot.quantized.is_some()
-                            && matches!(breaker.state(), BreakerState::HalfOpen)
-                        {
-                            serve_quantized = true;
-                        } else if self.resilience.fallback {
-                            self.answer_below_model(
-                                &waiters_of(indices),
-                                queries,
-                                &mut out,
-                                version,
-                                DegradeReason::Breaker,
-                            );
-                            continue;
-                        } else {
-                            return Err(ServeError::CircuitOpen);
-                        }
-                    }
-                }
-            }
-            let group: Vec<&PendingQuery> = indices.iter().map(|&k| unique[k]).collect();
-            let refs: Vec<&PredictionContext> = group.iter().map(|p| &*p.ctx).collect();
-            // `Ok(None)`: the deadline ran out inside the forward; `Err`:
-            // the rung failed (after its retry budget, for the model tier).
-            let (served_by, outcome) = if serve_quantized {
-                let quant = slot
-                    .quantized
-                    .as_ref()
-                    .expect("serve_quantized implies a quantized slot");
-                let outcome = self.forward_attempt(
-                    sites::QUANT_FORWARD,
-                    "quantized model",
-                    &quant.weights,
-                    &refs,
-                    deadline,
-                );
-                (ServedBy::Quantized, outcome)
-            } else {
-                // Model tier with retry: the first admitted attempt came
-                // from the breaker above; subsequent attempts re-admit.
-                let attempts = self.resilience.retry_attempts.max(1);
-                let mut backoff = Backoff::new(
-                    self.resilience.retry_backoff.clone(),
-                    context_seed(self.config.seed ^ 0xBACC0FF, refs.len(), indices[0]),
-                );
-                let mut outcome = Ok(None);
-                for attempt in 0..attempts {
-                    if attempt > 0 {
-                        std::thread::sleep(backoff.next_delay());
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            break;
-                        }
-                        if let Some(breaker) = &self.breaker {
-                            if !breaker.admit() {
-                                break;
-                            }
-                        }
-                    }
-                    match self.forward_attempt(
-                        sites::ENGINE_FORWARD,
-                        "model",
-                        &slot.model.weights,
-                        &refs,
-                        deadline,
-                    ) {
-                        Ok(Some(preds)) => {
-                            if let Some(breaker) = &self.breaker {
-                                breaker.record(true);
-                            }
-                            outcome = Ok(Some(preds));
-                            break;
-                        }
-                        Ok(None) => {
-                            // Deadline ran out inside the forward: not a
-                            // model failure — release the breaker admission
-                            // without an outcome and degrade (an earlier
-                            // attempt's error, if any, stays the outcome).
-                            if let Some(breaker) = &self.breaker {
-                                breaker.forfeit();
-                            }
-                            break;
-                        }
-                        Err(e) => {
-                            if let Some(breaker) = &self.breaker {
-                                breaker.record(false);
-                            }
-                            outcome = Err(e);
-                        }
-                    }
-                }
-                (ServedBy::Model, outcome)
-            };
-            let preds = match outcome {
-                Ok(Some(preds)) => preds,
-                // The rung failed out its retry budget (or its deadline):
-                // fall down the ladder — hybrid if installed, graph
-                // statistics otherwise. After a model-tier failure the
-                // quantized tier is *not* tried: it shares the failing
-                // forward machinery, so the fault would very likely repeat
-                // there and burn more of the budget.
-                failed if self.resilience.fallback => {
-                    let reason = if failed.is_err() {
-                        DegradeReason::Failure
-                    } else {
-                        DegradeReason::Deadline
-                    };
-                    self.answer_below_model(
-                        &waiters_of(indices),
-                        queries,
-                        &mut out,
-                        version,
-                        reason,
-                    );
-                    continue;
-                }
-                Ok(None) => return Err(ServeError::DeadlineExceeded),
-                Err(e) => return Err(e),
-            };
-            self.scatter(&group, &preds, served_by, version, &mut out)?;
-        }
-        collect_answers(out)
+        walked?;
+        collect_answers(batch.out)
     }
 }
 
@@ -1620,18 +1586,14 @@ fn query_cell(key: &CacheKey, ctx: &PredictionContext) -> Result<(usize, usize),
 /// typed [`ServeError::Internal`] so one bad batch degrades a reply
 /// instead of killing a serving worker.
 fn collect_answers(out: Vec<Option<Answer>>) -> Result<Vec<Answer>, ServeError> {
-    let mut answers = Vec::with_capacity(out.len());
-    for (i, answer) in out.into_iter().enumerate() {
-        match answer {
-            Some(a) => answers.push(a),
-            None => {
-                return Err(ServeError::Internal {
-                    detail: format!("query at batch position {i} was answered by no tier"),
-                })
-            }
-        }
-    }
-    Ok(answers)
+    out.into_iter()
+        .enumerate()
+        .map(|(i, answer)| {
+            answer.ok_or_else(|| ServeError::Internal {
+                detail: format!("query at batch position {i} was answered by no tier"),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1648,15 +1610,14 @@ mod tests {
             served_by: ServedBy::Model,
             version: 1,
         };
-        let err =
-            collect_answers(vec![Some(answered.clone()), None]).expect_err("a hole must not pass");
+        let err = collect_answers(vec![Some(answered), None]).expect_err("a hole must not pass");
         match err {
             ServeError::Internal { detail } => {
                 assert!(detail.contains("position 1"), "detail: {detail}");
             }
             other => panic!("expected ServeError::Internal, got {other:?}"),
         }
-        let ok = collect_answers(vec![Some(answered.clone()), Some(answered)])
+        let ok = collect_answers(vec![Some(answered), Some(answered)])
             .expect("fully answered batches pass through");
         assert_eq!(ok.len(), 2);
     }

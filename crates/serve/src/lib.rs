@@ -26,8 +26,8 @@
 //!   with the tier that produced it ([`ServedBy`]).
 //! - [`QuantizedModel`] — a [`FrozenModel`] quantized post-training to
 //!   symmetric-per-tensor int8 (or f16) by a field-wise map over its
-//!   weights, dequantized on the fly inside the matmul kernels; rebuilt
-//!   automatically on every model hot swap.
+//!   weights, expanded to f32 where they are read; rebuilt automatically
+//!   on every model hot swap.
 //! - [`CircuitBreaker`] — sliding-window failure-rate breaker
 //!   (closed / open / half-open) that sheds model-tier load when the
 //!   frozen forward is misbehaving.
@@ -36,9 +36,8 @@
 //!   `max_batch` while respecting the tightest deadline in the batch,
 //!   executed on `workers` threads, with bounded-queue backpressure
 //!   ([`ServeError::Overloaded`]), panic isolation
-//!   ([`ServeError::WorkerLost`]), typed deadline replies
-//!   ([`ServeError::DeadlineExceeded`]), and seeded-backoff retries
-//!   ([`Server::predict_with_retry`]).
+//!   ([`ServeError::WorkerLost`]) and typed deadline replies
+//!   ([`ServeError::DeadlineExceeded`]).
 //!
 //! A sixth layer closes the loop from serving back to training:
 //! [`OnlineLoop`] / [`OnlineTrainer`] fine-tune a copy of the serving
@@ -85,6 +84,6 @@ pub use online::{
 };
 pub use quant::QuantizedModel;
 pub use server::{
-    Answer, ModelVersion, Prediction, PredictionHandle, Predictor, RatingQuery, RetryPolicy,
-    ServeError, ServedBy, Server, ServerConfig, ServerStats,
+    Answer, ModelVersion, Prediction, PredictionHandle, Predictor, RatingQuery, ServeError,
+    ServedBy, Server, ServerConfig, ServerStats,
 };

@@ -64,6 +64,9 @@ pub const CANDIDATE_TAG: &str = "candidate";
 /// Checkpoint lineage tag for rejected candidates.
 pub const REJECTED_TAG: &str = "rejected";
 
+/// Held-out slice capacity; once full, every rating trains.
+const HOLDOUT_CAP: usize = 256;
+
 /// Settings for the online fine-tuning loop.
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
@@ -82,8 +85,6 @@ pub struct OnlineConfig {
     /// 0 disables the diversion (promotion then always rejects, since the
     /// gate refuses to promote without evidence).
     pub holdout_every: usize,
-    /// Held-out slice capacity; once full, every rating trains.
-    pub max_holdout: usize,
     /// Allowed relative MAE slack: the candidate passes a gate when its
     /// MAE is at most `incumbent * (1 + regression_tolerance)`.
     pub regression_tolerance: f32,
@@ -116,7 +117,6 @@ impl Default for OnlineConfig {
             batch_size: 4,
             base_lr: 3e-4,
             holdout_every: 4,
-            max_holdout: 256,
             regression_tolerance: 0.05,
             min_scenario_samples: 3,
             checkpoint_dir: None,
@@ -415,7 +415,7 @@ impl OnlineLoop {
             }
             let divert = self.config.holdout_every > 0
                 && state.routed.is_multiple_of(self.config.holdout_every)
-                && state.holdout.len() < self.config.max_holdout;
+                && state.holdout.len() < HOLDOUT_CAP;
             if divert {
                 // Durably mark the diversion *before* it takes effect: a
                 // crash may forget an unmarked diversion, and a rating that

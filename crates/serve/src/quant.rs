@@ -1,6 +1,7 @@
 //! The quantized serving tier: a [`FrozenModel`] with every weight matrix
 //! compressed post-training (symmetric per-tensor int8, or f16 as a
-//! config option) and dequantized on the fly inside the matmul kernels.
+//! config option) and expanded to f32 where it is read: a projection weight
+//! once per call, an embedding table row per gathered row.
 //!
 //! A [`QuantizedModel`] is derived mechanically from any frozen model
 //! ([`QuantizedModel::from_frozen`]) — the engine rebuilds one on every
@@ -12,10 +13,9 @@
 //! stay f32.
 //!
 //! Determinism: dequantization is a pure per-element function and the
-//! dequant kernels keep the single-accumulator ascending-`k` chain of the
-//! f32 kernels, so quantized predictions are bit-identical across thread
-//! counts — and bit-identical to the f32 forward run on the dequantized
-//! weights (unit test in `crate::him`).
+//! products are the f32 kernels', so quantized predictions are
+//! bit-identical across thread counts — and bit-identical to the f32
+//! forward run on the dequantized weights (unit test in `crate::him`).
 //!
 //! Error bound: every compressed tensor records its worst per-element
 //! reconstruction error; [`QuantizedModel::max_weight_err`] is the max

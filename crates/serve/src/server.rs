@@ -13,7 +13,6 @@
 //! accepted queries are always answered, never silently late.
 
 use hire_chaos::{sites, FaultPlan, InjectedFault};
-use hire_core::{Backoff, BackoffConfig};
 use hire_error::HireError;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,17 +134,6 @@ pub enum ServeError {
     Model(HireError),
 }
 
-impl ServeError {
-    /// Whether a retry may plausibly succeed: lost workers, backpressure,
-    /// and injected faults are transient; everything else is not.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            ServeError::Overloaded { .. } | ServeError::WorkerLost | ServeError::Injected { .. }
-        )
-    }
-}
-
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -251,27 +239,6 @@ impl Default for ServerConfig {
             max_batch: 8,
             max_queue: 1024,
             batch_timeout: Duration::from_millis(2),
-        }
-    }
-}
-
-/// How [`Server::predict_with_retry`] retries transient failures.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts (1 = no retry).
-    pub max_attempts: usize,
-    /// Delay schedule between attempts (see [`BackoffConfig`]).
-    pub backoff: BackoffConfig,
-    /// Base seed for the per-query jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: BackoffConfig::default(),
-            seed: 0x48495245,
         }
     }
 }
@@ -447,32 +414,6 @@ impl Server {
     /// Blocking predict: submit + wait.
     pub fn predict(&self, query: RatingQuery) -> Result<Prediction, ServeError> {
         self.submit(query)?.wait()
-    }
-
-    /// Blocking predict with seeded, jittered exponential-backoff retries
-    /// on transient failures ([`ServeError::is_transient`]). The jitter
-    /// stream is derived from `(policy.seed, query)`, so a replay retries
-    /// at the same instants.
-    pub fn predict_with_retry(
-        &self,
-        query: RatingQuery,
-        policy: &RetryPolicy,
-    ) -> Result<Prediction, ServeError> {
-        let seed = policy.seed
-            ^ (query.user as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (query.item as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let mut backoff = Backoff::new(policy.backoff.clone(), seed);
-        loop {
-            match self.predict(query) {
-                Err(e)
-                    if e.is_transient()
-                        && (backoff.attempt() as usize) + 1 < policy.max_attempts.max(1) =>
-                {
-                    std::thread::sleep(backoff.next_delay());
-                }
-                result => return result,
-            }
-        }
     }
 
     /// Stops accepting queries, drains the queue, and joins the workers.

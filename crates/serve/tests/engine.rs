@@ -40,7 +40,7 @@ fn repeated_queries_hit_the_cache_and_agree() {
     let stats = engine.cache_stats();
     assert_eq!(stats.hits, 1);
     assert_eq!(stats.misses, 1);
-    assert!(first >= 0.0 && first <= 5.0, "rating {first} out of range");
+    assert!((0.0..=5.0).contains(&first), "rating {first} out of range");
 }
 
 #[test]

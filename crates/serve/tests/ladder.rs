@@ -12,13 +12,22 @@
 //!    faults and online hot swaps (every answered query is counted in
 //!    exactly one tier bucket of each breakdown).
 //! 5. The whole five-tier schedule replays bit-identically per seed.
+//! 6. The descent is one table: entry condition × `fallback` × hybrid →
+//!    the `ServedBy` tag and the one counter that moved, or the typed
+//!    refusal (`LADDER`).
+//! 7. Entity-mean answers are bit-equal to `hire_baselines::EntityMean`
+//!    fitted on the same graph snapshot, whether or not the batch needs
+//!    the global mean.
 
+use hire_baselines::{EntityMean, RatingModel};
 use hire_chaos::{sites, FaultKind, FaultPlan};
-use hire_core::{train_hybrid, HireConfig, HireModel, HybridConfig};
+use hire_core::{train_hybrid, BackoffConfig, HireConfig, HireModel, HybridConfig};
 use hire_data::Dataset;
+use hire_graph::{BipartiteGraph, Rating};
 use hire_serve::{
-    BreakerConfig, EngineConfig, FrozenModel, Predictor, QuantTierConfig, RatingQuery,
-    ResilienceConfig, ServeEngine, ServeError, ServedBy, Server, ServerConfig, SlotSource,
+    Answer, BreakerConfig, BreakerState, EngineConfig, FrozenModel, Predictor, QuantTierConfig,
+    RatingQuery, ResilienceConfig, ServeEngine, ServeError, ServedBy, Server, ServerConfig,
+    SlotSource, TierStats,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -495,4 +504,389 @@ fn every_query_gets_exactly_one_typed_reply_across_five_tiers_and_swaps() {
             "seed {seed}: expired deadlines must exercise the hybrid tier: {tiers:?}"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// The ladder as one table: entry condition × `fallback` × hybrid.
+// ---------------------------------------------------------------------
+
+/// How a table row makes its query leave the healthy model path.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// `engine.resolve` fails typed: no context, so no model rung.
+    ResolveFault,
+    /// `engine.resolve` panics.
+    ResolvePanic,
+    /// The deadline is already gone when the group is reached.
+    DeadlineGone,
+    /// The remaining budget is under the quantized tier's threshold.
+    ThinBudget,
+    /// The breaker is open and still cooling down.
+    BreakerOpen,
+    /// The breaker is half-open and its one probe is in flight.
+    HalfOpenProbesSpent,
+    /// Every model attempt fails typed, retries included.
+    ModelFailsRetries,
+    /// The model forward panics.
+    ModelPanics,
+    /// The quantized forward fails typed.
+    QuantizedFails,
+    /// The model forward stalls past the deadline (`FaultKind::Delay`).
+    DeadlineInsideForward,
+}
+
+/// Which `*_degraded` counter an entity-mean answer moves.
+#[derive(Debug, Clone, Copy)]
+enum Why {
+    Deadline,
+    Breaker,
+    Failure,
+}
+
+/// The typed refusal a row expects under `fallback: false`.
+#[derive(Debug, Clone, Copy)]
+enum Refusal {
+    DeadlineExceeded,
+    CircuitOpen,
+    Injected(&'static str),
+    /// A `ServeError::Model` whose message contains this.
+    Model(&'static str),
+}
+
+/// Where a row's query lands.
+#[derive(Debug, Clone, Copy)]
+enum Lands {
+    /// On the quantized rung, whatever `fallback` and the hybrid are.
+    Quantized,
+    /// Below the model rungs. With `fallback`: on the hybrid when one is
+    /// installed, else on entity-mean with `Why`'s counter moved. Without
+    /// `fallback`: the refusal, and nothing is counted.
+    Below(Why, Refusal),
+}
+
+const LADDER: [(Entry, Lands); 10] = [
+    (
+        Entry::ResolveFault,
+        Lands::Below(Why::Failure, Refusal::Injected(sites::ENGINE_RESOLVE)),
+    ),
+    (
+        Entry::ResolvePanic,
+        Lands::Below(Why::Failure, Refusal::Model("context resolution panicked")),
+    ),
+    (
+        Entry::DeadlineGone,
+        Lands::Below(Why::Deadline, Refusal::DeadlineExceeded),
+    ),
+    (Entry::ThinBudget, Lands::Quantized),
+    (
+        Entry::BreakerOpen,
+        Lands::Below(Why::Breaker, Refusal::CircuitOpen),
+    ),
+    (Entry::HalfOpenProbesSpent, Lands::Quantized),
+    (
+        Entry::ModelFailsRetries,
+        Lands::Below(Why::Failure, Refusal::Injected(sites::ENGINE_FORWARD)),
+    ),
+    (
+        Entry::ModelPanics,
+        Lands::Below(Why::Failure, Refusal::Model("model forward panicked")),
+    ),
+    (
+        Entry::QuantizedFails,
+        Lands::Below(Why::Failure, Refusal::Injected(sites::QUANT_FORWARD)),
+    ),
+    (
+        Entry::DeadlineInsideForward,
+        Lands::Below(Why::Deadline, Refusal::DeadlineExceeded),
+    ),
+];
+
+/// The query every cell of the table asks; the breaker rows warm up on
+/// other pairs so nothing about it is cached or memoized.
+const PROBE: RatingQuery = RatingQuery { user: 3, item: 5 };
+/// How long a stalled `engine.forward` holds its attempt.
+const STALL: Duration = Duration::from_millis(300);
+
+fn zip_stats(a: TierStats, b: TierStats, f: impl Fn(u64, u64) -> u64) -> TierStats {
+    TierStats {
+        model: f(a.model, b.model),
+        quantized: f(a.quantized, b.quantized),
+        hybrid: f(a.hybrid, b.hybrid),
+        cache: f(a.cache, b.cache),
+        fallback: f(a.fallback, b.fallback),
+        deadline_degraded: f(a.deadline_degraded, b.deadline_degraded),
+        breaker_degraded: f(a.breaker_degraded, b.breaker_degraded),
+        failure_degraded: f(a.failure_degraded, b.failure_degraded),
+    }
+}
+
+/// A plan whose `engine.forward` schedule starts: four typed errors (they
+/// trip [`fast_breaker`]), then a stall (the half-open probe, held in
+/// flight). The seed is searched, not hard-coded: decisions are a pure
+/// function of `(seed, site, arrival)`.
+fn trip_then_stall() -> FaultPlan {
+    let build = |seed: u64| {
+        FaultPlan::new(seed)
+            .with_fault(sites::ENGINE_FORWARD, FaultKind::Error, 0.5)
+            .with_fault(sites::ENGINE_FORWARD, FaultKind::Delay(STALL), 1.0)
+    };
+    let wanted = [
+        FaultKind::Error,
+        FaultKind::Error,
+        FaultKind::Error,
+        FaultKind::Error,
+        FaultKind::Delay(STALL),
+    ];
+    let seed = (0u64..4096)
+        .find(|&seed| {
+            let dry = build(seed);
+            wanted
+                .iter()
+                .all(|&kind| dry.decide(sites::ENGINE_FORWARD) == Some(kind))
+        })
+        .expect("one seed in 32 has this schedule");
+    build(seed)
+}
+
+/// Builds one cell's engine, drives it into `entry`'s state, asks
+/// [`PROBE`], and returns the reply, the tier counters the probe moved,
+/// and the engine.
+fn ask(
+    entry: Entry,
+    fallback: bool,
+    hybrid: bool,
+) -> (Result<Answer, ServeError>, TierStats, ServeEngine) {
+    let always =
+        |site: &'static str, kind: FaultKind| Some(FaultPlan::new(17).with_fault(site, kind, 1.0));
+    let mut resilience = ResilienceConfig {
+        fallback,
+        retry_backoff: BackoffConfig {
+            base: Duration::from_millis(1),
+            ..BackoffConfig::default()
+        },
+        ..ResilienceConfig::default()
+    };
+    let cooling = BreakerConfig {
+        cooldown: Duration::from_secs(3600),
+        ..fast_breaker()
+    };
+    let plan = match entry {
+        Entry::ResolveFault => always(sites::ENGINE_RESOLVE, FaultKind::Error),
+        Entry::ResolvePanic => always(sites::ENGINE_RESOLVE, FaultKind::Panic),
+        Entry::DeadlineGone => None,
+        Entry::ThinBudget => {
+            resilience.quantized = Some(eager_quant());
+            None
+        }
+        Entry::BreakerOpen => {
+            resilience.breaker = Some(cooling);
+            resilience.retry_attempts = 1;
+            always(sites::ENGINE_FORWARD, FaultKind::Error)
+        }
+        Entry::HalfOpenProbesSpent => {
+            resilience.breaker = Some(fast_breaker());
+            resilience.retry_attempts = 1;
+            Some(trip_then_stall())
+        }
+        Entry::ModelFailsRetries => {
+            resilience.breaker = None;
+            always(sites::ENGINE_FORWARD, FaultKind::Error)
+        }
+        Entry::ModelPanics => {
+            resilience.breaker = None;
+            always(sites::ENGINE_FORWARD, FaultKind::Panic)
+        }
+        Entry::QuantizedFails => {
+            resilience.quantized = Some(eager_quant());
+            always(sites::QUANT_FORWARD, FaultKind::Error)
+        }
+        Entry::DeadlineInsideForward => always(sites::ENGINE_FORWARD, FaultKind::Delay(STALL)),
+    }
+    .map(Arc::new);
+    let retries = resilience.retry_attempts as u64;
+    let (engine, _) = build_engine(resilience, plan.clone(), hybrid);
+    let forward_arrivals = || {
+        let plan = plan.as_ref().expect("the row has a plan");
+        plan.site_stats(sites::ENGINE_FORWARD).arrivals
+    };
+    let probe = |deadline: Option<Instant>| {
+        let before = engine.tier_stats();
+        let reply = engine
+            .predict_batch_tagged(&[PROBE], deadline)
+            .map(|answers| answers[0]);
+        let moved = zip_stats(engine.tier_stats(), before, |after, before| after - before);
+        (reply, moved)
+    };
+    // Four failed single-query batches trip `fast_breaker` (the replies
+    // are refusals or degraded answers, depending on `fallback`).
+    let trip = || {
+        for q in queries(4) {
+            let _ = engine.predict_batch_tagged(&[q], None);
+        }
+        assert_eq!(engine.breaker_stats().expect("breaker").opened, 1);
+    };
+    let (reply, moved) = match entry {
+        Entry::ResolveFault | Entry::ResolvePanic | Entry::ModelPanics => probe(None),
+        Entry::DeadlineGone => probe(Some(Instant::now())),
+        Entry::ThinBudget | Entry::QuantizedFails => probe(thin_budget()),
+        Entry::BreakerOpen => {
+            trip();
+            assert_eq!(engine.breaker_state(), Some(BreakerState::Open));
+            probe(None)
+        }
+        Entry::HalfOpenProbesSpent => {
+            trip();
+            std::thread::scope(|scope| {
+                // With a zero cooldown the next model attempt is the one
+                // half-open probe; the plan stalls it inside the forward.
+                let prober = scope.spawn(|| {
+                    engine
+                        .predict_batch_tagged(&queries(5)[4..], None)
+                        .expect("the probe itself succeeds")[0]
+                });
+                while forward_arrivals() < 5 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                assert_eq!(engine.breaker_state(), Some(BreakerState::HalfOpen));
+                // The stall outlasts our probe by two orders of magnitude,
+                // so the prober's own answer is not in `moved`.
+                let out = probe(None);
+                let probed = prober.join().expect("the prober never panics");
+                assert_eq!(probed.served_by, ServedBy::Model);
+                assert_eq!(engine.breaker_state(), Some(BreakerState::Closed));
+                out
+            })
+        }
+        Entry::ModelFailsRetries => {
+            let out = probe(None);
+            assert_eq!(forward_arrivals(), retries, "every retry is an attempt");
+            out
+        }
+        Entry::DeadlineInsideForward => {
+            let out = probe(Some(Instant::now() + STALL / 2));
+            assert_eq!(forward_arrivals(), 1, "a spent deadline is not retried");
+            out
+        }
+    };
+    (reply, moved, engine)
+}
+
+#[test]
+fn ladder_table_entry_by_fallback_by_hybrid() {
+    for (entry, lands) in LADDER {
+        for fallback in [true, false] {
+            for hybrid in [true, false] {
+                let cell = format!("{entry:?}, fallback {fallback}, hybrid {hybrid}");
+                let (reply, moved, engine) = ask(entry, fallback, hybrid);
+                let mut expected = TierStats::default();
+                let served_by = match (lands, fallback, hybrid) {
+                    (Lands::Quantized, ..) => {
+                        expected.quantized = 1;
+                        Ok(ServedBy::Quantized)
+                    }
+                    (Lands::Below(..), true, true) => {
+                        expected.hybrid = 1;
+                        Ok(ServedBy::Hybrid)
+                    }
+                    (Lands::Below(why, _), true, false) => {
+                        expected.fallback = 1;
+                        match why {
+                            Why::Deadline => expected.deadline_degraded = 1,
+                            Why::Breaker => expected.breaker_degraded = 1,
+                            Why::Failure => expected.failure_degraded = 1,
+                        }
+                        Ok(ServedBy::Fallback)
+                    }
+                    (Lands::Below(_, refusal), false, _) => Err(refusal),
+                };
+                match (&reply, served_by) {
+                    (Ok(answer), Ok(tier)) => {
+                        assert_eq!(answer.served_by, tier, "{cell}");
+                        assert_eq!(answer.version, 1, "{cell}");
+                    }
+                    (Err(ServeError::DeadlineExceeded), Err(Refusal::DeadlineExceeded))
+                    | (Err(ServeError::CircuitOpen), Err(Refusal::CircuitOpen)) => {}
+                    (Err(ServeError::Injected { site }), Err(Refusal::Injected(wanted)))
+                        if *site == wanted => {}
+                    (Err(ServeError::Model(e)), Err(Refusal::Model(wanted)))
+                        if e.to_string().contains(wanted) => {}
+                    (got, wanted) => panic!("{cell}: expected {wanted:?}, got {got:?}"),
+                }
+                assert_eq!(moved, expected, "{cell}: counters the probe moved");
+                // The three views of the tier counters are folds of one
+                // another.
+                let total = engine.tier_stats();
+                let sum = |a, b| zip_stats(a, b, |x, y| x + y);
+                let by_version = engine.version_stats().into_iter().map(|(_, s)| s);
+                let by_scenario = engine.scenario_stats().into_iter().map(|(_, s)| s);
+                assert_eq!(by_version.fold(TierStats::default(), sum), total, "{cell}");
+                assert_eq!(by_scenario.fold(TierStats::default(), sum), total, "{cell}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fallback_answers_are_bit_equal_to_an_entity_mean_fitted_on_the_same_snapshot() {
+    let dataset = Arc::new(dataset());
+    // The serving view hides every edge of user 0 and of item 0, so the
+    // batch below has a warm pair, a cold item, a cold user and a pair
+    // with neither side rated.
+    let visible: Vec<Rating> = dataset
+        .ratings
+        .iter()
+        .copied()
+        .filter(|r| r.user != 0 && r.item != 0)
+        .collect();
+    let graph = BipartiteGraph::from_ratings(USERS, ITEMS, &visible);
+    let user = (1..USERS)
+        .find(|&u| graph.user_degree(u) > 0)
+        .expect("a warm user");
+    let item = (1..ITEMS)
+        .find(|&i| graph.item_degree(i) > 0)
+        .expect("a warm item");
+    let config = HireConfig::fast().with_blocks(1).with_context_size(8, 8);
+    let model = HireModel::new(&dataset, &config, &mut StdRng::seed_from_u64(4));
+    let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
+    // No context ever resolves and no hybrid is installed: every answer
+    // is the entity-mean rung's.
+    let plan = FaultPlan::new(13).with_fault(sites::ENGINE_RESOLVE, FaultKind::Error, 1.0);
+    let engine = ServeEngine::with_graph(
+        frozen,
+        dataset.clone(),
+        graph,
+        EngineConfig::from_model_config(&config),
+    )
+    .with_faults(Arc::new(plan));
+    let check = |pairs: &[(usize, usize)]| {
+        let snapshot = engine.graph_snapshot();
+        let mut oracle = EntityMean::new();
+        oracle.fit(&dataset, &snapshot, &mut StdRng::seed_from_u64(0));
+        let want = oracle.predict(&dataset, &snapshot, pairs);
+        let qs: Vec<RatingQuery> = pairs
+            .iter()
+            .map(|&(user, item)| RatingQuery { user, item })
+            .collect();
+        let got = engine.predict_batch_tagged(&qs, None).expect("degraded");
+        for ((pair, a), w) in pairs.iter().zip(&got).zip(want) {
+            assert_eq!(a.served_by, ServedBy::Fallback, "{pair:?}");
+            let w = w.clamp(dataset.min_rating, dataset.max_rating());
+            assert_eq!(a.rating.to_bits(), w.to_bits(), "{pair:?} in {pairs:?}");
+        }
+    };
+    let pairs = [(user, item), (user, 0), (0, item), (0, 0)];
+    // Together, then alone: a batch without the both-cold pair never reads
+    // the global mean, and must answer the same bits as one that does.
+    check(&pairs);
+    for pair in &pairs {
+        check(std::slice::from_ref(pair));
+    }
+    // The rung reads the live graph: a rating warms user 0, and (0, 0)
+    // moves from the global mean to that user's mean.
+    engine
+        .insert_rating(Rating::new(0, item, dataset.max_rating()))
+        .expect("in range");
+    check(&pairs);
+    assert_eq!(engine.tier_stats().fallback, 12);
+    assert_eq!(engine.tier_stats().failure_degraded, 12);
 }

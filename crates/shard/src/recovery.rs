@@ -55,6 +55,7 @@ pub struct RecoveredShards {
 /// against `shard_config` (changing the count is a re-shard, not a
 /// recovery). `ckpt_dir` is where promoted weights were checkpointed —
 /// required if any promotion was ever logged.
+#[allow(clippy::too_many_arguments)] // `benchmark/` calls this signature
 pub fn recover_sharded(
     base_model: FrozenModel,
     dataset: Arc<Dataset>,

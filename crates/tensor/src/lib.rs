@@ -15,15 +15,14 @@
 //! - [`gradcheck`] — finite-difference validation used throughout the test
 //!   suite.
 //! - [`init`] — Xavier/Kaiming/embedding initializers.
-//! - [`quant`] — post-training weight compression (symmetric int8 / f16)
-//!   with a dequantize-on-the-fly matmul in [`linalg`]
-//!   (`matmul2d_dequant`, reached through [`WeightMatrix`]), bit-exact
-//!   across thread counts like the f32 kernels.
+//! - [`quant`] — post-training weight compression (symmetric int8 / f16):
+//!   a storage format, expanded to f32 per projection or per gathered row
+//!   by [`WeightMatrix`], so there is one matmul family, not two.
 //! - [`WeightMatrix`] — the one trait that pairs a weight storage format
 //!   (f32 [`NdArray`], int8/f16 [`QuantizedTensor`]) with its [`linalg`]
 //!   kernels; every no-grad forward above it is generic over it.
 //! - [`simd`] — runtime-dispatched vector micro-kernels
-//!   (scalar/sse2/avx2/avx512, `HIRE_ISA` override) behind the [`linalg`]
+//!   (scalar/avx2/avx512, `HIRE_ISA` override) behind the [`linalg`]
 //!   hot paths — matmul, softmax, layer norm and the attention-tile
 //!   primitive ([`AttnGrid`], [`linalg::attention_into`]) — with a per-ISA
 //!   determinism contract (DESIGN.md §16).

@@ -11,14 +11,14 @@
 //!
 //! The hot kernels (matmul family, softmax, layer norm, reductions) run on
 //! the `hire-par` pool and dispatch through [`crate::simd`] to the best
-//! instruction set the host supports (`scalar`/`sse2`/`avx2`/`avx512`,
+//! instruction set the host supports (`scalar`/`avx2`/`avx512`,
 //! overridable via `HIRE_ISA`). Results are **bit-exact for every thread count on every
 //! ISA**: parallelism only splits *independent output regions* (matrix
 //! rows, softmax rows, batch entries), and every reduction either stays
 //! inside one region (a single register lane walking `k` in ascending
 //! order) or combines fixed-size chunk partials in ascending chunk order
 //! via `parallel_map_chunks`, whose chunk grid depends only on the problem
-//! shape, never on the thread count. Across ISAs, scalar and sse2 are
+//! shape, never on the thread count. Across ISAs, scalar is
 //! bit-identical to [`matmul_reference`]; avx2 follows the documented
 //! relaxation in the [`crate::simd`] module docs (FMA chains, lane-parallel
 //! reductions — deterministic per ISA, oracle-bounded) and avx512 is
@@ -171,7 +171,7 @@ pub fn matmul2d_with_isa(a: &NdArray, b: &NdArray, isa: Isa) -> NdArray {
 /// pinned to this exact value.
 const ROW_BLOCK: usize = 8;
 /// Rows per parallel task in the *forward* blocked matmul. A multiple of
-/// every ISA's micro-kernel `MR` (scalar/sse2 4, avx2 6, avx512 8) so a
+/// every ISA's micro-kernel `MR` (scalar 4, avx2 6, avx512 8) so a
 /// task's band splits into full register tiles instead of ragged
 /// remainders. Each
 /// output row's accumulator chain lives entirely inside one task, so this
@@ -218,7 +218,7 @@ pub fn matmul_reference(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usiz
 /// panels (k-major inside each panel, so the micro-kernel streams it
 /// contiguously), then row blocks of the output fan out across the pool.
 /// Each output element still accumulates through a single register lane in
-/// ascending-`k` order — on scalar/sse2 the identical floating-point chain
+/// ascending-`k` order — on scalar the identical floating-point chain
 /// to [`matmul_reference`]; on avx2 the same chain with each step fused
 /// into an FMA (the relaxation documented in [`crate::simd`]). Results are
 /// bit-identical for any thread count and either size-dispatch path on a
@@ -1078,74 +1078,6 @@ pub fn scatter_add_rows(rows: &NdArray, indices: &[usize], v: usize) -> NdArray 
     out
 }
 
-/// 2-D matmul against a quantized weight, dequantizing on the fly:
-/// `a: [n,k] x w: [k,m] -> [n,m]`. The f32 activations never round-trip
-/// through the compressed representation.
-///
-/// Each output element accumulates through a single f32 register in
-/// ascending-`k` order — the identical chain to [`matmul_reference`] run
-/// against `w.dequantize()` — so results are bit-exact for any thread
-/// count and bit-identical to the dequantize-then-matmul reference. Each
-/// weight row is dequantized once per task (not once per element), so the
-/// decompression cost amortizes across the task's output rows.
-pub fn matmul2d_dequant(a: &NdArray, w: &QuantizedTensor) -> NdArray {
-    matmul2d_dequant_with_isa(a, w, simd::active_isa())
-}
-
-/// [`matmul2d_dequant`] on an explicit ISA path (tests and benchmarks;
-/// `isa` must be available on this host). The accumulation runs the matmul
-/// chain of `isa`, so the bit-identity with
-/// `matmul2d_with_isa(a, w.dequantize(), isa)` holds per ISA.
-pub fn matmul2d_dequant_with_isa(a: &NdArray, w: &QuantizedTensor, isa: Isa) -> NdArray {
-    assert_eq!(
-        a.shape().rank(),
-        2,
-        "matmul2d_dequant lhs must be 2-D, got {}",
-        a.shape()
-    );
-    assert_eq!(w.dims().len(), 2, "matmul2d_dequant rhs must be 2-D");
-    let (n, k) = (a.dims()[0], a.dims()[1]);
-    let (k2, m) = (w.dims()[0], w.dims()[1]);
-    assert_eq!(
-        k,
-        k2,
-        "matmul2d_dequant inner dims mismatch: {} vs [{k2}, {m}]",
-        a.shape()
-    );
-    let mut out = vec![0.0f32; n * m];
-    matmul_dequant_kernel(a.as_slice(), w, &mut out, isa);
-    NdArray::from_vec([n, m], out)
-}
-
-/// `out[n,m] += a[n,k] * dequant(w)[k,m]` for a 2-D `w`, `n` read off
-/// `a.len()`; the kernel under [`matmul2d_dequant`] and the quantized
-/// [`WeightMatrix::linear_into`].
-fn matmul_dequant_kernel(a: &[f32], w: &QuantizedTensor, out: &mut [f32], isa: Isa) {
-    assert!(
-        isa.is_available(),
-        "ISA {} not available on this host",
-        isa.label()
-    );
-    let (k, m) = (w.dims()[0], w.dims()[1]);
-    let n = out.len() / m.max(1);
-    debug_assert_eq!(a.len(), n * k);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    hire_par::parallel_for(n, ROW_BLOCK, |rows| {
-        // SAFETY: chunks partition 0..n, so each task writes a disjoint
-        // band of output rows.
-        let out_rows = unsafe { out_ptr.slice_mut(rows.start * m, rows.len() * m) };
-        let mut w_row = vec![0.0f32; m];
-        for kk in 0..k {
-            w.deq_row_into(kk, &mut w_row);
-            for (ri, r) in rows.clone().enumerate() {
-                let a_ik = a[r * k + kk];
-                let dst = &mut out_rows[ri * m..(ri + 1) * m];
-                simd::dequant_axpy(isa, a_ik, &w_row, dst);
-            }
-        }
-    });
-}
-
 /// A 2-D weight in some storage format, read through the two kernels a
 /// no-grad forward needs. This trait and its two impls are the only place
 /// that pairs a format with its kernels: everything above (`hire-nn`'s
@@ -1201,10 +1133,11 @@ impl WeightMatrix for QuantizedTensor {
     fn dims(&self) -> &[usize] {
         QuantizedTensor::dims(self)
     }
+    /// Quantization is a storage format, not a second matmul: `self`
+    /// (`[d, k]`, a few KiB in every config) is expanded once per call and
+    /// the product is the f32 one — bit-identical to it by construction.
     fn linear_into(&self, x: &[f32], out: &mut [f32], isa: Isa) {
-        check_linear(self.dims(), x, out);
-        out.fill(0.0);
-        matmul_dequant_kernel(x, self, out, isa);
+        self.dequantize().linear_into(x, out, isa);
     }
     fn row_into(&self, index: usize, out: &mut [f32]) {
         assert!(
@@ -1420,7 +1353,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_dequant_is_bit_exact_vs_dequantize_then_matmul() {
+    fn quantized_linear_is_bit_exact_vs_dequantize_then_matmul() {
         use crate::quant::QuantMode;
         // Above and below BLOCK_THRESHOLD, both quant modes.
         for (n, k, m) in [(3usize, 5usize, 4usize), (40, 48, 40)] {
@@ -1428,9 +1361,10 @@ mod tests {
             let w = NdArray::from_vec([k, m], lcg_fill(k * m, 11));
             for mode in [QuantMode::Int8, QuantMode::F16] {
                 let q = QuantizedTensor::quantize(&w, mode);
-                let got = matmul2d_dequant(&a, &q);
+                let mut got = vec![f32::NAN; n * m];
+                q.linear_into(a.as_slice(), &mut got, simd::active_isa());
                 let want = matmul2d(&a, &q.dequantize());
-                assert_eq!(got.as_slice(), want.as_slice(), "{mode:?} {n}x{k}x{m}");
+                assert_eq!(got, want.as_slice(), "{mode:?} {n}x{k}x{m}");
             }
         }
     }

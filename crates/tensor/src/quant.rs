@@ -2,16 +2,16 @@
 //!
 //! A [`QuantizedTensor`] stores a frozen weight matrix in a compressed
 //! representation — symmetric per-tensor int8 ([`QuantMode::Int8`]) or
-//! IEEE 754 binary16 ([`QuantMode::F16`]) — and dequantizes elements on
-//! the fly inside the matmul kernels (see `linalg::matmul2d_dequant`).
-//! Activations stay f32 throughout; only the weights are compressed, so
-//! the scheme is purely post-training and needs no calibration data.
+//! IEEE 754 binary16 ([`QuantMode::F16`]). It is a storage format only:
+//! `crate::WeightMatrix` expands a projection weight to f32 once per call
+//! and a gathered table row per row, and the arithmetic is the f32
+//! kernels'. Activations stay f32 throughout; only the weights are
+//! compressed, so the scheme is purely post-training and needs no
+//! calibration data.
 //!
 //! Determinism contract: dequantization is a pure per-element function of
-//! the stored representation, and the dequantizing kernels accumulate in
-//! a single f32 per output element in ascending-`k` order (the same order
-//! as `linalg::matmul_reference`). Results are therefore bit-identical
-//! across thread counts, exactly like the f32 kernels.
+//! the stored representation, so a quantized product is bit-identical to
+//! the f32 product over `dequantize()` — per ISA and across thread counts.
 //!
 //! Error accounting: `quantize` records the worst per-element absolute
 //! reconstruction error actually incurred ([`QuantizedTensor::max_err`]).
@@ -52,8 +52,8 @@ enum QuantRepr {
     F16 { data: Vec<u16> },
 }
 
-/// A frozen weight tensor in compressed form, dequantized on the fly by
-/// the `linalg` dequant kernels.
+/// A frozen weight tensor in compressed form, expanded to f32 where it is
+/// read (`crate::WeightMatrix`).
 #[derive(Debug, Clone)]
 pub struct QuantizedTensor {
     shape: Shape,
@@ -169,9 +169,8 @@ impl QuantizedTensor {
         }
     }
 
-    /// Full dequantization back to f32 — the reference the dequant
-    /// kernels are tested against, and the bridge for ops that have no
-    /// dequantizing variant.
+    /// Full dequantization back to f32 — what a quantized projection
+    /// multiplies by.
     pub fn dequantize(&self) -> NdArray {
         let data = (0..self.numel()).map(|i| self.deq_at(i)).collect();
         NdArray::from_vec(self.shape.clone(), data)
@@ -345,8 +344,8 @@ mod tests {
             let mut row = vec![0.0f32; 4];
             for r in 0..3 {
                 q.deq_row_into(r, &mut row);
-                for c in 0..4 {
-                    assert_eq!(row[c], q.deq_at(r * 4 + c));
+                for (c, &v) in row.iter().enumerate() {
+                    assert_eq!(v, q.deq_at(r * 4 + c));
                 }
             }
         }

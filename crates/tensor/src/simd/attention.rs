@@ -11,7 +11,7 @@
 //! ISA, element for element:
 //!
 //! * `s[i][j]`: one accumulator from `0.0`, `c` ascending over `head_dim`,
-//!   mul-then-add (scalar/sse2) or one FMA per step (avx2/avx512) — the
+//!   mul-then-add (scalar) or one FMA per step (avx2/avx512) — the
 //!   `matmul_small` chain; then one multiply by `1/√dk`.
 //! * softmax row `i`: `max` → `exp(s - max)` → f64 sum → `(1/sum) as f32` →
 //!   scale — [`super::softmax_rows`]' chain for a row of width `t`,
@@ -22,7 +22,7 @@
 //!
 //! One kernel per ISA family implements that:
 //!
-//! * scalar/sse2 — `scalar::attention_tiles`, one tile at a time through
+//! * scalar — `scalar::attention_tiles`, one tile at a time through
 //!   `matmul_reference` and `scalar::softmax_rows` on gathered tiles: the
 //!   unfused chain by construction.
 //! * avx2/avx512 — `attention_lanes_kernel!`: 8 or 16 tiles ride in the
@@ -303,7 +303,6 @@ pub(crate) unsafe fn attention_tiles(
             Isa::Avx2 => super::avx2::attention_lanes(grid, qo, k, v, tiles, scratch),
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => super::avx512::attention_lanes(grid, qo, k, v, tiles, scratch),
-            // sse2's chains are the scalar chains (as for `matmul_small`).
             _ => super::scalar::attention_tiles(grid, qo, k, v, tiles, scratch),
         }
     }

@@ -1,7 +1,7 @@
 //! AVX2+FMA micro-kernels — 8 f32 lanes, fused multiply-add.
 //!
 //! This is the fast tier. Its numeric contract (the "avx2 relaxation",
-//! DESIGN.md §16) differs from scalar/sse2 in exactly two ways:
+//! DESIGN.md §16) differs from scalar in exactly two ways:
 //!
 //! 1. **FMA**: every matmul accumulation step `acc + a*b` becomes
 //!    `fma(a, b, acc)` — one rounding instead of two. The chain still
@@ -623,33 +623,8 @@ pub fn norm_sq_chunk(xs: &[f32]) -> f64 {
 }
 
 // -------------------------------------------------------------------------
-// Dequantize-on-the-fly pieces
+// Dequantization
 // -------------------------------------------------------------------------
-
-/// `dst[j] += a * w[j]` with the avx2 matmul chain (FMA per element; the
-/// tail's `mul_add` compiles to scalar FMA under this target feature).
-#[target_feature(enable = "avx2,fma")]
-pub fn axpy(a: f32, w: &[f32], dst: &mut [f32]) {
-    let len = dst.len().min(w.len());
-    let body = len - len % 8;
-    // SAFETY: offsets stay below `body <= len`.
-    unsafe {
-        let av = _mm256_set1_ps(a);
-        let mut j = 0;
-        while j < body {
-            let d = _mm256_fmadd_ps(
-                av,
-                _mm256_loadu_ps(w.as_ptr().add(j)),
-                _mm256_loadu_ps(dst.as_ptr().add(j)),
-            );
-            _mm256_storeu_ps(dst.as_mut_ptr().add(j), d);
-            j += 8;
-        }
-    }
-    for j in body..len {
-        dst[j] = a.mul_add(w[j], dst[j]);
-    }
-}
 
 /// `out[j] = q[j] as f32 * scale`, widening eight int8 lanes per step —
 /// exact per element, identical bits to the scalar dequantization.
@@ -833,7 +808,7 @@ mod tests {
             f32::INFINITY,
             f32::NAN,
         ]);
-        while xs.len() % 8 != 0 {
+        while !xs.len().is_multiple_of(8) {
             xs.push(-1.0);
         }
         for chunk in xs.chunks_exact(8) {

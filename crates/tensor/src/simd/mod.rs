@@ -2,13 +2,12 @@
 //!
 //! The compute-heavy kernels in [`crate::linalg`] (blocked matmul, softmax,
 //! layer norm, the attention-tile kernel of [`attention`], the flat
-//! sanitize/norm scans, and the dequantize-on-the-fly matmul) each exist in
-//! up to four implementations selected once per process by [`active_isa`]:
+//! sanitize/norm scans and int8 row dequantization) each exist in up to
+//! three implementations selected once per process by [`active_isa`]:
 //!
 //! | ISA      | selected when                           | numeric contract |
 //! |----------|-----------------------------------------|------------------|
 //! | `scalar` | always available (the reference chains) | bit-exact with `matmul_reference` and the pre-SIMD kernels |
-//! | `sse2`   | x86-64 with SSE2                        | **bit-identical to `scalar`** (vector lanes are independent output elements; every step is a mul-then-add with the same per-op rounding as the scalar chain) |
 //! | `avx2`   | x86-64 with AVX2 **and** FMA            | per-ISA deterministic, oracle-bounded (see below) |
 //! | `avx512` | x86-64 with AVX-512F (plus AVX2+FMA)    | **bit-identical to `avx2`**: a wider matmul micro-kernel and a 16-lane attention kernel running the same per-element chains; every other kernel dispatches to the avx2 implementation |
 //!
@@ -37,12 +36,11 @@
 //! # Dispatch
 //!
 //! [`active_isa`] picks the best ISA the host supports, once, on first use.
-//! The `HIRE_ISA` environment variable (`scalar` | `sse2` | `avx2` |
-//! `avx512`) forces a
-//! specific path for testing and benchmarking; requesting an ISA the host
-//! cannot run is a hard error (a benchmark silently falling back would
-//! report numbers for the wrong kernel). Tests that need several ISAs in
-//! one process use the explicit `*_with_isa` entry points in
+//! The `HIRE_ISA` environment variable (`scalar` | `avx2` | `avx512`)
+//! forces a specific path for testing and benchmarking; requesting an ISA
+//! the host cannot run is a hard error (a benchmark silently falling back
+//! would report numbers for the wrong kernel). Tests that need several ISAs
+//! in one process use the explicit `*_with_isa` entry points in
 //! [`crate::linalg`] instead of the env knob.
 
 use std::sync::OnceLock;
@@ -53,22 +51,18 @@ pub(crate) mod avx2;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512;
 pub(crate) mod scalar;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod sse2;
 
 pub(crate) use attention::attention_tiles;
 pub use attention::AttnGrid;
 
 /// Instruction-set architecture a kernel can be dispatched to.
 ///
-/// Ordered by preference: `Scalar < Sse2 < Avx2 < Avx512`.
+/// Ordered by preference: `Scalar < Avx2 < Avx512`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Isa {
     /// Portable Rust loops — the reference chains every other path is
     /// measured against. Always available.
     Scalar,
-    /// SSE2 intrinsics, 4 f32 lanes. Bit-identical to `Scalar`.
-    Sse2,
     /// AVX2 + FMA intrinsics, 8 f32 lanes. Per-ISA deterministic with a
     /// documented relaxation (module docs).
     Avx2,
@@ -82,7 +76,6 @@ impl Isa {
     pub fn label(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
-            Isa::Sse2 => "sse2",
             Isa::Avx2 => "avx2",
             Isa::Avx512 => "avx512",
         }
@@ -92,8 +85,6 @@ impl Isa {
     pub fn is_available(self) -> bool {
         match self {
             Isa::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => is_x86_feature_detected!("sse2"),
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
             #[cfg(target_arch = "x86_64")]
@@ -113,7 +104,7 @@ impl Isa {
     /// order (always starts with [`Isa::Scalar`]). The ISA cross-check
     /// suite iterates this to exercise each path in one process.
     pub fn available() -> Vec<Isa> {
-        [Isa::Scalar, Isa::Sse2, Isa::Avx2, Isa::Avx512]
+        [Isa::Scalar, Isa::Avx2, Isa::Avx512]
             .into_iter()
             .filter(|isa| isa.is_available())
             .collect()
@@ -122,7 +113,6 @@ impl Isa {
     fn parse(value: &str) -> Option<Isa> {
         match value.to_ascii_lowercase().as_str() {
             "scalar" => Some(Isa::Scalar),
-            "sse2" => Some(Isa::Sse2),
             "avx2" => Some(Isa::Avx2),
             "avx512" => Some(Isa::Avx512),
             _ => None,
@@ -140,9 +130,8 @@ static ACTIVE: OnceLock<Isa> = OnceLock::new();
 pub fn active_isa() -> Isa {
     *ACTIVE.get_or_init(|| match std::env::var("HIRE_ISA") {
         Ok(value) => {
-            let isa = Isa::parse(&value).unwrap_or_else(|| {
-                panic!("HIRE_ISA={value:?} is not one of scalar|sse2|avx2|avx512")
-            });
+            let isa = Isa::parse(&value)
+                .unwrap_or_else(|| panic!("HIRE_ISA={value:?} is not one of scalar|avx2|avx512"));
             assert!(
                 isa.is_available(),
                 "HIRE_ISA={} requested but this host cannot run it (available: {:?})",
@@ -165,11 +154,12 @@ pub fn active_isa() -> Isa {
 /// Packed-`b` panel width (`NR`) for `isa` — how many output columns one
 /// micro-kernel tile covers. The packing layout in `linalg::matmul_kernel`
 /// is parameterized on this, so each ISA gets panels its registers fill
-/// exactly (scalar/sse2: 8 = two SSE vectors; avx2: 16 = two YMM vectors;
-/// avx512: 32 = two ZMM vectors).
+/// exactly (scalar: 8 = two SSE vectors, which is what rustc makes of the
+/// loop on x86-64; avx2: 16 = two YMM vectors; avx512: 32 = two ZMM
+/// vectors).
 pub const fn panel_width(isa: Isa) -> usize {
     match isa {
-        Isa::Scalar | Isa::Sse2 => 8,
+        Isa::Scalar => 8,
         Isa::Avx2 => 16,
         Isa::Avx512 => 32,
     }
@@ -199,7 +189,7 @@ pub fn pack_b(packed: &mut [f32], b: &[f32], k: usize, m: usize, nr: usize) {
 
 /// Micro-kernel over one band of output rows fed from packed `b` panels:
 /// `out[n,m] += a[n,k] * panels`. Each output element accumulates through
-/// a single register lane walking `k` in ascending order; scalar/sse2 use
+/// a single register lane walking `k` in ascending order; scalar uses
 /// mul-then-add (the `matmul_reference` chain), avx2 fuses each step into
 /// an FMA.
 ///
@@ -216,8 +206,6 @@ pub fn matmul_block_rows(
 ) {
     match isa {
         Isa::Scalar => scalar::matmul_block_rows(a, packed, out, n, k, m),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => sse2::matmul_block_rows(a, packed, out, n, k, m),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 is only dispatched when avx2+fma are detected
         // (is_available checked at ISA resolution / by the caller of the
@@ -237,9 +225,7 @@ pub fn matmul_block_rows(
 /// encodes of the same rows agree bitwise whichever path they take.
 pub fn matmul_small(isa: Isa, a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     match isa {
-        // The scalar reference loop *is* the sse2 chain (mul-then-add per
-        // lane, ascending k), so both share it.
-        Isa::Scalar | Isa::Sse2 => crate::linalg::matmul_reference(a, b, out, n, k, m),
+        Isa::Scalar => crate::linalg::matmul_reference(a, b, out, n, k, m),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2/Avx512 dispatch implies avx2+fma are available. The
         // avx512 tier shares the avx2 small path — same bits either way.
@@ -274,7 +260,7 @@ pub fn softmax_rows(isa: Isa, src: &[f32], dst: &mut [f32], w: usize) {
 
 /// Layer norm over consecutive rows of width `w = gamma.len()`:
 /// `y = xhat * gamma + beta` with `xhat = (x - mean) * istd`. Statistics
-/// accumulate in f64 — serial left-to-right on scalar/sse2, four f64 lanes
+/// accumulate in f64 — serial left-to-right on scalar, four f64 lanes
 /// folded in a fixed order on avx2 (the relaxation) — and the normalize
 /// step is element-wise, identical on every ISA given equal statistics.
 /// `saved`, when provided, receives `(xhat, inv_std)` (one `inv_std` per
@@ -319,9 +305,7 @@ pub fn layer_norm_backward_row(
     dbeta: &mut [f32],
 ) {
     match isa {
-        Isa::Scalar | Isa::Sse2 => {
-            scalar::layer_norm_backward_row(xhat, istd, gamma, g, dx, dgamma, dbeta)
-        }
+        Isa::Scalar => scalar::layer_norm_backward_row(xhat, istd, gamma, g, dx, dgamma, dbeta),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2/Avx512 dispatch implies avx2+fma are available.
         Isa::Avx2 | Isa::Avx512 => unsafe {
@@ -341,7 +325,7 @@ pub fn layer_norm_backward_row(
 /// of 8 lanes at a time and blends zeros in).
 pub fn sanitize_chunk(isa: Isa, xs: &mut [f32]) -> usize {
     match isa {
-        Isa::Scalar | Isa::Sse2 => scalar::sanitize_chunk(xs),
+        Isa::Scalar => scalar::sanitize_chunk(xs),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2/Avx512 dispatch implies avx2+fma are available.
         Isa::Avx2 | Isa::Avx512 => unsafe { avx2::sanitize_chunk(xs) },
@@ -350,13 +334,13 @@ pub fn sanitize_chunk(isa: Isa, xs: &mut [f32]) -> usize {
     }
 }
 
-/// Sum of squares of one chunk in f64. Scalar/sse2 keep the serial
+/// Sum of squares of one chunk in f64. Scalar keeps the serial
 /// ascending chain; avx2 accumulates in four f64 lanes folded in a fixed
 /// order (relaxed, oracle-bounded). Each f32 squares exactly in f64 (24-bit
 /// mantissas), so the only rounding on any path is in the additions.
 pub fn norm_sq_chunk(isa: Isa, xs: &[f32]) -> f64 {
     match isa {
-        Isa::Scalar | Isa::Sse2 => scalar::norm_sq_chunk(xs),
+        Isa::Scalar => scalar::norm_sq_chunk(xs),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2/Avx512 dispatch implies avx2+fma are available.
         Isa::Avx2 | Isa::Avx512 => unsafe { avx2::norm_sq_chunk(xs) },
@@ -366,32 +350,15 @@ pub fn norm_sq_chunk(isa: Isa, xs: &[f32]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Dequantize-on-the-fly matmul pieces
+// Dequantization
 // ---------------------------------------------------------------------------
-
-/// `dst[j] += a_ik * w_row[j]` — the inner update of the dequantizing
-/// matmul. Runs the matmul chain of `isa` (mul-then-add on scalar/sse2,
-/// FMA on avx2), so `matmul2d_dequant` stays bit-identical to
-/// `matmul2d(a, w.dequantize())` *on the same ISA*.
-pub fn dequant_axpy(isa: Isa, a_ik: f32, w_row: &[f32], dst: &mut [f32]) {
-    match isa {
-        Isa::Scalar => scalar::axpy(a_ik, w_row, dst),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => sse2::axpy(a_ik, w_row, dst),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2/Avx512 dispatch implies avx2+fma are available.
-        Isa::Avx2 | Isa::Avx512 => unsafe { avx2::axpy(a_ik, w_row, dst) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::axpy(a_ik, w_row, dst),
-    }
-}
 
 /// Dequantizes one int8 row: `out[j] = q[j] as f32 * scale`. The integer
 /// widening and single multiply are exact per element, so every ISA
 /// produces identical bits; avx2 just converts 8 lanes at a time.
 pub fn dequant_row_i8(isa: Isa, qs: &[i8], scale: f32, out: &mut [f32]) {
     match isa {
-        Isa::Scalar | Isa::Sse2 => scalar::dequant_row_i8(qs, scale, out),
+        Isa::Scalar => scalar::dequant_row_i8(qs, scale, out),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2/Avx512 dispatch implies avx2+fma are available.
         Isa::Avx2 | Isa::Avx512 => unsafe { avx2::dequant_row_i8(qs, scale, out) },
@@ -412,12 +379,13 @@ mod tests {
 
     #[test]
     fn labels_round_trip_through_parse() {
-        for isa in [Isa::Scalar, Isa::Sse2, Isa::Avx2, Isa::Avx512] {
+        for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
             assert_eq!(Isa::parse(isa.label()), Some(isa));
             assert_eq!(Isa::parse(&isa.label().to_uppercase()), Some(isa));
         }
         assert_eq!(Isa::parse("avx1024"), None);
         assert_eq!(Isa::parse("neon"), None);
+        assert_eq!(Isa::parse("sse2"), None, "the sse2 path is gone");
     }
 
     #[test]
@@ -430,7 +398,6 @@ mod tests {
     #[test]
     fn panel_widths_fit_register_files() {
         assert_eq!(panel_width(Isa::Scalar), 8);
-        assert_eq!(panel_width(Isa::Sse2), 8);
         assert_eq!(panel_width(Isa::Avx2), 16);
         assert_eq!(panel_width(Isa::Avx512), 32);
     }

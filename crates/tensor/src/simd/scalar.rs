@@ -2,9 +2,11 @@
 //!
 //! These are the chains every other ISA is defined against: single f32
 //! accumulators walking `k` in ascending order for the matmul family,
-//! serial left-to-right f64 sums for the reductions. The sse2 path is
-//! bit-identical to everything here; the avx2 path relaxes the reduction
-//! order and fuses multiply-adds (see the module docs in `simd`).
+//! serial left-to-right f64 sums for the reductions. The avx2 path relaxes
+//! the reduction order and fuses multiply-adds (see the module docs in
+//! `simd`). On x86-64 rustc vectorizes these loops with the baseline SSE2
+//! it may always assume, which is why no hand-written sse2 path exists
+//! (DESIGN.md §16 has the measurement).
 
 /// Register tile of the scalar micro-kernel: `MR x NR` accumulators held in
 /// locals across the whole `k` walk. `NR` matches `panel_width(Scalar)`.
@@ -183,13 +185,6 @@ pub fn norm_sq_chunk(xs: &[f32]) -> f64 {
         acc += (x as f64) * (x as f64);
     }
     acc
-}
-
-/// `dst[j] += a * w[j]`, mul-then-add per element.
-pub fn axpy(a: f32, w: &[f32], dst: &mut [f32]) {
-    for (o, &b) in dst.iter_mut().zip(w) {
-        *o += a * b;
-    }
 }
 
 /// `out[j] = q[j] as f32 * scale` — exact per element.

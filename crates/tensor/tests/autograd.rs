@@ -117,7 +117,7 @@ fn grad_activations() {
         ("exp", |p| p[0].exp().sum()),
         ("square", |p| p[0].square().sum()),
     ] {
-        let r = gradcheck(f, &[x.clone()], 0, EPS);
+        let r = gradcheck(f, std::slice::from_ref(&x), 0, EPS);
         assert!(r.ok(TOL), "{name}: {r:?}");
     }
 }
@@ -126,7 +126,7 @@ fn grad_activations() {
 fn grad_relu_away_from_kink() {
     // shift inputs away from 0 where ReLU is non-differentiable
     let x = randn(&[2, 5], 12).map(|v| if v.abs() < 0.2 { v + 0.5 } else { v });
-    let r = gradcheck(|p| p[0].relu().sum(), &[x.clone()], 0, EPS);
+    let r = gradcheck(|p| p[0].relu().sum(), std::slice::from_ref(&x), 0, EPS);
     assert!(r.ok(TOL), "relu: {r:?}");
     let r = gradcheck(|p| p[0].leaky_relu(0.1).sum(), &[x], 0, EPS);
     assert!(r.ok(TOL), "leaky_relu: {r:?}");
@@ -178,21 +178,21 @@ fn grad_reshape_permute_concat_slice() {
     let x = randn(&[2, 3, 4], 18);
     let r = gradcheck(
         |p| p[0].reshape([6, 4]).square().sum(),
-        &[x.clone()],
+        std::slice::from_ref(&x),
         0,
         EPS,
     );
     assert!(r.ok(TOL), "reshape: {r:?}");
     let r = gradcheck(
         |p| p[0].permute(&[2, 0, 1]).square().sum(),
-        &[x.clone()],
+        std::slice::from_ref(&x),
         0,
         EPS,
     );
     assert!(r.ok(TOL), "permute: {r:?}");
     let r = gradcheck(
         |p| p[0].slice_last(1, 2).square().sum(),
-        &[x.clone()],
+        std::slice::from_ref(&x),
         0,
         EPS,
     );
@@ -217,9 +217,14 @@ fn grad_reshape_permute_concat_slice() {
 #[test]
 fn grad_reductions() {
     let x = randn(&[3, 4], 20);
-    let r = gradcheck(|p| p[0].mean(), &[x.clone()], 0, EPS);
+    let r = gradcheck(|p| p[0].mean(), std::slice::from_ref(&x), 0, EPS);
     assert!(r.ok(TOL), "mean: {r:?}");
-    let r = gradcheck(|p| p[0].sum_last().square().sum(), &[x.clone()], 0, EPS);
+    let r = gradcheck(
+        |p| p[0].sum_last().square().sum(),
+        std::slice::from_ref(&x),
+        0,
+        EPS,
+    );
     assert!(r.ok(TOL), "sum_last: {r:?}");
     let r = gradcheck(|p| p[0].mean_last().square().sum(), &[x], 0, EPS);
     assert!(r.ok(TOL), "mean_last: {r:?}");

@@ -26,9 +26,7 @@ fn poisoned_inputs(n: usize, k: usize, m: usize) -> (NdArray, NdArray) {
         a[row * k] = 0.0; // column 0 of `a` is zero...
     }
     let mut b = vec![0.5f32; k * m];
-    for col in 0..m {
-        b[col] = f32::INFINITY; // ...and row 0 of `b` is Inf.
-    }
+    b[..m].fill(f32::INFINITY); // ...and row 0 of `b` is Inf.
     (NdArray::from_vec([n, k], a), NdArray::from_vec([k, m], b))
 }
 
@@ -49,10 +47,12 @@ fn zero_times_inf_is_nan_on_the_reference_path() {
 #[test]
 fn zero_times_inf_is_nan_on_the_blocked_path() {
     let (a, b) = poisoned_inputs(BLOCKED_DIM, BLOCKED_DIM, BLOCKED_DIM);
-    assert!(
-        BLOCKED_DIM * BLOCKED_DIM * BLOCKED_DIM > 16 * 1024,
-        "shape too small to reach the blocked kernel"
-    );
+    const {
+        assert!(
+            BLOCKED_DIM * BLOCKED_DIM * BLOCKED_DIM > 16 * 1024,
+            "shape too small to reach the blocked kernel"
+        )
+    };
     let out = linalg::matmul2d(&a, &b);
     for (i, &v) in out.as_slice().iter().enumerate() {
         assert!(

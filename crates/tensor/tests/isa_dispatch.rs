@@ -6,8 +6,8 @@
 //! the per-ISA determinism contract of DESIGN.md §16:
 //!
 //! 1. **Oracle agreement**: every ISA stays within the documented bound of
-//!    an f64 reference; scalar and sse2 are additionally bit-identical to
-//!    `matmul_reference` and to each other on every kernel.
+//!    an f64 reference; scalar is additionally bit-identical to
+//!    `matmul_reference`.
 //! 2. **Bitwise determinism per ISA**: identical bits across repeated runs
 //!    and across thread counts 1 and 4.
 //! 3. **IEEE semantics**: `0 * Inf = NaN` propagates on every vector path,
@@ -19,7 +19,7 @@
 use hire_par::{with_pool, ThreadPool};
 use hire_tensor::quant::{QuantMode, QuantizedTensor};
 use hire_tensor::simd::Isa;
-use hire_tensor::{linalg, NdArray};
+use hire_tensor::{linalg, NdArray, WeightMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -110,7 +110,7 @@ fn matmul_oracle_agreement_and_determinism_per_isa() {
                 &format!("matmul {} {n}x{k}x{m}", isa.label()),
             );
             if isa < Isa::Avx2 {
-                // scalar and sse2 are bit-identical to the reference chain.
+                // scalar is bit-identical to the reference chain.
                 let mut reference = vec![0.0f32; n * m];
                 linalg::matmul_reference(a.as_slice(), b.as_slice(), &mut reference, n, k, m);
                 assert_bits_eq(
@@ -153,7 +153,7 @@ fn softmax_oracle_agreement_and_determinism_per_isa() {
             linalg::softmax_last_with_isa(&x, isa)
         });
         // Probabilities are <= 1, so an absolute bound pins the polynomial
-        // exp (avx2) and libm exp (scalar/sse2) to the same oracle.
+        // exp (avx2) and libm exp (scalar) to the same oracle.
         for (i, (&g, &o)) in y.as_slice().iter().zip(&oracle).enumerate() {
             assert!(
                 (g as f64 - o).abs() <= 1e-5,
@@ -221,47 +221,8 @@ fn layer_norm_oracle_agreement_and_determinism_per_isa() {
 }
 
 #[test]
-fn sse2_is_bit_identical_to_scalar_everywhere() {
-    if !Isa::Sse2.is_available() {
-        return;
-    }
-    let a = randn(&[64, 40], 0x500);
-    let b = randn(&[40, 32], 0x501);
-    assert_bits_eq(
-        linalg::matmul2d_with_isa(&a, &b, Isa::Sse2).as_slice(),
-        linalg::matmul2d_with_isa(&a, &b, Isa::Scalar).as_slice(),
-        "sse2 matmul",
-    );
-    let q = QuantizedTensor::quantize(&b, QuantMode::Int8);
-    assert_bits_eq(
-        linalg::matmul2d_dequant_with_isa(&a, &q, Isa::Sse2).as_slice(),
-        linalg::matmul2d_dequant_with_isa(&a, &q, Isa::Scalar).as_slice(),
-        "sse2 dequant matmul",
-    );
-    let x = randn(&[16, 50], 0x502);
-    assert_bits_eq(
-        linalg::softmax_last_with_isa(&x, Isa::Sse2).as_slice(),
-        linalg::softmax_last_with_isa(&x, Isa::Scalar).as_slice(),
-        "sse2 softmax",
-    );
-    let gamma = randn(&[50], 0x503);
-    let beta = randn(&[50], 0x504);
-    assert_bits_eq(
-        linalg::layer_norm_last_nd_with_isa(&x, &gamma, &beta, 1e-5, Isa::Sse2).as_slice(),
-        linalg::layer_norm_last_nd_with_isa(&x, &gamma, &beta, 1e-5, Isa::Scalar).as_slice(),
-        "sse2 layer_norm",
-    );
-    let flat = randn(&[9000], 0x505);
-    assert_eq!(
-        linalg::norm_sq_f64_with_isa(flat.as_slice(), Isa::Sse2).to_bits(),
-        linalg::norm_sq_f64_with_isa(flat.as_slice(), Isa::Scalar).to_bits(),
-        "sse2 norm_sq"
-    );
-}
-
-#[test]
 fn dequant_matmul_is_bit_identical_to_dequantize_then_matmul_per_isa() {
-    // The chain contract: on every ISA, dequantize-on-the-fly runs the
+    // The chain contract: on every ISA, a quantized projection runs the
     // same per-element accumulation as the f32 matmul of that ISA against
     // the dequantized weights.
     for isa in Isa::available() {
@@ -270,10 +231,11 @@ fn dequant_matmul_is_bit_identical_to_dequantize_then_matmul_per_isa() {
             let w = randn(&[k, m], 0x700 + m as u64);
             for mode in [QuantMode::Int8, QuantMode::F16] {
                 let q = QuantizedTensor::quantize(&w, mode);
-                let got = linalg::matmul2d_dequant_with_isa(&a, &q, isa);
+                let mut got = vec![f32::NAN; n * m];
+                q.linear_into(a.as_slice(), &mut got, isa);
                 let want = linalg::matmul2d_with_isa(&a, &q.dequantize(), isa);
                 assert_bits_eq(
-                    got.as_slice(),
+                    &got,
                     want.as_slice(),
                     &format!("dequant {} {mode:?} {n}x{k}x{m}", isa.label()),
                 );
@@ -347,9 +309,7 @@ fn zero_times_inf_is_nan_on_every_isa_and_both_size_paths() {
                 a[row * n] = 0.0;
             }
             let mut b = vec![0.5f32; n * n];
-            for col in 0..n {
-                b[col] = f32::INFINITY;
-            }
+            b[..n].fill(f32::INFINITY);
             let a = NdArray::from_vec([n, n], a);
             let b = NdArray::from_vec([n, n], b);
             let out = linalg::matmul2d_with_isa(&a, &b, isa);

@@ -49,7 +49,7 @@ fn matmul2d_is_thread_invariant_and_matches_reference() {
     // small-product path are exercised, plus ragged row counts that do not
     // divide the block size. Thread invariance must hold bitwise on every
     // dispatched ISA; agreement with `matmul_reference` is bitwise on
-    // scalar/sse2 and oracle-bounded on avx2 (whose FMA chain rounds less —
+    // scalar and oracle-bounded on avx2 (whose FMA chain rounds less —
     // see DESIGN.md §16; the per-ISA bound itself is pinned by
     // tests/isa_dispatch.rs).
     let bitwise_vs_reference = hire_tensor::simd::active_isa() < hire_tensor::simd::Isa::Avx2;
