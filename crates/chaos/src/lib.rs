@@ -67,9 +67,10 @@ pub mod sites {
     /// frame plus deterministic garbage reaches the file, and the log
     /// poisons itself as a dead process would).
     pub const WAL_APPEND: &str = "wal.append";
-    /// Write-ahead-log fsync (both strict and group commit). Supports
-    /// `Delay` (widens the group-commit batching window), `Panic`, and
-    /// `Error` (the commit fails typed; buffered frames stay unacked).
+    /// Write-ahead-log commit fsync. Supports `Delay` (a slow device:
+    /// committers that arrive meanwhile share the next fsync), `Panic` (the
+    /// leader dies; the next committer takes over), and `Error` (the commit
+    /// fails typed; buffered frames stay unacked).
     pub const WAL_FSYNC: &str = "wal.fsync";
     /// Write-ahead-log segment rotation. Supports `Delay`, `Panic`, and
     /// `Error` (the rotation is abandoned; the current segment keeps

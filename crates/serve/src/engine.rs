@@ -634,8 +634,8 @@ impl ServeEngine {
     }
 
     /// Attaches a write-ahead log (builder style). From here on,
-    /// [`ServeEngine::insert_rating`] appends (and waits out the log's
-    /// configured [`hire_wal::Durability`]) before acknowledging, and model
+    /// [`ServeEngine::insert_rating`] appends and waits for an fsync that
+    /// covers the record ([`Wal::commit`]) before acknowledging, and model
     /// swaps must name the checkpoint holding the weights
     /// ([`SlotSource::Checkpoint`]) so recovery can reload them.
     pub fn with_wal(mut self, wal: Arc<Wal>) -> Self {
@@ -1006,7 +1006,7 @@ impl ServeEngine {
         // A refused append leaves the engine untouched and unacknowledged.
         let logged = self.apply_rating(rating, self.wal.as_deref())?;
         let invalidated = self.invalidate_cached_edge(rating.user, rating.item);
-        // Durability wait happens outside the write-order lock (group commit
+        // The fsync wait happens outside the write-order lock (group commit
         // batches many waiters under one fsync). A failed commit means the
         // write is *not acknowledged*: the record may or may not survive a
         // crash, which is exactly the unacked contract.

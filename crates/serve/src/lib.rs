@@ -32,9 +32,10 @@
 //!   (closed / open / half-open) that sheds model-tier load when the
 //!   frozen forward is misbehaving.
 //! - [`Server`] — a micro-batching worker pool: queries are submitted over
-//!   channels (optionally with per-query deadline budgets), coalesced up to
-//!   `max_batch` while respecting the tightest deadline in the batch,
-//!   executed on `workers` threads, with bounded-queue backpressure
+//!   channels (optionally with per-query deadline budgets); a free worker
+//!   takes what is queued (at most `max_batch`, never waiting for more)
+//!   and runs it as one batch under the tightest deadline in it, on
+//!   `workers` threads, with bounded-queue backpressure
 //!   ([`ServeError::Overloaded`]), panic isolation
 //!   ([`ServeError::WorkerLost`]) and typed deadline replies
 //!   ([`ServeError::DeadlineExceeded`]).

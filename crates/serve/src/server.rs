@@ -1,14 +1,14 @@
 //! Micro-batching worker pool.
 //!
-//! Queries enter a bounded queue; worker threads coalesce up to
-//! `max_batch` of them (waiting at most `batch_timeout` for stragglers,
-//! and never past the tightest per-query deadline in the batch) and
-//! execute one batched predictor call. Backpressure is explicit: a full
-//! queue rejects the submission with [`ServeError::Overloaded`] instead of
-//! buffering unboundedly. A panicking predictor poisons only the in-flight
-//! batch — its callers receive [`ServeError::WorkerLost`] and the worker
-//! thread survives to serve the next batch. A query that is already past
-//! its deadline when a worker picks it up is answered
+//! Queries enter a bounded queue; a worker that wakes takes what is
+//! queued at that moment (at most `max_batch`) and executes one batched
+//! predictor call — it never waits for stragglers: whatever arrives while
+//! the call is in flight forms the next batch. Backpressure is explicit:
+//! a full queue rejects the submission with [`ServeError::Overloaded`]
+//! instead of buffering unboundedly. A panicking predictor poisons only
+//! the in-flight batch — its callers receive [`ServeError::WorkerLost`]
+//! and the worker thread survives to serve the next batch. A query that
+//! is already past its deadline when a worker picks it up is answered
 //! [`ServeError::DeadlineExceeded`] without spending a forward on it —
 //! accepted queries are always answered, never silently late.
 
@@ -227,9 +227,6 @@ pub struct ServerConfig {
     pub max_batch: usize,
     /// Queue bound; submissions beyond it are rejected as `Overloaded`.
     pub max_queue: usize,
-    /// How long a worker waits for more queries before running a partial
-    /// batch.
-    pub batch_timeout: Duration,
 }
 
 impl Default for ServerConfig {
@@ -238,7 +235,6 @@ impl Default for ServerConfig {
             workers: 4,
             max_batch: 8,
             max_queue: 1024,
-            batch_timeout: Duration::from_millis(2),
         }
     }
 }
@@ -339,7 +335,6 @@ impl Server {
             workers: config.workers.max(1),
             max_batch: config.max_batch.max(1),
             max_queue: config.max_queue.max(1),
-            ..config
         };
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -378,8 +373,7 @@ impl Server {
     /// [`Server::submit`] with a per-query deadline budget. A query whose
     /// budget elapses before a worker runs it is answered
     /// [`ServeError::DeadlineExceeded`]; one that expires mid-batch is
-    /// degraded by the predictor where possible. Batch coalescing never
-    /// waits past the tightest deadline in the batch.
+    /// degraded by the predictor where possible.
     pub fn submit_with_deadline(
         &self,
         query: RatingQuery,
@@ -450,64 +444,45 @@ impl Drop for Server {
     }
 }
 
+/// The one reply sink: counts the job as completed, then sends its typed
+/// result — counted first, so a caller that sees its answer also sees the
+/// counter include it.
+fn reply(shared: &Shared, job: &Job, result: Result<Prediction, ServeError>) {
+    shared.completed.fetch_add(1, Ordering::Relaxed);
+    let _ = job.reply.send(result);
+}
+
 fn worker_loop(shared: Arc<Shared>, predictor: Arc<dyn Predictor>) {
     loop {
-        // Wait for the first runnable job (or shutdown with an empty
-        // queue). Jobs already past their deadline are answered
-        // `DeadlineExceeded` here, without spending a forward.
+        // Sleep until something is queued (or shutdown with an empty
+        // queue), then take what is queued now, up to `max_batch`. A job
+        // already past its deadline is answered `DeadlineExceeded` here,
+        // without spending a forward, and never joins the batch.
+        let mut batch: Vec<Job> = Vec::new();
+        let mut tightest: Option<Instant> = None;
         let mut st = lock(&shared.state);
-        let first = 'first: loop {
-            while let Some(job) = st.jobs.pop_front() {
-                if job
-                    .deadline
-                    .is_some_and(|deadline| Instant::now() >= deadline)
-                {
-                    shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                    shared.completed.fetch_add(1, Ordering::Relaxed);
-                    let _ = job.reply.send(Err(ServeError::DeadlineExceeded));
-                    continue;
+        loop {
+            while batch.len() < shared.config.max_batch {
+                let Some(job) = st.jobs.pop_front() else {
+                    break;
+                };
+                if let Some(deadline) = job.deadline {
+                    if Instant::now() >= deadline {
+                        shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
+                        reply(&shared, &job, Err(ServeError::DeadlineExceeded));
+                        continue;
+                    }
+                    tightest = Some(tightest.map_or(deadline, |t| t.min(deadline)));
                 }
-                break 'first job;
+                batch.push(job);
+            }
+            if !batch.is_empty() {
+                break;
             }
             if st.shutdown {
                 return;
             }
             st = shared.cv.wait(st).unwrap_or_else(|p| p.into_inner());
-        };
-
-        // Coalesce up to max_batch jobs, waiting at most batch_timeout for
-        // stragglers — but never past the tightest deadline already in the
-        // batch. During shutdown, take whatever is queued and run.
-        let mut tightest = first.deadline;
-        let mut batch = vec![first];
-        let mut wait_until = Instant::now() + shared.config.batch_timeout;
-        if let Some(deadline) = tightest {
-            wait_until = wait_until.min(deadline);
-        }
-        while batch.len() < shared.config.max_batch {
-            if let Some(job) = st.jobs.pop_front() {
-                if let Some(deadline) = job.deadline {
-                    tightest = Some(tightest.map_or(deadline, |t| t.min(deadline)));
-                    wait_until = wait_until.min(deadline);
-                }
-                batch.push(job);
-                continue;
-            }
-            if st.shutdown {
-                break;
-            }
-            let now = Instant::now();
-            if now >= wait_until {
-                break;
-            }
-            let (guard, timeout) = shared
-                .cv
-                .wait_timeout(st, wait_until - now)
-                .unwrap_or_else(|p| p.into_inner());
-            st = guard;
-            if timeout.timed_out() && st.jobs.is_empty() {
-                break;
-            }
         }
         drop(st);
 
@@ -518,54 +493,40 @@ fn worker_loop(shared: Arc<Shared>, predictor: Arc<dyn Predictor>) {
             }
             predictor.predict_batch_tagged(&queries, tightest)
         }));
-        match result {
-            Ok(Ok(answers)) if answers.len() == batch.len() => {
-                for (job, answer) in batch.iter().zip(&answers) {
-                    // Count before replying so a caller that sees its
-                    // answer also sees the counter include it.
-                    shared.completed.fetch_add(1, Ordering::Relaxed);
-                    let _ = job.reply.send(Ok(Prediction {
-                        rating: answer.rating,
-                        latency: job.enqueued.elapsed(),
-                        served_by: answer.served_by,
-                        version: answer.version,
-                    }));
-                }
-            }
-            Ok(Ok(answers)) => {
-                // A misbehaving predictor returned the wrong number of
-                // answers (e.g. a chaos `WrongShape` fault). Every caller
-                // gets a typed error — truncating the zip would leave the
-                // surplus jobs answered `WorkerLost` by channel drop and
-                // mis-assign ratings on a short batch.
-                let e = ServeError::Model(HireError::invalid_data(
-                    "Server",
-                    format!(
-                        "predictor returned {} answers for a batch of {}",
-                        answers.len(),
-                        batch.len()
-                    ),
-                ));
-                for job in &batch {
-                    shared.completed.fetch_add(1, Ordering::Relaxed);
-                    let _ = job.reply.send(Err(e.clone()));
-                }
-            }
-            Ok(Err(e)) => {
-                for job in &batch {
-                    shared.completed.fetch_add(1, Ordering::Relaxed);
-                    let _ = job.reply.send(Err(e.clone()));
-                }
-            }
+        let outcome = match result {
+            Ok(Ok(answers)) if answers.len() == batch.len() => Ok(answers),
+            // A misbehaving predictor returned the wrong number of answers
+            // (e.g. a chaos `WrongShape` fault). Every caller gets a typed
+            // error — truncating the zip would leave the surplus jobs
+            // answered `WorkerLost` by channel drop and mis-assign ratings
+            // on a short batch.
+            Ok(Ok(answers)) => Err(ServeError::Model(HireError::invalid_data(
+                "Server",
+                format!(
+                    "predictor returned {} answers for a batch of {}",
+                    answers.len(),
+                    batch.len()
+                ),
+            ))),
+            Ok(Err(e)) => Err(e),
             Err(_panic) => {
                 // The batch is lost but the worker survives; callers get a
                 // typed error instead of a hung receiver.
                 shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-                for job in &batch {
-                    shared.completed.fetch_add(1, Ordering::Relaxed);
-                    let _ = job.reply.send(Err(ServeError::WorkerLost));
-                }
+                Err(ServeError::WorkerLost)
             }
+        };
+        for (k, job) in batch.iter().enumerate() {
+            let result = match &outcome {
+                Ok(answers) => Ok(Prediction {
+                    rating: answers[k].rating,
+                    latency: job.enqueued.elapsed(),
+                    served_by: answers[k].served_by,
+                    version: answers[k].version,
+                }),
+                Err(e) => Err(e.clone()),
+            };
+            reply(&shared, job, result);
         }
     }
 }

@@ -86,7 +86,6 @@ fn every_accepted_query_gets_exactly_one_typed_reply_under_mixed_chaos() {
                 workers: 2,
                 max_batch: 4,
                 max_queue: 256,
-                batch_timeout: Duration::from_millis(1),
             },
             Some(plan.clone()),
         );

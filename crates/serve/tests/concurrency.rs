@@ -5,14 +5,14 @@
 use hire_core::{HireConfig, HireModel};
 use hire_graph::Rating;
 use hire_serve::{
-    EngineConfig, FrozenModel, Predictor, RatingQuery, ResilienceConfig, ServeEngine, ServeError,
-    Server, ServerConfig,
+    Answer, EngineConfig, FrozenModel, Predictor, RatingQuery, ResilienceConfig, ServeEngine,
+    ServeError, ServedBy, Server, ServerConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Answers `user + item` after an optional delay; panics on a poisoned
 /// user id.
@@ -60,7 +60,6 @@ fn shutdown_drains_queue_and_answers_every_accepted_query() {
             workers: 2,
             max_batch: 4,
             max_queue: 1024,
-            batch_timeout: Duration::from_millis(1),
         },
     );
     let handles: Vec<_> = (0..40)
@@ -104,7 +103,6 @@ fn full_queue_rejects_with_overloaded_but_drops_nothing_accepted() {
             workers: 1,
             max_batch: 1,
             max_queue: 3,
-            batch_timeout: Duration::ZERO,
         },
     );
     let mut accepted = Vec::new();
@@ -139,7 +137,6 @@ fn worker_panic_surfaces_as_worker_lost_not_deadlock() {
             workers: 1,
             max_batch: 1, // keep the poisoned query in its own batch
             max_queue: 64,
-            batch_timeout: Duration::ZERO,
         },
     );
     let err = server
@@ -165,7 +162,6 @@ fn batches_coalesce_up_to_max_batch() {
             workers: 1,
             max_batch: 8,
             max_queue: 1024,
-            batch_timeout: Duration::from_millis(20),
         },
     );
     // With one slow worker, 32 queued queries must drain in far fewer
@@ -196,7 +192,6 @@ fn queued_query_past_its_deadline_is_answered_typed_not_silently_late() {
             workers: 1,
             max_batch: 1,
             max_queue: 16,
-            batch_timeout: Duration::ZERO,
         },
     );
     // Occupy the single worker, then queue a query whose budget will
@@ -234,7 +229,6 @@ fn recv_timeout_bounds_the_wait_without_consuming_the_handle() {
             workers: 1,
             max_batch: 1,
             max_queue: 16,
-            batch_timeout: Duration::ZERO,
         },
     );
     let handle = server
@@ -251,6 +245,174 @@ fn recv_timeout_bounds_the_wait_without_consuming_the_handle() {
         .expect("late answer must still arrive");
     assert_eq!(pred.rating, 7.0);
     server.shutdown();
+}
+
+/// Reports each batch (its users, and the deadline the server handed the
+/// predictor) on entry, then blocks until the test releases it — so the
+/// test, not a clock, decides what is queued while a batch is in flight.
+struct GatedPredictor {
+    entered: mpsc::Sender<(Vec<usize>, Option<Instant>)>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+/// The test's end of a [`GatedPredictor`].
+struct Gate {
+    entered: mpsc::Receiver<(Vec<usize>, Option<Instant>)>,
+    release: mpsc::Sender<()>,
+}
+
+impl GatedPredictor {
+    fn new() -> (Arc<Self>, Gate) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let predictor = GatedPredictor {
+            entered: entered_tx,
+            release: Mutex::new(release_rx),
+        };
+        (Arc::new(predictor), Gate { entered, release })
+    }
+}
+
+impl Gate {
+    /// Blocks until the worker enters its next batch; returns what it was
+    /// given.
+    fn next_batch(&self) -> (Vec<usize>, Option<Instant>) {
+        self.entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the worker must enter a batch")
+    }
+
+    /// Lets the batch the worker is blocked in finish.
+    fn release(&self) {
+        self.release.send(()).expect("predictor alive");
+    }
+}
+
+impl Predictor for GatedPredictor {
+    fn predict_batch(&self, queries: &[RatingQuery]) -> Result<Vec<f32>, ServeError> {
+        Ok(queries.iter().map(|q| (q.user + q.item) as f32).collect())
+    }
+
+    fn predict_batch_tagged(
+        &self,
+        queries: &[RatingQuery],
+        deadline: Option<Instant>,
+    ) -> Result<Vec<Answer>, ServeError> {
+        let users = queries.iter().map(|q| q.user).collect();
+        self.entered.send((users, deadline)).expect("test alive");
+        self.release
+            .lock()
+            .expect("gate lock")
+            .recv()
+            .expect("test alive");
+        Ok(self
+            .predict_batch(queries)?
+            .into_iter()
+            .map(|rating| Answer {
+                rating,
+                served_by: ServedBy::Model,
+                version: 0,
+            })
+            .collect())
+    }
+}
+
+fn gated_server(max_batch: usize) -> (Server, Gate) {
+    let (predictor, gate) = GatedPredictor::new();
+    let server = Server::start(
+        predictor,
+        ServerConfig {
+            workers: 1,
+            max_batch,
+            max_queue: 64,
+        },
+    );
+    (server, gate)
+}
+
+/// The batching rule, stated without a clock: a free worker runs what is
+/// queued the moment it wakes, and whatever arrives while that batch is
+/// in flight forms the next one, `max_batch` at a time.
+#[test]
+fn worker_takes_what_is_queued_and_never_waits_for_more() {
+    let (server, gate) = gated_server(8);
+    let submit = |users: std::ops::RangeInclusive<usize>| -> Vec<_> {
+        users
+            .map(|user| {
+                server
+                    .submit(RatingQuery { user, item: 0 })
+                    .expect("accepted")
+            })
+            .collect()
+    };
+
+    // A lone query is entered alone, before anything else is submitted.
+    let mut handles = submit(1..=1);
+    assert_eq!(gate.next_batch().0, [1]);
+
+    // Four arrive while it is in flight: together they are the next batch.
+    handles.extend(submit(2..=5));
+    gate.release();
+    assert_eq!(gate.next_batch().0, [2, 3, 4, 5]);
+
+    // Twelve arrive while that one is in flight: eight, then four.
+    handles.extend(submit(6..=17));
+    gate.release();
+    assert_eq!(gate.next_batch().0, (6..=13).collect::<Vec<_>>());
+    gate.release();
+    assert_eq!(gate.next_batch().0, (14..=17).collect::<Vec<_>>());
+    gate.release();
+
+    for (k, h) in handles.into_iter().enumerate() {
+        assert_eq!(h.wait().expect("answered").rating, (k + 1) as f32);
+    }
+    server.shutdown();
+    assert_eq!(server.stats().completed, 17);
+}
+
+/// Regression: only the first job of a batch used to be screened against
+/// its deadline, so an expired job popped after it joined the batch and
+/// its dead deadline became the whole batch's — degrading (or refusing)
+/// batch-mates that carried no deadline at all.
+#[test]
+fn expired_straggler_is_refused_alone_and_does_not_poison_its_batch_mates() {
+    let (server, gate) = gated_server(8);
+    let query = |user| RatingQuery { user, item: 0 };
+    let held = server.submit(query(0)).expect("accepted");
+    assert_eq!(gate.next_batch().0, [0]);
+
+    // Queued behind the held batch: no deadline, already expired, far off.
+    let free = server.submit(query(1)).expect("accepted");
+    let expired = server
+        .submit_with_deadline(query(2), Some(Duration::ZERO))
+        .expect("accepted");
+    let far = Instant::now() + Duration::from_secs(3600);
+    let roomy = server
+        .submit_with_deadline(query(3), Some(Duration::from_secs(2 * 3600)))
+        .expect("accepted");
+    gate.release();
+
+    let (users, deadline) = gate.next_batch();
+    assert_eq!(
+        users,
+        [1, 3],
+        "the expired query must not reach the predictor"
+    );
+    assert!(
+        deadline.is_some_and(|d| d > far),
+        "the batch's deadline is its live members' tightest, got {deadline:?}"
+    );
+    gate.release();
+
+    held.wait().expect("held query answered");
+    free.wait().expect("deadline-free query answered");
+    roomy.wait().expect("roomy query answered");
+    let err = expired.wait().expect_err("expired query must be refused");
+    assert!(matches!(err, ServeError::DeadlineExceeded), "got {err}");
+    server.shutdown();
+    let stats = server.stats();
+    assert_eq!(stats.deadline_expired, 1);
+    assert_eq!(stats.completed, 4);
 }
 
 /// Returns one value fewer than it was asked for — a buggy predictor whose
@@ -271,7 +433,6 @@ fn wrong_length_predictor_output_is_a_typed_error_for_every_caller() {
             workers: 1,
             max_batch: 4,
             max_queue: 64,
-            batch_timeout: Duration::from_millis(20),
         },
     );
     let handles: Vec<_> = (0..4)
@@ -385,7 +546,6 @@ fn concurrent_clients_see_consistent_results() {
             workers: 4,
             max_batch: 8,
             max_queue: 4096,
-            batch_timeout: Duration::from_micros(500),
         },
     ));
     let clients: Vec<_> = (0..8)

@@ -10,7 +10,6 @@ use hire_serve::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn engine() -> ServeEngine {
     let dataset = hire_data::SyntheticConfig::movielens_like()
@@ -104,7 +103,6 @@ fn serves_through_the_worker_pool() {
             workers: 2,
             max_batch: 4,
             max_queue: 256,
-            batch_timeout: Duration::from_millis(1),
         },
     );
     let handles: Vec<_> = (0..20)

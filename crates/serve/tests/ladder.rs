@@ -433,7 +433,6 @@ fn every_query_gets_exactly_one_typed_reply_across_five_tiers_and_swaps() {
                 workers: 2,
                 max_batch: 4,
                 max_queue: 256,
-                batch_timeout: Duration::from_millis(1),
             },
             Some(plan.clone()),
         );

@@ -362,7 +362,6 @@ fn no_query_is_dropped_across_swaps() {
             workers: 2,
             max_batch: 4,
             max_queue: 512,
-            batch_timeout: Duration::from_millis(1),
         },
     );
     let swapper = {

@@ -7,8 +7,8 @@
 //!
 //! "Kill point" here means a byte-level copy of the WAL directory taken
 //! immediately after an acknowledged operation — exactly what a
-//! power-cut at that instant would leave on disk (the log runs at
-//! `Strict` durability in these tests, so acked ⇒ fsynced). Each copy is
+//! power-cut at that instant would leave on disk (an ack follows an
+//! fsync that covers it, so acked ⇒ fsynced). Each copy is
 //! recovered independently and compared against the state the live
 //! engine had at that point.
 
@@ -22,7 +22,7 @@ use hire_serve::{
     OnlineLoop, Predictor, RatingQuery, RoundOutcome, ServeEngine, ServeError, SlotSource,
     CANDIDATE_TAG,
 };
-use hire_wal::{Durability, Wal, WalOptions, SEGMENT_EXT};
+use hire_wal::{Wal, WalOptions, SEGMENT_EXT};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -30,7 +30,6 @@ use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 const USERS: usize = 40;
 const ITEMS: usize = 35;
@@ -93,9 +92,7 @@ fn engine_config() -> EngineConfig {
 
 fn strict_opts() -> WalOptions {
     WalOptions {
-        durability: Durability::Strict,
         segment_max_bytes: 4 << 20,
-        group_window: Duration::ZERO,
     }
 }
 
@@ -224,13 +221,14 @@ fn acked_inserts_survive_every_kill_point_bitwise() {
     assert_eq!(&probe_bits(recovered.engine.as_ref()), live_bits);
 }
 
-/// Concurrent writers through one engine, at both acknowledging durability
-/// levels: four threads push interleaved inserts, every call acked; the
-/// engine is dropped and rebuilt from the log alone. No acked write may be
-/// lost, the log's record order must be the order the live engine committed
-/// in (the write-order invariant, under contention), and the recovered
-/// engine must answer bit-identically. At `Group` one fsync has to have
-/// covered several writers — the point of the group window (DESIGN.md §15).
+/// Concurrent writers through one engine: four threads push interleaved
+/// inserts, every call acked; the engine is dropped and rebuilt from the
+/// log alone. No acked write may be lost, the log's record order must be
+/// the order the live engine committed in (the write-order invariant,
+/// under contention), and the recovered engine must answer
+/// bit-identically. (That one fsync covers several writers is stated
+/// deterministically by `hire-wal`'s own
+/// `group_commit_batches_concurrent_writers`.)
 #[test]
 fn concurrent_acked_writers_recover_in_commit_order_bitwise() {
     const WRITERS: usize = 4;
@@ -246,47 +244,39 @@ fn concurrent_acked_writers_recover_in_commit_order_bitwise() {
         let answers = engine.predict_batch(&probes).expect("probe batch");
         answers.into_iter().map(f32::to_bits).collect()
     };
-    for durability in [Durability::Group, Durability::Strict] {
-        let tmp = TempDir::new(&format!("writers-{durability:?}"));
-        let wal_dir = tmp.sub("wal");
-        let opts = WalOptions {
-            durability,
-            ..WalOptions::default()
-        };
-        let engine = wal_engine(&dataset, &wal_dir, opts.clone());
-        let start = Barrier::new(WRITERS);
-        std::thread::scope(|scope| {
-            for w in 0..WRITERS {
-                let (engine, start) = (&engine, &start);
-                scope.spawn(move || {
-                    start.wait();
-                    for k in (w..ACKED).step_by(WRITERS) {
-                        engine.insert_rating(rating(k)).expect("acked insert");
-                    }
-                });
-            }
-        });
-        let (live_log, _) = engine.inserted_since(0);
-        assert_eq!(live_log.len(), ACKED);
-        let live_bits = bits(&engine);
-        let fsyncs = engine.wal().expect("wal attached").stats().fsyncs;
-        if durability == Durability::Group {
-            assert!(
-                fsyncs < ACKED as u64,
-                "group commit issued {fsyncs} fsyncs for {ACKED} acked writes"
-            );
+    let tmp = TempDir::new("writers");
+    let wal_dir = tmp.sub("wal");
+    let engine = wal_engine(&dataset, &wal_dir, WalOptions::default());
+    let start = Barrier::new(WRITERS);
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let (engine, start) = (&engine, &start);
+            scope.spawn(move || {
+                start.wait();
+                for k in (w..ACKED).step_by(WRITERS) {
+                    engine.insert_rating(rating(k)).expect("acked insert");
+                }
+            });
         }
-        drop(engine);
+    });
+    let (live_log, _) = engine.inserted_since(0);
+    assert_eq!(live_log.len(), ACKED);
+    let live_bits = bits(&engine);
+    drop(engine);
 
-        let recovered = recover_from(&dataset, &wal_dir, OnlineConfig::default(), opts);
-        assert_eq!(recovered.ratings, ACKED, "{durability:?}: acked write lost");
-        assert_eq!(
-            recovered.engine.inserted_since(0).0,
-            live_log,
-            "{durability:?}: log order is not the live commit order"
-        );
-        assert_eq!(bits(&recovered.engine), live_bits, "{durability:?}");
-    }
+    let recovered = recover_from(
+        &dataset,
+        &wal_dir,
+        OnlineConfig::default(),
+        WalOptions::default(),
+    );
+    assert_eq!(recovered.ratings, ACKED, "acked write lost");
+    assert_eq!(
+        recovered.engine.inserted_since(0).0,
+        live_log,
+        "log order is not the live commit order"
+    );
+    assert_eq!(bits(&recovered.engine), live_bits);
 }
 
 /// Promotions and demotions recover with the right version sequence and
@@ -542,9 +532,7 @@ fn snapshot_truncates_log_and_recovery_uses_it() {
     let ckpt_dir = tmp.sub("ckpt");
     let dataset = dataset();
     let opts = WalOptions {
-        durability: Durability::Strict,
         segment_max_bytes: 256, // force frequent rotation
-        group_window: Duration::ZERO,
     };
     let engine = wal_engine(&dataset, &wal_dir, opts.clone());
     let online_config = OnlineConfig {

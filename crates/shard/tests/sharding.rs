@@ -171,7 +171,6 @@ fn exactly_one_typed_reply_per_query_under_mixed_chaos_with_shards() {
                     workers: 2,
                     max_batch: 4,
                     max_queue: 256,
-                    batch_timeout: Duration::from_millis(1),
                 },
                 Some(server_plan),
             );

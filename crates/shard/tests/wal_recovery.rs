@@ -15,7 +15,7 @@ use hire_serve::{
     fold_log, EngineConfig, FrozenModel, Lineage, Predictor, RatingQuery, ServeError, SlotSource,
 };
 use hire_shard::{recover_sharded, ShardConfig, ShardedEngine};
-use hire_wal::{shard_dir, Durability, Wal, WalOptions, WalRecord};
+use hire_wal::{shard_dir, Wal, WalOptions, WalRecord};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,7 +23,6 @@ use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 const USERS: usize = 60;
 const ITEMS: usize = 45;
@@ -87,9 +86,7 @@ fn engine_config() -> EngineConfig {
 
 fn strict_opts() -> WalOptions {
     WalOptions {
-        durability: Durability::Strict,
         segment_max_bytes: 4 << 20,
-        group_window: Duration::ZERO,
     }
 }
 

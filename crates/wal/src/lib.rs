@@ -10,10 +10,11 @@
 //!   `HoldoutMark`, `ModelPromoted`, `Demoted`, `SnapshotBarrier`), encoded
 //!   with `hire-ckpt`'s payload primitives.
 //! * [`Wal`] — the log itself: segment files with fsynced headers, per-frame
-//!   CRC32, group commit (a bounded-latency fsync batcher behind
-//!   [`Durability::Group`]), size-triggered rotation, keep-after-barrier
-//!   truncation, and open-time torn-tail repair with a typed
-//!   [`WalError::Corrupt`] on real mid-log damage.
+//!   CRC32, group commit ([`Wal::commit`] returns only after an fsync that
+//!   covers its record; a committer that finds no fsync in flight issues one
+//!   at once, and those that arrive meanwhile share the next), size-triggered
+//!   rotation, keep-after-barrier truncation, and open-time torn-tail repair
+//!   with a typed [`WalError::Corrupt`] on real mid-log damage.
 //! * [`ShardManifest`] — the recovery root for sharded serving: one manifest,
 //!   one `shard-NNN/` log per shard, rebuilt in lockstep.
 //!
@@ -36,6 +37,6 @@ pub use frame::{
     parse_segment_name, segment_file_name, SEGMENT_EXT, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
     SEGMENT_VERSION,
 };
-pub use log::{Durability, Wal, WalOptions, WalRecovery, WalStats};
+pub use log::{Wal, WalOptions, WalRecovery, WalStats};
 pub use manifest::{shard_dir, ShardManifest, MANIFEST_FILE};
 pub use record::WalRecord;

@@ -9,15 +9,18 @@
 //!   An append holds it just long enough to (maybe) rotate, write one frame,
 //!   and take an LSN.
 //! * `sync` + a condvar implement the group-commit batcher. At most one
-//!   thread is the **leader** (holds `syncing = true`); it sleeps out the
-//!   batching window, clones the file handle (touching `writer` only for the
-//!   clone + an LSN snapshot), fsyncs *outside* both locks, publishes the new
-//!   `durable_upto`, and wakes everyone. Other committers are **followers**:
-//!   they wait on the condvar and re-check; if the leader failed they retry
-//!   as leaders, so an injected fsync error surfaces to every waiter that
-//!   still needs durability.
+//!   thread is the **leader** (holds `syncing = true`). A committer that
+//!   finds no sync in flight leads at once — it never waits for company: it
+//!   clones the file handle (touching `writer` only for the clone + an LSN
+//!   snapshot), fsyncs *outside* both locks, publishes the new
+//!   `durable_upto`, and wakes everyone. Committers that arrive meanwhile
+//!   are **followers**: they wait on the condvar and re-check, and one of
+//!   them leads the next fsync, which covers them all — so batches grow by
+//!   themselves exactly when the device is slow. If the leader failed or
+//!   panicked they retry as leaders, so an injected fsync error surfaces to
+//!   every waiter that still needs durability.
 //!
-//! Durability invariant: `durable_upto` counts records whose bytes are known
+//! Invariant: `durable_upto` counts records whose bytes are known
 //! to have been fsynced — via a commit fsync or a rotation (rotation fsyncs
 //! the outgoing segment before sealing it).
 
@@ -39,41 +42,17 @@ use crate::frame::{
 };
 use crate::record::WalRecord;
 
-/// How long an `append` caller waits for its record to reach disk before the
-/// write is acknowledged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Durability {
-    /// Ack as soon as the frame is buffered in the segment file. Fastest;
-    /// a crash loses any records the OS had not yet written back.
-    None,
-    /// Ack after an fsync that may batch many concurrent writers: the first
-    /// committer becomes leader, sleeps a bounded window so followers can
-    /// pile on, then one fsync covers the whole batch.
-    Group,
-    /// Ack only after an immediate fsync (no batching window). Slowest,
-    /// strongest.
-    Strict,
-}
-
 /// Tuning knobs for a [`Wal`].
 #[derive(Debug, Clone)]
 pub struct WalOptions {
-    /// Durability level applied by [`Wal::commit`].
-    pub durability: Durability,
     /// Rotate to a new segment once the current one exceeds this many bytes.
     pub segment_max_bytes: u64,
-    /// Group-commit batching window: how long the fsync leader waits for
-    /// followers before syncing. Bounds the worst-case ack latency added by
-    /// batching.
-    pub group_window: Duration,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
         WalOptions {
-            durability: Durability::Group,
             segment_max_bytes: 4 << 20,
-            group_window: Duration::from_millis(2),
         }
     }
 }
@@ -111,6 +90,25 @@ struct SyncState {
     durable_upto: u64,
     /// Whether a leader currently owns the fsync.
     syncing: bool,
+}
+
+/// The fsync leader's claim on `syncing`. Dropping it — on return, on an
+/// error, or while a panic unwinds — publishes what the fsync covered (0:
+/// nothing), hands leadership back and wakes every follower, so a leader
+/// that dies can never wedge the log.
+struct Leader<'a> {
+    wal: &'a Wal,
+    covered: u64,
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        let mut sync = self.wal.lock_sync();
+        sync.durable_upto = sync.durable_upto.max(self.covered);
+        sync.syncing = false;
+        drop(sync);
+        self.wal.sync_cv.notify_all();
+    }
 }
 
 /// Observability counters for one log.
@@ -440,37 +438,9 @@ impl Wal {
         Ok(())
     }
 
-    /// Wait until the record at `lsn` is durable, per the configured
-    /// [`Durability`] level.
+    /// Wait until the record at `lsn` is durable: returns only after an
+    /// fsync that covers it (this caller's, or a concurrent committer's).
     pub fn commit(&self, lsn: u64) -> WalResult<()> {
-        match self.opts.durability {
-            Durability::None => Ok(()),
-            Durability::Group => self.sync_to(lsn, true),
-            Durability::Strict => self.sync_to(lsn, false),
-        }
-    }
-
-    /// Append and immediately make durable (always an fsync, regardless of
-    /// the configured level) — for control records like barriers and model
-    /// events whose loss would be worse than one fsync.
-    pub fn append_durable(&self, record: &WalRecord) -> WalResult<u64> {
-        let lsn = self.append(record)?;
-        self.sync_to(lsn, false)?;
-        Ok(lsn)
-    }
-
-    /// Make everything appended so far durable.
-    pub fn sync_all(&self) -> WalResult<()> {
-        let next = self.lock_writer_unchecked().next_lsn;
-        if next == 0 {
-            return Ok(());
-        }
-        self.sync_to(next - 1, false)
-    }
-
-    /// Group-commit core: become leader or wait as a follower until
-    /// `durable_upto > lsn`.
-    fn sync_to(&self, lsn: u64, use_window: bool) -> WalResult<()> {
         loop {
             let mut sync = self.lock_sync();
             if sync.durable_upto > lsn {
@@ -489,36 +459,33 @@ impl Wal {
             sync.syncing = true;
             drop(sync);
 
-            // Leader path. Sleep out the batching window so concurrent
-            // appends can pile into this fsync.
-            if use_window && !self.opts.group_window.is_zero() {
-                std::thread::sleep(self.opts.group_window);
-            }
-            let result = self.fsync_once();
-            let mut sync = self.lock_sync();
-            sync.syncing = false;
-            match result {
-                Ok(covered) => {
-                    if covered > sync.durable_upto {
-                        sync.durable_upto = covered;
-                    }
-                    let done = sync.durable_upto > lsn;
-                    drop(sync);
-                    self.sync_cv.notify_all();
-                    if done {
-                        return Ok(());
-                    }
-                    // Another thread rotated/raced; go around again.
-                }
-                Err(err) => {
-                    drop(sync);
-                    // Wake followers so each retries as leader and sees the
-                    // failure (or succeeds if it was transient).
-                    self.sync_cv.notify_all();
-                    return Err(err);
-                }
-            }
+            // Leader: fsync at once. Whatever the outcome — covered, failed
+            // or panicked — dropping `leader` publishes it and wakes the
+            // followers; then go around: a rotation or a racing append may
+            // still leave `lsn` uncovered.
+            let mut leader = Leader {
+                wal: self,
+                covered: 0,
+            };
+            leader.covered = self.fsync_once()?;
         }
+    }
+
+    /// Append and make durable — for control records like barriers and
+    /// model events, which are acknowledged one at a time.
+    pub fn append_durable(&self, record: &WalRecord) -> WalResult<u64> {
+        let lsn = self.append(record)?;
+        self.commit(lsn)?;
+        Ok(lsn)
+    }
+
+    /// Make everything appended so far durable.
+    pub fn sync_all(&self) -> WalResult<()> {
+        let next = self.lock_writer_unchecked().next_lsn;
+        if next == 0 {
+            return Ok(());
+        }
+        self.commit(next - 1)
     }
 
     /// One fsync of the current segment; returns the LSN count it covers.
@@ -612,9 +579,7 @@ mod tests {
 
     fn tiny_opts() -> WalOptions {
         WalOptions {
-            durability: Durability::Strict,
             segment_max_bytes: 128, // force frequent rotation
-            group_window: Duration::from_millis(0),
         }
     }
 
@@ -642,52 +607,54 @@ mod tests {
         assert_eq!(wal.next_lsn(), 40);
     }
 
-    #[test]
-    fn durability_none_acks_without_fsync() {
-        let tmp = TempDir::new("none");
-        let opts = WalOptions {
-            durability: Durability::None,
-            ..tiny_opts()
-        };
-        let (wal, _) = Wal::open(tmp.path(), opts).expect("open");
-        let lsn = wal.append(&rating(1)).expect("append");
-        wal.commit(lsn).expect("commit");
-        assert_eq!(wal.stats().fsyncs, 0);
-        wal.sync_all().expect("sync_all");
-        assert_eq!(wal.durable_upto(), 1);
-    }
-
+    /// The batching rule, stated without a clock: a committer that finds no
+    /// sync in flight fsyncs at once (covering what is appended by then),
+    /// and everyone who commits while it is in flight shares *one* further
+    /// fsync. The `Delay` holds the first leader inside its fsync so the
+    /// followers really do arrive meanwhile; the counts below do not depend
+    /// on it — the followers append only after the leader has snapshotted
+    /// its coverage, and commit only once all of them have appended.
     #[test]
     fn group_commit_batches_concurrent_writers() {
+        const FOLLOWERS: u64 = 6;
         let tmp = TempDir::new("group");
-        let opts = WalOptions {
-            durability: Durability::Group,
-            segment_max_bytes: 1 << 20,
-            group_window: Duration::from_millis(5),
-        };
-        let (wal, _) = Wal::open(tmp.path(), opts).expect("open");
-        let wal = Arc::new(wal);
-        let mut handles = Vec::new();
-        for t in 0..8u64 {
-            let wal = Arc::clone(&wal);
-            handles.push(std::thread::spawn(move || {
-                for k in 0..25u64 {
-                    let lsn = wal.append(&rating(t * 100 + k)).expect("append");
-                    wal.commit(lsn).expect("commit");
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("writer thread");
-        }
+        let plan = Arc::new(FaultPlan::new(1).with_fault(
+            sites::WAL_FSYNC,
+            FaultKind::Delay(Duration::from_millis(50)),
+            1.0,
+        ));
+        let (wal, _) = Wal::open_with_faults(tmp.path(), WalOptions::default(), Some(plan.clone()))
+            .expect("open");
+        let appended = std::sync::Barrier::new(FOLLOWERS as usize);
+        std::thread::scope(|scope| {
+            let (wal, appended) = (&wal, &appended);
+            let lsn = wal.append(&rating(0)).expect("append");
+            scope.spawn(move || wal.commit(lsn).expect("leader commit"));
+            // The fault site sits after the leader's coverage snapshot:
+            // once it has been passed, nothing appended from here on can
+            // be covered by the first fsync.
+            while plan.site_stats(sites::WAL_FSYNC).arrivals == 0 {
+                std::thread::yield_now();
+            }
+            for k in 1..=FOLLOWERS {
+                scope.spawn(move || {
+                    let lsn = wal.append(&rating(k)).expect("append");
+                    appended.wait();
+                    wal.commit(lsn).expect("follower commit");
+                });
+            }
+        });
         let stats = wal.stats();
-        assert_eq!(stats.appended, 200);
-        assert_eq!(stats.durable_upto, 200);
-        assert!(
-            stats.fsyncs < 200,
-            "group commit must batch: {} fsyncs for 200 strict-acked writes",
-            stats.fsyncs
+        assert_eq!(stats.appended, FOLLOWERS + 1);
+        assert_eq!(stats.durable_upto, FOLLOWERS + 1);
+        assert_eq!(
+            stats.fsyncs, 2,
+            "one fsync for the leader, one shared by every committer that arrived meanwhile"
         );
+        drop(wal);
+        let (_, rec) = Wal::open(tmp.path(), WalOptions::default()).expect("reopen");
+        let lsns: Vec<u64> = rec.records.iter().map(|(l, _)| *l).collect();
+        assert_eq!(lsns, (0..=FOLLOWERS).collect::<Vec<_>>());
     }
 
     #[test]
@@ -818,10 +785,7 @@ mod tests {
         // expressible, so use a plan that fails ~always and check the error,
         // then a clean plan for the retry.
         let plan = Arc::new(FaultPlan::new(3).with_fault(sites::WAL_FSYNC, FaultKind::Error, 1.0));
-        let opts = WalOptions {
-            durability: Durability::Strict,
-            ..tiny_opts()
-        };
+        let opts = tiny_opts();
         let (wal, _) = Wal::open_with_faults(tmp.path(), opts.clone(), Some(plan)).expect("open");
         let lsn = wal.append(&rating(4)).expect("append buffers fine");
         let err = wal.commit(lsn).expect_err("fsync must fail");
@@ -854,18 +818,33 @@ mod tests {
         assert_eq!(rec.records.len(), 40);
     }
 
+    /// A leader that panics inside its fsync must hand leadership back on
+    /// the way out: the next committer leads (and here panics in turn, the
+    /// plan fires on every arrival) instead of waiting for ever on a
+    /// `syncing` flag nobody will clear.
     #[test]
-    fn append_durable_fsyncs_even_at_durability_none() {
-        let tmp = TempDir::new("durable-append");
-        let opts = WalOptions {
-            durability: Durability::None,
-            ..tiny_opts()
-        };
-        let (wal, _) = Wal::open(tmp.path(), opts).expect("open");
-        let lsn = wal
-            .append_durable(&WalRecord::HoldoutMark { index: 3 })
-            .expect("append durable");
-        assert_eq!(wal.durable_upto(), lsn + 1);
-        assert!(wal.stats().fsyncs >= 1);
+    fn panicking_fsync_leader_does_not_wedge_the_log() {
+        let tmp = TempDir::new("inj-panic");
+        let plan = Arc::new(FaultPlan::new(9).with_fault(sites::WAL_FSYNC, FaultKind::Panic, 1.0));
+        let (wal, _) =
+            Wal::open_with_faults(tmp.path(), tiny_opts(), Some(plan.clone())).expect("open");
+        let wal = Arc::new(wal);
+        let lsn = wal.append(&rating(1)).expect("append");
+        for committer in 1..=2u64 {
+            let wal = Arc::clone(&wal);
+            let (done, finished) = std::sync::mpsc::channel::<()>();
+            let handle = std::thread::spawn(move || {
+                let _done = done; // dropped on return and on unwind alike
+                let _ = wal.commit(lsn);
+            });
+            assert_eq!(
+                finished.recv_timeout(Duration::from_secs(10)),
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected),
+                "committer {committer} hung behind a dead leader"
+            );
+            assert!(handle.join().is_err(), "the injected panic propagates");
+            assert_eq!(plan.site_stats(sites::WAL_FSYNC).arrivals, committer);
+        }
+        assert_eq!(wal.durable_upto(), 0, "no durability was promised");
     }
 }

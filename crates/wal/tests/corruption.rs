@@ -15,7 +15,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hire_wal::{Durability, Wal, WalError, WalOptions, WalRecord};
+use hire_wal::{Wal, WalError, WalOptions, WalRecord};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -44,11 +44,7 @@ impl Drop for TempDir {
 }
 
 fn opts(segment_max_bytes: u64) -> WalOptions {
-    WalOptions {
-        durability: Durability::Strict,
-        segment_max_bytes,
-        group_window: std::time::Duration::ZERO,
-    }
+    WalOptions { segment_max_bytes }
 }
 
 /// Write `values` as Rating records (one commit at the end) and return the

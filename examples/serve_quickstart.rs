@@ -86,7 +86,6 @@ fn main() {
             workers: 2,
             max_batch: 8,
             max_queue: 256,
-            batch_timeout: Duration::from_millis(2),
         },
     );
     let queries: Vec<RatingQuery> = (0..8)

@@ -77,5 +77,5 @@ pub mod prelude {
         RoundOutcome, ServeEngine, ServeError, ServedBy, Server, ServerConfig, TierStats,
     };
     pub use hire_tensor::{NdArray, Shape, Tensor};
-    pub use hire_wal::{Durability, Wal, WalOptions};
+    pub use hire_wal::{Wal, WalOptions};
 }
