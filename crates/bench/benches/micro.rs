@@ -54,6 +54,23 @@ fn bench_mhsa(c: &mut Criterion) {
         );
     }
     group.finish();
+
+    // The `mhsa` node's backward at HIM's MBA shape (256 cells × 9
+    // attributes × attr_dim 8): all four weight gradients and dX, over
+    // 1 024 `[9, 8]` attention tiles.
+    let mut group = c.benchmark_group("mhsa_backward");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(500));
+    let mhsa = MultiHeadSelfAttention::new(8, 4, 8, &mut rng);
+    let x = Tensor::parameter(NdArray::randn([256, 9, 8], 0.0, 1.0, &mut rng));
+    let y = mhsa.forward(&x);
+    let seed = NdArray::randn([256, 9, 8], 0.0, 1.0, &mut rng);
+    group.bench_function("mba_256x9x8", |bench| {
+        bench.iter(|| y.backward_with(seed.clone()));
+    });
+    group.finish();
 }
 
 fn bench_him_block(c: &mut Criterion) {

@@ -13,8 +13,11 @@
 //! 2. **mhsa** — the tape-free `hire_nn::mhsa_forward` at HIM's three
 //!    attention shapes (MBU, MBI, MBA of the `fast` config), 1 thread:
 //!    microseconds, achieved GFLOP/s from the shape's matmul FLOPs, and
-//!    that as a share of the matmul peak section 1 measured. Reported, not
-//!    gated — it is the per-layer number the serving forward is made of.
+//!    that as a share of the matmul peak section 1 measured; beside it the
+//!    same shape through the tape's one `mhsa` node, forward (the same
+//!    kernels plus the saved `Q` and softmax rows) and backward. Reported,
+//!    not gated — these are the per-layer numbers the serving forward and
+//!    a training step are made of.
 //! 3. **him** — full HIM forward and forward+backward wall time on a
 //!    synthetic cold-start context across the thread sweep, with the loss
 //!    value asserted bit-identical at every thread count.
@@ -36,10 +39,10 @@ use hire_bench::write_json_atomic;
 use hire_core::{HireConfig, HireModel};
 use hire_data::{test_context_with_ratio, SyntheticConfig};
 use hire_graph::{BipartiteGraph, ContextSampler, ContextSelection, NeighborhoodSampler, Rating};
-use hire_nn::{mhsa_forward, MhsaWeights};
+use hire_nn::{mhsa_forward, MhsaWeights, MultiHeadSelfAttention};
 use hire_par::{with_pool, ThreadPool};
 use hire_tensor::linalg;
-use hire_tensor::NdArray;
+use hire_tensor::{NdArray, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -155,6 +158,14 @@ struct MhsaReport {
     /// 256×40×32 projection shape: how much of the kernel peak survives
     /// the attention layer around it.
     share_of_matmul_peak: f64,
+    /// Best-of wall time of one `MultiHeadSelfAttention::forward` on an
+    /// input that takes a gradient, 1 thread: `micros_1t` plus keeping `Q`
+    /// and the softmax rows (and allocating what the no-grad forward is
+    /// handed).
+    tape_forward_us: f64,
+    /// Best-of wall time of that node's backward (all four weight
+    /// gradients and `dX`), 1 thread.
+    tape_backward_us: f64,
 }
 
 #[derive(Serialize)]
@@ -327,6 +338,19 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
             let y = with_pool(&one, || mhsa_forward(&x, &w));
             std::hint::black_box(&y);
         });
+        let layer_on_tape = MultiHeadSelfAttention::new(d, l, dk, &mut rng);
+        let x_on_tape = Tensor::parameter(x.clone());
+        let tape_forward = time_best(reps, || {
+            let y = with_pool(&one, || layer_on_tape.forward(&x_on_tape));
+            std::hint::black_box(&y);
+        });
+        // The node's backward reads only what its forward saved, so one
+        // forward serves every repetition (gradients accumulate in place).
+        let y = layer_on_tape.forward(&x_on_tape);
+        let seed = NdArray::randn([b, t, d], 0.0, 1.0, &mut rng);
+        let tape_backward = time_best(reps, || {
+            with_pool(&one, || y.backward_with(seed.clone()));
+        });
         let flops = (4 * 2 * b * t * d * l * dk + 2 * 2 * b * l * t * t * dk) as f64;
         let gflops = flops / secs / 1e9;
         MhsaReport {
@@ -337,6 +361,8 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
             micros_1t: secs * 1e6,
             gflops_1t: gflops,
             share_of_matmul_peak: gflops / matmul_peak_gflops,
+            tape_forward_us: tape_forward * 1e6,
+            tape_backward_us: tape_backward * 1e6,
         }
     })
     .collect()
@@ -596,12 +622,14 @@ fn main() {
     let mhsa = bench_mhsa(9, reps, matmul[0].gflops_blocked_1t);
     for r in &mhsa {
         eprintln!(
-            "  mhsa {} {:?}: {:.1} us, {:.2} GF/s ({:.0} % of the matmul peak)",
+            "  mhsa {} {:?}: {:.1} us, {:.2} GF/s ({:.0} % of the matmul peak); on the tape {:.1} us forward, {:.1} us backward",
             r.layer,
             r.shape,
             r.micros_1t,
             r.gflops_1t,
-            100.0 * r.share_of_matmul_peak
+            100.0 * r.share_of_matmul_peak,
+            r.tape_forward_us,
+            r.tape_backward_us
         );
     }
 

@@ -97,55 +97,28 @@ impl HimBlock {
             "embedding width mismatch"
         );
 
-        let empty = NdArray::zeros([0]);
-        let mut attn = HimAttention {
-            mbu: empty.clone(),
-            mbi: empty.clone(),
-            mba: empty,
-        };
-
-        // MBU: tokens = users, batch = items. H[:, j, :] per item view.
+        // One `[n, m, e]` activation, three `[outer, tokens, inner]` views
+        // of its rows — nothing is permuted. MBU: tokens = users, one
+        // sequence per item (H[:, j, :]); MBI: tokens = items, one per user
+        // (H[k, :, :]); MBA: tokens = the `h` attribute rows of width
+        // `attr_dim` inside each of the `n·m` cells.
+        let layers = [
+            (&self.mbu, &self.norm_mbu, [1, n, m]),
+            (&self.mbi, &self.norm_mbi, [n, m, 1]),
+            (&self.mba, &self.norm_mba, [n * m, self.num_attrs, 1]),
+        ];
+        let mut weights = [(); 3].map(|()| NdArray::zeros([0]));
         let mut x = h.clone();
-        if let Some(mbu) = &self.mbu {
-            let per_item = x.permute(&[1, 0, 2]); // [m, n, e]
-            let y = if keep {
-                let out = mbu.forward_with_weights(&per_item);
-                attn.mbu = out.weights;
-                out.output
-            } else {
-                mbu.forward(&per_item)
-            };
-            let y = y.permute(&[1, 0, 2]); // back to [n, m, e]
-            x = self.post(&x, y, &self.norm_mbu);
+        for (kept, (mhsa, norm, layout)) in weights.iter_mut().zip(layers) {
+            let Some(mhsa) = mhsa else { continue };
+            let out = mhsa.forward_layout(&x, layout);
+            if keep {
+                *kept = out.weights();
+            }
+            x = self.post(&x, out.output, norm);
         }
-
-        // MBI: tokens = items, batch = users. H[k, :, :] per user view.
-        if let Some(mbi) = &self.mbi {
-            let y = if keep {
-                let out = mbi.forward_with_weights(&x);
-                attn.mbi = out.weights;
-                out.output
-            } else {
-                mbi.forward(&x)
-            };
-            x = self.post(&x, y, &self.norm_mbi);
-        }
-
-        // MBA: tokens = attributes, batch = all user-item pairs.
-        if let Some(mba) = &self.mba {
-            let reshaped = x.reshape([n * m, self.num_attrs, self.attr_dim]);
-            let y = if keep {
-                let out = mba.forward_with_weights(&reshaped);
-                attn.mba = out.weights;
-                out.output
-            } else {
-                mba.forward(&reshaped)
-            };
-            let y = y.reshape([n, m, e]);
-            x = self.post(&x, y, &self.norm_mba);
-        }
-
-        (x, attn)
+        let [mbu, mbi, mba] = weights;
+        (x, HimAttention { mbu, mbi, mba })
     }
 }
 

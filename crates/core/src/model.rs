@@ -115,12 +115,12 @@ impl HireModel {
             ));
         }
         for (idx, (p, v)) in params.iter().zip(values).enumerate() {
-            if p.value().dims() != v.dims() {
+            if p.with_value(|current| current.dims() != v.dims()) {
                 return Err(hire_error::HireError::invalid_data(
                     "HireModel",
                     format!(
                         "parameter {idx} shape mismatch: model {:?}, got {:?}",
-                        p.value().dims(),
+                        p.dims(),
                         v.dims()
                     ),
                 ));

@@ -1,21 +1,35 @@
 //! Multi-head self-attention (Eq. (1)-(4) of the paper) with batched
 //! parameter sharing — the building block of the Heterogeneous Interaction
-//! Module.
+//! Module — as **one** autograd node.
+//!
+//! The node's forward is [`crate::mhsa_forward_into`]'s body, the forward
+//! the serving path runs, so tape and frozen outputs are the same bits by
+//! construction. Its backward is written out here over
+//! `hire_tensor::linalg`: two products around `W_O`, the attention tile
+//! kernel ([`linalg::attention_backward_into`]) over the saved `Q`, `K`,
+//! `V` and softmax rows, then one `tn` and one `nt` product over the
+//! `[rows, 3·width]` concatenation `[dQ | dK | dV]` for the three input
+//! projections' weights and for `dX`. No head-split `permute`, no `Kᵀ`, no
+//! score tensor and none of their gradients is ever materialised.
 
 use crate::module::Module;
-use hire_tensor::{init, NdArray, Tensor};
+use crate::nograd::{mhsa_forward_over, sequence_layout, MhsaWeights};
+use hire_tensor::{init, linalg, simd, AttnGrid, NdArray, Tensor};
 use rand::Rng;
+use std::rc::Rc;
 
-/// Multi-head self-attention over the second-to-last axis.
+/// Multi-head self-attention along one axis of its input.
 ///
-/// Input `[batch, t, d]` (or `[t, d]`, treated as batch 1); output has the
-/// same shape. All batch elements share parameters — exactly the
-/// "parameter-sharing MHSA processed in parallel" of Eq. (10), (12), (14).
+/// [`Self::forward`] takes `[batch, t, d]` (or `[t, d]`, one sequence) and
+/// attends along `t`; [`Self::forward_layout`] takes any row-major
+/// `[outer, tokens, inner]` arrangement of `d`-wide rows and attends along
+/// `tokens`. The output has the input's shape. All sequences share
+/// parameters — exactly the "parameter-sharing MHSA processed in parallel"
+/// of Eq. (10), (12), (14).
 ///
-/// The layer contains no thread-aware code, but its matmuls, softmax, and
-/// the batched products they compose all run on the `hire-par` pool via
-/// `hire_tensor::linalg`, forward and backward alike. Results are
-/// bit-identical for every thread count (see DESIGN.md §11).
+/// The layer contains no thread-aware code; its kernels run on the
+/// `hire-par` pool via `hire_tensor::linalg`, forward and backward alike,
+/// and results are bit-identical for every thread count (DESIGN.md §11).
 pub struct MultiHeadSelfAttention {
     w_q: Tensor,
     w_k: Tensor,
@@ -26,12 +40,60 @@ pub struct MultiHeadSelfAttention {
     model_dim: usize,
 }
 
-/// Output of a forward pass that also exposes the attention weights.
+/// What the `mhsa` node keeps from its forward for its backward.
+struct Saved {
+    grid: AttnGrid,
+    /// The Q, K and V projections, `[rows, width]` each.
+    qkv: [Vec<f32>; 3],
+    /// Softmax rows, `[outer * inner, heads, t, t]`.
+    p: Vec<f32>,
+    /// The merged-head attention output `W_O` projected, `[rows, width]`.
+    o: NdArray,
+}
+
+/// Output of a forward pass; also exposes the attention weights.
 pub struct AttentionOutput {
     /// Fused embeddings, same shape as the input.
     pub output: Tensor,
-    /// Attention weights `[batch, heads, t, t]` (detached values).
-    pub weights: NdArray,
+    saved: Rc<Saved>,
+}
+
+impl AttentionOutput {
+    /// Attention weights `[batch, heads, t, t]` (detached values; for a
+    /// `[outer, tokens, inner]` layout, `batch = outer * inner` in that
+    /// order) — the very rows the backward pass reads, copied out.
+    pub fn weights(&self) -> NdArray {
+        let g = &self.saved.grid;
+        NdArray::from_vec(
+            [g.outer * g.inner, g.heads, g.tokens, g.tokens],
+            self.saved.p.clone(),
+        )
+    }
+}
+
+/// Lends the four projections `[w_q, w_k, w_v, w_o]` as plain arrays.
+fn with_weights<R>(
+    params: &[Tensor],
+    heads: usize,
+    head_dim: usize,
+    f: impl FnOnce(&MhsaWeights<&NdArray>) -> R,
+) -> R {
+    params[0].with_value(|w_q| {
+        params[1].with_value(|w_k| {
+            params[2].with_value(|w_v| {
+                params[3].with_value(|w_o| {
+                    f(&MhsaWeights {
+                        w_q,
+                        w_k,
+                        w_v,
+                        w_o,
+                        heads,
+                        head_dim,
+                    })
+                })
+            })
+        })
+    })
 }
 
 impl MultiHeadSelfAttention {
@@ -62,75 +124,111 @@ impl MultiHeadSelfAttention {
         self.model_dim
     }
 
-    /// Applies self-attention; see [`Self::forward_with_weights`] for the
-    /// variant that exposes attention matrices.
+    /// Applies self-attention along the second-to-last axis of a `[t, d]`
+    /// or `[batch, t, d]` input.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.run(x, false).output
+        self.forward_with_weights(x).output
     }
 
-    /// Applies self-attention and returns the per-head attention weights
-    /// (used by the paper's case study, Fig. 9).
+    /// [`Self::forward`], keeping the handle the per-head attention weights
+    /// are read from (used by the paper's case study, Fig. 9).
     pub fn forward_with_weights(&self, x: &Tensor) -> AttentionOutput {
-        self.run(x, true)
+        let layout = x.with_value(|x| sequence_layout(x.dims(), self.model_dim));
+        self.forward_layout(x, layout)
     }
 
-    fn run(&self, x: &Tensor, keep_weights: bool) -> AttentionOutput {
-        let dims = x.dims();
-        assert!(
-            dims.len() == 2 || dims.len() == 3,
-            "MHSA input must be [t, d] or [batch, t, d], got {dims:?}"
+    /// Applies self-attention along `tokens` of `x` read as
+    /// `outer * tokens * inner` row-major rows of `model_dim` floats (its
+    /// shape is otherwise free, and the output's is the same): every
+    /// `(outer, inner)` pair is one sequence. Projections are row-wise, so
+    /// only the attention tiles see the layout, as a stride — which is how
+    /// HIM runs MBU `[1, n, m]`, MBI `[n, m, 1]` and MBA `[n·m, h, 1]` over
+    /// one `[n, m, e]` activation without permuting it.
+    pub fn forward_layout(&self, x: &Tensor, layout: [usize; 3]) -> AttentionOutput {
+        let (heads, head_dim) = (self.heads, self.head_dim);
+        let parents = vec![
+            x.clone(),
+            self.w_q.clone(),
+            self.w_k.clone(),
+            self.w_v.clone(),
+            self.w_o.clone(),
+        ];
+        let (value, saved) = x.with_value(|x| {
+            with_weights(&parents[1..], heads, head_dim, |w| {
+                let grid = w.grid(layout);
+                let (rows, width) = (grid.rows(), grid.width());
+                let buffer = || vec![0.0f32; rows * width];
+                let (mut q, mut o, mut k, mut v) = (buffer(), buffer(), buffer(), buffer());
+                let mut p = vec![0.0; grid.probs_len()];
+                let mut y = vec![0.0; x.numel()];
+                mhsa_forward_over(
+                    x.as_slice(),
+                    &grid,
+                    w,
+                    simd::active_isa(),
+                    [&mut o, &mut k, &mut v],
+                    &mut vec![0.0; grid.scratch_len()],
+                    &mut y,
+                    Some((&mut q, &mut p)),
+                );
+                let saved = Saved {
+                    grid,
+                    qkv: [q, k, v],
+                    p,
+                    o: NdArray::from_vec([rows, width], o),
+                };
+                (NdArray::from_vec(x.shape().clone(), y), saved)
+            })
+        });
+        let saved = Rc::new(saved);
+        let kept = Rc::clone(&saved);
+        let output = Tensor::from_op(
+            value,
+            parents,
+            Box::new(move |g, parents| backward(&kept, g, parents)),
         );
-        let squeeze = dims.len() == 2;
-        let (b, t, d) = if squeeze {
-            (1, dims[0], dims[1])
-        } else {
-            (dims[0], dims[1], dims[2])
-        };
-        assert_eq!(
-            d, self.model_dim,
-            "MHSA expected dim {}, got {d}",
-            self.model_dim
-        );
-
-        let x3 = if squeeze {
-            x.reshape([1, t, d])
-        } else {
-            x.clone()
-        };
-        let l = self.heads;
-        let dk = self.head_dim;
-
-        // [b, t, l*dk] -> [b, l, t, dk] -> [b*l, t, dk]
-        let split = |proj: Tensor| -> Tensor {
-            proj.reshape([b, t, l, dk])
-                .permute(&[0, 2, 1, 3])
-                .reshape([b * l, t, dk])
-        };
-        let q = split(x3.linear(&self.w_q));
-        let k = split(x3.linear(&self.w_k));
-        let v = split(x3.linear(&self.w_v));
-
-        // A = softmax(Q K^T / sqrt(dk))  : [b*l, t, t]
-        let scores = q
-            .matmul(&k.transpose_last2())
-            .mul_scalar(1.0 / (dk as f32).sqrt());
-        let attn = scores.softmax_last();
-        let weights = if keep_weights {
-            attn.value().reshaped([b, l, t, t])
-        } else {
-            NdArray::zeros([0])
-        };
-
-        // [b*l, t, dk] -> [b, t, l*dk] -> W_O -> [b, t, d]
-        let fused = attn
-            .matmul(&v)
-            .reshape([b, l, t, dk])
-            .permute(&[0, 2, 1, 3])
-            .reshape([b, t, l * dk]);
-        let out = fused.linear(&self.w_o);
-        let output = if squeeze { out.reshape([t, d]) } else { out };
-        AttentionOutput { output, weights }
+        AttentionOutput { output, saved }
     }
+}
+
+/// The `mhsa` node's backward: `g = dY`, `parents = [x, w_q, w_k, w_v,
+/// w_o]`. With `O` the merged-head attention output (`Y = O·W_O`):
+/// `dW_O = Oᵀ·dY`, `dO = dY·W_Oᵀ`, the tile kernel turns `dO` into `dQ`,
+/// `dK`, `dV`, and with `G = [dQ | dK | dV]` and `W = [W_Q | W_K | W_V]`,
+/// `[dW_Q | dW_K | dW_V] = Xᵀ·G` and `dX = G·Wᵀ` (skipped for an `x` that
+/// takes no gradient).
+fn backward(saved: &Saved, g: &NdArray, parents: &[Tensor]) -> Vec<Option<NdArray>> {
+    let grid = &saved.grid;
+    let (rows, width) = (grid.rows(), grid.width());
+    let [q, k, v] = &saved.qkv;
+    with_weights(&parents[1..], grid.heads, grid.head_dim, |w| {
+        let d = w.model_dim();
+        let dy = g.reshape([rows, d]);
+        let d_wo = linalg::matmul2d_tn(&saved.o, &dy);
+        let d_o = linalg::matmul2d_nt(&dy, w.w_o);
+        let [mut dq, mut dk, mut dv] = [(); 3].map(|()| NdArray::zeros([rows, width]));
+        linalg::attention_backward_into(
+            grid,
+            q,
+            k,
+            v,
+            &saved.p,
+            d_o.as_slice(),
+            dq.as_mut_slice(),
+            dk.as_mut_slice(),
+            dv.as_mut_slice(),
+        );
+        let d_qkv = linalg::concat_last(&[&dq, &dk, &dv]);
+        let (dx, d_wqkv) = parents[0].with_value(|x| {
+            let dx = parents[0].requires_grad().then(|| {
+                let w_qkv = linalg::concat_last(&[w.w_q, w.w_k, w.w_v]);
+                linalg::matmul2d_nt(&d_qkv, &w_qkv).reshaped(x.shape().clone())
+            });
+            (dx, linalg::matmul2d_tn(&x.reshape([rows, d]), &d_qkv))
+        });
+        let d_w = |which: usize| Some(linalg::slice_last(&d_wqkv, which * width, width));
+        vec![dx, d_w(0), d_w(1), d_w(2), Some(d_wo)]
+    })
 }
 
 impl Module for MultiHeadSelfAttention {
@@ -168,10 +266,10 @@ mod tests {
         let mut r = rng();
         let mhsa = MultiHeadSelfAttention::new(8, 2, 4, &mut r);
         let x = Tensor::constant(NdArray::randn([2, 4, 8], 0.0, 1.0, &mut r));
-        let out = mhsa.forward_with_weights(&x);
-        assert_eq!(out.weights.dims(), &[2, 2, 4, 4]);
+        let weights = mhsa.forward_with_weights(&x).weights();
+        assert_eq!(weights.dims(), &[2, 2, 4, 4]);
         for row in 0..(2 * 2 * 4) {
-            let s: f32 = out.weights.as_slice()[row * 4..(row + 1) * 4].iter().sum();
+            let s: f32 = weights.as_slice()[row * 4..(row + 1) * 4].iter().sum();
             assert!((s - 1.0).abs() < 1e-5, "row {row} sums to {s}");
         }
     }

@@ -1,18 +1,19 @@
-//! Inference-only (no autograd tape) forward passes over plain [`NdArray`]s.
+//! The MHSA forward, over plain slices and [`NdArray`]s.
 //!
-//! [`mhsa_forward`] produces, bit for bit, what the tape-based
-//! `MultiHeadSelfAttention` produces on the same ISA — so a frozen model
-//! agrees with the live model it was exported from — but it is not the same
-//! sequence of tensor ops. The tape splits heads with `permute`, builds
-//! `Kᵀ` and a `[batch·heads, t, t]` score tensor, and merges heads with
-//! another `permute`; here the three projections land in `[rows, l·dk]`
-//! buffers and `linalg::attention_into` reads each (batch, head) tile
-//! straight out of them and writes the merged layout straight back over Q. Every
-//! output element still runs the tape's per-element chain (DESIGN.md §16),
-//! and `tests/mhsa_oracle.rs` holds the two together over generated shapes.
-//! The tape-free form exists for the serving path (`hire-serve`), where
+//! [`mhsa_forward_into`] is the one multi-head self-attention forward in
+//! the workspace: the three projections land in `[rows, l·dk]` buffers,
+//! `linalg::attention_into` reads each (batch, head) tile straight out of
+//! them and writes the merged-head layout straight back over Q, and `W_O`
+//! projects that. The serving path (`hire-serve`) calls it directly —
 //! building a backward graph per query is pure overhead and `Tensor`'s `Rc`
-//! interior forbids sharing across worker threads.
+//! interior forbids sharing across worker threads — and the tape's
+//! [`crate::MultiHeadSelfAttention`] runs the same body as the forward of
+//! its one autograd node, additionally keeping `Q` and the softmax rows for
+//! its backward. A frozen model therefore agrees bit for bit with the live
+//! model it was exported from by construction, on every ISA.
+//! `tests/mhsa_oracle.rs` holds this forward to the unfused
+//! `permute`/`bmm`/`softmax_last` composition it replaced, per element
+//! (DESIGN.md §16), over generated shapes.
 //!
 //! Projections and the attention tiles fan out over the `hire-par` pool in
 //! shape-only chunks and stay bit-identical at every thread count
@@ -71,7 +72,7 @@ impl<W: WeightMatrix> MhsaWeights<W> {
     /// `[outer, tokens, inner]` (see [`AttnGrid`]). Panics unless all four
     /// projections agree with `heads`, `head_dim` and one model dim — the
     /// tile kernel derives its strides from these numbers.
-    fn grid(&self, [outer, tokens, inner]: [usize; 3]) -> AttnGrid {
+    pub(crate) fn grid(&self, [outer, tokens, inner]: [usize; 3]) -> AttnGrid {
         let width = self.heads * self.head_dim;
         let d = self.model_dim();
         let qkv = [d, width];
@@ -100,8 +101,7 @@ impl<W: WeightMatrix> MhsaWeights<W> {
     }
 }
 
-/// Multi-head self-attention forward without autograd: the no-grad mirror
-/// of `MultiHeadSelfAttention::run`.
+/// Multi-head self-attention forward without autograd.
 ///
 /// Input `[batch, t, d]` (or `[t, d]`, treated as batch 1); output has the
 /// same shape and is bit-identical to the tape path's. A convenience
@@ -123,22 +123,23 @@ pub fn mhsa_forward_with_isa<W: WeightMatrix>(
     w: &MhsaWeights<W>,
     isa: Isa,
 ) -> NdArray {
-    let layout = match *x.dims() {
-        [t, _] => [1, t, 1],
-        [b, t, _] => [b, t, 1],
-        ref dims => panic!("MHSA input must be [t, d] or [batch, t, d], got {dims:?}"),
-    };
-    let d = *x.dims().last().expect("rank checked above");
-    assert_eq!(
-        d,
-        w.model_dim(),
-        "MHSA expected dim {}, got {d}",
-        w.model_dim()
-    );
+    let layout = sequence_layout(x.dims(), w.model_dim());
     let mut workspace = vec![0.0f32; mhsa_workspace_len(layout, w)];
     let mut y = vec![0.0f32; x.numel()];
     mhsa_forward_into(x.as_slice(), layout, w, isa, &mut workspace, &mut y);
     NdArray::from_vec(x.shape().clone(), y)
+}
+
+/// The `[batch, t, 1]` layout of a `[t, d]` or `[batch, t, d]` input whose
+/// tokens are its second-to-last axis.
+pub(crate) fn sequence_layout(dims: &[usize], model_dim: usize) -> [usize; 3] {
+    let (layout, d) = match *dims {
+        [t, d] => ([1, t, 1], d),
+        [b, t, d] => ([b, t, 1], d),
+        ref dims => panic!("MHSA input must be [t, d] or [batch, t, d], got {dims:?}"),
+    };
+    assert_eq!(d, model_dim, "MHSA expected dim {model_dim}, got {d}");
+    layout
 }
 
 /// Floats of workspace [`mhsa_forward_into`] needs for `layout`: the Q
@@ -169,30 +170,57 @@ pub fn mhsa_forward_into<W: WeightMatrix>(
     y: &mut [f32],
 ) {
     let grid = w.grid(layout);
-    let d = w.model_dim();
     let proj = grid.rows() * grid.width();
     assert!(
-        x.len() == grid.rows() * d && y.len() == x.len(),
-        "MHSA over {layout:?} rows of dim {d} got x of {} floats, y of {}",
-        x.len(),
-        y.len()
-    );
-    assert!(
-        workspace.len() >= mhsa_workspace_len(layout, w),
+        workspace.len() >= 3 * proj + grid.scratch_len(),
         "MHSA workspace holds {} floats, needs {}",
         workspace.len(),
-        mhsa_workspace_len(layout, w)
+        3 * proj + grid.scratch_len()
     );
     let (q, rest) = workspace.split_at_mut(proj);
     let (k, rest) = rest.split_at_mut(proj);
     let (v, scratch) = rest.split_at_mut(proj);
-    w.w_q.linear_into(x, q, isa);
+    mhsa_forward_over(x, &grid, w, isa, [q, k, v], scratch, y, None);
+}
+
+/// The body of [`mhsa_forward_into`], on buffers handed over one by one:
+/// `qo`, `k` and `v` hold `rows * width` floats each and `scratch`
+/// [`AttnGrid::scratch_len`]; `qo` ends as the merged-head attention output
+/// `O` that `W_O` projects into `y`, `k` and `v` as the K and V
+/// projections. `saved = (q, p)`, when given, receives the two things a
+/// backward pass needs that the forward does not leave behind: the Q
+/// projection (`O` replaces it) and the softmax rows
+/// ([`AttnGrid::probs_len`] floats).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mhsa_forward_over<W: WeightMatrix>(
+    x: &[f32],
+    grid: &AttnGrid,
+    w: &MhsaWeights<W>,
+    isa: Isa,
+    [qo, k, v]: [&mut [f32]; 3],
+    scratch: &mut [f32],
+    y: &mut [f32],
+    saved: Option<(&mut [f32], &mut [f32])>,
+) {
+    let d = w.model_dim();
+    assert!(
+        x.len() == grid.rows() * d && y.len() == x.len(),
+        "MHSA over {grid:?} rows of dim {d} got x of {} floats, y of {}",
+        x.len(),
+        y.len()
+    );
+    w.w_q.linear_into(x, qo, isa);
     w.w_k.linear_into(x, k, isa);
     w.w_v.linear_into(x, v, isa);
-    // Each (batch, head) tile's output replaces its Q: `q` now holds the
-    // merged-head attention output.
-    linalg::attention_into_with_isa(&grid, q, k, v, scratch, isa);
-    w.w_o.linear_into(q, y, isa);
+    // Each (batch, head) tile's output replaces its Q.
+    match saved {
+        Some((q, probs)) => {
+            q.copy_from_slice(qo);
+            linalg::attention_probs_into_with_isa(grid, qo, k, v, probs, scratch, isa);
+        }
+        None => linalg::attention_into_with_isa(grid, qo, k, v, scratch, isa),
+    }
+    w.w_o.linear_into(qo, y, isa);
 }
 
 #[cfg(test)]

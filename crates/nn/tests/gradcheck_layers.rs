@@ -89,27 +89,47 @@ fn layer_norm_param_grads() {
     );
 }
 
+/// HIM's three views of one activation, at gradcheck size, as `(layout,
+/// shape of x)`: MBU `[1, n, m]` over `[n, m, d]` (tokens strided: `inner >
+/// 1`), MBI `[n, m, 1]` over the same, MBA `[cells, h, 1]` over `[cells,
+/// h·d]` (tokens inside each row of `x`).
+const HIM_VIEWS: [([usize; 3], &[usize]); 3] = [
+    ([1, 3, 2], &[3, 2, 4]),
+    ([3, 2, 1], &[3, 2, 4]),
+    ([2, 3, 1], &[2, 12]),
+];
+
 #[test]
 fn mhsa_param_grads() {
-    let mut r = rng(3);
-    let mhsa = MultiHeadSelfAttention::new(4, 2, 2, &mut r);
-    let x = NdArray::randn([3, 4], 0.0, 0.5, &mut r);
-    check_module_grads(
-        &mhsa.parameters(),
-        || {
-            mhsa.parameters().iter().for_each(|p| p.zero_grad());
-            mhsa.forward(&Tensor::constant(x.clone())).square().sum()
-        },
-        8e-2,
-    );
+    for (layout, shape) in HIM_VIEWS {
+        let mut r = rng(3);
+        let mhsa = MultiHeadSelfAttention::new(4, 2, 2, &mut r);
+        let x = NdArray::randn(shape, 0.0, 0.5, &mut r);
+        check_module_grads(
+            &mhsa.parameters(),
+            || {
+                mhsa.parameters().iter().for_each(|p| p.zero_grad());
+                let x = Tensor::constant(x.clone());
+                mhsa.forward_layout(&x, layout).output.square().sum()
+            },
+            8e-2,
+        );
+    }
 }
 
 #[test]
 fn mhsa_input_grads_via_gradcheck() {
     // gradient w.r.t. the input tokens (x as parameter)
-    let mut r = rng(4);
-    let mhsa = MultiHeadSelfAttention::new(4, 2, 2, &mut r);
-    let x = NdArray::randn([3, 4], 0.0, 0.5, &mut r);
-    let report = gradcheck(|p| mhsa.forward(&p[0]).square().sum(), &[x], 0, 1e-2);
-    assert!(report.ok(8e-2), "{report:?}");
+    for (layout, shape) in HIM_VIEWS {
+        let mut r = rng(4);
+        let mhsa = MultiHeadSelfAttention::new(4, 2, 2, &mut r);
+        let x = NdArray::randn(shape, 0.0, 0.5, &mut r);
+        let report = gradcheck(
+            |p| mhsa.forward_layout(&p[0], layout).output.square().sum(),
+            &[x],
+            0,
+            1e-2,
+        );
+        assert!(report.ok(8e-2), "{layout:?}: {report:?}");
+    }
 }

@@ -3,7 +3,9 @@
 //! head-split `permute`, `bmm` with a materialized `Kᵀ`, `softmax_last`,
 //! `bmm`, merge `permute` — kept here as the oracle, **bitwise**, on every
 //! ISA the host can run, at pool sizes 1 and 4, for f32, int8 and f16
-//! weights. The token counts straddle the softmax row kernel's 8-wide
+//! weights; and the softmax rows `attention_probs_into` emits for the
+//! tape's backward against the oracle's `softmax_last`, bitwise too. The
+//! token counts straddle the softmax row kernel's 8-wide
 //! vector body (whose f64 lane fold the lane-parallel attention kernel must
 //! reproduce); batch × heads is mostly not a multiple of the 8- or 16-lane
 //! group.
@@ -11,7 +13,7 @@
 use hire_nn::{mhsa_forward_into, mhsa_forward_with_isa, mhsa_workspace_len, MhsaWeights};
 use hire_par::{with_pool, ThreadPool};
 use hire_tensor::simd::Isa;
-use hire_tensor::{linalg, NdArray, QuantMode, QuantizedTensor};
+use hire_tensor::{linalg, AttnGrid, NdArray, QuantMode, QuantizedTensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,6 +23,11 @@ use std::sync::Arc;
 /// before the tile kernel (and as the tape's `MultiHeadSelfAttention` still
 /// does), every kernel pinned to `isa`.
 fn reference_mhsa(x: &NdArray, w: &MhsaWeights, isa: Isa) -> NdArray {
+    reference_mhsa_with_weights(x, w, isa).0
+}
+
+/// [`reference_mhsa`] and its attention weights `[b * l, t, t]`.
+fn reference_mhsa_with_weights(x: &NdArray, w: &MhsaWeights, isa: Isa) -> (NdArray, NdArray) {
     let (b, t) = (x.dims()[0], x.dims()[1]);
     let (l, dk) = (w.heads, w.head_dim);
     let linear = |x: &NdArray, w: &NdArray| {
@@ -46,7 +53,51 @@ fn reference_mhsa(x: &NdArray, w: &MhsaWeights, isa: Isa) -> NdArray {
         &[0, 2, 1, 3],
     )
     .reshaped([b, t, l * dk]);
-    linear(&fused, &w.w_o)
+    (linear(&fused, &w.w_o), attn)
+}
+
+/// The softmax rows the tile kernel emits beside its output, for the
+/// projections of `x` under `w` on `isa`: `[b * l, t, t]`.
+fn emitted_probs(x: &NdArray, w: &MhsaWeights, isa: Isa) -> NdArray {
+    let (b, t, d) = (x.dims()[0], x.dims()[1], x.dims()[2]);
+    let grid = AttnGrid {
+        outer: b,
+        tokens: t,
+        inner: 1,
+        heads: w.heads,
+        head_dim: w.head_dim,
+    };
+    let rows = x.reshape([b * t, d]);
+    let project = |w: &NdArray| linalg::matmul2d_with_isa(&rows, w, isa);
+    let (mut qo, k, v) = (project(&w.w_q), project(&w.w_k), project(&w.w_v));
+    let without = {
+        let mut qo = qo.clone();
+        linalg::attention_into_with_isa(
+            &grid,
+            qo.as_mut_slice(),
+            k.as_slice(),
+            v.as_slice(),
+            &mut vec![f32::NAN; grid.scratch_len()],
+            isa,
+        );
+        qo
+    };
+    let mut probs = vec![f32::NAN; grid.probs_len()];
+    linalg::attention_probs_into_with_isa(
+        &grid,
+        qo.as_mut_slice(),
+        k.as_slice(),
+        v.as_slice(),
+        &mut probs,
+        &mut vec![f32::NAN; grid.scratch_len()],
+        isa,
+    );
+    assert_eq!(
+        qo.as_slice(),
+        without.as_slice(),
+        "emitting the softmax rows changed the attention output ({isa:?})"
+    );
+    NdArray::from_vec([b * w.heads, t, t], probs)
 }
 
 fn random_weights(d: usize, l: usize, dk: usize, rng: &mut StdRng) -> MhsaWeights {
@@ -73,7 +124,7 @@ fn assert_matches_oracle(b: usize, t: usize, d: usize, l: usize, dk: usize, seed
         .map(|&mode| w.map(|a| QuantizedTensor::quantize(a, mode)))
         .collect();
     for isa in Isa::available() {
-        let want = reference_mhsa(&x, &w, isa);
+        let (want, want_probs) = reference_mhsa_with_weights(&x, &w, isa);
         let want_quant: Vec<NdArray> = quantized
             .iter()
             .map(|qw| reference_mhsa(&x, &qw.map(QuantizedTensor::dequantize), isa))
@@ -84,6 +135,9 @@ fn assert_matches_oracle(b: usize, t: usize, d: usize, l: usize, dk: usize, seed
                 let got = mhsa_forward_with_isa(&x, &w, isa);
                 assert_eq!(got.dims(), want.dims(), "{tag}");
                 assert_eq!(got.as_slice(), want.as_slice(), "f32 {tag}");
+                let got_probs = emitted_probs(&x, &w, isa);
+                assert_eq!(got_probs.dims(), want_probs.dims(), "{tag}");
+                assert_eq!(got_probs.as_slice(), want_probs.as_slice(), "probs {tag}");
                 for (qw, want) in quantized.iter().zip(&want_quant) {
                     let got = mhsa_forward_with_isa(&x, qw, isa);
                     assert_eq!(got.as_slice(), want.as_slice(), "quantized {tag}");

@@ -5,7 +5,8 @@
 //! pins it to a tenth of that so a stray `NdArray` temporary in the hot
 //! path shows up here rather than as a slow drift in the ledger.
 //!
-//! Own test binary: the counting `#[global_allocator]` is process-wide.
+//! Own test binary: the counting `#[global_allocator]`
+//! (`hire-core`'s `tests/support/counting_alloc.rs`) is process-wide.
 
 use hire_core::{HireConfig, HireModel};
 use hire_data::{training_context, SyntheticConfig};
@@ -14,58 +15,11 @@ use hire_par::{with_pool, ThreadPool};
 use hire_serve::FrozenModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
-struct Counting;
-
-thread_local! {
-    // `const`-initialised `Cell`s: touching them from inside the allocator
-    // neither allocates nor registers a destructor.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn record() {
-    let _ = COUNTING.try_with(|on| {
-        if on.get() {
-            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        }
-    });
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the bookkeeping touches only thread-local `Cell`s.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record();
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocation calls `f` makes on this thread.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    COUNTING.with(|on| on.set(true));
-    f();
-    COUNTING.with(|on| on.set(false));
-    ALLOCS.with(Cell::get) - before
-}
+#[path = "../../core/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 #[test]
 fn steady_state_forward_stays_within_its_allocation_budget() {

@@ -18,8 +18,10 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
-/// Gradient contributions for each parent, in parent order.
-type BackwardFn = Box<dyn Fn(&NdArray, &[Tensor]) -> Vec<Option<NdArray>>>;
+/// An op's backward pass: from the gradient of the op's output and the
+/// op's parents, the gradient contribution for each parent, in parent order
+/// (`None`: nothing flows to that parent). See [`Tensor::from_op`].
+pub type BackwardFn = Box<dyn Fn(&NdArray, &[Tensor]) -> Vec<Option<NdArray>>>;
 
 thread_local! {
     static NEXT_ID: RefCell<u64> = const { RefCell::new(0) };
@@ -81,7 +83,21 @@ impl Tensor {
         }
     }
 
-    fn from_op(value: NdArray, parents: Vec<Tensor>, backward: BackwardFn) -> Tensor {
+    /// A node computed from `parents` by an op this module does not know:
+    /// `value` is the op's output and `backward` its hand-written backward
+    /// pass. Every op above is built through this constructor; it is public
+    /// so that a fused op can live beside its kernels' callers (`hire-nn`'s
+    /// MHSA is one node over `hire_tensor::linalg` kernels) instead of as a
+    /// chain of nodes here.
+    ///
+    /// The node requires grad iff a parent does; otherwise `backward` is
+    /// dropped at once, with whatever it captured. During
+    /// [`Tensor::backward`] the closure runs once, after every consumer of
+    /// the node has contributed, and must return one entry per parent, each
+    /// `Some` shaped like that parent's value. Contributions to parents that
+    /// do not require grad are discarded, so a closure may skip computing
+    /// them (`parents[i].requires_grad()`).
+    pub fn from_op(value: NdArray, parents: Vec<Tensor>, backward: BackwardFn) -> Tensor {
         let requires_grad = parents.iter().any(|p| p.requires_grad());
         Tensor {
             node: Rc::new(Node {
@@ -210,13 +226,13 @@ impl Tensor {
             let Some(backward) = t.node.backward.as_ref() else {
                 continue;
             };
-            let grad_out = t
-                .node
-                .grad
-                .borrow()
-                .clone()
+            // A node is never its own parent, so no closure (and no
+            // `accumulate_grad` below) touches this slot while it is lent.
+            let grad_out = t.node.grad.borrow();
+            let grad_out = grad_out
+                .as_ref()
                 .expect("topological order guarantees grad is present");
-            let contributions = backward(&grad_out, &t.node.parents);
+            let contributions = backward(grad_out, &t.node.parents);
             debug_assert_eq!(contributions.len(), t.node.parents.len());
             for (parent, contribution) in t.node.parents.iter().zip(contributions) {
                 if let Some(g) = contribution {
@@ -305,14 +321,16 @@ impl Tensor {
             value,
             vec![self.clone(), other.clone()],
             Box::new(|g, parents| {
-                let a = parents[0].value();
-                let b = parents[1].value();
-                let ga = linalg::broadcast_zip(g, &b, |gi, bi| gi * bi);
-                let gb = linalg::broadcast_zip(g, &a, |gi, ai| gi * ai);
-                vec![
-                    Some(linalg::reduce_to_shape(&ga, a.shape())),
-                    Some(linalg::reduce_to_shape(&gb, b.shape())),
-                ]
+                parents[0].with_value(|a| {
+                    parents[1].with_value(|b| {
+                        let ga = linalg::broadcast_zip(g, b, |gi, bi| gi * bi);
+                        let gb = linalg::broadcast_zip(g, a, |gi, ai| gi * ai);
+                        vec![
+                            Some(linalg::reduce_to_shape(&ga, a.shape())),
+                            Some(linalg::reduce_to_shape(&gb, b.shape())),
+                        ]
+                    })
+                })
             }),
         )
     }
@@ -325,18 +343,20 @@ impl Tensor {
             value,
             vec![self.clone(), other.clone()],
             Box::new(|g, parents| {
-                let a = parents[0].value();
-                let b = parents[1].value();
-                let ga = linalg::broadcast_zip(g, &b, |gi, bi| gi / bi);
-                let gb_full = linalg::broadcast_zip(
-                    &linalg::broadcast_zip(g, &a, |gi, ai| gi * ai),
-                    &b,
-                    |num, bi| -num / (bi * bi),
-                );
-                vec![
-                    Some(linalg::reduce_to_shape(&ga, a.shape())),
-                    Some(linalg::reduce_to_shape(&gb_full, b.shape())),
-                ]
+                parents[0].with_value(|a| {
+                    parents[1].with_value(|b| {
+                        let ga = linalg::broadcast_zip(g, b, |gi, bi| gi / bi);
+                        let gb_full = linalg::broadcast_zip(
+                            &linalg::broadcast_zip(g, a, |gi, ai| gi * ai),
+                            b,
+                            |num, bi| -num / (bi * bi),
+                        );
+                        vec![
+                            Some(linalg::reduce_to_shape(&ga, a.shape())),
+                            Some(linalg::reduce_to_shape(&gb_full, b.shape())),
+                        ]
+                    })
+                })
             }),
         )
     }
@@ -393,8 +413,7 @@ impl Tensor {
             value,
             vec![self.clone()],
             Box::new(|g, parents| {
-                let x = parents[0].value();
-                vec![Some(g.zip(&x, |gi, xi| gi / xi))]
+                vec![Some(parents[0].with_value(|x| g.zip(x, |gi, xi| gi / xi)))]
             }),
         )
     }
@@ -407,10 +426,9 @@ impl Tensor {
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                let x = parents[0].value();
-                vec![Some(
-                    g.zip(&x, |gi, xi| gi * xi.signum() / (xi.abs() + eps)),
-                )]
+                vec![Some(parents[0].with_value(|x| {
+                    g.zip(x, |gi, xi| gi * xi.signum() / (xi.abs() + eps))
+                }))]
             }),
         )
     }
@@ -448,8 +466,9 @@ impl Tensor {
             value,
             vec![self.clone()],
             Box::new(|g, parents| {
-                let x = parents[0].value();
-                vec![Some(g.zip(&x, |gi, xi| if xi > 0.0 { gi } else { 0.0 }))]
+                vec![Some(parents[0].with_value(|x| {
+                    g.zip(x, |gi, xi| if xi > 0.0 { gi } else { 0.0 })
+                }))]
             }),
         )
     }
@@ -463,12 +482,13 @@ impl Tensor {
             value,
             vec![self.clone()],
             Box::new(|g, parents| {
-                let x = parents[0].value();
-                vec![Some(g.zip(&x, |gi, xi| {
-                    let inner = C * (xi + 0.044715 * xi * xi * xi);
-                    let t = inner.tanh();
-                    let dinner = C * (1.0 + 3.0 * 0.044715 * xi * xi);
-                    gi * (0.5 * (1.0 + t) + 0.5 * xi * (1.0 - t * t) * dinner)
+                vec![Some(parents[0].with_value(|x| {
+                    g.zip(x, |gi, xi| {
+                        let inner = C * (xi + 0.044715 * xi * xi * xi);
+                        let t = inner.tanh();
+                        let dinner = C * (1.0 + 3.0 * 0.044715 * xi * xi);
+                        gi * (0.5 * (1.0 + t) + 0.5 * xi * (1.0 - t * t) * dinner)
+                    })
                 }))]
             }),
         )
@@ -481,10 +501,9 @@ impl Tensor {
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                let x = parents[0].value();
-                vec![Some(
-                    g.zip(&x, |gi, xi| if xi > 0.0 { gi } else { alpha * gi }),
-                )]
+                vec![Some(parents[0].with_value(|x| {
+                    g.zip(x, |gi, xi| if xi > 0.0 { gi } else { alpha * gi })
+                }))]
             }),
         )
     }
@@ -518,14 +537,6 @@ impl Tensor {
                 ))]
             }),
         )
-    }
-
-    /// Swaps the last two axes.
-    pub fn transpose_last2(&self) -> Tensor {
-        let rank = self.shape().rank();
-        let mut perm: Vec<usize> = (0..rank).collect();
-        perm.swap(rank - 1, rank - 2);
-        self.permute(&perm)
     }
 
     /// Concatenates tensors along the last axis.
@@ -584,22 +595,24 @@ impl Tensor {
             value,
             vec![self.clone(), other.clone()],
             Box::new(|g, parents| {
-                let a = parents[0].value();
-                let b = parents[1].value();
-                // dA = g . B^T ; dB = A^T . g — both through the shared
-                // transposed linalg kernels, no materialized transposes.
-                let ga = linalg::bmm_nt(g, &b);
-                let gb = if b.shape().rank() == 2 && a.shape().rank() > 2 {
-                    // Shared rhs: dB sums over the whole batch, so flatten
-                    // the batch into rows of one A^T . g product.
-                    let k = *a.dims().last().unwrap();
-                    let m = *g.dims().last().unwrap();
-                    let rows = a.numel() / k;
-                    linalg::matmul2d_tn(&a.reshape([rows, k]), &g.reshape([rows, m]))
-                } else {
-                    linalg::bmm_tn(&a, g)
-                };
-                vec![Some(ga), Some(gb)]
+                parents[0].with_value(|a| {
+                    parents[1].with_value(|b| {
+                        // dA = g . B^T ; dB = A^T . g
+                        let ga = linalg::bmm_nt(g, b);
+                        let gb = if b.shape().rank() == 2 && a.shape().rank() > 2 {
+                            // Shared rhs: dB sums over the whole batch, so
+                            // flatten the batch into rows of one A^T . g
+                            // product.
+                            let k = *a.dims().last().unwrap();
+                            let m = *g.dims().last().unwrap();
+                            let rows = a.numel() / k;
+                            linalg::matmul2d_tn(&a.reshape([rows, k]), &g.reshape([rows, m]))
+                        } else {
+                            linalg::bmm_tn(a, g)
+                        };
+                        vec![Some(ga), Some(gb)]
+                    })
+                })
             }),
         )
     }
@@ -639,16 +652,17 @@ impl Tensor {
     /// kernels (row-parallel, deterministic chunked `dgamma`/`dbeta`
     /// reduction).
     pub fn layer_norm_last(&self, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
-        let x = self.value();
-        let gv = gamma.value();
-        let bv = beta.value();
-        let (value, xhat, inv_std) = linalg::layer_norm_forward_last(&x, &gv, &bv, eps);
+        let (value, xhat, inv_std) = self.with_value(|x| {
+            gamma.with_value(|gv| {
+                beta.with_value(|bv| linalg::layer_norm_forward_last(x, gv, bv, eps))
+            })
+        });
         Tensor::from_op(
             value,
             vec![self.clone(), gamma.clone(), beta.clone()],
             Box::new(move |g, parents| {
-                let gv = parents[1].value();
-                let (dx, dgamma, dbeta) = linalg::layer_norm_backward_last(&xhat, &inv_std, &gv, g);
+                let (dx, dgamma, dbeta) = parents[1]
+                    .with_value(|gv| linalg::layer_norm_backward_last(&xhat, &inv_std, gv, g));
                 vec![Some(dx), Some(dgamma), Some(dbeta)]
             }),
         )

@@ -22,7 +22,8 @@
 //! bit-identical to [`matmul_reference`]; avx2 follows the documented
 //! relaxation in the [`crate::simd`] module docs (FMA chains, lane-parallel
 //! reductions — deterministic per ISA, oracle-bounded) and avx512 is
-//! bit-identical to avx2.
+//! bit-identical to avx2. One kernel, [`attention_backward_into`], has no
+//! per-ISA form at all and is bit-identical across ISAs too.
 //!
 //! Each hot kernel also has a public `*_with_isa` twin taking an explicit
 //! [`Isa`], so the cross-check tests and `compute_bench` can exercise every
@@ -162,20 +163,11 @@ pub fn matmul2d_with_isa(a: &NdArray, b: &NdArray, isa: Isa) -> NdArray {
     NdArray::from_vec([n, m], out)
 }
 
-/// Rows of the output each parallel task owns in the matmul kernels. Two
-/// register tiles per task: small enough that HIM-sized products (a few
-/// dozen rows) split across every worker, large enough that a task's
-/// arithmetic dwarfs the queue handoff. Chunk boundaries never change
-/// per-row float chains, so this is a pure tuning knob — except in
-/// [`matmul2d_tn`], whose `k`-partials fold per chunk, so its bits are
-/// pinned to this exact value.
-const ROW_BLOCK: usize = 8;
-/// Rows per parallel task in the *forward* blocked matmul. A multiple of
-/// every ISA's micro-kernel `MR` (scalar 4, avx2 6, avx512 8) so a
-/// task's band splits into full register tiles instead of ragged
-/// remainders. Each
-/// output row's accumulator chain lives entirely inside one task, so this
-/// too is a pure tuning knob that can never change bits.
+/// Rows per parallel task in the blocked matmul. A multiple of every ISA's
+/// micro-kernel `MR` (scalar 4, avx2 6, avx512 8) so a task's band splits
+/// into full register tiles instead of ragged remainders. Each output
+/// row's accumulator chain lives entirely inside one task, so this is a
+/// pure tuning knob that can never change bits.
 const MM_ROW_BLOCK: usize = 24;
 /// Below this many multiply-adds the packing/tiling overhead outweighs the
 /// win; the kernel falls through to the small-product path. Dispatch
@@ -261,52 +253,48 @@ fn matmul_kernel_with_isa(
     });
 }
 
-/// `out[n,m] += a[n,k] * b[m,k]^T` over one band of rows: each output
-/// element is a dot product of two contiguous rows, single f32 accumulator,
-/// `k` ascending.
-fn nt_block_rows(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
-    for i in 0..n {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * m..(i + 1) * m];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = *o;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            *o = acc;
+/// `src: [rows, cols]` row-major, transposed to `[cols, rows]`.
+fn transposed(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    debug_assert_eq!(src.len(), rows * cols);
+    let mut out = vec![0.0f32; src.len()];
+    for (r, row) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &x) in row.iter().enumerate() {
+            out[c * rows + r] = x;
         }
+    }
+    out
+}
+
+/// `out[n,m] += a[n,k] * b[m,k]^T`: `b` — a weight, or one batch entry —
+/// is transposed once and the product is [`matmul_kernel_with_isa`]'s, so
+/// each output element runs the forward matmul's chain over ascending `k`
+/// (scalar: mul-then-add from `out`; avx2/avx512: one FMA per step).
+fn nt_kernel(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+    let bt = transposed(b, m, k);
+    matmul_kernel_with_isa(a, &bt, out, n, k, m, simd::active_isa());
+}
+
+/// `out[k,m] += a[n,k]^T * g[n,m]` through [`matmul_kernel_with_isa`]: each
+/// output element is one chain over the rows `n`, ascending, whatever the
+/// thread count. The packed panels should run along the output's longer
+/// axis, so a wide output (`m >= k`) transposes `a` and multiplies
+/// `aᵀ·g`, and a tall one transposes `g` and builds `outᵀ = gᵀ·a` — the same
+/// products in the same order per element (`x·y` and `y·x` round alike), so
+/// which way round is a pure speed choice: MHSA's `dW_O` over MBA's
+/// `[2304, 32]ᵀ·[2304, 8]` runs 4× fuller panels the second way.
+fn tn_kernel(a: &[f32], g: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+    let isa = simd::active_isa();
+    if m >= k {
+        matmul_kernel_with_isa(&transposed(a, n, k), g, out, k, n, m, isa);
+    } else {
+        let mut out_t = transposed(out, k, m);
+        matmul_kernel_with_isa(&transposed(g, n, m), a, &mut out_t, m, n, k, isa);
+        out.copy_from_slice(&transposed(&out_t, m, k));
     }
 }
 
-/// `out[k_range,m] += (a[n,k]^T * g[n,m])` restricted to the `k_range` band
-/// of output rows (`out` is the band itself). The contraction axis is `i`
-/// (the rows of `a`/`g`), walked in ascending order for every output
-/// element.
-fn tn_block_rows(
-    a: &[f32],
-    g: &[f32],
-    out: &mut [f32],
-    n: usize,
-    k: usize,
-    m: usize,
-    k_range: std::ops::Range<usize>,
-) {
-    for i in 0..n {
-        let g_row = &g[i * m..(i + 1) * m];
-        for kk in k_range.clone() {
-            let a_ik = a[i * k + kk];
-            let out_row = &mut out[(kk - k_range.start) * m..(kk - k_range.start + 1) * m];
-            for (o, &gv) in out_row.iter_mut().zip(g_row) {
-                *o += a_ik * gv;
-            }
-        }
-    }
-}
-
-/// `A * B^T` for 2-D `a: [n,k]` and `b: [m,k]` -> `[n,m]`, parallel over
-/// row blocks. This is the `dA = g * B^T` product of the matmul backward,
-/// computed without materializing the transpose.
+/// `A * B^T` for 2-D `a: [n,k]` and `b: [m,k]` -> `[n,m]`. This is the
+/// `dA = g * B^T` product of the matmul backward.
 pub fn matmul2d_nt(a: &NdArray, b: &NdArray) -> NdArray {
     assert_eq!(a.shape().rank(), 2, "matmul2d_nt lhs must be 2-D");
     assert_eq!(b.shape().rank(), 2, "matmul2d_nt rhs must be 2-D");
@@ -320,28 +308,14 @@ pub fn matmul2d_nt(a: &NdArray, b: &NdArray) -> NdArray {
         b.shape()
     );
     let mut out = vec![0.0f32; n * m];
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let (a_s, b_s) = (a.as_slice(), b.as_slice());
-    hire_par::parallel_for(n, ROW_BLOCK, |rows| {
-        // SAFETY: row chunks are disjoint.
-        let out_rows = unsafe { out_ptr.slice_mut(rows.start * m, rows.len() * m) };
-        nt_block_rows(
-            &a_s[rows.start * k..rows.end * k],
-            b_s,
-            out_rows,
-            rows.len(),
-            k,
-            m,
-        );
-    });
+    nt_kernel(a.as_slice(), b.as_slice(), &mut out, n, k, m);
     NdArray::from_vec([n, m], out)
 }
 
-/// `A^T * G` for 2-D `a: [n,k]` and `g: [n,m]` -> `[k,m]`, parallel over
-/// bands of output rows (the `k` axis). This is the `dB = A^T * g` product
-/// of the matmul backward, computed without materializing the transpose;
-/// the contraction over `n` walks rows in ascending order for every output
-/// element regardless of thread count.
+/// `A^T * G` for 2-D `a: [n,k]` and `g: [n,m]` -> `[k,m]`. This is the
+/// `dB = A^T * g` product of the matmul backward; the contraction over `n`
+/// walks rows in ascending order for every output element regardless of
+/// thread count.
 pub fn matmul2d_tn(a: &NdArray, g: &NdArray) -> NdArray {
     assert_eq!(a.shape().rank(), 2, "matmul2d_tn lhs must be 2-D");
     assert_eq!(g.shape().rank(), 2, "matmul2d_tn rhs must be 2-D");
@@ -355,13 +329,7 @@ pub fn matmul2d_tn(a: &NdArray, g: &NdArray) -> NdArray {
         g.shape()
     );
     let mut out = vec![0.0f32; k * m];
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let (a_s, g_s) = (a.as_slice(), g.as_slice());
-    hire_par::parallel_for(k, ROW_BLOCK, |krange| {
-        // SAFETY: k-bands are disjoint output rows.
-        let out_band = unsafe { out_ptr.slice_mut(krange.start * m, krange.len() * m) };
-        tn_block_rows(a_s, g_s, out_band, n, k, m, krange);
-    });
+    tn_kernel(a.as_slice(), g.as_slice(), &mut out, n, k, m);
     NdArray::from_vec([k, m], out)
 }
 
@@ -471,7 +439,7 @@ pub fn bmm_nt(a: &NdArray, b: &NdArray) -> NdArray {
         for bi in bis {
             // SAFETY: disjoint per-batch output slabs.
             let out_bi = unsafe { out_ptr.slice_mut(bi * n * m, n * m) };
-            nt_block_rows(
+            nt_kernel(
                 &a_s[bi * n * k..(bi + 1) * n * k],
                 &b_s[bi * m * k..(bi + 1) * m * k],
                 out_bi,
@@ -506,14 +474,13 @@ pub fn bmm_tn(a: &NdArray, g: &NdArray) -> NdArray {
         for bi in bis {
             // SAFETY: disjoint per-batch output slabs.
             let out_bi = unsafe { out_ptr.slice_mut(bi * k * m, k * m) };
-            tn_block_rows(
+            tn_kernel(
                 &a_s[bi * n * k..(bi + 1) * n * k],
                 &g_s[bi * n * m..(bi + 1) * n * m],
                 out_bi,
                 n,
                 k,
                 m,
-                0..k,
             );
         }
     });
@@ -715,6 +682,52 @@ pub fn attention_into_with_isa(
     scratch: &mut [f32],
     isa: Isa,
 ) {
+    attention_run(grid, qo, k, v, None, scratch, isa);
+}
+
+/// [`attention_into`] that also writes every tile's softmax rows `P` into
+/// `probs` ([`AttnGrid::probs_len`] floats, `[outer * inner, heads, tokens,
+/// tokens]`) — what [`attention_backward_into`] needs saved and what the
+/// Fig. 9 case study plots. The rows are the values the kernel multiplies
+/// into `V`, stored on the way: `qo` comes out bit-identical to
+/// [`attention_into`]'s, and `probs` bit-identical to `softmax_last` of the
+/// scaled scores on the same ISA.
+pub fn attention_probs_into(
+    grid: &AttnGrid,
+    qo: &mut [f32],
+    k: &[f32],
+    v: &[f32],
+    probs: &mut [f32],
+    scratch: &mut [f32],
+) {
+    attention_probs_into_with_isa(grid, qo, k, v, probs, scratch, simd::active_isa());
+}
+
+/// [`attention_probs_into`] on an explicit ISA path (tests and benchmarks;
+/// `isa` must be available on this host).
+pub fn attention_probs_into_with_isa(
+    grid: &AttnGrid,
+    qo: &mut [f32],
+    k: &[f32],
+    v: &[f32],
+    probs: &mut [f32],
+    scratch: &mut [f32],
+    isa: Isa,
+) {
+    attention_run(grid, qo, k, v, Some(probs), scratch, isa);
+}
+
+/// The one tile fan-out behind [`attention_into`] and
+/// [`attention_probs_into`].
+fn attention_run(
+    grid: &AttnGrid,
+    qo: &mut [f32],
+    k: &[f32],
+    v: &[f32],
+    probs: Option<&mut [f32]>,
+    scratch: &mut [f32],
+    isa: Isa,
+) {
     assert!(
         isa.is_available(),
         "ISA {} not available on this host",
@@ -738,25 +751,109 @@ pub fn attention_into_with_isa(
         scratch.len(),
         grid.scratch_len()
     );
+    let per_tile = grid.tokens * grid.tokens;
+    if let Some(probs) = &probs {
+        assert_eq!(
+            probs.len(),
+            grid.probs_len(),
+            "attention probabilities of {grid:?} are one [tokens, tokens] matrix per tile"
+        );
+    }
     if len == 0 {
         return;
     }
     let (grain, per_chunk) = (grid.chunk_tiles(), grid.chunk_scratch());
     let qo_ptr = SendPtr(qo.as_mut_ptr());
     let scratch_ptr = SendPtr(scratch.as_mut_ptr());
+    let probs_ptr = probs.map(|p| SendPtr(p.as_mut_ptr()));
     hire_par::parallel_for(grid.tiles(), grain, |tiles| {
         // Move the `Sync` handle in whole (naming its raw field would
         // capture the bare pointer).
         let qo = qo_ptr;
         // SAFETY: chunk `c` covers tiles `[c * grain, (c + 1) * grain)`, so
         // each chunk takes a distinct scratch region, inside `scratch` by
-        // the length assert above.
-        let chunk_scratch =
-            unsafe { scratch_ptr.slice_mut(tiles.start / grain * per_chunk, per_chunk) };
+        // the length assert above, and its own tiles' rows of `probs`
+        // (`per_tile` floats a tile, `probs_len()` in all: asserted above).
+        let (chunk_scratch, chunk_probs) = unsafe {
+            (
+                scratch_ptr.slice_mut(tiles.start / grain * per_chunk, per_chunk),
+                probs_ptr
+                    .as_ref()
+                    .map(|p| p.slice_mut(tiles.start * per_tile, tiles.len() * per_tile)),
+            )
+        };
         // SAFETY: `qo` holds `len` floats like `k`; chunks partition the
         // tiles and `AttnGrid` maps distinct tiles to disjoint Q segments,
         // so no two tasks touch the same element.
-        unsafe { simd::attention_tiles(isa, grid, qo.0, k, v, tiles, chunk_scratch) };
+        unsafe { simd::attention_tiles(isa, grid, qo.0, k, v, tiles, chunk_scratch, chunk_probs) };
+    });
+}
+
+/// Backward of [`attention_into`]: from the projections `q`, `k`, `v` the
+/// forward read, the softmax rows `p` [`attention_probs_into`] saved and
+/// the upstream gradient `d_o` of the merged-head output, the gradients
+/// `dq`, `dk`, `dv` of the three projections (overwritten) — all but `p`
+/// in the forward's `[rows, heads * head_dim]` layout over the same
+/// [`AttnGrid`] stride view. Per tile `dV = Pᵀ·dO`, `dP = dO·Vᵀ`,
+/// `dS = P ∘ (dP − rowsum(dP ∘ P)) / √dk`, `dQ = dS·K`, `dK = dSᵀ·Q`;
+/// no `exp` is recomputed.
+///
+/// There is no `isa` argument because there is no per-ISA kernel: one
+/// lane-blocked safe-Rust kernel, multiply-then-add in a fixed order
+/// (see `simd::attention`), so the result is bit-identical on every ISA as
+/// well as for every thread count — tiles fan out over the pool in the
+/// forward's [`AttnGrid::chunk_tiles`] chunks and never share an element.
+/// Non-finite values in any input reach the outputs by IEEE rules (a
+/// `NumericalGuard` upstream counts on seeing them).
+#[allow(clippy::too_many_arguments)]
+pub fn attention_backward_into(
+    grid: &AttnGrid,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    p: &[f32],
+    d_o: &[f32],
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+) {
+    let len = grid.rows() * grid.width();
+    let lens = [
+        q.len(),
+        k.len(),
+        v.len(),
+        d_o.len(),
+        dq.len(),
+        dk.len(),
+        dv.len(),
+    ];
+    assert!(
+        lens.iter().all(|&l| l == len) && p.len() == grid.probs_len(),
+        "attention backward over {grid:?} needs {len} floats per buffer and {} \
+         probabilities, got q/k/v/d_o/dq/dk/dv {lens:?} and p {}",
+        grid.probs_len(),
+        p.len()
+    );
+    let out_ptrs = [
+        SendPtr(dq.as_mut_ptr()),
+        SendPtr(dk.as_mut_ptr()),
+        SendPtr(dv.as_mut_ptr()),
+    ];
+    hire_par::parallel_for(grid.tiles(), grid.chunk_tiles(), |tiles| {
+        // Move the `Sync` handles in whole.
+        let out = out_ptrs;
+        simd::attention_backward_tiles(grid, [q, k, v, d_o], p, tiles, |at, grads| {
+            assert!(at < len, "attention backward wrote past its buffers");
+            // SAFETY: `at < len`, the length of all three outputs; chunks
+            // partition the tiles, the kernel emits only elements of its
+            // own tiles' segments, and `AttnGrid` maps distinct tiles to
+            // disjoint segments — no two tasks write the same element.
+            unsafe {
+                for (ptr, g) in out.iter().zip(grads) {
+                    *ptr.0.add(at) = g;
+                }
+            }
+        });
     });
 }
 
@@ -1126,6 +1223,20 @@ impl WeightMatrix for NdArray {
         let (v, f) = (self.dims()[0], self.dims()[1]);
         assert!(index < v, "row index {index} out of range {v}");
         out.copy_from_slice(&self.as_slice()[index * f..(index + 1) * f]);
+    }
+}
+
+/// A borrowed weight is a weight: lets a forward run on values it only
+/// has by reference (the tape's parameters, lent by `Tensor::with_value`).
+impl<T: WeightMatrix> WeightMatrix for &T {
+    fn dims(&self) -> &[usize] {
+        (**self).dims()
+    }
+    fn linear_into(&self, x: &[f32], out: &mut [f32], isa: Isa) {
+        (**self).linear_into(x, out, isa);
+    }
+    fn row_into(&self, index: usize, out: &mut [f32]) {
+        (**self).row_into(index, out);
     }
 }
 

@@ -35,6 +35,25 @@
 //!   f64 adds are exact per lane, so lane position cannot change a value;
 //!   the one order-sensitive step, the softmax sum, reproduces the row
 //!   kernel's fold explicitly (see the macro).
+//!
+//! Either kernel can also hand out each tile's softmax rows `P` — the values
+//! it is about to multiply into `V`, stored on the way, so no chain changes.
+//!
+//! # Backward
+//!
+//! `attention_backward_tiles` (behind `linalg::attention_backward_into`)
+//! turns `Q`, `K`, `V`, the saved `P` and `dO` into `dQ`, `dK`, `dV`. It had no earlier composition's bits to honour, so
+//! it takes the simplest contract there is: **one** kernel for every ISA,
+//! safe Rust over `[f32; 16]` rows (16 tiles per `[token][column][lane]`
+//! panel, like the lane kernel above), every sum a single accumulator per
+//! lane over an ascending index, multiply then add. rustc vectorises the
+//! rows with whatever the build's baseline allows (SSE2 on x86-64) and may
+//! not fuse or reorder them, so a tile's gradient bits are the same on every
+//! ISA, in every lane and for every chunking — a stronger contract than the
+//! forward's, bought by not hand-writing it three times. Wider per-ISA
+//! instances would have little to win: at HIM's tile sizes about 70 % of
+//! the kernel's time is gathering tiles into panels and scattering the
+//! results, not arithmetic.
 
 use std::ops::Range;
 
@@ -84,6 +103,13 @@ impl AttnGrid {
     /// Number of independent (batch, head) tiles.
     pub fn tiles(&self) -> usize {
         self.outer * self.inner * self.heads
+    }
+
+    /// Floats of one call's softmax rows: a `[tokens, tokens]` matrix per
+    /// tile, tiles in `(outer, inner, head)` order — as a 4-D array,
+    /// `[outer * inner, heads, tokens, tokens]`.
+    pub fn probs_len(&self) -> usize {
+        self.tiles() * self.tokens * self.tokens
     }
 
     /// Elements between consecutive tokens of one tile.
@@ -141,7 +167,8 @@ macro_rules! attention_lanes_kernel {
         /// [`crate::simd::attention`] for the lane layout and why each
         /// lane's chain is the unfused one), overwriting each tile's Q with
         /// its output. `scratch` holds at least `grid.chunk_scratch()`
-        /// floats.
+        /// floats; `probs`, when given, is the `tiles` range of the
+        /// `[tile][token][token]` softmax rows and receives them.
         ///
         /// # Safety
         ///
@@ -157,6 +184,7 @@ macro_rules! attention_lanes_kernel {
             v: &[f32],
             tiles: std::ops::Range<usize>,
             scratch: &mut [f32],
+            mut probs: Option<&mut [f32]>,
         ) {
             use $ops::LANES;
             let (t, dk) = (grid.tokens, grid.head_dim);
@@ -171,19 +199,31 @@ macro_rules! attention_lanes_kernel {
             // Columns of a softmax row the avx2 row kernel runs through its
             // eight-wide vector body; the rest is its scalar tail.
             let body = t - t % 8;
+            if let Some(probs) = &probs {
+                assert!(
+                    probs.len() == tiles.len() * t * t && probs.len() <= i32::MAX as usize,
+                    "softmax rows of {} tiles of {t} tokens cannot be {} floats",
+                    tiles.len(),
+                    probs.len()
+                );
+            }
             let mut group = tiles.start;
             while group < tiles.end {
                 let live = (tiles.end - group).min(LANES);
-                let mut base = [0i32; LANES];
-                for (lane, b) in base.iter_mut().enumerate() {
-                    let tile_base = grid.tile_base(group + lane.min(live - 1));
+                let (mut base, mut p_base) = ([0i32; LANES], [0i32; LANES]);
+                for lane in 0..LANES {
+                    let tile = group + lane.min(live - 1);
+                    let tile_base = grid.tile_base(tile);
                     debug_assert!(tile_base + (t - 1) * stride + dk <= k.len());
-                    *b = tile_base as i32;
+                    base[lane] = tile_base as i32;
+                    p_base[lane] = ((tile - tiles.start) * t * t) as i32;
                 }
                 // SAFETY (this block): every gather/scatter offset is
                 // `tile_base + token * stride + col` with `token < t`,
                 // `col < dk` — inside the buffers by the assert above — and
-                // scatters touch only live tiles' own Q segments; panel
+                // scatters touch only live tiles' own Q segments, or, into
+                // `probs`, element `i * t + j < t * t` of a live tile's own
+                // `t * t` rows, inside it by the length assert; panel
                 // offsets `at(token, col) + LANES <= t * dk * LANES`, row
                 // offsets `col * LANES + LANES <= dk * LANES` and
                 // `j * LANES + LANES <= t * LANES`.
@@ -253,6 +293,17 @@ macro_rules! attention_lanes_kernel {
                             let p = $ops::mul($ops::load(s.as_ptr().add(j * LANES)), inv);
                             $ops::store(s.as_mut_ptr().add(j * LANES), p);
                         }
+                        if let Some(probs) = probs.as_deref_mut() {
+                            for j in 0..t {
+                                $ops::scatter(
+                                    probs.as_mut_ptr(),
+                                    &p_base,
+                                    (i * t + j) as i32,
+                                    $ops::load(s.as_ptr().add(j * LANES)),
+                                    live,
+                                );
+                            }
+                        }
                         for c in 0..dk {
                             let mut acc = $ops::splat(0.0);
                             for j in 0..t {
@@ -274,7 +325,10 @@ macro_rules! attention_lanes_kernel {
 pub(crate) use attention_lanes_kernel;
 
 /// Runs `tiles` of `grid` on `isa`'s kernel (see the module docs for
-/// which), overwriting each tile's Q with its output.
+/// which), overwriting each tile's Q with its output. `probs`, when given,
+/// holds `tiles.len() * tokens * tokens` floats and receives the range's
+/// softmax rows — the values the `P·V` product reads, so emitting them
+/// changes no chain.
 ///
 /// # Safety
 ///
@@ -282,6 +336,7 @@ pub(crate) use attention_lanes_kernel;
 /// segments of `tiles` during the call. (Shape/length consistency and the
 /// 32-bit index bound are checked by the safe caller,
 /// `linalg::attention_into_with_isa`.)
+#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn attention_tiles(
     isa: super::Isa,
     grid: &AttnGrid,
@@ -290,6 +345,7 @@ pub(crate) unsafe fn attention_tiles(
     v: &[f32],
     tiles: Range<usize>,
     scratch: &mut [f32],
+    probs: Option<&mut [f32]>,
 ) {
     use super::Isa;
     debug_assert_eq!(k.len(), grid.rows() * grid.width());
@@ -300,11 +356,144 @@ pub(crate) unsafe fn attention_tiles(
     unsafe {
         match isa {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => super::avx2::attention_lanes(grid, qo, k, v, tiles, scratch),
+            Isa::Avx2 => super::avx2::attention_lanes(grid, qo, k, v, tiles, scratch, probs),
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => super::avx512::attention_lanes(grid, qo, k, v, tiles, scratch),
-            _ => super::scalar::attention_tiles(grid, qo, k, v, tiles, scratch),
+            Isa::Avx512 => super::avx512::attention_lanes(grid, qo, k, v, tiles, scratch, probs),
+            _ => super::scalar::attention_tiles(grid, qo, k, v, tiles, scratch, probs),
         }
+    }
+}
+
+/// One panel row of the backward kernel: the same `(token, column)` element
+/// of [`MAX_LANES`] tiles.
+type Row = [f32; MAX_LANES];
+
+/// `acc[λ] += a[λ] * b[λ]` — a multiply, then an add, in every build: Rust
+/// never contracts the pair into an FMA, so the loop rustc vectorises here
+/// rounds exactly like its scalar form.
+#[inline(always)]
+fn mul_add(acc: &mut Row, a: &Row, b: &Row) {
+    // By value: the optimiser then sees three unaliased rows.
+    let (mut sum, a, b) = (*acc, *a, *b);
+    for lane in 0..MAX_LANES {
+        sum[lane] += a[lane] * b[lane];
+    }
+    *acc = sum;
+}
+
+/// `rows[e][lane] = src[e]`: one tile's values into its lane of a panel.
+#[inline(always)]
+fn set_lane(rows: &mut [Row], lane: usize, src: &[f32]) {
+    for (row, &x) in rows.iter_mut().zip(src) {
+        row[lane] = x;
+    }
+}
+
+/// Backward of the attention tiles in `tiles`: from each tile's `Q`, `K`,
+/// `V`, saved softmax rows `P` (`p`, the whole call's `[tile][token][token]`
+/// array) and upstream `dO`,
+///
+/// ```text
+/// dV = Pᵀ·dO    dP = dO·Vᵀ    dS = P ∘ (dP − rowsum(dP ∘ P)) / √dk
+/// dQ = dS·K     dK = dSᵀ·Q
+/// ```
+///
+/// handed to `emit(offset, [dq, dk, dv])` once per element of the tile's
+/// segments (`offset` is the element's index in the `[rows, width]`
+/// buffers, the one `q[offset]` was read at).
+///
+/// Lane-blocked like `attention_lanes_kernel!` — [`MAX_LANES`] tiles ride
+/// in the lanes of `[token][column][lane]` panels, so every inner loop is
+/// full width however small a tile is — but written once, in safe Rust,
+/// for every ISA. Each sum is one accumulator per lane from `0.0` over an
+/// ascending index, multiply then add; lanes never mix. A tile's gradient
+/// bits are therefore the same on every ISA, in every lane position and
+/// for every split of `tiles` into chunks (DESIGN.md §16). Non-finite
+/// inputs propagate by IEEE rules: nothing is skipped or masked.
+pub(crate) fn attention_backward_tiles(
+    grid: &AttnGrid,
+    [q, k, v, d_o]: [&[f32]; 4],
+    p: &[f32],
+    tiles: Range<usize>,
+    mut emit: impl FnMut(usize, [f32; 3]),
+) {
+    const LANES: usize = MAX_LANES;
+    let (t, dk) = (grid.tokens, grid.head_dim);
+    let stride = grid.token_stride();
+    let scale = 1.0 / (dk as f32).sqrt();
+    let zero = [0.0f32; LANES];
+    let mut panels = vec![zero; 7 * t * dk + t * t + t];
+    let (qp, rest) = panels.split_at_mut(t * dk);
+    let (kp, rest) = rest.split_at_mut(t * dk);
+    let (vp, rest) = rest.split_at_mut(t * dk);
+    let (gp, rest) = rest.split_at_mut(t * dk);
+    let (dqp, rest) = rest.split_at_mut(t * dk);
+    let (dkp, rest) = rest.split_at_mut(t * dk);
+    let (dvp, rest) = rest.split_at_mut(t * dk);
+    // `ds` is row `i` of `dP`, then of `dS`.
+    let (pp, ds) = rest.split_at_mut(t * t);
+    let mut group = tiles.start;
+    while group < tiles.end {
+        // Lanes past `live` keep whatever an earlier group left there:
+        // lanes are independent and theirs are never emitted.
+        let live = (tiles.end - group).min(LANES);
+        for lane in 0..live {
+            let base = grid.tile_base(group + lane);
+            for i in 0..t {
+                let at = base + i * stride;
+                for (panel, src) in [(&mut *qp, q), (&mut *kp, k), (&mut *vp, v), (&mut *gp, d_o)] {
+                    set_lane(&mut panel[i * dk..][..dk], lane, &src[at..][..dk]);
+                }
+            }
+            set_lane(pp, lane, &p[(group + lane) * t * t..][..t * t]);
+        }
+        dkp.fill(zero);
+        dvp.fill(zero);
+        for i in 0..t {
+            let (g_i, q_i) = (&gp[i * dk..][..dk], &qp[i * dk..][..dk]);
+            let p_i = &pp[i * t..][..t];
+            for (j, dp) in ds.iter_mut().enumerate() {
+                *dp = zero;
+                for (g, v) in g_i.iter().zip(&vp[j * dk..][..dk]) {
+                    mul_add(dp, g, v);
+                }
+            }
+            let mut sum = zero;
+            for (dp, p) in ds.iter().zip(p_i) {
+                mul_add(&mut sum, dp, p);
+            }
+            for (dp, p) in ds.iter_mut().zip(p_i) {
+                for lane in 0..LANES {
+                    dp[lane] = p[lane] * (dp[lane] - sum[lane]) * scale;
+                }
+            }
+            for (c, dq) in dqp[i * dk..][..dk].iter_mut().enumerate() {
+                *dq = zero;
+                for (j, s) in ds.iter().enumerate() {
+                    mul_add(dq, s, &kp[j * dk + c]);
+                }
+            }
+            for (j, (s, p)) in ds.iter().zip(p_i).enumerate() {
+                let (dk_j, dv_j) = (&mut dkp[j * dk..][..dk], &mut dvp[j * dk..][..dk]);
+                for c in 0..dk {
+                    mul_add(&mut dk_j[c], s, &q_i[c]);
+                    mul_add(&mut dv_j[c], p, &g_i[c]);
+                }
+            }
+        }
+        for lane in 0..live {
+            let base = grid.tile_base(group + lane);
+            for i in 0..t {
+                let rows = dqp[i * dk..][..dk]
+                    .iter()
+                    .zip(&dkp[i * dk..][..dk])
+                    .zip(&dvp[i * dk..][..dk]);
+                for (c, ((dq_e, dk_e), dv_e)) in rows.enumerate() {
+                    emit(base + i * stride + c, [dq_e[lane], dk_e[lane], dv_e[lane]]);
+                }
+            }
+        }
+        group += LANES;
     }
 }
 

@@ -52,8 +52,8 @@ pub(crate) mod avx2;
 pub(crate) mod avx512;
 pub(crate) mod scalar;
 
-pub(crate) use attention::attention_tiles;
 pub use attention::AttnGrid;
+pub(crate) use attention::{attention_backward_tiles, attention_tiles};
 
 /// Instruction-set architecture a kernel can be dispatched to.
 ///

@@ -199,7 +199,9 @@ pub fn dequant_row_i8(qs: &[i8], scale: f32, out: &mut [f32]) {
 /// `matmul_reference`, scale, [`softmax_rows`], `O = P V` through
 /// `matmul_reference` again, and write `O` back over the tile's Q — the
 /// unfused `bmm → softmax_last → bmm` chain by construction. `scratch`
-/// holds at least `grid.chunk_scratch()` floats.
+/// holds at least `grid.chunk_scratch()` floats; `probs`, when given, is
+/// the `tiles` range of the `[tile][token][token]` softmax rows and
+/// receives each tile's `P`.
 ///
 /// # Safety
 ///
@@ -213,6 +215,7 @@ pub unsafe fn attention_tiles(
     v: &[f32],
     tiles: std::ops::Range<usize>,
     scratch: &mut [f32],
+    mut probs: Option<&mut [f32]>,
 ) {
     use crate::linalg::matmul_reference;
     let (t, dk) = (grid.tokens, grid.head_dim);
@@ -223,7 +226,7 @@ pub unsafe fn attention_tiles(
     let (s, rest) = rest.split_at_mut(t * t);
     let p = &mut rest[..t * t];
     let scale = 1.0 / (dk as f32).sqrt();
-    for tile in tiles {
+    for tile in tiles.clone() {
         let base = grid.tile_base(tile);
         debug_assert!(base + (t - 1) * stride + dk <= k.len());
         // SAFETY: segment `i` is `head_dim` floats at `base + i * stride`,
@@ -246,6 +249,9 @@ pub unsafe fn attention_tiles(
             *x *= scale;
         }
         softmax_rows(s, p, t);
+        if let Some(probs) = probs.as_deref_mut() {
+            probs[(tile - tiles.start) * t * t..][..t * t].copy_from_slice(p);
+        }
         let o_tile = &mut *q_tile;
         o_tile.fill(0.0);
         matmul_reference(p, v_tile, o_tile, t, t, dk);

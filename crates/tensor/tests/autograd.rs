@@ -59,6 +59,14 @@ fn grad_sub_mul_div() {
     }
 }
 
+/// A loss linear in its input, `sum(y ∘ w)` for fixed random `w`: central
+/// differences of it carry no truncation error, so a step of 0.5 is exact up
+/// to rounding — which keeps the many near-zero entries of a
+/// several-hundred-element gradient checkable in f32.
+fn weighted_sum(y: &Tensor, seed: u64) -> Tensor {
+    y.mul(&Tensor::constant(randn(&y.dims(), seed))).sum()
+}
+
 #[test]
 fn grad_matmul_2d() {
     let a = randn(&[3, 4], 5);
@@ -71,6 +79,20 @@ fn grad_matmul_2d() {
             EPS,
         );
         assert!(r.ok(TOL), "matmul[{target}]: {r:?}");
+    }
+    // 33·24·23 multiply-adds, above linalg's BLOCK_THRESHOLD (16 Ki): the
+    // forward and both backward products (`g·Bᵀ`, `Aᵀ·g`) take the packed
+    // kernel, ragged in every dimension.
+    let a = randn(&[33, 24], 5);
+    let b = randn(&[24, 23], 6);
+    for target in 0..2 {
+        let r = gradcheck(
+            |p| weighted_sum(&p[0].matmul(&p[1]), 60),
+            &[a.clone(), b.clone()],
+            target,
+            0.5,
+        );
+        assert!(r.ok(TOL), "packed matmul[{target}]: {r:?}");
     }
 }
 
@@ -101,6 +123,19 @@ fn grad_linear_shared_weight() {
             EPS,
         );
         assert!(r.ok(TOL), "linear[{target}]: {r:?}");
+    }
+    // 45 rows × 20 × 21, above BLOCK_THRESHOLD: `dW = Xᵀ·g` and `dX = g·Wᵀ`
+    // on the packed path (see `grad_matmul_2d`).
+    let x = randn(&[5, 9, 20], 9);
+    let w = randn(&[20, 21], 10);
+    for target in 0..2 {
+        let r = gradcheck(
+            |p| weighted_sum(&p[0].linear(&p[1]), 90),
+            &[x.clone(), w.clone()],
+            target,
+            0.5,
+        );
+        assert!(r.ok(TOL), "packed linear[{target}]: {r:?}");
     }
 }
 

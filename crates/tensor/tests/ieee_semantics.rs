@@ -86,3 +86,89 @@ fn both_paths_agree_bitwise_on_non_finite_inputs() {
         }
     }
 }
+
+/// The training loop's divergence recovery counts the non-finite gradient
+/// entries `clip_grad_norm` sanitises, so the attention backward must hand
+/// them on, not launder them: with `P = 0` and `dP = Inf`,
+/// `P ∘ (dP − Σ dP∘P)` is NaN by IEEE and has to stay NaN. One poisoned
+/// element must surface as non-finite entries of its own tile's gradients
+/// and leak into no other tile, on every ISA's forward: planted in the
+/// upstream gradient, in `dq`, `dk` and `dv`; planted in `V` before the
+/// forward, in `dq` and `dk` (through `dP = dO·Vᵀ`) — `dV = Pᵀ·dO` does not
+/// read `V`, and in a real step the NaN that `V` puts into the forward's
+/// output comes back as the upstream gradient.
+#[test]
+fn attention_backward_propagates_non_finite_inputs() {
+    use hire_tensor::AttnGrid;
+    // Enough tiles for two lane groups; the poisoned tile sits in the
+    // second, ragged one.
+    let grid = AttnGrid {
+        outer: 3,
+        tokens: 5,
+        inner: 2,
+        heads: 3,
+        head_dim: 4,
+    };
+    let len = grid.rows() * grid.width();
+    let fill = |seed: u32| -> Vec<f32> {
+        (0..len as u32)
+            .map(|i| {
+                ((i.wrapping_mul(2654435761).wrapping_add(seed) >> 8) % 1000) as f32 / 500.0 - 1.0
+            })
+            .collect()
+    };
+    let (q, k, v, d_o) = (fill(1), fill(2), fill(3), fill(4));
+    // Element of (outer 2, token 3, inner 1, head 2): tile 17 of 18.
+    let (tile, width) = (17, grid.width());
+    let poisoned_at = ((2 * 5 + 3) * 2 + 1) * width + 2 * 4 + 1;
+    let owner = |at: usize| {
+        let (row, col) = (at / width, at % width);
+        ((row / (5 * 2)) * 2 + row % 2) * 3 + col / 4
+    };
+    assert_eq!(owner(poisoned_at), tile);
+
+    for isa in hire_tensor::simd::Isa::available() {
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for poison_v in [false, true] {
+                let (mut v, mut d_o) = (v.clone(), d_o.clone());
+                if poison_v {
+                    v[poisoned_at] = poison;
+                } else {
+                    d_o[poisoned_at] = poison;
+                }
+                let mut p = vec![0.0f32; grid.probs_len()];
+                linalg::attention_probs_into_with_isa(
+                    &grid,
+                    &mut q.clone(),
+                    &k,
+                    &v,
+                    &mut p,
+                    &mut vec![0.0; grid.scratch_len()],
+                    isa,
+                );
+                let (mut dq, mut dk, mut dv) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+                linalg::attention_backward_into(
+                    &grid, &q, &k, &v, &p, &d_o, &mut dq, &mut dk, &mut dv,
+                );
+                let tag = format!(
+                    "{} {poison} in {}",
+                    isa.label(),
+                    if poison_v { "V" } else { "d_o" }
+                );
+                for (name, grad) in [("dq", &dq), ("dk", &dk), ("dv", &dv)] {
+                    let bad: Vec<usize> = (0..len).filter(|&at| !grad[at].is_finite()).collect();
+                    assert_eq!(
+                        bad.is_empty(),
+                        poison_v && name == "dv",
+                        "{tag}: {name} has {} non-finite entries",
+                        bad.len()
+                    );
+                    assert!(
+                        bad.iter().all(|&at| owner(at) == tile),
+                        "{tag}: {name} is non-finite outside the poisoned tile"
+                    );
+                }
+            }
+        }
+    }
+}

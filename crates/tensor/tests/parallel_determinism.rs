@@ -85,21 +85,32 @@ fn batched_matmul_is_thread_invariant() {
 }
 
 #[test]
-fn transposed_products_are_thread_invariant() {
+fn transposed_products_are_thread_invariant_and_match_the_forward_kernel() {
     // matmul2d_nt: [n,k] x [m,k]^T and matmul2d_tn: [n,k]^T x [n,m] are
-    // the backward-pass kernels; cover ragged sizes around the row block.
-    let a = randn(&[37, 24], 3);
-    let b = randn(&[15, 24], 4);
-    assert_thread_invariant("matmul2d_nt", || linalg::matmul2d_nt(&a, &b));
-    let g = randn(&[37, 15], 5);
-    assert_thread_invariant("matmul2d_tn", || linalg::matmul2d_tn(&a, &g));
+    // the backward-pass products, routed through the packed forward kernel
+    // on a transposed operand: bitwise the forward product of the
+    // materialized transpose, at every pool size. Ragged sizes on both
+    // sides of BLOCK_THRESHOLD; for `tn`, outputs wider than tall and
+    // taller than wide (the two ways round it builds its product).
+    for (n, k, m) in [(37, 24, 15), (129, 40, 33), (200, 9, 40), (2304, 8, 32)] {
+        let a = randn(&[n, k], 3);
+        let b = randn(&[m, k], 4);
+        let nt = assert_thread_invariant("matmul2d_nt", || linalg::matmul2d_nt(&a, &b));
+        let want = linalg::matmul2d(&a, &linalg::transpose_last2(&b));
+        assert_eq!(nt.as_slice(), want.as_slice(), "nt {n}x{k}x{m}");
+
+        let g = randn(&[n, m], 5);
+        let tn = assert_thread_invariant("matmul2d_tn", || linalg::matmul2d_tn(&a, &g));
+        let want = linalg::matmul2d(&linalg::transpose_last2(&a), &g);
+        assert_eq!(tn.as_slice(), want.as_slice(), "tn {n}x{k}x{m}");
+    }
 
     let ba = randn(&[4, 21, 16], 6);
     let bb = randn(&[4, 9, 16], 7);
     assert_thread_invariant("bmm_nt batched", || linalg::bmm_nt(&ba, &bb));
     let bg = randn(&[4, 21, 9], 8);
     assert_thread_invariant("bmm_tn batched", || linalg::bmm_tn(&ba, &bg));
-    // Shared 2-D rhs variant (the weight-gradient shape in MHSA).
+    // Shared 2-D rhs variant (the weight-gradient shape of `Tensor::linear`).
     let shared = randn(&[9, 16], 9);
     assert_thread_invariant("bmm_nt shared rhs", || linalg::bmm_nt(&ba, &shared));
 }
@@ -171,6 +182,134 @@ fn attention_tiles_are_thread_invariant_and_match_the_unfused_chain() {
                 want.as_slice(),
                 "{grid:?} tile ({o}, {j}, {head})"
             );
+        }
+    }
+}
+
+/// One tile's backward on the reference chains: every sum a single
+/// accumulator from `0.0` over an ascending index, multiply then add — what
+/// `attention_backward_into` promises for each tile on every ISA.
+fn tile_backward_reference(
+    [q, k, v, d_o]: [&[f32]; 4],
+    p: &[f32],
+    t: usize,
+    dk: usize,
+) -> [Vec<f32>; 3] {
+    let transposed = |a: &[f32], rows: usize, cols: usize| {
+        let mut out = vec![0.0f32; a.len()];
+        for r in 0..rows {
+            for c in 0..cols {
+                out[c * rows + r] = a[r * cols + c];
+            }
+        }
+        out
+    };
+    let product = |a: &[f32], b: &[f32], n: usize, k: usize, m: usize| {
+        let mut out = vec![0.0f32; n * m];
+        linalg::matmul_reference(a, b, &mut out, n, k, m);
+        out
+    };
+    let scale = 1.0 / (dk as f32).sqrt();
+    let mut ds = product(d_o, &transposed(v, t, dk), t, dk, t); // dP = dO·Vᵀ
+    for (ds_row, p_row) in ds.chunks_exact_mut(t).zip(p.chunks_exact(t)) {
+        let mut sum = 0.0f32;
+        for (dp, p) in ds_row.iter().zip(p_row) {
+            sum += dp * p;
+        }
+        for (dp, p) in ds_row.iter_mut().zip(p_row) {
+            *dp = p * (*dp - sum) * scale;
+        }
+    }
+    [
+        product(&ds, k, t, t, dk),                    // dQ = dS·K
+        product(&transposed(&ds, t, t), q, t, t, dk), // dK = dSᵀ·Q
+        product(&transposed(p, t, t), d_o, t, t, dk), // dV = Pᵀ·dO
+    ]
+}
+
+#[test]
+fn attention_backward_is_thread_invariant_and_matches_the_per_tile_reference() {
+    // The forward test's grids (both token-axis placements, several chunks,
+    // a ragged last lane group) plus HIM's own MBA shape and single-token,
+    // single-column tiles.
+    for (outer, tokens, inner, heads, head_dim) in [
+        (70, 5, 1, 3, 8),
+        (3, 9, 7, 2, 6),
+        (2, 17, 5, 4, 8),
+        (256, 9, 1, 4, 8),
+        (5, 1, 3, 2, 1),
+    ] {
+        let grid = AttnGrid {
+            outer,
+            tokens,
+            inner,
+            heads,
+            head_dim,
+        };
+        let dims = [grid.rows(), grid.width()];
+        let (q, k, v, d_o) = (
+            randn(&dims, 30),
+            randn(&dims, 31),
+            randn(&dims, 32),
+            randn(&dims, 33),
+        );
+        let mut p = vec![f32::NAN; grid.probs_len()];
+        linalg::attention_probs_into(
+            &grid,
+            q.clone().as_mut_slice(),
+            k.as_slice(),
+            v.as_slice(),
+            &mut p,
+            &mut vec![f32::NAN; grid.scratch_len()],
+        );
+        // Packed `[dq | dk | dv]` so the invariance helper compares all
+        // three; poisoned outputs: every element must be written.
+        let len = grid.rows() * grid.width();
+        let got = assert_thread_invariant("attention_backward_into", || {
+            let mut out = vec![f32::NAN; 3 * len];
+            let (dq, rest) = out.split_at_mut(len);
+            let (dk, dv) = rest.split_at_mut(len);
+            linalg::attention_backward_into(
+                &grid,
+                q.as_slice(),
+                k.as_slice(),
+                v.as_slice(),
+                &p,
+                d_o.as_slice(),
+                dq,
+                dk,
+                dv,
+            );
+            NdArray::from_vec([3, len], out)
+        });
+
+        let width = grid.width();
+        for tile in 0..grid.tiles() {
+            let (batch, head) = (tile / heads, tile % heads);
+            let (o, j) = (batch / inner, batch % inner);
+            let at = |t: usize| ((o * tokens + t) * inner + j) * width + head * head_dim;
+            let gather = |a: &[f32]| -> Vec<f32> {
+                (0..tokens)
+                    .flat_map(|t| a[at(t)..at(t) + head_dim].to_vec())
+                    .collect()
+            };
+            let want = tile_backward_reference(
+                [&q, &k, &v, &d_o]
+                    .map(|a| gather(a.as_slice()))
+                    .each_ref()
+                    .map(|a| &a[..]),
+                &p[tile * tokens * tokens..(tile + 1) * tokens * tokens],
+                tokens,
+                head_dim,
+            );
+            for (which, want) in want.iter().enumerate() {
+                let got = gather(&got.as_slice()[which * len..(which + 1) * len]);
+                assert_eq!(
+                    got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "{grid:?} tile {tile} output {which} (0 = dq, 1 = dk, 2 = dv)"
+                );
+            }
         }
     }
 }
