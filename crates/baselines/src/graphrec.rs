@@ -63,6 +63,7 @@ impl GraphRec {
         for (ix, &u) in users.iter().enumerate() {
             let mut count = 0;
             for &(i, v) in graph.user_neighbors(u).iter().take(self.neighbor_cap) {
+                let i = i as usize;
                 if let Some(ex) = exclude {
                     if ex.get(ix) == Some(&(u, i)) {
                         continue; // never aggregate the edge being predicted
@@ -130,6 +131,7 @@ impl GraphRec {
         for (ix, &i) in items.iter().enumerate() {
             let mut count = 0;
             for &(u, v) in graph.item_neighbors(i).iter().take(self.neighbor_cap) {
+                let u = u as usize;
                 if let Some(ex) = exclude {
                     if ex.get(ix) == Some(&(u, i)) {
                         continue;

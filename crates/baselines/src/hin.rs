@@ -85,7 +85,8 @@ impl HinNeighbor {
     fn uiu(&self, graph: &BipartiteGraph, user: usize) -> Vec<usize> {
         let mut out = Vec::new();
         'outer: for &(item, _) in graph.user_neighbors(user) {
-            for &(other, _) in graph.item_neighbors(item) {
+            for &(other, _) in graph.item_neighbors(item as usize) {
+                let other = other as usize;
                 if other != user && !out.contains(&other) {
                     out.push(other);
                     if out.len() >= self.neighbor_cap {
@@ -100,7 +101,8 @@ impl HinNeighbor {
     fn iui(&self, graph: &BipartiteGraph, item: usize) -> Vec<usize> {
         let mut out = Vec::new();
         'outer: for &(user, _) in graph.item_neighbors(item) {
-            for &(other, _) in graph.user_neighbors(user) {
+            for &(other, _) in graph.user_neighbors(user as usize) {
+                let other = other as usize;
                 if other != item && !out.contains(&other) {
                     out.push(other);
                     if out.len() >= self.neighbor_cap {

@@ -59,13 +59,13 @@ pub fn sample_tasks(
             graph
                 .user_neighbors(entity)
                 .iter()
-                .map(|&(i, v)| Rating::new(entity, i, v))
+                .map(|&(i, v)| Rating::new(entity, i as usize, v))
                 .collect()
         } else {
             graph
                 .item_neighbors(entity)
                 .iter()
-                .map(|&(u, v)| Rating::new(u, entity, v))
+                .map(|&(u, v)| Rating::new(u as usize, entity, v))
                 .collect()
         };
         edges.shuffle(rng);
@@ -105,6 +105,7 @@ pub fn support_from_visible(
     };
     for &u in &users {
         for &(i, val) in visible.user_neighbors(u) {
+            let i = i as usize;
             if out.len() >= cap {
                 return out;
             }
@@ -115,6 +116,7 @@ pub fn support_from_visible(
     }
     for &i in &items {
         for &(u, val) in visible.item_neighbors(i) {
+            let u = u as usize;
             if out.len() >= cap {
                 return out;
             }

@@ -1,7 +1,7 @@
 //! Kernel/compute benchmark: establishes the perf trajectory of the
 //! parallel compute layer and emits `BENCH_KERNELS.json`.
 //!
-//! Four sections:
+//! Five sections:
 //! 1. **matmul** — GFLOP/s at HIM-realistic shapes: the naive reference
 //!    loop, the blocked kernel forced to the scalar micro-kernel, and the
 //!    blocked kernel on the dispatched ISA (see `hire_tensor::simd`), all
@@ -27,18 +27,28 @@
 //!    by most users: microseconds per sample, and — from a plain BFS replica
 //!    that must reproduce every selection first — the adjacency entries
 //!    walked and RNG draws made per sample. Reported, not gated.
+//! 5. **graph_commit** — `EpochedGraph::commit_edges` on the same two graphs,
+//!    one new edge and eight new edges a commit: microseconds, and — counted
+//!    with `BipartiteGraph::chunk_sharing` against the predecessor — the
+//!    adjacency chunks and bytes each commit copied, beside the snapshot's
+//!    resident bytes and its largest chunk (what a commit on a hub row
+//!    copies).
 //!
-//! `--smoke` shrinks every section to seconds and gates two regressions:
+//! `--smoke` shrinks every section to seconds and gates three regressions:
 //! the 4-thread HIM forward must be no slower than the 1-thread run (with
 //! a noise tolerance so single-core machines, where both degenerate to the
-//! same serial execution, still pass), and on hosts where the dispatcher
+//! same serial execution, still pass), on hosts where the dispatcher
 //! resolves to avx2 the dispatched matmul must beat the forced-scalar
-//! micro-kernel — the CI regression gates for the pool and the SIMD layer.
+//! micro-kernel, and a single-edge commit on the hub graph must copy no more
+//! than a fixed multiple of the bytes it copies on the 600×400 one — the CI
+//! regression gates for the pool, the SIMD layer and the copy-on-write graph.
 
 use hire_bench::write_json_atomic;
 use hire_core::{HireConfig, HireModel};
 use hire_data::{test_context_with_ratio, SyntheticConfig};
-use hire_graph::{BipartiteGraph, ContextSampler, ContextSelection, NeighborhoodSampler, Rating};
+use hire_graph::{
+    BipartiteGraph, ContextSampler, ContextSelection, EpochedGraph, NeighborhoodSampler, Rating,
+};
 use hire_nn::{mhsa_forward, MhsaWeights, MultiHeadSelfAttention};
 use hire_par::{with_pool, ThreadPool};
 use hire_tensor::linalg;
@@ -57,8 +67,9 @@ USAGE:
 
 OPTIONS:
     --smoke         quick run: small shapes, assert the 4-thread HIM
-                    forward is no slower than 1-thread and (on avx2 hosts)
-                    that dispatch beats forced-scalar
+                    forward is no slower than 1-thread, (on avx2 hosts)
+                    that dispatch beats forced-scalar, and that a graph
+                    commit copies bytes by the rows it touches
     --out <path>    write the JSON report here [BENCH_KERNELS.json]
     -h, --help      print this help";
 
@@ -76,6 +87,13 @@ const SMOKE_TOLERANCE: f64 = 1.25;
 /// actually delivers — the gate catches a dispatcher wired to the wrong
 /// path, not a few percent of perf drift.
 const ISA_SMOKE_SPEEDUP: f64 = 1.2;
+
+/// A single-edge commit on the 50 000 × 10 000 graph may copy at most this
+/// many times the bytes it copies on the 600×400 one. Both are counts and
+/// repeat exactly: 31 KB (two chunks and the 939-pointer tables) against
+/// 100 KB (two of the denser graph's 17 chunks), 0.3× — where copying the
+/// graph, which this gate keeps out, is 7.3 MB, 73×.
+const COMMIT_BYTES_SMOKE_RATIO: f64 = 2.0;
 
 #[derive(Debug, Clone)]
 struct Args {
@@ -190,6 +208,35 @@ struct SamplerReport {
 }
 
 #[derive(Serialize)]
+struct CommitCost {
+    /// New edges per commit.
+    edges_per_commit: usize,
+    /// Mean wall time of one `EpochedGraph::commit_edges` (building the
+    /// successor, the swap, freeing the predecessor), best pass.
+    micros_per_commit: f64,
+    /// Chunks of the successor that are not its predecessor's, mean.
+    chunks_copied_per_commit: f64,
+    /// Their bytes plus the two chunk tables', mean.
+    bytes_copied_per_commit: f64,
+}
+
+#[derive(Serialize)]
+struct GraphCommitReport {
+    /// `[users, items]` of the graph committed to.
+    graph: Vec<usize>,
+    edges: usize,
+    /// Adjacency storage of one snapshot: every chunk and both chunk tables.
+    resident_bytes: usize,
+    chunks: usize,
+    /// What a commit touching the heaviest rows copies on that side.
+    largest_chunk_bytes: usize,
+    /// Commits per pass, each of never-rated uniform `(user, item)` pairs.
+    commits: usize,
+    single: CommitCost,
+    batch8: CommitCost,
+}
+
+#[derive(Serialize)]
 struct HimPoint {
     threads: usize,
     forward_ms: f64,
@@ -218,6 +265,7 @@ struct KernelBenchReport {
     mhsa: Vec<MhsaReport>,
     him: HimReport,
     sampler: Vec<SamplerReport>,
+    graph_commit: Vec<GraphCommitReport>,
 }
 
 /// Times one `[n,k] x [k,m]` product: reference vs forced-scalar blocked
@@ -373,7 +421,7 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
 /// `budget`; `counts` gains the adjacency entries read and the draws made.
 fn bfs_hop<'g>(
     frontier: &[usize],
-    neighbors: impl Fn(usize) -> &'g [(usize, f32)],
+    neighbors: impl Fn(usize) -> &'g [(u32, f32)],
     selected: &mut [bool],
     picked: &mut Vec<usize>,
     budget: usize,
@@ -385,8 +433,8 @@ fn bfs_hop<'g>(
     for &v in frontier {
         counts.0 += neighbors(v).len();
         for &(x, _) in neighbors(v) {
-            if !std::mem::replace(&mut seen[x], true) {
-                next.push(x);
+            if !std::mem::replace(&mut seen[x as usize], true) {
+                next.push(x as usize);
             }
         }
     }
@@ -497,6 +545,71 @@ fn bench_sampler(graph: &BipartiteGraph, pairs: usize, reps: usize) -> SamplerRe
         micros_per_sample: secs * 1e6 / pairs as f64,
         entries_walked_per_sample: entries as f64 / pairs as f64,
         rng_draws_per_sample: draws as f64 / pairs as f64,
+    }
+}
+
+/// Commits `batches` to a fresh `EpochedGraph` over `base`, one
+/// `commit_edges` each: counted once against each predecessor, then timed.
+fn commit_cost(base: &Arc<BipartiteGraph>, batches: &[Vec<Rating>], reps: usize) -> CommitCost {
+    let graph = EpochedGraph::from_arc(Arc::clone(base));
+    let (mut chunks, mut bytes) = (0, 0);
+    for batch in batches {
+        let before = graph.pin();
+        graph.commit_edges(batch);
+        let sharing = graph.pin().chunk_sharing(&before);
+        chunks += sharing.chunks - sharing.shared_chunks;
+        bytes += sharing.bytes - sharing.shared_bytes;
+    }
+    drop(graph);
+    let secs = time_best(reps, || {
+        let graph = EpochedGraph::from_arc(Arc::clone(base));
+        for batch in batches {
+            std::hint::black_box(graph.commit_edges(batch));
+        }
+    });
+    CommitCost {
+        edges_per_commit: batches[0].len(),
+        micros_per_commit: secs * 1e6 / batches.len() as f64,
+        chunks_copied_per_commit: chunks as f64 / batches.len() as f64,
+        bytes_copied_per_commit: bytes as f64 / batches.len() as f64,
+    }
+}
+
+/// `commits` single-edge and as many eight-edge commits of never-rated
+/// uniform pairs on `base` (see [`commit_cost`]).
+fn bench_graph_commit(
+    base: &Arc<BipartiteGraph>,
+    commits: usize,
+    reps: usize,
+) -> GraphCommitReport {
+    let mut rng = StdRng::seed_from_u64(0xC0_77_17);
+    let mut seen = std::collections::BTreeSet::new();
+    let mut fresh: Vec<Rating> = std::iter::repeat_with(|| {
+        (
+            rng.gen_range(0..base.num_users()),
+            rng.gen_range(0..base.num_items()),
+        )
+    })
+    .filter(|&(u, i)| base.rating(u, i).is_none() && seen.insert((u, i)))
+    .map(|(u, i)| Rating::new(u, i, 3.0))
+    .take(9 * commits)
+    .collect();
+    let eights: Vec<Vec<Rating>> = fresh
+        .split_off(commits)
+        .chunks(8)
+        .map(<[Rating]>::to_vec)
+        .collect();
+    let singles: Vec<Vec<Rating>> = fresh.into_iter().map(|r| vec![r]).collect();
+    let whole = base.chunk_sharing(base);
+    GraphCommitReport {
+        graph: vec![base.num_users(), base.num_items()],
+        edges: base.num_ratings(),
+        resident_bytes: whole.bytes,
+        chunks: whole.chunks,
+        largest_chunk_bytes: whole.largest_chunk_bytes,
+        commits,
+        single: commit_cost(base, &singles, reps),
+        batch8: commit_cost(base, &eights, reps),
     }
 }
 
@@ -647,19 +760,15 @@ fn main() {
     );
 
     // The serving benchmark's two graphs: the default 600×400 one and the
-    // streaming hub graph of its write workload (smoke: a tenth of it).
+    // streaming hub graph of its write workload.
     // After the HIM sweep on purpose: freeing these multi-megabyte graphs
     // first leaves the main thread's heap trimming on every tape forward,
     // which triples the sweep's 1-thread point and nothing else.
-    let small = SyntheticConfig::movielens_like().generate(43).graph();
-    let (hub_users, hub_items) = if args.smoke {
-        (5_000, 1_000)
-    } else {
-        (50_000, 10_000)
-    };
+    let small = Arc::new(SyntheticConfig::movielens_like().generate(43).graph());
     let (_, hub) = SyntheticConfig::million_scale()
-        .scaled(hub_users, hub_items, (4, 16))
+        .scaled(50_000, 10_000, (4, 16))
         .generate_streaming(43);
+    let hub = Arc::new(hub);
     let sampler: Vec<SamplerReport> = [&small, &hub]
         .into_iter()
         .map(|graph| {
@@ -676,6 +785,37 @@ fn main() {
             r
         })
         .collect();
+    let graph_commit: Vec<GraphCommitReport> = [&small, &hub]
+        .into_iter()
+        .map(|graph| {
+            let r = bench_graph_commit(graph, if args.smoke { 32 } else { 128 }, 5);
+            eprintln!(
+                "  graph_commit {}x{} ({} chunks, {} B resident, largest chunk {} B): 1 edge {:.1} us, {:.1} chunks, {:.0} B copied; 8 edges {:.1} us, {:.1} chunks, {:.0} B copied",
+                r.graph[0],
+                r.graph[1],
+                r.chunks,
+                r.resident_bytes,
+                r.largest_chunk_bytes,
+                r.single.micros_per_commit,
+                r.single.chunks_copied_per_commit,
+                r.single.bytes_copied_per_commit,
+                r.batch8.micros_per_commit,
+                r.batch8.chunks_copied_per_commit,
+                r.batch8.bytes_copied_per_commit
+            );
+            r
+        })
+        .collect();
+    // Copy-on-write gate: what one new edge copies follows the rows it
+    // touches, not the graph it is added to.
+    let commit_bytes_ratio = graph_commit[1].single.bytes_copied_per_commit
+        / graph_commit[0].single.bytes_copied_per_commit;
+    let commit_gate_failed = args.smoke && commit_bytes_ratio > COMMIT_BYTES_SMOKE_RATIO;
+    if commit_gate_failed {
+        eprintln!(
+            "compute_bench: COMMIT GATE FAILED — a single-edge commit copies {commit_bytes_ratio:.1}x the bytes on the hub graph that it does at 600x400 (at most {COMMIT_BYTES_SMOKE_RATIO}x)"
+        );
+    }
 
     // The "4 threads no slower than 1" gate only means something when the
     // host can actually run 4 threads at once; on smaller machines the
@@ -710,6 +850,7 @@ fn main() {
         mhsa,
         him,
         sampler,
+        graph_commit,
     };
     write_json_atomic(&args.out, &report).expect("write BENCH_KERNELS.json");
     eprintln!("compute_bench: report written to {}", args.out);
@@ -719,7 +860,7 @@ fn main() {
             "compute_bench: SMOKE GATE FAILED — 4-thread HIM forward is more than {SMOKE_TOLERANCE}x slower than 1-thread"
         );
     }
-    if smoke_gate_failed || isa_gate_failed {
+    if smoke_gate_failed || isa_gate_failed || commit_gate_failed {
         std::process::exit(1);
     }
 }

@@ -112,7 +112,7 @@ fn block_ratings(
     let mut out = Vec::new();
     for (row, &u) in users.iter().enumerate() {
         for &(item, value) in graph.user_neighbors(u) {
-            if let Some(&col) = col_of.get(&item) {
+            if let Some(&col) = col_of.get(&(item as usize)) {
                 out.push((row, col, value));
             }
         }

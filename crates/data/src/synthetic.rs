@@ -840,9 +840,9 @@ mod tests {
                 for b in (a + 1)..raters.len().min(12) {
                     let (ua, ra) = raters[a];
                     let (ub, rb) = raters[b];
-                    let shared = d.user_attrs[ua]
+                    let shared = d.user_attrs[ua as usize]
                         .iter()
-                        .zip(&d.user_attrs[ub])
+                        .zip(&d.user_attrs[ub as usize])
                         .filter(|(x, y)| x == y)
                         .count();
                     let delta = (ra - rb).abs();

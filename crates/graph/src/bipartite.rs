@@ -1,4 +1,17 @@
 //! The user-item bipartite rating graph.
+//!
+//! Both sides of the adjacency are stored as **row chunks behind `Arc`**:
+//! 64 consecutive rows (a private `const`) share one chunk, which owns its row
+//! offsets and one contiguous, 8-byte-per-entry `(neighbor, rating)` buffer.
+//! A row is one slice (a shift, a mask and two loads away), a neighbourhood
+//! scan walks contiguous memory, and a snapshot that differs from its
+//! predecessor in a few rows — what
+//! [`EpochedGraph::commit_edges`](crate::EpochedGraph::commit_edges)
+//! installs per rating — rebuilds only the chunks owning those rows and
+//! shares every other chunk by reference count
+//! ([`BipartiteGraph::with_extra_edges`]).
+
+use std::sync::Arc;
 
 /// A rated edge in the bipartite graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,153 +31,217 @@ impl Rating {
     }
 }
 
-/// Compressed sparse row adjacency: one flat, contiguous `(neighbor,
-/// rating)` buffer plus per-node offsets. Node `v`'s neighbors live in
-/// `entries[offsets[v]..offsets[v + 1]]`, sorted by neighbor index.
-///
-/// Compared to the previous `Vec<Vec<(usize, f32)>>` layout, every
-/// neighborhood scan walks one shared allocation instead of chasing a
-/// pointer per node — the access pattern of repeated BFS context sampling
-/// (`NeighborhoodSampler`), which touches many small neighborhoods per
-/// query.
+/// log2 of the rows per chunk. 64 rows is ≈ 940 chunks at 50 000 × 10 000
+/// (the table a successor snapshot clones) and a 4–22 KB mean chunk there
+/// (what an insert copies per side); the worst chunk is the one owning a hub
+/// row, which no row count can make smaller than the row.
+const CHUNK_SHIFT: u32 = 6;
+const CHUNK_ROWS: usize = 1 << CHUNK_SHIFT;
+
+/// `(neighbor, rating)`; vertex counts are checked to fit at construction.
+type Entry = (u32, f32);
+
+/// [`CHUNK_ROWS`] consecutive rows. Row `r`'s neighbors are
+/// `entries[offsets[r]..offsets[r + 1]]`, sorted by neighbor index; rows past
+/// the graph's last vertex are empty.
+#[derive(Debug)]
+struct Chunk {
+    offsets: [u32; CHUNK_ROWS + 1],
+    entries: Vec<Entry>,
+}
+
+impl Chunk {
+    fn row(&self, row: usize) -> &[Entry] {
+        &self.entries[self.offsets[row] as usize..self.offsets[row + 1] as usize]
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Chunk>() + std::mem::size_of_val(self.entries.as_slice())
+    }
+
+    /// This chunk plus `extra` — `(node, entry)` of this chunk's rows, sorted
+    /// by `(node, neighbor)`, none already present.
+    fn with_inserted(&self, extra: &[(usize, Entry)]) -> Chunk {
+        let mut offsets = [0u32; CHUNK_ROWS + 1];
+        let mut entries = Vec::with_capacity(self.entries.len() + extra.len());
+        let mut extra = extra.iter().peekable();
+        for row in 0..CHUNK_ROWS {
+            let mut old = self.row(row);
+            while let Some(&(_, entry)) = extra.next_if(|&&(node, _)| node % CHUNK_ROWS == row) {
+                let (before, after) = old.split_at(old.partition_point(|&(x, _)| x < entry.0));
+                entries.extend_from_slice(before);
+                entries.push(entry);
+                old = after;
+            }
+            entries.extend_from_slice(old);
+            offsets[row + 1] = chunk_offset(entries.len());
+        }
+        Chunk { offsets, entries }
+    }
+}
+
+fn chunk_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a chunk's entries fit its u32 offsets")
+}
+
+/// One side of the graph: every vertex's sorted neighbor row, in chunks.
 #[derive(Debug, Clone)]
-struct CsrAdjacency {
-    offsets: Vec<usize>,
-    entries: Vec<(usize, f32)>,
+struct ChunkedAdjacency {
+    num_nodes: usize,
+    chunks: Vec<Arc<Chunk>>,
+    len: usize,
 }
 
-impl CsrAdjacency {
-    /// Builds from per-node edge lists, sorting each node's neighbors and
-    /// dropping duplicate neighbors (keeping the first occurrence, matching
-    /// the pre-CSR behavior of stable sort + `dedup_by_key`).
-    fn build(num_nodes: usize, edges: impl Iterator<Item = (usize, usize, f32)>) -> Self {
-        let mut per_node: Vec<Vec<(usize, f32)>> = vec![Vec::new(); num_nodes];
-        for (node, neighbor, value) in edges {
-            per_node[node].push((neighbor, value));
-        }
-        let mut offsets = Vec::with_capacity(num_nodes + 1);
-        offsets.push(0);
-        let mut entries = Vec::new();
-        for adj in &mut per_node {
-            adj.sort_by_key(|&(x, _)| x);
-            adj.dedup_by_key(|&mut (x, _)| x);
-            entries.extend_from_slice(adj);
-            offsets.push(entries.len());
-        }
-        CsrAdjacency { offsets, entries }
+impl ChunkedAdjacency {
+    fn neighbors(&self, node: usize) -> &[Entry] {
+        assert!(
+            node < self.num_nodes,
+            "node {node} out of range {}",
+            self.num_nodes
+        );
+        self.chunks[node >> CHUNK_SHIFT].row(node % CHUNK_ROWS)
     }
 
-    fn neighbors(&self, node: usize) -> &[(usize, f32)] {
-        &self.entries[self.offsets[node]..self.offsets[node + 1]]
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        self.chunks.iter().flat_map(|chunk| &chunk.entries)
     }
 
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Merges `extra` edges (already deduplicated against this adjacency and
-    /// within themselves) into a new adjacency in one pass over the flat
-    /// entry buffer — two allocations total, no per-node lists. `extra` is
-    /// `(node, neighbor, value)` triples.
-    fn merged(&self, num_nodes: usize, extra: &[(usize, usize, f32)]) -> CsrAdjacency {
-        let mut ex: Vec<(usize, usize, f32)> = extra.to_vec();
-        ex.sort_by_key(|&(n, nb, _)| (n, nb));
-        let mut offsets = Vec::with_capacity(num_nodes + 1);
-        let mut entries = Vec::with_capacity(self.entries.len() + ex.len());
-        offsets.push(0);
-        let mut ei = 0;
-        for node in 0..num_nodes {
-            let old = self.neighbors(node);
-            let mut oi = 0;
-            while ei < ex.len() && ex[ei].0 == node {
-                let (_, nb, v) = ex[ei];
-                while oi < old.len() && old[oi].0 < nb {
-                    entries.push(old[oi]);
-                    oi += 1;
-                }
-                entries.push((nb, v));
-                ei += 1;
-            }
-            entries.extend_from_slice(&old[oi..]);
-            offsets.push(entries.len());
+    /// A successor holding `extra` as well — `(node, entry)` pairs, none
+    /// already present, no pair twice. Chunks owning none of the touched
+    /// rows are shared with `self`.
+    fn with_inserted(&self, mut extra: Vec<(usize, Entry)>) -> ChunkedAdjacency {
+        extra.sort_by_key(|&(node, (neighbor, _))| (node, neighbor));
+        let mut chunks = self.chunks.clone();
+        for group in extra.chunk_by(|a, b| a.0 >> CHUNK_SHIFT == b.0 >> CHUNK_SHIFT) {
+            let at = group[0].0 >> CHUNK_SHIFT;
+            chunks[at] = Arc::new(self.chunks[at].with_inserted(group));
         }
-        CsrAdjacency { offsets, entries }
-    }
-
-    /// Finishes a two-pass streaming build: `offsets` are prefix-summed
-    /// degree counts (length `num_nodes + 1`) and `entries` the filled,
-    /// per-node-unsorted buffer. Stable-sorts each row and compacts
-    /// duplicate neighbors in place (first occurrence kept), matching
-    /// [`CsrAdjacency::build`] exactly.
-    fn finish_filled(mut offsets: Vec<usize>, mut entries: Vec<(usize, f32)>) -> CsrAdjacency {
-        let num_nodes = offsets.len() - 1;
-        let mut write = 0;
-        for node in 0..num_nodes {
-            let start = offsets[node];
-            let end = offsets[node + 1];
-            entries[start..end].sort_by_key(|&(x, _)| x);
-            let row_start = write;
-            let mut last: Option<usize> = None;
-            for i in start..end {
-                let e = entries[i];
-                if last == Some(e.0) {
-                    continue;
-                }
-                last = Some(e.0);
-                entries[write] = e;
-                write += 1;
-            }
-            offsets[node] = row_start;
+        ChunkedAdjacency {
+            num_nodes: self.num_nodes,
+            chunks,
+            len: self.len + extra.len(),
         }
-        offsets[num_nodes] = write;
-        entries.truncate(write);
-        CsrAdjacency { offsets, entries }
     }
 }
 
-/// User-item bipartite graph with ratings on the edges, stored as CSR
-/// (compressed sparse row) adjacency on both sides for O(log d) rating
-/// lookup, O(1) neighbor-slice access, and cache-friendly repeated
-/// neighborhood scans.
+/// Second pass of the two-pass build: chunks sized by the first pass's
+/// per-vertex edge counts, filled in stream order, then sorted and
+/// deduplicated row by row.
+struct ChunkFiller {
+    chunks: Vec<Chunk>,
+    /// Where each vertex's next entry goes in its chunk's buffer.
+    cursor: Vec<u32>,
+}
+
+impl ChunkFiller {
+    /// `degrees[v]` is the number of entries (duplicates included) vertex
+    /// `v` will be [`push`](Self::push)ed.
+    fn new(mut degrees: Vec<u32>) -> ChunkFiller {
+        let chunks = degrees
+            .chunks_mut(CHUNK_ROWS)
+            .map(|rows| {
+                let mut offsets = [0u32; CHUNK_ROWS + 1];
+                let mut filled = 0u32;
+                for (row, degree) in rows.iter_mut().enumerate() {
+                    let start = filled;
+                    filled = chunk_offset(filled as usize + *degree as usize);
+                    *degree = start;
+                    offsets[row + 1] = filled;
+                }
+                offsets[rows.len() + 1..].fill(filled);
+                Chunk {
+                    offsets,
+                    entries: vec![(0, 0.0); filled as usize],
+                }
+            })
+            .collect();
+        ChunkFiller {
+            chunks,
+            cursor: degrees,
+        }
+    }
+
+    fn push(&mut self, node: usize, entry: Entry) {
+        let at = &mut self.cursor[node];
+        self.chunks[node >> CHUNK_SHIFT].entries[*at as usize] = entry;
+        *at += 1;
+    }
+
+    /// Stable-sorts each row by neighbor and compacts duplicate neighbors in
+    /// place, keeping the first pushed.
+    fn finish(self) -> ChunkedAdjacency {
+        let num_nodes = self.cursor.len();
+        let mut len = 0;
+        let chunks = self
+            .chunks
+            .into_iter()
+            .map(|mut chunk| {
+                let mut write = 0;
+                for row in 0..CHUNK_ROWS {
+                    let start = chunk.offsets[row] as usize;
+                    let end = chunk.offsets[row + 1] as usize;
+                    chunk.entries[start..end].sort_by_key(|&(x, _)| x);
+                    chunk.offsets[row] = write as u32;
+                    let mut last = None;
+                    for i in start..end {
+                        let entry = chunk.entries[i];
+                        if last != Some(entry.0) {
+                            last = Some(entry.0);
+                            chunk.entries[write] = entry;
+                            write += 1;
+                        }
+                    }
+                }
+                chunk.offsets[CHUNK_ROWS] = write as u32;
+                chunk.entries.truncate(write);
+                chunk.entries.shrink_to_fit();
+                len += write;
+                Arc::new(chunk)
+            })
+            .collect();
+        ChunkedAdjacency {
+            num_nodes,
+            chunks,
+            len,
+        }
+    }
+}
+
+/// What [`BipartiteGraph::chunk_sharing`] counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChunkSharing {
+    /// Adjacency chunks of this snapshot, both sides.
+    pub chunks: usize,
+    /// Of those, the ones the other snapshot holds too (same allocation).
+    pub shared_chunks: usize,
+    /// Bytes of adjacency storage: the chunks and the two chunk tables.
+    pub bytes: usize,
+    /// Bytes of the shared chunks (a table is never shared).
+    pub shared_bytes: usize,
+    /// Bytes of this snapshot's largest chunk.
+    pub largest_chunk_bytes: usize,
+}
+
+/// User-item bipartite graph with ratings on the edges: sorted neighbor rows
+/// on both sides (see the module docs for the layout), O(log d) rating
+/// lookup, O(1) neighbor-slice access. `Clone` shares every chunk.
 #[derive(Debug, Clone)]
 pub struct BipartiteGraph {
-    num_users: usize,
-    num_items: usize,
-    /// Per user: sorted `(item, rating)` pairs, CSR-packed.
-    user_adj: CsrAdjacency,
-    /// Per item: sorted `(user, rating)` pairs, CSR-packed.
-    item_adj: CsrAdjacency,
-    num_ratings: usize,
+    /// Per user: sorted `(item, rating)` pairs.
+    user_adj: ChunkedAdjacency,
+    /// Per item: sorted `(user, rating)` pairs.
+    item_adj: ChunkedAdjacency,
 }
 
 impl BipartiteGraph {
     /// Builds a graph from an edge list. Duplicate `(user, item)` pairs keep
     /// the first occurrence's rating. Panics on out-of-range indices.
     pub fn from_ratings(num_users: usize, num_items: usize, ratings: &[Rating]) -> Self {
-        for r in ratings {
-            assert!(
-                r.user < num_users,
-                "user {} out of range {num_users}",
-                r.user
-            );
-            assert!(
-                r.item < num_items,
-                "item {} out of range {num_items}",
-                r.item
-            );
-        }
-        let user_adj =
-            CsrAdjacency::build(num_users, ratings.iter().map(|r| (r.user, r.item, r.value)));
-        let item_adj =
-            CsrAdjacency::build(num_items, ratings.iter().map(|r| (r.item, r.user, r.value)));
-        let num_ratings = user_adj.len();
-        BipartiteGraph {
-            num_users,
-            num_items,
-            user_adj,
-            item_adj,
-            num_ratings,
-        }
+        Self::from_edge_stream(num_users, num_items, |emit| {
+            for &r in ratings {
+                emit(r);
+            }
+        })
     }
 
     /// Empty graph with the given vertex counts.
@@ -174,33 +251,33 @@ impl BipartiteGraph {
 
     /// Number of user vertices.
     pub fn num_users(&self) -> usize {
-        self.num_users
+        self.user_adj.num_nodes
     }
 
     /// Number of item vertices.
     pub fn num_items(&self) -> usize {
-        self.num_items
+        self.item_adj.num_nodes
     }
 
     /// Number of rated edges.
     pub fn num_ratings(&self) -> usize {
-        self.num_ratings
+        self.user_adj.len
     }
 
     /// Items rated by `user`, with ratings, sorted by item index.
-    pub fn user_neighbors(&self, user: usize) -> &[(usize, f32)] {
+    pub fn user_neighbors(&self, user: usize) -> &[(u32, f32)] {
         self.user_adj.neighbors(user)
     }
 
     /// Users who rated `item`, with ratings, sorted by user index.
-    pub fn item_neighbors(&self, item: usize) -> &[(usize, f32)] {
+    pub fn item_neighbors(&self, item: usize) -> &[(u32, f32)] {
         self.item_adj.neighbors(item)
     }
 
     /// The rating of `user` on `item`, if observed.
     pub fn rating(&self, user: usize, item: usize) -> Option<f32> {
         let adj = self.user_adj.neighbors(user);
-        adj.binary_search_by_key(&item, |&(i, _)| i)
+        adj.binary_search_by_key(&item, |&(i, _)| i as usize)
             .ok()
             .map(|ix| adj[ix].1)
     }
@@ -217,30 +294,30 @@ impl BipartiteGraph {
 
     /// Mean rating over all edges; `None` for an empty graph.
     pub fn mean_rating(&self) -> Option<f32> {
-        if self.num_ratings == 0 {
+        if self.num_ratings() == 0 {
             return None;
         }
-        let sum: f64 = self.user_adj.entries.iter().map(|&(_, r)| r as f64).sum();
-        Some((sum / self.num_ratings as f64) as f32)
+        let sum: f64 = self.user_adj.entries().map(|&(_, r)| r as f64).sum();
+        Some((sum / self.num_ratings() as f64) as f32)
     }
 
     /// Density: observed edges / possible edges.
     pub fn density(&self) -> f32 {
-        let possible = self.num_users * self.num_items;
+        let possible = self.num_users() * self.num_items();
         if possible == 0 {
             0.0
         } else {
-            self.num_ratings as f32 / possible as f32
+            self.num_ratings() as f32 / possible as f32
         }
     }
 
     /// Iterates over all rated edges.
     pub fn edges(&self) -> impl Iterator<Item = Rating> + '_ {
-        (0..self.num_users).flat_map(move |u| {
+        (0..self.num_users()).flat_map(move |u| {
             self.user_adj
                 .neighbors(u)
                 .iter()
-                .map(move |&(i, r)| Rating::new(u, i, r))
+                .map(move |&(i, r)| Rating::new(u, i as usize, r))
         })
     }
 
@@ -249,24 +326,26 @@ impl BipartiteGraph {
     /// Duplicate pairs keep the first occurrence — an existing edge's rating
     /// wins over an extra for the same `(user, item)`, and among extras the
     /// earliest wins (identical to rebuilding via [`Self::from_ratings`]).
-    /// Implemented as a single merge pass over both CSR sides rather than a
-    /// full re-sort, so extending a large graph by a handful of edges costs
-    /// O(E) copying but no per-node allocations — the copy-on-write path
-    /// behind [`crate::EpochedGraph::commit_edges`].
+    /// Copy-on-write by chunk: only the chunks owning a touched user or item
+    /// row are rebuilt (one merge pass each), every other chunk is shared
+    /// with `self`, so the cost follows the batch and the touched rows'
+    /// chunks, not the graph — the path behind
+    /// [`crate::EpochedGraph::commit_edges`]. A batch of nothing but
+    /// duplicates shares every chunk.
     pub fn with_extra_edges(&self, extra: &[Rating]) -> BipartiteGraph {
         let mut add: Vec<Rating> = Vec::with_capacity(extra.len());
         for r in extra {
             assert!(
-                r.user < self.num_users,
+                r.user < self.num_users(),
                 "user {} out of range {}",
                 r.user,
-                self.num_users
+                self.num_users()
             );
             assert!(
-                r.item < self.num_items,
+                r.item < self.num_items(),
                 "item {} out of range {}",
                 r.item,
-                self.num_items
+                self.num_items()
             );
             if self.rating(r.user, r.item).is_none()
                 && !add.iter().any(|a| a.user == r.user && a.item == r.item)
@@ -274,37 +353,63 @@ impl BipartiteGraph {
                 add.push(*r);
             }
         }
-        let user_extra: Vec<(usize, usize, f32)> =
-            add.iter().map(|r| (r.user, r.item, r.value)).collect();
-        let item_extra: Vec<(usize, usize, f32)> =
-            add.iter().map(|r| (r.item, r.user, r.value)).collect();
-        let user_adj = self.user_adj.merged(self.num_users, &user_extra);
-        let item_adj = self.item_adj.merged(self.num_items, &item_extra);
-        let num_ratings = user_adj.len();
+        let by_user = add
+            .iter()
+            .map(|r| (r.user, (r.item as u32, r.value)))
+            .collect();
+        let by_item = add
+            .iter()
+            .map(|r| (r.item, (r.user as u32, r.value)))
+            .collect();
         BipartiteGraph {
-            num_users: self.num_users,
-            num_items: self.num_items,
-            user_adj,
-            item_adj,
-            num_ratings,
+            user_adj: self.user_adj.with_inserted(by_user),
+            item_adj: self.item_adj.with_inserted(by_item),
         }
     }
 
-    /// Two-pass, allocation-conscious build for large graphs. `stream` is
-    /// invoked exactly twice with an emit callback and must produce the
-    /// identical edge sequence both times (e.g. by re-seeding a generator) —
-    /// pass one counts degrees, pass two fills preallocated flat CSR buffers
-    /// directly, so no per-node `Vec` or intermediate `Vec<Rating>` is ever
-    /// materialized. Duplicate `(user, item)` pairs keep the first
-    /// occurrence, bit-identical to [`Self::from_ratings`] over the same
-    /// sequence.
+    /// Chunk-level accounting of this snapshot's adjacency storage against
+    /// `other`'s: how many chunks and bytes the two hold in common (the same
+    /// allocation, not equal contents). Against its predecessor, a snapshot's
+    /// unshared remainder is what the commit that built it copied.
+    pub fn chunk_sharing(&self, other: &BipartiteGraph) -> ChunkSharing {
+        let mut sharing = ChunkSharing::default();
+        for (mine, theirs) in [
+            (&self.user_adj, &other.user_adj),
+            (&self.item_adj, &other.item_adj),
+        ] {
+            sharing.bytes += std::mem::size_of_val(mine.chunks.as_slice());
+            for (at, chunk) in mine.chunks.iter().enumerate() {
+                let bytes = chunk.bytes();
+                sharing.chunks += 1;
+                sharing.bytes += bytes;
+                sharing.largest_chunk_bytes = sharing.largest_chunk_bytes.max(bytes);
+                if theirs.chunks.get(at).is_some_and(|c| Arc::ptr_eq(c, chunk)) {
+                    sharing.shared_chunks += 1;
+                    sharing.shared_bytes += bytes;
+                }
+            }
+        }
+        sharing
+    }
+
+    /// Two-pass, allocation-conscious build. `stream` is invoked exactly
+    /// twice with an emit callback and must produce the identical edge
+    /// sequence both times (e.g. by re-seeding a generator) — pass one counts
+    /// degrees, pass two fills the preallocated chunk buffers directly, so no
+    /// per-node `Vec` or intermediate `Vec<Rating>` is ever materialized.
+    /// Duplicate `(user, item)` pairs keep the first occurrence. Panics on
+    /// out-of-range indices and on vertex counts above `u32::MAX`.
     pub fn from_edge_stream(
         num_users: usize,
         num_items: usize,
         mut stream: impl FnMut(&mut dyn FnMut(Rating)),
     ) -> Self {
-        let mut udeg = vec![0usize; num_users];
-        let mut ideg = vec![0usize; num_items];
+        assert!(
+            num_users <= u32::MAX as usize && num_items <= u32::MAX as usize,
+            "{num_users} x {num_items} vertices do not fit the 32-bit adjacency entries"
+        );
+        let mut udeg = vec![0u32; num_users];
+        let mut ideg = vec![0u32; num_items];
         let mut count = 0usize;
         stream(&mut |r: Rating| {
             assert!(
@@ -321,45 +426,22 @@ impl BipartiteGraph {
             ideg[r.item] += 1;
             count += 1;
         });
-        let prefix = |deg: &[usize]| {
-            let mut off = Vec::with_capacity(deg.len() + 1);
-            let mut acc = 0usize;
-            off.push(0);
-            for &d in deg {
-                acc += d;
-                off.push(acc);
-            }
-            off
-        };
-        let uoff = prefix(&udeg);
-        let ioff = prefix(&ideg);
-        let mut ucur: Vec<usize> = uoff[..num_users].to_vec();
-        let mut icur: Vec<usize> = ioff[..num_items].to_vec();
-        drop(udeg);
-        drop(ideg);
-        let mut uent = vec![(0usize, 0f32); count];
-        let mut ient = vec![(0usize, 0f32); count];
+        let mut users = ChunkFiller::new(udeg);
+        let mut items = ChunkFiller::new(ideg);
         let mut seen = 0usize;
         stream(&mut |r: Rating| {
             assert!(seen < count, "edge stream grew between passes");
-            uent[ucur[r.user]] = (r.item, r.value);
-            ucur[r.user] += 1;
-            ient[icur[r.item]] = (r.user, r.value);
-            icur[r.item] += 1;
+            users.push(r.user, (r.item as u32, r.value));
+            items.push(r.item, (r.user as u32, r.value));
             seen += 1;
         });
         assert_eq!(seen, count, "edge stream must replay identically");
-        let user_adj = CsrAdjacency::finish_filled(uoff, uent);
-        let item_adj = CsrAdjacency::finish_filled(ioff, ient);
-        let num_ratings = user_adj.len();
-        debug_assert_eq!(num_ratings, item_adj.len());
-        BipartiteGraph {
-            num_users,
-            num_items,
-            user_adj,
-            item_adj,
-            num_ratings,
-        }
+        let graph = BipartiteGraph {
+            user_adj: users.finish(),
+            item_adj: items.finish(),
+        };
+        debug_assert_eq!(graph.user_adj.len, graph.item_adj.len);
+        graph
     }
 }
 

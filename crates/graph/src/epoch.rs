@@ -10,13 +10,16 @@
 //!
 //! [`EpochedGraph`] provides both: the current snapshot is an
 //! `Arc<BipartiteGraph>` behind a short-critical-section `RwLock`, writers
-//! build the successor snapshot *outside* that lock (copy-on-write via the
-//! merge-based [`BipartiteGraph::with_extra_edges`]) and install it with a
-//! brief write-locked pointer swap plus an epoch bump. Readers
-//! [`pin`](EpochedGraph::pin) a [`PinnedGraph`] — the `Arc` and the epoch it
-//! was installed under, read atomically — and old snapshots are reclaimed by
-//! plain `Arc` reference counting once the last pin drops (no deferred
-//! reclamation machinery needed).
+//! build the successor snapshot *outside* that lock and install it with a
+//! brief write-locked pointer swap plus an epoch bump. The successor is
+//! copy-on-write at chunk grain ([`BipartiteGraph::with_extra_edges`]): it
+//! rebuilds the row chunks a new edge touches and shares the rest with its
+//! predecessor, so a commit costs what the batch touches, not the graph.
+//! Readers [`pin`](EpochedGraph::pin) a [`PinnedGraph`] — the `Arc` and the
+//! epoch it was installed under, read atomically — and a displaced snapshot,
+//! then each chunk only it still held, is reclaimed by plain `Arc` reference
+//! counting once its last pin drops (no deferred reclamation machinery
+//! needed).
 //!
 //! The [`EpochSource`] trait abstracts "what epoch is the graph at now" so
 //! the single-engine serve path and the sharded per-shard snapshots share
@@ -100,7 +103,7 @@ impl EpochedGraph {
     }
 
     /// Wraps an already-shared snapshot at epoch 0. Shards built over the
-    /// same base graph share one CSR allocation this way.
+    /// same base graph share one set of adjacency chunks this way.
     pub fn from_arc(graph: Arc<BipartiteGraph>) -> Self {
         EpochedGraph {
             slot: RwLock::new(graph),
@@ -128,14 +131,21 @@ impl EpochedGraph {
     /// pointer swap, and bumps the epoch. Returns the new epoch. Readers
     /// pinned to older epochs keep their snapshots untouched; duplicate
     /// edges follow [`BipartiteGraph::with_extra_edges`] semantics (the
-    /// existing rating wins).
+    /// existing rating wins) and still take an epoch, so a replayed log
+    /// walks the epochs the live run did.
     pub fn commit_edges(&self, extra: &[Rating]) -> u64 {
         let _writers = self.writer.lock().unwrap_or_else(|p| p.into_inner());
         let base = self.latest();
         let next = Arc::new(base.with_extra_edges(extra));
         let mut slot = self.slot.write().unwrap_or_else(|p| p.into_inner());
-        *slot = next;
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
+        let displaced = std::mem::replace(&mut *slot, next);
+        // Under the guard, so that `pin` reads snapshot and epoch as a pair.
+        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        drop(slot);
+        // Possibly the predecessor's last reference: freed with no `pin`
+        // waiting on the lock.
+        drop(displaced);
+        epoch
     }
 }
 
@@ -171,9 +181,15 @@ mod tests {
     #[test]
     fn existing_edge_wins_on_commit() {
         let g = EpochedGraph::new(toy());
+        let before = g.pin();
         g.commit_edges(&[Rating::new(0, 0, 1.0)]);
-        assert_eq!(g.pin().rating(0, 0), Some(5.0));
+        let after = g.pin();
+        assert_eq!(after.rating(0, 0), Some(5.0));
         assert_eq!(g.epoch(), 1);
+        // The epoch moved, no chunk was copied.
+        assert!(!Arc::ptr_eq(before.graph(), after.graph()));
+        let sharing = after.chunk_sharing(&before);
+        assert_eq!(sharing.shared_chunks, sharing.chunks);
     }
 
     #[test]

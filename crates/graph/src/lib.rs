@@ -10,9 +10,10 @@
 //! - [`FeatureSimilaritySampler`] — cosine-similarity ablation
 
 //!
-//! Serving-side concurrency lives in [`epoch`]: copy-on-write, epoch-pinned
-//! CSR snapshots ([`EpochedGraph`] / [`PinnedGraph`]) and the shared
-//! [`EpochSource`] guard abstraction (DESIGN.md §14).
+//! Serving-side concurrency lives in [`epoch`]: epoch-pinned snapshots
+//! ([`EpochedGraph`] / [`PinnedGraph`]), copy-on-write by row chunk (see
+//! [`bipartite`]), and the shared [`EpochSource`] guard abstraction
+//! (DESIGN.md §14).
 
 pub mod bipartite;
 pub mod epoch;
@@ -27,7 +28,7 @@ extern crate self as hire_graph;
 #[path = "../tests/oracle/mod.rs"]
 mod oracle;
 
-pub use bipartite::{BipartiteGraph, Rating, SocialGraph};
+pub use bipartite::{BipartiteGraph, ChunkSharing, Rating, SocialGraph};
 pub use epoch::{EpochSource, EpochedGraph, PinnedGraph};
 pub use sampler::{
     ContextSampler, ContextSelection, FeatureSimilaritySampler, NeighborhoodSampler, RandomSampler,

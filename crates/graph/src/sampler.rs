@@ -146,17 +146,17 @@ impl Side {
     fn expand<'g>(
         &mut self,
         from: &[usize],
-        neighbors: impl Fn(usize) -> &'g [(usize, f32)],
+        neighbors: impl Fn(usize) -> &'g [(u32, f32)],
         selected: u32,
         hop: u32,
     ) {
         self.next.clear();
         for &v in from {
             for &(x, _) in neighbors(v) {
-                let stamp = &mut self.stamps[x];
+                let stamp = &mut self.stamps[x as usize];
                 if *stamp != selected && *stamp != hop {
                     *stamp = hop;
-                    self.next.push(x);
+                    self.next.push(x as usize);
                 }
             }
         }

@@ -78,6 +78,7 @@ pub fn legacy_sample(
         let mut next_items: Vec<usize> = Vec::new();
         for &u in &frontier_users {
             for &(i, _) in graph.user_neighbors(u) {
+                let i = i as usize;
                 if !item_set.contains(&i) && !next_items.contains(&i) {
                     next_items.push(i);
                 }
@@ -86,6 +87,7 @@ pub fn legacy_sample(
         let mut next_users: Vec<usize> = Vec::new();
         for &i in &frontier_items {
             for &(u, _) in graph.item_neighbors(i) {
+                let u = u as usize;
                 if !user_set.contains(&u) && !next_users.contains(&u) {
                     next_users.push(u);
                 }

@@ -551,8 +551,8 @@ impl ServeEngine {
 
     /// [`ServeEngine::with_graph`] over an already-shared snapshot. Shards
     /// of a `ShardedEngine` all start from one `Arc`'d base graph this way
-    /// — one CSR allocation for N engines, diverging copy-on-write only
-    /// when a shard commits its first online rating.
+    /// — one graph for N engines, diverging copy-on-write, chunk by chunk,
+    /// as a shard commits online ratings.
     pub fn with_shared_graph(
         model: FrozenModel,
         dataset: Arc<Dataset>,

@@ -122,8 +122,8 @@ fn mix_user(user: usize) -> u64 {
 /// - **Partitioning.** Queries route by hash of the seed user, so each
 ///   shard's `ContextCache` holds a disjoint slice of the key space and the
 ///   per-engine mutexes (cache, stats) stop being global chokepoints.
-///   Every shard starts from the *same* `Arc`'d base graph (one CSR
-///   allocation) wrapped in its own epoch-pinned copy-on-write
+///   Every shard starts from the *same* `Arc`'d base graph (one set of
+///   adjacency chunks) wrapped in its own epoch-pinned copy-on-write
 ///   `hire_graph::EpochedGraph`.
 /// - **Writes.** [`ShardedEngine::insert_rating`] commits the edge to the
 ///   owner shard's graph only — other shards keep serving their pinned
