@@ -53,10 +53,6 @@ pub mod sites {
     /// window against in-flight batches), `Panic`, and `Error` (the swap is
     /// abandoned and the incumbent keeps serving).
     pub const ONLINE_SWAP: &str = "online.swap";
-    /// Quantized-tier forward (the int8/f16 mid-tier). Supports `Delay`,
-    /// `Panic`, `Error`, and `WrongShape`; a failure here must fall
-    /// through to the hybrid tier, never crash a worker.
-    pub const QUANT_FORWARD: &str = "quant.forward";
     /// Hybrid-tier forward (bias + content predictor). Supports `Delay`,
     /// `Panic`, and `Error`; a failure here must fall through to the
     /// statistics fallback.
@@ -86,7 +82,6 @@ pub mod sites {
         TRAINER_STEP,
         SHADOW_EVAL,
         ONLINE_SWAP,
-        QUANT_FORWARD,
         HYBRID_FORWARD,
         WAL_APPEND,
         WAL_FSYNC,
@@ -233,8 +228,6 @@ impl FaultPlan {
             .with_fault(sites::ENGINE_FORWARD, FaultKind::Error, rate)
             .with_fault(sites::ENGINE_FORWARD, FaultKind::WrongShape, rate * 0.5)
             .with_fault(sites::ENGINE_FORWARD, FaultKind::Panic, rate * 0.25)
-            .with_fault(sites::QUANT_FORWARD, FaultKind::Error, rate)
-            .with_fault(sites::QUANT_FORWARD, FaultKind::Panic, rate * 0.25)
             .with_fault(sites::HYBRID_FORWARD, FaultKind::Error, rate * 0.5)
             .with_fault(sites::HYBRID_FORWARD, FaultKind::Panic, rate * 0.25)
     }

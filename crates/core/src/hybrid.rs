@@ -2,9 +2,8 @@
 //! attribute/content features by a learned weighted head.
 //!
 //! This is the third rung of the serving degradation ladder (DESIGN.md
-//! §13): when neither the full HIRE forward nor its quantized variant can
-//! answer, the engine falls back to this model before resorting to raw
-//! graph statistics. It follows the classic cold-start hybrid recipe —
+//! §13): when the HIRE forward cannot answer, the engine falls back to
+//! this model before resorting to raw graph statistics. It follows the classic cold-start hybrid recipe —
 //! a biased-baseline collaborative term (`μ + b_u + b_i`) plus a content
 //! term from small per-attribute embeddings (`p_u · q_i`), combined by a
 //! learned sigmoid gate — so cold entities with attributes still get a

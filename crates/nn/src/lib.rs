@@ -9,7 +9,7 @@
 //! - [`Module`] — the trainable-parameter trait consumed by `hire-optim`
 //! - [`mhsa_forward`] over [`MhsaWeights`] — the one tape-free MHSA
 //!   mirror used by serving (`hire-serve`), generic over the weight
-//!   storage format (`hire_tensor::WeightMatrix`: f32 or int8/f16)
+//!   storage format (`hire_tensor::WeightMatrix`: f32 or int8)
 //! - loss functions ([`loss`])
 
 pub mod activation;

@@ -308,14 +308,12 @@ mod tests {
         let mhsa = MultiHeadSelfAttention::new(8, 2, 4, &mut rng);
         let w = weights_of(&mhsa, 2, 4);
         let x = NdArray::randn([2, 5, 8], 0.0, 1.0, &mut rng);
-        for mode in [QuantMode::Int8, QuantMode::F16] {
-            let qw = w.map(|a| QuantizedTensor::quantize(a, mode));
-            // Oracle: run the f32 forward on the *dequantized* weights.
-            let deq = qw.map(QuantizedTensor::dequantize);
-            let got = mhsa_forward(&x, &qw);
-            let want = mhsa_forward(&x, &deq);
-            assert_eq!(got.as_slice(), want.as_slice(), "{mode:?}");
-            assert!(qw.w_q.max_err() > 0.0, "random weights must round");
-        }
+        let qw = w.map(|a| QuantizedTensor::quantize(a, QuantMode::Int8));
+        // Oracle: run the f32 forward on the *dequantized* weights.
+        let deq = qw.map(QuantizedTensor::dequantize);
+        let got = mhsa_forward(&x, &qw);
+        let want = mhsa_forward(&x, &deq);
+        assert_eq!(got.as_slice(), want.as_slice());
+        assert!(qw.w_q.max_err() > 0.0, "random weights must round");
     }
 }

@@ -23,9 +23,9 @@
 //!   slot's weights from the checkpoints the lineage names.
 //!
 //! The recovery contract, proven by `tests/wal_recovery.rs` at every
-//! kill point: **no acknowledged write is lost** (at `Group`/`Strict`
-//! durability) and the recovered engine answers **bit-identically** to
-//! an engine that never crashed.
+//! kill point: **no acknowledged write is lost** (an ack follows an fsync
+//! that covers the record) and the recovered engine answers
+//! **bit-identically** to an engine that never crashed.
 
 use crate::engine::{EngineConfig, Lineage, ServeEngine, SlotSource};
 use crate::frozen::FrozenModel;

@@ -6,17 +6,13 @@
 //!
 //! 1. **Cache** — the exact per-entry prediction memo.
 //! 2. **Model** — a fresh frozen forward, guarded by a circuit breaker
-//!    and retried (seeded jittered backoff) on transient faults.
-//! 3. **Quantized** — the same forward over int8/f16-stored weights
-//!    ([`crate::QuantizedModel`], rebuilt on every hot swap). Served when
-//!    the remaining deadline budget for a group is thinner than
-//!    [`QuantTierConfig::deadline_threshold`], or when a half-open breaker
-//!    has spent its probe budget.
-//! 4. **Hybrid** — a trained bias + content predictor
+//!    and retried (seeded jittered backoff) on transient faults. The one
+//!    model forward the engine serves.
+//! 3. **Hybrid** — a trained bias + content predictor
 //!    ([`hire_core::HybridModel`], installed via
 //!    [`ServeEngine::with_hybrid`]) that needs no sampled context; answers
-//!    when both model tiers are unavailable.
-//! 5. **Fallback** — graph statistics (user mean → item mean → global
+//!    when the model tier is unavailable.
+//! 4. **Fallback** — graph statistics (user mean → item mean → global
 //!    mean over the live serving graph, via `hire_baselines::EntityMean`):
 //!    always available, never panics, answers in microseconds.
 //!
@@ -25,19 +21,16 @@
 //! from a model answer.
 //!
 //! Each decision of the walk is written once, as a private function of
-//! [`ServeEngine`]: `enter` (where a group joins the ladder — the only
-//! reader of the deadline budget, the quantized threshold and the breaker's
-//! admission), `refuse_or_degrade` (the only reader of
-//! [`ResilienceConfig::fallback`]), `answer` (the only place an
-//! [`Answer`] is built and counted), `guarded` (the only `catch_unwind` and
-//! chaos hook) and `apply_rating` (the only graph write). `Rung` states the
-//! order.
+//! [`ServeEngine`]: `enter` (whether a group gets the model rung — the
+//! only reader of the deadline budget and the breaker's admission),
+//! `refuse_or_degrade` (the only reader of [`ResilienceConfig::fallback`]),
+//! `answer` (the only place an [`Answer`] is built and counted), `guarded`
+//! (the only `catch_unwind` and chaos hook) and `apply_rating` (the only
+//! graph write). `Rung` states the order.
 
 use crate::breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 use crate::cache::{CacheKey, CacheStats, ContextCache, ExportedContext};
 use crate::frozen::FrozenModel;
-use crate::him::HimWeights;
-use crate::quant::QuantizedModel;
 use crate::server::{Answer, ModelVersion, Predictor, RatingQuery, ServeError, ServedBy};
 use hire_baselines::{EntityMean, RatingModel};
 use hire_chaos::{sites, FaultKind, FaultPlan};
@@ -45,14 +38,14 @@ use hire_core::{Backoff, BackoffConfig, HybridModel};
 use hire_data::{test_context_with_ratio, Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, EpochSource, EpochedGraph, NeighborhoodSampler, Rating};
-use hire_tensor::{NdArray, QuantMode, WeightMatrix};
+use hire_tensor::NdArray;
 use hire_wal::{Wal, WalError, WalRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The sampling strategy tag recorded in cache keys.
 const STRATEGY: &str = "neighborhood";
@@ -157,10 +150,6 @@ impl ColdScenario {
 pub struct ModelSlot {
     model: FrozenModel,
     version: ModelVersion,
-    /// The incumbent quantized post-training for the quantized mid-tier.
-    /// Built whenever a slot is created, so every hot swap (install,
-    /// demotion, resilience change) refreshes it automatically.
-    quantized: Option<QuantizedModel>,
 }
 
 impl ModelSlot {
@@ -173,34 +162,13 @@ impl ModelSlot {
     pub fn version(&self) -> ModelVersion {
         self.version
     }
-
-    /// The quantized companion of this slot's model, when the quantized
-    /// tier is configured.
-    pub fn quantized(&self) -> Option<&QuantizedModel> {
-        self.quantized.as_ref()
-    }
 }
 
-/// Builds a slot, quantizing the model when the tier is configured.
-fn make_slot(
-    model: FrozenModel,
-    version: ModelVersion,
-    quant: Option<&QuantTierConfig>,
-) -> Arc<ModelSlot> {
-    let quantized = quant.map(|cfg| QuantizedModel::from_frozen(&model, cfg.mode));
-    Arc::new(ModelSlot {
-        model,
-        version,
-        quantized,
-    })
-}
-
-/// The output of [`ServeEngine::prepare_install`]: a validated model plus
-/// its quantized companion, awaiting [`ServeEngine::commit_install`].
-/// Dropping it aborts the install with no engine state touched.
+/// The output of [`ServeEngine::prepare_install`]: a validated model
+/// awaiting [`ServeEngine::commit_install`]. Dropping it aborts the install
+/// with no engine state touched.
 pub struct PreparedInstall {
     model: FrozenModel,
-    quantized: Option<QuantizedModel>,
 }
 
 /// Where a slot's weights can be reloaded from after a crash. Every slot
@@ -290,28 +258,6 @@ struct Installed {
     retired: Vec<Arc<ModelSlot>>,
 }
 
-/// Settings for the quantized mid-tier (the ladder rung between the
-/// full-precision model and the hybrid predictor).
-#[derive(Debug, Clone)]
-pub struct QuantTierConfig {
-    /// Numeric representation of the quantized weights.
-    pub mode: QuantMode,
-    /// Serve the quantized forward instead of the full-precision one when
-    /// a group's remaining deadline budget is thinner than this (the
-    /// full-precision forward would likely blow the deadline and waste the
-    /// remaining budget on a late answer).
-    pub deadline_threshold: Duration,
-}
-
-impl Default for QuantTierConfig {
-    fn default() -> Self {
-        QuantTierConfig {
-            mode: QuantMode::Int8,
-            deadline_threshold: Duration::from_millis(25),
-        }
-    }
-}
-
 /// How the engine degrades when the model tier misbehaves.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
@@ -323,13 +269,10 @@ pub struct ResilienceConfig {
     pub retry_attempts: usize,
     /// Backoff schedule between model-tier retries.
     pub retry_backoff: BackoffConfig,
-    /// Degrade down the ladder (quantized → hybrid → graph statistics)
-    /// instead of erroring when the model tier is unavailable. Disabled,
-    /// the engine surfaces [`ServeError::CircuitOpen`] / the model error
-    /// instead.
+    /// Degrade down the ladder (hybrid → graph statistics) instead of
+    /// erroring when the model tier is unavailable. Disabled, the engine
+    /// surfaces [`ServeError::CircuitOpen`] / the model error instead.
     pub fallback: bool,
-    /// The quantized mid-tier; `None` removes the rung from the ladder.
-    pub quantized: Option<QuantTierConfig>,
 }
 
 impl Default for ResilienceConfig {
@@ -339,21 +282,19 @@ impl Default for ResilienceConfig {
             retry_attempts: 2,
             retry_backoff: BackoffConfig::default(),
             fallback: true,
-            quantized: Some(QuantTierConfig::default()),
         }
     }
 }
 
 impl ResilienceConfig {
-    /// Pre-resilience behavior: no breaker, no retries, no fallback, no
-    /// mid-tiers — every model-tier failure surfaces to the caller.
+    /// Pre-resilience behavior: no breaker, no retries, no fallback —
+    /// every model-tier failure surfaces to the caller.
     pub fn disabled() -> Self {
         ResilienceConfig {
             breaker: None,
             retry_attempts: 1,
             retry_backoff: BackoffConfig::default(),
             fallback: false,
-            quantized: None,
         }
     }
 }
@@ -363,7 +304,8 @@ impl ResilienceConfig {
 pub struct TierStats {
     /// Answers from fresh full-precision frozen forwards.
     pub model: u64,
-    /// Answers from the quantized (int8/f16) model mid-tier.
+    /// Vestigial: always 0. No rung serves a quantized forward; the field
+    /// stays only because the frozen `benchmark/` package sums it.
     pub quantized: u64,
     /// Answers from the trained hybrid bias + content mid-tier.
     pub hybrid: u64,
@@ -384,7 +326,6 @@ impl TierStats {
     /// Adds `other`'s counts to `self`'s.
     fn absorb(&mut self, other: &TierStats) {
         self.model += other.model;
-        self.quantized += other.quantized;
         self.hybrid += other.hybrid;
         self.cache += other.cache;
         self.fallback += other.fallback;
@@ -453,31 +394,28 @@ pub struct ServeEngine {
     tiers: Mutex<BTreeMap<(ModelVersion, ColdScenario), TierStats>>,
 }
 
-/// Why a group of queries left the model rungs.
+/// Why a group of queries left the model rung.
 #[derive(Debug)]
 enum DegradeReason {
     /// The deadline budget is gone, or ran out inside a forward.
     Deadline,
     /// The breaker refused the model rung.
     Breaker,
-    /// Context resolution or a model-family forward failed — out its retry
-    /// budget, for the model rung — with this error.
+    /// Context resolution failed, or the model forward out its retry
+    /// budget, with this error.
     Failure(ServeError),
 }
 
 /// The degradation ladder in descent order. `Memo` is the fast path in
 /// front of it: looked up while a query's context is resolved, before
 /// groups are formed, and never descended *to*. A group enters at `Model`
-/// or `Quantized` ([`ServeEngine::enter`]); a rung that cannot answer hands
-/// it to `Hybrid` and then `EntityMean`, which always answers
-/// ([`ServeEngine::refuse_or_degrade`]). `Model` never falls to
-/// `Quantized`: the two share the forward machinery, so the fault would
-/// very likely repeat there and burn more of the budget.
+/// if [`ServeEngine::enter`] lets it; a group it turns away, or one the
+/// rung cannot answer, goes to `Hybrid` and then `EntityMean`, which always
+/// answers ([`ServeEngine::refuse_or_degrade`]).
 #[derive(Debug, Clone, Copy)]
 enum Rung<'a> {
     Memo,
     Model,
-    Quantized,
     Hybrid,
     /// Tagged with why the query fell this far.
     EntityMean(&'a DegradeReason),
@@ -569,11 +507,10 @@ impl ServeEngine {
         let breaker = resilience.breaker.clone().map(CircuitBreaker::new);
         let lineage = Lineage::default();
         ServeEngine {
-            slot: RwLock::new(make_slot(
+            slot: RwLock::new(Arc::new(ModelSlot {
                 model,
-                lineage.current.1,
-                resilience.quantized.as_ref(),
-            )),
+                version: lineage.current.1,
+            })),
             installed: Mutex::new(Installed {
                 lineage,
                 retired: Vec::new(),
@@ -595,25 +532,15 @@ impl ServeEngine {
         }
     }
 
-    /// Replaces the resilience settings (builder style). The quantized
-    /// companion follows the config: the incumbent slot is rebuilt so a
-    /// mode change (or disabling the tier) takes effect immediately.
+    /// Replaces the resilience settings (builder style).
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
         self.breaker = resilience.breaker.clone().map(CircuitBreaker::new);
         self.resilience = resilience;
-        {
-            let mut slot = self.slot.write().unwrap_or_else(|p| p.into_inner());
-            *slot = make_slot(
-                slot.model.clone(),
-                slot.version,
-                self.resilience.quantized.as_ref(),
-            );
-        }
         self
     }
 
     /// Installs a trained [`HybridModel`] as the hybrid mid-tier (builder
-    /// style). Without one the ladder skips straight from the model tiers
+    /// style). Without one the ladder skips straight from the model tier
     /// to graph statistics.
     pub fn with_hybrid(mut self, hybrid: HybridModel) -> Self {
         self.hybrid = Some(hybrid);
@@ -705,8 +632,8 @@ impl ServeEngine {
     }
 
     /// Phase one of an install: every step that depends on the candidate —
-    /// the chaos fire on [`sites::ONLINE_SWAP`], the compatibility check
-    /// against the incumbent, and building the quantized companion. No
+    /// the chaos fire on [`sites::ONLINE_SWAP`] and the compatibility check
+    /// against the incumbent. No
     /// engine state is touched and no version number is consumed, so an
     /// abandoned prepare (e.g. a sharded install aborting because a sibling
     /// shard's prepare failed) leaves the engine exactly as it was — version
@@ -733,12 +660,7 @@ impl ServeEngine {
                 incumbent.model.num_parameters()
             )));
         }
-        let quantized = self
-            .resilience
-            .quantized
-            .as_ref()
-            .map(|cfg| QuantizedModel::from_frozen(&model, cfg.mode));
-        Ok(PreparedInstall { model, quantized })
+        Ok(PreparedInstall { model })
     }
 
     /// Phase two of an install: [`Lineage::promote`] plus the atomic slot
@@ -818,7 +740,6 @@ impl ServeEngine {
         let fresh = Arc::new(ModelSlot {
             model: prepared.model,
             version,
-            quantized: prepared.quantized,
         });
         let displaced = {
             let mut slot = self.slot.write().unwrap_or_else(|p| p.into_inner());
@@ -836,22 +757,21 @@ impl ServeEngine {
     /// load is dropped (losing a demotion target degrades gracefully) and
     /// its version returned; an unloadable incumbent is the error — the
     /// engine cannot serve weights it does not have. Used only by crash
-    /// recovery (`crate::durable`); quantized companions are rebuilt per
-    /// the engine's resilience config, exactly as a live install would.
+    /// recovery (`crate::durable`).
     pub(crate) fn restore_lineage(
         &self,
         mut lineage: Lineage,
         load: impl Fn(&SlotSource) -> HireResult<FrozenModel>,
     ) -> HireResult<Vec<ModelVersion>> {
-        let quant = self.resilience.quantized.as_ref();
-        let current = make_slot(load(&lineage.current.0)?, lineage.current.1, quant);
+        let slot = |model, version| Arc::new(ModelSlot { model, version });
+        let current = slot(load(&lineage.current.0)?, lineage.current.1);
         let mut retired = Vec::with_capacity(lineage.history.len());
         let mut dropped = Vec::new();
         lineage
             .history
             .retain(|(source, version)| match load(source) {
                 Ok(model) => {
-                    retired.push(make_slot(model, *version, quant));
+                    retired.push(slot(model, *version));
                     true
                 }
                 Err(_) => {
@@ -1177,7 +1097,6 @@ impl ServeEngine {
         let (served_by, counter) = match rung {
             Rung::Memo => (ServedBy::Cache, &mut stats.cache),
             Rung::Model => (ServedBy::Model, &mut stats.model),
-            Rung::Quantized => (ServedBy::Quantized, &mut stats.quantized),
             Rung::Hybrid => (ServedBy::Hybrid, &mut stats.hybrid),
             Rung::EntityMean(reason) => {
                 *match reason {
@@ -1196,71 +1115,34 @@ impl ServeEngine {
         });
     }
 
-    /// Where a group joins the ladder — the one reader of the deadline
-    /// budget, [`QuantTierConfig::deadline_threshold`] and the breaker's
-    /// admission. In order:
-    ///
-    /// 1. budget gone → below the model rungs: no forward is affordable,
-    ///    quantized included, and nothing is ever silently late;
-    /// 2. budget thinner than the threshold → `Quantized`: the
-    ///    full-precision forward would likely land late;
-    /// 3. breaker refuses → `Quantized` if it is *half-open* with its
-    ///    probes spent (probing is about readmitting the full-precision
-    ///    path; the quantized forward keeps answer quality up meanwhile),
-    ///    below the model rungs if it is open;
-    /// 4. otherwise `Model`, holding one breaker admission.
-    ///
-    /// `attempt` 0 is a group's entry. The model rung asks again before
-    /// each retry (`attempt` > 0), and continues only on `Model`; step 2 is
-    /// an entry decision and does not apply to it.
-    fn enter(
-        &self,
-        slot: &ModelSlot,
-        deadline: Option<Instant>,
-        attempt: usize,
-    ) -> Result<Rung<'static>, DegradeReason> {
-        let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        if left == Some(Duration::ZERO) {
+    /// Whether a group gets the model rung — the one reader of the deadline
+    /// budget and the breaker's admission. A spent budget turns it away (no
+    /// forward is affordable, and nothing is ever silently late); so does a
+    /// refusing breaker, open or half-open with its probes in flight.
+    /// Otherwise the group holds one breaker admission. The model rung asks
+    /// again before each retry.
+    fn enter(&self, deadline: Option<Instant>) -> Result<(), DegradeReason> {
+        if deadline.is_some_and(|d| d <= Instant::now()) {
             return Err(DegradeReason::Deadline);
         }
-        let quantized = slot
-            .quantized
-            .as_ref()
-            .and(self.resilience.quantized.as_ref());
-        if attempt == 0
-            && quantized
-                .zip(left)
-                .is_some_and(|(tier, left)| left < tier.deadline_threshold)
-        {
-            return Ok(Rung::Quantized);
-        }
         match &self.breaker {
-            Some(breaker) if !breaker.admit() => {
-                if quantized.is_some() && breaker.state() == BreakerState::HalfOpen {
-                    Ok(Rung::Quantized)
-                } else {
-                    Err(DegradeReason::Breaker)
-                }
-            }
-            _ => Ok(Rung::Model),
+            Some(breaker) if !breaker.admit() => Err(DegradeReason::Breaker),
+            _ => Ok(()),
         }
     }
 
-    /// One guarded model-family forward over a same-shape group — the
-    /// full-precision rung ([`sites::ENGINE_FORWARD`]) and the quantized
-    /// rung ([`sites::QUANT_FORWARD`]) are the same forward over different
-    /// weight storage: deadline-aware, output-shape validated. `Ok(None)`
-    /// means the deadline budget ran out; `label` names the rung in errors.
-    fn forward_attempt<W: WeightMatrix>(
+    /// One guarded model forward over a same-shape group
+    /// ([`sites::ENGINE_FORWARD`]): deadline-aware, output-shape validated.
+    /// `Ok(None)` means the deadline budget ran out.
+    fn forward_attempt(
         &self,
-        site: &'static str,
-        label: &str,
-        weights: &HimWeights<W>,
+        slot: &ModelSlot,
         refs: &[&PredictionContext],
         deadline: Option<Instant>,
     ) -> Result<Option<Vec<NdArray>>, ServeError> {
-        let preds = self.guarded(site, format_args!("{label} forward"), |fired| {
-            let mut preds = weights
+        let preds = self.guarded(sites::ENGINE_FORWARD, "model forward", |fired| {
+            let mut preds = slot
+                .model
                 .forward_nograd_batch_within(refs, &self.dataset, deadline)
                 .map_err(ServeError::Model)?;
             if let (Some(FaultKind::WrongShape), Some(preds)) = (fired, &mut preds) {
@@ -1271,7 +1153,7 @@ impl ServeEngine {
         })?;
         match preds {
             Some(preds) if preds.len() != refs.len() => Err(invalid(format!(
-                "{label} returned {} predictions for {} contexts",
+                "model returned {} predictions for {} contexts",
                 preds.len(),
                 refs.len()
             ))),
@@ -1299,17 +1181,11 @@ impl ServeEngine {
         for attempt in 0..self.resilience.retry_attempts.max(1) {
             if attempt > 0 {
                 std::thread::sleep(backoff.next_delay());
-                if !matches!(self.enter(slot, deadline, attempt), Ok(Rung::Model)) {
+                if self.enter(deadline).is_err() {
                     break;
                 }
             }
-            let attempted = self.forward_attempt(
-                sites::ENGINE_FORWARD,
-                "model",
-                &slot.model.weights,
-                refs,
-                deadline,
-            );
+            let attempted = self.forward_attempt(slot, refs, deadline);
             if let Some(breaker) = &self.breaker {
                 match &attempted {
                     Ok(Some(_)) => breaker.record(true),
@@ -1326,9 +1202,8 @@ impl ServeEngine {
         outcome
     }
 
-    /// Walks one group of same-shape contexts down the ladder from where
-    /// [`ServeEngine::enter`] puts it until a rung has answered every
-    /// waiter, or the walk is refused.
+    /// Walks one group of same-shape contexts down the ladder until a rung
+    /// has answered every waiter, or the walk is refused.
     fn descend(
         &self,
         slot: &ModelSlot,
@@ -1338,30 +1213,13 @@ impl ServeEngine {
         batch: &mut Batch,
     ) -> Result<(), ServeError> {
         let refs: Vec<&PredictionContext> = group.iter().map(|p| &*p.ctx).collect();
-        let reason = match self.enter(slot, deadline, 0) {
+        let reason = match self.enter(deadline) {
             Err(reason) => reason,
-            Ok(rung) => {
-                let outcome = if let Rung::Quantized = rung {
-                    let quantized = slot
-                        .quantized
-                        .as_ref()
-                        .expect("`enter` picks the quantized rung only off a quantized slot");
-                    self.forward_attempt(
-                        sites::QUANT_FORWARD,
-                        "quantized model",
-                        &quantized.weights,
-                        &refs,
-                        deadline,
-                    )
-                } else {
-                    self.model_rung(slot, &refs, deadline, backoff_seed)
-                };
-                match outcome {
-                    Ok(Some(preds)) => return self.scatter(group, &preds, rung, batch),
-                    Ok(None) => DegradeReason::Deadline,
-                    Err(e) => DegradeReason::Failure(e),
-                }
-            }
+            Ok(()) => match self.model_rung(slot, &refs, deadline, backoff_seed) {
+                Ok(Some(preds)) => return self.scatter(group, &preds, batch),
+                Ok(None) => DegradeReason::Deadline,
+                Err(e) => DegradeReason::Failure(e),
+            },
         };
         let waiters: Vec<usize> = group
             .iter()
@@ -1370,37 +1228,31 @@ impl ServeEngine {
         self.refuse_or_degrade(&waiters, reason, batch)
     }
 
-    /// Scatters one group's forward output to the batch positions waiting
-    /// on it.
+    /// Scatters one group's model-rung output to the batch positions
+    /// waiting on it, and memoizes it.
     fn scatter(
         &self,
         group: &[&PendingQuery],
         preds: &[NdArray],
-        rung: Rung,
         batch: &mut Batch,
     ) -> Result<(), ServeError> {
         for (pred, PendingQuery { key, ctx, waiters }) in preds.iter().zip(group) {
             let (row, col) = query_cell(key, ctx)?;
             let value = pred.at(&[row, col]);
-            if let Rung::Model = rung {
-                // Memoize against the exact context the value was computed
-                // from (and the version that computed it): if the entry was
-                // invalidated and resampled in the meantime, the memo must
-                // not attach to the fresh context; if the model was swapped,
-                // the stamp keeps the memo scoped to this version.
-                // Quantized answers are *not* memoized: the memo is the
-                // exact model-tier value, and a later cache hit must not
-                // launder a lower-fidelity answer into the cache tier.
-                lock(&self.cache).store_prediction(key, ctx, batch.version, value);
-            }
+            // Memoize against the exact context the value was computed from
+            // (and the version that computed it): if the entry was
+            // invalidated and resampled in the meantime, the memo must not
+            // attach to the fresh context; if the model was swapped, the
+            // stamp keeps the memo scoped to this version.
+            lock(&self.cache).store_prediction(key, ctx, batch.version, value);
             for &i in waiters {
-                self.answer(batch, i, value, rung);
+                self.answer(batch, i, value, Rung::Model);
             }
         }
         Ok(())
     }
 
-    /// What happens to `positions` once the model rungs are out, for
+    /// What happens to `positions` once the model rung is out, for
     /// `reason` — the one reader of [`ResilienceConfig::fallback`]. Without
     /// it the walk is refused with the reason's typed error: an exhausted
     /// budget is [`ServeError::DeadlineExceeded`], a refusing breaker
@@ -1488,7 +1340,7 @@ impl ServeEngine {
             // Range violations are caller bugs and always surface; any
             // *other* resolution failure (injected fault, sampling error,
             // panic) leaves the query without a context, so the model
-            // rungs are unreachable for it — but the hybrid rung needs none.
+            // rung is unreachable for it — but the hybrid rung needs none.
             self.check_range(q)?;
             match self.resolve(batch.version, q) {
                 Ok((_, _, Some(memo))) => self.answer(batch, i, memo, Rung::Memo),

@@ -27,7 +27,7 @@
 //! ISA (DESIGN.md §9, §16), so the f32 instance is **bit-identical** to the
 //! live model it was exported from (`tests/equivalence.rs`), and the
 //! quantized instance is bit-identical to the f32 instance run on the
-//! dequantized weights (unit test below). All kernels are bit-exact across
+//! dequantized weights (unit test in `crate::quant`). All kernels are bit-exact across
 //! thread counts, and so is everything here.
 
 use hire_data::{Dataset, PredictionContext};
@@ -420,66 +420,5 @@ impl<W: WeightMatrix> HimWeights<W> {
                 .map(|chunk| NdArray::from_vec(vec![n, m], chunk.to_vec()))
                 .collect(),
         ))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{FrozenModel, QuantizedModel};
-    use hire_core::{HireConfig, HireModel};
-    use hire_data::{training_context, PredictionContext, SyntheticConfig};
-    use hire_graph::NeighborhoodSampler;
-    use hire_par::{with_pool, ThreadPool};
-    use hire_tensor::{QuantMode, QuantizedTensor};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::sync::Arc;
-
-    /// One code path: the quantized forward *is* the f32 forward, so a
-    /// `FrozenModel` over the dequantized weights agrees with the
-    /// `QuantizedModel` to the bit at whole-model level — single and
-    /// batched, both modes, pools of 1 and 4 threads.
-    #[test]
-    fn quantized_forward_is_the_frozen_forward_on_dequantized_weights() {
-        let dataset = SyntheticConfig::movielens_like()
-            .scaled(30, 26, (8, 15))
-            .generate(9);
-        let config = HireConfig::fast().with_blocks(2).with_context_size(8, 8);
-        let mut rng = StdRng::seed_from_u64(23);
-        let model = HireModel::new(&dataset, &config, &mut rng);
-        let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
-        let graph = dataset.graph();
-        let ctxs: Vec<PredictionContext> = (0..3)
-            .map(|k| {
-                let seed = dataset.ratings[7 * k];
-                training_context(&graph, &NeighborhoodSampler, seed, 8, 8, 0.2, &mut rng)
-                    .expect("context")
-            })
-            .collect();
-        let batch: Vec<&PredictionContext> = ctxs.iter().collect();
-        for mode in [QuantMode::Int8, QuantMode::F16] {
-            let quant = QuantizedModel::from_frozen(&frozen, mode);
-            assert!(quant.max_weight_err() > 0.0, "random weights must round");
-            let oracle = FrozenModel {
-                weights: quant.weights.map(QuantizedTensor::dequantize),
-                config: config.clone(),
-            };
-            for threads in [1, 4] {
-                with_pool(&Arc::new(ThreadPool::new(threads)), || {
-                    for ctx in &ctxs {
-                        let got = quant.forward_nograd(ctx, &dataset).expect("quantized");
-                        let want = oracle.forward_nograd(ctx, &dataset).expect("f32");
-                        assert_eq!(got.as_slice(), want.as_slice(), "{mode:?}/{threads}");
-                    }
-                    let got = quant
-                        .forward_nograd_batch_within(&batch, &dataset, None)
-                        .expect("quantized batch");
-                    let want = oracle
-                        .forward_nograd_batch_within(&batch, &dataset, None)
-                        .expect("f32 batch");
-                    assert_eq!(got, want, "{mode:?}/{threads} batched");
-                });
-            }
-        }
     }
 }

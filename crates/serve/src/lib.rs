@@ -10,7 +10,7 @@
 //!   variant that abandons work for queries that already timed out. The
 //!   forward itself is written once, in the private `him` module, generic
 //!   over the weight storage format ([`hire_tensor::WeightMatrix`]);
-//!   [`FrozenModel`] and [`QuantizedModel`] are its f32 and int8/f16
+//!   [`FrozenModel`] and [`QuantizedModel`] are its f32 and int8
 //!   instances, so neither has forward code of its own.
 //! - [`ContextCache`] — a capacity-bounded LRU memoizing sampled
 //!   [`hire_data::PredictionContext`]s per `(user, item, strategy, n, m)`
@@ -18,16 +18,15 @@
 //! - [`ServeEngine`] — glues frozen model, dataset, rating graph, sampler
 //!   and cache into a [`Predictor`]: resolve context (cache or sample),
 //!   group same-shape queries, run one batched forward — wrapped in the
-//!   five-tier degradation ladder (DESIGN.md §13): per-batch deadlines, a
-//!   [`CircuitBreaker`] around the model tier, seeded-backoff retries, an
-//!   int8/f16 [`QuantizedModel`] mid-tier for thin deadline budgets and
-//!   half-open probes, a trained [`hire_core::HybridModel`] mid-tier, and
-//!   a graph-statistics fallback predictor. Every [`Answer`] is tagged
-//!   with the tier that produced it ([`ServedBy`]).
-//! - [`QuantizedModel`] — a [`FrozenModel`] quantized post-training to
-//!   symmetric-per-tensor int8 (or f16) by a field-wise map over its
-//!   weights, expanded to f32 where they are read; rebuilt automatically
-//!   on every model hot swap.
+//!   four-rung degradation ladder (DESIGN.md §10): the prediction memo,
+//!   the model tier (per-batch deadlines, a [`CircuitBreaker`],
+//!   seeded-backoff retries), a trained [`hire_core::HybridModel`]
+//!   mid-tier, and a graph-statistics fallback predictor. Every [`Answer`]
+//!   is tagged with the tier that produced it ([`ServedBy`]).
+//! - [`QuantizedModel`] — a [`FrozenModel`] with its weights stored as
+//!   symmetric-per-tensor int8 (a field-wise map over them), expanded to
+//!   f32 where they are read. A storage-format library type: the engine
+//!   does not serve it.
 //! - [`CircuitBreaker`] — sliding-window failure-rate breaker
 //!   (closed / open / half-open) that sheds model-tier load when the
 //!   frozen forward is misbehaving.
@@ -55,7 +54,7 @@
 //!
 //! Fault injection for all of the above lives in the `hire-chaos` crate;
 //! the serve sites are `server.batch`, `engine.resolve`, `engine.forward`,
-//! `quant.forward`, `hybrid.forward`, `ckpt.decode` (see `tests/chaos.rs`)
+//! `hybrid.forward`, `ckpt.decode` (see `tests/chaos.rs`)
 //! and the online sites `trainer.step`, `online.shadow_eval`,
 //! `online.swap` (see `tests/online_chaos.rs`).
 
@@ -75,8 +74,8 @@ pub use durable::{
     fold_log, rebuild_engine, recover, write_snapshot, LogFold, Recovered, SERVING_TAG,
 };
 pub use engine::{
-    ColdScenario, EngineConfig, Lineage, ModelSlot, PreparedInstall, QuantTierConfig,
-    ResilienceConfig, ServeEngine, SlotSource, TierStats,
+    ColdScenario, EngineConfig, Lineage, ModelSlot, PreparedInstall, ResilienceConfig, ServeEngine,
+    SlotSource, TierStats,
 };
 pub use frozen::FrozenModel;
 pub use online::{

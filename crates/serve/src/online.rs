@@ -741,7 +741,7 @@ impl OnlineLoop {
         let current = self.engine.version();
         let rate_of = |version: ModelVersion| {
             stats.iter().find(|(v, _)| *v == version).map(|(_, s)| {
-                let total = s.model + s.quantized + s.hybrid + s.cache + s.fallback;
+                let total = s.model + s.hybrid + s.cache + s.fallback;
                 (
                     total,
                     if total == 0 {
@@ -759,7 +759,7 @@ impl OnlineLoop {
         // The previous version is the newest one below the current (the
         // engine's history holds its weights).
         let previous_rate = stats.iter().rfind(|(v, _)| *v < current).map(|(_, s)| {
-            let total = s.model + s.quantized + s.hybrid + s.cache + s.fallback;
+            let total = s.model + s.hybrid + s.cache + s.fallback;
             if total == 0 {
                 0.0
             } else {

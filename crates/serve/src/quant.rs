@@ -1,21 +1,21 @@
-//! The quantized serving tier: a [`FrozenModel`] with every weight matrix
-//! compressed post-training (symmetric per-tensor int8, or f16 as a
-//! config option) and expanded to f32 where it is read: a projection weight
-//! once per call, an embedding table row per gathered row.
+//! int8 as a weight storage format: a [`FrozenModel`] with every weight
+//! matrix compressed post-training (symmetric per-tensor int8) and expanded
+//! to f32 where it is read: a projection weight once per call, an embedding
+//! table row per gathered row.
 //!
 //! A [`QuantizedModel`] is derived mechanically from any frozen model
-//! ([`QuantizedModel::from_frozen`]) — the engine rebuilds one on every
-//! `install_model` hot swap, so the quantized tier always tracks the
-//! incumbent version. It has no forward of its own: it runs the shared
-//! forward of the private `him` module instantiated at `QuantizedTensor`,
-//! where the embedding gathers, the MHSA projections and the decoder head
-//! read compressed weights while activations, softmax, layer norms, and biases
-//! stay f32.
+//! ([`QuantizedModel::from_frozen`]). It is a library type: nothing in
+//! [`crate::ServeEngine`] builds or serves one. It has no forward of its
+//! own: it runs the shared forward of the private `him` module instantiated
+//! at `QuantizedTensor`, where the embedding gathers, the MHSA projections
+//! and the decoder head read compressed weights while activations, softmax,
+//! layer norms, and biases stay f32 — so it costs what the f32 forward
+//! costs and holds a quarter of its weight bytes.
 //!
 //! Determinism: dequantization is a pure per-element function and the
 //! products are the f32 kernels', so quantized predictions are
 //! bit-identical across thread counts — and bit-identical to the f32
-//! forward run on the dequantized weights (unit test in `crate::him`).
+//! forward run on the dequantized weights (unit test below).
 //!
 //! Error bound: every compressed tensor records its worst per-element
 //! reconstruction error; [`QuantizedModel::max_weight_err`] is the max
@@ -32,19 +32,16 @@ use hire_error::HireResult;
 use hire_tensor::{NdArray, QuantMode, QuantizedTensor};
 use std::time::Instant;
 
-/// A frozen HIRE model with compressed weights — the second rung of the
-/// degradation ladder (DESIGN.md §13).
+/// A frozen HIRE model with int8-stored weights (DESIGN.md §13).
 #[derive(Debug, Clone)]
 pub struct QuantizedModel {
     pub(crate) weights: HimWeights<QuantizedTensor>,
-    mode: QuantMode,
     max_weight_err: f32,
 }
 
 impl QuantizedModel {
     /// Compresses a frozen model under `mode`. Pure post-training: no
-    /// calibration data, no retraining — safe to run inside the hot-swap
-    /// path.
+    /// calibration data, no retraining.
     pub fn from_frozen(model: &FrozenModel, mode: QuantMode) -> Self {
         let mut max_weight_err = 0.0f32;
         let weights = model.weights.map(|a| {
@@ -54,14 +51,8 @@ impl QuantizedModel {
         });
         QuantizedModel {
             weights,
-            mode,
             max_weight_err,
         }
-    }
-
-    /// The compression scheme this model was built with.
-    pub fn mode(&self) -> QuantMode {
-        self.mode
     }
 
     /// Worst per-element weight reconstruction error across every
@@ -76,16 +67,12 @@ impl QuantizedModel {
     /// Predictions come out of `α · sigmoid(g(H))`, so every prediction
     /// lives in `[0, α]` and the sigmoid's 1/4 Lipschitz constant damps
     /// the accumulated weight-reconstruction error of the decoder input.
-    /// The scale factors below (5% of the output range for int8, 1% for
-    /// f16) are pinned empirically across the config zoo and random-weight
-    /// property tests in `hire-serve/tests/quant.rs` and hold with a wide
-    /// margin; the serve benchmark's smoke gate re-checks the int8 bound
-    /// end to end on every CI run.
+    /// The scale factor (5% of the output range) is pinned empirically
+    /// across the config zoo and random-weight property tests in
+    /// `hire-serve/tests/quant.rs` and holds with a wide margin; the
+    /// ledger's `quant.max_abs_err` probe re-checks it on trained weights.
     pub fn prediction_bound(&self) -> f32 {
-        match self.mode {
-            QuantMode::Int8 => 0.05 * self.weights.alpha,
-            QuantMode::F16 => 0.01 * self.weights.alpha,
-        }
+        0.05 * self.weights.alpha
     }
 
     /// Number of attribute channels `h = h_u + h_i + 1`.
@@ -118,5 +105,63 @@ impl QuantizedModel {
     ) -> HireResult<Option<Vec<NdArray>>> {
         self.weights
             .forward_nograd_batch_within(ctxs, dataset, deadline)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hire_core::{HireConfig, HireModel};
+    use hire_data::{training_context, SyntheticConfig};
+    use hire_graph::NeighborhoodSampler;
+    use hire_par::{with_pool, ThreadPool};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::Arc;
+
+    /// One code path: the quantized forward *is* the f32 forward, so a
+    /// `FrozenModel` over the dequantized weights agrees with the
+    /// `QuantizedModel` to the bit at whole-model level — single and
+    /// batched, pools of 1 and 4 threads.
+    #[test]
+    fn quantized_forward_is_the_frozen_forward_on_dequantized_weights() {
+        let dataset = SyntheticConfig::movielens_like()
+            .scaled(30, 26, (8, 15))
+            .generate(9);
+        let config = HireConfig::fast().with_blocks(2).with_context_size(8, 8);
+        let mut rng = StdRng::seed_from_u64(23);
+        let model = HireModel::new(&dataset, &config, &mut rng);
+        let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
+        let graph = dataset.graph();
+        let ctxs: Vec<PredictionContext> = (0..3)
+            .map(|k| {
+                let seed = dataset.ratings[7 * k];
+                training_context(&graph, &NeighborhoodSampler, seed, 8, 8, 0.2, &mut rng)
+                    .expect("context")
+            })
+            .collect();
+        let batch: Vec<&PredictionContext> = ctxs.iter().collect();
+        let quant = QuantizedModel::from_frozen(&frozen, QuantMode::Int8);
+        assert!(quant.max_weight_err() > 0.0, "random weights must round");
+        let oracle = FrozenModel {
+            weights: quant.weights.map(QuantizedTensor::dequantize),
+            config: config.clone(),
+        };
+        for threads in [1, 4] {
+            with_pool(&Arc::new(ThreadPool::new(threads)), || {
+                for ctx in &ctxs {
+                    let got = quant.forward_nograd(ctx, &dataset).expect("quantized");
+                    let want = oracle.forward_nograd(ctx, &dataset).expect("f32");
+                    assert_eq!(got.as_slice(), want.as_slice(), "x{threads}");
+                }
+                let got = quant
+                    .forward_nograd_batch_within(&batch, &dataset, None)
+                    .expect("quantized batch");
+                let want = oracle
+                    .forward_nograd_batch_within(&batch, &dataset, None)
+                    .expect("f32 batch");
+                assert_eq!(got, want, "x{threads} batched");
+            });
+        }
     }
 }

@@ -37,20 +37,14 @@ pub struct RatingQuery {
 pub type ModelVersion = u64;
 
 /// Which tier of the degradation ladder produced an answer.
-/// Fidelity order: `Model > Quantized > Hybrid > Cache > Fallback`
-/// (DESIGN.md §13). `Cache` sits out of trigger order — exact memos are
-/// consulted first as a fast path — but a memo replays a *previous*
-/// model answer, so in fidelity terms it ranks below a live mid-tier
-/// forward on fresh weights.
+/// Descent order: `Model → Hybrid → Fallback` (DESIGN.md §10). `Cache`
+/// sits in front of it: exact memos are consulted first as a fast path,
+/// and a memo replays a *previous* model answer bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServedBy {
     /// A fresh frozen-model forward.
     Model,
-    /// A forward through the int8/f16 quantized model (deadline budget
-    /// too tight for the full model, or the breaker is half-open and out
-    /// of probe budget).
-    Quantized,
-    /// The trained bias + content hybrid predictor (both model tiers
+    /// The trained bias + content hybrid predictor (model tier
     /// unavailable).
     Hybrid,
     /// The exact per-entry prediction memo in the context cache.
@@ -64,7 +58,6 @@ impl ServedBy {
     pub fn label(self) -> &'static str {
         match self {
             ServedBy::Model => "model",
-            ServedBy::Quantized => "quantized",
             ServedBy::Hybrid => "hybrid",
             ServedBy::Cache => "cache",
             ServedBy::Fallback => "fallback",

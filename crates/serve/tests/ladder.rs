@@ -1,21 +1,21 @@
-//! Five-tier degradation ladder under chaos (DESIGN.md §13).
+//! The four-rung degradation ladder under chaos (DESIGN.md §10, §13):
+//! memo → model → hybrid → entity-mean.
 //!
 //! Invariants, on top of `tests/chaos.rs`:
 //!
-//! 1. A thin deadline budget is served by the **quantized** tier, within
-//!    its documented error bound of the model tier.
-//! 2. A half-open breaker whose probe budget is spent serves the
-//!    quantized tier instead of degrading to graph statistics.
-//! 3. Each rung falls to the next: quantized → hybrid → fallback, and
-//!    model → hybrid → fallback. No rung is ever skipped downward.
-//! 4. Per-version and per-scenario tier accounting is *exact* under mixed
+//! 1. A group with any budget left enters at the **model** rung — there is
+//!    no cheaper forward to fall to — so a thin-budget answer is the exact
+//!    model answer and is memoized like one.
+//! 2. The model rung falls to the next: model → hybrid → fallback. No rung
+//!    is ever skipped downward.
+//! 3. Per-version and per-scenario tier accounting is *exact* under mixed
 //!    faults and online hot swaps (every answered query is counted in
 //!    exactly one tier bucket of each breakdown).
-//! 5. The whole five-tier schedule replays bit-identically per seed.
-//! 6. The descent is one table: entry condition × `fallback` × hybrid →
+//! 4. The whole schedule replays bit-identically per seed.
+//! 5. The descent is one table: entry condition × `fallback` × hybrid →
 //!    the `ServedBy` tag and the one counter that moved, or the typed
 //!    refusal (`LADDER`).
-//! 7. Entity-mean answers are bit-equal to `hire_baselines::EntityMean`
+//! 6. Entity-mean answers are bit-equal to `hire_baselines::EntityMean`
 //!    fitted on the same graph snapshot, whether or not the batch needs
 //!    the global mean.
 
@@ -25,13 +25,12 @@ use hire_core::{train_hybrid, BackoffConfig, HireConfig, HireModel, HybridConfig
 use hire_data::Dataset;
 use hire_graph::{BipartiteGraph, Rating};
 use hire_serve::{
-    Answer, BreakerConfig, BreakerState, EngineConfig, FrozenModel, Predictor, QuantTierConfig,
-    RatingQuery, ResilienceConfig, ServeEngine, ServeError, ServedBy, Server, ServerConfig,
-    SlotSource, TierStats,
+    Answer, BreakerConfig, BreakerState, EngineConfig, FrozenModel, Predictor, RatingQuery,
+    ResilienceConfig, ServeEngine, ServeError, ServedBy, Server, ServerConfig, SlotSource,
+    TierStats,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,18 +43,7 @@ fn dataset() -> Dataset {
         .generate(21)
 }
 
-/// A quantized-tier config whose budget threshold dwarfs any real forward
-/// time, so a `now + 5s` deadline deterministically selects the tier while
-/// leaving ample budget for the quantized forward itself to finish.
-fn eager_quant() -> QuantTierConfig {
-    QuantTierConfig {
-        deadline_threshold: Duration::from_secs(10),
-        ..QuantTierConfig::default()
-    }
-}
-
-/// A deadline that always trips the quantized budget trigger (see
-/// [`eager_quant`]) but never actually expires within a test.
+/// A deadline with budget left: present, but never expiring within a test.
 fn thin_budget() -> Option<Instant> {
     Some(Instant::now() + Duration::from_secs(5))
 }
@@ -114,129 +102,8 @@ fn queries(n: usize) -> Vec<RatingQuery> {
 }
 
 #[test]
-fn thin_deadline_budget_is_served_by_the_quantized_tier_within_bound() {
-    let (engine, dataset) = build_engine(
-        ResilienceConfig {
-            quantized: Some(eager_quant()),
-            ..ResilienceConfig::default()
-        },
-        None,
-        false,
-    );
-    let qs = queries(12);
-    let thin = engine
-        .predict_batch_tagged(&qs, thin_budget())
-        .expect("quantized tier answers");
-    let (lo, hi) = (dataset.min_rating, dataset.max_rating());
-    for (k, a) in thin.iter().enumerate() {
-        assert_eq!(
-            a.served_by,
-            ServedBy::Quantized,
-            "query {k}: a thin budget must select the quantized tier"
-        );
-        assert!(
-            (lo - 0.5..=hi + 0.5).contains(&a.rating),
-            "query {k}: quantized rating {} far outside [{lo}, {hi}]",
-            a.rating
-        );
-    }
-    // Quantized answers are never memoized: re-asking with a full budget
-    // must produce fresh *model*-tier answers, and the two tiers must
-    // agree within the documented bound.
-    let full = engine
-        .predict_batch_tagged(&qs, None)
-        .expect("model tier answers");
-    let bound = engine
-        .current_model()
-        .quantized()
-        .expect("quantized companion built")
-        .prediction_bound();
-    for (k, (q, m)) in thin.iter().zip(&full).enumerate() {
-        assert_eq!(
-            m.served_by,
-            ServedBy::Model,
-            "query {k}: quantized answers must not be laundered into the memo"
-        );
-        assert!(
-            (q.rating - m.rating).abs() <= bound,
-            "query {k}: |quantized {} - model {}| exceeds bound {bound}",
-            q.rating,
-            m.rating
-        );
-    }
-    let tiers = engine.tier_stats();
-    assert_eq!(tiers.quantized, qs.len() as u64);
-    assert_eq!(tiers.model, qs.len() as u64);
-    assert_eq!(tiers.fallback, 0);
-}
-
-#[test]
-fn half_open_probe_exhaustion_is_served_by_the_quantized_tier() {
-    // Model attempts either stall 5ms (holding their breaker admission)
-    // or fail. Failures trip the breaker fast; with a zero cooldown every
-    // post-open attempt is a half-open probe, and whenever one thread's
-    // probe stalls, the other thread finds the probe budget spent — that
-    // traffic must ride the quantized tier, not drop to graph statistics.
-    let plan = Arc::new(
-        FaultPlan::new(3)
-            .with_fault(
-                sites::ENGINE_FORWARD,
-                FaultKind::Delay(Duration::from_millis(5)),
-                0.5,
-            )
-            .with_fault(sites::ENGINE_FORWARD, FaultKind::Error, 1.0),
-    );
-    // Cache disabled: a successful forward would otherwise memoize every
-    // pair and the memo fast path would starve the breaker of traffic.
-    let (engine, _) = build_engine_with_cache(
-        ResilienceConfig {
-            breaker: Some(fast_breaker()),
-            retry_attempts: 1,
-            ..ResilienceConfig::default()
-        },
-        Some(plan),
-        false,
-        0,
-    );
-    let engine = Arc::new(engine);
-    let stop = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = (0..2)
-        .map(|_| {
-            let engine = engine.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                let qs = queries(16);
-                for _ in 0..400 {
-                    for q in &qs {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        engine
-                            .predict_batch_tagged(std::slice::from_ref(q), None)
-                            .expect("the ladder always answers");
-                        if engine.tier_stats().quantized > 0 {
-                            stop.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("no panic escapes the ladder");
-    }
-    assert!(
-        engine.tier_stats().quantized > 0,
-        "a half-open breaker with a spent probe budget must serve the \
-         quantized tier: {:?}",
-        engine.tier_stats()
-    );
-}
-
-#[test]
 fn model_failure_falls_to_hybrid_then_fallback() {
-    // Rung 3: a panicking model with a healthy hybrid → every answer is
+    // A panicking model with a healthy hybrid → every answer is
     // hybrid-tier, in range.
     let panic_storm =
         || Arc::new(FaultPlan::new(3).with_fault(sites::ENGINE_FORWARD, FaultKind::Panic, 1.0));
@@ -259,7 +126,7 @@ fn model_failure_falls_to_hybrid_then_fallback() {
     assert_eq!(engine.tier_stats().hybrid, qs.len() as u64);
     assert_eq!(engine.tier_stats().fallback, 0);
 
-    // Rung 4: the hybrid faulted too → graph statistics, with the
+    // The hybrid faulted too → graph statistics, with the
     // degradation attributed to the model failure.
     let plan = Arc::new(
         FaultPlan::new(3)
@@ -275,50 +142,20 @@ fn model_failure_falls_to_hybrid_then_fallback() {
 }
 
 #[test]
-fn quantized_failure_falls_to_hybrid_then_fallback() {
-    let quant_storm =
-        || Arc::new(FaultPlan::new(5).with_fault(sites::QUANT_FORWARD, FaultKind::Panic, 1.0));
-    let eager = || ResilienceConfig {
-        quantized: Some(eager_quant()),
-        ..ResilienceConfig::default()
-    };
-    // With a hybrid installed, a panicking quantized tier lands there…
-    let (engine, _) = build_engine(eager(), Some(quant_storm()), true);
-    let qs = queries(10);
-    let answers = engine
-        .predict_batch_tagged(&qs, thin_budget())
-        .expect("hybrid");
-    assert!(
-        answers.iter().all(|a| a.served_by == ServedBy::Hybrid),
-        "a faulted quantized tier must fall to the hybrid tier"
-    );
-    assert_eq!(engine.tier_stats().hybrid, qs.len() as u64);
-
-    // …and without one, on graph statistics.
-    let (engine, _) = build_engine(eager(), Some(quant_storm()), false);
-    let answers = engine
-        .predict_batch_tagged(&qs, thin_budget())
-        .expect("fallback");
-    assert!(answers.iter().all(|a| a.served_by == ServedBy::Fallback));
-    assert_eq!(engine.tier_stats().failure_degraded, qs.len() as u64);
-}
-
-#[test]
-fn five_tier_schedule_replays_identically_per_seed() {
+fn ladder_schedule_replays_identically_per_seed() {
     let run = |seed: u64| {
         let plan = Arc::new(FaultPlan::mixed(seed, 0.3));
         let (engine, _) = build_engine(
             ResilienceConfig {
                 breaker: Some(fast_breaker()),
-                quantized: Some(eager_quant()),
                 ..ResilienceConfig::default()
             },
             Some(plan.clone()),
             true,
         );
         // Cycle the deadline class so every rung of the ladder is in
-        // play: full budget (model/cache), thin budget (quantized), and
-        // already-expired (hybrid/fallback).
+        // play: full and thin budgets (model/cache) and already-expired
+        // (hybrid/fallback).
         let outcomes: Vec<_> = queries(36)
             .iter()
             .enumerate()
@@ -346,7 +183,6 @@ fn tier_accounting_is_exact_under_mixed_chaos_and_hot_swaps() {
     let (engine, _) = build_engine(
         ResilienceConfig {
             breaker: Some(fast_breaker()),
-            quantized: Some(eager_quant()),
             ..ResilienceConfig::default()
         },
         Some(plan),
@@ -375,7 +211,7 @@ fn tier_accounting_is_exact_under_mixed_chaos_and_hot_swaps() {
                 .expect("compatible swap");
         }
     }
-    let sum = |s: hire_serve::TierStats| s.model + s.quantized + s.hybrid + s.cache + s.fallback;
+    let sum = |s: TierStats| s.model + s.hybrid + s.cache + s.fallback;
     let global = engine.tier_stats();
     assert_eq!(
         sum(global),
@@ -405,7 +241,6 @@ fn tier_accounting_is_exact_under_mixed_chaos_and_hot_swaps() {
     // above prove less than they claim.
     for (tier, count) in [
         ("model", global.model),
-        ("quantized", global.quantized),
         ("hybrid", global.hybrid),
         ("cache", global.cache),
         ("fallback", global.fallback),
@@ -415,17 +250,10 @@ fn tier_accounting_is_exact_under_mixed_chaos_and_hot_swaps() {
 }
 
 #[test]
-fn every_query_gets_exactly_one_typed_reply_across_five_tiers_and_swaps() {
+fn every_query_gets_exactly_one_typed_reply_across_tiers_and_swaps() {
     for seed in [7u64, 0xC0FFEE] {
         let plan = Arc::new(FaultPlan::mixed(seed, 0.25));
-        let (engine, _) = build_engine(
-            ResilienceConfig {
-                quantized: Some(eager_quant()),
-                ..ResilienceConfig::default()
-            },
-            Some(plan.clone()),
-            true,
-        );
+        let (engine, _) = build_engine(ResilienceConfig::default(), Some(plan.clone()), true);
         let engine = Arc::new(engine);
         let server = Server::start_with_faults(
             engine.clone(),
@@ -456,8 +284,8 @@ fn every_query_gets_exactly_one_typed_reply_across_five_tiers_and_swaps() {
         let qs = queries(48);
         let budgets = [
             None,                         // model / cache tier
-            Some(Duration::from_secs(5)), // quantized budget trigger
-            Some(Duration::ZERO),         // expired on arrival → hybrid
+            Some(Duration::from_secs(5)), // budget left → model / cache tier
+            Some(Duration::ZERO),         // expired on arrival → typed refusal
         ];
         for (class, budget) in budgets.into_iter().enumerate() {
             for q in &qs[class * 16..(class + 1) * 16] {
@@ -495,12 +323,12 @@ fn every_query_gets_exactly_one_typed_reply_across_five_tiers_and_swaps() {
         );
         let tiers = engine.tier_stats();
         assert!(
-            tiers.quantized > 0,
-            "seed {seed}: thin budgets must exercise the quantized tier: {tiers:?}"
+            tiers.model > 0,
+            "seed {seed}: queries with budget left must exercise the model tier: {tiers:?}"
         );
         assert!(
-            tiers.hybrid > 0,
-            "seed {seed}: expired deadlines must exercise the hybrid tier: {tiers:?}"
+            tiers.hybrid + tiers.fallback > 0,
+            "seed {seed}: the faults must push some answers below the model rung: {tiers:?}"
         );
     }
 }
@@ -518,7 +346,7 @@ enum Entry {
     ResolvePanic,
     /// The deadline is already gone when the group is reached.
     DeadlineGone,
-    /// The remaining budget is under the quantized tier's threshold.
+    /// A deadline is set and has budget left.
     ThinBudget,
     /// The breaker is open and still cooling down.
     BreakerOpen,
@@ -528,8 +356,6 @@ enum Entry {
     ModelFailsRetries,
     /// The model forward panics.
     ModelPanics,
-    /// The quantized forward fails typed.
-    QuantizedFails,
     /// The model forward stalls past the deadline (`FaultKind::Delay`).
     DeadlineInsideForward,
 }
@@ -555,15 +381,16 @@ enum Refusal {
 /// Where a row's query lands.
 #[derive(Debug, Clone, Copy)]
 enum Lands {
-    /// On the quantized rung, whatever `fallback` and the hybrid are.
-    Quantized,
-    /// Below the model rungs. With `fallback`: on the hybrid when one is
+    /// On the model rung, whatever `fallback` and the hybrid are: the bits
+    /// of the full-budget answer, memoized.
+    Model,
+    /// Below the model rung. With `fallback`: on the hybrid when one is
     /// installed, else on entity-mean with `Why`'s counter moved. Without
     /// `fallback`: the refusal, and nothing is counted.
     Below(Why, Refusal),
 }
 
-const LADDER: [(Entry, Lands); 10] = [
+const LADDER: [(Entry, Lands); 9] = [
     (
         Entry::ResolveFault,
         Lands::Below(Why::Failure, Refusal::Injected(sites::ENGINE_RESOLVE)),
@@ -576,12 +403,15 @@ const LADDER: [(Entry, Lands); 10] = [
         Entry::DeadlineGone,
         Lands::Below(Why::Deadline, Refusal::DeadlineExceeded),
     ),
-    (Entry::ThinBudget, Lands::Quantized),
+    (Entry::ThinBudget, Lands::Model),
     (
         Entry::BreakerOpen,
         Lands::Below(Why::Breaker, Refusal::CircuitOpen),
     ),
-    (Entry::HalfOpenProbesSpent, Lands::Quantized),
+    (
+        Entry::HalfOpenProbesSpent,
+        Lands::Below(Why::Breaker, Refusal::CircuitOpen),
+    ),
     (
         Entry::ModelFailsRetries,
         Lands::Below(Why::Failure, Refusal::Injected(sites::ENGINE_FORWARD)),
@@ -589,10 +419,6 @@ const LADDER: [(Entry, Lands); 10] = [
     (
         Entry::ModelPanics,
         Lands::Below(Why::Failure, Refusal::Model("model forward panicked")),
-    ),
-    (
-        Entry::QuantizedFails,
-        Lands::Below(Why::Failure, Refusal::Injected(sites::QUANT_FORWARD)),
     ),
     (
         Entry::DeadlineInsideForward,
@@ -672,11 +498,7 @@ fn ask(
     let plan = match entry {
         Entry::ResolveFault => always(sites::ENGINE_RESOLVE, FaultKind::Error),
         Entry::ResolvePanic => always(sites::ENGINE_RESOLVE, FaultKind::Panic),
-        Entry::DeadlineGone => None,
-        Entry::ThinBudget => {
-            resilience.quantized = Some(eager_quant());
-            None
-        }
+        Entry::DeadlineGone | Entry::ThinBudget => None,
         Entry::BreakerOpen => {
             resilience.breaker = Some(cooling);
             resilience.retry_attempts = 1;
@@ -694,10 +516,6 @@ fn ask(
         Entry::ModelPanics => {
             resilience.breaker = None;
             always(sites::ENGINE_FORWARD, FaultKind::Panic)
-        }
-        Entry::QuantizedFails => {
-            resilience.quantized = Some(eager_quant());
-            always(sites::QUANT_FORWARD, FaultKind::Error)
         }
         Entry::DeadlineInsideForward => always(sites::ENGINE_FORWARD, FaultKind::Delay(STALL)),
     }
@@ -727,7 +545,7 @@ fn ask(
     let (reply, moved) = match entry {
         Entry::ResolveFault | Entry::ResolvePanic | Entry::ModelPanics => probe(None),
         Entry::DeadlineGone => probe(Some(Instant::now())),
-        Entry::ThinBudget | Entry::QuantizedFails => probe(thin_budget()),
+        Entry::ThinBudget => probe(thin_budget()),
         Entry::BreakerOpen => {
             trip();
             assert_eq!(engine.breaker_state(), Some(BreakerState::Open));
@@ -779,9 +597,9 @@ fn ladder_table_entry_by_fallback_by_hybrid() {
                 let (reply, moved, engine) = ask(entry, fallback, hybrid);
                 let mut expected = TierStats::default();
                 let served_by = match (lands, fallback, hybrid) {
-                    (Lands::Quantized, ..) => {
-                        expected.quantized = 1;
-                        Ok(ServedBy::Quantized)
+                    (Lands::Model, ..) => {
+                        expected.model = 1;
+                        Ok(ServedBy::Model)
                     }
                     (Lands::Below(..), true, true) => {
                         expected.hybrid = 1;
@@ -812,6 +630,22 @@ fn ladder_table_entry_by_fallback_by_hybrid() {
                     (got, wanted) => panic!("{cell}: expected {wanted:?}, got {got:?}"),
                 }
                 assert_eq!(moved, expected, "{cell}: counters the probe moved");
+                if let Lands::Model = lands {
+                    // No cheaper forward hides behind a deadline: the answer
+                    // is the one a query without a deadline gets, and asking
+                    // again is a memo hit on it.
+                    let got = reply.as_ref().expect("matched above").rating.to_bits();
+                    let (unhurried, ..) = build_engine(ResilienceConfig::default(), None, hybrid);
+                    let full = unhurried
+                        .predict_batch_tagged(&[PROBE], None)
+                        .expect("model")[0];
+                    assert_eq!(got, full.rating.to_bits(), "{cell}");
+                    let again = engine
+                        .predict_batch_tagged(&[PROBE], thin_budget())
+                        .expect("memo")[0];
+                    assert_eq!(again.served_by, ServedBy::Cache, "{cell}");
+                    assert_eq!(again.rating.to_bits(), got, "{cell}");
+                }
                 // The three views of the tier counters are folds of one
                 // another.
                 let total = engine.tier_stats();

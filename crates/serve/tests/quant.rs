@@ -1,12 +1,11 @@
-//! Quantized-tier numerics (DESIGN.md §13).
+//! int8 weight-storage numerics (DESIGN.md §13).
 //!
 //! 1. **Error bound** — across a config zoo and randomly re-seeded
 //!    weights, every [`QuantizedModel`] prediction stays within the
 //!    documented [`QuantizedModel::prediction_bound`] of the f32
-//!    [`FrozenModel`] oracle, for both int8 and f16.
+//!    [`FrozenModel`] oracle.
 //! 2. **Determinism** — the dequantizing forward is bit-exact across
-//!    thread counts (1 vs 4), so the quantized tier replays like every
-//!    other tier.
+//!    thread counts (1 vs 4), like the f32 forward.
 
 use hire_core::{HireConfig, HireModel};
 use hire_data::{test_context_with_ratio, Dataset, PredictionContext};
@@ -64,7 +63,7 @@ fn worst_error(
 }
 
 /// The config zoo: block depth, attention layout, and context budget all
-/// vary; every member must respect the documented bound in both modes.
+/// vary; every member must respect the documented bound.
 #[test]
 fn prediction_error_stays_within_documented_bound_across_config_zoo() {
     let zoo: Vec<(&str, HireConfig)> = vec![
@@ -86,21 +85,17 @@ fn prediction_error_stays_within_documented_bound_across_config_zoo() {
         let mut rng = StdRng::seed_from_u64(17);
         let model = HireModel::new(&dataset, config, &mut rng);
         let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
-        for mode in [QuantMode::Int8, QuantMode::F16] {
-            let quant = QuantizedModel::from_frozen(&frozen, mode);
-            assert!(
-                quant.max_weight_err() > 0.0,
-                "{name}/{}: quantization must be lossy on random weights",
-                mode.label()
-            );
-            let worst = worst_error(&dataset, config, &frozen, &quant);
-            assert!(
-                worst <= quant.prediction_bound(),
-                "{name}/{}: worst prediction error {worst} exceeds bound {}",
-                mode.label(),
-                quant.prediction_bound()
-            );
-        }
+        let quant = QuantizedModel::from_frozen(&frozen, QuantMode::Int8);
+        assert!(
+            quant.max_weight_err() > 0.0,
+            "{name}: quantization must be lossy on random weights"
+        );
+        let worst = worst_error(&dataset, config, &frozen, &quant);
+        assert!(
+            worst <= quant.prediction_bound(),
+            "{name}: worst prediction error {worst} exceeds bound {}",
+            quant.prediction_bound()
+        );
     }
 }
 
@@ -110,26 +105,17 @@ proptest! {
     /// Random weights (fresh init seed) and random query pairs: the bound
     /// must hold for arbitrary weight draws, not just the zoo's.
     #[test]
-    fn prediction_error_bound_holds_for_random_weights(
-        weight_seed in 0u64..1024,
-        mode_pick in 0u32..2,
-    ) {
+    fn prediction_error_bound_holds_for_random_weights(weight_seed in 0u64..1024) {
         let config = HireConfig::fast().with_blocks(1).with_context_size(8, 8);
         let dataset = Arc::new(dataset(24, 20, 5));
         let mut rng = StdRng::seed_from_u64(weight_seed);
         let model = HireModel::new(&dataset, &config, &mut rng);
         let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
-        let mode = if mode_pick == 1 {
-            QuantMode::F16
-        } else {
-            QuantMode::Int8
-        };
-        let quant = QuantizedModel::from_frozen(&frozen, mode);
+        let quant = QuantizedModel::from_frozen(&frozen, QuantMode::Int8);
         let worst = worst_error(&dataset, &config, &frozen, &quant);
         prop_assert!(
             worst <= quant.prediction_bound(),
-            "seed {weight_seed}/{}: worst {worst} > bound {}",
-            mode.label(),
+            "seed {weight_seed}: worst {worst} > bound {}",
             quant.prediction_bound()
         );
     }
@@ -146,21 +132,18 @@ fn quantized_forward_is_bit_exact_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(23);
     let model = HireModel::new(&dataset, &config, &mut rng);
     let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
-    for mode in [QuantMode::Int8, QuantMode::F16] {
-        let quant = QuantizedModel::from_frozen(&frozen, mode);
-        let ctx = context(&dataset, &config, 2, 5);
-        let single = Arc::new(ThreadPool::new(1));
-        let quad = Arc::new(ThreadPool::new(4));
-        let a = with_pool(&single, || quant.forward_nograd(&ctx, &dataset)).expect("1-thread");
-        let b = with_pool(&quad, || quant.forward_nograd(&ctx, &dataset)).expect("4-thread");
-        assert_eq!(a.dims(), b.dims());
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{}: thread count changed a quantized prediction bit",
-                mode.label()
-            );
-        }
+    let quant = QuantizedModel::from_frozen(&frozen, QuantMode::Int8);
+    let ctx = context(&dataset, &config, 2, 5);
+    let single = Arc::new(ThreadPool::new(1));
+    let quad = Arc::new(ThreadPool::new(4));
+    let a = with_pool(&single, || quant.forward_nograd(&ctx, &dataset)).expect("1-thread");
+    let b = with_pool(&quad, || quant.forward_nograd(&ctx, &dataset)).expect("4-thread");
+    assert_eq!(a.dims(), b.dims());
+    for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "thread count changed a quantized prediction bit"
+        );
     }
 }

@@ -98,7 +98,17 @@ fn strict_opts() -> WalOptions {
 
 /// A WAL-attached engine over the dataset's base graph.
 fn wal_engine(dataset: &Arc<Dataset>, wal_dir: &Path, opts: WalOptions) -> Arc<ServeEngine> {
-    let (wal, recovery) = Wal::open(wal_dir, opts).expect("open wal");
+    faulted_wal_engine(dataset, wal_dir, opts, None)
+}
+
+/// [`wal_engine`] whose log fires `faults` at the WAL chaos sites.
+fn faulted_wal_engine(
+    dataset: &Arc<Dataset>,
+    wal_dir: &Path,
+    opts: WalOptions,
+    faults: Option<Arc<FaultPlan>>,
+) -> Arc<ServeEngine> {
+    let (wal, recovery) = Wal::open_with_faults(wal_dir, opts, faults).expect("open wal");
     assert!(recovery.records.is_empty(), "fresh log expected");
     Arc::new(
         ServeEngine::with_shared_graph(
@@ -579,16 +589,7 @@ fn refused_append_means_nothing_happened() {
     let wal_dir = tmp.sub("wal");
     let dataset = dataset();
     let plan = Arc::new(FaultPlan::new(7).with_fault(sites::WAL_APPEND, FaultKind::Error, 1.0));
-    let (wal, _) = Wal::open_with_faults(&wal_dir, strict_opts(), Some(plan)).expect("open");
-    let engine = Arc::new(
-        ServeEngine::with_shared_graph(
-            base_model(&dataset),
-            dataset.clone(),
-            Arc::new(dataset.graph()),
-            engine_config(),
-        )
-        .with_wal(Arc::new(wal)),
-    );
+    let engine = faulted_wal_engine(&dataset, &wal_dir, strict_opts(), Some(plan));
 
     let epoch = engine.graph_epoch();
     for k in 0..3 {
@@ -606,6 +607,49 @@ fn refused_append_means_nothing_happened() {
     let engine = wal_engine(&dataset, &wal_dir, strict_opts());
     engine.insert_rating(rating(0)).expect("clean insert");
     assert_eq!(engine.inserted_since(0).0.len(), 1);
+}
+
+/// A WAL append that panics (injected) unwinds out of `insert_rating` from
+/// under the write-order lock before anything was written: graph epoch,
+/// insert log and cache are untouched, and the next insert — the schedule's
+/// second arrival is clean — gets LSN 0, commits and acks.
+#[test]
+fn panicking_append_means_nothing_happened() {
+    let tmp = TempDir::new("panicked");
+    let wal_dir = tmp.sub("wal");
+    let dataset = dataset();
+    let build = |seed| FaultPlan::new(seed).with_fault(sites::WAL_APPEND, FaultKind::Panic, 0.5);
+    let seed = (0u64..64)
+        .find(|&seed| {
+            let dry = build(seed);
+            dry.decide(sites::WAL_APPEND) == Some(FaultKind::Panic)
+                && dry.decide(sites::WAL_APPEND).is_none()
+        })
+        .expect("one seed in four has this schedule");
+    let plan = Arc::new(build(seed));
+    let engine = faulted_wal_engine(&dataset, &wal_dir, strict_opts(), Some(plan));
+
+    // Probe 0 is the pair `rating(0)` rates, so its cached block is one the
+    // insert must invalidate — once it happens.
+    probe_bits(engine.as_ref());
+    let before = (engine.graph_epoch(), engine.cache_len());
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.insert_rating(rating(0))
+    }));
+    assert!(panicked.is_err(), "the injected panic propagates");
+    assert_eq!((engine.graph_epoch(), engine.cache_len()), before);
+    assert_eq!(engine.inserted_since(0).0.len(), 0, "no unacked state");
+
+    let invalidated = engine.insert_rating(rating(0)).expect("acked");
+    assert!(invalidated > 0);
+    assert_eq!(engine.graph_epoch(), before.0 + 1);
+    assert_eq!(engine.inserted_since(0).0, vec![rating(0)]);
+    let wal = engine.wal().expect("attached");
+    assert_eq!((wal.next_lsn(), wal.durable_upto()), (1, 1));
+
+    drop(engine);
+    let (_, rec) = Wal::open(&wal_dir, strict_opts()).expect("reopen");
+    assert_eq!((rec.records.len(), rec.truncated_bytes), (1, 0));
 }
 
 /// Writes a weight checkpoint the way the online loop does before a

@@ -131,7 +131,7 @@ fn mix_user(user: usize) -> u64 {
 ///   so no shard (hot-key replicas included) serves a memo the new edge
 ///   staled.
 /// - **Swaps.** [`ShardedEngine::install_model`] is two-phase: prepare
-///   (validation, quantization, chaos site `online.swap`) on every shard,
+///   (validation, chaos site `online.swap`) on every shard,
 ///   then commit (log the promotion if a WAL is attached, pointer swap) on
 ///   every shard. Any prepare failure aborts the whole install with every
 ///   incumbent untouched, so shards never diverge in version.

@@ -15,11 +15,11 @@
 //! - [`gradcheck`] — finite-difference validation used throughout the test
 //!   suite.
 //! - [`init`] — Xavier/Kaiming/embedding initializers.
-//! - [`quant`] — post-training weight compression (symmetric int8 / f16):
+//! - [`quant`] — post-training weight compression (symmetric int8):
 //!   a storage format, expanded to f32 per projection or per gathered row
 //!   by [`WeightMatrix`], so there is one matmul family, not two.
 //! - [`WeightMatrix`] — the one trait that pairs a weight storage format
-//!   (f32 [`NdArray`], int8/f16 [`QuantizedTensor`]) with its [`linalg`]
+//!   (f32 [`NdArray`], int8 [`QuantizedTensor`]) with its [`linalg`]
 //!   kernels; every no-grad forward above it is generic over it.
 //! - [`simd`] — runtime-dispatched vector micro-kernels
 //!   (scalar/avx2/avx512, `HIRE_ISA` override) behind the [`linalg`]

@@ -847,4 +847,60 @@ mod tests {
         }
         assert_eq!(wal.durable_upto(), 0, "no durability was promised");
     }
+
+    /// Appends 40 records through a plan that panics at `site` on half its
+    /// arrivals and stalls the rest (`Delay`), retrying a panicked append.
+    /// Both `wal.append` and `wal.rotate` fire before a byte is written or
+    /// the cursor moves, so a panic there must cost nothing: the log is not
+    /// poisoned, the retry gets the LSN the panicked append would have, and
+    /// a reopen finds every record and no torn tail.
+    fn append_through_panics_at(site: &'static str) {
+        let tmp = TempDir::new("inj-append-panic");
+        let plan = Arc::new(
+            FaultPlan::new(21)
+                .with_fault(site, FaultKind::Panic, 0.5)
+                .with_fault(site, FaultKind::Delay(Duration::from_micros(50)), 1.0),
+        );
+        let (wal, _) =
+            Wal::open_with_faults(tmp.path(), tiny_opts(), Some(plan.clone())).expect("open");
+        let mut panics = 0;
+        for k in 0..40 {
+            let lsn = loop {
+                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    wal.append(&rating(k))
+                }));
+                match attempt {
+                    Ok(appended) => break appended.expect("not poisoned"),
+                    Err(_) => {
+                        panics += 1;
+                        assert_eq!(wal.next_lsn(), k, "a panicked append consumed an LSN");
+                    }
+                }
+            };
+            assert_eq!(lsn, k);
+        }
+        let fired = plan.site_stats(site);
+        assert!(
+            panics > 0 && fired.injected > panics,
+            "panic and delay fired"
+        );
+        assert_eq!(fired.arrivals, fired.injected, "every arrival took a fault");
+        assert!(wal.stats().rotations > 0);
+        wal.sync_all().expect("commit");
+        drop(wal);
+        let (_, rec) = Wal::open(tmp.path(), tiny_opts()).expect("reopen");
+        assert_eq!((rec.truncated_bytes, rec.deleted_torn_segment), (0, false));
+        let want: Vec<(u64, WalRecord)> = (0..40).map(|k| (k, rating(k))).collect();
+        assert_eq!(rec.records, want);
+    }
+
+    #[test]
+    fn panicking_append_costs_nothing() {
+        append_through_panics_at(sites::WAL_APPEND);
+    }
+
+    #[test]
+    fn panicking_rotation_costs_nothing() {
+        append_through_panics_at(sites::WAL_ROTATE);
+    }
 }

@@ -109,13 +109,7 @@ fn main() {
         let p = h
             .recv_timeout(Duration::from_secs(5))
             .expect("answered within bound");
-        let tier = match p.served_by {
-            ServedBy::Model => "model",
-            ServedBy::Quantized => "quantized",
-            ServedBy::Hybrid => "hybrid",
-            ServedBy::Cache => "cache",
-            ServedBy::Fallback => "fallback",
-        };
+        let tier = p.served_by.label();
         println!(
             "  u{:<3} i{:<3} -> {:.2}  ({:.2} ms, {tier} tier, model v{})",
             q.user,

@@ -1,17 +1,17 @@
 //! Tier-1 smoke over the serving stack, through the `hire::` facade only:
-//! train-tiny → freeze → serve with the quantized tier. Seconds-scale, so
-//! the repo's tier-1 command (`cargo test -q`) guards the one HIM forward
-//! both model-family rungs share, not just training.
+//! train-tiny → freeze → serve. Seconds-scale, so the repo's tier-1 command
+//! (`cargo test -q`) guards the one HIM forward the engine serves — and the
+//! int8 weight-storage instance of it — not just training.
 
 use hire::prelude::*;
-use hire::serve::{Predictor, QuantTierConfig};
+use hire::serve::{Predictor, QuantizedModel};
 use hire::tensor::QuantMode;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[test]
-fn trained_model_serves_through_model_quantized_and_cache_rungs() {
+fn trained_model_serves_through_model_and_cache_rungs() {
     let dataset = SyntheticConfig::movielens_like()
         .scaled(40, 30, (8, 16))
         .generate(7);
@@ -38,21 +38,11 @@ fn trained_model_serves_through_model_quantized_and_cache_rungs() {
 
     let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
     let dataset = Arc::new(dataset);
-    // A threshold no budget exceeds: every query with a deadline rides the
-    // quantized rung, every query without one the full-precision rung.
-    let resilience = ResilienceConfig {
-        quantized: Some(QuantTierConfig {
-            mode: QuantMode::Int8,
-            deadline_threshold: Duration::from_secs(3600),
-        }),
-        ..ResilienceConfig::default()
-    };
     let engine = ServeEngine::new(
         frozen.clone(),
         dataset.clone(),
         EngineConfig::from_model_config(&config),
-    )
-    .with_resilience(resilience);
+    );
     let q = RatingQuery { user: 3, item: 5 };
     let ask = |deadline| {
         engine
@@ -61,35 +51,33 @@ fn trained_model_serves_through_model_quantized_and_cache_rungs() {
             .remove(0)
     };
 
-    // Quantized answers are never memoized, so the thin-budget query goes
-    // first and leaves the memo empty for the model-tier query after it.
+    // A deadline with budget left buys no cheaper forward: the model rung
+    // answers, with the frozen forward's cell, to the bit.
     let thin = ask(Some(Instant::now() + Duration::from_secs(60)));
-    assert_eq!(thin.served_by, ServedBy::Quantized);
-
-    let full = ask(None);
-    assert_eq!(full.served_by, ServedBy::Model);
+    assert_eq!(thin.served_by, ServedBy::Model);
     let ctx = engine.context_for(&q).expect("cached context");
     let (row, col) = (ctx.user_row(q.user).unwrap(), ctx.item_col(q.item).unwrap());
     let direct = frozen.forward_nograd(&ctx, &dataset).expect("forward");
     assert_eq!(
-        full.rating.to_bits(),
+        thin.rating.to_bits(),
         direct.at(&[row, col]).to_bits(),
         "a model-tier answer is the frozen forward's cell, to the bit"
     );
 
-    let bound = engine
-        .current_model()
-        .quantized()
-        .expect("quantized companion built")
-        .prediction_bound();
-    assert!(
-        (thin.rating - full.rating).abs() <= bound,
-        "|quantized {} - model {}| exceeds bound {bound}",
-        thin.rating,
-        full.rating
-    );
-
+    // It was memoized like any model answer.
     let again = ask(None);
     assert_eq!(again.served_by, ServedBy::Cache);
-    assert_eq!(again.rating.to_bits(), full.rating.to_bits());
+    assert_eq!(again.rating.to_bits(), thin.rating.to_bits());
+
+    // The same forward over int8-stored weights stays within its declared
+    // bound of the f32 one on trained weights, over the whole context.
+    let quant = QuantizedModel::from_frozen(&frozen, QuantMode::Int8);
+    let approx = quant.forward_nograd(&ctx, &dataset).expect("int8 forward");
+    let bound = quant.prediction_bound();
+    for (a, b) in approx.as_slice().iter().zip(direct.as_slice()) {
+        assert!(
+            (a - b).abs() <= bound,
+            "|int8 {a} - f32 {b}| exceeds bound {bound}"
+        );
+    }
 }
