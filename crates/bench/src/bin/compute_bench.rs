@@ -1,26 +1,25 @@
-//! Kernel/compute benchmark: establishes the perf trajectory of the
-//! parallel compute layer and emits `BENCH_KERNELS.json`.
+//! Kernel/compute benchmark: establishes the perf trajectory of the compute
+//! layer and emits `BENCH_KERNELS.json`. Everything timed here runs on the
+//! calling thread, as every kernel does (DESIGN.md §11) — the `_1t` in the
+//! report's field names says so.
 //!
 //! Five sections:
 //! 1. **matmul** — GFLOP/s at HIM-realistic shapes: the naive reference
 //!    loop, the blocked kernel forced to the scalar micro-kernel, and the
-//!    blocked kernel on the dispatched ISA (see `hire_tensor::simd`), all
-//!    at 1 thread, then the dispatched kernel across the thread sweep.
-//!    Every variant is correctness-checked before it is timed: bitwise
+//!    blocked kernel on the dispatched ISA (see `hire_tensor::simd`). The
+//!    dispatched result is correctness-checked before it is timed: bitwise
 //!    against the reference on scalar, oracle-bounded on avx2 (whose
-//!    FMA chain rounds less — DESIGN.md §16), and always bitwise
-//!    thread-invariant against its own 1-thread result.
+//!    FMA chain rounds less — DESIGN.md §16).
 //! 2. **mhsa** — the tape-free `hire_nn::mhsa_forward` at HIM's three
-//!    attention shapes (MBU, MBI, MBA of the `fast` config), 1 thread:
+//!    attention shapes (MBU, MBI, MBA of the `fast` config):
 //!    microseconds, achieved GFLOP/s from the shape's matmul FLOPs, and
 //!    that as a share of the matmul peak section 1 measured; beside it the
 //!    same shape through the tape's one `mhsa` node, forward (the same
 //!    kernels plus the saved `Q` and softmax rows) and backward. Reported,
 //!    not gated — these are the per-layer numbers the serving forward and
 //!    a training step are made of.
-//! 3. **him** — full HIM forward and forward+backward wall time on a
-//!    synthetic cold-start context across the thread sweep, with the loss
-//!    value asserted bit-identical at every thread count.
+//! 3. **him** — full HIM tape forward and forward+backward wall time on a
+//!    synthetic cold-start context.
 //! 4. **sampler** — `NeighborhoodSampler` at never-repeated uniform pairs on
 //!    the default 600×400 `movielens_like` graph and on the streaming
 //!    50 000×10 000 `popularity_skew = 1.1` graph whose hub items are rated
@@ -34,14 +33,12 @@
 //!    resident bytes and its largest chunk (what a commit on a hub row
 //!    copies).
 //!
-//! `--smoke` shrinks every section to seconds and gates three regressions:
-//! the 4-thread HIM forward must be no slower than the 1-thread run (with
-//! a noise tolerance so single-core machines, where both degenerate to the
-//! same serial execution, still pass), on hosts where the dispatcher
-//! resolves to avx2 the dispatched matmul must beat the forced-scalar
-//! micro-kernel, and a single-edge commit on the hub graph must copy no more
-//! than a fixed multiple of the bytes it copies on the 600×400 one — the CI
-//! regression gates for the pool, the SIMD layer and the copy-on-write graph.
+//! `--smoke` shrinks every section to seconds and gates two regressions: on
+//! hosts where the dispatcher resolves to avx2 the dispatched matmul must
+//! beat the forced-scalar micro-kernel, and a single-edge commit on the hub
+//! graph must copy no more than a fixed multiple of the bytes it copies on
+//! the 600×400 one — the CI regression gates for the SIMD layer and the
+//! copy-on-write graph.
 
 use hire_bench::write_json_atomic;
 use hire_core::{HireConfig, HireModel};
@@ -50,7 +47,6 @@ use hire_graph::{
     BipartiteGraph, ContextSampler, ContextSelection, EpochedGraph, NeighborhoodSampler, Rating,
 };
 use hire_nn::{mhsa_forward, MhsaWeights, MultiHeadSelfAttention};
-use hire_par::{with_pool, ThreadPool};
 use hire_tensor::linalg;
 use hire_tensor::{NdArray, Tensor};
 use rand::rngs::StdRng;
@@ -66,20 +62,11 @@ USAGE:
     compute_bench [OPTIONS]
 
 OPTIONS:
-    --smoke         quick run: small shapes, assert the 4-thread HIM
-                    forward is no slower than 1-thread, (on avx2 hosts)
-                    that dispatch beats forced-scalar, and that a graph
-                    commit copies bytes by the rows it touches
+    --smoke         quick run: small shapes, assert (on avx2 hosts) that
+                    dispatch beats forced-scalar, and that a graph commit
+                    copies bytes by the rows it touches
     --out <path>    write the JSON report here [BENCH_KERNELS.json]
     -h, --help      print this help";
-
-/// Thread counts every sweep measures.
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// The 4-thread run may be up to this much slower than 1-thread before the
-/// smoke gate fails — covers timer noise and single-core machines where
-/// both runs execute the same serial code under different pool wiring.
-const SMOKE_TOLERANCE: f64 = 1.25;
 
 /// On hosts where the dispatcher resolves to avx2, the dispatched matmul
 /// must beat the forced-scalar micro-kernel by at least this factor on
@@ -134,12 +121,6 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 #[derive(Serialize)]
-struct ThreadPoint {
-    threads: usize,
-    gflops: f64,
-}
-
-#[derive(Serialize)]
 struct MatmulReport {
     /// `[n, k, m]` of the timed product.
     shape: Vec<usize>,
@@ -157,7 +138,6 @@ struct MatmulReport {
     /// Single-thread win from the dispatched micro-kernel over the forced
     /// scalar one. 1.0 on hosts where the dispatcher resolves to scalar.
     dispatch_speedup_1t: f64,
-    sweep: Vec<ThreadPoint>,
 }
 
 #[derive(Serialize)]
@@ -168,7 +148,7 @@ struct MhsaReport {
     shape: Vec<usize>,
     heads: usize,
     head_dim: usize,
-    /// Best-of wall time of one `mhsa_forward`, 1 thread.
+    /// Best-of wall time of one `mhsa_forward`.
     micros_1t: f64,
     /// Projection + QKᵀ + A·V + output-projection FLOPs over that time.
     gflops_1t: f64,
@@ -177,12 +157,12 @@ struct MhsaReport {
     /// the attention layer around it.
     share_of_matmul_peak: f64,
     /// Best-of wall time of one `MultiHeadSelfAttention::forward` on an
-    /// input that takes a gradient, 1 thread: `micros_1t` plus keeping `Q`
+    /// input that takes a gradient: `micros_1t` plus keeping `Q`
     /// and the softmax rows (and allocating what the no-grad forward is
     /// handed).
     tape_forward_us: f64,
     /// Best-of wall time of that node's backward (all four weight
-    /// gradients and `dX`), 1 thread.
+    /// gradients and `dX`).
     tape_backward_us: f64,
 }
 
@@ -237,29 +217,20 @@ struct GraphCommitReport {
 }
 
 #[derive(Serialize)]
-struct HimPoint {
-    threads: usize,
-    forward_ms: f64,
-    forward_backward_ms: f64,
-}
-
-#[derive(Serialize)]
 struct HimReport {
     context_users: usize,
     context_items: usize,
     num_blocks: usize,
-    forward_speedup_4t: f64,
-    forward_backward_speedup_4t: f64,
-    sweep: Vec<HimPoint>,
+    /// Best-of wall time of one tape forward.
+    forward_ms: f64,
+    /// Best-of wall time of one `context_loss` + `backward`.
+    forward_backward_ms: f64,
 }
 
 #[derive(Serialize)]
 struct KernelBenchReport {
     smoke: bool,
-    host_threads: usize,
-    /// Cores, ISA features, and effective `HIRE_THREADS` of the machine
-    /// that produced these numbers — a sweep recorded on a 1-core
-    /// container is not comparable to one from an 8-core host.
+    /// Cores and ISA features of the machine that produced these numbers.
     host: hire_bench::HostInfo,
     matmul: Vec<MatmulReport>,
     mhsa: Vec<MhsaReport>,
@@ -269,10 +240,9 @@ struct KernelBenchReport {
 }
 
 /// Times one `[n,k] x [k,m]` product: reference vs forced-scalar blocked
-/// vs dispatched blocked at 1 thread, then the dispatched kernel across
-/// the sweep. Correctness runs first: the dispatched result must match the
-/// reference (bitwise on scalar, oracle-bounded on avx2 per DESIGN.md
-/// §16) and must be bitwise thread-invariant at every sweep thread count.
+/// vs dispatched blocked. Correctness runs first: the dispatched result must
+/// match the reference (bitwise on scalar, oracle-bounded on avx2 per
+/// DESIGN.md §16).
 fn bench_matmul(n: usize, k: usize, m: usize, reps: usize) -> MatmulReport {
     let mut rng = StdRng::seed_from_u64(0x11A7 ^ (n * k * m) as u64);
     let a = NdArray::randn([n, k], 0.0, 1.0, &mut rng);
@@ -282,8 +252,7 @@ fn bench_matmul(n: usize, k: usize, m: usize, reps: usize) -> MatmulReport {
 
     let mut reference = vec![0.0f32; n * m];
     linalg::matmul_reference(a.as_slice(), b.as_slice(), &mut reference, n, k, m);
-    let one = Arc::new(ThreadPool::new(1));
-    let baseline = with_pool(&one, || linalg::matmul2d(&a, &b));
+    let baseline = linalg::matmul2d(&a, &b);
     let bitwise_vs_reference = isa < hire_tensor::simd::Isa::Avx2;
     for (i, (&x, &y)) in baseline.as_slice().iter().zip(&reference).enumerate() {
         if bitwise_vs_reference {
@@ -301,18 +270,6 @@ fn bench_matmul(n: usize, k: usize, m: usize, reps: usize) -> MatmulReport {
             );
         }
     }
-    for &threads in &THREAD_SWEEP[1..] {
-        let pool = Arc::new(ThreadPool::new(threads));
-        let out = with_pool(&pool, || linalg::matmul2d(&a, &b));
-        assert!(
-            out.as_slice()
-                .iter()
-                .zip(baseline.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "{} matmul is not thread-invariant at {threads} threads ({n}x{k}x{m})",
-            isa.label()
-        );
-    }
 
     let t_ref = time_best(reps, || {
         let mut out = vec![0.0f32; n * m];
@@ -320,29 +277,13 @@ fn bench_matmul(n: usize, k: usize, m: usize, reps: usize) -> MatmulReport {
         std::hint::black_box(&out);
     });
     let t_scalar_1t = time_best(reps, || {
-        let out = with_pool(&one, || {
-            linalg::matmul2d_with_isa(&a, &b, hire_tensor::simd::Isa::Scalar)
-        });
+        let out = linalg::matmul2d_with_isa(&a, &b, hire_tensor::simd::Isa::Scalar);
         std::hint::black_box(&out);
     });
     let t_blocked_1t = time_best(reps, || {
-        let out = with_pool(&one, || linalg::matmul2d(&a, &b));
+        let out = linalg::matmul2d(&a, &b);
         std::hint::black_box(&out);
     });
-    let sweep = THREAD_SWEEP
-        .iter()
-        .map(|&threads| {
-            let pool = Arc::new(ThreadPool::new(threads));
-            let t = time_best(reps, || {
-                let out = with_pool(&pool, || linalg::matmul2d(&a, &b));
-                std::hint::black_box(&out);
-            });
-            ThreadPoint {
-                threads,
-                gflops: flops / t / 1e9,
-            }
-        })
-        .collect();
     MatmulReport {
         shape: vec![n, k, m],
         isa: isa.label().to_string(),
@@ -351,19 +292,17 @@ fn bench_matmul(n: usize, k: usize, m: usize, reps: usize) -> MatmulReport {
         gflops_blocked_1t: flops / t_blocked_1t / 1e9,
         blocking_speedup_1t: t_ref / t_scalar_1t,
         dispatch_speedup_1t: t_scalar_1t / t_blocked_1t,
-        sweep,
     }
 }
 
 /// Times `mhsa_forward` at the three attention shapes of a `fast`-config
 /// HIM block over an `n × m` context of `h` attributes (tokens = users,
-/// items, attributes), single-threaded, against `matmul_peak_gflops`.
+/// items, attributes) against `matmul_peak_gflops`.
 fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport> {
     let cfg = HireConfig::fast();
     let (n, m, f) = (cfg.context_users, cfg.context_items, cfg.attr_dim);
     let (l, dk) = (cfg.heads, cfg.head_dim);
     let e = h * f;
-    let one = Arc::new(ThreadPool::new(1));
     let mut rng = StdRng::seed_from_u64(0x3A5A);
     [
         ("mbu", [m, n, e]),
@@ -383,22 +322,20 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
         };
         let x = NdArray::randn([b, t, d], 0.0, 1.0, &mut rng);
         let secs = time_best(reps, || {
-            let y = with_pool(&one, || mhsa_forward(&x, &w));
+            let y = mhsa_forward(&x, &w);
             std::hint::black_box(&y);
         });
         let layer_on_tape = MultiHeadSelfAttention::new(d, l, dk, &mut rng);
         let x_on_tape = Tensor::parameter(x.clone());
         let tape_forward = time_best(reps, || {
-            let y = with_pool(&one, || layer_on_tape.forward(&x_on_tape));
+            let y = layer_on_tape.forward(&x_on_tape);
             std::hint::black_box(&y);
         });
         // The node's backward reads only what its forward saved, so one
         // forward serves every repetition (gradients accumulate in place).
         let y = layer_on_tape.forward(&x_on_tape);
         let seed = NdArray::randn([b, t, d], 0.0, 1.0, &mut rng);
-        let tape_backward = time_best(reps, || {
-            with_pool(&one, || y.backward_with(seed.clone()));
-        });
+        let tape_backward = time_best(reps, || y.backward_with(seed.clone()));
         let flops = (4 * 2 * b * t * d * l * dk + 2 * 2 * b * l * t * t * dk) as f64;
         let gflops = flops / secs / 1e9;
         MhsaReport {
@@ -613,8 +550,7 @@ fn bench_graph_commit(
     }
 }
 
-/// Times the full HIM forward and forward+backward across the thread
-/// sweep; loss bits must agree at every thread count.
+/// Times the full HIM tape forward and forward+backward.
 fn bench_him(smoke: bool) -> HimReport {
     let config = if smoke {
         HireConfig::fast().with_context_size(8, 8)
@@ -640,52 +576,17 @@ fn bench_him(smoke: bool) -> HimReport {
     .expect("benchmark context");
 
     let reps = if smoke { 5 } else { 8 };
-    let reference_loss = {
-        let pool = Arc::new(ThreadPool::new(1));
-        with_pool(&pool, || model.context_loss(&ctx, &dataset).item())
-    };
-    let sweep: Vec<HimPoint> = THREAD_SWEEP
-        .iter()
-        .map(|&threads| {
-            let pool = Arc::new(ThreadPool::new(threads));
-            let loss = with_pool(&pool, || model.context_loss(&ctx, &dataset).item());
-            assert_eq!(
-                loss.to_bits(),
-                reference_loss.to_bits(),
-                "HIM loss bits differ at {threads} threads"
-            );
-            let forward = time_best(reps, || {
-                let out = with_pool(&pool, || model.forward(&ctx, &dataset));
-                std::hint::black_box(&out);
-            });
-            let forward_backward = time_best(reps, || {
-                with_pool(&pool, || {
-                    let loss = model.context_loss(&ctx, &dataset);
-                    loss.backward();
-                });
-            });
-            HimPoint {
-                threads,
-                forward_ms: forward * 1e3,
-                forward_backward_ms: forward_backward * 1e3,
-            }
-        })
-        .collect();
-    let ms_at = |threads: usize, f: fn(&HimPoint) -> f64| {
-        sweep
-            .iter()
-            .find(|p| p.threads == threads)
-            .map(f)
-            .expect("sweep covers thread count")
-    };
+    let forward = time_best(reps, || {
+        let out = model.forward(&ctx, &dataset);
+        std::hint::black_box(&out);
+    });
+    let forward_backward = time_best(reps, || model.context_loss(&ctx, &dataset).backward());
     HimReport {
         context_users: config.context_users,
         context_items: config.context_items,
         num_blocks: config.num_blocks,
-        forward_speedup_4t: ms_at(1, |p| p.forward_ms) / ms_at(4, |p| p.forward_ms),
-        forward_backward_speedup_4t: ms_at(1, |p| p.forward_backward_ms)
-            / ms_at(4, |p| p.forward_backward_ms),
-        sweep,
+        forward_ms: forward * 1e3,
+        forward_backward_ms: forward_backward * 1e3,
     }
 }
 
@@ -705,7 +606,6 @@ fn main() {
     };
 
     let host = hire_bench::HostInfo::detect();
-    let host_threads = host.logical_cores;
     eprintln!("compute_bench: {}", host.summary());
 
     // HIM-realistic products: [rows, e] x [e, inner] attention projections
@@ -723,7 +623,7 @@ fn main() {
         .map(|&[n, k, m]| {
             let r = bench_matmul(n, k, m, reps);
             eprintln!(
-                "  matmul {n}x{k}x{m}: ref {:.2} GF/s, scalar 1t {:.2} GF/s, {} 1t {:.2} GF/s ({:.2}x from dispatch)",
+                "  matmul {n}x{k}x{m}: ref {:.2} GF/s, scalar {:.2} GF/s, {} {:.2} GF/s ({:.2}x from dispatch)",
                 r.gflops_reference_1t, r.gflops_scalar_1t, r.isa, r.gflops_blocked_1t, r.dispatch_speedup_1t
             );
             r
@@ -746,24 +646,21 @@ fn main() {
         );
     }
 
-    eprintln!("compute_bench: HIM forward/backward sweep...");
     let him = bench_him(args.smoke);
-    for p in &him.sweep {
-        eprintln!(
-            "  {} thread(s): forward {:.2} ms, forward+backward {:.2} ms",
-            p.threads, p.forward_ms, p.forward_backward_ms
-        );
-    }
     eprintln!(
-        "  4t speedups: forward {:.2}x, forward+backward {:.2}x",
-        him.forward_speedup_4t, him.forward_backward_speedup_4t
+        "  him {}x{}, {} blocks: forward {:.2} ms, forward+backward {:.2} ms",
+        him.context_users,
+        him.context_items,
+        him.num_blocks,
+        him.forward_ms,
+        him.forward_backward_ms
     );
 
     // The serving benchmark's two graphs: the default 600×400 one and the
     // streaming hub graph of its write workload.
-    // After the HIM sweep on purpose: freeing these multi-megabyte graphs
+    // After the HIM section on purpose: freeing these multi-megabyte graphs
     // first leaves the main thread's heap trimming on every tape forward,
-    // which triples the sweep's 1-thread point and nothing else.
+    // which triples its time and nothing else.
     let small = Arc::new(SyntheticConfig::movielens_like().generate(43).graph());
     let (_, hub) = SyntheticConfig::million_scale()
         .scaled(50_000, 10_000, (4, 16))
@@ -817,16 +714,6 @@ fn main() {
         );
     }
 
-    // The "4 threads no slower than 1" gate only means something when the
-    // host can actually run 4 threads at once; on smaller machines the
-    // extra workers just contend for the same cores.
-    let smoke_gate_failed =
-        args.smoke && host_threads >= 4 && him.forward_speedup_4t < 1.0 / SMOKE_TOLERANCE;
-    if args.smoke && host_threads < 4 {
-        eprintln!(
-            "compute_bench: smoke gate skipped (host has {host_threads} hardware threads, need 4)"
-        );
-    }
     // ISA gate: a host that dispatched avx2 or better must see the SIMD win
     // on every smoke shape, else the dispatcher or the micro-kernel
     // regressed.
@@ -844,7 +731,6 @@ fn main() {
     }
     let report = KernelBenchReport {
         smoke: args.smoke,
-        host_threads,
         host,
         matmul,
         mhsa,
@@ -855,12 +741,7 @@ fn main() {
     write_json_atomic(&args.out, &report).expect("write BENCH_KERNELS.json");
     eprintln!("compute_bench: report written to {}", args.out);
 
-    if smoke_gate_failed {
-        eprintln!(
-            "compute_bench: SMOKE GATE FAILED — 4-thread HIM forward is more than {SMOKE_TOLERANCE}x slower than 1-thread"
-        );
-    }
-    if smoke_gate_failed || isa_gate_failed || commit_gate_failed {
+    if isa_gate_failed || commit_gate_failed {
         std::process::exit(1);
     }
 }

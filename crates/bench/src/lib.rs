@@ -208,11 +208,10 @@ pub struct ScenarioReport {
 /// The report keeps spec order and every model trains from its own fixed
 /// seed, so *results* are independent of scheduling.
 ///
-/// With a `--model-budget`, specs run serially on a dedicated lane
-/// instead: a wall-clock budget measured while other models compete for
-/// the same cores would mean something different than it did in pre-pool
-/// reports, so the budgeted path keeps one model on the clock at a time —
-/// each model still uses the full pool internally for its kernels.
+/// With a `--model-budget`, specs run serially instead: a wall-clock
+/// budget measured while other models compete for the same cores would
+/// mean something different than it did in pre-pool reports, so the
+/// budgeted path keeps one model on the clock at a time.
 pub fn run_scenario_with_specs(
     dataset: &Dataset,
     kind: DatasetKind,
@@ -270,9 +269,7 @@ pub fn run_scenario(
 }
 
 /// Host execution environment, embedded in benchmark JSON reports so a
-/// recorded number can be read against the machine that produced it —
-/// a thread-sweep "speedup" measured on a 1-core container means
-/// something very different from the same number on an 8-core host.
+/// recorded number can be read against the machine that produced it.
 #[derive(Debug, Clone, Serialize)]
 pub struct HostInfo {
     /// Logical CPU cores visible to this process.
@@ -283,8 +280,8 @@ pub struct HostInfo {
     pub isa_features: Vec<String>,
     /// Raw `HIRE_THREADS` value from the environment, if set.
     pub hire_threads_env: Option<String>,
-    /// Size of the `hire-par` global pool — the effective thread count
-    /// kernels actually ran with after flags and env were applied.
+    /// Size of the `hire-par` global pool — how many models of a table
+    /// train side by side (kernels themselves run on their caller's thread).
     pub compute_pool_threads: usize,
     /// Kernel path the SIMD dispatcher resolved to for this process
     /// (`scalar` | `avx2` | `avx512`) — the ISA every recorded
@@ -297,8 +294,7 @@ pub struct HostInfo {
 
 impl HostInfo {
     /// Snapshots the current host. Reads (and, if needed, initializes)
-    /// the global compute pool, so call it after any `--threads`
-    /// override has been installed.
+    /// the global pool.
     pub fn detect() -> Self {
         #[allow(unused_mut)]
         let mut isa_features: Vec<String> = Vec::new();

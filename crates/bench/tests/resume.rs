@@ -3,13 +3,16 @@
 //! final report set (timings aside) as an uninterrupted sweep, reusing the
 //! finished scenarios and re-running failed ones.
 
-use hire_baselines::{EntityMean, GlobalMean, RatingModel};
-use hire_bench::{run_sweep, DatasetKind, HarnessArgs, ScenarioReport};
+use hire_baselines::{GlobalMean, RatingModel};
+use hire_bench::{run_sweep, DatasetKind, HarnessArgs};
 use hire_data::Dataset;
-use hire_eval::{EvalStatus, ModelSpec, SpeedTier};
+use hire_eval::{EvalStatus, ModelSpec};
 use hire_graph::BipartiteGraph;
 use rand::rngs::StdRng;
 use std::path::PathBuf;
+
+mod support;
+use support::{cheap_specs, comparable};
 
 /// Self-cleaning temp dir (removed on drop even when the test fails).
 struct TempDir(PathBuf);
@@ -34,45 +37,10 @@ impl Drop for TempDir {
 
 fn args(checkpoint_dir: Option<PathBuf>, resume: bool) -> HarnessArgs {
     HarnessArgs {
-        tier: SpeedTier::Smoke,
-        seed: 3,
-        max_entities: 3,
-        model_budget: None,
-        out: None,
         checkpoint_dir,
         resume,
+        ..support::args()
     }
-}
-
-fn cheap_specs() -> Vec<ModelSpec> {
-    vec![
-        ModelSpec::new("GlobalMean", || Box::new(GlobalMean::new()) as _),
-        ModelSpec::new("EntityMean", || Box::new(EntityMean::new()) as _),
-    ]
-}
-
-/// One model's row of a scenario report without its wall-clock timings.
-type ComparableRow = (String, String, Vec<(usize, f32, f32, f32)>, usize, bool);
-
-/// Everything except wall-clock timings, flattened for comparison.
-fn comparable(reports: &[ScenarioReport]) -> Vec<ComparableRow> {
-    reports
-        .iter()
-        .flat_map(|r| {
-            r.results.iter().map(move |m| {
-                (
-                    r.scenario.clone(),
-                    m.model.clone(),
-                    m.at_k
-                        .iter()
-                        .map(|k| (k.k, k.precision, k.ndcg, k.map))
-                        .collect(),
-                    m.entities,
-                    m.status.is_ok(),
-                )
-            })
-        })
-        .collect()
 }
 
 #[test]

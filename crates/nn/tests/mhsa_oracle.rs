@@ -2,7 +2,7 @@
 //! tiles over strided views → `W_O`) against the composition it replaced —
 //! head-split `permute`, `bmm` with a materialized `Kᵀ`, `softmax_last`,
 //! `bmm`, merge `permute` — kept here as the oracle, **bitwise**, on every
-//! ISA the host can run, at pool sizes 1 and 4, for f32 and int8
+//! ISA the host can run, for f32 and int8
 //! weights; and the softmax rows `attention_probs_into` emits for the
 //! tape's backward against the oracle's `softmax_last`, bitwise too. The
 //! token counts straddle the softmax row kernel's 8-wide
@@ -11,13 +11,11 @@
 //! group.
 
 use hire_nn::{mhsa_forward_into, mhsa_forward_with_isa, mhsa_workspace_len, MhsaWeights};
-use hire_par::{with_pool, ThreadPool};
 use hire_tensor::simd::Isa;
 use hire_tensor::{linalg, AttnGrid, NdArray, QuantMode, QuantizedTensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// The unfused MHSA forward exactly as `hire_nn::mhsa_forward` composed it
 /// before the tile kernel (and as the tape's `MultiHeadSelfAttention` still
@@ -112,7 +110,7 @@ fn random_weights(d: usize, l: usize, dk: usize, rng: &mut StdRng) -> MhsaWeight
     }
 }
 
-/// Fused vs oracle at one shape: all ISAs × pools {1, 4} × {f32, int8}.
+/// Fused vs oracle at one shape: all ISAs × {f32, int8}.
 /// The quantized forward is held to the oracle run on the *dequantized*
 /// weights (its declared contract).
 fn assert_matches_oracle(b: usize, t: usize, d: usize, l: usize, dk: usize, seed: u64) {
@@ -124,19 +122,15 @@ fn assert_matches_oracle(b: usize, t: usize, d: usize, l: usize, dk: usize, seed
     for isa in Isa::available() {
         let (want, want_probs) = reference_mhsa_with_weights(&x, &w, isa);
         let want_quant = reference_mhsa(&x, &quantized.map(QuantizedTensor::dequantize), isa);
-        for threads in [1, 4] {
-            with_pool(&Arc::new(ThreadPool::new(threads)), || {
-                let tag = format!("b={b} t={t} d={d} l={l} dk={dk} {isa:?} x{threads}");
-                let got = mhsa_forward_with_isa(&x, &w, isa);
-                assert_eq!(got.dims(), want.dims(), "{tag}");
-                assert_eq!(got.as_slice(), want.as_slice(), "f32 {tag}");
-                let got_probs = emitted_probs(&x, &w, isa);
-                assert_eq!(got_probs.dims(), want_probs.dims(), "{tag}");
-                assert_eq!(got_probs.as_slice(), want_probs.as_slice(), "probs {tag}");
-                let got = mhsa_forward_with_isa(&x, &quantized, isa);
-                assert_eq!(got.as_slice(), want_quant.as_slice(), "int8 {tag}");
-            });
-        }
+        let tag = format!("b={b} t={t} d={d} l={l} dk={dk} {isa:?}");
+        let got = mhsa_forward_with_isa(&x, &w, isa);
+        assert_eq!(got.dims(), want.dims(), "{tag}");
+        assert_eq!(got.as_slice(), want.as_slice(), "f32 {tag}");
+        let got_probs = emitted_probs(&x, &w, isa);
+        assert_eq!(got_probs.dims(), want_probs.dims(), "{tag}");
+        assert_eq!(got_probs.as_slice(), want_probs.as_slice(), "probs {tag}");
+        let got = mhsa_forward_with_isa(&x, &quantized, isa);
+        assert_eq!(got.as_slice(), want_quant.as_slice(), "int8 {tag}");
     }
 }
 
@@ -178,35 +172,31 @@ proptest! {
                 &reference_mhsa(&by_sequence, &w, isa).reshaped([outer, inner, t, d]),
                 &[0, 2, 1, 3],
             );
-            for threads in [1, 4] {
-                with_pool(&Arc::new(ThreadPool::new(threads)), || {
-                    // Poisoned workspace and output: nothing may be read
-                    // before it is written.
-                    let mut workspace = vec![f32::NAN; mhsa_workspace_len(layout, &w)];
-                    let mut y = vec![f32::NAN; x.numel()];
-                    mhsa_forward_into(x.as_slice(), layout, &w, isa, &mut workspace, &mut y);
-                    assert_eq!(
-                        y.as_slice(),
-                        want.as_slice(),
-                        "outer={outer} t={t} inner={inner} l={l} dk={dk} {isa:?} x{threads}"
-                    );
-                });
-            }
+            // Poisoned workspace and output: nothing may be read before
+            // it is written.
+            let mut workspace = vec![f32::NAN; mhsa_workspace_len(layout, &w)];
+            let mut y = vec![f32::NAN; x.numel()];
+            mhsa_forward_into(x.as_slice(), layout, &w, isa, &mut workspace, &mut y);
+            assert_eq!(
+                y.as_slice(),
+                want.as_slice(),
+                "outer={outer} t={t} inner={inner} l={l} dk={dk} {isa:?}"
+            );
         }
     }
 }
 
 /// HIM's own shapes at a 16×16 context with 4×8 heads — MBA's 1024 tiles
-/// (5 or 9 attributes of width 8) span several parallel chunks and 64/128
-/// full lane groups — plus ragged groups and chunks, and token counts past
+/// (5 or 9 attributes of width 8) fill 64/128 whole lane groups — plus
+/// ragged groups, and token counts past
 /// the point (`t·dk·t > 16384`) where the oracle's `bmm` switches from the
 /// small-product to the packed, blocked matmul path.
 #[test]
-fn him_shapes_match_oracle_across_chunks() {
+fn him_shapes_match_oracle() {
     assert_matches_oracle(256, 5, 8, 4, 8, 1); // MBA, 5 attributes
     assert_matches_oracle(256, 9, 8, 4, 8, 2); // MBA, 9 attributes
     assert_matches_oracle(16, 16, 72, 4, 8, 3); // MBU / MBI
-    assert_matches_oracle(203, 3, 8, 3, 4, 4); // ragged lane groups and chunks
+    assert_matches_oracle(203, 3, 8, 3, 4, 4); // ragged lane groups
     assert_matches_oracle(5, 33, 12, 2, 8, 5);
     assert_matches_oracle(3, 48, 12, 3, 8, 6); // oracle on the blocked path
 }

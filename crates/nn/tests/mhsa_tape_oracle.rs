@@ -8,19 +8,16 @@
 //! **bitwise**; `dX` and all four `dW` within 1e-5 of the composed
 //! backward, relative to the gradient's largest entry (the two backwards
 //! sum in different orders, and the composed one reduces its softmax rows
-//! in f64); and the fused gradients must be the same bits at every pool
-//! size. Tensor ops dispatch on the process's ISA, so each ISA is one run of
-//! this file under `HIRE_ISA` (CI's matrix); per-ISA in one process is
+//! in f64). Tensor ops dispatch on the process's ISA, so each ISA is one run
+//! of this file under `HIRE_ISA` (CI's matrix); per-ISA in one process is
 //! `mhsa_oracle.rs` (forward and softmax rows) and
-//! `hire-tensor`'s `parallel_determinism.rs` (backward tiles).
+//! `hire-tensor`'s `kernel_oracles.rs` (backward tiles).
 
 use hire_nn::{Module, MultiHeadSelfAttention};
-use hire_par::{with_pool, ThreadPool};
 use hire_tensor::{NdArray, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// The composed MHSA over `x` read as `[outer, tokens, inner]` rows of the
 /// model dim: HIM's outer permutes (token axis next to the features), then
@@ -108,44 +105,31 @@ fn assert_matches_composed(
     let (want_out, want_weights) = composed_mhsa(&x, &weights, (l, dk), layout);
     let want_grads = grads_of(&want_out, &seed, &x, &weights);
 
-    let mut at_one_thread: Option<Vec<Vec<u32>>> = None;
-    for threads in [1, 2, 4, 7] {
-        with_pool(&Arc::new(ThreadPool::new(threads)), || {
-            let x = Tensor::parameter(x_value.clone());
-            let got = mhsa.forward_layout(&x, layout);
-            assert_eq!(got.output.dims(), shape, "{tag}");
-            assert_eq!(
-                bits(&got.output.value()),
-                bits(&want_out.value()),
-                "{tag} x{threads}: forward"
-            );
-            let got_weights = got.weights();
-            assert_eq!(got_weights.dims(), want_weights.dims(), "{tag}");
-            assert_eq!(
-                bits(&got_weights),
-                bits(&want_weights),
-                "{tag} x{threads}: attention weights"
-            );
+    let x = Tensor::parameter(x_value);
+    let got = mhsa.forward_layout(&x, layout);
+    assert_eq!(got.output.dims(), shape, "{tag}");
+    assert_eq!(
+        bits(&got.output.value()),
+        bits(&want_out.value()),
+        "{tag}: forward"
+    );
+    let got_weights = got.weights();
+    assert_eq!(got_weights.dims(), want_weights.dims(), "{tag}");
+    assert_eq!(
+        bits(&got_weights),
+        bits(&want_weights),
+        "{tag}: attention weights"
+    );
 
-            let got_grads = grads_of(&got.output, &seed, &x, &weights);
-            for (which, (got, want)) in got_grads.iter().zip(&want_grads).enumerate() {
-                let scale = want.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                let diff = got.max_abs_diff(want);
-                assert!(
-                    diff <= 1e-5 * scale,
-                    "{tag} x{threads}: gradient {which} (0 = x, 1..4 = w_q w_k w_v w_o) is \
-                     {diff} off on a largest entry of {scale}"
-                );
-            }
-            let got_bits: Vec<Vec<u32>> = got_grads.iter().map(bits).collect();
-            match &at_one_thread {
-                None => at_one_thread = Some(got_bits),
-                Some(reference) => assert_eq!(
-                    &got_bits, reference,
-                    "{tag}: gradient bits differ between 1 and {threads} threads"
-                ),
-            }
-        });
+    let got_grads = grads_of(&got.output, &seed, &x, &weights);
+    for (which, (got, want)) in got_grads.iter().zip(&want_grads).enumerate() {
+        let scale = want.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let diff = got.max_abs_diff(want);
+        assert!(
+            diff <= 1e-5 * scale,
+            "{tag}: gradient {which} (0 = x, 1..4 = w_q w_k w_v w_o) is \
+             {diff} off on a largest entry of {scale}"
+        );
     }
 }
 

@@ -1,5 +1,8 @@
-//! A vendored, dependency-free work-stealing thread pool for the compute
-//! stack (`hire-tensor` kernels, serving forwards, benchmark fan-out).
+//! A vendored, dependency-free work-stealing thread pool for the one grain
+//! of parallelism the workspace has: independent units of work — the shards
+//! of a `ShardedEngine` batch, the models of a harness table. Kernels and
+//! forwards do not fan out; they run on whichever thread calls them, a pool
+//! task's included (DESIGN.md §11).
 //!
 //! # Design
 //!
@@ -21,11 +24,10 @@
 //!
 //! Chunk boundaries depend **only** on `(len, grain)` — never on the thread
 //! count, the pool, or timing. Every index `i < len` lands in exactly the
-//! chunk `[i - i % grain, min(len, i - i % grain + grain))`. Callers that
-//! write disjoint output regions per index are therefore bit-exact for any
-//! thread count, and callers that reduce combine per-chunk partials in
-//! ascending chunk order ([`ThreadPool::parallel_map_chunks`]) get the same
-//! floating-point operation sequence on 1 thread and on N.
+//! chunk `[i - i % grain, min(len, i - i % grain + grain))`, and
+//! [`ThreadPool::parallel_map_chunks`] returns per-chunk values in ascending
+//! chunk order, so a caller sees the same values in the same order on 1
+//! thread and on N.
 //!
 //! # Panic propagation
 //!
@@ -38,7 +40,10 @@
 //!
 //! A `parallel_for` issued from inside a pool task runs inline on the
 //! executing thread (no new tasks are queued), so nested data parallelism
-//! can never deadlock and outer-level parallelism wins.
+//! can never deadlock and outer-level parallelism wins. The marker is
+//! thread-local: a thread a task *spawns* (the harness's per-model isolation
+//! thread) does not carry it, so only independent top-level work belongs on
+//! the pool.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -340,34 +345,6 @@ impl ThreadPool {
             .collect()
     }
 
-    /// Runs two closures, potentially in parallel, returning both results.
-    /// Panics in either branch propagate to the caller after both finish
-    /// or are abandoned.
-    pub fn join<A: Send, B: Send>(
-        &self,
-        fa: impl FnOnce() -> A + Send,
-        fb: impl FnOnce() -> B + Send,
-    ) -> (A, B) {
-        let fa = Mutex::new(Some(fa));
-        let fb = Mutex::new(Some(fb));
-        let ra: Mutex<Option<A>> = Mutex::new(None);
-        let rb: Mutex<Option<B>> = Mutex::new(None);
-        self.parallel_for(2, 1, |range| {
-            for i in range {
-                if i == 0 {
-                    let f = fa.lock().unwrap().take().expect("branch a runs once");
-                    *ra.lock().unwrap() = Some(f());
-                } else {
-                    let f = fb.lock().unwrap().take().expect("branch b runs once");
-                    *rb.lock().unwrap() = Some(f());
-                }
-            }
-        });
-        let a = ra.into_inner().unwrap().expect("branch a finished");
-        let b = rb.into_inner().unwrap().expect("branch b finished");
-        (a, b)
-    }
-
     /// Pushes the scope's chunks and participates until every one finished.
     fn run_scope(&self, len: usize, grain: usize, body: &(dyn Fn(usize, usize) + Sync)) {
         let chunks = len.div_ceil(grain);
@@ -503,9 +480,9 @@ pub fn set_global_threads(threads: usize) -> Result<(), usize> {
 }
 
 /// Runs `f` with `pool` as the calling thread's active pool: every
-/// [`parallel_for`]/[`parallel_map_chunks`]/[`join`] free function reached
-/// from `f` (on this thread) uses it instead of the global pool. Supports
-/// nesting; used by thread-sweep benchmarks and 1-vs-N determinism tests.
+/// [`parallel_map_chunks`] free-function call reached from `f` (on this
+/// thread) uses it instead of the global pool. Supports nesting; used by
+/// tests that pin a fan-out's width.
 pub fn with_pool<R>(pool: &Arc<ThreadPool>, f: impl FnOnce() -> R) -> R {
     ACTIVE_POOL.with(|stack| stack.borrow_mut().push(pool.clone()));
     struct Pop;
@@ -528,11 +505,6 @@ pub fn active_pool() -> Arc<ThreadPool> {
         .unwrap_or_else(|| global().clone())
 }
 
-/// [`ThreadPool::parallel_for`] on the active pool.
-pub fn parallel_for(len: usize, grain: usize, f: impl Fn(Range<usize>) + Sync) {
-    active_pool().parallel_for(len, grain, f)
-}
-
 /// [`ThreadPool::parallel_map_chunks`] on the active pool.
 pub fn parallel_map_chunks<T: Send>(
     len: usize,
@@ -540,36 +512,6 @@ pub fn parallel_map_chunks<T: Send>(
     f: impl Fn(Range<usize>) -> T + Sync,
 ) -> Vec<T> {
     active_pool().parallel_map_chunks(len, grain, f)
-}
-
-/// [`ThreadPool::join`] on the active pool.
-pub fn join<A: Send, B: Send>(
-    fa: impl FnOnce() -> A + Send,
-    fb: impl FnOnce() -> B + Send,
-) -> (A, B) {
-    active_pool().join(fa, fb)
-}
-
-/// A raw mutable pointer that asserts `Send + Sync`, for kernels whose
-/// tasks write provably disjoint regions of one output buffer. The caller
-/// is responsible for the disjointness argument.
-#[derive(Debug, Clone, Copy)]
-pub struct SendPtr<T>(pub *mut T);
-
-// SAFETY: asserted by the constructor site — tasks write disjoint regions.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Reconstitutes a mutable sub-slice `[offset, offset + len)`.
-    ///
-    /// # Safety
-    /// The region must be in bounds of the original allocation and not
-    /// aliased by any concurrently accessed region.
-    #[allow(clippy::mut_from_ref)] // the whole point: Copy handle, disjoint writes
-    pub unsafe fn slice_mut(&self, offset: usize, len: usize) -> &mut [T] {
-        std::slice::from_raw_parts_mut(self.0.add(offset), len)
-    }
 }
 
 #[cfg(test)]
@@ -608,14 +550,6 @@ mod tests {
         let pool = ThreadPool::new(3);
         let starts = pool.parallel_map_chunks(25, 4, |range| range.start);
         assert_eq!(starts, vec![0, 4, 8, 12, 16, 20, 24]);
-    }
-
-    #[test]
-    fn join_returns_both_branches() {
-        let pool = ThreadPool::new(2);
-        let (a, b) = pool.join(|| 2 + 2, || "ok".to_string());
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
     }
 
     /// Regression for a use-after-free race in scope completion: the

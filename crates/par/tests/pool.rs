@@ -68,16 +68,6 @@ fn nested_parallel_for_does_not_deadlock() {
 }
 
 #[test]
-fn nested_join_does_not_deadlock() {
-    let pool = ThreadPool::new(2);
-    let (a, b) = pool.join(
-        || pool.join(|| 1usize, || 2usize),
-        || pool.join(|| 3usize, || 4usize),
-    );
-    assert_eq!((a, b), ((1, 2), (3, 4)));
-}
-
-#[test]
 fn single_thread_env_degrades_to_inline() {
     // HIRE_THREADS=1 builds a 1-lane pool; everything runs on the caller.
     assert_eq!(hire_par::threads_from_env_value(Some("1")), 1);

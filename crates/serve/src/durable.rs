@@ -164,10 +164,12 @@ fn decode_source(r: &mut PayloadReader<'_>) -> HireResult<SlotSource> {
         1 => {
             let steps = r.take_u64("source steps")?;
             let len = r.take_u32("source tag len")? as usize;
-            let mut bytes = Vec::with_capacity(len);
-            for _ in 0..len {
-                bytes.push(r.take_u8("source tag byte")?);
-            }
+            // No reservation from `len`, which is read from disk: the tag
+            // grows by the bytes actually there, and a bit-flipped length
+            // runs off the payload's end as a typed error.
+            let bytes = (0..len)
+                .map(|_| r.take_u8("source tag byte"))
+                .collect::<HireResult<Vec<u8>>>()?;
             let tag = String::from_utf8(bytes).map_err(|_| {
                 HireError::invalid_data("ServingSnapshot", "source tag is not UTF-8")
             })?;
@@ -586,6 +588,26 @@ mod tests {
                 decode_snapshot(&payload[..cut], "test").is_err(),
                 "cut at {cut} must fail"
             );
+        }
+
+        // A tag length the payload cannot hold — every bit set — is the same
+        // typed error, not a 4 GiB reservation. The payload ends `u32 tag
+        // len | tag | u64 current version | u64 next version`.
+        let mut tagged = snap;
+        tagged.lineage.current.0 = SlotSource::Checkpoint {
+            tag: "x".to_string(),
+            steps: 7,
+        };
+        let mut payload = encode_snapshot(&tagged).expect("encode");
+        decode_snapshot(&payload, "test").expect("the unedited payload decodes");
+        let len_at = payload.len() - (8 + 8 + 1 + 4);
+        assert_eq!(payload[len_at..len_at + 4], 1u32.to_le_bytes());
+        payload[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        match decode_snapshot(&payload, "test") {
+            Err(HireError::CorruptCheckpoint { message, .. }) => {
+                assert!(message.contains("source tag byte"), "{message}")
+            }
+            other => panic!("expected a typed truncation error, got {other:?}"),
         }
     }
 

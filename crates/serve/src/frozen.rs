@@ -313,8 +313,7 @@ impl FrozenModel {
     /// [`Self::forward_nograd_batch`] with a deadline budget: `Ok(None)` if
     /// the deadline passed before the block stack started, so a serving
     /// worker never sinks a full forward into a query that already timed
-    /// out. Encodes fan out over the `hire-par` pool; results are
-    /// bit-identical for any thread count.
+    /// out.
     pub fn forward_nograd_batch_within(
         &self,
         ctxs: &[&PredictionContext],

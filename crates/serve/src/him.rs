@@ -13,8 +13,9 @@
 //! # Shape of the computation
 //!
 //! A call owns one workspace, sized from the shapes and freed on return:
-//! two `[B·n·m, e]` activation buffers and one MHSA workspace. Contexts are
-//! encoded straight into the first buffer. Every attention layer then
+//! two `[B·n·m, e]` activation buffers and one MHSA workspace, `B` at most
+//! `STACK` contexts (a longer batch goes through it a stack at a time).
+//! Contexts are encoded straight into the first buffer. Every attention layer then
 //! projects all `B·n·m` rows (MBA: all `B·n·m·h` attribute rows) at once —
 //! projection is row-wise, so MBU, MBI and MBA differ only in the
 //! `[outer, tokens, inner]` view handed to `hire_nn::mhsa_forward_into`:
@@ -27,15 +28,15 @@
 //! ISA (DESIGN.md §9, §16), so the f32 instance is **bit-identical** to the
 //! live model it was exported from (`tests/equivalence.rs`), and the
 //! quantized instance is bit-identical to the f32 instance run on the
-//! dequantized weights (unit test in `crate::quant`). All kernels are bit-exact across
-//! thread counts, and so is everything here.
+//! dequantized weights (unit test in `crate::quant`). Everything runs on the
+//! calling thread (DESIGN.md §11): a `Server` worker owns its batch's
+//! forward from encode to decode.
 
 use hire_data::{Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
 use hire_nn::{mhsa_forward_into, mhsa_workspace_len, MhsaWeights};
 use hire_tensor::simd::{self, Isa};
 use hire_tensor::{linalg, NdArray, WeightMatrix};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// `LayerNorm::new` hard-codes this epsilon; the no-grad mirror must match.
@@ -43,6 +44,12 @@ const LAYER_NORM_EPS: f32 = 1e-5;
 
 /// Error context of everything the forward rejects.
 const LABEL: &str = "HIM forward";
+
+/// Contexts stacked into one pass of the block stack — `ServerConfig`'s
+/// default `max_batch`, so a direct caller's larger batch works in the memory
+/// a served one does (≈ 1 MiB a 16×16 context) instead of in proportion to
+/// its length.
+const STACK: usize = 8;
 
 /// LayerNorm affine parameters. Always f32: they are vectors — negligible
 /// memory, and norms are sensitive to weight rounding.
@@ -343,19 +350,16 @@ impl<W: WeightMatrix> HimWeights<W> {
     /// Batched tape-free forward over contexts of identical shape, with a
     /// deadline budget: one `[n, m]` prediction matrix per context, each
     /// bit-identical to the single-context [`Self::forward_nograd`]. The
-    /// forward checks the clock between per-context encodes and before the
-    /// block stack, and returns `Ok(None)` if the deadline passed — so a
-    /// serving worker never sinks a full forward into a query that already
-    /// timed out. (The block stack itself runs to completion once started;
+    /// forward checks the clock between per-context encodes and before each
+    /// pass of the block stack, and returns `Ok(None)` if the deadline
+    /// passed — so a serving worker never sinks a full forward into a query
+    /// that already timed out. (A pass runs to completion once started;
     /// encode dominates setup cost and the checks bound the overshoot to
-    /// one stacked forward.)
+    /// one pass over [`STACK`] contexts.)
     ///
-    /// Per-context encodes fan out across the `hire-par` pool, each writing
-    /// its own disjoint slab of the stacked input — so the encoded batch
-    /// (and everything downstream) stays bit-identical for any thread
-    /// count. A deadline hit on any worker raises a shared flag; encode
-    /// errors are reported in ascending context order and take precedence
-    /// over the (wall-clock-dependent) deadline outcome.
+    /// Contexts are encoded in order, each into its own slab of the stacked
+    /// input, so the first bad context is the one reported — ahead of a
+    /// deadline that passes after it.
     pub(crate) fn forward_nograd_batch_within(
         &self,
         ctxs: &[&PredictionContext],
@@ -367,7 +371,6 @@ impl<W: WeightMatrix> HimWeights<W> {
             return Ok(Some(Vec::new()));
         };
         let (n, m) = (first.n(), first.m());
-        let bsz = ctxs.len();
         let e = self.embed_dim();
         for ctx in ctxs {
             if ctx.n() != n || ctx.m() != m {
@@ -381,44 +384,32 @@ impl<W: WeightMatrix> HimWeights<W> {
                 ));
             }
         }
-        let slab = n * m * e;
-        let total = bsz * slab;
+        let (slab, most) = (n * m * e, ctxs.len().min(STACK));
         // The call's whole working memory: two activation buffers and the
         // MHSA workspace, one allocation, sized by the shapes alone.
-        let mut memory = vec![0.0f32; 2 * total + self.attention_workspace_len(bsz, n, m)];
-        let (x, rest) = memory.split_at_mut(total);
-        let (y, workspace) = rest.split_at_mut(total);
-        let x_ptr = hire_par::SendPtr(x.as_mut_ptr());
-        let timed_out = AtomicBool::new(false);
-        let outcomes: Vec<HireResult<()>> = hire_par::parallel_map_chunks(bsz, 1, |rr| {
-            for bi in rr {
-                if timed_out.load(Ordering::Relaxed) || expired() {
-                    timed_out.store(true, Ordering::Relaxed);
-                    return Ok(());
-                }
-                debug_assert!((bi + 1) * slab <= total, "slab {bi} ends past the stack");
-                // SAFETY: chunks partition `0..bsz`, so each `bi` is visited
-                // once and its slab `[bi * slab, (bi + 1) * slab)` is
-                // disjoint from every other and inside `x`.
-                let out = unsafe { x_ptr.slice_mut(bi * slab, slab) };
-                self.encode_into(ctxs[bi], dataset, out)?;
-            }
-            Ok(())
-        });
-        for outcome in outcomes {
-            outcome?;
-        }
-        if timed_out.load(Ordering::Relaxed) || expired() {
-            return Ok(None);
-        }
+        let mut memory = vec![0.0f32; 2 * most * slab + self.attention_workspace_len(most, n, m)];
         let isa = simd::active_isa();
-        let (hidden, spare) = self.run_blocks(x, y, workspace, [bsz, n, m], isa);
-        let preds = self.decode(hidden, spare, bsz * n * m, isa);
-        Ok(Some(
-            preds
-                .chunks(n * m)
-                .map(|chunk| NdArray::from_vec(vec![n, m], chunk.to_vec()))
-                .collect(),
-        ))
+        let mut preds = Vec::with_capacity(ctxs.len());
+        for stack in ctxs.chunks(STACK) {
+            let total = stack.len() * slab;
+            let (x, rest) = memory.split_at_mut(total);
+            let (y, workspace) = rest.split_at_mut(total);
+            for (bi, ctx) in stack.iter().enumerate() {
+                if expired() {
+                    return Ok(None);
+                }
+                self.encode_into(ctx, dataset, &mut x[bi * slab..(bi + 1) * slab])?;
+            }
+            if expired() {
+                return Ok(None);
+            }
+            let (hidden, spare) = self.run_blocks(x, y, workspace, [stack.len(), n, m], isa);
+            let out = self.decode(hidden, spare, stack.len() * n * m, isa);
+            preds.extend(
+                out.chunks(n * m)
+                    .map(|chunk| NdArray::from_vec(vec![n, m], chunk.to_vec())),
+            );
+        }
+        Ok(Some(preds))
     }
 }

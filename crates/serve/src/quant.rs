@@ -14,8 +14,8 @@
 //!
 //! Determinism: dequantization is a pure per-element function and the
 //! products are the f32 kernels', so quantized predictions are
-//! bit-identical across thread counts — and bit-identical to the f32
-//! forward run on the dequantized weights (unit test below).
+//! bit-identical to the f32 forward run on the dequantized weights (unit
+//! test below).
 //!
 //! Error bound: every compressed tensor records its worst per-element
 //! reconstruction error; [`QuantizedModel::max_weight_err`] is the max
@@ -114,15 +114,13 @@ mod tests {
     use hire_core::{HireConfig, HireModel};
     use hire_data::{training_context, SyntheticConfig};
     use hire_graph::NeighborhoodSampler;
-    use hire_par::{with_pool, ThreadPool};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
 
     /// One code path: the quantized forward *is* the f32 forward, so a
     /// `FrozenModel` over the dequantized weights agrees with the
     /// `QuantizedModel` to the bit at whole-model level — single and
-    /// batched, pools of 1 and 4 threads.
+    /// batched.
     #[test]
     fn quantized_forward_is_the_frozen_forward_on_dequantized_weights() {
         let dataset = SyntheticConfig::movielens_like()
@@ -147,21 +145,17 @@ mod tests {
             weights: quant.weights.map(QuantizedTensor::dequantize),
             config: config.clone(),
         };
-        for threads in [1, 4] {
-            with_pool(&Arc::new(ThreadPool::new(threads)), || {
-                for ctx in &ctxs {
-                    let got = quant.forward_nograd(ctx, &dataset).expect("quantized");
-                    let want = oracle.forward_nograd(ctx, &dataset).expect("f32");
-                    assert_eq!(got.as_slice(), want.as_slice(), "x{threads}");
-                }
-                let got = quant
-                    .forward_nograd_batch_within(&batch, &dataset, None)
-                    .expect("quantized batch");
-                let want = oracle
-                    .forward_nograd_batch_within(&batch, &dataset, None)
-                    .expect("f32 batch");
-                assert_eq!(got, want, "x{threads} batched");
-            });
+        for ctx in &ctxs {
+            let got = quant.forward_nograd(ctx, &dataset).expect("quantized");
+            let want = oracle.forward_nograd(ctx, &dataset).expect("f32");
+            assert_eq!(got.as_slice(), want.as_slice());
         }
+        let got = quant
+            .forward_nograd_batch_within(&batch, &dataset, None)
+            .expect("quantized batch");
+        let want = oracle
+            .forward_nograd_batch_within(&batch, &dataset, None)
+            .expect("f32 batch");
+        assert_eq!(got, want, "batched");
     }
 }

@@ -7,19 +7,21 @@
 //! caller-provided buffers over the same per-ISA kernels; in-place
 //! arithmetic on arrays lives on [`NdArray`] (`add_assign` and friends).
 //!
-//! # Parallelism and determinism
+//! # Threads and determinism
 //!
-//! The hot kernels (matmul family, softmax, layer norm, reductions) run on
-//! the `hire-par` pool and dispatch through [`crate::simd`] to the best
-//! instruction set the host supports (`scalar`/`avx2`/`avx512`,
-//! overridable via `HIRE_ISA`). Results are **bit-exact for every thread count on every
-//! ISA**: parallelism only splits *independent output regions* (matrix
-//! rows, softmax rows, batch entries), and every reduction either stays
-//! inside one region (a single register lane walking `k` in ascending
-//! order) or combines fixed-size chunk partials in ascending chunk order
-//! via `parallel_map_chunks`, whose chunk grid depends only on the problem
-//! shape, never on the thread count. Across ISAs, scalar is
-//! bit-identical to [`matmul_reference`]; avx2 follows the documented
+//! Every kernel runs on the thread that calls it (DESIGN.md §11): HIM's
+//! operands are a prediction context's — microseconds of work — so the
+//! grain that pays is whole contexts, shards and models, one level up. The
+//! hot kernels (matmul family, softmax, attention, layer norm, reductions)
+//! dispatch through [`crate::simd`] to the best instruction set the host
+//! supports (`scalar`/`avx2`/`avx512`, overridable via `HIRE_ISA`), and
+//! results are **deterministic per ISA**: every reduction stays inside one
+//! output element (a single register lane walking `k` in ascending order),
+//! except two whose float order is a fixed chunk grid — [`norm_sq_f64`]
+//! (4096-element `f64` partials) and [`layer_norm_backward_last`]'s
+//! `dgamma`/`dbeta` (`f32` partials per 4096 / `w` rows) — folded in
+//! ascending chunk order (`tests/reduction_order.rs`). Across ISAs, scalar
+//! is bit-identical to [`matmul_reference`]; avx2 follows the documented
 //! relaxation in the [`crate::simd`] module docs (FMA chains, lane-parallel
 //! reductions — deterministic per ISA, oracle-bounded) and avx512 is
 //! bit-identical to avx2. One kernel, [`attention_backward_into`], has no
@@ -33,7 +35,6 @@ use crate::ndarray::NdArray;
 use crate::quant::QuantizedTensor;
 use crate::shape::Shape;
 use crate::simd::{self, AttnGrid, Isa};
-use hire_par::SendPtr;
 
 /// Element-wise binary op with numpy-style broadcasting.
 pub fn broadcast_zip(a: &NdArray, b: &NdArray, f: impl Fn(f32, f32) -> f32) -> NdArray {
@@ -163,17 +164,10 @@ pub fn matmul2d_with_isa(a: &NdArray, b: &NdArray, isa: Isa) -> NdArray {
     NdArray::from_vec([n, m], out)
 }
 
-/// Rows per parallel task in the blocked matmul. A multiple of every ISA's
-/// micro-kernel `MR` (scalar 4, avx2 6, avx512 8) so a task's band splits
-/// into full register tiles instead of ragged remainders. Each output
-/// row's accumulator chain lives entirely inside one task, so this is a
-/// pure tuning knob that can never change bits.
-const MM_ROW_BLOCK: usize = 24;
 /// Below this many multiply-adds the packing/tiling overhead outweighs the
-/// win; the kernel falls through to the small-product path. Dispatch
-/// depends only on the problem shape, so it cannot perturb thread-count
-/// invariance, and each ISA's small path runs the identical per-element
-/// chain as its blocked path, so the threshold never changes bits either.
+/// win; the kernel falls through to the small-product path. Each ISA's
+/// small path runs the identical per-element chain as its blocked path, so
+/// the threshold never changes bits.
 const BLOCK_THRESHOLD: usize = 16 * 1024;
 
 /// Reference i-k-j loop: `out[n,m] += a[n,k] * b[k,m]`.
@@ -203,18 +197,16 @@ pub fn matmul_reference(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usiz
     }
 }
 
-/// `out[n,m] += a[n,k] * b[k,m]`, cache-blocked and parallel over row
-/// blocks.
+/// `out[n,m] += a[n,k] * b[k,m]`, cache-blocked.
 ///
 /// `b` is packed once into zero-padded `panel_width(isa)`-wide column
 /// panels (k-major inside each panel, so the micro-kernel streams it
-/// contiguously), then row blocks of the output fan out across the pool.
+/// contiguously), then the micro-kernel walks the output in register tiles.
 /// Each output element still accumulates through a single register lane in
 /// ascending-`k` order — on scalar the identical floating-point chain
 /// to [`matmul_reference`]; on avx2 the same chain with each step fused
 /// into an FMA (the relaxation documented in [`crate::simd`]). Results are
-/// bit-identical for any thread count and either size-dispatch path on a
-/// fixed ISA.
+/// bit-identical on either size-dispatch path on a fixed ISA.
 fn matmul_kernel_with_isa(
     a: &[f32],
     b: &[f32],
@@ -236,21 +228,7 @@ fn matmul_kernel_with_isa(
     let m_panels = m.div_ceil(nr);
     let mut packed = vec![0.0f32; m_panels * k * nr];
     simd::pack_b(&mut packed, b, k, m, nr);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    hire_par::parallel_for(n, MM_ROW_BLOCK, |rows| {
-        // SAFETY: chunks partition 0..n, so each task writes a disjoint
-        // band of output rows.
-        let out_rows = unsafe { out_ptr.slice_mut(rows.start * m, rows.len() * m) };
-        simd::matmul_block_rows(
-            isa,
-            &a[rows.start * k..rows.end * k],
-            &packed,
-            out_rows,
-            rows.len(),
-            k,
-            m,
-        );
-    });
+    simd::matmul_block_rows(isa, a, &packed, out, n, k, m);
 }
 
 /// `src: [rows, cols]` row-major, transposed to `[cols, rows]`.
@@ -275,10 +253,9 @@ fn nt_kernel(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize
 }
 
 /// `out[k,m] += a[n,k]^T * g[n,m]` through [`matmul_kernel_with_isa`]: each
-/// output element is one chain over the rows `n`, ascending, whatever the
-/// thread count. The packed panels should run along the output's longer
-/// axis, so a wide output (`m >= k`) transposes `a` and multiplies
-/// `aᵀ·g`, and a tall one transposes `g` and builds `outᵀ = gᵀ·a` — the same
+/// output element is one chain over the rows `n`, ascending. The packed
+/// panels should run along the output's longer axis, so a wide output
+/// (`m >= k`) transposes `a` and multiplies `aᵀ·g`, and a tall one transposes `g` and builds `outᵀ = gᵀ·a` — the same
 /// products in the same order per element (`x·y` and `y·x` round alike), so
 /// which way round is a pure speed choice: MHSA's `dW_O` over MBA's
 /// `[2304, 32]ᵀ·[2304, 8]` runs 4× fuller panels the second way.
@@ -314,8 +291,7 @@ pub fn matmul2d_nt(a: &NdArray, b: &NdArray) -> NdArray {
 
 /// `A^T * G` for 2-D `a: [n,k]` and `g: [n,m]` -> `[k,m]`. This is the
 /// `dB = A^T * g` product of the matmul backward; the contraction over `n`
-/// walks rows in ascending order for every output element regardless of
-/// thread count.
+/// walks rows in ascending order for every output element.
 pub fn matmul2d_tn(a: &NdArray, g: &NdArray) -> NdArray {
     assert_eq!(a.shape().rank(), 2, "matmul2d_tn lhs must be 2-D");
     assert_eq!(g.shape().rank(), 2, "matmul2d_tn rhs must be 2-D");
@@ -384,26 +360,18 @@ pub fn bmm_with_isa(a: &NdArray, b: &NdArray, isa: Isa) -> NdArray {
     );
     let batch: usize = a_batch.iter().product();
     let mut out = vec![0.0f32; batch * n * m];
-    let out_ptr = SendPtr(out.as_mut_ptr());
     let (a_s, b_s) = (a.as_slice(), b.as_slice());
-    // Parallel over the batch axis — MBA's n*m pair axis in HIM — with each
-    // batch entry running the serial reference chain (nested parallelism
-    // inside a pool task executes inline).
-    hire_par::parallel_for(batch, 1, |bis| {
-        for bi in bis {
-            // SAFETY: each batch entry owns a disjoint output slab.
-            let out_bi = unsafe { out_ptr.slice_mut(bi * n * m, n * m) };
-            matmul_kernel_with_isa(
-                &a_s[bi * n * k..(bi + 1) * n * k],
-                &b_s[bi * k * m..(bi + 1) * k * m],
-                out_bi,
-                n,
-                k,
-                m,
-                isa,
-            );
-        }
-    });
+    for bi in 0..batch {
+        matmul_kernel_with_isa(
+            &a_s[bi * n * k..(bi + 1) * n * k],
+            &b_s[bi * k * m..(bi + 1) * k * m],
+            &mut out[bi * n * m..(bi + 1) * n * m],
+            n,
+            k,
+            m,
+            isa,
+        );
+    }
     let mut dims = a_batch.to_vec();
     dims.push(n);
     dims.push(m);
@@ -433,22 +401,17 @@ pub fn bmm_nt(a: &NdArray, b: &NdArray) -> NdArray {
     assert_eq!(k, k2, "bmm_nt inner dims mismatch");
     let batch: usize = a_batch.iter().product();
     let mut out = vec![0.0f32; batch * n * m];
-    let out_ptr = SendPtr(out.as_mut_ptr());
     let (a_s, b_s) = (a.as_slice(), b.as_slice());
-    hire_par::parallel_for(batch, 1, |bis| {
-        for bi in bis {
-            // SAFETY: disjoint per-batch output slabs.
-            let out_bi = unsafe { out_ptr.slice_mut(bi * n * m, n * m) };
-            nt_kernel(
-                &a_s[bi * n * k..(bi + 1) * n * k],
-                &b_s[bi * m * k..(bi + 1) * m * k],
-                out_bi,
-                n,
-                k,
-                m,
-            );
-        }
-    });
+    for bi in 0..batch {
+        nt_kernel(
+            &a_s[bi * n * k..(bi + 1) * n * k],
+            &b_s[bi * m * k..(bi + 1) * m * k],
+            &mut out[bi * n * m..(bi + 1) * n * m],
+            n,
+            k,
+            m,
+        );
+    }
     let mut dims = a_batch.to_vec();
     dims.push(n);
     dims.push(m);
@@ -468,22 +431,17 @@ pub fn bmm_tn(a: &NdArray, g: &NdArray) -> NdArray {
     assert_eq!(n, n2, "bmm_tn outer dims mismatch");
     let batch: usize = a_batch.iter().product();
     let mut out = vec![0.0f32; batch * k * m];
-    let out_ptr = SendPtr(out.as_mut_ptr());
     let (a_s, g_s) = (a.as_slice(), g.as_slice());
-    hire_par::parallel_for(batch, 1, |bis| {
-        for bi in bis {
-            // SAFETY: disjoint per-batch output slabs.
-            let out_bi = unsafe { out_ptr.slice_mut(bi * k * m, k * m) };
-            tn_kernel(
-                &a_s[bi * n * k..(bi + 1) * n * k],
-                &g_s[bi * n * m..(bi + 1) * n * m],
-                out_bi,
-                n,
-                k,
-                m,
-            );
-        }
-    });
+    for bi in 0..batch {
+        tn_kernel(
+            &a_s[bi * n * k..(bi + 1) * n * k],
+            &g_s[bi * n * m..(bi + 1) * n * m],
+            &mut out[bi * k * m..(bi + 1) * k * m],
+            n,
+            k,
+            m,
+        );
+    }
     let mut dims = a_batch.to_vec();
     dims.push(k);
     dims.push(m);
@@ -589,15 +547,7 @@ pub fn slice_last(a: &NdArray, start: usize, len: usize) -> NdArray {
     NdArray::from_vec(dims, out)
 }
 
-/// Rows per parallel task for row-independent kernels: sized so each chunk
-/// carries ~4k elements of work. Depends only on the row width, keeping
-/// chunk boundaries thread-count independent.
-fn row_grain(w: usize) -> usize {
-    (4096 / w.max(1)).max(1)
-}
-
-/// Numerically stable softmax along the last axis, parallel over rows
-/// (rows are independent, so any thread count produces identical bits).
+/// Numerically stable softmax along the last axis, row by row.
 pub fn softmax_last(a: &NdArray) -> NdArray {
     softmax_last_with_isa(a, simd::active_isa())
 }
@@ -615,43 +565,29 @@ pub fn softmax_last_with_isa(a: &NdArray, isa: Isa) -> NdArray {
     let rank = a.shape().rank();
     assert!(rank >= 1, "softmax needs rank >= 1");
     let w = a.dims()[rank - 1];
-    let rows = a.numel() / w.max(1);
     let mut out = vec![0.0f32; a.numel()];
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let src = a.as_slice();
-    hire_par::parallel_for(rows, row_grain(w), |rr| {
-        // SAFETY: row chunks are disjoint.
-        let chunk = unsafe { out_ptr.slice_mut(rr.start * w, rr.len() * w) };
-        simd::softmax_rows(isa, &src[rr.start * w..rr.end * w], chunk, w);
-    });
+    simd::softmax_rows(isa, a.as_slice(), &mut out, w);
     NdArray::from_vec(a.shape().clone(), out)
 }
 
 /// Backward of [`softmax_last`]: `dx = y * (g - sum(g*y, last))` given the
-/// forward output `y`. Parallel over rows; the per-row dot accumulates in
-/// f64 over ascending `j` — the same chain as the serial loop it replaces
-/// in `Tensor::softmax_last`.
+/// forward output `y`. The per-row dot accumulates in f64 over ascending
+/// `j`.
 pub fn softmax_backward_last(y: &NdArray, g: &NdArray) -> NdArray {
     assert_eq!(y.shape(), g.shape(), "softmax backward shape mismatch");
     let w = *y.dims().last().expect("softmax backward needs rank >= 1");
-    let rows = y.numel() / w.max(1);
     let mut dx = vec![0.0f32; y.numel()];
-    let dx_ptr = SendPtr(dx.as_mut_ptr());
     let (ys, gs) = (y.as_slice(), g.as_slice());
-    hire_par::parallel_for(rows, row_grain(w), |rr| {
-        // SAFETY: row chunks are disjoint.
-        let chunk = unsafe { dx_ptr.slice_mut(rr.start * w, rr.len() * w) };
-        for (ri, r) in rr.enumerate() {
-            let yr = &ys[r * w..(r + 1) * w];
-            let gr = &gs[r * w..(r + 1) * w];
-            let dot: f64 = yr.iter().zip(gr).map(|(&a, &b)| (a * b) as f64).sum();
-            let dot = dot as f32;
-            let dst = &mut chunk[ri * w..(ri + 1) * w];
-            for j in 0..w {
-                dst[j] = yr[j] * (gr[j] - dot);
-            }
+    for r in 0..y.numel() / w.max(1) {
+        let yr = &ys[r * w..(r + 1) * w];
+        let gr = &gs[r * w..(r + 1) * w];
+        let dot: f64 = yr.iter().zip(gr).map(|(&a, &b)| (a * b) as f64).sum();
+        let dot = dot as f32;
+        let dst = &mut dx[r * w..(r + 1) * w];
+        for j in 0..w {
+            dst[j] = yr[j] * (gr[j] - dot);
         }
-    });
+    }
     NdArray::from_vec(y.shape().clone(), dx)
 }
 
@@ -664,10 +600,7 @@ pub fn softmax_backward_last(y: &NdArray, g: &NdArray) -> NdArray {
 /// chain of `bmm → · scale → softmax_last → bmm` on the same ISA (see
 /// [`crate::simd::attention`]), so it is bit-identical to that composition.
 ///
-/// Tiles fan out over the pool in chunks of [`AttnGrid::chunk_tiles`] — a
-/// function of the shape alone — each chunk using its own region of
-/// `scratch` (at least [`AttnGrid::scratch_len`] floats), so results are
-/// bit-identical for every thread count.
+/// `scratch` holds at least [`AttnGrid::scratch_len`] floats.
 pub fn attention_into(grid: &AttnGrid, qo: &mut [f32], k: &[f32], v: &[f32], scratch: &mut [f32]) {
     attention_into_with_isa(grid, qo, k, v, scratch, simd::active_isa());
 }
@@ -717,7 +650,7 @@ pub fn attention_probs_into_with_isa(
     attention_run(grid, qo, k, v, Some(probs), scratch, isa);
 }
 
-/// The one tile fan-out behind [`attention_into`] and
+/// The one checked kernel call behind [`attention_into`] and
 /// [`attention_probs_into`].
 fn attention_run(
     grid: &AttnGrid,
@@ -751,7 +684,6 @@ fn attention_run(
         scratch.len(),
         grid.scratch_len()
     );
-    let per_tile = grid.tokens * grid.tokens;
     if let Some(probs) = &probs {
         assert_eq!(
             probs.len(),
@@ -762,31 +694,10 @@ fn attention_run(
     if len == 0 {
         return;
     }
-    let (grain, per_chunk) = (grid.chunk_tiles(), grid.chunk_scratch());
-    let qo_ptr = SendPtr(qo.as_mut_ptr());
-    let scratch_ptr = SendPtr(scratch.as_mut_ptr());
-    let probs_ptr = probs.map(|p| SendPtr(p.as_mut_ptr()));
-    hire_par::parallel_for(grid.tiles(), grain, |tiles| {
-        // Move the `Sync` handle in whole (naming its raw field would
-        // capture the bare pointer).
-        let qo = qo_ptr;
-        // SAFETY: chunk `c` covers tiles `[c * grain, (c + 1) * grain)`, so
-        // each chunk takes a distinct scratch region, inside `scratch` by
-        // the length assert above, and its own tiles' rows of `probs`
-        // (`per_tile` floats a tile, `probs_len()` in all: asserted above).
-        let (chunk_scratch, chunk_probs) = unsafe {
-            (
-                scratch_ptr.slice_mut(tiles.start / grain * per_chunk, per_chunk),
-                probs_ptr
-                    .as_ref()
-                    .map(|p| p.slice_mut(tiles.start * per_tile, tiles.len() * per_tile)),
-            )
-        };
-        // SAFETY: `qo` holds `len` floats like `k`; chunks partition the
-        // tiles and `AttnGrid` maps distinct tiles to disjoint Q segments,
-        // so no two tasks touch the same element.
-        unsafe { simd::attention_tiles(isa, grid, qo.0, k, v, tiles, chunk_scratch, chunk_probs) };
-    });
+    // SAFETY: `qo` holds `len` floats like `k`, `len` fits 32-bit indices
+    // and `scratch` / `probs` have the grid's lengths (all asserted above);
+    // the `&mut` borrow keeps everything else off `qo` for the call.
+    unsafe { simd::attention_tiles(isa, grid, qo.as_mut_ptr(), k, v, scratch, probs) };
 }
 
 /// Backward of [`attention_into`]: from the projections `q`, `k`, `v` the
@@ -800,9 +711,7 @@ fn attention_run(
 ///
 /// There is no `isa` argument because there is no per-ISA kernel: one
 /// lane-blocked safe-Rust kernel, multiply-then-add in a fixed order
-/// (see `simd::attention`), so the result is bit-identical on every ISA as
-/// well as for every thread count — tiles fan out over the pool in the
-/// forward's [`AttnGrid::chunk_tiles`] chunks and never share an element.
+/// (see `simd::attention`), so the result is bit-identical on every ISA.
 /// Non-finite values in any input reach the outputs by IEEE rules (a
 /// `NumericalGuard` upstream counts on seeing them).
 #[allow(clippy::too_many_arguments)]
@@ -834,26 +743,8 @@ pub fn attention_backward_into(
         grid.probs_len(),
         p.len()
     );
-    let out_ptrs = [
-        SendPtr(dq.as_mut_ptr()),
-        SendPtr(dk.as_mut_ptr()),
-        SendPtr(dv.as_mut_ptr()),
-    ];
-    hire_par::parallel_for(grid.tiles(), grid.chunk_tiles(), |tiles| {
-        // Move the `Sync` handles in whole.
-        let out = out_ptrs;
-        simd::attention_backward_tiles(grid, [q, k, v, d_o], p, tiles, |at, grads| {
-            assert!(at < len, "attention backward wrote past its buffers");
-            // SAFETY: `at < len`, the length of all three outputs; chunks
-            // partition the tiles, the kernel emits only elements of its
-            // own tiles' segments, and `AttnGrid` maps distinct tiles to
-            // disjoint segments — no two tasks write the same element.
-            unsafe {
-                for (ptr, g) in out.iter().zip(grads) {
-                    *ptr.0.add(at) = g;
-                }
-            }
-        });
+    simd::attention_backward_tiles(grid, [q, k, v, d_o], p, |at, [gq, gk, gv]| {
+        (dq[at], dk[at], dv[at]) = (gq, gk, gv);
     });
 }
 
@@ -884,9 +775,8 @@ pub fn mean_last(a: &NdArray) -> NdArray {
 
 /// Layer normalization over the last axis without autograd: the no-grad
 /// mirror of `Tensor::layer_norm_last`'s forward pass. Mean and variance
-/// accumulate in f64 with the identical operation order per row, and rows
-/// are independent, so results are bit-identical to the tape path for any
-/// thread count.
+/// accumulate in f64 with the identical operation order per row, so results
+/// are bit-identical to the tape path.
 pub fn layer_norm_last_nd(x: &NdArray, gamma: &NdArray, beta: &NdArray, eps: f32) -> NdArray {
     layer_norm_last_nd_with_isa(x, gamma, beta, eps, simd::active_isa())
 }
@@ -929,9 +819,9 @@ pub fn layer_norm_last_into(
     layer_norm_rows_into(x, gamma, beta, eps, y, None, isa);
 }
 
-/// The one row-parallel layer-norm forward behind the three public forms:
-/// `y` (and, for the tape, `saved = (xhat, inv_std)`) by disjoint row
-/// chunks, each chunk one call into the ISA's row kernel.
+/// The one checked layer-norm forward behind the three public forms: `y`
+/// (and, for the tape, `saved = (xhat, inv_std)`) from one call into the
+/// ISA's row kernel.
 fn layer_norm_rows_into(
     x: &[f32],
     gamma: &[f32],
@@ -951,37 +841,16 @@ fn layer_norm_rows_into(
     assert_eq!(x.len(), y.len(), "layer norm output must match its input");
     let rows = x.len() / w.max(1);
     assert_eq!(rows * w, x.len(), "layer norm input is not rows of {w}");
-    let y_ptr = SendPtr(y.as_mut_ptr());
-    let saved_ptrs = saved.map(|(xhat, inv_std)| {
+    if let Some((xhat, inv_std)) = &saved {
         assert_eq!(xhat.len(), x.len(), "xhat must match the input");
         assert_eq!(inv_std.len(), rows, "inv_std must have one entry per row");
-        (SendPtr(xhat.as_mut_ptr()), SendPtr(inv_std.as_mut_ptr()))
-    });
-    hire_par::parallel_for(rows, row_grain(w), |rr| {
-        // SAFETY: row chunks are disjoint in all three outputs.
-        let y_c = unsafe { y_ptr.slice_mut(rr.start * w, rr.len() * w) };
-        let saved_c = saved_ptrs.as_ref().map(|(xh, is)| unsafe {
-            (
-                xh.slice_mut(rr.start * w, rr.len() * w),
-                is.slice_mut(rr.start, rr.len()),
-            )
-        });
-        simd::layer_norm_rows(
-            isa,
-            &x[rr.start * w..rr.end * w],
-            gamma,
-            beta,
-            eps,
-            y_c,
-            saved_c,
-        );
-    });
+    }
+    simd::layer_norm_rows(isa, x, gamma, beta, eps, y, saved);
 }
 
 /// Forward pass of layer norm for the autograd tape: returns `(y, xhat,
 /// inv_std)` with `xhat` the normalized input and `inv_std` one entry per
-/// row. Parallel over rows with the same per-row chain as
-/// [`layer_norm_last_nd`].
+/// row, on the same per-row chain as [`layer_norm_last_nd`].
 pub fn layer_norm_forward_last(
     x: &NdArray,
     gamma: &NdArray,
@@ -1023,12 +892,20 @@ pub fn layer_norm_forward_last_with_isa(
     )
 }
 
+/// Rows per `dgamma`/`dbeta` partial in [`layer_norm_backward_last`]: ~4k
+/// elements a chunk. Part of the answer, not a tuning knob — the grid fixes
+/// the order the f32 sums round in (`tests/reduction_order.rs`).
+fn row_grain(w: usize) -> usize {
+    (4096 / w.max(1)).max(1)
+}
+
 /// Backward pass of layer norm: returns `(dx, dgamma, dbeta)`.
 ///
-/// `dx` rows are independent (disjoint writes). `dgamma`/`dbeta` reduce
-/// *across* rows, so each fixed-size row chunk produces an f32 partial and
-/// the partials fold in ascending chunk order — the chunk grid depends only
-/// on `(rows, w)`, making the result bit-identical for every thread count.
+/// `dx` rows are independent. `dgamma`/`dbeta` reduce *across* rows: each
+/// chunk of `max(4096 / w, 1)` rows produces an f32 partial and the partials
+/// fold in ascending chunk order — the order trained weights were produced
+/// in, which is why the grid stays though nothing runs the chunks in
+/// parallel.
 pub fn layer_norm_backward_last(
     xhat: &NdArray,
     inv_std: &[f32],
@@ -1062,32 +939,27 @@ pub fn layer_norm_backward_last_with_isa(
     let gs = g.as_slice();
     let xh = xhat.as_slice();
     let mut dx = vec![0.0f32; xhat.numel()];
-    let dx_ptr = SendPtr(dx.as_mut_ptr());
-    let partials = hire_par::parallel_map_chunks(rows, row_grain(w), |rr| {
-        // SAFETY: row chunks are disjoint in dx.
-        let dx_c = unsafe { dx_ptr.slice_mut(rr.start * w, rr.len() * w) };
-        let mut dgamma = vec![0.0f32; w];
-        let mut dbeta = vec![0.0f32; w];
-        for (ri, r) in rr.enumerate() {
+    let (mut dgamma, mut dbeta) = (vec![0.0f32; w], vec![0.0f32; w]);
+    let (mut part_gamma, mut part_beta) = (vec![0.0f32; w], vec![0.0f32; w]);
+    let grain = row_grain(w);
+    for start in (0..rows).step_by(grain) {
+        part_gamma.fill(0.0);
+        part_beta.fill(0.0);
+        for r in start..(start + grain).min(rows) {
             simd::layer_norm_backward_row(
                 isa,
                 &xh[r * w..(r + 1) * w],
                 inv_std[r],
                 gv,
                 &gs[r * w..(r + 1) * w],
-                &mut dx_c[ri * w..(ri + 1) * w],
-                &mut dgamma,
-                &mut dbeta,
+                &mut dx[r * w..(r + 1) * w],
+                &mut part_gamma,
+                &mut part_beta,
             );
         }
-        (dgamma, dbeta)
-    });
-    let mut dgamma = vec![0.0f32; w];
-    let mut dbeta = vec![0.0f32; w];
-    for (dg, db) in partials {
         for j in 0..w {
-            dgamma[j] += dg[j];
-            dbeta[j] += db[j];
+            dgamma[j] += part_gamma[j];
+            dbeta[j] += part_beta[j];
         }
     }
     (
@@ -1097,12 +969,7 @@ pub fn layer_norm_backward_last_with_isa(
     )
 }
 
-/// Elements per chunk for flat reductions/scans over parameter slices.
-const FLAT_GRAIN: usize = 4096;
-
 /// Zeroes NaN/±Inf entries in place, returning how many were zeroed.
-/// Writes are element-disjoint, so any thread count produces the same
-/// result.
 pub fn sanitize_non_finite(xs: &mut [f32]) -> usize {
     sanitize_non_finite_with_isa(xs, simd::active_isa())
 }
@@ -1116,19 +983,16 @@ pub fn sanitize_non_finite_with_isa(xs: &mut [f32], isa: Isa) -> usize {
         "ISA {} not available on this host",
         isa.label()
     );
-    let ptr = SendPtr(xs.as_mut_ptr());
-    let len = xs.len();
-    hire_par::parallel_map_chunks(len, FLAT_GRAIN, |rr| {
-        // SAFETY: element chunks are disjoint.
-        let chunk = unsafe { ptr.slice_mut(rr.start, rr.len()) };
-        simd::sanitize_chunk(isa, chunk)
-    })
-    .into_iter()
-    .sum()
+    simd::sanitize_chunk(isa, xs)
 }
 
+/// Elements per `f64` partial of [`norm_sq_f64`]. Part of the answer, not a
+/// tuning knob: the grid fixes the order the sum rounds in.
+const NORM_GRAIN: usize = 4096;
+
 /// Sum of squares in f64 over fixed 4096-element chunks folded in ascending
-/// chunk order — the deterministic parallel norm used by gradient clipping.
+/// chunk order — the norm gradient clipping scales by, so its low bits reach
+/// every trained weight (`tests/reduction_order.rs`).
 pub fn norm_sq_f64(xs: &[f32]) -> f64 {
     norm_sq_f64_with_isa(xs, simd::active_isa())
 }
@@ -1141,8 +1005,8 @@ pub fn norm_sq_f64_with_isa(xs: &[f32], isa: Isa) -> f64 {
         "ISA {} not available on this host",
         isa.label()
     );
-    hire_par::parallel_map_chunks(xs.len(), FLAT_GRAIN, |rr| simd::norm_sq_chunk(isa, &xs[rr]))
-        .into_iter()
+    xs.chunks(NORM_GRAIN)
+        .map(|chunk| simd::norm_sq_chunk(isa, chunk))
         .sum()
 }
 

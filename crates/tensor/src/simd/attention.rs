@@ -1,5 +1,5 @@
-//! The attention-tile primitive: `softmax(Q Kᵀ / √dk) V` for a range of
-//! independent (batch, head) tiles, read straight out of row-major
+//! The attention-tile primitive: `softmax(Q Kᵀ / √dk) V` for every
+//! independent (batch, head) tile, read straight out of row-major
 //! `[rows, heads * head_dim]` projection buffers and written back over Q in
 //! the same merged-head layout — no head-split permute, no `Kᵀ` tensor, no
 //! `[batch * heads, t, t]` score tensor.
@@ -49,13 +49,11 @@
 //! lane over an ascending index, multiply then add. rustc vectorises the
 //! rows with whatever the build's baseline allows (SSE2 on x86-64) and may
 //! not fuse or reorder them, so a tile's gradient bits are the same on every
-//! ISA, in every lane and for every chunking — a stronger contract than the
+//! ISA and in every lane — a stronger contract than the
 //! forward's, bought by not hand-writing it three times. Wider per-ISA
 //! instances would have little to win: at HIM's tile sizes about 70 % of
 //! the kernel's time is gathering tiles into panels and scattering the
 //! results, not arithmetic.
-
-use std::ops::Range;
 
 /// Geometry of one multi-head attention call over `[rows, heads *
 /// head_dim]` buffers whose rows are laid out `[outer, tokens, inner]`
@@ -66,8 +64,8 @@ use std::ops::Range;
 /// `[B·n·m, h, 1]` over the `h` attribute rows of each cell.
 ///
 /// Distinct `(outer, token, inner, head)` coordinates address distinct
-/// elements by construction, which is what lets tiles be written
-/// concurrently.
+/// elements by construction, which is what lets a tile's output overwrite
+/// its own Q without disturbing another tile's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttnGrid {
     /// Leading batch axis (rows between consecutive entries: `tokens * inner`).
@@ -85,9 +83,6 @@ pub struct AttnGrid {
 /// Widest lane group of any ISA's `attention_lanes_kernel!`; sizes the
 /// scratch so its length does not depend on the dispatched ISA.
 const MAX_LANES: usize = 16;
-/// Multiply-adds one parallel chunk of tiles should carry — a few tens of
-/// microseconds, the same order as `linalg`'s row grains.
-const CHUNK_WORK: usize = 64 * 1024;
 
 impl AttnGrid {
     /// Row width `heads * head_dim` of the Q/K/V buffers.
@@ -126,27 +121,13 @@ impl AttnGrid {
         (o * self.tokens * self.inner + j) * self.width() + head * self.head_dim
     }
 
-    /// Tiles per parallel chunk: a function of the shape only (never of
-    /// the thread count or the ISA), and a multiple of every lane-group
-    /// width so only a call's last group can be ragged.
-    pub fn chunk_tiles(&self) -> usize {
-        let per_tile = (self.tokens * self.tokens * self.head_dim).max(1);
-        (CHUNK_WORK / per_tile).max(1).next_multiple_of(MAX_LANES)
-    }
-
-    /// Scratch floats one chunk of tiles needs, whichever kernel runs it:
+    /// Scratch floats a call needs, whichever ISA's kernel runs it:
     /// gathered Q/Kᵀ/V tiles plus a score and a probability tile for the
     /// tile-at-a-time kernel; K and V panels, one Q row and one score row
     /// per lane for the lane-parallel one.
-    pub(crate) fn chunk_scratch(&self) -> usize {
+    pub fn scratch_len(&self) -> usize {
         let (t, dk) = (self.tokens, self.head_dim);
         (3 * t * dk + 2 * t * t).max((2 * t * dk + dk + t) * MAX_LANES)
-    }
-
-    /// Scratch floats a whole call needs (one region per chunk, so the
-    /// amount is a function of the shape alone).
-    pub fn scratch_len(&self) -> usize {
-        self.tiles().div_ceil(self.chunk_tiles()) * self.chunk_scratch()
     }
 }
 
@@ -163,31 +144,30 @@ impl AttnGrid {
 /// written.
 macro_rules! attention_lanes_kernel {
     ($(#[$attr:meta])* $ops:ident) => {
-        /// Attention over `tiles` of `grid`, `LANES` tiles per vector (see
-        /// [`crate::simd::attention`] for the lane layout and why each
+        /// Attention over every tile of `grid`, `LANES` tiles per vector
+        /// (see [`crate::simd::attention`] for the lane layout and why each
         /// lane's chain is the unfused one), overwriting each tile's Q with
-        /// its output. `scratch` holds at least `grid.chunk_scratch()`
-        /// floats; `probs`, when given, is the `tiles` range of the
-        /// `[tile][token][token]` softmax rows and receives them.
+        /// its output. `scratch` holds at least `grid.scratch_len()`
+        /// floats; `probs`, when given, is the `[tile][token][token]`
+        /// softmax rows (`grid.probs_len()` floats) and receives them.
         ///
         /// # Safety
         ///
         /// `qo` must point to `k.len()` floats (`grid.rows() *
         /// grid.width()`, which must fit in `i32`: gather indices are
-        /// 32-bit element offsets), and nothing else may access the
-        /// `head_dim`-long Q segments of `tiles` during the call.
+        /// 32-bit element offsets), and nothing else may access them
+        /// during the call.
         $(#[$attr])*
         pub unsafe fn attention_lanes(
             grid: &crate::simd::AttnGrid,
             qo: *mut f32,
             k: &[f32],
             v: &[f32],
-            tiles: std::ops::Range<usize>,
             scratch: &mut [f32],
             mut probs: Option<&mut [f32]>,
         ) {
             use $ops::LANES;
-            let (t, dk) = (grid.tokens, grid.head_dim);
+            let (t, dk, tiles) = (grid.tokens, grid.head_dim, grid.tiles());
             debug_assert!(t > 0 && k.len() <= i32::MAX as usize);
             let stride = grid.token_stride();
             let (kp, rest) = scratch.split_at_mut(t * dk * LANES);
@@ -201,22 +181,21 @@ macro_rules! attention_lanes_kernel {
             let body = t - t % 8;
             if let Some(probs) = &probs {
                 assert!(
-                    probs.len() == tiles.len() * t * t && probs.len() <= i32::MAX as usize,
-                    "softmax rows of {} tiles of {t} tokens cannot be {} floats",
-                    tiles.len(),
+                    probs.len() == tiles * t * t && probs.len() <= i32::MAX as usize,
+                    "softmax rows of {tiles} tiles of {t} tokens cannot be {} floats",
                     probs.len()
                 );
             }
-            let mut group = tiles.start;
-            while group < tiles.end {
-                let live = (tiles.end - group).min(LANES);
+            let mut group = 0;
+            while group < tiles {
+                let live = (tiles - group).min(LANES);
                 let (mut base, mut p_base) = ([0i32; LANES], [0i32; LANES]);
                 for lane in 0..LANES {
                     let tile = group + lane.min(live - 1);
                     let tile_base = grid.tile_base(tile);
                     debug_assert!(tile_base + (t - 1) * stride + dk <= k.len());
                     base[lane] = tile_base as i32;
-                    p_base[lane] = ((tile - tiles.start) * t * t) as i32;
+                    p_base[lane] = (tile * t * t) as i32;
                 }
                 // SAFETY (this block): every gather/scatter offset is
                 // `tile_base + token * stride + col` with `token < t`,
@@ -324,18 +303,16 @@ macro_rules! attention_lanes_kernel {
 }
 pub(crate) use attention_lanes_kernel;
 
-/// Runs `tiles` of `grid` on `isa`'s kernel (see the module docs for
+/// Runs every tile of `grid` on `isa`'s kernel (see the module docs for
 /// which), overwriting each tile's Q with its output. `probs`, when given,
-/// holds `tiles.len() * tokens * tokens` floats and receives the range's
-/// softmax rows — the values the `P·V` product reads, so emitting them
-/// changes no chain.
+/// holds `grid.probs_len()` floats and receives the softmax rows — the
+/// values the `P·V` product reads, so emitting them changes no chain.
 ///
 /// # Safety
 ///
-/// `qo` must point to `k.len()` floats, and nothing else may access the Q
-/// segments of `tiles` during the call. (Shape/length consistency and the
-/// 32-bit index bound are checked by the safe caller,
-/// `linalg::attention_into_with_isa`.)
+/// `qo` must point to `k.len()` floats, and nothing else may access them
+/// during the call. (Shape/length consistency and the 32-bit index bound are
+/// checked by the safe caller, `linalg::attention_into_with_isa`.)
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn attention_tiles(
     isa: super::Isa,
@@ -343,23 +320,22 @@ pub(crate) unsafe fn attention_tiles(
     qo: *mut f32,
     k: &[f32],
     v: &[f32],
-    tiles: Range<usize>,
     scratch: &mut [f32],
     probs: Option<&mut [f32]>,
 ) {
     use super::Isa;
     debug_assert_eq!(k.len(), grid.rows() * grid.width());
     debug_assert_eq!(v.len(), k.len());
-    debug_assert!(tiles.end <= grid.tiles() && scratch.len() >= grid.chunk_scratch());
+    debug_assert!(scratch.len() >= grid.scratch_len());
     // SAFETY: the caller's contract is each kernel's contract; Avx2/Avx512
     // dispatch implies the features their kernels enable are present.
     unsafe {
         match isa {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => super::avx2::attention_lanes(grid, qo, k, v, tiles, scratch, probs),
+            Isa::Avx2 => super::avx2::attention_lanes(grid, qo, k, v, scratch, probs),
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => super::avx512::attention_lanes(grid, qo, k, v, tiles, scratch, probs),
-            _ => super::scalar::attention_tiles(grid, qo, k, v, tiles, scratch, probs),
+            Isa::Avx512 => super::avx512::attention_lanes(grid, qo, k, v, scratch, probs),
+            _ => super::scalar::attention_tiles(grid, qo, k, v, scratch, probs),
         }
     }
 }
@@ -389,9 +365,9 @@ fn set_lane(rows: &mut [Row], lane: usize, src: &[f32]) {
     }
 }
 
-/// Backward of the attention tiles in `tiles`: from each tile's `Q`, `K`,
-/// `V`, saved softmax rows `P` (`p`, the whole call's `[tile][token][token]`
-/// array) and upstream `dO`,
+/// Backward of every attention tile of `grid`: from each tile's `Q`, `K`,
+/// `V`, saved softmax rows `P` (`p`, the `[tile][token][token]` array) and
+/// upstream `dO`,
 ///
 /// ```text
 /// dV = Pᵀ·dO    dP = dO·Vᵀ    dS = P ∘ (dP − rowsum(dP ∘ P)) / √dk
@@ -407,18 +383,17 @@ fn set_lane(rows: &mut [Row], lane: usize, src: &[f32]) {
 /// full width however small a tile is — but written once, in safe Rust,
 /// for every ISA. Each sum is one accumulator per lane from `0.0` over an
 /// ascending index, multiply then add; lanes never mix. A tile's gradient
-/// bits are therefore the same on every ISA, in every lane position and
-/// for every split of `tiles` into chunks (DESIGN.md §16). Non-finite
+/// bits are therefore the same on every ISA and in every lane position
+/// (DESIGN.md §16). Non-finite
 /// inputs propagate by IEEE rules: nothing is skipped or masked.
 pub(crate) fn attention_backward_tiles(
     grid: &AttnGrid,
     [q, k, v, d_o]: [&[f32]; 4],
     p: &[f32],
-    tiles: Range<usize>,
     mut emit: impl FnMut(usize, [f32; 3]),
 ) {
     const LANES: usize = MAX_LANES;
-    let (t, dk) = (grid.tokens, grid.head_dim);
+    let (t, dk, tiles) = (grid.tokens, grid.head_dim, grid.tiles());
     let stride = grid.token_stride();
     let scale = 1.0 / (dk as f32).sqrt();
     let zero = [0.0f32; LANES];
@@ -432,11 +407,11 @@ pub(crate) fn attention_backward_tiles(
     let (dvp, rest) = rest.split_at_mut(t * dk);
     // `ds` is row `i` of `dP`, then of `dS`.
     let (pp, ds) = rest.split_at_mut(t * t);
-    let mut group = tiles.start;
-    while group < tiles.end {
+    let mut group = 0;
+    while group < tiles {
         // Lanes past `live` keep whatever an earlier group left there:
         // lanes are independent and theirs are never emitted.
-        let live = (tiles.end - group).min(LANES);
+        let live = (tiles - group).min(LANES);
         for lane in 0..live {
             let base = grid.tile_base(group + lane);
             for i in 0..t {
@@ -502,7 +477,7 @@ mod tests {
     use super::*;
 
     /// Every (tile, token) pair owns a distinct `head_dim`-long segment
-    /// inside the buffer — the disjointness the concurrent writes rest on.
+    /// inside the buffer — the disjointness writing outputs over Q rests on.
     #[test]
     fn tiles_partition_the_buffer_into_disjoint_segments() {
         for (outer, tokens, inner) in [(3, 5, 1), (2, 4, 3), (1, 1, 1), (4, 9, 2)] {
@@ -526,27 +501,5 @@ mod tests {
             }
             assert!(owner.iter().all(|&o| o != usize::MAX), "{grid:?}: gaps");
         }
-    }
-
-    #[test]
-    fn chunking_depends_on_the_shape_alone_and_keeps_lane_groups_whole() {
-        let grid = AttnGrid {
-            outer: 256,
-            tokens: 9,
-            inner: 1,
-            heads: 4,
-            head_dim: 8,
-        };
-        assert_eq!(grid.chunk_tiles() % MAX_LANES, 0);
-        assert_eq!(
-            grid.scratch_len(),
-            grid.tiles().div_ceil(grid.chunk_tiles()) * grid.chunk_scratch()
-        );
-        // A single huge tile still gets a (one-group) chunk.
-        let huge = AttnGrid {
-            tokens: 4096,
-            ..grid
-        };
-        assert_eq!(huge.chunk_tiles(), MAX_LANES);
     }
 }

@@ -194,26 +194,23 @@ pub fn dequant_row_i8(qs: &[i8], scale: f32, out: &mut [f32]) {
     }
 }
 
-/// Attention over `tiles` of `grid`, one tile at a time on the reference
+/// Attention over every tile of `grid`, one tile at a time on the reference
 /// chains: gather the tile's Q, `Kᵀ` and V, `S = Q Kᵀ` through
 /// `matmul_reference`, scale, [`softmax_rows`], `O = P V` through
 /// `matmul_reference` again, and write `O` back over the tile's Q — the
 /// unfused `bmm → softmax_last → bmm` chain by construction. `scratch`
-/// holds at least `grid.chunk_scratch()` floats; `probs`, when given, is
-/// the `tiles` range of the `[tile][token][token]` softmax rows and
-/// receives each tile's `P`.
+/// holds at least `grid.scratch_len()` floats; `probs`, when given, is the
+/// `[tile][token][token]` softmax rows and receives each tile's `P`.
 ///
 /// # Safety
 ///
 /// `qo` must point to `k.len()` floats (`grid.rows() * grid.width()`), and
-/// nothing else may access the `head_dim`-long Q segments of `tiles`
-/// during the call.
+/// nothing else may access them during the call.
 pub unsafe fn attention_tiles(
     grid: &super::AttnGrid,
     qo: *mut f32,
     k: &[f32],
     v: &[f32],
-    tiles: std::ops::Range<usize>,
     scratch: &mut [f32],
     mut probs: Option<&mut [f32]>,
 ) {
@@ -226,7 +223,7 @@ pub unsafe fn attention_tiles(
     let (s, rest) = rest.split_at_mut(t * t);
     let p = &mut rest[..t * t];
     let scale = 1.0 / (dk as f32).sqrt();
-    for tile in tiles.clone() {
+    for tile in 0..grid.tiles() {
         let base = grid.tile_base(tile);
         debug_assert!(base + (t - 1) * stride + dk <= k.len());
         // SAFETY: segment `i` is `head_dim` floats at `base + i * stride`,
@@ -250,7 +247,7 @@ pub unsafe fn attention_tiles(
         }
         softmax_rows(s, p, t);
         if let Some(probs) = probs.as_deref_mut() {
-            probs[(tile - tiles.start) * t * t..][..t * t].copy_from_slice(p);
+            probs[tile * t * t..][..t * t].copy_from_slice(p);
         }
         let o_tile = &mut *q_tile;
         o_tile.fill(0.0);

@@ -1,42 +1,14 @@
-//! Thread-count invariance of every parallel linalg kernel.
-//!
-//! The parallel compute layer promises bit-exact results regardless of how
-//! many workers execute a kernel: chunk boundaries depend only on the
-//! problem shape, each row/batch owns a disjoint output slab, and every
-//! reduction folds fixed-size chunk partials in ascending order. These
-//! tests pin that contract by running each kernel under pools of 1, 2, 4,
-//! and 7 threads and comparing raw bits, plus (for the matmuls) comparing
-//! against the naive reference loop as an independent oracle.
+//! The fast linalg kernels against independent oracles, on the process's
+//! ISA: the packed matmul against the naive reference loop, the transposed
+//! backward products against the forward kernel on a materialized
+//! transpose, the attention tiles against the unfused `bmm → softmax → bmm`
+//! chain, and their backward against a per-tile reference. (The two
+//! chunk-ordered reductions have `reduction_order.rs`; per-ISA bounds,
+//! `isa_dispatch.rs`.)
 
-use hire_par::{with_pool, ThreadPool};
 use hire_tensor::{linalg, AttnGrid, NdArray};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
-
-const THREADS: [usize; 4] = [1, 2, 4, 7];
-
-/// Runs `f` under each pool size and asserts all results are bit-identical,
-/// returning the 1-thread result.
-fn assert_thread_invariant(what: &str, f: impl Fn() -> NdArray) -> NdArray {
-    let baseline = with_pool(&Arc::new(ThreadPool::new(1)), &f);
-    for &t in &THREADS[1..] {
-        let out = with_pool(&Arc::new(ThreadPool::new(t)), &f);
-        assert_eq!(
-            out.dims(),
-            baseline.dims(),
-            "{what}: dims differ at {t} threads"
-        );
-        for (i, (x, y)) in out.as_slice().iter().zip(baseline.as_slice()).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{what}: element {i} differs at {t} threads ({x} vs {y})"
-            );
-        }
-    }
-    baseline
-}
 
 fn randn(dims: &[usize], seed: u64) -> NdArray {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -44,19 +16,18 @@ fn randn(dims: &[usize], seed: u64) -> NdArray {
 }
 
 #[test]
-fn matmul2d_is_thread_invariant_and_matches_reference() {
+fn matmul2d_matches_reference() {
     // Shapes straddle BLOCK_THRESHOLD so both the blocked path and the
     // small-product path are exercised, plus ragged row counts that do not
-    // divide the block size. Thread invariance must hold bitwise on every
-    // dispatched ISA; agreement with `matmul_reference` is bitwise on
-    // scalar and oracle-bounded on avx2 (whose FMA chain rounds less —
+    // divide a register tile. Agreement with `matmul_reference` is bitwise
+    // on scalar and oracle-bounded on avx2 (whose FMA chain rounds less —
     // see DESIGN.md §16; the per-ISA bound itself is pinned by
     // tests/isa_dispatch.rs).
     let bitwise_vs_reference = hire_tensor::simd::active_isa() < hire_tensor::simd::Isa::Avx2;
     for (n, k, m) in [(3, 5, 4), (33, 17, 9), (64, 40, 32), (129, 31, 33)] {
         let a = randn(&[n, k], 0xA0 + n as u64);
         let b = randn(&[k, m], 0xB0 + m as u64);
-        let out = assert_thread_invariant("matmul2d", || linalg::matmul2d(&a, &b));
+        let out = linalg::matmul2d(&a, &b);
         let mut reference = vec![0.0f32; n * m];
         linalg::matmul_reference(a.as_slice(), b.as_slice(), &mut reference, n, k, m);
         for (i, (x, y)) in out.as_slice().iter().zip(&reference).enumerate() {
@@ -78,58 +49,58 @@ fn matmul2d_is_thread_invariant_and_matches_reference() {
 }
 
 #[test]
-fn batched_matmul_is_thread_invariant() {
-    let a = randn(&[5, 19, 23], 1);
-    let b = randn(&[5, 23, 11], 2);
-    assert_thread_invariant("bmm", || linalg::bmm(&a, &b));
-}
-
-#[test]
-fn transposed_products_are_thread_invariant_and_match_the_forward_kernel() {
+fn transposed_products_match_the_forward_kernel() {
     // matmul2d_nt: [n,k] x [m,k]^T and matmul2d_tn: [n,k]^T x [n,m] are
     // the backward-pass products, routed through the packed forward kernel
     // on a transposed operand: bitwise the forward product of the
-    // materialized transpose, at every pool size. Ragged sizes on both
-    // sides of BLOCK_THRESHOLD; for `tn`, outputs wider than tall and
-    // taller than wide (the two ways round it builds its product).
+    // materialized transpose. Ragged sizes on both sides of
+    // BLOCK_THRESHOLD; for `tn`, outputs wider than tall and taller than
+    // wide (the two ways round it builds its product).
     for (n, k, m) in [(37, 24, 15), (129, 40, 33), (200, 9, 40), (2304, 8, 32)] {
         let a = randn(&[n, k], 3);
         let b = randn(&[m, k], 4);
-        let nt = assert_thread_invariant("matmul2d_nt", || linalg::matmul2d_nt(&a, &b));
+        let nt = linalg::matmul2d_nt(&a, &b);
         let want = linalg::matmul2d(&a, &linalg::transpose_last2(&b));
         assert_eq!(nt.as_slice(), want.as_slice(), "nt {n}x{k}x{m}");
 
         let g = randn(&[n, m], 5);
-        let tn = assert_thread_invariant("matmul2d_tn", || linalg::matmul2d_tn(&a, &g));
+        let tn = linalg::matmul2d_tn(&a, &g);
         let want = linalg::matmul2d(&linalg::transpose_last2(&a), &g);
         assert_eq!(tn.as_slice(), want.as_slice(), "tn {n}x{k}x{m}");
     }
 
+    // The batched forms are the 2-D products entry by entry; a shared 2-D
+    // rhs (the weight-gradient shape of `Tensor::linear`) is one flattened
+    // product.
     let ba = randn(&[4, 21, 16], 6);
     let bb = randn(&[4, 9, 16], 7);
-    assert_thread_invariant("bmm_nt batched", || linalg::bmm_nt(&ba, &bb));
     let bg = randn(&[4, 21, 9], 8);
-    assert_thread_invariant("bmm_tn batched", || linalg::bmm_tn(&ba, &bg));
-    // Shared 2-D rhs variant (the weight-gradient shape of `Tensor::linear`).
+    let entry = |a: &NdArray, bi: usize| {
+        let (n, k) = (a.dims()[1], a.dims()[2]);
+        NdArray::from_vec([n, k], a.as_slice()[bi * n * k..(bi + 1) * n * k].to_vec())
+    };
+    let (nt, tn) = (linalg::bmm_nt(&ba, &bb), linalg::bmm_tn(&ba, &bg));
+    assert_eq!((nt.dims(), tn.dims()), (&[4, 21, 9][..], &[4, 16, 9][..]));
+    for bi in 0..4 {
+        let want = linalg::matmul2d_nt(&entry(&ba, bi), &entry(&bb, bi));
+        assert_eq!(entry(&nt, bi).as_slice(), want.as_slice(), "bmm_nt {bi}");
+        let want = linalg::matmul2d_tn(&entry(&ba, bi), &entry(&bg, bi));
+        assert_eq!(entry(&tn, bi).as_slice(), want.as_slice(), "bmm_tn {bi}");
+    }
     let shared = randn(&[9, 16], 9);
-    assert_thread_invariant("bmm_nt shared rhs", || linalg::bmm_nt(&ba, &shared));
+    let want = linalg::matmul2d_nt(&ba.reshape([4 * 21, 16]), &shared);
+    assert_eq!(
+        linalg::bmm_nt(&ba, &shared).as_slice(),
+        want.as_slice(),
+        "bmm_nt shared rhs"
+    );
 }
 
 #[test]
-fn softmax_forward_and_backward_are_thread_invariant() {
-    let x = randn(&[6, 8, 50], 10);
-    let y = assert_thread_invariant("softmax_last", || linalg::softmax_last(&x));
-    let g = randn(&[6, 8, 50], 11);
-    assert_thread_invariant("softmax_backward_last", || {
-        linalg::softmax_backward_last(&y, &g)
-    });
-}
-
-#[test]
-fn attention_tiles_are_thread_invariant_and_match_the_unfused_chain() {
-    // Both token-axis placements, enough tiles for several chunks, a ragged
-    // last lane group, and a token count on each side of the softmax row
-    // kernel's 8-wide body.
+fn attention_tiles_match_the_unfused_chain() {
+    // Both token-axis placements, several lane groups with a ragged last
+    // one, and a token count on each side of the softmax row kernel's
+    // 8-wide body.
     for (outer, tokens, inner, heads, head_dim) in
         [(70, 5, 1, 3, 8), (3, 9, 7, 2, 6), (2, 17, 5, 4, 8)]
     {
@@ -142,18 +113,14 @@ fn attention_tiles_are_thread_invariant_and_match_the_unfused_chain() {
         };
         let dims = [grid.rows(), grid.width()];
         let (q, k, v) = (randn(&dims, 20), randn(&dims, 21), randn(&dims, 22));
-        let got = assert_thread_invariant("attention_into", || {
-            let mut qo = q.clone();
-            let mut scratch = vec![f32::NAN; grid.scratch_len()];
-            linalg::attention_into(
-                &grid,
-                qo.as_mut_slice(),
-                k.as_slice(),
-                v.as_slice(),
-                &mut scratch,
-            );
-            qo
-        });
+        let mut got = q.clone();
+        linalg::attention_into(
+            &grid,
+            got.as_mut_slice(),
+            k.as_slice(),
+            v.as_slice(),
+            &mut vec![f32::NAN; grid.scratch_len()],
+        );
 
         // Per-tile oracle from the allocating kernels: gather the tile,
         // `softmax(q kᵀ · scale) v`, compare the tile's output rows.
@@ -228,10 +195,10 @@ fn tile_backward_reference(
 }
 
 #[test]
-fn attention_backward_is_thread_invariant_and_matches_the_per_tile_reference() {
-    // The forward test's grids (both token-axis placements, several chunks,
-    // a ragged last lane group) plus HIM's own MBA shape and single-token,
-    // single-column tiles.
+fn attention_backward_matches_the_per_tile_reference() {
+    // The forward test's grids (both token-axis placements, a ragged last
+    // lane group) plus HIM's own MBA shape and single-token, single-column
+    // tiles.
     for (outer, tokens, inner, heads, head_dim) in [
         (70, 5, 1, 3, 8),
         (3, 9, 7, 2, 6),
@@ -262,26 +229,23 @@ fn attention_backward_is_thread_invariant_and_matches_the_per_tile_reference() {
             &mut p,
             &mut vec![f32::NAN; grid.scratch_len()],
         );
-        // Packed `[dq | dk | dv]` so the invariance helper compares all
-        // three; poisoned outputs: every element must be written.
+        // Packed `[dq | dk | dv]`; poisoned outputs: every element must be
+        // written.
         let len = grid.rows() * grid.width();
-        let got = assert_thread_invariant("attention_backward_into", || {
-            let mut out = vec![f32::NAN; 3 * len];
-            let (dq, rest) = out.split_at_mut(len);
-            let (dk, dv) = rest.split_at_mut(len);
-            linalg::attention_backward_into(
-                &grid,
-                q.as_slice(),
-                k.as_slice(),
-                v.as_slice(),
-                &p,
-                d_o.as_slice(),
-                dq,
-                dk,
-                dv,
-            );
-            NdArray::from_vec([3, len], out)
-        });
+        let mut got = vec![f32::NAN; 3 * len];
+        let (dq, rest) = got.split_at_mut(len);
+        let (dk, dv) = rest.split_at_mut(len);
+        linalg::attention_backward_into(
+            &grid,
+            q.as_slice(),
+            k.as_slice(),
+            v.as_slice(),
+            &p,
+            d_o.as_slice(),
+            dq,
+            dk,
+            dv,
+        );
 
         let width = grid.width();
         for tile in 0..grid.tiles() {
@@ -303,7 +267,7 @@ fn attention_backward_is_thread_invariant_and_matches_the_per_tile_reference() {
                 head_dim,
             );
             for (which, want) in want.iter().enumerate() {
-                let got = gather(&got.as_slice()[which * len..(which + 1) * len]);
+                let got = gather(&got[which * len..(which + 1) * len]);
                 assert_eq!(
                     got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                     want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -311,64 +275,5 @@ fn attention_backward_is_thread_invariant_and_matches_the_per_tile_reference() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn layer_norm_forward_and_backward_are_thread_invariant() {
-    let x = randn(&[200, 33], 12);
-    let gamma = randn(&[33], 13);
-    let beta = randn(&[33], 14);
-    assert_thread_invariant("layer_norm_last_nd", || {
-        linalg::layer_norm_last_nd(&x, &gamma, &beta, 1e-5)
-    });
-
-    let (_, xhat, inv_std) = linalg::layer_norm_forward_last(&x, &gamma, &beta, 1e-5);
-    let g = randn(&[200, 33], 15);
-    // Backward returns (dx, dgamma, dbeta); pack into one array so the
-    // invariance helper can compare everything at once.
-    assert_thread_invariant("layer_norm_backward_last", || {
-        let (dx, dgamma, dbeta) = linalg::layer_norm_backward_last(&xhat, &inv_std, &gamma, &g);
-        let mut packed: Vec<f32> = dx.as_slice().to_vec();
-        packed.extend_from_slice(dgamma.as_slice());
-        packed.extend_from_slice(dbeta.as_slice());
-        let len = packed.len();
-        NdArray::from_vec([len], packed)
-    });
-}
-
-#[test]
-fn flat_reductions_are_thread_invariant() {
-    let xs = randn(&[3 * 4096 + 731], 16);
-    let baseline = with_pool(&Arc::new(ThreadPool::new(1)), || {
-        linalg::norm_sq_f64(xs.as_slice())
-    });
-    for &t in &THREADS[1..] {
-        let got = with_pool(&Arc::new(ThreadPool::new(t)), || {
-            linalg::norm_sq_f64(xs.as_slice())
-        });
-        assert_eq!(
-            got.to_bits(),
-            baseline.to_bits(),
-            "norm_sq_f64 at {t} threads"
-        );
-    }
-
-    let mut poisoned = xs.as_slice().to_vec();
-    poisoned[100] = f32::NAN;
-    poisoned[5000] = f32::INFINITY;
-    poisoned[9000] = f32::NEG_INFINITY;
-    let mut expect = poisoned.clone();
-    let count1 = with_pool(&Arc::new(ThreadPool::new(1)), || {
-        linalg::sanitize_non_finite(&mut expect)
-    });
-    assert_eq!(count1, 3);
-    for &t in &THREADS[1..] {
-        let mut got = poisoned.clone();
-        let count = with_pool(&Arc::new(ThreadPool::new(t)), || {
-            linalg::sanitize_non_finite(&mut got)
-        });
-        assert_eq!(count, count1, "sanitize count at {t} threads");
-        assert_eq!(got, expect, "sanitized values at {t} threads");
     }
 }
