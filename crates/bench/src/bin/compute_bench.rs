@@ -10,14 +10,18 @@
 //!    dispatched result is correctness-checked before it is timed: bitwise
 //!    against the reference on scalar, oracle-bounded on avx2 (whose
 //!    FMA chain rounds less — DESIGN.md §16).
+//!    Beside the generic shapes, HIM's own thin products: MBA's Q/K/V
+//!    projection and `W_O` (`k` or `m` = 8) and MBU/MBI's `W_O`
+//!    (`m = 72`, a 32-column panel pair and an 8-column tail).
 //! 2. **mhsa** — the tape-free `hire_nn::mhsa_forward` at HIM's three
 //!    attention shapes (MBU, MBI, MBA of the `fast` config):
 //!    microseconds, achieved GFLOP/s from the shape's matmul FLOPs, and
-//!    that as a share of the matmul peak section 1 measured; beside it the
-//!    same shape through the tape's one `mhsa` node, forward (the same
-//!    kernels plus the saved `Q` and softmax rows) and backward. Reported,
-//!    not gated — these are the per-layer numbers the serving forward and
-//!    a training step are made of.
+//!    that as a share of the matmul peak section 1 measured, split into its
+//!    three stages (the Q/K/V projections, the attention tiles, `W_O`);
+//!    beside it the same shape through the tape's one `mhsa` node, forward
+//!    (the same kernels plus the saved `Q` and softmax rows) and backward.
+//!    Reported, not gated — these are the per-layer numbers the serving
+//!    forward and a training step are made of.
 //! 3. **him** — full HIM tape forward and forward+backward wall time on a
 //!    synthetic cold-start context.
 //! 4. **sampler** — `NeighborhoodSampler` at never-repeated uniform pairs on
@@ -35,10 +39,11 @@
 //!
 //! `--smoke` shrinks every section to seconds and gates two regressions: on
 //! hosts where the dispatcher resolves to avx2 the dispatched matmul must
-//! beat the forced-scalar micro-kernel, and a single-edge commit on the hub
-//! graph must copy no more than a fixed multiple of the bytes it copies on
-//! the 600×400 one — the CI regression gates for the SIMD layer and the
-//! copy-on-write graph.
+//! beat the forced-scalar micro-kernel (MBA's `[2304, 32]·[32, 8]` `W_O`
+//! among the shapes, which only the column-tail tile serves), and a
+//! single-edge commit on the hub graph must copy no more than a fixed
+//! multiple of the bytes it copies on the 600×400 one — the CI regression
+//! gates for the SIMD layer and the copy-on-write graph.
 
 use hire_bench::write_json_atomic;
 use hire_core::{HireConfig, HireModel};
@@ -48,7 +53,7 @@ use hire_graph::{
 };
 use hire_nn::{mhsa_forward, MhsaWeights, MultiHeadSelfAttention};
 use hire_tensor::linalg;
-use hire_tensor::{NdArray, Tensor};
+use hire_tensor::{AttnGrid, NdArray, Tensor, WeightMatrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -150,6 +155,13 @@ struct MhsaReport {
     head_dim: usize,
     /// Best-of wall time of one `mhsa_forward`.
     micros_1t: f64,
+    /// Best-of wall time of its three Q/K/V projections
+    /// (`WeightMatrix::linear_into` each).
+    proj_us: f64,
+    /// Best-of wall time of its attention tiles (`linalg::attention_into`).
+    attn_us: f64,
+    /// Best-of wall time of its output projection `W_O`.
+    out_us: f64,
     /// Projection + QKᵀ + A·V + output-projection FLOPs over that time.
     gflops_1t: f64,
     /// `gflops_1t` over the dispatched 1-thread matmul GFLOP/s at the
@@ -325,6 +337,39 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
             let y = mhsa_forward(&x, &w);
             std::hint::black_box(&y);
         });
+        // The same forward a stage at a time, over the workspace layout
+        // `mhsa_forward` hands `mhsa_forward_into` — Q, K, V, scratch,
+        // from a 64-byte boundary — with the output after it.
+        let isa = hire_tensor::simd::active_isa();
+        let grid = AttnGrid {
+            outer: b,
+            tokens: t,
+            inner: 1,
+            heads: l,
+            head_dim: dk,
+        };
+        let proj_len = grid.rows() * grid.width();
+        let mut memory = vec![0.0f32; 3 * proj_len + grid.scratch_len() + x.numel() + 15];
+        let skip = memory.as_ptr().align_offset(64).min(15);
+        let (q, rest) = memory[skip..].split_at_mut(proj_len);
+        let (k, rest) = rest.split_at_mut(proj_len);
+        let (v, rest) = rest.split_at_mut(proj_len);
+        let (scratch, rest) = rest.split_at_mut(grid.scratch_len());
+        let y = &mut rest[..x.numel()];
+        let proj = time_best(reps, || {
+            for (w, out) in [(&w.w_q, &mut *q), (&w.w_k, &mut *k), (&w.w_v, &mut *v)] {
+                w.linear_into(x.as_slice(), out, isa);
+            }
+        });
+        // Each repetition attends over the last one's output as its Q: a
+        // convex combination of V rows, so the values stay in range.
+        let attn = time_best(reps, || {
+            linalg::attention_into(&grid, q, k, v, scratch);
+        });
+        let out = time_best(reps, || {
+            w.w_o.linear_into(q, y, isa);
+            std::hint::black_box(&y);
+        });
         let layer_on_tape = MultiHeadSelfAttention::new(d, l, dk, &mut rng);
         let x_on_tape = Tensor::parameter(x.clone());
         let tape_forward = time_best(reps, || {
@@ -344,6 +389,9 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
             heads: l,
             head_dim: dk,
             micros_1t: secs * 1e6,
+            proj_us: proj * 1e6,
+            attn_us: attn * 1e6,
+            out_us: out * 1e6,
             gflops_1t: gflops,
             share_of_matmul_peak: gflops / matmul_peak_gflops,
             tape_forward_us: tape_forward * 1e6,
@@ -610,10 +658,19 @@ fn main() {
 
     // HIM-realistic products: [rows, e] x [e, inner] attention projections
     // (rows = batch*tokens of MBU/MBI/MBA) and the larger full-tier shape.
+    // Then HIM's thin ones: MBA's projection and `W_O`, MBU/MBI's `W_O`.
     let shapes: &[[usize; 3]] = if args.smoke {
-        &[[256, 40, 32], [512, 64, 64]]
+        &[[256, 40, 32], [512, 64, 64], [2304, 32, 8]]
     } else {
-        &[[256, 40, 32], [1024, 40, 32], [4096, 24, 24], [512, 64, 64]]
+        &[
+            [256, 40, 32],
+            [1024, 40, 32],
+            [4096, 24, 24],
+            [512, 64, 64],
+            [2304, 8, 32],
+            [2304, 32, 8],
+            [256, 32, 72],
+        ]
     };
     // Matmul timings are microseconds per rep; a generous best-of count
     // costs nothing and rides out scheduler noise on shared hosts.
@@ -635,10 +692,13 @@ fn main() {
     let mhsa = bench_mhsa(9, reps, matmul[0].gflops_blocked_1t);
     for r in &mhsa {
         eprintln!(
-            "  mhsa {} {:?}: {:.1} us, {:.2} GF/s ({:.0} % of the matmul peak); on the tape {:.1} us forward, {:.1} us backward",
+            "  mhsa {} {:?}: {:.1} us (projections {:.1}, attention {:.1}, W_O {:.1}), {:.2} GF/s ({:.0} % of the matmul peak); on the tape {:.1} us forward, {:.1} us backward",
             r.layer,
             r.shape,
             r.micros_1t,
+            r.proj_us,
+            r.attn_us,
+            r.out_us,
             r.gflops_1t,
             100.0 * r.share_of_matmul_peak,
             r.tape_forward_us,

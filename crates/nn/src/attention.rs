@@ -27,9 +27,10 @@ use std::rc::Rc;
 /// parameters — exactly the "parameter-sharing MHSA processed in parallel"
 /// of Eq. (10), (12), (14).
 ///
-/// The layer contains no thread-aware code; its kernels run on the
-/// `hire-par` pool via `hire_tensor::linalg`, forward and backward alike,
-/// and results are bit-identical for every thread count (DESIGN.md §11).
+/// The layer contains no thread-aware code: its `hire_tensor::linalg`
+/// kernels run on the calling thread, forward and backward alike, and each
+/// output element is the dispatched ISA's chain (DESIGN.md §16) — the same
+/// bits on every run.
 pub struct MultiHeadSelfAttention {
     w_q: Tensor,
     w_k: Tensor,

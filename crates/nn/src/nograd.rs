@@ -15,9 +15,9 @@
 //! `permute`/`bmm`/`softmax_last` composition it replaced, per element
 //! (DESIGN.md §16), over generated shapes.
 //!
-//! Projections and the attention tiles fan out over the `hire-par` pool in
-//! shape-only chunks and stay bit-identical at every thread count
-//! (DESIGN.md §11).
+//! Projections and the attention tiles run on the calling thread; per
+//! element the forward is the dispatched ISA's chain (DESIGN.md §16), the
+//! same bits on every run and every batch split.
 
 use hire_tensor::simd::{self, Isa};
 use hire_tensor::{linalg, AttnGrid, NdArray, WeightMatrix};
@@ -110,8 +110,8 @@ impl<W: WeightMatrix> MhsaWeights<W> {
 ///
 /// The four projections go through [`WeightMatrix::linear_into`], so the
 /// one function serves every storage format: against quantized projections
-/// it is bit-identical to running on the dequantized weights, at any
-/// thread count.
+/// it is bit-identical to running on the dequantized weights on the same
+/// ISA.
 pub fn mhsa_forward<W: WeightMatrix>(x: &NdArray, w: &MhsaWeights<W>) -> NdArray {
     mhsa_forward_with_isa(x, w, simd::active_isa())
 }
@@ -124,9 +124,13 @@ pub fn mhsa_forward_with_isa<W: WeightMatrix>(
     isa: Isa,
 ) -> NdArray {
     let layout = sequence_layout(x.dims(), w.model_dim());
-    let mut workspace = vec![0.0f32; mhsa_workspace_len(layout, w)];
+    // 15 spare floats start the workspace on a 64-byte boundary; its Q, K
+    // and V buffers are each a multiple of 16 floats at HIM's shapes, so
+    // they all land on one.
+    let mut memory = vec![0.0f32; mhsa_workspace_len(layout, w) + 15];
+    let skip = memory.as_ptr().align_offset(64).min(15);
     let mut y = vec![0.0f32; x.numel()];
-    mhsa_forward_into(x.as_slice(), layout, w, isa, &mut workspace, &mut y);
+    mhsa_forward_into(x.as_slice(), layout, w, isa, &mut memory[skip..], &mut y);
     NdArray::from_vec(x.shape().clone(), y)
 }
 

@@ -36,11 +36,10 @@ impl GradClipStats {
 /// stays `false`.
 pub fn clip_grad_norm(params: &[Tensor], max_norm: f32) -> GradClipStats {
     let threshold_valid = max_norm.is_finite() && max_norm > 0.0;
-    // Both the sanitization scan and the squared-norm sum run element
-    // chunks of each gradient across the pool. Parameters are walked
-    // serially in order and each parameter's chunk partials fold in
-    // ascending chunk order (`linalg::norm_sq_f64`), so the global norm is
-    // bit-identical for every thread count.
+    // Parameters are walked in order, and each parameter's squared norm
+    // folds fixed 4096-element partials in ascending order
+    // (`linalg::norm_sq_f64`), so the global norm is the same bits on every
+    // run of a given ISA.
     let mut nonfinite = 0usize;
     for p in params {
         let mut bad_here = 0usize;

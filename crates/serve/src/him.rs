@@ -386,8 +386,14 @@ impl<W: WeightMatrix> HimWeights<W> {
         }
         let (slab, most) = (n * m * e, ctxs.len().min(STACK));
         // The call's whole working memory: two activation buffers and the
-        // MHSA workspace, one allocation, sized by the shapes alone.
-        let mut memory = vec![0.0f32; 2 * most * slab + self.attention_workspace_len(most, n, m)];
+        // MHSA workspace, one allocation, sized by the shapes alone — plus
+        // 15 spare floats to start it on a 64-byte boundary. Every buffer
+        // carved from it is a multiple of 16 floats at HIM's shapes, so
+        // each starts on one too.
+        let mut memory =
+            vec![0.0f32; 2 * most * slab + self.attention_workspace_len(most, n, m) + 15];
+        let skip = memory.as_ptr().align_offset(64).min(15);
+        let memory = &mut memory[skip..];
         let isa = simd::active_isa();
         let mut preds = Vec::with_capacity(ctxs.len());
         for stack in ctxs.chunks(STACK) {

@@ -197,16 +197,19 @@ pub fn matmul_reference(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usiz
     }
 }
 
-/// `out[n,m] += a[n,k] * b[k,m]`, cache-blocked.
+/// `out[n,m] = a[n,k] * b[k,m]`, cache-blocked; `out` is overwritten, never
+/// read.
 ///
-/// `b` is packed once into zero-padded `panel_width(isa)`-wide column
-/// panels (k-major inside each panel, so the micro-kernel streams it
-/// contiguously), then the micro-kernel walks the output in register tiles.
-/// Each output element still accumulates through a single register lane in
-/// ascending-`k` order — on scalar the identical floating-point chain
-/// to [`matmul_reference`]; on avx2 the same chain with each step fused
-/// into an FMA (the relaxation documented in [`crate::simd`]). Results are
-/// bit-identical on either size-dispatch path on a fixed ISA.
+/// `b` is packed once into `panel_width(isa)`-wide column panels plus a
+/// dense 8- or 16-column panel for a thinner column tail (k-major inside
+/// each panel, so the micro-kernel streams it contiguously), then the
+/// micro-kernel walks the output in register tiles. Each output element
+/// accumulates through a single register lane from `+0.0` in ascending-`k`
+/// order — on scalar the identical floating-point chain to
+/// [`matmul_reference`] on a zeroed output; on avx2 the same chain with
+/// each step fused into an FMA (the relaxation documented in
+/// [`crate::simd`]). Results are bit-identical on either size-dispatch path
+/// on a fixed ISA.
 fn matmul_kernel_with_isa(
     a: &[f32],
     b: &[f32],
@@ -224,10 +227,7 @@ fn matmul_kernel_with_isa(
     if n * k * m <= BLOCK_THRESHOLD {
         return simd::matmul_small(isa, a, b, out, n, k, m);
     }
-    let nr = simd::panel_width(isa);
-    let m_panels = m.div_ceil(nr);
-    let mut packed = vec![0.0f32; m_panels * k * nr];
-    simd::pack_b(&mut packed, b, k, m, nr);
+    let packed = simd::pack_b(b, k, m, simd::panel_width(isa));
     simd::matmul_block_rows(isa, a, &packed, out, n, k, m);
 }
 
@@ -243,28 +243,29 @@ fn transposed(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     out
 }
 
-/// `out[n,m] += a[n,k] * b[m,k]^T`: `b` — a weight, or one batch entry —
-/// is transposed once and the product is [`matmul_kernel_with_isa`]'s, so
+/// `out[n,m] = a[n,k] * b[m,k]^T`: `b` — a weight, or one batch entry — is
+/// transposed once and the product is [`matmul_kernel_with_isa`]'s, so
 /// each output element runs the forward matmul's chain over ascending `k`
-/// (scalar: mul-then-add from `out`; avx2/avx512: one FMA per step).
+/// (scalar: mul-then-add from `0.0`; avx2/avx512: one FMA per step).
 fn nt_kernel(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     let bt = transposed(b, m, k);
     matmul_kernel_with_isa(a, &bt, out, n, k, m, simd::active_isa());
 }
 
-/// `out[k,m] += a[n,k]^T * g[n,m]` through [`matmul_kernel_with_isa`]: each
+/// `out[k,m] = a[n,k]^T * g[n,m]` through [`matmul_kernel_with_isa`]: each
 /// output element is one chain over the rows `n`, ascending. The packed
 /// panels should run along the output's longer axis, so a wide output
-/// (`m >= k`) transposes `a` and multiplies `aᵀ·g`, and a tall one transposes `g` and builds `outᵀ = gᵀ·a` — the same
-/// products in the same order per element (`x·y` and `y·x` round alike), so
-/// which way round is a pure speed choice: MHSA's `dW_O` over MBA's
-/// `[2304, 32]ᵀ·[2304, 8]` runs 4× fuller panels the second way.
+/// (`m >= k`) transposes `a` and multiplies `aᵀ·g`, and a tall one
+/// transposes `g`, builds `outᵀ = gᵀ·a` and transposes that into `out` —
+/// the same products in the same order per element (`x·y` and `y·x` round
+/// alike), so which way round is a pure speed choice: MHSA's `dW_O` over
+/// MBA's `[2304, 32]ᵀ·[2304, 8]` runs 4× fuller panels the second way.
 fn tn_kernel(a: &[f32], g: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     let isa = simd::active_isa();
     if m >= k {
         matmul_kernel_with_isa(&transposed(a, n, k), g, out, k, n, m, isa);
     } else {
-        let mut out_t = transposed(out, k, m);
+        let mut out_t = vec![0.0f32; m * k];
         matmul_kernel_with_isa(&transposed(g, n, m), a, &mut out_t, m, n, k, isa);
         out.copy_from_slice(&transposed(&out_t, m, k));
     }
@@ -675,10 +676,6 @@ fn attention_run(
         v.len()
     );
     assert!(
-        len <= i32::MAX as usize,
-        "attention buffers of {len} floats exceed 32-bit gather indices"
-    );
-    assert!(
         scratch.len() >= grid.scratch_len(),
         "attention scratch holds {} floats, {grid:?} needs {}",
         scratch.len(),
@@ -694,8 +691,8 @@ fn attention_run(
     if len == 0 {
         return;
     }
-    // SAFETY: `qo` holds `len` floats like `k`, `len` fits 32-bit indices
-    // and `scratch` / `probs` have the grid's lengths (all asserted above);
+    // SAFETY: `qo` holds `len` floats like `k`, and `scratch` / `probs`
+    // have the grid's lengths (all asserted above);
     // the `&mut` borrow keeps everything else off `qo` for the call.
     unsafe { simd::attention_tiles(isa, grid, qo.as_mut_ptr(), k, v, scratch, probs) };
 }
@@ -1079,7 +1076,6 @@ impl WeightMatrix for NdArray {
     fn linear_into(&self, x: &[f32], out: &mut [f32], isa: Isa) {
         check_linear(self.dims(), x, out);
         let (d, k) = (self.dims()[0], self.dims()[1]);
-        out.fill(0.0);
         matmul_kernel_with_isa(x, self.as_slice(), out, x.len() / d.max(1), d, k, isa);
     }
     fn row_into(&self, index: usize, out: &mut [f32]) {

@@ -10,7 +10,7 @@
 //!
 //! Determinism contract: dequantization is a pure per-element function of
 //! the stored representation, so a quantized product is bit-identical to
-//! the f32 product over `dequantize()` — per ISA and across thread counts.
+//! the f32 product over `dequantize()` on the same ISA (DESIGN.md §16).
 //!
 //! Error accounting: `quantize` records the worst per-element absolute
 //! reconstruction error actually incurred ([`QuantizedTensor::max_err`]).

@@ -31,10 +31,16 @@
 //!   cell; MBU/MBI: `t` = 16-odd context users/items; `dk` = 8), so a tile
 //!   on its own is mostly loop overhead and ragged vector tails; across
 //!   tiles every instruction is full width. FMA, `exp_ps` (the per-lane
-//!   mirror of `exp_scalar`, which the row kernel uses on tails) and the
-//!   f64 adds are exact per lane, so lane position cannot change a value;
-//!   the one order-sensitive step, the softmax sum, reproduces the row
-//!   kernel's fold explicitly (see the macro).
+//!   mirror of `exp_scalar`, which the row kernel uses on tails; the
+//!   16-lane `exp` is the same polynomial op for op) and the f64 adds are
+//!   exact per lane, so lane position cannot change a value; the one
+//!   order-sensitive step, the softmax sum, reproduces the row kernel's
+//!   fold explicitly (see the macro). Tiles enter and leave the lanes
+//!   without a gather or scatter: a tile row is `dk` contiguous floats, so
+//!   eight lanes' rows are eight plain loads turned lane-major by an
+//!   in-register 8×8 transpose (masked for `dk % 8`), and the output goes
+//!   back the same way. Four query rows run at once, their score and `P·V`
+//!   chains interleaved.
 //!
 //! Either kernel can also hand out each tile's softmax rows `P` — the values
 //! it is about to multiply into `V`, stored on the way, so no chain changes.
@@ -50,10 +56,9 @@
 //! rows with whatever the build's baseline allows (SSE2 on x86-64) and may
 //! not fuse or reorder them, so a tile's gradient bits are the same on every
 //! ISA and in every lane — a stronger contract than the
-//! forward's, bought by not hand-writing it three times. Wider per-ISA
-//! instances would have little to win: at HIM's tile sizes about 70 % of
-//! the kernel's time is gathering tiles into panels and scattering the
-//! results, not arithmetic.
+//! forward's, bought by not hand-writing it three times. It still fills
+//! its panels element by element, which is most of its time at HIM's tile
+//! sizes (ROADMAP 4 (b)).
 
 /// Geometry of one multi-head attention call over `[rows, heads *
 /// head_dim]` buffers whose rows are laid out `[outer, tokens, inner]`
@@ -83,6 +88,11 @@ pub struct AttnGrid {
 /// Widest lane group of any ISA's `attention_lanes_kernel!`; sizes the
 /// scratch so its length does not depend on the dispatched ISA.
 const MAX_LANES: usize = 16;
+
+/// Query rows `attention_lanes_kernel!` carries at once: their score and
+/// `P·V` chains interleave, so one row's FMA latency hides behind the
+/// others' instead of serialising the group.
+pub(super) const ROWS: usize = 4;
 
 impl AttnGrid {
     /// Row width `heads * head_dim` of the Q/K/V buffers.
@@ -123,25 +133,29 @@ impl AttnGrid {
 
     /// Scratch floats a call needs, whichever ISA's kernel runs it:
     /// gathered Q/Kᵀ/V tiles plus a score and a probability tile for the
-    /// tile-at-a-time kernel; K and V panels, one Q row and one score row
-    /// per lane for the lane-parallel one.
+    /// tile-at-a-time kernel; K and V panels and, for the query rows in
+    /// flight, their Q (then output) rows and score rows per lane for the
+    /// lane-parallel one.
     pub fn scratch_len(&self) -> usize {
         let (t, dk) = (self.tokens, self.head_dim);
-        (3 * t * dk + 2 * t * t).max((2 * t * dk + dk + t) * MAX_LANES)
+        (3 * t * dk + 2 * t * t).max((2 * t * dk + ROWS * (dk + t)) * MAX_LANES)
     }
 }
 
 /// Generates `attention_lanes`, the lane-parallel kernel. `$ops` is a
 /// module of the ISA's vector primitives: `LANES`, `splat`, `load`,
-/// `store`, `gather`, `scatter`, `fmadd`, `mul`, `sub`, `max`, `exp`,
+/// `store`, `load_runs`, `store_runs`, `fmadd`, `mul`, `sub`, `max`, `exp`,
 /// `sum_zero`, `sum_add`, `sum_join`, `sum_recip`.
 ///
-/// Layout: lane `λ` of every vector belongs to tile `group_start + λ`. The
-/// group's K and V are gathered once into `[token][column][lane]` panels,
-/// Q one row at a time, so every later operand is one full-width load;
-/// each output vector is scattered back over that row's Q. Dead lanes of a
-/// ragged last group alias the last live tile (valid reads) and are never
-/// written.
+/// Layout: lane `λ` of every vector belongs to tile `group_start + λ`. Each
+/// tile row is `dk` contiguous floats in Q, K and V (and `t` in `P`), so
+/// the group's K and V are read into `[token][column][lane]` panels, and Q
+/// [`ROWS`] rows at a time, a whole tile row per lane at once and turned
+/// lane-major in registers (`load_runs`); every later operand is one
+/// full-width load. Output rows are assembled lane-major and written back
+/// over their Q by the inverse transpose (`store_runs`), softmax rows
+/// likewise into `P`. Dead lanes of a ragged last group alias the last
+/// live tile (valid reads) and are never written.
 macro_rules! attention_lanes_kernel {
     ($(#[$attr:meta])* $ops:ident) => {
         /// Attention over every tile of `grid`, `LANES` tiles per vector
@@ -154,9 +168,8 @@ macro_rules! attention_lanes_kernel {
         /// # Safety
         ///
         /// `qo` must point to `k.len()` floats (`grid.rows() *
-        /// grid.width()`, which must fit in `i32`: gather indices are
-        /// 32-bit element offsets), and nothing else may access them
-        /// during the call.
+        /// grid.width()`), and nothing else may access them during the
+        /// call.
         $(#[$attr])*
         pub unsafe fn attention_lanes(
             grid: &crate::simd::AttnGrid,
@@ -167,13 +180,16 @@ macro_rules! attention_lanes_kernel {
             mut probs: Option<&mut [f32]>,
         ) {
             use $ops::LANES;
+            use crate::simd::attention::ROWS;
             let (t, dk, tiles) = (grid.tokens, grid.head_dim, grid.tiles());
-            debug_assert!(t > 0 && k.len() <= i32::MAX as usize);
+            debug_assert!(t > 0);
             let stride = grid.token_stride();
             let (kp, rest) = scratch.split_at_mut(t * dk * LANES);
             let (vp, rest) = rest.split_at_mut(t * dk * LANES);
-            let (q_row, rest) = rest.split_at_mut(dk * LANES);
-            let s = &mut rest[..t * LANES];
+            // `ROWS` rows of the group's Q, then of its output, and of its
+            // scores.
+            let (qp, rest) = rest.split_at_mut(ROWS * dk * LANES);
+            let s = &mut rest[..ROWS * t * LANES];
             let at = |token: usize, col: usize| (token * dk + col) * LANES;
             let scale = $ops::splat(1.0 / (dk as f32).sqrt());
             // Columns of a softmax row the avx2 row kernel runs through its
@@ -181,7 +197,7 @@ macro_rules! attention_lanes_kernel {
             let body = t - t % 8;
             if let Some(probs) = &probs {
                 assert!(
-                    probs.len() == tiles * t * t && probs.len() <= i32::MAX as usize,
+                    probs.len() == tiles * t * t,
                     "softmax rows of {tiles} tiles of {t} tokens cannot be {} floats",
                     probs.len()
                 );
@@ -189,110 +205,104 @@ macro_rules! attention_lanes_kernel {
             let mut group = 0;
             while group < tiles {
                 let live = (tiles - group).min(LANES);
-                let (mut base, mut p_base) = ([0i32; LANES], [0i32; LANES]);
+                let (mut base, mut p_base) = ([0usize; LANES], [0usize; LANES]);
                 for lane in 0..LANES {
                     let tile = group + lane.min(live - 1);
-                    let tile_base = grid.tile_base(tile);
-                    debug_assert!(tile_base + (t - 1) * stride + dk <= k.len());
-                    base[lane] = tile_base as i32;
-                    p_base[lane] = (tile * t * t) as i32;
+                    base[lane] = grid.tile_base(tile);
+                    debug_assert!(base[lane] + (t - 1) * stride + dk <= k.len());
+                    p_base[lane] = tile * t * t;
                 }
-                // SAFETY (this block): every gather/scatter offset is
-                // `tile_base + token * stride + col` with `token < t`,
-                // `col < dk` — inside the buffers by the assert above — and
-                // scatters touch only live tiles' own Q segments, or, into
-                // `probs`, element `i * t + j < t * t` of a live tile's own
-                // `t * t` rows, inside it by the length assert; panel
-                // offsets `at(token, col) + LANES <= t * dk * LANES`, row
-                // offsets `col * LANES + LANES <= dk * LANES` and
-                // `j * LANES + LANES <= t * LANES`.
+                // SAFETY (this block): every tile row read or written is
+                // `base[λ] + token * stride + 0..dk` with `token < t` —
+                // inside the buffers by the assert above — and writes touch
+                // only live tiles' own Q rows, or, into `probs`, row `i` of
+                // a live tile's own `t * t` floats, inside it by the length
+                // assert; panel rows `at(token, col)` and `col * LANES`,
+                // `j * LANES` stay inside `kp`/`vp`, `qo_row` and `s`.
                 unsafe {
                     for j in 0..t {
-                        for c in 0..dk {
-                            let offset = (j * stride + c) as i32;
-                            $ops::store(
-                                kp.as_mut_ptr().add(at(j, c)),
-                                $ops::gather(k.as_ptr(), &base, offset),
-                            );
-                            $ops::store(
-                                vp.as_mut_ptr().add(at(j, c)),
-                                $ops::gather(v.as_ptr(), &base, offset),
-                            );
-                        }
+                        $ops::load_runs(k.as_ptr(), &base, j * stride, dk, kp.as_mut_ptr().add(at(j, 0)));
+                        $ops::load_runs(v.as_ptr(), &base, j * stride, dk, vp.as_mut_ptr().add(at(j, 0)));
                     }
-                    for i in 0..t {
-                        for c in 0..dk {
-                            let offset = (i * stride + c) as i32;
-                            $ops::store(
-                                q_row.as_mut_ptr().add(c * LANES),
-                                $ops::gather(qo as *const f32, &base, offset),
-                            );
+                    for i0 in (0..t).step_by(ROWS) {
+                        // Query rows `i0..i0 + rows`; the chains of `ROWS`
+                        // rows interleave, a short last block re-reading
+                        // its last row in the rest (never stored).
+                        let rows = (t - i0).min(ROWS);
+                        let q_at = |r: usize, c: usize| (r * dk + c) * LANES;
+                        let s_at = |r: usize, j: usize| (r * t + j) * LANES;
+                        for r in 0..ROWS {
+                            let i = i0 + r.min(rows - 1);
+                            $ops::load_runs(qo, &base, i * stride, dk, qp.as_mut_ptr().add(q_at(r, 0)));
                         }
-                        // s[j] = (q_i · k_j) * scale, and the row max.
-                        let mut max = $ops::splat(f32::NEG_INFINITY);
+                        // s[j] = (q_i · k_j) * scale, and the row maxima
+                        // in token order.
+                        let mut max = [$ops::splat(f32::NEG_INFINITY); ROWS];
                         for j in 0..t {
-                            let mut acc = $ops::splat(0.0);
+                            let mut acc = [$ops::splat(0.0); ROWS];
                             for c in 0..dk {
-                                acc = $ops::fmadd(
-                                    $ops::load(q_row.as_ptr().add(c * LANES)),
-                                    $ops::load(kp.as_ptr().add(at(j, c))),
-                                    acc,
-                                );
+                                let kjc = $ops::load(kp.as_ptr().add(at(j, c)));
+                                for (r, acc) in acc.iter_mut().enumerate() {
+                                    *acc = $ops::fmadd($ops::load(qp.as_ptr().add(q_at(r, c))), kjc, *acc);
+                                }
                             }
-                            let sj = $ops::mul(acc, scale);
-                            $ops::store(s.as_mut_ptr().add(j * LANES), sj);
-                            max = $ops::max(sj, max);
-                        }
-                        for j in 0..t {
-                            let e = $ops::exp($ops::sub($ops::load(s.as_ptr().add(j * LANES)), max));
-                            $ops::store(s.as_mut_ptr().add(j * LANES), e);
-                        }
-                        // The row kernel's f64 sum: body columns accumulate
-                        // by `j % 8` into two four-lane registers (`lo`:
-                        // residues 0–3, `hi`: 4–7), folded as
-                        // `((l0 + l1) + l2) + l3` with `l_r = lo_r + hi_r`;
-                        // tail columns then add one by one.
-                        let mut sum = $ops::sum_zero();
-                        for r in 0..4 {
-                            let (mut lo, mut hi) = ($ops::sum_zero(), $ops::sum_zero());
-                            let mut j = r;
-                            while j < body {
-                                lo = $ops::sum_add(lo, $ops::load(s.as_ptr().add(j * LANES)));
-                                hi = $ops::sum_add(hi, $ops::load(s.as_ptr().add((j + 4) * LANES)));
-                                j += 8;
+                            for (r, (acc, max)) in acc.into_iter().zip(&mut max).enumerate() {
+                                let sj = $ops::mul(acc, scale);
+                                $ops::store(s.as_mut_ptr().add(s_at(r, j)), sj);
+                                *max = $ops::max(sj, *max);
                             }
-                            let l = $ops::sum_join(lo, hi);
-                            sum = if r == 0 { l } else { $ops::sum_join(sum, l) };
                         }
-                        for j in body..t {
-                            sum = $ops::sum_add(sum, $ops::load(s.as_ptr().add(j * LANES)));
-                        }
-                        let inv = $ops::sum_recip(sum);
-                        for j in 0..t {
-                            let p = $ops::mul($ops::load(s.as_ptr().add(j * LANES)), inv);
-                            $ops::store(s.as_mut_ptr().add(j * LANES), p);
-                        }
-                        if let Some(probs) = probs.as_deref_mut() {
+                        for (r, &max) in max.iter().enumerate().take(rows) {
                             for j in 0..t {
-                                $ops::scatter(
-                                    probs.as_mut_ptr(),
-                                    &p_base,
-                                    (i * t + j) as i32,
-                                    $ops::load(s.as_ptr().add(j * LANES)),
-                                    live,
-                                );
+                                let e = $ops::exp($ops::sub($ops::load(s.as_ptr().add(s_at(r, j))), max));
+                                $ops::store(s.as_mut_ptr().add(s_at(r, j)), e);
+                            }
+                            // The row kernel's f64 sum: body columns
+                            // accumulate by `j % 8` into two four-lane
+                            // registers (`lo`: residues 0–3, `hi`: 4–7),
+                            // folded as `((l0 + l1) + l2) + l3` with
+                            // `l_m = lo_m + hi_m`; tail columns then add one
+                            // by one.
+                            let mut sum = $ops::sum_zero();
+                            for m in 0..4 {
+                                let (mut lo, mut hi) = ($ops::sum_zero(), $ops::sum_zero());
+                                let mut j = m;
+                                while j < body {
+                                    lo = $ops::sum_add(lo, $ops::load(s.as_ptr().add(s_at(r, j))));
+                                    hi = $ops::sum_add(hi, $ops::load(s.as_ptr().add(s_at(r, j + 4))));
+                                    j += 8;
+                                }
+                                let l = $ops::sum_join(lo, hi);
+                                sum = if m == 0 { l } else { $ops::sum_join(sum, l) };
+                            }
+                            for j in body..t {
+                                sum = $ops::sum_add(sum, $ops::load(s.as_ptr().add(s_at(r, j))));
+                            }
+                            let inv = $ops::sum_recip(sum);
+                            for j in 0..t {
+                                let p = $ops::mul($ops::load(s.as_ptr().add(s_at(r, j))), inv);
+                                $ops::store(s.as_mut_ptr().add(s_at(r, j)), p);
+                            }
+                            if let Some(probs) = probs.as_deref_mut() {
+                                let i = i0 + r;
+                                $ops::store_runs(s.as_ptr().add(s_at(r, 0)), probs.as_mut_ptr(), &p_base, i * t, t, live);
                             }
                         }
+                        // o[c] = Σ_j p_j · v_jc, over the chunk's Q.
                         for c in 0..dk {
-                            let mut acc = $ops::splat(0.0);
+                            let mut acc = [$ops::splat(0.0); ROWS];
                             for j in 0..t {
-                                acc = $ops::fmadd(
-                                    $ops::load(s.as_ptr().add(j * LANES)),
-                                    $ops::load(vp.as_ptr().add(at(j, c))),
-                                    acc,
-                                );
+                                let vjc = $ops::load(vp.as_ptr().add(at(j, c)));
+                                for (r, acc) in acc.iter_mut().enumerate() {
+                                    *acc = $ops::fmadd($ops::load(s.as_ptr().add(s_at(r, j))), vjc, *acc);
+                                }
                             }
-                            $ops::scatter(qo, &base, (i * stride + c) as i32, acc, live);
+                            for (r, acc) in acc.into_iter().enumerate() {
+                                $ops::store(qp.as_mut_ptr().add(q_at(r, c)), acc);
+                            }
+                        }
+                        for r in 0..rows {
+                            $ops::store_runs(qp.as_ptr().add(q_at(r, 0)), qo, &base, (i0 + r) * stride, dk, live);
                         }
                     }
                 }
@@ -311,8 +321,8 @@ pub(crate) use attention_lanes_kernel;
 /// # Safety
 ///
 /// `qo` must point to `k.len()` floats, and nothing else may access them
-/// during the call. (Shape/length consistency and the 32-bit index bound are
-/// checked by the safe caller, `linalg::attention_into_with_isa`.)
+/// during the call. (Shape/length consistency is checked by the safe
+/// caller, `linalg::attention_into_with_isa`.)
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn attention_tiles(
     isa: super::Isa,

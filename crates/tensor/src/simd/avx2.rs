@@ -6,8 +6,9 @@
 //! 1. **FMA**: every matmul accumulation step `acc + a*b` becomes
 //!    `fma(a, b, acc)` — one rounding instead of two. The chain still
 //!    walks `k` in ascending order with a single accumulator lane per
-//!    output element, so results are deterministic for any thread count;
-//!    they are just (slightly more accurate) different bits than scalar.
+//!    output element, so results are deterministic per ISA whatever the
+//!    tile that computes them; they are just (slightly more accurate)
+//!    different bits than scalar.
 //! 2. **Lane-parallel reductions**: softmax sums, layer-norm statistics
 //!    and `norm_sq` accumulate in four f64 lanes folded in a fixed order,
 //!    not one serial left-to-right chain.
@@ -29,7 +30,8 @@
 //! columns = twelve YMM accumulators held across the whole `k` walk; each
 //! `k` step issues two panel loads, six broadcasts and twelve FMAs. Twelve
 //! independent accumulator chains cover the FMA latency×throughput product
-//! (4–5 cycles × 2 ports) that an 8-chain 4×16 tile only just reaches.
+//! (4–5 cycles × 2 ports) that an 8-chain 4×16 tile only just reaches. A
+//! column tail of ≤ 8 runs a 6×8 tile over its own 8-wide panel.
 
 use std::arch::x86_64::*;
 
@@ -42,165 +44,46 @@ pub const NR: usize = 16;
 // Matmul
 // -------------------------------------------------------------------------
 
-/// Micro-kernel over one band of rows fed from `NR`-wide packed panels:
-/// `out[n,m] += a[n,k] * panels`, FMA chain per output lane.
-#[target_feature(enable = "avx2,fma")]
-pub fn matmul_block_rows(a: &[f32], packed: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
-    let m_panels = m.div_ceil(NR);
-    let mut i0 = 0;
-    while i0 < n {
-        let rows = (n - i0).min(MR);
-        for jp in 0..m_panels {
-            let j0 = jp * NR;
-            let jw = (m - j0).min(NR);
-            let panel = &packed[jp * k * NR..(jp + 1) * k * NR];
-            if rows == MR && jw == NR {
-                full_tile(a, panel, out, i0, k, m, j0);
-            } else {
-                edge_tile(a, panel, out, i0, rows, k, m, j0, jw);
-            }
-        }
-        i0 += rows;
-    }
+crate::simd::matmul_tile! {
+    #[target_feature(enable = "avx2,fma")]
+    tile, lanes, MR
 }
 
-/// 6×16 tile with all twelve accumulators named so they provably live in
-/// registers across the `k` loop (12 acc + 2 panel + 1 broadcast = 15 of
-/// the 16 YMM registers).
-#[target_feature(enable = "avx2,fma")]
-fn full_tile(a: &[f32], panel: &[f32], out: &mut [f32], i0: usize, k: usize, m: usize, j0: usize) {
-    // SAFETY: caller guarantees rows i0..i0+MR and columns j0..j0+NR are in
-    // bounds of `out`, `a` holds rows i0..i0+MR of width k, and `panel`
-    // holds k*NR packed values.
-    unsafe {
-        let o = out.as_mut_ptr();
-        let mut acc00 = _mm256_loadu_ps(o.add(i0 * m + j0));
-        let mut acc01 = _mm256_loadu_ps(o.add(i0 * m + j0 + 8));
-        let mut acc10 = _mm256_loadu_ps(o.add((i0 + 1) * m + j0));
-        let mut acc11 = _mm256_loadu_ps(o.add((i0 + 1) * m + j0 + 8));
-        let mut acc20 = _mm256_loadu_ps(o.add((i0 + 2) * m + j0));
-        let mut acc21 = _mm256_loadu_ps(o.add((i0 + 2) * m + j0 + 8));
-        let mut acc30 = _mm256_loadu_ps(o.add((i0 + 3) * m + j0));
-        let mut acc31 = _mm256_loadu_ps(o.add((i0 + 3) * m + j0 + 8));
-        let mut acc40 = _mm256_loadu_ps(o.add((i0 + 4) * m + j0));
-        let mut acc41 = _mm256_loadu_ps(o.add((i0 + 4) * m + j0 + 8));
-        let mut acc50 = _mm256_loadu_ps(o.add((i0 + 5) * m + j0));
-        let mut acc51 = _mm256_loadu_ps(o.add((i0 + 5) * m + j0 + 8));
-        let ap = a.as_ptr();
-        let pp = panel.as_ptr();
-        for kk in 0..k {
-            let b0 = _mm256_loadu_ps(pp.add(kk * NR));
-            let b1 = _mm256_loadu_ps(pp.add(kk * NR + 8));
-            let a0 = _mm256_set1_ps(*ap.add(i0 * k + kk));
-            acc00 = _mm256_fmadd_ps(a0, b0, acc00);
-            acc01 = _mm256_fmadd_ps(a0, b1, acc01);
-            let a1 = _mm256_set1_ps(*ap.add((i0 + 1) * k + kk));
-            acc10 = _mm256_fmadd_ps(a1, b0, acc10);
-            acc11 = _mm256_fmadd_ps(a1, b1, acc11);
-            let a2 = _mm256_set1_ps(*ap.add((i0 + 2) * k + kk));
-            acc20 = _mm256_fmadd_ps(a2, b0, acc20);
-            acc21 = _mm256_fmadd_ps(a2, b1, acc21);
-            let a3 = _mm256_set1_ps(*ap.add((i0 + 3) * k + kk));
-            acc30 = _mm256_fmadd_ps(a3, b0, acc30);
-            acc31 = _mm256_fmadd_ps(a3, b1, acc31);
-            let a4 = _mm256_set1_ps(*ap.add((i0 + 4) * k + kk));
-            acc40 = _mm256_fmadd_ps(a4, b0, acc40);
-            acc41 = _mm256_fmadd_ps(a4, b1, acc41);
-            let a5 = _mm256_set1_ps(*ap.add((i0 + 5) * k + kk));
-            acc50 = _mm256_fmadd_ps(a5, b0, acc50);
-            acc51 = _mm256_fmadd_ps(a5, b1, acc51);
-        }
-        _mm256_storeu_ps(o.add(i0 * m + j0), acc00);
-        _mm256_storeu_ps(o.add(i0 * m + j0 + 8), acc01);
-        _mm256_storeu_ps(o.add((i0 + 1) * m + j0), acc10);
-        _mm256_storeu_ps(o.add((i0 + 1) * m + j0 + 8), acc11);
-        _mm256_storeu_ps(o.add((i0 + 2) * m + j0), acc20);
-        _mm256_storeu_ps(o.add((i0 + 2) * m + j0 + 8), acc21);
-        _mm256_storeu_ps(o.add((i0 + 3) * m + j0), acc30);
-        _mm256_storeu_ps(o.add((i0 + 3) * m + j0 + 8), acc31);
-        _mm256_storeu_ps(o.add((i0 + 4) * m + j0), acc40);
-        _mm256_storeu_ps(o.add((i0 + 4) * m + j0 + 8), acc41);
-        _mm256_storeu_ps(o.add((i0 + 5) * m + j0), acc50);
-        _mm256_storeu_ps(o.add((i0 + 5) * m + j0 + 8), acc51);
-    }
-}
-
-/// Ragged tile (fewer than MR rows and/or NR columns): stage the live
-/// output lanes through zero-padded stack rows, run the same FMA chains,
-/// and store only the live lanes back. Padded lanes multiply against the
-/// panel's zero fill and are discarded.
+/// `out[n,m] = a[n,k] · b`, `MR` rows at a time: `b` is either
+/// [`pack_b`](super::pack_b)'s panels (`packed`, the blocked path) or
+/// row-major `[k, m]` read in place (the small-product path). Per output
+/// element one FMA chain over ascending `k` from `+0.0` either way; a
+/// stretch of `jw` columns runs the 16- or the 8-column tile,
+/// [`panel_span`](super::panel_span)`(jw)` wide.
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-fn edge_tile(
-    a: &[f32],
-    panel: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    rows: usize,
-    k: usize,
-    m: usize,
-    j0: usize,
-    jw: usize,
-) {
-    let mut tile = [[0.0f32; NR]; MR];
-    for r in 0..rows {
-        tile[r][..jw].copy_from_slice(&out[(i0 + r) * m + j0..(i0 + r) * m + j0 + jw]);
-    }
-    // SAFETY: tile rows are NR floats; panel holds k*NR values.
-    unsafe {
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        for r in 0..rows {
-            acc[r][0] = _mm256_loadu_ps(tile[r].as_ptr());
-            acc[r][1] = _mm256_loadu_ps(tile[r].as_ptr().add(8));
-        }
-        let pp = panel.as_ptr();
-        for kk in 0..k {
-            let b0 = _mm256_loadu_ps(pp.add(kk * NR));
-            let b1 = _mm256_loadu_ps(pp.add(kk * NR + 8));
-            for r in 0..rows {
-                let av = _mm256_set1_ps(a[(i0 + r) * k + kk]);
-                acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-                acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
-            }
-        }
-        for r in 0..rows {
-            _mm256_storeu_ps(tile[r].as_mut_ptr(), acc[r][0]);
-            _mm256_storeu_ps(tile[r].as_mut_ptr().add(8), acc[r][1]);
-        }
-    }
-    for r in 0..rows {
-        out[(i0 + r) * m + j0..(i0 + r) * m + j0 + jw].copy_from_slice(&tile[r][..jw]);
-    }
-}
-
-/// Small-product path: unpacked `out[n,m] += a[n,k] * b[k,m]`, row by row,
-/// `k` ascending, FMA per element — the identical per-element chain to the
-/// blocked kernel above, so the blocking threshold never changes bits.
-/// Tails use scalar `mul_add`, which compiles to a scalar FMA here.
-#[target_feature(enable = "avx2,fma")]
-pub fn matmul_small(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
-    let body = m - m % 8;
-    for i in 0..n {
-        let out_row = &mut out[i * m..(i + 1) * m];
-        for kk in 0..k {
-            let a_ik = a[i * k + kk];
-            let b_row = &b[kk * m..(kk + 1) * m];
-            // SAFETY: j stays within body <= m for both rows.
+pub fn matmul(a: &[f32], b: &[f32], packed: bool, out: &mut [f32], n: usize, k: usize, m: usize) {
+    assert!(a.len() >= n * k && out.len() >= n * m && b.len() >= k * m);
+    for i0 in (0..n).step_by(MR) {
+        let rows = (n - i0).min(MR);
+        for j0 in (0..m).step_by(NR) {
+            let jw = (m - j0).min(NR);
+            let span = super::panel_span(jw);
+            let (b0, stride) = if packed { (j0 * k, span) } else { (j0, m) };
+            debug_assert!(!packed || b.len() >= b0 + k * span);
+            let (a, b, o) = (
+                a[i0 * k..].as_ptr(),
+                b[b0..].as_ptr(),
+                out[i0 * m + j0..].as_mut_ptr(),
+            );
+            // SAFETY: `rows` rows of `a` from `i0`, and of `out` from
+            // `(i0, j0)` with `jw` live columns, are inside the slices
+            // (asserted above); `b` holds `k` rows of `span` floats at
+            // `stride` from `b0` — a packed panel — or, unpacked, `jw`
+            // columns of `k` rows at stride `m`, `span` of them whenever
+            // `jw == span` (otherwise the tile masks to `jw`).
             unsafe {
-                let av = _mm256_set1_ps(a_ik);
-                let mut j = 0;
-                while j < body {
-                    let prod = _mm256_fmadd_ps(
-                        av,
-                        _mm256_loadu_ps(b_row.as_ptr().add(j)),
-                        _mm256_loadu_ps(out_row.as_ptr().add(j)),
-                    );
-                    _mm256_storeu_ps(out_row.as_mut_ptr().add(j), prod);
-                    j += 8;
+                match (span, jw == span) {
+                    (16, true) => tile::<2, false>(a, k, rows, b, stride, o, m, jw),
+                    (16, false) => tile::<2, true>(a, k, rows, b, stride, o, m, jw),
+                    (_, true) => tile::<1, false>(a, k, rows, b, stride, o, m, jw),
+                    (_, false) => tile::<1, true>(a, k, rows, b, stride, o, m, jw),
                 }
-            }
-            for j in body..m {
-                out_row[j] = a_ik.mul_add(b_row[j], out_row[j]);
             }
         }
     }
@@ -211,26 +94,27 @@ pub fn matmul_small(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m
 // -------------------------------------------------------------------------
 
 /// Exp underflow cut-off: below this the polynomial path returns 0.
-const EXP_LO: f32 = -87.33655;
+pub(super) const EXP_LO: f32 = -87.33655;
 /// Exp overflow clamp: ~ln(f32::MAX).
-const EXP_HI: f32 = 88.37626;
-const LOG2E: f32 = std::f32::consts::LOG2_E;
+pub(super) const EXP_HI: f32 = 88.37626;
+pub(super) const LOG2E: f32 = std::f32::consts::LOG2_E;
 /// `ln2` split hi/lo for extended-precision range reduction. The hi part's
 /// exact bit pattern (low mantissa bits zero) is load-bearing for the split.
 #[allow(clippy::excessive_precision)]
-const LN2_HI: f32 = 0.693_359_375;
-const LN2_LO: f32 = -2.121_944_4e-4;
+pub(super) const LN2_HI: f32 = 0.693_359_375;
+pub(super) const LN2_LO: f32 = -2.121_944_4e-4;
 /// Minimax coefficients for `exp(r)` on `|r| <= ln2/2` (Cephes `expf`).
-const EXP_C0: f32 = 1.987_569_1e-4;
-const EXP_C1: f32 = 1.398_199_9e-3;
-const EXP_C2: f32 = 8.333_452e-3;
-const EXP_C3: f32 = 4.166_579_6e-2;
-const EXP_C4: f32 = 1.666_666_5e-1;
+pub(super) const EXP_C0: f32 = 1.987_569_1e-4;
+pub(super) const EXP_C1: f32 = 1.398_199_9e-3;
+pub(super) const EXP_C2: f32 = 8.333_452e-3;
+pub(super) const EXP_C3: f32 = 4.166_579_6e-2;
+pub(super) const EXP_C4: f32 = 1.666_666_5e-1;
 #[allow(clippy::excessive_precision)]
-const EXP_C5: f32 = 5.000_000_2e-1;
+pub(super) const EXP_C5: f32 = 5.000_000_2e-1;
 
 /// Vectorized `exp` on 8 lanes. NaN propagates; +overflow saturates near
 /// `f32::MAX`'s exponent; underflow (including `-Inf`) flushes to 0.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub(super) fn exp_ps(x: __m256) -> __m256 {
     {
@@ -653,13 +537,13 @@ pub fn dequant_row_i8(qs: &[i8], scale: f32, out: &mut [f32]) {
 // Attention tiles
 // -------------------------------------------------------------------------
 
-/// Eight-lane vector primitives of the lane-parallel attention kernel.
-mod lanes {
+/// Eight-lane vector primitives of the matmul tiles (here and the avx512
+/// tier's 8-column tile) and of the lane-parallel attention kernel.
+pub(super) mod lanes {
     use std::arch::x86_64::*;
 
     pub const LANES: usize = 8;
     pub type V = __m256;
-    pub type I = __m256i;
     /// Per-lane f64 sums: lanes 0–3, lanes 4–7.
     pub type D = (__m256d, __m256d);
 
@@ -682,38 +566,146 @@ mod lanes {
     pub unsafe fn store(p: *mut f32, v: V) {
         unsafe { _mm256_storeu_ps(p, v) }
     }
-    /// Per-lane element offsets `base[lane] + offset`.
+    /// A mask of lanes `0..n`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    fn index(base: &[i32; LANES], offset: i32) -> I {
-        // SAFETY: `base` is exactly one unaligned 256-bit load.
-        let b = unsafe { _mm256_loadu_si256(base.as_ptr() as *const __m256i) };
-        _mm256_add_epi32(b, _mm256_set1_epi32(offset))
+    fn first(n: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(n as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
     }
-    /// `p[base[lane] + offset]` per lane.
+    /// `p[..n]` into lanes `0..n`, zeros above; nothing past `p + n` is
+    /// read.
     ///
     /// # Safety
-    /// Every such element must be valid for reads.
+    /// `p` must be valid for reading `n ≤ LANES` floats.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gather(p: *const f32, base: &[i32; LANES], offset: i32) -> V {
-        unsafe { _mm256_i32gather_ps::<4>(p, index(base, offset)) }
+    pub unsafe fn load_first(p: *const f32, n: usize) -> V {
+        // SAFETY: the caller vouches for `p[..n]`; masked-off lanes are not
+        // read.
+        unsafe { _mm256_maskload_ps(p, first(n)) }
     }
-    /// `p[base[lane] + offset] = v[lane]` for the first `live` lanes (avx2
-    /// has no scatter instruction: one scalar store per lane).
+    /// Lanes `0..n` of `v` to `p[..n]`; nothing past `p + n` is written.
     ///
     /// # Safety
-    /// Every such element must be valid for writes.
+    /// `p` must be valid for writing `n ≤ LANES` floats.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn scatter(p: *mut f32, base: &[i32; LANES], offset: i32, v: V, live: usize) {
-        let mut lanes = [0.0f32; LANES];
-        // SAFETY: stack store of one YMM register; the element writes are
-        // the caller's contract.
-        unsafe {
-            _mm256_storeu_ps(lanes.as_mut_ptr(), v);
-            for (&b, &x) in base.iter().zip(&lanes).take(live) {
-                *p.add((b + offset) as usize) = x;
+    pub unsafe fn store_first(p: *mut f32, v: V, n: usize) {
+        // SAFETY: the caller vouches for `p[..n]`; masked-off lanes are not
+        // written.
+        unsafe { _mm256_maskstore_ps(p, first(n), v) }
+    }
+    /// 8×8 transpose: lane `c` of `r[λ]` becomes lane `λ` of the result's
+    /// row `c`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn transpose8(r: [V; 8]) -> [V; 8] {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ]
+    }
+    /// `panel[c·LANES + λ] = src[base[λ] + offset + c]` for `c < run`: each
+    /// lane's run is read as contiguous eight-float stretches (the last
+    /// `run % 8` masked) and turned lane-major by [`transpose8`].
+    ///
+    /// # Safety
+    /// `src[base[λ] + offset..][..run]` must be valid for reads for every
+    /// `λ`, and `panel[..run·LANES]` for writes.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn load_runs(
+        src: *const f32,
+        base: &[usize; LANES],
+        offset: usize,
+        run: usize,
+        panel: *mut f32,
+    ) {
+        for c0 in (0..run).step_by(LANES) {
+            let w = (run - c0).min(LANES);
+            let mut rows = [splat(0.0); LANES];
+            // SAFETY: lane `λ` reads `w` floats at `c0` of its run; column
+            // `c < w` writes panel row `c0 + c < run`.
+            unsafe {
+                for (row, &b) in rows.iter_mut().zip(base) {
+                    let p = src.add(b + offset + c0);
+                    *row = if w == LANES {
+                        load(p)
+                    } else {
+                        load_first(p, w)
+                    };
+                }
+                for (c, col) in transpose8(rows).into_iter().enumerate() {
+                    if c < w {
+                        store(panel.add((c0 + c) * LANES), col);
+                    }
+                }
+            }
+        }
+    }
+    /// The inverse of [`load_runs`] for the first `live` lanes:
+    /// `dst[base[λ] + offset + c] = panel[c·LANES + λ]` for `c < run`,
+    /// `λ < live`.
+    ///
+    /// # Safety
+    /// `panel[..run·LANES]` must be valid for reads, and
+    /// `dst[base[λ] + offset..][..run]` for writes for every `λ < live`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn store_runs(
+        panel: *const f32,
+        dst: *mut f32,
+        base: &[usize; LANES],
+        offset: usize,
+        run: usize,
+        live: usize,
+    ) {
+        for c0 in (0..run).step_by(LANES) {
+            let w = (run - c0).min(LANES);
+            let mut cols = [splat(0.0); LANES];
+            // SAFETY: column `c < w` reads panel row `c0 + c < run`; lane
+            // `λ < live` writes `w` floats at `c0` of its run.
+            unsafe {
+                for (c, col) in cols.iter_mut().enumerate() {
+                    if c < w {
+                        *col = load(panel.add((c0 + c) * LANES));
+                    }
+                }
+                for (lane, (row, &b)) in transpose8(cols).into_iter().zip(base).enumerate() {
+                    if lane < live {
+                        let p = dst.add(b + offset + c0);
+                        if w == LANES {
+                            store(p, row);
+                        } else {
+                            store_first(p, row, w);
+                        }
+                    }
+                }
             }
         }
     }

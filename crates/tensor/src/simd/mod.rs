@@ -21,9 +21,8 @@
 //! slightly **more** accurate — but they are:
 //!
 //! 1. **deterministic per ISA**: the same inputs produce the same bits on
-//!    every run, at every `HIRE_THREADS` count (parallelism still only
-//!    splits independent output regions; each output element's chain is
-//!    fixed by the problem shape and the dispatched ISA);
+//!    every run — a kernel runs on its caller's thread, and each output
+//!    element's chain is fixed by the problem shape and the dispatched ISA;
 //! 2. **oracle-bounded**: within a documented abs/rel tolerance of the
 //!    f64 reference (pinned by `tests/isa_dispatch.rs`);
 //! 3. **IEEE-faithful**: `0 * Inf` still produces NaN on every vector path
@@ -165,36 +164,50 @@ pub const fn panel_width(isa: Isa) -> usize {
     }
 }
 
-/// Packs `b: [k, m]` into zero-padded `nr`-wide column panels, k-major
-/// inside each panel, so the micro-kernel streams one contiguous `nr`-wide
-/// row per `k` step. Identical values land in identical lanes on every
-/// ISA; only `nr` differs. `packed` must be zero-initialized by the caller
-/// — only live columns are written, the ragged tail panel's padding is the
-/// zeros already there.
-pub fn pack_b(packed: &mut [f32], b: &[f32], k: usize, m: usize, nr: usize) {
-    debug_assert_eq!(packed.len(), m.div_ceil(nr) * k * nr);
-    // Per panel, each k-step is one contiguous `jw`-wide copy; the zero
-    // padding of the last panel's ragged tail is the (zero-initialized)
-    // allocation itself.
-    for jp in 0..m.div_ceil(nr) {
-        let j0 = jp * nr;
-        let jw = (m - j0).min(nr);
-        let base = jp * k * nr;
-        for kk in 0..k {
-            packed[base + kk * nr..base + kk * nr + jw]
-                .copy_from_slice(&b[kk * m + j0..kk * m + j0 + jw]);
-        }
+/// Columns of the packed panel — and of the register tile — that cover a
+/// stretch of `jw ≤ nr` output columns: 8, 16 or 32, the first that fits.
+/// A full stretch gets the ISA's whole panel (`nr` is 8, 16 or 32); a
+/// thinner column tail (MBA's `W_O` at `m = 8`, MBU/MBI's at `72 = 2·32 +
+/// 8`, the decoder's `m = 1`) gets a dense 8- or 16-column panel of its
+/// own instead of `nr` columns that are mostly padding.
+pub(crate) const fn panel_span(jw: usize) -> usize {
+    if jw <= 8 {
+        8
+    } else {
+        jw.next_power_of_two()
     }
 }
 
-/// Micro-kernel over one band of output rows fed from packed `b` panels:
-/// `out[n,m] += a[n,k] * panels`. Each output element accumulates through
-/// a single register lane walking `k` in ascending order; scalar uses
-/// mul-then-add (the `matmul_reference` chain), avx2 fuses each step into
-/// an FMA.
-///
-/// `packed` must have been produced by [`pack_b`] with
-/// `nr == panel_width(isa)`.
+/// Packs `b: [k, m]` into column panels, k-major inside each panel, so the
+/// micro-kernel streams one contiguous panel row per `k` step: `nr`-wide
+/// panels, then the ragged column tail (if any) in a zero-padded panel of
+/// 8, 16 or 32 columns, the first that fits — the 8- or 16-column tile
+/// reads a thin tail densely. The panel of columns `j0..` starts at
+/// `j0 * k`.
+/// Identical values land in identical lanes on every ISA; only `nr`
+/// differs.
+pub fn pack_b(b: &[f32], k: usize, m: usize, nr: usize) -> Vec<f32> {
+    let body = m - m % nr;
+    let tail = if m > body { panel_span(m - body) } else { 0 };
+    let mut packed = vec![0.0f32; (body + tail) * k];
+    for j0 in (0..m).step_by(nr) {
+        let jw = (m - j0).min(nr);
+        let span = panel_span(jw);
+        for (kk, row) in packed[j0 * k..][..span * k]
+            .chunks_exact_mut(span)
+            .enumerate()
+        {
+            row[..jw].copy_from_slice(&b[kk * m + j0..][..jw]);
+        }
+    }
+    packed
+}
+
+/// Blocked product `out[n,m] = a[n,k] · b` with `b` packed by [`pack_b`]
+/// (`nr == panel_width(isa)`). Each output element accumulates through a
+/// single register lane from `+0.0`, walking `k` in ascending order, and is
+/// stored once — the output is never read; scalar uses mul-then-add (the
+/// `matmul_reference` chain), avx2/avx512 fuse each step into an FMA.
 pub fn matmul_block_rows(
     isa: Isa,
     a: &[f32],
@@ -210,30 +223,120 @@ pub fn matmul_block_rows(
         // SAFETY: Avx2 is only dispatched when avx2+fma are detected
         // (is_available checked at ISA resolution / by the caller of the
         // _with_isa APIs).
-        Isa::Avx2 => unsafe { avx2::matmul_block_rows(a, packed, out, n, k, m) },
+        Isa::Avx2 => unsafe { avx2::matmul(a, packed, true, out, n, k, m) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx512 is only dispatched when avx512f is detected.
-        Isa::Avx512 => unsafe { avx512::matmul_block_rows(a, packed, out, n, k, m) },
+        Isa::Avx512 => unsafe { avx512::matmul(a, packed, true, out, n, k, m) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::matmul_block_rows(a, packed, out, n, k, m),
     }
 }
 
-/// Small-product path (below the blocking threshold): unpacked, serial.
-/// Runs the *same per-element chain* as the blocked path of the same ISA,
-/// so the size threshold never changes result bits — batched and single
-/// encodes of the same rows agree bitwise whichever path they take.
+/// Small-product path (below the blocking threshold): `out = a · b` on `b`
+/// as given, unpacked. Runs the *same per-element chain* as the blocked
+/// path of the same ISA — on avx2/avx512 the very same register tiles,
+/// reading `b`'s rows in place — so the size threshold never changes result
+/// bits: batched and single encodes of the same rows agree bitwise
+/// whichever path they take.
 pub fn matmul_small(isa: Isa, a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     match isa {
-        Isa::Scalar => crate::linalg::matmul_reference(a, b, out, n, k, m),
+        Isa::Scalar => scalar::matmul_small(a, b, out, n, k, m),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2/Avx512 dispatch implies avx2+fma are available. The
-        // avx512 tier shares the avx2 small path — same bits either way.
-        Isa::Avx2 | Isa::Avx512 => unsafe { avx2::matmul_small(a, b, out, n, k, m) },
+        // SAFETY: Avx2 dispatch implies avx2+fma are available.
+        Isa::Avx2 => unsafe { avx2::matmul(a, b, false, out, n, k, m) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx512 dispatch implies avx512f (and avx2+fma).
+        Isa::Avx512 => unsafe { avx512::matmul(a, b, false, out, n, k, m) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => crate::linalg::matmul_reference(a, b, out, n, k, m),
+        _ => scalar::matmul_small(a, b, out, n, k, m),
     }
 }
+
+/// Generates one register-tile function of the avx2/avx512 matmul,
+/// `$name::<V, MASKED>`, over `$ops`, a lanes module of the ISA's vector
+/// primitives (`LANES`, `splat`, `load`, `load_first`, `fmadd`, `store`,
+/// `store_first`): `$mr` rows × `V` vectors of `LANES` columns, every
+/// accumulator in a register across the whole `k` walk.
+#[cfg(target_arch = "x86_64")]
+macro_rules! matmul_tile {
+    ($(#[$attr:meta])* $name:ident, $ops:ident, $mr:expr) => {
+        /// One register tile of `out = a · b`: rows `0..rows` (`1..=MR`) by
+        /// columns `0..jw` (`jw` in `(V - 1)·LANES + 1 ..= V·LANES`).
+        /// Accumulators start at `+0.0`, take one FMA per `k` step, and
+        /// are stored once; the output is never read. Rows past `rows`
+        /// re-read row `rows - 1` and are never stored; `MASKED` (`jw <
+        /// V·LANES`) masks the last vector's loads and stores to its live
+        /// lanes. Neither changes a live element's chain.
+        ///
+        /// # Safety
+        ///
+        /// `a` must be valid for reading `rows` rows of `k` floats `k`
+        /// apart; `b` for reading `V·LANES` floats at `kk·b_stride` for
+        /// every `kk < k` (only the first `jw` if `MASKED`); `out` for
+        /// writing `jw` floats at `r·m` for every `r < rows`.
+        $(#[$attr])*
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $name<const V: usize, const MASKED: bool>(
+            a: *const f32,
+            k: usize,
+            rows: usize,
+            b: *const f32,
+            b_stride: usize,
+            out: *mut f32,
+            m: usize,
+            jw: usize,
+        ) {
+            use $ops::{fmadd, load, load_first, splat, store, store_first, LANES};
+            debug_assert!((1..=$mr).contains(&rows));
+            debug_assert!(jw + LANES > V * LANES && jw <= V * LANES && MASKED == (jw < V * LANES));
+            // Live lanes of the last vector.
+            let tail = jw - (V - 1) * LANES;
+            // SAFETY: `a` is read at row `r.min(rows - 1)`, `b` at
+            // `kk·b_stride + v·LANES` (`kk < k`, `v < V`; the last vector
+            // masked to `tail` lanes when `MASKED`) and `out` written at
+            // `r·m + v·LANES` for `r < rows` (masked likewise) — inside the
+            // ranges the caller vouches for.
+            unsafe {
+                let mut a_rows = [a; $mr];
+                for (r, row) in a_rows.iter_mut().enumerate() {
+                    *row = a.add(r.min(rows - 1) * k);
+                }
+                let mut acc = [[splat(0.0); V]; $mr];
+                for kk in 0..k {
+                    let bp = b.add(kk * b_stride);
+                    let mut bv = [splat(0.0); V];
+                    for (v, x) in bv.iter_mut().enumerate() {
+                        *x = if MASKED && v == V - 1 {
+                            load_first(bp.add(v * LANES), tail)
+                        } else {
+                            load(bp.add(v * LANES))
+                        };
+                    }
+                    for (row, acc) in a_rows.iter().zip(acc.iter_mut()) {
+                        let av = splat(*row.add(kk));
+                        for (acc, &x) in acc.iter_mut().zip(&bv) {
+                            *acc = fmadd(av, x, *acc);
+                        }
+                    }
+                }
+                for (r, acc) in acc.iter().enumerate() {
+                    if r < rows {
+                        let o = out.add(r * m);
+                        for (v, &x) in acc.iter().enumerate() {
+                            if MASKED && v == V - 1 {
+                                store_first(o.add(v * LANES), x, tail);
+                            } else {
+                                store(o.add(v * LANES), x);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    };
+}
+#[cfg(target_arch = "x86_64")]
+pub(crate) use matmul_tile;
 
 // ---------------------------------------------------------------------------
 // Softmax / layer-norm row kernels

@@ -13,10 +13,11 @@
 pub const MR: usize = 4;
 pub const NR: usize = 8;
 
-/// Micro-kernel over one band of rows fed from `NR`-wide packed panels:
-/// `out[n,m] += a[n,k] * panels`. Each output element accumulates through
-/// a single f32 in ascending-`k` order — the identical floating-point
-/// chain to `linalg::matmul_reference`, hence bit-identical results.
+/// Micro-kernel over the rows of `out` fed from `NR`-wide packed panels:
+/// `out[n,m] = a[n,k] * panels`. Each output element accumulates through
+/// a single f32 from `0.0` in ascending-`k` order — the identical
+/// floating-point chain to `linalg::matmul_reference` on a zeroed output,
+/// hence bit-identical results — and is stored once.
 pub fn matmul_block_rows(a: &[f32], packed: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     let m_panels = m.div_ceil(NR);
     let mut i0 = 0;
@@ -26,11 +27,6 @@ pub fn matmul_block_rows(a: &[f32], packed: &[f32], out: &mut [f32], n: usize, k
             let j0 = jp * NR;
             let jw = (m - j0).min(NR);
             let mut acc = [[0.0f32; NR]; MR];
-            // Seed from the current output (the kernel contract is `+=`),
-            // preserving the reference chain `((out + t0) + t1) + ...`.
-            for r in 0..rows {
-                acc[r][..jw].copy_from_slice(&out[(i0 + r) * m + j0..(i0 + r) * m + j0 + jw]);
-            }
             let panel = &packed[jp * k * NR..(jp + 1) * k * NR];
             for kk in 0..k {
                 let bp = &panel[kk * NR..kk * NR + NR];
@@ -48,6 +44,24 @@ pub fn matmul_block_rows(a: &[f32], packed: &[f32], out: &mut [f32], n: usize, k
             }
         }
         i0 += rows;
+    }
+}
+
+/// Small-product path: `out[n,m] = a[n,k] * b[k,m]` on `b` as given, one
+/// row of `NR`-column accumulators at a time — the chain of
+/// [`matmul_block_rows`] and `matmul_reference`, per element.
+pub fn matmul_small(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+    for i in 0..n {
+        for j0 in (0..m).step_by(NR) {
+            let jw = (m - j0).min(NR);
+            let mut acc = [0.0f32; NR];
+            for (kk, &a_ik) in a[i * k..(i + 1) * k].iter().enumerate() {
+                for (acc, &b_kj) in acc[..jw].iter_mut().zip(&b[kk * m + j0..]) {
+                    *acc += a_ik * b_kj;
+                }
+            }
+            out[i * m + j0..][..jw].copy_from_slice(&acc[..jw]);
+        }
     }
 }
 

@@ -79,9 +79,26 @@ fn assert_deterministic(what: &str, f: impl Fn() -> NdArray) -> NdArray {
 }
 
 /// Shapes straddling the blocking threshold, with ragged tile remainders
-/// for every panel width (8 and 16).
-const MATMUL_SHAPES: [(usize, usize, usize); 4] =
-    [(3, 5, 4), (33, 17, 9), (64, 40, 32), (129, 31, 33)];
+/// for every panel width (8, 16 and 32); then HIM's own products — the
+/// `fast` config's MBA projections and `W_O` (`k` or `m` = 8), MBU/MBI's
+/// (`m = 72 = 2·32 + 8`) and the decoder (`m = 1`), the paper config's MBA
+/// pair (`f = 16`, 8 heads × 16) — and two ragged row counts under a thin
+/// `m`.
+const MATMUL_SHAPES: [(usize, usize, usize); 13] = [
+    (3, 5, 4),
+    (33, 17, 9),
+    (64, 40, 32),
+    (129, 31, 33),
+    (2304, 8, 32),
+    (2304, 32, 8),
+    (256, 72, 32),
+    (256, 32, 72),
+    (256, 72, 1),
+    (9216, 16, 128),
+    (9216, 128, 16),
+    (2303, 32, 8),
+    (7, 32, 16),
+];
 
 #[test]
 fn matmul_oracle_agreement_and_determinism_per_isa() {

@@ -1,11 +1,13 @@
 //! The fast linalg kernels against independent oracles, on the process's
 //! ISA: the packed matmul against the naive reference loop, the transposed
 //! backward products against the forward kernel on a materialized
-//! transpose, the attention tiles against the unfused `bmm → softmax → bmm`
-//! chain, and their backward against a per-tile reference. (The two
+//! transpose, the attention tiles — every tile, on every available ISA —
+//! against that ISA's unfused `bmm → softmax → bmm` chain, and their
+//! backward against a per-tile reference. (The two
 //! chunk-ordered reductions have `reduction_order.rs`; per-ISA bounds,
 //! `isa_dispatch.rs`.)
 
+use hire_tensor::simd::Isa;
 use hire_tensor::{linalg, AttnGrid, NdArray};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,7 +58,13 @@ fn transposed_products_match_the_forward_kernel() {
     // materialized transpose. Ragged sizes on both sides of
     // BLOCK_THRESHOLD; for `tn`, outputs wider than tall and taller than
     // wide (the two ways round it builds its product).
-    for (n, k, m) in [(37, 24, 15), (129, 40, 33), (200, 9, 40), (2304, 8, 32)] {
+    for (n, k, m) in [
+        (37, 24, 15),
+        (129, 40, 33),
+        (200, 9, 40),
+        (2304, 8, 32),
+        (2304, 32, 8),
+    ] {
         let a = randn(&[n, k], 3);
         let b = randn(&[m, k], 4);
         let nt = linalg::matmul2d_nt(&a, &b);
@@ -100,10 +108,18 @@ fn transposed_products_match_the_forward_kernel() {
 fn attention_tiles_match_the_unfused_chain() {
     // Both token-axis placements, several lane groups with a ragged last
     // one, and a token count on each side of the softmax row kernel's
-    // 8-wide body.
-    for (outer, tokens, inner, heads, head_dim) in
-        [(70, 5, 1, 3, 8), (3, 9, 7, 2, 6), (2, 17, 5, 4, 8)]
-    {
+    // 8-wide body; then HIM's three grids of a 16×16 context (MBU, MBI and
+    // MBA over 9 attributes, 4 heads × 8) and the paper config's MBA grid
+    // (32×32 cells, 8 heads × 16).
+    for (outer, tokens, inner, heads, head_dim) in [
+        (70, 5, 1, 3, 8),
+        (3, 9, 7, 2, 6),
+        (2, 17, 5, 4, 8),
+        (1, 16, 16, 4, 8),
+        (16, 16, 1, 4, 8),
+        (256, 9, 1, 4, 8),
+        (1024, 9, 1, 8, 16),
+    ] {
         let grid = AttnGrid {
             outer,
             tokens,
@@ -113,42 +129,62 @@ fn attention_tiles_match_the_unfused_chain() {
         };
         let dims = [grid.rows(), grid.width()];
         let (q, k, v) = (randn(&dims, 20), randn(&dims, 21), randn(&dims, 22));
-        let mut got = q.clone();
-        linalg::attention_into(
-            &grid,
-            got.as_mut_slice(),
-            k.as_slice(),
-            v.as_slice(),
-            &mut vec![f32::NAN; grid.scratch_len()],
-        );
-
-        // Per-tile oracle from the allocating kernels: gather the tile,
-        // `softmax(q kᵀ · scale) v`, compare the tile's output rows.
-        let width = grid.width();
+        let (width, t) = (grid.width(), tokens);
         let scale = 1.0 / (head_dim as f32).sqrt();
-        for (o, j, head) in [
-            (0, 0, 0),
-            (outer - 1, inner - 1, heads - 1),
-            (outer / 2, inner / 2, 0),
-        ] {
-            let row = |t: usize| (o * tokens + t) * inner + j;
-            let tile = |a: &NdArray| {
-                let mut out = NdArray::zeros([tokens, head_dim]);
-                for t in 0..tokens {
-                    let at = row(t) * width + head * head_dim;
-                    out.as_mut_slice()[t * head_dim..(t + 1) * head_dim]
-                        .copy_from_slice(&a.as_slice()[at..at + head_dim]);
-                }
-                out
-            };
-            let scores =
-                linalg::matmul2d(&tile(&q), &linalg::transpose_last2(&tile(&k))).map(|s| s * scale);
-            let want = linalg::matmul2d(&linalg::softmax_last(&scores), &tile(&v));
-            assert_eq!(
-                tile(&got).as_slice(),
-                want.as_slice(),
-                "{grid:?} tile ({o}, {j}, {head})"
+        for isa in Isa::available() {
+            let mut scratch = vec![f32::NAN; grid.scratch_len()];
+            let mut got = q.clone();
+            linalg::attention_into_with_isa(
+                &grid,
+                got.as_mut_slice(),
+                k.as_slice(),
+                v.as_slice(),
+                &mut scratch,
+                isa,
             );
+            let (mut got_p, mut probs) = (q.clone(), vec![f32::NAN; grid.probs_len()]);
+            linalg::attention_probs_into_with_isa(
+                &grid,
+                got_p.as_mut_slice(),
+                k.as_slice(),
+                v.as_slice(),
+                &mut probs,
+                &mut scratch,
+                isa,
+            );
+            assert_eq!(
+                got.as_slice(),
+                got_p.as_slice(),
+                "{grid:?} {isa:?}: P changed O"
+            );
+
+            // Per-tile oracle from the allocating kernels of the same ISA:
+            // gather the tile, `softmax(q kᵀ · scale) v`, compare the tile's
+            // output rows and its softmax rows.
+            for tile_ix in 0..grid.tiles() {
+                let (batch, head) = (tile_ix / heads, tile_ix % heads);
+                let (o, j) = (batch / inner, batch % inner);
+                let at = |token: usize| ((o * t + token) * inner + j) * width + head * head_dim;
+                let tile = |a: &NdArray| {
+                    let rows =
+                        (0..t).flat_map(|token| a.as_slice()[at(token)..][..head_dim].to_vec());
+                    NdArray::from_vec([t, head_dim], rows.collect())
+                };
+                let kt = linalg::transpose_last2(&tile(&k));
+                let scores = linalg::matmul2d_with_isa(&tile(&q), &kt, isa).map(|s| s * scale);
+                let p = linalg::softmax_last_with_isa(&scores, isa);
+                let want = linalg::matmul2d_with_isa(&p, &tile(&v), isa);
+                assert_eq!(
+                    tile(&got).as_slice(),
+                    want.as_slice(),
+                    "{grid:?} {isa:?} tile {tile_ix} output"
+                );
+                assert_eq!(
+                    &probs[tile_ix * t * t..][..t * t],
+                    p.as_slice(),
+                    "{grid:?} {isa:?} tile {tile_ix} softmax rows"
+                );
+            }
         }
     }
 }
