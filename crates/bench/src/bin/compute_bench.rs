@@ -12,14 +12,18 @@
 //!    FMA chain rounds less — DESIGN.md §16).
 //!    Beside the generic shapes, HIM's own thin products: MBA's Q/K/V
 //!    projection and `W_O` (`k` or `m` = 8) and MBU/MBI's `W_O`
-//!    (`m = 72`, a 32-column panel pair and an 8-column tail).
+//!    (`m = 72`, a 32-column panel pair and an 8-column tail); and two
+//!    `aᵀ·b` rows, the streaming `matmul2d_tn` at the MHSA backward's
+//!    `Xᵀ·[dQ | dK | dV]` of MBA and of MBU/MBI.
 //! 2. **mhsa** — the tape-free `hire_nn::mhsa_forward` at HIM's three
 //!    attention shapes (MBU, MBI, MBA of the `fast` config):
 //!    microseconds, achieved GFLOP/s from the shape's matmul FLOPs, and
 //!    that as a share of the matmul peak section 1 measured, split into its
 //!    three stages (the Q/K/V projections, the attention tiles, `W_O`);
 //!    beside it the same shape through the tape's one `mhsa` node, forward
-//!    (the same kernels plus the saved `Q` and softmax rows) and backward.
+//!    (the same kernels plus the saved `Q` and softmax rows) and backward,
+//!    the backward also split into its stages (the attention tiles' backward,
+//!    the two weight-gradient products, the two input-gradient products).
 //!    Reported, not gated — these are the per-layer numbers the serving
 //!    forward and a training step are made of.
 //! 3. **him** — full HIM tape forward and forward+backward wall time on a
@@ -127,16 +131,22 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
 
 #[derive(Serialize)]
 struct MatmulReport {
+    /// `a·b` — `[n, k]·[k, m]`, the forward product — or `aᵀ·b` —
+    /// `[n, k]ᵀ·[n, m]`, the weight-gradient product `matmul2d_tn`.
+    op: &'static str,
     /// `[n, k, m]` of the timed product.
     shape: Vec<usize>,
     /// Kernel path the dispatched numbers below ran on
     /// (`scalar` | `avx2` | `avx512`).
     isa: String,
+    /// The naive reference loop (on `aᵀ` materialised, for `aᵀ·b`).
     gflops_reference_1t: f64,
-    /// Blocked kernel pinned to the scalar micro-kernel: the pre-SIMD
-    /// baseline every dispatched number is compared against.
+    /// Blocked kernel pinned to the scalar micro-kernel (on `aᵀ`
+    /// materialised, for `aᵀ·b`): the pre-SIMD baseline every dispatched
+    /// number is compared against.
     gflops_scalar_1t: f64,
-    /// Blocked kernel on the dispatched ISA.
+    /// The product on the dispatched ISA: the blocked kernel for `a·b`,
+    /// the streaming `matmul2d_tn` for `aᵀ·b`.
     gflops_blocked_1t: f64,
     /// Single-thread win from blocking/tiling alone (scalar vs reference).
     blocking_speedup_1t: f64,
@@ -176,6 +186,18 @@ struct MhsaReport {
     /// Best-of wall time of that node's backward (all four weight
     /// gradients and `dX`).
     tape_backward_us: f64,
+    /// Best-of wall time of its attention tiles' backward
+    /// (`linalg::attention_backward_into_with_isa`: `dQ | dK | dV` from the
+    /// saved `Q`, `K`, `V`, softmax rows and `dO`).
+    bwd_attn_us: f64,
+    /// Best-of wall time of its two weight-gradient products
+    /// (`matmul2d_tn`): `dW_O = Oᵀ·dY` and `[dW_Q | dW_K | dW_V] = Xᵀ·[dQ |
+    /// dK | dV]`.
+    bwd_dw_us: f64,
+    /// Best-of wall time of its two input-gradient products
+    /// (`matmul2d_nt`): `dO = dY·W_Oᵀ` and `dX = [dQ | dK | dV]·[W_Q | W_K
+    /// | W_V]ᵀ`.
+    bwd_dx_us: f64,
 }
 
 #[derive(Serialize)]
@@ -251,20 +273,46 @@ struct KernelBenchReport {
     graph_commit: Vec<GraphCommitReport>,
 }
 
-/// Times one `[n,k] x [k,m]` product: reference vs forced-scalar blocked
-/// vs dispatched blocked. Correctness runs first: the dispatched result must
-/// match the reference (bitwise on scalar, oracle-bounded on avx2 per
-/// DESIGN.md §16).
-fn bench_matmul(n: usize, k: usize, m: usize, reps: usize) -> MatmulReport {
+/// Times one `[n,k] x [k,m]` product — or, `transposed`, the weight-gradient
+/// product `[n,k]ᵀ x [n,m]` through `matmul2d_tn` — against the reference
+/// loop and the forced-scalar blocked kernel (both on the materialised
+/// `aᵀ` when `transposed`). Correctness runs first: the dispatched result
+/// must match the reference (bitwise on scalar, oracle-bounded on avx2 per
+/// DESIGN.md §16), and `matmul2d_tn` must be bitwise `matmul2d` of the
+/// materialised transpose.
+fn bench_matmul(n: usize, k: usize, m: usize, transposed: bool, reps: usize) -> MatmulReport {
     let mut rng = StdRng::seed_from_u64(0x11A7 ^ (n * k * m) as u64);
     let a = NdArray::randn([n, k], 0.0, 1.0, &mut rng);
-    let b = NdArray::randn([k, m], 0.0, 1.0, &mut rng);
+    let b = NdArray::randn([if transposed { n } else { k }, m], 0.0, 1.0, &mut rng);
+    // The left operand as the reference loop and the forced-scalar kernel
+    // see it: `[rows, inner]`.
+    let a_t;
+    let (lhs, rows, inner) = if transposed {
+        a_t = linalg::transpose_last2(&a);
+        (&a_t, k, n)
+    } else {
+        (&a, n, k)
+    };
+    let dispatched = || {
+        if transposed {
+            linalg::matmul2d_tn(&a, &b)
+        } else {
+            linalg::matmul2d(&a, &b)
+        }
+    };
     let flops = 2.0 * (n * k * m) as f64;
     let isa = hire_tensor::simd::active_isa();
 
-    let mut reference = vec![0.0f32; n * m];
-    linalg::matmul_reference(a.as_slice(), b.as_slice(), &mut reference, n, k, m);
-    let baseline = linalg::matmul2d(&a, &b);
+    let mut reference = vec![0.0f32; rows * m];
+    linalg::matmul_reference(lhs.as_slice(), b.as_slice(), &mut reference, rows, inner, m);
+    let baseline = dispatched();
+    if transposed {
+        assert_eq!(
+            baseline.as_slice(),
+            linalg::matmul2d(lhs, &b).as_slice(),
+            "matmul2d_tn is not the forward product of the transpose ({n}x{k}x{m})"
+        );
+    }
     let bitwise_vs_reference = isa < hire_tensor::simd::Isa::Avx2;
     for (i, (&x, &y)) in baseline.as_slice().iter().zip(&reference).enumerate() {
         if bitwise_vs_reference {
@@ -274,7 +322,7 @@ fn bench_matmul(n: usize, k: usize, m: usize, reps: usize) -> MatmulReport {
                 isa.label()
             );
         } else {
-            let tol = 1e-4 * (k as f32).sqrt() * y.abs().max(1.0);
+            let tol = 1e-4 * (inner as f32).sqrt() * y.abs().max(1.0);
             assert!(
                 (x - y).abs() <= tol,
                 "{} matmul outside oracle bound at element {i} ({n}x{k}x{m}): {x} vs {y}",
@@ -284,19 +332,19 @@ fn bench_matmul(n: usize, k: usize, m: usize, reps: usize) -> MatmulReport {
     }
 
     let t_ref = time_best(reps, || {
-        let mut out = vec![0.0f32; n * m];
-        linalg::matmul_reference(a.as_slice(), b.as_slice(), &mut out, n, k, m);
+        let mut out = vec![0.0f32; rows * m];
+        linalg::matmul_reference(lhs.as_slice(), b.as_slice(), &mut out, rows, inner, m);
         std::hint::black_box(&out);
     });
     let t_scalar_1t = time_best(reps, || {
-        let out = linalg::matmul2d_with_isa(&a, &b, hire_tensor::simd::Isa::Scalar);
+        let out = linalg::matmul2d_with_isa(lhs, &b, hire_tensor::simd::Isa::Scalar);
         std::hint::black_box(&out);
     });
     let t_blocked_1t = time_best(reps, || {
-        let out = linalg::matmul2d(&a, &b);
-        std::hint::black_box(&out);
+        std::hint::black_box(dispatched());
     });
     MatmulReport {
+        op: if transposed { "aᵀ·b" } else { "a·b" },
         shape: vec![n, k, m],
         isa: isa.label().to_string(),
         gflops_reference_1t: flops / t_ref / 1e9,
@@ -370,6 +418,49 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
             w.w_o.linear_into(q, y, isa);
             std::hint::black_box(&y);
         });
+        // The tape node's backward a stage at a time, over what its forward
+        // saves — fresh projections, their softmax rows and `O` — and a
+        // random `dY` (from a generator of its own, so the tape rows below
+        // draw what they always drew).
+        for (w, out) in [(&w.w_q, &mut *q), (&w.w_k, &mut *k), (&w.w_v, &mut *v)] {
+            w.linear_into(x.as_slice(), out, isa);
+        }
+        let (rows, width) = (grid.rows(), grid.width());
+        let (mut o, mut p) = (q.to_vec(), vec![0.0f32; grid.probs_len()]);
+        linalg::attention_probs_into(&grid, &mut o, k, v, &mut p, scratch);
+        let o = NdArray::from_vec([rows, width], o);
+        let dy = NdArray::randn([rows, d], 0.0, 1.0, &mut StdRng::seed_from_u64(0xD1));
+        let d_o = linalg::matmul2d_nt(&dy, &w.w_o);
+        let mut d_qkv = vec![0.0f32; rows * 3 * width];
+        let bwd_attn = time_best(reps, || {
+            linalg::attention_backward_into_with_isa(
+                &grid,
+                q,
+                k,
+                v,
+                &p,
+                d_o.as_slice(),
+                &mut d_qkv,
+                isa,
+            );
+        });
+        let d_qkv = NdArray::from_vec([rows, 3 * width], d_qkv);
+        let x_rows = x.reshape([rows, d]);
+        let bwd_dw = time_best(reps, || {
+            let dw = (
+                linalg::matmul2d_tn(&o, &dy),
+                linalg::matmul2d_tn(&x_rows, &d_qkv),
+            );
+            std::hint::black_box(&dw);
+        });
+        let w_qkv = linalg::concat_last(&[&w.w_q, &w.w_k, &w.w_v]);
+        let bwd_dx = time_best(reps, || {
+            let dx = (
+                linalg::matmul2d_nt(&dy, &w.w_o),
+                linalg::matmul2d_nt(&d_qkv, &w_qkv),
+            );
+            std::hint::black_box(&dx);
+        });
         let layer_on_tape = MultiHeadSelfAttention::new(d, l, dk, &mut rng);
         let x_on_tape = Tensor::parameter(x.clone());
         let tape_forward = time_best(reps, || {
@@ -396,6 +487,9 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
             share_of_matmul_peak: gflops / matmul_peak_gflops,
             tape_forward_us: tape_forward * 1e6,
             tape_backward_us: tape_backward * 1e6,
+            bwd_attn_us: bwd_attn * 1e6,
+            bwd_dw_us: bwd_dw * 1e6,
+            bwd_dx_us: bwd_dx * 1e6,
         }
     })
     .collect()
@@ -659,17 +753,25 @@ fn main() {
     // HIM-realistic products: [rows, e] x [e, inner] attention projections
     // (rows = batch*tokens of MBU/MBI/MBA) and the larger full-tier shape.
     // Then HIM's thin ones: MBA's projection and `W_O`, MBU/MBI's `W_O`.
-    let shapes: &[[usize; 3]] = if args.smoke {
-        &[[256, 40, 32], [512, 64, 64], [2304, 32, 8]]
+    // Then (`true`: `[n, k]ᵀ·[n, m]`) the MHSA backward's weight gradient
+    // `Xᵀ·[dQ | dK | dV]` of MBA and of MBU/MBI.
+    let shapes: &[([usize; 3], bool)] = if args.smoke {
+        &[
+            ([256, 40, 32], false),
+            ([512, 64, 64], false),
+            ([2304, 32, 8], false),
+        ]
     } else {
         &[
-            [256, 40, 32],
-            [1024, 40, 32],
-            [4096, 24, 24],
-            [512, 64, 64],
-            [2304, 8, 32],
-            [2304, 32, 8],
-            [256, 32, 72],
+            ([256, 40, 32], false),
+            ([1024, 40, 32], false),
+            ([4096, 24, 24], false),
+            ([512, 64, 64], false),
+            ([2304, 8, 32], false),
+            ([2304, 32, 8], false),
+            ([256, 32, 72], false),
+            ([2304, 8, 96], true),
+            ([256, 72, 96], true),
         ]
     };
     // Matmul timings are microseconds per rep; a generous best-of count
@@ -677,11 +779,11 @@ fn main() {
     let reps = if args.smoke { 20 } else { 40 };
     let matmul: Vec<MatmulReport> = shapes
         .iter()
-        .map(|&[n, k, m]| {
-            let r = bench_matmul(n, k, m, reps);
+        .map(|&([n, k, m], transposed)| {
+            let r = bench_matmul(n, k, m, transposed, reps);
             eprintln!(
-                "  matmul {n}x{k}x{m}: ref {:.2} GF/s, scalar {:.2} GF/s, {} {:.2} GF/s ({:.2}x from dispatch)",
-                r.gflops_reference_1t, r.gflops_scalar_1t, r.isa, r.gflops_blocked_1t, r.dispatch_speedup_1t
+                "  matmul {} {n}x{k}x{m}: ref {:.2} GF/s, scalar {:.2} GF/s, {} {:.2} GF/s ({:.2}x from dispatch)",
+                r.op, r.gflops_reference_1t, r.gflops_scalar_1t, r.isa, r.gflops_blocked_1t, r.dispatch_speedup_1t
             );
             r
         })
@@ -692,7 +794,7 @@ fn main() {
     let mhsa = bench_mhsa(9, reps, matmul[0].gflops_blocked_1t);
     for r in &mhsa {
         eprintln!(
-            "  mhsa {} {:?}: {:.1} us (projections {:.1}, attention {:.1}, W_O {:.1}), {:.2} GF/s ({:.0} % of the matmul peak); on the tape {:.1} us forward, {:.1} us backward",
+            "  mhsa {} {:?}: {:.1} us (projections {:.1}, attention {:.1}, W_O {:.1}), {:.2} GF/s ({:.0} % of the matmul peak); on the tape {:.1} us forward, {:.1} us backward (attention {:.1}, dW {:.1}, dX {:.1})",
             r.layer,
             r.shape,
             r.micros_1t,
@@ -702,7 +804,10 @@ fn main() {
             r.gflops_1t,
             100.0 * r.share_of_matmul_peak,
             r.tape_forward_us,
-            r.tape_backward_us
+            r.tape_backward_us,
+            r.bwd_attn_us,
+            r.bwd_dw_us,
+            r.bwd_dx_us
         );
     }
 

@@ -6,11 +6,12 @@
 //! the serving path runs, so tape and frozen outputs are the same bits by
 //! construction. Its backward is written out here over
 //! `hire_tensor::linalg`: two products around `W_O`, the attention tile
-//! kernel ([`linalg::attention_backward_into`]) over the saved `Q`, `K`,
-//! `V` and softmax rows, then one `tn` and one `nt` product over the
-//! `[rows, 3·width]` concatenation `[dQ | dK | dV]` for the three input
-//! projections' weights and for `dX`. No head-split `permute`, no `Kᵀ`, no
-//! score tensor and none of their gradients is ever materialised.
+//! kernel ([`linalg::attention_backward_into_with_isa`]) over the saved
+//! `Q`, `K`, `V` and softmax rows, writing `[dQ | dK | dV]` side by side
+//! into one `[rows, 3·width]` buffer, then one `tn` and one `nt` product
+//! over it for the three input projections' weights and for `dX`. No
+//! head-split `permute`, no `Kᵀ`, no score tensor and none of their
+//! gradients is ever materialised.
 
 use crate::module::Module;
 use crate::nograd::{mhsa_forward_over, sequence_layout, MhsaWeights};
@@ -207,19 +208,19 @@ fn backward(saved: &Saved, g: &NdArray, parents: &[Tensor]) -> Vec<Option<NdArra
         let dy = g.reshape([rows, d]);
         let d_wo = linalg::matmul2d_tn(&saved.o, &dy);
         let d_o = linalg::matmul2d_nt(&dy, w.w_o);
-        let [mut dq, mut dk, mut dv] = [(); 3].map(|()| NdArray::zeros([rows, width]));
-        linalg::attention_backward_into(
+        // Overwritten in full by the tile kernel.
+        let mut d_qkv = vec![0.0; rows * 3 * width];
+        linalg::attention_backward_into_with_isa(
             grid,
             q,
             k,
             v,
             &saved.p,
             d_o.as_slice(),
-            dq.as_mut_slice(),
-            dk.as_mut_slice(),
-            dv.as_mut_slice(),
+            &mut d_qkv,
+            simd::active_isa(),
         );
-        let d_qkv = linalg::concat_last(&[&dq, &dk, &dv]);
+        let d_qkv = NdArray::from_vec([rows, 3 * width], d_qkv);
         let (dx, d_wqkv) = parents[0].with_value(|x| {
             let dx = parents[0].requires_grad().then(|| {
                 let w_qkv = linalg::concat_last(&[w.w_q, w.w_k, w.w_v]);

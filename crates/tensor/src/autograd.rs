@@ -323,12 +323,15 @@ impl Tensor {
             Box::new(|g, parents| {
                 parents[0].with_value(|a| {
                     parents[1].with_value(|b| {
-                        let ga = linalg::broadcast_zip(g, b, |gi, bi| gi * bi);
-                        let gb = linalg::broadcast_zip(g, a, |gi, ai| gi * ai);
-                        vec![
-                            Some(linalg::reduce_to_shape(&ga, a.shape())),
-                            Some(linalg::reduce_to_shape(&gb, b.shape())),
-                        ]
+                        let ga = parents[0].requires_grad().then(|| {
+                            let ga = linalg::broadcast_zip(g, b, |gi, bi| gi * bi);
+                            linalg::reduce_to_shape(&ga, a.shape())
+                        });
+                        let gb = parents[1].requires_grad().then(|| {
+                            let gb = linalg::broadcast_zip(g, a, |gi, ai| gi * ai);
+                            linalg::reduce_to_shape(&gb, b.shape())
+                        });
+                        vec![ga, gb]
                     })
                 })
             }),
@@ -345,16 +348,19 @@ impl Tensor {
             Box::new(|g, parents| {
                 parents[0].with_value(|a| {
                     parents[1].with_value(|b| {
-                        let ga = linalg::broadcast_zip(g, b, |gi, bi| gi / bi);
-                        let gb_full = linalg::broadcast_zip(
-                            &linalg::broadcast_zip(g, a, |gi, ai| gi * ai),
-                            b,
-                            |num, bi| -num / (bi * bi),
-                        );
-                        vec![
-                            Some(linalg::reduce_to_shape(&ga, a.shape())),
-                            Some(linalg::reduce_to_shape(&gb_full, b.shape())),
-                        ]
+                        let ga = parents[0].requires_grad().then(|| {
+                            let ga = linalg::broadcast_zip(g, b, |gi, bi| gi / bi);
+                            linalg::reduce_to_shape(&ga, a.shape())
+                        });
+                        let gb = parents[1].requires_grad().then(|| {
+                            let gb_full = linalg::broadcast_zip(
+                                &linalg::broadcast_zip(g, a, |gi, ai| gi * ai),
+                                b,
+                                |num, bi| -num / (bi * bi),
+                            );
+                            linalg::reduce_to_shape(&gb_full, b.shape())
+                        });
+                        vec![ga, gb]
                     })
                 })
             }),

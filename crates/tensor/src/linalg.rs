@@ -24,8 +24,9 @@
 //! is bit-identical to [`matmul_reference`]; avx2 follows the documented
 //! relaxation in the [`crate::simd`] module docs (FMA chains, lane-parallel
 //! reductions — deterministic per ISA, oracle-bounded) and avx512 is
-//! bit-identical to avx2. One kernel, [`attention_backward_into`], has no
-//! per-ISA form at all and is bit-identical across ISAs too.
+//! bit-identical to avx2. One kernel, [`attention_backward_into`], is
+//! bit-identical across all three: each ISA's form runs the same
+//! multiply-then-add chains, FMA-free.
 //!
 //! Each hot kernel also has a public `*_with_isa` twin taking an explicit
 //! [`Isa`], so the cross-check tests and `compute_bench` can exercise every
@@ -95,7 +96,9 @@ fn padded_broadcast_strides(shape: &Shape, rank: usize, out_dims: &[usize]) -> V
 }
 
 /// Reduces `grad` (shaped like a broadcast output) back to `target` by
-/// summing over the broadcast axes. Used by autograd backward passes.
+/// summing over the broadcast axes. Used by autograd backward passes. Each
+/// target element sums its grad elements in ascending flat order; the
+/// multi-index is walked incrementally, as [`broadcast_zip`] walks it.
 pub fn reduce_to_shape(grad: &NdArray, target: &Shape) -> NdArray {
     if grad.shape() == target {
         return grad.clone();
@@ -105,27 +108,25 @@ pub fn reduce_to_shape(grad: &NdArray, target: &Shape) -> NdArray {
         "cannot reduce {} to {target}",
         grad.shape()
     );
-    let g_rank = grad.shape().rank();
-    let t_rank = target.rank();
-    let offset = g_rank - t_rank;
-    let g_dims = grad.shape().dims().to_vec();
-
+    let rank = grad.shape().rank();
+    let g_dims = grad.dims();
+    // Stride 0 on the axes summed over.
+    let t_strides = padded_broadcast_strides(target, rank, g_dims);
     let mut out = NdArray::zeros(target.clone());
-    let t_strides = target.strides();
-    let n = grad.numel();
-    let g_strides = grad.shape().strides();
-    let out_slice_ptr = out.as_mut_slice();
-    let g = grad.as_slice();
-    for (flat, &grad_value) in g.iter().enumerate().take(n) {
-        // Map the flat grad offset to a target offset, collapsing broadcast axes.
-        let mut t_off = 0usize;
-        for (axis, &t_stride) in t_strides.iter().enumerate().take(t_rank) {
-            let g_axis = axis + offset;
-            let ix = (flat / g_strides[g_axis]) % g_dims[g_axis];
-            let t_ix = if target.dims()[axis] == 1 { 0 } else { ix };
-            t_off += t_ix * t_stride;
+    let dst = out.as_mut_slice();
+    let mut index = vec![0usize; rank];
+    let mut t_off = 0usize;
+    for &grad_value in grad.as_slice() {
+        dst[t_off] += grad_value;
+        for axis in (0..rank).rev() {
+            index[axis] += 1;
+            t_off += t_strides[axis];
+            if index[axis] < g_dims[axis] {
+                break;
+            }
+            t_off -= t_strides[axis] * g_dims[axis];
+            index[axis] = 0;
         }
-        out_slice_ptr[t_off] += grad_value;
     }
     out
 }
@@ -252,21 +253,23 @@ fn nt_kernel(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize
     matmul_kernel_with_isa(a, &bt, out, n, k, m, simd::active_isa());
 }
 
-/// `out[k,m] = a[n,k]^T * g[n,m]` through [`matmul_kernel_with_isa`]: each
-/// output element is one chain over the rows `n`, ascending. The packed
-/// panels should run along the output's longer axis, so a wide output
-/// (`m >= k`) transposes `a` and multiplies `aᵀ·g`, and a tall one
-/// transposes `g`, builds `outᵀ = gᵀ·a` and transposes that into `out` —
-/// the same products in the same order per element (`x·y` and `y·x` round
-/// alike), so which way round is a pure speed choice: MHSA's `dW_O` over
-/// MBA's `[2304, 32]ᵀ·[2304, 8]` runs 4× fuller panels the second way.
+/// `out[k,m] = a[n,k]^T * g[n,m]` through the streaming [`simd::matmul_tn`]:
+/// every register tile walks the rows of `a` and `g` once, in place — no
+/// transposed copy, no packing — and each output element is one chain over
+/// the rows `n`, ascending: the chain of `matmul2d(transpose(a), g)`. The
+/// lanes should span the output's longer axis, so a wide output (`m >= k`)
+/// is built as it is, and a tall one as `outᵀ = gᵀ·a`, transposed into
+/// `out` — the same products in the same order per element (`x·y` and `y·x`
+/// round alike), so which way round is a pure speed choice: MHSA's `dW_O`
+/// over MBA's `[2304, 32]ᵀ·[2304, 8]` fills 32 lanes a row the second way
+/// instead of 8.
 fn tn_kernel(a: &[f32], g: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     let isa = simd::active_isa();
     if m >= k {
-        matmul_kernel_with_isa(&transposed(a, n, k), g, out, k, n, m, isa);
+        simd::matmul_tn(isa, a, g, out, n, k, m);
     } else {
         let mut out_t = vec![0.0f32; m * k];
-        matmul_kernel_with_isa(&transposed(g, n, m), a, &mut out_t, m, n, k, isa);
+        simd::matmul_tn(isa, g, a, &mut out_t, n, m, k);
         out.copy_from_slice(&transposed(&out_t, m, k));
     }
 }
@@ -706,11 +709,13 @@ fn attention_run(
 /// `dS = P ∘ (dP − rowsum(dP ∘ P)) / √dk`, `dQ = dS·K`, `dK = dSᵀ·Q`;
 /// no `exp` is recomputed.
 ///
-/// There is no `isa` argument because there is no per-ISA kernel: one
-/// lane-blocked safe-Rust kernel, multiply-then-add in a fixed order
-/// (see `simd::attention`), so the result is bit-identical on every ISA.
-/// Non-finite values in any input reach the outputs by IEEE rules (a
-/// `NumericalGuard` upstream counts on seeing them).
+/// Every ISA's kernel runs one lane-blocked arithmetic, multiply-then-add
+/// in a fixed order (see `simd::attention`), so the result is
+/// bit-identical on every ISA. Non-finite values in any input reach the
+/// outputs by IEEE rules (a `NumericalGuard` upstream counts on seeing
+/// them). The kernel writes the three gradients side by side
+/// ([`attention_backward_into_with_isa`]); this form copies them out into
+/// three buffers of their own.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_backward_into(
     grid: &AttnGrid,
@@ -723,26 +728,58 @@ pub fn attention_backward_into(
     dk: &mut [f32],
     dv: &mut [f32],
 ) {
-    let len = grid.rows() * grid.width();
-    let lens = [
-        q.len(),
-        k.len(),
-        v.len(),
-        d_o.len(),
-        dq.len(),
-        dk.len(),
-        dv.len(),
-    ];
+    let (len, width) = (grid.rows() * grid.width(), grid.width());
+    let lens = [dq.len(), dk.len(), dv.len()];
     assert!(
-        lens.iter().all(|&l| l == len) && p.len() == grid.probs_len(),
-        "attention backward over {grid:?} needs {len} floats per buffer and {} \
-         probabilities, got q/k/v/d_o/dq/dk/dv {lens:?} and p {}",
-        grid.probs_len(),
-        p.len()
+        lens.iter().all(|&l| l == len),
+        "attention backward over {grid:?} needs {len} floats per gradient, got dq/dk/dv {lens:?}"
     );
-    simd::attention_backward_tiles(grid, [q, k, v, d_o], p, |at, [gq, gk, gv]| {
-        (dq[at], dk[at], dv[at]) = (gq, gk, gv);
-    });
+    let mut d_qkv = vec![0.0f32; 3 * len];
+    attention_backward_into_with_isa(grid, q, k, v, p, d_o, &mut d_qkv, simd::active_isa());
+    if len == 0 {
+        return;
+    }
+    for (which, d) in [dq, dk, dv].into_iter().enumerate() {
+        for (d, row) in d.chunks_exact_mut(width).zip(d_qkv.chunks_exact(3 * width)) {
+            d.copy_from_slice(&row[which * width..][..width]);
+        }
+    }
+}
+
+/// [`attention_backward_into`] on an explicit ISA path (tests and
+/// benchmarks; `isa` must be available on this host), writing the three
+/// gradients side by side: `d_qkv` is `[rows, 3·width]`, `dQ | dK | dV` at
+/// column offsets `0`, `width` and `2·width` of each row — the operand
+/// `[dW_Q | dW_K | dW_V] = Xᵀ·[dQ | dK | dV]` reads, which the tape's
+/// `mhsa` node hands it. Every element is overwritten.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_backward_into_with_isa(
+    grid: &AttnGrid,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    p: &[f32],
+    d_o: &[f32],
+    d_qkv: &mut [f32],
+    isa: Isa,
+) {
+    assert!(
+        isa.is_available(),
+        "ISA {} not available on this host",
+        isa.label()
+    );
+    let len = grid.rows() * grid.width();
+    let lens = [q.len(), k.len(), v.len(), d_o.len()];
+    assert!(
+        lens.iter().all(|&l| l == len) && p.len() == grid.probs_len() && d_qkv.len() == 3 * len,
+        "attention backward over {grid:?} needs {len} floats per input, {} probabilities \
+         and {} gradient floats, got q/k/v/d_o {lens:?}, p {} and d_qkv {}",
+        grid.probs_len(),
+        3 * len,
+        p.len(),
+        d_qkv.len()
+    );
+    simd::attention_backward_tiles(isa, grid, [q, k, v, d_o], p, d_qkv);
 }
 
 /// Sum along the last axis: `[..., w] -> [...]`.
@@ -1158,6 +1195,36 @@ mod tests {
         assert_eq!(r2.as_slice(), &[3., 3.]);
         let r3 = reduce_to_shape(&g, &Shape::scalar());
         assert_eq!(r3.item(), 6.0);
+    }
+
+    /// Every target element is its grad elements summed in ascending flat
+    /// order — bit for bit, on targets that drop leading axes and keep
+    /// size-1 axes anywhere.
+    #[test]
+    fn reduce_to_shape_sums_in_ascending_flat_order() {
+        let g = NdArray::from_vec([2, 3, 4, 5], lcg_fill(120, 13));
+        for target in [
+            vec![3, 1, 5],
+            vec![1, 3, 4, 1],
+            vec![2, 1, 4, 1],
+            vec![5],
+            vec![1, 1],
+        ] {
+            let target = Shape::from(target);
+            let got = reduce_to_shape(&g, &target);
+            let t_dims = target.dims();
+            let lead = 4 - t_dims.len();
+            let mut want = vec![0.0f32; target.numel()];
+            for (flat, &x) in g.as_slice().iter().enumerate() {
+                let index = [flat / 60, flat / 20 % 3, flat / 5 % 4, flat % 5];
+                let at = t_dims.iter().enumerate().fold(0, |at, (axis, &d)| {
+                    at * d + if d == 1 { 0 } else { index[lead + axis] }
+                });
+                want[at] += x;
+            }
+            let bits = |a: &[f32]| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.as_slice()), bits(&want), "{target}");
+        }
     }
 
     #[test]

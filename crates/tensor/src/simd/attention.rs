@@ -48,17 +48,24 @@
 //! # Backward
 //!
 //! `attention_backward_tiles` (behind `linalg::attention_backward_into`)
-//! turns `Q`, `K`, `V`, the saved `P` and `dO` into `dQ`, `dK`, `dV`. It had no earlier composition's bits to honour, so
-//! it takes the simplest contract there is: **one** kernel for every ISA,
-//! safe Rust over `[f32; 16]` rows (16 tiles per `[token][column][lane]`
-//! panel, like the lane kernel above), every sum a single accumulator per
-//! lane over an ascending index, multiply then add. rustc vectorises the
-//! rows with whatever the build's baseline allows (SSE2 on x86-64) and may
-//! not fuse or reorder them, so a tile's gradient bits are the same on every
-//! ISA and in every lane — a stronger contract than the
-//! forward's, bought by not hand-writing it three times. It still fills
-//! its panels element by element, which is most of its time at HIM's tile
-//! sizes (ROADMAP 4 (b)).
+//! turns `Q`, `K`, `V`, the saved `P` and `dO` into `dQ | dK | dV`, side by
+//! side in one `[rows, 3·width]` buffer. It had no earlier composition's
+//! bits to honour, so it takes the strongest contract there is: **the same
+//! bits on every ISA**. Tiles ride in the lanes of `[token][column][lane]`
+//! panels, like the lane kernel above, and every sum is a single
+//! accumulator per lane over an ascending index, multiply then add — never
+//! an FMA. Two forms run that one arithmetic:
+//!
+//! * scalar — `Panels::backward`, safe Rust over `[f32; 16]` rows that rustc
+//!   vectorises with the build's baseline (SSE2 on x86-64), panels filled
+//!   and read back element by element.
+//! * avx2/avx512 — `attention_backward_kernel!`, 8 or 16 lanes under the
+//!   ISA's `#[target_feature]`: the same ops in vector registers, panels
+//!   filled and emptied by the forward's in-register transposes
+//!   (`load_runs` / `store_runs`), no gather and no per-element write.
+//!
+//! Each op is exact per lane, so a tile's gradient bits depend neither on
+//! the ISA nor on its lane or group.
 
 /// Geometry of one multi-head attention call over `[rows, heads *
 /// head_dim]` buffers whose rows are laid out `[outer, tokens, inner]`
@@ -86,8 +93,9 @@ pub struct AttnGrid {
 }
 
 /// Widest lane group of any ISA's `attention_lanes_kernel!`; sizes the
-/// scratch so its length does not depend on the dispatched ISA.
-const MAX_LANES: usize = 16;
+/// scratch so its length does not depend on the dispatched ISA. Also the
+/// scalar backward's lane group.
+pub(super) const MAX_LANES: usize = 16;
 
 /// Query rows `attention_lanes_kernel!` carries at once: their score and
 /// `P·V` chains interleave, so one row's FMA latency hides behind the
@@ -126,9 +134,15 @@ impl AttnGrid {
     /// numbered `(outer, inner, head)` row-major, so consecutive tiles are
     /// the heads of one sequence, then the next `inner` neighbour.
     pub(crate) fn tile_base(&self, tile: usize) -> usize {
+        self.tile_base_in(tile, self.width())
+    }
+
+    /// [`Self::tile_base`] in a buffer of the same rows, `row_width` floats
+    /// each (`3·width` for the backward's `[dQ | dK | dV]`).
+    pub(crate) fn tile_base_in(&self, tile: usize, row_width: usize) -> usize {
         let (batch, head) = (tile / self.heads, tile % self.heads);
         let (o, j) = (batch / self.inner, batch % self.inner);
-        (o * self.tokens * self.inner + j) * self.width() + head * self.head_dim
+        (o * self.tokens * self.inner + j) * row_width + head * self.head_dim
     }
 
     /// Scratch floats a call needs, whichever ISA's kernel runs it:
@@ -350,98 +364,106 @@ pub(crate) unsafe fn attention_tiles(
     }
 }
 
-/// One panel row of the backward kernel: the same `(token, column)` element
-/// of [`MAX_LANES`] tiles.
-type Row = [f32; MAX_LANES];
-
-/// `acc[λ] += a[λ] * b[λ]` — a multiply, then an add, in every build: Rust
-/// never contracts the pair into an FMA, so the loop rustc vectorises here
-/// rounds exactly like its scalar form.
+/// `acc[λ] += a[λ] * b[λ]` — a multiply, then an add: Rust never contracts
+/// the pair into an FMA, so the loop the compiler vectorises here rounds
+/// exactly like its scalar form.
 #[inline(always)]
-fn mul_add(acc: &mut Row, a: &Row, b: &Row) {
+fn mul_add<const LANES: usize>(acc: &mut [f32; LANES], a: &[f32; LANES], b: &[f32; LANES]) {
     // By value: the optimiser then sees three unaliased rows.
     let (mut sum, a, b) = (*acc, *a, *b);
-    for lane in 0..MAX_LANES {
+    for lane in 0..LANES {
         sum[lane] += a[lane] * b[lane];
     }
     *acc = sum;
 }
 
-/// `rows[e][lane] = src[e]`: one tile's values into its lane of a panel.
-#[inline(always)]
-fn set_lane(rows: &mut [Row], lane: usize, src: &[f32]) {
-    for (row, &x) in rows.iter_mut().zip(src) {
-        row[lane] = x;
-    }
+/// The `[token][column][lane]` panels of one lane group of the attention
+/// backward: row `i·dk + c` of a `t × dk` panel (row `i·t + j` of `p`) is
+/// that element of every lane's tile, lane `λ` belonging to one tile
+/// throughout. Every kernel carves them with [`Self::new`], fills `inputs`
+/// and `p` its own way, and writes `grads` back out; in between the scalar
+/// kernel runs [`Self::backward`] and the lane kernels
+/// (`attention_backward_kernel!`) the same arithmetic, op for op, in vector
+/// registers.
+pub(super) struct Panels<'a, const LANES: usize> {
+    t: usize,
+    dk: usize,
+    /// Q, K, V and dO.
+    pub inputs: [&'a mut [[f32; LANES]]; 4],
+    /// The softmax rows P.
+    pub p: &'a mut [[f32; LANES]],
+    /// dQ, dK and dV.
+    pub grads: [&'a mut [[f32; LANES]]; 3],
+    /// Row `i` of dP, then of dS.
+    pub ds: &'a mut [[f32; LANES]],
 }
 
-/// Backward of every attention tile of `grid`: from each tile's `Q`, `K`,
-/// `V`, saved softmax rows `P` (`p`, the `[tile][token][token]` array) and
-/// upstream `dO`,
-///
-/// ```text
-/// dV = Pᵀ·dO    dP = dO·Vᵀ    dS = P ∘ (dP − rowsum(dP ∘ P)) / √dk
-/// dQ = dS·K     dK = dSᵀ·Q
-/// ```
-///
-/// handed to `emit(offset, [dq, dk, dv])` once per element of the tile's
-/// segments (`offset` is the element's index in the `[rows, width]`
-/// buffers, the one `q[offset]` was read at).
-///
-/// Lane-blocked like `attention_lanes_kernel!` — [`MAX_LANES`] tiles ride
-/// in the lanes of `[token][column][lane]` panels, so every inner loop is
-/// full width however small a tile is — but written once, in safe Rust,
-/// for every ISA. Each sum is one accumulator per lane from `0.0` over an
-/// ascending index, multiply then add; lanes never mix. A tile's gradient
-/// bits are therefore the same on every ISA and in every lane position
-/// (DESIGN.md §16). Non-finite
-/// inputs propagate by IEEE rules: nothing is skipped or masked.
-pub(crate) fn attention_backward_tiles(
-    grid: &AttnGrid,
-    [q, k, v, d_o]: [&[f32]; 4],
-    p: &[f32],
-    mut emit: impl FnMut(usize, [f32; 3]),
-) {
-    const LANES: usize = MAX_LANES;
-    let (t, dk, tiles) = (grid.tokens, grid.head_dim, grid.tiles());
-    let stride = grid.token_stride();
-    let scale = 1.0 / (dk as f32).sqrt();
-    let zero = [0.0f32; LANES];
-    let mut panels = vec![zero; 7 * t * dk + t * t + t];
-    let (qp, rest) = panels.split_at_mut(t * dk);
-    let (kp, rest) = rest.split_at_mut(t * dk);
-    let (vp, rest) = rest.split_at_mut(t * dk);
-    let (gp, rest) = rest.split_at_mut(t * dk);
-    let (dqp, rest) = rest.split_at_mut(t * dk);
-    let (dkp, rest) = rest.split_at_mut(t * dk);
-    let (dvp, rest) = rest.split_at_mut(t * dk);
-    // `ds` is row `i` of `dP`, then of `dS`.
-    let (pp, ds) = rest.split_at_mut(t * t);
-    let mut group = 0;
-    while group < tiles {
-        // Lanes past `live` keep whatever an earlier group left there:
-        // lanes are independent and theirs are never emitted.
-        let live = (tiles - group).min(LANES);
-        for lane in 0..live {
-            let base = grid.tile_base(group + lane);
-            for i in 0..t {
-                let at = base + i * stride;
-                for (panel, src) in [(&mut *qp, q), (&mut *kp, k), (&mut *vp, v), (&mut *gp, d_o)] {
-                    set_lane(&mut panel[i * dk..][..dk], lane, &src[at..][..dk]);
-                }
-            }
-            set_lane(pp, lane, &p[(group + lane) * t * t..][..t * t]);
+impl<'a, const LANES: usize> Panels<'a, LANES> {
+    /// Floats the panels of one call over `t`-token, `dk`-column tiles
+    /// take, with the slack [`Self::new`] needs to start them on a 64-byte
+    /// boundary.
+    pub fn memory_len(t: usize, dk: usize) -> usize {
+        (7 * t * dk + t * t + t) * LANES + 15
+    }
+
+    /// Carves the panels out of `memory` ([`Self::memory_len`] floats)
+    /// from its first 64-byte boundary, so no panel row straddles a cache
+    /// line more than it must.
+    pub fn new(memory: &'a mut [f32], t: usize, dk: usize) -> Self {
+        debug_assert!(t * dk > 0);
+        let skip = memory.as_ptr().align_offset(64).min(15);
+        let rows = 7 * t * dk + t * t + t;
+        let (rows, _) = memory[skip..][..rows * LANES].as_chunks_mut::<LANES>();
+        let (tiles, rest) = rows.split_at_mut(7 * t * dk);
+        let (p, ds) = rest.split_at_mut(t * t);
+        let mut tiles = tiles.chunks_exact_mut(t * dk);
+        let [q, k, v, d_o, d_q, d_k, d_v] = [(); 7].map(|()| tiles.next().expect("seven panels"));
+        Panels {
+            t,
+            dk,
+            inputs: [q, k, v, d_o],
+            p,
+            grads: [d_q, d_k, d_v],
+            ds,
         }
+    }
+
+    /// The backward of every lane's tile, from `inputs` and `p` into
+    /// `grads`:
+    ///
+    /// ```text
+    /// dV = Pᵀ·dO    dP = dO·Vᵀ    dS = P ∘ (dP − rowsum(dP ∘ P)) · scale
+    /// dQ = dS·K     dK = dSᵀ·Q
+    /// ```
+    ///
+    /// Each sum is one accumulator per lane from `0.0` over an ascending
+    /// index, multiply then add; lanes never mix, so every lane computes
+    /// the same bits whatever its position. Non-finite inputs propagate by
+    /// IEEE rules: nothing is skipped or masked.
+    ///
+    /// Safe rows suit the build's baseline (SSE2 on x86-64), where the
+    /// compiler vectorises each row op across the lanes. Inlined under an
+    /// avx2 / avx512 `#[target_feature]`, the same loops get vectorised
+    /// across panel rows instead — gathers and scatters on avx512,
+    /// shuffles on avx2 — and ran at half the baseline's speed, which is
+    /// why the lane kernels spell the ops out in vector registers.
+    pub fn backward(&mut self, scale: f32) {
+        let (t, dk) = (self.t, self.dk);
+        let zero = [0.0f32; LANES];
+        let [qp, kp, vp, gp] = &self.inputs;
+        let [dqp, dkp, dvp] = &mut self.grads;
+        let (pp, ds) = (&*self.p, &mut *self.ds);
         dkp.fill(zero);
         dvp.fill(zero);
         for i in 0..t {
             let (g_i, q_i) = (&gp[i * dk..][..dk], &qp[i * dk..][..dk]);
             let p_i = &pp[i * t..][..t];
             for (j, dp) in ds.iter_mut().enumerate() {
-                *dp = zero;
+                let mut acc = zero;
                 for (g, v) in g_i.iter().zip(&vp[j * dk..][..dk]) {
-                    mul_add(dp, g, v);
+                    mul_add(&mut acc, g, v);
                 }
+                *dp = acc;
             }
             let mut sum = zero;
             for (dp, p) in ds.iter().zip(p_i) {
@@ -453,10 +475,11 @@ pub(crate) fn attention_backward_tiles(
                 }
             }
             for (c, dq) in dqp[i * dk..][..dk].iter_mut().enumerate() {
-                *dq = zero;
+                let mut acc = zero;
                 for (j, s) in ds.iter().enumerate() {
-                    mul_add(dq, s, &kp[j * dk + c]);
+                    mul_add(&mut acc, s, &kp[j * dk + c]);
                 }
+                *dq = acc;
             }
             for (j, (s, p)) in ds.iter().zip(p_i).enumerate() {
                 let (dk_j, dv_j) = (&mut dkp[j * dk..][..dk], &mut dvp[j * dk..][..dk]);
@@ -466,19 +489,169 @@ pub(crate) fn attention_backward_tiles(
                 }
             }
         }
-        for lane in 0..live {
-            let base = grid.tile_base(group + lane);
-            for i in 0..t {
-                let rows = dqp[i * dk..][..dk]
-                    .iter()
-                    .zip(&dkp[i * dk..][..dk])
-                    .zip(&dvp[i * dk..][..dk]);
-                for (c, ((dq_e, dk_e), dv_e)) in rows.enumerate() {
-                    emit(base + i * stride + c, [dq_e[lane], dk_e[lane], dv_e[lane]]);
+    }
+}
+
+/// Generates `attention_backward_lanes`, the lane-parallel attention
+/// backward, over `$ops`, a lanes module of the ISA's vector primitives
+/// (`LANES`, `splat`, `load`, `store`, `load_runs`, `store_runs`, `add`,
+/// `mul`, `sub`). `LANES` tiles ride in the lanes of [`Panels`]; the
+/// group's tile rows go in through `load_runs` (contiguous `dk`-float runs
+/// turned lane-major by in-register transposes, as the forward's Q, K and V
+/// do) and its gradient rows come out through `store_runs`, the inverse —
+/// no element is gathered or emitted one at a time. The arithmetic is
+/// [`Panels::backward`]'s op for op, each `acc[λ] += a[λ]·b[λ]` an
+/// `add(acc, mul(a, b))` (never an FMA), so a lane computes exactly the
+/// scalar kernel's chain. Dead lanes of a ragged last group alias the last
+/// live tile (valid reads) and are never written.
+macro_rules! attention_backward_kernel {
+    ($(#[$attr:meta])* $ops:ident) => {
+        /// The attention backward of every tile of `grid`, `LANES` tiles a
+        /// group (see `linalg::attention_backward_into_with_isa` for the
+        /// buffers): `dQ | dK | dV` into `d_qkv`, `[rows, 3·width]`, at
+        /// column offsets `0`, `width` and `2·width`, every element
+        /// overwritten.
+        $(#[$attr])*
+        pub fn attention_backward_lanes(
+            grid: &crate::simd::AttnGrid,
+            inputs: [&[f32]; 4],
+            p: &[f32],
+            d_qkv: &mut [f32],
+        ) {
+            use $ops::LANES;
+            let (t, dk, tiles, width) = (grid.tokens, grid.head_dim, grid.tiles(), grid.width());
+            let len = grid.rows() * width;
+            assert!(
+                inputs.iter().all(|x| x.len() == len)
+                    && p.len() == grid.probs_len()
+                    && d_qkv.len() == 3 * len,
+                "attention backward buffers disagree with {grid:?}"
+            );
+            if len == 0 {
+                return;
+            }
+            let (stride, out_stride) = (grid.token_stride(), 3 * grid.token_stride());
+            let mut memory = vec![0.0f32; crate::simd::attention::Panels::<LANES>::memory_len(t, dk)];
+            let panels = crate::simd::attention::Panels::<LANES>::new(&mut memory, t, dk);
+            let [qp, kp, vp, gp] = panels.inputs.map(|x| x.as_mut_ptr().cast::<f32>());
+            let [dqp, dkp, dvp] = panels.grads.map(|x| x.as_mut_ptr().cast::<f32>());
+            let (pp, ds) = (panels.p.as_mut_ptr().cast::<f32>(), panels.ds.as_mut_ptr().cast::<f32>());
+            // Float offset of panel row `r`.
+            let at = |r: usize| r * LANES;
+            let (zero, scale) = ($ops::splat(0.0), $ops::splat(1.0 / (dk as f32).sqrt()));
+            let mut group = 0;
+            while group < tiles {
+                let live = (tiles - group).min(LANES);
+                let (mut base, mut p_base, mut out_base) = ([0usize; LANES], [0usize; LANES], [0usize; LANES]);
+                for lane in 0..LANES {
+                    let tile = group + lane.min(live - 1);
+                    base[lane] = grid.tile_base(tile);
+                    p_base[lane] = tile * t * t;
+                    out_base[lane] = grid.tile_base_in(tile, 3 * width);
                 }
+                // SAFETY (this block): a lane reads `base[λ] + i·stride +
+                // 0..dk` of a `[rows, width]` input for `i < t` — its own
+                // tile's segments, inside `len` floats by `AttnGrid`'s
+                // geometry, the lengths asserted above — and `p_base[λ] +
+                // 0..t·t` of `p`, its own tile's softmax rows; a live lane
+                // writes `dk` floats at `out_base[λ] + i·out_stride +
+                // which·width` of `d_qkv`, its own tile's segment of gradient
+                // `which` in the `[rows, 3·width]` layout, inside `3·len`
+                // floats. Panel rows `at(i·dk + c)` (`i < t`, `c < dk`) stay
+                // inside the `t·dk`-row panels, `at(i·t + j)` inside `pp`
+                // and `at(j)` (`j < t`) inside `ds`, all carved from `memory`
+                // by `Panels::new`, which nothing else touches meanwhile.
+                unsafe {
+                    for i in 0..t {
+                        for (panel, src) in [qp, kp, vp, gp].into_iter().zip(inputs) {
+                            $ops::load_runs(src.as_ptr(), &base, i * stride, dk, panel.add(at(i * dk)));
+                        }
+                    }
+                    $ops::load_runs(p.as_ptr(), &p_base, 0, t * t, pp);
+                    // `Panels::backward`, op for op: every sum one
+                    // accumulator per lane from `0.0` over an ascending
+                    // index, `add(acc, mul(a, b))`.
+                    let get = |panel: *mut f32, r: usize| $ops::load(panel.add(at(r)));
+                    let put = |panel: *mut f32, r: usize, x| $ops::store(panel.add(at(r)), x);
+                    for r in 0..t * dk {
+                        put(dkp, r, zero);
+                        put(dvp, r, zero);
+                    }
+                    for i in 0..t {
+                        for j in 0..t {
+                            let mut acc = zero;
+                            for c in 0..dk {
+                                acc = $ops::add(acc, $ops::mul(get(gp, i * dk + c), get(vp, j * dk + c)));
+                            }
+                            put(ds, j, acc);
+                        }
+                        let mut sum = zero;
+                        for j in 0..t {
+                            sum = $ops::add(sum, $ops::mul(get(ds, j), get(pp, i * t + j)));
+                        }
+                        for j in 0..t {
+                            let dp = $ops::sub(get(ds, j), sum);
+                            put(ds, j, $ops::mul($ops::mul(get(pp, i * t + j), dp), scale));
+                        }
+                        for c in 0..dk {
+                            let mut acc = zero;
+                            for j in 0..t {
+                                acc = $ops::add(acc, $ops::mul(get(ds, j), get(kp, j * dk + c)));
+                            }
+                            put(dqp, i * dk + c, acc);
+                        }
+                        for j in 0..t {
+                            let (s, p) = (get(ds, j), get(pp, i * t + j));
+                            for c in 0..dk {
+                                let r = j * dk + c;
+                                put(dkp, r, $ops::add(get(dkp, r), $ops::mul(s, get(qp, i * dk + c))));
+                                put(dvp, r, $ops::add(get(dvp, r), $ops::mul(p, get(gp, i * dk + c))));
+                            }
+                        }
+                    }
+                    for (which, grad) in [dqp, dkp, dvp].into_iter().enumerate() {
+                        let dst = d_qkv.as_mut_ptr().add(which * width);
+                        for i in 0..t {
+                            $ops::store_runs(grad.add(at(i * dk)), dst, &out_base, i * out_stride, dk, live);
+                        }
+                    }
+                }
+                group += LANES;
             }
         }
-        group += LANES;
+    };
+}
+pub(crate) use attention_backward_kernel;
+
+/// Backward of every attention tile of `grid` on `isa`'s kernel: from each
+/// tile's `Q`, `K`, `V`, `dO` (`inputs`, `[rows, width]` each) and saved
+/// softmax rows `P` (`p`, the `[tile][token][token]` array), `dQ | dK | dV`
+/// into `d_qkv`, `[rows, 3·width]`, every element overwritten. Every ISA
+/// runs [`Panels::backward`]'s arithmetic per lane group — scalar on
+/// [`MAX_LANES`]-wide panels filled element by element, avx2/avx512 on 8 /
+/// 16 lanes filled by in-register transposes — so a tile's gradient bits
+/// are the same on every ISA, in every lane position and every group
+/// (DESIGN.md §16). (Length consistency is checked by the safe caller,
+/// `linalg::attention_backward_into_with_isa`, and again by the lane
+/// kernels, whose pointer loads and stores rest on it.)
+pub(crate) fn attention_backward_tiles(
+    isa: super::Isa,
+    grid: &AttnGrid,
+    inputs: [&[f32]; 4],
+    p: &[f32],
+    d_qkv: &mut [f32],
+) {
+    use super::Isa;
+    // SAFETY: Avx2/Avx512 dispatch implies the features their kernels
+    // enable are present.
+    unsafe {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => super::avx2::attention_backward_lanes(grid, inputs, p, d_qkv),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => super::avx512::attention_backward_lanes(grid, inputs, p, d_qkv),
+            _ => super::scalar::attention_backward_tiles(grid, inputs, p, d_qkv),
+        }
     }
 }
 

@@ -49,16 +49,27 @@ crate::simd::matmul_tile! {
     tile, lanes, MR
 }
 
-/// `out[n,m] = a[n,k] · b`, `MR` rows at a time: `b` is either
+/// `out[n,m] = a · b` for an `[n, k]` operand `a`, row-major — or, `AT`,
+/// stored transposed as `[k, n]`: the `aᵀ` of [`matmul_tn`](super::matmul_tn),
+/// read in place. `MR` rows at a time; `b` is either
 /// [`pack_b`](super::pack_b)'s panels (`packed`, the blocked path) or
-/// row-major `[k, m]` read in place (the small-product path). Per output
-/// element one FMA chain over ascending `k` from `+0.0` either way; a
-/// stretch of `jw` columns runs the 16- or the 8-column tile,
+/// row-major `[k, m]` read in place (the small-product and `tn` paths). Per
+/// output element one FMA chain over ascending `k` from `+0.0` either way;
+/// a stretch of `jw` columns runs the 16- or the 8-column tile,
 /// [`panel_span`](super::panel_span)`(jw)` wide.
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-pub fn matmul(a: &[f32], b: &[f32], packed: bool, out: &mut [f32], n: usize, k: usize, m: usize) {
+pub fn matmul<const AT: bool>(
+    a: &[f32],
+    b: &[f32],
+    packed: bool,
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    m: usize,
+) {
     assert!(a.len() >= n * k && out.len() >= n * m && b.len() >= k * m);
+    let lda = if AT { n } else { k };
     for i0 in (0..n).step_by(MR) {
         let rows = (n - i0).min(MR);
         for j0 in (0..m).step_by(NR) {
@@ -67,11 +78,12 @@ pub fn matmul(a: &[f32], b: &[f32], packed: bool, out: &mut [f32], n: usize, k: 
             let (b0, stride) = if packed { (j0 * k, span) } else { (j0, m) };
             debug_assert!(!packed || b.len() >= b0 + k * span);
             let (a, b, o) = (
-                a[i0 * k..].as_ptr(),
+                a[if AT { i0 } else { i0 * lda }..].as_ptr(),
                 b[b0..].as_ptr(),
                 out[i0 * m + j0..].as_mut_ptr(),
             );
-            // SAFETY: `rows` rows of `a` from `i0`, and of `out` from
+            // SAFETY: `rows` rows of `a` from `i0` (either layout, `k`
+            // elements each: every offset is below `n·k`), and of `out` from
             // `(i0, j0)` with `jw` live columns, are inside the slices
             // (asserted above); `b` holds `k` rows of `span` floats at
             // `stride` from `b0` — a packed panel — or, unpacked, `jw`
@@ -79,10 +91,10 @@ pub fn matmul(a: &[f32], b: &[f32], packed: bool, out: &mut [f32], n: usize, k: 
             // `jw == span` (otherwise the tile masks to `jw`).
             unsafe {
                 match (span, jw == span) {
-                    (16, true) => tile::<2, false>(a, k, rows, b, stride, o, m, jw),
-                    (16, false) => tile::<2, true>(a, k, rows, b, stride, o, m, jw),
-                    (_, true) => tile::<1, false>(a, k, rows, b, stride, o, m, jw),
-                    (_, false) => tile::<1, true>(a, k, rows, b, stride, o, m, jw),
+                    (16, true) => tile::<2, false, AT>(a, lda, k, rows, b, stride, o, m, jw),
+                    (16, false) => tile::<2, true, AT>(a, lda, k, rows, b, stride, o, m, jw),
+                    (_, true) => tile::<1, false, AT>(a, lda, k, rows, b, stride, o, m, jw),
+                    (_, false) => tile::<1, true, AT>(a, lda, k, rows, b, stride, o, m, jw),
                 }
             }
         }
@@ -538,7 +550,7 @@ pub fn dequant_row_i8(qs: &[i8], scale: f32, out: &mut [f32]) {
 // -------------------------------------------------------------------------
 
 /// Eight-lane vector primitives of the matmul tiles (here and the avx512
-/// tier's 8-column tile) and of the lane-parallel attention kernel.
+/// tier's 8-column tile) and of the lane-parallel attention kernels.
 pub(super) mod lanes {
     use std::arch::x86_64::*;
 
@@ -721,6 +733,11 @@ pub(super) mod lanes {
     }
     #[inline]
     #[target_feature(enable = "avx2,fma")]
+    pub fn add(a: V, b: V) -> V {
+        _mm256_add_ps(a, b)
+    }
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
     pub fn sub(a: V, b: V) -> V {
         _mm256_sub_ps(a, b)
     }
@@ -769,6 +786,11 @@ pub(super) mod lanes {
 }
 
 crate::simd::attention::attention_lanes_kernel! {
+    #[target_feature(enable = "avx2,fma")]
+    lanes
+}
+
+crate::simd::attention::attention_backward_kernel! {
     #[target_feature(enable = "avx2,fma")]
     lanes
 }

@@ -1,8 +1,8 @@
 //! AVX-512F matmul micro-kernel — 16 f32 lanes, fused multiply-add.
 //!
-//! Only the matmul tiles and the 16-lane instance of the lane-parallel
-//! attention kernel live here; every other kernel of the
-//! [`super::Isa::Avx512`] tier dispatches to the [`super::avx2`]
+//! Only the matmul tiles and the 16-lane instances of the lane-parallel
+//! attention kernels (forward and backward) live here; every other kernel
+//! of the [`super::Isa::Avx512`] tier dispatches to the [`super::avx2`]
 //! implementations (an avx512f host always has avx2+fma).
 //!
 //! Numerically this tier is **bit-identical to the avx2 tier**: each
@@ -38,16 +38,27 @@ crate::simd::matmul_tile! {
     tile8, ymm, MR
 }
 
-/// `out[n,m] = a[n,k] · b`, `MR` rows at a time: `b` is either
+/// `out[n,m] = a · b` for an `[n, k]` operand `a`, row-major — or, `AT`,
+/// stored transposed as `[k, n]`, the `aᵀ` of
+/// [`matmul_tn`](super::matmul_tn) — `MR` rows at a time: `b` is either
 /// [`pack_b`](super::pack_b)'s panels (`packed`, the blocked path) or
-/// row-major `[k, m]` read in place (the small-product path). Per output
-/// element one FMA chain over ascending `k` from `+0.0` either way; a
-/// stretch of `jw` columns runs the 32-, 16- or 8-column tile,
+/// row-major `[k, m]` read in place (the small-product and `tn` paths). Per
+/// output element one FMA chain over ascending `k` from `+0.0` either way;
+/// a stretch of `jw` columns runs the 32-, 16- or 8-column tile,
 /// [`panel_span`](super::panel_span)`(jw)` wide.
 #[target_feature(enable = "avx512f,avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-pub fn matmul(a: &[f32], b: &[f32], packed: bool, out: &mut [f32], n: usize, k: usize, m: usize) {
+pub fn matmul<const AT: bool>(
+    a: &[f32],
+    b: &[f32],
+    packed: bool,
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    m: usize,
+) {
     assert!(a.len() >= n * k && out.len() >= n * m && b.len() >= k * m);
+    let lda = if AT { n } else { k };
     for i0 in (0..n).step_by(MR) {
         let rows = (n - i0).min(MR);
         for j0 in (0..m).step_by(NR) {
@@ -56,22 +67,23 @@ pub fn matmul(a: &[f32], b: &[f32], packed: bool, out: &mut [f32], n: usize, k: 
             let (b0, stride) = if packed { (j0 * k, span) } else { (j0, m) };
             debug_assert!(!packed || b.len() >= b0 + k * span);
             let (a, b, o) = (
-                a[i0 * k..].as_ptr(),
+                a[if AT { i0 } else { i0 * lda }..].as_ptr(),
                 b[b0..].as_ptr(),
                 out[i0 * m + j0..].as_mut_ptr(),
             );
-            // SAFETY: as in `avx2::matmul` — `rows` rows of `a` and of
-            // `out` (`jw` live columns) are inside the asserted slices, and
-            // `b` holds `k` rows of `span` floats at `stride`, or `jw` of
-            // them, masked, when `jw < span`.
+            // SAFETY: as in `avx2::matmul` — `rows` rows of `a` (`k`
+            // elements each, either layout) and of `out` (`jw` live
+            // columns) are inside the asserted slices, and `b` holds `k` rows
+            // of `span` floats at `stride`, or `jw` of them, masked, when
+            // `jw < span`.
             unsafe {
                 match (span, jw == span) {
-                    (32, true) => tile::<2, false>(a, k, rows, b, stride, o, m, jw),
-                    (32, false) => tile::<2, true>(a, k, rows, b, stride, o, m, jw),
-                    (16, true) => tile::<1, false>(a, k, rows, b, stride, o, m, jw),
-                    (16, false) => tile::<1, true>(a, k, rows, b, stride, o, m, jw),
-                    (_, true) => tile8::<1, false>(a, k, rows, b, stride, o, m, jw),
-                    (_, false) => tile8::<1, true>(a, k, rows, b, stride, o, m, jw),
+                    (32, true) => tile::<2, false, AT>(a, lda, k, rows, b, stride, o, m, jw),
+                    (32, false) => tile::<2, true, AT>(a, lda, k, rows, b, stride, o, m, jw),
+                    (16, true) => tile::<1, false, AT>(a, lda, k, rows, b, stride, o, m, jw),
+                    (16, false) => tile::<1, true, AT>(a, lda, k, rows, b, stride, o, m, jw),
+                    (_, true) => tile8::<1, false, AT>(a, lda, k, rows, b, stride, o, m, jw),
+                    (_, false) => tile8::<1, true, AT>(a, lda, k, rows, b, stride, o, m, jw),
                 }
             }
         }
@@ -79,7 +91,7 @@ pub fn matmul(a: &[f32], b: &[f32], packed: bool, out: &mut [f32], n: usize, k: 
 }
 
 /// Sixteen-lane vector primitives of the 32- and 16-column matmul tiles and
-/// of the lane-parallel attention kernel. Every op is per-lane IEEE
+/// of the lane-parallel attention kernels. Every op is per-lane IEEE
 /// arithmetic, so a lane computes the same value here as in the eight-lane
 /// avx2 instance; `exp` is the avx2 polynomial op for op, on all sixteen
 /// lanes at once (unit-tested bitwise against it below).
@@ -284,6 +296,11 @@ mod lanes {
     }
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
+    pub fn add(a: V, b: V) -> V {
+        _mm512_add_ps(a, b)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
     pub fn sub(a: V, b: V) -> V {
         _mm512_sub_ps(a, b)
     }
@@ -360,6 +377,11 @@ mod lanes {
 }
 
 crate::simd::attention::attention_lanes_kernel! {
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    lanes
+}
+
+crate::simd::attention::attention_backward_kernel! {
     #[target_feature(enable = "avx512f,avx2,fma")]
     lanes
 }

@@ -9,7 +9,7 @@
 //! |----------|-----------------------------------------|------------------|
 //! | `scalar` | always available (the reference chains) | bit-exact with `matmul_reference` and the pre-SIMD kernels |
 //! | `avx2`   | x86-64 with AVX2 **and** FMA            | per-ISA deterministic, oracle-bounded (see below) |
-//! | `avx512` | x86-64 with AVX-512F (plus AVX2+FMA)    | **bit-identical to `avx2`**: a wider matmul micro-kernel and a 16-lane attention kernel running the same per-element chains; every other kernel dispatches to the avx2 implementation |
+//! | `avx512` | x86-64 with AVX-512F (plus AVX2+FMA)    | **bit-identical to `avx2`**: a wider matmul micro-kernel and 16-lane attention kernels (forward and backward) running the same per-element chains; every other kernel dispatches to the avx2 implementation |
 //!
 //! # The avx2 relaxation
 //!
@@ -223,10 +223,10 @@ pub fn matmul_block_rows(
         // SAFETY: Avx2 is only dispatched when avx2+fma are detected
         // (is_available checked at ISA resolution / by the caller of the
         // _with_isa APIs).
-        Isa::Avx2 => unsafe { avx2::matmul(a, packed, true, out, n, k, m) },
+        Isa::Avx2 => unsafe { avx2::matmul::<false>(a, packed, true, out, n, k, m) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx512 is only dispatched when avx512f is detected.
-        Isa::Avx512 => unsafe { avx512::matmul(a, packed, true, out, n, k, m) },
+        Isa::Avx512 => unsafe { avx512::matmul::<false>(a, packed, true, out, n, k, m) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::matmul_block_rows(a, packed, out, n, k, m),
     }
@@ -240,20 +240,50 @@ pub fn matmul_block_rows(
 /// whichever path they take.
 pub fn matmul_small(isa: Isa, a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     match isa {
-        Isa::Scalar => scalar::matmul_small(a, b, out, n, k, m),
+        Isa::Scalar => scalar::matmul_small::<false>(a, b, out, n, k, m),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 dispatch implies avx2+fma are available.
-        Isa::Avx2 => unsafe { avx2::matmul(a, b, false, out, n, k, m) },
+        Isa::Avx2 => unsafe { avx2::matmul::<false>(a, b, false, out, n, k, m) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx512 dispatch implies avx512f (and avx2+fma).
-        Isa::Avx512 => unsafe { avx512::matmul(a, b, false, out, n, k, m) },
+        Isa::Avx512 => unsafe { avx512::matmul::<false>(a, b, false, out, n, k, m) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::matmul_small(a, b, out, n, k, m),
+        _ => scalar::matmul_small::<false>(a, b, out, n, k, m),
+    }
+}
+
+/// The weight-gradient product `out[k, m] = aᵀ·g` of `a: [n, k]` and
+/// `g: [n, m]`, streaming: the small-product path with `a` read transposed
+/// in place — no transposed copy, no packed panel. Each register tile walks
+/// the rows of `a` and `g` once, broadcasting its `MR` columns of `a` and
+/// spanning its columns of `g` with the lanes, so per output element the
+/// chain is [`matmul_small`]'s on the materialised `aᵀ`: one accumulator
+/// from `+0.0` over ascending `n`, mul-then-add on scalar, one FMA per step
+/// on avx2/avx512.
+pub(crate) fn matmul_tn(
+    isa: Isa,
+    a: &[f32],
+    g: &[f32],
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    m: usize,
+) {
+    match isa {
+        Isa::Scalar => scalar::matmul_small::<true>(a, g, out, k, n, m),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 dispatch implies avx2+fma are available.
+        Isa::Avx2 => unsafe { avx2::matmul::<true>(a, g, false, out, k, n, m) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx512 dispatch implies avx512f (and avx2+fma).
+        Isa::Avx512 => unsafe { avx512::matmul::<true>(a, g, false, out, k, n, m) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => scalar::matmul_small::<true>(a, g, out, k, n, m),
     }
 }
 
 /// Generates one register-tile function of the avx2/avx512 matmul,
-/// `$name::<V, MASKED>`, over `$ops`, a lanes module of the ISA's vector
+/// `$name::<V, MASKED, AT>`, over `$ops`, a lanes module of the ISA's vector
 /// primitives (`LANES`, `splat`, `load`, `load_first`, `fmadd`, `store`,
 /// `store_first`): `$mr` rows × `V` vectors of `LANES` columns, every
 /// accumulator in a register across the whole `k` walk.
@@ -261,7 +291,10 @@ pub fn matmul_small(isa: Isa, a: &[f32], b: &[f32], out: &mut [f32], n: usize, k
 macro_rules! matmul_tile {
     ($(#[$attr:meta])* $name:ident, $ops:ident, $mr:expr) => {
         /// One register tile of `out = a · b`: rows `0..rows` (`1..=MR`) by
-        /// columns `0..jw` (`jw` in `(V - 1)·LANES + 1 ..= V·LANES`).
+        /// columns `0..jw` (`jw` in `(V - 1)·LANES + 1 ..= V·LANES`), with
+        /// element `(r, kk)` of `a` at `r·lda + kk` — or, `AT` (`a` stored
+        /// transposed, the operand of `aᵀ·g` read in place), at
+        /// `r + kk·lda`.
         /// Accumulators start at `+0.0`, take one FMA per `k` step, and
         /// are stored once; the output is never read. Rows past `rows`
         /// re-read row `rows - 1` and are never stored; `MASKED` (`jw <
@@ -270,14 +303,16 @@ macro_rules! matmul_tile {
         ///
         /// # Safety
         ///
-        /// `a` must be valid for reading `rows` rows of `k` floats `k`
-        /// apart; `b` for reading `V·LANES` floats at `kk·b_stride` for
-        /// every `kk < k` (only the first `jw` if `MASKED`); `out` for
-        /// writing `jw` floats at `r·m` for every `r < rows`.
+        /// `a` must be valid for reading element `(r, kk)` for every
+        /// `r < rows`, `kk < k`; `b` for reading `V·LANES` floats at
+        /// `kk·b_stride` for every `kk < k` (only the first `jw` if
+        /// `MASKED`); `out` for writing `jw` floats at `r·m` for every
+        /// `r < rows`.
         $(#[$attr])*
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $name<const V: usize, const MASKED: bool>(
+        unsafe fn $name<const V: usize, const MASKED: bool, const AT: bool>(
             a: *const f32,
+            lda: usize,
             k: usize,
             rows: usize,
             b: *const f32,
@@ -291,15 +326,16 @@ macro_rules! matmul_tile {
             debug_assert!(jw + LANES > V * LANES && jw <= V * LANES && MASKED == (jw < V * LANES));
             // Live lanes of the last vector.
             let tail = jw - (V - 1) * LANES;
-            // SAFETY: `a` is read at row `r.min(rows - 1)`, `b` at
-            // `kk·b_stride + v·LANES` (`kk < k`, `v < V`; the last vector
+            let (a_row, a_step) = if AT { (1, lda) } else { (lda, 1) };
+            // SAFETY: `a` is read at row `r.min(rows - 1)` and step `kk < k`,
+            // `b` at `kk·b_stride + v·LANES` (`v < V`; the last vector
             // masked to `tail` lanes when `MASKED`) and `out` written at
             // `r·m + v·LANES` for `r < rows` (masked likewise) — inside the
             // ranges the caller vouches for.
             unsafe {
                 let mut a_rows = [a; $mr];
                 for (r, row) in a_rows.iter_mut().enumerate() {
-                    *row = a.add(r.min(rows - 1) * k);
+                    *row = a.add(r.min(rows - 1) * a_row);
                 }
                 let mut acc = [[splat(0.0); V]; $mr];
                 for kk in 0..k {
@@ -313,7 +349,7 @@ macro_rules! matmul_tile {
                         };
                     }
                     for (row, acc) in a_rows.iter().zip(acc.iter_mut()) {
-                        let av = splat(*row.add(kk));
+                        let av = splat(*row.add(kk * a_step));
                         for (acc, &x) in acc.iter_mut().zip(&bv) {
                             *acc = fmadd(av, x, *acc);
                         }

@@ -49,13 +49,23 @@ pub fn matmul_block_rows(a: &[f32], packed: &[f32], out: &mut [f32], n: usize, k
 
 /// Small-product path: `out[n,m] = a[n,k] * b[k,m]` on `b` as given, one
 /// row of `NR`-column accumulators at a time — the chain of
-/// [`matmul_block_rows`] and `matmul_reference`, per element.
-pub fn matmul_small(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+/// [`matmul_block_rows`] and `matmul_reference`, per element. With `AT`,
+/// `a` is stored transposed as `[k, n]` — the `aᵀ` of `aᵀ·g`, read in place.
+pub fn matmul_small<const AT: bool>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    m: usize,
+) {
+    let (a_row, a_step) = if AT { (1, n) } else { (k, 1) };
     for i in 0..n {
         for j0 in (0..m).step_by(NR) {
             let jw = (m - j0).min(NR);
             let mut acc = [0.0f32; NR];
-            for (kk, &a_ik) in a[i * k..(i + 1) * k].iter().enumerate() {
+            for kk in 0..k {
+                let a_ik = a[i * a_row + kk * a_step];
                 for (acc, &b_kj) in acc[..jw].iter_mut().zip(&b[kk * m + j0..]) {
                     *acc += a_ik * b_kj;
                 }
@@ -269,5 +279,66 @@ pub unsafe fn attention_tiles(
         for i in 0..t {
             segment(i).copy_from_slice(&o_tile[i * dk..(i + 1) * dk]);
         }
+    }
+}
+
+/// `rows[e][lane] = src[e]`: one tile's values into its lane of a panel.
+fn set_lane<const LANES: usize>(rows: &mut [[f32; LANES]], lane: usize, src: &[f32]) {
+    for (row, &x) in rows.iter_mut().zip(src) {
+        row[lane] = x;
+    }
+}
+
+/// The attention backward of every tile of `grid` (see
+/// `linalg::attention_backward_into_with_isa` for the buffers): `dQ | dK |
+/// dV` into `d_qkv`, `[rows, 3·width]`, every element overwritten.
+/// [`Panels::backward`](super::attention::Panels::backward) on
+/// [`MAX_LANES`](super::attention::MAX_LANES) tiles a group, whose panels
+/// are filled and read back element by element, in safe Rust — the chains
+/// the lane kernels run in vector registers, so the same bits as every
+/// other ISA.
+pub fn attention_backward_tiles(
+    grid: &super::AttnGrid,
+    [q, k, v, d_o]: [&[f32]; 4],
+    p: &[f32],
+    d_qkv: &mut [f32],
+) {
+    use super::attention::{Panels, MAX_LANES as LANES};
+    let (t, dk, tiles, width) = (grid.tokens, grid.head_dim, grid.tiles(), grid.width());
+    if grid.rows() * width == 0 {
+        return;
+    }
+    let (stride, out_stride) = (grid.token_stride(), 3 * grid.token_stride());
+    let mut memory = vec![0.0f32; Panels::<LANES>::memory_len(t, dk)];
+    let mut panels = Panels::<LANES>::new(&mut memory, t, dk);
+    let scale = 1.0 / (dk as f32).sqrt();
+    let mut group = 0;
+    while group < tiles {
+        // Lanes past `live` keep whatever an earlier group left there:
+        // lanes are independent and theirs are never written out.
+        let live = (tiles - group).min(LANES);
+        for lane in 0..live {
+            let base = grid.tile_base(group + lane);
+            for i in 0..t {
+                let at = base + i * stride;
+                for (panel, src) in panels.inputs.iter_mut().zip([q, k, v, d_o]) {
+                    set_lane(&mut panel[i * dk..][..dk], lane, &src[at..][..dk]);
+                }
+            }
+            set_lane(panels.p, lane, &p[(group + lane) * t * t..][..t * t]);
+        }
+        panels.backward(scale);
+        for lane in 0..live {
+            let base = grid.tile_base_in(group + lane, 3 * width);
+            for i in 0..t {
+                for (which, grad) in panels.grads.iter().enumerate() {
+                    let at = base + i * out_stride + which * width;
+                    for (d, row) in d_qkv[at..][..dk].iter_mut().zip(&grad[i * dk..]) {
+                        *d = row[lane];
+                    }
+                }
+            }
+        }
+        group += LANES;
     }
 }

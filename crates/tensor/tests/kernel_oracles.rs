@@ -3,7 +3,8 @@
 //! backward products against the forward kernel on a materialized
 //! transpose, the attention tiles — every tile, on every available ISA —
 //! against that ISA's unfused `bmm → softmax → bmm` chain, and their
-//! backward against a per-tile reference. (The two
+//! backward — again every tile on every ISA — against one per-tile
+//! reference. (The two
 //! chunk-ordered reductions have `reduction_order.rs`; per-ISA bounds,
 //! `isa_dispatch.rs`.)
 
@@ -57,13 +58,21 @@ fn transposed_products_match_the_forward_kernel() {
     // on a transposed operand: bitwise the forward product of the
     // materialized transpose. Ragged sizes on both sides of
     // BLOCK_THRESHOLD; for `tn`, outputs wider than tall and taller than
-    // wide (the two ways round it builds its product).
+    // wide (the two ways round it builds its product). Then the MHSA
+    // backward's own weight-gradient shapes, `Xᵀ·[dQ | dK | dV]` and
+    // `Oᵀ·dY`: MBA and MBU/MBI of a 16×16 context (4 heads × 8 over 9
+    // attributes of 8), and the paper config's MBA and MBU/MBI projections.
     for (n, k, m) in [
         (37, 24, 15),
         (129, 40, 33),
         (200, 9, 40),
         (2304, 8, 32),
         (2304, 32, 8),
+        (2304, 8, 96),
+        (256, 72, 96),
+        (256, 32, 72),
+        (9216, 16, 384),
+        (1024, 128, 384),
     ] {
         let a = randn(&[n, k], 3);
         let b = randn(&[m, k], 4);
@@ -191,7 +200,7 @@ fn attention_tiles_match_the_unfused_chain() {
 
 /// One tile's backward on the reference chains: every sum a single
 /// accumulator from `0.0` over an ascending index, multiply then add — what
-/// `attention_backward_into` promises for each tile on every ISA.
+/// `attention_backward_into_with_isa` promises for each tile on every ISA.
 fn tile_backward_reference(
     [q, k, v, d_o]: [&[f32]; 4],
     p: &[f32],
@@ -233,13 +242,19 @@ fn tile_backward_reference(
 #[test]
 fn attention_backward_matches_the_per_tile_reference() {
     // The forward test's grids (both token-axis placements, a ragged last
-    // lane group) plus HIM's own MBA shape and single-token, single-column
-    // tiles.
+    // lane group), HIM's three grids of a 16×16 context (MBU, MBI and MBA
+    // over 9 attributes, 4 heads × 8), the paper config's MBA grid (8 heads
+    // × 16) and single-token, single-column tiles — every tile on every
+    // available ISA, each bitwise the per-tile reference and so bitwise
+    // each other.
     for (outer, tokens, inner, heads, head_dim) in [
         (70, 5, 1, 3, 8),
         (3, 9, 7, 2, 6),
         (2, 17, 5, 4, 8),
+        (1, 16, 16, 4, 8),
+        (16, 16, 1, 4, 8),
         (256, 9, 1, 4, 8),
+        (1024, 9, 1, 8, 16),
         (5, 1, 3, 2, 1),
     ] {
         let grid = AttnGrid {
@@ -265,50 +280,57 @@ fn attention_backward_matches_the_per_tile_reference() {
             &mut p,
             &mut vec![f32::NAN; grid.scratch_len()],
         );
-        // Packed `[dq | dk | dv]`; poisoned outputs: every element must be
-        // written.
-        let len = grid.rows() * grid.width();
-        let mut got = vec![f32::NAN; 3 * len];
-        let (dq, rest) = got.split_at_mut(len);
-        let (dk, dv) = rest.split_at_mut(len);
-        linalg::attention_backward_into(
-            &grid,
-            q.as_slice(),
-            k.as_slice(),
-            v.as_slice(),
-            &p,
-            d_o.as_slice(),
-            dq,
-            dk,
-            dv,
-        );
-
         let width = grid.width();
-        for tile in 0..grid.tiles() {
+        // Element `t` of the tile's segment `c` in a buffer of rows
+        // `row_width` floats wide, from column `col`.
+        let gather = |a: &[f32], tile: usize, row_width: usize, col: usize| -> Vec<f32> {
             let (batch, head) = (tile / heads, tile % heads);
             let (o, j) = (batch / inner, batch % inner);
-            let at = |t: usize| ((o * tokens + t) * inner + j) * width + head * head_dim;
-            let gather = |a: &[f32]| -> Vec<f32> {
-                (0..tokens)
-                    .flat_map(|t| a[at(t)..at(t) + head_dim].to_vec())
-                    .collect()
-            };
-            let want = tile_backward_reference(
-                [&q, &k, &v, &d_o]
-                    .map(|a| gather(a.as_slice()))
-                    .each_ref()
-                    .map(|a| &a[..]),
-                &p[tile * tokens * tokens..(tile + 1) * tokens * tokens],
-                tokens,
-                head_dim,
+            let at = |t: usize| ((o * tokens + t) * inner + j) * row_width + col + head * head_dim;
+            (0..tokens)
+                .flat_map(|t| a[at(t)..at(t) + head_dim].to_vec())
+                .collect()
+        };
+        let bits = |a: &[f32]| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut first: Option<(Isa, Vec<f32>)> = None;
+        for isa in Isa::available() {
+            // `[dq | dk | dv]` side by side in each row; poisoned: every
+            // element must be written.
+            let mut got = vec![f32::NAN; 3 * grid.rows() * width];
+            linalg::attention_backward_into_with_isa(
+                &grid,
+                q.as_slice(),
+                k.as_slice(),
+                v.as_slice(),
+                &p,
+                d_o.as_slice(),
+                &mut got,
+                isa,
             );
-            for (which, want) in want.iter().enumerate() {
-                let got = gather(&got[which * len..(which + 1) * len]);
-                assert_eq!(
-                    got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "{grid:?} tile {tile} output {which} (0 = dq, 1 = dk, 2 = dv)"
+            for tile in 0..grid.tiles() {
+                let want = tile_backward_reference(
+                    [&q, &k, &v, &d_o]
+                        .map(|a| gather(a.as_slice(), tile, width, 0))
+                        .each_ref()
+                        .map(|a| &a[..]),
+                    &p[tile * tokens * tokens..(tile + 1) * tokens * tokens],
+                    tokens,
+                    head_dim,
                 );
+                for (which, want) in want.iter().enumerate() {
+                    assert_eq!(
+                        bits(&gather(&got, tile, 3 * width, which * width)),
+                        bits(want),
+                        "{grid:?} {isa:?} tile {tile} output {which} (0 = dq, 1 = dk, 2 = dv)"
+                    );
+                }
+            }
+            match &first {
+                Some((first_isa, first)) => assert!(
+                    bits(&got) == bits(first),
+                    "{grid:?}: {isa:?} and {first_isa:?} disagree"
+                ),
+                None => first = Some((isa, got)),
             }
         }
     }
