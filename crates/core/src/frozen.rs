@@ -3,13 +3,14 @@
 //! A [`FrozenModel`] holds the trained parameters as plain [`NdArray`]s —
 //! no `Tensor`, no `Rc`, no tape — so it is `Send + Sync` and can be shared
 //! across worker threads behind an `Arc`. This module builds, loads and
-//! exports them; the forward itself is the shared one in the private `him` module,
+//! exports them; the forward itself is the shared one of [`HimWeights`],
 //! instantiated at f32, whose predictions are **bit-identical** to the
-//! live model the weights were exported from (see `tests/equivalence.rs`).
+//! tape forward of the live model the weights were exported from (see
+//! `hire-serve`'s `tests/equivalence.rs`).
 
-use crate::him::{HimBlock, HimWeights, Norm};
+use crate::nograd::{BlockWeights, HimWeights, Norm};
+use crate::{HireConfig, HireModel};
 use hire_ckpt::{CheckpointStore, TrainSnapshot};
-use hire_core::{HireConfig, HireModel};
 use hire_data::{Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
 use hire_nn::{MhsaWeights, Module};
@@ -21,8 +22,8 @@ use std::time::Instant;
 /// schema facts needed to encode contexts) plus the training configuration.
 #[derive(Debug, Clone)]
 pub struct FrozenModel {
-    pub(crate) weights: HimWeights<NdArray>,
-    pub(crate) config: HireConfig,
+    weights: HimWeights<NdArray>,
+    config: HireConfig,
 }
 
 /// Pulls the next parameter off the iterator and validates its shape.
@@ -136,7 +137,7 @@ impl FrozenModel {
             let norm_mba = (config.enable_mba && config.layer_norm)
                 .then(|| norm(&mut it, "norm_mba"))
                 .transpose()?;
-            blocks.push(HimBlock {
+            blocks.push(BlockWeights {
                 mbu,
                 mbi,
                 mba,
@@ -241,6 +242,12 @@ impl FrozenModel {
         &self.config
     }
 
+    /// The weights the forward runs on, for mapping to another storage
+    /// format ([`HimWeights::map`]).
+    pub fn weights(&self) -> &HimWeights<NdArray> {
+        &self.weights
+    }
+
     /// Every weight array, in `HireModel::parameters()` order.
     fn param_refs(&self) -> Vec<&NdArray> {
         let w = &self.weights;
@@ -289,7 +296,7 @@ impl FrozenModel {
     }
 
     /// Tape-free forward: the predicted rating matrix `[n, m]`,
-    /// bit-identical to `HireModel::predict` on the same context.
+    /// bit-identical to the tape [`HireModel::forward`] on the same context.
     pub fn forward_nograd(
         &self,
         ctx: &PredictionContext,
@@ -298,9 +305,9 @@ impl FrozenModel {
         self.weights.forward_nograd(ctx, dataset)
     }
 
-    /// Batched tape-free forward over contexts of identical shape. Returns
-    /// one `[n, m]` prediction matrix per context; each is bit-identical to
-    /// the corresponding single-context [`Self::forward_nograd`] call.
+    /// Tape-free forward over a batch of contexts, of any shapes: one
+    /// `[n, m]` prediction matrix per context, each the single-context
+    /// [`Self::forward_nograd`].
     pub fn forward_nograd_batch(
         &self,
         ctxs: &[&PredictionContext],
@@ -310,10 +317,9 @@ impl FrozenModel {
             .map(|out| out.expect("no deadline given, forward cannot be cut short"))
     }
 
-    /// [`Self::forward_nograd_batch`] with a deadline budget: `Ok(None)` if
-    /// the deadline passed before the block stack started, so a serving
-    /// worker never sinks a full forward into a query that already timed
-    /// out.
+    /// [`Self::forward_nograd_batch`] with a deadline budget, checked
+    /// before each context: `Ok(None)` if it passed
+    /// ([`HimWeights::forward_nograd_batch_within`]).
     pub fn forward_nograd_batch_within(
         &self,
         ctxs: &[&PredictionContext],

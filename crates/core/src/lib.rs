@@ -8,7 +8,12 @@
 //! - [`ContextEncoder`] — Eq. (6)-(9): per-attribute embeddings assembled
 //!   into the context tensor `H ∈ R^{n×m×e}`
 //! - [`HimBlock`] — § IV-C: the three stacked MHSA layers (MBU, MBI, MBA)
-//! - [`HireModel`] — encoder → K HIMs → `α · sigmoid(g(H))` decoder
+//! - [`HireModel`] — encoder → K HIMs → `α · sigmoid(g(H))` decoder; its
+//!   autograd forward trains, [`HireModel::predict`] runs the no-grad one
+//! - [`FrozenModel`] — a model's weights as plain arrays, `Send + Sync`,
+//!   with the one tape-free forward ([`HimWeights`], one context at a time,
+//!   generic over the weight storage format) that serving and evaluation
+//!   share; bit-identical to the autograd forward
 //! - [`train`] — Algorithm 1 with LAMB + Lookahead + flat-then-anneal LR
 //! - [`resume_from`] — bit-exact crash resume from durable snapshots
 //!   (see `hire-ckpt`)
@@ -22,15 +27,18 @@
 pub mod backoff;
 pub mod config;
 pub mod encoder;
+mod frozen;
 pub mod guard;
 pub mod him;
 pub mod hybrid;
 pub mod model;
+mod nograd;
 pub mod trainer;
 
 pub use backoff::{Backoff, BackoffConfig};
 pub use config::HireConfig;
 pub use encoder::ContextEncoder;
+pub use frozen::FrozenModel;
 pub use guard::{
     DivergenceReason, GuardConfig, NumericalGuard, ParameterCheckpoint, RecoveryEvent,
     TrainOutcome, TrainReport,
@@ -38,4 +46,5 @@ pub use guard::{
 pub use him::{HimAttention, HimBlock};
 pub use hybrid::{train_hybrid, HybridConfig, HybridModel};
 pub use model::HireModel;
+pub use nograd::HimWeights;
 pub use trainer::{fine_tune, resume_from, train, train_guarded, StepStats, TrainConfig};

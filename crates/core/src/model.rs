@@ -2,6 +2,7 @@
 
 use crate::config::HireConfig;
 use crate::encoder::ContextEncoder;
+use crate::frozen::FrozenModel;
 use crate::him::{HimAttention, HimBlock};
 use hire_data::{Dataset, PredictionContext};
 use hire_nn::{Linear, Module};
@@ -47,7 +48,8 @@ impl HireModel {
     }
 
     /// Forward pass producing the predicted rating matrix `[n, m]`
-    /// (autograd-tracked; use [`Self::predict`] for inference).
+    /// (autograd-tracked, for training; use [`Self::predict`] for
+    /// inference).
     pub fn forward(&self, ctx: &PredictionContext, dataset: &Dataset) -> Tensor {
         let mut h = self.encoder.encode(ctx, dataset);
         for block in &self.blocks {
@@ -84,9 +86,21 @@ impl HireModel {
             .mul_scalar(self.alpha)
     }
 
-    /// Inference: predicted rating matrix as a plain array.
+    /// Inference: the predicted rating matrix as a plain array, from the
+    /// tape-free forward over the model's current weights (exported as
+    /// [`FrozenModel::from_model`] does) — bit-identical to
+    /// [`Self::forward`], without building a tape. To predict many contexts
+    /// with unchanged weights, freeze once and call
+    /// [`FrozenModel::forward_nograd`].
+    ///
+    /// # Panics
+    ///
+    /// If `dataset` is not the schema the model was built for, or `ctx`
+    /// names an entity `dataset` does not have.
     pub fn predict(&self, ctx: &PredictionContext, dataset: &Dataset) -> NdArray {
-        self.forward(ctx, dataset).value()
+        FrozenModel::from_model(self, dataset)
+            .and_then(|frozen| frozen.forward_nograd(ctx, dataset))
+            .unwrap_or_else(|e| panic!("HireModel::predict: {e}"))
     }
 
     /// Masked MSE training loss for one context (Eq. 17): mean squared

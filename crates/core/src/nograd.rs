@@ -1,36 +1,39 @@
-//! The one tape-free HIM forward: context encode → stacked MBU/MBI/MBA
-//! attention → `α·sigmoid` decoder (Eq. 16), written once over
-//! [`HimWeights<W>`] and generic over the weight storage format `W`
+//! The one tape-free HIM forward: context encode → MBU/MBI/MBA attention
+//! → `α·sigmoid` decoder (Eq. 16), written once over [`HimWeights<W>`] and
+//! generic over the weight storage format `W`
 //! ([`hire_tensor::WeightMatrix`]).
 //!
-//! [`crate::FrozenModel`] is `HimWeights<NdArray>`, [`crate::QuantizedModel`]
-//! is `HimWeights<QuantizedTensor>`; both forwards are monomorphised copies
-//! of the code below. Nothing here knows which format it runs on — that is
-//! decided inside `hire_tensor::linalg`, behind `WeightMatrix`. Embedding
-//! rows, the MHSA projections and the decoder head read `W`; activations,
-//! softmax, layer norms and biases are always f32.
+//! [`crate::FrozenModel`] is `HimWeights<NdArray>`, and
+//! [`crate::HireModel::predict`] runs it over the live model's exported
+//! weights; `hire_serve::QuantizedModel` is `HimWeights<QuantizedTensor>`.
+//! Every instance is a monomorphised copy of the code below. Nothing here
+//! knows which format it runs on — that is decided inside
+//! `hire_tensor::linalg`, behind `WeightMatrix`. Embedding rows, the MHSA
+//! projections and the decoder head read `W`; activations, softmax, layer
+//! norms and biases are always f32.
 //!
 //! # Shape of the computation
 //!
-//! A call owns one workspace, sized from the shapes and freed on return:
-//! two `[B·n·m, e]` activation buffers and one MHSA workspace, `B` at most
-//! `STACK` contexts (a longer batch goes through it a stack at a time).
-//! Contexts are encoded straight into the first buffer. Every attention layer then
-//! projects all `B·n·m` rows (MBA: all `B·n·m·h` attribute rows) at once —
-//! projection is row-wise, so MBU, MBI and MBA differ only in the
-//! `[outer, tokens, inner]` view handed to `hire_nn::mhsa_forward_into`:
-//! `[B, n, m]` (tokens = users), `[B·n, m, 1]` (tokens = items),
-//! `[B·n·m, h, 1]` (tokens = attributes). Nothing is ever permuted. The
-//! layer's output lands in the second buffer; residual + LayerNorm fold it
-//! back, and the two buffers swap roles when a layer has no norm.
+//! One context at a time. A call owns one workspace, sized for the largest
+//! context it is given and freed on return: two `[n·m, e]` activation
+//! buffers and one MHSA workspace; a batch is a loop over its contexts
+//! through that one workspace. A context is encoded straight into the first
+//! buffer. Every attention layer then projects all `n·m` rows (MBA: all
+//! `n·m·h` attribute rows) at once — projection is row-wise, so MBU, MBI
+//! and MBA differ only in the `[outer, tokens, inner]` view handed to
+//! `hire_nn::mhsa_forward_into`: `[1, n, m]` (tokens = users), `[n, m, 1]`
+//! (tokens = items), `[n·m, h, 1]` (tokens = attributes). Nothing is ever
+//! permuted. The layer's output lands in the second buffer; residual +
+//! LayerNorm fold it back, and the two buffers swap roles when a layer has
+//! no norm.
 //!
 //! Per element this is the arithmetic of the autograd forward on the same
 //! ISA (DESIGN.md §9, §16), so the f32 instance is **bit-identical** to the
-//! live model it was exported from (`tests/equivalence.rs`), and the
-//! quantized instance is bit-identical to the f32 instance run on the
-//! dequantized weights (unit test in `crate::quant`). Everything runs on the
-//! calling thread (DESIGN.md §11): a `Server` worker owns its batch's
-//! forward from encode to decode.
+//! tape forward of the live model it was exported from
+//! (`hire-serve`'s `tests/equivalence.rs`), and the quantized instance is
+//! bit-identical to the f32 instance run on the dequantized weights. Everything
+//! runs on the calling thread (DESIGN.md §11): a `Server` worker owns its
+//! batch's forwards from encode to decode.
 
 use hire_data::{Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
@@ -45,12 +48,6 @@ const LAYER_NORM_EPS: f32 = 1e-5;
 /// Error context of everything the forward rejects.
 const LABEL: &str = "HIM forward";
 
-/// Contexts stacked into one pass of the block stack — `ServerConfig`'s
-/// default `max_batch`, so a direct caller's larger batch works in the memory
-/// a served one does (≈ 1 MiB a 16×16 context) instead of in proportion to
-/// its length.
-const STACK: usize = 8;
-
 /// LayerNorm affine parameters. Always f32: they are vectors — negligible
 /// memory, and norms are sensitive to weight rounding.
 #[derive(Debug, Clone)]
@@ -59,9 +56,9 @@ pub(crate) struct Norm {
     pub(crate) beta: NdArray,
 }
 
-/// One HIM block (see `hire_core::him::HimBlock`).
+/// One HIM block's weights (the no-grad mirror of [`crate::HimBlock`]).
 #[derive(Debug, Clone)]
-pub(crate) struct HimBlock<W> {
+pub(crate) struct BlockWeights<W> {
     pub(crate) mbu: Option<MhsaWeights<W>>,
     pub(crate) mbi: Option<MhsaWeights<W>>,
     pub(crate) mba: Option<MhsaWeights<W>>,
@@ -72,13 +69,15 @@ pub(crate) struct HimBlock<W> {
 }
 
 /// A HIRE model's weights in storage format `W`, plus the dataset schema
-/// facts needed to encode contexts.
+/// facts needed to encode contexts: what the tape-free forward runs on.
+/// Built by [`crate::FrozenModel`] (`W = NdArray`) and mapped to other
+/// formats with [`Self::map`].
 #[derive(Debug, Clone)]
-pub(crate) struct HimWeights<W> {
+pub struct HimWeights<W> {
     pub(crate) user_embeddings: Vec<W>,
     pub(crate) item_embeddings: Vec<W>,
     pub(crate) rating_embedding: W,
-    pub(crate) blocks: Vec<HimBlock<W>>,
+    pub(crate) blocks: Vec<BlockWeights<W>>,
     pub(crate) decoder_w: W,
     pub(crate) decoder_b: NdArray,
     /// Output scale α of Eq. (16).
@@ -94,14 +93,14 @@ impl<W> HimWeights<W> {
     /// The same model with every weight matrix converted by `f`, in
     /// `HireModel::parameters()` order; f32 vectors (norms, decoder bias)
     /// and schema facts are copied. This is the whole of quantization.
-    pub(crate) fn map<V>(&self, mut f: impl FnMut(&W) -> V) -> HimWeights<V> {
+    pub fn map<V>(&self, mut f: impl FnMut(&W) -> V) -> HimWeights<V> {
         let user_embeddings = self.user_embeddings.iter().map(&mut f).collect();
         let item_embeddings = self.item_embeddings.iter().map(&mut f).collect();
         let rating_embedding = f(&self.rating_embedding);
         let blocks = self
             .blocks
             .iter()
-            .map(|b| HimBlock {
+            .map(|b| BlockWeights {
                 mbu: b.mbu.as_ref().map(|w| w.map(&mut f)),
                 mbi: b.mbi.as_ref().map(|w| w.map(&mut f)),
                 mba: b.mba.as_ref().map(|w| w.map(&mut f)),
@@ -135,6 +134,11 @@ impl<W> HimWeights<W> {
     /// Embedding width `e = h * f`.
     pub(crate) fn embed_dim(&self) -> usize {
         self.num_attrs() * self.attr_dim
+    }
+
+    /// Output scale α of Eq. (16): every prediction lies in `[0, α]`.
+    pub fn alpha(&self) -> f32 {
+        self.alpha
     }
 }
 
@@ -266,54 +270,43 @@ impl<W: WeightMatrix> HimWeights<W> {
     }
 
     /// The three attention layers of one block, each with the view it
-    /// takes of the B·n·m cell rows; MBA's rows are the `h` attribute slices
+    /// takes of the n·m cell rows; MBA's rows are the `h` attribute slices
     /// of every cell.
-    fn layers<'a>(
-        &self,
-        block: &'a HimBlock<W>,
-        bsz: usize,
-        n: usize,
-        m: usize,
-    ) -> [Layer<'a, W>; 3] {
+    fn layers<'a>(&self, block: &'a BlockWeights<W>, n: usize, m: usize) -> [Layer<'a, W>; 3] {
         [
-            (&block.mbu, &block.norm_mbu, [bsz, n, m]),
-            (&block.mbi, &block.norm_mbi, [bsz * n, m, 1]),
-            (
-                &block.mba,
-                &block.norm_mba,
-                [bsz * n * m, self.num_attrs(), 1],
-            ),
+            (&block.mbu, &block.norm_mbu, [1, n, m]),
+            (&block.mbi, &block.norm_mbi, [n, m, 1]),
+            (&block.mba, &block.norm_mba, [n * m, self.num_attrs(), 1]),
         ]
     }
 
-    /// MHSA workspace floats the block stack needs for `bsz` contexts of
-    /// `n × m` cells: the largest any layer asks for.
-    fn attention_workspace_len(&self, bsz: usize, n: usize, m: usize) -> usize {
-        self.blocks
+    /// Floats of working memory one `n × m` context needs: two activation
+    /// buffers and the largest MHSA workspace any layer asks for.
+    fn memory_len(&self, n: usize, m: usize) -> usize {
+        let attention = self
+            .blocks
             .iter()
-            .flat_map(|block| self.layers(block, bsz, n, m))
+            .flat_map(|block| self.layers(block, n, m))
             .filter_map(|(w, _, view)| w.as_ref().map(|w| mhsa_workspace_len(view, w)))
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0);
+        2 * n * m * self.embed_dim() + attention
     }
 
-    /// HIM blocks over a batch of stacked contexts `[B, n, m, e]` held in
-    /// `x`, with `y` as the second activation buffer; returns the two in
-    /// their final roles, `(result, spare)`.
-    ///
-    /// Every MHSA call folds the batch axis into the attention batch, so
-    /// each context's result is bit-identical to running it alone (all
-    /// kernels are row- or tile-wise along the flattened axis).
+    /// HIM blocks over one context `[n, m, e]` held in `x`, with `y` as the
+    /// second activation buffer; returns the two in their final roles,
+    /// `(result, spare)`.
     fn run_blocks<'a>(
         &self,
         mut x: &'a mut [f32],
         mut y: &'a mut [f32],
         workspace: &mut [f32],
-        [bsz, n, m]: [usize; 3],
+        n: usize,
+        m: usize,
         isa: Isa,
     ) -> (&'a mut [f32], &'a mut [f32]) {
         for block in &self.blocks {
-            for (w, norm, view) in self.layers(block, bsz, n, m) {
+            for (w, norm, view) in self.layers(block, n, m) {
                 if let Some(w) = w {
                     mhsa_forward_into(x, view, w, isa, workspace, y);
                     post(&mut x, &mut y, block.residual, norm, isa);
@@ -323,20 +316,20 @@ impl<W: WeightMatrix> HimWeights<W> {
         (x, y)
     }
 
-    /// Decoder: `α · sigmoid(H W + b)` over the `rows` cells of `x`, using
-    /// `logits` (at least `rows` floats) as its buffer.
-    fn decode<'a>(&self, x: &[f32], logits: &'a mut [f32], rows: usize, isa: Isa) -> &'a [f32] {
-        let logits = &mut logits[..rows];
+    /// Decoder: `α · sigmoid(H W + b)` over the `n·m` cells of `x`, using
+    /// `logits` (at least `n·m` floats) as its buffer.
+    fn decode(&self, x: &[f32], logits: &mut [f32], n: usize, m: usize, isa: Isa) -> NdArray {
+        let logits = &mut logits[..n * m];
         self.decoder_w.linear_into(x, logits, isa);
         let (bias, alpha) = (self.decoder_b.as_slice()[0], self.alpha);
         for v in logits.iter_mut() {
             *v = 1.0 / (1.0 + (-(*v + bias)).exp()) * alpha;
         }
-        logits
+        NdArray::from_vec(vec![n, m], logits.to_vec())
     }
 
     /// Tape-free forward: the predicted rating matrix `[n, m]`.
-    pub(crate) fn forward_nograd(
+    pub fn forward_nograd(
         &self,
         ctx: &PredictionContext,
         dataset: &Dataset,
@@ -347,74 +340,45 @@ impl<W: WeightMatrix> HimWeights<W> {
         Ok(preds.into_iter().next().expect("one context in, one out"))
     }
 
-    /// Batched tape-free forward over contexts of identical shape, with a
+    /// Tape-free forward over a batch of contexts of any shapes, with a
     /// deadline budget: one `[n, m]` prediction matrix per context, each
-    /// bit-identical to the single-context [`Self::forward_nograd`]. The
-    /// forward checks the clock between per-context encodes and before each
-    /// pass of the block stack, and returns `Ok(None)` if the deadline
-    /// passed — so a serving worker never sinks a full forward into a query
-    /// that already timed out. (A pass runs to completion once started;
-    /// encode dominates setup cost and the checks bound the overshoot to
-    /// one pass over [`STACK`] contexts.)
+    /// the single-context [`Self::forward_nograd`] (the batch is a loop
+    /// over it, through one workspace sized for the largest context). The
+    /// clock is checked before each context, and `Ok(None)` returned if the
+    /// deadline passed — so a serving worker never sinks a full batch into
+    /// a query that already timed out, and overshoots by at most one
+    /// context's forward.
     ///
-    /// Contexts are encoded in order, each into its own slab of the stacked
-    /// input, so the first bad context is the one reported — ahead of a
-    /// deadline that passes after it.
-    pub(crate) fn forward_nograd_batch_within(
+    /// Contexts run in order, so the first bad context is the one
+    /// reported — ahead of a deadline that passes after it.
+    pub fn forward_nograd_batch_within(
         &self,
         ctxs: &[&PredictionContext],
         dataset: &Dataset,
         deadline: Option<Instant>,
     ) -> HireResult<Option<Vec<NdArray>>> {
-        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-        let Some(first) = ctxs.first() else {
-            return Ok(Some(Vec::new()));
-        };
-        let (n, m) = (first.n(), first.m());
-        let e = self.embed_dim();
-        for ctx in ctxs {
-            if ctx.n() != n || ctx.m() != m {
-                return Err(HireError::invalid_data(
-                    LABEL,
-                    format!(
-                        "batched contexts must share a shape: {}x{} vs {n}x{m}",
-                        ctx.n(),
-                        ctx.m()
-                    ),
-                ));
-            }
-        }
-        let (slab, most) = (n * m * e, ctxs.len().min(STACK));
-        // The call's whole working memory: two activation buffers and the
-        // MHSA workspace, one allocation, sized by the shapes alone — plus
-        // 15 spare floats to start it on a 64-byte boundary. Every buffer
-        // carved from it is a multiple of 16 floats at HIM's shapes, so
-        // each starts on one too.
-        let mut memory =
-            vec![0.0f32; 2 * most * slab + self.attention_workspace_len(most, n, m) + 15];
+        let most = ctxs.iter().map(|c| self.memory_len(c.n(), c.m())).max();
+        // The call's whole working memory, one allocation sized for its
+        // largest context and reused by every context — plus 15 spare
+        // floats to start it on a 64-byte boundary. Every buffer carved
+        // from it is a multiple of 16 floats at HIM's shapes, so each
+        // starts on one too.
+        let mut memory = vec![0.0f32; most.unwrap_or(0) + 15];
         let skip = memory.as_ptr().align_offset(64).min(15);
         let memory = &mut memory[skip..];
         let isa = simd::active_isa();
         let mut preds = Vec::with_capacity(ctxs.len());
-        for stack in ctxs.chunks(STACK) {
-            let total = stack.len() * slab;
-            let (x, rest) = memory.split_at_mut(total);
-            let (y, workspace) = rest.split_at_mut(total);
-            for (bi, ctx) in stack.iter().enumerate() {
-                if expired() {
-                    return Ok(None);
-                }
-                self.encode_into(ctx, dataset, &mut x[bi * slab..(bi + 1) * slab])?;
-            }
-            if expired() {
+        for ctx in ctxs {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Ok(None);
             }
-            let (hidden, spare) = self.run_blocks(x, y, workspace, [stack.len(), n, m], isa);
-            let out = self.decode(hidden, spare, stack.len() * n * m, isa);
-            preds.extend(
-                out.chunks(n * m)
-                    .map(|chunk| NdArray::from_vec(vec![n, m], chunk.to_vec())),
-            );
+            let (n, m) = (ctx.n(), ctx.m());
+            let slab = n * m * self.embed_dim();
+            let (x, rest) = memory.split_at_mut(slab);
+            let (y, workspace) = rest.split_at_mut(slab);
+            self.encode_into(ctx, dataset, x)?;
+            let (hidden, spare) = self.run_blocks(x, y, workspace, n, m, isa);
+            preds.push(self.decode(hidden, spare, n, m, isa));
         }
         Ok(Some(preds))
     }

@@ -2,7 +2,7 @@
 //! interface so the comparison harness can treat all methods uniformly.
 
 use hire_baselines::RatingModel;
-use hire_core::{train, HireConfig, HireModel, TrainConfig};
+use hire_core::{train, FrozenModel, HireConfig, HireModel, TrainConfig};
 use hire_data::{test_context_with_ratio, Dataset};
 use hire_graph::{BipartiteGraph, NeighborhoodSampler, Rating};
 use rand::rngs::StdRng;
@@ -11,14 +11,16 @@ use rand::SeedableRng;
 /// HIRE wrapped as a [`RatingModel`].
 ///
 /// `fit` trains with Algorithm 1 on contexts sampled from the training
-/// graph. `predict` builds a test prediction context around the query pairs
-/// (neighborhood sampling over the visible graph), runs the model once, and
+/// graph, then freezes the trained weights once. `predict` builds a test
+/// prediction context around the query pairs (neighborhood sampling over
+/// the visible graph), runs the frozen model's tape-free forward once, and
 /// reads the predictions at the query cells. Queries that do not fit the
 /// context budget fall back to the training-mean rating.
 pub struct HireRatingModel {
     config: HireConfig,
     train_config: TrainConfig,
-    model: Option<HireModel>,
+    /// The trained weights, frozen once by `fit`.
+    model: Option<FrozenModel>,
     fallback: f32,
     /// RNG seed for context sampling at prediction time (kept separate from
     /// the caller's RNG so prediction is deterministic per call).
@@ -35,11 +37,6 @@ impl HireRatingModel {
             fallback: 0.0,
             predict_seed: 0x5EED,
         }
-    }
-
-    /// Access to the trained model (e.g. for attention extraction).
-    pub fn model(&self) -> Option<&HireModel> {
-        self.model.as_ref()
     }
 }
 
@@ -64,7 +61,8 @@ impl RatingModel for HireRatingModel {
             eprintln!("HIRE training failed: {err}; continuing with current weights");
         }
         self.fallback = train_graph.mean_rating().unwrap_or(0.0);
-        self.model = Some(model);
+        self.model =
+            Some(FrozenModel::from_model(&model, dataset).expect("freezes on its dataset"));
     }
 
     fn predict(
@@ -131,7 +129,9 @@ impl RatingModel for HireRatingModel {
                 remaining = rest;
                 continue;
             };
-            let pred = model.predict(&ctx, dataset);
+            let pred = model
+                .forward_nograd(&ctx, dataset)
+                .expect("sampled contexts hold dataset ids");
             for &(ix, (u, i)) in &chunk {
                 if let (Some(row), Some(col)) = (ctx.user_row(u), ctx.item_col(i)) {
                     out[ix] = pred.at(&[row, col]);

@@ -28,10 +28,10 @@
 //! **bit-identically** to an engine that never crashed.
 
 use crate::engine::{EngineConfig, Lineage, ServeEngine, SlotSource};
-use crate::frozen::FrozenModel;
 use crate::online::{OnlineConfig, OnlineLoop, REJECTED_TAG};
 use crate::server::ModelVersion;
 use hire_ckpt::{CheckpointStore, PayloadReader, PayloadWriter, SNAPSHOT_EXT};
+use hire_core::FrozenModel;
 use hire_data::Dataset;
 use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, Rating};

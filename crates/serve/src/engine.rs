@@ -21,7 +21,7 @@
 //! from a model answer.
 //!
 //! Each decision of the walk is written once, as a private function of
-//! [`ServeEngine`]: `enter` (whether a group gets the model rung — the
+//! [`ServeEngine`]: `enter` (whether the batch's misses get the model rung — the
 //! only reader of the deadline budget and the breaker's admission),
 //! `refuse_or_degrade` (the only reader of [`ResilienceConfig::fallback`]),
 //! `answer` (the only place an [`Answer`] is built and counted), `guarded`
@@ -30,10 +30,10 @@
 
 use crate::breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 use crate::cache::{CacheKey, CacheStats, ContextCache, ExportedContext};
-use crate::frozen::FrozenModel;
 use crate::server::{Answer, ModelVersion, Predictor, RatingQuery, ServeError, ServedBy};
 use hire_baselines::{EntityMean, RatingModel};
 use hire_chaos::{sites, FaultKind, FaultPlan};
+use hire_core::FrozenModel;
 use hire_core::{Backoff, BackoffConfig, HybridModel};
 use hire_data::{test_context_with_ratio, Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
@@ -394,7 +394,7 @@ pub struct ServeEngine {
     tiers: Mutex<BTreeMap<(ModelVersion, ColdScenario), TierStats>>,
 }
 
-/// Why a group of queries left the model rung.
+/// Why a batch's misses left the model rung.
 #[derive(Debug)]
 enum DegradeReason {
     /// The deadline budget is gone, or ran out inside a forward.
@@ -407,10 +407,10 @@ enum DegradeReason {
 }
 
 /// The degradation ladder in descent order. `Memo` is the fast path in
-/// front of it: looked up while a query's context is resolved, before
-/// groups are formed, and never descended *to*. A group enters at `Model`
-/// if [`ServeEngine::enter`] lets it; a group it turns away, or one the
-/// rung cannot answer, goes to `Hybrid` and then `EntityMean`, which always
+/// front of it: looked up while a query's context is resolved, before the
+/// misses descend, and never descended *to*. The misses enter at `Model`
+/// if [`ServeEngine::enter`] lets them; misses it turns away, or ones the
+/// rung cannot answer, go to `Hybrid` and then `EntityMean`, which always
 /// answers ([`ServeEngine::refuse_or_degrade`]).
 #[derive(Debug, Clone, Copy)]
 enum Rung<'a> {
@@ -1115,12 +1115,12 @@ impl ServeEngine {
         });
     }
 
-    /// Whether a group gets the model rung — the one reader of the deadline
-    /// budget and the breaker's admission. A spent budget turns it away (no
-    /// forward is affordable, and nothing is ever silently late); so does a
-    /// refusing breaker, open or half-open with its probes in flight.
-    /// Otherwise the group holds one breaker admission. The model rung asks
-    /// again before each retry.
+    /// Whether the batch's misses get the model rung — the one reader of
+    /// the deadline budget and the breaker's admission. A spent budget turns
+    /// them away (no forward is affordable, and nothing is ever silently
+    /// late); so does a refusing breaker, open or half-open with its probes
+    /// in flight. Otherwise the batch holds one breaker admission. The model
+    /// rung asks again before each retry.
     fn enter(&self, deadline: Option<Instant>) -> Result<(), DegradeReason> {
         if deadline.is_some_and(|d| d <= Instant::now()) {
             return Err(DegradeReason::Deadline);
@@ -1131,7 +1131,7 @@ impl ServeEngine {
         }
     }
 
-    /// One guarded model forward over a same-shape group
+    /// One guarded model forward over the batch's misses
     /// ([`sites::ENGINE_FORWARD`]): deadline-aware, output-shape validated.
     /// `Ok(None)` means the deadline budget ran out.
     fn forward_attempt(
@@ -1163,7 +1163,7 @@ impl ServeEngine {
 
     /// The model rung: up to `retry_attempts` guarded forwards with seeded
     /// jittered backoff between them. The first attempt runs on the
-    /// admission [`ServeEngine::enter`] granted the group; each retry asks
+    /// admission [`ServeEngine::enter`] granted the batch; each retry asks
     /// again. Every attempt settles its admission with the breaker: an
     /// answer or an error is an outcome; a deadline that ran out inside the
     /// forward is not a model failure, so the admission is forfeited
@@ -1202,41 +1202,41 @@ impl ServeEngine {
         outcome
     }
 
-    /// Walks one group of same-shape contexts down the ladder until a rung
-    /// has answered every waiter, or the walk is refused.
+    /// Walks the batch's misses down the ladder until a rung has answered
+    /// every waiter, or the walk is refused.
     fn descend(
         &self,
         slot: &ModelSlot,
-        group: &[&PendingQuery],
+        misses: &[PendingQuery],
         deadline: Option<Instant>,
         backoff_seed: u64,
         batch: &mut Batch,
     ) -> Result<(), ServeError> {
-        let refs: Vec<&PredictionContext> = group.iter().map(|p| &*p.ctx).collect();
+        let refs: Vec<&PredictionContext> = misses.iter().map(|p| &*p.ctx).collect();
         let reason = match self.enter(deadline) {
             Err(reason) => reason,
             Ok(()) => match self.model_rung(slot, &refs, deadline, backoff_seed) {
-                Ok(Some(preds)) => return self.scatter(group, &preds, batch),
+                Ok(Some(preds)) => return self.scatter(misses, &preds, batch),
                 Ok(None) => DegradeReason::Deadline,
                 Err(e) => DegradeReason::Failure(e),
             },
         };
-        let waiters: Vec<usize> = group
+        let waiters: Vec<usize> = misses
             .iter()
             .flat_map(|p| p.waiters.iter().copied())
             .collect();
         self.refuse_or_degrade(&waiters, reason, batch)
     }
 
-    /// Scatters one group's model-rung output to the batch positions
-    /// waiting on it, and memoizes it.
+    /// Scatters the model rung's output to the batch positions waiting on
+    /// it, and memoizes it.
     fn scatter(
         &self,
-        group: &[&PendingQuery],
+        misses: &[PendingQuery],
         preds: &[NdArray],
         batch: &mut Batch,
     ) -> Result<(), ServeError> {
-        for (pred, PendingQuery { key, ctx, waiters }) in preds.iter().zip(group) {
+        for (pred, PendingQuery { key, ctx, waiters }) in preds.iter().zip(misses) {
             let (row, col) = query_cell(key, ctx)?;
             let value = pred.at(&[row, col]);
             // Memoize against the exact context the value was computed from
@@ -1319,7 +1319,7 @@ impl ServeEngine {
     }
 
     /// Answers every query of `batch`: the memo fast path while contexts
-    /// resolve, then one descent per group of same-shape contexts.
+    /// resolve, then one descent of the batch's misses.
     fn walk(
         &self,
         slot: &ModelSlot,
@@ -1351,20 +1351,13 @@ impl ServeEngine {
                 Err(e) => self.refuse_or_degrade(&[i], DegradeReason::Failure(e), batch)?,
             }
         }
-        // Group same-shape contexts into one stacked forward each; the
-        // sampler may return fewer rows/columns than budgeted on tiny
-        // graphs, so shapes can differ across queries.
-        let mut groups: BTreeMap<(usize, usize), (usize, Vec<&PendingQuery>)> = BTreeMap::new();
-        for (k, p) in pending.values().enumerate() {
-            let shape = (p.ctx.n(), p.ctx.m());
-            groups.entry(shape).or_insert((k, Vec::new())).1.push(p);
+        if pending.is_empty() {
+            return Ok(());
         }
-        for (first, group) in groups.values() {
-            // The model rung's retry jitter is seeded per group.
-            let backoff_seed = context_seed(self.config.seed ^ 0xBACC0FF, group.len(), *first);
-            self.descend(slot, group, deadline, backoff_seed, batch)?;
-        }
-        Ok(())
+        let misses: Vec<PendingQuery> = pending.into_values().collect();
+        // The model rung's retry jitter is seeded per batch.
+        let backoff_seed = context_seed(self.config.seed ^ 0xBACC0FF, misses.len(), 0);
+        self.descend(slot, &misses, deadline, backoff_seed, batch)
     }
 }
 

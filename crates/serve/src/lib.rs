@@ -3,21 +3,22 @@
 //! Online inference for the HIRE reproduction — the first subsystem of the
 //! repo that never builds an autograd tape. Five layers:
 //!
-//! - [`FrozenModel`] — a trained [`hire_core::HireModel`] exported to plain
-//!   [`hire_tensor::NdArray`] weights (or loaded from a `hire-ckpt`
-//!   snapshot), with a tape-free forward that is bit-identical to the live
-//!   model, a batched variant for micro-batching, and a deadline-aware
-//!   variant that abandons work for queries that already timed out. The
-//!   forward itself is written once, in the private `him` module, generic
-//!   over the weight storage format ([`hire_tensor::WeightMatrix`]);
-//!   [`FrozenModel`] and [`QuantizedModel`] are its f32 and int8
-//!   instances, so neither has forward code of its own.
+//! - [`FrozenModel`] (re-exported from `hire-core`) — a trained
+//!   [`hire_core::HireModel`] exported to plain [`hire_tensor::NdArray`]
+//!   weights (or loaded from a `hire-ckpt` snapshot), with the tape-free
+//!   forward that is bit-identical to the live model: one context at a
+//!   time, a batch being a loop over its contexts that checks a deadline
+//!   before each one. The forward is written once, in `hire-core`, over
+//!   [`hire_core::HimWeights`] and generic over the weight storage format
+//!   ([`hire_tensor::WeightMatrix`]); [`FrozenModel`] and [`QuantizedModel`]
+//!   are its f32 and int8 instances, so neither has forward code of its
+//!   own.
 //! - [`ContextCache`] — a capacity-bounded LRU memoizing sampled
 //!   [`hire_data::PredictionContext`]s per `(user, item, strategy, n, m)`
 //!   key, with explicit invalidation when new rating edges arrive.
 //! - [`ServeEngine`] — glues frozen model, dataset, rating graph, sampler
 //!   and cache into a [`Predictor`]: resolve context (cache or sample),
-//!   group same-shape queries, run one batched forward — wrapped in the
+//!   forward the batch's misses — wrapped in the
 //!   four-rung degradation ladder (DESIGN.md §10): the prediction memo,
 //!   the model tier (per-batch deadlines, a [`CircuitBreaker`],
 //!   seeded-backoff retries), a trained [`hire_core::HybridModel`]
@@ -62,8 +63,6 @@ pub mod breaker;
 pub mod cache;
 pub mod durable;
 pub mod engine;
-pub mod frozen;
-mod him;
 pub mod online;
 pub mod quant;
 pub mod server;
@@ -77,7 +76,7 @@ pub use engine::{
     ColdScenario, EngineConfig, Lineage, ModelSlot, PreparedInstall, ResilienceConfig, ServeEngine,
     SlotSource, TierStats,
 };
-pub use frozen::FrozenModel;
+pub use hire_core::FrozenModel;
 pub use online::{
     EvalReport, OnlineConfig, OnlineLoop, OnlineTrainer, RoundOutcome, ScenarioEval, CANDIDATE_TAG,
     REJECTED_TAG,

@@ -43,10 +43,10 @@
 //! [`sites::ONLINE_SWAP`] (inside [`ServeEngine::prepare_install`]).
 
 use crate::engine::{context_seed, ColdScenario, ServeEngine, SlotSource};
-use crate::frozen::FrozenModel;
 use crate::server::ModelVersion;
 use hire_chaos::{sites, FaultPlan};
 use hire_ckpt::{CheckpointStore, GuardSnapshot, OptimizerSnapshot, TrainSnapshot};
+use hire_core::FrozenModel;
 use hire_core::{fine_tune, GuardConfig, HireModel, TrainConfig, TrainOutcome};
 use hire_graph::{NeighborhoodSampler, Rating};
 use hire_wal::WalRecord;

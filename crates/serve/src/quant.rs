@@ -6,7 +6,7 @@
 //! A [`QuantizedModel`] is derived mechanically from any frozen model
 //! ([`QuantizedModel::from_frozen`]). It is a library type: nothing in
 //! [`crate::ServeEngine`] builds or serves one. It has no forward of its
-//! own: it runs the shared forward of the private `him` module instantiated
+//! own: it runs the shared forward of [`hire_core::HimWeights`] instantiated
 //! at `QuantizedTensor`, where the embedding gathers, the MHSA projections
 //! and the decoder head read compressed weights while activations, softmax,
 //! layer norms, and biases stay f32 — so it costs what the f32 forward
@@ -25,8 +25,7 @@
 //! which keeps rating-scale deltas small — the test pins the observed
 //! bound).
 
-use crate::frozen::FrozenModel;
-use crate::him::HimWeights;
+use hire_core::{FrozenModel, HimWeights};
 use hire_data::{Dataset, PredictionContext};
 use hire_error::HireResult;
 use hire_tensor::{NdArray, QuantMode, QuantizedTensor};
@@ -35,7 +34,7 @@ use std::time::Instant;
 /// A frozen HIRE model with int8-stored weights (DESIGN.md §13).
 #[derive(Debug, Clone)]
 pub struct QuantizedModel {
-    pub(crate) weights: HimWeights<QuantizedTensor>,
+    weights: HimWeights<QuantizedTensor>,
     max_weight_err: f32,
 }
 
@@ -44,7 +43,7 @@ impl QuantizedModel {
     /// calibration data, no retraining.
     pub fn from_frozen(model: &FrozenModel, mode: QuantMode) -> Self {
         let mut max_weight_err = 0.0f32;
-        let weights = model.weights.map(|a| {
+        let weights = model.weights().map(|a| {
             let t = QuantizedTensor::quantize(a, mode);
             max_weight_err = max_weight_err.max(t.max_err());
             t
@@ -72,17 +71,7 @@ impl QuantizedModel {
     /// `hire-serve/tests/quant.rs` and holds with a wide margin; the
     /// ledger's `quant.max_abs_err` probe re-checks it on trained weights.
     pub fn prediction_bound(&self) -> f32 {
-        0.05 * self.weights.alpha
-    }
-
-    /// Number of attribute channels `h = h_u + h_i + 1`.
-    pub fn num_attrs(&self) -> usize {
-        self.weights.num_attrs()
-    }
-
-    /// Embedding width `e = h * f`.
-    pub fn embed_dim(&self) -> usize {
-        self.weights.embed_dim()
+        0.05 * self.weights.alpha()
     }
 
     /// Tape-free quantized forward: the predicted rating matrix `[n, m]`.
@@ -96,7 +85,7 @@ impl QuantizedModel {
 
     /// Batched quantized forward with a deadline budget — the same
     /// contract as `FrozenModel::forward_nograd_batch_within`: `Ok(None)`
-    /// when the deadline passed before the block stack started.
+    /// when the deadline passed before a context's forward started.
     pub fn forward_nograd_batch_within(
         &self,
         ctxs: &[&PredictionContext],
@@ -141,10 +130,7 @@ mod tests {
         let batch: Vec<&PredictionContext> = ctxs.iter().collect();
         let quant = QuantizedModel::from_frozen(&frozen, QuantMode::Int8);
         assert!(quant.max_weight_err() > 0.0, "random weights must round");
-        let oracle = FrozenModel {
-            weights: quant.weights.map(QuantizedTensor::dequantize),
-            config: config.clone(),
-        };
+        let oracle = quant.weights.map(QuantizedTensor::dequantize);
         for ctx in &ctxs {
             let got = quant.forward_nograd(ctx, &dataset).expect("quantized");
             let want = oracle.forward_nograd(ctx, &dataset).expect("f32");

@@ -1,5 +1,6 @@
-//! What the frozen model's batched forward promises: every entry is
-//! bit-identical to the one-context `forward_nograd` it batches over; a
+//! What the frozen model's batched forward promises: every entry, whatever
+//! the shapes mixed in the batch, is bit-identical to the one-context
+//! `forward_nograd` it batches over; a
 //! deadline that has passed costs no forward (`Ok(None)`); and a bad context
 //! is reported as a typed error naming the *first* offender in context
 //! order, whatever comes after it.
@@ -30,9 +31,13 @@ fn frozen_and_contexts(
         &mut StdRng::seed_from_u64(1234),
     );
     let frozen = FrozenModel::from_model(&model, dataset).expect("freeze");
+    (frozen, contexts(dataset, count, (n, m)))
+}
+
+fn contexts(dataset: &Dataset, count: usize, (n, m): (usize, usize)) -> Vec<PredictionContext> {
     let graph = dataset.graph();
     let mut rng = StdRng::seed_from_u64(7);
-    let ctxs = (0..count)
+    (0..count)
         .map(|k| {
             let seed = dataset.ratings[k * 3 % dataset.ratings.len()];
             test_context_with_ratio(
@@ -46,15 +51,22 @@ fn frozen_and_contexts(
             )
             .expect("test context")
         })
-        .collect();
-    (frozen, ctxs)
+        .collect()
 }
 
 #[test]
 fn batched_forward_matches_single() {
     let dataset = dataset();
-    // Two full stacks of the forward's working memory and a ragged third.
-    let (frozen, ctxs) = frozen_and_contexts(&dataset, 19, (9, 7));
+    // 19 contexts, every third of them a smaller shape: the batch's one
+    // workspace is sized for the largest and reused by every context.
+    let (frozen, mut ctxs) = frozen_and_contexts(&dataset, 19, (9, 7));
+    for (k, small) in contexts(&dataset, 19, (5, 4)).into_iter().enumerate() {
+        if k % 3 == 1 {
+            ctxs[k] = small;
+        }
+    }
+    assert!(ctxs.iter().any(|c| (c.n(), c.m()) == (5, 4)));
+    assert!(ctxs.iter().any(|c| (c.n(), c.m()) == (9, 7)));
     let refs: Vec<&PredictionContext> = ctxs.iter().collect();
     let batch = frozen.forward_nograd_batch(&refs, &dataset).expect("batch");
     assert_eq!(batch.len(), ctxs.len());

@@ -2,20 +2,30 @@
 //! through the micro-batched server.
 
 use hire_core::{HireConfig, HireModel};
-use hire_graph::Rating;
+use hire_data::test_context_with_ratio;
+use hire_graph::{NeighborhoodSampler, Rating};
 use hire_serve::{
     EngineConfig, FrozenModel, Predictor, RatingQuery, ServeEngine, ServeError, Server,
     ServerConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn engine() -> ServeEngine {
+    engine_over((40, 35, (8, 15)), 8)
+}
+
+/// An engine over a synthetic `users × items` dataset with `degree`
+/// ratings per user, sampling `size × size` contexts.
+fn engine_over((users, items, degree): (usize, usize, (usize, usize)), size: usize) -> ServeEngine {
     let dataset = hire_data::SyntheticConfig::movielens_like()
-        .scaled(40, 35, (8, 15))
+        .scaled(users, items, degree)
         .generate(21);
-    let config = HireConfig::fast().with_blocks(1).with_context_size(8, 8);
+    let config = HireConfig::fast()
+        .with_blocks(1)
+        .with_context_size(size, size);
     let mut rng = StdRng::seed_from_u64(4);
     let model = HireModel::new(&dataset, &config, &mut rng);
     let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
@@ -73,11 +83,10 @@ fn out_of_range_queries_are_typed_errors() {
 }
 
 #[test]
-fn mixed_shape_batches_are_grouped_correctly() {
+fn mixed_shape_batches_agree_with_their_memo() {
     let engine = engine();
-    // A batch mixing users/items with different neighborhood sizes can
-    // yield different context shapes; predict_batch must group and still
-    // answer per-query, matching the single-query results.
+    // A batch's answers are memoized; asking again one query at a time
+    // must read back exactly what the batch answered.
     let queries: Vec<RatingQuery> = (0..6)
         .map(|k| RatingQuery {
             user: k * 5 % 40,
@@ -90,6 +99,59 @@ fn mixed_shape_batches_are_grouped_correctly() {
         assert_eq!(
             batched[k], single,
             "query {k}: batched and single predictions must agree"
+        );
+    }
+}
+
+/// On a graph smaller than the context budget the sampler returns short
+/// contexts (every user and item), and a context adopted from another
+/// shard may be shorter still: one batch's misses then come in two shapes.
+/// They go through one forward, and each answer is bit-equal to the one a
+/// fresh engine gives the query alone.
+#[test]
+fn a_batch_of_mixed_shape_misses_answers_as_single_queries_do() {
+    let adopted = RatingQuery { user: 0, item: 0 };
+    let tiny_engine = || {
+        let engine = engine_over((6, 5, (1, 3)), 8);
+        let dataset = engine.dataset().clone();
+        let ctx = test_context_with_ratio(
+            &dataset.graph(),
+            &NeighborhoodSampler,
+            &[Rating::new(adopted.user, adopted.item, dataset.min_rating)],
+            3,
+            2,
+            0.5,
+            &mut StdRng::seed_from_u64(9),
+        )
+        .expect("short context");
+        engine
+            .adopt_context(adopted.user, adopted.item, Arc::new(ctx), None)
+            .expect("adopt");
+        engine
+    };
+    let engine = tiny_engine();
+    let queries: Vec<RatingQuery> = (0..6)
+        .map(|k| RatingQuery {
+            user: k,
+            item: (k * 2) % 5,
+        })
+        .collect();
+    let shapes: BTreeSet<(usize, usize)> = queries
+        .iter()
+        .map(|q| {
+            let ctx = engine.context_for(q).expect("context");
+            (ctx.n(), ctx.m())
+        })
+        .collect();
+    assert_eq!(shapes, BTreeSet::from([(3, 2), (6, 5)]));
+    let batched = engine.predict_batch(&queries).expect("batched");
+    assert_eq!(engine.tier_stats().model, queries.len() as u64);
+    for (k, q) in queries.iter().enumerate() {
+        let single = tiny_engine().predict_batch(&[*q]).expect("single")[0];
+        assert_eq!(
+            batched[k].to_bits(),
+            single.to_bits(),
+            "query {k}: batched and one-query answers must agree"
         );
     }
 }

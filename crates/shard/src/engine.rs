@@ -530,9 +530,10 @@ impl Predictor for ShardedEngine {
         let active: Vec<usize> = (0..self.shards.len())
             .filter(|&s| !per_shard[s].is_empty())
             .collect();
-        // Fan out across shards on the compute pool (one task per active
-        // shard; nested parallel kernels inside a busy pool run inline, so
-        // this composes with the engines' own parallelism).
+        // Fan out across shards on the compute pool: one task per active
+        // shard, each running its engine's whole sub-batch (forwards
+        // included) on the pool thread that took it. This is the only
+        // parallelism on the path; the engines and kernels have none.
         let results: Vec<Result<Vec<Answer>, ServeError>> =
             hire_par::parallel_map_chunks(active.len(), 1, |range| {
                 let s = active[range.start];
