@@ -57,7 +57,7 @@ use hire_graph::{
 };
 use hire_nn::{mhsa_forward, MhsaWeights, MultiHeadSelfAttention};
 use hire_tensor::linalg;
-use hire_tensor::{AttnGrid, NdArray, Tensor, WeightMatrix};
+use hire_tensor::{AttnGrid, NdArray, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -166,7 +166,7 @@ struct MhsaReport {
     /// Best-of wall time of one `mhsa_forward`.
     micros_1t: f64,
     /// Best-of wall time of its three Q/K/V projections
-    /// (`WeightMatrix::linear_into` each).
+    /// (`linalg::linear_into` each).
     proj_us: f64,
     /// Best-of wall time of its attention tiles (`linalg::attention_into`).
     attn_us: f64,
@@ -406,7 +406,7 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
         let y = &mut rest[..x.numel()];
         let proj = time_best(reps, || {
             for (w, out) in [(&w.w_q, &mut *q), (&w.w_k, &mut *k), (&w.w_v, &mut *v)] {
-                w.linear_into(x.as_slice(), out, isa);
+                linalg::linear_into(w, x.as_slice(), out, isa);
             }
         });
         // Each repetition attends over the last one's output as its Q: a
@@ -415,7 +415,7 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
             linalg::attention_into(&grid, q, k, v, scratch);
         });
         let out = time_best(reps, || {
-            w.w_o.linear_into(q, y, isa);
+            linalg::linear_into(&w.w_o, q, y, isa);
             std::hint::black_box(&y);
         });
         // The tape node's backward a stage at a time, over what its forward
@@ -423,7 +423,7 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
         // random `dY` (from a generator of its own, so the tape rows below
         // draw what they always drew).
         for (w, out) in [(&w.w_q, &mut *q), (&w.w_k, &mut *k), (&w.w_v, &mut *v)] {
-            w.linear_into(x.as_slice(), out, isa);
+            linalg::linear_into(w, x.as_slice(), out, isa);
         }
         let (rows, width) = (grid.rows(), grid.width());
         let (mut o, mut p) = (q.to_vec(), vec![0.0f32; grid.probs_len()]);

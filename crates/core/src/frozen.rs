@@ -3,10 +3,14 @@
 //! A [`FrozenModel`] holds the trained parameters as plain [`NdArray`]s —
 //! no `Tensor`, no `Rc`, no tape — so it is `Send + Sync` and can be shared
 //! across worker threads behind an `Arc`. This module builds, loads and
-//! exports them; the forward itself is the shared one of [`HimWeights`],
-//! instantiated at f32, whose predictions are **bit-identical** to the
-//! tape forward of the live model the weights were exported from (see
-//! `hire-serve`'s `tests/equivalence.rs`).
+//! exports them; the forward itself is the one tape-free forward of
+//! `nograd.rs`, whose predictions are **bit-identical** to the tape forward
+//! of the live model the weights were exported from (see `hire-serve`'s
+//! `tests/equivalence.rs`).
+//!
+//! A [`QuantizedModel`] is a [`FrozenModel`] whose weight matrices were
+//! rounded through symmetric per-tensor int8 when it was built
+//! ([`hire_tensor::round_int8`]), with the worst rounding error on record.
 
 use crate::nograd::{BlockWeights, HimWeights, Norm};
 use crate::{HireConfig, HireModel};
@@ -14,7 +18,7 @@ use hire_ckpt::{CheckpointStore, TrainSnapshot};
 use hire_data::{Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
 use hire_nn::{MhsaWeights, Module};
-use hire_tensor::NdArray;
+use hire_tensor::{round_int8, NdArray, QuantMode};
 use std::path::Path;
 use std::time::Instant;
 
@@ -22,7 +26,7 @@ use std::time::Instant;
 /// schema facts needed to encode contexts) plus the training configuration.
 #[derive(Debug, Clone)]
 pub struct FrozenModel {
-    weights: HimWeights<NdArray>,
+    weights: HimWeights,
     config: HireConfig,
 }
 
@@ -242,12 +246,6 @@ impl FrozenModel {
         &self.config
     }
 
-    /// The weights the forward runs on, for mapping to another storage
-    /// format ([`HimWeights::map`]).
-    pub fn weights(&self) -> &HimWeights<NdArray> {
-        &self.weights
-    }
-
     /// Every weight array, in `HireModel::parameters()` order.
     fn param_refs(&self) -> Vec<&NdArray> {
         let w = &self.weights;
@@ -318,8 +316,11 @@ impl FrozenModel {
     }
 
     /// [`Self::forward_nograd_batch`] with a deadline budget, checked
-    /// before each context: `Ok(None)` if it passed
-    /// ([`HimWeights::forward_nograd_batch_within`]).
+    /// before each context: `Ok(None)` if it passed, so a serving worker
+    /// never sinks a full batch into a query that already timed out and
+    /// overshoots by at most one context's forward. Contexts run in order,
+    /// so the first bad context is the one reported — ahead of a deadline
+    /// that passes after it.
     pub fn forward_nograd_batch_within(
         &self,
         ctxs: &[&PredictionContext],
@@ -327,6 +328,80 @@ impl FrozenModel {
         deadline: Option<Instant>,
     ) -> HireResult<Option<Vec<NdArray>>> {
         self.weights
+            .forward_nograd_batch_within(ctxs, dataset, deadline)
+    }
+}
+
+/// A [`FrozenModel`] whose weight matrices — embedding tables, MHSA
+/// projections, decoder head — were rounded through symmetric per-tensor
+/// int8 when it was built (DESIGN.md §13); norms and the decoder bias stay
+/// as they were. Its forward is the f32 one over the rounded weights, so
+/// it answers bit for bit what `FrozenModel::from_parts` over the same
+/// rounded parameters answers. A library type: nothing in `hire-serve`'s
+/// engine builds or serves one.
+#[derive(Debug, Clone)]
+pub struct QuantizedModel {
+    model: FrozenModel,
+    max_weight_err: f32,
+}
+
+impl QuantizedModel {
+    /// Rounds a frozen model's weights under `mode`. Pure post-training:
+    /// no calibration data, no retraining.
+    pub fn from_frozen(model: &FrozenModel, mode: QuantMode) -> Self {
+        let QuantMode::Int8 = mode;
+        let mut max_weight_err = 0.0f32;
+        let weights = model.weights.map(|a| {
+            let (rounded, err) = round_int8(a);
+            max_weight_err = max_weight_err.max(err);
+            rounded
+        });
+        QuantizedModel {
+            model: FrozenModel {
+                weights,
+                config: model.config.clone(),
+            },
+            max_weight_err,
+        }
+    }
+
+    /// Worst per-element weight rounding error across every rounded
+    /// matrix (recorded when the model was built).
+    pub fn max_weight_err(&self) -> f32 {
+        self.max_weight_err
+    }
+
+    /// The documented prediction-error bound of this quantized model
+    /// against its f32 [`FrozenModel`] oracle, in rating units.
+    ///
+    /// Predictions come out of `α · sigmoid(g(H))`, so every prediction
+    /// lives in `[0, α]` and the sigmoid's 1/4 Lipschitz constant damps
+    /// the accumulated weight-rounding error of the decoder input. The
+    /// scale factor (5% of the output range) is pinned empirically across
+    /// the config zoo and random-weight property tests in
+    /// `hire-serve/tests/quant.rs` and holds with a wide margin.
+    pub fn prediction_bound(&self) -> f32 {
+        0.05 * self.model.weights.alpha
+    }
+
+    /// [`FrozenModel::forward_nograd`] over the rounded weights.
+    pub fn forward_nograd(
+        &self,
+        ctx: &PredictionContext,
+        dataset: &Dataset,
+    ) -> HireResult<NdArray> {
+        self.model.forward_nograd(ctx, dataset)
+    }
+
+    /// [`FrozenModel::forward_nograd_batch_within`] over the rounded
+    /// weights.
+    pub fn forward_nograd_batch_within(
+        &self,
+        ctxs: &[&PredictionContext],
+        dataset: &Dataset,
+        deadline: Option<Instant>,
+    ) -> HireResult<Option<Vec<NdArray>>> {
+        self.model
             .forward_nograd_batch_within(ctxs, dataset, deadline)
     }
 }

@@ -11,9 +11,10 @@
 //! - [`HireModel`] — encoder → K HIMs → `α · sigmoid(g(H))` decoder; its
 //!   autograd forward trains, [`HireModel::predict`] runs the no-grad one
 //! - [`FrozenModel`] — a model's weights as plain arrays, `Send + Sync`,
-//!   with the one tape-free forward ([`HimWeights`], one context at a time,
-//!   generic over the weight storage format) that serving and evaluation
-//!   share; bit-identical to the autograd forward
+//!   with the one tape-free forward (one context at a time, f32) that
+//!   serving and evaluation share; bit-identical to the autograd forward.
+//!   [`QuantizedModel`] is one whose weights were rounded through int8 when
+//!   it was built
 //! - [`train`] — Algorithm 1 with LAMB + Lookahead + flat-then-anneal LR
 //! - [`resume_from`] — bit-exact crash resume from durable snapshots
 //!   (see `hire-ckpt`)
@@ -38,7 +39,7 @@ pub mod trainer;
 pub use backoff::{Backoff, BackoffConfig};
 pub use config::HireConfig;
 pub use encoder::ContextEncoder;
-pub use frozen::FrozenModel;
+pub use frozen::{FrozenModel, QuantizedModel};
 pub use guard::{
     DivergenceReason, GuardConfig, NumericalGuard, ParameterCheckpoint, RecoveryEvent,
     TrainOutcome, TrainReport,
@@ -46,5 +47,4 @@ pub use guard::{
 pub use him::{HimAttention, HimBlock};
 pub use hybrid::{train_hybrid, HybridConfig, HybridModel};
 pub use model::HireModel;
-pub use nograd::HimWeights;
 pub use trainer::{fine_tune, resume_from, train, train_guarded, StepStats, TrainConfig};

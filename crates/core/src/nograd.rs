@@ -1,16 +1,12 @@
 //! The one tape-free HIM forward: context encode → MBU/MBI/MBA attention
-//! → `α·sigmoid` decoder (Eq. 16), written once over [`HimWeights<W>`] and
-//! generic over the weight storage format `W`
-//! ([`hire_tensor::WeightMatrix`]).
+//! → `α·sigmoid` decoder (Eq. 16), written once over [`HimWeights`], f32
+//! throughout.
 //!
-//! [`crate::FrozenModel`] is `HimWeights<NdArray>`, and
+//! [`crate::FrozenModel`] is a `HimWeights` plus its configuration, and
 //! [`crate::HireModel::predict`] runs it over the live model's exported
-//! weights; `hire_serve::QuantizedModel` is `HimWeights<QuantizedTensor>`.
-//! Every instance is a monomorphised copy of the code below. Nothing here
-//! knows which format it runs on — that is decided inside
-//! `hire_tensor::linalg`, behind `WeightMatrix`. Embedding rows, the MHSA
-//! projections and the decoder head read `W`; activations, softmax, layer
-//! norms and biases are always f32.
+//! weights; [`crate::QuantizedModel`] is a `FrozenModel` whose weight
+//! matrices were rounded through int8 when it was built, so it runs this
+//! same code over other numbers.
 //!
 //! # Shape of the computation
 //!
@@ -28,18 +24,17 @@
 //! no norm.
 //!
 //! Per element this is the arithmetic of the autograd forward on the same
-//! ISA (DESIGN.md §9, §16), so the f32 instance is **bit-identical** to the
-//! tape forward of the live model it was exported from
-//! (`hire-serve`'s `tests/equivalence.rs`), and the quantized instance is
-//! bit-identical to the f32 instance run on the dequantized weights. Everything
-//! runs on the calling thread (DESIGN.md §11): a `Server` worker owns its
-//! batch's forwards from encode to decode.
+//! ISA (DESIGN.md §9, §16), so a frozen model is **bit-identical** to the
+//! tape forward of the live model it was exported from (`hire-serve`'s
+//! `tests/equivalence.rs`). Everything runs on the calling thread
+//! (DESIGN.md §11): a `Server` worker owns its batch's forwards from encode
+//! to decode.
 
 use hire_data::{Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
 use hire_nn::{mhsa_forward_into, mhsa_workspace_len, MhsaWeights};
 use hire_tensor::simd::{self, Isa};
-use hire_tensor::{linalg, NdArray, WeightMatrix};
+use hire_tensor::{linalg, NdArray};
 use std::time::Instant;
 
 /// `LayerNorm::new` hard-codes this epsilon; the no-grad mirror must match.
@@ -58,27 +53,26 @@ pub(crate) struct Norm {
 
 /// One HIM block's weights (the no-grad mirror of [`crate::HimBlock`]).
 #[derive(Debug, Clone)]
-pub(crate) struct BlockWeights<W> {
-    pub(crate) mbu: Option<MhsaWeights<W>>,
-    pub(crate) mbi: Option<MhsaWeights<W>>,
-    pub(crate) mba: Option<MhsaWeights<W>>,
+pub(crate) struct BlockWeights {
+    pub(crate) mbu: Option<MhsaWeights>,
+    pub(crate) mbi: Option<MhsaWeights>,
+    pub(crate) mba: Option<MhsaWeights>,
     pub(crate) norm_mbu: Option<Norm>,
     pub(crate) norm_mbi: Option<Norm>,
     pub(crate) norm_mba: Option<Norm>,
     pub(crate) residual: bool,
 }
 
-/// A HIRE model's weights in storage format `W`, plus the dataset schema
-/// facts needed to encode contexts: what the tape-free forward runs on.
-/// Built by [`crate::FrozenModel`] (`W = NdArray`) and mapped to other
-/// formats with [`Self::map`].
+/// A HIRE model's weights, plus the dataset schema facts needed to encode
+/// contexts: what the tape-free forward runs on. Built by
+/// [`crate::FrozenModel`]; [`Self::map`] rewrites its weight matrices.
 #[derive(Debug, Clone)]
-pub struct HimWeights<W> {
-    pub(crate) user_embeddings: Vec<W>,
-    pub(crate) item_embeddings: Vec<W>,
-    pub(crate) rating_embedding: W,
-    pub(crate) blocks: Vec<BlockWeights<W>>,
-    pub(crate) decoder_w: W,
+pub(crate) struct HimWeights {
+    pub(crate) user_embeddings: Vec<NdArray>,
+    pub(crate) item_embeddings: Vec<NdArray>,
+    pub(crate) rating_embedding: NdArray,
+    pub(crate) blocks: Vec<BlockWeights>,
+    pub(crate) decoder_w: NdArray,
     pub(crate) decoder_b: NdArray,
     /// Output scale α of Eq. (16).
     pub(crate) alpha: f32,
@@ -89,11 +83,78 @@ pub struct HimWeights<W> {
     pub(crate) attr_dim: usize,
 }
 
-impl<W> HimWeights<W> {
+/// Rejects context entity ids the dataset does not have.
+fn check_ids(kind: &str, ids: &[usize], bound: usize) -> HireResult<()> {
+    match ids.iter().find(|&&id| id >= bound) {
+        Some(id) => Err(HireError::invalid_data(
+            LABEL,
+            format!("context {kind} {id} out of range {bound}"),
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Row `index` of an embedding table `[v, f]`.
+fn row(table: &NdArray, index: usize) -> &[f32] {
+    let (v, f) = (table.dims()[0], table.dims()[1]);
+    assert!(index < v, "row index {index} out of range {v}");
+    &table.as_slice()[index * f..][..f]
+}
+
+/// Writes one entity's attribute features — each table's embedding row,
+/// concatenated — into `out: [tables.len() * f]`. ID-only schemas have a
+/// single table indexed by the entity id itself.
+fn entity_features(
+    tables: &[NdArray],
+    id: usize,
+    id_only: bool,
+    attrs: &[Vec<usize>],
+    out: &mut [f32],
+) {
+    let f = out.len() / tables.len().max(1);
+    for (k, (emb, dst)) in tables.iter().zip(out.chunks_exact_mut(f)).enumerate() {
+        dst.copy_from_slice(row(emb, if id_only { id } else { attrs[id][k] }));
+    }
+}
+
+/// Residual-add + optional LayerNorm, mirroring `HimBlock::post`, over the
+/// two activation buffers: on entry `x` is the layer's input and `y` its
+/// attention output; on return `x` is the block stack's next input (the
+/// buffers swap roles instead of copying when there is no norm).
+fn post<'a>(
+    x: &mut &'a mut [f32],
+    y: &mut &'a mut [f32],
+    residual: bool,
+    norm: &Option<Norm>,
+    isa: Isa,
+) {
+    if residual {
+        for (o, &a) in y.iter_mut().zip(x.iter()) {
+            *o += a;
+        }
+    }
+    match norm {
+        Some(nm) => linalg::layer_norm_last_into(
+            y,
+            nm.gamma.as_slice(),
+            nm.beta.as_slice(),
+            LAYER_NORM_EPS,
+            x,
+            isa,
+        ),
+        None => std::mem::swap(x, y),
+    }
+}
+
+/// One attention layer of a block: `(weights, norm, [outer, tokens, inner]
+/// view of the activation rows)`; `None` weights mean the layer is ablated.
+type Layer<'a> = (&'a Option<MhsaWeights>, &'a Option<Norm>, [usize; 3]);
+
+impl HimWeights {
     /// The same model with every weight matrix converted by `f`, in
-    /// `HireModel::parameters()` order; f32 vectors (norms, decoder bias)
-    /// and schema facts are copied. This is the whole of quantization.
-    pub fn map<V>(&self, mut f: impl FnMut(&W) -> V) -> HimWeights<V> {
+    /// `HireModel::parameters()` order; vectors (norms, decoder bias) and
+    /// schema facts are copied. This is the whole of quantization.
+    pub(crate) fn map(&self, mut f: impl FnMut(&NdArray) -> NdArray) -> HimWeights {
         let user_embeddings = self.user_embeddings.iter().map(&mut f).collect();
         let item_embeddings = self.item_embeddings.iter().map(&mut f).collect();
         let rating_embedding = f(&self.rating_embedding);
@@ -136,73 +197,6 @@ impl<W> HimWeights<W> {
         self.num_attrs() * self.attr_dim
     }
 
-    /// Output scale α of Eq. (16): every prediction lies in `[0, α]`.
-    pub fn alpha(&self) -> f32 {
-        self.alpha
-    }
-}
-
-/// Rejects context entity ids the dataset does not have.
-fn check_ids(kind: &str, ids: &[usize], bound: usize) -> HireResult<()> {
-    match ids.iter().find(|&&id| id >= bound) {
-        Some(id) => Err(HireError::invalid_data(
-            LABEL,
-            format!("context {kind} {id} out of range {bound}"),
-        )),
-        None => Ok(()),
-    }
-}
-
-/// Writes one entity's attribute features — each table's embedding row,
-/// concatenated — into `out: [tables.len() * f]`. ID-only schemas have a
-/// single table indexed by the entity id itself.
-fn entity_features<W: WeightMatrix>(
-    tables: &[W],
-    id: usize,
-    id_only: bool,
-    attrs: &[Vec<usize>],
-    out: &mut [f32],
-) {
-    let f = out.len() / tables.len().max(1);
-    for (k, (emb, dst)) in tables.iter().zip(out.chunks_exact_mut(f)).enumerate() {
-        emb.row_into(if id_only { id } else { attrs[id][k] }, dst);
-    }
-}
-
-/// Residual-add + optional LayerNorm, mirroring `HimBlock::post`, over the
-/// two activation buffers: on entry `x` is the layer's input and `y` its
-/// attention output; on return `x` is the block stack's next input (the
-/// buffers swap roles instead of copying when there is no norm).
-fn post<'a>(
-    x: &mut &'a mut [f32],
-    y: &mut &'a mut [f32],
-    residual: bool,
-    norm: &Option<Norm>,
-    isa: Isa,
-) {
-    if residual {
-        for (o, &a) in y.iter_mut().zip(x.iter()) {
-            *o += a;
-        }
-    }
-    match norm {
-        Some(nm) => linalg::layer_norm_last_into(
-            y,
-            nm.gamma.as_slice(),
-            nm.beta.as_slice(),
-            LAYER_NORM_EPS,
-            x,
-            isa,
-        ),
-        None => std::mem::swap(x, y),
-    }
-}
-
-/// One attention layer of a block: `(weights, norm, [outer, tokens, inner]
-/// view of the activation rows)`; `None` weights mean the layer is ablated.
-type Layer<'a, W> = (&'a Option<MhsaWeights<W>>, &'a Option<Norm>, [usize; 3]);
-
-impl<W: WeightMatrix> HimWeights<W> {
     /// No-grad mirror of `ContextEncoder::encode`: `H ∈ R^{n×m×e}` written
     /// into `out`, cell `(i, j)` holding `[user_i attrs | item_j attrs |
     /// rating_ij]`.
@@ -256,12 +250,11 @@ impl<W: WeightMatrix> HimWeights<W> {
                 let dst = &mut out[cell + hu_f + hi_f..cell + e];
                 if mask[i * m + j] == 1.0 {
                     let level = (ratings[i * m + j] - self.min_rating).round() as usize;
-                    self.rating_embedding
-                        .row_into(level.min(self.rating_levels - 1), dst);
+                    let level = level.min(self.rating_levels - 1);
+                    dst.copy_from_slice(row(&self.rating_embedding, level));
                 } else {
-                    self.rating_embedding.row_into(0, dst);
-                    for v in dst.iter_mut() {
-                        *v *= 0.0;
+                    for (v, &r) in dst.iter_mut().zip(row(&self.rating_embedding, 0)) {
+                        *v = r * 0.0;
                     }
                 }
             }
@@ -272,7 +265,7 @@ impl<W: WeightMatrix> HimWeights<W> {
     /// The three attention layers of one block, each with the view it
     /// takes of the n·m cell rows; MBA's rows are the `h` attribute slices
     /// of every cell.
-    fn layers<'a>(&self, block: &'a BlockWeights<W>, n: usize, m: usize) -> [Layer<'a, W>; 3] {
+    fn layers<'a>(&self, block: &'a BlockWeights, n: usize, m: usize) -> [Layer<'a>; 3] {
         [
             (&block.mbu, &block.norm_mbu, [1, n, m]),
             (&block.mbi, &block.norm_mbi, [n, m, 1]),
@@ -320,7 +313,7 @@ impl<W: WeightMatrix> HimWeights<W> {
     /// `logits` (at least `n·m` floats) as its buffer.
     fn decode(&self, x: &[f32], logits: &mut [f32], n: usize, m: usize, isa: Isa) -> NdArray {
         let logits = &mut logits[..n * m];
-        self.decoder_w.linear_into(x, logits, isa);
+        linalg::linear_into(&self.decoder_w, x, logits, isa);
         let (bias, alpha) = (self.decoder_b.as_slice()[0], self.alpha);
         for v in logits.iter_mut() {
             *v = 1.0 / (1.0 + (-(*v + bias)).exp()) * alpha;
@@ -329,7 +322,7 @@ impl<W: WeightMatrix> HimWeights<W> {
     }
 
     /// Tape-free forward: the predicted rating matrix `[n, m]`.
-    pub fn forward_nograd(
+    pub(crate) fn forward_nograd(
         &self,
         ctx: &PredictionContext,
         dataset: &Dataset,
@@ -341,17 +334,11 @@ impl<W: WeightMatrix> HimWeights<W> {
     }
 
     /// Tape-free forward over a batch of contexts of any shapes, with a
-    /// deadline budget: one `[n, m]` prediction matrix per context, each
-    /// the single-context [`Self::forward_nograd`] (the batch is a loop
-    /// over it, through one workspace sized for the largest context). The
-    /// clock is checked before each context, and `Ok(None)` returned if the
-    /// deadline passed — so a serving worker never sinks a full batch into
-    /// a query that already timed out, and overshoots by at most one
-    /// context's forward.
-    ///
-    /// Contexts run in order, so the first bad context is the one
-    /// reported — ahead of a deadline that passes after it.
-    pub fn forward_nograd_batch_within(
+    /// deadline budget (`FrozenModel::forward_nograd_batch_within`): one
+    /// `[n, m]` prediction matrix per context, each the single-context
+    /// [`Self::forward_nograd`] (the batch is a loop over it, through one
+    /// workspace sized for the largest context).
+    pub(crate) fn forward_nograd_batch_within(
         &self,
         ctxs: &[&PredictionContext],
         dataset: &Dataset,

@@ -8,8 +8,8 @@
 //!   powers the paper's Heterogeneous Interaction Module
 //! - [`Module`] — the trainable-parameter trait consumed by `hire-optim`
 //! - [`mhsa_forward`] over [`MhsaWeights`] — the one tape-free MHSA
-//!   mirror used by serving (`hire-serve`), generic over the weight
-//!   storage format (`hire_tensor::WeightMatrix`: f32 or int8)
+//!   mirror used by serving (`hire-serve`), over owned or borrowed f32
+//!   weights
 //! - loss functions ([`loss`])
 
 pub mod activation;

@@ -20,11 +20,12 @@
 //! same bits on every run and every batch split.
 
 use hire_tensor::simd::{self, Isa};
-use hire_tensor::{linalg, AttnGrid, NdArray, WeightMatrix};
+use hire_tensor::{linalg, AttnGrid, NdArray};
+use std::borrow::Borrow;
 
-/// Weights of one multi-head self-attention layer, stored as `W`: plain
-/// f32 arrays by default, or a compressed format such as
-/// `hire_tensor::QuantizedTensor` (activations stay f32 either way).
+/// Weights of one multi-head self-attention layer: owned f32 arrays by
+/// default, or borrowed ones (`W = &NdArray`, how the tape lends its
+/// parameters to the forward it shares with serving).
 ///
 /// Layout matches [`crate::MultiHeadSelfAttention`]: `w_q`/`w_k`/`w_v` are
 /// `[model_dim, heads * head_dim]`, `w_o` is `[heads * head_dim, model_dim]`.
@@ -48,8 +49,8 @@ pub struct MhsaWeights<W = NdArray> {
 
 impl<W> MhsaWeights<W> {
     /// The same layer with every projection converted by `f` (called in
-    /// `w_q`, `w_k`, `w_v`, `w_o` order) — how a layer is quantized, or
-    /// dequantized back for an oracle.
+    /// `w_q`, `w_k`, `w_v`, `w_o` order) — how a layer's weights are
+    /// rounded.
     pub fn map<V>(&self, mut f: impl FnMut(&W) -> V) -> MhsaWeights<V> {
         MhsaWeights {
             w_q: f(&self.w_q),
@@ -62,10 +63,20 @@ impl<W> MhsaWeights<W> {
     }
 }
 
-impl<W: WeightMatrix> MhsaWeights<W> {
+impl<W: Borrow<NdArray>> MhsaWeights<W> {
     /// Model (input/output) dimension `d`, read off `w_q`.
     pub fn model_dim(&self) -> usize {
-        self.w_q.dims()[0]
+        self.w_q.borrow().dims()[0]
+    }
+
+    /// The four projections `[w_q, w_k, w_v, w_o]` as plain arrays.
+    fn projections(&self) -> [&NdArray; 4] {
+        [
+            self.w_q.borrow(),
+            self.w_k.borrow(),
+            self.w_v.borrow(),
+            self.w_o.borrow(),
+        ]
     }
 
     /// The attention geometry of this layer over rows laid out
@@ -76,20 +87,18 @@ impl<W: WeightMatrix> MhsaWeights<W> {
         let width = self.heads * self.head_dim;
         let d = self.model_dim();
         let qkv = [d, width];
+        let [w_q, w_k, w_v, w_o] = self.projections();
         assert!(
-            self.w_q.dims() == qkv
-                && self.w_k.dims() == qkv
-                && self.w_v.dims() == qkv
-                && self.w_o.dims() == [width, d],
+            w_q.dims() == qkv && w_k.dims() == qkv && w_v.dims() == qkv && w_o.dims() == [width, d],
             "MHSA weights are inconsistent: {} heads x {} head_dim need w_q/w_k/w_v {qkv:?} \
              and w_o {:?}, got w_q {:?}, w_k {:?}, w_v {:?}, w_o {:?}",
             self.heads,
             self.head_dim,
             [width, d],
-            self.w_q.dims(),
-            self.w_k.dims(),
-            self.w_v.dims(),
-            self.w_o.dims(),
+            w_q.dims(),
+            w_k.dims(),
+            w_v.dims(),
+            w_o.dims(),
         );
         AttnGrid {
             outer,
@@ -107,18 +116,13 @@ impl<W: WeightMatrix> MhsaWeights<W> {
 /// same shape and is bit-identical to the tape path's. A convenience
 /// wrapper that allocates the workspace and the output of
 /// [`mhsa_forward_into`].
-///
-/// The four projections go through [`WeightMatrix::linear_into`], so the
-/// one function serves every storage format: against quantized projections
-/// it is bit-identical to running on the dequantized weights on the same
-/// ISA.
-pub fn mhsa_forward<W: WeightMatrix>(x: &NdArray, w: &MhsaWeights<W>) -> NdArray {
+pub fn mhsa_forward<W: Borrow<NdArray>>(x: &NdArray, w: &MhsaWeights<W>) -> NdArray {
     mhsa_forward_with_isa(x, w, simd::active_isa())
 }
 
 /// [`mhsa_forward`] on an explicit ISA path (tests and benchmarks; `isa`
 /// must be available on this host).
-pub fn mhsa_forward_with_isa<W: WeightMatrix>(
+pub fn mhsa_forward_with_isa<W: Borrow<NdArray>>(
     x: &NdArray,
     w: &MhsaWeights<W>,
     isa: Isa,
@@ -149,7 +153,7 @@ pub(crate) fn sequence_layout(dims: &[usize], model_dim: usize) -> [usize; 3] {
 /// Floats of workspace [`mhsa_forward_into`] needs for `layout`: the Q
 /// (then merged-head output), K and V buffers plus the attention kernel's
 /// scratch. A function of the shapes only.
-pub fn mhsa_workspace_len<W: WeightMatrix>(layout: [usize; 3], w: &MhsaWeights<W>) -> usize {
+pub fn mhsa_workspace_len<W: Borrow<NdArray>>(layout: [usize; 3], w: &MhsaWeights<W>) -> usize {
     let grid = w.grid(layout);
     3 * grid.rows() * grid.width() + grid.scratch_len()
 }
@@ -165,7 +169,7 @@ pub fn mhsa_workspace_len<W: WeightMatrix>(layout: [usize; 3], w: &MhsaWeights<W
 /// (`[B·n·m, h, 1]`) over one activation buffer without ever permuting it.
 /// `workspace` needs [`mhsa_workspace_len`] floats; its contents on entry
 /// are irrelevant.
-pub fn mhsa_forward_into<W: WeightMatrix>(
+pub fn mhsa_forward_into<W: Borrow<NdArray>>(
     x: &[f32],
     layout: [usize; 3],
     w: &MhsaWeights<W>,
@@ -196,7 +200,7 @@ pub fn mhsa_forward_into<W: WeightMatrix>(
 /// projection (`O` replaces it) and the softmax rows
 /// ([`AttnGrid::probs_len`] floats).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn mhsa_forward_over<W: WeightMatrix>(
+pub(crate) fn mhsa_forward_over<W: Borrow<NdArray>>(
     x: &[f32],
     grid: &AttnGrid,
     w: &MhsaWeights<W>,
@@ -213,9 +217,10 @@ pub(crate) fn mhsa_forward_over<W: WeightMatrix>(
         x.len(),
         y.len()
     );
-    w.w_q.linear_into(x, qo, isa);
-    w.w_k.linear_into(x, k, isa);
-    w.w_v.linear_into(x, v, isa);
+    let [w_q, w_k, w_v, w_o] = w.projections();
+    linalg::linear_into(w_q, x, qo, isa);
+    linalg::linear_into(w_k, x, k, isa);
+    linalg::linear_into(w_v, x, v, isa);
     // Each (batch, head) tile's output replaces its Q.
     match saved {
         Some((q, probs)) => {
@@ -224,7 +229,7 @@ pub(crate) fn mhsa_forward_over<W: WeightMatrix>(
         }
         None => linalg::attention_into_with_isa(grid, qo, k, v, scratch, isa),
     }
-    w.w_o.linear_into(qo, y, isa);
+    linalg::linear_into(w_o, qo, y, isa);
 }
 
 #[cfg(test)]
@@ -232,7 +237,7 @@ mod tests {
     use super::*;
     use crate::attention::MultiHeadSelfAttention;
     use crate::module::Module;
-    use hire_tensor::{QuantMode, QuantizedTensor, Tensor};
+    use hire_tensor::Tensor;
     use rand::SeedableRng;
 
     fn weights_of(mhsa: &MultiHeadSelfAttention, heads: usize, head_dim: usize) -> MhsaWeights {
@@ -304,20 +309,5 @@ mod tests {
         let mut w = weights_of(&mhsa, 2, 4);
         w.w_k = NdArray::zeros([8, 4]);
         mhsa_forward(&NdArray::randn([2, 5, 8], 0.0, 1.0, &mut rng), &w);
-    }
-
-    #[test]
-    fn quant_forward_matches_dequantized_f32_forward_bitwise() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let mhsa = MultiHeadSelfAttention::new(8, 2, 4, &mut rng);
-        let w = weights_of(&mhsa, 2, 4);
-        let x = NdArray::randn([2, 5, 8], 0.0, 1.0, &mut rng);
-        let qw = w.map(|a| QuantizedTensor::quantize(a, QuantMode::Int8));
-        // Oracle: run the f32 forward on the *dequantized* weights.
-        let deq = qw.map(QuantizedTensor::dequantize);
-        let got = mhsa_forward(&x, &qw);
-        let want = mhsa_forward(&x, &deq);
-        assert_eq!(got.as_slice(), want.as_slice());
-        assert!(qw.w_q.max_err() > 0.0, "random weights must round");
     }
 }

@@ -8,11 +8,10 @@
 //!   weights (or loaded from a `hire-ckpt` snapshot), with the tape-free
 //!   forward that is bit-identical to the live model: one context at a
 //!   time, a batch being a loop over its contexts that checks a deadline
-//!   before each one. The forward is written once, in `hire-core`, over
-//!   [`hire_core::HimWeights`] and generic over the weight storage format
-//!   ([`hire_tensor::WeightMatrix`]); [`FrozenModel`] and [`QuantizedModel`]
-//!   are its f32 and int8 instances, so neither has forward code of its
-//!   own.
+//!   before each one. The forward is written once, in `hire-core`.
+//!   [`QuantizedModel`] (re-exported too) is a [`FrozenModel`] whose
+//!   weights were rounded through int8 when it was built — a library type
+//!   the engine does not serve.
 //! - [`ContextCache`] — a capacity-bounded LRU memoizing sampled
 //!   [`hire_data::PredictionContext`]s per `(user, item, strategy, n, m)`
 //!   key, with explicit invalidation when new rating edges arrive.
@@ -24,10 +23,6 @@
 //!   seeded-backoff retries), a trained [`hire_core::HybridModel`]
 //!   mid-tier, and a graph-statistics fallback predictor. Every [`Answer`]
 //!   is tagged with the tier that produced it ([`ServedBy`]).
-//! - [`QuantizedModel`] — a [`FrozenModel`] with its weights stored as
-//!   symmetric-per-tensor int8 (a field-wise map over them), expanded to
-//!   f32 where they are read. A storage-format library type: the engine
-//!   does not serve it.
 //! - [`CircuitBreaker`] — sliding-window failure-rate breaker
 //!   (closed / open / half-open) that sheds model-tier load when the
 //!   frozen forward is misbehaving.
@@ -64,7 +59,6 @@ pub mod cache;
 pub mod durable;
 pub mod engine;
 pub mod online;
-pub mod quant;
 pub mod server;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
@@ -76,12 +70,11 @@ pub use engine::{
     ColdScenario, EngineConfig, Lineage, ModelSlot, PreparedInstall, ResilienceConfig, ServeEngine,
     SlotSource, TierStats,
 };
-pub use hire_core::FrozenModel;
+pub use hire_core::{FrozenModel, QuantizedModel};
 pub use online::{
     EvalReport, OnlineConfig, OnlineLoop, OnlineTrainer, RoundOutcome, ScenarioEval, CANDIDATE_TAG,
     REJECTED_TAG,
 };
-pub use quant::QuantizedModel;
 pub use server::{
     Answer, ModelVersion, Prediction, PredictionHandle, Predictor, RatingQuery, ServeError,
     ServedBy, Server, ServerConfig, ServerStats,

@@ -1,13 +1,14 @@
-//! int8 weight-storage numerics (DESIGN.md §13): across a config zoo and
-//! randomly re-seeded weights, every [`QuantizedModel`] prediction stays
-//! within the documented [`QuantizedModel::prediction_bound`] of the f32
-//! [`FrozenModel`] oracle.
+//! int8 rounding numerics (DESIGN.md §13): a [`QuantizedModel`] answers
+//! bit for bit what a [`FrozenModel`] over int8-rounded weights answers;
+//! and across a config zoo and randomly re-seeded weights, every
+//! prediction stays within the documented
+//! [`QuantizedModel::prediction_bound`] of the f32 [`FrozenModel`] oracle.
 
 use hire_core::{HireConfig, HireModel};
-use hire_data::{test_context_with_ratio, Dataset, PredictionContext};
+use hire_data::{test_context_with_ratio, training_context, Dataset, PredictionContext};
 use hire_graph::{NeighborhoodSampler, Rating};
 use hire_serve::{FrozenModel, QuantizedModel};
-use hire_tensor::QuantMode;
+use hire_tensor::{NdArray, QuantMode};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,6 +56,85 @@ fn worst_error(
         }
     }
     worst
+}
+
+/// Symmetric per-tensor int8 rounding, written out independently: `scale =
+/// max|x| / 127` over the finite elements, each finite `x` to
+/// `round(x / scale)` clamped to ±127, times `scale` (an int8 has no −0, so
+/// a value that rounds to zero comes back +0). Returns the rounded array and
+/// its worst per-element error.
+fn round_int8(a: &NdArray) -> (NdArray, f32) {
+    let finite = || a.as_slice().iter().filter(|x| x.is_finite());
+    let max_abs = finite().fold(0.0f32, |m, &x| m.max(x.abs()));
+    let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
+    let inv = 1.0 / scale;
+    let round = |x: f32| (x * inv).round().clamp(-127.0, 127.0) as i8 as f32 * scale;
+    let worst = finite().fold(0.0f32, |m, &x| m.max((x - round(x)).abs()));
+    (a.map(|x| if x.is_finite() { round(x) } else { x }), worst)
+}
+
+/// The bit gate: `QuantizedModel::from_frozen` is a `FrozenModel` built
+/// from the same parameters with every weight matrix (each 2-D parameter:
+/// embedding tables, MHSA projections, the decoder head) int8-rounded and
+/// every vector (norms, decoder bias) kept — single contexts and a batch of
+/// mixed shapes, to the bit; its `max_weight_err` is the worst rounding
+/// error over those matrices.
+#[test]
+fn quantized_model_is_the_frozen_model_over_int8_rounded_weights() {
+    let dataset = dataset(30, 26, 9);
+    let config = HireConfig::fast().with_blocks(2).with_context_size(8, 8);
+    let mut rng = StdRng::seed_from_u64(23);
+    let model = HireModel::new(&dataset, &config, &mut rng);
+    let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
+
+    let mut worst = 0.0f32;
+    let rounded: Vec<NdArray> = frozen
+        .parameters()
+        .into_iter()
+        .map(|p| {
+            if p.dims().len() != 2 {
+                return p;
+            }
+            let (r, err) = round_int8(&p);
+            worst = worst.max(err);
+            r
+        })
+        .collect();
+    let oracle = FrozenModel::from_parts(&dataset, config.clone(), rounded).expect("rebuild");
+    let quant = QuantizedModel::from_frozen(&frozen, QuantMode::Int8);
+    assert!(worst > 0.0, "random weights must round");
+    assert_eq!(quant.max_weight_err().to_bits(), worst.to_bits());
+
+    let graph = dataset.graph();
+    let ctxs: Vec<PredictionContext> = [(8, 8), (5, 7), (3, 4), (8, 8)]
+        .into_iter()
+        .enumerate()
+        .map(|(k, (n, m))| {
+            let seed = dataset.ratings[7 * k];
+            training_context(&graph, &NeighborhoodSampler, seed, n, m, 0.2, &mut rng)
+                .expect("context")
+        })
+        .collect();
+    let bits = |a: &NdArray| a.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for ctx in &ctxs {
+        let got = quant.forward_nograd(ctx, &dataset).expect("quantized");
+        let want = oracle.forward_nograd(ctx, &dataset).expect("oracle");
+        assert_eq!(got.dims(), want.dims());
+        assert_eq!(bits(&got), bits(&want), "{}x{}", ctx.n(), ctx.m());
+    }
+    let batch: Vec<&PredictionContext> = ctxs.iter().collect();
+    let got = quant
+        .forward_nograd_batch_within(&batch, &dataset, None)
+        .expect("quantized batch")
+        .expect("no deadline");
+    let want = oracle
+        .forward_nograd_batch(&batch, &dataset)
+        .expect("oracle batch");
+    assert_eq!(got.len(), want.len());
+    for (got, want) in got.iter().zip(&want) {
+        assert_eq!(got.dims(), want.dims());
+        assert_eq!(bits(got), bits(want), "batched {:?}", got.dims());
+    }
 }
 
 /// The config zoo: block depth, attention layout, and context budget all

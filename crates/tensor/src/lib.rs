@@ -15,12 +15,9 @@
 //! - [`gradcheck`] — finite-difference validation used throughout the test
 //!   suite.
 //! - [`init`] — Xavier/Kaiming/embedding initializers.
-//! - [`quant`] — post-training weight compression (symmetric int8):
-//!   a storage format, expanded to f32 per projection or per gathered row
-//!   by [`WeightMatrix`], so there is one matmul family, not two.
-//! - [`WeightMatrix`] — the one trait that pairs a weight storage format
-//!   (f32 [`NdArray`], int8 [`QuantizedTensor`]) with its [`linalg`]
-//!   kernels; every no-grad forward above it is generic over it.
+//! - [`quant`] — post-training weight rounding through symmetric int8
+//!   ([`round_int8`]), applied once to f32 weights, so there is one weight
+//!   format and one matmul family.
 //! - [`simd`] — runtime-dispatched vector micro-kernels
 //!   (scalar/avx2/avx512, `HIRE_ISA` override) behind the [`linalg`]
 //!   hot paths — matmul, softmax, layer norm and the attention-tile
@@ -47,8 +44,7 @@ pub mod shape;
 pub mod simd;
 
 pub use autograd::Tensor;
-pub use linalg::WeightMatrix;
 pub use ndarray::NdArray;
-pub use quant::{QuantMode, QuantizedTensor};
+pub use quant::{round_int8, QuantMode};
 pub use shape::Shape;
 pub use simd::AttnGrid;

@@ -2,7 +2,7 @@
 //! multiplication, axis permutation, concatenation, softmax and reductions.
 //!
 //! Kernels that return an [`NdArray`] allocate it. The serving forward
-//! instead runs on the slice-level `*_into` forms ([`WeightMatrix::linear_into`],
+//! instead runs on the slice-level `*_into` forms ([`linear_into`],
 //! [`attention_into`], [`layer_norm_last_into`]), which write into
 //! caller-provided buffers over the same per-ISA kernels; in-place
 //! arithmetic on arrays lives on [`NdArray`] (`add_assign` and friends).
@@ -33,7 +33,6 @@
 //! path in one process regardless of the process-global dispatch.
 
 use crate::ndarray::NdArray;
-use crate::quant::QuantizedTensor;
 use crate::shape::Shape;
 use crate::simd::{self, AttnGrid, Isa};
 
@@ -1073,28 +1072,14 @@ pub fn scatter_add_rows(rows: &NdArray, indices: &[usize], v: usize) -> NdArray 
     out
 }
 
-/// A 2-D weight in some storage format, read through the two kernels a
-/// no-grad forward needs. This trait and its two impls are the only place
-/// that pairs a format with its kernels: everything above (`hire-nn`'s
-/// MHSA, `hire-serve`'s HIM forward) is written once, generic over `W`,
-/// and monomorphises to the same kernel calls a hand-written copy would
-/// make — no `dyn`, no runtime format switch above this line.
-pub trait WeightMatrix: Sync {
-    /// `[rows, cols]` of the stored matrix.
-    fn dims(&self) -> &[usize];
-    /// `out = x · self` for row-major `x: [n, d]`, `self: [d, k]`,
-    /// `out: [n, k]` (overwritten), `n` read off `x.len()` — the no-grad
-    /// mirror of `Tensor::linear`, which flattens the leading axes into
-    /// rows of the same matmul kernel. Each output element runs `isa`'s
-    /// matmul chain over `d`, whatever `n` is — so projecting many rows at
-    /// once, or in any order, cannot change a bit.
-    fn linear_into(&self, x: &[f32], out: &mut [f32], isa: Isa);
-    /// Row `index` of `self: [v, f]` as f32 into `out: [f]`.
-    fn row_into(&self, index: usize, out: &mut [f32]);
-}
-
-/// Checks a [`WeightMatrix::linear_into`] call's shapes against `w: [d, k]`.
-fn check_linear(dims: &[usize], x: &[f32], out: &[f32]) {
+/// `out = x · w` for row-major `x: [n, d]`, `w: [d, k]`, `out: [n, k]`
+/// (overwritten), `n` read off `x.len()` — the no-grad mirror of
+/// `Tensor::linear`, which flattens the leading axes into rows of the same
+/// matmul kernel. Each output element runs `isa`'s matmul chain over `d`,
+/// whatever `n` is — so projecting many rows at once, or in any order,
+/// cannot change a bit.
+pub fn linear_into(w: &NdArray, x: &[f32], out: &mut [f32], isa: Isa) {
+    let dims = w.dims();
     assert_eq!(dims.len(), 2, "linear weight must be 2-D, got {dims:?}");
     let (d, k) = (dims[0], dims[1]);
     let n = x.len() / d.max(1);
@@ -1104,57 +1089,7 @@ fn check_linear(dims: &[usize], x: &[f32], out: &[f32]) {
         x.len(),
         out.len()
     );
-}
-
-impl WeightMatrix for NdArray {
-    fn dims(&self) -> &[usize] {
-        NdArray::dims(self)
-    }
-    fn linear_into(&self, x: &[f32], out: &mut [f32], isa: Isa) {
-        check_linear(self.dims(), x, out);
-        let (d, k) = (self.dims()[0], self.dims()[1]);
-        matmul_kernel_with_isa(x, self.as_slice(), out, x.len() / d.max(1), d, k, isa);
-    }
-    fn row_into(&self, index: usize, out: &mut [f32]) {
-        assert_eq!(self.shape().rank(), 2, "row_into table must be 2-D");
-        let (v, f) = (self.dims()[0], self.dims()[1]);
-        assert!(index < v, "row index {index} out of range {v}");
-        out.copy_from_slice(&self.as_slice()[index * f..(index + 1) * f]);
-    }
-}
-
-/// A borrowed weight is a weight: lets a forward run on values it only
-/// has by reference (the tape's parameters, lent by `Tensor::with_value`).
-impl<T: WeightMatrix> WeightMatrix for &T {
-    fn dims(&self) -> &[usize] {
-        (**self).dims()
-    }
-    fn linear_into(&self, x: &[f32], out: &mut [f32], isa: Isa) {
-        (**self).linear_into(x, out, isa);
-    }
-    fn row_into(&self, index: usize, out: &mut [f32]) {
-        (**self).row_into(index, out);
-    }
-}
-
-impl WeightMatrix for QuantizedTensor {
-    fn dims(&self) -> &[usize] {
-        QuantizedTensor::dims(self)
-    }
-    /// Quantization is a storage format, not a second matmul: `self`
-    /// (`[d, k]`, a few KiB in every config) is expanded once per call and
-    /// the product is the f32 one — bit-identical to it by construction.
-    fn linear_into(&self, x: &[f32], out: &mut [f32], isa: Isa) {
-        self.dequantize().linear_into(x, out, isa);
-    }
-    fn row_into(&self, index: usize, out: &mut [f32]) {
-        assert!(
-            index < self.dims()[0],
-            "row index {index} out of range {}",
-            self.dims()[0]
-        );
-        self.deq_row_into(index, out);
-    }
+    matmul_kernel_with_isa(x, w.as_slice(), out, n, d, k, isa);
 }
 
 #[cfg(test)]
@@ -1301,7 +1236,7 @@ mod tests {
         let w = NdArray::from_vec([3, 4], (0..12).map(|v| v as f32 * 0.1 - 0.5).collect());
         // Poisoned output: `linear_into` overwrites, it does not accumulate.
         let mut y = vec![f32::NAN; 2 * 2 * 4];
-        w.linear_into(x.as_slice(), &mut y, simd::active_isa());
+        linear_into(&w, x.as_slice(), &mut y, simd::active_isa());
         let flat = matmul2d(&x.reshape([4, 3]), &w);
         assert_eq!(y, flat.as_slice());
     }
@@ -1374,7 +1309,7 @@ mod tests {
     fn linear_into_rejects_an_output_of_the_wrong_size() {
         let w = NdArray::zeros([4, 5]);
         let mut out = vec![0.0; 9];
-        w.linear_into(&[0.0; 8], &mut out, simd::active_isa());
+        linear_into(&w, &[0.0; 8], &mut out, simd::active_isa());
     }
 
     /// Deterministic pseudo-random fill (no rand dependency in this crate).
@@ -1388,45 +1323,5 @@ mod tests {
                 ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
             })
             .collect()
-    }
-
-    #[test]
-    fn quantized_linear_is_bit_exact_vs_dequantize_then_matmul() {
-        use crate::quant::QuantMode;
-        // Above and below BLOCK_THRESHOLD.
-        for (n, k, m) in [(3usize, 5usize, 4usize), (40, 48, 40)] {
-            let a = NdArray::from_vec([n, k], lcg_fill(n * k, 7));
-            let w = NdArray::from_vec([k, m], lcg_fill(k * m, 11));
-            let q = QuantizedTensor::quantize(&w, QuantMode::Int8);
-            let mut got = vec![f32::NAN; n * m];
-            q.linear_into(a.as_slice(), &mut got, simd::active_isa());
-            let want = matmul2d(&a, &q.dequantize());
-            assert_eq!(got, want.as_slice(), "{n}x{k}x{m}");
-        }
-    }
-
-    #[test]
-    fn linear_and_gather_dequant_match_f32_reference() {
-        use crate::quant::QuantMode;
-        let isa = simd::active_isa();
-        let x = NdArray::from_vec([2, 3, 4], lcg_fill(24, 3));
-        let w = NdArray::from_vec([4, 5], lcg_fill(20, 5));
-        let q = QuantizedTensor::quantize(&w, QuantMode::Int8);
-        let (mut got, mut want) = (vec![f32::NAN; 30], vec![f32::NAN; 30]);
-        q.linear_into(x.as_slice(), &mut got, isa);
-        q.dequantize().linear_into(x.as_slice(), &mut want, isa);
-        assert_eq!(got, want);
-
-        let table = NdArray::from_vec([6, 3], lcg_fill(18, 9));
-        let qt = QuantizedTensor::quantize(&table, QuantMode::Int8);
-        let idx = [4usize, 0, 4, 5];
-        let want = gather_rows(&qt.dequantize(), &idx);
-        for (k, &ix) in idx.iter().enumerate() {
-            let (mut from_quant, mut from_f32) = ([0.0f32; 3], [0.0f32; 3]);
-            qt.row_into(ix, &mut from_quant);
-            qt.dequantize().row_into(ix, &mut from_f32);
-            assert_eq!(from_quant, want.as_slice()[k * 3..(k + 1) * 3]);
-            assert_eq!(from_f32, from_quant);
-        }
     }
 }

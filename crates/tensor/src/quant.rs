@@ -1,127 +1,56 @@
-//! Post-training weight quantization: int8 as a weight storage format.
+//! Post-training weight quantization: int8 as a rounding of f32 weights.
 //!
-//! A [`QuantizedTensor`] stores a frozen weight matrix as symmetric
-//! per-tensor int8 ([`QuantMode::Int8`]). It is a storage format only:
-//! `crate::WeightMatrix` expands a projection weight to f32 once per call
-//! and a gathered table row per row, and the arithmetic is the f32
-//! kernels'. Activations stay f32 throughout; only the weights are
-//! compressed, so the scheme is purely post-training and needs no
-//! calibration data.
+//! [`round_int8`] rounds a frozen weight matrix through symmetric
+//! per-tensor int8 ([`QuantMode::Int8`]) and hands it back as f32: the
+//! int8 grid is applied once, when a model is built, and the forward that
+//! runs on the result is the plain f32 one. Only the weights are rounded;
+//! activations stay f32 throughout, so the scheme is purely post-training
+//! and needs no calibration data.
 //!
-//! Determinism contract: dequantization is a pure per-element function of
-//! the stored representation, so a quantized product is bit-identical to
-//! the f32 product over `dequantize()` on the same ISA (DESIGN.md §16).
-//!
-//! Error accounting: `quantize` records the worst per-element absolute
-//! reconstruction error actually incurred ([`QuantizedTensor::max_err`]).
-//! The analytical bound is `scale / 2` with `scale = max_abs / 127`; the
-//! recorded value is always at or below it and is what downstream
-//! error-bound tests assert against.
+//! Error accounting: [`round_int8`] returns the worst per-element absolute
+//! rounding error actually incurred. The analytical bound is `scale / 2`
+//! with `scale = max_abs / 127`; the recorded value is always at or below
+//! it and is what downstream error-bound tests assert against.
 
 use crate::ndarray::NdArray;
-use crate::shape::Shape;
 
 /// Weight compression scheme. One variant: the enum is vestigial, kept
 /// because the frozen `benchmark/` package names `QuantMode::Int8`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantMode {
     /// Symmetric per-tensor int8: `q = round(x / scale)` clamped to
-    /// `[-127, 127]`, `scale = max|x| / 127`. 4x smaller than f32.
+    /// `[-127, 127]`, `scale = max|x| / 127`.
     Int8,
 }
 
-/// A frozen weight tensor in compressed form, expanded to f32 where it is
-/// read (`crate::WeightMatrix`).
-#[derive(Debug, Clone)]
-pub struct QuantizedTensor {
-    shape: Shape,
-    data: Vec<i8>,
-    scale: f32,
-    max_err: f32,
-}
-
-impl QuantizedTensor {
-    /// Compresses `a` under `mode`, recording the worst per-element
-    /// reconstruction error. Non-finite inputs are rejected by debug
-    /// assertion upstream (frozen weights are validated at export); here
-    /// they saturate like any out-of-range value.
-    pub fn quantize(a: &NdArray, mode: QuantMode) -> Self {
-        let QuantMode::Int8 = mode;
-        let xs = a.as_slice();
-        let max_abs = xs.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-        // All-zero (or empty) tensors quantize losslessly; scale 1 avoids a
-        // 0/0 in dequantization.
-        let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
-        let inv = 1.0 / scale;
-        let mut max_err = 0.0f32;
-        let data = xs
-            .iter()
-            .map(|&x| {
-                let q = (x * inv).round().clamp(-127.0, 127.0);
-                max_err = max_err.max((x - q * scale).abs());
-                q as i8
-            })
-            .collect();
-        QuantizedTensor {
-            shape: a.shape().clone(),
-            data,
-            scale,
-            max_err,
-        }
-    }
-
-    /// Tensor dimensions (same as the source array's).
-    pub fn dims(&self) -> &[usize] {
-        self.shape.dims()
-    }
-
-    /// Element count.
-    pub fn numel(&self) -> usize {
-        self.shape.numel()
-    }
-
-    /// Worst per-element absolute reconstruction error recorded at
-    /// quantization time. `|dequantize()[i] - original[i]| <= max_err()`
-    /// for every element, by construction.
-    pub fn max_err(&self) -> f32 {
-        self.max_err
-    }
-
-    /// Dequantizes one element by flat index.
-    #[inline]
-    pub fn deq_at(&self, idx: usize) -> f32 {
-        self.data[idx] as f32 * self.scale
-    }
-
-    /// Dequantizes one row of a 2-D tensor into `out` (`out.len()` must
-    /// equal the row width).
-    #[inline]
-    pub fn deq_row_into(&self, row: usize, out: &mut [f32]) {
-        let dims = self.dims();
-        assert_eq!(dims.len(), 2, "deq_row_into needs a 2-D tensor");
-        let w = dims[1];
-        assert_eq!(out.len(), w, "row buffer must be [{w}]");
-        // Widening int8 and one f32 multiply are exact per element on every
-        // ISA, so the dispatched path cannot change bits.
-        crate::simd::dequant_row_i8(
-            crate::simd::active_isa(),
-            &self.data[row * w..(row + 1) * w],
-            self.scale,
-            out,
-        );
-    }
-
-    /// Full dequantization back to f32 — what a quantized projection
-    /// multiplies by.
-    pub fn dequantize(&self) -> NdArray {
-        let data = (0..self.numel()).map(|i| self.deq_at(i)).collect();
-        NdArray::from_vec(self.shape.clone(), data)
-    }
-
-    /// Stored bytes (for compression-ratio reporting).
-    pub fn stored_bytes(&self) -> usize {
-        self.data.len()
-    }
+/// `a` rounded through symmetric per-tensor int8 — each finite `x` becomes
+/// `q · scale` with `q = round(x / scale)` clamped to `[-127, 127]` and
+/// `scale = max|x| / 127` over the finite elements — and the worst
+/// per-element error that incurred: `|rounded[i] - a[i]| <= err` for every
+/// finite element. Non-finite elements pass through unchanged and take no
+/// part in `scale` or `err`.
+pub fn round_int8(a: &NdArray) -> (NdArray, f32) {
+    let finite = || a.as_slice().iter().filter(|x| x.is_finite());
+    let max_abs = finite().fold(0.0f32, |m, &x| m.max(x.abs()));
+    // All-zero (or empty) tensors round losslessly; scale 1 avoids a 0/0.
+    let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
+    let inv = 1.0 / scale;
+    let mut err = 0.0f32;
+    let rounded = a
+        .as_slice()
+        .iter()
+        .map(|&x| {
+            if !x.is_finite() {
+                return x;
+            }
+            // Through an i8, which has no −0: a value that rounds to zero
+            // comes back +0.
+            let r = (x * inv).round().clamp(-127.0, 127.0) as i8 as f32 * scale;
+            err = err.max((x - r).abs());
+            r
+        })
+        .collect();
+    (NdArray::from_vec(a.shape().clone(), rounded), err)
 }
 
 #[cfg(test)]
@@ -132,35 +61,52 @@ mod tests {
     fn int8_error_stays_under_half_scale() {
         let xs: Vec<f32> = (0..257).map(|i| (i as f32 - 128.0) * 0.013).collect();
         let a = NdArray::from_vec([257], xs.clone());
-        let q = QuantizedTensor::quantize(&a, QuantMode::Int8);
+        let (rounded, err) = round_int8(&a);
         let max_abs = xs.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
         let scale = max_abs / 127.0;
-        assert!(q.max_err() <= scale * 0.5 + f32::EPSILON);
-        let deq = q.dequantize();
-        for (x, y) in xs.iter().zip(deq.as_slice()) {
-            assert!((x - y).abs() <= q.max_err() + f32::EPSILON);
+        assert!(err <= scale * 0.5 + f32::EPSILON);
+        for (x, y) in xs.iter().zip(rounded.as_slice()) {
+            assert!((x - y).abs() <= err + f32::EPSILON);
         }
-        assert_eq!(q.stored_bytes(), 257);
     }
 
     #[test]
-    fn all_zero_tensor_quantizes_losslessly() {
+    fn all_zero_tensor_rounds_losslessly() {
         let a = NdArray::zeros([4, 4]);
-        let q = QuantizedTensor::quantize(&a, QuantMode::Int8);
-        assert_eq!(q.max_err(), 0.0);
-        assert_eq!(q.dequantize().as_slice(), a.as_slice());
+        let (rounded, err) = round_int8(&a);
+        assert_eq!(err, 0.0);
+        assert_eq!(rounded.as_slice(), a.as_slice());
     }
 
+    /// NaN and ±inf pass through, and the finite elements round on the
+    /// grid of the finite maximum with the error bound intact — a NaN used
+    /// to come back 0, and an inf to turn the whole tensor NaN with an
+    /// error of 0.
     #[test]
-    fn deq_row_matches_deq_at() {
-        let a = NdArray::from_vec([3, 4], (0..12).map(|i| i as f32 * 0.3 - 1.7).collect());
-        let q = QuantizedTensor::quantize(&a, QuantMode::Int8);
-        let mut row = vec![0.0f32; 4];
-        for r in 0..3 {
-            q.deq_row_into(r, &mut row);
-            for (c, &v) in row.iter().enumerate() {
-                assert_eq!(v, q.deq_at(r * 4 + c));
+    fn non_finite_elements_pass_through() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let xs = [0.5, bad, -1.0, 0.25];
+            let (rounded, err) = round_int8(&NdArray::from_vec([4], xs.to_vec()));
+            let (finite, _) = round_int8(&NdArray::from_vec([3], vec![0.5, -1.0, 0.25]));
+            let got = rounded.as_slice();
+            assert_eq!(got[1].to_bits(), bad.to_bits(), "{bad}");
+            assert_eq!([got[0], got[2], got[3]], finite.as_slice(), "{bad}");
+            assert!(
+                err > 0.0 && err <= 0.5 / 127.0 + f32::EPSILON,
+                "{bad}: err {err}"
+            );
+            for (x, y) in xs.iter().zip(got).filter(|(x, _)| x.is_finite()) {
+                assert!((x - y).abs() <= err, "{bad}: {x} -> {y}");
             }
         }
+    }
+
+    #[test]
+    fn a_tensor_with_no_finite_element_is_unchanged() {
+        let xs = vec![f32::NAN, f32::INFINITY];
+        let (rounded, err) = round_int8(&NdArray::from_vec([2], xs.clone()));
+        assert!(rounded.as_slice()[0].is_nan());
+        assert_eq!(rounded.as_slice()[1], f32::INFINITY);
+        assert_eq!(err, 0.0);
     }
 }

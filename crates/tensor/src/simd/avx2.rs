@@ -13,7 +13,7 @@
 //!    and `norm_sq` accumulate in four f64 lanes folded in a fixed order,
 //!    not one serial left-to-right chain.
 //!
-//! Everything element-wise (sanitize, dequantization, the normalize and
+//! Everything element-wise (sanitize, the normalize and
 //! `dx` arithmetic of layer norm, the final softmax scale) performs the
 //! identical per-element IEEE ops as the scalar path and produces
 //! identical bits given identical inputs.
@@ -515,33 +515,6 @@ pub fn norm_sq_chunk(xs: &[f32]) -> f64 {
             total += (x as f64) * (x as f64);
         }
         total
-    }
-}
-
-// -------------------------------------------------------------------------
-// Dequantization
-// -------------------------------------------------------------------------
-
-/// `out[j] = q[j] as f32 * scale`, widening eight int8 lanes per step —
-/// exact per element, identical bits to the scalar dequantization.
-#[target_feature(enable = "avx2,fma")]
-pub fn dequant_row_i8(qs: &[i8], scale: f32, out: &mut [f32]) {
-    let len = out.len().min(qs.len());
-    let body = len - len % 8;
-    // SAFETY: each iteration reads exactly 8 bytes at offset j < body <= len-8+1.
-    unsafe {
-        let sv = _mm256_set1_ps(scale);
-        let mut j = 0;
-        while j < body {
-            let bytes = _mm_loadl_epi64(qs.as_ptr().add(j) as *const __m128i);
-            let ints = _mm256_cvtepi8_epi32(bytes);
-            let vals = _mm256_mul_ps(_mm256_cvtepi32_ps(ints), sv);
-            _mm256_storeu_ps(out.as_mut_ptr().add(j), vals);
-            j += 8;
-        }
-    }
-    for j in body..len {
-        out[j] = qs[j] as f32 * scale;
     }
 }
 

@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD micro-kernels for the linalg hot paths.
 //!
 //! The compute-heavy kernels in [`crate::linalg`] (blocked matmul, softmax,
-//! layer norm, the attention-tile kernel of [`attention`], the flat
-//! sanitize/norm scans and int8 row dequantization) each exist in up to
-//! three implementations selected once per process by [`active_isa`]:
+//! layer norm, the attention-tile kernel of [`attention`] and the flat
+//! sanitize/norm scans) each exist in up to three implementations selected
+//! once per process by [`active_isa`]:
 //!
 //! | ISA      | selected when                           | numeric contract |
 //! |----------|-----------------------------------------|------------------|
@@ -485,24 +485,6 @@ pub fn norm_sq_chunk(isa: Isa, xs: &[f32]) -> f64 {
         Isa::Avx2 | Isa::Avx512 => unsafe { avx2::norm_sq_chunk(xs) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::norm_sq_chunk(xs),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dequantization
-// ---------------------------------------------------------------------------
-
-/// Dequantizes one int8 row: `out[j] = q[j] as f32 * scale`. The integer
-/// widening and single multiply are exact per element, so every ISA
-/// produces identical bits; avx2 just converts 8 lanes at a time.
-pub fn dequant_row_i8(isa: Isa, qs: &[i8], scale: f32, out: &mut [f32]) {
-    match isa {
-        Isa::Scalar => scalar::dequant_row_i8(qs, scale, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2/Avx512 dispatch implies avx2+fma are available.
-        Isa::Avx2 | Isa::Avx512 => unsafe { avx2::dequant_row_i8(qs, scale, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::dequant_row_i8(qs, scale, out),
     }
 }
 

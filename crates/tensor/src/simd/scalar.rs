@@ -211,13 +211,6 @@ pub fn norm_sq_chunk(xs: &[f32]) -> f64 {
     acc
 }
 
-/// `out[j] = q[j] as f32 * scale` — exact per element.
-pub fn dequant_row_i8(qs: &[i8], scale: f32, out: &mut [f32]) {
-    for (o, &q) in out.iter_mut().zip(qs) {
-        *o = q as f32 * scale;
-    }
-}
-
 /// Attention over every tile of `grid`, one tile at a time on the reference
 /// chains: gather the tile's Q, `Kᵀ` and V, `S = Q Kᵀ` through
 /// `matmul_reference`, scale, [`softmax_rows`], `O = P V` through

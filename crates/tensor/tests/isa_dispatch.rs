@@ -15,9 +15,8 @@
 //! Edge cases for the shared softmax/layer-norm row traversal (empty and
 //! single-element rows) run on every ISA as well.
 
-use hire_tensor::quant::{QuantMode, QuantizedTensor};
 use hire_tensor::simd::Isa;
-use hire_tensor::{linalg, NdArray, WeightMatrix};
+use hire_tensor::{linalg, NdArray};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -224,46 +223,6 @@ fn layer_norm_oracle_agreement_and_determinism_per_isa() {
             let len = packed.len();
             NdArray::from_vec([len], packed)
         });
-    }
-}
-
-#[test]
-fn dequant_matmul_is_bit_identical_to_dequantize_then_matmul_per_isa() {
-    // The chain contract: on every ISA, a quantized projection runs the
-    // same per-element accumulation as the f32 matmul of that ISA against
-    // the dequantized weights.
-    for isa in Isa::available() {
-        for (n, k, m) in [(3usize, 5usize, 4usize), (40, 48, 40)] {
-            let a = randn(&[n, k], 0x600 + n as u64);
-            let w = randn(&[k, m], 0x700 + m as u64);
-            let q = QuantizedTensor::quantize(&w, QuantMode::Int8);
-            let mut got = vec![f32::NAN; n * m];
-            q.linear_into(a.as_slice(), &mut got, isa);
-            let want = linalg::matmul2d_with_isa(&a, &q.dequantize(), isa);
-            assert_bits_eq(
-                &got,
-                want.as_slice(),
-                &format!("dequant {} {n}x{k}x{m}", isa.label()),
-            );
-        }
-    }
-}
-
-#[test]
-fn dequant_row_is_exact_on_every_isa() {
-    // int8 widening + one f32 multiply is exact per element, so every ISA
-    // must produce identical bits.
-    let qs: Vec<i8> = (-64..63).collect();
-    let scale = 0.037f32;
-    let mut want = vec![0.0f32; qs.len()];
-    hire_tensor::simd::dequant_row_i8(Isa::Scalar, &qs, scale, &mut want);
-    for (j, &q) in qs.iter().enumerate() {
-        assert_eq!(want[j], q as f32 * scale);
-    }
-    for isa in Isa::available() {
-        let mut got = vec![0.0f32; qs.len()];
-        hire_tensor::simd::dequant_row_i8(isa, &qs, scale, &mut got);
-        assert_bits_eq(&got, &want, &format!("dequant_row {}", isa.label()));
     }
 }
 

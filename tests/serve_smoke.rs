@@ -69,7 +69,7 @@ fn trained_model_serves_through_model_and_cache_rungs() {
     assert_eq!(again.served_by, ServedBy::Cache);
     assert_eq!(again.rating.to_bits(), thin.rating.to_bits());
 
-    // The same forward over int8-stored weights stays within its declared
+    // The same forward over int8-rounded weights stays within its declared
     // bound of the f32 one on trained weights, over the whole context.
     let quant = QuantizedModel::from_frozen(&frozen, QuantMode::Int8);
     let approx = quant.forward_nograd(&ctx, &dataset).expect("int8 forward");
