@@ -3,7 +3,7 @@
 //! calling thread, as every kernel does (DESIGN.md §11) — the `_1t` in the
 //! report's field names says so.
 //!
-//! Five sections:
+//! Six sections:
 //! 1. **matmul** — GFLOP/s at HIM-realistic shapes: the naive reference
 //!    loop, the blocked kernel forced to the scalar micro-kernel, and the
 //!    blocked kernel on the dispatched ISA (see `hire_tensor::simd`). The
@@ -16,7 +16,8 @@
 //!    `aᵀ·b` rows, the streaming `matmul2d_tn` at the MHSA backward's
 //!    `Xᵀ·[dQ | dK | dV]` of MBA and of MBU/MBI.
 //! 2. **mhsa** — the tape-free `hire_nn::mhsa_forward` at HIM's three
-//!    attention shapes (MBU, MBI, MBA of the `fast` config):
+//!    attention shapes (MBU, MBI, MBA), of the `fast` config and of the
+//!    paper's (`HireConfig::default()`: 32×32 contexts, 8 heads × 16):
 //!    microseconds, achieved GFLOP/s from the shape's matmul FLOPs, and
 //!    that as a share of the matmul peak section 1 measured, split into its
 //!    three stages (the Q/K/V projections, the attention tiles, `W_O`);
@@ -26,15 +27,19 @@
 //!    the two weight-gradient products, the two input-gradient products).
 //!    Reported, not gated — these are the per-layer numbers the serving
 //!    forward and a training step are made of.
-//! 3. **him** — full HIM tape forward and forward+backward wall time on a
+//! 3. **layer_norm** — the layer norm after each attention layer, over one
+//!    context's `[n·m, e]` cells at both configs: the no-grad forward the
+//!    serving forward runs, the tape's forward (which also keeps `xhat`
+//!    and `inv_std`) and its backward.
+//! 4. **him** — full HIM tape forward and forward+backward wall time on a
 //!    synthetic cold-start context.
-//! 4. **sampler** — `NeighborhoodSampler` at never-repeated uniform pairs on
+//! 5. **sampler** — `NeighborhoodSampler` at never-repeated uniform pairs on
 //!    the default 600×400 `movielens_like` graph and on the streaming
 //!    50 000×10 000 `popularity_skew = 1.1` graph whose hub items are rated
 //!    by most users: microseconds per sample, and — from a plain BFS replica
 //!    that must reproduce every selection first — the adjacency entries
 //!    walked and RNG draws made per sample. Reported, not gated.
-//! 5. **graph_commit** — `EpochedGraph::commit_edges` on the same two graphs,
+//! 6. **graph_commit** — `EpochedGraph::commit_edges` on the same two graphs,
 //!    one new edge and eight new edges a commit: microseconds, and — counted
 //!    with `BipartiteGraph::chunk_sharing` against the predecessor — the
 //!    adjacency chunks and bytes each commit copied, beside the snapshot's
@@ -159,6 +164,9 @@ struct MatmulReport {
 struct MhsaReport {
     /// Which HIM attention this shape is: `mbu` | `mbi` | `mba`.
     layer: &'static str,
+    /// Whose shape: `fast` (`HireConfig::fast()`) | `paper`
+    /// (`HireConfig::default()`).
+    config: &'static str,
     /// `[batch, tokens, model_dim]` of the timed input.
     shape: Vec<usize>,
     heads: usize,
@@ -198,6 +206,24 @@ struct MhsaReport {
     /// (`matmul2d_nt`): `dO = dY·W_Oᵀ` and `dX = [dQ | dK | dV]·[W_Q | W_K
     /// | W_V]ᵀ`.
     bwd_dx_us: f64,
+}
+
+#[derive(Serialize)]
+struct LayerNormReport {
+    /// `fast` | `paper`, as in [`MhsaReport::config`].
+    config: &'static str,
+    /// `[rows, width]`: a context's `n·m` cells by the embedding width
+    /// `e = h·f`.
+    shape: Vec<usize>,
+    /// Best-of wall time of the no-grad forward into a buffer
+    /// (`linalg::layer_norm_last_into`, what the serving forward runs).
+    micros_1t: f64,
+    /// Best-of wall time of the tape's forward
+    /// (`linalg::layer_norm_forward_last`: `y`, `xhat` and `inv_std`).
+    tape_forward_us: f64,
+    /// Best-of wall time of its backward
+    /// (`linalg::layer_norm_backward_last`: `dx`, `dgamma`, `dbeta`).
+    tape_backward_us: f64,
 }
 
 #[derive(Serialize)]
@@ -268,6 +294,7 @@ struct KernelBenchReport {
     host: hire_bench::HostInfo,
     matmul: Vec<MatmulReport>,
     mhsa: Vec<MhsaReport>,
+    layer_norm: Vec<LayerNormReport>,
     him: HimReport,
     sampler: Vec<SamplerReport>,
     graph_commit: Vec<GraphCommitReport>,
@@ -355,11 +382,16 @@ fn bench_matmul(n: usize, k: usize, m: usize, transposed: bool, reps: usize) -> 
     }
 }
 
-/// Times `mhsa_forward` at the three attention shapes of a `fast`-config
-/// HIM block over an `n × m` context of `h` attributes (tokens = users,
-/// items, attributes) against `matmul_peak_gflops`.
-fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport> {
-    let cfg = HireConfig::fast();
+/// Times `mhsa_forward` at the three attention shapes of a `cfg` HIM block
+/// over an `n × m` context of `h` attributes (tokens = users, items,
+/// attributes) against `matmul_peak_gflops`.
+fn bench_mhsa(
+    config: &'static str,
+    cfg: &HireConfig,
+    h: usize,
+    reps: usize,
+    matmul_peak_gflops: f64,
+) -> Vec<MhsaReport> {
     let (n, m, f) = (cfg.context_users, cfg.context_items, cfg.attr_dim);
     let (l, dk) = (cfg.heads, cfg.head_dim);
     let e = h * f;
@@ -476,6 +508,7 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
         let gflops = flops / secs / 1e9;
         MhsaReport {
             layer,
+            config,
             shape: vec![b, t, d],
             heads: l,
             head_dim: dk,
@@ -493,6 +526,51 @@ fn bench_mhsa(h: usize, reps: usize, matmul_peak_gflops: f64) -> Vec<MhsaReport>
         }
     })
     .collect()
+}
+
+/// Times the layer norm after a `cfg` HIM block's attention over an `n × m`
+/// context of `h` attributes: `[n·m, h·f]` rows.
+fn bench_layer_norm(
+    config: &'static str,
+    cfg: &HireConfig,
+    h: usize,
+    reps: usize,
+) -> LayerNormReport {
+    let (rows, w) = (cfg.context_users * cfg.context_items, h * cfg.attr_dim);
+    let mut rng = StdRng::seed_from_u64(0x1A7E);
+    let x = NdArray::randn([rows, w], 0.0, 1.0, &mut rng);
+    let gamma = NdArray::randn([w], 1.0, 0.1, &mut rng);
+    let beta = NdArray::randn([w], 0.0, 0.1, &mut rng);
+    let g = NdArray::randn([rows, w], 0.0, 1.0, &mut rng);
+    let isa = hire_tensor::simd::active_isa();
+    let mut y = vec![0.0f32; rows * w];
+    let nograd = time_best(reps, || {
+        linalg::layer_norm_last_into(
+            x.as_slice(),
+            gamma.as_slice(),
+            beta.as_slice(),
+            1e-5,
+            &mut y,
+            isa,
+        );
+        std::hint::black_box(&y);
+    });
+    let tape_forward = time_best(reps, || {
+        std::hint::black_box(linalg::layer_norm_forward_last(&x, &gamma, &beta, 1e-5));
+    });
+    let (_, xhat, inv_std) = linalg::layer_norm_forward_last(&x, &gamma, &beta, 1e-5);
+    let tape_backward = time_best(reps, || {
+        std::hint::black_box(linalg::layer_norm_backward_last(
+            &xhat, &inv_std, &gamma, &g,
+        ));
+    });
+    LayerNormReport {
+        config,
+        shape: vec![rows, w],
+        micros_1t: nograd * 1e6,
+        tape_forward_us: tape_forward * 1e6,
+        tape_backward_us: tape_backward * 1e6,
+    }
 }
 
 /// One side of one hop of [`bfs_replica`]: the unselected neighbours of
@@ -790,26 +868,43 @@ fn main() {
         .collect();
 
     // The movielens-like schema `bench_him` runs on: 4 user + 4 item
-    // attributes + the rating channel.
-    let mhsa = bench_mhsa(9, reps, matmul[0].gflops_blocked_1t);
-    for r in &mhsa {
+    // attributes + the rating channel. The `fast` rows first and the paper's
+    // after the HIM section, so their megabyte buffers come and go after
+    // every `fast` number is taken, as before the paper rows existed.
+    let h = 9;
+    let per_layer = |config: &'static str, cfg: &HireConfig| {
+        let mhsa = bench_mhsa(config, cfg, h, reps, matmul[0].gflops_blocked_1t);
+        for r in &mhsa {
+            eprintln!(
+                "  mhsa {} {} {:?}: {:.1} us (projections {:.1}, attention {:.1}, W_O {:.1}), {:.2} GF/s ({:.0} % of the matmul peak); on the tape {:.1} us forward, {:.1} us backward (attention {:.1}, dW {:.1}, dX {:.1})",
+                r.config,
+                r.layer,
+                r.shape,
+                r.micros_1t,
+                r.proj_us,
+                r.attn_us,
+                r.out_us,
+                r.gflops_1t,
+                100.0 * r.share_of_matmul_peak,
+                r.tape_forward_us,
+                r.tape_backward_us,
+                r.bwd_attn_us,
+                r.bwd_dw_us,
+                r.bwd_dx_us
+            );
+        }
+        let layer_norm = bench_layer_norm(config, cfg, h, reps);
         eprintln!(
-            "  mhsa {} {:?}: {:.1} us (projections {:.1}, attention {:.1}, W_O {:.1}), {:.2} GF/s ({:.0} % of the matmul peak); on the tape {:.1} us forward, {:.1} us backward (attention {:.1}, dW {:.1}, dX {:.1})",
-            r.layer,
-            r.shape,
-            r.micros_1t,
-            r.proj_us,
-            r.attn_us,
-            r.out_us,
-            r.gflops_1t,
-            100.0 * r.share_of_matmul_peak,
-            r.tape_forward_us,
-            r.tape_backward_us,
-            r.bwd_attn_us,
-            r.bwd_dw_us,
-            r.bwd_dx_us
+            "  layer_norm {} {:?}: {:.1} us; on the tape {:.1} us forward, {:.1} us backward",
+            layer_norm.config,
+            layer_norm.shape,
+            layer_norm.micros_1t,
+            layer_norm.tape_forward_us,
+            layer_norm.tape_backward_us
         );
-    }
+        (mhsa, layer_norm)
+    };
+    let (mut mhsa, fast_layer_norm) = per_layer("fast", &HireConfig::fast());
 
     let him = bench_him(args.smoke);
     eprintln!(
@@ -820,6 +915,10 @@ fn main() {
         him.forward_ms,
         him.forward_backward_ms
     );
+
+    let (paper_mhsa, paper_layer_norm) = per_layer("paper", &HireConfig::default());
+    mhsa.extend(paper_mhsa);
+    let layer_norm = vec![fast_layer_norm, paper_layer_norm];
 
     // The serving benchmark's two graphs: the default 600×400 one and the
     // streaming hub graph of its write workload.
@@ -899,6 +998,7 @@ fn main() {
         host,
         matmul,
         mhsa,
+        layer_norm,
         him,
         sampler,
         graph_commit,

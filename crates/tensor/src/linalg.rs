@@ -978,18 +978,18 @@ pub fn layer_norm_backward_last_with_isa(
     for start in (0..rows).step_by(grain) {
         part_gamma.fill(0.0);
         part_beta.fill(0.0);
-        for r in start..(start + grain).min(rows) {
-            simd::layer_norm_backward_row(
-                isa,
-                &xh[r * w..(r + 1) * w],
-                inv_std[r],
-                gv,
-                &gs[r * w..(r + 1) * w],
-                &mut dx[r * w..(r + 1) * w],
-                &mut part_gamma,
-                &mut part_beta,
-            );
-        }
+        let end = (start + grain).min(rows);
+        let chunk = start * w..end * w;
+        simd::layer_norm_backward_rows(
+            isa,
+            &xh[chunk.clone()],
+            &inv_std[start..end],
+            gv,
+            &gs[chunk.clone()],
+            &mut dx[chunk],
+            &mut part_gamma,
+            &mut part_beta,
+        );
         for j in 0..w {
             dgamma[j] += part_gamma[j];
             dbeta[j] += part_beta[j];

@@ -39,8 +39,9 @@
 //!   without a gather or scatter: a tile row is `dk` contiguous floats, so
 //!   eight lanes' rows are eight plain loads turned lane-major by an
 //!   in-register 8×8 transpose (masked for `dk % 8`), and the output goes
-//!   back the same way. Four query rows run at once, their score and `P·V`
-//!   chains interleaved.
+//!   back the same way. Three or four query rows run at once
+//!   (`block_rows`), and their score chains take two keys a step, their
+//!   `P·V` chains two columns: six or eight independent chains in flight.
 //!
 //! Either kernel can also hand out each tile's softmax rows `P` — the values
 //! it is about to multiply into `V`, stored on the way, so no chain changes.
@@ -54,15 +55,19 @@
 //! bits on every ISA**. Tiles ride in the lanes of `[token][column][lane]`
 //! panels, like the lane kernel above, and every sum is a single
 //! accumulator per lane over an ascending index, multiply then add — never
-//! an FMA. Two forms run that one arithmetic:
+//! an FMA. `dS` is computed for every query row first, into a `t × t`
+//! panel; then `dQ`, `dK` and `dV` are register blocks of `block_rows`
+//! rows by two columns, each sum held in a register from `0.0` to its
+//! store. Two forms run that one arithmetic:
 //!
 //! * scalar — `Panels::backward`, safe Rust over `[f32; 16]` rows that rustc
 //!   vectorises with the build's baseline (SSE2 on x86-64), panels filled
 //!   and read back element by element.
 //! * avx2/avx512 — `attention_backward_kernel!`, 8 or 16 lanes under the
-//!   ISA's `#[target_feature]`: the same ops in vector registers, panels
-//!   filled and emptied by the forward's in-register transposes
-//!   (`load_runs` / `store_runs`), no gather and no per-element write.
+//!   ISA's `#[target_feature]`: the same ops in the same loop nest in vector
+//!   registers, panels filled and emptied by the forward's in-register
+//!   transposes (`load_runs` / `store_runs`), no gather and no per-element
+//!   write.
 //!
 //! Each op is exact per lane, so a tile's gradient bits depend neither on
 //! the ISA nor on its lane or group.
@@ -97,10 +102,30 @@ pub struct AttnGrid {
 /// scalar backward's lane group.
 pub(super) const MAX_LANES: usize = 16;
 
-/// Query rows `attention_lanes_kernel!` carries at once: their score and
-/// `P·V` chains interleave, so one row's FMA latency hides behind the
-/// others' instead of serialising the group.
-pub(super) const ROWS: usize = 4;
+/// The most rows [`block_rows`] picks; sizes the forward's scratch.
+pub(super) const MAX_ROWS: usize = 4;
+
+/// Rows of a `t`-token tile the lane kernels (and the scalar backward)
+/// carry at once: 3 or 4, whichever pads the last block less — 4 on a tie.
+/// Their chains interleave, so one row's latency hides behind the others'
+/// instead of serialising the group; a padded row re-reads the block's last
+/// real row and is never stored. Read off the tile shape, not a knob:
+/// MBA's 9 attributes run 3 rows a block, MBU/MBI's 16 context users or
+/// items 4.
+pub(super) const fn block_rows(t: usize) -> usize {
+    if t.next_multiple_of(3) - t < t.next_multiple_of(4) - t {
+        3
+    } else {
+        4
+    }
+}
+
+/// Rows `first..first + R` of a `t`-row block, a short one re-reading its
+/// last real row, and how many are real.
+pub(super) fn rows<const R: usize>(t: usize, first: usize) -> ([usize; R], usize) {
+    let live = (t - first).min(R);
+    (std::array::from_fn(|r| first + r.min(live - 1)), live)
+}
 
 impl AttnGrid {
     /// Row width `heads * head_dim` of the Q/K/V buffers.
@@ -152,7 +177,7 @@ impl AttnGrid {
     /// lane-parallel one.
     pub fn scratch_len(&self) -> usize {
         let (t, dk) = (self.tokens, self.head_dim);
-        (3 * t * dk + 2 * t * t).max((2 * t * dk + ROWS * (dk + t)) * MAX_LANES)
+        (3 * t * dk + 2 * t * t).max((2 * t * dk + MAX_ROWS * (dk + t)) * MAX_LANES)
     }
 }
 
@@ -164,28 +189,29 @@ impl AttnGrid {
 /// Layout: lane `λ` of every vector belongs to tile `group_start + λ`. Each
 /// tile row is `dk` contiguous floats in Q, K and V (and `t` in `P`), so
 /// the group's K and V are read into `[token][column][lane]` panels, and Q
-/// [`ROWS`] rows at a time, a whole tile row per lane at once and turned
-/// lane-major in registers (`load_runs`); every later operand is one
-/// full-width load. Output rows are assembled lane-major and written back
-/// over their Q by the inverse transpose (`store_runs`), softmax rows
+/// `R` rows at a time ([`block_rows`]), a whole tile row per lane at once
+/// and turned lane-major in registers (`load_runs`); every later operand is
+/// one full-width load. Output rows are assembled lane-major and written
+/// back over their Q by the inverse transpose (`store_runs`), softmax rows
 /// likewise into `P`. Dead lanes of a ragged last group alias the last
 /// live tile (valid reads) and are never written.
 macro_rules! attention_lanes_kernel {
     ($(#[$attr:meta])* $ops:ident) => {
         /// Attention over every tile of `grid`, `LANES` tiles per vector
-        /// (see [`crate::simd::attention`] for the lane layout and why each
-        /// lane's chain is the unfused one), overwriting each tile's Q with
-        /// its output. `scratch` holds at least `grid.scratch_len()`
-        /// floats; `probs`, when given, is the `[tile][token][token]`
-        /// softmax rows (`grid.probs_len()` floats) and receives them.
+        /// and `R` query rows at a time (see [`crate::simd::attention`] for
+        /// the lane layout and why each lane's chain is the unfused one),
+        /// overwriting each tile's Q with its output. `scratch` holds at
+        /// least `grid.scratch_len()` floats; `probs`, when given, is the
+        /// `[tile][token][token]` softmax rows (`grid.probs_len()` floats)
+        /// and receives them.
         ///
         /// # Safety
         ///
         /// `qo` must point to `k.len()` floats (`grid.rows() *
         /// grid.width()`), and nothing else may access them during the
-        /// call.
+        /// call. `R` is at most `MAX_ROWS` (4), which sizes `scratch`.
         $(#[$attr])*
-        pub unsafe fn attention_lanes(
+        pub unsafe fn attention_lanes<const R: usize>(
             grid: &crate::simd::AttnGrid,
             qo: *mut f32,
             k: &[f32],
@@ -194,18 +220,20 @@ macro_rules! attention_lanes_kernel {
             mut probs: Option<&mut [f32]>,
         ) {
             use $ops::LANES;
-            use crate::simd::attention::ROWS;
             let (t, dk, tiles) = (grid.tokens, grid.head_dim, grid.tiles());
-            debug_assert!(t > 0);
+            debug_assert!(t > 0 && (1..=crate::simd::attention::MAX_ROWS).contains(&R));
             let stride = grid.token_stride();
             let (kp, rest) = scratch.split_at_mut(t * dk * LANES);
             let (vp, rest) = rest.split_at_mut(t * dk * LANES);
-            // `ROWS` rows of the group's Q, then of its output, and of its
+            // `R` rows of the group's Q, then of its output, and of its
             // scores.
-            let (qp, rest) = rest.split_at_mut(ROWS * dk * LANES);
-            let s = &mut rest[..ROWS * t * LANES];
+            let (qp, rest) = rest.split_at_mut(R * dk * LANES);
+            let s = &mut rest[..R * t * LANES];
             let at = |token: usize, col: usize| (token * dk + col) * LANES;
             let scale = $ops::splat(1.0 / (dk as f32).sqrt());
+            // Panel rows of the `R` query rows' Q (then output) and scores.
+            let q_rows: [usize; R] = std::array::from_fn(|r| r * dk);
+            let s_rows: [usize; R] = std::array::from_fn(|r| r * t);
             // Columns of a softmax row the avx2 row kernel runs through its
             // eight-wide vector body; the rest is its scalar tail.
             let body = t - t % 8;
@@ -231,39 +259,74 @@ macro_rules! attention_lanes_kernel {
                 // inside the buffers by the assert above — and writes touch
                 // only live tiles' own Q rows, or, into `probs`, row `i` of
                 // a live tile's own `t * t` floats, inside it by the length
-                // assert; panel rows `at(token, col)` and `col * LANES`,
-                // `j * LANES` stay inside `kp`/`vp`, `qo_row` and `s`.
+                // assert; panel rows `at(token, col)` (`token < t`, `col <
+                // dk`), `q_rows[r] + col` and `s_rows[r] + j` (`r < R`, `j <
+                // t`) stay inside `kp`/`vp`, `qp` and `s`.
                 unsafe {
+                    // One `R × 2` register block of a panel product: for
+                    // `x < 2` (`x = 0` alone unless `two`) and `r < R`,
+                    // `Σ_κ a[a_rows[r] + κ·a_step] · b[b_cols[x] + κ·b_step]`
+                    // over `κ < n` — panel rows, `LANES` floats each — one
+                    // accumulator from `0.0` a sum, `κ` ascending, one FMA a
+                    // step: the `matmul_small` chain of every element, `2R`
+                    // chains in flight.
+                    let block = |a: *const f32,
+                                 a_rows: [usize; R],
+                                 a_step: usize,
+                                 b: *const f32,
+                                 b_cols: [usize; 2],
+                                 b_step: usize,
+                                 n: usize,
+                                 two: bool| {
+                        let mut acc = [[$ops::splat(0.0); R]; 2];
+                        for kappa in 0..n {
+                            let b0 = $ops::load(b.add((b_cols[0] + kappa * b_step) * LANES));
+                            if two {
+                                let b1 = $ops::load(b.add((b_cols[1] + kappa * b_step) * LANES));
+                                for (r, &row) in a_rows.iter().enumerate() {
+                                    let a = $ops::load(a.add((row + kappa * a_step) * LANES));
+                                    acc[0][r] = $ops::fmadd(a, b0, acc[0][r]);
+                                    acc[1][r] = $ops::fmadd(a, b1, acc[1][r]);
+                                }
+                            } else {
+                                for (r, &row) in a_rows.iter().enumerate() {
+                                    let a = $ops::load(a.add((row + kappa * a_step) * LANES));
+                                    acc[0][r] = $ops::fmadd(a, b0, acc[0][r]);
+                                }
+                            }
+                        }
+                        acc
+                    };
                     for j in 0..t {
                         $ops::load_runs(k.as_ptr(), &base, j * stride, dk, kp.as_mut_ptr().add(at(j, 0)));
                         $ops::load_runs(v.as_ptr(), &base, j * stride, dk, vp.as_mut_ptr().add(at(j, 0)));
                     }
-                    for i0 in (0..t).step_by(ROWS) {
-                        // Query rows `i0..i0 + rows`; the chains of `ROWS`
+                    for i0 in (0..t).step_by(R) {
+                        // Query rows `i0..i0 + rows`; the chains of `R`
                         // rows interleave, a short last block re-reading
                         // its last row in the rest (never stored).
-                        let rows = (t - i0).min(ROWS);
-                        let q_at = |r: usize, c: usize| (r * dk + c) * LANES;
-                        let s_at = |r: usize, j: usize| (r * t + j) * LANES;
-                        for r in 0..ROWS {
+                        let rows = (t - i0).min(R);
+                        let q_at = |r: usize, c: usize| (q_rows[r] + c) * LANES;
+                        let s_at = |r: usize, j: usize| (s_rows[r] + j) * LANES;
+                        for r in 0..R {
                             let i = i0 + r.min(rows - 1);
                             $ops::load_runs(qo, &base, i * stride, dk, qp.as_mut_ptr().add(q_at(r, 0)));
                         }
-                        // s[j] = (q_i · k_j) * scale, and the row maxima
-                        // in token order.
-                        let mut max = [$ops::splat(f32::NEG_INFINITY); ROWS];
-                        for j in 0..t {
-                            let mut acc = [$ops::splat(0.0); ROWS];
-                            for c in 0..dk {
-                                let kjc = $ops::load(kp.as_ptr().add(at(j, c)));
-                                for (r, acc) in acc.iter_mut().enumerate() {
-                                    *acc = $ops::fmadd($ops::load(qp.as_ptr().add(q_at(r, c))), kjc, *acc);
+                        // s[j] = (q_i · k_j) * scale, two keys a step (an
+                        // odd `t`'s last alone), and the row maxima in token
+                        // order.
+                        let mut max = [$ops::splat(f32::NEG_INFINITY); R];
+                        for j in (0..t).step_by(2) {
+                            let two = j + 1 < t;
+                            let acc = block(qp.as_ptr(), q_rows, 1, kp.as_ptr(), [j * dk, (j + 1) * dk], 1, dk, two);
+                            for (x, acc) in acc.into_iter().enumerate() {
+                                if x == 0 || two {
+                                    for (r, (acc, max)) in acc.into_iter().zip(&mut max).enumerate() {
+                                        let sj = $ops::mul(acc, scale);
+                                        $ops::store(s.as_mut_ptr().add(s_at(r, j + x)), sj);
+                                        *max = $ops::max(sj, *max);
+                                    }
                                 }
-                            }
-                            for (r, (acc, max)) in acc.into_iter().zip(&mut max).enumerate() {
-                                let sj = $ops::mul(acc, scale);
-                                $ops::store(s.as_mut_ptr().add(s_at(r, j)), sj);
-                                *max = $ops::max(sj, *max);
                             }
                         }
                         for (r, &max) in max.iter().enumerate().take(rows) {
@@ -302,17 +365,17 @@ macro_rules! attention_lanes_kernel {
                                 $ops::store_runs(s.as_ptr().add(s_at(r, 0)), probs.as_mut_ptr(), &p_base, i * t, t, live);
                             }
                         }
-                        // o[c] = Σ_j p_j · v_jc, over the chunk's Q.
-                        for c in 0..dk {
-                            let mut acc = [$ops::splat(0.0); ROWS];
-                            for j in 0..t {
-                                let vjc = $ops::load(vp.as_ptr().add(at(j, c)));
-                                for (r, acc) in acc.iter_mut().enumerate() {
-                                    *acc = $ops::fmadd($ops::load(s.as_ptr().add(s_at(r, j))), vjc, *acc);
+                        // o[c] = Σ_j p_j · v_jc, two columns a step (an
+                        // odd `dk`'s last alone), over the block's Q.
+                        for c in (0..dk).step_by(2) {
+                            let two = c + 1 < dk;
+                            let acc = block(s.as_ptr(), s_rows, 1, vp.as_ptr(), [c, c + 1], dk, t, two);
+                            for (x, acc) in acc.into_iter().enumerate() {
+                                if x == 0 || two {
+                                    for (r, acc) in acc.into_iter().enumerate() {
+                                        $ops::store(qp.as_mut_ptr().add(q_at(r, c + x)), acc);
+                                    }
                                 }
-                            }
-                            for (r, acc) in acc.into_iter().enumerate() {
-                                $ops::store(qp.as_mut_ptr().add(q_at(r, c)), acc);
                             }
                         }
                         for r in 0..rows {
@@ -351,14 +414,19 @@ pub(crate) unsafe fn attention_tiles(
     debug_assert_eq!(k.len(), grid.rows() * grid.width());
     debug_assert_eq!(v.len(), k.len());
     debug_assert!(scratch.len() >= grid.scratch_len());
-    // SAFETY: the caller's contract is each kernel's contract; Avx2/Avx512
-    // dispatch implies the features their kernels enable are present.
+    // SAFETY: the caller's contract is each kernel's contract (`block_rows`
+    // is 3 or 4); Avx2/Avx512 dispatch implies the features their kernels
+    // enable are present.
     unsafe {
-        match isa {
+        match (isa, block_rows(grid.tokens)) {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => super::avx2::attention_lanes(grid, qo, k, v, scratch, probs),
+            (Isa::Avx2, 3) => super::avx2::attention_lanes::<3>(grid, qo, k, v, scratch, probs),
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => super::avx512::attention_lanes(grid, qo, k, v, scratch, probs),
+            (Isa::Avx2, _) => super::avx2::attention_lanes::<4>(grid, qo, k, v, scratch, probs),
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx512, 3) => super::avx512::attention_lanes::<3>(grid, qo, k, v, scratch, probs),
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx512, _) => super::avx512::attention_lanes::<4>(grid, qo, k, v, scratch, probs),
             _ => super::scalar::attention_tiles(grid, qo, k, v, scratch, probs),
         }
     }
@@ -377,14 +445,51 @@ fn mul_add<const LANES: usize>(acc: &mut [f32; LANES], a: &[f32; LANES], b: &[f3
     *acc = sum;
 }
 
+/// One `R × 2` register block of a product of panels: for `x < 2` (`x = 0`
+/// alone unless `two`) and `r < R`, `Σ_κ a[a_rows[r] + κ·a_step] ·
+/// b[b_cols[x] + κ·b_step]` over `κ < n`, one accumulator per lane from
+/// `0.0` a sum, `κ` ascending, multiply then add. Every product of the
+/// attention backward is such blocks; `attention_backward_kernel!` has the
+/// same function in vector registers.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn block<const LANES: usize, const R: usize>(
+    a: &[[f32; LANES]],
+    a_rows: [usize; R],
+    a_step: usize,
+    b: &[[f32; LANES]],
+    b_cols: [usize; 2],
+    b_step: usize,
+    n: usize,
+    two: bool,
+) -> [[[f32; LANES]; R]; 2] {
+    let mut acc = [[[0.0f32; LANES]; R]; 2];
+    for kappa in 0..n {
+        let b0 = &b[b_cols[0] + kappa * b_step];
+        if two {
+            let b1 = &b[b_cols[1] + kappa * b_step];
+            for (r, &row) in a_rows.iter().enumerate() {
+                let a = &a[row + kappa * a_step];
+                mul_add(&mut acc[0][r], a, b0);
+                mul_add(&mut acc[1][r], a, b1);
+            }
+        } else {
+            for (r, &row) in a_rows.iter().enumerate() {
+                mul_add(&mut acc[0][r], &a[row + kappa * a_step], b0);
+            }
+        }
+    }
+    acc
+}
+
 /// The `[token][column][lane]` panels of one lane group of the attention
-/// backward: row `i·dk + c` of a `t × dk` panel (row `i·t + j` of `p`) is
-/// that element of every lane's tile, lane `λ` belonging to one tile
-/// throughout. Every kernel carves them with [`Self::new`], fills `inputs`
-/// and `p` its own way, and writes `grads` back out; in between the scalar
-/// kernel runs [`Self::backward`] and the lane kernels
-/// (`attention_backward_kernel!`) the same arithmetic, op for op, in vector
-/// registers.
+/// backward: row `i·dk + c` of a `t × dk` panel (row `i·t + j` of `p` and
+/// `ds`) is that element of every lane's tile, lane `λ` belonging to one
+/// tile throughout. Every kernel carves them with [`Self::new`], fills
+/// `inputs` and `p` its own way, and writes `grads` back out; in between
+/// the scalar kernel runs [`Self::backward`] and the lane kernels
+/// (`attention_backward_kernel!`) the same arithmetic, op for op and in the
+/// same loop nest, in vector registers.
 pub(super) struct Panels<'a, const LANES: usize> {
     t: usize,
     dk: usize,
@@ -394,7 +499,7 @@ pub(super) struct Panels<'a, const LANES: usize> {
     pub p: &'a mut [[f32; LANES]],
     /// dQ, dK and dV.
     pub grads: [&'a mut [[f32; LANES]]; 3],
-    /// Row `i` of dP, then of dS.
+    /// dP, then dS: `t × t`, like P.
     pub ds: &'a mut [[f32; LANES]],
 }
 
@@ -403,7 +508,7 @@ impl<'a, const LANES: usize> Panels<'a, LANES> {
     /// take, with the slack [`Self::new`] needs to start them on a 64-byte
     /// boundary.
     pub fn memory_len(t: usize, dk: usize) -> usize {
-        (7 * t * dk + t * t + t) * LANES + 15
+        (7 * t * dk + 2 * t * t) * LANES + 15
     }
 
     /// Carves the panels out of `memory` ([`Self::memory_len`] floats)
@@ -412,7 +517,7 @@ impl<'a, const LANES: usize> Panels<'a, LANES> {
     pub fn new(memory: &'a mut [f32], t: usize, dk: usize) -> Self {
         debug_assert!(t * dk > 0);
         let skip = memory.as_ptr().align_offset(64).min(15);
-        let rows = 7 * t * dk + t * t + t;
+        let rows = 7 * t * dk + 2 * t * t;
         let (rows, _) = memory[skip..][..rows * LANES].as_chunks_mut::<LANES>();
         let (tiles, rest) = rows.split_at_mut(7 * t * dk);
         let (p, ds) = rest.split_at_mut(t * t);
@@ -432,14 +537,20 @@ impl<'a, const LANES: usize> Panels<'a, LANES> {
     /// `grads`:
     ///
     /// ```text
-    /// dV = Pᵀ·dO    dP = dO·Vᵀ    dS = P ∘ (dP − rowsum(dP ∘ P)) · scale
-    /// dQ = dS·K     dK = dSᵀ·Q
+    /// dP = dO·Vᵀ    dS = P ∘ (dP − rowsum(dP ∘ P)) · scale
+    /// dQ = dS·K     dK = dSᵀ·Q    dV = Pᵀ·dO
     /// ```
     ///
-    /// Each sum is one accumulator per lane from `0.0` over an ascending
-    /// index, multiply then add; lanes never mix, so every lane computes
-    /// the same bits whatever its position. Non-finite inputs propagate by
-    /// IEEE rules: nothing is skipped or masked.
+    /// `R` query rows at a time ([`block_rows`]`(t)`), `dP` goes into the
+    /// `ds` panel two keys a step while each row's `rowsum(dP ∘ P)` follows
+    /// in key order, then becomes `dS` in place, and the rows' `dQ` follow
+    /// two columns a step; then `dK` and `dV`, `R` key rows by two columns
+    /// a block. Each sum is one accumulator per lane from `0.0` over an
+    /// ascending index, multiply then add ([`block`]), held until its
+    /// store; a short last block re-reads its last row and never stores
+    /// it. Lanes never mix, so every lane computes the same bits whatever
+    /// its position. Non-finite inputs propagate by IEEE rules: nothing is
+    /// skipped or masked.
     ///
     /// Safe rows suit the build's baseline (SSE2 on x86-64), where the
     /// compiler vectorises each row op across the lanes. Inlined under an
@@ -447,45 +558,66 @@ impl<'a, const LANES: usize> Panels<'a, LANES> {
     /// across panel rows instead — gathers and scatters on avx512,
     /// shuffles on avx2 — and ran at half the baseline's speed, which is
     /// why the lane kernels spell the ops out in vector registers.
-    pub fn backward(&mut self, scale: f32) {
+    pub fn backward<const R: usize>(&mut self, scale: f32) {
         let (t, dk) = (self.t, self.dk);
-        let zero = [0.0f32; LANES];
         let [qp, kp, vp, gp] = &self.inputs;
         let [dqp, dkp, dvp] = &mut self.grads;
         let (pp, ds) = (&*self.p, &mut *self.ds);
-        dkp.fill(zero);
-        dvp.fill(zero);
-        for i in 0..t {
-            let (g_i, q_i) = (&gp[i * dk..][..dk], &qp[i * dk..][..dk]);
-            let p_i = &pp[i * t..][..t];
-            for (j, dp) in ds.iter_mut().enumerate() {
-                let mut acc = zero;
-                for (g, v) in g_i.iter().zip(&vp[j * dk..][..dk]) {
-                    mul_add(&mut acc, g, v);
-                }
-                *dp = acc;
-            }
-            let mut sum = zero;
-            for (dp, p) in ds.iter().zip(p_i) {
-                mul_add(&mut sum, dp, p);
-            }
-            for (dp, p) in ds.iter_mut().zip(p_i) {
-                for lane in 0..LANES {
-                    dp[lane] = p[lane] * (dp[lane] - sum[lane]) * scale;
+        // Stores the first `live` rows of a block, row `r` at `at[r] + x`
+        // for its columns `x` (`x = 0` alone unless `two`).
+        let store = |out: &mut [[f32; LANES]],
+                     at: [usize; R],
+                     live: usize,
+                     acc: [[[f32; LANES]; R]; 2],
+                     two: bool| {
+            for (x, acc) in acc.iter().enumerate().take(1 + two as usize) {
+                for (&at, acc) in at.iter().zip(acc).take(live) {
+                    out[at + x] = *acc;
                 }
             }
-            for (c, dq) in dqp[i * dk..][..dk].iter_mut().enumerate() {
-                let mut acc = zero;
-                for (j, s) in ds.iter().enumerate() {
-                    mul_add(&mut acc, s, &kp[j * dk + c]);
+        };
+        for i0 in (0..t).step_by(R) {
+            let (is, live) = rows::<R>(t, i0);
+            let mut sum = [[0.0f32; LANES]; R];
+            for j in (0..t).step_by(2) {
+                let two = j + 1 < t;
+                let acc = block(
+                    gp,
+                    is.map(|i| i * dk),
+                    1,
+                    vp,
+                    [j * dk, (j + 1) * dk],
+                    1,
+                    dk,
+                    two,
+                );
+                for (x, acc) in acc.iter().enumerate().take(1 + two as usize) {
+                    for (r, dp) in acc.iter().enumerate() {
+                        mul_add(&mut sum[r], dp, &pp[is[r] * t + j + x]);
+                    }
                 }
-                *dq = acc;
+                store(ds, is.map(|i| i * t + j), live, acc, two);
             }
-            for (j, (s, p)) in ds.iter().zip(p_i).enumerate() {
-                let (dk_j, dv_j) = (&mut dkp[j * dk..][..dk], &mut dvp[j * dk..][..dk]);
-                for c in 0..dk {
-                    mul_add(&mut dk_j[c], s, &q_i[c]);
-                    mul_add(&mut dv_j[c], p, &g_i[c]);
+            for (&i, sum) in is.iter().zip(&sum).take(live) {
+                for (dp, p) in ds[i * t..][..t].iter_mut().zip(&pp[i * t..][..t]) {
+                    for lane in 0..LANES {
+                        dp[lane] = p[lane] * (dp[lane] - sum[lane]) * scale;
+                    }
+                }
+            }
+            for c in (0..dk).step_by(2) {
+                let two = c + 1 < dk;
+                let acc = block(ds, is.map(|i| i * t), 1, kp, [c, c + 1], dk, t, two);
+                store(dqp, is.map(|i| i * dk + c), live, acc, two);
+            }
+        }
+        for j0 in (0..t).step_by(R) {
+            let (js, live) = rows::<R>(t, j0);
+            for (out, a, b) in [(&mut **dkp, &*ds, qp), (&mut **dvp, pp, gp)] {
+                for c in (0..dk).step_by(2) {
+                    let two = c + 1 < dk;
+                    let acc = block(a, js, t, b, [c, c + 1], dk, t, two);
+                    store(out, js.map(|j| j * dk + c), live, acc, two);
                 }
             }
         }
@@ -500,19 +632,19 @@ impl<'a, const LANES: usize> Panels<'a, LANES> {
 /// turned lane-major by in-register transposes, as the forward's Q, K and V
 /// do) and its gradient rows come out through `store_runs`, the inverse —
 /// no element is gathered or emitted one at a time. The arithmetic is
-/// [`Panels::backward`]'s op for op, each `acc[λ] += a[λ]·b[λ]` an
-/// `add(acc, mul(a, b))` (never an FMA), so a lane computes exactly the
-/// scalar kernel's chain. Dead lanes of a ragged last group alias the last
-/// live tile (valid reads) and are never written.
+/// [`Panels::backward`]'s op for op in its loop nest, each `acc[λ] +=
+/// a[λ]·b[λ]` an `add(acc, mul(a, b))` (never an FMA), so a lane computes
+/// exactly the scalar kernel's chain. Dead lanes of a ragged last group
+/// alias the last live tile (valid reads) and are never written.
 macro_rules! attention_backward_kernel {
     ($(#[$attr:meta])* $ops:ident) => {
         /// The attention backward of every tile of `grid`, `LANES` tiles a
-        /// group (see `linalg::attention_backward_into_with_isa` for the
-        /// buffers): `dQ | dK | dV` into `d_qkv`, `[rows, 3·width]`, at
-        /// column offsets `0`, `width` and `2·width`, every element
-        /// overwritten.
+        /// group and `R` rows a register block (see
+        /// `linalg::attention_backward_into_with_isa` for the buffers):
+        /// `dQ | dK | dV` into `d_qkv`, `[rows, 3·width]`, at column
+        /// offsets `0`, `width` and `2·width`, every element overwritten.
         $(#[$attr])*
-        pub fn attention_backward_lanes(
+        pub fn attention_backward_lanes<const R: usize>(
             grid: &crate::simd::AttnGrid,
             inputs: [&[f32]; 4],
             p: &[f32],
@@ -558,9 +690,11 @@ macro_rules! attention_backward_kernel {
                 // which·width` of `d_qkv`, its own tile's segment of gradient
                 // `which` in the `[rows, 3·width]` layout, inside `3·len`
                 // floats. Panel rows `at(i·dk + c)` (`i < t`, `c < dk`) stay
-                // inside the `t·dk`-row panels, `at(i·t + j)` inside `pp`
-                // and `at(j)` (`j < t`) inside `ds`, all carved from `memory`
-                // by `Panels::new`, which nothing else touches meanwhile.
+                // inside the `t·dk`-row panels and `at(i·t + j)` (`i, j < t`)
+                // inside `pp` and `ds` — every row index `rows` hands out is
+                // below `t`, and a second column `c + 1` or key `j + 1` is
+                // read only when it is — all carved from `memory` by
+                // `Panels::new`, which nothing else touches meanwhile.
                 unsafe {
                     for i in 0..t {
                         for (panel, src) in [qp, kp, vp, gp].into_iter().zip(inputs) {
@@ -568,44 +702,85 @@ macro_rules! attention_backward_kernel {
                         }
                     }
                     $ops::load_runs(p.as_ptr(), &p_base, 0, t * t, pp);
-                    // `Panels::backward`, op for op: every sum one
-                    // accumulator per lane from `0.0` over an ascending
-                    // index, `add(acc, mul(a, b))`.
+                    // `Panels::backward`, op for op and loop for loop: every
+                    // sum one accumulator per lane from `0.0` over an
+                    // ascending index, `add(acc, mul(a, b))`, held in a
+                    // register until its store.
                     let get = |panel: *mut f32, r: usize| $ops::load(panel.add(at(r)));
                     let put = |panel: *mut f32, r: usize, x| $ops::store(panel.add(at(r)), x);
-                    for r in 0..t * dk {
-                        put(dkp, r, zero);
-                        put(dvp, r, zero);
+                    // `attention::block` in vector registers.
+                    let block = |a: *mut f32,
+                                 a_rows: [usize; R],
+                                 a_step: usize,
+                                 b: *mut f32,
+                                 b_cols: [usize; 2],
+                                 b_step: usize,
+                                 n: usize,
+                                 two: bool| {
+                        let mut acc = [[zero; R]; 2];
+                        for kappa in 0..n {
+                            let b0 = get(b, b_cols[0] + kappa * b_step);
+                            if two {
+                                let b1 = get(b, b_cols[1] + kappa * b_step);
+                                for (r, &row) in a_rows.iter().enumerate() {
+                                    let a = get(a, row + kappa * a_step);
+                                    acc[0][r] = $ops::add(acc[0][r], $ops::mul(a, b0));
+                                    acc[1][r] = $ops::add(acc[1][r], $ops::mul(a, b1));
+                                }
+                            } else {
+                                for (r, &row) in a_rows.iter().enumerate() {
+                                    let a = get(a, row + kappa * a_step);
+                                    acc[0][r] = $ops::add(acc[0][r], $ops::mul(a, b0));
+                                }
+                            }
+                        }
+                        acc
+                    };
+                    let store = |out: *mut f32, at: [usize; R], live: usize, acc: [[$ops::V; R]; 2], two: bool| {
+                        for (x, acc) in acc.into_iter().enumerate() {
+                            if x == 0 || two {
+                                for (r, acc) in acc.into_iter().enumerate() {
+                                    if r < live {
+                                        put(out, at[r] + x, acc);
+                                    }
+                                }
+                            }
+                        }
+                    };
+                    for i0 in (0..t).step_by(R) {
+                        let (is, live) = crate::simd::attention::rows::<R>(t, i0);
+                        let mut sum = [zero; R];
+                        for j in (0..t).step_by(2) {
+                            let two = j + 1 < t;
+                            let acc = block(gp, is.map(|i| i * dk), 1, vp, [j * dk, (j + 1) * dk], 1, dk, two);
+                            for (x, acc) in acc.into_iter().enumerate() {
+                                if x == 0 || two {
+                                    for (r, dp) in acc.into_iter().enumerate() {
+                                        sum[r] = $ops::add(sum[r], $ops::mul(dp, get(pp, is[r] * t + j + x)));
+                                    }
+                                }
+                            }
+                            store(ds, is.map(|i| i * t + j), live, acc, two);
+                        }
+                        for (&i, &sum) in is.iter().zip(&sum).take(live) {
+                            for at in i * t..(i + 1) * t {
+                                let dp = $ops::sub(get(ds, at), sum);
+                                put(ds, at, $ops::mul($ops::mul(get(pp, at), dp), scale));
+                            }
+                        }
+                        for c in (0..dk).step_by(2) {
+                            let two = c + 1 < dk;
+                            let acc = block(ds, is.map(|i| i * t), 1, kp, [c, c + 1], dk, t, two);
+                            store(dqp, is.map(|i| i * dk + c), live, acc, two);
+                        }
                     }
-                    for i in 0..t {
-                        for j in 0..t {
-                            let mut acc = zero;
-                            for c in 0..dk {
-                                acc = $ops::add(acc, $ops::mul(get(gp, i * dk + c), get(vp, j * dk + c)));
-                            }
-                            put(ds, j, acc);
-                        }
-                        let mut sum = zero;
-                        for j in 0..t {
-                            sum = $ops::add(sum, $ops::mul(get(ds, j), get(pp, i * t + j)));
-                        }
-                        for j in 0..t {
-                            let dp = $ops::sub(get(ds, j), sum);
-                            put(ds, j, $ops::mul($ops::mul(get(pp, i * t + j), dp), scale));
-                        }
-                        for c in 0..dk {
-                            let mut acc = zero;
-                            for j in 0..t {
-                                acc = $ops::add(acc, $ops::mul(get(ds, j), get(kp, j * dk + c)));
-                            }
-                            put(dqp, i * dk + c, acc);
-                        }
-                        for j in 0..t {
-                            let (s, p) = (get(ds, j), get(pp, i * t + j));
-                            for c in 0..dk {
-                                let r = j * dk + c;
-                                put(dkp, r, $ops::add(get(dkp, r), $ops::mul(s, get(qp, i * dk + c))));
-                                put(dvp, r, $ops::add(get(dvp, r), $ops::mul(p, get(gp, i * dk + c))));
+                    for j0 in (0..t).step_by(R) {
+                        let (js, live) = crate::simd::attention::rows::<R>(t, j0);
+                        for (out, a, b) in [(dkp, ds, qp), (dvp, pp, gp)] {
+                            for c in (0..dk).step_by(2) {
+                                let two = c + 1 < dk;
+                                let acc = block(a, js, t, b, [c, c + 1], dk, t, two);
+                                store(out, js.map(|j| j * dk + c), live, acc, two);
                             }
                         }
                     }
@@ -645,11 +820,19 @@ pub(crate) fn attention_backward_tiles(
     // SAFETY: Avx2/Avx512 dispatch implies the features their kernels
     // enable are present.
     unsafe {
-        match isa {
+        match (isa, block_rows(grid.tokens)) {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => super::avx2::attention_backward_lanes(grid, inputs, p, d_qkv),
+            (Isa::Avx2, 3) => super::avx2::attention_backward_lanes::<3>(grid, inputs, p, d_qkv),
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => super::avx512::attention_backward_lanes(grid, inputs, p, d_qkv),
+            (Isa::Avx2, _) => super::avx2::attention_backward_lanes::<4>(grid, inputs, p, d_qkv),
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx512, 3) => {
+                super::avx512::attention_backward_lanes::<3>(grid, inputs, p, d_qkv)
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx512, _) => {
+                super::avx512::attention_backward_lanes::<4>(grid, inputs, p, d_qkv)
+            }
             _ => super::scalar::attention_backward_tiles(grid, inputs, p, d_qkv),
         }
     }

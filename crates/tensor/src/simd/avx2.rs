@@ -270,43 +270,59 @@ fn hsum_pd(v: __m256d) -> f64 {
 // Layer norm
 // -------------------------------------------------------------------------
 
-/// Mean and inverse standard deviation of one row: two passes, four f64
-/// lanes each, scalar tails summed after the lane fold.
+/// Mean and inverse standard deviation of `N` rows of one width: per row two
+/// passes, four f64 lanes each, scalar tails summed after the lane fold.
+/// The rows' chains interleave, step for step, so one row's add latency
+/// hides behind the others'; each row's own chain is the one-row chain
+/// (`N = 1`), op for op.
 #[target_feature(enable = "avx2,fma")]
-pub fn layer_norm_row_stats(row: &[f32], eps: f32) -> (f64, f64) {
-    let w = row.len();
+fn layer_norm_stats<const N: usize>(rows: [&[f32]; N], eps: f32) -> [(f64, f64); N] {
+    let w = rows[0].len();
+    debug_assert!(rows.iter().all(|row| row.len() == w));
     let body = w - w % 4;
-    // SAFETY: offsets stay below `body <= w`.
+    let mut stats = [(0.0, 0.0); N];
+    // SAFETY: every row holds `w` floats; offsets stay below `body <= w`.
     unsafe {
-        let mut acc = _mm256_setzero_pd();
+        let mut acc = [_mm256_setzero_pd(); N];
         let mut j = 0;
         while j < body {
-            acc = _mm256_add_pd(acc, _mm256_cvtps_pd(_mm_loadu_ps(row.as_ptr().add(j))));
+            for (acc, row) in acc.iter_mut().zip(rows) {
+                *acc = _mm256_add_pd(*acc, _mm256_cvtps_pd(_mm_loadu_ps(row.as_ptr().add(j))));
+            }
             j += 4;
         }
-        let mut sum = hsum_pd(acc);
-        for &x in &row[body..] {
-            sum += x as f64;
+        let mut meanv = [_mm256_setzero_pd(); N];
+        for r in 0..N {
+            let mut sum = hsum_pd(acc[r]);
+            for &x in &rows[r][body..] {
+                sum += x as f64;
+            }
+            stats[r].0 = sum / w as f64;
+            meanv[r] = _mm256_set1_pd(stats[r].0);
         }
-        let mean = sum / w as f64;
 
-        let meanv = _mm256_set1_pd(mean);
-        let mut vacc = _mm256_setzero_pd();
+        let mut vacc = [_mm256_setzero_pd(); N];
         let mut j = 0;
         while j < body {
-            let d = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(row.as_ptr().add(j))), meanv);
-            vacc = _mm256_add_pd(vacc, _mm256_mul_pd(d, d));
+            for r in 0..N {
+                let x = _mm256_cvtps_pd(_mm_loadu_ps(rows[r].as_ptr().add(j)));
+                let d = _mm256_sub_pd(x, meanv[r]);
+                vacc[r] = _mm256_add_pd(vacc[r], _mm256_mul_pd(d, d));
+            }
             j += 4;
         }
-        let mut var_sum = hsum_pd(vacc);
-        for &x in &row[body..] {
-            let d = x as f64 - mean;
-            var_sum += d * d;
+        for r in 0..N {
+            let (mean, istd) = &mut stats[r];
+            let mut var_sum = hsum_pd(vacc[r]);
+            for &x in &rows[r][body..] {
+                let d = x as f64 - *mean;
+                var_sum += d * d;
+            }
+            let var = var_sum / w as f64;
+            *istd = 1.0 / (var + eps as f64).sqrt();
         }
-        let var = var_sum / w as f64;
-        let istd = 1.0 / (var + eps as f64).sqrt();
-        (mean, istd)
     }
+    stats
 }
 
 /// Normalizes one row given its statistics. Element-wise f64 arithmetic
@@ -371,9 +387,10 @@ pub fn layer_norm_normalize_row(
 }
 
 /// Layer norm over consecutive rows of width `gamma.len()` — statistics
-/// then normalize per row, the row loop inside the target-feature function
-/// so both row kernels inline. `saved` receives `(xhat, inv_std)` for the
-/// tape's backward pass.
+/// then normalize, four rows at a time ([`layer_norm_stats`]) and a ragged
+/// last one to three one at a time, the row loop inside the target-feature
+/// function so the row kernels inline. `saved` receives `(xhat, inv_std)`
+/// for the tape's backward pass.
 #[target_feature(enable = "avx2,fma")]
 pub fn layer_norm_rows(
     x: &[f32],
@@ -383,79 +400,153 @@ pub fn layer_norm_rows(
     y: &mut [f32],
     mut saved: Option<(&mut [f32], &mut [f32])>,
 ) {
-    let w = gamma.len();
-    for (r, (row, y_row)) in x.chunks_exact(w).zip(y.chunks_exact_mut(w)).enumerate() {
-        let (mean, istd) = layer_norm_row_stats(row, eps);
-        let xhat = saved.as_mut().map(|(xhat, inv_std)| {
-            inv_std[r] = istd as f32;
-            &mut xhat[r * w..(r + 1) * w]
-        });
-        layer_norm_normalize_row(row, mean, istd, gamma, beta, y_row, xhat);
+    let rows = x.len() / gamma.len();
+    let grouped = rows - rows % 4;
+    for first in (0..grouped).step_by(4) {
+        layer_norm_group::<4>(first, x, gamma, beta, eps, y, &mut saved);
+    }
+    for first in grouped..rows {
+        layer_norm_group::<1>(first, x, gamma, beta, eps, y, &mut saved);
     }
 }
 
-/// Layer-norm backward for one row: four-lane f64 row sums (relaxed),
-/// element-wise `dx` in scalar operation order, vectorized
-/// `dgamma`/`dbeta` accumulation (element-wise, bit-exact).
+/// Rows `first..first + N` of [`layer_norm_rows`].
 #[target_feature(enable = "avx2,fma")]
-pub fn layer_norm_backward_row(
+fn layer_norm_group<const N: usize>(
+    first: usize,
+    x: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    y: &mut [f32],
+    saved: &mut Option<(&mut [f32], &mut [f32])>,
+) {
+    let w = gamma.len();
+    let rows: [&[f32]; N] = std::array::from_fn(|r| &x[(first + r) * w..][..w]);
+    for (r, (row, (mean, istd))) in rows
+        .into_iter()
+        .zip(layer_norm_stats(rows, eps))
+        .enumerate()
+    {
+        let at = (first + r) * w;
+        let xhat = saved.as_mut().map(|(xhat, inv_std)| {
+            inv_std[first + r] = istd as f32;
+            &mut xhat[at..at + w]
+        });
+        layer_norm_normalize_row(row, mean, istd, gamma, beta, &mut y[at..at + w], xhat);
+    }
+}
+
+/// Layer-norm backward over consecutive rows of width `gamma.len()`, one
+/// `inv_std` each: four rows at a time ([`layer_norm_backward_group`]) and
+/// a ragged last one to three one at a time, accumulating into the caller's
+/// `dgamma`/`dbeta` partials row after row.
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+pub fn layer_norm_backward_rows(
     xhat: &[f32],
-    istd: f32,
+    inv_std: &[f32],
     gamma: &[f32],
     g: &[f32],
     dx: &mut [f32],
     dgamma: &mut [f32],
     dbeta: &mut [f32],
 ) {
-    let w = xhat.len();
+    let rows = inv_std.len();
+    let grouped = rows - rows % 4;
+    for first in (0..grouped).step_by(4) {
+        layer_norm_backward_group::<4>(first, xhat, inv_std, gamma, g, dx, dgamma, dbeta);
+    }
+    for first in grouped..rows {
+        layer_norm_backward_group::<1>(first, xhat, inv_std, gamma, g, dx, dgamma, dbeta);
+    }
+}
+
+/// Layer-norm backward for rows `first..first + N`: per row four-lane f64
+/// row sums (relaxed), element-wise `dx` in scalar operation order, and
+/// vectorized `dgamma`/`dbeta` accumulation (element-wise, bit-exact) that
+/// adds the rows in ascending order. The rows' sum chains interleave, step
+/// for step; each row's own chain is the one-row chain (`N = 1`), op for op.
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+fn layer_norm_backward_group<const N: usize>(
+    first: usize,
+    xhat: &[f32],
+    inv_std: &[f32],
+    gamma: &[f32],
+    g: &[f32],
+    dx: &mut [f32],
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    let w = gamma.len();
     let body = w - w % 4;
-    // SAFETY: offsets stay below `body <= w`; all slices have length w.
+    let xh: [&[f32]; N] = std::array::from_fn(|r| &xhat[(first + r) * w..][..w]);
+    let gs: [&[f32]; N] = std::array::from_fn(|r| &g[(first + r) * w..][..w]);
+    let (dgamma, dbeta, dx) = (
+        &mut dgamma[..w],
+        &mut dbeta[..w],
+        &mut dx[first * w..][..N * w],
+    );
+    let (mut c1, mut c2) = ([0.0f32; N], [0.0f32; N]);
+    // SAFETY: every row slice, `gamma`, `dgamma`, `dbeta` and each row of
+    // `dx` hold `w` floats; offsets stay below `body <= w`.
     unsafe {
-        let mut acc_dy = _mm256_setzero_pd();
-        let mut acc_dyxh = _mm256_setzero_pd();
+        let mut acc_dy = [_mm256_setzero_pd(); N];
+        let mut acc_dyxh = [_mm256_setzero_pd(); N];
         let mut j = 0;
         while j < body {
-            let gv = _mm_loadu_ps(g.as_ptr().add(j));
             let gam = _mm_loadu_ps(gamma.as_ptr().add(j));
-            let xh = _mm_loadu_ps(xhat.as_ptr().add(j));
-            let dy = _mm_mul_ps(gv, gam);
-            acc_dy = _mm256_add_pd(acc_dy, _mm256_cvtps_pd(dy));
-            acc_dyxh = _mm256_add_pd(acc_dyxh, _mm256_cvtps_pd(_mm_mul_ps(dy, xh)));
-            let dg = _mm_add_ps(_mm_loadu_ps(dgamma.as_ptr().add(j)), _mm_mul_ps(gv, xh));
+            let mut dg = _mm_loadu_ps(dgamma.as_ptr().add(j));
+            let mut db = _mm_loadu_ps(dbeta.as_ptr().add(j));
+            for r in 0..N {
+                let gv = _mm_loadu_ps(gs[r].as_ptr().add(j));
+                let xv = _mm_loadu_ps(xh[r].as_ptr().add(j));
+                let dy = _mm_mul_ps(gv, gam);
+                acc_dy[r] = _mm256_add_pd(acc_dy[r], _mm256_cvtps_pd(dy));
+                acc_dyxh[r] = _mm256_add_pd(acc_dyxh[r], _mm256_cvtps_pd(_mm_mul_ps(dy, xv)));
+                dg = _mm_add_ps(dg, _mm_mul_ps(gv, xv));
+                db = _mm_add_ps(db, gv);
+            }
             _mm_storeu_ps(dgamma.as_mut_ptr().add(j), dg);
-            let db = _mm_add_ps(_mm_loadu_ps(dbeta.as_ptr().add(j)), gv);
             _mm_storeu_ps(dbeta.as_mut_ptr().add(j), db);
             j += 4;
         }
-        let mut sum_dy = hsum_pd(acc_dy);
-        let mut sum_dy_xhat = hsum_pd(acc_dyxh);
-        for j in body..w {
-            let dy = g[j] * gamma[j];
-            sum_dy += dy as f64;
-            sum_dy_xhat += (dy * xhat[j]) as f64;
-            dgamma[j] += g[j] * xhat[j];
-            dbeta[j] += g[j];
+        for r in 0..N {
+            let (g, xhat) = (gs[r], xh[r]);
+            let mut sum_dy = hsum_pd(acc_dy[r]);
+            let mut sum_dy_xhat = hsum_pd(acc_dyxh[r]);
+            for j in body..w {
+                let dy = g[j] * gamma[j];
+                sum_dy += dy as f64;
+                sum_dy_xhat += (dy * xhat[j]) as f64;
+                dgamma[j] += g[j] * xhat[j];
+                dbeta[j] += g[j];
+            }
+            c1[r] = (sum_dy / w as f64) as f32;
+            c2[r] = (sum_dy_xhat / w as f64) as f32;
         }
-        let c1 = (sum_dy / w as f64) as f32;
-        let c2 = (sum_dy_xhat / w as f64) as f32;
-        let c1v = _mm_set1_ps(c1);
-        let c2v = _mm_set1_ps(c2);
-        let iv = _mm_set1_ps(istd);
-        let mut j = 0;
-        while j < body {
-            let dy = _mm_mul_ps(
-                _mm_loadu_ps(g.as_ptr().add(j)),
-                _mm_loadu_ps(gamma.as_ptr().add(j)),
-            );
-            let xh = _mm_loadu_ps(xhat.as_ptr().add(j));
-            // istd * (dy - c1 - xh*c2) in the scalar op order: sub, sub, mul.
-            let t = _mm_sub_ps(_mm_sub_ps(dy, c1v), _mm_mul_ps(xh, c2v));
-            _mm_storeu_ps(dx.as_mut_ptr().add(j), _mm_mul_ps(iv, t));
-            j += 4;
-        }
-        for j in body..w {
-            let dy = g[j] * gamma[j];
-            dx[j] = istd * (dy - c1 - xhat[j] * c2);
+        for (r, dx) in dx.chunks_exact_mut(w).enumerate() {
+            let (g, xhat, istd) = (gs[r], xh[r], inv_std[first + r]);
+            let c1v = _mm_set1_ps(c1[r]);
+            let c2v = _mm_set1_ps(c2[r]);
+            let iv = _mm_set1_ps(istd);
+            let mut j = 0;
+            while j < body {
+                let dy = _mm_mul_ps(
+                    _mm_loadu_ps(g.as_ptr().add(j)),
+                    _mm_loadu_ps(gamma.as_ptr().add(j)),
+                );
+                let xh = _mm_loadu_ps(xhat.as_ptr().add(j));
+                // istd * (dy - c1 - xh*c2) in the scalar op order: sub, sub, mul.
+                let t = _mm_sub_ps(_mm_sub_ps(dy, c1v), _mm_mul_ps(xh, c2v));
+                _mm_storeu_ps(dx.as_mut_ptr().add(j), _mm_mul_ps(iv, t));
+                j += 4;
+            }
+            for j in body..w {
+                let dy = g[j] * gamma[j];
+                dx[j] = istd * (dy - c1[r] - xhat[j] * c2[r]);
+            }
         }
     }
 }

@@ -404,7 +404,9 @@ pub fn softmax_rows(isa: Isa, src: &[f32], dst: &mut [f32], w: usize) {
 /// step is element-wise, identical on every ISA given equal statistics.
 /// `saved`, when provided, receives `(xhat, inv_std)` (one `inv_std` per
 /// row) for the tape's backward pass. As with [`softmax_rows`], the row
-/// loop lives inside the per-ISA function.
+/// loop lives inside the per-ISA function; avx2 runs four rows' statistics
+/// chains at once, each row's chain unchanged, so a row's bits do not
+/// depend on its neighbours.
 pub fn layer_norm_rows(
     isa: Isa,
     x: &[f32],
@@ -427,31 +429,40 @@ pub fn layer_norm_rows(
     }
 }
 
-/// Layer-norm backward over one row: writes `dx`, accumulates `dgamma` and
-/// `dbeta` (callers pass per-chunk partial buffers that fold in ascending
-/// chunk order exactly as before). The per-row `sum_dy`/`sum_dy·xhat`
-/// reductions relax to lane-parallel f64 on avx2; the element-wise `dx`
-/// arithmetic keeps the scalar operation order on every ISA.
+/// Layer-norm backward over consecutive rows of width `w = gamma.len()`,
+/// one `inv_std` each: writes `dx`, accumulates `dgamma` and `dbeta` row
+/// after row in ascending order (callers pass per-chunk partial buffers
+/// that fold in ascending chunk order). The per-row `sum_dy`/`sum_dy·xhat`
+/// reductions relax to lane-parallel f64 on avx2, four rows' chains at
+/// once; the element-wise `dx` arithmetic keeps the scalar operation order
+/// on every ISA.
 #[allow(clippy::too_many_arguments)]
-pub fn layer_norm_backward_row(
+pub fn layer_norm_backward_rows(
     isa: Isa,
     xhat: &[f32],
-    istd: f32,
+    inv_std: &[f32],
     gamma: &[f32],
     g: &[f32],
     dx: &mut [f32],
     dgamma: &mut [f32],
     dbeta: &mut [f32],
 ) {
+    let len = inv_std.len() * gamma.len();
+    assert!(
+        xhat.len() == len && g.len() == len && dx.len() == len,
+        "layer norm backward rows disagree with their {} inv_std entries",
+        inv_std.len()
+    );
+    assert!(dgamma.len() == gamma.len() && dbeta.len() == gamma.len());
     match isa {
-        Isa::Scalar => scalar::layer_norm_backward_row(xhat, istd, gamma, g, dx, dgamma, dbeta),
+        Isa::Scalar => scalar::layer_norm_backward_rows(xhat, inv_std, gamma, g, dx, dgamma, dbeta),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2/Avx512 dispatch implies avx2+fma are available.
         Isa::Avx2 | Isa::Avx512 => unsafe {
-            avx2::layer_norm_backward_row(xhat, istd, gamma, g, dx, dgamma, dbeta)
+            avx2::layer_norm_backward_rows(xhat, inv_std, gamma, g, dx, dgamma, dbeta)
         },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::layer_norm_backward_row(xhat, istd, gamma, g, dx, dgamma, dbeta),
+        _ => scalar::layer_norm_backward_rows(xhat, inv_std, gamma, g, dx, dgamma, dbeta),
     }
 }
 

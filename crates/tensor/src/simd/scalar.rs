@@ -161,9 +161,35 @@ pub fn layer_norm_rows(
     }
 }
 
+/// [`layer_norm_backward_row`] over consecutive rows of width
+/// `gamma.len()`, one `inv_std` each, in row order.
+pub fn layer_norm_backward_rows(
+    xhat: &[f32],
+    inv_std: &[f32],
+    gamma: &[f32],
+    g: &[f32],
+    dx: &mut [f32],
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    let w = gamma.len();
+    for (r, &istd) in inv_std.iter().enumerate() {
+        let at = r * w..(r + 1) * w;
+        layer_norm_backward_row(
+            &xhat[at.clone()],
+            istd,
+            gamma,
+            &g[at.clone()],
+            &mut dx[at],
+            dgamma,
+            dbeta,
+        );
+    }
+}
+
 /// Layer-norm backward for one row: serial f64 row sums, element-wise
 /// `dx`, and `dgamma`/`dbeta` accumulation into the caller's partials.
-pub fn layer_norm_backward_row(
+fn layer_norm_backward_row(
     xhat: &[f32],
     istd: f32,
     gamma: &[f32],
@@ -296,7 +322,7 @@ pub fn attention_backward_tiles(
     p: &[f32],
     d_qkv: &mut [f32],
 ) {
-    use super::attention::{Panels, MAX_LANES as LANES};
+    use super::attention::{block_rows, Panels, MAX_LANES as LANES};
     let (t, dk, tiles, width) = (grid.tokens, grid.head_dim, grid.tiles(), grid.width());
     if grid.rows() * width == 0 {
         return;
@@ -320,7 +346,11 @@ pub fn attention_backward_tiles(
             }
             set_lane(panels.p, lane, &p[(group + lane) * t * t..][..t * t]);
         }
-        panels.backward(scale);
+        if block_rows(t) == 3 {
+            panels.backward::<3>(scale);
+        } else {
+            panels.backward::<4>(scale);
+        }
         for lane in 0..live {
             let base = grid.tile_base_in(group + lane, 3 * width);
             for i in 0..t {

@@ -227,6 +227,89 @@ fn layer_norm_oracle_agreement_and_determinism_per_isa() {
 }
 
 #[test]
+fn layer_norm_rows_do_not_depend_on_their_neighbours() {
+    // The row kernels run rows in groups (four at a time on avx2, a ragged
+    // rest one at a time): every row's forward and `dx` must be bitwise what
+    // a call on that row alone gives, for every group remainder and across
+    // the backward's chunk boundaries (257 rows), at HIM's width and at one
+    // with a tail past the four-lane body. `dgamma` / `dbeta` must add the
+    // rows in ascending order within each `max(4096 / w, 1)`-row chunk and
+    // the chunks in ascending order: per element a multiply then an add,
+    // so one reference holds every ISA.
+    for w in [72usize, 33] {
+        let gamma = randn(&[w], 0xB00 + w as u64);
+        let beta = randn(&[w], 0xB01 + w as u64);
+        for rows in (1..=9).chain([257]) {
+            let x = randn(&[rows, w], 0xB10 + rows as u64);
+            let g = randn(&[rows, w], 0xB20 + rows as u64);
+            let row = |a: &NdArray, r: usize| {
+                NdArray::from_vec([1, w], a.as_slice()[r * w..(r + 1) * w].to_vec())
+            };
+            for isa in Isa::available() {
+                let what = format!("{} [{rows}, {w}]", isa.label());
+                let y_nd = linalg::layer_norm_last_nd_with_isa(&x, &gamma, &beta, 1e-5, isa);
+                let (y, xhat, inv_std) =
+                    linalg::layer_norm_forward_last_with_isa(&x, &gamma, &beta, 1e-5, isa);
+                let (dx, dgamma, dbeta) =
+                    linalg::layer_norm_backward_last_with_isa(&xhat, &inv_std, &gamma, &g, isa);
+                for r in 0..rows {
+                    let (y1, xhat1, inv_std1) = linalg::layer_norm_forward_last_with_isa(
+                        &row(&x, r),
+                        &gamma,
+                        &beta,
+                        1e-5,
+                        isa,
+                    );
+                    let (dx1, _, _) = linalg::layer_norm_backward_last_with_isa(
+                        &xhat1,
+                        &inv_std1,
+                        &gamma,
+                        &row(&g, r),
+                        isa,
+                    );
+                    let what = format!("{what} row {r}");
+                    assert_bits_eq(
+                        row(&y_nd, r).as_slice(),
+                        y1.as_slice(),
+                        &format!("y_nd {what}"),
+                    );
+                    assert_bits_eq(row(&y, r).as_slice(), y1.as_slice(), &format!("y {what}"));
+                    assert_bits_eq(
+                        row(&xhat, r).as_slice(),
+                        xhat1.as_slice(),
+                        &format!("xhat {what}"),
+                    );
+                    assert_bits_eq(&inv_std[r..=r], &inv_std1, &format!("inv_std {what}"));
+                    assert_bits_eq(
+                        row(&dx, r).as_slice(),
+                        dx1.as_slice(),
+                        &format!("dx {what}"),
+                    );
+                }
+                let (mut want_dgamma, mut want_dbeta) = (vec![0.0f32; w], vec![0.0f32; w]);
+                let grain = (4096 / w).max(1);
+                for start in (0..rows).step_by(grain) {
+                    let (mut part_gamma, mut part_beta) = (vec![0.0f32; w], vec![0.0f32; w]);
+                    for r in start..(start + grain).min(rows) {
+                        let (g, xhat) = (row(&g, r), row(&xhat, r));
+                        for j in 0..w {
+                            part_gamma[j] += g.as_slice()[j] * xhat.as_slice()[j];
+                            part_beta[j] += g.as_slice()[j];
+                        }
+                    }
+                    for j in 0..w {
+                        want_dgamma[j] += part_gamma[j];
+                        want_dbeta[j] += part_beta[j];
+                    }
+                }
+                assert_bits_eq(dgamma.as_slice(), &want_dgamma, &format!("dgamma {what}"));
+                assert_bits_eq(dbeta.as_slice(), &want_dbeta, &format!("dbeta {what}"));
+            }
+        }
+    }
+}
+
+#[test]
 fn sanitize_and_norm_agree_across_isas() {
     let clean = randn(&[3 * 4096 + 731], 0x800);
     let mut poisoned = clean.as_slice().to_vec();

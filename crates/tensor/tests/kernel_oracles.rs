@@ -1,10 +1,10 @@
 //! The fast linalg kernels against independent oracles, on the process's
 //! ISA: the packed matmul against the naive reference loop, the transposed
 //! backward products against the forward kernel on a materialized
-//! transpose, the attention tiles — every tile, on every available ISA —
-//! against that ISA's unfused `bmm → softmax → bmm` chain, and their
-//! backward — again every tile on every ISA — against one per-tile
-//! reference. (The two
+//! transpose, the attention tiles — every tile, on every available ISA,
+//! every register-block shape the lane kernels pick — against that ISA's
+//! unfused `bmm → softmax → bmm` chain, and their backward — again every
+//! tile on every ISA — against one per-tile reference. (The two
 //! chunk-ordered reductions have `reduction_order.rs`; per-ISA bounds,
 //! `isa_dispatch.rs`.)
 
@@ -113,22 +113,34 @@ fn transposed_products_match_the_forward_kernel() {
     );
 }
 
+/// `(outer, tokens, inner, heads, head_dim)` of the attention grids both
+/// directions are held on: both token-axis placements, several lane groups
+/// with a ragged last one, and a token count on each side of the softmax
+/// row kernel's 8-wide body; HIM's three grids of a 16×16 context (MBU, MBI
+/// and MBA over 9 attributes, 4 heads × 8) and the paper config's MBA grid
+/// (32×32 cells, 8 heads × 16); then the lane kernels' register blocks:
+/// token counts of 1, 2, 3, 6 (blocks of three rows, the short ones padded)
+/// and 4, 7 (of four), odd ones leaving a last key of a pair alone, and odd
+/// `head_dim`s leaving a last column of a pair alone.
+const GRIDS: [(usize, usize, usize, usize, usize); 13] = [
+    (70, 5, 1, 3, 8),
+    (3, 9, 7, 2, 6),
+    (2, 17, 5, 4, 8),
+    (1, 16, 16, 4, 8),
+    (16, 16, 1, 4, 8),
+    (256, 9, 1, 4, 8),
+    (1024, 9, 1, 8, 16),
+    (40, 1, 1, 2, 3),
+    (20, 2, 2, 3, 5),
+    (17, 3, 1, 2, 7),
+    (6, 4, 3, 2, 1),
+    (9, 6, 2, 3, 9),
+    (11, 7, 1, 2, 5),
+];
+
 #[test]
 fn attention_tiles_match_the_unfused_chain() {
-    // Both token-axis placements, several lane groups with a ragged last
-    // one, and a token count on each side of the softmax row kernel's
-    // 8-wide body; then HIM's three grids of a 16×16 context (MBU, MBI and
-    // MBA over 9 attributes, 4 heads × 8) and the paper config's MBA grid
-    // (32×32 cells, 8 heads × 16).
-    for (outer, tokens, inner, heads, head_dim) in [
-        (70, 5, 1, 3, 8),
-        (3, 9, 7, 2, 6),
-        (2, 17, 5, 4, 8),
-        (1, 16, 16, 4, 8),
-        (16, 16, 1, 4, 8),
-        (256, 9, 1, 4, 8),
-        (1024, 9, 1, 8, 16),
-    ] {
+    for (outer, tokens, inner, heads, head_dim) in GRIDS {
         let grid = AttnGrid {
             outer,
             tokens,
@@ -241,22 +253,10 @@ fn tile_backward_reference(
 
 #[test]
 fn attention_backward_matches_the_per_tile_reference() {
-    // The forward test's grids (both token-axis placements, a ragged last
-    // lane group), HIM's three grids of a 16×16 context (MBU, MBI and MBA
-    // over 9 attributes, 4 heads × 8), the paper config's MBA grid (8 heads
-    // × 16) and single-token, single-column tiles — every tile on every
-    // available ISA, each bitwise the per-tile reference and so bitwise
-    // each other.
-    for (outer, tokens, inner, heads, head_dim) in [
-        (70, 5, 1, 3, 8),
-        (3, 9, 7, 2, 6),
-        (2, 17, 5, 4, 8),
-        (1, 16, 16, 4, 8),
-        (16, 16, 1, 4, 8),
-        (256, 9, 1, 4, 8),
-        (1024, 9, 1, 8, 16),
-        (5, 1, 3, 2, 1),
-    ] {
+    // The forward test's grids and single-token, single-column tiles —
+    // every tile on every available ISA, each bitwise the per-tile
+    // reference and so bitwise each other.
+    for (outer, tokens, inner, heads, head_dim) in GRIDS.into_iter().chain([(5, 1, 3, 2, 1)]) {
         let grid = AttnGrid {
             outer,
             tokens,
