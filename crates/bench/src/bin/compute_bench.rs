@@ -19,8 +19,9 @@
 //!    attention shapes (MBU, MBI, MBA), of the `fast` config and of the
 //!    paper's (`HireConfig::default()`: 32×32 contexts, 8 heads × 16):
 //!    microseconds, achieved GFLOP/s from the shape's matmul FLOPs, and
-//!    that as a share of the matmul peak section 1 measured, split into its
-//!    three stages (the Q/K/V projections, the attention tiles, `W_O`);
+//!    that as a share of the matmul peak section 1 measured, beside the
+//!    composition's three stages (the Q/K/V projections, the attention
+//!    tiles, `W_O`) — what a layer that runs in one pass (MBA) replaced;
 //!    beside it the same shape through the tape's one `mhsa` node, forward
 //!    (the same kernels plus the saved `Q` and softmax rows) and backward,
 //!    the backward also split into its stages (the attention tiles' backward,
@@ -32,7 +33,9 @@
 //!    serving forward runs, the tape's forward (which also keeps `xhat`
 //!    and `inv_std`) and its backward.
 //! 4. **him** — full HIM tape forward and forward+backward wall time on a
-//!    synthetic cold-start context.
+//!    synthetic cold-start context, at the `fast` config (16×16, 2 blocks)
+//!    and the paper's (32×32, 3 blocks): the one place below the ledger
+//!    where a whole training step's model is timed at either.
 //! 5. **sampler** — `NeighborhoodSampler` at never-repeated uniform pairs on
 //!    the default 600×400 `movielens_like` graph and on the streaming
 //!    50 000×10 000 `popularity_skew = 1.1` graph whose hub items are rated
@@ -171,9 +174,10 @@ struct MhsaReport {
     shape: Vec<usize>,
     heads: usize,
     head_dim: usize,
-    /// Best-of wall time of one `mhsa_forward`.
+    /// Best-of wall time of one `mhsa_forward` (in one pass where
+    /// `AttnGrid::one_pass` says so, MBA's case).
     micros_1t: f64,
-    /// Best-of wall time of its three Q/K/V projections
+    /// Best-of wall time of the composition's three Q/K/V projections
     /// (`linalg::linear_into` each).
     proj_us: f64,
     /// Best-of wall time of its attention tiles (`linalg::attention_into`).
@@ -278,6 +282,8 @@ struct GraphCommitReport {
 
 #[derive(Serialize)]
 struct HimReport {
+    /// `fast` | `paper`, as in [`MhsaReport::config`].
+    config: &'static str,
     context_users: usize,
     context_items: usize,
     num_blocks: usize,
@@ -295,7 +301,7 @@ struct KernelBenchReport {
     matmul: Vec<MatmulReport>,
     mhsa: Vec<MhsaReport>,
     layer_norm: Vec<LayerNormReport>,
-    him: HimReport,
+    him: Vec<HimReport>,
     sampler: Vec<SamplerReport>,
     graph_commit: Vec<GraphCommitReport>,
 }
@@ -770,27 +776,28 @@ fn bench_graph_commit(
     }
 }
 
-/// Times the full HIM tape forward and forward+backward.
-fn bench_him(smoke: bool) -> HimReport {
-    let config = if smoke {
-        HireConfig::fast().with_context_size(8, 8)
+/// Times the full HIM tape forward and forward+backward of a `config`
+/// model (`cfg`; its context shrunk to 8×8 for `--smoke`).
+fn bench_him(config: &'static str, cfg: HireConfig, smoke: bool) -> HimReport {
+    let cfg = if smoke {
+        cfg.with_context_size(8, 8)
     } else {
-        HireConfig::fast()
+        cfg
     };
     let dataset = SyntheticConfig::movielens_like()
         .scaled(120, 100, (15, 40))
         .generate(41);
     let graph = dataset.graph();
     let mut rng = StdRng::seed_from_u64(41);
-    let model = HireModel::new(&dataset, &config, &mut rng);
+    let model = HireModel::new(&dataset, &cfg, &mut rng);
     let placeholder = Rating::new(3, 5, dataset.min_rating);
     let ctx = test_context_with_ratio(
         &graph,
         &NeighborhoodSampler,
         &[placeholder],
-        config.context_users,
-        config.context_items,
-        config.input_ratio,
+        cfg.context_users,
+        cfg.context_items,
+        cfg.input_ratio,
         &mut rng,
     )
     .expect("benchmark context");
@@ -802,9 +809,10 @@ fn bench_him(smoke: bool) -> HimReport {
     });
     let forward_backward = time_best(reps, || model.context_loss(&ctx, &dataset).backward());
     HimReport {
-        context_users: config.context_users,
-        context_items: config.context_items,
-        num_blocks: config.num_blocks,
+        config,
+        context_users: cfg.context_users,
+        context_items: cfg.context_items,
+        num_blocks: cfg.num_blocks,
         forward_ms: forward * 1e3,
         forward_backward_ms: forward_backward * 1e3,
     }
@@ -906,17 +914,23 @@ fn main() {
     };
     let (mut mhsa, fast_layer_norm) = per_layer("fast", &HireConfig::fast());
 
-    let him = bench_him(args.smoke);
-    eprintln!(
-        "  him {}x{}, {} blocks: forward {:.2} ms, forward+backward {:.2} ms",
-        him.context_users,
-        him.context_items,
-        him.num_blocks,
-        him.forward_ms,
-        him.forward_backward_ms
-    );
+    let him_row = |config: &'static str, cfg: HireConfig| {
+        let him = bench_him(config, cfg, args.smoke);
+        eprintln!(
+            "  him {} {}x{}, {} blocks: forward {:.2} ms, forward+backward {:.2} ms",
+            him.config,
+            him.context_users,
+            him.context_items,
+            him.num_blocks,
+            him.forward_ms,
+            him.forward_backward_ms
+        );
+        him
+    };
+    let mut him = vec![him_row("fast", HireConfig::fast())];
 
     let (paper_mhsa, paper_layer_norm) = per_layer("paper", &HireConfig::default());
+    him.push(him_row("paper", HireConfig::default()));
     mhsa.extend(paper_mhsa);
     let layer_norm = vec![fast_layer_norm, paper_layer_norm];
 

@@ -12,11 +12,13 @@
 //!
 //! One context at a time. A call owns one workspace, sized for the largest
 //! context it is given and freed on return: two `[n·m, e]` activation
-//! buffers and one MHSA workspace; a batch is a loop over its contexts
-//! through that one workspace. A context is encoded straight into the first
-//! buffer. Every attention layer then projects all `n·m` rows (MBA: all
-//! `n·m·h` attribute rows) at once — projection is row-wise, so MBU, MBI
-//! and MBA differ only in the `[outer, tokens, inner]` view handed to
+//! buffers and the largest MHSA workspace a layer asks for on the
+//! dispatched ISA (MBU / MBI's Q, K and V buffers; MBA, which runs in one
+//! pass, asks for a few lane groups' panels); a batch is a loop over its
+//! contexts through that one workspace. A context is encoded straight into
+//! the first buffer. Every attention layer then reads all `n·m` rows (MBA:
+//! all `n·m·h` attribute rows) — projection is row-wise, so MBU, MBI and
+//! MBA differ only in the `[outer, tokens, inner]` view handed to
 //! `hire_nn::mhsa_forward_into`: `[1, n, m]` (tokens = users), `[n, m, 1]`
 //! (tokens = items), `[n·m, h, 1]` (tokens = attributes). Nothing is ever
 //! permuted. The layer's output lands in the second buffer; residual +
@@ -273,14 +275,14 @@ impl HimWeights {
         ]
     }
 
-    /// Floats of working memory one `n × m` context needs: two activation
-    /// buffers and the largest MHSA workspace any layer asks for.
-    fn memory_len(&self, n: usize, m: usize) -> usize {
+    /// Floats of working memory one `n × m` context needs on `isa`: two
+    /// activation buffers and the largest MHSA workspace any layer asks for.
+    fn memory_len(&self, n: usize, m: usize, isa: Isa) -> usize {
         let attention = self
             .blocks
             .iter()
             .flat_map(|block| self.layers(block, n, m))
-            .filter_map(|(w, _, view)| w.as_ref().map(|w| mhsa_workspace_len(view, w)))
+            .filter_map(|(w, _, view)| w.as_ref().map(|w| mhsa_workspace_len(view, w, isa)))
             .max()
             .unwrap_or(0);
         2 * n * m * self.embed_dim() + attention
@@ -344,7 +346,11 @@ impl HimWeights {
         dataset: &Dataset,
         deadline: Option<Instant>,
     ) -> HireResult<Option<Vec<NdArray>>> {
-        let most = ctxs.iter().map(|c| self.memory_len(c.n(), c.m())).max();
+        let isa = simd::active_isa();
+        let most = ctxs
+            .iter()
+            .map(|c| self.memory_len(c.n(), c.m(), isa))
+            .max();
         // The call's whole working memory, one allocation sized for its
         // largest context and reused by every context — plus 15 spare
         // floats to start it on a 64-byte boundary. Every buffer carved
@@ -353,7 +359,6 @@ impl HimWeights {
         let mut memory = vec![0.0f32; most.unwrap_or(0) + 15];
         let skip = memory.as_ptr().align_offset(64).min(15);
         let memory = &mut memory[skip..];
-        let isa = simd::active_isa();
         let mut preds = Vec::with_capacity(ctxs.len());
         for ctx in ctxs {
             if deadline.is_some_and(|d| Instant::now() >= d) {

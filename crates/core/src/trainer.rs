@@ -196,8 +196,7 @@ pub fn train_guarded(
     guard_config: &GuardConfig,
     rng: &mut (impl Rng + StateRng),
 ) -> HireResult<TrainReport> {
-    let edges: Vec<Rating> = graph.edges().collect();
-    if edges.is_empty() {
+    if graph.num_ratings() == 0 {
         return Err(HireError::invalid_data(
             "train",
             "training graph has no edges",
@@ -208,7 +207,7 @@ pub fn train_guarded(
         dataset,
         graph,
         sampler,
-        edges,
+        None,
         config,
         guard_config,
         rng,
@@ -260,22 +259,22 @@ pub fn fine_tune(
         dataset,
         graph,
         sampler,
-        seed_edges.to_vec(),
+        Some(seed_edges),
         config,
         guard_config,
         rng,
     )
 }
 
-/// Shared training loop: mini-batch seeds are drawn from `edges`, contexts
-/// from `graph`.
+/// Shared training loop: mini-batch seeds are drawn from `seed_edges`, or,
+/// without them, from every edge of `graph`; contexts from `graph`.
 #[allow(clippy::too_many_arguments)]
 fn train_impl(
     model: &HireModel,
     dataset: &Dataset,
     graph: &BipartiteGraph,
     sampler: &dyn ContextSampler,
-    edges: Vec<Rating>,
+    seed_edges: Option<&[Rating]>,
     config: &TrainConfig,
     guard_config: &GuardConfig,
     rng: &mut (impl Rng + StateRng),
@@ -387,7 +386,15 @@ fn train_impl(
         // Algorithm 1 line 4: draw a mini-batch of prediction contexts.
         let mut batch_loss: Option<hire_tensor::Tensor> = None;
         for _ in 0..config.batch_size {
-            let seed = *edges.choose(rng).expect("non-empty edges");
+            let seed = match seed_edges {
+                Some(edges) => *edges.choose(rng).expect("non-empty seed edges"),
+                // `choose`'s one draw over `graph.edges()`, looked up in
+                // place instead of collected: the same seed, the same RNG
+                // stream.
+                None => graph
+                    .edge(rng.gen_range(0..graph.num_ratings()))
+                    .expect("an index below num_ratings names an edge"),
+            };
             let ctx = training_context(graph, sampler, seed, n, m, input_ratio, rng)?;
             if ctx.num_targets() == 0 {
                 continue;

@@ -1,8 +1,9 @@
 //! A counting `#[global_allocator]` for the allocation-budget tests
 //! (`train_allocs.rs` here, `forward_allocs.rs` in `hire-serve`, which
 //! includes this file by path): allocation calls made on the calling thread
-//! while [`allocations`] runs its closure. Each including test is its own
-//! binary, so the process-wide allocator is that test's alone.
+//! while [`allocations`] runs its closure, and the bytes they asked for.
+//! Each including test is its own binary, so the process-wide allocator is
+//! that test's alone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,12 +15,14 @@ thread_local! {
     // neither allocates nor registers a destructor.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn record() {
+fn record(bytes: usize) {
     let _ = COUNTING.try_with(|on| {
         if on.get() {
             let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
         }
     });
 }
@@ -28,15 +31,15 @@ fn record() {
 // unchanged; the bookkeeping touches only thread-local `Cell`s.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record();
+        record(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -47,11 +50,23 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocation calls `f` makes on this thread.
-pub fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
+/// What [`allocations`] counted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Allocations {
+    /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`).
+    pub calls: u64,
+    /// Bytes those calls asked for (a `realloc` counts its new size).
+    pub bytes: u64,
+}
+
+/// Allocation calls `f` makes on this thread, and their bytes.
+pub fn allocations(f: impl FnOnce()) -> Allocations {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     COUNTING.with(|on| on.set(true));
     f();
     COUNTING.with(|on| on.set(false));
-    ALLOCS.with(Cell::get) - before
+    Allocations {
+        calls: ALLOCS.with(Cell::get) - before.0,
+        bytes: BYTES.with(Cell::get) - before.1,
+    }
 }

@@ -48,7 +48,7 @@ fn steady_state_loss_and_backward_stay_within_their_allocation_budget() {
     // the trainer does, so each backward allocates them anew.
     let step = || {
         model.parameters().iter().for_each(|p| p.zero_grad());
-        allocations(|| model.context_loss(&ctx, &dataset).backward())
+        allocations(|| model.context_loss(&ctx, &dataset).backward()).calls
     };
     step();
     let (first, again) = (step(), step());

@@ -321,6 +321,24 @@ impl BipartiteGraph {
         })
     }
 
+    /// The `index`-th edge of [`Self::edges`] (users ascending, each user's
+    /// items ascending), `None` from [`Self::num_ratings`] on: a walk over
+    /// the user side's chunk table, then a search of one chunk's offsets —
+    /// no edge list is built.
+    pub fn edge(&self, index: usize) -> Option<Rating> {
+        let mut rest = index;
+        for (at, chunk) in self.user_adj.chunks.iter().enumerate() {
+            match chunk.entries.get(rest) {
+                Some(&(item, value)) => {
+                    let row = chunk.offsets.partition_point(|&o| o as usize <= rest) - 1;
+                    return Some(Rating::new((at << CHUNK_SHIFT) + row, item as usize, value));
+                }
+                None => rest -= chunk.entries.len(),
+            }
+        }
+        None
+    }
+
     /// Returns a new graph containing this graph's edges plus `extra`.
     ///
     /// Duplicate pairs keep the first occurrence — an existing edge's rating

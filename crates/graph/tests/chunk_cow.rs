@@ -52,7 +52,8 @@ fn rating(raw: RawEdge, users: usize, items: usize, history: &[Rating]) -> Ratin
 }
 
 /// `graph` is exactly the edge list `history`, first occurrence of a pair
-/// winning: every row on both sides, `edges()`, `rating()`, degrees, counts.
+/// winning: every row on both sides, `edges()` and `edge(k)`, `rating()`,
+/// degrees, counts.
 fn assert_is(graph: &BipartiteGraph, users: usize, items: usize, history: &[Rating], what: &str) {
     let mut model: BTreeMap<(usize, usize), f32> = BTreeMap::new();
     for r in history {
@@ -66,6 +67,10 @@ fn assert_is(graph: &BipartiteGraph, users: usize, items: usize, history: &[Rati
             g.edges().map(|r| ((r.user, r.item), r.value)).collect();
         let expected: Vec<((usize, usize), f32)> = model.iter().map(|(&k, &v)| (k, v)).collect();
         assert_eq!(edges, expected, "{what}: edges()");
+        for (index, edge) in g.edges().enumerate() {
+            assert_eq!(g.edge(index), Some(edge), "{what}: edge({index})");
+        }
+        assert_eq!(g.edge(g.num_ratings()), None, "{what}: edge past the last");
         for (&(u, i), &v) in &model {
             assert_eq!(g.rating(u, i), Some(v), "{what}: rating({u}, {i})");
         }

@@ -3,8 +3,11 @@
 //! Module — as **one** autograd node.
 //!
 //! The node's forward is [`crate::mhsa_forward_into`]'s body, the forward
-//! the serving path runs, so tape and frozen outputs are the same bits by
-//! construction. Its backward is written out here over
+//! the serving path runs, asked for the intermediates its backward reads:
+//! the composition's path, which the one pass serving takes where the
+//! projections widen the rows reproduces bit for bit
+//! (`tests/mhsa_oracle.rs`, `tests/mhsa_tape_oracle.rs`), so tape and
+//! frozen outputs are the same bits. Its backward is written out here over
 //! `hire_tensor::linalg`: two products around `W_O`, the attention tile
 //! kernel ([`linalg::attention_backward_into_with_isa`]) over the saved
 //! `Q`, `K`, `V` and softmax rows, writing `[dQ | dK | dV]` side by side
@@ -14,7 +17,7 @@
 //! gradients is ever materialised.
 
 use crate::module::Module;
-use crate::nograd::{mhsa_forward_over, sequence_layout, MhsaWeights};
+use crate::nograd::{mhsa_forward_over, sequence_layout, Intermediates, MhsaWeights};
 use hire_tensor::{init, linalg, simd, AttnGrid, NdArray, Tensor};
 use rand::Rng;
 use std::rc::Rc;
@@ -168,10 +171,13 @@ impl MultiHeadSelfAttention {
                     &grid,
                     w,
                     simd::active_isa(),
-                    [&mut o, &mut k, &mut v],
                     &mut vec![0.0; grid.scratch_len()],
                     &mut y,
-                    Some((&mut q, &mut p)),
+                    Some(Intermediates {
+                        qkv: [&mut q, &mut k, &mut v],
+                        o: &mut o,
+                        probs: &mut p,
+                    }),
                 );
                 let saved = Saved {
                     grid,

@@ -1,19 +1,35 @@
 //! The MHSA forward, over plain slices and [`NdArray`]s.
 //!
 //! [`mhsa_forward_into`] is the one multi-head self-attention forward in
-//! the workspace: the three projections land in `[rows, l·dk]` buffers,
-//! `linalg::attention_into` reads each (batch, head) tile straight out of
-//! them and writes the merged-head layout straight back over Q, and `W_O`
-//! projects that. The serving path (`hire-serve`) calls it directly —
+//! the workspace, over one body, `mhsa_forward_over`, with two paths picked
+//! by one predicate on the layer's shapes, [`AttnGrid::one_pass`]:
+//!
+//! * the projections widen each row (`model_dim < heads · head_dim`: MBA,
+//!   and MBU / MBI on three-attribute schemas) and the ISA has lane kernels
+//!   (avx2, avx512): `linalg::mhsa_one_pass_into` runs the layer in one
+//!   pass, a lane group of sequences at a time, its Q, K, V and merged-head
+//!   output never leaving registers and panels;
+//! * otherwise, the composition: the three projections land in `[rows,
+//!   l·dk]` buffers, `linalg::attention_into` reads each (batch, head) tile
+//!   straight out of them and writes the merged-head layout straight back
+//!   over Q, and `W_O` projects that.
+//!
+//! The one pass computes every output element by the composition's chain
+//! (one accumulator from `+0.0`, one FMA per ascending index, heads folded
+//! through `W_O` in column order; `hire_tensor::simd::attention` gives the
+//! argument), so the two are the same bits, and `tests/mhsa_oracle.rs`
+//! holds both — on both sides of the predicate, on every ISA — to the
+//! unfused `permute`/`bmm`/`softmax_last` composition they replaced, per
+//! element (DESIGN.md §16), over generated shapes.
+//!
+//! The serving path (`hire-serve`) calls [`mhsa_forward_into`] directly —
 //! building a backward graph per query is pure overhead and `Tensor`'s `Rc`
 //! interior forbids sharing across worker threads — and the tape's
 //! [`crate::MultiHeadSelfAttention`] runs the same body as the forward of
-//! its one autograd node, additionally keeping `Q` and the softmax rows for
-//! its backward. A frozen model therefore agrees bit for bit with the live
-//! model it was exported from by construction, on every ISA.
-//! `tests/mhsa_oracle.rs` holds this forward to the unfused
-//! `permute`/`bmm`/`softmax_last` composition it replaced, per element
-//! (DESIGN.md §16), over generated shapes.
+//! its one autograd node, asking it for Q, K, V, `O` and the softmax rows
+//! for its backward, which the composition computes anyway. A frozen model
+//! therefore agrees bit for bit with the live model it was exported from,
+//! on every ISA.
 //!
 //! Projections and the attention tiles run on the calling thread; per
 //! element the forward is the dispatched ISA's chain (DESIGN.md §16), the
@@ -129,9 +145,9 @@ pub fn mhsa_forward_with_isa<W: Borrow<NdArray>>(
 ) -> NdArray {
     let layout = sequence_layout(x.dims(), w.model_dim());
     // 15 spare floats start the workspace on a 64-byte boundary; its Q, K
-    // and V buffers are each a multiple of 16 floats at HIM's shapes, so
-    // they all land on one.
-    let mut memory = vec![0.0f32; mhsa_workspace_len(layout, w) + 15];
+    // and V buffers, or the one-pass kernel's panels, are each a multiple of
+    // 16 floats at HIM's shapes, so they all land on one.
+    let mut memory = vec![0.0f32; mhsa_workspace_len(layout, w, isa) + 15];
     let skip = memory.as_ptr().align_offset(64).min(15);
     let mut y = vec![0.0f32; x.numel()];
     mhsa_forward_into(x.as_slice(), layout, w, isa, &mut memory[skip..], &mut y);
@@ -150,12 +166,23 @@ pub(crate) fn sequence_layout(dims: &[usize], model_dim: usize) -> [usize; 3] {
     layout
 }
 
-/// Floats of workspace [`mhsa_forward_into`] needs for `layout`: the Q
-/// (then merged-head output), K and V buffers plus the attention kernel's
-/// scratch. A function of the shapes only.
-pub fn mhsa_workspace_len<W: Borrow<NdArray>>(layout: [usize; 3], w: &MhsaWeights<W>) -> usize {
+/// Floats of workspace [`mhsa_forward_into`] needs for `layout` on `isa`:
+/// for a layer that runs in one pass ([`AttnGrid::one_pass`]), the one-pass
+/// kernel's scratch; otherwise the Q (then merged-head output), K and V
+/// buffers plus the attention kernel's scratch. A function of the shapes
+/// and the ISA only.
+pub fn mhsa_workspace_len<W: Borrow<NdArray>>(
+    layout: [usize; 3],
+    w: &MhsaWeights<W>,
+    isa: Isa,
+) -> usize {
     let grid = w.grid(layout);
-    3 * grid.rows() * grid.width() + grid.scratch_len()
+    let d = w.model_dim();
+    if grid.one_pass(d, isa) {
+        grid.one_pass_scratch_len(d)
+    } else {
+        3 * grid.rows() * grid.width() + grid.scratch_len()
+    }
 }
 
 /// [`mhsa_forward`] over a flat activation buffer, into caller-provided
@@ -177,38 +204,45 @@ pub fn mhsa_forward_into<W: Borrow<NdArray>>(
     workspace: &mut [f32],
     y: &mut [f32],
 ) {
-    let grid = w.grid(layout);
-    let proj = grid.rows() * grid.width();
+    let need = mhsa_workspace_len(layout, w, isa);
     assert!(
-        workspace.len() >= 3 * proj + grid.scratch_len(),
-        "MHSA workspace holds {} floats, needs {}",
-        workspace.len(),
-        3 * proj + grid.scratch_len()
+        workspace.len() >= need,
+        "MHSA workspace holds {} floats, needs {need}",
+        workspace.len()
     );
-    let (q, rest) = workspace.split_at_mut(proj);
-    let (k, rest) = rest.split_at_mut(proj);
-    let (v, scratch) = rest.split_at_mut(proj);
-    mhsa_forward_over(x, &grid, w, isa, [q, k, v], scratch, y, None);
+    mhsa_forward_over(x, &w.grid(layout), w, isa, workspace, y, None);
 }
 
-/// The body of [`mhsa_forward_into`], on buffers handed over one by one:
-/// `qo`, `k` and `v` hold `rows * width` floats each and `scratch`
-/// [`AttnGrid::scratch_len`]; `qo` ends as the merged-head attention output
-/// `O` that `W_O` projects into `y`, `k` and `v` as the K and V
-/// projections. `saved = (q, p)`, when given, receives the two things a
-/// backward pass needs that the forward does not leave behind: the Q
-/// projection (`O` replaces it) and the softmax rows
-/// ([`AttnGrid::probs_len`] floats).
-#[allow(clippy::too_many_arguments)]
+/// What the tape's `mhsa` node keeps from its forward for its backward.
+pub(crate) struct Intermediates<'a> {
+    /// The Q, K and V projections, `[rows, width]` each.
+    pub(crate) qkv: [&'a mut [f32]; 3],
+    /// The merged-head attention output `O` that `W_O` projects, `[rows,
+    /// width]`.
+    pub(crate) o: &'a mut [f32],
+    /// The softmax rows, [`AttnGrid::probs_len`] floats.
+    pub(crate) probs: &'a mut [f32],
+}
+
+/// The body of [`mhsa_forward_into`], and of the tape's `mhsa` node:
+/// `y = MHSA(x)` over `grid`.
+///
+/// Without `saved`, a layer [`AttnGrid::one_pass`] picks runs in one pass
+/// (`linalg::mhsa_one_pass_into`); every other runs the composition the
+/// one-pass kernel reproduces bit for bit — the Q, K and V projections into
+/// `[rows, width]` buffers carved from `workspace`, the attention tiles over
+/// them, `W_O`. With `saved` (the tape) the composition always runs, into
+/// `saved`'s buffers, and `workspace` needs only [`AttnGrid::scratch_len`]:
+/// its intermediates are what the backward reads, and writing them out of
+/// the lanes measured slower than computing them in place.
 pub(crate) fn mhsa_forward_over<W: Borrow<NdArray>>(
     x: &[f32],
     grid: &AttnGrid,
     w: &MhsaWeights<W>,
     isa: Isa,
-    [qo, k, v]: [&mut [f32]; 3],
-    scratch: &mut [f32],
+    workspace: &mut [f32],
     y: &mut [f32],
-    saved: Option<(&mut [f32], &mut [f32])>,
+    saved: Option<Intermediates<'_>>,
 ) {
     let d = w.model_dim();
     assert!(
@@ -218,11 +252,30 @@ pub(crate) fn mhsa_forward_over<W: Borrow<NdArray>>(
         y.len()
     );
     let [w_q, w_k, w_v, w_o] = w.projections();
+    if saved.is_none() && grid.one_pass(d, isa) {
+        let weights = [w_q, w_k, w_v, w_o].map(NdArray::as_slice);
+        return linalg::mhsa_one_pass_into(grid, x, weights, y, workspace, isa);
+    }
+    // Q lands where each (batch, head) tile's output replaces it: in `O`
+    // when the tape keeps Q, copied out before the tiles overwrite it.
+    let ([qo, k, v], scratch, kept) = match saved {
+        Some(Intermediates {
+            qkv: [q, k, v],
+            o,
+            probs,
+        }) => ([o, k, v], workspace, Some((q, probs))),
+        None => {
+            let proj = grid.rows() * grid.width();
+            let (q, rest) = workspace.split_at_mut(proj);
+            let (k, rest) = rest.split_at_mut(proj);
+            let (v, scratch) = rest.split_at_mut(proj);
+            ([q, k, v], scratch, None)
+        }
+    };
     linalg::linear_into(w_q, x, qo, isa);
     linalg::linear_into(w_k, x, k, isa);
     linalg::linear_into(w_v, x, v, isa);
-    // Each (batch, head) tile's output replaces its Q.
-    match saved {
+    match kept {
         Some((q, probs)) => {
             q.copy_from_slice(qo);
             linalg::attention_probs_into_with_isa(grid, qo, k, v, probs, scratch, isa);

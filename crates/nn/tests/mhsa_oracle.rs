@@ -1,13 +1,15 @@
-//! Fused ≡ reference, generated: `mhsa_forward` (projections → attention
-//! tiles over strided views → `W_O`) against the composition it replaced —
-//! head-split `permute`, `bmm` with a materialized `Kᵀ`, `softmax_last`,
-//! `bmm`, merge `permute` — kept here as the oracle, **bitwise**, on every
-//! ISA the host can run; and the softmax rows `attention_probs_into` emits
-//! for the tape's backward against the oracle's `softmax_last`, bitwise
-//! too. The token counts straddle the softmax row kernel's 8-wide
-//! vector body (whose f64 lane fold the lane-parallel attention kernel must
-//! reproduce); batch × heads is mostly not a multiple of the 8- or 16-lane
-//! group.
+//! Fused ≡ reference, generated: `mhsa_forward` — the one-pass kernel
+//! where the projections widen the rows (`model_dim < heads·head_dim`) on a
+//! lane ISA, else projections → attention tiles over strided views → `W_O`
+//! — against the composition both replaced — head-split `permute`, `bmm`
+//! with a materialized `Kᵀ`, `softmax_last`, `bmm`, merge `permute` — kept
+//! here as the oracle, **bitwise**, on every ISA the host can run; and the
+//! softmax rows `attention_probs_into` emits for the tape's backward
+//! against the oracle's `softmax_last`, bitwise too. The token counts
+//! straddle the softmax row kernel's 8-wide vector body (whose f64 lane fold
+//! the lane-parallel kernels must reproduce); sequences and batch × heads
+//! are mostly not a multiple of the 8- or 16-lane group, and the model dims
+//! fall on both sides of the one-pass predicate.
 
 use hire_nn::{mhsa_forward_into, mhsa_forward_with_isa, mhsa_workspace_len, MhsaWeights};
 use hire_tensor::simd::Isa;
@@ -153,41 +155,82 @@ proptest! {
         (l, dk) in (1usize..5, 1usize..10),
         seed in 0u64..1_000_000,
     ) {
-        let (t, d) = (TOKENS[ti], 6);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let w = random_weights(d, l, dk, &mut rng);
-        let x = NdArray::randn([outer, t, inner, d], 0.0, 1.5, &mut rng);
-        let by_sequence = linalg::permute(&x, &[0, 2, 1, 3]).reshaped([outer * inner, t, d]);
-        let layout = [outer, t, inner];
-        for isa in Isa::available() {
-            let want = linalg::permute(
-                &reference_mhsa(&by_sequence, &w, isa).reshaped([outer, inner, t, d]),
-                &[0, 2, 1, 3],
-            );
-            // Poisoned workspace and output: nothing may be read before
-            // it is written.
-            let mut workspace = vec![f32::NAN; mhsa_workspace_len(layout, &w)];
-            let mut y = vec![f32::NAN; x.numel()];
-            mhsa_forward_into(x.as_slice(), layout, &w, isa, &mut workspace, &mut y);
-            assert_eq!(
-                y.as_slice(),
-                want.as_slice(),
-                "outer={outer} t={t} inner={inner} l={l} dk={dk} {isa:?}"
-            );
-        }
+        assert_strided_matches_oracle([outer, TOKENS[ti], inner], 6, l, dk, seed);
     }
 }
 
-/// HIM's own shapes at a 16×16 context with 4×8 heads — MBA's 1024 tiles
-/// (5 or 9 attributes of width 8) fill 64/128 whole lane groups — plus
-/// ragged groups, and token counts past
-/// the point (`t·dk·t > 16384`) where the oracle's `bmm` switches from the
+/// [`mhsa_forward_into`] over `x` laid out `[outer, t, inner]` against the
+/// oracle run on the sequences permuted out, on every ISA, through a
+/// NaN-poisoned workspace and output: nothing may be read before it is
+/// written.
+fn assert_strided_matches_oracle(
+    [outer, t, inner]: [usize; 3],
+    d: usize,
+    l: usize,
+    dk: usize,
+    seed: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let w = random_weights(d, l, dk, &mut rng);
+    let x = NdArray::randn([outer, t, inner, d], 0.0, 1.5, &mut rng);
+    let by_sequence = linalg::permute(&x, &[0, 2, 1, 3]).reshaped([outer * inner, t, d]);
+    let layout = [outer, t, inner];
+    for isa in Isa::available() {
+        let want = linalg::permute(
+            &reference_mhsa(&by_sequence, &w, isa).reshaped([outer, inner, t, d]),
+            &[0, 2, 1, 3],
+        );
+        let mut workspace = vec![f32::NAN; mhsa_workspace_len(layout, &w, isa)];
+        let mut y = vec![f32::NAN; x.numel()];
+        mhsa_forward_into(x.as_slice(), layout, &w, isa, &mut workspace, &mut y);
+        assert_eq!(
+            y.as_slice(),
+            want.as_slice(),
+            "outer={outer} t={t} inner={inner} d={d} l={l} dk={dk} {isa:?}"
+        );
+    }
+}
+
+/// Both sides of the one-pass predicate, at model dims one below, at and
+/// one above `heads·head_dim`: the one-pass kernel runs the first on the
+/// lane ISAs, the composition everything else, and each is the oracle's
+/// bits — over a strided token axis, MBA's nine tokens and 21 sequences (a
+/// ragged last group of 8 or 16 lanes).
+#[test]
+fn both_sides_of_the_one_pass_predicate_match_oracle() {
+    let ([outer, t, inner], l, dk) = ([3, 9, 7], 4, 8);
+    for (seed, d) in [l * dk - 1, l * dk, l * dk + 1].into_iter().enumerate() {
+        for isa in Isa::available() {
+            let grid = AttnGrid {
+                outer,
+                tokens: t,
+                inner,
+                heads: l,
+                head_dim: dk,
+            };
+            assert_eq!(
+                grid.one_pass(d, isa),
+                d < l * dk && isa != Isa::Scalar,
+                "d={d} {isa:?}"
+            );
+        }
+        assert_strided_matches_oracle([outer, t, inner], d, l, dk, seed as u64);
+    }
+}
+
+/// HIM's own shapes at a 16×16 context with 4×8 heads — MBA's 256
+/// sequences (5 or 9 attributes of width 8) fill 16 whole lane groups — and
+/// at the paper's 32×32 context with 8×16 heads (MBA `f = 16`, MBU / MBI
+/// `e = 144`), plus ragged groups, and token counts past the point
+/// (`t·dk·t > 16384`) where the oracle's `bmm` switches from the
 /// small-product to the packed, blocked matmul path.
 #[test]
 fn him_shapes_match_oracle() {
     assert_matches_oracle(256, 5, 8, 4, 8, 1); // MBA, 5 attributes
     assert_matches_oracle(256, 9, 8, 4, 8, 2); // MBA, 9 attributes
     assert_matches_oracle(16, 16, 72, 4, 8, 3); // MBU / MBI
+    assert_matches_oracle(1024, 9, 16, 8, 16, 7); // paper MBA
+    assert_matches_oracle(32, 32, 144, 8, 16, 8); // paper MBU / MBI
     assert_matches_oracle(203, 3, 8, 3, 4, 4); // ragged lane groups
     assert_matches_oracle(5, 33, 12, 2, 8, 5);
     assert_matches_oracle(3, 48, 12, 3, 8, 6); // oracle on the blocked path

@@ -13,8 +13,8 @@
 //! `mhsa_oracle.rs` (forward and softmax rows) and
 //! `hire-tensor`'s `kernel_oracles.rs` (backward tiles).
 
-use hire_nn::{Module, MultiHeadSelfAttention};
-use hire_tensor::{NdArray, Tensor};
+use hire_nn::{mhsa_forward, MhsaWeights, Module, MultiHeadSelfAttention};
+use hire_tensor::{linalg, AttnGrid, NdArray, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -170,6 +170,92 @@ fn him_views_match_the_composed_tape() {
     assert_matches_composed(&[n, m, h * f], [1, n, m], h * f, 4, 8, 1);
     assert_matches_composed(&[n, m, h * f], [n, m, 1], h * f, 4, 8, 2);
     assert_matches_composed(&[n, m, h * f], [n * m, h, 1], f, 4, 8, 3);
+}
+
+/// MBA at the `fast` shape — nine attribute rows of width 8 per cell under
+/// 4 × 8 heads, the widening layer the no-grad forward runs in one pass —
+/// through the tape node: the output is the no-grad forward's, and the five
+/// gradients are the node's backward products over the composition's own
+/// intermediates (the projections, the attention tiles and their softmax
+/// rows, `W_O`), all bit for bit — so the tape and the gradients it trains
+/// on are where the composition put them, whichever path serving takes.
+#[test]
+fn mba_node_is_the_no_grad_forward_and_the_composed_backward_bitwise() {
+    let (cells, h, f, l, dk) = (64, 9, 8, 4, 8);
+    let mut rng = StdRng::seed_from_u64(31);
+    let mhsa = MultiHeadSelfAttention::new(f, l, dk, &mut rng);
+    let weights: [Tensor; 4] = mhsa.parameters().try_into().expect("four projections");
+    let x_value = NdArray::randn([cells, h, f], 0.0, 1.5, &mut rng);
+    let seed = NdArray::randn([cells, h, f], 0.0, 1.0, &mut rng);
+    let x = Tensor::parameter(x_value.clone());
+    let out = mhsa.forward_layout(&x, [cells, h, 1]).output;
+    let got = grads_of(&out, &seed, &x, &weights);
+
+    let [w_q, w_k, w_v, w_o] = weights.each_ref().map(Tensor::value);
+    let w = MhsaWeights {
+        w_q,
+        w_k,
+        w_v,
+        w_o,
+        heads: l,
+        head_dim: dk,
+    };
+    assert_eq!(
+        bits(&out.value()),
+        bits(&mhsa_forward(&x_value, &w)),
+        "tape forward vs no-grad forward"
+    );
+    let grid = AttnGrid {
+        outer: cells,
+        tokens: h,
+        inner: 1,
+        heads: l,
+        head_dim: dk,
+    };
+    let (rows, width) = (grid.rows(), grid.width());
+    let x_rows = x_value.reshape([rows, f]);
+    let [q, k, v] = [&w.w_q, &w.w_k, &w.w_v].map(|w| linalg::matmul2d(&x_rows, w));
+    let mut o = q.clone();
+    let mut p = vec![0.0; grid.probs_len()];
+    let mut scratch = vec![0.0; grid.scratch_len()];
+    linalg::attention_probs_into(
+        &grid,
+        o.as_mut_slice(),
+        k.as_slice(),
+        v.as_slice(),
+        &mut p,
+        &mut scratch,
+    );
+    let dy = seed.reshape([rows, f]);
+    let d_o = linalg::matmul2d_nt(&dy, &w.w_o);
+    let mut d_qkv = vec![0.0; rows * 3 * width];
+    linalg::attention_backward_into_with_isa(
+        &grid,
+        q.as_slice(),
+        k.as_slice(),
+        v.as_slice(),
+        &p,
+        d_o.as_slice(),
+        &mut d_qkv,
+        hire_tensor::simd::active_isa(),
+    );
+    let d_qkv = NdArray::from_vec([rows, 3 * width], d_qkv);
+    let w_qkv = linalg::concat_last(&[&w.w_q, &w.w_k, &w.w_v]);
+    let d_wqkv = linalg::matmul2d_tn(&x_rows, &d_qkv);
+    let want = [
+        linalg::matmul2d_nt(&d_qkv, &w_qkv).reshaped([cells, h, f]),
+        linalg::slice_last(&d_wqkv, 0, width),
+        linalg::slice_last(&d_wqkv, width, width),
+        linalg::slice_last(&d_wqkv, 2 * width, width),
+        linalg::matmul2d_tn(&o, &dy),
+    ];
+    for (which, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(
+            bits(got),
+            bits(want),
+            "gradient {which} (0 = x, 1..4 = w_q w_k w_v w_o)"
+        );
+    }
 }
 
 /// An input that takes no gradient gets none — the `dX` product is skipped

@@ -3,7 +3,8 @@
 //!
 //! Kernels that return an [`NdArray`] allocate it. The serving forward
 //! instead runs on the slice-level `*_into` forms ([`linear_into`],
-//! [`attention_into`], [`layer_norm_last_into`]), which write into
+//! [`attention_into`], [`mhsa_one_pass_into`], [`layer_norm_last_into`]),
+//! which write into
 //! caller-provided buffers over the same per-ISA kernels; in-place
 //! arithmetic on arrays lives on [`NdArray`] (`add_assign` and friends).
 //!
@@ -697,6 +698,44 @@ fn attention_run(
     // have the grid's lengths (all asserted above);
     // the `&mut` borrow keeps everything else off `qo` for the call.
     unsafe { simd::attention_tiles(isa, grid, qo.as_mut_ptr(), k, v, scratch, probs) };
+}
+
+/// One multi-head self-attention layer in one pass: `y = MHSA(x)` for
+/// `[rows, d]` rows `x` and `y` laid out as `grid` says, `weights` the
+/// row-major `[w_q, w_k, w_v, w_o]` (`[d, width]` ×3, `[width, d]`), every
+/// element of `y` overwritten — for the layers [`AttnGrid::one_pass`]
+/// picks, whose projections widen their rows. A lane group of sequences
+/// enters the vector lanes once; every head's Q, K and V are projected in
+/// registers, attended and folded through `W_O` into the group's output,
+/// which leaves the lanes once, so no `[rows, width]` buffer is written.
+/// Per element these are the chains of the composition — [`linear_into`]
+/// thrice, [`attention_into`], [`linear_into`] — on the same ISA, so the
+/// output is bit-identical to it (see [`crate::simd::attention`]).
+///
+/// `scratch` holds at least [`AttnGrid::one_pass_scratch_len`] floats.
+pub fn mhsa_one_pass_into(
+    grid: &AttnGrid,
+    x: &[f32],
+    weights: [&[f32]; 4],
+    y: &mut [f32],
+    scratch: &mut [f32],
+    isa: Isa,
+) {
+    assert!(
+        isa.is_available(),
+        "ISA {} not available on this host",
+        isa.label()
+    );
+    let d = weights[0].len() / grid.width().max(1);
+    assert!(
+        grid.one_pass(d, isa),
+        "a layer of model dim {d} over {grid:?} does not run in one pass on {}",
+        isa.label()
+    );
+    if grid.rows() == 0 {
+        return;
+    }
+    simd::mhsa_one_pass(isa, grid, x, weights, y, scratch);
 }
 
 /// Backward of [`attention_into`]: from the projections `q`, `k`, `v` the

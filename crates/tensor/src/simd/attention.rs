@@ -46,6 +46,38 @@
 //! Either kernel can also hand out each tile's softmax rows `P` — the values
 //! it is about to multiply into `V`, stored on the way, so no chain changes.
 //!
+//! # One pass: a whole layer in the lanes
+//!
+//! `mhsa_lanes` (behind `linalg::mhsa_one_pass_into`) runs a whole MHSA
+//! layer — projections, attention, `W_O` — where [`AttnGrid::one_pass`]
+//! says so: the projections widen each row (`model_dim < heads ·
+//! head_dim`; MBA's 8 → 32 at `fast`, 16 → 128 at the paper's config, and
+//! MBU / MBI's 24 → 32 on three-attribute schemas), on avx2 / avx512. There
+//! the composition writes and re-reads four `[rows, heads · head_dim]`
+//! buffers (Q, K, V, then `O` over Q), each several times the layer's input,
+//! and moves every tile into and out of the lanes by transposes. Instead 8
+//! or 16 *sequences* ride in the lanes: their `t × d` input rows enter
+//! `[token][column][lane]` panels once (`load_runs`); for each head, in
+//! column order, its K and V panels and Q rows are projected from them with
+//! broadcast weights, attended by `attend` — the tiles' own code — and the
+//! output rows folded through that head's rows of `W_O` into one `Y` panel,
+//! which leaves the lanes once (`store_runs`). Per element these are the
+//! composition's chains, so the output is its bits:
+//!
+//! * a projection `q[i][c] = Σ_k x[i][k] · w_q[k][c]`: one accumulator from
+//!   `+0.0`, one FMA per `k` ascending — `matmul_small`'s chain, which the
+//!   blocked kernel shares;
+//! * scores, softmax rows and `o[i][c]`: `attend`, the chains above;
+//! * `y[i][e] = Σ_κ o[i][κ] · w_o[κ][e]` over `κ = h · dk + c`, heads in
+//!   column order and `c` ascending: one accumulator from `+0.0`, continued
+//!   from head to head through the `Y` panel (an f32 store and load give
+//!   back the value stored) — the `W_O` matmul's chain.
+//!
+//! Scalar keeps the composition, the reference chain by construction; so
+//! does every layer whose rows the projections do not widen (MBU / MBI's
+//! 72 → 32 at HIM's default schemas, whose buffers are narrower than their
+//! input), and the tape's `mhsa` node, whose backward reads the buffers.
+//!
 //! # Backward
 //!
 //! `attention_backward_tiles` (behind `linalg::attention_backward_into`)
@@ -179,31 +211,203 @@ impl AttnGrid {
         let (t, dk) = (self.tokens, self.head_dim);
         (3 * t * dk + 2 * t * t).max((2 * t * dk + MAX_ROWS * (dk + t)) * MAX_LANES)
     }
+
+    /// Whether a layer of model dim `model_dim` over this grid runs in one
+    /// pass on `isa` (`linalg::mhsa_one_pass_into`): when its projections
+    /// widen its rows (`model_dim < heads · head_dim`), on an ISA with lane
+    /// kernels. Scalar, and every layer whose rows the projections do not
+    /// widen, runs the composition — the projections, [`Self`]'s attention
+    /// tiles over their buffers, `W_O`.
+    pub fn one_pass(&self, model_dim: usize, isa: super::Isa) -> bool {
+        model_dim < self.width() && isa != super::Isa::Scalar
+    }
+
+    /// Scratch floats the one-pass kernel needs for a layer of model dim
+    /// `model_dim`, whichever ISA runs it: a lane group's input and output
+    /// panels, its K and V panels, and the Q (then output) and score rows
+    /// of the query rows in flight.
+    pub fn one_pass_scratch_len(&self, model_dim: usize) -> usize {
+        let (t, dk) = (self.tokens, self.head_dim);
+        (2 * t * model_dim + 2 * t * dk + MAX_ROWS * (dk + t)) * MAX_LANES
+    }
 }
 
-/// Generates `attention_lanes`, the lane-parallel kernel. `$ops` is a
-/// module of the ISA's vector primitives: `LANES`, `splat`, `load`,
-/// `store`, `load_runs`, `store_runs`, `fmadd`, `mul`, `sub`, `max`, `exp`,
+/// Generates the lane-parallel forward kernels over `$ops`, a module of the
+/// ISA's vector primitives: `LANES`, `V`, `splat`, `load`, `store`,
+/// `load_runs`, `store_runs`, `fmadd`, `mul`, `sub`, `max`, `exp`,
 /// `sum_zero`, `sum_add`, `sum_join`, `sum_recip`.
 ///
-/// Layout: lane `λ` of every vector belongs to tile `group_start + λ`. Each
-/// tile row is `dk` contiguous floats in Q, K and V (and `t` in `P`), so
-/// the group's K and V are read into `[token][column][lane]` panels, and Q
-/// `R` rows at a time ([`block_rows`]), a whole tile row per lane at once
-/// and turned lane-major in registers (`load_runs`); every later operand is
-/// one full-width load. Output rows are assembled lane-major and written
-/// back over their Q by the inverse transpose (`store_runs`), softmax rows
-/// likewise into `P`. Dead lanes of a ragged last group alias the last
-/// live tile (valid reads) and are never written.
+/// * `attention_lanes` — the attention tiles over Q/K/V projection
+///   buffers. Lane `λ` of every vector belongs to tile `group_start + λ`.
+///   Each tile row is `dk` contiguous floats in Q, K and V (and `t` in
+///   `P`), so the group's K and V are read into `[token][column][lane]`
+///   panels, and Q `R` rows at a time ([`block_rows`]), a whole tile row per
+///   lane at once and turned lane-major in registers (`load_runs`). Output
+///   rows are written back over their Q by the inverse transpose
+///   (`store_runs`), softmax rows likewise into `P`.
+/// * `mhsa_lanes` — a whole layer in one pass ([`AttnGrid::one_pass`]).
+///   Lane `λ` belongs to sequence `group_start + λ`: its `t` input rows
+///   enter the lanes once, each head's K and V panels and Q rows are
+///   projected from them with broadcast weights, attended, and folded
+///   through `W_O` into one `Y` panel, which leaves the lanes once.
+///
+/// Both attend through `attend`, so the two run the same chains on the same
+/// panels. Dead lanes of a ragged last group alias the last live tile or
+/// sequence (valid reads) and are never written.
 macro_rules! attention_lanes_kernel {
     ($(#[$attr:meta])* $ops:ident) => {
+        /// Attention of `R` query rows of one lane group's head (see
+        /// [`crate::simd::attention`] for why each lane's chain is the
+        /// unfused one): from their Q in `qp` (`R` panel rows of `dk`
+        /// columns) and the head's `t`-token K and V panels `kp` and `vp`,
+        /// the softmax rows into `s` (`R` rows of `t`) and the output rows
+        /// over their Q in `qp`. Only the first `rows` rows of `s` are
+        /// softmax rows, each handed to `emit(r, row)` as soon as it is
+        /// final, so a caller's store of it overlaps the next row's
+        /// arithmetic; the rest are the padding of a short last block,
+        /// which repeats its last row and is never stored. Not inlined:
+        /// each caller's instance has one call site, and inlined there it
+        /// measured 5–8 % slower in the one-pass kernel (a call per block
+        /// of query rows costs nothing measurable).
+        $(#[$attr])*
+        #[inline(never)]
+        #[allow(clippy::too_many_arguments)]
+        fn attend<const R: usize>(
+            t: usize,
+            dk: usize,
+            kp: &[f32],
+            vp: &[f32],
+            qp: &mut [f32],
+            s: &mut [f32],
+            rows: usize,
+            mut emit: impl FnMut(usize, *const f32),
+        ) {
+            use $ops::LANES;
+            assert!(
+                kp.len() >= t * dk * LANES
+                    && vp.len() >= t * dk * LANES
+                    && qp.len() >= R * dk * LANES
+                    && s.len() >= R * t * LANES
+                    && (1..=R).contains(&rows)
+            );
+            let scale = $ops::splat(1.0 / (dk as f32).sqrt());
+            // Panel rows of the `R` query rows' Q (then output) and scores.
+            let q_rows: [usize; R] = std::array::from_fn(|r| r * dk);
+            let s_rows: [usize; R] = std::array::from_fn(|r| r * t);
+            let q_at = |r: usize, c: usize| (q_rows[r] + c) * LANES;
+            let s_at = |r: usize, j: usize| (s_rows[r] + j) * LANES;
+            // Columns of a softmax row the avx2 row kernel runs through its
+            // eight-wide vector body; the rest is its scalar tail.
+            let body = t - t % 8;
+            // SAFETY: panel rows `token * dk + col` (`token < t`, `col < dk`)
+            // of `kp` / `vp`, `q_rows[r] + col` of `qp` and `s_rows[r] + j`
+            // of `s` (`r < R`, `j < t`) — the only ones read or written —
+            // lie inside the lengths asserted above; a second key `j + 1`
+            // or column `c + 1` is touched only when it is below `t` / `dk`.
+            unsafe {
+                // One `R × 2` register block of a panel product: for
+                // `x < 2` (`x = 0` alone unless `two`) and `r < R`,
+                // `Σ_κ a[a_rows[r] + κ·a_step] · b[b_cols[x] + κ·b_step]`
+                // over `κ < n` — panel rows, `LANES` floats each — one
+                // accumulator from `0.0` a sum, `κ` ascending, one FMA a
+                // step: the `matmul_small` chain of every element, `2R`
+                // chains in flight.
+                let block = |a: *const f32,
+                             a_rows: [usize; R],
+                             a_step: usize,
+                             b: *const f32,
+                             b_cols: [usize; 2],
+                             b_step: usize,
+                             n: usize,
+                             two: bool| {
+                    let mut acc = [[$ops::splat(0.0); R]; 2];
+                    for kappa in 0..n {
+                        let b0 = $ops::load(b.add((b_cols[0] + kappa * b_step) * LANES));
+                        if two {
+                            let b1 = $ops::load(b.add((b_cols[1] + kappa * b_step) * LANES));
+                            for (r, &row) in a_rows.iter().enumerate() {
+                                let a = $ops::load(a.add((row + kappa * a_step) * LANES));
+                                acc[0][r] = $ops::fmadd(a, b0, acc[0][r]);
+                                acc[1][r] = $ops::fmadd(a, b1, acc[1][r]);
+                            }
+                        } else {
+                            for (r, &row) in a_rows.iter().enumerate() {
+                                let a = $ops::load(a.add((row + kappa * a_step) * LANES));
+                                acc[0][r] = $ops::fmadd(a, b0, acc[0][r]);
+                            }
+                        }
+                    }
+                    acc
+                };
+                // s[j] = (q_i · k_j) * scale, two keys a step (an odd `t`'s
+                // last alone), and the row maxima in token order.
+                let mut max = [$ops::splat(f32::NEG_INFINITY); R];
+                for j in (0..t).step_by(2) {
+                    let two = j + 1 < t;
+                    let acc = block(qp.as_ptr(), q_rows, 1, kp.as_ptr(), [j * dk, (j + 1) * dk], 1, dk, two);
+                    for (x, acc) in acc.into_iter().enumerate() {
+                        if x == 0 || two {
+                            for (r, (acc, max)) in acc.into_iter().zip(&mut max).enumerate() {
+                                let sj = $ops::mul(acc, scale);
+                                $ops::store(s.as_mut_ptr().add(s_at(r, j + x)), sj);
+                                *max = $ops::max(sj, *max);
+                            }
+                        }
+                    }
+                }
+                for (r, &max) in max.iter().enumerate().take(rows) {
+                    for j in 0..t {
+                        let e = $ops::exp($ops::sub($ops::load(s.as_ptr().add(s_at(r, j))), max));
+                        $ops::store(s.as_mut_ptr().add(s_at(r, j)), e);
+                    }
+                    // The row kernel's f64 sum: body columns accumulate by
+                    // `j % 8` into two four-lane registers (`lo`: residues
+                    // 0–3, `hi`: 4–7), folded as `((l0 + l1) + l2) + l3`
+                    // with `l_m = lo_m + hi_m`; tail columns then add one
+                    // by one.
+                    let mut sum = $ops::sum_zero();
+                    for m in 0..4 {
+                        let (mut lo, mut hi) = ($ops::sum_zero(), $ops::sum_zero());
+                        let mut j = m;
+                        while j < body {
+                            lo = $ops::sum_add(lo, $ops::load(s.as_ptr().add(s_at(r, j))));
+                            hi = $ops::sum_add(hi, $ops::load(s.as_ptr().add(s_at(r, j + 4))));
+                            j += 8;
+                        }
+                        let l = $ops::sum_join(lo, hi);
+                        sum = if m == 0 { l } else { $ops::sum_join(sum, l) };
+                    }
+                    for j in body..t {
+                        sum = $ops::sum_add(sum, $ops::load(s.as_ptr().add(s_at(r, j))));
+                    }
+                    let inv = $ops::sum_recip(sum);
+                    for j in 0..t {
+                        let p = $ops::mul($ops::load(s.as_ptr().add(s_at(r, j))), inv);
+                        $ops::store(s.as_mut_ptr().add(s_at(r, j)), p);
+                    }
+                    emit(r, s.as_ptr().add(s_at(r, 0)));
+                }
+                // o[c] = Σ_j p_j · v_jc, two columns a step (an odd `dk`'s
+                // last alone), over the block's Q.
+                for c in (0..dk).step_by(2) {
+                    let two = c + 1 < dk;
+                    let acc = block(s.as_ptr(), s_rows, 1, vp.as_ptr(), [c, c + 1], dk, t, two);
+                    for (x, acc) in acc.into_iter().enumerate() {
+                        if x == 0 || two {
+                            for (r, acc) in acc.into_iter().enumerate() {
+                                $ops::store(qp.as_mut_ptr().add(q_at(r, c + x)), acc);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
         /// Attention over every tile of `grid`, `LANES` tiles per vector
-        /// and `R` query rows at a time (see [`crate::simd::attention`] for
-        /// the lane layout and why each lane's chain is the unfused one),
-        /// overwriting each tile's Q with its output. `scratch` holds at
-        /// least `grid.scratch_len()` floats; `probs`, when given, is the
-        /// `[tile][token][token]` softmax rows (`grid.probs_len()` floats)
-        /// and receives them.
+        /// and `R` query rows at a time, overwriting each tile's Q with its
+        /// output. `scratch` holds at least `grid.scratch_len()` floats;
+        /// `probs`, when given, is the `[tile][token][token]` softmax rows
+        /// (`grid.probs_len()` floats) and receives them.
         ///
         /// # Safety
         ///
@@ -225,18 +429,8 @@ macro_rules! attention_lanes_kernel {
             let stride = grid.token_stride();
             let (kp, rest) = scratch.split_at_mut(t * dk * LANES);
             let (vp, rest) = rest.split_at_mut(t * dk * LANES);
-            // `R` rows of the group's Q, then of its output, and of its
-            // scores.
             let (qp, rest) = rest.split_at_mut(R * dk * LANES);
             let s = &mut rest[..R * t * LANES];
-            let at = |token: usize, col: usize| (token * dk + col) * LANES;
-            let scale = $ops::splat(1.0 / (dk as f32).sqrt());
-            // Panel rows of the `R` query rows' Q (then output) and scores.
-            let q_rows: [usize; R] = std::array::from_fn(|r| r * dk);
-            let s_rows: [usize; R] = std::array::from_fn(|r| r * t);
-            // Columns of a softmax row the avx2 row kernel runs through its
-            // eight-wide vector body; the rest is its scalar tail.
-            let body = t - t % 8;
             if let Some(probs) = &probs {
                 assert!(
                     probs.len() == tiles * t * t,
@@ -259,128 +453,179 @@ macro_rules! attention_lanes_kernel {
                 // inside the buffers by the assert above — and writes touch
                 // only live tiles' own Q rows, or, into `probs`, row `i` of
                 // a live tile's own `t * t` floats, inside it by the length
-                // assert; panel rows `at(token, col)` (`token < t`, `col <
-                // dk`), `q_rows[r] + col` and `s_rows[r] + j` (`r < R`, `j <
-                // t`) stay inside `kp`/`vp`, `qp` and `s`.
+                // assert; panel rows `token * dk + 0..dk` (`token < t`) of
+                // `kp` / `vp` and `r * dk + 0..dk`, `r * t + 0..t` (`r < R`)
+                // of `qp` and `s` stay inside them.
                 unsafe {
-                    // One `R × 2` register block of a panel product: for
-                    // `x < 2` (`x = 0` alone unless `two`) and `r < R`,
-                    // `Σ_κ a[a_rows[r] + κ·a_step] · b[b_cols[x] + κ·b_step]`
-                    // over `κ < n` — panel rows, `LANES` floats each — one
-                    // accumulator from `0.0` a sum, `κ` ascending, one FMA a
-                    // step: the `matmul_small` chain of every element, `2R`
-                    // chains in flight.
-                    let block = |a: *const f32,
-                                 a_rows: [usize; R],
-                                 a_step: usize,
-                                 b: *const f32,
-                                 b_cols: [usize; 2],
-                                 b_step: usize,
-                                 n: usize,
-                                 two: bool| {
-                        let mut acc = [[$ops::splat(0.0); R]; 2];
+                    for j in 0..t {
+                        $ops::load_runs(k.as_ptr(), &base, j * stride, dk, kp.as_mut_ptr().add(j * dk * LANES));
+                        $ops::load_runs(v.as_ptr(), &base, j * stride, dk, vp.as_mut_ptr().add(j * dk * LANES));
+                    }
+                    for i0 in (0..t).step_by(R) {
+                        // Query rows `i0..i0 + rows`, a short last block
+                        // re-reading its last row in the rest.
+                        let (is, rows) = crate::simd::attention::rows::<R>(t, i0);
+                        for (r, &i) in is.iter().enumerate() {
+                            $ops::load_runs(qo, &base, i * stride, dk, qp.as_mut_ptr().add(r * dk * LANES));
+                        }
+                        attend::<R>(t, dk, kp, vp, qp, s, rows, |r, row| {
+                            if let Some(probs) = probs.as_deref_mut() {
+                                $ops::store_runs(row, probs.as_mut_ptr(), &p_base, (i0 + r) * t, t, live);
+                            }
+                        });
+                        for (r, &i) in is.iter().enumerate().take(rows) {
+                            $ops::store_runs(qp.as_ptr().add(r * dk * LANES), qo, &base, i * stride, dk, live);
+                        }
+                    }
+                }
+                group += LANES;
+            }
+        }
+
+        /// One MHSA layer over every sequence of `grid` in one pass,
+        /// `LANES` sequences a group and `R` query rows at a time: `y =
+        /// MHSA(x)` for `[rows, d]` rows `x` and `y`, every element of `y`
+        /// overwritten, with `weights` the row-major `[w_q, w_k, w_v,
+        /// w_o]`. Per element the chains of the composition `linear_into`
+        /// → `attention_lanes` → `linear_into` (the module docs say why);
+        /// `scratch` holds `grid.one_pass_scratch_len(d)` floats, and `R`
+        /// is at most `MAX_ROWS`.
+        $(#[$attr])*
+        pub fn mhsa_lanes<const R: usize>(
+            grid: &crate::simd::AttnGrid,
+            x: &[f32],
+            weights: [&[f32]; 4],
+            y: &mut [f32],
+            scratch: &mut [f32],
+        ) {
+            use $ops::{fmadd, load, splat, store, LANES};
+            // Weight columns a projection block carries, an even number.
+            const C: usize = $ops::PROJECT_COLS;
+            let (t, dk, heads, width) = (grid.tokens, grid.head_dim, grid.heads, grid.width());
+            let d = weights[0].len() / width;
+            let sequences = grid.outer * grid.inner;
+            assert!(
+                t > 0
+                    && (1..=crate::simd::attention::MAX_ROWS).contains(&R)
+                    && x.len() == grid.rows() * d
+                    && y.len() == x.len()
+                    && weights.iter().all(|w| w.len() == d * width)
+                    && scratch.len() >= grid.one_pass_scratch_len(d),
+                "one-pass MHSA buffers disagree with {grid:?} at model dim {d}"
+            );
+            let [w_q, w_k, w_v, w_o] = weights.map(<[f32]>::as_ptr);
+            let x_stride = grid.inner * d;
+            let (xp, rest) = scratch.split_at_mut(t * d * LANES);
+            let (yp, rest) = rest.split_at_mut(t * d * LANES);
+            let (kp, rest) = rest.split_at_mut(t * dk * LANES);
+            let (vp, rest) = rest.split_at_mut(t * dk * LANES);
+            let (qp, rest) = rest.split_at_mut(R * dk * LANES);
+            let s = &mut rest[..R * t * LANES];
+            let mut group = 0;
+            while group < sequences {
+                let live = (sequences - group).min(LANES);
+                let sequence = |lane: usize| group + lane.min(live - 1);
+                // Where each lane's rows of `x` and `y` start.
+                let rows_at: [usize; LANES] = std::array::from_fn(|lane| grid.tile_base_in(sequence(lane) * heads, d));
+                // SAFETY (this block): a lane reads and writes `d` floats at
+                // `rows_at[λ] + token * x_stride` of `x` / `y` (`token <
+                // t`), its own sequence's rows, inside them by the length
+                // assert above, and writes only when live. Weights are read
+                // at `k * width + col` (`k < d`, `col < width`) and `(col +
+                // c) * d + e` (`c < dk`, `e < d`): inside `d * width`. Panel
+                // rows `token * d + 0..d` of `xp` / `yp`, `token * dk +
+                // 0..dk` of `kp` / `vp` and `r * dk + 0..dk` (`r < R`) of
+                // `qp` stay inside them.
+                unsafe {
+                    // One `R × C` register block of a panel-by-weight
+                    // product: for `u < C` and `r < R`, `acc[u][r] + Σ_κ
+                    // a[a_rows[r] + κ] · w[u][κ·w_step]` over `κ < n` —
+                    // panel rows times broadcast weights, `κ` ascending, one
+                    // FMA a step: from `acc = 0.0`, `matmul_small`'s chain
+                    // of every element, `C·R` chains in flight.
+                    let project = |a: *const f32,
+                                   a_rows: [usize; R],
+                                   n: usize,
+                                   w: [*const f32; C],
+                                   w_step: usize,
+                                   mut acc: [[$ops::V; R]; C]| {
                         for kappa in 0..n {
-                            let b0 = $ops::load(b.add((b_cols[0] + kappa * b_step) * LANES));
-                            if two {
-                                let b1 = $ops::load(b.add((b_cols[1] + kappa * b_step) * LANES));
-                                for (r, &row) in a_rows.iter().enumerate() {
-                                    let a = $ops::load(a.add((row + kappa * a_step) * LANES));
-                                    acc[0][r] = $ops::fmadd(a, b0, acc[0][r]);
-                                    acc[1][r] = $ops::fmadd(a, b1, acc[1][r]);
-                                }
-                            } else {
-                                for (r, &row) in a_rows.iter().enumerate() {
-                                    let a = $ops::load(a.add((row + kappa * a_step) * LANES));
-                                    acc[0][r] = $ops::fmadd(a, b0, acc[0][r]);
+                            let wv = w.map(|w| splat(*w.add(kappa * w_step)));
+                            for (r, &row) in a_rows.iter().enumerate() {
+                                let a = load(a.add((row + kappa) * LANES));
+                                for (acc, &w) in acc.iter_mut().zip(&wv) {
+                                    acc[r] = fmadd(a, w, acc[r]);
                                 }
                             }
                         }
                         acc
                     };
-                    for j in 0..t {
-                        $ops::load_runs(k.as_ptr(), &base, j * stride, dk, kp.as_mut_ptr().add(at(j, 0)));
-                        $ops::load_runs(v.as_ptr(), &base, j * stride, dk, vp.as_mut_ptr().add(at(j, 0)));
+                    // `N` columns from `c` of a row of `n`, the last repeated
+                    // past its end (computed, never stored).
+                    fn span<const N: usize>(c: usize, n: usize) -> [usize; N] {
+                        std::array::from_fn(|u| (c + u).min(n - 1))
                     }
-                    for i0 in (0..t).step_by(R) {
-                        // Query rows `i0..i0 + rows`; the chains of `R`
-                        // rows interleave, a short last block re-reading
-                        // its last row in the rest (never stored).
-                        let rows = (t - i0).min(R);
-                        let q_at = |r: usize, c: usize| (q_rows[r] + c) * LANES;
-                        let s_at = |r: usize, j: usize| (s_rows[r] + j) * LANES;
-                        for r in 0..R {
-                            let i = i0 + r.min(rows - 1);
-                            $ops::load_runs(qo, &base, i * stride, dk, qp.as_mut_ptr().add(q_at(r, 0)));
+                    // Stores rows `r < count` of `acc`'s first `cols`
+                    // columns at `panel` rows `at[r] + col[u]`.
+                    let put = |panel: *mut f32, at: [usize; R], count: usize, acc: &[[$ops::V; R]], col: &[usize], cols: usize| {
+                        for (acc, &col) in acc.iter().zip(col).take(cols) {
+                            for (&at, &acc) in at.iter().zip(acc).take(count) {
+                                store(panel.add((at + col) * LANES), acc);
+                            }
                         }
-                        // s[j] = (q_i · k_j) * scale, two keys a step (an
-                        // odd `t`'s last alone), and the row maxima in token
-                        // order.
-                        let mut max = [$ops::splat(f32::NEG_INFINITY); R];
-                        for j in (0..t).step_by(2) {
-                            let two = j + 1 < t;
-                            let acc = block(qp.as_ptr(), q_rows, 1, kp.as_ptr(), [j * dk, (j + 1) * dk], 1, dk, two);
-                            for (x, acc) in acc.into_iter().enumerate() {
-                                if x == 0 || two {
-                                    for (r, (acc, max)) in acc.into_iter().zip(&mut max).enumerate() {
-                                        let sj = $ops::mul(acc, scale);
-                                        $ops::store(s.as_mut_ptr().add(s_at(r, j + x)), sj);
-                                        *max = $ops::max(sj, *max);
+                    };
+                    let zero = [[splat(0.0); R]; C];
+                    for i in 0..t {
+                        $ops::load_runs(x.as_ptr(), &rows_at, i * x_stride, d, xp.as_mut_ptr().add(i * d * LANES));
+                    }
+                    for h in 0..heads {
+                        let col = h * dk;
+                        // K and V, `C / 2` columns of each a block.
+                        for i0 in (0..t).step_by(R) {
+                            let (is, rows) = crate::simd::attention::rows::<R>(t, i0);
+                            let x_at = is.map(|i| i * d);
+                            for c in (0..dk).step_by(C / 2) {
+                                let cs = span::<C>(c, dk);
+                                let w = std::array::from_fn(|u| match u.checked_sub(C / 2) {
+                                    None => w_k.add(col + cs[u]),
+                                    Some(u) => w_v.add(col + cs[u]),
+                                });
+                                let acc = project(xp.as_ptr(), x_at, d, w, width, zero);
+                                let (cols, at) = ((dk - c).min(C / 2), is.map(|i| i * dk));
+                                put(kp.as_mut_ptr(), at, rows, &acc[..C / 2], &cs, cols);
+                                put(vp.as_mut_ptr(), at, rows, &acc[C / 2..], &cs, cols);
+                            }
+                        }
+                        for i0 in (0..t).step_by(R) {
+                            let (is, rows) = crate::simd::attention::rows::<R>(t, i0);
+                            let r_at: [usize; R] = std::array::from_fn(|r| r * dk);
+                            for c in (0..dk).step_by(C) {
+                                let cs = span::<C>(c, dk);
+                                let acc = project(xp.as_ptr(), is.map(|i| i * d), d, cs.map(|c| w_q.add(col + c)), width, zero);
+                                put(qp.as_mut_ptr(), r_at, R, &acc, &cs, (dk - c).min(C));
+                            }
+                            attend::<R>(t, dk, kp, vp, qp, s, rows, |_, _| {});
+                            // y[i][e] += Σ_c o[i][c] · w_o[col + c][e]: the
+                            // `W_O` chain over `col..col + dk`, continued
+                            // from the heads before (zero before the first).
+                            let y_at = is.map(|i| i * d);
+                            for e in (0..d).step_by(C) {
+                                let es = span::<C>(e, d);
+                                let mut acc = zero;
+                                if h > 0 {
+                                    for (acc, &e) in acc.iter_mut().zip(&es) {
+                                        for (acc, &at) in acc.iter_mut().zip(&y_at) {
+                                            *acc = load(yp.as_ptr().add((at + e) * LANES));
+                                        }
                                     }
                                 }
+                                let acc = project(qp.as_ptr(), r_at, dk, es.map(|e| w_o.add(col * d + e)), d, acc);
+                                put(yp.as_mut_ptr(), y_at, rows, &acc, &es, (d - e).min(C));
                             }
                         }
-                        for (r, &max) in max.iter().enumerate().take(rows) {
-                            for j in 0..t {
-                                let e = $ops::exp($ops::sub($ops::load(s.as_ptr().add(s_at(r, j))), max));
-                                $ops::store(s.as_mut_ptr().add(s_at(r, j)), e);
-                            }
-                            // The row kernel's f64 sum: body columns
-                            // accumulate by `j % 8` into two four-lane
-                            // registers (`lo`: residues 0–3, `hi`: 4–7),
-                            // folded as `((l0 + l1) + l2) + l3` with
-                            // `l_m = lo_m + hi_m`; tail columns then add one
-                            // by one.
-                            let mut sum = $ops::sum_zero();
-                            for m in 0..4 {
-                                let (mut lo, mut hi) = ($ops::sum_zero(), $ops::sum_zero());
-                                let mut j = m;
-                                while j < body {
-                                    lo = $ops::sum_add(lo, $ops::load(s.as_ptr().add(s_at(r, j))));
-                                    hi = $ops::sum_add(hi, $ops::load(s.as_ptr().add(s_at(r, j + 4))));
-                                    j += 8;
-                                }
-                                let l = $ops::sum_join(lo, hi);
-                                sum = if m == 0 { l } else { $ops::sum_join(sum, l) };
-                            }
-                            for j in body..t {
-                                sum = $ops::sum_add(sum, $ops::load(s.as_ptr().add(s_at(r, j))));
-                            }
-                            let inv = $ops::sum_recip(sum);
-                            for j in 0..t {
-                                let p = $ops::mul($ops::load(s.as_ptr().add(s_at(r, j))), inv);
-                                $ops::store(s.as_mut_ptr().add(s_at(r, j)), p);
-                            }
-                            if let Some(probs) = probs.as_deref_mut() {
-                                let i = i0 + r;
-                                $ops::store_runs(s.as_ptr().add(s_at(r, 0)), probs.as_mut_ptr(), &p_base, i * t, t, live);
-                            }
-                        }
-                        // o[c] = Σ_j p_j · v_jc, two columns a step (an
-                        // odd `dk`'s last alone), over the block's Q.
-                        for c in (0..dk).step_by(2) {
-                            let two = c + 1 < dk;
-                            let acc = block(s.as_ptr(), s_rows, 1, vp.as_ptr(), [c, c + 1], dk, t, two);
-                            for (x, acc) in acc.into_iter().enumerate() {
-                                if x == 0 || two {
-                                    for (r, acc) in acc.into_iter().enumerate() {
-                                        $ops::store(qp.as_mut_ptr().add(q_at(r, c + x)), acc);
-                                    }
-                                }
-                            }
-                        }
-                        for r in 0..rows {
-                            $ops::store_runs(qp.as_ptr().add(q_at(r, 0)), qo, &base, (i0 + r) * stride, dk, live);
-                        }
+                    }
+                    for i in 0..t {
+                        $ops::store_runs(yp.as_ptr().add(i * d * LANES), y.as_mut_ptr(), &rows_at, i * x_stride, d, live);
                     }
                 }
                 group += LANES;
@@ -428,6 +673,37 @@ pub(crate) unsafe fn attention_tiles(
             #[cfg(target_arch = "x86_64")]
             (Isa::Avx512, _) => super::avx512::attention_lanes::<4>(grid, qo, k, v, scratch, probs),
             _ => super::scalar::attention_tiles(grid, qo, k, v, scratch, probs),
+        }
+    }
+}
+
+/// One MHSA layer over every sequence of `grid` in one pass on `isa`'s
+/// lane kernel (`mhsa_lanes`; `isa` is avx2 or avx512, see
+/// [`AttnGrid::one_pass`]): `y = MHSA(x)` for `[rows, d]` rows `x` and `y`,
+/// `weights` the row-major `[w_q, w_k, w_v, w_o]`. The kernel checks
+/// every length against `grid`.
+pub(crate) fn mhsa_one_pass(
+    isa: super::Isa,
+    grid: &AttnGrid,
+    x: &[f32],
+    weights: [&[f32]; 4],
+    y: &mut [f32],
+    scratch: &mut [f32],
+) {
+    use super::Isa;
+    // SAFETY: Avx2/Avx512 dispatch implies the features their kernels
+    // enable are present.
+    unsafe {
+        match (isa, block_rows(grid.tokens)) {
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx2, 3) => super::avx2::mhsa_lanes::<3>(grid, x, weights, y, scratch),
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx2, _) => super::avx2::mhsa_lanes::<4>(grid, x, weights, y, scratch),
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx512, 3) => super::avx512::mhsa_lanes::<3>(grid, x, weights, y, scratch),
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx512, _) => super::avx512::mhsa_lanes::<4>(grid, x, weights, y, scratch),
+            _ => unreachable!("{isa:?} has no one-pass MHSA kernel"),
         }
     }
 }

@@ -619,6 +619,10 @@ pub(super) mod lanes {
     use std::arch::x86_64::*;
 
     pub const LANES: usize = 8;
+    /// Weight columns of a one-pass projection block: with three or four
+    /// rows' accumulators, as many as sixteen registers hold beside the
+    /// broadcast weights and the row loaded.
+    pub const PROJECT_COLS: usize = 2;
     pub type V = __m256;
     /// Per-lane f64 sums: lanes 0–3, lanes 4–7.
     pub type D = (__m256d, __m256d);

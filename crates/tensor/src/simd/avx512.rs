@@ -100,6 +100,10 @@ mod lanes {
     use std::arch::x86_64::*;
 
     pub const LANES: usize = 16;
+    /// Weight columns of a one-pass projection block: with three or four
+    /// rows' accumulators, as many as thirty-two registers hold beside
+    /// the row loaded (the weights are broadcast from memory).
+    pub const PROJECT_COLS: usize = 4;
     pub type V = __m512;
     /// Per-lane f64 sums: lanes 0–7, lanes 8–15.
     pub type D = (__m512d, __m512d);

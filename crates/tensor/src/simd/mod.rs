@@ -52,7 +52,7 @@ pub(crate) mod avx512;
 pub(crate) mod scalar;
 
 pub use attention::AttnGrid;
-pub(crate) use attention::{attention_backward_tiles, attention_tiles};
+pub(crate) use attention::{attention_backward_tiles, attention_tiles, mhsa_one_pass};
 
 /// Instruction-set architecture a kernel can be dispatched to.
 ///
