@@ -4,8 +4,8 @@
 //!
 //! The node's forward is [`crate::mhsa_forward_into`]'s body, the forward
 //! the serving path runs, asked for the intermediates its backward reads:
-//! the composition's path, which the one pass serving takes where the
-//! projections widen the rows reproduces bit for bit
+//! the composition's path, which the one pass serving takes where each
+//! head is as wide as the rows (MBA) reproduces bit for bit
 //! (`tests/mhsa_oracle.rs`, `tests/mhsa_tape_oracle.rs`), so tape and
 //! frozen outputs are the same bits. Its backward is written out here over
 //! `hire_tensor::linalg`: two products around `W_O`, the attention tile

@@ -4,11 +4,13 @@
 //! the workspace, over one body, `mhsa_forward_over`, with two paths picked
 //! by one predicate on the layer's shapes, [`AttnGrid::one_pass`]:
 //!
-//! * the projections widen each row (`model_dim < heads · head_dim`: MBA,
-//!   and MBU / MBI on three-attribute schemas) and the ISA has lane kernels
-//!   (avx2, avx512): `linalg::mhsa_one_pass_into` runs the layer in one
-//!   pass, a lane group of sequences at a time, its Q, K, V and merged-head
-//!   output never leaving registers and panels;
+//! * each head is at least as wide as the layer's rows (`model_dim <=
+//!   head_dim`: MBA, over one attribute row of each cell at a time) and the
+//!   ISA has lane kernels (avx2, avx512): `linalg::mhsa_one_pass_into` runs
+//!   the layer in one pass, a lane group of sequences at a time, its Q, K,
+//!   V and merged-head output never leaving registers and panels — where
+//!   the line lies was measured, both paths forced on every HIM layer shape
+//!   (DESIGN.md §9);
 //! * otherwise, the composition: the three projections land in `[rows,
 //!   l·dk]` buffers, `linalg::attention_into` reads each (batch, head) tile
 //!   straight out of them and writes the merged-head layout straight back

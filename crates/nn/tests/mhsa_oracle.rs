@@ -1,5 +1,5 @@
 //! Fused ≡ reference, generated: `mhsa_forward` — the one-pass kernel
-//! where the projections widen the rows (`model_dim < heads·head_dim`) on a
+//! where each head is as wide as the rows (`model_dim <= head_dim`) on a
 //! lane ISA, else projections → attention tiles over strided views → `W_O`
 //! — against the composition both replaced — head-split `permute`, `bmm`
 //! with a materialized `Kᵀ`, `softmax_last`, `bmm`, merge `permute` — kept
@@ -192,14 +192,14 @@ fn assert_strided_matches_oracle(
 }
 
 /// Both sides of the one-pass predicate, at model dims one below, at and
-/// one above `heads·head_dim`: the one-pass kernel runs the first on the
-/// lane ISAs, the composition everything else, and each is the oracle's
-/// bits — over a strided token axis, MBA's nine tokens and 21 sequences (a
-/// ragged last group of 8 or 16 lanes).
+/// one above `head_dim`: the one-pass kernel runs the first two on the lane
+/// ISAs, the composition everything else, and each is the oracle's bits —
+/// over a strided token axis, MBA's nine tokens and 21 sequences (a ragged
+/// last group of 8 or 16 lanes).
 #[test]
 fn both_sides_of_the_one_pass_predicate_match_oracle() {
     let ([outer, t, inner], l, dk) = ([3, 9, 7], 4, 8);
-    for (seed, d) in [l * dk - 1, l * dk, l * dk + 1].into_iter().enumerate() {
+    for (seed, d) in [dk - 1, dk, dk + 1].into_iter().enumerate() {
         for isa in Isa::available() {
             let grid = AttnGrid {
                 outer,
@@ -210,7 +210,7 @@ fn both_sides_of_the_one_pass_predicate_match_oracle() {
             };
             assert_eq!(
                 grid.one_pass(d, isa),
-                d < l * dk && isa != Isa::Scalar,
+                d <= dk && isa != Isa::Scalar,
                 "d={d} {isa:?}"
             );
         }
@@ -232,6 +232,7 @@ fn him_shapes_match_oracle() {
     assert_matches_oracle(1024, 9, 16, 8, 16, 7); // paper MBA
     assert_matches_oracle(32, 32, 144, 8, 16, 8); // paper MBU / MBI
     assert_matches_oracle(203, 3, 8, 3, 4, 4); // ragged lane groups
+    assert_matches_oracle(203, 3, 3, 3, 5, 9); // the same in one pass, odd head_dim
     assert_matches_oracle(5, 33, 12, 2, 8, 5);
     assert_matches_oracle(3, 48, 12, 3, 8, 6); // oracle on the blocked path
 }

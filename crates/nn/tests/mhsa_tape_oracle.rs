@@ -173,7 +173,7 @@ fn him_views_match_the_composed_tape() {
 }
 
 /// MBA at the `fast` shape — nine attribute rows of width 8 per cell under
-/// 4 × 8 heads, the widening layer the no-grad forward runs in one pass —
+/// 4 × 8 heads, the layer the no-grad forward runs in one pass —
 /// through the tape node: the output is the no-grad forward's, and the five
 /// gradients are the node's backward products over the composition's own
 /// intermediates (the projections, the attention tiles and their softmax

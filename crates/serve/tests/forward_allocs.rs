@@ -7,8 +7,8 @@
 //! and V buffers, the packed panels of their projections, the prediction.
 //! Scalar still runs MBA as the composition, so it still makes the 29. This
 //! pins each ISA's numbers + 10 %, so a stray `NdArray` temporary in the hot
-//! path — or an attention layer's widened `[rows, heads·head_dim]`
-//! intermediates creeping back — shows up here rather than as a slow drift
+//! path — or MBA's `[rows, heads·head_dim]` intermediates, four times its
+//! input, creeping back — shows up here rather than as a slow drift
 //! in the ledger.
 //!
 //! Own test binary: the counting `#[global_allocator]`

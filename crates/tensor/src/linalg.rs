@@ -704,10 +704,11 @@ fn attention_run(
 /// `[rows, d]` rows `x` and `y` laid out as `grid` says, `weights` the
 /// row-major `[w_q, w_k, w_v, w_o]` (`[d, width]` ×3, `[width, d]`), every
 /// element of `y` overwritten — for the layers [`AttnGrid::one_pass`]
-/// picks, whose projections widen their rows. A lane group of sequences
-/// enters the vector lanes once; every head's Q, K and V are projected in
-/// registers, attended and folded through `W_O` into the group's output,
-/// which leaves the lanes once, so no `[rows, width]` buffer is written.
+/// picks, whose every head is at least as wide as their rows. A lane group
+/// of sequences enters the vector lanes once; every head's Q, K and V are
+/// projected in registers, attended and folded through `W_O` into the
+/// group's output, which leaves the lanes once, so no `[rows, width]`
+/// buffer is written.
 /// Per element these are the chains of the composition — [`linear_into`]
 /// thrice, [`attention_into`], [`linear_into`] — on the same ISA, so the
 /// output is bit-identical to it (see [`crate::simd::attention`]).

@@ -50,16 +50,16 @@
 //!
 //! `mhsa_lanes` (behind `linalg::mhsa_one_pass_into`) runs a whole MHSA
 //! layer — projections, attention, `W_O` — where [`AttnGrid::one_pass`]
-//! says so: the projections widen each row (`model_dim < heads ·
-//! head_dim`; MBA's 8 → 32 at `fast`, 16 → 128 at the paper's config, and
-//! MBU / MBI's 24 → 32 on three-attribute schemas), on avx2 / avx512. There
-//! the composition writes and re-reads four `[rows, heads · head_dim]`
-//! buffers (Q, K, V, then `O` over Q), each several times the layer's input,
-//! and moves every tile into and out of the lanes by transposes. Instead 8
-//! or 16 *sequences* ride in the lanes: their `t × d` input rows enter
-//! `[token][column][lane]` panels once (`load_runs`); for each head, in
-//! column order, its K and V panels and Q rows are projected from them with
-//! broadcast weights, attended by `attend` — the tiles' own code — and the
+//! says so: each head alone is at least as wide as the layer's rows
+//! (`model_dim <= head_dim`; MBA's 8-float attribute rows against 4 × 8
+//! heads at `fast`, 16 against 8 × 16 at the paper's config), on avx2 /
+//! avx512. There the composition writes and re-reads four `[rows, heads ·
+//! head_dim]` buffers (Q, K, V, then `O` over Q), each `heads` times the
+//! layer's input or more, and moves every tile into and out of the lanes by
+//! transposes. Instead 8 or 16 *sequences* ride in the lanes: their `t × d`
+//! input rows enter `[token][column][lane]` panels once (`load_runs`); for
+//! each head, in column order, its K and V panels and Q rows are projected
+//! from them with broadcast weights, attended by `attend` — the tiles' own code — and the
 //! output rows folded through that head's rows of `W_O` into one `Y` panel,
 //! which leaves the lanes once (`store_runs`). Per element these are the
 //! composition's chains, so the output is its bits:
@@ -74,9 +74,12 @@
 //!   back the value stored) — the `W_O` matmul's chain.
 //!
 //! Scalar keeps the composition, the reference chain by construction; so
-//! does every layer whose rows the projections do not widen (MBU / MBI's
-//! 72 → 32 at HIM's default schemas, whose buffers are narrower than their
-//! input), and the tape's `mhsa` node, whose backward reads the buffers.
+//! does every wider layer (MBU / MBI, whose rows are `h` attribute rows
+//! wide), and the tape's `mhsa` node, whose backward reads the buffers. The
+//! line is where forcing both paths on every layer shape put it, on both
+//! lane ISAs (DESIGN.md §9): the one pass won on every shape with
+//! `model_dim <= head_dim`, and at the paper's config lost on avx2 from
+//! MBU / MBI's `model_dim = 2 · head_dim` on.
 //!
 //! # Backward
 //!
@@ -213,13 +216,13 @@ impl AttnGrid {
     }
 
     /// Whether a layer of model dim `model_dim` over this grid runs in one
-    /// pass on `isa` (`linalg::mhsa_one_pass_into`): when its projections
-    /// widen its rows (`model_dim < heads · head_dim`), on an ISA with lane
-    /// kernels. Scalar, and every layer whose rows the projections do not
-    /// widen, runs the composition — the projections, [`Self`]'s attention
-    /// tiles over their buffers, `W_O`.
+    /// pass on `isa` (`linalg::mhsa_one_pass_into`): when each head is at
+    /// least as wide as the layer's rows (`model_dim <= head_dim`), on an
+    /// ISA with lane kernels. Scalar, and every wider layer, runs the
+    /// composition — the projections, [`Self`]'s attention tiles over their
+    /// buffers, `W_O`. The line is measured (see the module docs).
     pub fn one_pass(&self, model_dim: usize, isa: super::Isa) -> bool {
-        model_dim < self.width() && isa != super::Isa::Scalar
+        model_dim <= self.head_dim && isa != super::Isa::Scalar
     }
 
     /// Scratch floats the one-pass kernel needs for a layer of model dim
