@@ -41,7 +41,7 @@
 //!    50 000×10 000 `popularity_skew = 1.1` graph whose hub items are rated
 //!    by most users: microseconds per sample, and — from a plain BFS replica
 //!    that must reproduce every selection first — the adjacency entries
-//!    walked and RNG draws made per sample. Reported, not gated.
+//!    read and RNG draws made per sample.
 //! 6. **graph_commit** — `EpochedGraph::commit_edges` on the same two graphs,
 //!    one new edge and eight new edges a commit: microseconds, and — counted
 //!    with `BipartiteGraph::chunk_sharing` against the predecessor — the
@@ -49,13 +49,15 @@
 //!    resident bytes and its largest chunk (what a commit on a hub row
 //!    copies).
 //!
-//! `--smoke` shrinks every section to seconds and gates two regressions: on
-//! hosts where the dispatcher resolves to avx2 the dispatched matmul must
-//! beat the forced-scalar micro-kernel (MBA's `[2304, 32]·[32, 8]` `W_O`
-//! among the shapes, which only the column-tail tile serves), and a
+//! `--smoke` shrinks every section to seconds and gates three regressions:
+//! on hosts where the dispatcher resolves to avx2 the dispatched matmul
+//! must beat the forced-scalar micro-kernel (MBA's `[2304, 32]·[32, 8]`
+//! `W_O` among the shapes, which only the column-tail tile serves), a
 //! single-edge commit on the hub graph must copy no more than a fixed
-//! multiple of the bytes it copies on the 600×400 one — the CI regression
-//! gates for the SIMD layer and the copy-on-write graph.
+//! multiple of the bytes it copies on the 600×400 one, and the sampler must
+//! draw at most `4 · (n + m)` times per sample on the hub graph — the CI
+//! regression gates for the SIMD layer, the copy-on-write graph and the
+//! hub-bounded BFS.
 
 use hire_bench::write_json_atomic;
 use hire_core::{HireConfig, HireModel};
@@ -67,7 +69,6 @@ use hire_nn::{mhsa_forward, MhsaWeights, MultiHeadSelfAttention};
 use hire_tensor::linalg;
 use hire_tensor::{AttnGrid, NdArray, Tensor};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::sync::Arc;
@@ -80,8 +81,9 @@ USAGE:
 
 OPTIONS:
     --smoke         quick run: small shapes, assert (on avx2 hosts) that
-                    dispatch beats forced-scalar, and that a graph commit
-                    copies bytes by the rows it touches
+                    dispatch beats forced-scalar, that a graph commit
+                    copies bytes by the rows it touches, and that the BFS
+                    sampler draws by the context budget
     --out <path>    write the JSON report here [BENCH_KERNELS.json]
     -h, --help      print this help";
 
@@ -91,6 +93,12 @@ OPTIONS:
 /// actually delivers — the gate catches a dispatcher wired to the wrong
 /// path, not a few percent of perf drift.
 const ISA_SMOKE_SPEEDUP: f64 = 1.2;
+
+/// `NeighborhoodSampler`'s BFS on the 50 000 × 10 000 graph may draw at
+/// most this many times `n + m` per sample, mean over the pairs: ≈ 1.7
+/// tries a pick, where a sampler whose draws follow the hub's 38 193
+/// raters drew ≈ 41 000 (1 280× `n + m`).
+const SAMPLER_DRAWS_SMOKE_PER_BUDGET: f64 = 4.0;
 
 /// A single-edge commit on the 50 000 × 10 000 graph may copy at most this
 /// many times the bytes it copies on the 600×400 one. Both are counts and
@@ -243,11 +251,11 @@ struct SamplerReport {
     /// Mean wall time of one `NeighborhoodSampler::sample` over the pairs,
     /// best pass.
     micros_per_sample: f64,
-    /// Adjacency entries the BFS reads per sample (every neighbour of every
-    /// frontier entity of every hop), mean over the pairs.
+    /// Adjacency entries the BFS reads per sample (the early-exit walks,
+    /// and one per rejection try), mean over the pairs.
     entries_walked_per_sample: f64,
-    /// RNG draws per sample: one per candidate above the first in every hop
-    /// that overflows its budget, spent budgets included.
+    /// RNG draws per sample in the BFS: one per rejection try of every hop
+    /// that overflows its budget, mean over the pairs.
     rng_draws_per_sample: f64,
 }
 
@@ -579,9 +587,11 @@ fn bench_layer_norm(
     }
 }
 
-/// One side of one hop of [`bfs_replica`]: the unselected neighbours of
-/// `frontier` in first-seen order, cut to what `picked` still lacks of
-/// `budget`; `counts` gains the adjacency entries read and the draws made.
+/// One side of one hop of [`bfs_replica`]: what `picked` still lacks of
+/// `budget`, from the unselected neighbours of `frontier` — all of them in
+/// first-seen order if they fit, else drawn by rejection from the
+/// concatenated rows; `counts` gains the adjacency entries read (walked,
+/// and one per try) and the draws made.
 fn bfs_hop<'g>(
     frontier: &[usize],
     neighbors: impl Fn(usize) -> &'g [(u32, f32)],
@@ -591,21 +601,43 @@ fn bfs_hop<'g>(
     rng: &mut StdRng,
     counts: &mut (usize, usize),
 ) -> Vec<usize> {
+    let room = budget - picked.len();
+    if room == 0 {
+        return Vec::new();
+    }
     let mut seen = selected.to_vec();
     let mut next = Vec::new();
-    for &v in frontier {
-        counts.0 += neighbors(v).len();
+    'walk: for &v in frontier {
         for &(x, _) in neighbors(v) {
+            counts.0 += 1;
             if !std::mem::replace(&mut seen[x as usize], true) {
                 next.push(x as usize);
+                if next.len() > room {
+                    break 'walk;
+                }
             }
         }
     }
-    let room = budget - picked.len();
     if next.len() > room {
-        counts.1 += next.len() - 1;
-        next.shuffle(rng);
-        next.truncate(room);
+        next.clear();
+        let rows: Vec<&[(u32, f32)]> = frontier.iter().map(|&v| neighbors(v)).collect();
+        let total = rows.iter().map(|row| row.len()).sum();
+        while next.len() < room {
+            counts.0 += 1;
+            counts.1 += 1;
+            let (mut row, mut at) = (0, rng.gen_range(0..total));
+            while at >= rows[row].len() {
+                at -= rows[row].len();
+                row += 1;
+            }
+            let x = rows[row][at].0;
+            let earlier = rows[..row]
+                .iter()
+                .any(|r| r.binary_search_by_key(&x, |&(y, _)| y).is_ok());
+            if !earlier && !std::mem::replace(&mut selected[x as usize], true) {
+                next.push(x as usize);
+            }
+        }
     }
     for &x in &next {
         selected[x] = true;
@@ -615,9 +647,9 @@ fn bfs_hop<'g>(
 }
 
 /// The sampler's BFS written the plain way — membership in `Vec<bool>`,
-/// candidates in first-seen order, `shuffle` + `truncate` on overflow — so
-/// that the work it does can be counted. Returns the BFS part of the
-/// selection and the (adjacency entries read, RNG draws made).
+/// the hop rule of `NeighborhoodSampler` (early-exit walk, rejection draws
+/// on overflow) — so that the work it does can be counted. Returns the BFS
+/// part of the selection and the (adjacency entries read, RNG draws made).
 fn bfs_replica(
     graph: &BipartiteGraph,
     (user, item): (usize, usize),
@@ -981,6 +1013,15 @@ fn main() {
             r
         })
         .collect();
+    // Sampler gate: the BFS draws by the context budget, not by degree.
+    let draws_per_budget =
+        sampler[1].rng_draws_per_sample / (sampler[1].context[0] + sampler[1].context[1]) as f64;
+    let sampler_gate_failed = args.smoke && draws_per_budget > SAMPLER_DRAWS_SMOKE_PER_BUDGET;
+    if sampler_gate_failed {
+        eprintln!(
+            "compute_bench: SAMPLER GATE FAILED — {draws_per_budget:.1}x (n + m) draws per sample on the hub graph (at most {SAMPLER_DRAWS_SMOKE_PER_BUDGET}x)"
+        );
+    }
     // Copy-on-write gate: what one new edge copies follows the rows it
     // touches, not the graph it is added to.
     let commit_bytes_ratio = graph_commit[1].single.bytes_copied_per_commit
@@ -1020,7 +1061,7 @@ fn main() {
     write_json_atomic(&args.out, &report).expect("write BENCH_KERNELS.json");
     eprintln!("compute_bench: report written to {}", args.out);
 
-    if isa_gate_failed || commit_gate_failed {
+    if isa_gate_failed || commit_gate_failed || sampler_gate_failed {
         std::process::exit(1);
     }
 }

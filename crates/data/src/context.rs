@@ -102,18 +102,29 @@ impl PredictionContext {
 }
 
 /// Collects the observed ratings of `graph` within a `users x items` block
-/// as `(row, col, value)` triples.
+/// as `(row, col, value)` triples, row by row in each user's (sorted) row
+/// order: the items are sorted once and merge-walked against every row.
 fn block_ratings(
     graph: &BipartiteGraph,
     users: &[usize],
     items: &[usize],
 ) -> Vec<(usize, usize, f32)> {
-    let col_of: HashMap<usize, usize> = items.iter().enumerate().map(|(j, &i)| (i, j)).collect();
+    // `(item, col)` by item; a repeated item keeps its last column.
+    let mut cols: Vec<(usize, usize)> = items.iter().enumerate().map(|(j, &i)| (i, j)).collect();
+    cols.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+    cols.dedup_by_key(|&mut (item, _)| item);
     let mut out = Vec::new();
     for (row, &u) in users.iter().enumerate() {
+        let mut k = 0;
         for &(item, value) in graph.user_neighbors(u) {
-            if let Some(&col) = col_of.get(&(item as usize)) {
-                out.push((row, col, value));
+            let item = item as usize;
+            while k < cols.len() && cols[k].0 < item {
+                k += 1;
+            }
+            match cols.get(k) {
+                Some(&(at, col)) if at == item => out.push((row, col, value)),
+                Some(_) => {}
+                None => break,
             }
         }
     }
@@ -401,6 +412,38 @@ mod tests {
         assert_eq!(ctx.m(), 3);
         assert!(ctx.num_targets() <= 3);
         assert!(ctx.num_targets() > 0);
+    }
+
+    #[test]
+    fn block_ratings_match_a_column_map_in_order() {
+        // The column map it replaced: a repeated item keeps its last column.
+        let by_map = |g: &BipartiteGraph, users: &[usize], items: &[usize]| {
+            let col_of: HashMap<usize, usize> =
+                items.iter().enumerate().map(|(j, &i)| (i, j)).collect();
+            let mut out = Vec::new();
+            for (row, &u) in users.iter().enumerate() {
+                for &(item, value) in g.user_neighbors(u) {
+                    if let Some(&col) = col_of.get(&(item as usize)) {
+                        out.push((row, col, value));
+                    }
+                }
+            }
+            out
+        };
+        let g = graph();
+        for (users, items) in [
+            (vec![0, 1, 2, 3, 4, 5], vec![5, 0, 3, 2]),
+            (vec![4, 1], vec![0, 1, 2, 3, 4, 5]),
+            (vec![2, 2, 0], vec![4, 2, 4, 0]),
+            (vec![3], vec![]),
+            (vec![], vec![1]),
+        ] {
+            assert_eq!(
+                block_ratings(&g, &users, &items),
+                by_map(&g, &users, &items),
+                "users {users:?}, items {items:?}"
+            );
+        }
     }
 
     #[test]

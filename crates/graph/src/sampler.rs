@@ -4,14 +4,27 @@
 //!
 //! Membership ("already selected", "already seen this hop") is tracked in a
 //! private per-thread `Scratch` of dense generation stamps rather than in
-//! hash sets: a hop over a hub item touches tens of thousands of users, and
-//! one array store per neighbour is what that can cost. Candidates are still
-//! collected in first-seen order, so the vectors handed to `shuffle` — and
-//! with them every selection and the RNG stream — are what a set-based
-//! implementation produces (`tests/sampler_regression.rs` holds that oracle).
+//! hash sets, so a membership test is one load.
+//!
+//! **Cost bound.** A BFS hop's work is bounded by the context budget, never
+//! by a degree. Per side, with `room` what the budget still lacks and `F`
+//! the frontier it expands (the other side's previous picks, so `|F|` is
+//! within that side's budget): a spent side reads nothing; the walk stops
+//! at `room + 1` fresh candidates, so it reads at most `room + 1 + |F| ·
+//! budget` adjacency entries (a row repeats at most `budget − room`
+//! selected entities and `room` already-seen ones); an overflowing hop then
+//! draws `room` picks by rejection, each try a binary search in at most
+//! `|F|` rows, at most `|F| · (budget + 1) / 2` expected tries a pick (a
+//! row of length `D` leaves at least `max(D − budget + 1, 2)` candidates).
+//! The random fill (reached when the frontier empties first) scans its
+//! side once for the pool and takes `min(room, pool)` draws from it.
+//! Each selection has the law of the shuffle-and-truncate it replaced — uniform without
+//! replacement, in draw order — and a hop that fits its budget is taken
+//! whole in first-seen order, as before (`tests/sampler_regression.rs`
+//! pins the sampler to a plain reference of this rule, and its law to the
+//! legacy samplers in `tests/oracle/`).
 
 use crate::bipartite::BipartiteGraph;
-use rand::seq::SliceRandom;
 use std::cell::RefCell;
 
 /// The users and items selected for one prediction context.
@@ -70,8 +83,10 @@ struct Side {
     stamps: Vec<u32>,
     /// Entities selected by the previous hop.
     frontier: Vec<usize>,
-    /// This hop's candidates in first-seen order; the fill pool afterwards.
+    /// This hop's picks; the fill pool afterwards.
     next: Vec<usize>,
+    /// Running ends of the frontier's rows in an overflowing hop.
+    row_ends: Vec<usize>,
 }
 
 thread_local! {
@@ -110,6 +125,7 @@ impl Side {
             stamps: Vec::new(),
             frontier: Vec::new(),
             next: Vec::new(),
+            row_ends: Vec::new(),
         }
     }
 
@@ -141,59 +157,99 @@ impl Side {
         out
     }
 
-    /// Collects into `next`, in first-seen order, every neighbour of `from`
-    /// that is neither selected nor already collected this hop.
-    fn expand<'g>(
+    /// One side of one BFS hop: picks what `picked` still lacks of `budget`
+    /// from the neighbours of `from` that are not marked `selected`, marks
+    /// them, and leaves them in `next` for the caller to make the frontier.
+    ///
+    /// Early-exit walk: the rows of `from` are walked in order, with `hop`
+    /// marking "seen this hop", until `room + 1` candidates are found. If
+    /// the walk ends with at most `room`, all are taken in first-seen order,
+    /// without a draw. Otherwise `room` picks are drawn by rejection from
+    /// the concatenated rows ([`Side::draw`]). A spent side reads nothing.
+    #[allow(clippy::too_many_arguments)]
+    fn hop<'g>(
         &mut self,
         from: &[usize],
         neighbors: impl Fn(usize) -> &'g [(u32, f32)],
+        picked: &mut Vec<usize>,
+        budget: usize,
         selected: u32,
         hop: u32,
+        rng: &mut dyn rand::RngCore,
     ) {
         self.next.clear();
-        for &v in from {
+        let room = budget - picked.len();
+        if room == 0 {
+            return;
+        }
+        'walk: for &v in from {
             for &(x, _) in neighbors(v) {
                 let stamp = &mut self.stamps[x as usize];
                 if *stamp != selected && *stamp != hop {
                     *stamp = hop;
                     self.next.push(x as usize);
+                    if self.next.len() > room {
+                        break 'walk;
+                    }
                 }
             }
         }
+        if self.next.len() > room {
+            self.draw(from, neighbors, room, selected, rng);
+        } else {
+            for &x in &self.next {
+                self.stamps[x] = selected;
+            }
+        }
+        picked.extend_from_slice(&self.next);
     }
 
-    /// Subsamples this hop's candidates to what `picked` still lacks of
-    /// `budget`, selects them, and makes them the next frontier.
-    fn select_hop(
+    /// Replaces `next` with `room` entities drawn uniformly without
+    /// replacement from the unselected neighbours of `from`, in draw order,
+    /// each marked `selected` as it is drawn. There must be more than
+    /// `room` of them.
+    ///
+    /// A try draws a position in the concatenation of the rows of `from`
+    /// and accepts its entity only if it is unselected and in no earlier
+    /// row (rows are sorted, so a binary search each): every candidate has
+    /// exactly one accepting position, so each accepted pick is uniform over
+    /// the candidates not yet picked — the law of the first `room` entries
+    /// of a shuffle of all of them.
+    fn draw<'g>(
         &mut self,
-        picked: &mut Vec<usize>,
-        budget: usize,
+        from: &[usize],
+        neighbors: impl Fn(usize) -> &'g [(u32, f32)],
+        room: usize,
         selected: u32,
         rng: &mut dyn rand::RngCore,
     ) {
-        let room = budget - picked.len();
-        if self.next.len() > room {
-            if room == 0 {
-                // Nothing survives the truncate, so the swaps are moot, but
-                // the stream after the call must not move: `shuffle` draws
-                // one u64 per position above the first.
-                for _ in 1..self.next.len() {
-                    rng.next_u64();
-                }
-            } else {
-                self.next.shuffle(rng);
+        self.next.clear();
+        self.row_ends.clear();
+        let mut total = 0;
+        for &v in from {
+            total += neighbors(v).len();
+            self.row_ends.push(total);
+        }
+        while self.next.len() < room {
+            let at = below(rng, total);
+            let row = self.row_ends.partition_point(|&end| end <= at);
+            let start = if row == 0 { 0 } else { self.row_ends[row - 1] };
+            let x = neighbors(from[row])[at - start].0;
+            if self.stamps[x as usize] == selected
+                || from[..row]
+                    .iter()
+                    .any(|&v| neighbors(v).binary_search_by_key(&x, |&(y, _)| y).is_ok())
+            {
+                continue;
             }
-            self.next.truncate(room);
+            self.stamps[x as usize] = selected;
+            self.next.push(x as usize);
         }
-        for &x in &self.next {
-            self.stamps[x] = selected;
-        }
-        picked.extend_from_slice(&self.next);
-        std::mem::swap(&mut self.frontier, &mut self.next);
     }
 
     /// Fills `picked` up to `budget` with uniformly random indices from
-    /// `0..total` not marked `selected` (every pick so far is).
+    /// `0..total` not marked `selected` (every pick so far is): the first
+    /// `min(room, pool)` steps of a Fisher–Yates shuffle of the pool.
     fn fill_random(
         &mut self,
         picked: &mut Vec<usize>,
@@ -209,10 +265,18 @@ impl Side {
         self.next.clear();
         self.next
             .extend((0..total).filter(|&x| stamps[x] != selected));
-        self.next.shuffle(rng);
-        let room = budget - picked.len();
-        picked.extend(self.next.iter().take(room));
+        let take = (budget - picked.len()).min(self.next.len());
+        for k in 0..take {
+            let j = k + below(rng, self.next.len() - k);
+            self.next.swap(k, j);
+        }
+        picked.extend_from_slice(&self.next[..take]);
     }
+}
+
+/// A uniform index in `0..len` (`len > 0`), from one `u64` draw.
+fn below(rng: &mut dyn rand::RngCore, len: usize) -> usize {
+    (rng.next_u64() % len as u64) as usize
 }
 
 // ----------------------------------------------------------------------
@@ -224,9 +288,8 @@ impl Side {
 /// otherwise. Falls back to uniform sampling when the frontier empties
 /// before the budget is exhausted (disconnected cold entities).
 ///
-/// A hop costs one stamp check per adjacency entry walked plus one RNG draw
-/// per candidate when it overflows the budget — including hops whose budget
-/// is already spent, which still draw so that the stream stays put.
+/// A hop's cost is bounded by the budgets `n`, `m` and the frontier, not by
+/// the degrees of the entities in it (module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NeighborhoodSampler;
 
@@ -258,23 +321,31 @@ impl ContextSampler for NeighborhoodSampler {
                 && (!user_side.frontier.is_empty() || !item_side.frontier.is_empty())
             {
                 // One hop: neighbors of frontier users are items, and vice
-                // versa; items subsample (and draw) before users.
+                // versa, both from the frontiers before the hop; items pick
+                // (and draw) before users.
                 *generation += 1;
                 let hop = *generation;
-                item_side.expand(
+                item_side.hop(
                     &user_side.frontier,
                     |u| graph.user_neighbors(u),
+                    &mut items,
+                    m,
                     selected,
                     hop,
+                    rng,
                 );
-                user_side.expand(
+                user_side.hop(
                     &item_side.frontier,
                     |i| graph.item_neighbors(i),
+                    &mut users,
+                    n,
                     selected,
                     hop,
+                    rng,
                 );
-                item_side.select_hop(&mut items, m, selected, rng);
-                user_side.select_hop(&mut users, n, selected, rng);
+                for side in [&mut *user_side, &mut *item_side] {
+                    std::mem::swap(&mut side.frontier, &mut side.next);
+                }
             }
 
             // Disconnected remainder: fill uniformly so the context is full.
@@ -618,6 +689,45 @@ mod tests {
             let wrapped = round(k) | round(k + 1);
             assert!(wrapped, "no wrap from {distance} below the maximum");
         }
+    }
+
+    /// An RNG that must not be drawn from.
+    struct NoDraws;
+
+    impl rand::RngCore for NoDraws {
+        fn next_u32(&mut self) -> u32 {
+            panic!("drew from a spent side")
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            panic!("drew from a spent side")
+        }
+    }
+
+    #[test]
+    fn a_spent_side_reads_no_row_and_draws_nothing() {
+        let hub: Vec<(u32, f32)> = (0..1_000).map(|x| (x, 1.0)).collect();
+        let rows_read = std::cell::Cell::new(0);
+        let neighbors = |_| {
+            rows_read.set(rows_read.get() + 1);
+            &hub[..]
+        };
+        let mut side = Side::new();
+        side.cover(hub.len());
+        let mut picked = vec![3, 5];
+        for &x in &picked {
+            side.stamps[x] = 1;
+        }
+        side.hop(&[0, 1], neighbors, &mut picked, 2, 1, 2, &mut NoDraws);
+        assert_eq!((rows_read.get(), picked.len()), (0, 2));
+        assert!(side.next.is_empty());
+
+        // With room, the same frontier is read (and drawn from).
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        side.hop(&[0, 1], neighbors, &mut picked, 4, 1, 3, &mut rng);
+        assert!(rows_read.get() > 0);
+        assert_eq!(picked.len(), 4);
+        assert!(!picked[2..].contains(&3) && !picked[2..].contains(&5));
     }
 
     #[test]

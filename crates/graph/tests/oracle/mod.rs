@@ -1,7 +1,12 @@
-//! The regression oracle: verbatim copies of the three samplers as they
-//! were before any membership optimisation (hash sets built per call, the
-//! BFS hop dedup a linear `Vec::contains` scan), plus the graphs the
-//! regression cases run on.
+//! The regression oracles, and the graphs the regression cases run on:
+//!
+//! - verbatim copies of the three samplers as they were before any
+//!   membership optimisation or the hub-bounded hop (hash sets built per
+//!   call, the BFS hop dedup a linear `Vec::contains` scan, every
+//!   overflowing hop a full shuffle) — the *law* reference;
+//! - a plain reference of the hub-bounded rule the samplers run now (hash
+//!   sets, the frontier's rows concatenated into one vector, the same
+//!   draws) — the *bitwise* reference, selection and RNG stream.
 //!
 //! Compiled twice: by `tests/sampler_regression.rs` (`mod oracle;`) and by
 //! the crate's own unit tests (`src/lib.rs`, `#[path]`), which need it next
@@ -16,7 +21,7 @@ use hire_graph::{
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 // ---------------------------------------------------------------------
 // Verbatim legacy samplers
@@ -248,19 +253,200 @@ impl ContextSampler for LegacyFeatureSimilarity {
     }
 }
 
-/// Each sampler next to its oracle; the feature samplers share `graph`-sized
-/// [`features`] with their NaN, zero and tied rows.
+// ---------------------------------------------------------------------
+// Plain reference of the hub-bounded rule
+// ---------------------------------------------------------------------
+
+/// `legacy_fill_random`'s pool, then only the first `min(room, pool)` steps
+/// of a front-to-back Fisher–Yates shuffle (`j = k + draw % (len − k)`).
+fn reference_fill_random(
+    selected: &mut Vec<usize>,
+    budget: usize,
+    total: usize,
+    rng: &mut dyn rand::RngCore,
+) {
+    if selected.len() >= budget || total == 0 {
+        return;
+    }
+    let chosen: HashSet<usize> = selected.iter().copied().collect();
+    let mut pool: Vec<usize> = (0..total).filter(|x| !chosen.contains(x)).collect();
+    let take = (budget - selected.len()).min(pool.len());
+    for k in 0..take {
+        let j = k + (rng.next_u64() % (pool.len() - k) as u64) as usize;
+        pool.swap(k, j);
+    }
+    selected.extend_from_slice(&pool[..take]);
+}
+
+/// One side of one hop: the frontier's `rows` concatenated, and the
+/// candidates — entities at their first position in it, not in `chosen` —
+/// in that order. If they fit what `picked` lacks of `budget`, all of them;
+/// otherwise one draw per try of a position in the concatenation, accepted
+/// when it is its entity's first position and the entity is a candidate
+/// not yet picked, until the budget is full. A spent side looks at nothing.
+fn reference_hop(
+    rows: Vec<&[(u32, f32)]>,
+    chosen: &mut HashSet<usize>,
+    picked: &mut Vec<usize>,
+    budget: usize,
+    rng: &mut dyn rand::RngCore,
+) -> Vec<usize> {
+    let room = budget - picked.len();
+    if room == 0 {
+        return Vec::new();
+    }
+    let union: Vec<usize> = rows
+        .iter()
+        .flat_map(|row| row.iter().map(|&(x, _)| x as usize))
+        .collect();
+    let mut first = HashMap::new();
+    for (at, &x) in union.iter().enumerate() {
+        first.entry(x).or_insert(at);
+    }
+    let is_candidate = |at: usize, x: usize| first[&x] == at && !chosen.contains(&x);
+    let candidates: Vec<usize> = (0..union.len())
+        .filter(|&at| is_candidate(at, union[at]))
+        .map(|at| union[at])
+        .collect();
+    let next = if candidates.len() <= room {
+        candidates
+    } else {
+        let mut out: Vec<usize> = Vec::new();
+        while out.len() < room {
+            let at = (rng.next_u64() % union.len() as u64) as usize;
+            let x = union[at];
+            if is_candidate(at, x) && !out.contains(&x) {
+                out.push(x);
+            }
+        }
+        out
+    };
+    chosen.extend(&next);
+    picked.extend_from_slice(&next);
+    next
+}
+
+/// The BFS of [`legacy_sample`] with [`reference_hop`] for its subsampling
+/// and [`reference_fill_random`] for its fill.
+pub fn reference_sample(
+    graph: &BipartiteGraph,
+    seed_users: &[usize],
+    seed_items: &[usize],
+    n: usize,
+    m: usize,
+    rng: &mut dyn rand::RngCore,
+) -> ContextSelection {
+    let mut users = legacy_dedup_seeds(seed_users, n);
+    let mut items = legacy_dedup_seeds(seed_items, m);
+    let mut user_set: HashSet<usize> = users.iter().copied().collect();
+    let mut item_set: HashSet<usize> = items.iter().copied().collect();
+    let mut frontier_users = users.clone();
+    let mut frontier_items = items.clone();
+    while (users.len() < n || items.len() < m)
+        && (!frontier_users.is_empty() || !frontier_items.is_empty())
+    {
+        let user_rows = frontier_users.iter().map(|&u| graph.user_neighbors(u));
+        let item_rows = frontier_items.iter().map(|&i| graph.item_neighbors(i));
+        let next_items = reference_hop(user_rows.collect(), &mut item_set, &mut items, m, rng);
+        let next_users = reference_hop(item_rows.collect(), &mut user_set, &mut users, n, rng);
+        frontier_users = next_users;
+        frontier_items = next_items;
+    }
+    reference_fill_random(&mut users, n, graph.num_users(), rng);
+    reference_fill_random(&mut items, m, graph.num_items(), rng);
+    ContextSelection { users, items }
+}
+
+pub struct ReferenceNeighborhood;
+
+impl ContextSampler for ReferenceNeighborhood {
+    fn sample(
+        &self,
+        graph: &BipartiteGraph,
+        seed_users: &[usize],
+        seed_items: &[usize],
+        n: usize,
+        m: usize,
+        rng: &mut dyn rand::RngCore,
+    ) -> ContextSelection {
+        reference_sample(graph, seed_users, seed_items, n, m, rng)
+    }
+
+    fn name(&self) -> &'static str {
+        "reference-neighborhood"
+    }
+}
+
+pub struct ReferenceRandom;
+
+impl ContextSampler for ReferenceRandom {
+    fn sample(
+        &self,
+        graph: &BipartiteGraph,
+        seed_users: &[usize],
+        seed_items: &[usize],
+        n: usize,
+        m: usize,
+        rng: &mut dyn rand::RngCore,
+    ) -> ContextSelection {
+        let mut users = legacy_dedup_seeds(seed_users, n);
+        let mut items = legacy_dedup_seeds(seed_items, m);
+        reference_fill_random(&mut users, n, graph.num_users(), rng);
+        reference_fill_random(&mut items, m, graph.num_items(), rng);
+        ContextSelection { users, items }
+    }
+
+    fn name(&self) -> &'static str {
+        "reference-random"
+    }
+}
+
+/// The legacy similarity ranking with [`reference_fill_random`] after it.
+pub struct ReferenceFeatureSimilarity(LegacyFeatureSimilarity);
+
+impl ContextSampler for ReferenceFeatureSimilarity {
+    fn sample(
+        &self,
+        graph: &BipartiteGraph,
+        seed_users: &[usize],
+        seed_items: &[usize],
+        n: usize,
+        m: usize,
+        rng: &mut dyn rand::RngCore,
+    ) -> ContextSelection {
+        let mut users = legacy_dedup_seeds(seed_users, n);
+        let mut items = legacy_dedup_seeds(seed_items, m);
+        let (seed_u, seed_i) = (users.clone(), items.clone());
+        LegacyFeatureSimilarity::top_similar(&self.0.user_features, &seed_u, &mut users, n);
+        LegacyFeatureSimilarity::top_similar(&self.0.item_features, &seed_i, &mut items, m);
+        reference_fill_random(&mut users, n, graph.num_users(), rng);
+        reference_fill_random(&mut items, m, graph.num_items(), rng);
+        ContextSelection { users, items }
+    }
+
+    fn name(&self) -> &'static str {
+        "reference-feature-similarity"
+    }
+}
+
+/// Each sampler next to its bitwise reference; the feature samplers share
+/// `graph`-sized [`features`] with their NaN, zero and tied rows.
 pub fn sampler_pairs(
     graph: &BipartiteGraph,
 ) -> Vec<(Box<dyn ContextSampler>, Box<dyn ContextSampler>)> {
     let uf = features(graph.num_users(), 11);
     let itf = features(graph.num_items(), 12);
     vec![
-        (Box::new(NeighborhoodSampler), Box::new(LegacyNeighborhood)),
-        (Box::new(RandomSampler), Box::new(LegacyRandom)),
+        (
+            Box::new(NeighborhoodSampler),
+            Box::new(ReferenceNeighborhood),
+        ),
+        (Box::new(RandomSampler), Box::new(ReferenceRandom)),
         (
             Box::new(FeatureSimilaritySampler::new(uf.clone(), itf.clone())),
-            Box::new(LegacyFeatureSimilarity::new(uf, itf)),
+            Box::new(ReferenceFeatureSimilarity(LegacyFeatureSimilarity::new(
+                uf, itf,
+            ))),
         ),
     ]
 }
@@ -295,11 +481,16 @@ pub fn rates_hub(user: usize) -> bool {
 /// 2 000 users × 40 items; item 0 is rated by 95 % of the users and every
 /// user also rates three of the other 39 items (≈ 150 raters each). With
 /// `n = m = 16`, seeding at a hub rater and a small item fills the user
-/// budget in hop 1 and walks the hub with a budget of 0 in hop 2; seeding at
-/// the hub itself shuffles its 1 900 raters down to 15.
+/// budget in hop 1 and meets the hub with a budget of 0 in hop 2; seeding at
+/// the hub itself draws 15 of its 1 900 raters.
 pub fn hub_graph() -> BipartiteGraph {
+    hub_graph_with(HUB_USERS)
+}
+
+/// [`hub_graph`] with `users` users: every degree scales with them.
+pub fn hub_graph_with(users: usize) -> BipartiteGraph {
     let mut edges = Vec::new();
-    for u in 0..HUB_USERS {
+    for u in 0..users {
         if rates_hub(u) {
             edges.push(Rating::new(u, 0, 1.0 + (u % 5) as f32));
         }
@@ -308,7 +499,7 @@ pub fn hub_graph() -> BipartiteGraph {
             edges.push(Rating::new(u, item, 1.0 + ((u + k) % 5) as f32));
         }
     }
-    BipartiteGraph::from_ratings(HUB_USERS, HUB_ITEMS, &edges)
+    BipartiteGraph::from_ratings(users, HUB_ITEMS, &edges)
 }
 
 /// `rows` feature vectors of width 4 with a NaN row (index 1), an all-zero

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const USERS: usize = 40;
 const ITEMS: usize = 35;
@@ -311,12 +311,23 @@ fn swap_racing_inflight_batches_is_bit_exact_per_version() {
             let live = live.clone();
             let qs = qs.clone();
             std::thread::spawn(move || {
+                // At least 30 batches, and on until this reader has seen two
+                // versions: the race is forced, not hoped for. A swapper that
+                // never lands in a minute fails the test.
+                let deadline = Instant::now() + Duration::from_secs(60);
                 let mut seen = Vec::new();
-                for _ in 0..30 {
+                let mut versions = std::collections::BTreeSet::new();
+                while seen.len() < 30 || versions.len() < 2 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "no second version after {} batches",
+                        seen.len()
+                    );
                     let answers = live.predict_batch_tagged(&qs, None).expect("serve");
                     // A batch pins one slot: every answer shares a version.
                     let version = answers[0].version;
                     assert!(answers.iter().all(|a| a.version == version));
+                    versions.insert(version);
                     seen.push((
                         version,
                         answers
