@@ -363,25 +363,32 @@ fn law(
 #[test]
 fn sampling_law_matches_legacy() {
     // 100 000 contexts a side per query, disjoint seed ranges. The hub
-    // graph is built at a fifth of its users (hub 380 raters, small items
-    // ≈ 30): on the full one the legacy sampler's quadratic hop dedup costs
-    // ≈ 0.9 ms a sample, and the full one is pinned bitwise to the
-    // reference instead. A non-rater of the hub with a small item overflows
-    // hop 1's users (≈ 30 raters for 15 places) and hop 2's items (the
-    // picks' rows, the hub in most, so many tries land on a row with an
-    // earlier copy: ≈ 39 items for 12 places). On the denser random graph
-    // hop 1 overflows the users (7 raters for 5 places) and hop 2 the items
-    // (4 places, drawn from the picks' rows); on the sparse one a degree-0
-    // seed user leaves the users to the random fill.
+    // graphs are built small: on the full one the legacy sampler's
+    // quadratic hop dedup costs ≈ 1 ms a sample (the full one is pinned
+    // bitwise to the reference instead). In them each user rates the hub
+    // and one class of three small items ({c, c + 13, c + 26}).
+    // - Seeded at the hub (100 users, 95 raters) and a non-rater: hop 1
+    //   draws 15 of the hub's raters from one row; hop 2 draws 12 items
+    //   from their 15 rows, where the hub (selected) is in every row and
+    //   each class in several, so most tries are rejected or land on a row
+    //   with an earlier copy.
+    // - Seeded at a small item (400 users, ≈ 30 raters) and a non-rater:
+    //   hop 1 draws 15 of the item's raters; its class and the hub fit;
+    //   the random fill draws the other 9 items.
+    // - A denser random graph: hop 1 overflows the users (7 raters for 5
+    //   places) and hop 2 the items (4 places, drawn from the picks' rows).
+    // - A sparse random graph seeded at a degree-0 user: the random fill
+    //   picks the users.
     const SAMPLES: u64 = 100_000;
-    let hub = hub_graph_with(HUB_USERS / 5);
+    let (hub_100, hub_400) = (hub_graph_with(100), hub_graph_with(400));
     let dense = random_graph(60, 40, 0.15, 17);
     let sparse = random_graph(60, 40, 0.03, 17);
     let cold_user = (0..60)
         .find(|&u| sparse.user_degree(u) == 0)
         .expect("a degree-0 user");
     let cases = [
-        ("hub graph", &hub, (20, 5, 16, 16)),
+        ("hub graph, at the hub", &hub_100, (20, 0, 16, 16)),
+        ("hub graph, at a small item", &hub_400, (20, 5, 16, 16)),
         ("dense random graph", &dense, (5, 7, 6, 12)),
         ("sparse random graph", &sparse, (cold_user, 7, 16, 16)),
     ];
