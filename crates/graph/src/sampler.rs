@@ -18,11 +18,13 @@
 //! row of length `D` leaves at least `max(D − budget + 1, 2)` candidates).
 //! The random fill (reached when the frontier empties first) scans its
 //! side once for the pool and takes `min(room, pool)` draws from it.
-//! Each selection has the law of the shuffle-and-truncate it replaced — uniform without
-//! replacement, in draw order — and a hop that fits its budget is taken
-//! whole in first-seen order, as before (`tests/sampler_regression.rs`
-//! pins the sampler to a plain reference of this rule, and its law to the
-//! legacy samplers in `tests/oracle/`).
+//!
+//! Each subset is uniform without replacement, in draw order: the law of
+//! the first `room` entries of a shuffle of every candidate, which is what
+//! § IV-B asks of an overflowing hop. A hop that fits its budget is taken
+//! whole in first-seen order. `tests/sampler_regression.rs` pins the
+//! sampler bit for bit to a plain reference of this rule, and its law to
+//! the legacy shuffling samplers in `tests/oracle/`.
 
 use crate::bipartite::BipartiteGraph;
 use std::cell::RefCell;
