@@ -35,7 +35,11 @@
 //! 4. **him** — full HIM tape forward and forward+backward wall time on a
 //!    synthetic cold-start context, at the `fast` config (16×16, 2 blocks)
 //!    and the paper's (32×32, 3 blocks): the one place below the ledger
-//!    where a whole training step's model is timed at either.
+//!    where a whole training step's model is timed at either. Beside them
+//!    the serving forward of the same model and context: asked for every
+//!    cell (`FrozenModel::forward_nograd`) and for the one query cell a
+//!    served miss reads (`FrozenModel::forward_cells`), whose layers run
+//!    only on the cells that cell depends on.
 //! 5. **sampler** — `NeighborhoodSampler` at never-repeated uniform pairs on
 //!    the default 600×400 `movielens_like` graph and on the streaming
 //!    50 000×10 000 `popularity_skew = 1.1` graph whose hub items are rated
@@ -49,18 +53,19 @@
 //!    resident bytes and its largest chunk (what a commit on a hub row
 //!    copies).
 //!
-//! `--smoke` shrinks every section to seconds and gates three regressions:
+//! `--smoke` shrinks every section to seconds and gates four regressions:
 //! on hosts where the dispatcher resolves to avx2 the dispatched matmul
 //! must beat the forced-scalar micro-kernel (MBA's `[2304, 32]·[32, 8]`
 //! `W_O` among the shapes, which only the column-tail tile serves), a
 //! single-edge commit on the hub graph must copy no more than a fixed
-//! multiple of the bytes it copies on the 600×400 one, and the sampler must
-//! draw at most `4 · (n + m)` times per sample on the hub graph — the CI
-//! regression gates for the SIMD layer, the copy-on-write graph and the
-//! hub-bounded BFS.
+//! multiple of the bytes it copies on the 600×400 one, the sampler must
+//! draw at most `4 · (n + m)` times per sample on the hub graph, and the
+//! one-cell serving forward must be no slower than the every-cell one at
+//! `fast` — the CI regression gates for the SIMD layer, the copy-on-write
+//! graph, the hub-bounded BFS and the asked-cell forward.
 
 use hire_bench::write_json_atomic;
-use hire_core::{HireConfig, HireModel};
+use hire_core::{FrozenModel, HireConfig, HireModel};
 use hire_data::{test_context_with_ratio, SyntheticConfig};
 use hire_graph::{
     BipartiteGraph, ContextSampler, ContextSelection, EpochedGraph, NeighborhoodSampler, Rating,
@@ -82,8 +87,10 @@ USAGE:
 OPTIONS:
     --smoke         quick run: small shapes, assert (on avx2 hosts) that
                     dispatch beats forced-scalar, that a graph commit
-                    copies bytes by the rows it touches, and that the BFS
-                    sampler draws by the context budget
+                    copies bytes by the rows it touches, that the BFS
+                    sampler draws by the context budget, and that a
+                    one-cell serving forward is no slower than an
+                    every-cell one
     --out <path>    write the JSON report here [BENCH_KERNELS.json]
     -h, --help      print this help";
 
@@ -299,6 +306,12 @@ struct HimReport {
     forward_ms: f64,
     /// Best-of wall time of one `context_loss` + `backward`.
     forward_backward_ms: f64,
+    /// Best-of wall time of one serving forward asked for every cell
+    /// (`FrozenModel::forward_nograd`).
+    nograd_forward_ms: f64,
+    /// Best-of wall time of one serving forward asked for the query's one
+    /// cell (`FrozenModel::forward_cells`), as a served miss runs it.
+    nograd_one_cell_ms: f64,
 }
 
 #[derive(Serialize)]
@@ -809,7 +822,8 @@ fn bench_graph_commit(
 }
 
 /// Times the full HIM tape forward and forward+backward of a `config`
-/// model (`cfg`; its context shrunk to 8×8 for `--smoke`).
+/// model (`cfg`; its context shrunk to 8×8 for `--smoke`), and its serving
+/// forward asked for every cell and for the query cell alone.
 fn bench_him(config: &'static str, cfg: HireConfig, smoke: bool) -> HimReport {
     let cfg = if smoke {
         cfg.with_context_size(8, 8)
@@ -840,6 +854,24 @@ fn bench_him(config: &'static str, cfg: HireConfig, smoke: bool) -> HimReport {
         std::hint::black_box(&out);
     });
     let forward_backward = time_best(reps, || model.context_loss(&ctx, &dataset).backward());
+
+    let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
+    let cell = [(
+        ctx.user_row(placeholder.user).expect("the query's user"),
+        ctx.item_col(placeholder.item).expect("the query's item"),
+    )];
+    // Sub-millisecond calls: a longer best-of costs little.
+    let nograd_reps = 5 * reps;
+    let nograd_forward = time_best(nograd_reps, || {
+        std::hint::black_box(frozen.forward_nograd(&ctx, &dataset).expect("forward"));
+    });
+    let nograd_one_cell = time_best(nograd_reps, || {
+        std::hint::black_box(
+            frozen
+                .forward_cells(&ctx, &dataset, &cell)
+                .expect("forward"),
+        );
+    });
     HimReport {
         config,
         context_users: cfg.context_users,
@@ -847,6 +879,8 @@ fn bench_him(config: &'static str, cfg: HireConfig, smoke: bool) -> HimReport {
         num_blocks: cfg.num_blocks,
         forward_ms: forward * 1e3,
         forward_backward_ms: forward_backward * 1e3,
+        nograd_forward_ms: nograd_forward * 1e3,
+        nograd_one_cell_ms: nograd_one_cell * 1e3,
     }
 }
 
@@ -949,13 +983,15 @@ fn main() {
     let him_row = |config: &'static str, cfg: HireConfig| {
         let him = bench_him(config, cfg, args.smoke);
         eprintln!(
-            "  him {} {}x{}, {} blocks: forward {:.2} ms, forward+backward {:.2} ms",
+            "  him {} {}x{}, {} blocks: forward {:.2} ms, forward+backward {:.2} ms; serving forward {:.3} ms every cell, {:.3} ms one cell",
             him.config,
             him.context_users,
             him.context_items,
             him.num_blocks,
             him.forward_ms,
-            him.forward_backward_ms
+            him.forward_backward_ms,
+            him.nograd_forward_ms,
+            him.nograd_one_cell_ms
         );
         him
     };
@@ -1033,6 +1069,16 @@ fn main() {
         );
     }
 
+    // Asked-cell gate: a forward asked for one cell runs a subset of the
+    // every-cell forward's layers' rows, so it must not be the slower one.
+    let one_cell_gate_failed = args.smoke && him[0].nograd_one_cell_ms > him[0].nograd_forward_ms;
+    if one_cell_gate_failed {
+        eprintln!(
+            "compute_bench: ONE-CELL GATE FAILED — a one-cell serving forward took {:.3} ms at fast, the every-cell one {:.3} ms",
+            him[0].nograd_one_cell_ms, him[0].nograd_forward_ms
+        );
+    }
+
     // ISA gate: a host that dispatched avx2 or better must see the SIMD win
     // on every smoke shape, else the dispatcher or the micro-kernel
     // regressed.
@@ -1061,7 +1107,7 @@ fn main() {
     write_json_atomic(&args.out, &report).expect("write BENCH_KERNELS.json");
     eprintln!("compute_bench: report written to {}", args.out);
 
-    if isa_gate_failed || commit_gate_failed || sampler_gate_failed {
+    if isa_gate_failed || commit_gate_failed || sampler_gate_failed || one_cell_gate_failed {
         std::process::exit(1);
     }
 }

@@ -330,6 +330,37 @@ impl FrozenModel {
         self.weights
             .forward_nograd_batch_within(ctxs, dataset, deadline)
     }
+
+    /// The forward asked only for `cells` of `ctx`: one prediction per
+    /// asked `(row, col)`, in the asked order (repeats allowed), each
+    /// bit-identical to [`Self::forward_nograd`]'s at that cell. Each layer
+    /// runs only on the cells its output is read at: with all three
+    /// attention layers on, the last block's MBI on the asked rows, its MBA,
+    /// norms and the decoder on the asked cells. A cell outside the context
+    /// is a typed error.
+    pub fn forward_cells(
+        &self,
+        ctx: &PredictionContext,
+        dataset: &Dataset,
+        cells: &[(usize, usize)],
+    ) -> HireResult<Vec<f32>> {
+        let preds = self
+            .forward_cells_batch_within(&[(ctx, cells)], dataset, None)?
+            .expect("a forward without a deadline cannot time out");
+        Ok(preds.into_iter().next().expect("one context in, one out"))
+    }
+
+    /// [`Self::forward_cells`] over a batch of `(context, cells)` asks, with
+    /// the deadline budget of [`Self::forward_nograd_batch_within`].
+    pub fn forward_cells_batch_within(
+        &self,
+        asks: &[(&PredictionContext, &[(usize, usize)])],
+        dataset: &Dataset,
+        deadline: Option<Instant>,
+    ) -> HireResult<Option<Vec<Vec<f32>>>> {
+        self.weights
+            .forward_cells_batch_within(asks, dataset, deadline)
+    }
 }
 
 /// A [`FrozenModel`] whose weight matrices — embedding tables, MHSA
@@ -403,5 +434,27 @@ impl QuantizedModel {
     ) -> HireResult<Option<Vec<NdArray>>> {
         self.model
             .forward_nograd_batch_within(ctxs, dataset, deadline)
+    }
+
+    /// [`FrozenModel::forward_cells`] over the rounded weights.
+    pub fn forward_cells(
+        &self,
+        ctx: &PredictionContext,
+        dataset: &Dataset,
+        cells: &[(usize, usize)],
+    ) -> HireResult<Vec<f32>> {
+        self.model.forward_cells(ctx, dataset, cells)
+    }
+
+    /// [`FrozenModel::forward_cells_batch_within`] over the rounded
+    /// weights.
+    pub fn forward_cells_batch_within(
+        &self,
+        asks: &[(&PredictionContext, &[(usize, usize)])],
+        dataset: &Dataset,
+        deadline: Option<Instant>,
+    ) -> HireResult<Option<Vec<Vec<f32>>>> {
+        self.model
+            .forward_cells_batch_within(asks, dataset, deadline)
     }
 }

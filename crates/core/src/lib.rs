@@ -12,7 +12,8 @@
 //!   autograd forward trains, [`HireModel::predict`] runs the no-grad one
 //! - [`FrozenModel`] — a model's weights as plain arrays, `Send + Sync`,
 //!   with the one tape-free forward (one context at a time, f32) that
-//!   serving and evaluation share; bit-identical to the autograd forward.
+//!   serving and evaluation share, asked for every cell or only for the
+//!   cells a caller reads; bit-identical to the autograd forward.
 //!   [`QuantizedModel`] is one whose weights were rounded through int8 when
 //!   it was built
 //! - [`train`] — Algorithm 1 with LAMB + Lookahead + flat-then-anneal LR

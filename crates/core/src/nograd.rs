@@ -16,14 +16,36 @@
 //! dispatched ISA (MBU / MBI's Q, K and V buffers; MBA, which runs in one
 //! pass, asks for a few lane groups' panels); a batch is a loop over its
 //! contexts through that one workspace. A context is encoded straight into
-//! the first buffer. Every attention layer then reads all `n·m` rows (MBA:
-//! all `n·m·h` attribute rows) — projection is row-wise, so MBU, MBI and
-//! MBA differ only in the `[outer, tokens, inner]` view handed to
-//! `hire_nn::mhsa_forward_into`: `[1, n, m]` (tokens = users), `[n, m, 1]`
-//! (tokens = items), `[n·m, h, 1]` (tokens = attributes). Nothing is ever
-//! permuted. The layer's output lands in the second buffer; residual +
-//! LayerNorm fold it back, and the two buffers swap roles when a layer has
-//! no norm.
+//! the first buffer. Projection is row-wise, so MBU, MBI and MBA differ
+//! only in the `[outer, tokens, inner]` view handed to
+//! `hire_nn::mhsa_forward_into`: over every cell `[1, n, m]` (tokens =
+//! users), `[n, m, 1]` (tokens = items), `[n·m, h, 1]` (tokens =
+//! attributes). Nothing is ever permuted. The layer's output lands in the
+//! second buffer; residual + LayerNorm fold it back, and the two buffers
+//! swap roles when a layer has no norm.
+//!
+//! # Only the cells that are read
+//!
+//! A forward is asked for every cell (`forward_nograd*`, `[n, m]` out) or
+//! for a list of cells (`forward_cells*`, one value each — a served miss
+//! reads one). Each layer runs only on the cells its output is read at,
+//! found by walking the layers back from the asked cells: MBA, the
+//! residual, LayerNorm and the decoder are per cell and keep the set, MBI
+//! (one user row's items) widens it to full rows, MBU (one item column's
+//! users) to full columns. With all three layers on, the last block's MBI
+//! runs on the asked rows (`[r, m, 1]`) and its MBA, norms and decoder on
+//! the asked cells; its MBU and every earlier block run on every cell.
+//! Without MBU the cut reaches back through every block. Before a layer
+//! whose set is smaller than its predecessor's, the rows it needs are moved
+//! to the front of the activation buffer, in row-major order. Asking for
+//! every cell plans no cut and moves nothing: it is the same code.
+//!
+//! The answers are the every-cell forward's, bit for bit: every kernel under
+//! a layer computes each row from its own sequence alone, whatever rows
+//! surround it — the matmul chains, the one-row layer norm
+//! (`hire-tensor`'s `isa_dispatch.rs`), the ragged lane groups of the
+//! attention kernels (`hire-nn`'s `mhsa_oracle.rs`) — and `hire-serve`'s
+//! `tests/target_cells.rs` holds the two forwards to each other.
 //!
 //! Per element this is the arithmetic of the autograd forward on the same
 //! ISA (DESIGN.md §9, §16), so a frozen model is **bit-identical** to the
@@ -120,37 +142,182 @@ fn entity_features(
 }
 
 /// Residual-add + optional LayerNorm, mirroring `HimBlock::post`, over the
-/// two activation buffers: on entry `x` is the layer's input and `y` its
-/// attention output; on return `x` is the block stack's next input (the
-/// buffers swap roles instead of copying when there is no norm).
+/// first `len` floats of the two activation buffers: on entry `x` is the
+/// layer's input and `y` its attention output; on return `x` is the block
+/// stack's next input (the buffers swap roles instead of copying when there
+/// is no norm).
 fn post<'a>(
     x: &mut &'a mut [f32],
     y: &mut &'a mut [f32],
+    len: usize,
     residual: bool,
     norm: &Option<Norm>,
     isa: Isa,
 ) {
     if residual {
-        for (o, &a) in y.iter_mut().zip(x.iter()) {
+        for (o, &a) in y[..len].iter_mut().zip(&x[..len]) {
             *o += a;
         }
     }
     match norm {
         Some(nm) => linalg::layer_norm_last_into(
-            y,
+            &y[..len],
             nm.gamma.as_slice(),
             nm.beta.as_slice(),
             LAYER_NORM_EPS,
-            x,
+            &mut x[..len],
             isa,
         ),
         None => std::mem::swap(x, y),
     }
 }
 
-/// One attention layer of a block: `(weights, norm, [outer, tokens, inner]
-/// view of the activation rows)`; `None` weights mean the layer is ablated.
-type Layer<'a> = (&'a Option<MhsaWeights>, &'a Option<Norm>, [usize; 3]);
+/// Cells of one `n × m` context in row-major order: what the forward is
+/// asked for, and what each of its steps runs on.
+#[derive(Debug, Clone, PartialEq)]
+enum Cells {
+    /// Every cell.
+    All,
+    /// These cell indices `i·m + j`, ascending and distinct, short of every
+    /// cell.
+    Listed(Vec<usize>),
+}
+
+impl Cells {
+    /// The asked `(row, col)` cells of an `n × m` context, or every cell
+    /// when `asked` is `None`; rejects a cell outside the context.
+    fn asked(asked: Option<&[(usize, usize)]>, n: usize, m: usize) -> HireResult<Cells> {
+        let Some(asked) = asked else {
+            return Ok(Cells::All);
+        };
+        if let Some(&(r, c)) = asked.iter().find(|&&(r, c)| r >= n || c >= m) {
+            return Err(HireError::invalid_data(
+                LABEL,
+                format!("asked cell ({r}, {c}) is outside the {n}x{m} context"),
+            ));
+        }
+        let mut cells: Vec<usize> = asked.iter().map(|&(r, c)| r * m + c).collect();
+        cells.sort_unstable();
+        cells.dedup();
+        Ok(Cells::of(cells, n * m))
+    }
+
+    /// `cells` (ascending, distinct) of a context of `total` cells.
+    fn of(cells: Vec<usize>, total: usize) -> Cells {
+        if cells.len() == total {
+            Cells::All
+        } else {
+            Cells::Listed(cells)
+        }
+    }
+
+    /// How many cells of an `n × m` context these are.
+    fn count(&self, n: usize, m: usize) -> usize {
+        match self {
+            Cells::All => n * m,
+            Cells::Listed(cells) => cells.len(),
+        }
+    }
+
+    /// What a layer attending `across` reads to answer these cells, if
+    /// more than these: MBI reads the full rows they lie in, MBU the full
+    /// columns, MBA (within a cell) nothing more.
+    fn widened(&self, across: Across, n: usize, m: usize) -> Option<Cells> {
+        let Cells::Listed(cells) = self else {
+            return None;
+        };
+        match across {
+            Across::Attributes => None,
+            Across::Items => {
+                let rows = cells.chunk_by(|a, b| a / m == b / m).count();
+                if rows * m == cells.len() {
+                    return None;
+                }
+                let mut grid = Vec::with_capacity(rows * m);
+                for &cell in cells {
+                    let row = cell / m * m;
+                    if grid.last() != Some(&(row + m - 1)) {
+                        grid.extend(row..row + m);
+                    }
+                }
+                Some(Cells::of(grid, n * m))
+            }
+            Across::Users => {
+                let mut cols: Vec<usize> = cells.iter().map(|&cell| cell % m).collect();
+                cols.sort_unstable();
+                cols.dedup();
+                if cols.len() * n == cells.len() {
+                    return None;
+                }
+                if cols.len() == m {
+                    return Some(Cells::All);
+                }
+                let mut grid = Vec::with_capacity(n * cols.len());
+                for i in 0..n {
+                    grid.extend(cols.iter().map(|&j| i * m + j));
+                }
+                Some(Cells::Listed(grid))
+            }
+        }
+    }
+
+    /// Where cell `i·m + j`, one of these, sits among them.
+    fn position(&self, cell: usize) -> usize {
+        match self {
+            Cells::All => cell,
+            Cells::Listed(cells) => cells.binary_search(&cell).expect("one of these cells"),
+        }
+    }
+
+    /// Moves the rows of `to`, a subset of `self`, from where `self` keeps
+    /// them in `x` (row `k` of `x` holding `self`'s `k`-th cell, `width`
+    /// floats) to the front of `x`, in order. Both sets ascend, so every row
+    /// moves towards the front and none is overwritten before it is read.
+    fn gather_into(&self, to: &Cells, x: &mut [f32], width: usize) {
+        let Cells::Listed(to) = to else {
+            return; // a subset of `self` that is every cell is `self`
+        };
+        if matches!(self, Cells::Listed(from) if from.len() == to.len()) {
+            return; // and so is one as large
+        }
+        let mut at = 0;
+        for (k, &cell) in to.iter().enumerate() {
+            at = match self {
+                Cells::All => cell,
+                Cells::Listed(from) => at + from[at..].partition_point(|&c| c < cell),
+            };
+            x.copy_within(at * width..(at + 1) * width, k * width);
+        }
+    }
+}
+
+/// What one context's forward is asked for: every cell (`None`, answered as
+/// the `[n, m]` matrix) or the listed `(row, col)` cells.
+pub(crate) type Ask<'a> = (&'a PredictionContext, Option<&'a [(usize, usize)]>);
+
+/// Which way an attention layer attends over a context's cells: MBU across
+/// the users of an item column, MBI across the items of a user row, MBA
+/// across the attributes of one cell.
+#[derive(Debug, Clone, Copy)]
+enum Across {
+    Users,
+    Items,
+    Attributes,
+}
+
+/// Which cells each enabled attention layer of a forward runs on, in
+/// forward order ([`HimWeights::plan`]): the first `every` on every cell,
+/// the rest up to `grid_end` on `grid`, the others on the cells the decoder
+/// reads.
+struct Plan {
+    every: usize,
+    grid_end: usize,
+    grid: Cells,
+}
+
+/// One attention layer of a block: `(weights, norm, the axis it attends
+/// across)`; `None` weights mean the layer is ablated.
+type Layer<'a> = (&'a Option<MhsaWeights>, &'a Option<Norm>, Across);
 
 impl HimWeights {
     /// The same model with every weight matrix converted by `f`, in
@@ -264,33 +431,88 @@ impl HimWeights {
         Ok(())
     }
 
-    /// The three attention layers of one block, each with the view it
-    /// takes of the n·m cell rows; MBA's rows are the `h` attribute slices
-    /// of every cell.
-    fn layers<'a>(&self, block: &'a BlockWeights, n: usize, m: usize) -> [Layer<'a>; 3] {
+    /// The three attention layers of one block, in order, each with the
+    /// axis it attends across.
+    fn layers(block: &BlockWeights) -> [Layer<'_>; 3] {
         [
-            (&block.mbu, &block.norm_mbu, [1, n, m]),
-            (&block.mbi, &block.norm_mbi, [n, m, 1]),
-            (&block.mba, &block.norm_mba, [n * m, self.num_attrs(), 1]),
+            (&block.mbu, &block.norm_mbu, Across::Users),
+            (&block.mbi, &block.norm_mbi, Across::Items),
+            (&block.mba, &block.norm_mba, Across::Attributes),
         ]
     }
 
+    /// The `[outer, tokens, inner]` view a layer attending `across` takes
+    /// of `cells` cell rows of an `n × m` context — every cell, or what
+    /// [`Self::plan`] hands it: full columns to MBU, full rows to MBI. MBA's
+    /// rows are the `h` attribute slices of each cell.
+    fn view(&self, across: Across, n: usize, m: usize, cells: usize) -> [usize; 3] {
+        match across {
+            Across::Users => [1, n, cells / n],
+            Across::Items => [cells / m, m, 1],
+            Across::Attributes => [cells, self.num_attrs(), 1],
+        }
+    }
+
     /// Floats of working memory one `n × m` context needs on `isa`: two
-    /// activation buffers and the largest MHSA workspace any layer asks for.
+    /// activation buffers and the largest MHSA workspace any layer asks for
+    /// over every cell (a layer on fewer cells asks for less).
     fn memory_len(&self, n: usize, m: usize, isa: Isa) -> usize {
         let attention = self
             .blocks
             .iter()
-            .flat_map(|block| self.layers(block, n, m))
-            .filter_map(|(w, _, view)| w.as_ref().map(|w| mhsa_workspace_len(view, w, isa)))
+            .flat_map(Self::layers)
+            .filter_map(|(w, _, across)| {
+                let view = self.view(across, n, m, n * m);
+                w.as_ref().map(|w| mhsa_workspace_len(view, w, isa))
+            })
             .max()
             .unwrap_or(0);
         2 * n * m * self.embed_dim() + attention
     }
 
+    /// The cells each enabled attention layer runs on, found by walking
+    /// the enabled layers backwards from `targets`, the cells the decoder
+    /// reads. MBA, the residual, LayerNorm and the decoder work cell by cell
+    /// and keep the set; MBI widens it to the full rows it lies in, MBU to
+    /// the full columns. Widened both ways it is every cell, so the walk
+    /// meets at most one set between `targets` and every cell — the
+    /// targets' rows or columns — and a forward asked for every cell plans
+    /// nothing.
+    fn plan(&self, targets: &Cells, n: usize, m: usize) -> Plan {
+        let enabled = |b| {
+            Self::layers(b)
+                .into_iter()
+                .filter_map(|(w, _, across)| w.as_ref().map(|_| across))
+        };
+        let mut k = self.blocks.iter().flat_map(enabled).count();
+        let mut plan = Plan {
+            every: 0,
+            grid_end: 0,
+            grid: Cells::All,
+        };
+        let mut widened = false;
+        for across in self.blocks.iter().rev().flat_map(|b| enabled(b).rev()) {
+            let read = if widened { &plan.grid } else { targets };
+            k -= 1;
+            match read.widened(across, n, m) {
+                None => continue,
+                Some(Cells::All) => {
+                    plan.every = k + 1;
+                    plan.grid_end = plan.grid_end.max(k + 1);
+                    break;
+                }
+                Some(grid) => (plan.grid, plan.grid_end, widened) = (grid, k + 1, true),
+            }
+        }
+        plan
+    }
+
     /// HIM blocks over one context `[n, m, e]` held in `x`, with `y` as the
-    /// second activation buffer; returns the two in their final roles,
-    /// `(result, spare)`.
+    /// second activation buffer, for the decoder to read `targets`: each
+    /// layer runs on its [`Self::plan`] set, gathered to the front of `x`
+    /// first. Returns the two buffers in their final roles, `(result,
+    /// spare)`, the result's rows holding `targets` in order.
+    #[allow(clippy::too_many_arguments)]
     fn run_blocks<'a>(
         &self,
         mut x: &'a mut [f32],
@@ -298,29 +520,46 @@ impl HimWeights {
         workspace: &mut [f32],
         n: usize,
         m: usize,
+        targets: &Cells,
         isa: Isa,
     ) -> (&'a mut [f32], &'a mut [f32]) {
-        for block in &self.blocks {
-            for (w, norm, view) in self.layers(block, n, m) {
-                if let Some(w) = w {
-                    mhsa_forward_into(x, view, w, isa, workspace, y);
-                    post(&mut x, &mut y, block.residual, norm, isa);
-                }
-            }
+        let e = self.embed_dim();
+        let plan = self.plan(targets, n, m);
+        let all = Cells::All;
+        let mut live = &all;
+        let layers = self.blocks.iter().flat_map(|b| {
+            Self::layers(b)
+                .into_iter()
+                .filter_map(move |(w, norm, across)| Some((w.as_ref()?, norm, across, b.residual)))
+        });
+        for (k, (w, norm, across, residual)) in layers.enumerate() {
+            let set = match k {
+                k if k < plan.every => &all,
+                k if k < plan.grid_end => &plan.grid,
+                _ => targets,
+            };
+            live.gather_into(set, x, e);
+            live = set;
+            let cells = set.count(n, m);
+            let len = cells * e;
+            let view = self.view(across, n, m, cells);
+            mhsa_forward_into(&x[..len], view, w, isa, workspace, &mut y[..len]);
+            post(&mut x, &mut y, len, residual, norm, isa);
         }
+        live.gather_into(targets, x, e);
         (x, y)
     }
 
-    /// Decoder: `α · sigmoid(H W + b)` over the `n·m` cells of `x`, using
-    /// `logits` (at least `n·m` floats) as its buffer.
-    fn decode(&self, x: &[f32], logits: &mut [f32], n: usize, m: usize, isa: Isa) -> NdArray {
-        let logits = &mut logits[..n * m];
-        linalg::linear_into(&self.decoder_w, x, logits, isa);
+    /// Decoder: `α · sigmoid(H W + b)` over the first `cells` cell rows of
+    /// `x`, into the first `cells` floats of `logits`, which it returns.
+    fn decode<'a>(&self, x: &[f32], logits: &'a mut [f32], cells: usize, isa: Isa) -> &'a [f32] {
+        let logits = &mut logits[..cells];
+        linalg::linear_into(&self.decoder_w, &x[..cells * self.embed_dim()], logits, isa);
         let (bias, alpha) = (self.decoder_b.as_slice()[0], self.alpha);
         for v in logits.iter_mut() {
             *v = 1.0 / (1.0 + (-(*v + bias)).exp()) * alpha;
         }
-        NdArray::from_vec(vec![n, m], logits.to_vec())
+        logits
     }
 
     /// Tape-free forward: the predicted rating matrix `[n, m]`.
@@ -338,18 +577,52 @@ impl HimWeights {
     /// Tape-free forward over a batch of contexts of any shapes, with a
     /// deadline budget (`FrozenModel::forward_nograd_batch_within`): one
     /// `[n, m]` prediction matrix per context, each the single-context
-    /// [`Self::forward_nograd`] (the batch is a loop over it, through one
-    /// workspace sized for the largest context).
+    /// [`Self::forward_nograd`] — [`Self::forward_within`] asked for every
+    /// cell.
     pub(crate) fn forward_nograd_batch_within(
         &self,
         ctxs: &[&PredictionContext],
         dataset: &Dataset,
         deadline: Option<Instant>,
     ) -> HireResult<Option<Vec<NdArray>>> {
+        let asks = ctxs.iter().map(|&ctx| (ctx, None));
+        self.forward_within(asks, dataset, deadline, |(ctx, _), values| {
+            NdArray::from_vec(vec![ctx.n(), ctx.m()], values)
+        })
+    }
+
+    /// [`Self::forward_within`] asked for the listed cells of each context
+    /// (`FrozenModel::forward_cells_batch_within`): one prediction per
+    /// asked cell, in the asked order.
+    pub(crate) fn forward_cells_batch_within(
+        &self,
+        asks: &[(&PredictionContext, &[(usize, usize)])],
+        dataset: &Dataset,
+        deadline: Option<Instant>,
+    ) -> HireResult<Option<Vec<Vec<f32>>>> {
+        let asks = asks.iter().map(|&(ctx, cells)| (ctx, Some(cells)));
+        self.forward_within(asks, dataset, deadline, |_, values| values)
+    }
+
+    /// The one forward body. Each ask's context is encoded, run through the
+    /// blocks on the cells its answer depends on ([`Self::plan`]) and
+    /// decoded at the asked cells; `answer` turns the ask and its values —
+    /// every cell row-major, or one per asked cell in the asked order —
+    /// into the caller's result. Contexts run in order through one
+    /// workspace sized for the largest, `deadline` checked before each
+    /// (`Ok(None)` once it passed), so the first bad context is the one
+    /// reported.
+    fn forward_within<'a, R>(
+        &self,
+        asks: impl Iterator<Item = Ask<'a>> + Clone,
+        dataset: &Dataset,
+        deadline: Option<Instant>,
+        answer: impl Fn(Ask<'a>, Vec<f32>) -> R,
+    ) -> HireResult<Option<Vec<R>>> {
         let isa = simd::active_isa();
-        let most = ctxs
-            .iter()
-            .map(|c| self.memory_len(c.n(), c.m(), isa))
+        let most = asks
+            .clone()
+            .map(|(c, _)| self.memory_len(c.n(), c.m(), isa))
             .max();
         // The call's whole working memory, one allocation sized for its
         // largest context and reused by every context — plus 15 spare
@@ -359,19 +632,29 @@ impl HimWeights {
         let mut memory = vec![0.0f32; most.unwrap_or(0) + 15];
         let skip = memory.as_ptr().align_offset(64).min(15);
         let memory = &mut memory[skip..];
-        let mut preds = Vec::with_capacity(ctxs.len());
-        for ctx in ctxs {
+        let mut out = Vec::with_capacity(asks.size_hint().0);
+        for ask in asks {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Ok(None);
             }
+            let (ctx, asked) = ask;
             let (n, m) = (ctx.n(), ctx.m());
+            let targets = Cells::asked(asked, n, m)?;
             let slab = n * m * self.embed_dim();
             let (x, rest) = memory.split_at_mut(slab);
             let (y, workspace) = rest.split_at_mut(slab);
             self.encode_into(ctx, dataset, x)?;
-            let (hidden, spare) = self.run_blocks(x, y, workspace, n, m, isa);
-            preds.push(self.decode(hidden, spare, n, m, isa));
+            let (hidden, spare) = self.run_blocks(x, y, workspace, n, m, &targets, isa);
+            let values = self.decode(hidden, spare, targets.count(n, m), isa);
+            let values = match asked {
+                None => values.to_vec(),
+                Some(asked) => asked
+                    .iter()
+                    .map(|&(r, c)| values[targets.position(r * m + c)])
+                    .collect(),
+            };
+            out.push(answer(ask, values));
         }
-        Ok(Some(preds))
+        Ok(Some(out))
     }
 }

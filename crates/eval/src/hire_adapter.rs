@@ -13,8 +13,8 @@ use rand::SeedableRng;
 /// `fit` trains with Algorithm 1 on contexts sampled from the training
 /// graph, then freezes the trained weights once. `predict` builds a test
 /// prediction context around the query pairs (neighborhood sampling over
-/// the visible graph), runs the frozen model's tape-free forward once, and
-/// reads the predictions at the query cells. Queries that do not fit the
+/// the visible graph), runs the frozen model's tape-free forward once,
+/// asked for the query cells only. Queries that do not fit the
 /// context budget fall back to the training-mean rating.
 pub struct HireRatingModel {
     config: HireConfig,
@@ -129,13 +129,15 @@ impl RatingModel for HireRatingModel {
                 remaining = rest;
                 continue;
             };
+            let (slots, cells): (Vec<usize>, Vec<(usize, usize)>) = chunk
+                .iter()
+                .filter_map(|&(ix, (u, i))| Some((ix, (ctx.user_row(u)?, ctx.item_col(i)?))))
+                .unzip();
             let pred = model
-                .forward_nograd(&ctx, dataset)
+                .forward_cells(&ctx, dataset, &cells)
                 .expect("sampled contexts hold dataset ids");
-            for &(ix, (u, i)) in &chunk {
-                if let (Some(row), Some(col)) = (ctx.user_row(u), ctx.item_col(i)) {
-                    out[ix] = pred.at(&[row, col]);
-                }
+            for (ix, value) in slots.into_iter().zip(pred) {
+                out[ix] = value;
             }
             remaining = rest;
         }

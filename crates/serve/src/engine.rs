@@ -38,7 +38,6 @@ use hire_core::{Backoff, BackoffConfig, HybridModel};
 use hire_data::{test_context_with_ratio, Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, EpochSource, EpochedGraph, NeighborhoodSampler, Rating};
-use hire_tensor::NdArray;
 use hire_wal::{Wal, WalError, WalRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -1132,18 +1131,19 @@ impl ServeEngine {
     }
 
     /// One guarded model forward over the batch's misses
-    /// ([`sites::ENGINE_FORWARD`]): deadline-aware, output-shape validated.
-    /// `Ok(None)` means the deadline budget ran out.
+    /// ([`sites::ENGINE_FORWARD`]), each context asked only for its query's
+    /// cell: deadline-aware, output-shape validated. `Ok(None)` means the
+    /// deadline budget ran out.
     fn forward_attempt(
         &self,
         slot: &ModelSlot,
-        refs: &[&PredictionContext],
+        asks: &[Ask<'_>],
         deadline: Option<Instant>,
-    ) -> Result<Option<Vec<NdArray>>, ServeError> {
+    ) -> Result<Option<Vec<Vec<f32>>>, ServeError> {
         let preds = self.guarded(sites::ENGINE_FORWARD, "model forward", |fired| {
             let mut preds = slot
                 .model
-                .forward_nograd_batch_within(refs, &self.dataset, deadline)
+                .forward_cells_batch_within(asks, &self.dataset, deadline)
                 .map_err(ServeError::Model)?;
             if let (Some(FaultKind::WrongShape), Some(preds)) = (fired, &mut preds) {
                 // Chaos `WrongShape`: the "model" loses one output.
@@ -1152,10 +1152,10 @@ impl ServeEngine {
             Ok(preds)
         })?;
         match preds {
-            Some(preds) if preds.len() != refs.len() => Err(invalid(format!(
+            Some(preds) if preds.len() != asks.len() => Err(invalid(format!(
                 "model returned {} predictions for {} contexts",
                 preds.len(),
-                refs.len()
+                asks.len()
             ))),
             preds => Ok(preds),
         }
@@ -1172,10 +1172,10 @@ impl ServeEngine {
     fn model_rung(
         &self,
         slot: &ModelSlot,
-        refs: &[&PredictionContext],
+        asks: &[Ask<'_>],
         deadline: Option<Instant>,
         backoff_seed: u64,
-    ) -> Result<Option<Vec<NdArray>>, ServeError> {
+    ) -> Result<Option<Vec<Vec<f32>>>, ServeError> {
         let mut backoff = Backoff::new(self.resilience.retry_backoff.clone(), backoff_seed);
         let mut outcome = Ok(None);
         for attempt in 0..self.resilience.retry_attempts.max(1) {
@@ -1185,7 +1185,7 @@ impl ServeEngine {
                     break;
                 }
             }
-            let attempted = self.forward_attempt(slot, refs, deadline);
+            let attempted = self.forward_attempt(slot, asks, deadline);
             if let Some(breaker) = &self.breaker {
                 match &attempted {
                     Ok(Some(_)) => breaker.record(true),
@@ -1212,10 +1212,13 @@ impl ServeEngine {
         backoff_seed: u64,
         batch: &mut Batch,
     ) -> Result<(), ServeError> {
-        let refs: Vec<&PredictionContext> = misses.iter().map(|p| &*p.ctx).collect();
+        let asks: Vec<Ask<'_>> = misses
+            .iter()
+            .map(|p| (&*p.ctx, std::slice::from_ref(&p.cell)))
+            .collect();
         let reason = match self.enter(deadline) {
             Err(reason) => reason,
-            Ok(()) => match self.model_rung(slot, &refs, deadline, backoff_seed) {
+            Ok(()) => match self.model_rung(slot, &asks, deadline, backoff_seed) {
                 Ok(Some(preds)) => return self.scatter(misses, &preds, batch),
                 Ok(None) => DegradeReason::Deadline,
                 Err(e) => DegradeReason::Failure(e),
@@ -1233,12 +1236,17 @@ impl ServeEngine {
     fn scatter(
         &self,
         misses: &[PendingQuery],
-        preds: &[NdArray],
+        preds: &[Vec<f32>],
         batch: &mut Batch,
     ) -> Result<(), ServeError> {
-        for (pred, PendingQuery { key, ctx, waiters }) in preds.iter().zip(misses) {
-            let (row, col) = query_cell(key, ctx)?;
-            let value = pred.at(&[row, col]);
+        for (
+            pred,
+            PendingQuery {
+                key, ctx, waiters, ..
+            },
+        ) in preds.iter().zip(misses)
+        {
+            let value = pred[0];
             // Memoize against the exact context the value was computed from
             // (and the version that computed it): if the entry was
             // invalidated and resampled in the meantime, the memo must not
@@ -1345,8 +1353,15 @@ impl ServeEngine {
             match self.resolve(batch.version, q) {
                 Ok((_, _, Some(memo))) => self.answer(batch, i, memo, Rung::Memo),
                 Ok((key, ctx, None)) => {
+                    let cell = query_cell(&key, &ctx)?;
                     let waiters = vec![i];
-                    pending.insert((q.user, q.item), PendingQuery { key, ctx, waiters });
+                    let pending_query = PendingQuery {
+                        key,
+                        ctx,
+                        cell,
+                        waiters,
+                    };
+                    pending.insert((q.user, q.item), pending_query);
                 }
                 Err(e) => self.refuse_or_degrade(&[i], DegradeReason::Failure(e), batch)?,
             }
@@ -1362,12 +1377,17 @@ impl ServeEngine {
 }
 
 /// A deduplicated query awaiting a forward: its cache key, resolved
-/// context, and the positions in the incoming batch waiting on the answer.
+/// context, the context cell that answers it, and the positions in the
+/// incoming batch waiting on the answer.
 struct PendingQuery {
     key: CacheKey,
     ctx: Arc<PredictionContext>,
+    cell: (usize, usize),
     waiters: Vec<usize>,
 }
+
+/// One miss as the model rung asks for it: its context and its one cell.
+type Ask<'a> = (&'a PredictionContext, &'a [(usize, usize)]);
 
 impl Predictor for ServeEngine {
     fn predict_batch(&self, queries: &[RatingQuery]) -> Result<Vec<f32>, ServeError> {
@@ -1410,10 +1430,11 @@ impl Predictor for ServeEngine {
     }
 }
 
-/// The cell of a forward's `[n, m]` output that answers `key`'s query.
-/// Resolution and [`ServeEngine::adopt_context`] only ever cache contexts
-/// that contain it, so a miss is a broken engine invariant: a typed
-/// [`ServeError::Internal`], whichever rung ran the forward.
+/// The context cell that answers `key`'s query, the one cell the model
+/// rung asks the forward for. Resolution and
+/// [`ServeEngine::adopt_context`] only ever cache contexts that contain
+/// it, so a miss is a broken engine invariant: a typed
+/// [`ServeError::Internal`] for the batch, before any rung runs.
 fn query_cell(key: &CacheKey, ctx: &PredictionContext) -> Result<(usize, usize), ServeError> {
     match (ctx.user_row(key.user), ctx.item_col(key.item)) {
         (Some(row), Some(col)) => Ok((row, col)),
@@ -1471,7 +1492,7 @@ mod tests {
     /// and one lacking the query's cell then failed every later batch that
     /// touched the pair — the whole batch, fallback or not, with an error
     /// type that depended on the rung. It is refused at the door now, and
-    /// the scatter's invariant check is one typed `Internal` for any rung.
+    /// the miss path's invariant check is one typed `Internal` for any rung.
     #[test]
     fn context_without_the_query_cell_is_refused_not_cached() {
         let dataset = hire_data::SyntheticConfig::movielens_like()

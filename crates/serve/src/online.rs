@@ -596,8 +596,9 @@ impl OnlineLoop {
             else {
                 continue;
             };
-            let inc_pred = incumbent.forward_nograd(&ctx, dataset)?.at(&[row, col]);
-            let cand_pred = candidate.forward_nograd(&ctx, dataset)?.at(&[row, col]);
+            let cell = [(row, col)];
+            let inc_pred = incumbent.forward_cells(&ctx, dataset, &cell)?[0];
+            let cand_pred = candidate.forward_cells(&ctx, dataset, &cell)?[0];
             let (ie, ce) = (
                 (inc_pred - rating.value).abs() as f64,
                 (cand_pred - rating.value).abs() as f64,

@@ -131,3 +131,101 @@ proptest! {
         }
     }
 }
+
+/// An ask of the served forward: a context and the cells it reads.
+type Ask<'a> = (&'a PredictionContext, &'a [(usize, usize)]);
+
+/// Asks `forward` for one cell of each context, then for the cell each
+/// context's seeded row/column permutation moves it to, of the permuted
+/// context — batched, and one context at a time — and checks the answers
+/// agree (up to the reassociation [`assert_equivariant`] allows; a single
+/// ask and its batched twin bit for bit).
+fn assert_moved_cell_alike(
+    name: &str,
+    forward: impl Fn(&[Ask<'_>]) -> Vec<Vec<f32>>,
+    ctxs: &[PredictionContext],
+    cells: &[(usize, usize)],
+    seed: u64,
+) {
+    let shuffled: Vec<_> = ctxs
+        .iter()
+        .enumerate()
+        .map(|(k, ctx)| permuted(ctx, seed + k as u64))
+        .collect();
+    let at = |perm: &[usize], x| perm.iter().position(|&p| p == x).expect("a permutation");
+    let moved: Vec<(usize, usize)> = shuffled
+        .iter()
+        .zip(cells)
+        .map(|((_, users, items), &(r, c))| (at(users, r), at(items, c)))
+        .collect();
+    let asks: Vec<Ask<'_>> = ctxs
+        .iter()
+        .zip(cells)
+        .map(|(ctx, cell)| (ctx, std::slice::from_ref(cell)))
+        .collect();
+    let asks_p: Vec<Ask<'_>> = shuffled
+        .iter()
+        .zip(&moved)
+        .map(|((ctx, _, _), cell)| (ctx, std::slice::from_ref(cell)))
+        .collect();
+    let (answers, answers_p) = (forward(&asks), forward(&asks_p));
+    for k in 0..ctxs.len() {
+        let (a, b) = (answers[k][0], answers_p[k][0]);
+        assert!(
+            (a - b).abs() < 2e-3,
+            "{name} ctx {k}: cell {:?} {a} vs the moved {:?} {b}",
+            cells[k],
+            moved[k]
+        );
+        let single = forward(&asks_p[k..=k]);
+        assert_eq!(
+            single[0][0].to_bits(),
+            b.to_bits(),
+            "{name} ctx {k}: single vs batched"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Property 5.1 on the served forward, which asks for one cell: permute
+    /// a context's users and items, move the asked cell with them, and the
+    /// answer does not change — for the f32 and the int8-rounded forward.
+    #[test]
+    fn the_served_one_cell_forward_answers_the_moved_cell_alike(seed in 0u64..100) {
+        let dataset = SyntheticConfig::movielens_like().scaled(25, 20, (6, 12)).generate(seed);
+        let graph = dataset.graph();
+        for (n, m) in [(5, 4), (7, 9), (16, 16)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let config = HireConfig::fast().with_blocks(2).with_context_size(n, m);
+            let model = HireModel::new(&dataset, &config, &mut rng);
+            let ctxs: Vec<PredictionContext> = (0..3)
+                .map(|k| {
+                    training_context(
+                        &graph, &NeighborhoodSampler, dataset.ratings[k], n, m, 0.2, &mut rng,
+                    ).expect("training context")
+                })
+                .collect();
+            let s = seed as usize;
+            let cells: Vec<(usize, usize)> = (0..ctxs.len()).map(|k| ((s + k) % n, (s / 3 + 2 * k) % m)).collect();
+
+            let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
+            assert_moved_cell_alike(
+                &format!("frozen {n}x{m}"),
+                |asks| frozen.forward_cells_batch_within(asks, &dataset, None).expect("forward").expect("no deadline"),
+                &ctxs,
+                &cells,
+                seed,
+            );
+            let quant = QuantizedModel::from_frozen(&frozen, QuantMode::Int8);
+            assert_moved_cell_alike(
+                &format!("int8 {n}x{m}"),
+                |asks| quant.forward_cells_batch_within(asks, &dataset, None).expect("forward").expect("no deadline"),
+                &ctxs,
+                &cells,
+                seed,
+            );
+        }
+    }
+}

@@ -64,3 +64,48 @@ fn steady_state_forward_stays_within_its_allocation_budget() {
         first.bytes
     );
 }
+
+/// The forward asked for one cell — what a served miss runs — stays within
+/// the every-cell forward's budget above. It makes 22 allocations of
+/// 416 096 bytes on the lane ISAs against the every-cell forward's 21 of
+/// 419 196: its three cell lists (the asked cell, its row, the columns
+/// that row covers) cost one more call than the one matmul panel the
+/// decoder no longer packs.
+#[test]
+fn a_one_cell_forward_stays_within_the_every_cell_budget() {
+    let (budget, bytes_budget) = match simd::active_isa() {
+        Isa::Scalar => (32, 1_326_000),
+        _ => (23, 461_000),
+    };
+    let dataset = SyntheticConfig::movielens_like()
+        .scaled(60, 50, (10, 20))
+        .generate(5);
+    let config = HireConfig::fast().with_blocks(2).with_context_size(16, 16);
+    let mut rng = StdRng::seed_from_u64(5);
+    let model = HireModel::new(&dataset, &config, &mut rng);
+    let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
+    let ctx = training_context(
+        &dataset.graph(),
+        &NeighborhoodSampler,
+        dataset.ratings[0],
+        16,
+        16,
+        0.2,
+        &mut rng,
+    )
+    .expect("context");
+
+    let cell = [(ctx.n() / 2, ctx.m() / 2)];
+    frozen
+        .forward_cells(&ctx, &dataset, &cell)
+        .expect("warm-up");
+    let one = allocations(|| drop(frozen.forward_cells(&ctx, &dataset, &cell)));
+    let again = allocations(|| drop(frozen.forward_cells(&ctx, &dataset, &cell)));
+    assert_eq!(one, again, "a steady-state forward's count repeats");
+    assert!(
+        (1..=budget).contains(&one.calls) && one.bytes <= bytes_budget,
+        "a one-cell forward made {} allocations of {} bytes, budget {budget} of {bytes_budget}",
+        one.calls,
+        one.bytes
+    );
+}
