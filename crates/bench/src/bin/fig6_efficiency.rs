@@ -1,9 +1,13 @@
 //! Regenerates **Fig. 6**: total test time per method (user cold-start, as
 //! in the paper — test time is similar across scenarios).
 //!
-//! Expected shape: CF methods fastest; HIRE slower than CF but faster than
-//! the adaptation-based meta-learning methods; MAMO slowest (inner-loop
-//! adaptation + memory reads at test time).
+//! The paper's shape — CF fastest, HIRE between CF and the adaptation-based
+//! meta-learners, MAMO slowest — does not hold here: HIRE is the slowest
+//! method at test time (`results/fig6_efficiency.txt`: HIRE 0.181 s, MAMO
+//! 0.015 s on MovieLens). HIRE answers each query pair with a sampled
+//! context and a forward of its own, as the serving engine does, where the
+//! meta-learners adapt once per cold entity and then score its pairs with
+//! a small MLP.
 
 use hire_bench::{cold_frac, dataset_for, maybe_write_json, DatasetKind, HarnessArgs};
 use hire_data::{ColdStartScenario, ColdStartSplit};

@@ -2,19 +2,21 @@
 //! (neighborhood vs random vs feature-similarity) on the MovieLens-1M
 //! stand-in, metrics @5.
 //!
+//! Each strategy trains HIRE and answers every query pair from the pair's
+//! own context (§ VI-E: train and test with the strategy): the tables'
+//! `evaluate_model` over a `HireRatingModel` built with that sampler, so
+//! the sampler is the one thing that differs from Tables III–V.
+//!
 //! Paper shape: neighborhood sampling beats random everywhere;
 //! feature-similarity is competitive for user cold-start but weaker with
 //! cold items.
 
-use hire_bench::{cold_frac, dataset_for, maybe_write_json, DatasetKind, HarnessArgs};
-use hire_core::{train, HireModel};
-use hire_data::{test_context, ColdStartScenario, ColdStartSplit, Dataset};
-use hire_graph::{
-    ContextSampler, FeatureSimilaritySampler, NeighborhoodSampler, RandomSampler, Rating,
+use hire_bench::{
+    cold_frac, dataset_for, maybe_write_json, DatasetKind, HarnessArgs, ScenarioReport,
 };
-use hire_metrics::{ranking_metrics, Accumulator, ScoredPair};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use hire_data::{ColdStartScenario, ColdStartSplit, Dataset};
+use hire_eval::{evaluate_model, format_table, EvalConfig, HireRatingModel};
+use hire_graph::{ContextSampler, FeatureSimilaritySampler, NeighborhoodSampler, RandomSampler};
 
 fn feature_sampler(dataset: &Dataset) -> FeatureSimilaritySampler {
     let uf: Vec<Vec<f32>> = (0..dataset.num_users)
@@ -29,15 +31,12 @@ fn feature_sampler(dataset: &Dataset) -> FeatureSimilaritySampler {
 fn main() {
     let args = HarnessArgs::parse();
     let dataset = dataset_for(DatasetKind::MovieLens, args.tier, args.seed);
-    let hire_cfg = args.tier.hire_config();
-    let train_cfg = args.tier.hire_train_config();
-    let eval_cfg = args.eval_config();
+    let eval_cfg = EvalConfig {
+        ks: vec![5],
+        ..args.eval_config()
+    };
     println!("# Fig. 8: Impact of sampling methods (MovieLens-1M synthetic, @5)\n");
-    println!(
-        "{:<22}{:<10}{:>10}{:>10}{:>10}",
-        "Sampler", "Scenario", "Pre@5", "NDCG@5", "MAP@5"
-    );
-    let mut records = Vec::new();
+    let mut reports = Vec::new();
     for scenario in ColdStartScenario::ALL {
         let split = ColdStartSplit::new(
             &dataset,
@@ -46,74 +45,30 @@ fn main() {
             0.1,
             args.seed,
         );
-        let train_graph = split.train_graph(&dataset);
-        let visible = split.visible_graph(&dataset);
-        let fs = feature_sampler(&dataset);
-        let samplers: Vec<&dyn ContextSampler> = vec![&NeighborhoodSampler, &RandomSampler, &fs];
+        let samplers: [Box<dyn ContextSampler>; 3] = [
+            Box::new(NeighborhoodSampler),
+            Box::new(RandomSampler),
+            Box::new(feature_sampler(&dataset)),
+        ];
+        let mut results = Vec::new();
         for sampler in samplers {
-            // Train AND test with this sampling strategy (as in § VI-E).
-            let mut rng = StdRng::seed_from_u64(args.seed);
-            let model = HireModel::new(&dataset, &hire_cfg, &mut rng);
-            eprintln!("  [{} / {}] training ...", scenario.label(), sampler.name());
-            train(
-                &model,
-                &dataset,
-                &train_graph,
+            let name = sampler.name();
+            eprintln!("  [{} / {name}] training ...", scenario.label());
+            let mut model = HireRatingModel::with_sampler(
+                args.tier.hire_config(),
+                args.tier.hire_train_config(),
                 sampler,
-                &train_cfg,
-                &mut rng,
-            )
-            .expect("training");
-
-            let threshold = dataset.relevance_threshold();
-            let mut accs: [Accumulator; 3] = Default::default();
-            let mut evaluated = 0usize;
-            for (_entity, queries) in split.queries_by_entity() {
-                if queries.len() < eval_cfg.min_queries || evaluated >= eval_cfg.max_entities {
-                    continue;
-                }
-                // one context per entity, holding as many queries as fit
-                let take: Vec<Rating> = queries
-                    .iter()
-                    .copied()
-                    .take(hire_cfg.context_items.min(hire_cfg.context_users))
-                    .collect();
-                let ctx = test_context(
-                    &visible,
-                    sampler,
-                    &take,
-                    hire_cfg.context_users,
-                    hire_cfg.context_items,
-                    &mut rng,
-                )
-                .expect("test context");
-                let pred = model.predict(&ctx, &dataset);
-                let scored: Vec<ScoredPair> = ctx
-                    .targets()
-                    .map(|(r, c, actual)| ScoredPair::new(pred.at(&[r, c]), actual))
-                    .collect();
-                if scored.is_empty() {
-                    continue;
-                }
-                let m = ranking_metrics(&scored, 5, threshold);
-                accs[0].push(m.precision);
-                accs[1].push(m.ndcg);
-                accs[2].push(m.map);
-                evaluated += 1;
-            }
-            println!(
-                "{:<22}{:<10}{:>10.4}{:>10.4}{:>10.4}",
-                sampler.name(),
-                scenario.label(),
-                accs[0].mean(),
-                accs[1].mean(),
-                accs[2].mean()
             );
-            records.push(serde_json::json!({
-                "sampler": sampler.name(), "scenario": scenario.label(),
-                "precision": accs[0].mean(), "ndcg": accs[1].mean(), "map": accs[2].mean(),
-            }));
+            let mut result = evaluate_model(&mut model, &dataset, &split, &eval_cfg);
+            result.model = name.to_string();
+            results.push(result);
         }
+        let title = format!("Fig. 8 — {}", scenario.label());
+        println!("{}", format_table(&title, &results));
+        reports.push(ScenarioReport {
+            scenario: scenario.label().to_string(),
+            results,
+        });
     }
-    maybe_write_json(&args, &records);
+    maybe_write_json(&args, &reports);
 }

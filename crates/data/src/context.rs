@@ -4,7 +4,9 @@
 use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, ContextSampler, Rating};
 use hire_tensor::NdArray;
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::collections::HashMap;
 
 /// One prediction context: `n` users, `m` items, the observed ratings
@@ -314,6 +316,46 @@ pub fn test_context_with_ratio(
     })
 }
 
+/// The base seed of every pair's test context: the evaluation adapter's,
+/// and the serving engine's unless its configuration says otherwise.
+pub const PAIR_CONTEXT_SEED: u64 = 0x48495245; // "HIRE"
+
+/// SplitMix64-style mix of a base seed and a query pair, so context
+/// sampling is reproducible per pair and stable across cache evictions.
+/// Also derives the online loop's per-round fine-tuning and eval seeds
+/// from one base seed.
+pub fn context_seed(base: u64, user: usize, item: usize) -> u64 {
+    let mut z = base
+        ^ (user as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ (item as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The test context of one query pair: the one definition of what HIRE
+/// reads to answer `(query.user, query.item)`, for the tables and for the
+/// served answer alike.
+///
+/// [`test_context_with_ratio`] with `query` as its only query, sampled
+/// from an RNG seeded by [`context_seed`]`(seed, query.user, query.item)`
+/// — so the context is a pure function of the visible graph, the sampler,
+/// the budget, the pair and `seed`. The pair's cell is its one target;
+/// `query.value` is a placeholder the model never reads as input. Every
+/// edge of the pair's user and item inside the block is kept as input.
+pub fn pair_context(
+    visible: &BipartiteGraph,
+    sampler: &dyn ContextSampler,
+    query: Rating,
+    n: usize,
+    m: usize,
+    keep_ratio: f32,
+    seed: u64,
+) -> HireResult<PredictionContext> {
+    let mut rng = StdRng::seed_from_u64(context_seed(seed, query.user, query.item));
+    test_context_with_ratio(visible, sampler, &[query], n, m, keep_ratio, &mut rng)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,6 +427,39 @@ mod tests {
         assert_eq!(ctx.num_targets(), 1);
         // visible edges in the block are inputs
         assert!(ctx.input_mask.sum_all() > 0.0);
+    }
+
+    #[test]
+    fn pair_context_is_the_pairs_own_seeded_test_context() {
+        let g = graph();
+        let query = Rating::new(1, 3, 2.0);
+        let ask = || {
+            pair_context(
+                &g,
+                &NeighborhoodSampler,
+                query,
+                3,
+                3,
+                0.5,
+                PAIR_CONTEXT_SEED,
+            )
+            .expect("pair context")
+        };
+        let ctx = ask();
+        ctx.validate().expect("valid context");
+        let targets: Vec<_> = ctx.targets().collect();
+        assert_eq!(targets.len(), 1);
+        let (row, col, _) = targets[0];
+        assert_eq!((ctx.users[row], ctx.items[col]), (1, 3));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(context_seed(PAIR_CONTEXT_SEED, 1, 3));
+        let by_hand =
+            test_context_with_ratio(&g, &NeighborhoodSampler, &[query], 3, 3, 0.5, &mut rng)
+                .expect("test context");
+        for other in [ask(), by_hand] {
+            assert_eq!((&other.users, &other.items), (&ctx.users, &ctx.items));
+            assert_eq!(other.input_mask.as_slice(), ctx.input_mask.as_slice());
+            assert_eq!(other.target_mask.as_slice(), ctx.target_mask.as_slice());
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   and Bookcrossing (see DESIGN.md for the substitution rationale)
 //! - [`ColdStartSplit`] — the three cold-start scenarios of § III-A
 //! - [`PredictionContext`] — the `n x m` rating blocks of § IV-B with
-//!   input/target masks ([`training_context`], [`test_context`])
+//!   input/target masks ([`training_context`], [`test_context`], and
+//!   [`pair_context`], the one query pair's test context)
 
 pub mod context;
 pub mod dataset;
@@ -16,7 +17,10 @@ pub mod schema;
 pub mod split;
 pub mod synthetic;
 
-pub use context::{test_context, test_context_with_ratio, training_context, PredictionContext};
+pub use context::{
+    context_seed, pair_context, test_context, test_context_with_ratio, training_context,
+    PredictionContext, PAIR_CONTEXT_SEED,
+};
 pub use dataset::{Dataset, DatasetProfile};
 pub use schema::{Attribute, EntitySchema};
 pub use split::{ColdStartScenario, ColdStartSplit};

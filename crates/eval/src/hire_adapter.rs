@@ -1,41 +1,57 @@
 //! Adapter exposing the HIRE model through the baseline [`RatingModel`]
 //! interface so the comparison harness can treat all methods uniformly.
+//!
+//! It answers `(u, i)` as the serving engine does: from the pair's own
+//! test context ([`hire_data::pair_context`], seeded by
+//! [`PAIR_CONTEXT_SEED`]), asked for the pair's one cell. So with the
+//! default neighborhood sampler the tables measure the answer
+//! `hire_serve::ServeEngine` serves for the same weights and visible
+//! graph, bit for bit.
 
 use hire_baselines::RatingModel;
 use hire_core::{train, FrozenModel, HireConfig, HireModel, TrainConfig};
-use hire_data::{test_context_with_ratio, Dataset};
-use hire_graph::{BipartiteGraph, NeighborhoodSampler, Rating};
+use hire_data::{pair_context, Dataset, PAIR_CONTEXT_SEED};
+use hire_graph::{BipartiteGraph, ContextSampler, NeighborhoodSampler, Rating};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// HIRE wrapped as a [`RatingModel`].
 ///
-/// `fit` trains with Algorithm 1 on contexts sampled from the training
-/// graph, then freezes the trained weights once. `predict` builds a test
-/// prediction context around the query pairs (neighborhood sampling over
-/// the visible graph), runs the frozen model's tape-free forward once,
-/// asked for the query cells only. Queries that do not fit the
-/// context budget fall back to the training-mean rating.
+/// `fit` trains with Algorithm 1 on contexts `sampler` draws from the
+/// training graph, then freezes the trained weights once. `predict` answers
+/// each pair from its own context, drawn by the same sampler over the
+/// visible graph at the model's training input density, with one
+/// tape-free forward asked for the pair's cell.
 pub struct HireRatingModel {
     config: HireConfig,
     train_config: TrainConfig,
+    /// The context sampler of training and prediction alike.
+    sampler: Box<dyn ContextSampler>,
     /// The trained weights, frozen once by `fit`.
     model: Option<FrozenModel>,
+    /// The training-mean rating, for a pair whose context cannot be built.
     fallback: f32,
-    /// RNG seed for context sampling at prediction time (kept separate from
-    /// the caller's RNG so prediction is deterministic per call).
-    predict_seed: u64,
 }
 
 impl HireRatingModel {
-    /// Creates the adapter.
+    /// Creates the adapter with neighborhood sampling, the paper's default
+    /// (Tables III–V).
     pub fn new(config: HireConfig, train_config: TrainConfig) -> Self {
+        Self::with_sampler(config, train_config, Box::new(NeighborhoodSampler))
+    }
+
+    /// Creates the adapter with the context sampler it trains and predicts
+    /// with (Fig. 8 compares three).
+    pub fn with_sampler(
+        config: HireConfig,
+        train_config: TrainConfig,
+        sampler: Box<dyn ContextSampler>,
+    ) -> Self {
         HireRatingModel {
             config,
             train_config,
+            sampler,
             model: None,
             fallback: 0.0,
-            predict_seed: 0x5EED,
         }
     }
 }
@@ -51,7 +67,7 @@ impl RatingModel for HireRatingModel {
             &model,
             dataset,
             train_graph,
-            &NeighborhoodSampler,
+            &*self.sampler,
             &self.train_config,
             rng,
         ) {
@@ -72,76 +88,32 @@ impl RatingModel for HireRatingModel {
         pairs: &[(usize, usize)],
     ) -> Vec<f32> {
         let model = self.model.as_ref().expect("fit before predict");
-        let mut rng = StdRng::seed_from_u64(self.predict_seed);
-        let mut out = vec![self.fallback; pairs.len()];
-        // Process queries in chunks that fit HALF the context budget: the
-        // other half is left for the neighborhood sampler to fill with
-        // informative entities — crucially the cold entity's support
-        // neighbors, without which the model cannot infer its preferences.
-        let full_n = self.config.context_users;
-        let full_m = self.config.context_items;
-        let n = (full_n / 2).max(1);
-        let m = (full_m / 2).max(1);
-        let mut remaining: Vec<(usize, (usize, usize))> =
-            pairs.iter().copied().enumerate().collect();
-        while !remaining.is_empty() {
-            // Greedily take queries while they fit the user/item budgets.
-            let mut users = Vec::new();
-            let mut items = Vec::new();
-            let mut chunk: Vec<(usize, (usize, usize))> = Vec::new();
-            let mut rest: Vec<(usize, (usize, usize))> = Vec::new();
-            for (ix, (u, i)) in remaining {
-                let nu = users.contains(&u) as usize;
-                let ni = items.contains(&i) as usize;
-                if (users.len() + 1 - nu) <= n && (items.len() + 1 - ni) <= m {
-                    if nu == 0 {
-                        users.push(u);
-                    }
-                    if ni == 0 {
-                        items.push(i);
-                    }
-                    chunk.push((ix, (u, i)));
-                } else {
-                    rest.push((ix, (u, i)));
-                }
-            }
-            if chunk.is_empty() {
-                break; // single pair larger than budget cannot happen (n,m >= 1)
-            }
-            let queries: Vec<Rating> = chunk
-                .iter()
-                .map(|&(_, (u, i))| Rating::new(u, i, dataset.min_rating))
-                .collect();
-            // Match the training input density (§ VI-A masks 90 % of the
-            // observed ratings at test time too); the cold entity's own
-            // support edges are always kept.
-            let Ok(ctx) = test_context_with_ratio(
-                visible,
-                &NeighborhoodSampler,
-                &queries,
-                full_n,
-                full_m,
-                self.config.input_ratio,
-                &mut rng,
-            ) else {
-                // Context construction rejected the configuration; leave the
-                // chunk's predictions at the training-mean fallback.
-                remaining = rest;
-                continue;
-            };
-            let (slots, cells): (Vec<usize>, Vec<(usize, usize)>) = chunk
-                .iter()
-                .filter_map(|&(ix, (u, i))| Some((ix, (ctx.user_row(u)?, ctx.item_col(i)?))))
-                .unzip();
-            let pred = model
-                .forward_cells(&ctx, dataset, &cells)
-                .expect("sampled contexts hold dataset ids");
-            for (ix, value) in slots.into_iter().zip(pred) {
-                out[ix] = value;
-            }
-            remaining = rest;
-        }
-        out
+        pairs
+            .iter()
+            .map(|&(user, item)| {
+                // The query cell is target-masked, so its placeholder value
+                // never reaches the model input.
+                let placeholder = Rating::new(user, item, dataset.min_rating);
+                let Ok(ctx) = pair_context(
+                    visible,
+                    &*self.sampler,
+                    placeholder,
+                    self.config.context_users,
+                    self.config.context_items,
+                    self.config.input_ratio,
+                    PAIR_CONTEXT_SEED,
+                ) else {
+                    // Context construction rejected the configuration.
+                    return self.fallback;
+                };
+                let (Some(row), Some(col)) = (ctx.user_row(user), ctx.item_col(item)) else {
+                    return self.fallback;
+                };
+                model
+                    .forward_cells(&ctx, dataset, &[(row, col)])
+                    .expect("sampled contexts hold dataset ids")[0]
+            })
+            .collect()
     }
 }
 
@@ -149,6 +121,7 @@ impl RatingModel for HireRatingModel {
 mod tests {
     use super::*;
     use hire_data::SyntheticConfig;
+    use rand::SeedableRng;
 
     #[test]
     fn adapter_round_trip() {

@@ -185,7 +185,9 @@ pub fn evaluate_model(
 }
 
 /// Formats a comparison as a paper-style table (one row per model, one
-/// column group per cutoff).
+/// column group per cutoff). A model that evaluated no entity — a
+/// scenario with no cold entity of enough queries — prints a marker, not
+/// zeros.
 pub fn format_table(title: &str, results: &[ModelResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!("## {title}\n"));
@@ -193,7 +195,11 @@ pub fn format_table(title: &str, results: &[ModelResult]) -> String {
         out.push_str("(no results)\n");
         return out;
     }
-    out.push_str(&format!("{:<12}", "Method"));
+    let width = results
+        .iter()
+        .map(|r| r.model.len() + 2)
+        .fold(12, usize::max);
+    out.push_str(&format!("{:<width$}", "Method"));
     for at in &results[0].at_k {
         out.push_str(&format!(
             "{:>12}{:>12}{:>12}",
@@ -204,8 +210,11 @@ pub fn format_table(title: &str, results: &[ModelResult]) -> String {
     }
     out.push('\n');
     for r in results {
-        out.push_str(&format!("{:<12}", r.model));
+        out.push_str(&format!("{:<width$}", r.model));
         match &r.status {
+            crate::fault::EvalStatus::Ok if r.entities == 0 => {
+                out.push_str("  [no entity evaluated]");
+            }
             crate::fault::EvalStatus::Ok => {
                 for at in &r.at_k {
                     out.push_str(&format!(
@@ -307,5 +316,36 @@ mod tests {
         assert!(table.contains("NDCG@10"));
         let timing = format_timing("Timing", &[r]);
         assert!(timing.contains("test (s)"));
+    }
+
+    #[test]
+    fn a_scenario_with_no_entity_prints_a_marker_not_zeros() {
+        let (d, s) = setup();
+        let cfg = EvalConfig {
+            max_entities: 5,
+            ..Default::default()
+        };
+        let evaluated = evaluate_model(&mut GlobalMean::new(), &d, &s, &cfg);
+        let none = evaluate_model(
+            &mut GlobalMean::new(),
+            &d,
+            &s,
+            &EvalConfig {
+                min_queries: usize::MAX,
+                ..cfg
+            },
+        );
+        assert!(evaluated.entities > 0);
+        assert_eq!(none.entities, 0);
+        assert!(none.status.is_ok());
+        let table = format_table("Empty", &[evaluated, none]);
+        let rows: Vec<&str> = table
+            .lines()
+            .filter(|l| l.starts_with("GlobalMean"))
+            .collect();
+        assert_eq!(rows.len(), 2, "{table}");
+        assert!(!rows[0].contains("[no entity evaluated]"), "{table}");
+        assert!(rows[1].contains("[no entity evaluated]"), "{table}");
+        assert!(!rows[1].contains("0.0000"), "{table}");
     }
 }

@@ -35,7 +35,7 @@ use hire_baselines::{EntityMean, RatingModel};
 use hire_chaos::{sites, FaultKind, FaultPlan};
 use hire_core::FrozenModel;
 use hire_core::{Backoff, BackoffConfig, HybridModel};
-use hire_data::{test_context_with_ratio, Dataset, PredictionContext};
+use hire_data::{context_seed, pair_context, Dataset, PredictionContext, PAIR_CONTEXT_SEED};
 use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, EpochSource, EpochedGraph, NeighborhoodSampler, Rating};
 use hire_wal::{Wal, WalError, WalRecord};
@@ -68,7 +68,8 @@ pub struct EngineConfig {
     pub keep_ratio: f32,
     /// Context-cache capacity; 0 disables caching.
     pub cache_capacity: usize,
-    /// Base seed for deterministic per-query context sampling.
+    /// Base seed for deterministic per-query context sampling
+    /// ([`hire_data::pair_context`]).
     pub seed: u64,
 }
 
@@ -81,7 +82,7 @@ impl EngineConfig {
             context_items: config.context_items,
             keep_ratio: config.input_ratio,
             cache_capacity: 4096,
-            seed: 0x48495245, // "HIRE"
+            seed: PAIR_CONTEXT_SEED,
         }
     }
 }
@@ -336,12 +337,14 @@ impl TierStats {
 
 /// Serves rating queries from a frozen model.
 ///
-/// Contexts are sampled deterministically per `(seed, user, item)` and
-/// memoized in an LRU [`ContextCache`]; `insert_rating` updates the graph
-/// and invalidates every cached block the new edge touches. Stale-memo
-/// races are closed by a graph epoch: a context sampled against a graph
-/// that changed before the cache insert is never cached, and a prediction
-/// is only memoized against the exact context it was computed from.
+/// Contexts are sampled deterministically per `(seed, user, item)` by
+/// [`hire_data::pair_context`], the context the evaluation tables answer
+/// from too, and memoized in an LRU [`ContextCache`]; `insert_rating`
+/// updates the graph and invalidates every cached block the new edge
+/// touches. Stale-memo races are closed by a graph epoch: a context
+/// sampled against a graph that changed before the cache insert is never
+/// cached, and a prediction is only memoized against the exact context it
+/// was computed from.
 pub struct ServeEngine {
     /// The incumbent model. Swapped atomically (`Arc` swap under a short
     /// write lock) by [`ServeEngine::commit_install`]; readers pin the
@@ -449,19 +452,6 @@ fn wal_to_serve(err: WalError) -> ServeError {
         WalError::Injected { site } => ServeError::Injected { site },
         other => ServeError::Model(other.into()),
     }
-}
-
-/// SplitMix64-style mix of the engine seed and the query pair, so context
-/// sampling is reproducible per query and stable across cache evictions.
-/// Also used by the online loop (`crate::online`) to derive per-round
-/// fine-tuning and eval seeds from one base seed.
-pub(crate) fn context_seed(base: u64, user: usize, item: usize) -> u64 {
-    let mut z = base
-        ^ (user as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (item as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl ServeEngine {
@@ -1060,19 +1050,17 @@ impl ServeEngine {
             // enough to answer this query, whose submission raced the
             // write.
             let pinned = self.graph.pin();
-            let mut rng =
-                StdRng::seed_from_u64(context_seed(self.config.seed, query.user, query.item));
             // The query cell is target-masked, so its placeholder value
             // never reaches the model input.
             let placeholder = Rating::new(query.user, query.item, self.dataset.min_rating);
-            let ctx = test_context_with_ratio(
+            let ctx = pair_context(
                 &pinned,
                 &NeighborhoodSampler,
-                &[placeholder],
+                placeholder,
                 self.config.context_users,
                 self.config.context_items,
                 self.config.keep_ratio,
-                &mut rng,
+                self.config.seed,
             )
             .map_err(ServeError::Model)?;
             let ctx = Arc::new(ctx);

@@ -42,12 +42,13 @@
 //! block), [`sites::SHADOW_EVAL`] (inside the guarded eval block) and
 //! [`sites::ONLINE_SWAP`] (inside [`ServeEngine::prepare_install`]).
 
-use crate::engine::{context_seed, ColdScenario, ServeEngine, SlotSource};
+use crate::engine::{ColdScenario, ServeEngine, SlotSource};
 use crate::server::ModelVersion;
 use hire_chaos::{sites, FaultPlan};
 use hire_ckpt::{CheckpointStore, GuardSnapshot, OptimizerSnapshot, TrainSnapshot};
 use hire_core::FrozenModel;
 use hire_core::{fine_tune, GuardConfig, HireModel, TrainConfig, TrainOutcome};
+use hire_data::context_seed;
 use hire_graph::{NeighborhoodSampler, Rating};
 use hire_wal::WalRecord;
 use rand::rngs::StdRng;

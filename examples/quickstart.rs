@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use hire::data::{pair_context, PAIR_CONTEXT_SEED};
 use hire::prelude::*;
 use rand::SeedableRng;
 
@@ -59,30 +60,45 @@ fn main() {
         report.recoveries.len()
     );
 
-    // 4. Predict one cold user's query ratings. The prediction context is
-    //    sampled around the cold user from the *visible* graph (training
-    //    edges + the cold user's few support edges).
+    // 4. Predict one cold user's query ratings, each pair from its own
+    //    prediction context: sampled around the pair from the *visible*
+    //    graph (training edges + the cold user's few support edges) — the
+    //    context the evaluation tables and the serving engine answer from.
     let visible = split.visible_graph(&dataset);
     let (cold_user, queries) = split
         .queries_by_entity()
         .into_iter()
         .max_by_key(|(_, q)| q.len())
         .expect("cold user with queries");
-    let ctx = test_context(&visible, &NeighborhoodSampler, &queries, 12, 12, &mut rng)
-        .expect("test context");
-    let pred = model.predict(&ctx, &dataset);
+    let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
 
     println!("\ncold user u{cold_user}:");
     let mut scored = Vec::new();
-    for (row, col, actual) in ctx.targets() {
-        if ctx.users[row] == cold_user {
-            let p = pred.at(&[row, col]);
-            println!(
-                "  item i{:<5} predicted {:.2}  actual {:.1}",
-                ctx.items[col], p, actual
-            );
-            scored.push(ScoredPair::new(p, actual));
-        }
+    for query in queries {
+        let ctx = pair_context(
+            &visible,
+            &NeighborhoodSampler,
+            query,
+            config.context_users,
+            config.context_items,
+            config.input_ratio,
+            PAIR_CONTEXT_SEED,
+        )
+        .expect("pair context");
+        let cell = (
+            ctx.user_row(query.user)
+                .expect("the pair is in its context"),
+            ctx.item_col(query.item)
+                .expect("the pair is in its context"),
+        );
+        let p = frozen
+            .forward_cells(&ctx, &dataset, &[cell])
+            .expect("forward")[0];
+        println!(
+            "  item i{:<5} predicted {:.2}  actual {:.1}",
+            query.item, p, query.value
+        );
+        scored.push(ScoredPair::new(p, query.value));
     }
 
     // 5. Ranking quality of the prediction.
