@@ -11,7 +11,6 @@ use hire_graph::{BipartiteGraph, Rating};
 use hire_tensor::{NdArray, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
 use std::collections::HashSet;
 
 /// One meta-learning task: a cold entity's support/query rating sets.
@@ -229,19 +228,6 @@ impl FoMaml {
             }
         }
     }
-}
-
-/// Deterministic mini-task split of a support set used at prediction time
-/// by models that adapt on the fly.
-pub fn ratings_to_pairs(ratings: &[Rating]) -> (Vec<(usize, usize)>, NdArray) {
-    let pairs: Vec<(usize, usize)> = ratings.iter().map(|r| (r.user, r.item)).collect();
-    let values = NdArray::from_vec([ratings.len()], ratings.iter().map(|r| r.value).collect());
-    (pairs, values)
-}
-
-/// Uniformly samples `count` seed entities (with replacement).
-pub fn sample_entities(n: usize, count: usize, rng: &mut StdRng) -> Vec<usize> {
-    (0..count).map(|_| rng.gen_range(0..n)).collect()
 }
 
 #[cfg(test)]

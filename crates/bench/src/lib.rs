@@ -200,8 +200,8 @@ pub struct ScenarioReport {
 /// `failed`/`timeout` entry in the report and the remaining models still
 /// run.
 ///
-/// Without a `--model-budget`, models fan out across the `hire-par` pool
-/// (one task per spec). Behavior change vs the pre-pool harness: peak
+/// Without a `--model-budget`, models fan out over `hire-par`'s scoped
+/// lanes (one chunk per spec). Behavior change vs the pre-pool harness: peak
 /// memory scales with the number of concurrently training models, and
 /// per-model progress lines from different models interleave (each line
 /// carries its scenario label and model name, so they stay attributable).
@@ -241,8 +241,8 @@ pub fn run_scenario_with_specs(
     } else {
         let slots: Vec<Mutex<Option<ModelSpec>>> =
             specs.into_iter().map(|s| Mutex::new(Some(s))).collect();
-        hire_par::parallel_map_chunks(slots.len(), 1, |rr| {
-            let spec = slots[rr.start]
+        hire_par::parallel_map_chunks(slots.len(), |k| {
+            let spec = slots[k]
                 .lock()
                 .expect("spec slot lock")
                 .take()
@@ -254,18 +254,6 @@ pub fn run_scenario_with_specs(
         scenario: scenario.label().to_string(),
         results,
     }
-}
-
-/// Runs the full comparison (all baselines + HIRE) for one scenario.
-pub fn run_scenario(
-    dataset: &Dataset,
-    kind: DatasetKind,
-    scenario: ColdStartScenario,
-    args: &HarnessArgs,
-) -> ScenarioReport {
-    let mut specs = hire_eval::baseline_specs(dataset, args.tier);
-    specs.push(hire_eval::hire_spec(args.tier));
-    run_scenario_with_specs(dataset, kind, scenario, args, specs)
 }
 
 /// Host execution environment, embedded in benchmark JSON reports so a
@@ -280,8 +268,9 @@ pub struct HostInfo {
     pub isa_features: Vec<String>,
     /// Raw `HIRE_THREADS` value from the environment, if set.
     pub hire_threads_env: Option<String>,
-    /// Size of the `hire-par` global pool — how many models of a table
-    /// train side by side (kernels themselves run on their caller's thread).
+    /// `hire-par`'s process-wide lane count — how many models of a table
+    /// train side by side. Nothing else reads it: kernels run on their
+    /// caller's thread, and serving parallelism is the server's workers.
     pub compute_pool_threads: usize,
     /// Kernel path the SIMD dispatcher resolved to for this process
     /// (`scalar` | `avx2` | `avx512`) — the ISA every recorded
@@ -293,8 +282,8 @@ pub struct HostInfo {
 }
 
 impl HostInfo {
-    /// Snapshots the current host. Reads (and, if needed, initializes)
-    /// the global pool.
+    /// Snapshots the current host. Reads (and, if needed, fixes from
+    /// `HIRE_THREADS`) `hire-par`'s lane count.
     pub fn detect() -> Self {
         #[allow(unused_mut)]
         let mut isa_features: Vec<String> = Vec::new();
@@ -328,7 +317,7 @@ impl HostInfo {
     /// One-line host description for `compute_bench`'s stderr banner.
     pub fn summary(&self) -> String {
         format!(
-            "{} hardware thread(s), isa features {}, dispatched kernel {}{}, HIRE_THREADS={}, pool {} thread(s)",
+            "{} hardware thread(s), isa features {}, dispatched kernel {}{}, HIRE_THREADS={}, fan-out {} lane(s)",
             self.logical_cores,
             if self.isa_features.is_empty() {
                 "unknown".to_string()

@@ -1,14 +1,13 @@
-//! The grain of parallelism the harness keeps: one pool task per model of a
-//! table. Rows come back in spec order with the same metrics whether the
-//! pool has one lane or four, and the same again on the serial
+//! The grain of parallelism the harness keeps: one scoped lane's chunk per
+//! model of a table. Rows come back in spec order with the same metrics
+//! whether the fan-out has one lane or four, and the same again on the serial
 //! `--model-budget` branch — every model trains from its own fixed seed, so
 //! scheduling cannot reach a result.
 
 use hire_bench::{dataset_for, run_scenario_with_specs, DatasetKind, HarnessArgs};
 use hire_data::ColdStartScenario;
 use hire_eval::{ModelSpec, SpeedTier};
-use hire_par::{with_pool, ThreadPool};
-use std::sync::Arc;
+use hire_par::with_pool;
 
 mod support;
 use support::{cheap_specs, comparable, ComparableRow};
@@ -34,14 +33,14 @@ fn rows(args: &HarnessArgs) -> Vec<ComparableRow> {
 }
 
 #[test]
-fn model_fan_out_keeps_spec_order_and_metrics_at_any_pool_size() {
+fn model_fan_out_keeps_spec_order_and_metrics_at_any_lane_count() {
     let fanned = support::args();
-    let one = with_pool(&Arc::new(ThreadPool::new(1)), || rows(&fanned));
+    let one = with_pool(1, || rows(&fanned));
     let names: Vec<&str> = one.iter().map(|row| row.1.as_str()).collect();
     assert_eq!(names, ["GlobalMean", "EntityMean", "HIRE"], "spec order");
     assert!(one.iter().all(|row| row.4), "every model finished: {one:?}");
 
-    let four = with_pool(&Arc::new(ThreadPool::new(4)), || rows(&fanned));
+    let four = with_pool(4, || rows(&fanned));
     assert_eq!(four, one, "4 lanes vs 1");
 
     // A budget no model comes near: the serial branch, same rows.

@@ -176,11 +176,6 @@ impl HybridModel {
         sum / triples.len() as f32
     }
 
-    /// The learned collaborative-vs-content mixing weight `σ(gate)`.
-    pub fn collab_weight(&self) -> f32 {
-        sigmoid(self.gate)
-    }
-
     /// Parameter count (for reports).
     pub fn num_parameters(&self) -> usize {
         self.user_bias.len()

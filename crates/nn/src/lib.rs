@@ -3,7 +3,7 @@
 //! Neural-network layers for the HIRE reproduction, built on
 //! [`hire_tensor`]'s autograd engine:
 //!
-//! - [`Linear`], [`Embedding`], [`Mlp`], [`LayerNorm`], [`Dropout`]
+//! - [`Linear`], [`Embedding`], [`Mlp`], [`LayerNorm`]
 //! - [`MultiHeadSelfAttention`] — the batched, parameter-sharing MHSA that
 //!   powers the paper's Heterogeneous Interaction Module
 //! - [`Module`] — the trainable-parameter trait consumed by `hire-optim`
@@ -14,7 +14,6 @@
 
 pub mod activation;
 pub mod attention;
-pub mod dropout;
 pub mod embedding;
 pub mod linear;
 pub mod loss;
@@ -25,7 +24,6 @@ pub mod norm;
 
 pub use activation::Activation;
 pub use attention::{AttentionOutput, MultiHeadSelfAttention};
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use linear::Linear;
 pub use loss::{bce_loss, mae, masked_mse_loss, mse_loss, rmse};

@@ -27,11 +27,6 @@ pub trait Module {
     }
 }
 
-/// Collects parameters from a list of modules.
-pub fn collect_parameters<'a>(modules: impl IntoIterator<Item = &'a dyn Module>) -> Vec<Tensor> {
-    modules.into_iter().flat_map(|m| m.parameters()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -536,11 +536,6 @@ impl ServeEngine {
         self
     }
 
-    /// The installed hybrid mid-tier, if any.
-    pub fn hybrid_model(&self) -> Option<&HybridModel> {
-        self.hybrid.as_ref()
-    }
-
     /// Installs a chaos [`FaultPlan`] on the engine's fault sites
     /// (`engine.resolve`, `engine.forward`). Without one the hooks cost a
     /// null check.

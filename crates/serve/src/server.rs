@@ -386,6 +386,9 @@ impl Server {
                     max_queue: self.shared.config.max_queue,
                 });
             }
+            // Counted before a worker can pop (and count) the job, so a
+            // `stats()` read never sees `completed > submitted`.
+            self.shared.submitted.fetch_add(1, Ordering::Relaxed);
             st.jobs.push_back(Job {
                 query,
                 enqueued: now,
@@ -393,7 +396,6 @@ impl Server {
                 reply: tx,
             });
         }
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         self.shared.cv.notify_one();
         Ok(PredictionHandle { rx })
     }
@@ -414,11 +416,15 @@ impl Server {
         }
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot. `completed` is read first: every job it counts
+    /// was counted in `submitted` before a worker could take it (under the
+    /// queue lock, which the worker then took), so the snapshot always has
+    /// `completed <= submitted`.
     pub fn stats(&self) -> ServerStats {
+        let completed = self.shared.completed.load(Ordering::Acquire);
         ServerStats {
             submitted: self.shared.submitted.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
+            completed,
             rejected: self.shared.rejected.load(Ordering::Relaxed),
             worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
             deadline_expired: self.shared.deadline_expired.load(Ordering::Relaxed),
@@ -441,7 +447,7 @@ impl Drop for Server {
 /// result — counted first, so a caller that sees its answer also sees the
 /// counter include it.
 fn reply(shared: &Shared, job: &Job, result: Result<Prediction, ServeError>) {
-    shared.completed.fetch_add(1, Ordering::Relaxed);
+    shared.completed.fetch_add(1, Ordering::Release);
     let _ = job.reply.send(result);
 }
 

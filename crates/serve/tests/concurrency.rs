@@ -128,6 +128,61 @@ fn full_queue_rejects_with_overloaded_but_drops_nothing_accepted() {
     assert_eq!(stats.completed, n_accepted);
 }
 
+/// A busy worker may answer (and count) a job before its submitter's call
+/// has returned: `submitted` must already include it, on every read.
+#[test]
+fn stats_never_read_more_completed_than_submitted() {
+    const SUBMITTERS: usize = 2;
+    const PER_SUBMITTER: usize = 25_000;
+    let server = Server::start(
+        Arc::new(TestPredictor::new(Duration::ZERO, None)),
+        ServerConfig {
+            workers: 4,
+            max_batch: 1,
+            max_queue: 1 << 17,
+        },
+    );
+    let stop = AtomicBool::new(false);
+    let reads = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut reads = 0u64;
+            while !stop.load(Ordering::Acquire) {
+                let stats = server.stats();
+                assert!(
+                    stats.completed <= stats.submitted,
+                    "completed {} > submitted {}",
+                    stats.completed,
+                    stats.submitted
+                );
+                reads += 1;
+            }
+            reads
+        });
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|t| {
+                let server = &server;
+                s.spawn(move || {
+                    for k in 0..PER_SUBMITTER {
+                        server
+                            .submit(RatingQuery { user: t, item: k })
+                            .expect("the queue never fills");
+                    }
+                })
+            })
+            .collect();
+        for submitter in submitters {
+            submitter.join().expect("submitter");
+        }
+        stop.store(true, Ordering::Release);
+        reader.join().expect("reader")
+    });
+    assert!(reads > 0);
+    server.shutdown();
+    let stats = server.stats();
+    let total = (SUBMITTERS * PER_SUBMITTER) as u64;
+    assert_eq!((stats.submitted, stats.completed), (total, total));
+}
+
 #[test]
 fn worker_panic_surfaces_as_worker_lost_not_deadlock() {
     let predictor = Arc::new(TestPredictor::new(Duration::ZERO, Some(666)));

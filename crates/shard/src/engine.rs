@@ -238,7 +238,7 @@ impl ShardedEngine {
     /// Installs one chaos plan per shard (builder style). Separate plans —
     /// typically derived seeds — keep each shard's per-site arrival
     /// counters independent, so a fault schedule replays per shard no
-    /// matter how the fan-out interleaves.
+    /// matter how concurrent batches interleave.
     pub fn with_faults(mut self, plans: Vec<Arc<hire_chaos::FaultPlan>>) -> Self {
         assert_eq!(
             plans.len(),
@@ -527,25 +527,25 @@ impl Predictor for ShardedEngine {
         for (s, positions) in per_shard.iter().enumerate() {
             self.routed[s].fetch_add(positions.len() as u64, Ordering::Relaxed);
         }
-        let active: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| !per_shard[s].is_empty())
+        // Every active shard answers its whole sub-batch (forwards
+        // included) in shard order on the calling thread — the server
+        // worker that took the batch. Parallelism lives one level up, in
+        // the server's workers; the engines and kernels have none.
+        let results: Vec<(usize, Result<Vec<Answer>, ServeError>)> = per_shard
+            .iter()
+            .enumerate()
+            .filter(|(_, positions)| !positions.is_empty())
+            .map(|(s, positions)| {
+                let sub: Vec<RatingQuery> = positions.iter().map(|&i| queries[i]).collect();
+                (s, self.shards[s].predict_batch_tagged(&sub, deadline))
+            })
             .collect();
-        // Fan out across shards on the compute pool: one task per active
-        // shard, each running its engine's whole sub-batch (forwards
-        // included) on the pool thread that took it. This is the only
-        // parallelism on the path; the engines and kernels have none.
-        let results: Vec<Result<Vec<Answer>, ServeError>> =
-            hire_par::parallel_map_chunks(active.len(), 1, |range| {
-                let s = active[range.start];
-                let sub: Vec<RatingQuery> = per_shard[s].iter().map(|&i| queries[i]).collect();
-                self.shards[s].predict_batch_tagged(&sub, deadline)
-            });
         let mut out: Vec<Option<Answer>> = vec![None; queries.len()];
-        // Surface the lowest-indexed failing shard's error (deterministic
-        // pick): the server turns it into exactly one typed reply per
-        // submitted query, same as a single-engine batch failure.
-        for (k, result) in results.into_iter().enumerate() {
-            let s = active[k];
+        // Every active shard has run; surface the lowest-indexed failing
+        // shard's error (deterministic pick): the server turns it into
+        // exactly one typed reply per submitted query, same as a
+        // single-engine batch failure.
+        for (s, result) in results {
             let answers = result?;
             if answers.len() != per_shard[s].len() {
                 return Err(ServeError::Internal {

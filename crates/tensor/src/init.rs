@@ -9,18 +9,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> NdAr
     NdArray::rand_uniform([fan_in, fan_out], -a, a, rng)
 }
 
-/// Xavier/Glorot normal: `N(0, 2 / (fan_in + fan_out))`.
-pub fn xavier_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> NdArray {
-    let std = (2.0 / (fan_in + fan_out) as f32).sqrt();
-    NdArray::randn([fan_in, fan_out], 0.0, std, rng)
-}
-
-/// Kaiming/He normal for ReLU fan-in: `N(0, 2 / fan_in)`.
-pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> NdArray {
-    let std = (2.0 / fan_in as f32).sqrt();
-    NdArray::randn([fan_in, fan_out], 0.0, std, rng)
-}
-
 /// Embedding-table initialization: `N(0, scale^2)` over `[vocab, dim]`.
 pub fn embedding(vocab: usize, dim: usize, scale: f32, rng: &mut impl Rng) -> NdArray {
     NdArray::randn([vocab, dim], 0.0, scale, rng)
@@ -38,16 +26,5 @@ mod tests {
         let a = (6.0 / 128.0f32).sqrt();
         assert!(w.max_all() <= a && w.min_all() >= -a);
         assert_eq!(w.dims(), &[64, 64]);
-    }
-
-    #[test]
-    fn normal_inits_have_expected_spread() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let w = kaiming_normal(100, 400, &mut rng);
-        let std = (2.0f32 / 100.0).sqrt();
-        let sample_std = (w.as_slice().iter().map(|&x| (x * x) as f64).sum::<f64>()
-            / w.numel() as f64)
-            .sqrt() as f32;
-        assert!((sample_std - std).abs() < 0.02);
     }
 }

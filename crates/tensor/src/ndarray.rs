@@ -174,13 +174,6 @@ impl NdArray {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Element-wise combination of two same-shape arrays.
     pub fn zip(&self, other: &NdArray, f: impl Fn(f32, f32) -> f32) -> NdArray {
         assert_eq!(
