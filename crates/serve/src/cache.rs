@@ -6,6 +6,11 @@
 //! block. Entries are invalidated explicitly when a new rating edge
 //! touches any user or item inside the cached block — the block's input
 //! mask would otherwise go stale.
+//!
+//! A cache belongs to one engine and holds only contexts sampled from that
+//! engine's graph, so the insert that changes the graph is the one place
+//! that invalidates it: a sharded write reaches the owner shard's cache
+//! alone, and no other shard's entries can be stale for it.
 
 use hire_data::PredictionContext;
 use hire_graph::{EpochSource, PinnedGraph};
@@ -64,10 +69,6 @@ struct Entry {
     prediction: Option<(u64, f32)>,
     last_used: u64,
 }
-
-/// A context exported for hot-key replication: the cached block plus its
-/// version-stamped memoized prediction, if any.
-pub type ExportedContext = (Arc<PredictionContext>, Option<(u64, f32)>);
 
 /// A cache hit: the sampled context, plus the memoized prediction if one
 /// was stored since the entry was (re)created — and was computed under the
@@ -158,13 +159,13 @@ impl ContextCache {
         );
     }
 
-    /// The epoch-guarded insert shared by the single-engine path and the
-    /// sharded per-shard snapshots: caches `ctx` only if `source` (the
-    /// graph the context was sampled from) has not moved past the epoch of
-    /// the pinned snapshot the sample was taken against. A sample that
-    /// raced a rating insert is still good enough to *answer* the query
-    /// that raced the write, but must never be memoized — its block mask
-    /// may already be stale. Returns whether the context was cached.
+    /// The epoch-guarded insert the engine's miss path uses: caches `ctx`
+    /// only if `source` (the graph the context was sampled from) has not
+    /// moved past the epoch of the pinned snapshot the sample was taken
+    /// against. A sample that raced a rating insert is still good enough
+    /// to *answer* the query that raced the write, but must never be
+    /// memoized — its block mask may already be stale. Returns whether the
+    /// context was cached.
     pub fn insert_if_current(
         &mut self,
         key: CacheKey,
@@ -177,15 +178,6 @@ impl ContextCache {
         }
         self.insert(key, ctx);
         true
-    }
-
-    /// Reads an entry without touching recency or hit/miss counters — the
-    /// export side of hot-key replication, which must not distort the LRU
-    /// order or the hit-rate telemetry of the owning shard. The memo is
-    /// returned with its version stamp so the adopting cache can re-stamp
-    /// it exactly.
-    pub fn peek(&self, key: &CacheKey) -> Option<ExportedContext> {
-        self.map.get(key).map(|e| (e.ctx.clone(), e.prediction))
     }
 
     /// Memoizes the model output for a live entry. No-op if the entry was
@@ -374,28 +366,6 @@ mod tests {
         g.commit_edges(&[Rating::new(1, 1, 3.0)]);
         assert!(!cache.insert_if_current(key(1, 1), ctx(vec![1], vec![1]), &pin, &g));
         assert!(cache.get(&key(1, 1), V1).is_none());
-    }
-
-    #[test]
-    fn peek_does_not_touch_recency_or_counters() {
-        let mut cache = ContextCache::new(2);
-        let c = ctx(vec![0], vec![0]);
-        cache.insert(key(0, 0), c.clone());
-        cache.store_prediction(&key(0, 0), &c, 7, 2.5);
-        let before = cache.stats();
-        let (peeked, memo) = cache.peek(&key(0, 0)).expect("live entry");
-        assert!(Arc::ptr_eq(&peeked, &c));
-        assert_eq!(memo, Some((7, 2.5)));
-        assert!(cache.peek(&key(3, 3)).is_none());
-        assert_eq!(cache.stats(), before, "peek must not count as a lookup");
-        // Peeking key(0,0) must not have refreshed it: inserting two more
-        // evicts it as the oldest.
-        cache.insert(key(1, 1), ctx(vec![1], vec![1]));
-        cache.insert(key(2, 2), ctx(vec![2], vec![2]));
-        assert!(
-            cache.peek(&key(0, 0)).is_none(),
-            "peek must not refresh LRU"
-        );
     }
 
     #[test]

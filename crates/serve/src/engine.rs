@@ -29,7 +29,7 @@
 //! graph write). `Rung` states the order.
 
 use crate::breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
-use crate::cache::{CacheKey, CacheStats, ContextCache, ExportedContext};
+use crate::cache::{CacheKey, CacheStats, ContextCache};
 use crate::server::{Answer, ModelVersion, Predictor, RatingQuery, ServeError, ServedBy};
 use hire_baselines::{EntityMean, RatingModel};
 use hire_chaos::{sites, FaultKind, FaultPlan};
@@ -909,7 +909,7 @@ impl ServeEngine {
         }
         // A refused append leaves the engine untouched and unacknowledged.
         let logged = self.apply_rating(rating, self.wal.as_deref())?;
-        let invalidated = self.invalidate_cached_edge(rating.user, rating.item);
+        let invalidated = lock(&self.cache).invalidate_edge(rating.user, rating.item);
         // The fsync wait happens outside the write-order lock (group commit
         // batches many waiters under one fsync). A failed commit means the
         // write is *not acknowledged*: the record may or may not survive a
@@ -918,55 +918,6 @@ impl ServeEngine {
             wal.commit(lsn).map_err(wal_to_serve)?;
         }
         Ok(invalidated)
-    }
-
-    /// Invalidates every cached context whose block contains `user` or
-    /// `item`, without touching the graph. This is the broadcast half of a
-    /// sharded insert: the owning shard commits the edge to *its* graph,
-    /// every other shard drops the cached blocks (including hot-key
-    /// replicas) the edge touches. Returns the number of entries removed.
-    pub fn invalidate_cached_edge(&self, user: usize, item: usize) -> usize {
-        lock(&self.cache).invalidate_edge(user, item)
-    }
-
-    /// Exports the cached context (and memo, version-stamped) for a query,
-    /// without perturbing LRU order or hit/miss telemetry — the read side
-    /// of hot-key replication.
-    pub fn export_cached(&self, user: usize, item: usize) -> Option<ExportedContext> {
-        let key = self.cache_key(user, item);
-        lock(&self.cache).peek(&key)
-    }
-
-    /// Adopts a context sampled by another shard into this engine's cache,
-    /// re-stamping the memoized prediction if one was exported with it.
-    /// The adopting shard would have sampled the bit-identical context
-    /// itself (sampling is a pure function of `(seed, user, item)` and the
-    /// shards share the engine seed), so this is a cache warm-up, not a
-    /// semantic change; rating-edge invalidation broadcasts drop the
-    /// replica along with native entries.
-    ///
-    /// A context that does not contain the `(user, item)` cell is refused
-    /// and nothing is cached: no forward over it could answer the query,
-    /// so caching it would fail every later batch that touches the pair.
-    pub fn adopt_context(
-        &self,
-        user: usize,
-        item: usize,
-        ctx: Arc<PredictionContext>,
-        memo: Option<(ModelVersion, f32)>,
-    ) -> Result<(), ServeError> {
-        if ctx.user_row(user).is_none() || ctx.item_col(item).is_none() {
-            return Err(invalid(format!(
-                "adopted context does not contain the cell of query ({user}, {item})"
-            )));
-        }
-        let key = self.cache_key(user, item);
-        let mut cache = lock(&self.cache);
-        cache.insert(key.clone(), ctx.clone());
-        if let Some((version, value)) = memo {
-            cache.store_prediction(&key, &ctx, version, value);
-        }
-        Ok(())
     }
 
     /// The cache key this engine uses for a query pair.
@@ -1414,9 +1365,8 @@ impl Predictor for ServeEngine {
 }
 
 /// The context cell that answers `key`'s query, the one cell the model
-/// rung asks the forward for. Resolution and
-/// [`ServeEngine::adopt_context`] only ever cache contexts that contain
-/// it, so a miss is a broken engine invariant: a typed
+/// rung asks the forward for. Resolution only ever caches contexts that
+/// contain it, so a miss is a broken engine invariant: a typed
 /// [`ServeError::Internal`] for the batch, before any rung runs.
 fn query_cell(key: &CacheKey, ctx: &PredictionContext) -> Result<(usize, usize), ServeError> {
     match (ctx.user_row(key.user), ctx.item_col(key.item)) {
@@ -1471,13 +1421,11 @@ mod tests {
         assert_eq!(ok.len(), 2);
     }
 
-    /// Regression: `adopt_context` used to cache any context unvalidated,
-    /// and one lacking the query's cell then failed every later batch that
-    /// touched the pair — the whole batch, fallback or not, with an error
-    /// type that depended on the rung. It is refused at the door now, and
-    /// the miss path's invariant check is one typed `Internal` for any rung.
+    /// A context without the query's cell is a broken engine invariant:
+    /// the miss path's check turns it into one typed `Internal`, whatever
+    /// rung would have answered.
     #[test]
-    fn context_without_the_query_cell_is_refused_not_cached() {
+    fn a_context_without_the_query_cell_is_an_internal_error() {
         let dataset = hire_data::SyntheticConfig::movielens_like()
             .scaled(24, 20, (6, 10))
             .generate(5);
@@ -1497,21 +1445,6 @@ mod tests {
         );
         let foreign = engine.context_for(&other).expect("sample");
         assert!(foreign.user_row(q.user).is_none() || foreign.item_col(q.item).is_none());
-
-        let err = engine
-            .adopt_context(q.user, q.item, foreign.clone(), None)
-            .expect_err("a context without the query cell must be refused");
-        assert!(matches!(err, ServeError::Model(_)), "got {err:?}");
-        assert!(engine.export_cached(q.user, q.item).is_none());
-        let answers = engine
-            .predict_batch_tagged(&[q, other], None)
-            .expect("the refused context must not poison the batch");
-        assert!(answers.iter().all(|a| a.served_by == ServedBy::Model));
-
-        let own = engine.context_for(&q).expect("cached by the batch above");
-        engine
-            .adopt_context(q.user, q.item, own, None)
-            .expect("a context that holds the cell is adopted");
 
         match query_cell(&engine.cache_key(q.user, q.item), &foreign) {
             Err(ServeError::Internal { detail }) => {

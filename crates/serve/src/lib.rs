@@ -62,7 +62,7 @@ pub mod online;
 pub mod server;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
-pub use cache::{CacheKey, CacheStats, CachedContext, ContextCache, ExportedContext};
+pub use cache::{CacheKey, CacheStats, CachedContext, ContextCache};
 pub use durable::{
     fold_log, rebuild_engine, recover, write_snapshot, LogFold, Recovered, SERVING_TAG,
 };

@@ -1,7 +1,6 @@
 //! The sharded serving engine: N inner [`ServeEngine`]s behind one
 //! [`Predictor`].
 
-use crate::sketch::SpaceSaving;
 use hire_core::HybridModel;
 use hire_data::Dataset;
 use hire_error::{HireError, HireResult};
@@ -11,10 +10,9 @@ use hire_serve::{
     ResilienceConfig, ServeEngine, ServeError, SlotSource, TierStats,
 };
 use hire_wal::{shard_dir, ShardManifest, Wal, WalOptions};
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Sharding settings.
@@ -22,49 +20,12 @@ use std::time::Instant;
 pub struct ShardConfig {
     /// Number of inner engines (minimum 1).
     pub shards: usize,
-    /// Hot-key detection + replication; `None` disables it (every query
-    /// routes to its owner shard).
-    pub hot_keys: Option<HotKeyConfig>,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig {
-            shards: 1,
-            hot_keys: Some(HotKeyConfig::default()),
-        }
-    }
 }
 
 impl ShardConfig {
-    /// `shards` engines with default hot-key handling.
+    /// `shards` engines.
     pub fn with_shards(shards: usize) -> Self {
-        ShardConfig {
-            shards,
-            ..Self::default()
-        }
-    }
-}
-
-/// Hot-key handling: a space-saving sketch detects the hottest query
-/// pairs online; once a pair's estimated count crosses the threshold, its
-/// cached context (and memo) is replicated into every shard's cache and
-/// subsequent arrivals are routed round-robin across shards instead of to
-/// the owner — a zipf head no longer serializes on one engine.
-#[derive(Debug, Clone)]
-pub struct HotKeyConfig {
-    /// Sketch slots (the number of pairs monitored at once).
-    pub sketch_capacity: usize,
-    /// Estimated arrivals before a pair is considered hot.
-    pub hot_threshold: u64,
-}
-
-impl Default for HotKeyConfig {
-    fn default() -> Self {
-        HotKeyConfig {
-            sketch_capacity: 64,
-            hot_threshold: 16,
-        }
+        ShardConfig { shards }
     }
 }
 
@@ -83,28 +44,12 @@ pub struct ShardStats {
     pub graph_epoch: u64,
 }
 
-/// Hot-key observability snapshot.
+/// Vestigial: what [`ShardedEngine::hot_key_stats`] returns. The type
+/// stays only because the frozen `benchmark/` package reads it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HotKeyStats {
-    /// Pairs currently monitored by the sketch.
-    pub tracked: usize,
-    /// Pairs whose contexts were replicated across shards.
-    pub replicated_pairs: u64,
-    /// Queries answered via the round-robin spread policy.
+    /// Always 0: every query answers on its user's owner shard.
     pub hot_routed: u64,
-}
-
-/// Routing + replication bookkeeping behind one short-critical-section
-/// mutex (a per-batch acquisition, not per-query).
-struct HotState {
-    sketch: SpaceSaving,
-    /// Replicated pairs → round-robin cursor for the spread policy.
-    replicated: HashMap<(usize, usize), u64>,
-}
-
-/// Poison recovery: plain data, same policy as the serve crate.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// SplitMix64 mix for shard routing. Depends only on the user index, so
@@ -126,34 +71,24 @@ fn mix_user(user: usize) -> u64 {
 ///   adjacency chunks) wrapped in its own epoch-pinned copy-on-write
 ///   `hire_graph::EpochedGraph`.
 /// - **Writes.** [`ShardedEngine::insert_rating`] commits the edge to the
-///   owner shard's graph only — other shards keep serving their pinned
-///   snapshots, unblocked — and broadcasts cache invalidation to all shards
-///   so no shard (hot-key replicas included) serves a memo the new edge
-///   staled.
+///   owner shard only — its graph and its cache. Other shards keep serving
+///   their pinned snapshots, unblocked; none of them answers the writing
+///   user, and none holds a context sampled from the owner's graph.
 /// - **Swaps.** [`ShardedEngine::install_model`] is two-phase: prepare
 ///   (validation, chaos site `online.swap`) on every shard,
 ///   then commit (log the promotion if a WAL is attached, pointer swap) on
 ///   every shard. Any prepare failure aborts the whole install with every
 ///   incumbent untouched, so shards never diverge in version.
-/// - **Hot keys.** See [`HotKeyConfig`].
 ///
 /// All shards share one `EngineConfig` — in particular the sampling seed —
-/// so a context (and therefore a fault-free prediction) for a given
-/// `(user, item)` is bit-identical on every shard and at every shard
-/// count.
+/// and one base graph, so up to the first write a fault-free prediction
+/// for a given `(user, item)` is bit-identical at every shard count. After
+/// writes a shard sees the base graph plus its own users' writes, so a
+/// user's answers still equal a 1-shard engine's that took the same
+/// writes when those writes are the user's own.
 pub struct ShardedEngine {
     shards: Vec<ServeEngine>,
-    hot: Option<Mutex<HotState>>,
-    hot_config: Option<HotKeyConfig>,
-    /// Orders hot-key replication against rating inserts: replication
-    /// holds it shared while exporting + adopting a context, an insert
-    /// holds it exclusively while committing + broadcasting invalidation —
-    /// so a replica can never be installed after the invalidation broadcast
-    /// that should have dropped it.
-    replication: RwLock<()>,
     routed: Vec<AtomicU64>,
-    hot_routed: AtomicU64,
-    replicated_pairs: AtomicU64,
 }
 
 impl ShardedEngine {
@@ -188,28 +123,15 @@ impl ShardedEngine {
                 )
             })
             .collect();
-        Self::from_shards(shards, shard_config)
+        Self::from_shards(shards)
     }
 
     /// Wraps already-built shard engines (construction, and recovery —
     /// where each shard was rebuilt from its own log).
-    pub(crate) fn from_shards(shards: Vec<ServeEngine>, shard_config: ShardConfig) -> Self {
-        let n = shards.len();
-        let hot_config = shard_config.hot_keys.filter(|_| n > 1);
-        let hot = hot_config.as_ref().map(|cfg| {
-            Mutex::new(HotState {
-                sketch: SpaceSaving::new(cfg.sketch_capacity),
-                replicated: HashMap::new(),
-            })
-        });
+    pub(crate) fn from_shards(shards: Vec<ServeEngine>) -> Self {
         ShardedEngine {
-            routed: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            routed: shards.iter().map(|_| AtomicU64::new(0)).collect(),
             shards,
-            hot,
-            hot_config,
-            replication: RwLock::new(()),
-            hot_routed: AtomicU64::new(0),
-            replicated_pairs: AtomicU64::new(0),
         }
     }
 
@@ -348,19 +270,14 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Hot-key observability snapshot.
+    /// Vestigial: always `HotKeyStats { hot_routed: 0 }`. It stays only
+    /// because the frozen `benchmark/` package calls it.
     pub fn hot_key_stats(&self) -> HotKeyStats {
-        let tracked = self.hot.as_ref().map_or(0, |h| lock(h).sketch.len());
-        HotKeyStats {
-            tracked,
-            replicated_pairs: self.replicated_pairs.load(Ordering::Relaxed),
-            hot_routed: self.hot_routed.load(Ordering::Relaxed),
-        }
+        HotKeyStats::default()
     }
 
     /// Max-over-mean routed load across shards (1.0 = perfectly even).
-    /// `tests/sharding.rs` bounds this at 2.0 under zipf skew with hot-key
-    /// replication on.
+    /// `tests/sharding.rs` bounds this at 2.0 under zipf skew.
     pub fn balance(&self) -> f64 {
         let loads: Vec<u64> = self
             .routed
@@ -376,21 +293,14 @@ impl ShardedEngine {
         max / mean
     }
 
-    /// Inserts a rating: the owner shard commits the edge to its graph
-    /// (copy-on-write — no other shard's pinned snapshots are touched or
-    /// blocked), then cache invalidation is broadcast to every shard so
-    /// neither native entries nor hot-key replicas outlive the edge.
-    /// Returns the total number of invalidated cache entries.
+    /// Inserts a rating on the user's owner shard, which commits the edge
+    /// to its graph (copy-on-write — no other shard's pinned snapshots are
+    /// touched or blocked) and drops the cached contexts it touches. No
+    /// other shard's cache can hold a context sampled from the owner's
+    /// graph, so there is nothing to invalidate there. Returns the number
+    /// of invalidated cache entries.
     pub fn insert_rating(&self, rating: Rating) -> Result<usize, ServeError> {
-        let _exclusive = self.replication.write().unwrap_or_else(|p| p.into_inner());
-        let owner = self.shard_of(rating.user);
-        let mut removed = self.shards[owner].insert_rating(rating)?;
-        for (s, engine) in self.shards.iter().enumerate() {
-            if s != owner {
-                removed += engine.invalidate_cached_edge(rating.user, rating.item);
-            }
-        }
-        Ok(removed)
+        self.shards[self.shard_of(rating.user)].insert_rating(rating)
     }
 
     /// Atomically installs `model` on every shard under one version:
@@ -432,71 +342,6 @@ impl ShardedEngine {
         }
         Ok(first.expect("at least one shard"))
     }
-
-    /// Routes every query: owner shard by default, round-robin for
-    /// replicated hot pairs. Also drives the sketch and returns pairs that
-    /// just crossed the hot threshold (to be replicated by the caller).
-    fn route_batch(&self, queries: &[RatingQuery]) -> (Vec<usize>, Vec<(usize, usize)>) {
-        let n = self.shards.len();
-        let mut assignment = Vec::with_capacity(queries.len());
-        let mut newly_hot = Vec::new();
-        match (&self.hot, &self.hot_config) {
-            (Some(hot), Some(cfg)) => {
-                let mut state = lock(hot);
-                for q in queries {
-                    let pair = (q.user, q.item);
-                    let count = state.sketch.observe(pair);
-                    let shard = if let Some(cursor) = state.replicated.get_mut(&pair) {
-                        let s = (*cursor % n as u64) as usize;
-                        *cursor += 1;
-                        self.hot_routed.fetch_add(1, Ordering::Relaxed);
-                        s
-                    } else {
-                        if count >= cfg.hot_threshold && !newly_hot.contains(&pair) {
-                            newly_hot.push(pair);
-                        }
-                        self.shard_of(q.user)
-                    };
-                    assignment.push(shard);
-                }
-            }
-            _ => {
-                for q in queries {
-                    assignment.push(self.shard_of(q.user));
-                }
-            }
-        }
-        (assignment, newly_hot)
-    }
-
-    /// Replicates the cached contexts of newly hot pairs into every other
-    /// shard's cache. Pairs with no cached context on their owner yet are
-    /// skipped (the sketch will nominate them again on their next
-    /// arrival); replication order is deterministic given a serial caller.
-    fn replicate(&self, newly_hot: &[(usize, usize)]) {
-        if newly_hot.is_empty() {
-            return;
-        }
-        let _shared = self.replication.read().unwrap_or_else(|p| p.into_inner());
-        let hot = self.hot.as_ref().expect("replication implies hot config");
-        for &(user, item) in newly_hot {
-            let owner = self.shard_of(user);
-            let Some((ctx, memo)) = self.shards[owner].export_cached(user, item) else {
-                continue;
-            };
-            for (s, engine) in self.shards.iter().enumerate() {
-                if s != owner {
-                    // Replication is a cache warm-up: a shard that refuses
-                    // the replica samples the context itself on demand.
-                    let _ = engine.adopt_context(user, item, Arc::clone(&ctx), memo);
-                }
-            }
-            let mut state = lock(hot);
-            if state.replicated.insert((user, item), 0).is_none() {
-                self.replicated_pairs.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
 }
 
 impl Predictor for ShardedEngine {
@@ -513,16 +358,11 @@ impl Predictor for ShardedEngine {
         queries: &[RatingQuery],
         deadline: Option<Instant>,
     ) -> Result<Vec<Answer>, ServeError> {
-        if self.shards.len() == 1 {
-            self.routed[0].fetch_add(queries.len() as u64, Ordering::Relaxed);
-            return self.shards[0].predict_batch_tagged(queries, deadline);
-        }
-        let (assignment, newly_hot) = self.route_batch(queries);
-        // Partition positions per shard, preserving batch order within
-        // each shard so per-shard answer streams are deterministic.
+        // Partition positions per owner shard, preserving batch order
+        // within each shard so per-shard answer streams are deterministic.
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, &s) in assignment.iter().enumerate() {
-            per_shard[s].push(i);
+        for (i, q) in queries.iter().enumerate() {
+            per_shard[self.shard_of(q.user)].push(i);
         }
         for (s, positions) in per_shard.iter().enumerate() {
             self.routed[s].fetch_add(positions.len() as u64, Ordering::Relaxed);
@@ -571,7 +411,6 @@ impl Predictor for ShardedEngine {
                 }
             }
         }
-        self.replicate(&newly_hot);
         Ok(answers)
     }
 }

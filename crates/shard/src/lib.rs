@@ -9,22 +9,20 @@
 //! ladder, and its own copy-on-write, epoch-pinned graph
 //! (`hire_graph::EpochedGraph`) started from one shared base snapshot.
 //!
-//! Cross-cutting operations preserve the single-engine contracts:
-//! `insert_rating` commits to the owner shard and broadcasts cache
-//! invalidation; `install_model` is a two-phase prepare/commit so every
-//! shard serves the same `ModelVersion` or the install aborts wholesale;
-//! zipf-skewed hot keys are detected online by a space-saving sketch
-//! ([`SpaceSaving`]) and their cached contexts replicated across shards so
-//! the head of the distribution stops serializing on one engine.
+//! Every query and every write goes to its user's owner shard, so a user's
+//! answers see that user's writes: `insert_rating` commits to the owner
+//! shard alone, and `install_model` is a two-phase prepare/commit so every
+//! shard serves the same `ModelVersion` or the install aborts wholesale.
 //!
-//! Because every shard shares one sampling seed, a fault-free prediction
-//! for a given `(user, item)` is bit-identical at every shard count — the
-//! invariant `tests/sharding.rs` locks down.
+//! Every shard shares one sampling seed and one base graph, so a
+//! fault-free prediction for a given `(user, item)` is bit-identical at
+//! every shard count up to the first write. A shard then sees the base
+//! graph plus its own users' writes: a user's answers still equal a
+//! 1-shard engine's that took the same writes when those writes are the
+//! user's own. `tests/sharding.rs` locks both down.
 
 pub mod engine;
 pub mod recovery;
-pub mod sketch;
 
-pub use engine::{HotKeyConfig, HotKeyStats, ShardConfig, ShardStats, ShardedEngine};
+pub use engine::{HotKeyStats, ShardConfig, ShardStats, ShardedEngine};
 pub use recovery::{recover_sharded, RecoveredShards};
-pub use sketch::SpaceSaving;

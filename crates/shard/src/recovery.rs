@@ -145,7 +145,7 @@ pub fn recover_sharded(
     }
 
     Ok(RecoveredShards {
-        engine: ShardedEngine::from_shards(shards, shard_config),
+        engine: ShardedEngine::from_shards(shards),
         ratings_per_shard: folds.iter().map(|f| f.ratings.len()).collect(),
         model_events: target.len(),
         rolled_forward,

@@ -13,14 +13,16 @@
 //! 5. **Cross-shard swap atomicity** — a failing prepare on any shard
 //!    aborts the install with every incumbent (and version counter)
 //!    untouched.
-//! 6. **Load balance under skew** — zipf traffic over a hot set, with
-//!    hot-key replication on, puts at most 2× the mean load on any of four
-//!    shards, and every query is answered.
+//! 6. **Load balance under skew** — zipf traffic over a hot set, every
+//!    query on its user's owner shard, puts at most 2× the mean load on any
+//!    of four shards, and every query is answered.
 //! 7. **Throughput scaling** — where the host has four hardware threads,
 //!    a four-shard engine behind four server workers replays that traffic
 //!    at ≥ 2× its rate behind one worker.
 //! 8. **Error rule** — a batch runs every shard it touches, then returns
 //!    the lowest-indexed failing shard's error.
+//! 9. **Read-your-writes** — after a user's write, every read of that
+//!    user's hot pair equals a 1-shard engine's that took the same write.
 
 use hire_chaos::{sites, FaultKind, FaultPlan};
 use hire_core::{HireConfig, HireModel};
@@ -30,7 +32,7 @@ use hire_serve::{
     EngineConfig, FrozenModel, Predictor, RatingQuery, ResilienceConfig, ServeError, Server,
     ServerConfig, SlotSource,
 };
-use hire_shard::{HotKeyConfig, ShardConfig, ShardedEngine};
+use hire_shard::{ShardConfig, ShardedEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,15 +65,12 @@ fn engine_config() -> EngineConfig {
     }
 }
 
-fn sharded(dataset: &Arc<Dataset>, shards: usize, hot: Option<HotKeyConfig>) -> ShardedEngine {
+fn sharded(dataset: &Arc<Dataset>, shards: usize) -> ShardedEngine {
     ShardedEngine::new(
         frozen(dataset),
         Arc::clone(dataset),
         engine_config(),
-        ShardConfig {
-            shards,
-            hot_keys: hot,
-        },
+        ShardConfig::with_shards(shards),
     )
 }
 
@@ -123,12 +122,8 @@ fn zipf_stream(len: usize) -> Vec<RatingQuery> {
 fn predictions_are_bitwise_equal_at_every_shard_count() {
     let dataset = dataset();
     let queries = query_stream(90);
-    let hot = Some(HotKeyConfig {
-        sketch_capacity: 16,
-        hot_threshold: 4,
-    });
     let reference: Vec<(u32, u64)> = {
-        let e = sharded(&dataset, 1, hot.clone());
+        let e = sharded(&dataset, 1);
         queries
             .chunks(9)
             .flat_map(|batch| {
@@ -140,7 +135,7 @@ fn predictions_are_bitwise_equal_at_every_shard_count() {
             .collect()
     };
     for shards in [2usize, 4, 8] {
-        let e = sharded(&dataset, shards, hot.clone());
+        let e = sharded(&dataset, shards);
         let got: Vec<(u32, u64)> = queries
             .chunks(9)
             .flat_map(|batch| {
@@ -168,8 +163,7 @@ fn exactly_one_typed_reply_per_query_under_mixed_chaos_with_shards() {
                 .map(|s| Arc::new(FaultPlan::mixed(seed ^ (s as u64) << 32, 0.25)))
                 .collect();
             let server_plan = Arc::new(FaultPlan::mixed(seed, 0.25));
-            let engine = sharded(&dataset, shards, Some(HotKeyConfig::default()))
-                .with_faults(shard_plans.clone());
+            let engine = sharded(&dataset, shards).with_faults(shard_plans.clone());
             let server = Server::start_with_faults(
                 Arc::new(engine),
                 ServerConfig {
@@ -223,14 +217,7 @@ fn exactly_one_typed_reply_per_query_under_mixed_chaos_with_shards() {
 fn serial_replay_across_inserts_and_hot_swaps_is_bit_identical() {
     let dataset = dataset();
     let run = || {
-        let e = sharded(
-            &dataset,
-            3,
-            Some(HotKeyConfig {
-                sketch_capacity: 16,
-                hot_threshold: 3,
-            }),
-        );
+        let e = sharded(&dataset, 3);
         let swap_model = frozen(&dataset);
         let mut log: Vec<(u32, &'static str, u64)> = Vec::new();
         for (round, batch) in query_stream(72).chunks(6).enumerate() {
@@ -254,7 +241,7 @@ fn serial_replay_across_inserts_and_hot_swaps_is_bit_identical() {
 #[test]
 fn concurrent_inserts_and_swaps_keep_every_query_answered() {
     let dataset = dataset();
-    let engine = Arc::new(sharded(&dataset, 4, Some(HotKeyConfig::default())));
+    let engine = Arc::new(sharded(&dataset, 4));
     let stop = Arc::new(AtomicBool::new(false));
     let (inserts, swaps) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
     let inserter = {
@@ -315,7 +302,7 @@ fn concurrent_inserts_and_swaps_keep_every_query_answered() {
 #[test]
 fn insert_commits_to_owner_shard_only() {
     let dataset = dataset();
-    let engine = sharded(&dataset, 4, None);
+    let engine = sharded(&dataset, 4);
     let user = 11;
     let item = 13;
     // Pick a pair that is not yet rated so the insert actually lands.
@@ -338,45 +325,50 @@ fn insert_commits_to_owner_shard_only() {
     }
 }
 
+/// A user's own write reaches every later answer for that user, however
+/// hot the pair: the owner shard alone holds the write, so every read of
+/// `(u, ·)` is answered there, and agrees with a 1-shard engine that took
+/// the same write.
 #[test]
-fn hot_keys_are_replicated_and_spread_without_changing_predictions() {
+fn a_users_write_reaches_its_hot_pair_on_every_shard() {
     let dataset = dataset();
-    let engine = sharded(
-        &dataset,
-        4,
-        Some(HotKeyConfig {
-            sketch_capacity: 8,
-            hot_threshold: 3,
-        }),
+    let (sharded, twin) = (sharded(&dataset, 2), sharded(&dataset, 1));
+    let user = 0;
+    let graph = twin.shard_engines()[0].graph_snapshot();
+    let mut unrated = (0..ITEMS).filter(|&i| graph.rating(user, i).is_none());
+    let (item, written) = (
+        unrated.next().expect("an unrated item"),
+        unrated.next().expect("a second unrated item"),
     );
-    let hot_pair = RatingQuery { user: 5, item: 7 };
-    let first = engine
-        .predict_batch_tagged(&[hot_pair], None)
-        .expect("first")[0]
-        .rating
-        .to_bits();
-    for _ in 0..12 {
-        let a = engine
-            .predict_batch_tagged(&[hot_pair], None)
-            .expect("batch")[0]
-            .rating
-            .to_bits();
-        assert_eq!(a, first, "spread routing must not change the prediction");
+    let hot = RatingQuery { user, item };
+    let read = |e: &ShardedEngine| e.predict_batch(&[hot]).expect("fault-free read")[0];
+    let before = read(&twin);
+    for _ in 0..40 {
+        assert_eq!(read(&sharded).to_bits(), before.to_bits());
     }
-    let hot = engine.hot_key_stats();
-    assert!(hot.replicated_pairs >= 1, "hot pair must be replicated");
-    assert!(hot.hot_routed > 0, "spread policy must route hot arrivals");
-    let touched = engine.shard_stats().iter().filter(|s| s.routed > 0).count();
-    assert!(
-        touched >= 2,
-        "a replicated hot pair must be served by more than one shard"
+    let write = Rating::new(user, written, 5.0);
+    sharded.insert_rating(write).expect("insert");
+    twin.insert_rating(write).expect("insert");
+    let after = read(&twin);
+    assert_ne!(
+        after.to_bits(),
+        before.to_bits(),
+        "precondition: the write moves the 1-shard answer"
     );
+    for k in 0..8 {
+        let got = read(&sharded);
+        assert_eq!(
+            got.to_bits(),
+            after.to_bits(),
+            "read {k} after the write: {got} against the 1-shard {after}"
+        );
+    }
 }
 
 #[test]
 fn zipf_traffic_is_answered_and_balanced_across_four_shards() {
     let dataset = dataset();
-    let engine = sharded(&dataset, 4, Some(HotKeyConfig::default()));
+    let engine = sharded(&dataset, 4);
     let queries = zipf_stream(400);
     let answered: usize = queries
         .chunks(8)
@@ -386,16 +378,15 @@ fn zipf_traffic_is_answered_and_balanced_across_four_shards() {
     let balance = engine.balance();
     assert!(
         balance <= 2.0,
-        "max-over-mean routed load {balance:.2} under zipf skew with replication on"
+        "max-over-mean routed load {balance:.2} under zipf skew"
     );
-    assert!(engine.hot_key_stats().replicated_pairs > 0);
 }
 
 /// Seconds for a server with `workers` workers to answer `queries`, all
 /// submitted at once, through a fresh (cold-cache) four-shard engine.
 fn served_replay_secs(dataset: &Arc<Dataset>, queries: &[RatingQuery], workers: usize) -> f64 {
     let server = Server::start(
-        Arc::new(sharded(dataset, 4, Some(HotKeyConfig::default()))),
+        Arc::new(sharded(dataset, 4)),
         ServerConfig {
             workers,
             max_batch: 8,
@@ -457,7 +448,7 @@ fn a_batch_runs_every_shard_then_returns_the_lowest_failing_shards_error() {
     .into_iter()
     .map(Arc::new)
     .collect();
-    let engine = sharded(&dataset, 3, None)
+    let engine = sharded(&dataset, 3)
         .with_resilience(ResilienceConfig::disabled())
         .with_faults(plans.clone());
     // One never-seen pair per shard, so each shard has a forward to run.
@@ -502,7 +493,7 @@ fn failed_prepare_on_any_shard_aborts_the_whole_install() {
             }
         })
         .collect();
-    let engine = sharded(&dataset, 3, None).with_faults(plans);
+    let engine = sharded(&dataset, 3).with_faults(plans);
     let before: Vec<u64> = engine.shard_engines().iter().map(|e| e.version()).collect();
     assert_eq!(before, vec![1, 1, 1]);
     let err = engine
@@ -534,7 +525,7 @@ fn failed_prepare_on_any_shard_aborts_the_whole_install() {
 #[test]
 fn fault_free_install_moves_every_shard_in_lockstep() {
     let dataset = dataset();
-    let engine = sharded(&dataset, 4, None);
+    let engine = sharded(&dataset, 4);
     let v = engine
         .install_model(frozen(&dataset), SlotSource::Unsaved)
         .expect("install");
@@ -548,7 +539,7 @@ fn fault_free_install_moves_every_shard_in_lockstep() {
 #[test]
 fn out_of_range_queries_surface_typed_errors() {
     let dataset = dataset();
-    let engine = sharded(&dataset, 2, None);
+    let engine = sharded(&dataset, 2);
     let err = engine
         .predict_batch(&[RatingQuery {
             user: USERS + 1,

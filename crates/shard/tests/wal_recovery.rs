@@ -91,10 +91,7 @@ fn strict_opts() -> WalOptions {
 }
 
 fn shard_config() -> ShardConfig {
-    ShardConfig {
-        shards: SHARDS,
-        hot_keys: None,
-    }
+    ShardConfig::with_shards(SHARDS)
 }
 
 fn logged_engine(dataset: &Arc<Dataset>, root: &Path) -> ShardedEngine {
@@ -390,10 +387,7 @@ fn dirty_roots_and_shard_count_mismatches_are_refused() {
         Arc::clone(&data),
         Arc::new(data.graph()),
         engine_config(),
-        ShardConfig {
-            shards: SHARDS + 1,
-            hot_keys: None,
-        },
+        ShardConfig::with_shards(SHARDS + 1),
         None,
         &root,
         strict_opts(),
@@ -461,10 +455,7 @@ fn run_history(label: &str, ops: &[Op], crash_at: usize, fault_seed: u64, fault_
     let root = tmp.sub("wal");
     let ckpt_dir = tmp.sub("ckpt");
     let data = dataset();
-    let config = ShardConfig {
-        shards: N,
-        hot_keys: None,
-    };
+    let config = ShardConfig::with_shards(N);
     let candidates: Vec<FrozenModel> = (0..3).map(|k| frozen(&data, 50 + k)).collect();
     let plans = (0..N as u64)
         .map(|s| {
