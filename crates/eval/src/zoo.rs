@@ -3,6 +3,7 @@
 //! (GraphRec only where a social graph exists; the HIN baseline only where
 //! attributes are rich).
 
+use crate::fault::ModelSpec;
 use crate::hire_adapter::HireRatingModel;
 use hire_baselines::{
     Afn, DeepFM, EdgeTrainConfig, GraphRec, HinNeighbor, Mamo, MatrixFactorization, MeLU,
@@ -124,29 +125,13 @@ pub fn hire(tier: SpeedTier) -> Box<dyn RatingModel> {
 }
 
 /// Builds every baseline applicable to `dataset` (paper's Tables III-V
-/// selection), in table order. Does not include HIRE — add it with
-/// [`hire`].
+/// selection), in table order: [`baseline_specs`], built. Does not include
+/// HIRE — add it with [`hire`].
 pub fn baselines(dataset: &Dataset, tier: SpeedTier) -> Vec<Box<dyn RatingModel>> {
-    let ec = tier.edge_config();
-    let f = tier.field_dim();
-    let mut models: Vec<Box<dyn RatingModel>> = vec![
-        Box::new(NeuMF::new(f, ec)),
-        Box::new(WideDeep::new(f, ec)),
-        Box::new(DeepFM::new(f, ec)),
-        Box::new(Afn::new(f, 2 * f, ec)),
-    ];
-    if dataset.social.is_some() {
-        models.push(Box::new(GraphRec::new(f, ec)));
-    }
-    let rich_attrs =
-        dataset.user_schema.num_attributes() >= 2 && dataset.item_schema.num_attributes() >= 2;
-    if rich_attrs {
-        models.push(Box::new(HinNeighbor::new(f, ec)));
-    }
-    models.push(Box::new(Mamo::new(f, 4, tier.meta_config())));
-    models.push(Box::new(Tanp::new(f, tier.tanp_config())));
-    models.push(Box::new(MeLU::new(f, tier.meta_config())));
-    models
+    baseline_specs(dataset, tier)
+        .into_iter()
+        .map(ModelSpec::build)
+        .collect()
 }
 
 /// The classical MF reference (not in the paper's tables; used by ablation
@@ -155,12 +140,13 @@ pub fn matrix_factorization(tier: SpeedTier) -> Box<dyn RatingModel> {
     Box::new(MatrixFactorization::new(16, tier.edge_config()))
 }
 
-/// Deferred-construction variant of [`baselines`] for the fault-isolated
+/// Every baseline applicable to `dataset` (paper's Tables III-V
+/// selection), in table order, as deferred specs for the fault-isolated
 /// harness: each entry carries a `Send` builder closure so the model can be
 /// constructed on its evaluation worker thread (models hold non-`Send`
-/// tensors and cannot cross threads themselves).
-pub fn baseline_specs(dataset: &Dataset, tier: SpeedTier) -> Vec<crate::fault::ModelSpec> {
-    use crate::fault::ModelSpec;
+/// tensors and cannot cross threads themselves). GraphRec only where a
+/// social graph exists, HIN only where both sides have rich attributes.
+pub fn baseline_specs(dataset: &Dataset, tier: SpeedTier) -> Vec<ModelSpec> {
     let ec = tier.edge_config();
     let f = tier.field_dim();
     let mut specs = vec![
@@ -181,34 +167,28 @@ pub fn baseline_specs(dataset: &Dataset, tier: SpeedTier) -> Vec<crate::fault::M
             Box::new(HinNeighbor::new(f, ec)) as _
         }));
     }
-    let mc = tier.meta_config();
-    let tc = tier.tanp_config();
     specs.push(ModelSpec::new("MAMO", move || {
-        Box::new(Mamo::new(f, 4, mc)) as _
+        Box::new(Mamo::new(f, 4, tier.meta_config())) as _
     }));
     specs.push(ModelSpec::new("TaNP", move || {
-        Box::new(Tanp::new(f, tc)) as _
+        Box::new(Tanp::new(f, tier.tanp_config())) as _
     }));
-    let mc = tier.meta_config();
     specs.push(ModelSpec::new("MeLU", move || {
-        Box::new(MeLU::new(f, mc)) as _
+        Box::new(MeLU::new(f, tier.meta_config())) as _
     }));
     specs
 }
 
 /// [`hire`] as a deferred spec for the fault-isolated harness.
-pub fn hire_spec(tier: SpeedTier) -> crate::fault::ModelSpec {
-    crate::fault::ModelSpec::new("HIRE", move || hire(tier))
+pub fn hire_spec(tier: SpeedTier) -> ModelSpec {
+    ModelSpec::new("HIRE", move || hire(tier))
 }
 
 /// [`hire_spec`] with an explicit [`TrainConfig`] — used by the benchmark
 /// harness to enable durable training checkpoints (`checkpoint_dir` /
 /// `resume`) for the HIRE fit while keeping the tier's model shape.
-pub fn hire_spec_with_train_config(
-    tier: SpeedTier,
-    train_config: TrainConfig,
-) -> crate::fault::ModelSpec {
-    crate::fault::ModelSpec::new("HIRE", move || {
+pub fn hire_spec_with_train_config(tier: SpeedTier, train_config: TrainConfig) -> ModelSpec {
+    ModelSpec::new("HIRE", move || {
         Box::new(crate::hire_adapter::HireRatingModel::new(
             tier.hire_config(),
             train_config,
@@ -220,6 +200,26 @@ pub fn hire_spec_with_train_config(
 mod tests {
     use super::*;
     use hire_data::SyntheticConfig;
+
+    /// Every spec is reported under the name its model reports.
+    #[test]
+    fn every_spec_is_named_as_its_model() {
+        for d in [
+            SyntheticConfig::movielens_like()
+                .scaled(20, 20, (4, 8))
+                .generate(1),
+            SyntheticConfig::douban_like()
+                .scaled(20, 20, (4, 8))
+                .generate(2),
+        ] {
+            for tier in [SpeedTier::Smoke, SpeedTier::Fast] {
+                for spec in baseline_specs(&d, tier) {
+                    let name = spec.name.clone();
+                    assert_eq!(spec.build().name(), name);
+                }
+            }
+        }
+    }
 
     #[test]
     fn movielens_gets_hin_but_not_graphrec() {

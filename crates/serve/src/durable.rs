@@ -12,8 +12,9 @@
 //!   the snapshot fully covers. Without snapshots the log only grows;
 //!   with them it stays bounded.
 //! * [`recover`] rebuilds a crashed engine from the newest snapshot plus
-//!   the WAL tail, in two steps that sharded recovery (`hire-shard`) reuses
-//!   per shard log. [`fold_log`] folds the records into a [`LogFold`]:
+//!   the WAL tail, in two steps that sharded recovery (`hire-shard`) reuses:
+//!   it folds every shard log and rebuilds shard 0, which owns the
+//!   lineage, this way. [`fold_log`] folds the records into a [`LogFold`]:
 //!   rating edges in their original commit order, the online loop's
 //!   routing state, and the model lineage — promotions and demotions go
 //!   through the same [`Lineage::promote`] / [`Lineage::demote`] the live
@@ -66,7 +67,7 @@ pub struct LogFold {
     /// Model lineage with reload sources.
     pub lineage: Lineage,
     /// The promotion/demotion records applied to `lineage`, in log order —
-    /// what sharded recovery compares across shard logs.
+    /// what sharded recovery checks other shard logs against.
     pub events: Vec<WalRecord>,
     /// Records applied on top of the snapshot.
     pub replayed: usize,

@@ -43,7 +43,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use std::time::Instant;
 
 /// The sampling strategy tag recorded in cache keys.
@@ -164,13 +164,6 @@ impl ModelSlot {
     }
 }
 
-/// The output of [`ServeEngine::prepare_install`]: a validated model
-/// awaiting [`ServeEngine::commit_install`]. Dropping it aborts the install
-/// with no engine state touched.
-pub struct PreparedInstall {
-    model: FrozenModel,
-}
-
 /// Where a slot's weights can be reloaded from after a crash. Every slot
 /// of the [`Lineage`] (incumbent and demotion history) names one; serving
 /// snapshots persist them and `crate::durable` recovery resolves them back
@@ -198,7 +191,7 @@ pub enum SlotSource {
 /// The model lineage: the demotion history (oldest first), the incumbent,
 /// and the next version to be handed out — each slot paired with where its
 /// weights can be reloaded from. This type owns the only promotion and
-/// demotion transitions: the live engine ([`ServeEngine::commit_install`],
+/// demotion transitions: the live engine ([`ServeEngine::install_model`],
 /// [`ServeEngine::demote`]) and WAL replay ([`crate::durable::LogFold`])
 /// both call them, so a recovered lineage equals the live one by
 /// construction. Serialized into serving snapshots by `crate::durable`.
@@ -256,6 +249,22 @@ struct Installed {
     lineage: Lineage,
     /// The weights of the slots `lineage.history` names, found by version.
     retired: Vec<Arc<ModelSlot>>,
+}
+
+/// The model an engine serves: the incumbent slot and the lineage behind
+/// it. One per lineage — the shards of a sharded engine share their owner's
+/// ([`ServeEngine::follower`]), so every shard answers from one set of
+/// weights under one version.
+struct Incumbent {
+    /// Swapped atomically (`Arc` swap under a short write lock) by an
+    /// install or a demotion; readers pin the `Arc` once per batch and are
+    /// never blocked mid-forward.
+    slot: RwLock<Arc<ModelSlot>>,
+    /// The model lineage and the retired slots' weights, for
+    /// [`ServeEngine::demote`]. Holding the lock orders installs: the
+    /// version a promoted/demoted WAL record carries is the version the
+    /// swap under the same lock allocates.
+    installed: Mutex<Installed>,
 }
 
 /// How the engine degrades when the model tier misbehaves.
@@ -346,15 +355,12 @@ impl TierStats {
 /// cached, and a prediction is only memoized against the exact context it
 /// was computed from.
 pub struct ServeEngine {
-    /// The incumbent model. Swapped atomically (`Arc` swap under a short
-    /// write lock) by [`ServeEngine::commit_install`]; readers pin the
-    /// `Arc` once per batch and are never blocked mid-forward.
-    slot: RwLock<Arc<ModelSlot>>,
-    /// The model lineage and the retired slots' weights, for
-    /// [`ServeEngine::demote`]. Holding the lock orders installs: the
-    /// version a promoted/demoted WAL record carries is the version the
-    /// swap under the same lock allocates.
-    installed: Mutex<Installed>,
+    /// The incumbent model and its lineage: this engine's own, or — on a
+    /// [`ServeEngine::follower`] — its owner's.
+    incumbent: Arc<Incumbent>,
+    /// Whether installs and demotions go through this engine (and its WAL
+    /// and `online.swap` site). A follower refuses them.
+    owns_lineage: bool,
     dataset: Arc<Dataset>,
     /// The serving graph: copy-on-write, epoch-pinned snapshots
     /// (`hire_graph::EpochedGraph`). Resolvers pin a snapshot + epoch
@@ -380,8 +386,8 @@ pub struct ServeEngine {
     /// for the online fine-tuning loop (see [`crate::online`]).
     inserted: Mutex<Vec<Rating>>,
     /// Durable write-ahead log, attached via [`ServeEngine::with_wal`].
-    /// When present, `insert_rating` appends before acking and
-    /// [`ServeEngine::commit_install`] logs the promotion before swapping.
+    /// When present, `insert_rating` appends before acking and an install
+    /// or demotion logs its record before swapping.
     wal: Option<Arc<Wal>>,
     /// Serializes WAL appends against graph commits so the log's record
     /// order is identical to the CSR commit order — the invariant that
@@ -438,6 +444,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// [`lock`] for the model slot's swap side.
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(|p| p.into_inner())
+}
+
 /// A typed refusal — of a caller's input, or of a rung's output — under the
 /// engine's name.
 fn invalid(detail: String) -> ServeError {
@@ -476,12 +487,58 @@ impl ServeEngine {
         Self::with_shared_graph(model, dataset, Arc::new(graph), config)
     }
 
-    /// [`ServeEngine::with_graph`] over an already-shared snapshot. Shards
-    /// of a `ShardedEngine` all start from one `Arc`'d base graph this way
-    /// — one graph for N engines, diverging copy-on-write, chunk by chunk,
-    /// as a shard commits online ratings.
+    /// [`ServeEngine::with_graph`] over an already-shared snapshot. The
+    /// shards of a `ShardedEngine` all start from one `Arc`'d base graph —
+    /// this constructor for the first, [`ServeEngine::follower`] for the
+    /// rest — one graph for N engines, diverging copy-on-write, chunk by
+    /// chunk, as a shard commits online ratings.
     pub fn with_shared_graph(
         model: FrozenModel,
+        dataset: Arc<Dataset>,
+        graph: Arc<BipartiteGraph>,
+        config: EngineConfig,
+    ) -> Self {
+        let lineage = Lineage::default();
+        let incumbent = Incumbent {
+            slot: RwLock::new(Arc::new(ModelSlot {
+                model,
+                version: lineage.current.1,
+            })),
+            installed: Mutex::new(Installed {
+                lineage,
+                retired: Vec::new(),
+            }),
+        };
+        Self::build(Arc::new(incumbent), true, dataset, graph, config)
+    }
+
+    /// A shard serving this engine's model lineage over `graph` — its base
+    /// graph, which cold-start classification reads — with `replayed`, the
+    /// ratings a crashed run logged (empty on a fresh build), committed on
+    /// top in order, as recovery replays them. Same dataset and config as
+    /// `self`; resilience, hybrid, faults and WAL are the follower's own
+    /// (builder style). It pins the shared slot like its owner, and
+    /// refuses installs and demotions: those go through the owner, which
+    /// logs them once.
+    pub fn follower(&self, graph: Arc<BipartiteGraph>, replayed: &[Rating]) -> ServeEngine {
+        let follower = Self::build(
+            Arc::clone(&self.incumbent),
+            false,
+            Arc::clone(&self.dataset),
+            graph,
+            self.config.clone(),
+        );
+        for rating in replayed {
+            follower.replay_rating(*rating);
+        }
+        follower
+    }
+
+    /// The one constructor body: `incumbent` is the engine's own
+    /// (`owns_lineage`) or its owner's.
+    fn build(
+        incumbent: Arc<Incumbent>,
+        owns_lineage: bool,
         dataset: Arc<Dataset>,
         graph: Arc<BipartiteGraph>,
         config: EngineConfig,
@@ -494,16 +551,9 @@ impl ServeEngine {
             .collect();
         let resilience = ResilienceConfig::default();
         let breaker = resilience.breaker.clone().map(CircuitBreaker::new);
-        let lineage = Lineage::default();
         ServeEngine {
-            slot: RwLock::new(Arc::new(ModelSlot {
-                model,
-                version: lineage.current.1,
-            })),
-            installed: Mutex::new(Installed {
-                lineage,
-                retired: Vec::new(),
-            }),
+            incumbent,
+            owns_lineage,
             dataset,
             graph: EpochedGraph::from_arc(graph),
             cache: Mutex::new(ContextCache::new(config.cache_capacity)),
@@ -563,7 +613,11 @@ impl ServeEngine {
     /// pins the slot: it stays valid and unchanged even if a swap lands
     /// immediately after this call.
     pub fn current_model(&self) -> Arc<ModelSlot> {
-        self.slot.read().unwrap_or_else(|p| p.into_inner()).clone()
+        self.incumbent
+            .slot
+            .read()
+            .unwrap_or_else(|p| p.into_inner())
+            .clone()
     }
 
     /// The version of the currently installed model.
@@ -596,38 +650,90 @@ impl ServeEngine {
     }
 
     /// Atomically installs `model` as the new serving incumbent under a
-    /// fresh, monotonically increasing version, and returns that version:
-    /// [`ServeEngine::prepare_install`] then
-    /// [`ServeEngine::commit_install`]. `source` names where the weights can
-    /// be reloaded from after a crash.
+    /// fresh, monotonically increasing version ([`Lineage::promote`]), and
+    /// returns that version. `source` names where the weights can be
+    /// reloaded from after a crash.
     ///
     /// In-flight batches finish on the slot they pinned at entry; new
     /// batches pick up the new slot. Prediction memos in the context cache
     /// are invalidated lazily by their version stamp — no cache sweep, no
     /// serving pause. The displaced incumbent joins a bounded history for
     /// [`ServeEngine::demote`].
-    pub fn install_model(
-        &self,
-        model: FrozenModel,
-        source: SlotSource,
-    ) -> Result<ModelVersion, ServeError> {
-        let prepared = self.prepare_install(model)?;
-        self.commit_install(prepared, source)
-    }
-
-    /// Phase one of an install: every step that depends on the candidate —
-    /// the chaos fire on [`sites::ONLINE_SWAP`] and the compatibility check
-    /// against the incumbent. No
-    /// engine state is touched and no version number is consumed, so an
-    /// abandoned prepare (e.g. a sharded install aborting because a sibling
-    /// shard's prepare failed) leaves the engine exactly as it was — version
-    /// counters included, which is what keeps shards in version lockstep.
+    ///
+    /// On a WAL-attached engine a `ModelPromoted{version, tag, steps}`
+    /// record is durable strictly before the swap takes effect, so a crash
+    /// can never observe a promoted model the log does not know how to
+    /// restore; that needs `source` to be a [`SlotSource::Checkpoint`]
+    /// (written *before* this call) — any other source is refused, typed,
+    /// with nothing logged and no version consumed.
     ///
     /// Chaos site [`sites::ONLINE_SWAP`]: an injected `Error` abandons the
     /// swap (typed, incumbent keeps serving); a `Delay` widens the race
     /// window against concurrent queries; a `Panic` fires before any state
     /// is touched, so a crashed swapper cannot corrupt the slot.
-    pub fn prepare_install(&self, model: FrozenModel) -> Result<PreparedInstall, ServeError> {
+    pub fn install_model(
+        &self,
+        model: FrozenModel,
+        source: SlotSource,
+    ) -> Result<ModelVersion, ServeError> {
+        self.admit(&model)?;
+        let mut installed = lock(&self.incumbent.installed);
+        if self.wal.is_some() {
+            let SlotSource::Checkpoint { tag, steps } = &source else {
+                return Err(invalid(format!(
+                    "engine has a write-ahead log attached, and recovery could not \
+                     reload weights from {source:?}; checkpoint them and install \
+                     from SlotSource::Checkpoint"
+                )));
+            };
+            self.log_durably(&WalRecord::ModelPromoted {
+                version: installed.lineage.next_version,
+                tag: tag.clone(),
+                steps: *steps,
+            })?;
+        }
+        let version = installed.lineage.promote(source);
+        self.swap_in(&mut installed, model, version);
+        Ok(version)
+    }
+
+    /// Re-installs the previously displaced model under a **new** version
+    /// ([`Lineage::demote`]; version numbers never repeat — a demotion is
+    /// itself a swap, with the same pinning, memo-staleness,
+    /// logged-before-visible and chaos-site guarantees as
+    /// [`ServeEngine::install_model`]). Returns the new version, or
+    /// `Ok(None)` when there is no previous model to demote to. An injected
+    /// swap fault or a refused WAL append leaves the history intact for a
+    /// retry.
+    pub fn demote(&self) -> Result<Option<ModelVersion>, ServeError> {
+        let mut installed = lock(&self.incumbent.installed);
+        let target = installed.lineage.history.last();
+        let Some(previous) =
+            target.and_then(|(_, v)| installed.retired.iter().find(|s| s.version == *v))
+        else {
+            return Ok(None);
+        };
+        let model = previous.model.clone();
+        self.admit(&model)?;
+        self.log_durably(&WalRecord::Demoted {
+            new_version: installed.lineage.next_version,
+        })?;
+        let version = installed
+            .lineage
+            .demote()
+            .expect("the demotion target was found under this lock");
+        self.swap_in(&mut installed, model, version);
+        Ok(Some(version))
+    }
+
+    /// What a swap checks before touching any state or consuming a version:
+    /// that this engine owns its lineage, the chaos fire on
+    /// [`sites::ONLINE_SWAP`], and the candidate's compatibility with the
+    /// incumbent.
+    fn admit(&self, model: &FrozenModel) -> Result<(), ServeError> {
+        if !self.owns_lineage {
+            return Err(invalid("a follower swaps models through its owner".into()));
+        }
         if let Some(plan) = &self.faults {
             plan.fire(sites::ONLINE_SWAP)?;
         }
@@ -644,68 +750,7 @@ impl ServeEngine {
                 incumbent.model.num_parameters()
             )));
         }
-        Ok(PreparedInstall { model })
-    }
-
-    /// Phase two of an install: [`Lineage::promote`] plus the atomic slot
-    /// swap. On a WAL-attached engine a `ModelPromoted{version, tag, steps}`
-    /// record is durable strictly before the swap takes effect, so a crash
-    /// can never observe a promoted model the log does not know how to
-    /// restore; that needs `source` to be a [`SlotSource::Checkpoint`]
-    /// (written *before* this call) — any other source is refused, typed,
-    /// with nothing logged and no version consumed. Without a WAL this
-    /// cannot fail. Sharded installs call it per shard after *every* shard's
-    /// prepare succeeded.
-    pub fn commit_install(
-        &self,
-        prepared: PreparedInstall,
-        source: SlotSource,
-    ) -> Result<ModelVersion, ServeError> {
-        let mut installed = lock(&self.installed);
-        if self.wal.is_some() {
-            let SlotSource::Checkpoint { tag, steps } = &source else {
-                return Err(invalid(format!(
-                    "engine has a write-ahead log attached, and recovery could not \
-                     reload weights from {source:?}; checkpoint them and install \
-                     from SlotSource::Checkpoint"
-                )));
-            };
-            self.log_durably(&WalRecord::ModelPromoted {
-                version: installed.lineage.next_version,
-                tag: tag.clone(),
-                steps: *steps,
-            })?;
-        }
-        let version = installed.lineage.promote(source);
-        self.swap_in(&mut installed, prepared, version);
-        Ok(version)
-    }
-
-    /// Re-installs the previously displaced model under a **new** version
-    /// ([`Lineage::demote`]; version numbers never repeat — a demotion is
-    /// itself a swap, with the same pinning, memo-staleness and
-    /// logged-before-visible guarantees). Returns the new version, or
-    /// `Ok(None)` when there is no previous model to demote to. A failed
-    /// prepare (injected swap fault) or a refused WAL append leaves the
-    /// history intact for a retry.
-    pub fn demote(&self) -> Result<Option<ModelVersion>, ServeError> {
-        let mut installed = lock(&self.installed);
-        let target = installed.lineage.history.last();
-        let Some(previous) =
-            target.and_then(|(_, v)| installed.retired.iter().find(|s| s.version == *v))
-        else {
-            return Ok(None);
-        };
-        let prepared = self.prepare_install(previous.model.clone())?;
-        self.log_durably(&WalRecord::Demoted {
-            new_version: installed.lineage.next_version,
-        })?;
-        let version = installed
-            .lineage
-            .demote()
-            .expect("the demotion target was found under this lock");
-        self.swap_in(&mut installed, prepared, version);
-        Ok(Some(version))
+        Ok(())
     }
 
     /// Appends `record` and waits until it is durable; a no-op without a
@@ -717,18 +762,12 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Swaps the slot pointer to `prepared` serving as `version` — the
-    /// version a [`Lineage`] transition just allocated — and keeps exactly
-    /// the weights the lineage's history still names.
-    fn swap_in(&self, installed: &mut Installed, prepared: PreparedInstall, version: ModelVersion) {
-        let fresh = Arc::new(ModelSlot {
-            model: prepared.model,
-            version,
-        });
-        let displaced = {
-            let mut slot = self.slot.write().unwrap_or_else(|p| p.into_inner());
-            std::mem::replace(&mut *slot, fresh)
-        };
+    /// Swaps the slot pointer to `model` serving as `version` — the version
+    /// a [`Lineage`] transition just allocated — and keeps exactly the
+    /// weights the lineage's history still names.
+    fn swap_in(&self, installed: &mut Installed, model: FrozenModel, version: ModelVersion) {
+        let fresh = Arc::new(ModelSlot { model, version });
+        let displaced = std::mem::replace(&mut *write(&self.incumbent.slot), fresh);
         installed.retired.push(displaced);
         let history = &installed.lineage.history;
         installed
@@ -763,8 +802,8 @@ impl ServeEngine {
                     false
                 }
             });
-        let mut installed = lock(&self.installed);
-        *self.slot.write().unwrap_or_else(|p| p.into_inner()) = current;
+        let mut installed = lock(&self.incumbent.installed);
+        *write(&self.incumbent.slot) = current;
         *installed = Installed { lineage, retired };
         Ok(dropped)
     }
@@ -772,7 +811,7 @@ impl ServeEngine {
     /// A consistent capture of the model lineage (demotion history,
     /// incumbent, next version), each slot paired with its reload source.
     pub fn lineage(&self) -> Lineage {
-        lock(&self.installed).lineage.clone()
+        lock(&self.incumbent.installed).lineage.clone()
     }
 
     /// An atomically consistent capture of everything a serving snapshot
@@ -786,7 +825,7 @@ impl ServeEngine {
     /// holds the loop's state lock around this call to pin those too.)
     pub(crate) fn durable_capture(&self) -> (Vec<Rating>, Lineage, u64) {
         let _write = lock(&self.write_order);
-        let installed = lock(&self.installed);
+        let installed = lock(&self.incumbent.installed);
         let ratings = lock(&self.inserted).clone();
         let next_lsn = self.wal.as_ref().map(|w| w.next_lsn()).unwrap_or(0);
         (ratings, installed.lineage.clone(), next_lsn)
@@ -1308,6 +1347,39 @@ impl ServeEngine {
         let backoff_seed = context_seed(self.config.seed ^ 0xBACC0FF, misses.len(), 0);
         self.descend(slot, &misses, deadline, backoff_seed, batch)
     }
+
+    /// Answers `queries` on `slot` — a [`ServeEngine::current_model`] pin of
+    /// this engine's lineage, taken once by the caller: every attempt, memo
+    /// read/write, and answer uses it. A sharded engine pins once and runs
+    /// each shard's sub-batch here, so the whole batch answers under one
+    /// version.
+    pub fn predict_batch_pinned(
+        &self,
+        slot: &ModelSlot,
+        queries: &[RatingQuery],
+        deadline: Option<Instant>,
+    ) -> Result<Vec<Answer>, ServeError> {
+        let mut batch = Batch {
+            queries,
+            version: slot.version,
+            out: vec![None; queries.len()],
+            counts: BTreeMap::new(),
+        };
+        let walked = self.walk(slot, deadline, &mut batch);
+        // Count before replying — what a refused walk answered on its way
+        // included — so a caller that has its reply also sees it counted.
+        {
+            let mut tiers = lock(&self.tiers);
+            for (scenario, counted) in &batch.counts {
+                tiers
+                    .entry((batch.version, *scenario))
+                    .or_default()
+                    .absorb(counted);
+            }
+        }
+        walked?;
+        collect_answers(batch.out)
+    }
 }
 
 /// A deduplicated query awaiting a forward: its cache key, resolved
@@ -1337,30 +1409,9 @@ impl Predictor for ServeEngine {
         queries: &[RatingQuery],
         deadline: Option<Instant>,
     ) -> Result<Vec<Answer>, ServeError> {
-        // Pin the incumbent once for the whole batch: every attempt, memo
-        // read/write, and answer below uses this slot, so a hot swap that
+        // Pin the incumbent once for the whole batch, so a hot swap that
         // lands mid-batch never mixes model versions within a batch.
-        let slot = self.current_model();
-        let mut batch = Batch {
-            queries,
-            version: slot.version,
-            out: vec![None; queries.len()],
-            counts: BTreeMap::new(),
-        };
-        let walked = self.walk(&slot, deadline, &mut batch);
-        // Count before replying — what a refused walk answered on its way
-        // included — so a caller that has its reply also sees it counted.
-        {
-            let mut tiers = lock(&self.tiers);
-            for (scenario, counted) in &batch.counts {
-                tiers
-                    .entry((batch.version, *scenario))
-                    .or_default()
-                    .absorb(counted);
-            }
-        }
-        walked?;
-        collect_answers(batch.out)
+        self.predict_batch_pinned(&self.current_model(), queries, deadline)
     }
 }
 

@@ -67,8 +67,8 @@ pub use durable::{
     fold_log, rebuild_engine, recover, write_snapshot, LogFold, Recovered, SERVING_TAG,
 };
 pub use engine::{
-    ColdScenario, EngineConfig, Lineage, ModelSlot, PreparedInstall, ResilienceConfig, ServeEngine,
-    SlotSource, TierStats,
+    ColdScenario, EngineConfig, Lineage, ModelSlot, ResilienceConfig, ServeEngine, SlotSource,
+    TierStats,
 };
 pub use hire_core::{FrozenModel, QuantizedModel};
 pub use online::{

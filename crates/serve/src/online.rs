@@ -40,9 +40,10 @@
 //!
 //! Chaos sites: [`sites::TRAINER_STEP`] (inside the guarded trainer
 //! block), [`sites::SHADOW_EVAL`] (inside the guarded eval block) and
-//! [`sites::ONLINE_SWAP`] (inside [`ServeEngine::prepare_install`]).
+//! [`sites::ONLINE_SWAP`] (inside [`ServeEngine::install_model`] and
+//! [`ServeEngine::demote`]).
 
-use crate::engine::{ColdScenario, ServeEngine, SlotSource};
+use crate::engine::{ColdScenario, ServeEngine, SlotSource, TierStats};
 use crate::server::ModelVersion;
 use hire_chaos::{sites, FaultPlan};
 use hire_ckpt::{CheckpointStore, GuardSnapshot, OptimizerSnapshot, TrainSnapshot};
@@ -741,38 +742,36 @@ impl OnlineLoop {
     pub fn maybe_demote(&self) -> Option<ModelVersion> {
         let stats = self.engine.version_stats();
         let current = self.engine.version();
-        let rate_of = |version: ModelVersion| {
-            stats.iter().find(|(v, _)| *v == version).map(|(_, s)| {
-                let total = s.model + s.hybrid + s.cache + s.fallback;
-                (
-                    total,
-                    if total == 0 {
-                        0.0
-                    } else {
-                        s.fallback as f64 / total as f64
-                    },
-                )
-            })
-        };
-        let (current_total, current_rate) = rate_of(current)?;
+        let (current_total, current_rate) = stats
+            .iter()
+            .find(|(v, _)| *v == current)
+            .map(|(_, s)| fallback_rate(s))?;
         if current_total < self.config.demote_min_answers {
             return None;
         }
         // The previous version is the newest one below the current (the
         // engine's history holds its weights).
-        let previous_rate = stats.iter().rfind(|(v, _)| *v < current).map(|(_, s)| {
-            let total = s.model + s.hybrid + s.cache + s.fallback;
-            if total == 0 {
-                0.0
-            } else {
-                s.fallback as f64 / total as f64
-            }
-        })?;
+        let (_, previous_rate) = stats
+            .iter()
+            .rfind(|(v, _)| *v < current)
+            .map(|(_, s)| fallback_rate(s))?;
         if current_rate > previous_rate + self.config.demote_fallback_margin {
             return self.engine.demote().ok().flatten();
         }
         None
     }
+}
+
+/// A version's answers and the share of them the fallback rung gave: the
+/// demotion watchdog's one reading of its tier counters.
+fn fallback_rate(s: &TierStats) -> (u64, f64) {
+    let total = s.model + s.hybrid + s.cache + s.fallback;
+    let rate = if total == 0 {
+        0.0
+    } else {
+        s.fallback as f64 / total as f64
+    };
+    (total, rate)
 }
 
 /// A background thread driving an [`OnlineLoop`] on a fixed cadence —

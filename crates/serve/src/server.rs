@@ -184,7 +184,9 @@ impl From<InjectedFault> for ServeError {
 }
 
 /// Anything that can answer a batch of rating queries. Implemented by
-/// [`crate::ServeEngine`]; tests inject slow/panicking stand-ins.
+/// [`crate::ServeEngine`] and by `hire_shard::ShardedEngine`, which pins
+/// its one model slot per batch the same way; tests inject
+/// slow/panicking stand-ins.
 pub trait Predictor: Send + Sync {
     /// Predicts a rating per query, in order.
     fn predict_batch(&self, queries: &[RatingQuery]) -> Result<Vec<f32>, ServeError>;

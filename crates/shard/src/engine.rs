@@ -38,8 +38,6 @@ pub struct ShardStats {
     pub tiers: TierStats,
     /// The shard's context-cache counters.
     pub cache: CacheStats,
-    /// The shard's current model version.
-    pub version: ModelVersion,
     /// The shard's graph epoch (commits observed by *this* shard).
     pub graph_epoch: u64,
 }
@@ -74,11 +72,12 @@ fn mix_user(user: usize) -> u64 {
 ///   owner shard only — its graph and its cache. Other shards keep serving
 ///   their pinned snapshots, unblocked; none of them answers the writing
 ///   user, and none holds a context sampled from the owner's graph.
-/// - **Swaps.** [`ShardedEngine::install_model`] is two-phase: prepare
-///   (validation, chaos site `online.swap`) on every shard,
-///   then commit (log the promotion if a WAL is attached, pointer swap) on
-///   every shard. Any prepare failure aborts the whole install with every
-///   incumbent untouched, so shards never diverge in version.
+/// - **Model.** One incumbent slot and one lineage for the whole engine,
+///   owned by shard 0; shards 1..N are its [`ServeEngine::follower`]s and
+///   hold no weights of their own. A batch pins the slot once and every
+///   sub-batch answers on that pin, so a batch answers under one version.
+///   [`ShardedEngine::install_model`] and [`ShardedEngine::demote`] are
+///   one swap on shard 0 — its `online.swap` chaos site, its log.
 ///
 /// All shards share one `EngineConfig` — in particular the sampling seed —
 /// and one base graph, so up to the first write a fault-free prediction
@@ -113,21 +112,17 @@ impl ShardedEngine {
         engine_config: EngineConfig,
         shard_config: ShardConfig,
     ) -> Self {
-        let shards = (0..shard_config.shards.max(1))
-            .map(|_| {
-                ServeEngine::with_shared_graph(
-                    model.clone(),
-                    Arc::clone(&dataset),
-                    Arc::clone(&graph),
-                    engine_config.clone(),
-                )
-            })
+        let owner =
+            ServeEngine::with_shared_graph(model, dataset, Arc::clone(&graph), engine_config);
+        let followers: Vec<ServeEngine> = (1..shard_config.shards.max(1))
+            .map(|_| owner.follower(Arc::clone(&graph), &[]))
             .collect();
-        Self::from_shards(shards)
+        Self::from_shards(std::iter::once(owner).chain(followers).collect())
     }
 
-    /// Wraps already-built shard engines (construction, and recovery —
-    /// where each shard was rebuilt from its own log).
+    /// Wraps already-built shard engines, shard 0 the lineage's owner and
+    /// the rest its followers (construction, and recovery — where each
+    /// shard was rebuilt from its own log).
     pub(crate) fn from_shards(shards: Vec<ServeEngine>) -> Self {
         ShardedEngine {
             routed: shards.iter().map(|_| AtomicU64::new(0)).collect(),
@@ -160,7 +155,8 @@ impl ShardedEngine {
     /// Installs one chaos plan per shard (builder style). Separate plans —
     /// typically derived seeds — keep each shard's per-site arrival
     /// counters independent, so a fault schedule replays per shard no
-    /// matter how concurrent batches interleave.
+    /// matter how concurrent batches interleave. Only shard 0's
+    /// `online.swap` site fires: installs and demotions go through it.
     pub fn with_faults(mut self, plans: Vec<Arc<hire_chaos::FaultPlan>>) -> Self {
         assert_eq!(
             plans.len(),
@@ -180,8 +176,8 @@ impl ShardedEngine {
     /// (builder style): writes (or validates) the `MANIFEST` naming the
     /// shard count, opens one log per shard under `root/shard-NNN/`, and
     /// attaches each to its engine — from here on every shard's
-    /// `insert_rating` appends before acking, and
-    /// [`ShardedEngine::install_model`] logs the promotion on every shard.
+    /// `insert_rating` appends before acking, and shard 0's log records
+    /// every promotion and demotion, once.
     ///
     /// "Fresh" is enforced: a root whose logs already hold records needs
     /// [`crate::recovery::recover_sharded`], which replays them — opening
@@ -245,14 +241,9 @@ impl ShardedEngine {
         (mix_user(user) % self.shards.len() as u64) as usize
     }
 
-    /// The serving model version (asserted identical across shards).
+    /// The serving model version, one for every shard.
     pub fn version(&self) -> ModelVersion {
-        let v = self.shards[0].version();
-        debug_assert!(
-            self.shards.iter().all(|e| e.version() == v),
-            "shards diverged in model version"
-        );
-        v
+        self.shards[0].version()
     }
 
     /// Per-shard observability snapshots, indexed by shard.
@@ -264,7 +255,6 @@ impl ShardedEngine {
                 routed: self.routed[s].load(Ordering::Relaxed),
                 tiers: e.tier_stats(),
                 cache: e.cache_stats(),
-                version: e.version(),
                 graph_epoch: e.graph_epoch(),
             })
             .collect()
@@ -303,44 +293,25 @@ impl ShardedEngine {
         self.shards[self.shard_of(rating.user)].insert_rating(rating)
     }
 
-    /// Atomically installs `model` on every shard under one version:
-    /// prepare everywhere, then commit everywhere
-    /// ([`ServeEngine::prepare_install`] / [`ServeEngine::commit_install`]).
-    /// A prepare failure — including an injected fault at the per-shard
-    /// `online.swap` chaos site — aborts the whole install: no version is
-    /// consumed, nothing is logged, every incumbent keeps serving, and the
-    /// error is returned typed. On success all shards answer under the
-    /// same new version.
-    ///
-    /// With write-ahead logs attached each shard's commit appends a durable
-    /// `ModelPromoted` record first, so `source` must be the
-    /// [`SlotSource::Checkpoint`] holding the weights — written *before*
-    /// this call, or a crash after the first shard's append leaves a
-    /// promotion no recovery can reload. A failure in that phase (e.g. one
-    /// shard's disk refusing the fsync) returns the error with earlier
-    /// shards already on the new version. The divergence is bounded and
-    /// repairable: every shard's event log is a prefix of the longest one,
-    /// and [`crate::recovery::recover_sharded`] rolls lagging shards forward
-    /// to restore lockstep.
+    /// Installs `model` as every shard's incumbent under one fresh version
+    /// — one [`ServeEngine::install_model`] on shard 0, which owns the
+    /// lineage: its `online.swap` chaos site, and with write-ahead logs
+    /// attached its log alone records the promotion (so `source` must be
+    /// the [`SlotSource::Checkpoint`] holding the weights). A failure
+    /// leaves every shard on the incumbent.
     pub fn install_model(
         &self,
         model: FrozenModel,
         source: SlotSource,
     ) -> Result<ModelVersion, ServeError> {
-        let mut prepared = Vec::with_capacity(self.shards.len());
-        for engine in &self.shards {
-            prepared.push(engine.prepare_install(model.clone())?);
-        }
-        let mut first = None;
-        for (engine, p) in self.shards.iter().zip(prepared) {
-            let v = engine.commit_install(p, source.clone())?;
-            assert_eq!(
-                *first.get_or_insert(v),
-                v,
-                "shards diverged in model version after commit"
-            );
-        }
-        Ok(first.expect("at least one shard"))
+        self.shards[0].install_model(model, source)
+    }
+
+    /// Re-installs the previously displaced model on every shard under a
+    /// new version — one [`ServeEngine::demote`] on shard 0. `Ok(None)`
+    /// when there is no previous model.
+    pub fn demote(&self) -> Result<Option<ModelVersion>, ServeError> {
+        self.shards[0].demote()
     }
 }
 
@@ -367,6 +338,9 @@ impl Predictor for ShardedEngine {
         for (s, positions) in per_shard.iter().enumerate() {
             self.routed[s].fetch_add(positions.len() as u64, Ordering::Relaxed);
         }
+        // Pin the one model slot once: every sub-batch answers on it, so a
+        // swap that lands mid-batch never mixes versions across shards.
+        let slot = self.shards[0].current_model();
         // Every active shard answers its whole sub-batch (forwards
         // included) in shard order on the calling thread — the server
         // worker that took the batch. Parallelism lives one level up, in
@@ -377,7 +351,10 @@ impl Predictor for ShardedEngine {
             .filter(|(_, positions)| !positions.is_empty())
             .map(|(s, positions)| {
                 let sub: Vec<RatingQuery> = positions.iter().map(|&i| queries[i]).collect();
-                (s, self.shards[s].predict_batch_tagged(&sub, deadline))
+                (
+                    s,
+                    self.shards[s].predict_batch_pinned(&slot, &sub, deadline),
+                )
             })
             .collect();
         let mut out: Vec<Option<Answer>> = vec![None; queries.len()];

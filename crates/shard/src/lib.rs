@@ -11,8 +11,10 @@
 //!
 //! Every query and every write goes to its user's owner shard, so a user's
 //! answers see that user's writes: `insert_rating` commits to the owner
-//! shard alone, and `install_model` is a two-phase prepare/commit so every
-//! shard serves the same `ModelVersion` or the install aborts wholesale.
+//! shard alone. The model is engine-wide: shard 0 owns the one incumbent
+//! slot and its lineage, the other shards follow it, and a batch pins the
+//! slot once — so a batch answers under one `ModelVersion`, and
+//! `install_model` / `demote` are one swap, logged once in shard 0's WAL.
 //!
 //! Every shard shares one sampling seed and one base graph, so a
 //! fault-free prediction for a given `(user, item)` is bit-identical at

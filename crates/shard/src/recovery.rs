@@ -1,20 +1,19 @@
-//! Lockstep crash recovery for [`ShardedEngine`]: one manifest, N shard
-//! logs, one reconciled model lineage.
+//! Crash recovery for [`ShardedEngine`]: one manifest, N shard logs, one
+//! model lineage.
 //!
-//! Each shard's WAL holds that shard's ratings (disjoint by user hash)
-//! plus a copy of every model promotion/demotion — the install paths
-//! append the same record to all N logs. A crash mid-install can leave
-//! the copies uneven: the shards that appended before the crash carry
-//! events the others never saw. Because the per-shard commit loop is
-//! strictly ordered, the event lists are always **prefix-chained**: every
-//! shard's list is a prefix of the longest one. Recovery exploits that —
-//! it verifies the chain, takes the longest list as truth, rolls lagging
-//! shards forward (appending the missing records to their logs so the
-//! repair itself is durable), and reinstates one lineage on every shard.
+//! Each shard's WAL holds that shard's ratings (disjoint by user hash).
+//! Shard 0 owns the engine's model lineage, so its log alone holds the
+//! promotions and demotions; recovery folds every log, rebuilds shard 0 —
+//! ratings and lineage, each slot's weights loaded once — and rebuilds
+//! shards 1..N as its followers over their own ratings. It appends
+//! nothing.
 //!
-//! Rolling *forward* is sound because the install protocol checkpoints
-//! the promoted weights before any shard logs the record: a record that
-//! exists on any log always has loadable weights behind it.
+//! Roots written before the lineage was engine-wide carry a copy of every
+//! model record in every log, committed in shard order, so every other
+//! shard's events are a prefix of shard 0's. They recover the same way:
+//! the lineage is read from shard 0's events, and a log whose events are
+//! not a prefix of shard 0's is refused, typed — recovery does not guess
+//! a lineage.
 //!
 //! Scope: sharded recovery rebuilds graphs, insert logs, and the model
 //! lineage. Online-loop routing state and `SnapshotBarrier`-anchored
@@ -32,21 +31,17 @@ use hire_wal::{shard_dir, ShardManifest, Wal, WalOptions};
 use std::path::Path;
 use std::sync::Arc;
 
-/// What [`recover_sharded`] rebuilt and repaired.
+/// What [`recover_sharded`] rebuilt.
 pub struct RecoveredShards {
-    /// The rebuilt engine, all shards in version lockstep, logs
-    /// re-attached.
+    /// The rebuilt engine, logs re-attached.
     pub engine: ShardedEngine,
     /// Ratings replayed per shard.
     pub ratings_per_shard: Vec<usize>,
-    /// Model events (promotions + demotions) in the reconciled lineage.
+    /// Model events (promotions + demotions) in the recovered lineage.
     pub model_events: usize,
-    /// Catch-up records appended to lagging shard logs to restore
-    /// lockstep (0 on a clean crash).
-    pub rolled_forward: usize,
-    /// Per shard, the versions of demotion targets dropped because their
+    /// The versions of demotion targets dropped because their
     /// checkpointed weights could not be reloaded.
-    pub dropped_history_per_shard: Vec<Vec<ModelVersion>>,
+    pub dropped_history: Vec<ModelVersion>,
 }
 
 /// Rebuilds a [`ShardedEngine`] from a sharded WAL root written by
@@ -96,59 +91,44 @@ pub fn recover_sharded(
         folds.push(fold_log(&recovery.records, None)?);
     }
 
-    // ── Reconcile: the longest event list is the truth ────────────────
-    let target_idx = (0..n)
-        .max_by_key(|&i| folds[i].events.len())
-        .expect("at least one shard");
-    let target = folds[target_idx].events.clone();
-    for (idx, fold) in folds.iter().enumerate() {
-        if fold.events[..] != target[..fold.events.len()] {
+    // ── The lineage is shard 0's ──────────────────────────────────────
+    let owner_events = &folds[0].events;
+    for (idx, fold) in folds.iter().enumerate().skip(1) {
+        if !owner_events.starts_with(&fold.events) {
             return Err(HireError::invalid_data(
                 "recover_sharded",
                 format!(
-                    "shard {idx}'s model events diverge from shard {target_idx}'s — the \
+                    "shard {idx}'s model events are not a prefix of shard 0's — the \
                      logs are not prefix-chained; refusing to guess a lineage"
                 ),
             ));
         }
     }
 
-    // ── Roll lagging shards forward, durably ──────────────────────────
-    // Appending the missing records (rather than only patching in-memory
-    // state) makes the repair survive a crash *during* recovery: the next
-    // recovery sees equal, or still prefix-chained, logs. Applying them to
-    // the fold too lands every shard on the target's lineage.
-    let mut rolled_forward = 0usize;
-    for (wal, fold) in wals.iter().zip(&mut folds) {
-        for event in &target[fold.events.len()..] {
-            wal.append_durable(event).map_err(HireError::from)?;
-            fold.apply(event)?;
-            rolled_forward += 1;
-        }
-    }
-
-    // ── Rebuild every shard from its fold ─────────────────────────────
-    let mut shards = Vec::with_capacity(n);
-    let mut dropped_history_per_shard = Vec::with_capacity(n);
-    for (wal, fold) in wals.into_iter().zip(&folds) {
-        let (shard, dropped) = rebuild_engine(
-            fold,
-            wal,
-            &base_model,
-            &dataset,
-            Arc::clone(&base_graph),
-            engine_config.clone(),
-            ckpt_dir,
-        )?;
-        shards.push(shard);
-        dropped_history_per_shard.push(dropped);
-    }
+    // ── Rebuild shard 0 with the lineage, the rest as its followers ───
+    let mut wals = wals.into_iter();
+    let (owner, dropped_history) = rebuild_engine(
+        &folds[0],
+        wals.next().expect("at least one shard"),
+        &base_model,
+        &dataset,
+        Arc::clone(&base_graph),
+        engine_config,
+        ckpt_dir,
+    )?;
+    let followers: Vec<_> = wals
+        .zip(&folds[1..])
+        .map(|(wal, fold)| {
+            owner
+                .follower(Arc::clone(&base_graph), &fold.ratings)
+                .with_wal(wal)
+        })
+        .collect();
 
     Ok(RecoveredShards {
-        engine: ShardedEngine::from_shards(shards),
+        engine: ShardedEngine::from_shards(std::iter::once(owner).chain(followers).collect()),
         ratings_per_shard: folds.iter().map(|f| f.ratings.len()).collect(),
-        model_events: target.len(),
-        rolled_forward,
-        dropped_history_per_shard,
+        model_events: owner_events.len(),
+        dropped_history,
     })
 }

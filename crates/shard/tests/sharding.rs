@@ -10,9 +10,10 @@
 //!    invariant).
 //! 4. **Write isolation** — an insert commits to the owner shard only;
 //!    other shards' epochs and pinned snapshots are untouched.
-//! 5. **Cross-shard swap atomicity** — a failing prepare on any shard
-//!    aborts the install with every incumbent (and version counter)
-//!    untouched.
+//! 5. **One model, one version per batch** — a failing swap on shard 0,
+//!    which owns the lineage, leaves every shard's incumbent (and the
+//!    version counter) untouched; a batch that straddles an install
+//!    answers under one version.
 //! 6. **Load balance under skew** — zipf traffic over a hot set, every
 //!    query on its user's owner shard, puts at most 2× the mean load on any
 //!    of four shards, and every query is answered.
@@ -277,7 +278,7 @@ fn concurrent_inserts_and_swaps_keep_every_query_answered() {
     // first scheduled.
     let writers_ran = || inserts.load(Ordering::Acquire) > 0 && swaps.load(Ordering::Acquire) > 0;
     let deadline = Instant::now() + Duration::from_secs(30);
-    let mut round = 0;
+    let (mut round, mut last_version) = (0, 1);
     while round < 4 || (!writers_ran() && Instant::now() < deadline) {
         round += 1;
         for batch in queries.chunks(6) {
@@ -286,17 +287,22 @@ fn concurrent_inserts_and_swaps_keep_every_query_answered() {
             for a in &answers {
                 assert!((0.0..=5.0).contains(&a.rating));
             }
-            // Every answer is stamped with a real installed version (each
-            // shard pins its slot per sub-batch; cross-shard sub-batches
-            // may legitimately pin different versions mid-swap).
-            assert!(answers.iter().all(|a| a.version >= 1));
+            // The batch pins one slot for every shard: one version per
+            // batch, and never an older one than an earlier batch saw.
+            let version = answers[0].version;
+            assert!(
+                answers.iter().all(|a| a.version == version),
+                "one batch answered under several versions"
+            );
+            assert!(version >= last_version, "v{version} after v{last_version}");
+            last_version = version;
         }
     }
     stop.store(true, Ordering::Release);
     inserter.join().expect("inserter");
     swapper.join().expect("swapper");
     assert!(writers_ran(), "writers must actually have run");
-    engine.version(); // asserts lockstep in debug builds
+    assert!(engine.version() >= last_version);
 }
 
 #[test]
@@ -486,7 +492,7 @@ fn failed_prepare_on_any_shard_aborts_the_whole_install() {
     let dataset = dataset();
     let plans: Vec<Arc<FaultPlan>> = (0..3)
         .map(|s| {
-            if s == 2 {
+            if s == 0 {
                 Arc::new(FaultPlan::new(9).with_fault(sites::ONLINE_SWAP, FaultKind::Error, 1.0))
             } else {
                 Arc::new(FaultPlan::new(9))
@@ -498,7 +504,7 @@ fn failed_prepare_on_any_shard_aborts_the_whole_install() {
     assert_eq!(before, vec![1, 1, 1]);
     let err = engine
         .install_model(frozen(&dataset), SlotSource::Unsaved)
-        .expect_err("shard 2's prepare must fail the install");
+        .expect_err("shard 0's swap fault must fail the install");
     assert!(
         matches!(err, ServeError::Injected { .. }),
         "expected the injected fault, got {err:?}"
@@ -509,10 +515,9 @@ fn failed_prepare_on_any_shard_aborts_the_whole_install() {
         vec![1, 1, 1],
         "an aborted install must not move any shard's version"
     );
-    // The engine still serves, and a fault-free install succeeds in
-    // lockstep afterwards... except shard 2's plan fires every arrival, so
-    // swap attempts there keep failing — which is exactly the point: the
-    // sharded install keeps aborting atomically rather than diverging.
+    // The engine still serves. Shard 0's plan fires every arrival, so
+    // every later install fails the same way, and leaves every shard on
+    // the incumbent.
     let again = engine.install_model(frozen(&dataset), SlotSource::Unsaved);
     assert!(again.is_err());
     assert_eq!(engine.version(), 1);
@@ -520,6 +525,49 @@ fn failed_prepare_on_any_shard_aborts_the_whole_install() {
         .predict_batch_tagged(&query_stream(8), None)
         .expect("still serving");
     assert_eq!(answers.len(), 8);
+}
+
+/// A batch pins one model slot for all its shards: shard 0's sub-batch is
+/// held up in context resolution while an install lands, and shard 1's
+/// sub-batch, which runs after it, still answers under the version the
+/// batch started on (a per-shard pin answers `[1, 2]`).
+#[test]
+fn a_sharded_batch_answers_under_one_version() {
+    let dataset = dataset();
+    let plans = vec![
+        Arc::new(FaultPlan::new(9).with_fault(
+            sites::ENGINE_RESOLVE,
+            FaultKind::Delay(Duration::from_millis(400)),
+            1.0,
+        )),
+        Arc::new(FaultPlan::new(9)),
+    ];
+    let engine = Arc::new(sharded(&dataset, 2).with_faults(plans));
+    let batch: Vec<RatingQuery> = (0..2)
+        .map(|s| RatingQuery {
+            user: (0..USERS)
+                .find(|&u| engine.shard_of(u) == s)
+                .expect("every shard owns a user"),
+            item: 3,
+        })
+        .collect();
+    let reader = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || engine.predict_batch_tagged(&batch, None))
+    };
+    std::thread::sleep(Duration::from_millis(100));
+    let installed = engine
+        .install_model(frozen(&dataset), SlotSource::Unsaved)
+        .expect("install");
+    assert_eq!(installed, 2);
+    let answers = reader.join().expect("reader").expect("batch");
+    let versions: Vec<u64> = answers.iter().map(|a| a.version).collect();
+    // Whenever the install lands against the batch, the batch answers
+    // under one version: 1 unless the reader was scheduled late.
+    assert!(
+        versions.iter().all(|&v| v == versions[0]),
+        "one batch answered under versions {versions:?}"
+    );
 }
 
 #[test]

@@ -1,10 +1,9 @@
-//! Sharded crash recovery (ISSUE 9 tentpole, sharded half): N per-shard
-//! write-ahead logs under one manifest must recover in **lockstep** — every
-//! shard on the same model version with the same weights, every shard's
-//! ratings replayed, answers bit-identical to an engine that never
-//! crashed. A crash *mid-install* leaves prefix-chained event logs;
-//! recovery rolls the lagging shards forward (durably). Divergent logs
-//! are a refusal, not a guess.
+//! Sharded crash recovery: N per-shard write-ahead logs under one manifest
+//! must recover in **lockstep** — every shard on the one model lineage
+//! shard 0's log records, every shard's ratings replayed, answers
+//! bit-identical to an engine that never crashed. Roots that carry a copy
+//! of each model record in every log (older roots) recover from shard 0's
+//! copy, appending nothing. Divergent logs are a refusal, not a guess.
 
 use hire_chaos::{sites, FaultKind, FaultPlan};
 use hire_ckpt::{CheckpointStore, GuardSnapshot, OptimizerSnapshot, TrainSnapshot};
@@ -200,8 +199,7 @@ fn recover_copy(
 }
 
 /// Clean crash: inserts spread over all shards plus a logged install
-/// recover in lockstep, bit-identical to the live engine, with no
-/// roll-forward needed.
+/// recover in lockstep, bit-identical to the live engine.
 #[test]
 fn sharded_recovery_is_bitwise_lockstep() {
     let tmp = TempDir::new("lockstep");
@@ -227,7 +225,6 @@ fn sharded_recovery_is_bitwise_lockstep() {
     let crash = tmp.path().join("crash");
     copy_tree(&root, &crash);
     let recovered = recover_copy(&data, &crash, Some(&ckpt_dir));
-    assert_eq!(recovered.rolled_forward, 0, "clean crash needs no repair");
     assert_eq!(recovered.model_events, 1);
     assert_eq!(recovered.ratings_per_shard.iter().sum::<usize>(), 42);
     for shard in recovered.engine.shard_engines() {
@@ -236,13 +233,25 @@ fn sharded_recovery_is_bitwise_lockstep() {
     assert_eq!(probe_bits(&recovered.engine), live_bits);
 }
 
-/// Crash mid-install: only a prefix of the shards logged the promotion.
-/// Recovery takes the longest log as truth, durably appends the missing
-/// records to the lagging shards, and lands everyone on the new version —
-/// and a *second* recovery of the repaired root sees nothing left to fix.
+/// Bytes on disk under each shard's log directory.
+fn log_bytes(root: &Path) -> Vec<u64> {
+    (0..SHARDS)
+        .map(|idx| {
+            std::fs::read_dir(shard_dir(root, idx))
+                .expect("read shard dir")
+                .map(|entry| entry.expect("entry").metadata().expect("metadata").len())
+                .sum()
+        })
+        .collect()
+}
+
+/// Roots that copy each model record into every log, in shard order, still
+/// recover. One whose last promotion reached only shard 0's log — what a
+/// crash mid-install left — recovers every shard to that promotion,
+/// bit-identical to one where every log holds it, and no log grows.
 #[test]
-fn partial_install_rolls_lagging_shards_forward() {
-    let tmp = TempDir::new("rollforward");
+fn a_promotion_only_shard_0_logged_recovers_every_shard() {
+    let tmp = TempDir::new("shard0-only");
     let root = tmp.sub("wal");
     let ckpt_dir = tmp.sub("ckpt");
     let data = dataset();
@@ -257,54 +266,53 @@ fn partial_install_rolls_lagging_shards_forward() {
         .expect("logged install");
     drop(engine);
 
-    // Reference: an engine where the *next* promotion (v3) completed on
-    // every shard before the crash.
+    // Reference: v2 and the next promotion (v3) copied into every log.
     let next = frozen(&data, 23);
     checkpoint_weights(&ckpt_dir, "next", 9, &next);
-    let full = tmp.path().join("full");
-    copy_tree(&root, &full);
-    for idx in 0..SHARDS {
-        let (wal, _) = Wal::open(shard_dir(&full, idx), strict_opts()).expect("open shard log");
-        wal.append_durable(&WalRecord::ModelPromoted {
-            version: 3,
-            tag: "next".into(),
-            steps: 9,
-        })
-        .expect("append");
-    }
-    let reference_bits = probe_bits(&recover_copy(&data, &full, Some(&ckpt_dir)).engine);
-
-    // Crash image: the same promotion reached only shard 0.
-    let torn = tmp.path().join("torn");
-    copy_tree(&root, &torn);
-    let (wal, _) = Wal::open(shard_dir(&torn, 0), strict_opts()).expect("open shard log");
-    wal.append_durable(&WalRecord::ModelPromoted {
+    let copied = WalRecord::ModelPromoted {
+        version: 2,
+        tag: "cand".into(),
+        steps: 7,
+    };
+    let promoted = WalRecord::ModelPromoted {
         version: 3,
         tag: "next".into(),
         steps: 9,
-    })
-    .expect("append");
-    drop(wal);
+    };
+    let append = |root: &Path, idx: usize, records: &[&WalRecord]| {
+        let (wal, _) = Wal::open(shard_dir(root, idx), strict_opts()).expect("open shard log");
+        for record in records {
+            wal.append_durable(record).expect("append");
+        }
+    };
+    let full = tmp.path().join("full");
+    copy_tree(&root, &full);
+    append(&full, 0, &[&promoted]);
+    for idx in 1..SHARDS {
+        append(&full, idx, &[&copied, &promoted]);
+    }
+    let reference = recover_copy(&data, &full, Some(&ckpt_dir));
+    assert_eq!(reference.model_events, 2);
+    let reference_bits = probe_bits(&reference.engine);
+    drop(reference);
 
+    // Crash image: every log holds v2, and v3 reached only shard 0.
+    let torn = tmp.path().join("torn");
+    copy_tree(&root, &torn);
+    append(&torn, 0, &[&promoted]);
+    for idx in 1..SHARDS {
+        append(&torn, idx, &[&copied]);
+    }
+
+    let before = log_bytes(&torn);
     let recovered = recover_copy(&data, &torn, Some(&ckpt_dir));
-    assert_eq!(recovered.rolled_forward, SHARDS - 1);
     assert_eq!(recovered.model_events, 2);
     for shard in recovered.engine.shard_engines() {
-        assert_eq!(shard.version(), 3, "roll-forward must restore lockstep");
+        assert_eq!(shard.version(), 3, "every shard serves shard 0's lineage");
     }
     assert_eq!(probe_bits(&recovered.engine), reference_bits);
     drop(recovered);
-
-    // The repair was durable: recovering the repaired root again finds
-    // every log already even.
-    let again = recover_copy(&data, &torn, Some(&ckpt_dir));
-    assert_eq!(
-        again.rolled_forward, 0,
-        "repair must persist across recoveries"
-    );
-    for shard in again.engine.shard_engines() {
-        assert_eq!(shard.version(), 3);
-    }
+    assert_eq!(log_bytes(&torn), before, "recovery appends nothing");
 }
 
 /// Logs that are not prefix-chained (two shards claiming different
@@ -404,11 +412,11 @@ fn dirty_roots_and_shard_count_mismatches_are_refused() {
 /// One step of a generated history.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Install candidate `k` on every shard from a fresh checkpoint.
+    /// Install candidate `k` from a fresh checkpoint.
     Promote(usize),
-    /// Install without a checkpoint — WAL-attached shards must refuse.
+    /// Install without a checkpoint — a WAL-attached engine must refuse.
     PromoteUnsaved,
-    /// Demote every shard, in shard order.
+    /// Demote the engine.
     Demote,
     Insert,
 }
@@ -422,33 +430,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-/// Demotes every shard. `ShardedEngine` has no demotion of its own, so
-/// this is what an operator would do: shard by shard, retrying a shard
-/// whose prepare hit an injected fault until it follows the others.
-fn demote_every_shard(engine: &ShardedEngine) -> Option<u64> {
-    let mut versions = BTreeSet::new();
-    for shard in engine.shard_engines() {
-        let version = loop {
-            match shard.demote() {
-                Ok(version) => break version,
-                Err(ServeError::Injected { .. }) => continue,
-                Err(other) => panic!("demote failed: {other:?}"),
-            }
-        };
-        versions.insert(version);
-    }
-    assert_eq!(versions.len(), 1, "shards demoted apart: {versions:?}");
-    versions.into_iter().next().expect("at least one shard")
-}
-
-/// Drives `ops` against a 3-shard WAL-attached engine whose per-shard
-/// `online.swap` sites fail at `fault_rate`, checking after every step
-/// that every shard's live lineage is the fold of that shard's log so far
-/// and the same on all shards, that an aborted install changed nothing,
-/// that versions never repeat and the history never exceeds its cap —
-/// and, at step `crash_at`, that a recovery from the disk image is the
-/// live engine, lineage and answer bits. (A refused *append* mid-install
-/// leaves shards apart by design; that is the roll-forward case above.)
+/// Drives `ops` against a 3-shard WAL-attached engine whose shard 0
+/// `online.swap` site — the one installs and demotions go through — fails
+/// at `fault_rate`, checking after every step that shard 0's log folds to
+/// the live lineage every shard shares and the other logs hold no model
+/// record, that an aborted install or demotion changed nothing, that
+/// versions never repeat and the history never exceeds its cap — and, at
+/// step `crash_at`, that a recovery from the disk image is the live
+/// engine, lineage and answer bits.
 fn run_history(label: &str, ops: &[Op], crash_at: usize, fault_seed: u64, fault_rate: f64) {
     const N: usize = 3;
     let tmp = TempDir::new(label);
@@ -510,7 +499,11 @@ fn run_history(label: &str, ops: &[Op], crash_at: usize, fault_seed: u64, fault_
                 );
                 None
             }
-            Op::Demote => demote_every_shard(&engine),
+            Op::Demote => match engine.demote() {
+                Ok(moved) => moved,
+                Err(ServeError::Injected { .. }) => None,
+                Err(other) => panic!("step {step}: demote failed: {other:?}"),
+            },
             Op::Insert => {
                 engine.insert_rating(rating(step)).expect("acked insert");
                 None
@@ -532,10 +525,14 @@ fn run_history(label: &str, ops: &[Op], crash_at: usize, fault_seed: u64, fault_
             assert_eq!(shard.lineage(), live, "step {step}: shard {idx} fell apart");
             let (_, log) = Wal::open(shard_dir(&scratch, idx), strict_opts()).expect("open copy");
             let fold = fold_log(&log.records, None).expect("fold");
-            assert_eq!(
-                fold.lineage, live,
-                "step {step} {op:?}: shard {idx} vs its log"
-            );
+            if idx == 0 {
+                assert_eq!(fold.lineage, live, "step {step} {op:?}: shard 0 vs its log");
+            } else {
+                assert!(
+                    fold.events.is_empty(),
+                    "step {step} {op:?}: shard {idx}'s log holds a model record"
+                );
+            }
         }
 
         if step == crash_at {
@@ -552,14 +549,13 @@ fn run_history(label: &str, ops: &[Op], crash_at: usize, fault_seed: u64, fault_
                 strict_opts(),
             )
             .expect("recover sharded");
-            assert_eq!(recovered.rolled_forward, 0);
+            assert!(recovered.dropped_history.is_empty());
             for (idx, shard) in recovered.engine.shard_engines().iter().enumerate() {
                 assert_eq!(
                     shard.lineage(),
                     live,
                     "recovered shard {idx} at step {step}"
                 );
-                assert!(recovered.dropped_history_per_shard[idx].is_empty());
             }
             assert_eq!(bits(&recovered.engine), bits(&engine), "step {step}");
         }
@@ -583,7 +579,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Generated promote / demote / insert histories under injected
-    /// per-shard prepare faults (see [`run_history`]).
+    /// swap faults (see [`run_history`]).
     #[test]
     fn generated_histories_keep_shards_in_lockstep_and_recover(
         ops in vec(op_strategy(), 10..24),
