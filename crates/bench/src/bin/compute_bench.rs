@@ -206,24 +206,30 @@ struct MhsaReport {
     /// the attention layer around it.
     share_of_matmul_peak: f64,
     /// Best-of wall time of one `MultiHeadSelfAttention::forward` on an
-    /// input that takes a gradient: `micros_1t` plus keeping `Q`
-    /// and the softmax rows (and allocating what the no-grad forward is
-    /// handed).
+    /// input that takes a gradient: where the layer runs in one pass (MBA
+    /// on avx2 / avx512), `micros_1t`'s forward keeping nothing; otherwise
+    /// the composition keeping `Q`, `K`, `V`, `O` and the softmax rows
+    /// (and allocating what the no-grad forward is handed).
     tape_forward_us: f64,
     /// Best-of wall time of that node's backward (all four weight
     /// gradients and `dX`).
     tape_backward_us: f64,
-    /// Best-of wall time of its attention tiles' backward
+    /// Composition: best-of wall time of its attention tiles' backward
     /// (`linalg::attention_backward_into_with_isa`: `dQ | dK | dV` from the
-    /// saved `Q`, `K`, `V`, softmax rows and `dO`).
+    /// saved `Q`, `K`, `V`, softmax rows and `dO`). One pass: of the lane
+    /// backward without `dX` (`linalg::mhsa_one_pass_backward` with no
+    /// `dx`) — recomputing each head's `Q`, `K`, `V`, softmax rows and
+    /// `O`, `dO`, the tiles' backward and the weight gradients, which it
+    /// runs head by head and does not split.
     bwd_attn_us: f64,
-    /// Best-of wall time of its two weight-gradient products
+    /// Composition: best-of wall time of its two weight-gradient products
     /// (`matmul2d_tn`): `dW_O = Oᵀ·dY` and `[dW_Q | dW_K | dW_V] = Xᵀ·[dQ |
-    /// dK | dV]`.
-    bwd_dw_us: f64,
-    /// Best-of wall time of its two input-gradient products
+    /// dK | dV]`. One pass: `null`, inside `bwd_attn_us`.
+    bwd_dw_us: Option<f64>,
+    /// Composition: best-of wall time of its two input-gradient products
     /// (`matmul2d_nt`): `dO = dY·W_Oᵀ` and `dX = [dQ | dK | dV]·[W_Q | W_K
-    /// | W_V]ᵀ`.
+    /// | W_V]ᵀ`. One pass: what asking the lane backward for `dX` as well
+    /// adds to `bwd_attn_us` (best-of with, less best-of without).
     bwd_dx_us: f64,
 }
 
@@ -477,49 +483,66 @@ fn bench_mhsa(
             linalg::linear_into(&w.w_o, q, y, isa);
             std::hint::black_box(&y);
         });
-        // The tape node's backward a stage at a time, over what its forward
-        // saves — fresh projections, their softmax rows and `O` — and a
-        // random `dY` (from a generator of its own, so the tape rows below
-        // draw what they always drew).
-        for (w, out) in [(&w.w_q, &mut *q), (&w.w_k, &mut *k), (&w.w_v, &mut *v)] {
-            linalg::linear_into(w, x.as_slice(), out, isa);
-        }
+        // The tape node's backward a stage at a time, over a random `dY`
+        // (from a generator of its own, so the tape rows below draw what
+        // they always drew): in one pass, the lane backward without and
+        // with `dX`; otherwise the composition's stages over what its
+        // forward saves — fresh projections, their softmax rows and `O`.
         let (rows, width) = (grid.rows(), grid.width());
-        let (mut o, mut p) = (q.to_vec(), vec![0.0f32; grid.probs_len()]);
-        linalg::attention_probs_into(&grid, &mut o, k, v, &mut p, scratch);
-        let o = NdArray::from_vec([rows, width], o);
         let dy = NdArray::randn([rows, d], 0.0, 1.0, &mut StdRng::seed_from_u64(0xD1));
-        let d_o = linalg::matmul2d_nt(&dy, &w.w_o);
-        let mut d_qkv = vec![0.0f32; rows * 3 * width];
-        let bwd_attn = time_best(reps, || {
-            linalg::attention_backward_into_with_isa(
-                &grid,
-                q,
-                k,
-                v,
-                &p,
-                d_o.as_slice(),
-                &mut d_qkv,
-                isa,
-            );
-        });
-        let d_qkv = NdArray::from_vec([rows, 3 * width], d_qkv);
-        let x_rows = x.reshape([rows, d]);
-        let bwd_dw = time_best(reps, || {
-            let dw = (
-                linalg::matmul2d_tn(&o, &dy),
-                linalg::matmul2d_tn(&x_rows, &d_qkv),
-            );
-            std::hint::black_box(&dw);
-        });
-        let w_qkv = linalg::concat_last(&[&w.w_q, &w.w_k, &w.w_v]);
-        let bwd_dx = time_best(reps, || {
-            let dx = (
-                linalg::matmul2d_nt(&dy, &w.w_o),
-                linalg::matmul2d_nt(&d_qkv, &w_qkv),
-            );
-            std::hint::black_box(&dx);
-        });
+        let (bwd_attn, bwd_dw, bwd_dx) = if grid.one_pass(d, isa) {
+            let weights = [&w.w_q, &w.w_k, &w.w_v, &w.w_o].map(NdArray::as_slice);
+            let (x, dy) = (x.as_slice(), dy.as_slice());
+            let lanes = time_best(reps, || {
+                let dw = linalg::mhsa_one_pass_backward(&grid, x, weights, dy, None, isa);
+                std::hint::black_box(&dw);
+            });
+            let mut dx = vec![0.0f32; x.len()];
+            let with_dx = time_best(reps, || {
+                let dw = linalg::mhsa_one_pass_backward(&grid, x, weights, dy, Some(&mut dx), isa);
+                std::hint::black_box(&dw);
+            });
+            (lanes, None, with_dx - lanes)
+        } else {
+            for (w, out) in [(&w.w_q, &mut *q), (&w.w_k, &mut *k), (&w.w_v, &mut *v)] {
+                linalg::linear_into(w, x.as_slice(), out, isa);
+            }
+            let (mut o, mut p) = (q.to_vec(), vec![0.0f32; grid.probs_len()]);
+            linalg::attention_probs_into(&grid, &mut o, k, v, &mut p, scratch);
+            let o = NdArray::from_vec([rows, width], o);
+            let d_o = linalg::matmul2d_nt(&dy, &w.w_o);
+            let mut d_qkv = vec![0.0f32; rows * 3 * width];
+            let bwd_attn = time_best(reps, || {
+                linalg::attention_backward_into_with_isa(
+                    &grid,
+                    q,
+                    k,
+                    v,
+                    &p,
+                    d_o.as_slice(),
+                    &mut d_qkv,
+                    isa,
+                );
+            });
+            let d_qkv = NdArray::from_vec([rows, 3 * width], d_qkv);
+            let x_rows = x.reshape([rows, d]);
+            let bwd_dw = time_best(reps, || {
+                let dw = (
+                    linalg::matmul2d_tn(&o, &dy),
+                    linalg::matmul2d_tn(&x_rows, &d_qkv),
+                );
+                std::hint::black_box(&dw);
+            });
+            let w_qkv = linalg::concat_last(&[&w.w_q, &w.w_k, &w.w_v]);
+            let bwd_dx = time_best(reps, || {
+                let dx = (
+                    linalg::matmul2d_nt(&dy, &w.w_o),
+                    linalg::matmul2d_nt(&d_qkv, &w_qkv),
+                );
+                std::hint::black_box(&dx);
+            });
+            (bwd_attn, Some(bwd_dw), bwd_dx)
+        };
         let layer_on_tape = MultiHeadSelfAttention::new(d, l, dk, &mut rng);
         let x_on_tape = Tensor::parameter(x.clone());
         let tape_forward = time_best(reps, || {
@@ -548,7 +571,7 @@ fn bench_mhsa(
             tape_forward_us: tape_forward * 1e6,
             tape_backward_us: tape_backward * 1e6,
             bwd_attn_us: bwd_attn * 1e6,
-            bwd_dw_us: bwd_dw * 1e6,
+            bwd_dw_us: bwd_dw.map(|t| t * 1e6),
             bwd_dx_us: bwd_dx * 1e6,
         }
     })
@@ -950,7 +973,7 @@ fn main() {
         let mhsa = bench_mhsa(config, cfg, h, reps, matmul[0].gflops_blocked_1t);
         for r in &mhsa {
             eprintln!(
-                "  mhsa {} {} {:?}: {:.1} us (projections {:.1}, attention {:.1}, W_O {:.1}), {:.2} GF/s ({:.0} % of the matmul peak); on the tape {:.1} us forward, {:.1} us backward (attention {:.1}, dW {:.1}, dX {:.1})",
+                "  mhsa {} {} {:?}: {:.1} us (projections {:.1}, attention {:.1}, W_O {:.1}), {:.2} GF/s ({:.0} % of the matmul peak); on the tape {:.1} us forward, {:.1} us backward ({}, dX {:.1})",
                 r.config,
                 r.layer,
                 r.shape,
@@ -962,8 +985,10 @@ fn main() {
                 100.0 * r.share_of_matmul_peak,
                 r.tape_forward_us,
                 r.tape_backward_us,
-                r.bwd_attn_us,
-                r.bwd_dw_us,
+                match r.bwd_dw_us {
+                    Some(dw) => format!("attention {:.1}, dW {dw:.1}", r.bwd_attn_us),
+                    None => format!("one pass: lanes and dW {:.1}", r.bwd_attn_us),
+                },
                 r.bwd_dx_us
             );
         }

@@ -1,7 +1,8 @@
 //! A counting `#[global_allocator]` for the allocation-budget tests
 //! (`train_allocs.rs` here, `forward_allocs.rs` in `hire-serve`, which
 //! includes this file by path): allocation calls made on the calling thread
-//! while [`allocations`] runs its closure, and the bytes they asked for.
+//! while [`allocations`] runs its closure, the bytes they asked for, and
+//! the largest one.
 //! Each including test is its own binary, so the process-wide allocator is
 //! that test's alone.
 
@@ -16,6 +17,7 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<u64> = const { Cell::new(0) };
 }
 
 fn record(bytes: usize) {
@@ -23,6 +25,7 @@ fn record(bytes: usize) {
         if on.get() {
             let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
             let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+            let _ = LARGEST.try_with(|n| n.set(n.get().max(bytes as u64)));
         }
     });
 }
@@ -57,16 +60,20 @@ pub struct Allocations {
     pub calls: u64,
     /// Bytes those calls asked for (a `realloc` counts its new size).
     pub bytes: u64,
+    /// The most bytes one of them asked for.
+    pub largest: u64,
 }
 
-/// Allocation calls `f` makes on this thread, and their bytes.
+/// Allocation calls `f` makes on this thread, their bytes, and the largest.
 pub fn allocations(f: impl FnOnce()) -> Allocations {
     let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    LARGEST.with(|n| n.set(0));
     COUNTING.with(|on| on.set(true));
     f();
     COUNTING.with(|on| on.set(false));
     Allocations {
         calls: ALLOCS.with(Cell::get) - before.0,
         bytes: BYTES.with(Cell::get) - before.1,
+        largest: LARGEST.with(Cell::get),
     }
 }

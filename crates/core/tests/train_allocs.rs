@@ -3,8 +3,13 @@
 //! per layer, one `context_loss` + `backward` on a 16×16, 2-block model made
 //! 3 467 allocations; as one node per layer it made 1 098, and 1 002 once
 //! the node's attention backward wrote its three gradients into one buffer
-//! and `tn` stopped copying its operand. This pins it there + 10 %, so a
-//! layer that falls back to composing tensor ops — or a
+//! and `tn` stopped copying its operand. Where MBA's node runs in one pass
+//! (avx2 / avx512) and keeps nothing but its input it makes 962 of 7.97 MB
+//! (avx512; 1 002 of 13.4 MB before), and no allocation reaches glibc's
+//! default `mmap` threshold: the largest is the lane backward's 107 KB of
+//! panels, where the composition's `[dQ | dK | dV]` was 885 KB. Scalar
+//! keeps the composition and its budget. Each pins its count and bytes
+//! plus 10 %, so a layer that falls back to composing tensor ops — or a
 //! backward that copies what it only reads — shows up here rather than as a
 //! slow drift in the ledger's `train.allocs_per_step`.
 //!
@@ -13,7 +18,9 @@
 use hire_core::{HireConfig, HireModel};
 use hire_data::{training_context, SyntheticConfig};
 use hire_graph::NeighborhoodSampler;
-use hire_nn::Module;
+use hire_nn::{Module, MultiHeadSelfAttention};
+use hire_tensor::simd::{self, Isa};
+use hire_tensor::{AttnGrid, NdArray, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,9 +29,16 @@ mod support {
 }
 use support::counting_alloc::allocations;
 
+/// glibc's default `mmap` threshold: an allocation this large or larger is
+/// mapped and unmapped afresh each call until the threshold adapts.
+const MMAP_THRESHOLD: u64 = 128 * 1024;
+
 #[test]
 fn steady_state_loss_and_backward_stay_within_their_allocation_budget() {
-    const BUDGET: u64 = 1102;
+    let (budget, bytes_budget) = match simd::active_isa() {
+        Isa::Scalar => (1102, 14_700_000),
+        Isa::Avx2 | Isa::Avx512 => (1058, 8_770_000),
+    };
     let dataset = SyntheticConfig::movielens_like()
         .scaled(60, 50, (10, 20))
         .generate(5);
@@ -48,13 +62,60 @@ fn steady_state_loss_and_backward_stay_within_their_allocation_budget() {
     // the trainer does, so each backward allocates them anew.
     let step = || {
         model.parameters().iter().for_each(|p| p.zero_grad());
-        allocations(|| model.context_loss(&ctx, &dataset).backward()).calls
+        allocations(|| model.context_loss(&ctx, &dataset).backward())
     };
     step();
     let (first, again) = (step(), step());
-    assert_eq!(first, again, "a steady-state step's count repeats");
+    assert_eq!(first, again, "a steady-state step's allocations repeat");
     assert!(
-        (1..=BUDGET).contains(&first),
-        "context_loss + backward made {first} allocations, budget {BUDGET}"
+        (1..=budget).contains(&first.calls) && first.bytes <= bytes_budget,
+        "context_loss + backward made {} allocations of {} bytes, budget {budget} of {bytes_budget}",
+        first.calls,
+        first.bytes
+    );
+    if simd::active_isa() != Isa::Scalar {
+        assert!(
+            first.largest < MMAP_THRESHOLD,
+            "a training step allocated {} bytes at once",
+            first.largest
+        );
+    }
+}
+
+/// MBA's node at `fast` (256 cells of 9 attribute rows of width 8, 4 × 8
+/// heads), forward and backward: where it runs in one pass, every buffer it
+/// allocates — its output, its gradients, the lane backward's panels and
+/// rows — stays below the `mmap` threshold. (On scalar the node is the
+/// composition, whose `[dQ | dK | dV]` alone is 885 KB: nothing to pin.)
+#[test]
+fn one_pass_mba_node_allocates_nothing_the_size_of_an_mmap() {
+    let (cells, h, f, l, dk) = (256, 9, 8, 4, 8);
+    let grid = AttnGrid {
+        outer: cells,
+        tokens: h,
+        inner: 1,
+        heads: l,
+        head_dim: dk,
+    };
+    if !grid.one_pass(f, simd::active_isa()) {
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(9);
+    let mhsa = MultiHeadSelfAttention::new(f, l, dk, &mut rng);
+    let x = Tensor::parameter(NdArray::randn([cells, h, f], 0.0, 1.0, &mut rng));
+    let seed = NdArray::randn([cells, h, f], 0.0, 1.0, &mut rng);
+    let step = || {
+        allocations(|| {
+            mhsa.forward_layout(&x, [cells, h, 1])
+                .output
+                .backward_with(seed.clone())
+        })
+    };
+    step();
+    let counted = step();
+    assert!(
+        counted.largest < MMAP_THRESHOLD,
+        "MBA's node allocated {} bytes at once ({counted:?})",
+        counted.largest
     );
 }

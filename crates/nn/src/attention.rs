@@ -1,26 +1,40 @@
 //! Multi-head self-attention (Eq. (1)-(4) of the paper) with batched
 //! parameter sharing — the building block of the Heterogeneous Interaction
-//! Module — as **one** autograd node.
+//! Module — as **one** autograd node, of one of two kinds picked by the one
+//! predicate serving picks its forward by, [`AttnGrid::one_pass`]:
 //!
-//! The node's forward is [`crate::mhsa_forward_into`]'s body, the forward
-//! the serving path runs, asked for the intermediates its backward reads:
-//! the composition's path, which the one pass serving takes where each
-//! head is as wide as the rows (MBA) reproduces bit for bit
-//! (`tests/mhsa_oracle.rs`, `tests/mhsa_tape_oracle.rs`), so tape and
-//! frozen outputs are the same bits. Its backward is written out here over
-//! `hire_tensor::linalg`: two products around `W_O`, the attention tile
-//! kernel ([`linalg::attention_backward_into_with_isa`]) over the saved
-//! `Q`, `K`, `V` and softmax rows, writing `[dQ | dK | dV]` side by side
-//! into one `[rows, 3·width]` buffer, then one `tn` and one `nt` product
-//! over it for the three input projections' weights and for `dX`. No
-//! head-split `permute`, no `Kᵀ`, no score tensor and none of their
-//! gradients is ever materialised.
+//! * a layer that runs in one pass (MBA on avx2 / avx512): the node's
+//!   forward is serving's, [`crate::mhsa_forward_into`] into
+//!   `linalg::mhsa_one_pass_into`, and it keeps nothing — its input is on
+//!   the tape already. Its backward, [`linalg::mhsa_one_pass_backward`],
+//!   recomputes what it reads a lane group of sequences at a time and
+//!   backpropagates the group in the lanes.
+//! * every other layer (MBU / MBI; every layer on scalar): the forward is
+//!   the composition, asked for the Q, K, V, `O` and softmax rows its
+//!   backward reads, which is written out here over `hire_tensor::linalg`:
+//!   two products around `W_O`, the attention tile kernel
+//!   ([`linalg::attention_backward_into_with_isa`]) writing `[dQ | dK |
+//!   dV]` side by side into one `[rows, 3·width]` buffer, then one `tn` and
+//!   one `nt` product over it for the three input projections' weights and
+//!   for `dX`.
+//!
+//! The two forwards are the same bits (`tests/mhsa_oracle.rs`), and so are
+//! the two backwards: per element the one-pass backward runs the
+//! composition backward's chains (`tests/mhsa_tape_oracle.rs` holds them
+//! bitwise equal over generated shapes, both sides of the predicate), so
+//! tape and frozen outputs, and every gradient, are the bits whichever node
+//! a layer gets. No head-split `permute`, no `Kᵀ`, no score tensor and none
+//! of their gradients is ever materialised. [`AttentionOutput::weights`]
+//! (Fig. 9) recomputes the softmax rows from the kept input.
 
 use crate::module::Module;
-use crate::nograd::{mhsa_forward_over, sequence_layout, Intermediates, MhsaWeights};
-use hire_tensor::{init, linalg, simd, AttnGrid, NdArray, Tensor};
+use crate::nograd::{
+    forward_aligned, mhsa_forward_over, sequence_layout, Intermediates, MhsaWeights,
+};
+use hire_tensor::autograd::BackwardFn;
+use hire_tensor::simd::{self, Isa};
+use hire_tensor::{init, linalg, AttnGrid, NdArray, Tensor};
 use rand::Rng;
-use std::rc::Rc;
 
 /// Multi-head self-attention along one axis of its input.
 ///
@@ -45,7 +59,7 @@ pub struct MultiHeadSelfAttention {
     model_dim: usize,
 }
 
-/// What the `mhsa` node keeps from its forward for its backward.
+/// What the composition node keeps from its forward for its backward.
 struct Saved {
     grid: AttnGrid,
     /// The Q, K and V projections, `[rows, width]` each.
@@ -60,19 +74,26 @@ struct Saved {
 pub struct AttentionOutput {
     /// Fused embeddings, same shape as the input.
     pub output: Tensor,
-    saved: Rc<Saved>,
+    /// The layer's input and projections, `[x, w_q, w_k, w_v, w_o]`.
+    inputs: Vec<Tensor>,
+    grid: AttnGrid,
 }
 
 impl AttentionOutput {
     /// Attention weights `[batch, heads, t, t]` (detached values; for a
     /// `[outer, tokens, inner]` layout, `batch = outer * inner` in that
-    /// order) — the very rows the backward pass reads, copied out.
+    /// order): the composition's softmax rows, recomputed from the layer's
+    /// input and its weights as they are when this is called — the rows the
+    /// forward multiplied into `V`, bit for bit, until an optimiser step
+    /// moves the weights.
     pub fn weights(&self) -> NdArray {
-        let g = &self.saved.grid;
-        NdArray::from_vec(
-            [g.outer * g.inner, g.heads, g.tokens, g.tokens],
-            self.saved.p.clone(),
-        )
+        let g = &self.grid;
+        let probs = self.inputs[0].with_value(|x| {
+            with_weights(&self.inputs[1..], g.heads, g.head_dim, |w| {
+                compose(x.as_slice(), g, w).1.p
+            })
+        });
+        NdArray::from_vec([g.outer * g.inner, g.heads, g.tokens, g.tokens], probs)
     }
 }
 
@@ -149,57 +170,112 @@ impl MultiHeadSelfAttention {
     /// only the attention tiles see the layout, as a stride — which is how
     /// HIM runs MBU `[1, n, m]`, MBI `[n, m, 1]` and MBA `[n·m, h, 1]` over
     /// one `[n, m, e]` activation without permuting it.
+    ///
+    /// A layer that runs in one pass ([`AttnGrid::one_pass`]: MBA on avx2 /
+    /// avx512) runs the serving forward and keeps nothing but its input,
+    /// which is on the tape already; its backward recomputes what it reads
+    /// ([`linalg::mhsa_one_pass_backward`]). Every other layer runs the
+    /// composition and keeps Q, K, V, the softmax rows and `O` for its
+    /// backward. Both backwards are the same bits.
     pub fn forward_layout(&self, x: &Tensor, layout: [usize; 3]) -> AttentionOutput {
         let (heads, head_dim) = (self.heads, self.head_dim);
-        let parents = vec![
+        let inputs = vec![
             x.clone(),
             self.w_q.clone(),
             self.w_k.clone(),
             self.w_v.clone(),
             self.w_o.clone(),
         ];
-        let (value, saved) = x.with_value(|x| {
-            with_weights(&parents[1..], heads, head_dim, |w| {
+        let isa = simd::active_isa();
+        let (grid, value, backward) = x.with_value(|x| {
+            with_weights(&inputs[1..], heads, head_dim, |w| {
                 let grid = w.grid(layout);
-                let (rows, width) = (grid.rows(), grid.width());
-                let buffer = || vec![0.0f32; rows * width];
-                let (mut q, mut o, mut k, mut v) = (buffer(), buffer(), buffer(), buffer());
-                let mut p = vec![0.0; grid.probs_len()];
-                let mut y = vec![0.0; x.numel()];
-                mhsa_forward_over(
-                    x.as_slice(),
-                    &grid,
-                    w,
-                    simd::active_isa(),
-                    &mut vec![0.0; grid.scratch_len()],
-                    &mut y,
-                    Some(Intermediates {
-                        qkv: [&mut q, &mut k, &mut v],
-                        o: &mut o,
-                        probs: &mut p,
-                    }),
-                );
-                let saved = Saved {
-                    grid,
-                    qkv: [q, k, v],
-                    p,
-                    o: NdArray::from_vec([rows, width], o),
+                let (y, backward): (Vec<f32>, BackwardFn) = if grid.one_pass(w.model_dim(), isa) {
+                    let y = forward_aligned(x.as_slice(), layout, w, isa);
+                    let backward = move |g: &NdArray, parents: &[Tensor]| {
+                        one_pass_backward(&grid, isa, g, parents)
+                    };
+                    (y, Box::new(backward))
+                } else {
+                    let (y, saved) = compose(x.as_slice(), &grid, w);
+                    (
+                        y,
+                        Box::new(move |g: &NdArray, parents: &[Tensor]| {
+                            backward(&saved, g, parents)
+                        }),
+                    )
                 };
-                (NdArray::from_vec(x.shape().clone(), y), saved)
+                (grid, NdArray::from_vec(x.shape().clone(), y), backward)
             })
         });
-        let saved = Rc::new(saved);
-        let kept = Rc::clone(&saved);
-        let output = Tensor::from_op(
-            value,
-            parents,
-            Box::new(move |g, parents| backward(&kept, g, parents)),
-        );
-        AttentionOutput { output, saved }
+        let output = Tensor::from_op(value, inputs.clone(), backward);
+        AttentionOutput {
+            output,
+            inputs,
+            grid,
+        }
     }
 }
 
-/// The `mhsa` node's backward: `g = dY`, `parents = [x, w_q, w_k, w_v,
+/// The composition over `x` (`[rows, d]` for `grid`): the projections, the
+/// attention tiles with their softmax rows, `W_O` — the output, and what
+/// the composition node's backward reads.
+fn compose(x: &[f32], grid: &AttnGrid, w: &MhsaWeights<&NdArray>) -> (Vec<f32>, Saved) {
+    let (rows, width) = (grid.rows(), grid.width());
+    let buffer = || vec![0.0f32; rows * width];
+    let (mut q, mut o, mut k, mut v) = (buffer(), buffer(), buffer(), buffer());
+    let mut p = vec![0.0; grid.probs_len()];
+    let mut y = vec![0.0; x.len()];
+    mhsa_forward_over(
+        x,
+        grid,
+        w,
+        simd::active_isa(),
+        &mut vec![0.0; grid.scratch_len()],
+        &mut y,
+        Some(Intermediates {
+            qkv: [&mut q, &mut k, &mut v],
+            o: &mut o,
+            probs: &mut p,
+        }),
+    );
+    let saved = Saved {
+        grid: *grid,
+        qkv: [q, k, v],
+        p,
+        o: NdArray::from_vec([rows, width], o),
+    };
+    (y, saved)
+}
+
+/// The one-pass node's backward: `g = dY`, `parents = [x, w_q, w_k, w_v,
+/// w_o]` — [`linalg::mhsa_one_pass_backward`] over `x`, the one thing of
+/// the forward it reads (`dX` skipped for an `x` that takes no gradient).
+fn one_pass_backward(
+    grid: &AttnGrid,
+    isa: Isa,
+    g: &NdArray,
+    parents: &[Tensor],
+) -> Vec<Option<NdArray>> {
+    with_weights(&parents[1..], grid.heads, grid.head_dim, |w| {
+        parents[0].with_value(|x| {
+            let mut dx = parents[0].requires_grad().then(|| vec![0.0f32; x.numel()]);
+            let weights = [w.w_q, w.w_k, w.w_v, w.w_o].map(NdArray::as_slice);
+            let [d_wq, d_wk, d_wv, d_wo] = linalg::mhsa_one_pass_backward(
+                grid,
+                x.as_slice(),
+                weights,
+                g.as_slice(),
+                dx.as_deref_mut(),
+                isa,
+            );
+            let dx = dx.map(|dx| NdArray::from_vec(x.shape().clone(), dx));
+            vec![dx, Some(d_wq), Some(d_wk), Some(d_wv), Some(d_wo)]
+        })
+    })
+}
+
+/// The composition node's backward: `g = dY`, `parents = [x, w_q, w_k, w_v,
 /// w_o]`. With `O` the merged-head attention output (`Y = O·W_O`):
 /// `dW_O = Oᵀ·dY`, `dO = dY·W_Oᵀ`, the tile kernel turns `dO` into `dQ`,
 /// `dK`, `dV`, and with `G = [dQ | dK | dV]` and `W = [W_Q | W_K | W_V]`,

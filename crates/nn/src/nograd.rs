@@ -28,8 +28,10 @@
 //! building a backward graph per query is pure overhead and `Tensor`'s `Rc`
 //! interior forbids sharing across worker threads — and the tape's
 //! [`crate::MultiHeadSelfAttention`] runs the same body as the forward of
-//! its one autograd node, asking it for Q, K, V, `O` and the softmax rows
-//! for its backward, which the composition computes anyway. A frozen model
+//! its one autograd node: for a layer that runs in one pass, exactly
+//! serving's forward, keeping nothing (its backward recomputes what it
+//! reads); for every other, the composition, asked for Q, K, V, `O` and the
+//! softmax rows for its backward, which it computes anyway. A frozen model
 //! therefore agrees bit for bit with the live model it was exported from,
 //! on every ISA.
 //!
@@ -146,14 +148,27 @@ pub fn mhsa_forward_with_isa<W: Borrow<NdArray>>(
     isa: Isa,
 ) -> NdArray {
     let layout = sequence_layout(x.dims(), w.model_dim());
-    // 15 spare floats start the workspace on a 64-byte boundary; its Q, K
-    // and V buffers, or the one-pass kernel's panels, are each a multiple of
-    // 16 floats at HIM's shapes, so they all land on one.
+    NdArray::from_vec(
+        x.shape().clone(),
+        forward_aligned(x.as_slice(), layout, w, isa),
+    )
+}
+
+/// [`mhsa_forward_into`] into a fresh output, through a workspace of its
+/// own: 15 spare floats start it on a 64-byte boundary, and its Q, K and V
+/// buffers, or the one-pass kernel's panels, are each a multiple of 16
+/// floats at HIM's shapes, so they all land on one.
+pub(crate) fn forward_aligned<W: Borrow<NdArray>>(
+    x: &[f32],
+    layout: [usize; 3],
+    w: &MhsaWeights<W>,
+    isa: Isa,
+) -> Vec<f32> {
     let mut memory = vec![0.0f32; mhsa_workspace_len(layout, w, isa) + 15];
     let skip = memory.as_ptr().align_offset(64).min(15);
-    let mut y = vec![0.0f32; x.numel()];
-    mhsa_forward_into(x.as_slice(), layout, w, isa, &mut memory[skip..], &mut y);
-    NdArray::from_vec(x.shape().clone(), y)
+    let mut y = vec![0.0f32; x.len()];
+    mhsa_forward_into(x, layout, w, isa, &mut memory[skip..], &mut y);
+    y
 }
 
 /// The `[batch, t, 1]` layout of a `[t, d]` or `[batch, t, d]` input whose
@@ -215,7 +230,7 @@ pub fn mhsa_forward_into<W: Borrow<NdArray>>(
     mhsa_forward_over(x, &w.grid(layout), w, isa, workspace, y, None);
 }
 
-/// What the tape's `mhsa` node keeps from its forward for its backward.
+/// What the tape's composition node keeps from its forward for its backward.
 pub(crate) struct Intermediates<'a> {
     /// The Q, K and V projections, `[rows, width]` each.
     pub(crate) qkv: [&'a mut [f32]; 3],
@@ -233,10 +248,9 @@ pub(crate) struct Intermediates<'a> {
 /// (`linalg::mhsa_one_pass_into`); every other runs the composition the
 /// one-pass kernel reproduces bit for bit — the Q, K and V projections into
 /// `[rows, width]` buffers carved from `workspace`, the attention tiles over
-/// them, `W_O`. With `saved` (the tape) the composition always runs, into
-/// `saved`'s buffers, and `workspace` needs only [`AttnGrid::scratch_len`]:
-/// its intermediates are what the backward reads, and writing them out of
-/// the lanes measured slower than computing them in place.
+/// them, `W_O`. With `saved` (the tape's composition node, and Fig. 9's
+/// softmax rows) the composition runs into `saved`'s buffers, and
+/// `workspace` needs only [`AttnGrid::scratch_len`].
 pub(crate) fn mhsa_forward_over<W: Borrow<NdArray>>(
     x: &[f32],
     grid: &AttnGrid,

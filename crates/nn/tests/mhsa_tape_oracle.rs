@@ -8,12 +8,20 @@
 //! **bitwise**; `dX` and all four `dW` within 1e-5 of the composed
 //! backward, relative to the gradient's largest entry (the two backwards
 //! sum in different orders, and the composed one reduces its softmax rows
-//! in f64). Tensor ops dispatch on the process's ISA, so each ISA is one run
-//! of this file under `HIRE_ISA` (CI's matrix); per-ISA in one process is
-//! `mhsa_oracle.rs` (forward and softmax rows) and
-//! `hire-tensor`'s `kernel_oracles.rs` (backward tiles).
+//! in f64).
+//!
+//! The node's own backward has a second, bitwise oracle here: the products
+//! the composition node ran over its saved intermediates, kept verbatim
+//! (`composition_backward`). A layer that runs in one pass (MBA on avx2 /
+//! avx512) keeps none of them and recomputes what it reads; its `dX` and
+//! all four `dW` must be those products' bits, on both sides of the
+//! predicate. Tensor ops dispatch on the process's ISA, so each ISA is one
+//! run of this file under `HIRE_ISA` (CI's matrix); per-ISA in one process
+//! is `mhsa_oracle.rs` (forward and softmax rows) and `hire-tensor`'s
+//! `kernel_oracles.rs` (backward tiles).
 
-use hire_nn::{mhsa_forward, MhsaWeights, Module, MultiHeadSelfAttention};
+use hire_nn::{mhsa_forward_into, mhsa_workspace_len, MhsaWeights, Module, MultiHeadSelfAttention};
+use hire_tensor::simd::active_isa;
 use hire_tensor::{linalg, AttnGrid, NdArray, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -172,48 +180,27 @@ fn him_views_match_the_composed_tape() {
     assert_matches_composed(&[n, m, h * f], [n * m, h, 1], f, 4, 8, 3);
 }
 
-/// MBA at the `fast` shape — nine attribute rows of width 8 per cell under
-/// 4 × 8 heads, the layer the no-grad forward runs in one pass —
-/// through the tape node: the output is the no-grad forward's, and the five
-/// gradients are the node's backward products over the composition's own
-/// intermediates (the projections, the attention tiles and their softmax
-/// rows, `W_O`), all bit for bit — so the tape and the gradients it trains
-/// on are where the composition put them, whichever path serving takes.
-#[test]
-fn mba_node_is_the_no_grad_forward_and_the_composed_backward_bitwise() {
-    let (cells, h, f, l, dk) = (64, 9, 8, 4, 8);
-    let mut rng = StdRng::seed_from_u64(31);
-    let mhsa = MultiHeadSelfAttention::new(f, l, dk, &mut rng);
-    let weights: [Tensor; 4] = mhsa.parameters().try_into().expect("four projections");
-    let x_value = NdArray::randn([cells, h, f], 0.0, 1.5, &mut rng);
-    let seed = NdArray::randn([cells, h, f], 0.0, 1.0, &mut rng);
-    let x = Tensor::parameter(x_value.clone());
-    let out = mhsa.forward_layout(&x, [cells, h, 1]).output;
-    let got = grads_of(&out, &seed, &x, &weights);
-
-    let [w_q, w_k, w_v, w_o] = weights.each_ref().map(Tensor::value);
-    let w = MhsaWeights {
-        w_q,
-        w_k,
-        w_v,
-        w_o,
-        heads: l,
-        head_dim: dk,
-    };
-    assert_eq!(
-        bits(&out.value()),
-        bits(&mhsa_forward(&x_value, &w)),
-        "tape forward vs no-grad forward"
-    );
+/// The composition node's backward, verbatim — the products the tape ran
+/// over the composition's saved intermediates (the projections, the
+/// attention tiles and their softmax rows, `O`) until MBA's node began to
+/// run in one pass and recompute them — over `x` laid out `layout` and the
+/// output gradient `dy`: `[dX, dW_Q, dW_K, dW_V, dW_O]`.
+fn composition_backward(
+    x: &NdArray,
+    w: &MhsaWeights,
+    layout: [usize; 3],
+    dy: &NdArray,
+) -> [NdArray; 5] {
+    let [outer, tokens, inner] = layout;
     let grid = AttnGrid {
-        outer: cells,
-        tokens: h,
-        inner: 1,
-        heads: l,
-        head_dim: dk,
+        outer,
+        tokens,
+        inner,
+        heads: w.heads,
+        head_dim: w.head_dim,
     };
-    let (rows, width) = (grid.rows(), grid.width());
-    let x_rows = x_value.reshape([rows, f]);
+    let (rows, width, d) = (grid.rows(), grid.width(), w.model_dim());
+    let x_rows = x.reshape([rows, d]);
     let [q, k, v] = [&w.w_q, &w.w_k, &w.w_v].map(|w| linalg::matmul2d(&x_rows, w));
     let mut o = q.clone();
     let mut p = vec![0.0; grid.probs_len()];
@@ -226,7 +213,7 @@ fn mba_node_is_the_no_grad_forward_and_the_composed_backward_bitwise() {
         &mut p,
         &mut scratch,
     );
-    let dy = seed.reshape([rows, f]);
+    let dy = dy.reshape([rows, d]);
     let d_o = linalg::matmul2d_nt(&dy, &w.w_o);
     let mut d_qkv = vec![0.0; rows * 3 * width];
     linalg::attention_backward_into_with_isa(
@@ -242,20 +229,109 @@ fn mba_node_is_the_no_grad_forward_and_the_composed_backward_bitwise() {
     let d_qkv = NdArray::from_vec([rows, 3 * width], d_qkv);
     let w_qkv = linalg::concat_last(&[&w.w_q, &w.w_k, &w.w_v]);
     let d_wqkv = linalg::matmul2d_tn(&x_rows, &d_qkv);
-    let want = [
-        linalg::matmul2d_nt(&d_qkv, &w_qkv).reshaped([cells, h, f]),
+    [
+        linalg::matmul2d_nt(&d_qkv, &w_qkv).reshaped(x.shape().clone()),
         linalg::slice_last(&d_wqkv, 0, width),
         linalg::slice_last(&d_wqkv, width, width),
         linalg::slice_last(&d_wqkv, 2 * width, width),
         linalg::matmul2d_tn(&o, &dy),
-    ];
+    ]
+}
+
+/// The node's five gradients and forward at one shape against the
+/// composition's backward and the no-grad forward, bitwise.
+fn assert_node_is_the_composition_bitwise(
+    layout: [usize; 3],
+    d: usize,
+    (l, dk): (usize, usize),
+    seed: u64,
+) {
+    let [outer, t, inner] = layout;
+    let shape = [outer, t, inner, d];
+    let tag = format!("layout {layout:?} d={d} l={l} dk={dk}");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mhsa = MultiHeadSelfAttention::new(d, l, dk, &mut rng);
+    let weights: [Tensor; 4] = mhsa.parameters().try_into().expect("four projections");
+    let x_value = NdArray::randn(shape, 0.0, 1.5, &mut rng);
+    let dy = NdArray::randn(shape, 0.0, 1.0, &mut rng);
+    let x = Tensor::parameter(x_value.clone());
+    let out = mhsa.forward_layout(&x, layout).output;
+    let got = grads_of(&out, &dy, &x, &weights);
+
+    let [w_q, w_k, w_v, w_o] = weights.each_ref().map(Tensor::value);
+    let w = MhsaWeights {
+        w_q,
+        w_k,
+        w_v,
+        w_o,
+        heads: l,
+        head_dim: dk,
+    };
+    let mut y = vec![0.0; x_value.numel()];
+    let mut workspace = vec![0.0; mhsa_workspace_len(layout, &w, active_isa())];
+    mhsa_forward_into(
+        x_value.as_slice(),
+        layout,
+        &w,
+        active_isa(),
+        &mut workspace,
+        &mut y,
+    );
+    assert_eq!(
+        bits(&out.value()),
+        bits(&NdArray::from_vec(shape, y)),
+        "{tag}: forward"
+    );
+    let want = composition_backward(&x_value, &w, layout, &dy);
     for (which, (got, want)) in got.iter().zip(&want).enumerate() {
         assert_eq!(
             bits(got),
             bits(want),
-            "gradient {which} (0 = x, 1..4 = w_q w_k w_v w_o)"
+            "{tag}: gradient {which} (0 = x, 1..4 = w_q w_k w_v w_o)"
         );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The node's gradients are the composition's bits on both sides of
+    /// the one-pass predicate — model dims one below, at and one above
+    /// `head_dim` — at odd and even `head_dim`, token counts either side of
+    /// the softmax body and the row blocks, and sequence counts that leave
+    /// a ragged last lane group of 8 or 16; `inner > 1` puts a row block's
+    /// sequences in one group (3) or across groups (16, 17 on avx2 and
+    /// avx512).
+    #[test]
+    fn node_gradients_are_the_composition_backward_bitwise(
+        outer in 1usize..40,
+        (ti, ii) in (0usize..TOKENS.len(), 0usize..4),
+        (heads, dk) in (1usize..5, 1usize..12),
+        side in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let (t, inner) = (TOKENS[ti], [1, 1, 3, 17][ii]);
+        let outer = if inner == 1 { outer } else { outer.min(4) };
+        let d = (dk + side).saturating_sub(1).max(1);
+        assert_node_is_the_composition_bitwise([outer, t, inner], d, (heads, dk), seed);
+    }
+}
+
+/// MBA at the `fast` shape — nine attribute rows of width 8 per cell under
+/// 4 × 8 heads, the layer the no-grad forward runs in one pass — through
+/// the tape node: the output is the no-grad forward's, and the five
+/// gradients are the composition backward's products over its own
+/// intermediates (the projections, the attention tiles and their softmax
+/// rows, `W_O`), all bit for bit — so the tape and the gradients it trains
+/// on are where the composition put them, whichever path the node takes.
+/// Also at the paper's MBA shape (`f = 16`, 8 × 16 heads), 64 cells, and
+/// with a ragged last lane group (21 cells).
+#[test]
+fn mba_node_is_the_no_grad_forward_and_the_composed_backward_bitwise() {
+    assert_node_is_the_composition_bitwise([64, 9, 1], 8, (4, 8), 31);
+    assert_node_is_the_composition_bitwise([64, 9, 1], 16, (8, 16), 32);
+    assert_node_is_the_composition_bitwise([21, 9, 1], 8, (4, 8), 33);
+    assert_node_is_the_composition_bitwise([21, 3, 1], 8, (4, 8), 34);
 }
 
 /// An input that takes no gradient gets none — the `dX` product is skipped

@@ -253,7 +253,8 @@ fn nt_kernel(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize
     matmul_kernel_with_isa(a, &bt, out, n, k, m, simd::active_isa());
 }
 
-/// `out[k,m] = a[n,k]^T * g[n,m]` through the streaming [`simd::matmul_tn`]:
+/// `out[k,m] = a[n,k]^T * g[n,m]`, `out` zeroed on entry, through the
+/// streaming [`simd::matmul_tn`] (which accumulates onto it):
 /// every register tile walks the rows of `a` and `g` once, in place — no
 /// transposed copy, no packing — and each output element is one chain over
 /// the rows `n`, ascending: the chain of `matmul2d(transpose(a), g)`. The
@@ -737,6 +738,82 @@ pub fn mhsa_one_pass_into(
         return;
     }
     simd::mhsa_one_pass(isa, grid, x, weights, y, scratch);
+}
+
+/// Backward of [`mhsa_one_pass_into`]: from the layer's input `x`, its
+/// `weights` (`[w_q, w_k, w_v, w_o]`, as there) and the gradient `dy` of
+/// its output (`[rows, d]`), the weight gradients `[dW_Q, dW_K, dW_V, dW_O]`
+/// (returned) and, when `dx` is given, the input's (`[rows, d]`,
+/// overwritten). Nothing of the forward is kept or read but `x`: a lane
+/// group of sequences at a time, the lane kernel recomputes each head's
+/// `Q`, `K`, `V`, softmax rows and merged-head output `O` by the forward's
+/// chains and runs the tile backward ([`attention_backward_into`]'s
+/// arithmetic) on them in its panels; `dX` is formed there too, and the
+/// head's `G = [dQ | dK | dV]` and `O` leave the lanes as rows for the
+/// weight gradients, `[dW_Q | dW_K | dW_V] += xᵀ·G` and `dW_Oᵀ += dYᵀ·O`,
+/// each element's chain continued over the rows in ascending order, chunk
+/// to chunk of whole `[tokens, inner]` row blocks.
+///
+/// Per element these are the chains of the composition's backward over its
+/// saved intermediates — `matmul2d_tn(O, dY)`, `matmul2d_nt(dY, W_O)`,
+/// [`attention_backward_into_with_isa`], `matmul2d_tn(x, G)` and
+/// `matmul2d_nt(G, [W_Q | W_K | W_V])` — so every gradient is bit-identical
+/// to it on the same ISA. Its scratch is a lane group's, not the layer's:
+/// at `fast`'s MBA the largest buffer it allocates is the lane scratch,
+/// 107 KB, below glibc's 128 KiB `mmap` threshold.
+pub fn mhsa_one_pass_backward(
+    grid: &AttnGrid,
+    x: &[f32],
+    weights: [&[f32]; 4],
+    dy: &[f32],
+    dx: Option<&mut [f32]>,
+    isa: Isa,
+) -> [NdArray; 4] {
+    assert!(
+        isa.is_available(),
+        "ISA {} not available on this host",
+        isa.label()
+    );
+    let (width, dk) = (grid.width(), grid.head_dim);
+    let d = weights[0].len() / width.max(1);
+    assert!(
+        grid.one_pass(d, isa),
+        "a layer of model dim {d} over {grid:?} does not run in one pass on {}",
+        isa.label()
+    );
+    let len = grid.rows() * d;
+    assert!(
+        x.len() == len && dy.len() == len && dx.as_ref().is_none_or(|dx| dx.len() == len),
+        "one-pass MHSA backward over {grid:?} needs x, dy and dx of {len} floats"
+    );
+    let mut d_wqkv = vec![0.0f32; 3 * d * width];
+    let mut d_wo_t = vec![0.0f32; d * width];
+    if len > 0 {
+        // `[W_Q | W_K | W_V]ᵀ`, `[3·width, d]`: the `dX` product's operand.
+        let w_qkv_t: Vec<f32> = weights[..3]
+            .iter()
+            .flat_map(|w| transposed(w, d, width))
+            .collect();
+        let [w_q, w_k, w_v, w_o] = weights;
+        let weights = [w_q, w_k, w_v, w_o, &w_qkv_t];
+        simd::mhsa_one_pass_backward(isa, grid, x, weights, dy, dx, &mut d_wqkv, &mut d_wo_t);
+    }
+    // `d_wqkv`'s columns run head by head, `[dW_Q | dW_K | dW_V]` of each.
+    let mut d_w = [(); 3].map(|()| vec![0.0f32; d * width]);
+    for (k, row) in d_wqkv.chunks_exact(3 * width).enumerate() {
+        for (h, head) in row.chunks_exact(3 * dk).enumerate() {
+            for (d_w, part) in d_w.iter_mut().zip(head.chunks_exact(dk)) {
+                d_w[k * width + h * dk..][..dk].copy_from_slice(part);
+            }
+        }
+    }
+    let [d_wq, d_wk, d_wv] = d_w.map(|d_w| NdArray::from_vec([d, width], d_w));
+    [
+        d_wq,
+        d_wk,
+        d_wv,
+        NdArray::from_vec([width, d], transposed(&d_wo_t, d, width)),
+    ]
 }
 
 /// Backward of [`attention_into`]: from the projections `q`, `k`, `v` the

@@ -75,11 +75,34 @@
 //!
 //! Scalar keeps the composition, the reference chain by construction; so
 //! does every wider layer (MBU / MBI, whose rows are `h` attribute rows
-//! wide), and the tape's `mhsa` node, whose backward reads the buffers. The
-//! line is where forcing both paths on every layer shape put it, on both
-//! lane ISAs (DESIGN.md §9): the one pass won on every shape with
-//! `model_dim <= head_dim`, and at the paper's config lost on avx2 from
-//! MBU / MBI's `model_dim = 2 · head_dim` on.
+//! wide), forward and backward, on the tape too. The line is where forcing
+//! both paths on every layer shape put it, on both lane ISAs (DESIGN.md
+//! §9): the one pass won on every shape with `model_dim <= head_dim`, and
+//! at the paper's config lost on avx2 from MBU / MBI's `model_dim = 2 ·
+//! head_dim` on.
+//!
+//! # One pass, backward
+//!
+//! The tape's node of a one-pass layer keeps only its input, and
+//! `mhsa_backward_lanes` (behind `linalg::mhsa_one_pass_backward`) turns it
+//! and `dY` into every gradient, a lane group of sequences at a time. The
+//! group's `x` and `dY` rows enter the lanes once; for each head it
+//! recomputes K, V and Q (`kv_panels`, `project`) and the softmax rows and
+//! `O` (`attend`) by the forward's chains, forms `dO = dY·W_Oᵀ` (one FMA
+//! per `e` ascending from `+0.0`, the `nt` product's chain), and runs the
+//! tile backward's arithmetic (`backward_panels`, below) on its panels. Its
+//! `[dQ | dK | dV]` and `O` then leave the lanes as rows (`store_runs`): the
+//! weight gradients' chains run over *rows*, `dW[k][c] = Σ_row x[row][k] ·
+//! G[row][c]` in ascending row order, which no lane layout of sequences can
+//! carry, so once a chunk of whole `[tokens, inner]` row blocks — one
+//! group's, when a block fits the lanes — has them all, `matmul_tn`'s
+//! chains continue over the chunk from what earlier chunks left (the
+//! composition's `Xᵀ·G` and `Oᵀ·dY`, bit for bit, since a stored f32 gives
+//! back its value). `dX[i][e] = Σ_c G[i][c] · W[e][c]` is a chain over the
+//! columns, every head's dQ, then dK, then dV, and stays in the lanes: a
+//! projection from the group's `[dQ | dK | dV]` panel, continued across
+//! heads. Nothing the size of the layer is written: at `fast`'s MBA the
+//! largest buffer is the lane scratch's 107 KB.
 //!
 //! # Backward
 //!
@@ -98,11 +121,12 @@
 //! * scalar — `Panels::backward`, safe Rust over `[f32; 16]` rows that rustc
 //!   vectorises with the build's baseline (SSE2 on x86-64), panels filled
 //!   and read back element by element.
-//! * avx2/avx512 — `attention_backward_kernel!`, 8 or 16 lanes under the
-//!   ISA's `#[target_feature]`: the same ops in the same loop nest in vector
-//!   registers, panels filled and emptied by the forward's in-register
-//!   transposes (`load_runs` / `store_runs`), no gather and no per-element
-//!   write.
+//! * avx2/avx512 — `attention_backward_kernel!`'s `backward_panels`, 8 or
+//!   16 lanes under the ISA's `#[target_feature]`: the same ops in the same
+//!   loop nest in vector registers, panels filled and emptied by the
+//!   forward's in-register transposes (`load_runs` / `store_runs`), no
+//!   gather and no per-element write — or, in the one-pass backward,
+//!   filled by the recompute in the lanes.
 //!
 //! Each op is exact per lane, so a tile's gradient bits depend neither on
 //! the ISA nor on its lane or group.
@@ -134,8 +158,8 @@ pub struct AttnGrid {
 
 /// Widest lane group of any ISA's `attention_lanes_kernel!`; sizes the
 /// scratch so its length does not depend on the dispatched ISA. Also the
-/// scalar backward's lane group.
-pub(super) const MAX_LANES: usize = 16;
+/// scalar backward's lane group, and the one-pass backward's chunk.
+pub(crate) const MAX_LANES: usize = 16;
 
 /// The most rows [`block_rows`] picks; sizes the forward's scratch.
 pub(super) const MAX_ROWS: usize = 4;
@@ -160,6 +184,12 @@ pub(super) const fn block_rows(t: usize) -> usize {
 pub(super) fn rows<const R: usize>(t: usize, first: usize) -> ([usize; R], usize) {
     let live = (t - first).min(R);
     (std::array::from_fn(|r| first + r.min(live - 1)), live)
+}
+
+/// `N` columns from `c` of a row of `n`, the last repeated past its end
+/// (computed, never stored).
+pub(super) fn span<const N: usize>(c: usize, n: usize) -> [usize; N] {
+    std::array::from_fn(|u| (c + u).min(n - 1))
 }
 
 impl AttnGrid {
@@ -235,10 +265,12 @@ impl AttnGrid {
     }
 }
 
-/// Generates the lane-parallel forward kernels over `$ops`, a module of the
-/// ISA's vector primitives: `LANES`, `V`, `splat`, `load`, `store`,
-/// `load_runs`, `store_runs`, `fmadd`, `mul`, `sub`, `max`, `exp`,
-/// `sum_zero`, `sum_add`, `sum_join`, `sum_recip`.
+/// Generates the lane-parallel forward kernels, and the one-pass layer's
+/// backward, over `$ops`, a module of the ISA's vector primitives: `LANES`,
+/// `V`, `splat`, `load`, `store`, `load_runs`, `store_runs`, `fmadd`,
+/// `mul`, `sub`, `max`, `exp`, `sum_zero`, `sum_add`, `sum_join`,
+/// `sum_recip` (and, from the module it is expanded in, the matmul tile's
+/// `matmul` and `attention_backward_kernel!`'s `backward_panels`).
 ///
 /// * `attention_lanes` — the attention tiles over Q/K/V projection
 ///   buffers. Lane `λ` of every vector belongs to tile `group_start + λ`.
@@ -253,10 +285,13 @@ impl AttnGrid {
 ///   enter the lanes once, each head's K and V panels and Q rows are
 ///   projected from them with broadcast weights, attended, and folded
 ///   through `W_O` into one `Y` panel, which leaves the lanes once.
+/// * `mhsa_backward_lanes` — that layer's backward (module docs, "One
+///   pass, backward").
 ///
-/// Both attend through `attend`, so the two run the same chains on the same
-/// panels. Dead lanes of a ragged last group alias the last live tile or
-/// sequence (valid reads) and are never written.
+/// All attend through `attend`, and the one-pass pair projects through
+/// `kv_panels` / `project`, so they run the same chains on the same panels.
+/// Dead lanes of a ragged last group alias the last live tile or sequence
+/// (valid reads) and are never written.
 macro_rules! attention_lanes_kernel {
     ($(#[$attr:meta])* $ops:ident) => {
         /// Attention of `R` query rows of one lane group's head (see
@@ -406,6 +441,101 @@ macro_rules! attention_lanes_kernel {
             }
         }
 
+        /// One `R × C` register block of a panel-by-weight product: for
+        /// `u < C` and `r < R`, `acc[u][r] + Σ_κ a[a_rows[r] + κ] ·
+        /// w[u][κ·w_step]` over `κ < n` — panel rows times broadcast
+        /// weights, `κ` ascending, one FMA a step: from `acc = 0.0`,
+        /// `matmul_small`'s chain of every element, `C·R` chains in flight.
+        ///
+        /// # Safety
+        ///
+        /// Panel rows `a_rows[r] + κ` of `a` and floats `κ·w_step` of every
+        /// `w[u]` (`κ < n`) must be valid for reads.
+        $(#[$attr])*
+        #[inline]
+        unsafe fn project<const R: usize, const C: usize>(
+            a: *const f32,
+            a_rows: [usize; R],
+            n: usize,
+            w: [*const f32; C],
+            w_step: usize,
+            mut acc: [[$ops::V; R]; C],
+        ) -> [[$ops::V; R]; C] {
+            use $ops::{fmadd, load, splat, LANES};
+            for kappa in 0..n {
+                let wv = w.map(|w| splat(*w.add(kappa * w_step)));
+                for (r, &row) in a_rows.iter().enumerate() {
+                    let a = load(a.add((row + kappa) * LANES));
+                    for (acc, &w) in acc.iter_mut().zip(&wv) {
+                        acc[r] = fmadd(a, w, acc[r]);
+                    }
+                }
+            }
+            acc
+        }
+
+        /// Stores rows `r < count` of `acc`'s first `cols` columns at
+        /// `panel` rows `at[r] + col[u]`.
+        ///
+        /// # Safety
+        ///
+        /// Those panel rows must be valid for writes.
+        $(#[$attr])*
+        #[inline]
+        unsafe fn put<const R: usize>(
+            panel: *mut f32,
+            at: [usize; R],
+            count: usize,
+            acc: &[[$ops::V; R]],
+            col: &[usize],
+            cols: usize,
+        ) {
+            for (acc, &col) in acc.iter().zip(col).take(cols) {
+                for (&at, &acc) in at.iter().zip(acc).take(count) {
+                    $ops::store(panel.add((at + col) * $ops::LANES), acc);
+                }
+            }
+        }
+
+        /// Head `h`'s K and V panels (`kp`, `vp`: `t` rows of `dk`) from a
+        /// lane group's input panel `xp` (`t` rows of `d`) and `[d, width]`
+        /// projections `w_k`, `w_v`: `R` rows by `C / 2` columns of each a
+        /// block, every element [`project`]'s chain from zero.
+        ///
+        /// # Safety
+        ///
+        /// `xp` must be valid for reading `t·d` panel rows, `kp` and `vp`
+        /// for writing `t·dk`, and `w_k`, `w_v` for reading `d·width`
+        /// floats, `(h + 1)·dk ≤ width`.
+        $(#[$attr])*
+        #[inline]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn kv_panels<const R: usize>(
+            [t, d, dk, width]: [usize; 4],
+            h: usize,
+            xp: *const f32,
+            [w_k, w_v]: [*const f32; 2],
+            kp: *mut f32,
+            vp: *mut f32,
+        ) {
+            const C: usize = $ops::PROJECT_COLS;
+            let col = h * dk;
+            for i0 in (0..t).step_by(R) {
+                let (is, rows) = crate::simd::attention::rows::<R>(t, i0);
+                for c in (0..dk).step_by(C / 2) {
+                    let cs = crate::simd::attention::span::<C>(c, dk);
+                    let w = std::array::from_fn(|u| match u.checked_sub(C / 2) {
+                        None => w_k.add(col + cs[u]),
+                        Some(u) => w_v.add(col + cs[u]),
+                    });
+                    let acc = project::<R, C>(xp, is.map(|i| i * d), d, w, width, [[$ops::splat(0.0); R]; C]);
+                    let (cols, at) = ((dk - c).min(C / 2), is.map(|i| i * dk));
+                    put(kp, at, rows, &acc[..C / 2], &cs, cols);
+                    put(vp, at, rows, &acc[C / 2..], &cs, cols);
+                }
+            }
+        }
+
         /// Attention over every tile of `grid`, `LANES` tiles per vector
         /// and `R` query rows at a time, overwriting each tile's Q with its
         /// output. `scratch` holds at least `grid.scratch_len()` floats;
@@ -501,7 +631,7 @@ macro_rules! attention_lanes_kernel {
             y: &mut [f32],
             scratch: &mut [f32],
         ) {
-            use $ops::{fmadd, load, splat, store, LANES};
+            use $ops::{load, splat, LANES};
             // Weight columns a projection block carries, an even number.
             const C: usize = $ops::PROJECT_COLS;
             let (t, dk, heads, width) = (grid.tokens, grid.head_dim, grid.heads, grid.width());
@@ -540,71 +670,19 @@ macro_rules! attention_lanes_kernel {
                 // 0..dk` of `kp` / `vp` and `r * dk + 0..dk` (`r < R`) of
                 // `qp` stay inside them.
                 unsafe {
-                    // One `R × C` register block of a panel-by-weight
-                    // product: for `u < C` and `r < R`, `acc[u][r] + Σ_κ
-                    // a[a_rows[r] + κ] · w[u][κ·w_step]` over `κ < n` —
-                    // panel rows times broadcast weights, `κ` ascending, one
-                    // FMA a step: from `acc = 0.0`, `matmul_small`'s chain
-                    // of every element, `C·R` chains in flight.
-                    let project = |a: *const f32,
-                                   a_rows: [usize; R],
-                                   n: usize,
-                                   w: [*const f32; C],
-                                   w_step: usize,
-                                   mut acc: [[$ops::V; R]; C]| {
-                        for kappa in 0..n {
-                            let wv = w.map(|w| splat(*w.add(kappa * w_step)));
-                            for (r, &row) in a_rows.iter().enumerate() {
-                                let a = load(a.add((row + kappa) * LANES));
-                                for (acc, &w) in acc.iter_mut().zip(&wv) {
-                                    acc[r] = fmadd(a, w, acc[r]);
-                                }
-                            }
-                        }
-                        acc
-                    };
-                    // `N` columns from `c` of a row of `n`, the last repeated
-                    // past its end (computed, never stored).
-                    fn span<const N: usize>(c: usize, n: usize) -> [usize; N] {
-                        std::array::from_fn(|u| (c + u).min(n - 1))
-                    }
-                    // Stores rows `r < count` of `acc`'s first `cols`
-                    // columns at `panel` rows `at[r] + col[u]`.
-                    let put = |panel: *mut f32, at: [usize; R], count: usize, acc: &[[$ops::V; R]], col: &[usize], cols: usize| {
-                        for (acc, &col) in acc.iter().zip(col).take(cols) {
-                            for (&at, &acc) in at.iter().zip(acc).take(count) {
-                                store(panel.add((at + col) * LANES), acc);
-                            }
-                        }
-                    };
                     let zero = [[splat(0.0); R]; C];
                     for i in 0..t {
                         $ops::load_runs(x.as_ptr(), &rows_at, i * x_stride, d, xp.as_mut_ptr().add(i * d * LANES));
                     }
                     for h in 0..heads {
                         let col = h * dk;
-                        // K and V, `C / 2` columns of each a block.
-                        for i0 in (0..t).step_by(R) {
-                            let (is, rows) = crate::simd::attention::rows::<R>(t, i0);
-                            let x_at = is.map(|i| i * d);
-                            for c in (0..dk).step_by(C / 2) {
-                                let cs = span::<C>(c, dk);
-                                let w = std::array::from_fn(|u| match u.checked_sub(C / 2) {
-                                    None => w_k.add(col + cs[u]),
-                                    Some(u) => w_v.add(col + cs[u]),
-                                });
-                                let acc = project(xp.as_ptr(), x_at, d, w, width, zero);
-                                let (cols, at) = ((dk - c).min(C / 2), is.map(|i| i * dk));
-                                put(kp.as_mut_ptr(), at, rows, &acc[..C / 2], &cs, cols);
-                                put(vp.as_mut_ptr(), at, rows, &acc[C / 2..], &cs, cols);
-                            }
-                        }
+                        kv_panels::<R>([t, d, dk, width], h, xp.as_ptr(), [w_k, w_v], kp.as_mut_ptr(), vp.as_mut_ptr());
                         for i0 in (0..t).step_by(R) {
                             let (is, rows) = crate::simd::attention::rows::<R>(t, i0);
                             let r_at: [usize; R] = std::array::from_fn(|r| r * dk);
                             for c in (0..dk).step_by(C) {
-                                let cs = span::<C>(c, dk);
-                                let acc = project(xp.as_ptr(), is.map(|i| i * d), d, cs.map(|c| w_q.add(col + c)), width, zero);
+                                let cs = crate::simd::attention::span::<C>(c, dk);
+                                let acc = project::<R, C>(xp.as_ptr(), is.map(|i| i * d), d, cs.map(|c| w_q.add(col + c)), width, zero);
                                 put(qp.as_mut_ptr(), r_at, R, &acc, &cs, (dk - c).min(C));
                             }
                             attend::<R>(t, dk, kp, vp, qp, s, rows, |_, _| {});
@@ -613,7 +691,7 @@ macro_rules! attention_lanes_kernel {
                             // from the heads before (zero before the first).
                             let y_at = is.map(|i| i * d);
                             for e in (0..d).step_by(C) {
-                                let es = span::<C>(e, d);
+                                let es = crate::simd::attention::span::<C>(e, d);
                                 let mut acc = zero;
                                 if h > 0 {
                                     for (acc, &e) in acc.iter_mut().zip(&es) {
@@ -622,7 +700,7 @@ macro_rules! attention_lanes_kernel {
                                         }
                                     }
                                 }
-                                let acc = project(qp.as_ptr(), r_at, dk, es.map(|e| w_o.add(col * d + e)), d, acc);
+                                let acc = project::<R, C>(qp.as_ptr(), r_at, dk, es.map(|e| w_o.add(col * d + e)), d, acc);
                                 put(yp.as_mut_ptr(), y_at, rows, &acc, &es, (d - e).min(C));
                             }
                         }
@@ -632,6 +710,190 @@ macro_rules! attention_lanes_kernel {
                     }
                 }
                 group += LANES;
+            }
+        }
+
+        /// The backward of one layer [`mhsa_lanes`] runs, `LANES`
+        /// sequences a group and `R` query rows at a time (see
+        /// `linalg::mhsa_one_pass_backward`): from its input `x`, `weights`
+        /// (`[w_q, w_k, w_v, w_o]`) and the output's gradient `dy`, `dX`
+        /// into `dx` (with `w_qkv_t = [W_Q | W_K | W_V]ᵀ`, `[3·width, d]`),
+        /// and, accumulated onto what they hold, the weight gradients:
+        /// `d_wqkv` (`[d, 3·width]`) takes head `h`'s `[dW_Q | dW_K | dW_V]`
+        /// columns at `3·h·dk`, and `d_wo_t` (`[d, width]`) is `dW_Oᵀ`.
+        ///
+        /// A group's `x` and `dY` rows enter the lanes once. For each head,
+        /// in column order, its `Q`, `K`, `V`, softmax rows and output `O`
+        /// are recomputed by [`mhsa_lanes`]' chains, `dO = dY·W_Oᵀ` by the
+        /// `nt` product's (one FMA per `e` ascending from `+0.0`), and
+        /// `dQ`, `dK`, `dV` by [`backward_panels`], the tile backward's,
+        /// into a `[t][3·width]` panel. The head's `[dQ | dK | dV]` and `O`
+        /// leave the lanes as rows, and once a chunk of whole `[tokens,
+        /// inner]` row blocks (one group's rows when `inner ≤ LANES`) has
+        /// them all, the weight gradients continue their chains over the
+        /// chunk's rows in ascending order (the `tn` product,
+        /// `matmul::<true>`). `dX` is the panel times `w_qkv_t`, every
+        /// head's `dQ`, then `dK`, then `dV` (the `nt` product's chain), in
+        /// the lanes.
+        $(#[$attr])*
+        #[allow(clippy::too_many_arguments)]
+        pub fn mhsa_backward_lanes<const R: usize>(
+            grid: &crate::simd::AttnGrid,
+            x: &[f32],
+            [w_q, w_k, w_v, w_o, w_qkv_t]: [&[f32]; 5],
+            dy: &[f32],
+            mut dx: Option<&mut [f32]>,
+            d_wqkv: &mut [f32],
+            d_wo_t: &mut [f32],
+        ) {
+            use crate::simd::attention::{rows, span, MAX_ROWS};
+            use $ops::{load, splat, store, LANES};
+            const C: usize = $ops::PROJECT_COLS;
+            let (t, dk, heads, width, inner) = (grid.tokens, grid.head_dim, grid.heads, grid.width(), grid.inner);
+            let d = w_q.len() / width;
+            let block = t * inner;
+            assert!(
+                t > 0
+                    && (1..=MAX_ROWS).contains(&R)
+                    && x.len() == grid.rows() * d
+                    && dy.len() == x.len()
+                    && dx.as_ref().is_none_or(|dx| dx.len() == x.len())
+                    && [w_q, w_k, w_v, w_o].iter().all(|w| w.len() == d * width)
+                    && w_qkv_t.len() == 3 * d * width
+                    && d_wqkv.len() == 3 * d * width
+                    && d_wo_t.len() == d * width,
+                "one-pass MHSA backward buffers disagree with {grid:?} at model dim {d}"
+            );
+            let [w_q, w_k, w_v, w_o, w_qkv_t] = [w_q, w_k, w_v, w_o, w_qkv_t].map(<[f32]>::as_ptr);
+            // Panels, each from a 64-byte boundary: the group's `x`, `dY`
+            // and `dX`; the head's Q, K, V, dO and O, the query rows in
+            // flight, P and dP / dS; `[dQ | dK | dV]` of every head.
+            let lens = [t * d, t * d, t * d, t * dk, t * dk, t * dk, t * dk, t * dk, MAX_ROWS * dk, MAX_ROWS * t, t * t, t * t, t * 3 * width];
+            let mut memory = vec![0.0f32; 15 + lens.iter().sum::<usize>() * LANES];
+            let skip = memory.as_ptr().align_offset(64).min(15);
+            let mut rest = &mut memory[skip..];
+            let [xp, dyp, dxp, q_all, kp, vp, dop, op, qp, s, pp, ds, gp] = lens.map(|len| {
+                let (panel, tail) = std::mem::take(&mut rest).split_at_mut(len * LANES);
+                rest = tail;
+                panel
+            });
+            // A chunk is as many whole row blocks as one group's lanes hold
+            // (one block, in groups, when a block has more sequences). Its
+            // rows' `[dQ | dK | dV]`, head by head, and `O` go through the
+            // weight-gradient products together.
+            let chunk = (LANES / inner).max(1);
+            let chunk_rows = chunk * block;
+            let (mut g_rows, mut o_rows) = (vec![0.0f32; chunk_rows * 3 * width], vec![0.0f32; chunk_rows * width]);
+            for first_block in (0..grid.outer).step_by(chunk) {
+                let blocks = (first_block + chunk).min(grid.outer) - first_block;
+                let (row0, n, end) = (first_block * block, blocks * block, (first_block + blocks) * inner);
+                let mut group = first_block * inner;
+                while group < end {
+                    let live = (end - group).min(LANES);
+                    let completes = group + live == end;
+                    // Each lane's first row: its sequence's rows of `x`, `dY` and
+                    // `dX` start there, its chunk rows there less `row0`.
+                    let first: [usize; LANES] =
+                        std::array::from_fn(|lane| grid.tile_base_in((group + lane.min(live - 1)) * heads, 1));
+                    let x_at = first.map(|r| r * d);
+                    let g_at = first.map(|r| (r - row0) * 3 * width);
+                    let o_at = first.map(|r| (r - row0) * width);
+                    // SAFETY (this block): a lane reads `d` floats at `x_at[λ] +
+                    // i·inner·d` of `x` and `dY` (`i < t`), and a live lane
+                    // writes them of `dX` — its own sequence's rows, inside them
+                    // by the assert above. A live lane writes `3·dk` and `dk`
+                    // floats at `g_at[λ] + i·inner·3·width + 3·col` of `g_rows` and
+                    // `o_at[λ] + i·inner·width + col` of `o_rows` — its rows of
+                    // the chunk, inside `chunk_rows` of them, and the products
+                    // read the chunk's `n ≤ chunk_rows`. Weights are read at `k·width + col`
+                    // and `(col + c)·d + e` (`k, e < d`, `col + c < width`):
+                    // inside `d·width`, and `w_qkv_t` at `c·d + e` (`c < 3·width`).
+                    // Panel rows `i·d + 0..d` of `xp` / `dyp` / `dxp`, `i·dk +
+                    // 0..dk` of the head's panels, `r·dk + 0..dk` and `r·t +
+                    // 0..t` (`r < R`) of `qp` and `s`, `i·t + 0..t` of `pp` / `ds`
+                    // and `i·3·width + 0..3·width` of `gp` stay inside them.
+                    unsafe {
+                        let zero = [[splat(0.0); R]; C];
+                        for i in 0..t {
+                            $ops::load_runs(x.as_ptr(), &x_at, i * inner * d, d, xp.as_mut_ptr().add(i * d * LANES));
+                            $ops::load_runs(dy.as_ptr(), &x_at, i * inner * d, d, dyp.as_mut_ptr().add(i * d * LANES));
+                        }
+                        for h in 0..heads {
+                            let col = h * dk;
+                            kv_panels::<R>([t, d, dk, width], h, xp.as_ptr(), [w_k, w_v], kp.as_mut_ptr(), vp.as_mut_ptr());
+                            // Q and dO of every row.
+                            for i0 in (0..t).step_by(R) {
+                                let (is, rows) = rows::<R>(t, i0);
+                                let (a_at, at) = (is.map(|i| i * d), is.map(|i| i * dk));
+                                for c in (0..dk).step_by(C) {
+                                    let (cs, cols) = (span::<C>(c, dk), (dk - c).min(C));
+                                    let acc = project::<R, C>(xp.as_ptr(), a_at, d, cs.map(|c| w_q.add(col + c)), width, zero);
+                                    put(q_all.as_mut_ptr(), at, rows, &acc, &cs, cols);
+                                    let acc = project::<R, C>(dyp.as_ptr(), a_at, d, cs.map(|c| w_o.add((col + c) * d)), 1, zero);
+                                    put(dop.as_mut_ptr(), at, rows, &acc, &cs, cols);
+                                }
+                            }
+                            // Softmax rows into `pp` and outputs into `op`, `R`
+                            // query rows at a time through `attend`.
+                            for i0 in (0..t).step_by(R) {
+                                let (is, rows) = rows::<R>(t, i0);
+                                for (r, &i) in is.iter().enumerate() {
+                                    for c in 0..dk {
+                                        store(qp.as_mut_ptr().add((r * dk + c) * LANES), load(q_all.as_ptr().add((i * dk + c) * LANES)));
+                                    }
+                                }
+                                attend::<R>(t, dk, kp, vp, qp, s, rows, |r, row| {
+                                    for j in 0..t {
+                                        store(pp.as_mut_ptr().add(((i0 + r) * t + j) * LANES), load(row.add(j * LANES)));
+                                    }
+                                });
+                                for (r, &i) in is.iter().enumerate().take(rows) {
+                                    for c in 0..dk {
+                                        store(op.as_mut_ptr().add((i * dk + c) * LANES), load(qp.as_ptr().add((r * dk + c) * LANES)));
+                                    }
+                                }
+                            }
+                            let inputs = [q_all.as_ptr(), kp.as_ptr(), vp.as_ptr(), dop.as_ptr()];
+                            let g_panel = gp.as_mut_ptr().add(h * 3 * dk * LANES);
+                            let grads = [0, dk, 2 * dk].map(|at| g_panel.add(at * LANES));
+                            backward_panels::<R>(t, dk, inputs, pp.as_ptr(), ds.as_mut_ptr(), grads, 3 * width);
+                            for i in 0..t {
+                                let (g_row, o_row) = (i * inner * 3 * width + 3 * col, i * inner * width + col);
+                                $ops::store_runs(g_panel.add(i * 3 * width * LANES), g_rows.as_mut_ptr(), &g_at, g_row, 3 * dk, live);
+                                $ops::store_runs(op.as_ptr().add(i * dk * LANES), o_rows.as_mut_ptr(), &o_at, o_row, dk, live);
+                            }
+                        }
+                        if completes {
+                            let (x, dy) = (&x[row0 * d..][..n * d], &dy[row0 * d..][..n * d]);
+                            matmul::<true>(x, &g_rows[..n * 3 * width], false, d_wqkv, d, n, 3 * width);
+                            matmul::<true>(dy, &o_rows[..n * width], false, d_wo_t, d, n, width);
+                        }
+                        // dX[i][e] = Σ_c G[i][c] · w_qkv_t[c][e], one chain over
+                        // `c` ascending — every head's dQ, then dK, then dV —
+                        // though the panel keeps each head's three together.
+                        if let Some(dx) = dx.as_deref_mut() {
+                            for i0 in (0..t).step_by(R) {
+                                let (is, rows) = rows::<R>(t, i0);
+                                for e in (0..d).step_by(C) {
+                                    let es = span::<C>(e, d);
+                                    let mut acc = zero;
+                                    for which in 0..3 {
+                                        for h in 0..heads {
+                                            let at = is.map(|i| i * 3 * width + (3 * h + which) * dk);
+                                            let w = es.map(|e| w_qkv_t.add((which * width + h * dk) * d + e));
+                                            acc = project::<R, C>(gp.as_ptr(), at, dk, w, d, acc);
+                                        }
+                                    }
+                                    put(dxp.as_mut_ptr(), is.map(|i| i * d), rows, &acc, &es, (d - e).min(C));
+                                }
+                            }
+                            for i in 0..t {
+                                $ops::store_runs(dxp.as_ptr().add(i * d * LANES), dx.as_mut_ptr(), &x_at, i * inner * d, d, live);
+                            }
+                        }
+                    }
+                    group += LANES;
+                }
             }
         }
     };
@@ -711,6 +973,46 @@ pub(crate) fn mhsa_one_pass(
     }
 }
 
+/// The backward of a layer [`mhsa_one_pass`] runs, on `isa`'s lane kernel
+/// (`mhsa_backward_lanes`, which has the buffers and checks every length
+/// against `grid`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mhsa_one_pass_backward(
+    isa: super::Isa,
+    grid: &AttnGrid,
+    x: &[f32],
+    weights: [&[f32]; 5],
+    dy: &[f32],
+    dx: Option<&mut [f32]>,
+    d_wqkv: &mut [f32],
+    d_wo_t: &mut [f32],
+) {
+    use super::Isa;
+    // SAFETY: Avx2/Avx512 dispatch implies the features their kernels
+    // enable are present.
+    unsafe {
+        match (isa, block_rows(grid.tokens)) {
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx2, 3) => {
+                super::avx2::mhsa_backward_lanes::<3>(grid, x, weights, dy, dx, d_wqkv, d_wo_t)
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx2, _) => {
+                super::avx2::mhsa_backward_lanes::<4>(grid, x, weights, dy, dx, d_wqkv, d_wo_t)
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx512, 3) => {
+                super::avx512::mhsa_backward_lanes::<3>(grid, x, weights, dy, dx, d_wqkv, d_wo_t)
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx512, _) => {
+                super::avx512::mhsa_backward_lanes::<4>(grid, x, weights, dy, dx, d_wqkv, d_wo_t)
+            }
+            _ => unreachable!("{isa:?} has no one-pass MHSA kernel"),
+        }
+    }
+}
+
 /// `acc[λ] += a[λ] * b[λ]` — a multiply, then an add: Rust never contracts
 /// the pair into an FMA, so the loop the compiler vectorises here rounds
 /// exactly like its scalar form.
@@ -764,11 +1066,12 @@ fn block<const LANES: usize, const R: usize>(
 /// The `[token][column][lane]` panels of one lane group of the attention
 /// backward: row `i·dk + c` of a `t × dk` panel (row `i·t + j` of `p` and
 /// `ds`) is that element of every lane's tile, lane `λ` belonging to one
-/// tile throughout. Every kernel carves them with [`Self::new`], fills
-/// `inputs` and `p` its own way, and writes `grads` back out; in between
-/// the scalar kernel runs [`Self::backward`] and the lane kernels
-/// (`attention_backward_kernel!`) the same arithmetic, op for op and in the
-/// same loop nest, in vector registers.
+/// tile throughout. Every tile-backward kernel carves them with
+/// [`Self::new`], fills `inputs` and `p` its own way, and writes `grads`
+/// back out; in between the scalar kernel runs [`Self::backward`] and the
+/// lane kernels (`attention_backward_kernel!`) the same arithmetic, op for
+/// op and in the same loop nest, in vector registers — which the one-pass
+/// backward also runs, on panels of its own.
 pub(super) struct Panels<'a, const LANES: usize> {
     t: usize,
     dk: usize,
@@ -904,7 +1207,9 @@ impl<'a, const LANES: usize> Panels<'a, LANES> {
 }
 
 /// Generates `attention_backward_lanes`, the lane-parallel attention
-/// backward, over `$ops`, a lanes module of the ISA's vector primitives
+/// backward, and `backward_panels`, its arithmetic on one lane group's
+/// panels (which the one-pass backward shares), over `$ops`, a lanes
+/// module of the ISA's vector primitives
 /// (`LANES`, `splat`, `load`, `store`, `load_runs`, `store_runs`, `add`,
 /// `mul`, `sub`). `LANES` tiles ride in the lanes of [`Panels`]; the
 /// group's tile rows go in through `load_runs` (contiguous `dk`-float runs
@@ -917,6 +1222,115 @@ impl<'a, const LANES: usize> Panels<'a, LANES> {
 /// alias the last live tile (valid reads) and are never written.
 macro_rules! attention_backward_kernel {
     ($(#[$attr:meta])* $ops:ident) => {
+        /// [`Panels::backward`] in vector registers, op for op and loop for
+        /// loop, on one lane group's panels (`LANES` floats a row): from
+        /// `Q`, `K`, `V`, `dO` (`inputs`, `t·dk` rows each) and `P` (`pp`,
+        /// `t·t` rows), `dQ`, `dK` and `dV` into `grads` (element `(i, c)`
+        /// at row `i·stride + c`), through `ds` (`t·t` rows: `dP`, then
+        /// `dS`). Every sum is one accumulator per lane from `0.0` over an
+        /// ascending index, `add(acc, mul(a, b))`, held in a register until
+        /// its store.
+        ///
+        /// # Safety
+        ///
+        /// Every pointer must be valid for its rows — `ds` and `grads` for
+        /// writes, overlapping nothing else passed.
+        $(#[$attr])*
+        #[inline]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn backward_panels<const R: usize>(
+            t: usize,
+            dk: usize,
+            [qp, kp, vp, gp]: [*const f32; 4],
+            pp: *const f32,
+            ds: *mut f32,
+            [dqp, dkp, dvp]: [*mut f32; 3],
+            stride: usize,
+        ) {
+            use $ops::LANES;
+            // Float offset of panel row `r`.
+            let at = |r: usize| r * LANES;
+            let (zero, scale) = ($ops::splat(0.0), $ops::splat(1.0 / (dk as f32).sqrt()));
+            let get = |panel: *const f32, r: usize| $ops::load(panel.add(at(r)));
+            let put = |panel: *mut f32, r: usize, x| $ops::store(panel.add(at(r)), x);
+            // `attention::block` in vector registers.
+            let block = |a: *const f32,
+                         a_rows: [usize; R],
+                         a_step: usize,
+                         b: *const f32,
+                         b_cols: [usize; 2],
+                         b_step: usize,
+                         n: usize,
+                         two: bool| {
+                let mut acc = [[zero; R]; 2];
+                for kappa in 0..n {
+                    let b0 = get(b, b_cols[0] + kappa * b_step);
+                    if two {
+                        let b1 = get(b, b_cols[1] + kappa * b_step);
+                        for (r, &row) in a_rows.iter().enumerate() {
+                            let a = get(a, row + kappa * a_step);
+                            acc[0][r] = $ops::add(acc[0][r], $ops::mul(a, b0));
+                            acc[1][r] = $ops::add(acc[1][r], $ops::mul(a, b1));
+                        }
+                    } else {
+                        for (r, &row) in a_rows.iter().enumerate() {
+                            let a = get(a, row + kappa * a_step);
+                            acc[0][r] = $ops::add(acc[0][r], $ops::mul(a, b0));
+                        }
+                    }
+                }
+                acc
+            };
+            let store = |out: *mut f32, at: [usize; R], live: usize, acc: [[$ops::V; R]; 2], two: bool| {
+                for (x, acc) in acc.into_iter().enumerate() {
+                    if x == 0 || two {
+                        for (r, acc) in acc.into_iter().enumerate() {
+                            if r < live {
+                                put(out, at[r] + x, acc);
+                            }
+                        }
+                    }
+                }
+            };
+            for i0 in (0..t).step_by(R) {
+                let (is, live) = crate::simd::attention::rows::<R>(t, i0);
+                let mut sum = [zero; R];
+                for j in (0..t).step_by(2) {
+                    let two = j + 1 < t;
+                    let acc = block(gp, is.map(|i| i * dk), 1, vp, [j * dk, (j + 1) * dk], 1, dk, two);
+                    for (x, acc) in acc.into_iter().enumerate() {
+                        if x == 0 || two {
+                            for (r, dp) in acc.into_iter().enumerate() {
+                                sum[r] = $ops::add(sum[r], $ops::mul(dp, get(pp, is[r] * t + j + x)));
+                            }
+                        }
+                    }
+                    store(ds, is.map(|i| i * t + j), live, acc, two);
+                }
+                for (&i, &sum) in is.iter().zip(&sum).take(live) {
+                    for at in i * t..(i + 1) * t {
+                        let dp = $ops::sub(get(ds, at), sum);
+                        put(ds, at, $ops::mul($ops::mul(get(pp, at), dp), scale));
+                    }
+                }
+                for c in (0..dk).step_by(2) {
+                    let two = c + 1 < dk;
+                    let acc = block(ds, is.map(|i| i * t), 1, kp, [c, c + 1], dk, t, two);
+                    store(dqp, is.map(|i| i * stride + c), live, acc, two);
+                }
+            }
+            for j0 in (0..t).step_by(R) {
+                let (js, live) = crate::simd::attention::rows::<R>(t, j0);
+                for (out, a, b) in [(dkp, ds.cast_const(), qp), (dvp, pp, gp)] {
+                    for c in (0..dk).step_by(2) {
+                        let two = c + 1 < dk;
+                        let acc = block(a, js, t, b, [c, c + 1], dk, t, two);
+                        store(out, js.map(|j| j * stride + c), live, acc, two);
+                    }
+                }
+            }
+        }
+
         /// The attention backward of every tile of `grid`, `LANES` tiles a
         /// group and `R` rows a register block (see
         /// `linalg::attention_backward_into_with_isa` for the buffers):
@@ -947,9 +1361,6 @@ macro_rules! attention_backward_kernel {
             let [qp, kp, vp, gp] = panels.inputs.map(|x| x.as_mut_ptr().cast::<f32>());
             let [dqp, dkp, dvp] = panels.grads.map(|x| x.as_mut_ptr().cast::<f32>());
             let (pp, ds) = (panels.p.as_mut_ptr().cast::<f32>(), panels.ds.as_mut_ptr().cast::<f32>());
-            // Float offset of panel row `r`.
-            let at = |r: usize| r * LANES;
-            let (zero, scale) = ($ops::splat(0.0), $ops::splat(1.0 / (dk as f32).sqrt()));
             let mut group = 0;
             while group < tiles {
                 let live = (tiles - group).min(LANES);
@@ -968,105 +1379,21 @@ macro_rules! attention_backward_kernel {
                 // writes `dk` floats at `out_base[λ] + i·out_stride +
                 // which·width` of `d_qkv`, its own tile's segment of gradient
                 // `which` in the `[rows, 3·width]` layout, inside `3·len`
-                // floats. Panel rows `at(i·dk + c)` (`i < t`, `c < dk`) stay
-                // inside the `t·dk`-row panels and `at(i·t + j)` (`i, j < t`)
-                // inside `pp` and `ds` — every row index `rows` hands out is
-                // below `t`, and a second column `c + 1` or key `j + 1` is
-                // read only when it is — all carved from `memory` by
-                // `Panels::new`, which nothing else touches meanwhile.
+                // floats. The panels are `backward_panels`' (`t·dk` rows
+                // each, `t·t` for `pp` and `ds`), all carved from `memory`
+                // by `Panels::new`, which nothing else touches meanwhile.
                 unsafe {
                     for i in 0..t {
                         for (panel, src) in [qp, kp, vp, gp].into_iter().zip(inputs) {
-                            $ops::load_runs(src.as_ptr(), &base, i * stride, dk, panel.add(at(i * dk)));
+                            $ops::load_runs(src.as_ptr(), &base, i * stride, dk, panel.add(i * dk * LANES));
                         }
                     }
                     $ops::load_runs(p.as_ptr(), &p_base, 0, t * t, pp);
-                    // `Panels::backward`, op for op and loop for loop: every
-                    // sum one accumulator per lane from `0.0` over an
-                    // ascending index, `add(acc, mul(a, b))`, held in a
-                    // register until its store.
-                    let get = |panel: *mut f32, r: usize| $ops::load(panel.add(at(r)));
-                    let put = |panel: *mut f32, r: usize, x| $ops::store(panel.add(at(r)), x);
-                    // `attention::block` in vector registers.
-                    let block = |a: *mut f32,
-                                 a_rows: [usize; R],
-                                 a_step: usize,
-                                 b: *mut f32,
-                                 b_cols: [usize; 2],
-                                 b_step: usize,
-                                 n: usize,
-                                 two: bool| {
-                        let mut acc = [[zero; R]; 2];
-                        for kappa in 0..n {
-                            let b0 = get(b, b_cols[0] + kappa * b_step);
-                            if two {
-                                let b1 = get(b, b_cols[1] + kappa * b_step);
-                                for (r, &row) in a_rows.iter().enumerate() {
-                                    let a = get(a, row + kappa * a_step);
-                                    acc[0][r] = $ops::add(acc[0][r], $ops::mul(a, b0));
-                                    acc[1][r] = $ops::add(acc[1][r], $ops::mul(a, b1));
-                                }
-                            } else {
-                                for (r, &row) in a_rows.iter().enumerate() {
-                                    let a = get(a, row + kappa * a_step);
-                                    acc[0][r] = $ops::add(acc[0][r], $ops::mul(a, b0));
-                                }
-                            }
-                        }
-                        acc
-                    };
-                    let store = |out: *mut f32, at: [usize; R], live: usize, acc: [[$ops::V; R]; 2], two: bool| {
-                        for (x, acc) in acc.into_iter().enumerate() {
-                            if x == 0 || two {
-                                for (r, acc) in acc.into_iter().enumerate() {
-                                    if r < live {
-                                        put(out, at[r] + x, acc);
-                                    }
-                                }
-                            }
-                        }
-                    };
-                    for i0 in (0..t).step_by(R) {
-                        let (is, live) = crate::simd::attention::rows::<R>(t, i0);
-                        let mut sum = [zero; R];
-                        for j in (0..t).step_by(2) {
-                            let two = j + 1 < t;
-                            let acc = block(gp, is.map(|i| i * dk), 1, vp, [j * dk, (j + 1) * dk], 1, dk, two);
-                            for (x, acc) in acc.into_iter().enumerate() {
-                                if x == 0 || two {
-                                    for (r, dp) in acc.into_iter().enumerate() {
-                                        sum[r] = $ops::add(sum[r], $ops::mul(dp, get(pp, is[r] * t + j + x)));
-                                    }
-                                }
-                            }
-                            store(ds, is.map(|i| i * t + j), live, acc, two);
-                        }
-                        for (&i, &sum) in is.iter().zip(&sum).take(live) {
-                            for at in i * t..(i + 1) * t {
-                                let dp = $ops::sub(get(ds, at), sum);
-                                put(ds, at, $ops::mul($ops::mul(get(pp, at), dp), scale));
-                            }
-                        }
-                        for c in (0..dk).step_by(2) {
-                            let two = c + 1 < dk;
-                            let acc = block(ds, is.map(|i| i * t), 1, kp, [c, c + 1], dk, t, two);
-                            store(dqp, is.map(|i| i * dk + c), live, acc, two);
-                        }
-                    }
-                    for j0 in (0..t).step_by(R) {
-                        let (js, live) = crate::simd::attention::rows::<R>(t, j0);
-                        for (out, a, b) in [(dkp, ds, qp), (dvp, pp, gp)] {
-                            for c in (0..dk).step_by(2) {
-                                let two = c + 1 < dk;
-                                let acc = block(a, js, t, b, [c, c + 1], dk, t, two);
-                                store(out, js.map(|j| j * dk + c), live, acc, two);
-                            }
-                        }
-                    }
+                    backward_panels::<R>(t, dk, [qp, kp, vp, gp].map(<*mut f32>::cast_const), pp, ds, [dqp, dkp, dvp], dk);
                     for (which, grad) in [dqp, dkp, dvp].into_iter().enumerate() {
                         let dst = d_qkv.as_mut_ptr().add(which * width);
                         for i in 0..t {
-                            $ops::store_runs(grad.add(at(i * dk)), dst, &out_base, i * out_stride, dk, live);
+                            $ops::store_runs(grad.add(i * dk * LANES), dst, &out_base, i * out_stride, dk, live);
                         }
                     }
                 }

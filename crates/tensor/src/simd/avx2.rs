@@ -54,7 +54,8 @@ crate::simd::matmul_tile! {
 /// read in place. `MR` rows at a time; `b` is either
 /// [`pack_b`](super::pack_b)'s panels (`packed`, the blocked path) or
 /// row-major `[k, m]` read in place (the small-product and `tn` paths). Per
-/// output element one FMA chain over ascending `k` from `+0.0` either way;
+/// output element one FMA chain over ascending `k` from `+0.0` either way —
+/// `AT` from the element's value in `out`, which `aᵀ·g` accumulates into;
 /// a stretch of `jw` columns runs the 16- or the 8-column tile,
 /// [`panel_span`](super::panel_span)`(jw)` wide.
 #[target_feature(enable = "avx2,fma")]

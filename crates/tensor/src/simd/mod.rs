@@ -52,7 +52,9 @@ pub(crate) mod avx512;
 pub(crate) mod scalar;
 
 pub use attention::AttnGrid;
-pub(crate) use attention::{attention_backward_tiles, attention_tiles, mhsa_one_pass};
+pub(crate) use attention::{
+    attention_backward_tiles, attention_tiles, mhsa_one_pass, mhsa_one_pass_backward,
+};
 
 /// Instruction-set architecture a kernel can be dispatched to.
 ///
@@ -252,14 +254,16 @@ pub fn matmul_small(isa: Isa, a: &[f32], b: &[f32], out: &mut [f32], n: usize, k
     }
 }
 
-/// The weight-gradient product `out[k, m] = aᵀ·g` of `a: [n, k]` and
+/// The weight-gradient product `out[k, m] += aᵀ·g` of `a: [n, k]` and
 /// `g: [n, m]`, streaming: the small-product path with `a` read transposed
 /// in place — no transposed copy, no packed panel. Each register tile walks
 /// the rows of `a` and `g` once, broadcasting its `MR` columns of `a` and
 /// spanning its columns of `g` with the lanes, so per output element the
-/// chain is [`matmul_small`]'s on the materialised `aᵀ`: one accumulator
-/// from `+0.0` over ascending `n`, mul-then-add on scalar, one FMA per step
-/// on avx2/avx512.
+/// chain is [`matmul_small`]'s on the materialised `aᵀ` over ascending `n`,
+/// mul-then-add on scalar, one FMA per step on avx2/avx512 — continued
+/// from the element's value in `out`. On a zeroed `out` that is the chain
+/// from `+0.0`; over consecutive row chunks of `a` and `g` into one `out`,
+/// it is the whole product's chain, bit for bit.
 pub(crate) fn matmul_tn(
     isa: Isa,
     a: &[f32],
@@ -295,8 +299,9 @@ macro_rules! matmul_tile {
         /// element `(r, kk)` of `a` at `r·lda + kk` — or, `AT` (`a` stored
         /// transposed, the operand of `aᵀ·g` read in place), at
         /// `r + kk·lda`.
-        /// Accumulators start at `+0.0`, take one FMA per `k` step, and
-        /// are stored once; the output is never read. Rows past `rows`
+        /// Accumulators start at `+0.0` — or, `AT`, at the element's value
+        /// in `out`, so that `aᵀ·g` accumulates — take one FMA per `k`
+        /// step, and are stored once. Rows past `rows`
         /// re-read row `rows - 1` and are never stored; `MASKED` (`jw <
         /// V·LANES`) masks the last vector's loads and stores to its live
         /// lanes. Neither changes a live element's chain.
@@ -306,8 +311,8 @@ macro_rules! matmul_tile {
         /// `a` must be valid for reading element `(r, kk)` for every
         /// `r < rows`, `kk < k`; `b` for reading `V·LANES` floats at
         /// `kk·b_stride` for every `kk < k` (only the first `jw` if
-        /// `MASKED`); `out` for writing `jw` floats at `r·m` for every
-        /// `r < rows`.
+        /// `MASKED`); `out` for writing (and, `AT`, reading) `jw` floats at
+        /// `r·m` for every `r < rows`.
         $(#[$attr])*
         #[allow(clippy::too_many_arguments)]
         unsafe fn $name<const V: usize, const MASKED: bool, const AT: bool>(
@@ -329,15 +334,27 @@ macro_rules! matmul_tile {
             let (a_row, a_step) = if AT { (1, lda) } else { (lda, 1) };
             // SAFETY: `a` is read at row `r.min(rows - 1)` and step `kk < k`,
             // `b` at `kk·b_stride + v·LANES` (`v < V`; the last vector
-            // masked to `tail` lanes when `MASKED`) and `out` written at
-            // `r·m + v·LANES` for `r < rows` (masked likewise) — inside the
-            // ranges the caller vouches for.
+            // masked to `tail` lanes when `MASKED`) and `out` read (`AT`)
+            // and written at `r·m + v·LANES` for `r < rows` (masked
+            // likewise) — inside the ranges the caller vouches for.
             unsafe {
                 let mut a_rows = [a; $mr];
                 for (r, row) in a_rows.iter_mut().enumerate() {
                     *row = a.add(r.min(rows - 1) * a_row);
                 }
                 let mut acc = [[splat(0.0); V]; $mr];
+                if AT {
+                    for (r, acc) in acc.iter_mut().enumerate().take(rows) {
+                        let o = out.add(r * m);
+                        for (v, x) in acc.iter_mut().enumerate() {
+                            *x = if MASKED && v == V - 1 {
+                                load_first(o.add(v * LANES), tail)
+                            } else {
+                                load(o.add(v * LANES))
+                            };
+                        }
+                    }
+                }
                 for kk in 0..k {
                     let bp = b.add(kk * b_stride);
                     let mut bv = [splat(0.0); V];

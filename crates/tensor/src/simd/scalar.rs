@@ -50,7 +50,8 @@ pub fn matmul_block_rows(a: &[f32], packed: &[f32], out: &mut [f32], n: usize, k
 /// Small-product path: `out[n,m] = a[n,k] * b[k,m]` on `b` as given, one
 /// row of `NR`-column accumulators at a time — the chain of
 /// [`matmul_block_rows`] and `matmul_reference`, per element. With `AT`,
-/// `a` is stored transposed as `[k, n]` — the `aᵀ` of `aᵀ·g`, read in place.
+/// `a` is stored transposed as `[k, n]` — the `aᵀ` of `aᵀ·g`, read in
+/// place — and each chain continues from `out`'s element (`out += aᵀ·g`).
 pub fn matmul_small<const AT: bool>(
     a: &[f32],
     b: &[f32],
@@ -64,6 +65,9 @@ pub fn matmul_small<const AT: bool>(
         for j0 in (0..m).step_by(NR) {
             let jw = (m - j0).min(NR);
             let mut acc = [0.0f32; NR];
+            if AT {
+                acc[..jw].copy_from_slice(&out[i * m + j0..][..jw]);
+            }
             for kk in 0..k {
                 let a_ik = a[i * a_row + kk * a_step];
                 for (acc, &b_kj) in acc[..jw].iter_mut().zip(&b[kk * m + j0..]) {
