@@ -457,7 +457,7 @@ pub fn run_overall_table(kind: DatasetKind, title: &str) {
 
 /// The standard model roster: every applicable baseline plus HIRE. When a
 /// training checkpoint directory is given, the HIRE fit itself becomes
-/// durable and resume-aware (see `hire_core::resume_from`).
+/// durable and resume-aware (see `hire_core::TrainConfig::resume`).
 pub fn default_specs(
     dataset: &Dataset,
     args: &HarnessArgs,

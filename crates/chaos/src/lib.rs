@@ -97,8 +97,8 @@ pub enum FaultKind {
     Delay(Duration),
     /// Panic at the site (drives panic isolation / `WorkerLost`).
     Panic,
-    /// Fail the operation with a typed, transient [`InjectedFault`]
-    /// (drives retry and fallback).
+    /// Fail the operation with a typed [`InjectedFault`] (drives the
+    /// ladder's degradation, and typed errors where nothing degrades).
     Error,
     /// The operation "succeeds" with an output of the wrong shape (drives
     /// the scheduler's output validation).

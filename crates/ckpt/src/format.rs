@@ -230,15 +230,14 @@ impl<'a> PayloadReader<'a> {
     /// Reads a `u64` and checks it fits a `usize` small enough to allocate.
     pub fn take_len(&mut self, what: &str) -> HireResult<usize> {
         let n = self.take_u64(what)?;
-        // A length can never exceed the bytes left in the payload; this
-        // keeps a bit-flipped length from driving a huge allocation.
-        if n > self.buf.len() as u64 {
+        // Every counted element takes at least one byte, so a length can
+        // never exceed the bytes left in the payload; this keeps a
+        // bit-flipped length from driving a huge allocation.
+        let left = self.buf.len() - self.pos;
+        if n > left as u64 {
             return Err(HireError::corrupt_checkpoint(
                 self.path,
-                format!(
-                    "implausible {what} length {n} (payload is {} bytes)",
-                    self.buf.len()
-                ),
+                format!("implausible {what} length {n} ({left} payload bytes left)"),
             ));
         }
         Ok(n as usize)
@@ -374,5 +373,27 @@ mod tests {
         let mut r = PayloadReader::new(&bytes, "t");
         let err = r.take_f32_vec("vals").unwrap_err();
         assert!(err.to_string().contains("implausible"), "{err}");
+    }
+
+    /// The bound is the bytes *left*, not the whole payload: an 8-byte
+    /// payload holding the length 8 has nothing left to count.
+    #[test]
+    fn a_length_is_bounded_by_the_bytes_left() {
+        let mut w = PayloadWriter::new();
+        w.put_u64(8);
+        let bytes = w.finish();
+        let err = PayloadReader::new(&bytes, "t")
+            .take_len("count")
+            .unwrap_err();
+        assert!(err.to_string().contains("implausible"), "{err}");
+        let mut w = PayloadWriter::new();
+        w.put_u64(2);
+        w.put_u8(1);
+        w.put_u8(2);
+        let bytes = w.finish();
+        assert_eq!(
+            PayloadReader::new(&bytes, "t").take_len("count").unwrap(),
+            2
+        );
     }
 }

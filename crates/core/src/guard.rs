@@ -103,8 +103,8 @@ pub enum TrainOutcome {
         step: usize,
     },
     /// The run stopped early because [`crate::TrainConfig::halt_after_steps`]
-    /// was reached. Training state was checkpointed and can be resumed with
-    /// [`crate::resume_from`].
+    /// was reached. Training state was checkpointed and can be resumed by
+    /// [`crate::train`] with [`crate::TrainConfig::resume`] set.
     Interrupted {
         /// Last step executed before the halt.
         step: usize,

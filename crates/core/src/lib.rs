@@ -17,8 +17,8 @@
 //!   [`QuantizedModel`] is one whose weights were rounded through int8 when
 //!   it was built
 //! - [`train`] — Algorithm 1 with LAMB + Lookahead + flat-then-anneal LR
-//! - [`resume_from`] — bit-exact crash resume from durable snapshots
-//!   (see `hire-ckpt`)
+//!   — and, with [`TrainConfig::resume`], bit-exact crash resume from
+//!   durable snapshots (see `hire-ckpt`)
 //! - [`train_hybrid`] — the lightweight bias + content [`HybridModel`]
 //!   served as a degradation mid-tier by `hire-serve` (DESIGN.md §13)
 //!
@@ -26,7 +26,6 @@
 //! (Property 5.1) — enforced by tests in `him.rs`/`model.rs` and the
 //! property suite under `tests/`.
 
-pub mod backoff;
 pub mod config;
 pub mod encoder;
 mod frozen;
@@ -37,7 +36,6 @@ pub mod model;
 mod nograd;
 pub mod trainer;
 
-pub use backoff::{Backoff, BackoffConfig};
 pub use config::HireConfig;
 pub use encoder::ContextEncoder;
 pub use frozen::{FrozenModel, QuantizedModel};
@@ -48,4 +46,4 @@ pub use guard::{
 pub use him::{HimAttention, HimBlock};
 pub use hybrid::{train_hybrid, HybridConfig, HybridModel};
 pub use model::HireModel;
-pub use trainer::{fine_tune, resume_from, train, train_guarded, StepStats, TrainConfig};
+pub use trainer::{fine_tune, train, train_guarded, StepStats, TrainConfig};

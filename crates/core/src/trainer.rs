@@ -43,7 +43,15 @@ pub struct TrainConfig {
     /// How many snapshot files to retain in `checkpoint_dir`.
     pub checkpoint_keep_last: usize,
     /// When set with `checkpoint_dir`, training resumes from the newest
-    /// valid snapshot in the directory (fresh start if there is none).
+    /// snapshot in the directory that passes integrity validation
+    /// (truncated or bit-flipped files are skipped with a logged warning;
+    /// a fresh start if there is none). The caller builds the model and
+    /// seeds the RNG exactly as for a fresh run; the snapshot then
+    /// overwrites parameters, optimizer moments, Lookahead slow weights,
+    /// guard baseline, learning-rate scale and RNG stream, so the resumed
+    /// trajectory is bit-identical to the uninterrupted one. A snapshot
+    /// produced under different hyper-parameters (config fingerprint
+    /// mismatch), or one that does not line up with the model, is an error.
     pub resume: bool,
     /// Stop with [`TrainOutcome::Interrupted`] after this many steps *of
     /// this run* (deterministic interruption for crash/resume tests).
@@ -118,6 +126,14 @@ pub struct StepStats {
     pub lr: f32,
 }
 
+/// The learning-rate scale after `attempts` divergence recoveries:
+/// `factor^attempts`, computed by repeated `f32` multiplication from 1.0 —
+/// bit-identical to applying `*= factor` once per recovery, which is what
+/// makes the scale a resumed run recomputes equal the uninterrupted run's.
+pub fn geometric(factor: f32, attempts: usize) -> f32 {
+    (0..attempts).fold(1.0f32, |scale, _| scale * factor)
+}
+
 /// Trains `model` on contexts sampled from `graph` (the training-visible
 /// graph) with the default [`GuardConfig`], returning a [`TrainReport`].
 /// Deterministic under a fixed `rng`.
@@ -135,43 +151,6 @@ pub fn train(
         graph,
         sampler,
         config,
-        &GuardConfig::default(),
-        rng,
-    )
-}
-
-/// Resumes (or starts) a training run whose durable snapshots live in
-/// `dir`, using the default [`GuardConfig`].
-///
-/// The newest snapshot that passes integrity validation is loaded —
-/// truncated or bit-flipped files are skipped with a logged warning — and
-/// training continues from its exact state: parameters, optimizer moments,
-/// Lookahead slow weights, guard baseline, learning-rate scale, and RNG
-/// stream. The caller builds `model` and seeds `rng` exactly as for a fresh
-/// run; the snapshot then overwrites both, so the resumed trajectory is
-/// bit-identical to the uninterrupted one. If the directory holds no valid
-/// snapshot, training starts fresh (writing snapshots into `dir`).
-///
-/// Fails if the snapshot was produced under different hyper-parameters
-/// (config fingerprint mismatch) or does not line up with the model.
-pub fn resume_from(
-    dir: impl Into<PathBuf>,
-    model: &HireModel,
-    dataset: &Dataset,
-    graph: &BipartiteGraph,
-    sampler: &dyn ContextSampler,
-    config: &TrainConfig,
-    rng: &mut (impl Rng + StateRng),
-) -> HireResult<TrainReport> {
-    let mut config = config.clone();
-    config.checkpoint_dir = Some(dir.into());
-    config.resume = true;
-    train_guarded(
-        model,
-        dataset,
-        graph,
-        sampler,
-        &config,
         &GuardConfig::default(),
         rng,
     )
@@ -421,11 +400,11 @@ fn train_impl(
             if let Some(reason) = guard.observe(loss_value, clip.nonfinite_entries) {
                 // Roll back, shrink the LR, and rebuild the optimizer: its
                 // moment estimates were computed from the diverged trajectory.
-                // The LR follows the shared backoff's geometric decay —
+                // The LR follows a geometric decay —
                 // `lr_backoff^total_recoveries` — which is bit-identical to
                 // multiplying the (possibly resumed) scale once per event.
                 checkpoint.restore(&params);
-                lr_scale = crate::backoff::Backoff::geometric(
+                lr_scale = geometric(
                     guard_config.lr_backoff,
                     prior_recoveries + recoveries.len() + 1,
                 );

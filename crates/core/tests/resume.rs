@@ -3,7 +3,7 @@
 //! run bit-exactly, and a corrupted newest snapshot must fall back to the
 //! previous valid one.
 
-use hire_core::{resume_from, train, HireConfig, HireModel, TrainConfig, TrainOutcome};
+use hire_core::{train, HireConfig, HireModel, TrainConfig, TrainOutcome};
 use hire_data::{Dataset, SyntheticConfig};
 use hire_graph::NeighborhoodSampler;
 use hire_nn::Module;
@@ -30,6 +30,15 @@ impl TempDir {
 impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+/// `config` resuming from (or starting fresh into) the snapshots in `dir`.
+fn resuming(dir: &TempDir, config: TrainConfig) -> TrainConfig {
+    TrainConfig {
+        checkpoint_dir: Some(dir.0.clone()),
+        resume: true,
+        ..config
     }
 }
 
@@ -123,13 +132,12 @@ fn interrupted_run_resumes_bit_exactly() {
     let resumed_losses = {
         let mut rng = StdRng::seed_from_u64(SEED);
         let model = HireModel::new(&dataset, &small_model_config(), &mut rng);
-        let report = resume_from(
-            tmp.0.clone(),
+        let report = train(
             &model,
             &dataset,
             &graph,
             &NeighborhoodSampler,
-            &train_config(),
+            &resuming(&tmp, train_config()),
             &mut rng,
         )
         .expect("resumed training");
@@ -196,13 +204,12 @@ fn resume_falls_back_when_newest_snapshot_is_corrupted() {
     // valid snapshot (step 9) instead of erroring out.
     let mut rng = StdRng::seed_from_u64(SEED);
     let model = HireModel::new(&dataset, &small_model_config(), &mut rng);
-    let report = resume_from(
-        tmp.0.clone(),
+    let report = train(
         &model,
         &dataset,
         &graph,
         &NeighborhoodSampler,
-        &train_config(),
+        &resuming(&tmp, train_config()),
         &mut rng,
     )
     .expect("resume with corrupt newest snapshot");
@@ -246,13 +253,12 @@ fn resume_refuses_different_hyper_parameters() {
         base_lr: 9e-3, // not what the snapshot was trained with
         ..train_config()
     };
-    let err = resume_from(
-        tmp.0.clone(),
+    let err = train(
         &model,
         &dataset,
         &graph,
         &NeighborhoodSampler,
-        &different,
+        &resuming(&tmp, different),
         &mut rng,
     )
     .expect_err("fingerprint mismatch must refuse to resume");
@@ -274,13 +280,12 @@ fn resume_on_empty_dir_is_a_fresh_run() {
         steps: 6,
         ..train_config()
     };
-    let report = resume_from(
-        tmp.0.clone(),
+    let report = train(
         &model,
         &dataset,
         &graph,
         &NeighborhoodSampler,
-        &config,
+        &resuming(&tmp, config),
         &mut rng,
     )
     .expect("fresh start under resume");

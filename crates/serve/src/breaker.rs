@@ -1,12 +1,11 @@
 //! Circuit breaker around the model tier.
 //!
 //! A poisoned frozen model (panicking forward, persistent injected fault)
-//! would otherwise burn a retry budget and a full forward attempt on
-//! every query while the fallback tier sits idle. The breaker watches a
-//! sliding window of model-tier outcomes and, past a failure-rate
-//! threshold, **opens**: model attempts are skipped outright (callers are
-//! degraded to the fallback tier, or receive the typed
-//! [`crate::ServeError::CircuitOpen`] when no fallback is configured).
+//! would otherwise burn a full forward attempt on every batch while the
+//! fallback tier sits idle. The breaker watches a sliding window of
+//! model-tier outcomes and, past a failure-rate threshold, **opens**:
+//! model attempts are skipped outright and callers are degraded down the
+//! ladder.
 //! After a cooldown the breaker goes **half-open** and admits a limited
 //! number of probe attempts; enough successes close it, any failure
 //! re-opens it.

@@ -5,9 +5,10 @@
 //! the cache memo is a fast path that short-circuits the ladder):
 //!
 //! 1. **Cache** — the exact per-entry prediction memo.
-//! 2. **Model** — a fresh frozen forward, guarded by a circuit breaker
-//!    and retried (seeded jittered backoff) on transient faults. The one
-//!    model forward the engine serves.
+//! 2. **Model** — one fresh frozen forward per batch, guarded by a circuit
+//!    breaker. The forward draws no randomness and does no I/O, so a
+//!    failure is not retried: the batch degrades. The one model forward
+//!    the engine serves.
 //! 3. **Hybrid** — a trained bias + content predictor
 //!    ([`hire_core::HybridModel`], installed via
 //!    [`ServeEngine::with_hybrid`]) that needs no sampled context; answers
@@ -21,21 +22,20 @@
 //! from a model answer.
 //!
 //! Each decision of the walk is written once, as a private function of
-//! [`ServeEngine`]: `enter` (whether the batch's misses get the model rung — the
-//! only reader of the deadline budget and the breaker's admission),
-//! `refuse_or_degrade` (the only reader of [`ResilienceConfig::fallback`]),
-//! `answer` (the only place an [`Answer`] is built and counted), `guarded`
-//! (the only `catch_unwind` and chaos hook) and `apply_rating` (the only
-//! graph write). `Rung` states the order.
+//! [`ServeEngine`]: `model_rung` (whether the batch's misses get a forward
+//! — the only reader of the deadline budget and the breaker — and its one
+//! attempt), `degrade` (the ladder's tail, which always answers), `answer`
+//! (the only place an [`Answer`] is built and counted), `guarded` (the
+//! only `catch_unwind` and chaos hook) and `apply_rating` (the only graph
+//! write). `Rung` states the order.
 
 use crate::breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 use crate::cache::{CacheKey, CacheStats, ContextCache};
 use crate::server::{Answer, ModelVersion, Predictor, RatingQuery, ServeError, ServedBy};
 use hire_baselines::{EntityMean, RatingModel};
 use hire_chaos::{sites, FaultKind, FaultPlan};
-use hire_core::FrozenModel;
-use hire_core::{Backoff, BackoffConfig, HybridModel};
-use hire_data::{context_seed, pair_context, Dataset, PredictionContext, PAIR_CONTEXT_SEED};
+use hire_core::{FrozenModel, HybridModel};
+use hire_data::{pair_context, Dataset, PredictionContext, PAIR_CONTEXT_SEED};
 use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, EpochSource, EpochedGraph, NeighborhoodSampler, Rating};
 use hire_wal::{Wal, WalError, WalRecord};
@@ -267,47 +267,6 @@ struct Incumbent {
     installed: Mutex<Installed>,
 }
 
-/// How the engine degrades when the model tier misbehaves.
-#[derive(Debug, Clone)]
-pub struct ResilienceConfig {
-    /// Circuit breaker around the frozen forward; `None` disables it.
-    pub breaker: Option<BreakerConfig>,
-    /// Model-tier attempts per batch (1 = no retry). Transient failures
-    /// (injected faults, panics, real forward errors) are retried with
-    /// seeded jittered backoff before degrading.
-    pub retry_attempts: usize,
-    /// Backoff schedule between model-tier retries.
-    pub retry_backoff: BackoffConfig,
-    /// Degrade down the ladder (hybrid → graph statistics) instead of
-    /// erroring when the model tier is unavailable. Disabled, the engine
-    /// surfaces [`ServeError::CircuitOpen`] / the model error instead.
-    pub fallback: bool,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            breaker: Some(BreakerConfig::default()),
-            retry_attempts: 2,
-            retry_backoff: BackoffConfig::default(),
-            fallback: true,
-        }
-    }
-}
-
-impl ResilienceConfig {
-    /// Pre-resilience behavior: no breaker, no retries, no fallback —
-    /// every model-tier failure surfaces to the caller.
-    pub fn disabled() -> Self {
-        ResilienceConfig {
-            breaker: None,
-            retry_attempts: 1,
-            retry_backoff: BackoffConfig::default(),
-            fallback: false,
-        }
-    }
-}
-
 /// Per-tier serve counters, plus why fallback answers were degraded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
@@ -326,8 +285,8 @@ pub struct TierStats {
     pub deadline_degraded: u64,
     /// Fallback answers caused by an open circuit breaker.
     pub breaker_degraded: u64,
-    /// Fallback answers caused by model/context failures that survived
-    /// the retry budget.
+    /// Fallback answers caused by a failed model forward or context
+    /// resolution.
     pub failure_degraded: u64,
 }
 
@@ -370,8 +329,7 @@ pub struct ServeEngine {
     graph: EpochedGraph,
     cache: Mutex<ContextCache>,
     config: EngineConfig,
-    resilience: ResilienceConfig,
-    breaker: Option<CircuitBreaker>,
+    breaker: CircuitBreaker,
     /// The hybrid mid-tier, installed via [`ServeEngine::with_hybrid`].
     hybrid: Option<HybridModel>,
     faults: Option<Arc<FaultPlan>>,
@@ -409,17 +367,16 @@ enum DegradeReason {
     Deadline,
     /// The breaker refused the model rung.
     Breaker,
-    /// Context resolution failed, or the model forward out its retry
-    /// budget, with this error.
-    Failure(ServeError),
+    /// Context resolution or the model forward failed.
+    Failure,
 }
 
 /// The degradation ladder in descent order. `Memo` is the fast path in
 /// front of it: looked up while a query's context is resolved, before the
 /// misses descend, and never descended *to*. The misses enter at `Model`
-/// if [`ServeEngine::enter`] lets them; misses it turns away, or ones the
+/// if the budget and the breaker let them; misses turned away, or ones the
 /// rung cannot answer, go to `Hybrid` and then `EntityMean`, which always
-/// answers ([`ServeEngine::refuse_or_degrade`]).
+/// answers ([`ServeEngine::degrade`]).
 #[derive(Debug, Clone, Copy)]
 enum Rung<'a> {
     Memo,
@@ -466,8 +423,8 @@ fn wal_to_serve(err: WalError) -> ServeError {
 }
 
 impl ServeEngine {
-    /// Builds an engine over the dataset's rating graph with the default
-    /// [`ResilienceConfig`] (breaker + retry + fallback enabled).
+    /// Builds an engine over the dataset's rating graph, its model rung
+    /// guarded by a breaker with the default [`BreakerConfig`].
     pub fn new(model: FrozenModel, dataset: Arc<Dataset>, config: EngineConfig) -> Self {
         let graph = dataset.graph();
         Self::with_graph(model, dataset, graph, config)
@@ -516,7 +473,7 @@ impl ServeEngine {
     /// graph, which cold-start classification reads — with `replayed`, the
     /// ratings a crashed run logged (empty on a fresh build), committed on
     /// top in order, as recovery replays them. Same dataset and config as
-    /// `self`; resilience, hybrid, faults and WAL are the follower's own
+    /// `self`; breaker, hybrid, faults and WAL are the follower's own
     /// (builder style). It pins the shared slot like its owner, and
     /// refuses installs and demotions: those go through the owner, which
     /// logs them once.
@@ -549,8 +506,6 @@ impl ServeEngine {
         let base_item_degree = (0..dataset.num_items)
             .map(|i| graph.item_degree(i))
             .collect();
-        let resilience = ResilienceConfig::default();
-        let breaker = resilience.breaker.clone().map(CircuitBreaker::new);
         ServeEngine {
             incumbent,
             owns_lineage,
@@ -558,8 +513,7 @@ impl ServeEngine {
             graph: EpochedGraph::from_arc(graph),
             cache: Mutex::new(ContextCache::new(config.cache_capacity)),
             config,
-            resilience,
-            breaker,
+            breaker: CircuitBreaker::new(BreakerConfig::default()),
             hybrid: None,
             faults: None,
             base_user_degree,
@@ -571,10 +525,10 @@ impl ServeEngine {
         }
     }
 
-    /// Replaces the resilience settings (builder style).
-    pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.breaker = resilience.breaker.clone().map(CircuitBreaker::new);
-        self.resilience = resilience;
+    /// Replaces the model rung's breaker with a closed one tuned by
+    /// `config` (builder style).
+    pub fn with_breaker(mut self, config: BreakerConfig) -> Self {
+        self.breaker = CircuitBreaker::new(config);
         self
     }
 
@@ -926,14 +880,14 @@ impl ServeEngine {
         total
     }
 
-    /// Circuit-breaker state, if a breaker is configured.
-    pub fn breaker_state(&self) -> Option<BreakerState> {
-        self.breaker.as_ref().map(CircuitBreaker::state)
+    /// The model rung's circuit-breaker state.
+    pub fn breaker_state(&self) -> BreakerState {
+        self.breaker.state()
     }
 
-    /// Circuit-breaker counters, if a breaker is configured.
-    pub fn breaker_stats(&self) -> Option<BreakerStats> {
-        self.breaker.as_ref().map(CircuitBreaker::stats)
+    /// The model rung's circuit-breaker counters.
+    pub fn breaker_stats(&self) -> BreakerStats {
+        self.breaker.stats()
     }
 
     /// Inserts a new observed rating into the serving graph and invalidates
@@ -1074,7 +1028,7 @@ impl ServeEngine {
                 *match reason {
                     DegradeReason::Deadline => &mut stats.deadline_degraded,
                     DegradeReason::Breaker => &mut stats.breaker_degraded,
-                    DegradeReason::Failure(_) => &mut stats.failure_degraded,
+                    DegradeReason::Failure => &mut stats.failure_degraded,
                 } += 1;
                 (ServedBy::Fallback, &mut stats.fallback)
             }
@@ -1087,33 +1041,29 @@ impl ServeEngine {
         });
     }
 
-    /// Whether the batch's misses get the model rung — the one reader of
-    /// the deadline budget and the breaker's admission. A spent budget turns
-    /// them away (no forward is affordable, and nothing is ever silently
-    /// late); so does a refusing breaker, open or half-open with its probes
-    /// in flight. Otherwise the batch holds one breaker admission. The model
-    /// rung asks again before each retry.
-    fn enter(&self, deadline: Option<Instant>) -> Result<(), DegradeReason> {
-        if deadline.is_some_and(|d| d <= Instant::now()) {
-            return Err(DegradeReason::Deadline);
-        }
-        match &self.breaker {
-            Some(breaker) if !breaker.admit() => Err(DegradeReason::Breaker),
-            _ => Ok(()),
-        }
-    }
-
-    /// One guarded model forward over the batch's misses
-    /// ([`sites::ENGINE_FORWARD`]), each context asked only for its query's
-    /// cell: deadline-aware, output-shape validated. `Ok(None)` means the
-    /// deadline budget ran out.
-    fn forward_attempt(
+    /// The model rung, one guarded attempt per batch: breaker admission,
+    /// one forward over the misses ([`sites::ENGINE_FORWARD`]) — each
+    /// context asked only for its query's cell, output-shape validated —
+    /// and one recorded outcome. A spent deadline budget turns the misses
+    /// away before the breaker is asked (no forward is affordable, and
+    /// nothing is ever silently late); so does a refusing breaker, open or
+    /// half-open with its probes in flight. An answer or an error is the
+    /// admission's outcome; a deadline that ran out inside the forward is
+    /// not a model failure, so the admission is forfeited without one. The
+    /// forward is deterministic, so a failure is never retried.
+    fn model_rung(
         &self,
         slot: &ModelSlot,
         asks: &[Ask<'_>],
         deadline: Option<Instant>,
-    ) -> Result<Option<Vec<Vec<f32>>>, ServeError> {
-        let preds = self.guarded(sites::ENGINE_FORWARD, "model forward", |fired| {
+    ) -> Result<Vec<Vec<f32>>, DegradeReason> {
+        if deadline.is_some_and(|d| d <= Instant::now()) {
+            return Err(DegradeReason::Deadline);
+        }
+        if !self.breaker.admit() {
+            return Err(DegradeReason::Breaker);
+        }
+        let attempted = self.guarded(sites::ENGINE_FORWARD, "model forward", |fired| {
             let mut preds = slot
                 .model
                 .forward_cells_batch_within(asks, &self.dataset, deadline)
@@ -1122,96 +1072,59 @@ impl ServeEngine {
                 // Chaos `WrongShape`: the "model" loses one output.
                 preds.pop();
             }
-            Ok(preds)
-        })?;
-        match preds {
-            Some(preds) if preds.len() != asks.len() => Err(invalid(format!(
-                "model returned {} predictions for {} contexts",
-                preds.len(),
-                asks.len()
-            ))),
-            preds => Ok(preds),
-        }
-    }
-
-    /// The model rung: up to `retry_attempts` guarded forwards with seeded
-    /// jittered backoff between them. The first attempt runs on the
-    /// admission [`ServeEngine::enter`] granted the batch; each retry asks
-    /// again. Every attempt settles its admission with the breaker: an
-    /// answer or an error is an outcome; a deadline that ran out inside the
-    /// forward is not a model failure, so the admission is forfeited
-    /// without one and the rung stops (an earlier attempt's error, if any,
-    /// stays the result).
-    fn model_rung(
-        &self,
-        slot: &ModelSlot,
-        asks: &[Ask<'_>],
-        deadline: Option<Instant>,
-        backoff_seed: u64,
-    ) -> Result<Option<Vec<Vec<f32>>>, ServeError> {
-        let mut backoff = Backoff::new(self.resilience.retry_backoff.clone(), backoff_seed);
-        let mut outcome = Ok(None);
-        for attempt in 0..self.resilience.retry_attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(backoff.next_delay());
-                if self.enter(deadline).is_err() {
-                    break;
-                }
+            match preds {
+                Some(preds) if preds.len() != asks.len() => Err(invalid(format!(
+                    "model returned {} predictions for {} contexts",
+                    preds.len(),
+                    asks.len()
+                ))),
+                preds => Ok(preds),
             }
-            let attempted = self.forward_attempt(slot, asks, deadline);
-            if let Some(breaker) = &self.breaker {
-                match &attempted {
-                    Ok(Some(_)) => breaker.record(true),
-                    Ok(None) => breaker.forfeit(),
-                    Err(_) => breaker.record(false),
-                }
+        });
+        match attempted {
+            Ok(Some(preds)) => {
+                self.breaker.record(true);
+                Ok(preds)
             }
-            match attempted {
-                Ok(None) => break,
-                Err(e) => outcome = Err(e),
-                answered => return answered,
+            Ok(None) => {
+                self.breaker.forfeit();
+                Err(DegradeReason::Deadline)
+            }
+            Err(_) => {
+                self.breaker.record(false);
+                Err(DegradeReason::Failure)
             }
         }
-        outcome
     }
 
     /// Walks the batch's misses down the ladder until a rung has answered
-    /// every waiter, or the walk is refused.
+    /// every waiter.
     fn descend(
         &self,
         slot: &ModelSlot,
         misses: &[PendingQuery],
         deadline: Option<Instant>,
-        backoff_seed: u64,
         batch: &mut Batch,
-    ) -> Result<(), ServeError> {
+    ) {
         let asks: Vec<Ask<'_>> = misses
             .iter()
             .map(|p| (&*p.ctx, std::slice::from_ref(&p.cell)))
             .collect();
-        let reason = match self.enter(deadline) {
-            Err(reason) => reason,
-            Ok(()) => match self.model_rung(slot, &asks, deadline, backoff_seed) {
-                Ok(Some(preds)) => return self.scatter(misses, &preds, batch),
-                Ok(None) => DegradeReason::Deadline,
-                Err(e) => DegradeReason::Failure(e),
-            },
-        };
-        let waiters: Vec<usize> = misses
-            .iter()
-            .flat_map(|p| p.waiters.iter().copied())
-            .collect();
-        self.refuse_or_degrade(&waiters, reason, batch)
+        match self.model_rung(slot, &asks, deadline) {
+            Ok(preds) => self.scatter(misses, &preds, batch),
+            Err(reason) => {
+                let waiters: Vec<usize> = misses
+                    .iter()
+                    .flat_map(|p| p.waiters.iter().copied())
+                    .collect();
+                self.degrade(&waiters, reason, batch);
+            }
+        }
     }
 
     /// Scatters the model rung's output to the batch positions waiting on
     /// it, and memoizes it.
-    fn scatter(
-        &self,
-        misses: &[PendingQuery],
-        preds: &[Vec<f32>],
-        batch: &mut Batch,
-    ) -> Result<(), ServeError> {
+    fn scatter(&self, misses: &[PendingQuery], preds: &[Vec<f32>], batch: &mut Batch) {
         for (
             pred,
             PendingQuery {
@@ -1230,31 +1143,13 @@ impl ServeEngine {
                 self.answer(batch, i, value, Rung::Model);
             }
         }
-        Ok(())
     }
 
-    /// What happens to `positions` once the model rung is out, for
-    /// `reason` — the one reader of [`ResilienceConfig::fallback`]. Without
-    /// it the walk is refused with the reason's typed error: an exhausted
-    /// budget is [`ServeError::DeadlineExceeded`], a refusing breaker
-    /// [`ServeError::CircuitOpen`], a failed rung its own error. With it
-    /// the ladder's tail answers, always: the hybrid predictor if one is
-    /// installed and healthy behind its guard
-    /// ([`sites::HYBRID_FORWARD`]; it needs no context), else graph
-    /// statistics.
-    fn refuse_or_degrade(
-        &self,
-        positions: &[usize],
-        reason: DegradeReason,
-        batch: &mut Batch,
-    ) -> Result<(), ServeError> {
-        if !self.resilience.fallback {
-            return Err(match reason {
-                DegradeReason::Deadline => ServeError::DeadlineExceeded,
-                DegradeReason::Breaker => ServeError::CircuitOpen,
-                DegradeReason::Failure(e) => e,
-            });
-        }
+    /// Answers `positions` once the model rung is out, for `reason`: the
+    /// ladder's tail, which always answers — the hybrid predictor if one is
+    /// installed and healthy behind its guard ([`sites::HYBRID_FORWARD`];
+    /// it needs no context), else graph statistics.
+    fn degrade(&self, positions: &[usize], reason: DegradeReason, batch: &mut Batch) {
         let pairs: Vec<(usize, usize)> = positions
             .iter()
             .map(|&i| (batch.queries[i].user, batch.queries[i].item))
@@ -1272,7 +1167,6 @@ impl ServeEngine {
         for (&i, rating) in positions.iter().zip(ratings) {
             self.answer(batch, i, rating, rung);
         }
-        Ok(())
     }
 
     /// The last rung: user mean → item mean → global mean over the live
@@ -1336,21 +1230,19 @@ impl ServeEngine {
                     };
                     pending.insert((q.user, q.item), pending_query);
                 }
-                Err(e) => self.refuse_or_degrade(&[i], DegradeReason::Failure(e), batch)?,
+                Err(_) => self.degrade(&[i], DegradeReason::Failure, batch),
             }
         }
-        if pending.is_empty() {
-            return Ok(());
+        if !pending.is_empty() {
+            let misses: Vec<PendingQuery> = pending.into_values().collect();
+            self.descend(slot, &misses, deadline, batch);
         }
-        let misses: Vec<PendingQuery> = pending.into_values().collect();
-        // The model rung's retry jitter is seeded per batch.
-        let backoff_seed = context_seed(self.config.seed ^ 0xBACC0FF, misses.len(), 0);
-        self.descend(slot, &misses, deadline, backoff_seed, batch)
+        Ok(())
     }
 
     /// Answers `queries` on `slot` — a [`ServeEngine::current_model`] pin of
-    /// this engine's lineage, taken once by the caller: every attempt, memo
-    /// read/write, and answer uses it. A sharded engine pins once and runs
+    /// this engine's lineage, taken once by the caller: the forward, every
+    /// memo read/write, and every answer use it. A sharded engine pins once and runs
     /// each shard's sub-batch here, so the whole batch answers under one
     /// version.
     pub fn predict_batch_pinned(
@@ -1366,8 +1258,9 @@ impl ServeEngine {
             counts: BTreeMap::new(),
         };
         let walked = self.walk(slot, deadline, &mut batch);
-        // Count before replying — what a refused walk answered on its way
-        // included — so a caller that has its reply also sees it counted.
+        // Count before replying — what a walk refused for a range violation
+        // answered on its way included — so a caller that has its reply
+        // also sees it counted.
         {
             let mut tiers = lock(&self.tiers);
             for (scenario, counted) in &batch.counts {

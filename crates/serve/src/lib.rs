@@ -19,8 +19,8 @@
 //!   and cache into a [`Predictor`]: resolve context (cache or sample),
 //!   forward the batch's misses — wrapped in the
 //!   four-rung degradation ladder (DESIGN.md §10): the prediction memo,
-//!   the model tier (per-batch deadlines, a [`CircuitBreaker`],
-//!   seeded-backoff retries), a trained [`hire_core::HybridModel`]
+//!   the model tier (per-batch deadlines, one forward per batch behind a
+//!   [`CircuitBreaker`]), a trained [`hire_core::HybridModel`]
 //!   mid-tier, and a graph-statistics fallback predictor. Every [`Answer`]
 //!   is tagged with the tier that produced it ([`ServedBy`]).
 //! - [`CircuitBreaker`] — sliding-window failure-rate breaker
@@ -67,8 +67,7 @@ pub use durable::{
     fold_log, rebuild_engine, recover, write_snapshot, LogFold, Recovered, SERVING_TAG,
 };
 pub use engine::{
-    ColdScenario, EngineConfig, Lineage, ModelSlot, ResilienceConfig, ServeEngine, SlotSource,
-    TierStats,
+    ColdScenario, EngineConfig, Lineage, ModelSlot, ServeEngine, SlotSource, TierStats,
 };
 pub use hire_core::{FrozenModel, QuantizedModel};
 pub use online::{

@@ -107,11 +107,9 @@ pub enum ServeError {
     ShuttingDown,
     /// The query's deadline budget elapsed before an answer was produced.
     DeadlineExceeded,
-    /// The model tier's circuit breaker is open and no fallback tier is
-    /// configured to degrade to.
-    CircuitOpen,
-    /// A chaos-injected transient fault (only reachable with a
-    /// [`FaultPlan`] installed and resilience disabled).
+    /// A chaos-injected fault at a site the ladder does not degrade
+    /// around: a write-ahead-log site, `online.swap` or `server.batch`
+    /// (only reachable with a [`FaultPlan`] installed).
     Injected {
         /// The fault site that fired.
         site: &'static str,
@@ -137,7 +135,6 @@ impl std::fmt::Display for ServeError {
             ServeError::WorkerLost => write!(f, "worker lost (panicked or disconnected)"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::DeadlineExceeded => write!(f, "deadline exceeded"),
-            ServeError::CircuitOpen => write!(f, "model circuit breaker is open"),
             ServeError::Injected { site } => write!(f, "injected fault at `{site}`"),
             ServeError::Internal { detail } => {
                 write!(f, "internal serving invariant broken: {detail}")
@@ -163,7 +160,6 @@ impl Clone for ServeError {
             ServeError::WorkerLost => ServeError::WorkerLost,
             ServeError::ShuttingDown => ServeError::ShuttingDown,
             ServeError::DeadlineExceeded => ServeError::DeadlineExceeded,
-            ServeError::CircuitOpen => ServeError::CircuitOpen,
             ServeError::Injected { site } => ServeError::Injected { site },
             ServeError::Internal { detail } => ServeError::Internal {
                 detail: detail.clone(),

@@ -16,8 +16,8 @@ use hire_data::Dataset;
 use hire_error::HireError;
 use hire_nn::Module;
 use hire_serve::{
-    BreakerConfig, BreakerState, EngineConfig, FrozenModel, Predictor, RatingQuery,
-    ResilienceConfig, ServeEngine, ServeError, ServedBy, Server, ServerConfig,
+    BreakerConfig, BreakerState, EngineConfig, FrozenModel, Predictor, RatingQuery, ServeEngine,
+    ServeError, ServedBy, Server, ServerConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,7 +34,7 @@ fn dataset() -> Dataset {
 }
 
 fn build_engine(
-    resilience: ResilienceConfig,
+    breaker: BreakerConfig,
     faults: Option<Arc<FaultPlan>>,
 ) -> (ServeEngine, Arc<Dataset>) {
     let dataset = Arc::new(dataset());
@@ -46,8 +46,7 @@ fn build_engine(
         cache_capacity: 64,
         ..EngineConfig::from_model_config(&config)
     };
-    let mut engine =
-        ServeEngine::new(frozen, dataset.clone(), engine_config).with_resilience(resilience);
+    let mut engine = ServeEngine::new(frozen, dataset.clone(), engine_config).with_breaker(breaker);
     if let Some(plan) = faults {
         engine = engine.with_faults(plan);
     }
@@ -79,7 +78,7 @@ fn queries(n: usize) -> Vec<RatingQuery> {
 fn every_accepted_query_gets_exactly_one_typed_reply_under_mixed_chaos() {
     for seed in [7u64, 1234, 0xC0FFEE] {
         let plan = Arc::new(FaultPlan::mixed(seed, 0.25));
-        let (engine, _) = build_engine(ResilienceConfig::default(), Some(plan.clone()));
+        let (engine, _) = build_engine(BreakerConfig::default(), Some(plan.clone()));
         let server = Server::start_with_faults(
             Arc::new(engine),
             ServerConfig {
@@ -114,7 +113,6 @@ fn every_accepted_query_gets_exactly_one_typed_reply_under_mixed_chaos() {
                 }
                 Err(ServeError::DeadlineExceeded)
                 | Err(ServeError::WorkerLost)
-                | Err(ServeError::CircuitOpen)
                 | Err(ServeError::Injected { .. })
                 | Err(ServeError::Model(_)) => {}
                 Err(other) => panic!("seed {seed}, query {k}: unexpected error: {other}"),
@@ -137,13 +135,7 @@ fn every_accepted_query_gets_exactly_one_typed_reply_under_mixed_chaos() {
 fn chaos_schedule_replays_identically_per_seed() {
     let run = |seed: u64| {
         let plan = Arc::new(FaultPlan::mixed(seed, 0.3));
-        let (engine, _) = build_engine(
-            ResilienceConfig {
-                breaker: Some(fast_breaker()),
-                ..ResilienceConfig::default()
-            },
-            Some(plan.clone()),
-        );
+        let (engine, _) = build_engine(fast_breaker(), Some(plan.clone()));
         // Single-threaded direct engine use: arrival order is fixed, so
         // the full outcome sequence must replay bit-for-bit.
         let outcomes: Vec<_> = queries(32)
@@ -164,14 +156,11 @@ fn chaos_schedule_replays_identically_per_seed() {
 fn model_panic_storm_degrades_to_fallback_and_opens_breaker() {
     let plan = Arc::new(FaultPlan::new(3).with_fault(sites::ENGINE_FORWARD, FaultKind::Panic, 1.0));
     let (engine, dataset) = build_engine(
-        ResilienceConfig {
-            // Long cooldown: once open, the breaker must visibly shed load
-            // instead of immediately probing half-open.
-            breaker: Some(BreakerConfig {
-                cooldown: Duration::from_secs(3600),
-                ..fast_breaker()
-            }),
-            ..ResilienceConfig::default()
+        // Long cooldown: once open, the breaker must visibly shed load
+        // instead of immediately probing half-open.
+        BreakerConfig {
+            cooldown: Duration::from_secs(3600),
+            ..fast_breaker()
         },
         Some(plan),
     );
@@ -208,7 +197,7 @@ fn model_panic_storm_degrades_to_fallback_and_opens_breaker() {
         tiers.failure_degraded + tiers.breaker_degraded == qs.len() as u64,
         "every degradation must be attributed: {tiers:?}"
     );
-    let breaker = engine.breaker_stats().expect("breaker configured");
+    let breaker = engine.breaker_stats();
     assert!(
         breaker.opened >= 1,
         "persistent panics must trip the breaker"
@@ -228,19 +217,12 @@ fn breaker_recovers_once_faults_clear() {
     // arrival; use Error faults and a breaker with zero cooldown, then
     // verify Closed is reachable again via successful probes).
     let plan = Arc::new(FaultPlan::new(5).with_fault(sites::ENGINE_FORWARD, FaultKind::Error, 0.9));
-    let (engine, _) = build_engine(
-        ResilienceConfig {
-            breaker: Some(fast_breaker()),
-            retry_attempts: 1,
-            ..ResilienceConfig::default()
-        },
-        Some(plan),
-    );
+    let (engine, _) = build_engine(fast_breaker(), Some(plan));
     // Hammer until the breaker has opened at least once.
     for q in queries(64) {
         let _ = engine.predict_batch_tagged(&[q], None);
     }
-    let stats = engine.breaker_stats().expect("breaker configured");
+    let stats = engine.breaker_stats();
     assert!(stats.opened >= 1, "90% error rate must trip the breaker");
     // With zero cooldown, every post-open batch admits a half-open probe;
     // at a 10% success rate the probe eventually lands, closing the
@@ -257,7 +239,7 @@ fn breaker_recovers_once_faults_clear() {
     );
     assert!(
         matches!(
-            engine.breaker_state().unwrap(),
+            engine.breaker_state(),
             BreakerState::Closed | BreakerState::Open | BreakerState::HalfOpen
         ),
         "state accessor must stay callable"
@@ -268,13 +250,7 @@ fn breaker_recovers_once_faults_clear() {
 fn wrong_shape_output_is_caught_and_degraded_never_misassigned() {
     let plan =
         Arc::new(FaultPlan::new(11).with_fault(sites::ENGINE_FORWARD, FaultKind::WrongShape, 1.0));
-    let (engine, _) = build_engine(
-        ResilienceConfig {
-            breaker: None,
-            ..ResilienceConfig::default()
-        },
-        Some(plan),
-    );
+    let (engine, _) = build_engine(BreakerConfig::default(), Some(plan));
     let qs = queries(12);
     let answers = engine.predict_batch_tagged(&qs, None).expect("degraded");
     assert!(
@@ -282,25 +258,27 @@ fn wrong_shape_output_is_caught_and_degraded_never_misassigned() {
         "truncated model output must never be zip-assigned to queries"
     );
 
-    // Without fallback, the same fault is a typed error naming the shape
-    // mismatch — not a panic, not a silent truncation.
+    // The mismatch is the model rung's failure — not a panic, not a silent
+    // truncation: every query of the batch is degraded for it, and the
+    // breaker records it as the batch's one failed outcome.
     let plan =
         Arc::new(FaultPlan::new(11).with_fault(sites::ENGINE_FORWARD, FaultKind::WrongShape, 1.0));
-    let (strict, _) = build_engine(ResilienceConfig::disabled(), Some(plan));
-    let err = strict
-        .predict_batch(&queries(4))
-        .expect_err("strict engine must surface the shape mismatch");
-    assert!(
-        err.to_string().contains("predictions for"),
-        "unexpected error: {err}"
-    );
+    let (engine, _) = build_engine(BreakerConfig::default(), Some(plan));
+    let answers = engine
+        .predict_batch_tagged(&queries(4), None)
+        .expect("degraded");
+    assert!(answers.iter().all(|a| a.served_by == ServedBy::Fallback));
+    let tiers = engine.tier_stats();
+    assert_eq!((tiers.model, tiers.fallback), (0, 4), "{tiers:?}");
+    assert_eq!(tiers.failure_degraded, 4, "{tiers:?}");
+    assert_eq!(engine.breaker_stats().failures, 1);
 }
 
 #[test]
 fn injected_resolve_failures_degrade_but_range_violations_still_surface() {
     let plan =
         Arc::new(FaultPlan::new(13).with_fault(sites::ENGINE_RESOLVE, FaultKind::Error, 1.0));
-    let (engine, _) = build_engine(ResilienceConfig::default(), Some(plan));
+    let (engine, _) = build_engine(BreakerConfig::default(), Some(plan));
     let answers = engine
         .predict_batch_tagged(&queries(8), None)
         .expect("resolve faults must degrade, not fail");
@@ -370,7 +348,7 @@ fn healthy_engine_with_chaos_disabled_serves_model_tier_only() {
     // The resilience layer must be invisible on the healthy path: no
     // faults, no deadline pressure → every answer comes from the model
     // (or its exact memo), never the fallback.
-    let (engine, _) = build_engine(ResilienceConfig::default(), None);
+    let (engine, _) = build_engine(BreakerConfig::default(), None);
     let qs = queries(16);
     let first = engine.predict_batch_tagged(&qs, None).expect("served");
     let second = engine.predict_batch_tagged(&qs, None).expect("served");
@@ -384,5 +362,5 @@ fn healthy_engine_with_chaos_disabled_serves_model_tier_only() {
     }
     let tiers = engine.tier_stats();
     assert_eq!(tiers.fallback, 0);
-    assert_eq!(engine.breaker_stats().unwrap().failures, 0);
+    assert_eq!(engine.breaker_stats().failures, 0);
 }

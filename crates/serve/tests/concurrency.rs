@@ -5,8 +5,8 @@
 use hire_core::{HireConfig, HireModel};
 use hire_graph::Rating;
 use hire_serve::{
-    Answer, EngineConfig, FrozenModel, Predictor, RatingQuery, ResilienceConfig, ServeEngine,
-    ServeError, ServedBy, Server, ServerConfig,
+    Answer, EngineConfig, FrozenModel, Predictor, RatingQuery, ServeEngine, ServeError, ServedBy,
+    Server, ServerConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -529,10 +529,7 @@ fn engine_pair() -> (ServeEngine, ServeEngine) {
         cache_capacity: 64,
         ..EngineConfig::from_model_config(&config)
     };
-    let mk = || {
-        ServeEngine::new(frozen.clone(), dataset.clone(), engine_config.clone())
-            .with_resilience(ResilienceConfig::disabled())
-    };
+    let mk = || ServeEngine::new(frozen.clone(), dataset.clone(), engine_config.clone());
     (mk(), mk())
 }
 

@@ -12,22 +12,21 @@
 //!    faults and online hot swaps (every answered query is counted in
 //!    exactly one tier bucket of each breakdown).
 //! 4. The whole schedule replays bit-identically per seed.
-//! 5. The descent is one table: entry condition × `fallback` × hybrid →
-//!    the `ServedBy` tag and the one counter that moved, or the typed
-//!    refusal (`LADDER`).
+//! 5. The descent is one table: entry condition × hybrid → the `ServedBy`
+//!    tag and the one counter that moved (`LADDER`). The ladder always
+//!    answers, and the model rung makes one attempt per batch.
 //! 6. Entity-mean answers are bit-equal to `hire_baselines::EntityMean`
 //!    fitted on the same graph snapshot, whether or not the batch needs
 //!    the global mean.
 
 use hire_baselines::{EntityMean, RatingModel};
 use hire_chaos::{sites, FaultKind, FaultPlan};
-use hire_core::{train_hybrid, BackoffConfig, HireConfig, HireModel, HybridConfig};
+use hire_core::{train_hybrid, HireConfig, HireModel, HybridConfig};
 use hire_data::Dataset;
 use hire_graph::{BipartiteGraph, Rating};
 use hire_serve::{
     Answer, BreakerConfig, BreakerState, EngineConfig, FrozenModel, Predictor, RatingQuery,
-    ResilienceConfig, ServeEngine, ServeError, ServedBy, Server, ServerConfig, SlotSource,
-    TierStats,
+    ServeEngine, ServeError, ServedBy, Server, ServerConfig, SlotSource, TierStats,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,18 +48,9 @@ fn thin_budget() -> Option<Instant> {
 }
 
 fn build_engine(
-    resilience: ResilienceConfig,
+    breaker: BreakerConfig,
     faults: Option<Arc<FaultPlan>>,
     hybrid: bool,
-) -> (ServeEngine, Arc<Dataset>) {
-    build_engine_with_cache(resilience, faults, hybrid, 64)
-}
-
-fn build_engine_with_cache(
-    resilience: ResilienceConfig,
-    faults: Option<Arc<FaultPlan>>,
-    hybrid: bool,
-    cache_capacity: usize,
 ) -> (ServeEngine, Arc<Dataset>) {
     let dataset = Arc::new(dataset());
     let config = HireConfig::fast().with_blocks(1).with_context_size(8, 8);
@@ -68,11 +58,10 @@ fn build_engine_with_cache(
     let model = HireModel::new(&dataset, &config, &mut rng);
     let frozen = FrozenModel::from_model(&model, &dataset).expect("freeze");
     let engine_config = EngineConfig {
-        cache_capacity,
+        cache_capacity: 64,
         ..EngineConfig::from_model_config(&config)
     };
-    let mut engine =
-        ServeEngine::new(frozen, dataset.clone(), engine_config).with_resilience(resilience);
+    let mut engine = ServeEngine::new(frozen, dataset.clone(), engine_config).with_breaker(breaker);
     if let Some(plan) = faults {
         engine = engine.with_faults(plan);
     }
@@ -107,11 +96,7 @@ fn model_failure_falls_to_hybrid_then_fallback() {
     // hybrid-tier, in range.
     let panic_storm =
         || Arc::new(FaultPlan::new(3).with_fault(sites::ENGINE_FORWARD, FaultKind::Panic, 1.0));
-    let no_breaker = || ResilienceConfig {
-        breaker: None,
-        ..ResilienceConfig::default()
-    };
-    let (engine, dataset) = build_engine(no_breaker(), Some(panic_storm()), true);
+    let (engine, dataset) = build_engine(BreakerConfig::default(), Some(panic_storm()), true);
     let qs = queries(12);
     let answers = engine.predict_batch_tagged(&qs, None).expect("hybrid");
     let (lo, hi) = (dataset.min_rating, dataset.max_rating());
@@ -133,7 +118,7 @@ fn model_failure_falls_to_hybrid_then_fallback() {
             .with_fault(sites::ENGINE_FORWARD, FaultKind::Panic, 1.0)
             .with_fault(sites::HYBRID_FORWARD, FaultKind::Error, 1.0),
     );
-    let (engine, _) = build_engine(no_breaker(), Some(plan), true);
+    let (engine, _) = build_engine(BreakerConfig::default(), Some(plan), true);
     let answers = engine.predict_batch_tagged(&qs, None).expect("fallback");
     assert!(answers.iter().all(|a| a.served_by == ServedBy::Fallback));
     let tiers = engine.tier_stats();
@@ -145,14 +130,7 @@ fn model_failure_falls_to_hybrid_then_fallback() {
 fn ladder_schedule_replays_identically_per_seed() {
     let run = |seed: u64| {
         let plan = Arc::new(FaultPlan::mixed(seed, 0.3));
-        let (engine, _) = build_engine(
-            ResilienceConfig {
-                breaker: Some(fast_breaker()),
-                ..ResilienceConfig::default()
-            },
-            Some(plan.clone()),
-            true,
-        );
+        let (engine, _) = build_engine(fast_breaker(), Some(plan.clone()), true);
         // Cycle the deadline class so every rung of the ladder is in
         // play: full and thin budgets (model/cache) and already-expired
         // (hybrid/fallback).
@@ -180,14 +158,7 @@ fn ladder_schedule_replays_identically_per_seed() {
 #[test]
 fn tier_accounting_is_exact_under_mixed_chaos_and_hot_swaps() {
     let plan = Arc::new(FaultPlan::mixed(0xC0FFEE, 0.3));
-    let (engine, _) = build_engine(
-        ResilienceConfig {
-            breaker: Some(fast_breaker()),
-            ..ResilienceConfig::default()
-        },
-        Some(plan),
-        true,
-    );
+    let (engine, _) = build_engine(fast_breaker(), Some(plan), true);
     let qs = queries(24);
     let mut answered = 0u64;
     for round in 0..6 {
@@ -253,7 +224,7 @@ fn tier_accounting_is_exact_under_mixed_chaos_and_hot_swaps() {
 fn every_query_gets_exactly_one_typed_reply_across_tiers_and_swaps() {
     for seed in [7u64, 0xC0FFEE] {
         let plan = Arc::new(FaultPlan::mixed(seed, 0.25));
-        let (engine, _) = build_engine(ResilienceConfig::default(), Some(plan.clone()), true);
+        let (engine, _) = build_engine(BreakerConfig::default(), Some(plan.clone()), true);
         let engine = Arc::new(engine);
         let server = Server::start_with_faults(
             engine.clone(),
@@ -308,7 +279,6 @@ fn every_query_gets_exactly_one_typed_reply_across_tiers_and_swaps() {
                 }
                 Err(ServeError::DeadlineExceeded)
                 | Err(ServeError::WorkerLost)
-                | Err(ServeError::CircuitOpen)
                 | Err(ServeError::Injected { .. })
                 | Err(ServeError::Model(_)) => {}
                 Err(other) => panic!("seed {seed}, query {k}: unexpected error: {other}"),
@@ -334,7 +304,7 @@ fn every_query_gets_exactly_one_typed_reply_across_tiers_and_swaps() {
 }
 
 // ---------------------------------------------------------------------
-// The ladder as one table: entry condition × `fallback` × hybrid.
+// The ladder as one table: entry condition × hybrid.
 // ---------------------------------------------------------------------
 
 /// How a table row makes its query leave the healthy model path.
@@ -352,8 +322,8 @@ enum Entry {
     BreakerOpen,
     /// The breaker is half-open and its one probe is in flight.
     HalfOpenProbesSpent,
-    /// Every model attempt fails typed, retries included.
-    ModelFailsRetries,
+    /// The model forward fails typed.
+    ModelFails,
     /// The model forward panics.
     ModelPanics,
     /// The model forward stalls past the deadline (`FaultKind::Delay`).
@@ -368,62 +338,27 @@ enum Why {
     Failure,
 }
 
-/// The typed refusal a row expects under `fallback: false`.
-#[derive(Debug, Clone, Copy)]
-enum Refusal {
-    DeadlineExceeded,
-    CircuitOpen,
-    Injected(&'static str),
-    /// A `ServeError::Model` whose message contains this.
-    Model(&'static str),
-}
-
 /// Where a row's query lands.
 #[derive(Debug, Clone, Copy)]
 enum Lands {
-    /// On the model rung, whatever `fallback` and the hybrid are: the bits
-    /// of the full-budget answer, memoized.
+    /// On the model rung, whatever the hybrid is: the bits of the
+    /// full-budget answer, memoized.
     Model,
-    /// Below the model rung. With `fallback`: on the hybrid when one is
-    /// installed, else on entity-mean with `Why`'s counter moved. Without
-    /// `fallback`: the refusal, and nothing is counted.
-    Below(Why, Refusal),
+    /// Below the model rung: on the hybrid when one is installed, else on
+    /// entity-mean with `Why`'s counter moved.
+    Below(Why),
 }
 
 const LADDER: [(Entry, Lands); 9] = [
-    (
-        Entry::ResolveFault,
-        Lands::Below(Why::Failure, Refusal::Injected(sites::ENGINE_RESOLVE)),
-    ),
-    (
-        Entry::ResolvePanic,
-        Lands::Below(Why::Failure, Refusal::Model("context resolution panicked")),
-    ),
-    (
-        Entry::DeadlineGone,
-        Lands::Below(Why::Deadline, Refusal::DeadlineExceeded),
-    ),
+    (Entry::ResolveFault, Lands::Below(Why::Failure)),
+    (Entry::ResolvePanic, Lands::Below(Why::Failure)),
+    (Entry::DeadlineGone, Lands::Below(Why::Deadline)),
     (Entry::ThinBudget, Lands::Model),
-    (
-        Entry::BreakerOpen,
-        Lands::Below(Why::Breaker, Refusal::CircuitOpen),
-    ),
-    (
-        Entry::HalfOpenProbesSpent,
-        Lands::Below(Why::Breaker, Refusal::CircuitOpen),
-    ),
-    (
-        Entry::ModelFailsRetries,
-        Lands::Below(Why::Failure, Refusal::Injected(sites::ENGINE_FORWARD)),
-    ),
-    (
-        Entry::ModelPanics,
-        Lands::Below(Why::Failure, Refusal::Model("model forward panicked")),
-    ),
-    (
-        Entry::DeadlineInsideForward,
-        Lands::Below(Why::Deadline, Refusal::DeadlineExceeded),
-    ),
+    (Entry::BreakerOpen, Lands::Below(Why::Breaker)),
+    (Entry::HalfOpenProbesSpent, Lands::Below(Why::Breaker)),
+    (Entry::ModelFails, Lands::Below(Why::Failure)),
+    (Entry::ModelPanics, Lands::Below(Why::Failure)),
+    (Entry::DeadlineInsideForward, Lands::Below(Why::Deadline)),
 ];
 
 /// The query every cell of the table asks; the breaker rows warm up on
@@ -476,52 +411,42 @@ fn trip_then_stall() -> FaultPlan {
 /// Builds one cell's engine, drives it into `entry`'s state, asks
 /// [`PROBE`], and returns the reply, the tier counters the probe moved,
 /// and the engine.
-fn ask(
-    entry: Entry,
-    fallback: bool,
-    hybrid: bool,
-) -> (Result<Answer, ServeError>, TierStats, ServeEngine) {
+fn ask(entry: Entry, hybrid: bool) -> (Result<Answer, ServeError>, TierStats, ServeEngine) {
     let always =
         |site: &'static str, kind: FaultKind| Some(FaultPlan::new(17).with_fault(site, kind, 1.0));
-    let mut resilience = ResilienceConfig {
-        fallback,
-        retry_backoff: BackoffConfig {
-            base: Duration::from_millis(1),
-            ..BackoffConfig::default()
-        },
-        ..ResilienceConfig::default()
+    let (breaker, plan) = match entry {
+        Entry::ResolveFault => (
+            BreakerConfig::default(),
+            always(sites::ENGINE_RESOLVE, FaultKind::Error),
+        ),
+        Entry::ResolvePanic => (
+            BreakerConfig::default(),
+            always(sites::ENGINE_RESOLVE, FaultKind::Panic),
+        ),
+        Entry::DeadlineGone | Entry::ThinBudget => (BreakerConfig::default(), None),
+        Entry::BreakerOpen => (
+            BreakerConfig {
+                cooldown: Duration::from_secs(3600),
+                ..fast_breaker()
+            },
+            always(sites::ENGINE_FORWARD, FaultKind::Error),
+        ),
+        Entry::HalfOpenProbesSpent => (fast_breaker(), Some(trip_then_stall())),
+        Entry::ModelFails => (
+            BreakerConfig::default(),
+            always(sites::ENGINE_FORWARD, FaultKind::Error),
+        ),
+        Entry::ModelPanics => (
+            BreakerConfig::default(),
+            always(sites::ENGINE_FORWARD, FaultKind::Panic),
+        ),
+        Entry::DeadlineInsideForward => (
+            BreakerConfig::default(),
+            always(sites::ENGINE_FORWARD, FaultKind::Delay(STALL)),
+        ),
     };
-    let cooling = BreakerConfig {
-        cooldown: Duration::from_secs(3600),
-        ..fast_breaker()
-    };
-    let plan = match entry {
-        Entry::ResolveFault => always(sites::ENGINE_RESOLVE, FaultKind::Error),
-        Entry::ResolvePanic => always(sites::ENGINE_RESOLVE, FaultKind::Panic),
-        Entry::DeadlineGone | Entry::ThinBudget => None,
-        Entry::BreakerOpen => {
-            resilience.breaker = Some(cooling);
-            resilience.retry_attempts = 1;
-            always(sites::ENGINE_FORWARD, FaultKind::Error)
-        }
-        Entry::HalfOpenProbesSpent => {
-            resilience.breaker = Some(fast_breaker());
-            resilience.retry_attempts = 1;
-            Some(trip_then_stall())
-        }
-        Entry::ModelFailsRetries => {
-            resilience.breaker = None;
-            always(sites::ENGINE_FORWARD, FaultKind::Error)
-        }
-        Entry::ModelPanics => {
-            resilience.breaker = None;
-            always(sites::ENGINE_FORWARD, FaultKind::Panic)
-        }
-        Entry::DeadlineInsideForward => always(sites::ENGINE_FORWARD, FaultKind::Delay(STALL)),
-    }
-    .map(Arc::new);
-    let retries = resilience.retry_attempts as u64;
-    let (engine, _) = build_engine(resilience, plan.clone(), hybrid);
+    let plan = plan.map(Arc::new);
+    let (engine, _) = build_engine(breaker, plan.clone(), hybrid);
     let forward_arrivals = || {
         let plan = plan.as_ref().expect("the row has a plan");
         plan.site_stats(sites::ENGINE_FORWARD).arrivals
@@ -534,13 +459,13 @@ fn ask(
         let moved = zip_stats(engine.tier_stats(), before, |after, before| after - before);
         (reply, moved)
     };
-    // Four failed single-query batches trip `fast_breaker` (the replies
-    // are refusals or degraded answers, depending on `fallback`).
+    // Four failed single-query batches trip `fast_breaker` (their replies
+    // are degraded answers).
     let trip = || {
         for q in queries(4) {
             let _ = engine.predict_batch_tagged(&[q], None);
         }
-        assert_eq!(engine.breaker_stats().expect("breaker").opened, 1);
+        assert_eq!(engine.breaker_stats().opened, 1);
     };
     let (reply, moved) = match entry {
         Entry::ResolveFault | Entry::ResolvePanic | Entry::ModelPanics => probe(None),
@@ -548,7 +473,7 @@ fn ask(
         Entry::ThinBudget => probe(thin_budget()),
         Entry::BreakerOpen => {
             trip();
-            assert_eq!(engine.breaker_state(), Some(BreakerState::Open));
+            assert_eq!(engine.breaker_state(), BreakerState::Open);
             probe(None)
         }
         Entry::HalfOpenProbesSpent => {
@@ -564,24 +489,36 @@ fn ask(
                 while forward_arrivals() < 5 {
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                assert_eq!(engine.breaker_state(), Some(BreakerState::HalfOpen));
+                assert_eq!(engine.breaker_state(), BreakerState::HalfOpen);
                 // The stall outlasts our probe by two orders of magnitude,
                 // so the prober's own answer is not in `moved`.
                 let out = probe(None);
                 let probed = prober.join().expect("the prober never panics");
                 assert_eq!(probed.served_by, ServedBy::Model);
-                assert_eq!(engine.breaker_state(), Some(BreakerState::Closed));
+                assert_eq!(engine.breaker_state(), BreakerState::Closed);
                 out
             })
         }
-        Entry::ModelFailsRetries => {
+        Entry::ModelFails => {
             let out = probe(None);
-            assert_eq!(forward_arrivals(), retries, "every retry is an attempt");
+            assert_eq!(forward_arrivals(), 1, "one attempt, never retried");
+            let outcomes = engine.breaker_stats();
+            assert_eq!(
+                (outcomes.successes, outcomes.failures),
+                (0, 1),
+                "one recorded outcome"
+            );
             out
         }
         Entry::DeadlineInsideForward => {
             let out = probe(Some(Instant::now() + STALL / 2));
             assert_eq!(forward_arrivals(), 1, "a spent deadline is not retried");
+            let outcomes = engine.breaker_stats();
+            assert_eq!(
+                (outcomes.successes, outcomes.failures),
+                (0, 0),
+                "a deadline inside the forward forfeits its admission"
+            );
             out
         }
     };
@@ -589,72 +526,59 @@ fn ask(
 }
 
 #[test]
-fn ladder_table_entry_by_fallback_by_hybrid() {
+fn ladder_table_entry_by_hybrid() {
     for (entry, lands) in LADDER {
-        for fallback in [true, false] {
-            for hybrid in [true, false] {
-                let cell = format!("{entry:?}, fallback {fallback}, hybrid {hybrid}");
-                let (reply, moved, engine) = ask(entry, fallback, hybrid);
-                let mut expected = TierStats::default();
-                let served_by = match (lands, fallback, hybrid) {
-                    (Lands::Model, ..) => {
-                        expected.model = 1;
-                        Ok(ServedBy::Model)
-                    }
-                    (Lands::Below(..), true, true) => {
-                        expected.hybrid = 1;
-                        Ok(ServedBy::Hybrid)
-                    }
-                    (Lands::Below(why, _), true, false) => {
-                        expected.fallback = 1;
-                        match why {
-                            Why::Deadline => expected.deadline_degraded = 1,
-                            Why::Breaker => expected.breaker_degraded = 1,
-                            Why::Failure => expected.failure_degraded = 1,
-                        }
-                        Ok(ServedBy::Fallback)
-                    }
-                    (Lands::Below(_, refusal), false, _) => Err(refusal),
-                };
-                match (&reply, served_by) {
-                    (Ok(answer), Ok(tier)) => {
-                        assert_eq!(answer.served_by, tier, "{cell}");
-                        assert_eq!(answer.version, 1, "{cell}");
-                    }
-                    (Err(ServeError::DeadlineExceeded), Err(Refusal::DeadlineExceeded))
-                    | (Err(ServeError::CircuitOpen), Err(Refusal::CircuitOpen)) => {}
-                    (Err(ServeError::Injected { site }), Err(Refusal::Injected(wanted)))
-                        if *site == wanted => {}
-                    (Err(ServeError::Model(e)), Err(Refusal::Model(wanted)))
-                        if e.to_string().contains(wanted) => {}
-                    (got, wanted) => panic!("{cell}: expected {wanted:?}, got {got:?}"),
+        for hybrid in [true, false] {
+            let cell = format!("{entry:?}, hybrid {hybrid}");
+            let (reply, moved, engine) = ask(entry, hybrid);
+            let mut expected = TierStats::default();
+            let served_by = match (lands, hybrid) {
+                (Lands::Model, _) => {
+                    expected.model = 1;
+                    ServedBy::Model
                 }
-                assert_eq!(moved, expected, "{cell}: counters the probe moved");
-                if let Lands::Model = lands {
-                    // No cheaper forward hides behind a deadline: the answer
-                    // is the one a query without a deadline gets, and asking
-                    // again is a memo hit on it.
-                    let got = reply.as_ref().expect("matched above").rating.to_bits();
-                    let (unhurried, ..) = build_engine(ResilienceConfig::default(), None, hybrid);
-                    let full = unhurried
-                        .predict_batch_tagged(&[PROBE], None)
-                        .expect("model")[0];
-                    assert_eq!(got, full.rating.to_bits(), "{cell}");
-                    let again = engine
-                        .predict_batch_tagged(&[PROBE], thin_budget())
-                        .expect("memo")[0];
-                    assert_eq!(again.served_by, ServedBy::Cache, "{cell}");
-                    assert_eq!(again.rating.to_bits(), got, "{cell}");
+                (Lands::Below(_), true) => {
+                    expected.hybrid = 1;
+                    ServedBy::Hybrid
                 }
-                // The three views of the tier counters are folds of one
-                // another.
-                let total = engine.tier_stats();
-                let sum = |a, b| zip_stats(a, b, |x, y| x + y);
-                let by_version = engine.version_stats().into_iter().map(|(_, s)| s);
-                let by_scenario = engine.scenario_stats().into_iter().map(|(_, s)| s);
-                assert_eq!(by_version.fold(TierStats::default(), sum), total, "{cell}");
-                assert_eq!(by_scenario.fold(TierStats::default(), sum), total, "{cell}");
+                (Lands::Below(why), false) => {
+                    expected.fallback = 1;
+                    match why {
+                        Why::Deadline => expected.deadline_degraded = 1,
+                        Why::Breaker => expected.breaker_degraded = 1,
+                        Why::Failure => expected.failure_degraded = 1,
+                    }
+                    ServedBy::Fallback
+                }
+            };
+            let answer = reply.unwrap_or_else(|e| panic!("{cell}: the ladder answers, got {e:?}"));
+            assert_eq!(answer.served_by, served_by, "{cell}");
+            assert_eq!(answer.version, 1, "{cell}");
+            assert_eq!(moved, expected, "{cell}: counters the probe moved");
+            if let Lands::Model = lands {
+                // No cheaper forward hides behind a deadline: the answer
+                // is the one a query without a deadline gets, and asking
+                // again is a memo hit on it.
+                let got = answer.rating.to_bits();
+                let (unhurried, ..) = build_engine(BreakerConfig::default(), None, hybrid);
+                let full = unhurried
+                    .predict_batch_tagged(&[PROBE], None)
+                    .expect("model")[0];
+                assert_eq!(got, full.rating.to_bits(), "{cell}");
+                let again = engine
+                    .predict_batch_tagged(&[PROBE], thin_budget())
+                    .expect("memo")[0];
+                assert_eq!(again.served_by, ServedBy::Cache, "{cell}");
+                assert_eq!(again.rating.to_bits(), got, "{cell}");
             }
+            // The three views of the tier counters are folds of one
+            // another.
+            let total = engine.tier_stats();
+            let sum = |a, b| zip_stats(a, b, |x, y| x + y);
+            let by_version = engine.version_stats().into_iter().map(|(_, s)| s);
+            let by_scenario = engine.scenario_stats().into_iter().map(|(_, s)| s);
+            assert_eq!(by_version.fold(TierStats::default(), sum), total, "{cell}");
+            assert_eq!(by_scenario.fold(TierStats::default(), sum), total, "{cell}");
         }
     }
 }

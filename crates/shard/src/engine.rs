@@ -7,7 +7,7 @@ use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, Rating};
 use hire_serve::{
     Answer, CacheStats, EngineConfig, FrozenModel, ModelVersion, Predictor, RatingQuery,
-    ResilienceConfig, ServeEngine, ServeError, SlotSource, TierStats,
+    ServeEngine, ServeError, SlotSource, TierStats,
 };
 use hire_wal::{shard_dir, ShardManifest, Wal, WalOptions};
 use std::path::Path;
@@ -130,18 +130,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Applies a resilience config to every shard (builder style); each
-    /// shard keeps its own breaker so one shard's misbehaving model tier
-    /// does not trip the others.
-    pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|e| e.with_resilience(resilience.clone()))
-            .collect();
-        self
-    }
-
     /// Installs a hybrid mid-tier on every shard (builder style).
     pub fn with_hybrid(mut self, hybrid: HybridModel) -> Self {
         self.shards = self
@@ -224,11 +212,6 @@ impl ShardedEngine {
             .map(|(e, w)| e.with_wal(w))
             .collect();
         Ok(self)
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// The inner engines, for per-shard inspection.

@@ -30,8 +30,7 @@ use hire_core::{HireConfig, HireModel};
 use hire_data::Dataset;
 use hire_graph::Rating;
 use hire_serve::{
-    EngineConfig, FrozenModel, Predictor, RatingQuery, ResilienceConfig, ServeError, Server,
-    ServerConfig, SlotSource,
+    EngineConfig, FrozenModel, Predictor, RatingQuery, ServeError, Server, ServerConfig, SlotSource,
 };
 use hire_shard::{ShardConfig, ShardedEngine};
 use rand::rngs::StdRng;
@@ -195,7 +194,6 @@ fn exactly_one_typed_reply_per_query_under_mixed_chaos_with_shards() {
                     }
                     Err(ServeError::DeadlineExceeded)
                     | Err(ServeError::WorkerLost)
-                    | Err(ServeError::CircuitOpen)
                     | Err(ServeError::Injected { .. })
                     | Err(ServeError::Model(_))
                     | Err(ServeError::Internal { .. }) => {}
@@ -442,49 +440,80 @@ fn four_workers_replay_zipf_traffic_at_twice_the_one_worker_rate() {
 
 /// The rule a sharded batch keeps whatever order its shards run in: every
 /// shard the batch touches runs, and the lowest-indexed failure is the
-/// batch's error — shard 1's, although shard 2 fails too.
+/// batch's error — shard 1's, although shard 2 fails too. A range
+/// violation is the failure the ladder never degrades around: shard 1 gets
+/// an out-of-range user, shard 2 an out-of-range item, each behind an
+/// in-range query of its own.
 #[test]
 fn a_batch_runs_every_shard_then_returns_the_lowest_failing_shards_error() {
     let dataset = dataset();
-    let plans: Vec<Arc<FaultPlan>> = [
-        FaultPlan::new(9),
-        FaultPlan::new(9).with_fault(sites::ENGINE_FORWARD, FaultKind::Error, 1.0),
-        FaultPlan::new(9).with_fault(sites::ENGINE_RESOLVE, FaultKind::Error, 1.0),
-    ]
-    .into_iter()
-    .map(Arc::new)
-    .collect();
-    let engine = sharded(&dataset, 3)
-        .with_resilience(ResilienceConfig::disabled())
-        .with_faults(plans.clone());
-    // One never-seen pair per shard, so each shard has a forward to run.
-    let batch: Vec<RatingQuery> = (0..3)
-        .map(|s| RatingQuery {
-            user: (0..USERS)
-                .find(|&u| engine.shard_of(u) == s)
-                .expect("every shard owns a user"),
+    let plans: Vec<Arc<FaultPlan>> = (0..3).map(|_| Arc::new(FaultPlan::new(9))).collect();
+    let engine = sharded(&dataset, 3).with_faults(plans.clone());
+    let owned = |s: usize, users: std::ops::Range<usize>| {
+        users
+            .into_iter()
+            .find(|&u| engine.shard_of(u) == s)
+            .expect("every shard owns a user")
+    };
+    let bad_user = owned(1, USERS..USERS + 64);
+    // One never-seen in-range pair per shard, then shard 1's and shard 2's
+    // out-of-range queries.
+    let batch = vec![
+        RatingQuery {
+            user: owned(0, 0..USERS),
             item: 3,
-        })
-        .collect();
+        },
+        RatingQuery {
+            user: owned(1, 0..USERS),
+            item: 3,
+        },
+        RatingQuery {
+            user: owned(2, 0..USERS),
+            item: 3,
+        },
+        RatingQuery {
+            user: bad_user,
+            item: 3,
+        },
+        RatingQuery {
+            user: owned(2, 0..USERS),
+            item: ITEMS,
+        },
+    ];
     let routed =
         |e: &ShardedEngine| -> Vec<u64> { e.shard_stats().iter().map(|s| s.routed).collect() };
     let before = routed(&engine);
     let err = engine
         .predict_batch_tagged(&batch, None)
         .expect_err("shards 1 and 2 fail");
+    let wanted = format!("user {bad_user} out of range {USERS}");
     assert!(
-        matches!(err, ServeError::Injected { site } if site == sites::ENGINE_FORWARD),
-        "expected shard 1's injected forward fault, got {err:?}"
+        matches!(&err, ServeError::Model(e) if e.to_string().contains(&wanted)),
+        "expected shard 1's range violation, got {err:?}"
     );
     let after = routed(&engine);
-    for s in 0..3 {
-        assert_eq!(after[s], before[s] + 1, "shard {s} was routed its query");
+    for (s, queries) in [(0, 1), (1, 2), (2, 2)] {
+        assert_eq!(
+            after[s],
+            before[s] + queries,
+            "shard {s} was routed its queries"
+        );
     }
-    // Each shard reached its own fault site: the batch did not stop at
-    // shard 1's failure.
-    assert_eq!(plans[0].site_stats(sites::ENGINE_FORWARD).arrivals, 1);
-    assert_eq!(plans[1].site_stats(sites::ENGINE_FORWARD).injected, 1);
-    assert_eq!(plans[2].site_stats(sites::ENGINE_RESOLVE).injected, 1);
+    // Each shard ran: shard 0 resolved and forwarded its query, and shards
+    // 1 and 2 resolved their in-range query before reaching the violation,
+    // which stops a shard's walk before its forward.
+    for (s, forwards) in [(0, 1), (1, 0), (2, 0)] {
+        assert_eq!(
+            plans[s].site_stats(sites::ENGINE_RESOLVE).arrivals,
+            1,
+            "shard {s}"
+        );
+        assert_eq!(
+            plans[s].site_stats(sites::ENGINE_FORWARD).arrivals,
+            forwards,
+            "shard {s}"
+        );
+    }
 }
 
 #[test]

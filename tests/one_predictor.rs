@@ -90,8 +90,7 @@ fn the_tables_and_the_server_answer_every_query_pair_alike() {
             dataset.clone(),
             visible,
             EngineConfig::from_model_config(&config()),
-        )
-        .with_resilience(ResilienceConfig::disabled());
+        );
         let queries: Vec<RatingQuery> = pairs
             .iter()
             .map(|&(user, item)| RatingQuery { user, item })
