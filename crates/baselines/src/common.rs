@@ -35,7 +35,7 @@ pub trait RatingModel {
 /// Per-side field embeddings: one table per categorical attribute plus an ID
 /// table, each `f`-dimensional. CF baselines build their input features
 /// from these fields.
-pub struct FieldEmbedder {
+pub(crate) struct FieldEmbedder {
     user_attr: Vec<Embedding>,
     item_attr: Vec<Embedding>,
     user_id: Embedding,
@@ -45,7 +45,7 @@ pub struct FieldEmbedder {
 
 impl FieldEmbedder {
     /// Builds the embedder for a dataset schema.
-    pub fn new(dataset: &Dataset, f: usize, rng: &mut StdRng) -> Self {
+    pub(crate) fn new(dataset: &Dataset, f: usize, rng: &mut StdRng) -> Self {
         FieldEmbedder {
             user_attr: dataset
                 .user_schema
@@ -66,27 +66,27 @@ impl FieldEmbedder {
     }
 
     /// Field width `f`.
-    pub fn field_dim(&self) -> usize {
+    pub(crate) fn field_dim(&self) -> usize {
         self.f
     }
 
     /// Number of user fields (attributes + ID).
-    pub fn num_user_fields(&self) -> usize {
+    pub(crate) fn num_user_fields(&self) -> usize {
         self.user_attr.len() + 1
     }
 
     /// Number of item fields (attributes + ID).
-    pub fn num_item_fields(&self) -> usize {
+    pub(crate) fn num_item_fields(&self) -> usize {
         self.item_attr.len() + 1
     }
 
     /// Total fields per (user, item) pair.
-    pub fn num_fields(&self) -> usize {
+    pub(crate) fn num_fields(&self) -> usize {
         self.num_user_fields() + self.num_item_fields()
     }
 
     /// Embeds a batch of pairs as stacked fields `[batch, num_fields, f]`.
-    pub fn fields(&self, dataset: &Dataset, pairs: &[(usize, usize)]) -> Tensor {
+    pub(crate) fn fields(&self, dataset: &Dataset, pairs: &[(usize, usize)]) -> Tensor {
         let users: Vec<usize> = pairs.iter().map(|&(u, _)| u).collect();
         let items: Vec<usize> = pairs.iter().map(|&(_, i)| i).collect();
         let mut parts: Vec<Tensor> = Vec::with_capacity(self.num_fields());
@@ -106,14 +106,14 @@ impl FieldEmbedder {
     }
 
     /// Embeds a batch of pairs as flat features `[batch, num_fields * f]`.
-    pub fn flat(&self, dataset: &Dataset, pairs: &[(usize, usize)]) -> Tensor {
+    pub(crate) fn flat(&self, dataset: &Dataset, pairs: &[(usize, usize)]) -> Tensor {
         let b = pairs.len();
         self.fields(dataset, pairs)
             .reshape([b, self.num_fields() * self.f])
     }
 
     /// Embeds only the user side, `[batch, num_user_fields * f]`.
-    pub fn user_flat(&self, dataset: &Dataset, users: &[usize]) -> Tensor {
+    pub(crate) fn user_flat(&self, dataset: &Dataset, users: &[usize]) -> Tensor {
         let mut parts: Vec<Tensor> = Vec::new();
         for (k, emb) in self.user_attr.iter().enumerate() {
             let codes: Vec<usize> = users.iter().map(|&u| dataset.user_attrs[u][k]).collect();
@@ -124,7 +124,7 @@ impl FieldEmbedder {
     }
 
     /// Embeds only the item side, `[batch, num_item_fields * f]`.
-    pub fn item_flat(&self, dataset: &Dataset, items: &[usize]) -> Tensor {
+    pub(crate) fn item_flat(&self, dataset: &Dataset, items: &[usize]) -> Tensor {
         let mut parts: Vec<Tensor> = Vec::new();
         for (k, emb) in self.item_attr.iter().enumerate() {
             let codes: Vec<usize> = items.iter().map(|&i| dataset.item_attrs[i][k]).collect();
@@ -173,7 +173,7 @@ impl Default for EdgeTrainConfig {
 /// Trains by minimizing MSE over observed edges with Adam.
 /// `loss_fn(dataset, batch)` returns the batch loss. Returns per-epoch mean
 /// losses.
-pub fn train_on_edges(
+pub(crate) fn train_on_edges(
     dataset: &Dataset,
     train: &BipartiteGraph,
     params: Vec<Tensor>,
@@ -207,7 +207,7 @@ pub fn train_on_edges(
 /// where `segments[i]` is the number of consecutive rows belonging to
 /// output row `i` (0 ⇒ a zero row). Used by the graph-aggregating
 /// baselines to average variable-size neighborhoods in one matmul.
-pub fn segment_mean_pool(values: &Tensor, segments: &[usize]) -> Tensor {
+pub(crate) fn segment_mean_pool(values: &Tensor, segments: &[usize]) -> Tensor {
     let dims = values.dims();
     assert_eq!(dims.len(), 2, "segment_mean_pool expects [total, d]");
     let total: usize = segments.iter().sum();
@@ -229,7 +229,7 @@ pub fn segment_mean_pool(values: &Tensor, segments: &[usize]) -> Tensor {
 
 /// Maps an unbounded score tensor into the rating range via
 /// `max_rating * sigmoid(x)` (the same output scaling HIRE uses, Eq. 16).
-pub fn scale_to_rating(score: &Tensor, dataset: &Dataset) -> Tensor {
+pub(crate) fn scale_to_rating(score: &Tensor, dataset: &Dataset) -> Tensor {
     score.sigmoid().mul_scalar(dataset.max_rating())
 }
 

@@ -3,7 +3,7 @@
 //! The comparison methods of the paper's evaluation (§ VI-A), implemented
 //! on the same tensor/NN substrate as HIRE:
 //!
-//! - CF-based: [`MatrixFactorization`], [`NeuMF`], [`WideDeep`], [`DeepFM`],
+//! - CF-based: [`NeuMF`], [`WideDeep`], [`DeepFM`],
 //!   [`Afn`]
 //! - Social recommendation: [`GraphRec`] (datasets with a social graph)
 //! - HIN-based: [`HinNeighbor`] (GraphHINGE/MetaHIN-lite; attribute-rich
@@ -15,28 +15,26 @@
 //! uniformly. Simplifications relative to the authors' released code are
 //! documented per-module and in DESIGN.md §2.
 
-pub mod afn;
-pub mod common;
-pub mod deepfm;
-pub mod graphrec;
-pub mod hin;
-pub mod mamo;
-pub mod melu;
-pub mod meta;
-pub mod mf;
-pub mod naive;
-pub mod neumf;
-pub mod tanp;
-pub mod wide_deep;
+mod afn;
+mod common;
+mod deepfm;
+mod graphrec;
+mod hin;
+mod mamo;
+mod melu;
+mod meta;
+mod naive;
+mod neumf;
+mod tanp;
+mod wide_deep;
 
 pub use afn::Afn;
-pub use common::{EdgeTrainConfig, FieldEmbedder, RatingModel};
+pub use common::{EdgeTrainConfig, RatingModel};
 pub use deepfm::DeepFM;
 pub use graphrec::GraphRec;
 pub use hin::HinNeighbor;
 pub use mamo::Mamo;
 pub use melu::{MeLU, MetaTrainConfig};
-pub use mf::MatrixFactorization;
 pub use naive::{EntityMean, GlobalMean};
 pub use neumf::NeuMF;
 pub use tanp::{Tanp, TanpConfig};

@@ -15,17 +15,17 @@ use std::collections::HashSet;
 
 /// One meta-learning task: a cold entity's support/query rating sets.
 #[derive(Debug, Clone)]
-pub struct Task {
+pub(crate) struct Task {
     /// Edges visible for adaptation.
-    pub support: Vec<Rating>,
+    pub(crate) support: Vec<Rating>,
     /// Edges to predict after adaptation.
-    pub query: Vec<Rating>,
+    pub(crate) query: Vec<Rating>,
 }
 
 /// Samples per-entity tasks from the training graph: choose an entity with
 /// at least `min_edges` edges, reveal `support_ratio` of them (at least 1)
 /// as support, keep the rest as query.
-pub fn sample_tasks(
+pub(crate) fn sample_tasks(
     graph: &BipartiteGraph,
     by_user: bool,
     support_ratio: f32,
@@ -82,7 +82,7 @@ pub fn sample_tasks(
 /// query pairs themselves excluded. Deterministic; capped at `cap` edges
 /// (pairs' own users first, so a cold user's few support edges always make
 /// the cut).
-pub fn support_from_visible(
+pub(crate) fn support_from_visible(
     visible: &BipartiteGraph,
     pairs: &[(usize, usize)],
     cap: usize,
@@ -136,22 +136,22 @@ pub fn support_from_visible(
 /// 4. [`FoMaml::restore`] the saved values and zero grads,
 /// 5. after the task batch, [`FoMaml::replay_grads`] and step the outer
 ///    optimizer.
-pub struct FoMaml {
+pub(crate) struct FoMaml {
     /// Parameters adapted in the inner loop.
-    pub local_params: Vec<Tensor>,
+    pub(crate) local_params: Vec<Tensor>,
     /// All meta-parameters (receive outer gradients).
-    pub all_params: Vec<Tensor>,
+    pub(crate) all_params: Vec<Tensor>,
     /// Inner-loop SGD learning rate.
-    pub inner_lr: f32,
+    pub(crate) inner_lr: f32,
     /// Inner-loop step count.
-    pub inner_steps: usize,
+    pub(crate) inner_steps: usize,
     stash: Vec<Option<NdArray>>,
 }
 
 impl FoMaml {
     /// Creates the scaffold. `local_params` must be a subset of
     /// `all_params` (shared tensors, not copies).
-    pub fn new(
+    pub(crate) fn new(
         local_params: Vec<Tensor>,
         all_params: Vec<Tensor>,
         inner_lr: f32,
@@ -168,12 +168,12 @@ impl FoMaml {
     }
 
     /// Snapshot of the local parameter values.
-    pub fn save(&self) -> Vec<NdArray> {
+    pub(crate) fn save(&self) -> Vec<NdArray> {
         self.local_params.iter().map(|p| p.value()).collect()
     }
 
     /// Restores local parameters and clears every gradient.
-    pub fn restore(&self, saved: &[NdArray]) {
+    pub(crate) fn restore(&self, saved: &[NdArray]) {
         for (p, v) in self.local_params.iter().zip(saved) {
             p.set_value(v.clone());
         }
@@ -184,7 +184,7 @@ impl FoMaml {
 
     /// Runs `inner_steps` SGD steps on `loss_fn` (the support loss),
     /// updating only the local parameters.
-    pub fn adapt(&self, mut loss_fn: impl FnMut() -> Tensor) {
+    pub(crate) fn adapt(&self, mut loss_fn: impl FnMut() -> Tensor) {
         for _ in 0..self.inner_steps {
             for p in &self.all_params {
                 p.zero_grad();
@@ -208,7 +208,7 @@ impl FoMaml {
 
     /// Accumulates the current gradients (from the query-loss backward)
     /// into the stash.
-    pub fn stash_grads(&mut self) {
+    pub(crate) fn stash_grads(&mut self) {
         for (slot, p) in self.stash.iter_mut().zip(&self.all_params) {
             if let Some(g) = p.grad() {
                 match slot {
@@ -221,7 +221,7 @@ impl FoMaml {
 
     /// Moves the stashed gradients back onto the parameters (for the outer
     /// optimizer) and clears the stash.
-    pub fn replay_grads(&mut self) {
+    pub(crate) fn replay_grads(&mut self) {
         for (slot, p) in self.stash.iter_mut().zip(&self.all_params) {
             if let Some(g) = slot.take() {
                 p.add_to_grad(&g);

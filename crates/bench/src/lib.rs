@@ -70,7 +70,7 @@ impl HarnessArgs {
     /// Parses an explicit argument list (without the program name),
     /// returning a typed error instead of panicking or exiting — the
     /// testable core of [`HarnessArgs::parse`].
-    pub fn parse_from(argv: &[String]) -> HireResult<Self> {
+    pub(crate) fn parse_from(argv: &[String]) -> HireResult<Self> {
         let mut args = HarnessArgs {
             tier: SpeedTier::Fast,
             seed: 7,
@@ -458,7 +458,7 @@ pub fn run_overall_table(kind: DatasetKind, title: &str) {
 /// The standard model roster: every applicable baseline plus HIRE. When a
 /// training checkpoint directory is given, the HIRE fit itself becomes
 /// durable and resume-aware (see `hire_core::TrainConfig::resume`).
-pub fn default_specs(
+pub(crate) fn default_specs(
     dataset: &Dataset,
     args: &HarnessArgs,
     train_ckpt_dir: Option<PathBuf>,
@@ -577,7 +577,7 @@ pub fn run_sweep(
 /// [`run_sweep`] with the standard model roster ([`default_specs`]); HIRE
 /// training checkpoints land in a per-scenario subdirectory of
 /// `--checkpoint-dir`.
-pub fn run_standard_sweep(kind: DatasetKind, title: &str, args: &HarnessArgs) {
+pub(crate) fn run_standard_sweep(kind: DatasetKind, title: &str, args: &HarnessArgs) {
     run_sweep(
         kind,
         title,

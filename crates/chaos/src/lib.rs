@@ -74,7 +74,7 @@ pub mod sites {
     pub const WAL_ROTATE: &str = "wal.rotate";
 
     /// Every registered site, for coverage sweeps.
-    pub const ALL: &[&str] = &[
+    pub(crate) const ALL: &[&str] = &[
         SERVER_BATCH,
         ENGINE_RESOLVE,
         ENGINE_FORWARD,
@@ -108,7 +108,7 @@ pub enum FaultKind {
     CorruptByte,
     /// Tear a buffered write: only a deterministic prefix of the buffer
     /// (plus trailing garbage) reaches the file, simulating a crash
-    /// mid-`write(2)`. Only meaningful via [`FaultPlan::tear`]; drives the
+    /// mid-`write(2)`. Only meaningful via [`FaultPlan::torn_image`]; drives the
     /// WAL's torn-tail recovery.
     TornWrite,
 }
@@ -232,11 +232,6 @@ impl FaultPlan {
             .with_fault(sites::HYBRID_FORWARD, FaultKind::Panic, rate * 0.25)
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Decides whether a fault fires for this arrival at `site`. Counts
     /// the arrival; at most one spec fires. `Delay`/`Panic`/`Error` are
     /// usually applied through [`FaultPlan::fire`]; `WrongShape` and
@@ -293,23 +288,13 @@ impl FaultPlan {
         true
     }
 
-    /// Applies a scheduled [`FaultKind::TornWrite`] to a buffered write:
-    /// when the fault fires, returns the torn bytes that should reach the
-    /// file instead of `bytes` — a deterministic prefix (at least one byte
-    /// short of complete, so the frame can never validate) followed by a
-    /// few garbage bytes, chosen from the same SplitMix64 stream. Returns
-    /// `None` when no tear is scheduled for this arrival.
-    pub fn tear(&self, site: &'static str, bytes: &[u8]) -> Option<Vec<u8>> {
-        if bytes.is_empty() || !matches!(self.decide(site), Some(FaultKind::TornWrite)) {
-            return None;
-        }
-        Some(self.torn_image(site, bytes))
-    }
-
-    /// The deterministic torn image of `bytes` at `site`, without consulting
-    /// the schedule — for callers that already hold a `TornWrite` decision
-    /// from [`FaultPlan::fire`] or [`FaultPlan::decide`] and must not burn a
-    /// second arrival.
+    /// The torn image of `bytes` at `site`: the bytes that reach the file
+    /// instead of `bytes` when a [`FaultKind::TornWrite`] fires — a
+    /// deterministic prefix (at least one byte short of complete, so the
+    /// frame can never validate) followed by a few garbage bytes, chosen
+    /// from the same SplitMix64 stream. It does not consult the schedule:
+    /// the caller already holds the `TornWrite` decision from
+    /// [`FaultPlan::fire`] or [`FaultPlan::decide`].
     pub fn torn_image(&self, site: &'static str, bytes: &[u8]) -> Vec<u8> {
         if bytes.is_empty() {
             return Vec::new();
@@ -438,21 +423,17 @@ mod tests {
 
     #[test]
     fn tear_is_deterministic_short_and_garbage_tailed() {
-        let torn = |seed: u64| {
-            let plan =
-                FaultPlan::new(seed).with_fault(sites::WAL_APPEND, FaultKind::TornWrite, 1.0);
-            plan.tear(sites::WAL_APPEND, &[0x11u8; 40])
-                .expect("scheduled tear fires")
-        };
+        let torn = |seed: u64| FaultPlan::new(seed).torn_image(sites::WAL_APPEND, &[0x11u8; 40]);
         let a = torn(5);
         assert_eq!(a, torn(5), "tear point must replay per seed");
         // The intact prefix is strictly shorter than the frame (plus at
         // most 4 garbage bytes), so a torn frame can never validate whole.
         assert!(a.len() <= 39 + 4);
         assert_ne!(a, vec![0x11u8; 40]);
-        // Unscheduled tears are a no-op.
-        let none = FaultPlan::new(5);
-        assert!(none.tear(sites::WAL_APPEND, &[0x11u8; 40]).is_none());
+        // An empty write tears to nothing.
+        assert!(FaultPlan::new(5)
+            .torn_image(sites::WAL_APPEND, &[])
+            .is_empty());
     }
 
     #[test]

@@ -19,16 +19,16 @@
 use hire_error::{HireError, HireResult};
 
 /// File magic identifying a HIRE checkpoint.
-pub const MAGIC: [u8; 8] = *b"HIRECKPT";
+pub(crate) const MAGIC: [u8; 8] = *b"HIRECKPT";
 
 /// Current snapshot format version. Bump on any payload layout change.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Bytes before the payload: magic + version + length.
-pub const HEADER_LEN: usize = 8 + 4 + 8;
+pub(crate) const HEADER_LEN: usize = 8 + 4 + 8;
 
 /// Bytes after the payload: the CRC-32 trailer.
-pub const TRAILER_LEN: usize = 4;
+pub(crate) const TRAILER_LEN: usize = 4;
 
 /// IEEE CRC-32 (the polynomial used by zip/PNG), bitwise-reflected,
 /// computed with a lazily built 256-entry table.
@@ -151,7 +151,7 @@ impl PayloadWriter {
     }
 
     /// Writes a length-prefixed `f32` slice.
-    pub fn put_f32_slice(&mut self, vs: &[f32]) {
+    pub(crate) fn put_f32_slice(&mut self, vs: &[f32]) {
         self.put_u64(vs.len() as u64);
         for &v in vs {
             self.put_f32(v);
@@ -159,7 +159,7 @@ impl PayloadWriter {
     }
 
     /// Writes a length-prefixed `u64` slice.
-    pub fn put_u64_slice(&mut self, vs: &[u64]) {
+    pub(crate) fn put_u64_slice(&mut self, vs: &[u64]) {
         self.put_u64(vs.len() as u64);
         for &v in vs {
             self.put_u64(v);
@@ -183,7 +183,7 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// True when every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.pos == self.buf.len()
     }
 
@@ -249,7 +249,7 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// Reads a length-prefixed `f32` vector.
-    pub fn take_f32_vec(&mut self, what: &str) -> HireResult<Vec<f32>> {
+    pub(crate) fn take_f32_vec(&mut self, what: &str) -> HireResult<Vec<f32>> {
         let n = self.take_len(what)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -259,7 +259,7 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// Reads a length-prefixed `u64` vector.
-    pub fn take_u64_vec(&mut self, what: &str) -> HireResult<Vec<u64>> {
+    pub(crate) fn take_u64_vec(&mut self, what: &str) -> HireResult<Vec<u64>> {
         let n = self.take_len(what)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {

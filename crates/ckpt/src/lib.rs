@@ -20,12 +20,10 @@
 //! [`TrainSnapshot`] and back; `hire-bench` layers scenario-level resume on
 //! top for benchmark sweeps.
 
-pub mod format;
-pub mod snapshot;
-pub mod store;
+mod format;
+mod snapshot;
+mod store;
 
-pub use format::{
-    crc32, decode_container, encode_container, PayloadReader, PayloadWriter, FORMAT_VERSION, MAGIC,
-};
+pub use format::{crc32, decode_container, encode_container, PayloadReader, PayloadWriter};
 pub use snapshot::{fingerprint, GuardSnapshot, OptimizerSnapshot, TrainSnapshot};
-pub use store::{sync_dir, CheckpointStore, LoadOutcome, DEFAULT_TAG, SNAPSHOT_EXT};
+pub use store::{sync_dir, CheckpointStore, LoadOutcome, SNAPSHOT_EXT};

@@ -33,7 +33,7 @@ pub fn sync_dir(dir: &Path) -> HireResult<()> {
 }
 
 /// Default lineage tag: plain training snapshots (`ckpt-*.hckpt`).
-pub const DEFAULT_TAG: &str = "ckpt";
+pub(crate) const DEFAULT_TAG: &str = "ckpt";
 
 /// A snapshot store rooted at one directory.
 ///
@@ -64,7 +64,7 @@ pub struct LoadOutcome {
 
 impl CheckpointStore {
     /// Opens (creating if needed) a store keeping the last `keep_last`
-    /// snapshots under the default [`DEFAULT_TAG`] lineage. `keep_last` is
+    /// snapshots under the default `DEFAULT_TAG` lineage. `keep_last` is
     /// clamped to at least 1.
     pub fn open(dir: impl Into<PathBuf>, keep_last: usize) -> HireResult<Self> {
         Self::open_tagged(dir, DEFAULT_TAG, keep_last)
@@ -98,16 +98,6 @@ impl CheckpointStore {
             tag,
             keep_last: keep_last.max(1),
         })
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The store's lineage tag.
-    pub fn tag(&self) -> &str {
-        &self.tag
     }
 
     fn file_name(&self, steps: u64) -> String {

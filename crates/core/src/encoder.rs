@@ -24,7 +24,7 @@ pub struct ContextEncoder {
 
 impl ContextEncoder {
     /// Builds the encoder for a dataset's schema.
-    pub fn new(dataset: &Dataset, attr_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(dataset: &Dataset, attr_dim: usize, rng: &mut impl Rng) -> Self {
         let user_embeddings = if dataset.user_schema.is_id_only() {
             vec![Embedding::new(dataset.num_users, attr_dim, rng)]
         } else {
@@ -56,12 +56,12 @@ impl ContextEncoder {
     }
 
     /// Number of user attributes `h_u` (1 for ID-only).
-    pub fn num_user_attrs(&self) -> usize {
+    pub(crate) fn num_user_attrs(&self) -> usize {
         self.user_embeddings.len()
     }
 
     /// Number of item attributes `h_i` (1 for ID-only).
-    pub fn num_item_attrs(&self) -> usize {
+    pub(crate) fn num_item_attrs(&self) -> usize {
         self.item_embeddings.len()
     }
 
@@ -72,13 +72,8 @@ impl ContextEncoder {
     }
 
     /// Embedding width `e = h * f`.
-    pub fn embed_dim(&self) -> usize {
+    pub(crate) fn embed_dim(&self) -> usize {
         self.num_attrs() * self.attr_dim
-    }
-
-    /// Per-attribute feature width `f`.
-    pub fn attr_dim(&self) -> usize {
-        self.attr_dim
     }
 
     /// Attribute codes for a user: schema codes, or `[user_id]` if ID-only.
@@ -221,7 +216,7 @@ mod tests {
     fn masked_rating_features_are_zero() {
         let (dataset, ctx, encoder) = setup();
         let h = encoder.encode(&ctx, &dataset).value();
-        let f = encoder.attr_dim();
+        let f = encoder.attr_dim;
         let e = encoder.embed_dim();
         for (flat, (&inp, &_r)) in ctx
             .input_mask
@@ -250,7 +245,7 @@ mod tests {
     fn same_user_shares_features_across_columns() {
         let (dataset, ctx, encoder) = setup();
         let h = encoder.encode(&ctx, &dataset).value();
-        let f = encoder.attr_dim();
+        let f = encoder.attr_dim;
         let hu_f = encoder.num_user_attrs() * f;
         for d in 0..hu_f {
             let a = h.at(&[0, 0, d]);

@@ -188,7 +188,7 @@ impl FrozenModel {
     }
 
     /// Loads a frozen model from a training snapshot.
-    pub fn from_snapshot(
+    pub(crate) fn from_snapshot(
         snapshot: &TrainSnapshot,
         dataset: &Dataset,
         config: &HireConfig,

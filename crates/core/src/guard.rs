@@ -124,27 +124,16 @@ pub struct TrainReport {
     pub outcome: TrainOutcome,
 }
 
-impl TrainReport {
-    /// Loss of the last recorded healthy step, if any step ran.
-    pub fn final_loss(&self) -> Option<f32> {
-        self.steps
-            .iter()
-            .rev()
-            .map(|s| s.loss)
-            .find(|l| l.is_finite())
-    }
-}
-
 /// In-memory snapshot of parameter values.
 #[derive(Debug, Clone)]
-pub struct ParameterCheckpoint {
+pub(crate) struct ParameterCheckpoint {
     step: usize,
     values: Vec<NdArray>,
 }
 
 impl ParameterCheckpoint {
     /// Copies the current value of every parameter.
-    pub fn capture(step: usize, params: &[Tensor]) -> Self {
+    pub(crate) fn capture(step: usize, params: &[Tensor]) -> Self {
         ParameterCheckpoint {
             step,
             values: params.iter().map(|p| p.value()).collect(),
@@ -153,31 +142,31 @@ impl ParameterCheckpoint {
 
     /// Rebuilds a checkpoint from raw values (e.g. loaded from a durable
     /// snapshot on resume).
-    pub fn from_values(step: usize, values: Vec<NdArray>) -> Self {
+    pub(crate) fn from_values(step: usize, values: Vec<NdArray>) -> Self {
         ParameterCheckpoint { step, values }
     }
 
     /// Writes the snapshot back into the parameters.
-    pub fn restore(&self, params: &[Tensor]) {
+    pub(crate) fn restore(&self, params: &[Tensor]) {
         for (p, v) in params.iter().zip(&self.values) {
             p.set_value(v.clone());
         }
     }
 
     /// Step at which the snapshot was taken.
-    pub fn step(&self) -> usize {
+    pub(crate) fn step(&self) -> usize {
         self.step
     }
 
     /// The checkpointed parameter values.
-    pub fn values(&self) -> &[NdArray] {
+    pub(crate) fn values(&self) -> &[NdArray] {
         &self.values
     }
 }
 
 /// Stateful health monitor fed once per training step.
 #[derive(Debug)]
-pub struct NumericalGuard {
+pub(crate) struct NumericalGuard {
     cfg: GuardConfig,
     ema: Option<f32>,
     healthy_steps: usize,
@@ -186,7 +175,7 @@ pub struct NumericalGuard {
 
 impl NumericalGuard {
     /// Creates a guard with the given settings.
-    pub fn new(cfg: GuardConfig) -> Self {
+    pub(crate) fn new(cfg: GuardConfig) -> Self {
         NumericalGuard {
             cfg,
             ema: None,
@@ -197,7 +186,7 @@ impl NumericalGuard {
 
     /// Feeds one step's loss and the count of non-finite gradient entries;
     /// returns the divergence reason if recovery should run now.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         loss: f32,
         nonfinite_grad_entries: usize,
@@ -233,7 +222,7 @@ impl NumericalGuard {
 
     /// Clears the baseline after a rollback (the restored weights produce
     /// different losses than the diverged ones).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.ema = None;
         self.healthy_steps = 0;
         self.suspicious_streak = 0;
@@ -241,13 +230,13 @@ impl NumericalGuard {
 
     /// Copies out `(ema, healthy_steps, suspicious_streak)` for durable
     /// checkpointing.
-    pub fn export_state(&self) -> (Option<f32>, usize, usize) {
+    pub(crate) fn export_state(&self) -> (Option<f32>, usize, usize) {
         (self.ema, self.healthy_steps, self.suspicious_streak)
     }
 
     /// Restores state captured by [`NumericalGuard::export_state`] so a
     /// resumed run sees the same baseline as the uninterrupted one.
-    pub fn import_state(
+    pub(crate) fn import_state(
         &mut self,
         ema: Option<f32>,
         healthy_steps: usize,

@@ -20,7 +20,7 @@ pub struct HimAttention {
 }
 
 /// One HIM block.
-pub struct HimBlock {
+pub(crate) struct HimBlock {
     mbu: Option<MultiHeadSelfAttention>,
     mbi: Option<MultiHeadSelfAttention>,
     mba: Option<MultiHeadSelfAttention>,
@@ -34,7 +34,7 @@ pub struct HimBlock {
 
 impl HimBlock {
     /// Builds a block for embeddings of `num_attrs * attr_dim` channels.
-    pub fn new(config: &HireConfig, num_attrs: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(config: &HireConfig, num_attrs: usize, rng: &mut impl Rng) -> Self {
         let e = num_attrs * config.attr_dim;
         let (heads, head_dim) = (config.heads, config.head_dim);
         let norm = |enabled: bool, dim: usize| enabled.then(|| LayerNorm::new(dim));
@@ -78,12 +78,12 @@ impl HimBlock {
     }
 
     /// Applies the block to `H ∈ R^{n×m×e}` (Eq. 10-15).
-    pub fn forward(&self, h: &Tensor) -> Tensor {
+    pub(crate) fn forward(&self, h: &Tensor) -> Tensor {
         self.run(h, false).0
     }
 
     /// Applies the block and captures attention weights.
-    pub fn forward_with_attention(&self, h: &Tensor) -> (Tensor, HimAttention) {
+    pub(crate) fn forward_with_attention(&self, h: &Tensor) -> (Tensor, HimAttention) {
         self.run(h, true)
     }
 

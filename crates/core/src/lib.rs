@@ -7,7 +7,7 @@
 //!   [`HireConfig::paper_default`])
 //! - [`ContextEncoder`] — Eq. (6)-(9): per-attribute embeddings assembled
 //!   into the context tensor `H ∈ R^{n×m×e}`
-//! - [`HimBlock`] — § IV-C: the three stacked MHSA layers (MBU, MBI, MBA)
+//! - `HimBlock` — § IV-C: the three stacked MHSA layers (MBU, MBI, MBA)
 //! - [`HireModel`] — encoder → K HIMs → `α · sigmoid(g(H))` decoder; its
 //!   autograd forward trains, [`HireModel::predict`] runs the no-grad one
 //! - [`FrozenModel`] — a model's weights as plain arrays, `Send + Sync`,
@@ -26,24 +26,21 @@
 //! (Property 5.1) — enforced by tests in `him.rs`/`model.rs` and the
 //! property suite under `tests/`.
 
-pub mod config;
-pub mod encoder;
+mod config;
+mod encoder;
 mod frozen;
-pub mod guard;
-pub mod him;
-pub mod hybrid;
-pub mod model;
+mod guard;
+mod him;
+mod hybrid;
+mod model;
 mod nograd;
 pub mod trainer;
 
 pub use config::HireConfig;
 pub use encoder::ContextEncoder;
 pub use frozen::{FrozenModel, QuantizedModel};
-pub use guard::{
-    DivergenceReason, GuardConfig, NumericalGuard, ParameterCheckpoint, RecoveryEvent,
-    TrainOutcome, TrainReport,
-};
-pub use him::{HimAttention, HimBlock};
+pub use guard::{DivergenceReason, GuardConfig, RecoveryEvent, TrainOutcome, TrainReport};
+pub use him::HimAttention;
 pub use hybrid::{train_hybrid, HybridConfig, HybridModel};
 pub use model::HireModel;
-pub use trainer::{fine_tune, train, train_guarded, StepStats, TrainConfig};
+pub use trainer::{fine_tune, train, train_guarded, TrainConfig};

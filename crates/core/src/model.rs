@@ -38,7 +38,7 @@ impl HireModel {
     }
 
     /// The model configuration.
-    pub fn config(&self) -> &HireConfig {
+    pub(crate) fn config(&self) -> &HireConfig {
         &self.config
     }
 

@@ -145,7 +145,7 @@ impl Dataset {
 
     /// Validates internal consistency; returns a typed error describing the
     /// first problem found, if any.
-    pub fn validate(&self) -> HireResult<()> {
+    pub(crate) fn validate(&self) -> HireResult<()> {
         let err =
             |message: String| HireError::invalid_data(format!("Dataset `{}`", self.name), message);
         if self.user_attrs.len() != self.num_users {
@@ -204,7 +204,7 @@ mod tests {
             num_users: 2,
             num_items: 3,
             user_schema: EntitySchema::new(vec![Attribute::new("age", 2)]),
-            item_schema: EntitySchema::id_only(),
+            item_schema: EntitySchema::new(Vec::new()),
             user_attrs: vec![vec![0], vec![1]],
             item_attrs: vec![vec![], vec![], vec![]],
             ratings: vec![Rating::new(0, 0, 5.0), Rating::new(1, 2, 1.0)],

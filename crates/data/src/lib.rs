@@ -11,11 +11,11 @@
 //!   input/target masks ([`training_context`], [`test_context`], and
 //!   [`pair_context`], the one query pair's test context)
 
-pub mod context;
-pub mod dataset;
-pub mod schema;
-pub mod split;
-pub mod synthetic;
+mod context;
+mod dataset;
+mod schema;
+mod split;
+mod synthetic;
 
 pub use context::{
     context_seed, pair_context, test_context, test_context_with_ratio, training_context,

@@ -11,7 +11,7 @@ pub struct Attribute {
 
 impl Attribute {
     /// Convenience constructor.
-    pub fn new(name: impl Into<String>, cardinality: usize) -> Self {
+    pub(crate) fn new(name: impl Into<String>, cardinality: usize) -> Self {
         assert!(cardinality > 0, "attribute cardinality must be positive");
         Attribute {
             name: name.into(),
@@ -31,15 +31,8 @@ pub struct EntitySchema {
 
 impl EntitySchema {
     /// Schema from an attribute list.
-    pub fn new(attributes: Vec<Attribute>) -> Self {
+    pub(crate) fn new(attributes: Vec<Attribute>) -> Self {
         EntitySchema { attributes }
-    }
-
-    /// Schema with no side information (ID-only).
-    pub fn id_only() -> Self {
-        EntitySchema {
-            attributes: Vec::new(),
-        }
     }
 
     /// Whether the schema is ID-only.
@@ -57,13 +50,8 @@ impl EntitySchema {
         &self.attributes
     }
 
-    /// Cardinality of attribute `k`.
-    pub fn cardinality(&self, k: usize) -> usize {
-        self.attributes[k].cardinality
-    }
-
     /// Validates a code vector against the schema.
-    pub fn validate(&self, codes: &[usize]) -> bool {
+    pub(crate) fn validate(&self, codes: &[usize]) -> bool {
         codes.len() == self.attributes.len()
             && codes
                 .iter()
@@ -78,7 +66,7 @@ impl EntitySchema {
 
     /// Encodes a code vector as a concatenated one-hot feature vector
     /// (used by the feature-similarity sampler and CF baselines).
-    pub fn one_hot(&self, codes: &[usize]) -> Vec<f32> {
+    pub(crate) fn one_hot(&self, codes: &[usize]) -> Vec<f32> {
         assert!(self.validate(codes), "codes {codes:?} invalid for schema");
         let mut out = vec![0.0f32; self.one_hot_width()];
         let mut offset = 0;
@@ -117,7 +105,7 @@ mod tests {
 
     #[test]
     fn id_only_schema() {
-        let s = EntitySchema::id_only();
+        let s = EntitySchema::new(Vec::new());
         assert!(s.is_id_only());
         assert_eq!(s.one_hot_width(), 0);
         assert!(s.validate(&[]));

@@ -447,14 +447,6 @@ impl SyntheticConfig {
         (dataset, graph)
     }
 
-    /// Replays the streaming path's rating sequence into `emit` — the same
-    /// sequence `generate_streaming` feeds the CSR builder. Exposed for
-    /// benchmarks and tests that need the edges without building a graph.
-    pub fn stream_ratings(&self, seed: u64, emit: &mut dyn FnMut(Rating)) {
-        let tables = self.stream_tables(seed);
-        self.stream_with_tables(seed, &tables, emit);
-    }
-
     /// Builds the shared generation tables for the streaming path.
     fn stream_tables(&self, seed: u64) -> StreamTables {
         let mut rng = StdRng::seed_from_u64(mix_seed(seed, TABLES_STREAM));
@@ -746,7 +738,8 @@ mod tests {
         let cfg = SyntheticConfig::movielens_like().scaled(80, 60, (4, 12));
         let (dataset, graph) = cfg.generate_streaming(11);
         let mut edges = Vec::new();
-        cfg.stream_ratings(11, &mut |r| edges.push(r));
+        let tables = cfg.stream_tables(11);
+        cfg.stream_with_tables(11, &tables, &mut |r| edges.push(r));
         let reference = hire_graph::BipartiteGraph::from_ratings(80, 60, &edges);
         assert_eq!(graph.num_ratings(), reference.num_ratings());
         for u in 0..80 {

@@ -28,14 +28,6 @@ pub enum HireError {
         /// Human-readable explanation.
         message: String,
     },
-    /// Training could not proceed or recover (e.g. divergence retries
-    /// exhausted, empty training graph).
-    Training {
-        /// The step at which training gave up, if meaningful.
-        step: Option<usize>,
-        /// Human-readable explanation.
-        message: String,
-    },
     /// An I/O failure, annotated with the path involved.
     Io {
         /// The file being read or written.
@@ -73,14 +65,6 @@ impl HireError {
         }
     }
 
-    /// Shorthand for an [`HireError::Training`].
-    pub fn training(step: Option<usize>, message: impl Into<String>) -> Self {
-        HireError::Training {
-            step,
-            message: message.into(),
-        }
-    }
-
     /// Shorthand for an [`HireError::Io`].
     pub fn io(path: impl Into<String>, source: std::io::Error) -> Self {
         HireError::Io {
@@ -106,18 +90,6 @@ impl fmt::Display for HireError {
             }
             HireError::InvalidData { context, message } => {
                 write!(f, "invalid data ({context}): {message}")
-            }
-            HireError::Training {
-                step: Some(step),
-                message,
-            } => {
-                write!(f, "training failed at step {step}: {message}")
-            }
-            HireError::Training {
-                step: None,
-                message,
-            } => {
-                write!(f, "training failed: {message}")
             }
             HireError::Io { path, source } => write!(f, "io error on `{path}`: {source}"),
             HireError::Serialization(message) => write!(f, "serialization error: {message}"),
@@ -150,10 +122,6 @@ mod tests {
         );
         let e = HireError::invalid_data("PredictionContext", "no target cells");
         assert!(e.to_string().contains("PredictionContext"));
-        let e = HireError::training(Some(12), "divergence retries exhausted");
-        assert!(e.to_string().contains("step 12"));
-        let e = HireError::training(None, "empty training graph");
-        assert!(!e.to_string().contains("step"));
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl EvalStatus {
     /// inverse of [`Serialize::to_value`]); `None` for malformed input.
     /// Used by the benchmark harness to re-read partial result files on
     /// `--resume`.
-    pub fn from_value(v: &Value) -> Option<Self> {
+    pub(crate) fn from_value(v: &Value) -> Option<Self> {
         match v.get("status")?.as_str()? {
             "ok" => Some(EvalStatus::Ok),
             "failed" => Some(EvalStatus::Failed {
@@ -102,7 +102,7 @@ impl ModelSpec {
     }
 
     /// Builds the model (consumes the spec).
-    pub fn build(self) -> Box<dyn RatingModel> {
+    pub(crate) fn build(self) -> Box<dyn RatingModel> {
         (self.builder)()
     }
 }

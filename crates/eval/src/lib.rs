@@ -4,21 +4,18 @@
 //! adapter for HIRE ([`HireRatingModel`]), the per-scenario evaluation
 //! runner ([`evaluate_model`]) producing the paper's Precision/NDCG/MAP @
 //! {5, 7, 10} tables, the panic/timeout-isolated variant
-//! ([`evaluate_model_isolated`]), and the model zoo ([`zoo`]) that
+//! ([`evaluate_model_isolated`]), and the model zoo (`zoo`) that
 //! instantiates every method applicable to a dataset.
 
-pub mod fault;
-pub mod hire_adapter;
-pub mod runner;
-pub mod zoo;
+mod fault;
+mod hire_adapter;
+mod runner;
+mod zoo;
 
 pub use fault::{evaluate_model_isolated, EvalStatus, ModelSpec};
 pub use hire_adapter::HireRatingModel;
 pub use hire_baselines::RatingModel;
 pub use runner::{
-    evaluate_model, format_table, format_timing, EvalConfig, MetricsAtK, ModelResult, PAPER_KS,
+    evaluate_model, format_table, format_timing, EvalConfig, MetricsAtK, ModelResult,
 };
-pub use zoo::{
-    baseline_specs, baselines, hire, hire_spec, hire_spec_with_train_config, matrix_factorization,
-    SpeedTier,
-};
+pub use zoo::{baseline_specs, baselines, hire, hire_spec, hire_spec_with_train_config, SpeedTier};

@@ -11,7 +11,7 @@ use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// The ranking cutoffs of the paper's tables.
-pub const PAPER_KS: [usize; 3] = [5, 7, 10];
+pub(crate) const PAPER_KS: [usize; 3] = [5, 7, 10];
 
 /// Aggregated metrics for one model on one scenario.
 #[derive(Debug, Clone, Serialize)]
@@ -53,7 +53,7 @@ pub struct MetricsAtK {
 impl MetricsAtK {
     /// Parses metrics back out of their serialized [`serde::Value`] form;
     /// `None` for malformed input.
-    pub fn from_value(v: &serde::Value) -> Option<Self> {
+    pub(crate) fn from_value(v: &serde::Value) -> Option<Self> {
         Some(MetricsAtK {
             k: v.get("k")?.as_i64()? as usize,
             precision: v.get("precision")?.as_f64()? as f32,

@@ -6,8 +6,8 @@
 use crate::fault::ModelSpec;
 use crate::hire_adapter::HireRatingModel;
 use hire_baselines::{
-    Afn, DeepFM, EdgeTrainConfig, GraphRec, HinNeighbor, Mamo, MatrixFactorization, MeLU,
-    MetaTrainConfig, NeuMF, RatingModel, Tanp, TanpConfig, WideDeep,
+    Afn, DeepFM, EdgeTrainConfig, GraphRec, HinNeighbor, Mamo, MeLU, MetaTrainConfig, NeuMF,
+    RatingModel, Tanp, TanpConfig, WideDeep,
 };
 use hire_core::{HireConfig, TrainConfig};
 use hire_data::Dataset;
@@ -132,12 +132,6 @@ pub fn baselines(dataset: &Dataset, tier: SpeedTier) -> Vec<Box<dyn RatingModel>
         .into_iter()
         .map(ModelSpec::build)
         .collect()
-}
-
-/// The classical MF reference (not in the paper's tables; used by ablation
-/// tooling and examples).
-pub fn matrix_factorization(tier: SpeedTier) -> Box<dyn RatingModel> {
-    Box::new(MatrixFactorization::new(16, tier.edge_config()))
 }
 
 /// Every baseline applicable to `dataset` (paper's Tables III-V

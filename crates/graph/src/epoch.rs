@@ -61,11 +61,6 @@ pub struct PinnedGraph {
 }
 
 impl PinnedGraph {
-    /// The pinned snapshot.
-    pub fn graph(&self) -> &Arc<BipartiteGraph> {
-        &self.graph
-    }
-
     /// The epoch this snapshot was installed under.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -187,7 +182,7 @@ mod tests {
         assert_eq!(after.rating(0, 0), Some(5.0));
         assert_eq!(g.epoch(), 1);
         // The epoch moved, no chunk was copied.
-        assert!(!Arc::ptr_eq(before.graph(), after.graph()));
+        assert!(!Arc::ptr_eq(&before.graph, &after.graph));
         let sharing = after.chunk_sharing(&before);
         assert_eq!(sharing.shared_chunks, sharing.chunks);
     }
@@ -202,6 +197,6 @@ mod tests {
         assert_eq!(b.pin().rating(2, 0), None);
         assert_eq!(b.epoch(), 0);
         // b still shares the original allocation.
-        assert!(Arc::ptr_eq(b.pin().graph(), &base));
+        assert!(Arc::ptr_eq(&b.pin().graph, &base));
     }
 }

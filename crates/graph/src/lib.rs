@@ -10,14 +10,14 @@
 //! - [`FeatureSimilaritySampler`] — cosine-similarity ablation
 
 //!
-//! Serving-side concurrency lives in [`epoch`]: epoch-pinned snapshots
+//! Serving-side concurrency lives in `epoch`: epoch-pinned snapshots
 //! ([`EpochedGraph`] / [`PinnedGraph`]), copy-on-write by row chunk (see
-//! [`bipartite`]), and the shared [`EpochSource`] guard abstraction
+//! `bipartite`), and the shared [`EpochSource`] guard abstraction
 //! (DESIGN.md §14).
 
-pub mod bipartite;
-pub mod epoch;
-pub mod sampler;
+mod bipartite;
+mod epoch;
+mod sampler;
 
 // The legacy samplers `tests/sampler_regression.rs` compares against are
 // written against the public API; the unit tests of `sampler`, which can

@@ -10,22 +10,12 @@ pub struct Accumulator {
 }
 
 impl Accumulator {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds one observation.
     pub fn push(&mut self, x: f32) {
         self.count += 1;
         let delta = x as f64 - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x as f64 - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.count
     }
 
     /// Sample mean (0 when empty).
@@ -41,30 +31,24 @@ impl Accumulator {
             (self.m2 / self.count as f64).sqrt() as f32
         }
     }
-
-    /// Formats as the paper's `0.1234(.0056)` convention.
-    pub fn paper_format(&self) -> String {
-        format!("{:.4}({:.4})", self.mean(), self.std()).replace("(0.", "(.")
-    }
-}
-
-/// Aggregates a slice of values.
-pub fn mean_std(values: &[f32]) -> (f32, f32) {
-    let mut acc = Accumulator::new();
-    for &v in values {
-        acc.push(v);
-    }
-    (acc.mean(), acc.std())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn welford(values: &[f32]) -> (f32, f32) {
+        let mut acc = Accumulator::default();
+        for &v in values {
+            acc.push(v);
+        }
+        (acc.mean(), acc.std())
+    }
+
     #[test]
     fn welford_matches_direct() {
         let xs = [1.0f32, 2.0, 3.0, 4.0];
-        let (mean, std) = mean_std(&xs);
+        let (mean, std) = welford(&xs);
         assert!((mean - 2.5).abs() < 1e-6);
         // population std of 1..4 = sqrt(1.25)
         assert!((std - 1.25f32.sqrt()).abs() < 1e-6);
@@ -72,19 +56,9 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        let (m, s) = mean_std(&[]);
+        let (m, s) = welford(&[]);
         assert_eq!((m, s), (0.0, 0.0));
-        let (m, s) = mean_std(&[7.0]);
+        let (m, s) = welford(&[7.0]);
         assert_eq!((m, s), (7.0, 0.0));
-    }
-
-    #[test]
-    fn paper_format_style() {
-        let mut a = Accumulator::new();
-        a.push(0.5);
-        a.push(0.52);
-        let s = a.paper_format();
-        assert!(s.starts_with("0.51"), "{s}");
-        assert!(s.contains("(."), "{s}");
     }
 }

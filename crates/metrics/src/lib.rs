@@ -5,10 +5,10 @@
 //! [`map_at_k`] at k ∈ {5, 7, 10}) and `mean(std)` aggregation
 //! ([`Accumulator`]).
 
-pub mod aggregate;
-pub mod ranking;
+mod aggregate;
+mod ranking;
 
-pub use aggregate::{mean_std, Accumulator};
+pub use aggregate::Accumulator;
 pub use ranking::{
     map_at_k, ndcg_at_k, precision_at_k, ranking_metrics, RankingMetrics, ScoredPair,
 };

@@ -5,7 +5,13 @@
 //! ranking unit is one cold entity's query set; items are ordered by the
 //! predicted rating and the metrics are computed over the actual ratings in
 //! that order. Precision and MAP binarize relevance at a threshold; NDCG
-//! uses graded relevance.
+//! uses graded relevance. Equal predictions leave their order open, so each
+//! metric is its expectation over every order of each tie group, in closed
+//! form (McSherry & Najork, ECIR 2008): a constant predictor scores what a
+//! random order scores on average, not its list's input order.
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 /// A scored query pair: the model's prediction and the ground-truth rating.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,49 +29,87 @@ impl ScoredPair {
     }
 }
 
-/// Sorts actual ratings by descending predicted rating (stable on ties).
-fn actual_in_predicted_order(pairs: &[ScoredPair]) -> Vec<f32> {
-    let mut ix: Vec<usize> = (0..pairs.len()).collect();
-    ix.sort_by(|&a, &b| {
-        pairs[b]
-            .predicted
-            .partial_cmp(&pairs[a].predicted)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    ix.into_iter().map(|i| pairs[i].actual).collect()
+/// Descending by prediction on a total order; NaN predictions rank last.
+fn by_prediction_desc(a: &ScoredPair, b: &ScoredPair) -> Ordering {
+    match (a.predicted.is_nan(), b.predicted.is_nan()) {
+        (false, false) => b.predicted.total_cmp(&a.predicted),
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
+    }
+}
+
+/// Whether two predictions rank as one tie group (NaNs tie with each other).
+fn tied(a: f32, b: f32) -> bool {
+    a == b || (a.is_nan() && b.is_nan())
+}
+
+/// How many of `ratings` are relevant (at or above `threshold`).
+fn relevant(ratings: &[f32], threshold: f32) -> usize {
+    ratings.iter().filter(|&&a| a >= threshold).count()
+}
+
+/// The actual ratings in descending predicted order, and the tie groups of
+/// equal predictions as position ranges. Within a group the order is
+/// canonical (descending actual), so every metric below is a function of
+/// the multiset of pairs, bit for bit.
+fn ranked_ties(pairs: &[ScoredPair]) -> (Vec<f32>, Vec<Range<usize>>) {
+    let mut ranked = pairs.to_vec();
+    ranked.sort_by(|a, b| by_prediction_desc(a, b).then(b.actual.total_cmp(&a.actual)));
+    let mut groups = Vec::new();
+    let mut start = 0;
+    for i in 1..=ranked.len() {
+        if i == ranked.len() || !tied(ranked[i - 1].predicted, ranked[i].predicted) {
+            groups.push(start..i);
+            start = i;
+        }
+    }
+    (ranked.iter().map(|p| p.actual).collect(), groups)
 }
 
 /// Precision@k with binary relevance at `threshold` (actual >= threshold).
 ///
 /// When fewer than `k` pairs exist, the denominator is the number of pairs.
+/// A tie group that straddles the cutoff counts the expected number of its
+/// relevant items over every order of the group (McSherry & Najork, ECIR
+/// 2008), so a constant predictor scores the list's relevant fraction.
 pub fn precision_at_k(pairs: &[ScoredPair], k: usize, threshold: f32) -> f32 {
     assert!(k > 0, "k must be positive");
     if pairs.is_empty() {
         return 0.0;
     }
-    let ordered = actual_in_predicted_order(pairs);
-    let depth = k.min(ordered.len());
-    let relevant = ordered[..depth].iter().filter(|&&a| a >= threshold).count();
-    relevant as f32 / depth as f32
+    let (actual, groups) = ranked_ties(pairs);
+    let depth = k.min(actual.len());
+    let hits: f64 = groups
+        .iter()
+        .filter(|g| g.start < depth)
+        .map(|g| {
+            let inside = g.end.min(depth) - g.start;
+            (inside * relevant(&actual[g.clone()], threshold)) as f64 / g.len() as f64
+        })
+        .sum();
+    hits as f32 / depth as f32
 }
 
 /// NDCG@k with graded relevance (the actual rating) and the standard
 /// `rel / log2(pos + 2)` discount. Returns 1.0 when the predicted order is
-/// ideal, and 0 when there are no pairs or all gains are zero.
+/// ideal, and 0 when there are no pairs or all gains are zero. Each position
+/// of a tie group gains the group's mean rating: the expected DCG over every
+/// order of the group.
 pub fn ndcg_at_k(pairs: &[ScoredPair], k: usize) -> f32 {
     assert!(k > 0, "k must be positive");
     if pairs.is_empty() {
         return 0.0;
     }
-    let ordered = actual_in_predicted_order(pairs);
-    let depth = k.min(ordered.len());
-    let dcg: f64 = ordered[..depth]
+    let (actual, groups) = ranked_ties(pairs);
+    let depth = k.min(actual.len());
+    let dcg: f64 = groups
         .iter()
-        .enumerate()
-        .map(|(i, &rel)| rel as f64 / ((i + 2) as f64).log2())
+        .flat_map(|g| {
+            let gain = actual[g.clone()].iter().map(|&a| a as f64).sum::<f64>() / g.len() as f64;
+            (g.start..g.end.min(depth)).map(move |i| gain / ((i + 2) as f64).log2())
+        })
         .sum();
-    let mut ideal = ordered.clone();
-    ideal.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+    let mut ideal = actual;
+    ideal.sort_by(|a, b| b.total_cmp(a));
     let idcg: f64 = ideal[..depth]
         .iter()
         .enumerate()
@@ -80,24 +124,36 @@ pub fn ndcg_at_k(pairs: &[ScoredPair], k: usize) -> f32 {
 
 /// MAP@k (mean average precision truncated at `k`) with binary relevance at
 /// `threshold`. Average precision is normalized by `min(k, #relevant)`.
+/// Within a tie group of `g` items, `h` of them relevant, position `i` of the
+/// group (0-based) adds its expected `rel · hits-so-far / rank` over every
+/// order of the group: `(h/g · (before + 1) + i · h(h−1)/(g(g−1))) / rank`,
+/// with `before` the relevant items ranked above the group.
 pub fn map_at_k(pairs: &[ScoredPair], k: usize, threshold: f32) -> f32 {
     assert!(k > 0, "k must be positive");
     if pairs.is_empty() {
         return 0.0;
     }
-    let ordered = actual_in_predicted_order(pairs);
-    let depth = k.min(ordered.len());
-    let total_relevant = ordered.iter().filter(|&&a| a >= threshold).count();
+    let (actual, groups) = ranked_ties(pairs);
+    let depth = k.min(actual.len());
+    let total_relevant = relevant(&actual, threshold);
     if total_relevant == 0 {
         return 0.0;
     }
-    let mut hits = 0usize;
+    let mut before = 0usize;
     let mut sum_precision = 0.0f64;
-    for (i, &a) in ordered[..depth].iter().enumerate() {
-        if a >= threshold {
-            hits += 1;
-            sum_precision += hits as f64 / (i + 1) as f64;
+    for g in groups.iter().filter(|g| g.start < depth) {
+        let (size, hits) = (g.len(), relevant(&actual[g.clone()], threshold));
+        let p_hit = hits as f64 / size as f64;
+        let p_pair = if hits > 1 {
+            (hits * (hits - 1)) as f64 / (size * (size - 1)) as f64
+        } else {
+            0.0
+        };
+        for i in g.start..g.end.min(depth) {
+            let expected = p_hit * (before + 1) as f64 + (i - g.start) as f64 * p_pair;
+            sum_precision += expected / (i + 1) as f64;
         }
+        before += hits;
     }
     (sum_precision / total_relevant.min(depth) as f64) as f32
 }
@@ -240,20 +296,78 @@ mod tests {
     }
 
     #[test]
-    fn tied_predictions_are_handled_stably() {
-        // every prediction identical: order is the input order (stable sort)
+    fn tied_predictions_score_their_expectation() {
+        // every prediction identical: one tie group, every order equally likely
         let tied = pairs(&[(3.0, 5.0), (3.0, 1.0), (3.0, 4.0), (3.0, 2.0)]);
         assert_unit_interval(ranking_metrics(&tied, 4, 4.0), "all tied");
         // with all items counted, precision is the overall relevant fraction
         assert!((precision_at_k(&tied, 4, 4.0) - 0.5).abs() < 1e-6);
-        // tied metrics must be deterministic across calls
+        // and at any depth: two relevant items of four, in expectation
+        assert!((precision_at_k(&tied, 1, 4.0) - 0.5).abs() < 1e-6);
+        // the input order of tied items is no part of the score
+        let reordered = pairs(&[(3.0, 2.0), (3.0, 4.0), (3.0, 5.0), (3.0, 1.0)]);
         assert_eq!(
-            ranking_metrics(&tied, 4, 4.0),
-            ranking_metrics(&tied, 4, 4.0)
+            ranking_metrics(&tied, 2, 4.0),
+            ranking_metrics(&reordered, 2, 4.0)
         );
-        // NaN predictions compare as equal (Ordering::Equal fallback) and
-        // must not panic or escape the unit interval
         let with_nan = pairs(&[(f32::NAN, 5.0), (3.0, 1.0), (f32::NAN, 4.0)]);
         assert_unit_interval(ranking_metrics(&with_nan, 3, 4.0), "NaN predictions");
+    }
+
+    #[test]
+    fn a_nan_prediction_ranks_last() {
+        let with_nan = pairs(&[(f32::NAN, 5.0), (3.0, 1.0), (2.0, 4.0), (1.0, 2.0)]);
+        let ranked_last = pairs(&[(0.0, 5.0), (3.0, 1.0), (2.0, 4.0), (1.0, 2.0)]);
+        for k in 1..=4 {
+            assert_eq!(
+                ranking_metrics(&with_nan, k, 4.0),
+                ranking_metrics(&ranked_last, k, 4.0),
+                "k = {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_predictions_neither_panic_the_sort_nor_unsort_the_rest() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..300 {
+            let len = 5 + (next() % 496) as usize;
+            let with_nan: Vec<ScoredPair> = (0..len)
+                .map(|_| {
+                    let r = next();
+                    let predicted = if r % 16 == 0 {
+                        f32::NAN
+                    } else {
+                        (r >> 40) as f32 / (1u64 << 24) as f32 * 5.0
+                    };
+                    ScoredPair::new(predicted, 1.0 + ((r >> 8) % 5) as f32)
+                })
+                .collect();
+            // NaN ranks last: every NaN one tie group below the smallest prediction
+            let ranked_last: Vec<ScoredPair> = with_nan
+                .iter()
+                .map(|p| {
+                    ScoredPair::new(
+                        if p.predicted.is_nan() {
+                            -1.0
+                        } else {
+                            p.predicted
+                        },
+                        p.actual,
+                    )
+                })
+                .collect();
+            for k in [1, 5, 10, len] {
+                let m = ranking_metrics(&with_nan, k, 4.0);
+                assert_unit_interval(m, "NaN-laden list");
+                assert_eq!(m, ranking_metrics(&ranked_last, k, 4.0));
+            }
+        }
     }
 }

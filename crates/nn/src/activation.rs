@@ -21,7 +21,7 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation.
-    pub fn apply(&self, x: &Tensor) -> Tensor {
+    pub(crate) fn apply(&self, x: &Tensor) -> Tensor {
         match self {
             Activation::Identity => x.clone(),
             Activation::Relu => x.relu(),

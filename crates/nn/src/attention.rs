@@ -140,16 +140,6 @@ impl MultiHeadSelfAttention {
         }
     }
 
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
-    /// Model (input/output) dimension.
-    pub fn model_dim(&self) -> usize {
-        self.model_dim
-    }
-
     /// Applies self-attention along the second-to-last axis of a `[t, d]`
     /// or `[batch, t, d]` input.
     pub fn forward(&self, x: &Tensor) -> Tensor {
@@ -158,7 +148,7 @@ impl MultiHeadSelfAttention {
 
     /// [`Self::forward`], keeping the handle the per-head attention weights
     /// are read from (used by the paper's case study, Fig. 9).
-    pub fn forward_with_weights(&self, x: &Tensor) -> AttentionOutput {
+    pub(crate) fn forward_with_weights(&self, x: &Tensor) -> AttentionOutput {
         let layout = x.with_value(|x| sequence_layout(x.dims(), self.model_dim));
         self.forward_layout(x, layout)
     }

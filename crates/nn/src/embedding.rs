@@ -12,8 +12,6 @@ use rand::Rng;
 /// `f_U^k`, `f_I^k`, `f_R`), but computed as a row gather.
 pub struct Embedding {
     table: Tensor,
-    vocab: usize,
-    dim: usize,
 }
 
 impl Embedding {
@@ -22,19 +20,7 @@ impl Embedding {
         assert!(vocab > 0, "vocab must be positive");
         Embedding {
             table: Tensor::parameter(init::embedding(vocab, dim, 0.1, rng)),
-            vocab,
-            dim,
         }
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// The raw table parameter `[vocab, dim]`.

@@ -10,23 +10,23 @@
 //! - [`mhsa_forward`] over [`MhsaWeights`] — the one tape-free MHSA
 //!   mirror used by serving (`hire-serve`), over owned or borrowed f32
 //!   weights
-//! - loss functions ([`loss`])
+//! - loss functions (`loss`)
 
-pub mod activation;
-pub mod attention;
-pub mod embedding;
-pub mod linear;
-pub mod loss;
-pub mod mlp;
-pub mod module;
-pub mod nograd;
-pub mod norm;
+mod activation;
+mod attention;
+mod embedding;
+mod linear;
+mod loss;
+mod mlp;
+mod module;
+mod nograd;
+mod norm;
 
 pub use activation::Activation;
 pub use attention::{AttentionOutput, MultiHeadSelfAttention};
 pub use embedding::Embedding;
 pub use linear::Linear;
-pub use loss::{bce_loss, mae, masked_mse_loss, mse_loss, rmse};
+pub use loss::{mse_loss, rmse};
 pub use mlp::Mlp;
 pub use module::Module;
 pub use nograd::{

@@ -20,7 +20,7 @@ impl Linear {
     }
 
     /// Xavier-initialized layer, bias optional.
-    pub fn with_bias(
+    pub(crate) fn with_bias(
         in_features: usize,
         out_features: usize,
         bias: bool,
@@ -34,19 +34,9 @@ impl Linear {
         }
     }
 
-    /// Input feature width.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
     /// Output feature width.
     pub fn out_features(&self) -> usize {
         self.out_features
-    }
-
-    /// The weight tensor `[in, out]`.
-    pub fn weight(&self) -> &Tensor {
-        &self.weight
     }
 
     /// Applies the layer.

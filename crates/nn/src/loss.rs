@@ -8,23 +8,6 @@ pub fn mse_loss(pred: &Tensor, target: &NdArray) -> Tensor {
     pred.mse_masked(target, &mask)
 }
 
-/// Mean squared error restricted to positions where `mask == 1` — the
-/// paper's Eq. (17) over the masked rating set `Q`.
-pub fn masked_mse_loss(pred: &Tensor, target: &NdArray, mask: &NdArray) -> Tensor {
-    pred.mse_masked(target, mask)
-}
-
-/// Binary cross-entropy on probabilities in `(0, 1)`.
-pub fn bce_loss(prob: &Tensor, target: &NdArray) -> Tensor {
-    let eps = 1e-7;
-    let p = prob.add_scalar(eps);
-    let one_minus = prob.neg().add_scalar(1.0 + eps);
-    let t = Tensor::constant(target.clone());
-    let pos = t.mul(&p.ln());
-    let neg = t.neg().add_scalar(1.0).mul(&one_minus.ln());
-    pos.add(&neg).neg().mean()
-}
-
 /// Root mean squared error (plain number, no autograd).
 pub fn rmse(pred: &[f32], target: &[f32]) -> f32 {
     assert_eq!(pred.len(), target.len());
@@ -37,20 +20,6 @@ pub fn rmse(pred: &[f32], target: &[f32]) -> f32 {
         .map(|(&p, &t)| ((p - t) as f64).powi(2))
         .sum();
     (se / pred.len() as f64).sqrt() as f32
-}
-
-/// Mean absolute error (plain number, no autograd).
-pub fn mae(pred: &[f32], target: &[f32]) -> f32 {
-    assert_eq!(pred.len(), target.len());
-    if pred.is_empty() {
-        return 0.0;
-    }
-    let ae: f64 = pred
-        .iter()
-        .zip(target)
-        .map(|(&p, &t)| ((p - t) as f64).abs())
-        .sum();
-    (ae / pred.len() as f64) as f32
 }
 
 #[cfg(test)]
@@ -69,22 +38,12 @@ mod tests {
         let pred = Tensor::constant(NdArray::from_vec([3], vec![1.0, 100.0, 3.0]));
         let target = NdArray::from_vec([3], vec![0.0, 0.0, 0.0]);
         let mask = NdArray::from_vec([3], vec![1.0, 0.0, 1.0]);
-        assert!((masked_mse_loss(&pred, &target, &mask).item() - 5.0).abs() < 1e-6);
+        assert!((pred.mse_masked(&target, &mask).item() - 5.0).abs() < 1e-6);
     }
 
     #[test]
-    fn bce_perfect_prediction_is_small() {
-        let prob = Tensor::constant(NdArray::from_vec([2], vec![0.999, 0.001]));
-        let target = NdArray::from_vec([2], vec![1.0, 0.0]);
-        assert!(bce_loss(&prob, &target).item() < 0.01);
-        let bad = Tensor::constant(NdArray::from_vec([2], vec![0.001, 0.999]));
-        assert!(bce_loss(&bad, &target).item() > 1.0);
-    }
-
-    #[test]
-    fn rmse_mae_plain() {
+    fn rmse_plain() {
         assert!((rmse(&[1.0, 2.0], &[0.0, 0.0]) - (2.5f32).sqrt()).abs() < 1e-6);
-        assert!((mae(&[1.0, -2.0], &[0.0, 0.0]) - 1.5).abs() < 1e-6);
         assert_eq!(rmse(&[], &[]), 0.0);
     }
 }

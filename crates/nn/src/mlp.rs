@@ -28,16 +28,6 @@ impl Mlp {
         Mlp { layers, activation }
     }
 
-    /// Input feature width.
-    pub fn in_features(&self) -> usize {
-        self.layers.first().unwrap().in_features()
-    }
-
-    /// Output feature width.
-    pub fn out_features(&self) -> usize {
-        self.layers.last().unwrap().out_features()
-    }
-
     /// Applies the network.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         let mut h = x.clone();
@@ -71,8 +61,6 @@ mod tests {
         let x = Tensor::constant(NdArray::ones([3, 6]));
         assert_eq!(mlp.forward(&x).dims(), vec![3, 2]);
         assert_eq!(mlp.num_parameters(), 6 * 4 + 4 + 4 * 2 + 2);
-        assert_eq!(mlp.in_features(), 6);
-        assert_eq!(mlp.out_features(), 2);
     }
 
     #[test]

@@ -22,11 +22,6 @@ impl LayerNorm {
         }
     }
 
-    /// Normalized feature width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Applies normalization.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         assert_eq!(

@@ -14,13 +14,6 @@ pub struct GradClipStats {
     pub clipped: bool,
 }
 
-impl GradClipStats {
-    /// True if any gradient entry had to be zeroed.
-    pub fn sanitized(&self) -> bool {
-        self.nonfinite_entries > 0
-    }
-}
-
 /// Clips gradients so their joint L2 norm is at most `max_norm`.
 ///
 /// Non-finite gradient entries (NaN/±Inf — e.g. from an overflowing attention
@@ -112,7 +105,7 @@ mod tests {
         let p = param_with_grad(&[3.0, 4.0]); // grad = [3, 4], norm 5
         let stats = clip_grad_norm(std::slice::from_ref(&p), 1.0);
         assert!((stats.pre_clip_norm - 5.0).abs() < 1e-5);
-        assert!(stats.clipped && !stats.sanitized());
+        assert!(stats.clipped && stats.nonfinite_entries == 0);
         let g = grad_of(&p);
         assert!((g.norm_l2() - 1.0).abs() < 1e-5);
         // direction preserved
@@ -143,7 +136,6 @@ mod tests {
         let p = param_with_raw_grad(&[f32::NAN, 3.0, 4.0]);
         let stats = clip_grad_norm(std::slice::from_ref(&p), 10.0);
         assert_eq!(stats.nonfinite_entries, 1);
-        assert!(stats.sanitized());
         // The finite entries survive: norm = sqrt(3^2 + 4^2) = 5, no clip at 10.
         assert!((stats.pre_clip_norm - 5.0).abs() < 1e-5);
         let g = grad_of(&p);

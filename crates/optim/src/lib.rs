@@ -10,10 +10,10 @@
 //! - global-norm gradient clipping at 1.0 ([`clip_grad_norm`])
 //! - plus [`Sgd`] and [`Adam`] for the baseline models
 
-pub mod clip;
-pub mod optimizer;
-pub mod schedule;
+mod clip;
+mod optimizer;
+mod schedule;
 
 pub use clip::{clip_grad_norm, GradClipStats};
 pub use optimizer::{Adam, Lamb, Lookahead, Optimizer, Sgd};
-pub use schedule::{ConstantLr, FlatThenAnneal, LrSchedule, StepDecay, Warmup};
+pub use schedule::{ConstantLr, FlatThenAnneal, LrSchedule};

@@ -226,7 +226,7 @@ impl Lamb {
     }
 
     /// Fully configured LAMB.
-    pub fn with_config(
+    pub(crate) fn with_config(
         params: Vec<Tensor>,
         beta1: f32,
         beta2: f32,

@@ -51,42 +51,6 @@ impl LrSchedule for FlatThenAnneal {
     }
 }
 
-/// Step decay: multiply by `gamma` every `every` steps.
-#[derive(Debug, Clone, Copy)]
-pub struct StepDecay {
-    /// Initial learning rate.
-    pub base_lr: f32,
-    /// Steps between decays.
-    pub every: usize,
-    /// Multiplicative decay factor.
-    pub gamma: f32,
-}
-
-impl LrSchedule for StepDecay {
-    fn lr(&self, step: usize) -> f32 {
-        self.base_lr * self.gamma.powi((step / self.every.max(1)) as i32)
-    }
-}
-
-/// Linear warmup into another schedule.
-pub struct Warmup<S: LrSchedule> {
-    /// Steps of linear warmup from 0.
-    pub warmup_steps: usize,
-    /// Schedule used after warmup (queried with the raw step index).
-    pub inner: S,
-}
-
-impl<S: LrSchedule> LrSchedule for Warmup<S> {
-    fn lr(&self, step: usize) -> f32 {
-        let base = self.inner.lr(step);
-        if step < self.warmup_steps {
-            base * (step + 1) as f32 / self.warmup_steps as f32
-        } else {
-            base
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,30 +66,5 @@ mod tests {
         assert!(s.lr(99) < 1e-4);
         // past the end stays ~0
         assert!(s.lr(200) < 1e-9);
-    }
-
-    #[test]
-    fn step_decay_profile() {
-        let s = StepDecay {
-            base_lr: 1.0,
-            every: 10,
-            gamma: 0.5,
-        };
-        assert_eq!(s.lr(0), 1.0);
-        assert_eq!(s.lr(9), 1.0);
-        assert_eq!(s.lr(10), 0.5);
-        assert_eq!(s.lr(25), 0.25);
-    }
-
-    #[test]
-    fn warmup_ramps_linearly() {
-        let s = Warmup {
-            warmup_steps: 10,
-            inner: ConstantLr(1.0),
-        };
-        assert!((s.lr(0) - 0.1).abs() < 1e-6);
-        assert!((s.lr(4) - 0.5).abs() < 1e-6);
-        assert_eq!(s.lr(10), 1.0);
-        assert_eq!(s.lr(50), 1.0);
     }
 }

@@ -86,7 +86,7 @@ struct Inner {
 
 /// See the module docs. Thread-safe; outcome recording and admission are
 /// short critical sections on one internal mutex.
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     config: BreakerConfig,
     inner: Mutex<Inner>,
 }
@@ -97,7 +97,7 @@ fn lock(m: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
 
 impl CircuitBreaker {
     /// A closed breaker with the given tuning.
-    pub fn new(config: BreakerConfig) -> Self {
+    pub(crate) fn new(config: BreakerConfig) -> Self {
         let config = BreakerConfig {
             window: config.window.max(1),
             min_samples: config.min_samples.max(1),
@@ -121,7 +121,7 @@ impl CircuitBreaker {
     /// Asks to attempt the model tier. `true` admits the attempt (the
     /// caller must then record exactly one outcome); `false` means the
     /// breaker is open and the attempt must be skipped.
-    pub fn admit(&self) -> bool {
+    pub(crate) fn admit(&self) -> bool {
         let mut inner = lock(&self.inner);
         match inner.state {
             BreakerState::Closed => true,
@@ -150,7 +150,7 @@ impl CircuitBreaker {
     }
 
     /// Records the outcome of an admitted model-tier attempt.
-    pub fn record(&self, success: bool) {
+    pub(crate) fn record(&self, success: bool) {
         let mut inner = lock(&self.inner);
         if success {
             inner.stats.successes += 1;
@@ -202,7 +202,7 @@ impl CircuitBreaker {
     /// outcome (e.g. the deadline budget ran out before the forward
     /// finished). Returns a half-open probe slot so abandoned probes
     /// cannot wedge the breaker in half-open forever.
-    pub fn forfeit(&self) {
+    pub(crate) fn forfeit(&self) {
         let mut inner = lock(&self.inner);
         if inner.state == BreakerState::HalfOpen && inner.trials_admitted > inner.trial_successes {
             inner.trials_admitted -= 1;
@@ -210,12 +210,12 @@ impl CircuitBreaker {
     }
 
     /// Current state.
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         lock(&self.inner).state
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> BreakerStats {
+    pub(crate) fn stats(&self) -> BreakerStats {
         lock(&self.inner).stats
     }
 }

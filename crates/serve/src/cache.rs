@@ -166,7 +166,7 @@ impl ContextCache {
     /// to *answer* the query that raced the write, but must never be
     /// memoized — its block mask may already be stale. Returns whether the
     /// context was cached.
-    pub fn insert_if_current(
+    pub(crate) fn insert_if_current(
         &mut self,
         key: CacheKey,
         ctx: Arc<PredictionContext>,
@@ -188,7 +188,7 @@ impl ContextCache {
     /// the new context and the cache would serve it forever after.
     /// The memo is stamped with the model `version` that computed it; a
     /// lookup under any other version ignores it.
-    pub fn store_prediction(
+    pub(crate) fn store_prediction(
         &mut self,
         key: &CacheKey,
         ctx: &Arc<PredictionContext>,
@@ -205,7 +205,7 @@ impl ContextCache {
     /// Drops every cached context whose block contains `user` or `item` —
     /// called when the rating edge `(user, item)` is inserted into the
     /// graph. Returns the number of entries removed.
-    pub fn invalidate_edge(&mut self, user: usize, item: usize) -> usize {
+    pub(crate) fn invalidate_edge(&mut self, user: usize, item: usize) -> usize {
         let before = self.map.len();
         self.map
             .retain(|_, e| !e.ctx.users.contains(&user) && !e.ctx.items.contains(&item));
@@ -215,17 +215,12 @@ impl ContextCache {
     }
 
     /// Number of live entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 }
@@ -372,7 +367,7 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let mut cache = ContextCache::new(0);
         cache.insert(key(0, 0), ctx(vec![0], vec![0]));
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert!(cache.get(&key(0, 0), V1).is_none());
     }
 }

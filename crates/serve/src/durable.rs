@@ -84,7 +84,7 @@ impl LogFold {
     /// cannot prove. The swap behind a record may not have completed
     /// before the crash; the record is durable, so recovery rolls it
     /// forward (the weights were checkpointed before it was logged).
-    pub fn apply(&mut self, record: &WalRecord) -> HireResult<()> {
+    pub(crate) fn apply(&mut self, record: &WalRecord) -> HireResult<()> {
         self.replayed += 1;
         match record {
             WalRecord::Rating { user, item, value } => self.ratings.push(Rating {

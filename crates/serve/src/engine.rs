@@ -114,7 +114,7 @@ impl ColdScenario {
     ];
 
     /// The scenario's reporting label (OpenHGNN naming).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ColdScenario::WarmUp => "warm_up",
             ColdScenario::UserCold => "user_cold",
@@ -130,7 +130,7 @@ impl ColdScenario {
     }
 
     /// Classifies a query from base-graph degrees.
-    pub fn classify(user_degree: usize, item_degree: usize) -> Self {
+    pub(crate) fn classify(user_degree: usize, item_degree: usize) -> Self {
         match (
             user_degree < COLD_DEGREE_THRESHOLD,
             item_degree < COLD_DEGREE_THRESHOLD,
@@ -159,7 +159,7 @@ impl ModelSlot {
     }
 
     /// The monotonically increasing version.
-    pub fn version(&self) -> ModelVersion {
+    pub(crate) fn version(&self) -> ModelVersion {
         self.version
     }
 }
@@ -223,7 +223,7 @@ impl Lineage {
 
     /// Makes weights from `source` the incumbent under a fresh version,
     /// which is returned; the displaced incumbent joins the history.
-    pub fn promote(&mut self, source: SlotSource) -> ModelVersion {
+    pub(crate) fn promote(&mut self, source: SlotSource) -> ModelVersion {
         let version = self.next_version;
         self.next_version += 1;
         let displaced = std::mem::replace(&mut self.current, (source, version));
@@ -237,7 +237,7 @@ impl Lineage {
     /// Makes the newest history slot the incumbent again under a fresh
     /// version, which is returned; the displaced incumbent takes its place
     /// in the history. `None` (nothing changed) on an empty history.
-    pub fn demote(&mut self) -> Option<ModelVersion> {
+    pub(crate) fn demote(&mut self) -> Option<ModelVersion> {
         let (source, _) = self.history.pop()?;
         Some(self.promote(source))
     }
@@ -604,7 +604,7 @@ impl ServeEngine {
     }
 
     /// Atomically installs `model` as the new serving incumbent under a
-    /// fresh, monotonically increasing version ([`Lineage::promote`]), and
+    /// fresh, monotonically increasing version (`Lineage::promote`), and
     /// returns that version. `source` names where the weights can be
     /// reloaded from after a crash.
     ///
@@ -652,7 +652,7 @@ impl ServeEngine {
     }
 
     /// Re-installs the previously displaced model under a **new** version
-    /// ([`Lineage::demote`]; version numbers never repeat — a demotion is
+    /// (`Lineage::demote`; version numbers never repeat — a demotion is
     /// itself a swap, with the same pinning, memo-staleness,
     /// logged-before-visible and chaos-site guarantees as
     /// [`ServeEngine::install_model`]). Returns the new version, or

@@ -20,10 +20,10 @@
 //!   forward the batch's misses — wrapped in the
 //!   four-rung degradation ladder (DESIGN.md §10): the prediction memo,
 //!   the model tier (per-batch deadlines, one forward per batch behind a
-//!   [`CircuitBreaker`]), a trained [`hire_core::HybridModel`]
+//!   `CircuitBreaker`), a trained [`hire_core::HybridModel`]
 //!   mid-tier, and a graph-statistics fallback predictor. Every [`Answer`]
 //!   is tagged with the tier that produced it ([`ServedBy`]).
-//! - [`CircuitBreaker`] — sliding-window failure-rate breaker
+//! - `CircuitBreaker` — sliding-window failure-rate breaker
 //!   (closed / open / half-open) that sheds model-tier load when the
 //!   frozen forward is misbehaving.
 //! - [`Server`] — a micro-batching worker pool: queries are submitted over
@@ -36,11 +36,11 @@
 //!   ([`ServeError::DeadlineExceeded`]).
 //!
 //! A sixth layer closes the loop from serving back to training:
-//! [`OnlineLoop`] / [`OnlineTrainer`] fine-tune a copy of the serving
-//! model on freshly inserted ratings in a crash-isolated background
-//! thread, score the candidate against the incumbent on a held-out slice
-//! (overall and per cold-start scenario — [`ColdScenario`]), and promote
-//! only non-regressing candidates via an atomic versioned hot swap
+//! [`OnlineLoop`] fine-tunes a copy of the serving model on freshly
+//! inserted ratings in a crash-isolated round that its caller runs on its
+//! own cadence, scores the candidate against the incumbent on a held-out
+//! slice (overall and per cold-start scenario — [`ColdScenario`]), and
+//! promotes only non-regressing candidates via an atomic versioned hot swap
 //! ([`ServeEngine::install_model`], [`ModelSlot`], [`ModelVersion`]).
 //! Promotions and demotions are transitions of one [`Lineage`]; with a
 //! write-ahead log attached they are logged before they take effect, and
@@ -54,14 +54,14 @@
 //! and the online sites `trainer.step`, `online.shadow_eval`,
 //! `online.swap` (see `tests/online_chaos.rs`).
 
-pub mod breaker;
-pub mod cache;
-pub mod durable;
-pub mod engine;
-pub mod online;
-pub mod server;
+mod breaker;
+mod cache;
+mod durable;
+mod engine;
+mod online;
+mod server;
 
-pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
+pub use breaker::{BreakerConfig, BreakerState, BreakerStats};
 pub use cache::{CacheKey, CacheStats, CachedContext, ContextCache};
 pub use durable::{
     fold_log, rebuild_engine, recover, write_snapshot, LogFold, Recovered, SERVING_TAG,
@@ -71,8 +71,7 @@ pub use engine::{
 };
 pub use hire_core::{FrozenModel, QuantizedModel};
 pub use online::{
-    EvalReport, OnlineConfig, OnlineLoop, OnlineTrainer, RoundOutcome, ScenarioEval, CANDIDATE_TAG,
-    REJECTED_TAG,
+    EvalReport, OnlineConfig, OnlineLoop, RoundOutcome, ScenarioEval, CANDIDATE_TAG, REJECTED_TAG,
 };
 pub use server::{
     Answer, ModelVersion, Prediction, PredictionHandle, Predictor, RatingQuery, ServeError,

@@ -1,4 +1,4 @@
-//! Train-while-serving: crash-isolated background fine-tuning with
+//! Train-while-serving: crash-isolated fine-tuning rounds with
 //! shadow-eval-gated, versioned hot model swaps (see `DESIGN.md` §12).
 //!
 //! The online loop turns the serving engine's rating feed into candidate
@@ -57,9 +57,7 @@ use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Checkpoint lineage tag for promoted candidates.
 pub const CANDIDATE_TAG: &str = "candidate";
@@ -171,7 +169,7 @@ impl EvalReport {
 
     /// Hand-rolled JSON rendering (this crate deliberately has no serde
     /// dependency), written next to rejected checkpoints.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut s = String::with_capacity(512);
         s.push_str("{\n");
         s.push_str(&format!("  \"round\": {},\n", self.round));
@@ -280,14 +278,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// The background fine-tuning loop over one serving engine.
+/// The fine-tuning loop over one serving engine.
 ///
 /// [`OnlineLoop::run_round`] is the whole state machine, synchronous and
-/// deterministic per `(config.seed, round)` — tests drive it directly;
-/// production wraps it in an [`OnlineTrainer`] thread. A round holds the
-/// loop's own state lock for its duration (rounds never overlap) but
-/// takes no engine lock across the fine-tune, so serving never blocks on
-/// training.
+/// deterministic per `(config.seed, round)`; the caller drives it (and
+/// [`OnlineLoop::maybe_demote`]) on whatever cadence it serves at. A round
+/// holds the loop's own state lock for its duration (rounds never overlap)
+/// but takes no engine lock across the fine-tune, so serving never blocks
+/// on training.
 pub struct OnlineLoop {
     engine: Arc<ServeEngine>,
     config: OnlineConfig,
@@ -322,7 +320,7 @@ impl OnlineLoop {
     /// already consumed (below `cursor`) are re-split into holdout/trained
     /// by their marks; the rest are re-routed by the first `run_round`,
     /// diverting exactly the marked ones.
-    pub fn recovered(
+    pub(crate) fn recovered(
         engine: Arc<ServeEngine>,
         config: OnlineConfig,
         cursor: usize,
@@ -367,13 +365,8 @@ impl OnlineLoop {
         self
     }
 
-    /// The engine this loop feeds.
-    pub fn engine(&self) -> &Arc<ServeEngine> {
-        &self.engine
-    }
-
     /// The loop configuration.
-    pub fn config(&self) -> &OnlineConfig {
+    pub(crate) fn config(&self) -> &OnlineConfig {
         &self.config
     }
 
@@ -772,69 +765,4 @@ fn fallback_rate(s: &TierStats) -> (u64, f64) {
         s.fallback as f64 / total as f64
     };
     (total, rate)
-}
-
-/// A background thread driving an [`OnlineLoop`] on a fixed cadence —
-/// the production shape of train-while-serving. Every round runs under
-/// its own `catch_unwind`, so even a bug in the loop plumbing (not just
-/// the trainer) cannot take the process down with it.
-pub struct OnlineTrainer {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    shared: Arc<OnlineLoop>,
-}
-
-impl OnlineTrainer {
-    /// Spawns the trainer thread, running a round (plus the demotion
-    /// watchdog) every `interval`.
-    pub fn spawn(online: Arc<OnlineLoop>, interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = stop.clone();
-        let thread_loop = online.clone();
-        let handle = std::thread::Builder::new()
-            .name("hire-online-trainer".into())
-            .spawn(move || {
-                while !thread_stop.load(Ordering::Relaxed) {
-                    let _ = catch_unwind(AssertUnwindSafe(|| {
-                        thread_loop.run_round();
-                        thread_loop.maybe_demote();
-                    }));
-                    // Sleep in small slices so stop() returns promptly.
-                    let mut remaining = interval;
-                    while !thread_stop.load(Ordering::Relaxed) && remaining > Duration::ZERO {
-                        let slice = remaining.min(Duration::from_millis(20));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                }
-            })
-            .expect("spawn online trainer thread");
-        OnlineTrainer {
-            stop,
-            handle: Some(handle),
-            shared: online,
-        }
-    }
-
-    /// The loop this trainer drives.
-    pub fn online(&self) -> &Arc<OnlineLoop> {
-        &self.shared
-    }
-
-    /// Signals the thread to stop and joins it.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for OnlineTrainer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }

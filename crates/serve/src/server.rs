@@ -428,11 +428,6 @@ impl Server {
             deadline_expired: self.shared.deadline_expired.load(Ordering::Relaxed),
         }
     }
-
-    /// Jobs currently queued (excluding in-flight batches).
-    pub fn queue_len(&self) -> usize {
-        lock(&self.shared.state).jobs.len()
-    }
 }
 
 impl Drop for Server {

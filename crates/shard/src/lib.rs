@@ -23,8 +23,8 @@
 //! 1-shard engine's that took the same writes when those writes are the
 //! user's own. `tests/sharding.rs` locks both down.
 
-pub mod engine;
-pub mod recovery;
+mod engine;
+mod recovery;
 
 pub use engine::{HotKeyStats, ShardConfig, ShardStats, ShardedEngine};
 pub use recovery::{recover_sharded, RecoveredShards};

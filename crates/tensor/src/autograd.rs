@@ -116,7 +116,7 @@ impl Tensor {
     // ------------------------------------------------------------------
 
     /// Unique node id (creation order).
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.node.id
     }
 
@@ -367,11 +367,6 @@ impl Tensor {
         )
     }
 
-    /// Negation.
-    pub fn neg(&self) -> Tensor {
-        self.mul_scalar(-1.0)
-    }
-
     /// Multiplies every element by a constant.
     pub fn mul_scalar(&self, s: f32) -> Tensor {
         let value = self.with_value(|a| a.map(|x| x * s));
@@ -409,18 +404,6 @@ impl Tensor {
             value,
             vec![self.clone()],
             Box::new(move |g, _| vec![Some(g.zip(&out, |gi, yi| gi * yi))]),
-        )
-    }
-
-    /// Element-wise natural log (inputs must be positive).
-    pub fn ln(&self) -> Tensor {
-        let value = self.with_value(|a| a.map(f32::ln));
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(|g, parents| {
-                vec![Some(parents[0].with_value(|x| g.zip(x, |gi, xi| gi / xi)))]
-            }),
         )
     }
 
@@ -594,7 +577,7 @@ impl Tensor {
     // ------------------------------------------------------------------
 
     /// Matrix multiply: 2-D x 2-D, batched x batched, or batched x shared
-    /// 2-D rhs (see [`linalg::bmm`]).
+    /// 2-D rhs (see `linalg::bmm`).
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let value = self.with_value(|a| other.with_value(|b| linalg::bmm(a, b)));
         Tensor::from_op(

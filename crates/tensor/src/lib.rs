@@ -15,7 +15,7 @@
 //! - [`gradcheck`] — finite-difference validation used throughout the test
 //!   suite.
 //! - [`init`] — Xavier/Kaiming/embedding initializers.
-//! - [`quant`] — post-training weight rounding through symmetric int8
+//! - `quant` — post-training weight rounding through symmetric int8
 //!   ([`round_int8`]), applied once to f32 weights, so there is one weight
 //!   format and one matmul family.
 //! - [`simd`] — runtime-dispatched vector micro-kernels
@@ -34,13 +34,16 @@
 //! assert_eq!(w.grad().unwrap().as_slice(), &[1.0, 2.0]);
 //! ```
 
+// A `pub` item the crate root cannot reach is crate-visible in fact: say so.
+#![warn(unreachable_pub)]
+
 pub mod autograd;
 pub mod gradcheck;
 pub mod init;
 pub mod linalg;
-pub mod ndarray;
-pub mod quant;
-pub mod shape;
+mod ndarray;
+mod quant;
+mod shape;
 pub mod simd;
 
 pub use autograd::Tensor;

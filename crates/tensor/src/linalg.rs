@@ -38,7 +38,7 @@ use crate::shape::Shape;
 use crate::simd::{self, AttnGrid, Isa};
 
 /// Element-wise binary op with numpy-style broadcasting.
-pub fn broadcast_zip(a: &NdArray, b: &NdArray, f: impl Fn(f32, f32) -> f32) -> NdArray {
+pub(crate) fn broadcast_zip(a: &NdArray, b: &NdArray, f: impl Fn(f32, f32) -> f32) -> NdArray {
     if a.shape() == b.shape() {
         return a.zip(b, f);
     }
@@ -99,7 +99,7 @@ fn padded_broadcast_strides(shape: &Shape, rank: usize, out_dims: &[usize]) -> V
 /// summing over the broadcast axes. Used by autograd backward passes. Each
 /// target element sums its grad elements in ascending flat order; the
 /// multi-index is walked incrementally, as [`broadcast_zip`] walks it.
-pub fn reduce_to_shape(grad: &NdArray, target: &Shape) -> NdArray {
+pub(crate) fn reduce_to_shape(grad: &NdArray, target: &Shape) -> NdArray {
     if grad.shape() == target {
         return grad.clone();
     }
@@ -319,11 +319,11 @@ pub fn matmul2d_tn(a: &NdArray, g: &NdArray) -> NdArray {
 /// Accepts `a: [..., n, k]` and `b: [..., k, m]` where the batch dimensions
 /// are identical, or where `b` is a single `[k, m]` matrix shared across the
 /// batch. Returns `[..., n, m]`.
-pub fn bmm(a: &NdArray, b: &NdArray) -> NdArray {
+pub(crate) fn bmm(a: &NdArray, b: &NdArray) -> NdArray {
     bmm_with_isa(a, b, simd::active_isa())
 }
 
-/// [`bmm`] on an explicit ISA path (tests and benchmarks; `isa` must be
+/// `bmm` on an explicit ISA path (tests and benchmarks; `isa` must be
 /// available on this host).
 pub fn bmm_with_isa(a: &NdArray, b: &NdArray, isa: Isa) -> NdArray {
     if a.shape().rank() == 2 && b.shape().rank() == 2 {
@@ -385,7 +385,7 @@ pub fn bmm_with_isa(a: &NdArray, b: &NdArray, isa: Isa) -> NdArray {
 
 /// Batched [`matmul2d_nt`]: `a: [..., n, k] * b^T` where `b` is either
 /// batched `[..., m, k]` or a single shared `[m, k]` matrix. Returns
-/// `[..., n, m]`. Mirrors [`bmm`]'s accepted shapes for the backward pass
+/// `[..., n, m]`. Mirrors `bmm`'s accepted shapes for the backward pass
 /// `dA = g * B^T`.
 pub fn bmm_nt(a: &NdArray, b: &NdArray) -> NdArray {
     if a.shape().rank() == 2 && b.shape().rank() == 2 {
@@ -499,7 +499,7 @@ pub fn transpose_last2(a: &NdArray) -> NdArray {
 }
 
 /// Inverse permutation: `inv[perm[i]] = i`.
-pub fn inverse_permutation(perm: &[usize]) -> Vec<usize> {
+pub(crate) fn inverse_permutation(perm: &[usize]) -> Vec<usize> {
     let mut inv = vec![0usize; perm.len()];
     for (i, &p) in perm.iter().enumerate() {
         inv[p] = i;
@@ -578,7 +578,7 @@ pub fn softmax_last_with_isa(a: &NdArray, isa: Isa) -> NdArray {
 /// Backward of [`softmax_last`]: `dx = y * (g - sum(g*y, last))` given the
 /// forward output `y`. The per-row dot accumulates in f64 over ascending
 /// `j`.
-pub fn softmax_backward_last(y: &NdArray, g: &NdArray) -> NdArray {
+pub(crate) fn softmax_backward_last(y: &NdArray, g: &NdArray) -> NdArray {
     assert_eq!(y.shape(), g.shape(), "softmax backward shape mismatch");
     let w = *y.dims().last().expect("softmax backward needs rank >= 1");
     let mut dx = vec![0.0f32; y.numel()];
@@ -603,7 +603,7 @@ pub fn softmax_backward_last(y: &NdArray, g: &NdArray) -> NdArray {
 /// elements of its Q, which it is done with by then. No head-split copy,
 /// no `Kᵀ`, no score tensor is materialized. Per element this is the
 /// chain of `bmm → · scale → softmax_last → bmm` on the same ISA (see
-/// [`crate::simd::attention`]), so it is bit-identical to that composition.
+/// `crate::simd::attention`), so it is bit-identical to that composition.
 ///
 /// `scratch` holds at least [`AttnGrid::scratch_len`] floats.
 pub fn attention_into(grid: &AttnGrid, qo: &mut [f32], k: &[f32], v: &[f32], scratch: &mut [f32]) {
@@ -712,7 +712,7 @@ fn attention_run(
 /// buffer is written.
 /// Per element these are the chains of the composition — [`linear_into`]
 /// thrice, [`attention_into`], [`linear_into`] — on the same ISA, so the
-/// output is bit-identical to it (see [`crate::simd::attention`]).
+/// output is bit-identical to it (see `crate::simd::attention`).
 ///
 /// `scratch` holds at least [`AttnGrid::one_pass_scratch_len`] floats.
 pub fn mhsa_one_pass_into(
@@ -899,7 +899,7 @@ pub fn attention_backward_into_with_isa(
 }
 
 /// Sum along the last axis: `[..., w] -> [...]`.
-pub fn sum_last(a: &NdArray) -> NdArray {
+pub(crate) fn sum_last(a: &NdArray) -> NdArray {
     let rank = a.shape().rank();
     assert!(rank >= 1);
     let w = a.dims()[rank - 1];
@@ -914,25 +914,11 @@ pub fn sum_last(a: &NdArray) -> NdArray {
     NdArray::from_vec(a.dims()[..rank - 1].to_vec(), out)
 }
 
-/// Mean along the last axis.
-pub fn mean_last(a: &NdArray) -> NdArray {
-    let rank = a.shape().rank();
-    let w = a.dims()[rank - 1].max(1);
-    let mut s = sum_last(a);
-    s.scale_inplace(1.0 / w as f32);
-    s
-}
-
-/// Layer normalization over the last axis without autograd: the no-grad
-/// mirror of `Tensor::layer_norm_last`'s forward pass. Mean and variance
-/// accumulate in f64 with the identical operation order per row, so results
-/// are bit-identical to the tape path.
-pub fn layer_norm_last_nd(x: &NdArray, gamma: &NdArray, beta: &NdArray, eps: f32) -> NdArray {
-    layer_norm_last_nd_with_isa(x, gamma, beta, eps, simd::active_isa())
-}
-
-/// [`layer_norm_last_nd`] on an explicit ISA path (tests and benchmarks;
-/// `isa` must be available on this host).
+/// Layer normalization over the last axis without autograd, on an explicit
+/// ISA path (tests and benchmarks; `isa` must be available on this host):
+/// the no-grad mirror of `Tensor::layer_norm_last`'s forward pass. Mean and
+/// variance accumulate in f64 with the identical operation order per row,
+/// so results are bit-identical to the tape path.
 pub fn layer_norm_last_nd_with_isa(
     x: &NdArray,
     gamma: &NdArray,
@@ -955,7 +941,7 @@ pub fn layer_norm_last_nd_with_isa(
     NdArray::from_vec(x.shape().clone(), y)
 }
 
-/// [`layer_norm_last_nd`] over rows of width `gamma.len()` of a flat
+/// The layer norm over rows of width `gamma.len()` of a flat
 /// buffer, written into `y` — the form the serving forward runs on its
 /// workspace. Same row kernels, same bits.
 pub fn layer_norm_last_into(
@@ -1000,7 +986,7 @@ fn layer_norm_rows_into(
 
 /// Forward pass of layer norm for the autograd tape: returns `(y, xhat,
 /// inv_std)` with `xhat` the normalized input and `inv_std` one entry per
-/// row, on the same per-row chain as [`layer_norm_last_nd`].
+/// row, on the same per-row chain as [`layer_norm_last_into`].
 pub fn layer_norm_forward_last(
     x: &NdArray,
     gamma: &NdArray,
@@ -1161,7 +1147,7 @@ pub fn norm_sq_f64_with_isa(xs: &[f32], isa: Isa) -> f64 {
 }
 
 /// Gathers rows of a 2-D `table` `[v, f]` by `indices`, producing `[n, f]`.
-pub fn gather_rows(table: &NdArray, indices: &[usize]) -> NdArray {
+pub(crate) fn gather_rows(table: &NdArray, indices: &[usize]) -> NdArray {
     assert_eq!(table.shape().rank(), 2, "gather_rows table must be 2-D");
     let (v, f) = (table.dims()[0], table.dims()[1]);
     let mut out = Vec::with_capacity(indices.len() * f);
@@ -1174,7 +1160,7 @@ pub fn gather_rows(table: &NdArray, indices: &[usize]) -> NdArray {
 
 /// Scatter-add of rows: `out[indices[i], :] += rows[i, :]` into a `[v, f]`
 /// zero array. The backward of [`gather_rows`].
-pub fn scatter_add_rows(rows: &NdArray, indices: &[usize], v: usize) -> NdArray {
+pub(crate) fn scatter_add_rows(rows: &NdArray, indices: &[usize], v: usize) -> NdArray {
     assert_eq!(rows.shape().rank(), 2);
     let f = rows.dims()[1];
     assert_eq!(rows.dims()[0], indices.len());
@@ -1290,7 +1276,8 @@ mod tests {
     #[test]
     fn matmul_identity() {
         let a = NdArray::from_vec([2, 2], vec![3., 1., 4., 1.]);
-        let c = matmul2d(&a, &NdArray::eye(2));
+        let eye = NdArray::from_vec([2, 2], vec![1., 0., 0., 1.]);
+        let c = matmul2d(&a, &eye);
         assert_eq!(c.as_slice(), a.as_slice());
     }
 
@@ -1363,12 +1350,14 @@ mod tests {
         let x = NdArray::from_vec([2, 4], vec![1., 2., 3., 4., 10., 10., 10., 10.]);
         let gamma = NdArray::ones([4]);
         let beta = NdArray::zeros([4]);
-        let y = layer_norm_last_nd(&x, &gamma, &beta, 1e-5);
+        let isa = simd::active_isa();
+        let y = layer_norm_last_nd_with_isa(&x, &gamma, &beta, 1e-5, isa);
         let mean: f32 = y.as_slice()[..4].iter().sum::<f32>() / 4.0;
         assert!(mean.abs() < 1e-5);
         assert!(y.as_slice()[4..].iter().all(|&v| v.abs() < 1e-2));
         // affine params shift and scale
-        let y2 = layer_norm_last_nd(&x, &NdArray::full([4], 2.0), &NdArray::full([4], 1.0), 1e-5);
+        let (gamma2, beta2) = (NdArray::full([4], 2.0), NdArray::full([4], 1.0));
+        let y2 = layer_norm_last_nd_with_isa(&x, &gamma2, &beta2, 1e-5, isa);
         for (a, b) in y.as_slice().iter().zip(y2.as_slice()) {
             assert!((a * 2.0 + 1.0 - b).abs() < 1e-6);
         }
@@ -1389,10 +1378,9 @@ mod tests {
     }
 
     #[test]
-    fn sum_mean_last() {
+    fn sum_last_sums_rows() {
         let a = NdArray::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]);
         assert_eq!(sum_last(&a).as_slice(), &[6., 15.]);
-        assert_eq!(mean_last(&a).as_slice(), &[2., 5.]);
     }
 
     #[test]

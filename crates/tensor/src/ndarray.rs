@@ -44,7 +44,7 @@ impl NdArray {
     }
 
     /// Array filled with `value`.
-    pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
+    pub(crate) fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
         let n = shape.numel();
         NdArray {
@@ -54,20 +54,11 @@ impl NdArray {
     }
 
     /// Scalar (rank-0) array.
-    pub fn scalar(value: f32) -> Self {
+    pub(crate) fn scalar(value: f32) -> Self {
         NdArray {
             shape: Shape::scalar(),
             data: vec![value],
         }
-    }
-
-    /// Identity matrix of size `n`.
-    pub fn eye(n: usize) -> Self {
-        let mut a = Self::zeros([n, n]);
-        for i in 0..n {
-            a.data[i * n + i] = 1.0;
-        }
-        a
     }
 
     /// Samples i.i.d. `N(mean, std^2)` entries.
@@ -79,16 +70,16 @@ impl NdArray {
     }
 
     /// Samples i.i.d. `U(lo, hi)` entries.
-    pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut impl Rng) -> Self {
+    pub(crate) fn rand_uniform(
+        shape: impl Into<Shape>,
+        lo: f32,
+        hi: f32,
+        rng: &mut impl Rng,
+    ) -> Self {
         let shape = shape.into();
         let uniform = Uniform::new_inclusive(lo, hi);
         let data = (0..shape.numel()).map(|_| uniform.sample(rng)).collect();
         NdArray { shape, data }
-    }
-
-    /// `[0, 1, ..., n-1]` as a 1-D array.
-    pub fn arange(n: usize) -> Self {
-        NdArray::from_vec([n], (0..n).map(|i| i as f32).collect())
     }
 
     /// The shape of this array.
@@ -216,15 +207,6 @@ impl NdArray {
         self.data.iter().map(|&x| x as f64).sum::<f64>() as f32
     }
 
-    /// Mean of all elements; 0 for empty arrays.
-    pub fn mean_all(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum_all() / self.data.len() as f32
-        }
-    }
-
     /// Maximum element; `-inf` for empty arrays.
     pub fn max_all(&self) -> f32 {
         self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
@@ -298,16 +280,8 @@ mod tests {
     }
 
     #[test]
-    fn eye_is_identity() {
-        let e = NdArray::eye(3);
-        assert_eq!(e.at(&[0, 0]), 1.0);
-        assert_eq!(e.at(&[1, 2]), 0.0);
-        assert_eq!(e.sum_all(), 3.0);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
-        let a = NdArray::arange(6).reshape([2, 3]);
+        let a = NdArray::from_vec([6], vec![0., 1., 2., 3., 4., 5.]).reshape([2, 3]);
         assert_eq!(a.at(&[1, 1]), 4.0);
         let b = a.reshape([3, 2]);
         assert_eq!(b.at(&[2, 1]), 5.0);
@@ -316,7 +290,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot reshape")]
     fn reshape_wrong_numel_panics() {
-        NdArray::arange(6).reshape([4, 2]);
+        NdArray::zeros([6]).reshape([4, 2]);
     }
 
     #[test]
@@ -338,7 +312,7 @@ mod tests {
         let u = NdArray::rand_uniform([1000], -0.5, 0.5, &mut rng);
         assert!(u.max_all() <= 0.5 && u.min_all() >= -0.5);
         let n = NdArray::randn([1000], 0.0, 1.0, &mut rng);
-        assert!(n.mean_all().abs() < 0.1);
+        assert!((n.sum_all() / 1000.0).abs() < 0.1);
         assert!(!n.has_non_finite());
     }
 

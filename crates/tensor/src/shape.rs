@@ -14,37 +14,32 @@ pub struct Shape {
 
 impl Shape {
     /// Creates a shape from a dimension list.
-    pub fn new(dims: Vec<usize>) -> Self {
+    pub(crate) fn new(dims: Vec<usize>) -> Self {
         Shape { dims }
     }
 
     /// The scalar shape `[]`.
-    pub fn scalar() -> Self {
+    pub(crate) fn scalar() -> Self {
         Shape { dims: Vec::new() }
     }
 
     /// Number of dimensions (rank).
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.dims.len()
     }
 
     /// Dimension sizes as a slice.
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.dims
     }
 
-    /// Size of dimension `axis`. Panics if out of range.
-    pub fn dim(&self, axis: usize) -> usize {
-        self.dims[axis]
-    }
-
     /// Total number of elements.
-    pub fn numel(&self) -> usize {
+    pub(crate) fn numel(&self) -> usize {
         self.dims.iter().product()
     }
 
     /// Row-major (C order) strides, in elements.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![0; self.dims.len()];
         let mut acc = 1usize;
         for (i, &d) in self.dims.iter().enumerate().rev() {
@@ -57,7 +52,7 @@ impl Shape {
     /// Converts a multi-dimensional index to a flat offset.
     ///
     /// Panics in debug builds if the index is out of bounds.
-    pub fn offset(&self, index: &[usize]) -> usize {
+    pub(crate) fn offset(&self, index: &[usize]) -> usize {
         debug_assert_eq!(index.len(), self.rank(), "index rank mismatch");
         let mut off = 0usize;
         let mut acc = 1usize;
@@ -75,7 +70,7 @@ impl Shape {
     ///
     /// Shapes align from the trailing dimension; a dimension broadcasts when
     /// the two sizes are equal or one of them is 1 (or missing).
-    pub fn broadcast(&self, other: &Shape) -> Option<Shape> {
+    pub(crate) fn broadcast(&self, other: &Shape) -> Option<Shape> {
         let rank = self.rank().max(other.rank());
         let mut dims = vec![0usize; rank];
         for i in 0..rank {
@@ -93,7 +88,7 @@ impl Shape {
     }
 
     /// Whether every element of `self` maps onto `target` by broadcasting.
-    pub fn broadcasts_to(&self, target: &Shape) -> bool {
+    pub(crate) fn broadcasts_to(&self, target: &Shape) -> bool {
         if self.rank() > target.rank() {
             return false;
         }
@@ -109,7 +104,7 @@ impl Shape {
 
     /// Splits the shape into `(batch_dims, last_two)` for batched matrix
     /// operations. Panics if rank < 2.
-    pub fn split_batch(&self) -> (&[usize], [usize; 2]) {
+    pub(crate) fn split_batch(&self) -> (&[usize], [usize; 2]) {
         assert!(self.rank() >= 2, "need rank >= 2, got {self:?}");
         let r = self.rank();
         (&self.dims[..r - 2], [self.dims[r - 2], self.dims[r - 1]])

@@ -548,7 +548,7 @@ macro_rules! attention_lanes_kernel {
         /// grid.width()`), and nothing else may access them during the
         /// call. `R` is at most `MAX_ROWS` (4), which sizes `scratch`.
         $(#[$attr])*
-        pub unsafe fn attention_lanes<const R: usize>(
+        pub(crate) unsafe fn attention_lanes<const R: usize>(
             grid: &crate::simd::AttnGrid,
             qo: *mut f32,
             k: &[f32],
@@ -624,7 +624,7 @@ macro_rules! attention_lanes_kernel {
         /// `scratch` holds `grid.one_pass_scratch_len(d)` floats, and `R`
         /// is at most `MAX_ROWS`.
         $(#[$attr])*
-        pub fn mhsa_lanes<const R: usize>(
+        pub(crate) fn mhsa_lanes<const R: usize>(
             grid: &crate::simd::AttnGrid,
             x: &[f32],
             weights: [&[f32]; 4],
@@ -737,7 +737,7 @@ macro_rules! attention_lanes_kernel {
         /// the lanes.
         $(#[$attr])*
         #[allow(clippy::too_many_arguments)]
-        pub fn mhsa_backward_lanes<const R: usize>(
+        pub(crate) fn mhsa_backward_lanes<const R: usize>(
             grid: &crate::simd::AttnGrid,
             x: &[f32],
             [w_q, w_k, w_v, w_o, w_qkv_t]: [&[f32]; 5],
@@ -1076,27 +1076,27 @@ pub(super) struct Panels<'a, const LANES: usize> {
     t: usize,
     dk: usize,
     /// Q, K, V and dO.
-    pub inputs: [&'a mut [[f32; LANES]]; 4],
+    pub(crate) inputs: [&'a mut [[f32; LANES]]; 4],
     /// The softmax rows P.
-    pub p: &'a mut [[f32; LANES]],
+    pub(crate) p: &'a mut [[f32; LANES]],
     /// dQ, dK and dV.
-    pub grads: [&'a mut [[f32; LANES]]; 3],
+    pub(crate) grads: [&'a mut [[f32; LANES]]; 3],
     /// dP, then dS: `t × t`, like P.
-    pub ds: &'a mut [[f32; LANES]],
+    pub(crate) ds: &'a mut [[f32; LANES]],
 }
 
 impl<'a, const LANES: usize> Panels<'a, LANES> {
     /// Floats the panels of one call over `t`-token, `dk`-column tiles
     /// take, with the slack [`Self::new`] needs to start them on a 64-byte
     /// boundary.
-    pub fn memory_len(t: usize, dk: usize) -> usize {
+    pub(crate) fn memory_len(t: usize, dk: usize) -> usize {
         (7 * t * dk + 2 * t * t) * LANES + 15
     }
 
     /// Carves the panels out of `memory` ([`Self::memory_len`] floats)
     /// from its first 64-byte boundary, so no panel row straddles a cache
     /// line more than it must.
-    pub fn new(memory: &'a mut [f32], t: usize, dk: usize) -> Self {
+    pub(crate) fn new(memory: &'a mut [f32], t: usize, dk: usize) -> Self {
         debug_assert!(t * dk > 0);
         let skip = memory.as_ptr().align_offset(64).min(15);
         let rows = 7 * t * dk + 2 * t * t;
@@ -1140,7 +1140,7 @@ impl<'a, const LANES: usize> Panels<'a, LANES> {
     /// across panel rows instead — gathers and scatters on avx512,
     /// shuffles on avx2 — and ran at half the baseline's speed, which is
     /// why the lane kernels spell the ops out in vector registers.
-    pub fn backward<const R: usize>(&mut self, scale: f32) {
+    pub(crate) fn backward<const R: usize>(&mut self, scale: f32) {
         let (t, dk) = (self.t, self.dk);
         let [qp, kp, vp, gp] = &self.inputs;
         let [dqp, dkp, dvp] = &mut self.grads;
@@ -1337,7 +1337,7 @@ macro_rules! attention_backward_kernel {
         /// `dQ | dK | dV` into `d_qkv`, `[rows, 3·width]`, at column
         /// offsets `0`, `width` and `2·width`, every element overwritten.
         $(#[$attr])*
-        pub fn attention_backward_lanes<const R: usize>(
+        pub(crate) fn attention_backward_lanes<const R: usize>(
             grid: &crate::simd::AttnGrid,
             inputs: [&[f32]; 4],
             p: &[f32],

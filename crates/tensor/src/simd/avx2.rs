@@ -36,9 +36,9 @@
 use std::arch::x86_64::*;
 
 /// Rows per register tile.
-pub const MR: usize = 6;
+pub(crate) const MR: usize = 6;
 /// Columns per register tile (= `panel_width(Avx2)`, two YMM vectors).
-pub const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 
 // -------------------------------------------------------------------------
 // Matmul
@@ -60,7 +60,7 @@ crate::simd::matmul_tile! {
 /// [`panel_span`](super::panel_span)`(jw)` wide.
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-pub fn matmul<const AT: bool>(
+pub(crate) fn matmul<const AT: bool>(
     a: &[f32],
     b: &[f32],
     packed: bool,
@@ -190,7 +190,7 @@ fn exp_scalar(x: f32) -> f32 {
 /// sum → element-wise scale. Same traversal structure as
 /// `scalar::softmax_row`; reductions fold lanes in a fixed order.
 #[target_feature(enable = "avx2,fma")]
-pub fn softmax_row(row: &[f32], dst: &mut [f32]) {
+pub(crate) fn softmax_row(row: &[f32], dst: &mut [f32]) {
     debug_assert_eq!(row.len(), dst.len());
     let w = row.len();
     let body = w - w % 8;
@@ -252,7 +252,7 @@ pub fn softmax_row(row: &[f32], dst: &mut [f32]) {
 /// [`softmax_row`] over consecutive rows of width `w`, the row loop inside
 /// the target-feature function so the row kernel inlines.
 #[target_feature(enable = "avx2,fma")]
-pub fn softmax_rows(src: &[f32], dst: &mut [f32], w: usize) {
+pub(crate) fn softmax_rows(src: &[f32], dst: &mut [f32], w: usize) {
     for (s, d) in src.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
         softmax_row(s, d);
     }
@@ -331,7 +331,7 @@ fn layer_norm_stats<const N: usize>(rows: [&[f32]; N], eps: f32) -> [(f64, f64);
 /// then f32 `mul` + `add`, no FMA) — identical bits to
 /// `scalar::layer_norm_normalize_row` for equal `(mean, istd)`.
 #[target_feature(enable = "avx2,fma")]
-pub fn layer_norm_normalize_row(
+pub(crate) fn layer_norm_normalize_row(
     row: &[f32],
     mean: f64,
     istd: f64,
@@ -393,7 +393,7 @@ pub fn layer_norm_normalize_row(
 /// function so the row kernels inline. `saved` receives `(xhat, inv_std)`
 /// for the tape's backward pass.
 #[target_feature(enable = "avx2,fma")]
-pub fn layer_norm_rows(
+pub(crate) fn layer_norm_rows(
     x: &[f32],
     gamma: &[f32],
     beta: &[f32],
@@ -444,7 +444,7 @@ fn layer_norm_group<const N: usize>(
 /// `dgamma`/`dbeta` partials row after row.
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-pub fn layer_norm_backward_rows(
+pub(crate) fn layer_norm_backward_rows(
     xhat: &[f32],
     inv_std: &[f32],
     gamma: &[f32],
@@ -559,7 +559,7 @@ fn layer_norm_backward_group<const N: usize>(
 /// Zeroes NaN/±Inf in place via an 8-lane exponent test; element-wise and
 /// bit-exact with the scalar path.
 #[target_feature(enable = "avx2,fma")]
-pub fn sanitize_chunk(xs: &mut [f32]) -> usize {
+pub(crate) fn sanitize_chunk(xs: &mut [f32]) -> usize {
     let len = xs.len();
     let body = len - len % 8;
     let mut bad = 0usize;
@@ -590,7 +590,7 @@ pub fn sanitize_chunk(xs: &mut [f32]) -> usize {
 /// Sum of squares in four f64 lanes (each f32 squares exactly in f64, so
 /// only the lane additions round), tail summed after the fold.
 #[target_feature(enable = "avx2,fma")]
-pub fn norm_sq_chunk(xs: &[f32]) -> f64 {
+pub(crate) fn norm_sq_chunk(xs: &[f32]) -> f64 {
     let len = xs.len();
     let body = len - len % 4;
     // SAFETY: offsets stay below `body <= len`.
@@ -619,32 +619,32 @@ pub fn norm_sq_chunk(xs: &[f32]) -> f64 {
 pub(super) mod lanes {
     use std::arch::x86_64::*;
 
-    pub const LANES: usize = 8;
+    pub(crate) const LANES: usize = 8;
     /// Weight columns of a one-pass projection block: with three or four
     /// rows' accumulators, as many as sixteen registers hold beside the
     /// broadcast weights and the row loaded.
-    pub const PROJECT_COLS: usize = 2;
-    pub type V = __m256;
+    pub(crate) const PROJECT_COLS: usize = 2;
+    pub(crate) type V = __m256;
     /// Per-lane f64 sums: lanes 0–3, lanes 4–7.
-    pub type D = (__m256d, __m256d);
+    pub(crate) type D = (__m256d, __m256d);
 
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn splat(x: f32) -> V {
+    pub(crate) fn splat(x: f32) -> V {
         _mm256_set1_ps(x)
     }
     /// # Safety
     /// `p` must be valid for reading `LANES` floats.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn load(p: *const f32) -> V {
+    pub(crate) unsafe fn load(p: *const f32) -> V {
         unsafe { _mm256_loadu_ps(p) }
     }
     /// # Safety
     /// `p` must be valid for writing `LANES` floats.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn store(p: *mut f32, v: V) {
+    pub(crate) unsafe fn store(p: *mut f32, v: V) {
         unsafe { _mm256_storeu_ps(p, v) }
     }
     /// A mask of lanes `0..n`.
@@ -663,7 +663,7 @@ pub(super) mod lanes {
     /// `p` must be valid for reading `n ≤ LANES` floats.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn load_first(p: *const f32, n: usize) -> V {
+    pub(crate) unsafe fn load_first(p: *const f32, n: usize) -> V {
         // SAFETY: the caller vouches for `p[..n]`; masked-off lanes are not
         // read.
         unsafe { _mm256_maskload_ps(p, first(n)) }
@@ -674,7 +674,7 @@ pub(super) mod lanes {
     /// `p` must be valid for writing `n ≤ LANES` floats.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn store_first(p: *mut f32, v: V, n: usize) {
+    pub(crate) unsafe fn store_first(p: *mut f32, v: V, n: usize) {
         // SAFETY: the caller vouches for `p[..n]`; masked-off lanes are not
         // written.
         unsafe { _mm256_maskstore_ps(p, first(n), v) }
@@ -720,7 +720,7 @@ pub(super) mod lanes {
     /// `λ`, and `panel[..run·LANES]` for writes.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn load_runs(
+    pub(crate) unsafe fn load_runs(
         src: *const f32,
         base: &[usize; LANES],
         offset: usize,
@@ -758,7 +758,7 @@ pub(super) mod lanes {
     /// `dst[base[λ] + offset..][..run]` for writes for every `λ < live`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn store_runs(
+    pub(crate) unsafe fn store_runs(
         panel: *const f32,
         dst: *mut f32,
         base: &[usize; LANES],
@@ -792,45 +792,45 @@ pub(super) mod lanes {
     }
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn fmadd(a: V, b: V, c: V) -> V {
+    pub(crate) fn fmadd(a: V, b: V, c: V) -> V {
         _mm256_fmadd_ps(a, b, c)
     }
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn mul(a: V, b: V) -> V {
+    pub(crate) fn mul(a: V, b: V) -> V {
         _mm256_mul_ps(a, b)
     }
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn add(a: V, b: V) -> V {
+    pub(crate) fn add(a: V, b: V) -> V {
         _mm256_add_ps(a, b)
     }
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn sub(a: V, b: V) -> V {
+    pub(crate) fn sub(a: V, b: V) -> V {
         _mm256_sub_ps(a, b)
     }
     /// `x > acc ? x : acc` per lane — `acc.max(x)` of the row kernels for
     /// every non-NaN `x`, and like it keeps `acc` when `x` is NaN.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn max(x: V, acc: V) -> V {
+    pub(crate) fn max(x: V, acc: V) -> V {
         _mm256_max_ps(x, acc)
     }
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn exp(x: V) -> V {
+    pub(crate) fn exp(x: V) -> V {
         super::exp_ps(x)
     }
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn sum_zero() -> D {
+    pub(crate) fn sum_zero() -> D {
         (_mm256_setzero_pd(), _mm256_setzero_pd())
     }
     /// `sum[lane] += e[lane] as f64`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn sum_add(sum: D, e: V) -> D {
+    pub(crate) fn sum_add(sum: D, e: V) -> D {
         (
             _mm256_add_pd(sum.0, _mm256_cvtps_pd(_mm256_castps256_ps128(e))),
             _mm256_add_pd(sum.1, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(e))),
@@ -839,13 +839,13 @@ pub(super) mod lanes {
     /// `a[lane] + b[lane]` in f64.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn sum_join(a: D, b: D) -> D {
+    pub(crate) fn sum_join(a: D, b: D) -> D {
         (_mm256_add_pd(a.0, b.0), _mm256_add_pd(a.1, b.1))
     }
     /// `(1.0 / sum[lane]) as f32`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn sum_recip(sum: D) -> V {
+    pub(crate) fn sum_recip(sum: D) -> V {
         let one = _mm256_set1_pd(1.0);
         _mm256_set_m128(
             _mm256_cvtpd_ps(_mm256_div_pd(one, sum.1)),

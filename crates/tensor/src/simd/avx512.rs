@@ -23,9 +23,9 @@
 //! avx2 primitives) for ≤ 8 — MBA's `W_O` and every `m = 72` tail.
 
 /// Rows per register tile.
-pub const MR: usize = 8;
+pub(crate) const MR: usize = 8;
 /// Columns per register tile (= `panel_width(Avx512)`, two ZMM vectors).
-pub const NR: usize = 32;
+pub(crate) const NR: usize = 32;
 
 crate::simd::matmul_tile! {
     #[target_feature(enable = "avx512f,avx2,fma")]
@@ -49,7 +49,7 @@ crate::simd::matmul_tile! {
 /// [`panel_span`](super::panel_span)`(jw)` wide.
 #[target_feature(enable = "avx512f,avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-pub fn matmul<const AT: bool>(
+pub(crate) fn matmul<const AT: bool>(
     a: &[f32],
     b: &[f32],
     packed: bool,
@@ -100,14 +100,14 @@ mod lanes {
     use crate::simd::avx2::lanes as ymm;
     use std::arch::x86_64::*;
 
-    pub const LANES: usize = 16;
+    pub(crate) const LANES: usize = 16;
     /// Weight columns of a one-pass projection block: with three or four
     /// rows' accumulators, as many as thirty-two registers hold beside
     /// the row loaded (the weights are broadcast from memory).
-    pub const PROJECT_COLS: usize = 4;
-    pub type V = __m512;
+    pub(crate) const PROJECT_COLS: usize = 4;
+    pub(crate) type V = __m512;
     /// Per-lane f64 sums: lanes 0–7, lanes 8–15.
-    pub type D = (__m512d, __m512d);
+    pub(crate) type D = (__m512d, __m512d);
 
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
@@ -124,21 +124,21 @@ mod lanes {
 
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub fn splat(x: f32) -> V {
+    pub(crate) fn splat(x: f32) -> V {
         _mm512_set1_ps(x)
     }
     /// # Safety
     /// `p` must be valid for reading `LANES` floats.
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn load(p: *const f32) -> V {
+    pub(crate) unsafe fn load(p: *const f32) -> V {
         unsafe { _mm512_loadu_ps(p) }
     }
     /// # Safety
     /// `p` must be valid for writing `LANES` floats.
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn store(p: *mut f32, v: V) {
+    pub(crate) unsafe fn store(p: *mut f32, v: V) {
         unsafe { _mm512_storeu_ps(p, v) }
     }
     /// A mask of lanes `0..n`.
@@ -153,7 +153,7 @@ mod lanes {
     /// `p` must be valid for reading `n ≤ LANES` floats.
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn load_first(p: *const f32, n: usize) -> V {
+    pub(crate) unsafe fn load_first(p: *const f32, n: usize) -> V {
         // SAFETY: the caller vouches for `p[..n]`; masked-off lanes are not
         // read.
         unsafe { _mm512_maskz_loadu_ps(first(n), p) }
@@ -164,7 +164,7 @@ mod lanes {
     /// `p` must be valid for writing `n ≤ LANES` floats.
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn store_first(p: *mut f32, v: V, n: usize) {
+    pub(crate) unsafe fn store_first(p: *mut f32, v: V, n: usize) {
         // SAFETY: the caller vouches for `p[..n]`; masked-off lanes are not
         // written.
         unsafe { _mm512_mask_storeu_ps(p, first(n), v) }
@@ -215,7 +215,7 @@ mod lanes {
     /// `λ`, and `panel[..run·LANES]` for writes.
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn load_runs(
+    pub(crate) unsafe fn load_runs(
         src: *const f32,
         base: &[usize; LANES],
         offset: usize,
@@ -254,7 +254,7 @@ mod lanes {
     /// `dst[base[λ] + offset..][..run]` for writes for every `λ < live`.
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn store_runs(
+    pub(crate) unsafe fn store_runs(
         panel: *const f32,
         dst: *mut f32,
         base: &[usize; LANES],
@@ -291,28 +291,28 @@ mod lanes {
     }
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub fn fmadd(a: V, b: V, c: V) -> V {
+    pub(crate) fn fmadd(a: V, b: V, c: V) -> V {
         _mm512_fmadd_ps(a, b, c)
     }
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub fn mul(a: V, b: V) -> V {
+    pub(crate) fn mul(a: V, b: V) -> V {
         _mm512_mul_ps(a, b)
     }
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub fn add(a: V, b: V) -> V {
+    pub(crate) fn add(a: V, b: V) -> V {
         _mm512_add_ps(a, b)
     }
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub fn sub(a: V, b: V) -> V {
+    pub(crate) fn sub(a: V, b: V) -> V {
         _mm512_sub_ps(a, b)
     }
     /// `x > acc ? x : acc` per lane (keeps `acc` when `x` is NaN).
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub fn max(x: V, acc: V) -> V {
+    pub(crate) fn max(x: V, acc: V) -> V {
         _mm512_max_ps(x, acc)
     }
     /// The avx2 `exp_ps` polynomial on sixteen lanes: the same ops in the
@@ -321,7 +321,7 @@ mod lanes {
     /// `exp_ps`'s.
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub fn exp(x: V) -> V {
+    pub(crate) fn exp(x: V) -> V {
         use crate::simd::avx2::{
             EXP_C0, EXP_C1, EXP_C2, EXP_C3, EXP_C4, EXP_C5, EXP_HI, EXP_LO, LN2_HI, LN2_LO, LOG2E,
         };
@@ -350,13 +350,13 @@ mod lanes {
     }
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub fn sum_zero() -> D {
+    pub(crate) fn sum_zero() -> D {
         (_mm512_setzero_pd(), _mm512_setzero_pd())
     }
     /// `sum[lane] += e[lane] as f64`.
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub fn sum_add(sum: D, e: V) -> D {
+    pub(crate) fn sum_add(sum: D, e: V) -> D {
         let (lo, hi) = halves(e);
         (
             _mm512_add_pd(sum.0, _mm512_cvtps_pd(lo)),
@@ -366,13 +366,13 @@ mod lanes {
     /// `a[lane] + b[lane]` in f64.
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub fn sum_join(a: D, b: D) -> D {
+    pub(crate) fn sum_join(a: D, b: D) -> D {
         (_mm512_add_pd(a.0, b.0), _mm512_add_pd(a.1, b.1))
     }
     /// `(1.0 / sum[lane]) as f32`.
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub fn sum_recip(sum: D) -> V {
+    pub(crate) fn sum_recip(sum: D) -> V {
         let one = _mm512_set1_pd(1.0);
         join(
             _mm512_cvtpd_ps(_mm512_div_pd(one, sum.0)),

@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD micro-kernels for the linalg hot paths.
 //!
 //! The compute-heavy kernels in [`crate::linalg`] (blocked matmul, softmax,
-//! layer norm, the attention-tile kernel of [`attention`] and the flat
+//! layer norm, the attention-tile kernel of `attention` and the flat
 //! sanitize/norm scans) each exist in up to three implementations selected
 //! once per process by [`active_isa`]:
 //!
@@ -44,7 +44,7 @@
 
 use std::sync::OnceLock;
 
-pub mod attention;
+pub(crate) mod attention;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
 #[cfg(target_arch = "x86_64")]
@@ -83,7 +83,7 @@ impl Isa {
     }
 
     /// Whether the current host can execute this path.
-    pub fn is_available(self) -> bool {
+    pub(crate) fn is_available(self) -> bool {
         match self {
             Isa::Scalar => true,
             #[cfg(target_arch = "x86_64")]
@@ -158,7 +158,7 @@ pub fn active_isa() -> Isa {
 /// exactly (scalar: 8 = two SSE vectors, which is what rustc makes of the
 /// loop on x86-64; avx2: 16 = two YMM vectors; avx512: 32 = two ZMM
 /// vectors).
-pub const fn panel_width(isa: Isa) -> usize {
+pub(crate) const fn panel_width(isa: Isa) -> usize {
     match isa {
         Isa::Scalar => 8,
         Isa::Avx2 => 16,
@@ -188,7 +188,7 @@ pub(crate) const fn panel_span(jw: usize) -> usize {
 /// `j0 * k`.
 /// Identical values land in identical lanes on every ISA; only `nr`
 /// differs.
-pub fn pack_b(b: &[f32], k: usize, m: usize, nr: usize) -> Vec<f32> {
+pub(crate) fn pack_b(b: &[f32], k: usize, m: usize, nr: usize) -> Vec<f32> {
     let body = m - m % nr;
     let tail = if m > body { panel_span(m - body) } else { 0 };
     let mut packed = vec![0.0f32; (body + tail) * k];
@@ -210,7 +210,7 @@ pub fn pack_b(b: &[f32], k: usize, m: usize, nr: usize) -> Vec<f32> {
 /// single register lane from `+0.0`, walking `k` in ascending order, and is
 /// stored once — the output is never read; scalar uses mul-then-add (the
 /// `matmul_reference` chain), avx2/avx512 fuse each step into an FMA.
-pub fn matmul_block_rows(
+pub(crate) fn matmul_block_rows(
     isa: Isa,
     a: &[f32],
     packed: &[f32],
@@ -240,7 +240,15 @@ pub fn matmul_block_rows(
 /// reading `b`'s rows in place — so the size threshold never changes result
 /// bits: batched and single encodes of the same rows agree bitwise
 /// whichever path they take.
-pub fn matmul_small(isa: Isa, a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+pub(crate) fn matmul_small(
+    isa: Isa,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    m: usize,
+) {
     match isa {
         Isa::Scalar => scalar::matmul_small::<false>(a, b, out, n, k, m),
         #[cfg(target_arch = "x86_64")]
@@ -401,7 +409,7 @@ pub(crate) use matmul_tile;
 /// polynomial `exp` and lane-parallel reductions. The row loop runs inside
 /// the per-ISA function, so narrow rows do not pay a non-inlinable call
 /// each.
-pub fn softmax_rows(isa: Isa, src: &[f32], dst: &mut [f32], w: usize) {
+pub(crate) fn softmax_rows(isa: Isa, src: &[f32], dst: &mut [f32], w: usize) {
     debug_assert_eq!(src.len(), dst.len());
     if w == 0 {
         return;
@@ -424,7 +432,7 @@ pub fn softmax_rows(isa: Isa, src: &[f32], dst: &mut [f32], w: usize) {
 /// loop lives inside the per-ISA function; avx2 runs four rows' statistics
 /// chains at once, each row's chain unchanged, so a row's bits do not
 /// depend on its neighbours.
-pub fn layer_norm_rows(
+pub(crate) fn layer_norm_rows(
     isa: Isa,
     x: &[f32],
     gamma: &[f32],
@@ -454,7 +462,7 @@ pub fn layer_norm_rows(
 /// once; the element-wise `dx` arithmetic keeps the scalar operation order
 /// on every ISA.
 #[allow(clippy::too_many_arguments)]
-pub fn layer_norm_backward_rows(
+pub(crate) fn layer_norm_backward_rows(
     isa: Isa,
     xhat: &[f32],
     inv_std: &[f32],
@@ -490,7 +498,7 @@ pub fn layer_norm_backward_rows(
 /// Zeroes NaN/±Inf entries in `xs`, returning the count. Element-wise and
 /// therefore bit-exact on every ISA (the avx2 path tests the exponent bits
 /// of 8 lanes at a time and blends zeros in).
-pub fn sanitize_chunk(isa: Isa, xs: &mut [f32]) -> usize {
+pub(crate) fn sanitize_chunk(isa: Isa, xs: &mut [f32]) -> usize {
     match isa {
         Isa::Scalar => scalar::sanitize_chunk(xs),
         #[cfg(target_arch = "x86_64")]
@@ -505,7 +513,7 @@ pub fn sanitize_chunk(isa: Isa, xs: &mut [f32]) -> usize {
 /// ascending chain; avx2 accumulates in four f64 lanes folded in a fixed
 /// order (relaxed, oracle-bounded). Each f32 squares exactly in f64 (24-bit
 /// mantissas), so the only rounding on any path is in the additions.
-pub fn norm_sq_chunk(isa: Isa, xs: &[f32]) -> f64 {
+pub(crate) fn norm_sq_chunk(isa: Isa, xs: &[f32]) -> f64 {
     match isa {
         Isa::Scalar => scalar::norm_sq_chunk(xs),
         #[cfg(target_arch = "x86_64")]

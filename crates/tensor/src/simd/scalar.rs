@@ -10,15 +10,22 @@
 
 /// Register tile of the scalar micro-kernel: `MR x NR` accumulators held in
 /// locals across the whole `k` walk. `NR` matches `panel_width(Scalar)`.
-pub const MR: usize = 4;
-pub const NR: usize = 8;
+pub(crate) const MR: usize = 4;
+pub(crate) const NR: usize = 8;
 
 /// Micro-kernel over the rows of `out` fed from `NR`-wide packed panels:
 /// `out[n,m] = a[n,k] * panels`. Each output element accumulates through
 /// a single f32 from `0.0` in ascending-`k` order — the identical
 /// floating-point chain to `linalg::matmul_reference` on a zeroed output,
 /// hence bit-identical results — and is stored once.
-pub fn matmul_block_rows(a: &[f32], packed: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+pub(crate) fn matmul_block_rows(
+    a: &[f32],
+    packed: &[f32],
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    m: usize,
+) {
     let m_panels = m.div_ceil(NR);
     let mut i0 = 0;
     while i0 < n {
@@ -52,7 +59,7 @@ pub fn matmul_block_rows(a: &[f32], packed: &[f32], out: &mut [f32], n: usize, k
 /// [`matmul_block_rows`] and `matmul_reference`, per element. With `AT`,
 /// `a` is stored transposed as `[k, n]` — the `aᵀ` of `aᵀ·g`, read in
 /// place — and each chain continues from `out`'s element (`out += aᵀ·g`).
-pub fn matmul_small<const AT: bool>(
+pub(crate) fn matmul_small<const AT: bool>(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -83,7 +90,7 @@ pub fn matmul_small<const AT: bool>(
 /// (max, exp+f64-sum, scale) every ISA implements. Hoisted out of
 /// `softmax_last`'s row loop so scalar and SIMD paths share one shape and
 /// one set of edge-case tests (empty and single-element rows included).
-pub fn softmax_row(row: &[f32], dst: &mut [f32]) {
+pub(crate) fn softmax_row(row: &[f32], dst: &mut [f32]) {
     debug_assert_eq!(row.len(), dst.len());
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0f64;
@@ -99,7 +106,7 @@ pub fn softmax_row(row: &[f32], dst: &mut [f32]) {
 }
 
 /// [`softmax_row`] over consecutive rows of width `w`.
-pub fn softmax_rows(src: &[f32], dst: &mut [f32], w: usize) {
+pub(crate) fn softmax_rows(src: &[f32], dst: &mut [f32], w: usize) {
     for (s, d) in src.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
         softmax_row(s, d);
     }
@@ -107,7 +114,7 @@ pub fn softmax_rows(src: &[f32], dst: &mut [f32], w: usize) {
 
 /// Per-row mean and inverse standard deviation in f64 — serial
 /// left-to-right sums, the canonical chain of the pre-SIMD kernels.
-pub fn layer_norm_row_stats(row: &[f32], eps: f32) -> (f64, f64) {
+pub(crate) fn layer_norm_row_stats(row: &[f32], eps: f32) -> (f64, f64) {
     let w = row.len();
     let mean = row.iter().map(|&v| v as f64).sum::<f64>() / w as f64;
     let var = row.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / w as f64;
@@ -117,7 +124,7 @@ pub fn layer_norm_row_stats(row: &[f32], eps: f32) -> (f64, f64) {
 
 /// Normalizes one row given its statistics; element-wise, so every ISA
 /// matches these bits when handed identical `(mean, istd)`.
-pub fn layer_norm_normalize_row(
+pub(crate) fn layer_norm_normalize_row(
     row: &[f32],
     mean: f64,
     istd: f64,
@@ -146,7 +153,7 @@ pub fn layer_norm_normalize_row(
 /// Layer norm over consecutive rows of width `gamma.len()`: statistics
 /// then normalize per row. `saved` receives `(xhat, inv_std)` for the
 /// tape's backward pass.
-pub fn layer_norm_rows(
+pub(crate) fn layer_norm_rows(
     x: &[f32],
     gamma: &[f32],
     beta: &[f32],
@@ -167,7 +174,7 @@ pub fn layer_norm_rows(
 
 /// [`layer_norm_backward_row`] over consecutive rows of width
 /// `gamma.len()`, one `inv_std` each, in row order.
-pub fn layer_norm_backward_rows(
+pub(crate) fn layer_norm_backward_rows(
     xhat: &[f32],
     inv_std: &[f32],
     gamma: &[f32],
@@ -221,7 +228,7 @@ fn layer_norm_backward_row(
 }
 
 /// Zeroes NaN/±Inf entries, returning the count.
-pub fn sanitize_chunk(xs: &mut [f32]) -> usize {
+pub(crate) fn sanitize_chunk(xs: &mut [f32]) -> usize {
     let mut bad = 0usize;
     for x in xs.iter_mut() {
         if !x.is_finite() {
@@ -233,7 +240,7 @@ pub fn sanitize_chunk(xs: &mut [f32]) -> usize {
 }
 
 /// Serial ascending f64 sum of squares.
-pub fn norm_sq_chunk(xs: &[f32]) -> f64 {
+pub(crate) fn norm_sq_chunk(xs: &[f32]) -> f64 {
     let mut acc = 0.0f64;
     for &x in xs {
         acc += (x as f64) * (x as f64);
@@ -253,7 +260,7 @@ pub fn norm_sq_chunk(xs: &[f32]) -> f64 {
 ///
 /// `qo` must point to `k.len()` floats (`grid.rows() * grid.width()`), and
 /// nothing else may access them during the call.
-pub unsafe fn attention_tiles(
+pub(crate) unsafe fn attention_tiles(
     grid: &super::AttnGrid,
     qo: *mut f32,
     k: &[f32],
@@ -320,7 +327,7 @@ fn set_lane<const LANES: usize>(rows: &mut [[f32; LANES]], lane: usize, src: &[f
 /// are filled and read back element by element, in safe Rust — the chains
 /// the lane kernels run in vector registers, so the same bits as every
 /// other ISA.
-pub fn attention_backward_tiles(
+pub(crate) fn attention_backward_tiles(
     grid: &super::AttnGrid,
     [q, k, v, d_o]: [&[f32]; 4],
     p: &[f32],

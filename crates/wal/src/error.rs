@@ -57,7 +57,7 @@ pub enum WalError {
 
 impl WalError {
     /// Convenience constructor for [`WalError::Io`].
-    pub fn io(path: impl Into<PathBuf>, source: std::io::Error) -> Self {
+    pub(crate) fn io(path: impl Into<PathBuf>, source: std::io::Error) -> Self {
         WalError::Io {
             path: path.into(),
             source,
@@ -65,7 +65,11 @@ impl WalError {
     }
 
     /// Convenience constructor for [`WalError::Corrupt`].
-    pub fn corrupt(segment: impl Into<PathBuf>, offset: u64, reason: impl Into<String>) -> Self {
+    pub(crate) fn corrupt(
+        segment: impl Into<PathBuf>,
+        offset: u64,
+        reason: impl Into<String>,
+    ) -> Self {
         WalError::Corrupt {
             segment: segment.into(),
             offset,
@@ -74,7 +78,7 @@ impl WalError {
     }
 
     /// Convenience constructor for [`WalError::Recovery`].
-    pub fn recovery(reason: impl Into<String>) -> Self {
+    pub(crate) fn recovery(reason: impl Into<String>) -> Self {
         WalError::Recovery {
             reason: reason.into(),
         }

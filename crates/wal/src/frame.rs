@@ -30,24 +30,24 @@ use hire_ckpt::crc32;
 use crate::error::{WalError, WalResult};
 
 /// Magic bytes opening every segment file.
-pub const SEGMENT_MAGIC: &[u8; 8] = b"HIREWAL\0";
+pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"HIREWAL\0";
 /// On-disk format version for segment files.
-pub const SEGMENT_VERSION: u32 = 1;
+pub(crate) const SEGMENT_VERSION: u32 = 1;
 /// Size of the fixed segment header in bytes.
 pub const SEGMENT_HEADER_LEN: usize = 8 + 4 + 8;
 /// Size of the per-frame prefix (`len` + `crc32`) in bytes.
-pub const FRAME_PREFIX_LEN: usize = 8;
+pub(crate) const FRAME_PREFIX_LEN: usize = 8;
 /// File extension for segment files.
 pub const SEGMENT_EXT: &str = "hwal";
 
 /// Render the file name for a segment whose first record has LSN `base_lsn`.
-pub fn segment_file_name(base_lsn: u64) -> String {
+pub(crate) fn segment_file_name(base_lsn: u64) -> String {
     format!("wal-{base_lsn:012}.{SEGMENT_EXT}")
 }
 
 /// Parse `base_lsn` back out of a segment file name; `None` if the name is
 /// not a segment.
-pub fn parse_segment_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_segment_name(name: &str) -> Option<u64> {
     let stem = name.strip_suffix(&format!(".{SEGMENT_EXT}"))?;
     let digits = stem.strip_prefix("wal-")?;
     if digits.len() != 12 || !digits.bytes().all(|b| b.is_ascii_digit()) {
@@ -57,7 +57,7 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
 }
 
 /// Encode the 20-byte segment header.
-pub fn encode_header(base_lsn: u64) -> Vec<u8> {
+pub(crate) fn encode_header(base_lsn: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(SEGMENT_HEADER_LEN);
     out.extend_from_slice(SEGMENT_MAGIC);
     out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
@@ -68,7 +68,7 @@ pub fn encode_header(base_lsn: u64) -> Vec<u8> {
 /// Encode one frame around `payload`. Panics if the payload is empty (records
 /// always carry at least a tag byte; an empty frame would be ambiguous with
 /// zeroed garbage).
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
     assert!(
         !payload.is_empty(),
         "wal frames must carry a non-empty payload"
@@ -82,16 +82,16 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 
 /// Outcome of scanning one segment's bytes.
 #[derive(Debug)]
-pub struct SegmentScan {
+pub(crate) struct SegmentScan {
     /// The segment's declared base LSN (from the header).
-    pub base_lsn: u64,
+    pub(crate) base_lsn: u64,
     /// Decoded frame payloads, in order.
-    pub payloads: Vec<Vec<u8>>,
+    pub(crate) payloads: Vec<Vec<u8>>,
     /// Byte length of the valid prefix (header + all valid frames). Anything
     /// past this in the last segment is a torn tail to truncate.
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
     /// Bytes past `valid_len` that were present in the file (0 when clean).
-    pub torn_bytes: u64,
+    pub(crate) torn_bytes: u64,
 }
 
 /// Validate a single frame starting at `offset`; returns the payload slice
@@ -136,7 +136,11 @@ fn try_frame(bytes: &[u8], offset: usize) -> Result<(&[u8], usize), String> {
 /// `is_last` selects the torn-tail-tolerant rules described in the module
 /// docs. Returns `Ok(None)` only when `is_last` and the file is too short to
 /// hold a header (torn during creation → caller deletes it).
-pub fn scan_segment(path: &Path, bytes: &[u8], is_last: bool) -> WalResult<Option<SegmentScan>> {
+pub(crate) fn scan_segment(
+    path: &Path,
+    bytes: &[u8],
+    is_last: bool,
+) -> WalResult<Option<SegmentScan>> {
     if bytes.len() < SEGMENT_HEADER_LEN {
         if is_last {
             return Ok(None);

@@ -26,17 +26,14 @@
 //! See DESIGN.md §15 for the frame layout, the group-commit protocol, the
 //! recovery state machine, and the truncation rules.
 
-pub mod error;
-pub mod frame;
-pub mod log;
-pub mod manifest;
-pub mod record;
+mod error;
+mod frame;
+mod log;
+mod manifest;
+mod record;
 
 pub use error::{WalError, WalResult};
-pub use frame::{
-    parse_segment_name, segment_file_name, SEGMENT_EXT, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
-    SEGMENT_VERSION,
-};
+pub use frame::{SEGMENT_EXT, SEGMENT_HEADER_LEN};
 pub use log::{Wal, WalOptions, WalRecovery, WalStats};
-pub use manifest::{shard_dir, ShardManifest, MANIFEST_FILE};
+pub use manifest::{shard_dir, ShardManifest};
 pub use record::WalRecord;

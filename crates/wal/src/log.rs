@@ -310,16 +310,6 @@ impl Wal {
         Ok((wal, recovery))
     }
 
-    /// The directory this log lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &WalOptions {
-        &self.opts
-    }
-
     /// LSN the next append will receive (= count of records ever logged,
     /// including truncated ones).
     pub fn next_lsn(&self) -> u64 {

@@ -14,7 +14,7 @@ use hire_ckpt::{decode_container, encode_container, sync_dir, PayloadReader, Pay
 use crate::error::{WalError, WalResult};
 
 /// File name of the manifest inside the sharded-WAL root.
-pub const MANIFEST_FILE: &str = "MANIFEST";
+pub(crate) const MANIFEST_FILE: &str = "MANIFEST";
 
 /// The sharded-log layout descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

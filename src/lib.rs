@@ -73,8 +73,8 @@ pub mod prelude {
     pub use hire_nn::Module;
     pub use hire_serve::{
         BreakerConfig, BreakerState, ColdScenario, EngineConfig, EvalReport, FrozenModel,
-        ModelVersion, OnlineConfig, OnlineLoop, OnlineTrainer, RatingQuery, RoundOutcome,
-        ServeEngine, ServeError, ServedBy, Server, ServerConfig, TierStats,
+        ModelVersion, OnlineConfig, OnlineLoop, RatingQuery, RoundOutcome, ServeEngine, ServeError,
+        ServedBy, Server, ServerConfig, TierStats,
     };
     pub use hire_tensor::{NdArray, Shape, Tensor};
     pub use hire_wal::{Wal, WalOptions};
