@@ -8,45 +8,29 @@
 
 use hire_tensor::{NdArray, Tensor};
 
-/// Settings for divergence detection and recovery.
-#[derive(Debug, Clone)]
-pub struct GuardConfig {
-    /// EMA smoothing factor for the loss baseline (closer to 1 = slower).
-    pub ema_beta: f32,
-    /// A finite loss above `divergence_factor * ema` counts as suspicious.
-    pub divergence_factor: f32,
-    /// Consecutive suspicious steps before a loss explosion triggers
-    /// recovery. Non-finite losses/gradients trigger immediately.
-    pub patience: usize,
-    /// Steps between parameter checkpoints.
-    pub checkpoint_every: usize,
-    /// Recoveries allowed before the run is aborted (weights stay at the
-    /// last good snapshot).
-    pub max_recoveries: usize,
-    /// Learning-rate multiplier applied at each recovery (paper-style
-    /// halving by default).
-    pub lr_backoff: f32,
-    /// Steps before the EMA baseline is trusted for explosion detection.
-    pub warmup_steps: usize,
-}
+// Divergence detection and recovery settings. Each is part of a durable
+// training snapshot's config fingerprint (`crate::trainer`).
 
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            ema_beta: 0.9,
-            divergence_factor: 4.0,
-            patience: 3,
-            checkpoint_every: 10,
-            max_recoveries: 4,
-            lr_backoff: 0.5,
-            warmup_steps: 5,
-        }
-    }
-}
+/// EMA smoothing factor for the loss baseline (closer to 1 = slower).
+pub(crate) const EMA_BETA: f32 = 0.9;
+/// A finite loss above `DIVERGENCE_FACTOR * ema` counts as suspicious.
+pub(crate) const DIVERGENCE_FACTOR: f32 = 4.0;
+/// Consecutive suspicious steps before a loss explosion triggers recovery.
+/// Non-finite losses/gradients trigger immediately.
+pub(crate) const PATIENCE: usize = 3;
+/// Steps between in-memory parameter checkpoints.
+pub(crate) const CHECKPOINT_EVERY: usize = 10;
+/// Recoveries allowed before the run is aborted (weights stay at the last
+/// good snapshot).
+pub(crate) const MAX_RECOVERIES: usize = 4;
+/// Learning-rate multiplier applied at each recovery (paper-style halving).
+pub(crate) const LR_BACKOFF: f32 = 0.5;
+/// Steps before the EMA baseline is trusted for explosion detection.
+pub(crate) const WARMUP_STEPS: usize = 5;
 
 /// Why the guard declared a step divergent.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DivergenceReason {
+pub(crate) enum DivergenceReason {
     /// The mini-batch loss was NaN or infinite.
     NonFiniteLoss,
     /// Gradient entries were NaN or infinite (count of zeroed entries).
@@ -64,29 +48,9 @@ pub enum DivergenceReason {
     },
 }
 
-impl std::fmt::Display for DivergenceReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DivergenceReason::NonFiniteLoss => write!(f, "non-finite loss"),
-            DivergenceReason::NonFiniteGradient { entries } => {
-                write!(f, "{entries} non-finite gradient entries")
-            }
-            DivergenceReason::LossExplosion { loss, ema } => {
-                write!(f, "loss {loss:.4} exploded above EMA baseline {ema:.4}")
-            }
-        }
-    }
-}
-
 /// Record of one rollback performed during training.
 #[derive(Debug, Clone)]
 pub struct RecoveryEvent {
-    /// Step at which divergence was detected.
-    pub step: usize,
-    /// What triggered the rollback.
-    pub reason: DivergenceReason,
-    /// Step of the checkpoint that was restored (0 = initial weights).
-    pub restored_step: usize,
     /// Learning-rate scale in effect *after* the rollback.
     pub lr_scale: f32,
 }
@@ -167,17 +131,15 @@ impl ParameterCheckpoint {
 /// Stateful health monitor fed once per training step.
 #[derive(Debug)]
 pub(crate) struct NumericalGuard {
-    cfg: GuardConfig,
     ema: Option<f32>,
     healthy_steps: usize,
     suspicious_streak: usize,
 }
 
 impl NumericalGuard {
-    /// Creates a guard with the given settings.
-    pub(crate) fn new(cfg: GuardConfig) -> Self {
+    /// Creates a guard with no baseline yet.
+    pub(crate) fn new() -> Self {
         NumericalGuard {
-            cfg,
             ema: None,
             healthy_steps: 0,
             suspicious_streak: 0,
@@ -199,11 +161,11 @@ impl NumericalGuard {
                 entries: nonfinite_grad_entries,
             });
         }
-        let warmed_up = self.healthy_steps >= self.cfg.warmup_steps;
+        let warmed_up = self.healthy_steps >= WARMUP_STEPS;
         if let (true, Some(ema)) = (warmed_up, self.ema) {
-            if loss > self.cfg.divergence_factor * (ema + 1e-3) {
+            if loss > DIVERGENCE_FACTOR * (ema + 1e-3) {
                 self.suspicious_streak += 1;
-                if self.suspicious_streak >= self.cfg.patience {
+                if self.suspicious_streak >= PATIENCE {
                     return Some(DivergenceReason::LossExplosion { loss, ema });
                 }
                 // Suspicious but within patience: do not fold the spike into
@@ -215,7 +177,7 @@ impl NumericalGuard {
         self.healthy_steps += 1;
         self.ema = Some(match self.ema {
             None => loss,
-            Some(e) => self.cfg.ema_beta * e + (1.0 - self.cfg.ema_beta) * loss,
+            Some(e) => EMA_BETA * e + (1.0 - EMA_BETA) * loss,
         });
         None
     }
@@ -254,7 +216,7 @@ mod tests {
 
     #[test]
     fn nan_loss_triggers_immediately() {
-        let mut g = NumericalGuard::new(GuardConfig::default());
+        let mut g = NumericalGuard::new();
         assert_eq!(
             g.observe(f32::NAN, 0),
             Some(DivergenceReason::NonFiniteLoss)
@@ -267,7 +229,7 @@ mod tests {
 
     #[test]
     fn nonfinite_gradients_trigger_immediately() {
-        let mut g = NumericalGuard::new(GuardConfig::default());
+        let mut g = NumericalGuard::new();
         assert_eq!(
             g.observe(1.0, 3),
             Some(DivergenceReason::NonFiniteGradient { entries: 3 })
@@ -276,18 +238,16 @@ mod tests {
 
     #[test]
     fn loss_explosion_requires_patience() {
-        let cfg = GuardConfig {
-            patience: 2,
-            warmup_steps: 3,
-            ..GuardConfig::default()
-        };
-        let mut g = NumericalGuard::new(cfg);
-        for _ in 0..5 {
+        assert_eq!((PATIENCE, WARMUP_STEPS), (3, 5));
+        let mut g = NumericalGuard::new();
+        for _ in 0..WARMUP_STEPS + 2 {
             assert_eq!(g.observe(1.0, 0), None);
         }
-        // one spike: suspicious, not yet divergent
-        assert_eq!(g.observe(100.0, 0), None);
-        // second consecutive spike: divergent
+        // spikes within patience: suspicious, not yet divergent
+        for _ in 1..PATIENCE {
+            assert_eq!(g.observe(100.0, 0), None);
+        }
+        // the PATIENCE-th consecutive spike: divergent
         match g.observe(100.0, 0) {
             Some(DivergenceReason::LossExplosion { loss, .. }) => assert_eq!(loss, 100.0),
             other => panic!("expected LossExplosion, got {other:?}"),
@@ -296,13 +256,8 @@ mod tests {
 
     #[test]
     fn spikes_within_patience_do_not_poison_the_baseline() {
-        let cfg = GuardConfig {
-            patience: 3,
-            warmup_steps: 2,
-            ..GuardConfig::default()
-        };
-        let mut g = NumericalGuard::new(cfg);
-        for _ in 0..4 {
+        let mut g = NumericalGuard::new();
+        for _ in 0..WARMUP_STEPS + 1 {
             g.observe(1.0, 0);
         }
         let before = g.ema;
@@ -314,13 +269,13 @@ mod tests {
 
     #[test]
     fn guard_state_export_import_round_trips() {
-        let mut g = NumericalGuard::new(GuardConfig::default());
+        let mut g = NumericalGuard::new();
         for _ in 0..7 {
             g.observe(2.0, 0);
         }
         let (ema, healthy, streak) = g.export_state();
         assert_eq!(healthy, 7);
-        let mut fresh = NumericalGuard::new(GuardConfig::default());
+        let mut fresh = NumericalGuard::new();
         fresh.import_state(ema, healthy, streak);
         assert_eq!(fresh.export_state(), (ema, healthy, streak));
     }

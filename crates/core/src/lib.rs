@@ -39,8 +39,8 @@ pub mod trainer;
 pub use config::HireConfig;
 pub use encoder::ContextEncoder;
 pub use frozen::{FrozenModel, QuantizedModel};
-pub use guard::{DivergenceReason, GuardConfig, RecoveryEvent, TrainOutcome, TrainReport};
+pub use guard::{RecoveryEvent, TrainOutcome, TrainReport};
 pub use him::HimAttention;
 pub use hybrid::{train_hybrid, HybridConfig, HybridModel};
 pub use model::HireModel;
-pub use trainer::{fine_tune, train, train_guarded, TrainConfig};
+pub use trainer::{fine_tune, train, TrainConfig};

@@ -5,7 +5,9 @@
 //! crash resume (see `hire-ckpt` and `DESIGN.md` §8).
 
 use crate::guard::{
-    GuardConfig, NumericalGuard, ParameterCheckpoint, RecoveryEvent, TrainOutcome, TrainReport,
+    NumericalGuard, ParameterCheckpoint, RecoveryEvent, TrainOutcome, TrainReport,
+    CHECKPOINT_EVERY, DIVERGENCE_FACTOR, EMA_BETA, LR_BACKOFF, MAX_RECOVERIES, PATIENCE,
+    WARMUP_STEPS,
 };
 use crate::model::HireModel;
 use hire_ckpt::{fingerprint, CheckpointStore, GuardSnapshot, OptimizerSnapshot, TrainSnapshot};
@@ -96,20 +98,22 @@ impl Default for TrainConfig {
 /// Resuming under different hyper-parameters is refused — the trajectory
 /// would silently diverge from the uninterrupted run. Checkpoint cadence
 /// and the halt setting are deliberately excluded: they legitimately differ
-/// between an interrupted run and its resume.
-fn config_fingerprint(config: &TrainConfig, guard: &GuardConfig) -> u64 {
+/// between an interrupted run and its resume. The guard's constants are
+/// hashed too, in the order their settable forms once were, so a snapshot
+/// written before they became constants still resumes.
+fn config_fingerprint(config: &TrainConfig) -> u64 {
     fingerprint([
         config.steps as u64,
         config.batch_size as u64,
         config.base_lr.to_bits() as u64,
         config.grad_clip.to_bits() as u64,
-        guard.ema_beta.to_bits() as u64,
-        guard.divergence_factor.to_bits() as u64,
-        guard.patience as u64,
-        guard.checkpoint_every as u64,
-        guard.max_recoveries as u64,
-        guard.lr_backoff.to_bits() as u64,
-        guard.warmup_steps as u64,
+        EMA_BETA.to_bits() as u64,
+        DIVERGENCE_FACTOR.to_bits() as u64,
+        PATIENCE as u64,
+        CHECKPOINT_EVERY as u64,
+        MAX_RECOVERIES as u64,
+        LR_BACKOFF.to_bits() as u64,
+        WARMUP_STEPS as u64,
     ])
 }
 
@@ -120,10 +124,6 @@ pub struct StepStats {
     pub step: usize,
     /// Mini-batch MSE loss.
     pub loss: f32,
-    /// Pre-clip gradient norm.
-    pub grad_norm: f32,
-    /// Learning rate used.
-    pub lr: f32,
 }
 
 /// The learning-rate scale after `attempts` divergence recoveries:
@@ -135,8 +135,15 @@ pub fn geometric(factor: f32, attempts: usize) -> f32 {
 }
 
 /// Trains `model` on contexts sampled from `graph` (the training-visible
-/// graph) with the default [`GuardConfig`], returning a [`TrainReport`].
-/// Deterministic under a fixed `rng`.
+/// graph), returning a [`TrainReport`]. Deterministic under a fixed `rng`.
+///
+/// Each step the guard inspects the mini-batch loss and the gradient
+/// statistics. On divergence (non-finite loss/gradients, or a sustained
+/// loss explosion relative to the EMA baseline) the parameters are rolled
+/// back to the last healthy checkpoint, the learning rate is halved, and
+/// the optimizer state is rebuilt. After four rollbacks the run stops with
+/// [`TrainOutcome::Aborted`] — the weights stay at the last good snapshot,
+/// so callers always receive a usable (finite) model.
 pub fn train(
     model: &HireModel,
     dataset: &Dataset,
@@ -145,52 +152,13 @@ pub fn train(
     config: &TrainConfig,
     rng: &mut (impl Rng + StateRng),
 ) -> HireResult<TrainReport> {
-    train_guarded(
-        model,
-        dataset,
-        graph,
-        sampler,
-        config,
-        &GuardConfig::default(),
-        rng,
-    )
-}
-
-/// [`train`] with explicit guard settings.
-///
-/// Each step the guard inspects the mini-batch loss and the gradient
-/// statistics. On divergence (non-finite loss/gradients, or a sustained
-/// loss explosion relative to the EMA baseline) the parameters are rolled
-/// back to the last healthy checkpoint, the learning rate is scaled by
-/// `guard.lr_backoff`, and the optimizer state is rebuilt. After
-/// `guard.max_recoveries` rollbacks the run stops with
-/// [`TrainOutcome::Aborted`] — the weights stay at the last good snapshot,
-/// so callers always receive a usable (finite) model.
-pub fn train_guarded(
-    model: &HireModel,
-    dataset: &Dataset,
-    graph: &BipartiteGraph,
-    sampler: &dyn ContextSampler,
-    config: &TrainConfig,
-    guard_config: &GuardConfig,
-    rng: &mut (impl Rng + StateRng),
-) -> HireResult<TrainReport> {
     if graph.num_ratings() == 0 {
         return Err(HireError::invalid_data(
             "train",
             "training graph has no edges",
         ));
     }
-    train_impl(
-        model,
-        dataset,
-        graph,
-        sampler,
-        None,
-        config,
-        guard_config,
-        rng,
-    )
+    train_impl(model, dataset, graph, sampler, None, config, rng)
 }
 
 /// Fine-tunes an already-trained model on a specific set of *seed edges*
@@ -198,11 +166,10 @@ pub fn train_guarded(
 /// are still sampled from the full live `graph` — so each step sees the
 /// new edge embedded in its real neighborhood, not in isolation.
 ///
-/// This is `train_guarded` with the mini-batch seed pool restricted:
+/// This is [`train`] with the mini-batch seed pool restricted:
 /// everything else (guard rollback, LR backoff, durable snapshots,
 /// determinism under a fixed `rng`) behaves identically. Every seed edge
 /// must be present in `graph` bounds; an empty slice is a typed error.
-#[allow(clippy::too_many_arguments)]
 pub fn fine_tune(
     model: &HireModel,
     dataset: &Dataset,
@@ -210,7 +177,6 @@ pub fn fine_tune(
     sampler: &dyn ContextSampler,
     seed_edges: &[Rating],
     config: &TrainConfig,
-    guard_config: &GuardConfig,
     rng: &mut (impl Rng + StateRng),
 ) -> HireResult<TrainReport> {
     if seed_edges.is_empty() {
@@ -240,14 +206,12 @@ pub fn fine_tune(
         sampler,
         Some(seed_edges),
         config,
-        guard_config,
         rng,
     )
 }
 
 /// Shared training loop: mini-batch seeds are drawn from `seed_edges`, or,
 /// without them, from every edge of `graph`; contexts from `graph`.
-#[allow(clippy::too_many_arguments)]
 fn train_impl(
     model: &HireModel,
     dataset: &Dataset,
@@ -255,11 +219,10 @@ fn train_impl(
     sampler: &dyn ContextSampler,
     seed_edges: Option<&[Rating]>,
     config: &TrainConfig,
-    guard_config: &GuardConfig,
     rng: &mut (impl Rng + StateRng),
 ) -> HireResult<TrainReport> {
     let params = model.parameters();
-    let fp = config_fingerprint(config, guard_config);
+    let fp = config_fingerprint(config);
     let store = match &config.checkpoint_dir {
         Some(dir) => Some(CheckpointStore::open(dir, config.checkpoint_keep_last)?),
         None => None,
@@ -275,7 +238,7 @@ fn train_impl(
     let m = model.config().context_items;
     let input_ratio = model.config().input_ratio;
 
-    let mut guard = NumericalGuard::new(guard_config.clone());
+    let mut guard = NumericalGuard::new();
     let mut checkpoint = ParameterCheckpoint::capture(0, &params);
     let mut lr_scale = 1.0f32;
     let mut prior_recoveries = 0usize;
@@ -393,37 +356,27 @@ fn train_impl(
             steps.push(StepStats {
                 step,
                 loss: loss_value,
-                grad_norm: clip.pre_clip_norm,
-                lr,
             });
 
-            if let Some(reason) = guard.observe(loss_value, clip.nonfinite_entries) {
+            if guard.observe(loss_value, clip.nonfinite_entries).is_some() {
                 // Roll back, shrink the LR, and rebuild the optimizer: its
                 // moment estimates were computed from the diverged trajectory.
                 // The LR follows a geometric decay —
-                // `lr_backoff^total_recoveries` — which is bit-identical to
+                // `LR_BACKOFF^total_recoveries` — which is bit-identical to
                 // multiplying the (possibly resumed) scale once per event.
                 checkpoint.restore(&params);
-                lr_scale = geometric(
-                    guard_config.lr_backoff,
-                    prior_recoveries + recoveries.len() + 1,
-                );
+                lr_scale = geometric(LR_BACKOFF, prior_recoveries + recoveries.len() + 1);
                 optimizer = Lookahead::paper_default(Lamb::paper_default(params.clone()));
                 guard.reset();
-                recoveries.push(RecoveryEvent {
-                    step,
-                    reason,
-                    restored_step: checkpoint.step(),
-                    lr_scale,
-                });
+                recoveries.push(RecoveryEvent { lr_scale });
                 // The budget spans the whole run, including recoveries
                 // performed before an interruption.
-                if prior_recoveries + recoveries.len() > guard_config.max_recoveries {
+                if prior_recoveries + recoveries.len() > MAX_RECOVERIES {
                     outcome = TrainOutcome::Aborted { step };
                 }
             } else {
                 optimizer.step(lr);
-                if (step + 1) % guard_config.checkpoint_every == 0 {
+                if (step + 1) % CHECKPOINT_EVERY == 0 {
                     checkpoint = ParameterCheckpoint::capture(step + 1, &params);
                 }
             }
@@ -572,9 +525,9 @@ mod tests {
             last < first * 0.9,
             "loss did not decrease: first={first:.4} last={last:.4}"
         );
-        // all stats well-formed
+        // all losses well-formed
         for s in &history {
-            assert!(s.loss.is_finite() && s.grad_norm.is_finite() && s.lr > 0.0);
+            assert!(s.loss.is_finite());
         }
     }
 

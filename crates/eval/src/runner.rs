@@ -4,7 +4,7 @@
 
 use hire_baselines::RatingModel;
 use hire_data::{ColdStartSplit, Dataset};
-use hire_metrics::{ranking_metrics, Accumulator, ScoredPair};
+use hire_metrics::{Accumulator, RankedList, ScoredPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -152,8 +152,9 @@ pub fn evaluate_model(
             .zip(&queries)
             .map(|(&p, r)| ScoredPair::new(p, r.value))
             .collect();
+        let ranked = RankedList::new(&scored);
         for (ki, &k) in config.ks.iter().enumerate() {
-            let m = ranking_metrics(&scored, k, threshold);
+            let m = ranked.metrics(k, threshold);
             accs[ki][0].push(m.precision);
             accs[ki][1].push(m.ndcg);
             accs[ki][2].push(m.map);

@@ -10,5 +10,5 @@ mod ranking;
 
 pub use aggregate::Accumulator;
 pub use ranking::{
-    map_at_k, ndcg_at_k, precision_at_k, ranking_metrics, RankingMetrics, ScoredPair,
+    map_at_k, ndcg_at_k, precision_at_k, ranking_metrics, RankedList, RankingMetrics, ScoredPair,
 };

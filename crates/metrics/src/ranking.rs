@@ -65,6 +65,122 @@ fn ranked_ties(pairs: &[ScoredPair]) -> (Vec<f32>, Vec<Range<usize>>) {
     (ranked.iter().map(|p| p.actual).collect(), groups)
 }
 
+/// One ranking unit ranked once: the actual ratings in descending predicted
+/// order with their tie groups of equal predictions, and the ideal order
+/// NDCG normalizes by. Every metric at every cutoff reads this one ranking,
+/// so scoring a list at several cutoffs sorts it twice in all, not twice
+/// per metric and cutoff. The `*_at_k` functions are these methods on a
+/// list ranked for the one call, bit for bit.
+#[derive(Debug, Clone)]
+pub struct RankedList {
+    actual: Vec<f32>,
+    groups: Vec<Range<usize>>,
+    ideal: Vec<f32>,
+}
+
+impl RankedList {
+    /// Ranks `pairs`.
+    pub fn new(pairs: &[ScoredPair]) -> Self {
+        let (actual, groups) = ranked_ties(pairs);
+        let mut ideal = actual.clone();
+        ideal.sort_by(|a, b| b.total_cmp(a));
+        RankedList {
+            actual,
+            groups,
+            ideal,
+        }
+    }
+
+    /// See [`precision_at_k`].
+    pub fn precision(&self, k: usize, threshold: f32) -> f32 {
+        assert!(k > 0, "k must be positive");
+        let actual = &self.actual;
+        if actual.is_empty() {
+            return 0.0;
+        }
+        let depth = k.min(actual.len());
+        let hits: f64 = self
+            .groups
+            .iter()
+            .filter(|g| g.start < depth)
+            .map(|g| {
+                let inside = g.end.min(depth) - g.start;
+                (inside * relevant(&actual[g.clone()], threshold)) as f64 / g.len() as f64
+            })
+            .sum();
+        hits as f32 / depth as f32
+    }
+
+    /// See [`ndcg_at_k`].
+    pub fn ndcg(&self, k: usize) -> f32 {
+        assert!(k > 0, "k must be positive");
+        let actual = &self.actual;
+        if actual.is_empty() {
+            return 0.0;
+        }
+        let depth = k.min(actual.len());
+        let dcg: f64 = self
+            .groups
+            .iter()
+            .flat_map(|g| {
+                let gain =
+                    actual[g.clone()].iter().map(|&a| a as f64).sum::<f64>() / g.len() as f64;
+                (g.start..g.end.min(depth)).map(move |i| gain / ((i + 2) as f64).log2())
+            })
+            .sum();
+        let idcg: f64 = self.ideal[..depth]
+            .iter()
+            .enumerate()
+            .map(|(i, &rel)| rel as f64 / ((i + 2) as f64).log2())
+            .sum();
+        if idcg <= 0.0 {
+            0.0
+        } else {
+            (dcg / idcg) as f32
+        }
+    }
+
+    /// See [`map_at_k`].
+    pub fn map(&self, k: usize, threshold: f32) -> f32 {
+        assert!(k > 0, "k must be positive");
+        let actual = &self.actual;
+        if actual.is_empty() {
+            return 0.0;
+        }
+        let depth = k.min(actual.len());
+        let total_relevant = relevant(actual, threshold);
+        if total_relevant == 0 {
+            return 0.0;
+        }
+        let mut before = 0usize;
+        let mut sum_precision = 0.0f64;
+        for g in self.groups.iter().filter(|g| g.start < depth) {
+            let (size, hits) = (g.len(), relevant(&actual[g.clone()], threshold));
+            let p_hit = hits as f64 / size as f64;
+            let p_pair = if hits > 1 {
+                (hits * (hits - 1)) as f64 / (size * (size - 1)) as f64
+            } else {
+                0.0
+            };
+            for i in g.start..g.end.min(depth) {
+                let expected = p_hit * (before + 1) as f64 + (i - g.start) as f64 * p_pair;
+                sum_precision += expected / (i + 1) as f64;
+            }
+            before += hits;
+        }
+        (sum_precision / total_relevant.min(depth) as f64) as f32
+    }
+
+    /// All three metrics at cutoff `k`.
+    pub fn metrics(&self, k: usize, threshold: f32) -> RankingMetrics {
+        RankingMetrics {
+            precision: self.precision(k, threshold),
+            ndcg: self.ndcg(k),
+            map: self.map(k, threshold),
+        }
+    }
+}
+
 /// Precision@k with binary relevance at `threshold` (actual >= threshold).
 ///
 /// When fewer than `k` pairs exist, the denominator is the number of pairs.
@@ -72,21 +188,7 @@ fn ranked_ties(pairs: &[ScoredPair]) -> (Vec<f32>, Vec<Range<usize>>) {
 /// relevant items over every order of the group (McSherry & Najork, ECIR
 /// 2008), so a constant predictor scores the list's relevant fraction.
 pub fn precision_at_k(pairs: &[ScoredPair], k: usize, threshold: f32) -> f32 {
-    assert!(k > 0, "k must be positive");
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let (actual, groups) = ranked_ties(pairs);
-    let depth = k.min(actual.len());
-    let hits: f64 = groups
-        .iter()
-        .filter(|g| g.start < depth)
-        .map(|g| {
-            let inside = g.end.min(depth) - g.start;
-            (inside * relevant(&actual[g.clone()], threshold)) as f64 / g.len() as f64
-        })
-        .sum();
-    hits as f32 / depth as f32
+    RankedList::new(pairs).precision(k, threshold)
 }
 
 /// NDCG@k with graded relevance (the actual rating) and the standard
@@ -95,31 +197,7 @@ pub fn precision_at_k(pairs: &[ScoredPair], k: usize, threshold: f32) -> f32 {
 /// of a tie group gains the group's mean rating: the expected DCG over every
 /// order of the group.
 pub fn ndcg_at_k(pairs: &[ScoredPair], k: usize) -> f32 {
-    assert!(k > 0, "k must be positive");
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let (actual, groups) = ranked_ties(pairs);
-    let depth = k.min(actual.len());
-    let dcg: f64 = groups
-        .iter()
-        .flat_map(|g| {
-            let gain = actual[g.clone()].iter().map(|&a| a as f64).sum::<f64>() / g.len() as f64;
-            (g.start..g.end.min(depth)).map(move |i| gain / ((i + 2) as f64).log2())
-        })
-        .sum();
-    let mut ideal = actual;
-    ideal.sort_by(|a, b| b.total_cmp(a));
-    let idcg: f64 = ideal[..depth]
-        .iter()
-        .enumerate()
-        .map(|(i, &rel)| rel as f64 / ((i + 2) as f64).log2())
-        .sum();
-    if idcg <= 0.0 {
-        0.0
-    } else {
-        (dcg / idcg) as f32
-    }
+    RankedList::new(pairs).ndcg(k)
 }
 
 /// MAP@k (mean average precision truncated at `k`) with binary relevance at
@@ -129,33 +207,7 @@ pub fn ndcg_at_k(pairs: &[ScoredPair], k: usize) -> f32 {
 /// order of the group: `(h/g · (before + 1) + i · h(h−1)/(g(g−1))) / rank`,
 /// with `before` the relevant items ranked above the group.
 pub fn map_at_k(pairs: &[ScoredPair], k: usize, threshold: f32) -> f32 {
-    assert!(k > 0, "k must be positive");
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let (actual, groups) = ranked_ties(pairs);
-    let depth = k.min(actual.len());
-    let total_relevant = relevant(&actual, threshold);
-    if total_relevant == 0 {
-        return 0.0;
-    }
-    let mut before = 0usize;
-    let mut sum_precision = 0.0f64;
-    for g in groups.iter().filter(|g| g.start < depth) {
-        let (size, hits) = (g.len(), relevant(&actual[g.clone()], threshold));
-        let p_hit = hits as f64 / size as f64;
-        let p_pair = if hits > 1 {
-            (hits * (hits - 1)) as f64 / (size * (size - 1)) as f64
-        } else {
-            0.0
-        };
-        for i in g.start..g.end.min(depth) {
-            let expected = p_hit * (before + 1) as f64 + (i - g.start) as f64 * p_pair;
-            sum_precision += expected / (i + 1) as f64;
-        }
-        before += hits;
-    }
-    (sum_precision / total_relevant.min(depth) as f64) as f32
+    RankedList::new(pairs).map(k, threshold)
 }
 
 /// All three metrics at one cutoff.
@@ -169,13 +221,9 @@ pub struct RankingMetrics {
     pub map: f32,
 }
 
-/// Computes Precision/NDCG/MAP at `k` in one pass.
+/// Computes Precision/NDCG/MAP at `k` from one ranking of `pairs`.
 pub fn ranking_metrics(pairs: &[ScoredPair], k: usize, threshold: f32) -> RankingMetrics {
-    RankingMetrics {
-        precision: precision_at_k(pairs, k, threshold),
-        ndcg: ndcg_at_k(pairs, k),
-        map: map_at_k(pairs, k, threshold),
-    }
+    RankedList::new(pairs).metrics(k, threshold)
 }
 
 #[cfg(test)]

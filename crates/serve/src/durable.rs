@@ -2,11 +2,11 @@
 //! (DESIGN.md §15).
 //!
 //! A WAL-attached [`ServeEngine`] logs every state transition before it
-//! takes effect: serve-time ratings, holdout diversions, model promotions
-//! and demotions. This module closes the loop:
+//! takes effect: serve-time ratings, model promotions and demotions, and
+//! the online loop's round barriers. This module closes the loop:
 //!
 //! * [`write_snapshot`] captures the whole serving state — the insert
-//!   log, the online loop's routing state, and the model lineage — into
+//!   log, the online loop's cursor and round, and the model lineage — into
 //!   one checksummed snapshot under the `serving` checkpoint lineage,
 //!   logs a `SnapshotBarrier{covered}` record, and truncates WAL segments
 //!   the snapshot fully covers. Without snapshots the log only grows;
@@ -16,12 +16,18 @@
 //!   it folds every shard log and rebuilds shard 0, which owns the
 //!   lineage, this way. [`fold_log`] folds the records into a [`LogFold`]:
 //!   rating edges in their original commit order, the online loop's
-//!   routing state, and the model lineage — promotions and demotions go
+//!   cursor and round, and the model lineage — promotions and demotions go
 //!   through the same [`Lineage::promote`] / [`Lineage::demote`] the live
 //!   engine ran, so the recovered lineage is the crashed one by
 //!   construction. [`rebuild_engine`] replays the edges (bit-identical CSR
 //!   ⇒ bit-identical deterministic context samples) and reloads every
-//!   slot's weights from the checkpoints the lineage names.
+//!   slot's weights from the checkpoints the lineage names. The loop's
+//!   holdout is rebuilt from the replayed ratings below the cursor, by
+//!   the same arrival-index rule the live loop routes with.
+//!
+//! Recovery reads the formats this tree writes and refuses others, typed:
+//! a serving snapshot of another format, or a log holding a record kind
+//! this tree does not write.
 //!
 //! The recovery contract, proven by `tests/wal_recovery.rs` at every
 //! kill point: **no acknowledged write is lost** (an ack follows an fsync
@@ -45,8 +51,9 @@ use std::sync::Arc;
 /// key of each snapshot is the WAL LSN it covers.
 pub const SERVING_TAG: &str = "serving";
 
-/// Serving-snapshot payload format version.
-const SNAPSHOT_FORMAT: u8 = 1;
+/// Serving-snapshot payload format version. Format 1 also carried the
+/// holdout's arrival indices; it is refused, not read.
+const SNAPSHOT_FORMAT: u8 = 2;
 
 /// The serving state a write-ahead log folds to, on top of the serving
 /// snapshot it continues (if any). A serving snapshot persists exactly the
@@ -62,13 +69,8 @@ pub struct LogFold {
     pub cursor: usize,
     /// Online-loop round counter.
     pub round: u64,
-    /// Arrival indices ever diverted to the holdout slice.
-    pub marked: BTreeSet<usize>,
     /// Model lineage with reload sources.
     pub lineage: Lineage,
-    /// The promotion/demotion records applied to `lineage`, in log order —
-    /// what sharded recovery checks other shard logs against.
-    pub events: Vec<WalRecord>,
     /// Records applied on top of the snapshot.
     pub replayed: usize,
 }
@@ -92,9 +94,6 @@ impl LogFold {
                 item: *item as usize,
                 value: *value,
             }),
-            WalRecord::HoldoutMark { index } => {
-                self.marked.insert(*index as usize);
-            }
             WalRecord::SnapshotBarrier { cursor, round, .. } => {
                 self.cursor = *cursor as usize;
                 self.round = *round;
@@ -109,14 +108,12 @@ impl LogFold {
                     tag: tag.clone(),
                     steps: *steps,
                 });
-                self.events.push(record.clone());
             }
             WalRecord::Demoted { new_version } => {
                 self.expect_next_version("demotion", *new_version)?;
                 self.lineage.demote().ok_or_else(|| {
                     HireError::invalid_data("durable", "demotion record with an empty history")
                 })?;
-                self.events.push(record.clone());
             }
         }
         Ok(())
@@ -195,10 +192,6 @@ fn encode_snapshot(snap: &LogFold) -> HireResult<Vec<u8>> {
     }
     w.put_u64(snap.cursor as u64);
     w.put_u64(snap.round);
-    w.put_u64(snap.marked.len() as u64);
-    for &idx in &snap.marked {
-        w.put_u64(idx as u64);
-    }
     w.put_u64(snap.lineage.history.len() as u64);
     for (source, version) in &snap.lineage.history {
         encode_source(&mut w, source)?;
@@ -231,11 +224,6 @@ fn decode_snapshot(payload: &[u8], label: &str) -> HireResult<LogFold> {
     }
     let cursor = r.take_u64("cursor")? as usize;
     let round = r.take_u64("round")?;
-    let marks = r.take_len("mark count")?;
-    let mut marked = BTreeSet::new();
-    for _ in 0..marks {
-        marked.insert(r.take_u64("mark index")? as usize);
-    }
     let slots = r.take_len("history len")?;
     let mut history = Vec::with_capacity(slots);
     for _ in 0..slots {
@@ -252,7 +240,6 @@ fn decode_snapshot(payload: &[u8], label: &str) -> HireResult<LogFold> {
         ratings,
         cursor,
         round,
-        marked,
         lineage: Lineage {
             history,
             current: (current_source, current_version),
@@ -269,7 +256,7 @@ fn decode_snapshot(payload: &[u8], label: &str) -> HireResult<LogFold> {
 ///
 /// Lock order (the one `crate` convention that prevents deadlock):
 /// online state → engine write order → engine install lock. Holding all
-/// three pins the WAL — no rating, mark, promotion, or demotion record
+/// three pins the WAL — no rating, promotion, or demotion record
 /// can land between capturing the state and reading the covered LSN.
 pub fn write_snapshot(engine: &ServeEngine, online: &OnlineLoop) -> HireResult<u64> {
     let wal = engine.wal().cloned().ok_or_else(|| {
@@ -290,7 +277,6 @@ pub fn write_snapshot(engine: &ServeEngine, online: &OnlineLoop) -> HireResult<u
             ratings,
             cursor: state.cursor,
             round: state.round,
-            marked: state.marked.clone(),
             lineage,
             ..LogFold::default()
         };
@@ -323,8 +309,8 @@ pub struct Recovered {
     /// The rebuilt serving engine, WAL re-attached (new writes append to
     /// the same log).
     pub engine: Arc<ServeEngine>,
-    /// The rebuilt online loop: same cursor, round, and holdout slice the
-    /// crashed loop had durably recorded.
+    /// The rebuilt online loop: the cursor and round the crashed loop had
+    /// durably recorded, and the holdout slice they imply.
     pub online: Arc<OnlineLoop>,
     /// Total ratings in the rebuilt insert log (snapshot + WAL replay).
     pub ratings: usize,
@@ -379,7 +365,6 @@ pub fn recover(
         online_config,
         fold.cursor,
         fold.round,
-        fold.marked,
         &fold.ratings,
     ));
     Ok(Recovered {
@@ -532,7 +517,6 @@ mod tests {
             ],
             cursor: 2,
             round: 7,
-            marked: [0usize, 5, 9].into_iter().collect(),
             lineage: Lineage {
                 history: vec![
                     (SlotSource::Base, 1),
@@ -566,7 +550,6 @@ mod tests {
         );
         assert_eq!(back.cursor, 2);
         assert_eq!(back.round, 7);
-        assert_eq!(back.marked, snap.marked);
         assert_eq!(back.lineage, snap.lineage);
     }
 
@@ -610,6 +593,39 @@ mod tests {
             }
             other => panic!("expected a typed truncation error, got {other:?}"),
         }
+    }
+
+    /// A format-1 serving snapshot (which also carried the holdout's arrival
+    /// indices) is refused by recovery, typed — not read as format 2.
+    #[test]
+    fn a_format_1_serving_snapshot_is_refused() {
+        let dir = std::env::temp_dir().join(format!("hire-format1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut w = PayloadWriter::new();
+        w.put_u8(1); // format
+        w.put_u64(0); // covered
+        w.put_u64(0); // ratings
+        w.put_u64(0); // cursor
+        w.put_u64(0); // round
+        w.put_u64(1); // one holdout mark …
+        w.put_u64(3); // … at arrival index 3
+        w.put_u64(0); // history
+        w.put_u8(0); // current source: base
+        w.put_u64(1); // current version
+        w.put_u64(2); // next version
+        CheckpointStore::open_tagged(&dir, SERVING_TAG, 1)
+            .and_then(|store| store.save_raw(0, &w.finish()))
+            .expect("save");
+        match fold_log(&[], Some(&dir)) {
+            Err(HireError::InvalidData { message, .. }) => {
+                assert!(
+                    message.contains("unsupported snapshot format 1"),
+                    "{message}"
+                )
+            }
+            other => panic!("a format-1 snapshot must be refused, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

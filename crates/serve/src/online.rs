@@ -14,13 +14,15 @@
 //!
 //! - **Accumulate** — ratings accepted by
 //!   [`ServeEngine::insert_rating`] are pulled through a cursor; every
-//!   `holdout_every`-th rating is diverted into a held-out slice (never
-//!   trained on), the rest become fine-tuning seed edges.
+//!   `holdout_every`-th rating (by arrival index, up to a cap) is diverted
+//!   into a held-out slice (never trained on), the rest become fine-tuning
+//!   seed edges. The split is a function of the arrival index alone, so
+//!   recovery rebuilds it from the replayed insert log.
 //! - **Fine-tune** — a fresh [`HireModel`] is warm-started from the
 //!   incumbent's frozen weights and fine-tuned on the new edges with
-//!   [`hire_core::fine_tune`]: the full guard stack (divergence rollback,
-//!   LR backoff, durable snapshots under the `ckpt` lineage) applies. The
-//!   whole step runs under `catch_unwind` — a panicking or diverging
+//!   [`hire_core::fine_tune`]: the guard (divergence rollback, LR backoff)
+//!   applies; nothing of the round's training state is written to disk.
+//!   The whole step runs under `catch_unwind` — a panicking or diverging
 //!   trainer loses nothing and never touches serving.
 //! - **Shadow-eval** — candidate and incumbent are scored on the held-out
 //!   slice using the engine's own deterministic per-query contexts,
@@ -48,13 +50,12 @@ use crate::server::ModelVersion;
 use hire_chaos::{sites, FaultPlan};
 use hire_ckpt::{CheckpointStore, GuardSnapshot, OptimizerSnapshot, TrainSnapshot};
 use hire_core::FrozenModel;
-use hire_core::{fine_tune, GuardConfig, HireModel, TrainConfig, TrainOutcome};
+use hire_core::{fine_tune, HireModel, TrainConfig, TrainOutcome};
 use hire_data::context_seed;
 use hire_graph::{NeighborhoodSampler, Rating};
 use hire_wal::WalRecord;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -66,6 +67,14 @@ pub const REJECTED_TAG: &str = "rejected";
 
 /// Held-out slice capacity; once full, every rating trains.
 const HOLDOUT_CAP: usize = 256;
+
+/// Whether the `idx`-th serve-time rating (0-based, in arrival order) is
+/// held out: every `every`-th one, the first [`HOLDOUT_CAP`] of them. A
+/// pure function of the arrival index, so the live loop and recovery split
+/// the insert log identically and the split needs no durable record.
+fn held_out(idx: usize, every: usize) -> bool {
+    every > 0 && (idx + 1).is_multiple_of(every) && (idx + 1) / every <= HOLDOUT_CAP
+}
 
 /// Settings for the online fine-tuning loop.
 #[derive(Debug, Clone)]
@@ -91,13 +100,14 @@ pub struct OnlineConfig {
     /// A cold scenario participates in the gate only with at least this
     /// many held-out samples (tiny slices are noise, not evidence).
     pub min_scenario_samples: usize,
-    /// Directory for the three checkpoint lineages (`ckpt` = trainer
-    /// durability, `candidate` = promoted, `rejected` = rejected with
-    /// eval report). `None` disables all durable output.
+    /// Directory for the checkpoint lineages (`candidate` = promoted,
+    /// `rejected` = rejected with eval report, `serving` = whole-state
+    /// snapshots written by [`crate::write_snapshot`]). `None` disables
+    /// all durable output.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Snapshots retained in each lineage pruned by count (`ckpt`,
-    /// `rejected`, `serving`). `candidate` files are not counted: each is
-    /// kept for as long as the engine's [`crate::Lineage`] names it.
+    /// Snapshots retained in each lineage pruned by count (`rejected`,
+    /// `serving`). `candidate` files are not counted: each is kept for as
+    /// long as the engine's [`crate::Lineage`] names it.
     pub keep_last: usize,
     /// Base seed for per-round fine-tuning RNG streams.
     pub seed: u64,
@@ -248,10 +258,9 @@ pub enum RoundOutcome {
 }
 
 pub(crate) struct LoopState {
-    /// Ratings already pulled from the engine's insert log.
+    /// Ratings already pulled from the engine's insert log; the next one
+    /// pulled has this arrival index.
     pub(crate) cursor: usize,
-    /// Total ratings routed (drives the every-k-th holdout diversion).
-    pub(crate) routed: usize,
     /// Held-out shadow-eval slice (never trained on).
     pub(crate) holdout: Vec<Rating>,
     /// Accumulated training ratings awaiting the next fine-tune.
@@ -261,16 +270,6 @@ pub(crate) struct LoopState {
     pub(crate) round: u64,
     /// Round outcomes, oldest first (for benches and tests).
     pub(crate) history: Vec<RoundOutcome>,
-    /// Arrival indices (0-based, in insert order) ever diverted to the
-    /// holdout slice. Mirrors the WAL's `HoldoutMark` records; serialized
-    /// into serving snapshots so recovery can re-route identically.
-    pub(crate) marked: BTreeSet<usize>,
-    /// Ratings with arrival index below this were already routed before a
-    /// crash: recovery re-routes them by `marked` membership instead of the
-    /// every-k cadence, so the rebuilt holdout matches the one the live
-    /// loop had (a rating never silently migrates between the trained pool
-    /// and the never-trained slice).
-    pub(crate) pre_count: usize,
 }
 
 /// Poison recovery, mirroring the engine: state updates are plain data.
@@ -302,36 +301,32 @@ impl OnlineLoop {
             faults: None,
             state: Mutex::new(LoopState {
                 cursor: 0,
-                routed: 0,
                 holdout: Vec::new(),
                 pending: Vec::new(),
                 round: 0,
                 history: Vec::new(),
-                marked: BTreeSet::new(),
-                pre_count: 0,
             }),
         }
     }
 
     /// Rebuilds a loop from recovered durable state (see `crate::durable`):
-    /// `cursor`/`round` from the newest snapshot barrier, `marked` from the
-    /// union of snapshot marks and replayed `HoldoutMark` records, and
-    /// `ratings` the full replayed insert log. Ratings the crashed loop had
-    /// already consumed (below `cursor`) are re-split into holdout/trained
-    /// by their marks; the rest are re-routed by the first `run_round`,
-    /// diverting exactly the marked ones.
+    /// `cursor`/`round` from the newest snapshot barrier and `ratings` the
+    /// full replayed insert log. The ratings the crashed loop had already
+    /// consumed (below `cursor`) give back its holdout by [`held_out`]; the
+    /// rest are routed by the first `run_round`, as the live loop would.
     pub(crate) fn recovered(
         engine: Arc<ServeEngine>,
         config: OnlineConfig,
         cursor: usize,
         round: u64,
-        marked: BTreeSet<usize>,
         ratings: &[Rating],
     ) -> Self {
-        let holdout: Vec<Rating> = marked
+        let holdout = ratings
             .iter()
-            .filter(|&&idx| idx < cursor)
-            .filter_map(|&idx| ratings.get(idx).copied())
+            .take(cursor)
+            .enumerate()
+            .filter(|&(idx, _)| held_out(idx, config.holdout_every))
+            .map(|(_, rating)| *rating)
             .collect();
         OnlineLoop {
             engine,
@@ -339,20 +334,16 @@ impl OnlineLoop {
             faults: None,
             state: Mutex::new(LoopState {
                 cursor,
-                routed: cursor,
                 holdout,
                 pending: Vec::new(),
                 round,
                 history: Vec::new(),
-                marked,
-                pre_count: ratings.len(),
             }),
         }
     }
 
-    /// Snapshot of the durable routing state, captured under the state
-    /// lock: `(cursor, round, marked)`. Used by `crate::durable` while
-    /// writing a serving snapshot.
+    /// The loop's state, locked: `crate::durable` reads `cursor` and
+    /// `round` from it while writing a serving snapshot.
     pub(crate) fn freeze_state(&self) -> MutexGuard<'_, LoopState> {
         lock(&self.state)
     }
@@ -393,46 +384,14 @@ impl OnlineLoop {
     fn run_round_locked(&self, state: &mut LoopState) -> RoundOutcome {
         // Pull and route everything inserted since the last round.
         let (fresh, cursor) = self.engine.inserted_since(state.cursor);
-        state.cursor = cursor;
-        for rating in fresh {
-            let idx = state.routed;
-            state.routed += 1;
-            // Ratings that were already routed before a recovery follow
-            // their durable marks, not the cadence: the rebuilt holdout must
-            // equal the pre-crash one exactly.
-            if idx < state.pre_count {
-                if state.marked.contains(&idx) {
-                    state.holdout.push(rating);
-                } else {
-                    state.pending.push(rating);
-                }
-                continue;
-            }
-            let divert = self.config.holdout_every > 0
-                && state.routed.is_multiple_of(self.config.holdout_every)
-                && state.holdout.len() < HOLDOUT_CAP;
-            if divert {
-                // Durably mark the diversion *before* it takes effect: a
-                // crash may forget an unmarked diversion, and a rating that
-                // silently moved from the never-trained slice into training
-                // would skew every future shadow eval. If the mark cannot be
-                // made durable, the rating trains instead — safe, because
-                // recovery routes unmarked ratings to the trained pool too.
-                if let Some(wal) = self.engine.wal() {
-                    if wal
-                        .append_durable(&WalRecord::HoldoutMark { index: idx as u64 })
-                        .is_err()
-                    {
-                        state.pending.push(rating);
-                        continue;
-                    }
-                }
-                state.marked.insert(idx);
+        for (idx, rating) in (state.cursor..).zip(fresh) {
+            if held_out(idx, self.config.holdout_every) {
                 state.holdout.push(rating);
             } else {
                 state.pending.push(rating);
             }
         }
+        state.cursor = cursor;
         if state.pending.len() < self.config.min_new_ratings.max(1) {
             return RoundOutcome::Accumulating {
                 pending: state.pending.len(),
@@ -464,12 +423,7 @@ impl OnlineLoop {
                 steps: self.config.fine_tune_steps,
                 batch_size: self.config.batch_size,
                 base_lr: self.config.base_lr,
-                grad_clip: 1.0,
-                checkpoint_dir: self.config.checkpoint_dir.clone(),
-                checkpoint_every_secs: 0.0,
-                checkpoint_keep_last: self.config.keep_last,
-                resume: false,
-                halt_after_steps: None,
+                ..TrainConfig::paper_default()
             };
             let report = fine_tune(
                 &model,
@@ -478,7 +432,6 @@ impl OnlineLoop {
                 &NeighborhoodSampler,
                 &pending,
                 &tc,
-                &GuardConfig::default(),
                 &mut rng,
             )?;
             let frozen = FrozenModel::from_model(&model, &dataset)?;

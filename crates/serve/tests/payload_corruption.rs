@@ -126,8 +126,7 @@ fn record(kind: u32, a: u64, b: u64, tag: &[u32]) -> WalRecord {
             item: b,
             value: (a % 5) as f32 + 0.5,
         },
-        1 => WalRecord::HoldoutMark { index: a },
-        2 => WalRecord::ModelPromoted {
+        1 => WalRecord::ModelPromoted {
             version: a,
             tag: tag
                 .iter()
@@ -135,7 +134,7 @@ fn record(kind: u32, a: u64, b: u64, tag: &[u32]) -> WalRecord {
                 .collect(),
             steps: b,
         },
-        3 => WalRecord::Demoted { new_version: a },
+        2 => WalRecord::Demoted { new_version: a },
         _ => WalRecord::SnapshotBarrier {
             covered: a.is_multiple_of(2).then_some(b),
             cursor: a,
@@ -254,7 +253,7 @@ proptest! {
 
     #[test]
     fn a_mutated_wal_record_decodes_or_is_a_typed_error(
-        kind in 0u32..5,
+        kind in 0u32..4,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         tag in vec(0u32..26, 0..12),

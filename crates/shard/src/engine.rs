@@ -38,8 +38,6 @@ pub struct ShardStats {
     pub tiers: TierStats,
     /// The shard's context-cache counters.
     pub cache: CacheStats,
-    /// The shard's graph epoch (commits observed by *this* shard).
-    pub graph_epoch: u64,
 }
 
 /// Vestigial: what [`ShardedEngine::hot_key_stats`] returns. The type
@@ -238,7 +236,6 @@ impl ShardedEngine {
                 routed: self.routed[s].load(Ordering::Relaxed),
                 tiers: e.tier_stats(),
                 cache: e.cache_stats(),
-                graph_epoch: e.graph_epoch(),
             })
             .collect()
     }

@@ -8,12 +8,9 @@
 //! shards 1..N as its followers over their own ratings. It appends
 //! nothing.
 //!
-//! Roots written before the lineage was engine-wide carry a copy of every
-//! model record in every log, committed in shard order, so every other
-//! shard's events are a prefix of shard 0's. They recover the same way:
-//! the lineage is read from shard 0's events, and a log whose events are
-//! not a prefix of shard 0's is refused, typed — recovery does not guess
-//! a lineage.
+//! A shard 1..N log that holds a model record (a root written when every
+//! shard kept its own copy of the lineage, or a damaged one) is refused,
+//! typed — recovery does not guess a lineage.
 //!
 //! Scope: sharded recovery rebuilds graphs, insert logs, and the model
 //! lineage. Online-loop routing state and `SnapshotBarrier`-anchored
@@ -26,7 +23,7 @@ use crate::engine::{ShardConfig, ShardedEngine};
 use hire_data::Dataset;
 use hire_error::{HireError, HireResult};
 use hire_graph::BipartiteGraph;
-use hire_serve::{fold_log, rebuild_engine, EngineConfig, FrozenModel, ModelVersion};
+use hire_serve::{fold_log, rebuild_engine, EngineConfig, FrozenModel, Lineage, ModelVersion};
 use hire_wal::{shard_dir, ShardManifest, Wal, WalOptions};
 use std::path::Path;
 use std::sync::Arc;
@@ -37,8 +34,6 @@ pub struct RecoveredShards {
     pub engine: ShardedEngine,
     /// Ratings replayed per shard.
     pub ratings_per_shard: Vec<usize>,
-    /// Model events (promotions + demotions) in the recovered lineage.
-    pub model_events: usize,
     /// The versions of demotion targets dropped because their
     /// checkpointed weights could not be reloaded.
     pub dropped_history: Vec<ModelVersion>,
@@ -92,17 +87,16 @@ pub fn recover_sharded(
     }
 
     // ── The lineage is shard 0's ──────────────────────────────────────
-    let owner_events = &folds[0].events;
-    for (idx, fold) in folds.iter().enumerate().skip(1) {
-        if !owner_events.starts_with(&fold.events) {
-            return Err(HireError::invalid_data(
-                "recover_sharded",
-                format!(
-                    "shard {idx}'s model events are not a prefix of shard 0's — the \
-                     logs are not prefix-chained; refusing to guess a lineage"
-                ),
-            ));
-        }
+    // Every model record moves `next_version`, so a follower log folds to
+    // the default lineage exactly when it holds none.
+    if let Some(idx) = (1..n).find(|&idx| folds[idx].lineage != Lineage::default()) {
+        return Err(HireError::invalid_data(
+            "recover_sharded",
+            format!(
+                "shard {idx}'s log holds a model record, but only shard 0 owns the \
+                 lineage; refusing to guess a lineage"
+            ),
+        ));
     }
 
     // ── Rebuild shard 0 with the lineage, the rest as its followers ───
@@ -128,7 +122,6 @@ pub fn recover_sharded(
     Ok(RecoveredShards {
         engine: ShardedEngine::from_shards(std::iter::once(owner).chain(followers).collect()),
         ratings_per_shard: folds.iter().map(|f| f.ratings.len()).collect(),
-        model_events: owner_events.len(),
         dropped_history,
     })
 }

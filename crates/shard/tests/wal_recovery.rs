@@ -1,14 +1,16 @@
 //! Sharded crash recovery: N per-shard write-ahead logs under one manifest
 //! must recover in **lockstep** — every shard on the one model lineage
 //! shard 0's log records, every shard's ratings replayed, answers
-//! bit-identical to an engine that never crashed. Roots that carry a copy
-//! of each model record in every log (older roots) recover from shard 0's
-//! copy, appending nothing. Divergent logs are a refusal, not a guess.
+//! bit-identical to an engine that never crashed, appending nothing. A log
+//! other than shard 0's that holds a model record — an older root that
+//! copied each model record into every log, or divergent logs — is a
+//! refusal, not a guess.
 
 use hire_chaos::{sites, FaultKind, FaultPlan};
 use hire_ckpt::{CheckpointStore, GuardSnapshot, OptimizerSnapshot, TrainSnapshot};
 use hire_core::{HireConfig, HireModel};
 use hire_data::Dataset;
+use hire_error::HireError;
 use hire_graph::Rating;
 use hire_serve::{
     fold_log, EngineConfig, FrozenModel, Lineage, Predictor, RatingQuery, ServeError, SlotSource,
@@ -225,7 +227,10 @@ fn sharded_recovery_is_bitwise_lockstep() {
     let crash = tmp.path().join("crash");
     copy_tree(&root, &crash);
     let recovered = recover_copy(&data, &crash, Some(&ckpt_dir));
-    assert_eq!(recovered.model_events, 1);
+    assert_eq!(
+        recovered.engine.shard_engines()[0].lineage().history.len(),
+        1
+    );
     assert_eq!(recovered.ratings_per_shard.iter().sum::<usize>(), 42);
     for shard in recovered.engine.shard_engines() {
         assert_eq!(shard.version(), 2, "shards must recover in lockstep");
@@ -245,10 +250,9 @@ fn log_bytes(root: &Path) -> Vec<u64> {
         .collect()
 }
 
-/// Roots that copy each model record into every log, in shard order, still
-/// recover. One whose last promotion reached only shard 0's log — what a
-/// crash mid-install left — recovers every shard to that promotion,
-/// bit-identical to one where every log holds it, and no log grows.
+/// A promotion that reached shard 0's log but not the swap — what a crash
+/// between the two leaves — is rolled forward on every shard, bit-identical
+/// to an engine that completed the swap, and no log grows.
 #[test]
 fn a_promotion_only_shard_0_logged_recovers_every_shard() {
     let tmp = TempDir::new("shard0-only");
@@ -262,51 +266,37 @@ fn a_promotion_only_shard_0_logged_recovers_every_shard() {
     let candidate = frozen(&data, 11);
     checkpoint_weights(&ckpt_dir, "cand", 7, &candidate);
     engine
-        .install_model(candidate.clone(), checkpoint_source("cand", 7))
+        .install_model(candidate, checkpoint_source("cand", 7))
         .expect("logged install");
-    drop(engine);
-
-    // Reference: v2 and the next promotion (v3) copied into every log.
     let next = frozen(&data, 23);
     checkpoint_weights(&ckpt_dir, "next", 9, &next);
-    let copied = WalRecord::ModelPromoted {
-        version: 2,
-        tag: "cand".into(),
-        steps: 7,
-    };
-    let promoted = WalRecord::ModelPromoted {
+
+    // Reference: the v3 swap completes in a copy of the root.
+    let full = tmp.path().join("full");
+    copy_tree(&root, &full);
+    let reference = recover_copy(&data, &full, Some(&ckpt_dir));
+    reference
+        .engine
+        .install_model(next, checkpoint_source("next", 9))
+        .expect("logged install");
+    let reference_bits = probe_bits(&reference.engine);
+    drop(reference);
+    drop(engine);
+
+    // Crash image: the v3 record reached shard 0's log, the swap did not.
+    let torn = tmp.path().join("torn");
+    copy_tree(&root, &torn);
+    let (wal, _) = Wal::open(shard_dir(&torn, 0), strict_opts()).expect("open shard log");
+    wal.append_durable(&WalRecord::ModelPromoted {
         version: 3,
         tag: "next".into(),
         steps: 9,
-    };
-    let append = |root: &Path, idx: usize, records: &[&WalRecord]| {
-        let (wal, _) = Wal::open(shard_dir(root, idx), strict_opts()).expect("open shard log");
-        for record in records {
-            wal.append_durable(record).expect("append");
-        }
-    };
-    let full = tmp.path().join("full");
-    copy_tree(&root, &full);
-    append(&full, 0, &[&promoted]);
-    for idx in 1..SHARDS {
-        append(&full, idx, &[&copied, &promoted]);
-    }
-    let reference = recover_copy(&data, &full, Some(&ckpt_dir));
-    assert_eq!(reference.model_events, 2);
-    let reference_bits = probe_bits(&reference.engine);
-    drop(reference);
-
-    // Crash image: every log holds v2, and v3 reached only shard 0.
-    let torn = tmp.path().join("torn");
-    copy_tree(&root, &torn);
-    append(&torn, 0, &[&promoted]);
-    for idx in 1..SHARDS {
-        append(&torn, idx, &[&copied]);
-    }
+    })
+    .expect("append");
+    drop(wal);
 
     let before = log_bytes(&torn);
     let recovered = recover_copy(&data, &torn, Some(&ckpt_dir));
-    assert_eq!(recovered.model_events, 2);
     for shard in recovered.engine.shard_engines() {
         assert_eq!(shard.version(), 3, "every shard serves shard 0's lineage");
     }
@@ -315,48 +305,53 @@ fn a_promotion_only_shard_0_logged_recovers_every_shard() {
     assert_eq!(log_bytes(&torn), before, "recovery appends nothing");
 }
 
-/// Logs that are not prefix-chained (two shards claiming different
-/// promotions for the same version) are unrecoverable by roll-forward;
-/// recovery must refuse with a typed error rather than pick a side.
+/// Only shard 0's log may hold model records. A root that copied each one
+/// into every log (as roots did before the lineage was engine-wide), and
+/// logs that claim different promotions for one version, are both refused
+/// with a typed error naming the shard, rather than read or reconciled.
 #[test]
-fn divergent_shard_logs_are_refused() {
-    let tmp = TempDir::new("diverge");
-    let root = tmp.sub("wal");
-    let ckpt_dir = tmp.sub("ckpt");
+fn a_follower_log_holding_a_model_record_is_refused() {
     let data = dataset();
-    let engine = logged_engine(&data, &root);
-    for k in 0..12 {
-        engine.insert_rating(rating(k)).expect("acked insert");
-    }
-    drop(engine);
-
-    for (idx, tag) in [(0usize, "alpha"), (1usize, "beta")] {
-        let (wal, _) = Wal::open(shard_dir(&root, idx), strict_opts()).expect("open shard log");
-        wal.append_durable(&WalRecord::ModelPromoted {
-            version: 2,
-            tag: tag.into(),
-            steps: 5,
-        })
-        .expect("append");
-    }
-
-    let err = match recover_sharded(
-        frozen(&data, 4),
-        Arc::clone(&data),
-        Arc::new(data.graph()),
-        engine_config(),
-        shard_config(),
-        Some(ckpt_dir.as_path()),
-        &root,
-        strict_opts(),
-    ) {
-        Ok(_) => panic!("divergent logs must be refused"),
-        Err(err) => err,
+    let promoted = |tag: &str| WalRecord::ModelPromoted {
+        version: 2,
+        tag: tag.into(),
+        steps: 5,
     };
-    assert!(
-        err.to_string().contains("prefix-chained"),
-        "error should name the broken invariant, got: {err}"
-    );
+    for (label, follower_tag) in [("copied", "alpha"), ("diverge", "beta")] {
+        let tmp = TempDir::new(label);
+        let root = tmp.sub("wal");
+        let ckpt_dir = tmp.sub("ckpt");
+        let engine = logged_engine(&data, &root);
+        for k in 0..12 {
+            engine.insert_rating(rating(k)).expect("acked insert");
+        }
+        drop(engine);
+        for (idx, tag) in [(0usize, "alpha"), (1usize, follower_tag)] {
+            let (wal, _) = Wal::open(shard_dir(&root, idx), strict_opts()).expect("open shard log");
+            wal.append_durable(&promoted(tag)).expect("append");
+        }
+
+        let err = match recover_sharded(
+            frozen(&data, 4),
+            Arc::clone(&data),
+            Arc::new(data.graph()),
+            engine_config(),
+            shard_config(),
+            Some(ckpt_dir.as_path()),
+            &root,
+            strict_opts(),
+        ) {
+            Ok(_) => panic!("{label}: a follower log with a model record must be refused"),
+            Err(err) => err,
+        };
+        assert!(
+            matches!(err, HireError::InvalidData { .. })
+                && err
+                    .to_string()
+                    .contains("shard 1's log holds a model record"),
+            "{label}: error should name the shard and the record, got: {err}"
+        );
+    }
 }
 
 /// Guard rails on the attach/recover split: a root with logged records
@@ -528,8 +523,9 @@ fn run_history(label: &str, ops: &[Op], crash_at: usize, fault_seed: u64, fault_
             if idx == 0 {
                 assert_eq!(fold.lineage, live, "step {step} {op:?}: shard 0 vs its log");
             } else {
-                assert!(
-                    fold.events.is_empty(),
+                assert_eq!(
+                    fold.lineage,
+                    Lineage::default(),
                     "step {step} {op:?}: shard {idx}'s log holds a model record"
                 );
             }

@@ -6,8 +6,6 @@ use crate::ndarray::NdArray;
 /// Result of a gradient check for a single input tensor.
 #[derive(Debug, Clone)]
 pub struct GradCheckReport {
-    /// Largest absolute difference between analytic and numeric gradients.
-    pub max_abs_err: f32,
     /// Largest relative difference (normalized by max(|a|, |n|, 1e-3)).
     pub max_rel_err: f32,
 }
@@ -56,16 +54,12 @@ pub fn gradcheck(
         numeric.as_mut_slice()[i] = (plus - minus) / (2.0 * eps);
     }
 
-    let mut max_abs = 0.0f32;
     let mut max_rel = 0.0f32;
     for (&a, &n) in analytic.as_slice().iter().zip(numeric.as_slice()) {
-        let abs = (a - n).abs();
-        let rel = abs / a.abs().max(n.abs()).max(1e-3);
-        max_abs = max_abs.max(abs);
+        let rel = (a - n).abs() / a.abs().max(n.abs()).max(1e-3);
         max_rel = max_rel.max(rel);
     }
     GradCheckReport {
-        max_abs_err: max_abs,
         max_rel_err: max_rel,
     }
 }

@@ -2,13 +2,16 @@
 //!
 //! A segmented, CRC32-framed, append-only write-ahead log that makes the
 //! serving stack's in-memory state — serve-time ratings, the online loop's
-//! holdout routing, and the installed model version — survive `kill -9`.
+//! progress, and the installed model version — survive `kill -9`.
 //!
 //! Pieces:
 //!
 //! * [`WalRecord`] — the logical events of the serving timeline (`Rating`,
-//!   `HoldoutMark`, `ModelPromoted`, `Demoted`, `SnapshotBarrier`), encoded
-//!   with `hire-ckpt`'s payload primitives.
+//!   `ModelPromoted`, `Demoted`, `SnapshotBarrier`), encoded with
+//!   `hire-ckpt`'s payload primitives. The online loop's holdout is not
+//!   logged: it is a function of each rating's arrival index. A record
+//!   kind this tree does not write (tag 2, an older log's holdout mark)
+//!   is refused at open, typed.
 //! * [`Wal`] — the log itself: segment files with fsynced headers, per-frame
 //!   CRC32, group commit ([`Wal::commit`] returns only after an fsync that
 //!   covers its record; a committer that finds no fsync in flight issues one

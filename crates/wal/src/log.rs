@@ -884,6 +884,41 @@ mod tests {
         assert_eq!(rec.records, want);
     }
 
+    /// A checksummed frame whose record this tree does not write (tag 2, an
+    /// older log's holdout mark) is refused at open, typed, and the log is
+    /// left as it was: it is not a torn tail to repair away.
+    #[test]
+    fn a_retired_record_kind_is_refused_not_truncated() {
+        let tmp = TempDir::new("retired");
+        {
+            let (wal, _) = Wal::open(tmp.path(), WalOptions::default()).expect("open");
+            for k in 0..3 {
+                wal.append_durable(&rating(k)).expect("append");
+            }
+        }
+        let (_, path) = list_segments(tmp.path())
+            .expect("list")
+            .pop()
+            .expect("a segment");
+        let mut mark = vec![2u8];
+        mark.extend_from_slice(&1u64.to_le_bytes());
+        let mut bytes = fs::read(&path).expect("read");
+        bytes.extend_from_slice(&encode_frame(&mark));
+        fs::write(&path, &bytes).expect("write");
+
+        let err = Wal::open(tmp.path(), WalOptions::default()).unwrap_err();
+        assert!(matches!(err, WalError::Corrupt { .. }), "{err}");
+        assert!(
+            err.to_string().contains("unknown wal record tag 2"),
+            "{err}"
+        );
+        assert_eq!(
+            fs::read(&path).expect("reread"),
+            bytes,
+            "the log is untouched"
+        );
+    }
+
     #[test]
     fn panicking_append_costs_nothing() {
         append_through_panics_at(sites::WAL_APPEND);

@@ -10,9 +10,10 @@ use hire_error::HireResult;
 
 use crate::error::{WalError, WalResult};
 
-/// Record type tags (first payload byte).
+/// Record type tags (first payload byte). Tag 2 — a per-rating holdout
+/// mark that older logs carry — is retired, never reused: a log holding one
+/// fails to decode, typed, like any unknown tag.
 const TAG_RATING: u8 = 1;
-const TAG_HOLDOUT_MARK: u8 = 2;
 const TAG_MODEL_PROMOTED: u8 = 3;
 const TAG_DEMOTED: u8 = 4;
 const TAG_SNAPSHOT_BARRIER: u8 = 5;
@@ -21,7 +22,8 @@ const TAG_SNAPSHOT_BARRIER: u8 = 5;
 ///
 /// The replay contract: applying every record in LSN order against the base
 /// graph + base model reproduces the exact live state — same CSR adjacency,
-/// same online-loop cursor/holdout, same installed model version.
+/// same online-loop cursor (the holdout is a function of each rating's
+/// arrival index), same installed model version.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A serve-time rating accepted by `insert_rating`. Logged *before* the
@@ -33,12 +35,6 @@ pub enum WalRecord {
         item: u64,
         /// Rating value.
         value: f32,
-    },
-    /// The online loop diverted the `index`-th serve-time rating (0-based,
-    /// in arrival order) into its never-trained holdout slice.
-    HoldoutMark {
-        /// Arrival index of the diverted rating.
-        index: u64,
     },
     /// A fine-tuned candidate passed shadow eval and was installed.
     ModelPromoted {
@@ -79,10 +75,6 @@ impl WalRecord {
                 w.put_u64(*user);
                 w.put_u64(*item);
                 w.put_f32(*value);
-            }
-            WalRecord::HoldoutMark { index } => {
-                w.put_u8(TAG_HOLDOUT_MARK);
-                w.put_u64(*index);
             }
             WalRecord::ModelPromoted {
                 version,
@@ -138,9 +130,6 @@ impl WalRecord {
                 user: r.take_u64("rating user")?,
                 item: r.take_u64("rating item")?,
                 value: r.take_f32("rating value")?,
-            }),
-            TAG_HOLDOUT_MARK => Ok(WalRecord::HoldoutMark {
-                index: r.take_u64("holdout index")?,
             }),
             TAG_MODEL_PROMOTED => {
                 let version = r.take_u64("promoted version")?;
@@ -212,7 +201,6 @@ mod tests {
             item: 0,
             value: -0.0,
         });
-        roundtrip(WalRecord::HoldoutMark { index: u64::MAX });
         roundtrip(WalRecord::ModelPromoted {
             version: 3,
             tag: "candidate".to_string(),
@@ -255,7 +243,7 @@ mod tests {
 
     #[test]
     fn truncated_or_oversized_payloads_are_corrupt() {
-        let bytes = WalRecord::HoldoutMark { index: 9 }.encode();
+        let bytes = WalRecord::Demoted { new_version: 9 }.encode();
         let err = WalRecord::decode(&bytes[..bytes.len() - 1], Path::new("t"), 4).unwrap_err();
         assert!(matches!(err, WalError::Corrupt { offset: 4, .. }), "{err}");
 
@@ -266,5 +254,18 @@ mod tests {
 
         let err = WalRecord::decode(&[42], Path::new("t"), 0).unwrap_err();
         assert!(err.to_string().contains("unknown wal record tag"), "{err}");
+    }
+
+    #[test]
+    fn a_retired_holdout_mark_is_refused() {
+        // What an older log's holdout mark for arrival index 9 looks like.
+        let mut mark = vec![2u8];
+        mark.extend_from_slice(&9u64.to_le_bytes());
+        let err = WalRecord::decode(&mark, Path::new("t"), 4).unwrap_err();
+        assert!(matches!(err, WalError::Corrupt { offset: 4, .. }), "{err}");
+        assert!(
+            err.to_string().contains("unknown wal record tag 2"),
+            "{err}"
+        );
     }
 }

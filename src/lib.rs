@@ -57,8 +57,7 @@ pub use hire_wal as wal;
 /// One-stop imports for the common workflow.
 pub mod prelude {
     pub use hire_core::{
-        fine_tune, train, train_guarded, GuardConfig, HireConfig, HireModel, TrainConfig,
-        TrainOutcome, TrainReport,
+        fine_tune, train, HireConfig, HireModel, TrainConfig, TrainOutcome, TrainReport,
     };
     pub use hire_data::{
         test_context, training_context, ColdStartScenario, ColdStartSplit, Dataset,
