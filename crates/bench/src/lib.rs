@@ -3,6 +3,9 @@
 //! Every binary accepts:
 //! - `--tier smoke|fast|full` — compute budget (default `fast`)
 //! - `--seed <u64>` — base RNG seed (default 7)
+//! - `--runs <n>` — Tables III–V only: run seeds `seed..seed + n` and print
+//!   each cell as mean ± std over them (default 1: one seed, one table a
+//!   scenario, as without the flag)
 //! - `--max-entities <n>` — cold entities evaluated per scenario
 //! - `--out <path>` — also write machine-readable JSON results
 //! - `--checkpoint-dir <dir>` — durable per-scenario progress (and HIRE
@@ -17,13 +20,15 @@
 
 use hire_data::{ColdStartScenario, ColdStartSplit, Dataset, SyntheticConfig};
 use hire_error::{HireError, HireResult};
-use hire_eval::{evaluate_model_isolated, EvalConfig, ModelResult, ModelSpec, SpeedTier};
+use hire_eval::{
+    evaluate_model_isolated, EvalConfig, MetricsAtK, ModelResult, ModelSpec, SpeedTier,
+};
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
-const USAGE: &str = "usage: [--tier smoke|fast|full] [--seed N] [--max-entities N] \
+const USAGE: &str = "usage: [--tier smoke|fast|full] [--seed N] [--runs N] [--max-entities N] \
 [--model-budget SECS] [--out FILE] [--checkpoint-dir DIR] [--resume]";
 
 /// Parsed command-line options.
@@ -33,6 +38,8 @@ pub struct HarnessArgs {
     pub tier: SpeedTier,
     /// Base RNG seed.
     pub seed: u64,
+    /// Seeds `seed..seed + runs` a comparison table runs over (at least 1).
+    pub runs: usize,
     /// Cold entities per scenario.
     pub max_entities: usize,
     /// Optional per-model wall-clock budget in seconds; models exceeding it
@@ -74,6 +81,7 @@ impl HarnessArgs {
         let mut args = HarnessArgs {
             tier: SpeedTier::Fast,
             seed: 7,
+            runs: 1,
             max_entities: 25,
             model_budget: None,
             out: None,
@@ -104,6 +112,11 @@ impl HarnessArgs {
                     args.seed = value()?
                         .parse()
                         .map_err(|_| HireError::invalid_argument("--seed", "expected a u64"))?
+                }
+                "--runs" => {
+                    args.runs = value()?.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+                        HireError::invalid_argument("--runs", "expected a count of at least 1")
+                    })?
                 }
                 "--max-entities" => {
                     args.max_entities = value()?.parse().map_err(|_| {
@@ -452,7 +465,7 @@ fn scenario_slug(label: &str) -> String {
 /// scenario) — the layout of Tables III-V.
 pub fn run_overall_table(kind: DatasetKind, title: &str) {
     let args = HarnessArgs::parse();
-    run_standard_sweep(kind, title, &args);
+    over_seeds(title, &args, |args| run_standard_sweep(kind, title, args));
 }
 
 /// The standard model roster: every applicable baseline plus HIRE. When a
@@ -479,17 +492,203 @@ pub(crate) fn default_specs(
 }
 
 /// [`run_overall_table`] with explicit args and a model-spec factory
-/// (called once per scenario). The JSON output is flushed after **every**
-/// scenario, so even if a later scenario dies the finished ones are on
-/// disk. With `--checkpoint-dir`, progress is additionally persisted for
-/// `--resume`; see [`run_sweep`].
+/// (called once per scenario and seed). With one run the JSON output is
+/// flushed after **every** scenario, so even if a later scenario dies the
+/// finished ones are on disk. With `--checkpoint-dir`, progress is
+/// additionally persisted for `--resume`; see [`run_sweep`]. With
+/// `--runs N` each seed runs so in turn, then every cell prints as mean ±
+/// std over the seeds.
 pub fn run_overall_table_with(
     kind: DatasetKind,
     title: &str,
     args: &HarnessArgs,
     specs_for: impl Fn(&Dataset, &HarnessArgs) -> Vec<ModelSpec>,
 ) {
-    run_sweep(kind, title, args, |d, a, _| specs_for(d, a), None);
+    over_seeds(title, args, |args| {
+        run_sweep(kind, title, args, |d, a, _| specs_for(d, a), None)
+    });
+}
+
+/// One seed's reports in a `--runs` table.
+#[derive(Debug, Serialize)]
+struct SeedReports {
+    seed: u64,
+    scenarios: Vec<ScenarioReport>,
+}
+
+impl SeedReports {
+    /// `model`'s result in `scenario`, if it finished and evaluated an
+    /// entity.
+    fn evaluated(&self, scenario: &str, model: &str) -> Option<&ModelResult> {
+        let report = self.scenarios.iter().find(|r| r.scenario == scenario)?;
+        let result = report.results.iter().find(|r| r.model == model)?;
+        (result.status.is_ok() && result.entities > 0).then_some(result)
+    }
+}
+
+/// One model's cells in one scenario of a `--runs` table: each metric's
+/// mean and sample standard deviation over the seeds where the model
+/// evaluated an entity.
+#[derive(Debug, Serialize)]
+struct SummaryRow {
+    scenario: String,
+    model: String,
+    seeds: usize,
+    at_k: Vec<MetricsAtK>,
+}
+
+/// The `--out` document of a `--runs` table: each seed's reports, and
+/// every cell over them.
+#[derive(Debug, Serialize)]
+struct RunsReport {
+    runs: usize,
+    per_seed: Vec<SeedReports>,
+    summary: Vec<SummaryRow>,
+}
+
+/// Mean and sample standard deviation (0 for one value), summed in f64.
+fn mean_std(values: &[f32]) -> (f32, f32) {
+    let n = values.len() as f64;
+    let mean = values.iter().map(|&v| v as f64).sum::<f64>() / n;
+    let var = values
+        .iter()
+        .map(|&v| (v as f64 - mean).powi(2))
+        .sum::<f64>()
+        / (n - 1.0).max(1.0);
+    (mean as f32, var.sqrt() as f32)
+}
+
+/// Every scenario's rows over `per_seed`, in the first seed's scenario and
+/// model order.
+fn summarize(per_seed: &[SeedReports]) -> Vec<SummaryRow> {
+    let Some(first) = per_seed.first() else {
+        return Vec::new();
+    };
+    let row = |scenario: &str, model: &str| {
+        let runs: Vec<&ModelResult> = per_seed
+            .iter()
+            .filter_map(|seed| seed.evaluated(scenario, model))
+            .collect();
+        let cutoffs = runs.first().map_or(0, |run| run.at_k.len());
+        let at_k = (0..cutoffs)
+            .map(|i| {
+                let stat = |f: fn(&MetricsAtK) -> f32| {
+                    mean_std(&runs.iter().map(|run| f(&run.at_k[i])).collect::<Vec<_>>())
+                };
+                let ((precision, precision_std), (ndcg, ndcg_std), (map, map_std)) =
+                    (stat(|m| m.precision), stat(|m| m.ndcg), stat(|m| m.map));
+                MetricsAtK {
+                    k: runs[0].at_k[i].k,
+                    precision,
+                    precision_std,
+                    ndcg,
+                    ndcg_std,
+                    map,
+                    map_std,
+                }
+            })
+            .collect();
+        SummaryRow {
+            scenario: scenario.to_string(),
+            model: model.to_string(),
+            seeds: runs.len(),
+            at_k,
+        }
+    };
+    first
+        .scenarios
+        .iter()
+        .flat_map(|report| {
+            report
+                .results
+                .iter()
+                .map(|r| row(&report.scenario, &r.model))
+        })
+        .collect()
+}
+
+/// One scenario's `--runs` table: each cell `mean±std` over the seeds.
+fn format_summary(title: &str, rows: &[SummaryRow], runs: usize) -> String {
+    let scenario = rows.first().map_or("", |r| r.scenario.as_str());
+    let mut out = format!("## {title} — {scenario}, mean ± std over {runs} seeds\n");
+    let width = rows.iter().map(|r| r.model.len() + 2).fold(12, usize::max);
+    out.push_str(&format!("{:<width$}{:>6}", "Method", "seeds"));
+    for at in rows
+        .iter()
+        .map(|r| &r.at_k)
+        .max_by_key(|at| at.len())
+        .into_iter()
+        .flatten()
+    {
+        for name in ["Pre", "NDCG", "MAP"] {
+            out.push_str(&format!("{:>16}", format!("{name}@{}", at.k)));
+        }
+    }
+    out.push('\n');
+    for row in rows {
+        out.push_str(&format!("{:<width$}{:>6}", row.model, row.seeds));
+        if row.at_k.is_empty() {
+            out.push_str("  [no seed evaluated an entity]");
+        }
+        for at in &row.at_k {
+            for (mean, std) in [
+                (at.precision, at.precision_std),
+                (at.ndcg, at.ndcg_std),
+                (at.map, at.map_std),
+            ] {
+                out.push_str(&format!("{:>16}", format!("{mean:.4}±{std:.4}")));
+            }
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Runs `sweep` (one seed's tables, printed and, per `--out`, flushed as
+/// it goes) once at `args`, or — with `--runs N` — once per seed `seed..seed
+/// + N`, each with no `--out` of its own and its progress in a `seed-S`
+/// subdirectory of `--checkpoint-dir`; then prints every scenario's cells
+/// as mean ± std over the seeds and writes each seed's reports and those
+/// cells to `--out`.
+fn over_seeds(
+    title: &str,
+    args: &HarnessArgs,
+    mut sweep: impl FnMut(&HarnessArgs) -> Vec<ScenarioReport>,
+) {
+    if args.runs == 1 {
+        sweep(args);
+        return;
+    }
+    let per_seed: Vec<SeedReports> = (args.seed..args.seed + args.runs as u64)
+        .map(|seed| {
+            let run = HarnessArgs {
+                seed,
+                runs: 1,
+                out: None,
+                checkpoint_dir: args
+                    .checkpoint_dir
+                    .as_ref()
+                    .map(|dir| dir.join(format!("seed-{seed}"))),
+                ..args.clone()
+            };
+            SeedReports {
+                seed,
+                scenarios: sweep(&run),
+            }
+        })
+        .collect();
+    let summary = summarize(&per_seed);
+    for rows in summary.chunk_by(|a, b| a.scenario == b.scenario) {
+        println!("{}", format_summary(title, rows, args.runs));
+    }
+    maybe_write_json(
+        args,
+        &RunsReport {
+            runs: args.runs,
+            per_seed,
+            summary,
+        },
+    );
 }
 
 /// Runs all cold-start scenarios with crash-safe progress tracking.
@@ -577,7 +776,11 @@ pub fn run_sweep(
 /// [`run_sweep`] with the standard model roster ([`default_specs`]); HIRE
 /// training checkpoints land in a per-scenario subdirectory of
 /// `--checkpoint-dir`.
-pub(crate) fn run_standard_sweep(kind: DatasetKind, title: &str, args: &HarnessArgs) {
+pub(crate) fn run_standard_sweep(
+    kind: DatasetKind,
+    title: &str,
+    args: &HarnessArgs,
+) -> Vec<ScenarioReport> {
     run_sweep(
         kind,
         title,
@@ -590,7 +793,7 @@ pub(crate) fn run_standard_sweep(kind: DatasetKind, title: &str, args: &HarnessA
             default_specs(dataset, args, train_dir)
         },
         None,
-    );
+    )
 }
 
 #[cfg(test)]
@@ -654,6 +857,26 @@ mod tests {
         let err =
             HarnessArgs::parse_from(&argv(&["--model-budget", "-3"])).expect_err("negative budget");
         assert!(err.to_string().contains("positive"));
+    }
+
+    #[test]
+    fn parse_from_reads_runs_and_defaults_to_one() {
+        assert_eq!(HarnessArgs::parse_from(&[]).expect("empty argv").runs, 1);
+        let args =
+            HarnessArgs::parse_from(&argv(&["--runs", "5", "--seed", "11"])).expect("valid args");
+        assert_eq!((args.runs, args.seed), (5, 11));
+    }
+
+    #[test]
+    fn parse_from_rejects_runs_missing_zero_or_not_a_number() {
+        let err = HarnessArgs::parse_from(&argv(&["--runs"])).expect_err("missing value");
+        assert!(err.to_string().contains("--runs"), "{err}");
+        assert!(err.to_string().contains("missing"), "{err}");
+        for bad in ["0", "five", "-2", "2.5"] {
+            let err = HarnessArgs::parse_from(&argv(&["--runs", bad])).expect_err(bad);
+            assert!(err.to_string().contains("--runs"), "{bad}: {err}");
+            assert!(err.to_string().contains("at least 1"), "{bad}: {err}");
+        }
     }
 
     #[test]

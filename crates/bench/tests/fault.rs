@@ -29,6 +29,7 @@ fn smoke_args(out: Option<String>) -> HarnessArgs {
     HarnessArgs {
         tier: SpeedTier::Smoke,
         seed: 3,
+        runs: 1,
         max_entities: 3,
         model_budget: None,
         out,

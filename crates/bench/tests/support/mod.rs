@@ -9,6 +9,7 @@ pub fn args() -> HarnessArgs {
     HarnessArgs {
         tier: SpeedTier::Smoke,
         seed: 3,
+        runs: 1,
         max_entities: 3,
         model_budget: None,
         out: None,

@@ -335,9 +335,11 @@ impl FrozenModel {
     /// asked `(row, col)`, in the asked order (repeats allowed), each
     /// bit-identical to [`Self::forward_nograd`]'s at that cell. Each layer
     /// runs only on the cells its output is read at: with all three
-    /// attention layers on, the last block's MBI on the asked rows, its MBA,
-    /// norms and the decoder on the asked cells. A cell outside the context
-    /// is a typed error.
+    /// attention layers on, the last block's MBU forms its keys and values
+    /// on every cell but its queries, attention, `W_O` and norm on the
+    /// asked rows, its MBI runs on those rows, and its MBA, norms and the
+    /// decoder on the asked cells. A cell outside the context is a typed
+    /// error.
     pub fn forward_cells(
         &self,
         ctx: &PredictionContext,

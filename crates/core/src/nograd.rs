@@ -32,20 +32,30 @@
 //! found by walking the layers back from the asked cells: MBA, the
 //! residual, LayerNorm and the decoder are per cell and keep the set, MBI
 //! (one user row's items) widens it to full rows, MBU (one item column's
-//! users) to full columns. With all three layers on, the last block's MBI
-//! runs on the asked rows (`[r, m, 1]`) and its MBA, norms and decoder on
-//! the asked cells; its MBU and every earlier block run on every cell.
-//! Without MBU the cut reaches back through every block. Before a layer
-//! whose set is smaller than its predecessor's, the rows it needs are moved
-//! to the front of the activation buffer, in row-major order. Asking for
-//! every cell plans no cut and moves nothing: it is the same code.
+//! users) to full columns. The layer that widens a set to every cell needs
+//! its keys and values on every cell, but its queries only where its
+//! output is read; when it is an MBU, that is the full rows of the next
+//! layer's set (an MBU's view is `[1, n, m]`, so rows are whole runs of
+//! `m` cells), and it runs as `hire_nn::mhsa_queries_into`: K and V from
+//! every cell, then those rows moved to the front, Q, attention over all
+//! `n` keys, `W_O`, the residual and the norm on them alone. With all three
+//! layers on, the last block's MBU forms queries on the asked rows and its
+//! MBI runs on them (`[r, m, 1]`), its MBA, norms and decoder on the asked
+//! cells; only the MBU's keys and values and every earlier block run on
+//! every cell. Without MBU the cut reaches back through every block. Before
+//! a layer whose set is smaller than its predecessor's, the rows it needs
+//! are moved to the front of the activation buffer, in row-major order.
+//! Asking for every cell plans no cut and moves nothing: it is the same
+//! code.
 //!
 //! The answers are the every-cell forward's, bit for bit: every kernel under
 //! a layer computes each row from its own sequence alone, whatever rows
 //! surround it — the matmul chains, the one-row layer norm
 //! (`hire-tensor`'s `isa_dispatch.rs`), the ragged lane groups of the
-//! attention kernels (`hire-nn`'s `mhsa_oracle.rs`) — and `hire-serve`'s
-//! `tests/target_cells.rs` holds the two forwards to each other.
+//! attention kernels (`hire-nn`'s `mhsa_oracle.rs`), each attention row
+//! from its own query and every key (`attention_queries.rs`) — and
+//! `hire-serve`'s `tests/target_cells.rs` and `asked_cells_generated.rs`
+//! hold the two forwards to each other.
 //!
 //! Per element this is the arithmetic of the autograd forward on the same
 //! ISA (DESIGN.md §9, §16), so a frozen model is **bit-identical** to the
@@ -56,7 +66,10 @@
 
 use hire_data::{Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
-use hire_nn::{mhsa_forward_into, mhsa_workspace_len, MhsaWeights};
+use hire_nn::{
+    mhsa_forward_into, mhsa_queries_into, mhsa_queries_workspace_len, mhsa_workspace_len,
+    MhsaWeights,
+};
 use hire_tensor::simd::{self, Isa};
 use hire_tensor::{linalg, NdArray};
 use std::time::Instant;
@@ -308,11 +321,14 @@ enum Across {
 /// Which cells each enabled attention layer of a forward runs on, in
 /// forward order ([`HimWeights::plan`]): the first `every` on every cell,
 /// the rest up to `grid_end` on `grid`, the others on the cells the decoder
-/// reads.
+/// reads. With `queries`, layer `every - 1` is an MBU whose output is read
+/// only on `grid`'s full rows: its keys and values run on every cell, its
+/// queries, attention, `W_O` and norm on `grid`.
 struct Plan {
     every: usize,
     grid_end: usize,
     grid: Cells,
+    queries: bool,
 }
 
 /// One attention layer of a block: `(weights, norm, the axis it attends
@@ -455,15 +471,20 @@ impl HimWeights {
 
     /// Floats of working memory one `n × m` context needs on `isa`: two
     /// activation buffers and the largest MHSA workspace any layer asks for
-    /// over every cell (a layer on fewer cells asks for less).
+    /// over every cell (a layer on fewer cells asks for less; an MBU with
+    /// fewer queries, no more than the composition over every cell).
     fn memory_len(&self, n: usize, m: usize, isa: Isa) -> usize {
         let attention = self
             .blocks
             .iter()
             .flat_map(Self::layers)
             .filter_map(|(w, _, across)| {
-                let view = self.view(across, n, m, n * m);
-                w.as_ref().map(|w| mhsa_workspace_len(view, w, isa))
+                let (view, w) = (self.view(across, n, m, n * m), w.as_ref()?);
+                let len = mhsa_workspace_len(view, w, isa);
+                Some(match across {
+                    Across::Users => len.max(mhsa_queries_workspace_len(view, n, w)),
+                    _ => len,
+                })
             })
             .max()
             .unwrap_or(0);
@@ -477,7 +498,9 @@ impl HimWeights {
     /// the full columns. Widened both ways it is every cell, so the walk
     /// meets at most one set between `targets` and every cell — the
     /// targets' rows or columns — and a forward asked for every cell plans
-    /// nothing.
+    /// nothing. The layer that widens a set to every cell needs its keys
+    /// and values there; when it is an MBU, its queries only on the full
+    /// rows of what is read after it, if those are not every row.
     fn plan(&self, targets: &Cells, n: usize, m: usize) -> Plan {
         let enabled = |b| {
             Self::layers(b)
@@ -489,6 +512,7 @@ impl HimWeights {
             every: 0,
             grid_end: 0,
             grid: Cells::All,
+            queries: false,
         };
         let mut widened = false;
         for across in self.blocks.iter().rev().flat_map(|b| enabled(b).rev()) {
@@ -498,6 +522,16 @@ impl HimWeights {
                 None => continue,
                 Some(Cells::All) => {
                     plan.every = k + 1;
+                    if matches!(across, Across::Users) {
+                        // The full rows `read` lies in: itself, or none
+                        // short of every row.
+                        match read.widened(Across::Items, n, m) {
+                            None if widened => plan.queries = true,
+                            None => (plan.grid, plan.queries) = (read.clone(), true),
+                            Some(Cells::All) => {}
+                            Some(rows) => (plan.grid, plan.queries) = (rows, true),
+                        }
+                    }
                     plan.grid_end = plan.grid_end.max(k + 1);
                     break;
                 }
@@ -510,8 +544,10 @@ impl HimWeights {
     /// HIM blocks over one context `[n, m, e]` held in `x`, with `y` as the
     /// second activation buffer, for the decoder to read `targets`: each
     /// layer runs on its [`Self::plan`] set, gathered to the front of `x`
-    /// first. Returns the two buffers in their final roles, `(result,
-    /// spare)`, the result's rows holding `targets` in order.
+    /// first — an MBU the plan gives queries on `grid` once its keys and
+    /// values are projected from every cell. Returns the two buffers in
+    /// their final roles, `(result, spare)`, the result's rows holding
+    /// `targets` in order.
     #[allow(clippy::too_many_arguments)]
     fn run_blocks<'a>(
         &self,
@@ -533,17 +569,29 @@ impl HimWeights {
                 .filter_map(move |(w, norm, across)| Some((w.as_ref()?, norm, across, b.residual)))
         });
         for (k, (w, norm, across, residual)) in layers.enumerate() {
-            let set = match k {
-                k if k < plan.every => &all,
-                k if k < plan.grid_end => &plan.grid,
-                _ => targets,
+            let len = if plan.queries && k + 1 == plan.every {
+                // Keys and values on every cell (`live` is), then the
+                // query rows `grid` to the front.
+                let (rows, view) = (plan.grid.count(n, m) / m, self.view(across, n, m, n * m));
+                let front = |x: &mut [f32]| live.gather_into(&plan.grid, x, e);
+                let (x, y) = (&mut x[..n * m * e], &mut y[..rows * m * e]);
+                mhsa_queries_into(x, view, rows, w, isa, workspace, y, front);
+                live = &plan.grid;
+                rows * m * e
+            } else {
+                let set = match k {
+                    k if k < plan.every => &all,
+                    k if k < plan.grid_end => &plan.grid,
+                    _ => targets,
+                };
+                live.gather_into(set, x, e);
+                live = set;
+                let cells = set.count(n, m);
+                let len = cells * e;
+                let view = self.view(across, n, m, cells);
+                mhsa_forward_into(&x[..len], view, w, isa, workspace, &mut y[..len]);
+                len
             };
-            live.gather_into(set, x, e);
-            live = set;
-            let cells = set.count(n, m);
-            let len = cells * e;
-            let view = self.view(across, n, m, cells);
-            mhsa_forward_into(&x[..len], view, w, isa, workspace, &mut y[..len]);
             post(&mut x, &mut y, len, residual, norm, isa);
         }
         live.gather_into(targets, x, e);

@@ -30,6 +30,7 @@ pub use loss::{mse_loss, rmse};
 pub use mlp::Mlp;
 pub use module::Module;
 pub use nograd::{
-    mhsa_forward, mhsa_forward_into, mhsa_forward_with_isa, mhsa_workspace_len, MhsaWeights,
+    mhsa_forward, mhsa_forward_into, mhsa_forward_with_isa, mhsa_queries_into,
+    mhsa_queries_workspace_len, mhsa_workspace_len, MhsaWeights,
 };
 pub use norm::LayerNorm;

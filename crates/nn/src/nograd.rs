@@ -202,6 +202,19 @@ pub fn mhsa_workspace_len<W: Borrow<NdArray>>(
     }
 }
 
+/// Floats of workspace [`mhsa_queries_into`] needs for `layout` and
+/// `queries` tokens a sequence, on any ISA: the K and V buffers, the
+/// queries' Q (then merged-head output) buffer and the attention kernel's
+/// scratch. At most what the composition over every query needs.
+pub fn mhsa_queries_workspace_len<W: Borrow<NdArray>>(
+    layout: [usize; 3],
+    queries: usize,
+    w: &MhsaWeights<W>,
+) -> usize {
+    let grid = w.grid(layout);
+    (2 * grid.rows() + grid.query_rows(queries)) * grid.width() + grid.scratch_len()
+}
+
 /// [`mhsa_forward`] over a flat activation buffer, into caller-provided
 /// memory: `x` and `y` are `[rows, d]` with `rows = outer * tokens * inner`
 /// laid out `layout = [outer, tokens, inner]` row-major, attention running
@@ -228,6 +241,57 @@ pub fn mhsa_forward_into<W: Borrow<NdArray>>(
         workspace.len()
     );
     mhsa_forward_over(x, &w.grid(layout), w, isa, workspace, y, None);
+}
+
+/// [`mhsa_forward_into`] with queries on some tokens of each sequence only:
+/// keys and values over every row of `x` (`layout = [outer, tokens,
+/// inner]`), queries, attention, `W_O` over `queries` tokens a sequence. Once
+/// K and V are projected, `front` rearranges `x` so that its first
+/// `outer * queries * inner` rows are the query rows, laid out `[outer,
+/// queries, inner]` (which tokens they are does not matter: attention has
+/// no position term); their outputs land in `y`, `[outer * queries * inner,
+/// d]`. Every output row is the composition's chain for that row — each
+/// projection row from its own input row, each attention row from its own
+/// query and every key — so it is [`mhsa_forward_into`]'s row, bit for bit,
+/// and a layer [`AttnGrid::one_pass`] would run in one pass gives the same
+/// bits through the composition here. `workspace` needs
+/// [`mhsa_queries_workspace_len`] floats.
+#[allow(clippy::too_many_arguments)]
+pub fn mhsa_queries_into<W: Borrow<NdArray>>(
+    x: &mut [f32],
+    layout: [usize; 3],
+    queries: usize,
+    w: &MhsaWeights<W>,
+    isa: Isa,
+    workspace: &mut [f32],
+    y: &mut [f32],
+    front: impl FnOnce(&mut [f32]),
+) {
+    let grid = w.grid(layout);
+    let d = w.model_dim();
+    let (proj, q_rows) = (grid.rows() * grid.width(), grid.query_rows(queries));
+    assert!(
+        queries <= grid.tokens && x.len() == grid.rows() * d && y.len() == q_rows * d,
+        "MHSA over {grid:?} rows of dim {d} with {queries} queries got x of {} floats, y of {}",
+        x.len(),
+        y.len()
+    );
+    let need = mhsa_queries_workspace_len(layout, queries, w);
+    assert!(
+        workspace.len() >= need,
+        "MHSA workspace holds {} floats, needs {need}",
+        workspace.len()
+    );
+    let [w_q, w_k, w_v, w_o] = w.projections();
+    let (k, rest) = workspace.split_at_mut(proj);
+    let (v, rest) = rest.split_at_mut(proj);
+    let (qo, scratch) = rest.split_at_mut(q_rows * grid.width());
+    linalg::linear_into(w_k, x, k, isa);
+    linalg::linear_into(w_v, x, v, isa);
+    front(x);
+    linalg::linear_into(w_q, &x[..q_rows * d], qo, isa);
+    linalg::attention_queries_into(&grid, queries, qo, k, v, scratch, isa);
+    linalg::linear_into(w_o, qo, y, isa);
 }
 
 /// What the tape's composition node keeps from its forward for its backward.

@@ -620,7 +620,7 @@ pub fn attention_into_with_isa(
     scratch: &mut [f32],
     isa: Isa,
 ) {
-    attention_run(grid, qo, k, v, None, scratch, isa);
+    attention_run(grid, grid.tokens, qo, k, v, None, scratch, isa);
 }
 
 /// [`attention_into`] that also writes every tile's softmax rows `P` into
@@ -652,13 +652,37 @@ pub fn attention_probs_into_with_isa(
     scratch: &mut [f32],
     isa: Isa,
 ) {
-    attention_run(grid, qo, k, v, Some(probs), scratch, isa);
+    attention_run(grid, grid.tokens, qo, k, v, Some(probs), scratch, isa);
 }
 
-/// The one checked kernel call behind [`attention_into`] and
-/// [`attention_probs_into`].
+/// [`attention_into_with_isa`] for `queries` of each sequence's tokens
+/// against all `grid.tokens` of its keys: `qo` holds the query rows only,
+/// `[outer, queries, inner]` rows of `grid.width()` floats, and receives
+/// their outputs; `k` and `v` hold every token. Attention has no position
+/// term, so which tokens the queries are does not matter, only how many:
+/// each output row is the chain [`attention_into`] computes for the same
+/// query row among every query (DESIGN.md §16), so `queries = grid.tokens`
+/// is that call, and any subset of rows is those rows of it, bit for bit.
+///
+/// `scratch` holds at least [`AttnGrid::scratch_len`] floats.
+pub fn attention_queries_into(
+    grid: &AttnGrid,
+    queries: usize,
+    qo: &mut [f32],
+    k: &[f32],
+    v: &[f32],
+    scratch: &mut [f32],
+    isa: Isa,
+) {
+    attention_run(grid, queries, qo, k, v, None, scratch, isa);
+}
+
+/// The one checked kernel call behind [`attention_into`],
+/// [`attention_probs_into`] and [`attention_queries_into`].
+#[allow(clippy::too_many_arguments)]
 fn attention_run(
     grid: &AttnGrid,
+    queries: usize,
     qo: &mut [f32],
     k: &[f32],
     v: &[f32],
@@ -671,10 +695,19 @@ fn attention_run(
         "ISA {} not available on this host",
         isa.label()
     );
-    let len = grid.rows() * grid.width();
     assert!(
-        qo.len() == len && k.len() == len && v.len() == len,
-        "attention buffers must each hold {len} floats for {grid:?}, got q {} k {} v {}",
+        queries <= grid.tokens,
+        "{queries} queries of {grid:?}, which has {} tokens",
+        grid.tokens
+    );
+    let (len, q_len) = (
+        grid.rows() * grid.width(),
+        grid.query_rows(queries) * grid.width(),
+    );
+    assert!(
+        qo.len() == q_len && k.len() == len && v.len() == len,
+        "attention buffers must each hold {len} floats for {grid:?} (q {q_len} for {queries} \
+         queries), got q {} k {} v {}",
         qo.len(),
         k.len(),
         v.len()
@@ -692,13 +725,13 @@ fn attention_run(
             "attention probabilities of {grid:?} are one [tokens, tokens] matrix per tile"
         );
     }
-    if len == 0 {
+    if qo.is_empty() {
         return;
     }
-    // SAFETY: `qo` holds `len` floats like `k`, and `scratch` / `probs`
-    // have the grid's lengths (all asserted above);
+    // SAFETY: `qo` holds the queries' rows, `k` and `v` every row, and
+    // `scratch` / `probs` have the grid's lengths (all asserted above);
     // the `&mut` borrow keeps everything else off `qo` for the call.
-    unsafe { simd::attention_tiles(isa, grid, qo.as_mut_ptr(), k, v, scratch, probs) };
+    unsafe { simd::attention_tiles(isa, grid, queries, qo.as_mut_ptr(), k, v, scratch, probs) };
 }
 
 /// One multi-head self-attention layer in one pass: `y = MHSA(x)` for

@@ -227,6 +227,22 @@ impl AttnGrid {
         self.tile_base_in(tile, self.width())
     }
 
+    /// Rows `outer * queries * inner` of a Q (then output) buffer holding
+    /// `queries` of each sequence's tokens.
+    pub fn query_rows(&self, queries: usize) -> usize {
+        self.outer * queries * self.inner
+    }
+
+    /// [`Self::tile_base`] in a Q (then output) buffer holding `queries` of
+    /// each sequence's tokens, laid out `[outer, queries, inner]`.
+    pub(crate) fn query_base(&self, tile: usize, queries: usize) -> usize {
+        AttnGrid {
+            tokens: queries,
+            ..*self
+        }
+        .tile_base(tile)
+    }
+
     /// [`Self::tile_base`] in a buffer of the same rows, `row_width` floats
     /// each (`3·width` for the backward's `[dQ | dK | dV]`).
     pub(crate) fn tile_base_in(&self, tile: usize, row_width: usize) -> usize {
@@ -537,19 +553,22 @@ macro_rules! attention_lanes_kernel {
         }
 
         /// Attention over every tile of `grid`, `LANES` tiles per vector
-        /// and `R` query rows at a time, overwriting each tile's Q with its
-        /// output. `scratch` holds at least `grid.scratch_len()` floats;
-        /// `probs`, when given, is the `[tile][token][token]` softmax rows
-        /// (`grid.probs_len()` floats) and receives them.
+        /// and `R` of its `queries` query rows at a time against all its
+        /// `tokens` keys, overwriting each query's Q with its output.
+        /// `scratch` holds at least `grid.scratch_len()` floats; `probs`,
+        /// when given, is the `[tile][query][token]` softmax rows and
+        /// receives them.
         ///
         /// # Safety
         ///
-        /// `qo` must point to `k.len()` floats (`grid.rows() *
-        /// grid.width()`), and nothing else may access them during the
-        /// call. `R` is at most `MAX_ROWS` (4), which sizes `scratch`.
+        /// `qo` must point to `grid.query_rows(queries) * grid.width()`
+        /// floats (`1 <= queries <= grid.tokens`), and nothing else may
+        /// access them during the call. `R` is at most `MAX_ROWS` (4),
+        /// which sizes `scratch`.
         $(#[$attr])*
         pub(crate) unsafe fn attention_lanes<const R: usize>(
             grid: &crate::simd::AttnGrid,
+            queries: usize,
             qo: *mut f32,
             k: &[f32],
             v: &[f32],
@@ -558,7 +577,7 @@ macro_rules! attention_lanes_kernel {
         ) {
             use $ops::LANES;
             let (t, dk, tiles) = (grid.tokens, grid.head_dim, grid.tiles());
-            debug_assert!(t > 0 && (1..=crate::simd::attention::MAX_ROWS).contains(&R));
+            debug_assert!((1..=t).contains(&queries) && (1..=crate::simd::attention::MAX_ROWS).contains(&R));
             let stride = grid.token_stride();
             let (kp, rest) = scratch.split_at_mut(t * dk * LANES);
             let (vp, rest) = rest.split_at_mut(t * dk * LANES);
@@ -566,40 +585,43 @@ macro_rules! attention_lanes_kernel {
             let s = &mut rest[..R * t * LANES];
             if let Some(probs) = &probs {
                 assert!(
-                    probs.len() == tiles * t * t,
-                    "softmax rows of {tiles} tiles of {t} tokens cannot be {} floats",
+                    probs.len() == tiles * queries * t,
+                    "softmax rows of {tiles} tiles of {queries} queries over {t} tokens cannot be {} floats",
                     probs.len()
                 );
             }
             let mut group = 0;
             while group < tiles {
                 let live = (tiles - group).min(LANES);
-                let (mut base, mut p_base) = ([0usize; LANES], [0usize; LANES]);
+                let (mut base, mut q_base, mut p_base) = ([0usize; LANES], [0usize; LANES], [0usize; LANES]);
                 for lane in 0..LANES {
                     let tile = group + lane.min(live - 1);
                     base[lane] = grid.tile_base(tile);
                     debug_assert!(base[lane] + (t - 1) * stride + dk <= k.len());
-                    p_base[lane] = tile * t * t;
+                    q_base[lane] = grid.query_base(tile, queries);
+                    p_base[lane] = tile * queries * t;
                 }
-                // SAFETY (this block): every tile row read or written is
+                // SAFETY (this block): every K / V tile row read is
                 // `base[λ] + token * stride + 0..dk` with `token < t` —
-                // inside the buffers by the assert above — and writes touch
-                // only live tiles' own Q rows, or, into `probs`, row `i` of
-                // a live tile's own `t * t` floats, inside it by the length
-                // assert; panel rows `token * dk + 0..dk` (`token < t`) of
-                // `kp` / `vp` and `r * dk + 0..dk`, `r * t + 0..t` (`r < R`)
-                // of `qp` and `s` stay inside them.
+                // inside the buffers by the assert above — and every Q row
+                // read or written `q_base[λ] + i * stride + 0..dk` with `i <
+                // queries`, inside `qo` by the caller's contract; writes
+                // touch only live tiles' own Q rows, or, into `probs`, row
+                // `i` of a live tile's own `queries * t` floats, inside it
+                // by the length assert; panel rows `token * dk + 0..dk`
+                // (`token < t`) of `kp` / `vp` and `r * dk + 0..dk`, `r * t
+                // + 0..t` (`r < R`) of `qp` and `s` stay inside them.
                 unsafe {
                     for j in 0..t {
                         $ops::load_runs(k.as_ptr(), &base, j * stride, dk, kp.as_mut_ptr().add(j * dk * LANES));
                         $ops::load_runs(v.as_ptr(), &base, j * stride, dk, vp.as_mut_ptr().add(j * dk * LANES));
                     }
-                    for i0 in (0..t).step_by(R) {
+                    for i0 in (0..queries).step_by(R) {
                         // Query rows `i0..i0 + rows`, a short last block
                         // re-reading its last row in the rest.
-                        let (is, rows) = crate::simd::attention::rows::<R>(t, i0);
+                        let (is, rows) = crate::simd::attention::rows::<R>(queries, i0);
                         for (r, &i) in is.iter().enumerate() {
-                            $ops::load_runs(qo, &base, i * stride, dk, qp.as_mut_ptr().add(r * dk * LANES));
+                            $ops::load_runs(qo, &q_base, i * stride, dk, qp.as_mut_ptr().add(r * dk * LANES));
                         }
                         attend::<R>(t, dk, kp, vp, qp, s, rows, |r, row| {
                             if let Some(probs) = probs.as_deref_mut() {
@@ -607,7 +629,7 @@ macro_rules! attention_lanes_kernel {
                             }
                         });
                         for (r, &i) in is.iter().enumerate().take(rows) {
-                            $ops::store_runs(qp.as_ptr().add(r * dk * LANES), qo, &base, i * stride, dk, live);
+                            $ops::store_runs(qp.as_ptr().add(r * dk * LANES), qo, &q_base, i * stride, dk, live);
                         }
                     }
                 }
@@ -901,19 +923,25 @@ macro_rules! attention_lanes_kernel {
 pub(crate) use attention_lanes_kernel;
 
 /// Runs every tile of `grid` on `isa`'s kernel (see the module docs for
-/// which), overwriting each tile's Q with its output. `probs`, when given,
-/// holds `grid.probs_len()` floats and receives the softmax rows — the
-/// values the `P·V` product reads, so emitting them changes no chain.
+/// which), `queries` query rows a sequence against all its `tokens` keys,
+/// overwriting each query's Q with its output. `probs`, when given, holds
+/// `grid.tiles() * queries * grid.tokens` floats and receives the softmax
+/// rows — the values the `P·V` product reads, so emitting them changes no
+/// chain. The lane kernels carry [`block_rows`]`(queries)` query rows at
+/// once; each row's chains read only its own query, so the block does not
+/// change a value.
 ///
 /// # Safety
 ///
-/// `qo` must point to `k.len()` floats, and nothing else may access them
-/// during the call. (Shape/length consistency is checked by the safe
-/// caller, `linalg::attention_into_with_isa`.)
+/// `qo` must point to `grid.query_rows(queries) * grid.width()` floats
+/// (`1 <= queries <= grid.tokens`), and nothing else may access them during
+/// the call. (Shape/length consistency is checked by the safe caller,
+/// `linalg::attention_queries_into`.)
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn attention_tiles(
     isa: super::Isa,
     grid: &AttnGrid,
+    queries: usize,
     qo: *mut f32,
     k: &[f32],
     v: &[f32],
@@ -924,20 +952,25 @@ pub(crate) unsafe fn attention_tiles(
     debug_assert_eq!(k.len(), grid.rows() * grid.width());
     debug_assert_eq!(v.len(), k.len());
     debug_assert!(scratch.len() >= grid.scratch_len());
+    let r = queries;
     // SAFETY: the caller's contract is each kernel's contract (`block_rows`
     // is 3 or 4); Avx2/Avx512 dispatch implies the features their kernels
     // enable are present.
     unsafe {
-        match (isa, block_rows(grid.tokens)) {
+        match (isa, block_rows(r)) {
             #[cfg(target_arch = "x86_64")]
-            (Isa::Avx2, 3) => super::avx2::attention_lanes::<3>(grid, qo, k, v, scratch, probs),
+            (Isa::Avx2, 3) => super::avx2::attention_lanes::<3>(grid, r, qo, k, v, scratch, probs),
             #[cfg(target_arch = "x86_64")]
-            (Isa::Avx2, _) => super::avx2::attention_lanes::<4>(grid, qo, k, v, scratch, probs),
+            (Isa::Avx2, _) => super::avx2::attention_lanes::<4>(grid, r, qo, k, v, scratch, probs),
             #[cfg(target_arch = "x86_64")]
-            (Isa::Avx512, 3) => super::avx512::attention_lanes::<3>(grid, qo, k, v, scratch, probs),
+            (Isa::Avx512, 3) => {
+                super::avx512::attention_lanes::<3>(grid, r, qo, k, v, scratch, probs)
+            }
             #[cfg(target_arch = "x86_64")]
-            (Isa::Avx512, _) => super::avx512::attention_lanes::<4>(grid, qo, k, v, scratch, probs),
-            _ => super::scalar::attention_tiles(grid, qo, k, v, scratch, probs),
+            (Isa::Avx512, _) => {
+                super::avx512::attention_lanes::<4>(grid, r, qo, k, v, scratch, probs)
+            }
+            _ => super::scalar::attention_tiles(grid, r, qo, k, v, scratch, probs),
         }
     }
 }

@@ -249,19 +249,22 @@ pub(crate) fn norm_sq_chunk(xs: &[f32]) -> f64 {
 }
 
 /// Attention over every tile of `grid`, one tile at a time on the reference
-/// chains: gather the tile's Q, `Kᵀ` and V, `S = Q Kᵀ` through
-/// `matmul_reference`, scale, [`softmax_rows`], `O = P V` through
+/// chains: gather the tile's `queries` Q rows, its `Kᵀ` and V, `S = Q Kᵀ`
+/// through `matmul_reference`, scale, [`softmax_rows`], `O = P V` through
 /// `matmul_reference` again, and write `O` back over the tile's Q — the
-/// unfused `bmm → softmax_last → bmm` chain by construction. `scratch`
-/// holds at least `grid.scratch_len()` floats; `probs`, when given, is the
-/// `[tile][token][token]` softmax rows and receives each tile's `P`.
+/// unfused `bmm → softmax_last → bmm` chain by construction, each row of it
+/// from its own query row. `scratch` holds at least `grid.scratch_len()`
+/// floats; `probs`, when given, is the `[tile][query][token]` softmax rows
+/// and receives each tile's `P`.
 ///
 /// # Safety
 ///
-/// `qo` must point to `k.len()` floats (`grid.rows() * grid.width()`), and
-/// nothing else may access them during the call.
+/// `qo` must point to `grid.query_rows(queries) * grid.width()` floats
+/// (`queries <= grid.tokens`), and nothing else may access them during the
+/// call.
 pub(crate) unsafe fn attention_tiles(
     grid: &super::AttnGrid,
+    queries: usize,
     qo: *mut f32,
     k: &[f32],
     v: &[f32],
@@ -269,44 +272,46 @@ pub(crate) unsafe fn attention_tiles(
     mut probs: Option<&mut [f32]>,
 ) {
     use crate::linalg::matmul_reference;
-    let (t, dk) = (grid.tokens, grid.head_dim);
+    let (t, r, dk) = (grid.tokens, queries, grid.head_dim);
     let stride = grid.token_stride();
     let (q_tile, rest) = scratch.split_at_mut(t * dk);
     let (kt, rest) = rest.split_at_mut(dk * t);
     let (v_tile, rest) = rest.split_at_mut(t * dk);
     let (s, rest) = rest.split_at_mut(t * t);
-    let p = &mut rest[..t * t];
+    let (q_tile, s, p) = (&mut q_tile[..r * dk], &mut s[..r * t], &mut rest[..r * t]);
     let scale = 1.0 / (dk as f32).sqrt();
     for tile in 0..grid.tiles() {
-        let base = grid.tile_base(tile);
+        let (base, q_base) = (grid.tile_base(tile), grid.query_base(tile, r));
         debug_assert!(base + (t - 1) * stride + dk <= k.len());
-        // SAFETY: segment `i` is `head_dim` floats at `base + i * stride`,
-        // inside the buffer (`k` has its length and is sliced at the same
-        // range below), and it belongs to this tile alone: `AttnGrid` maps
-        // distinct (tile, token) pairs to disjoint segments.
+        // SAFETY: query segment `i < r` is `head_dim` floats at `q_base + i
+        // * stride`, inside the Q buffer, and it belongs to this tile alone:
+        // `AttnGrid` maps distinct (tile, token) pairs to disjoint segments,
+        // of `r` tokens a sequence as of `tokens`.
         let segment =
-            |i: usize| unsafe { std::slice::from_raw_parts_mut(qo.add(base + i * stride), dk) };
+            |i: usize| unsafe { std::slice::from_raw_parts_mut(qo.add(q_base + i * stride), dk) };
+        for i in 0..r {
+            q_tile[i * dk..(i + 1) * dk].copy_from_slice(segment(i));
+        }
         for i in 0..t {
             let row = base + i * stride..base + i * stride + dk;
-            q_tile[i * dk..(i + 1) * dk].copy_from_slice(segment(i));
             v_tile[i * dk..(i + 1) * dk].copy_from_slice(&v[row.clone()]);
             for (c, &x) in k[row].iter().enumerate() {
                 kt[c * t + i] = x;
             }
         }
         s.fill(0.0);
-        matmul_reference(q_tile, kt, s, t, dk, t);
+        matmul_reference(q_tile, kt, s, r, dk, t);
         for x in s.iter_mut() {
             *x *= scale;
         }
         softmax_rows(s, p, t);
         if let Some(probs) = probs.as_deref_mut() {
-            probs[tile * t * t..][..t * t].copy_from_slice(p);
+            probs[tile * r * t..][..r * t].copy_from_slice(p);
         }
         let o_tile = &mut *q_tile;
         o_tile.fill(0.0);
-        matmul_reference(p, v_tile, o_tile, t, t, dk);
-        for i in 0..t {
+        matmul_reference(p, v_tile, o_tile, r, t, dk);
+        for i in 0..r {
             segment(i).copy_from_slice(&o_tile[i * dk..(i + 1) * dk]);
         }
     }
