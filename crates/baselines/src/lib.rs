@@ -9,7 +9,8 @@
 //! - HIN-based: [`HinNeighbor`] (GraphHINGE/MetaHIN-lite; attribute-rich
 //!   datasets)
 //! - Meta-learning: [`MeLU`], [`Mamo`], [`Tanp`]
-//! - Naive references: [`GlobalMean`], [`EntityMean`]
+//! - Naive references: [`GlobalMean`], [`EntityMean`], and [`Random`],
+//!   the row every method's ranking is read against
 //!
 //! All models implement [`RatingModel`]; the evaluation harness treats them
 //! uniformly. Simplifications relative to the authors' released code are
@@ -35,7 +36,7 @@ pub use graphrec::GraphRec;
 pub use hin::HinNeighbor;
 pub use mamo::Mamo;
 pub use melu::{MeLU, MetaTrainConfig};
-pub use naive::{EntityMean, GlobalMean};
+pub use naive::{EntityMean, GlobalMean, Random};
 pub use neumf::NeuMF;
 pub use tanp::{Tanp, TanpConfig};
 pub use wide_deep::WideDeep;

@@ -43,6 +43,29 @@ impl RatingModel for GlobalMean {
     }
 }
 
+/// Scores every pair alike, so each ranking list is one tie group: the
+/// tie-aware ranking metrics score it as the mean over every order of the
+/// list — the random row a method has to beat. Its predictions are not
+/// ratings, so only its ranking metrics mean anything.
+pub struct Random;
+
+impl RatingModel for Random {
+    fn name(&self) -> &'static str {
+        "Random"
+    }
+
+    fn fit(&mut self, _dataset: &Dataset, _train: &BipartiteGraph, _rng: &mut StdRng) {}
+
+    fn predict(
+        &self,
+        _dataset: &Dataset,
+        _visible: &BipartiteGraph,
+        pairs: &[(usize, usize)],
+    ) -> Vec<f32> {
+        vec![0.0; pairs.len()]
+    }
+}
+
 /// Predicts the mean of the entity's visible ratings (user mean, falling
 /// back to item mean, then global mean) — a surprisingly strong baseline
 /// that exploits support edges.

@@ -18,10 +18,11 @@
 //! qualitative shape in minutes on a laptop CPU; `full` uses the paper's
 //! 32×32 / 3-HIM configuration.
 
+use hire_baselines::Random;
 use hire_data::{ColdStartScenario, ColdStartSplit, Dataset, SyntheticConfig};
 use hire_error::{HireError, HireResult};
 use hire_eval::{
-    evaluate_model_isolated, EvalConfig, MetricsAtK, ModelResult, ModelSpec, SpeedTier,
+    evaluate_model_isolated, EvalConfig, MetricsAtK, ModelResult, ModelSpec, SpeedTier, RANDOM_ROW,
 };
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
@@ -82,7 +83,7 @@ impl HarnessArgs {
             tier: SpeedTier::Fast,
             seed: 7,
             runs: 1,
-            max_entities: 25,
+            max_entities: usize::MAX,
             model_budget: None,
             out: None,
             checkpoint_dir: None,
@@ -468,7 +469,8 @@ pub fn run_overall_table(kind: DatasetKind, title: &str) {
     over_seeds(title, &args, |args| run_standard_sweep(kind, title, args));
 }
 
-/// The standard model roster: every applicable baseline plus HIRE. When a
+/// The standard model roster: the random row, every applicable baseline,
+/// then HIRE. When a
 /// training checkpoint directory is given, the HIRE fit itself becomes
 /// durable and resume-aware (see `hire_core::TrainConfig::resume`).
 pub(crate) fn default_specs(
@@ -476,7 +478,8 @@ pub(crate) fn default_specs(
     args: &HarnessArgs,
     train_ckpt_dir: Option<PathBuf>,
 ) -> Vec<ModelSpec> {
-    let mut specs = hire_eval::baseline_specs(dataset, args.tier);
+    let mut specs = vec![ModelSpec::new(RANDOM_ROW, || Box::new(Random) as _)];
+    specs.extend(hire_eval::baseline_specs(dataset, args.tier));
     match train_ckpt_dir {
         Some(dir) => {
             let tc = hire_core::TrainConfig {
@@ -537,13 +540,90 @@ struct SummaryRow {
     at_k: Vec<MetricsAtK>,
 }
 
-/// The `--out` document of a `--runs` table: each seed's reports, and
-/// every cell over them.
+/// The `--out` document of a `--runs` table: each seed's reports, every
+/// cell over them, and every model's verdict against HIRE.
 #[derive(Debug, Serialize)]
 struct RunsReport {
     runs: usize,
     per_seed: Vec<SeedReports>,
     summary: Vec<SummaryRow>,
+    verdicts: Vec<VerdictRow>,
+}
+
+/// How one model ranks against another over paired seeds ([`rank`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum Verdict {
+    /// Ahead on enough seeds, by more than the seeds scatter.
+    Beats,
+    /// The other one beats it.
+    Loses,
+    /// Neither beats the other.
+    Tied,
+}
+
+/// Paired seeds [`rank`] needs before it calls a winner.
+const RANK_SEEDS: usize = 5;
+
+/// The ranking rule for a metric measured over paired seeds (`a[i]` and
+/// `b[i]` on seed `i`, higher better): `a` beats `b` when, over at least
+/// five paired seeds, it is ahead on at least four in five of
+/// them and its mean is ahead by more than the larger of the two sample
+/// standard deviations; `b` beats `a` by the same rule; otherwise they
+/// are tied.
+pub fn rank(a: &[f32], b: &[f32]) -> Verdict {
+    assert_eq!(a.len(), b.len(), "a verdict pairs seeds");
+    let n = a.len();
+    let beats = |x: &[f32], y: &[f32]| {
+        let ahead = x.iter().zip(y).filter(|(x, y)| x > y).count();
+        let ((mx, sx), (my, sy)) = (mean_std(x), mean_std(y));
+        n >= RANK_SEEDS && 5 * ahead >= 4 * n && mx - my > sx.max(sy)
+    };
+    if beats(a, b) {
+        Verdict::Beats
+    } else if beats(b, a) {
+        Verdict::Loses
+    } else {
+        Verdict::Tied
+    }
+}
+
+/// One model against HIRE in one scenario of a `--runs` table, on NDCG at
+/// the first cutoff over the seeds both evaluated.
+#[derive(Debug, Serialize)]
+struct VerdictRow {
+    scenario: String,
+    model: String,
+    seeds: usize,
+    verdict: Verdict,
+}
+
+/// Every model's [`rank`] against HIRE, per scenario, from the per-seed
+/// reports — the rows a ranking claim reads.
+fn verdicts(per_seed: &[SeedReports], summary: &[SummaryRow]) -> Vec<VerdictRow> {
+    let ndcg = |seed: &SeedReports, scenario: &str, model: &str| {
+        seed.evaluated(scenario, model)
+            .and_then(|r| r.at_k.first())
+            .map(|m| m.ndcg)
+    };
+    summary
+        .iter()
+        .filter(|row| row.model != "HIRE")
+        .map(|row| {
+            let (model, hire): (Vec<f32>, Vec<f32>) = per_seed
+                .iter()
+                .filter_map(|seed| {
+                    let model = ndcg(seed, &row.scenario, &row.model)?;
+                    Some((model, ndcg(seed, &row.scenario, "HIRE")?))
+                })
+                .unzip();
+            VerdictRow {
+                scenario: row.scenario.clone(),
+                model: row.model.clone(),
+                seeds: model.len(),
+                verdict: rank(&model, &hire),
+            }
+        })
+        .collect()
 }
 
 /// Mean and sample standard deviation (0 for one value), summed in f64.
@@ -624,6 +704,13 @@ fn format_summary(title: &str, rows: &[SummaryRow], runs: usize) -> String {
             out.push_str(&format!("{:>16}", format!("{name}@{}", at.k)));
         }
     }
+    let random = rows
+        .iter()
+        .find(|r| r.model == RANDOM_ROW)
+        .and_then(|r| r.at_k.first());
+    if let Some(at) = random {
+        out.push_str(&format!("{:>14}", format!("gain@{}", at.k)));
+    }
     out.push('\n');
     for row in rows {
         out.push_str(&format!("{:<width$}{:>6}", row.model, row.seeds));
@@ -638,6 +725,9 @@ fn format_summary(title: &str, rows: &[SummaryRow], runs: usize) -> String {
             ] {
                 out.push_str(&format!("{:>16}", format!("{mean:.4}±{std:.4}")));
             }
+        }
+        if let (Some(random), Some(at)) = (random, row.at_k.first()) {
+            out.push_str(&format!("{:>14}", format!("{:+.4}", at.ndcg - random.ndcg)));
         }
         out.push('\n');
     }
@@ -678,8 +768,15 @@ fn over_seeds(
         })
         .collect();
     let summary = summarize(&per_seed);
+    let verdicts = verdicts(&per_seed, &summary);
     for rows in summary.chunk_by(|a, b| a.scenario == b.scenario) {
         println!("{}", format_summary(title, rows, args.runs));
+    }
+    for row in &verdicts {
+        println!(
+            "[{}] {} against HIRE, NDCG over {} seeds: {:?}",
+            row.scenario, row.model, row.seeds, row.verdict
+        );
     }
     maybe_write_json(
         args,
@@ -687,6 +784,7 @@ fn over_seeds(
             runs: args.runs,
             per_seed,
             summary,
+            verdicts,
         },
     );
 }
@@ -833,6 +931,44 @@ mod tests {
         assert_eq!(args.seed, 7);
         assert!(args.out.is_none());
         assert!(args.model_budget.is_none());
+    }
+
+    #[test]
+    fn the_tables_score_every_cold_entity_by_default() {
+        let args = HarnessArgs::parse_from(&[]).expect("empty argv");
+        assert_eq!(args.max_entities, usize::MAX);
+        assert_eq!(args.eval_config().max_entities, usize::MAX);
+    }
+
+    #[test]
+    fn a_model_ahead_on_enough_seeds_by_more_than_their_spread_beats() {
+        let hire = [0.80, 0.82, 0.81, 0.79, 0.80];
+        let other = [0.70, 0.71, 0.69, 0.72, 0.70];
+        assert_eq!(rank(&hire, &other), Verdict::Beats);
+        assert_eq!(rank(&other, &hire), Verdict::Loses);
+        // Four of five seeds ahead is enough.
+        let close = [0.70, 0.71, 0.69, 0.72, 0.81];
+        assert_eq!(rank(&hire, &close), Verdict::Beats);
+    }
+
+    #[test]
+    fn a_gap_inside_the_seeds_spread_is_a_tie() {
+        // Ahead on every seed, but by less than the seeds scatter.
+        let a = [0.70, 0.90, 0.60, 0.85, 0.75];
+        let b = [0.69, 0.89, 0.59, 0.84, 0.74];
+        assert_eq!(rank(&a, &b), Verdict::Tied);
+        // A large mean gap from one seed, behind on two of five.
+        let c = [0.99, 0.99, 0.99, 0.60, 0.60];
+        let d = [0.50, 0.50, 0.50, 0.70, 0.70];
+        assert_eq!(rank(&c, &d), Verdict::Tied);
+    }
+
+    #[test]
+    fn one_seed_short_is_a_tie() {
+        let hire = [0.80, 0.82, 0.81, 0.79];
+        let other = [0.70, 0.71, 0.69, 0.72];
+        assert_eq!(rank(&hire, &other), Verdict::Tied);
+        assert_eq!(rank(&other, &hire), Verdict::Tied);
     }
 
     #[test]

@@ -76,21 +76,22 @@ impl ContextEncoder {
         self.num_attrs() * self.attr_dim
     }
 
-    /// Attribute codes for a user: schema codes, or `[user_id]` if ID-only.
-    fn user_codes(dataset: &Dataset, user: usize) -> Vec<usize> {
+    /// A user's code for attribute `k`: its schema code, or the user id
+    /// itself if ID-only.
+    fn user_code(dataset: &Dataset, user: usize, k: usize) -> usize {
         if dataset.user_schema.is_id_only() {
-            vec![user]
+            user
         } else {
-            dataset.user_attrs[user].clone()
+            dataset.user_attrs[user][k]
         }
     }
 
-    /// Attribute codes for an item (see [`Self::user_codes`]).
-    fn item_codes(dataset: &Dataset, item: usize) -> Vec<usize> {
+    /// An item's code for attribute `k` (see [`Self::user_code`]).
+    fn item_code(dataset: &Dataset, item: usize, k: usize) -> usize {
         if dataset.item_schema.is_id_only() {
-            vec![item]
+            item
         } else {
-            dataset.item_attrs[item].clone()
+            dataset.item_attrs[item][k]
         }
     }
 
@@ -111,7 +112,7 @@ impl ContextEncoder {
                 let codes: Vec<usize> = ctx
                     .users
                     .iter()
-                    .map(|&u| Self::user_codes(dataset, u)[k])
+                    .map(|&u| Self::user_code(dataset, u, k))
                     .collect();
                 emb.forward(&codes)
             })
@@ -126,7 +127,7 @@ impl ContextEncoder {
                 let codes: Vec<usize> = ctx
                     .items
                     .iter()
-                    .map(|&i| Self::item_codes(dataset, i)[k])
+                    .map(|&i| Self::item_code(dataset, i, k))
                     .collect();
                 emb.forward(&codes)
             })
@@ -160,10 +161,8 @@ impl ContextEncoder {
         // Broadcast x_u across columns and x_i across rows, then concat.
         let hu_f = self.num_user_attrs() * f;
         let hi_f = self.num_item_attrs() * f;
-        let ones_u = Tensor::constant(NdArray::ones([n, m, hu_f]));
-        let ones_i = Tensor::constant(NdArray::ones([n, m, hi_f]));
-        let u_grid = x_u.reshape([n, 1, hu_f]).mul(&ones_u); // [n, m, hu*f]
-        let i_grid = x_i.reshape([1, m, hi_f]).mul(&ones_i); // [n, m, hi*f]
+        let u_grid = x_u.reshape([n, 1, hu_f]).broadcast_to([n, m, hu_f]);
+        let i_grid = x_i.reshape([1, m, hi_f]).broadcast_to([n, m, hi_f]);
         Tensor::concat_last(&[u_grid, i_grid, x_r])
     }
 }

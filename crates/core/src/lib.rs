@@ -7,7 +7,9 @@
 //!   [`HireConfig::paper_default`])
 //! - [`ContextEncoder`] — Eq. (6)-(9): per-attribute embeddings assembled
 //!   into the context tensor `H ∈ R^{n×m×e}`
-//! - `HimBlock` — § IV-C: the three stacked MHSA layers (MBU, MBI, MBA)
+//! - [`HimStack`] — § IV-C: K blocks of the three stacked MHSA layers
+//!   (MBU, MBI, MBA), trained as one autograd node whose forward is the
+//!   serving forward's body
 //! - [`HireModel`] — encoder → K HIMs → `α · sigmoid(g(H))` decoder; its
 //!   autograd forward trains, [`HireModel::predict`] runs the no-grad one
 //! - [`FrozenModel`] — a model's weights as plain arrays, `Send + Sync`,
@@ -40,7 +42,7 @@ pub use config::HireConfig;
 pub use encoder::ContextEncoder;
 pub use frozen::{FrozenModel, QuantizedModel};
 pub use guard::{RecoveryEvent, TrainOutcome, TrainReport};
-pub use him::HimAttention;
+pub use him::{HimAttention, HimStack};
 pub use hybrid::{train_hybrid, HybridConfig, HybridModel};
 pub use model::HireModel;
 pub use trainer::{fine_tune, train, TrainConfig};

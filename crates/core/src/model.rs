@@ -3,7 +3,7 @@
 use crate::config::HireConfig;
 use crate::encoder::ContextEncoder;
 use crate::frozen::FrozenModel;
-use crate::him::{HimAttention, HimBlock};
+use crate::him::{HimAttention, HimStack};
 use hire_data::{Dataset, PredictionContext};
 use hire_nn::{Linear, Module};
 use hire_tensor::{NdArray, Tensor};
@@ -12,7 +12,7 @@ use rand::Rng;
 /// The Heterogeneous Interaction Rating nEtwork.
 pub struct HireModel {
     encoder: ContextEncoder,
-    blocks: Vec<HimBlock>,
+    him: HimStack,
     decoder: Linear,
     /// Output scale α of Eq. (16): predictions are `α · sigmoid(g(H))`.
     alpha: f32,
@@ -24,13 +24,11 @@ impl HireModel {
     pub fn new(dataset: &Dataset, config: &HireConfig, rng: &mut impl Rng) -> Self {
         let encoder = ContextEncoder::new(dataset, config.attr_dim, rng);
         let num_attrs = encoder.num_attrs();
-        let blocks = (0..config.num_blocks)
-            .map(|_| HimBlock::new(config, num_attrs, rng))
-            .collect();
+        let him = HimStack::new(config, num_attrs, rng);
         let decoder = Linear::new(encoder.embed_dim(), 1, rng);
         HireModel {
             encoder,
-            blocks,
+            him,
             decoder,
             alpha: dataset.max_rating(),
             config: config.clone(),
@@ -51,11 +49,8 @@ impl HireModel {
     /// (autograd-tracked, for training; use [`Self::predict`] for
     /// inference).
     pub fn forward(&self, ctx: &PredictionContext, dataset: &Dataset) -> Tensor {
-        let mut h = self.encoder.encode(ctx, dataset);
-        for block in &self.blocks {
-            h = block.forward(&h);
-        }
-        self.decode(h, ctx)
+        let h = self.encoder.encode(ctx, dataset);
+        self.decode(self.him.forward(&h), ctx)
     }
 
     /// Forward pass that also captures every block's attention weights
@@ -65,13 +60,8 @@ impl HireModel {
         ctx: &PredictionContext,
         dataset: &Dataset,
     ) -> (Tensor, Vec<HimAttention>) {
-        let mut h = self.encoder.encode(ctx, dataset);
-        let mut attns = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            let (next, attn) = block.forward_with_attention(&h);
-            h = next;
-            attns.push(attn);
-        }
+        let h = self.encoder.encode(ctx, dataset);
+        let (h, attns) = self.him.forward_with_attention(&h);
         (self.decode(h, ctx), attns)
     }
 
@@ -148,9 +138,7 @@ impl HireModel {
 impl Module for HireModel {
     fn parameters(&self) -> Vec<Tensor> {
         let mut p = self.encoder.parameters();
-        for b in &self.blocks {
-            p.extend(b.parameters());
-        }
+        p.extend(self.him.parameters());
         p.extend(self.decoder.parameters());
         p
     }

@@ -10,8 +10,9 @@
 //!
 //! # Shape of the computation
 //!
-//! One context at a time. A call owns one workspace, sized for the largest
-//! context it is given and freed on return: two `[n·m, e]` activation
+//! One context at a time. A call borrows one workspace from its thread's
+//! reused memory (`hire_tensor::Scratch`), sized for the largest context it
+//! is given and given back on return: two `[n·m, e]` activation
 //! buffers and the largest MHSA workspace a layer asks for on the
 //! dispatched ISA (MBU / MBI's Q, K and V buffers; MBA, which runs in one
 //! pass, asks for a few lane groups' panels); a batch is a loop over its
@@ -57,24 +58,26 @@
 //! `hire-serve`'s `tests/target_cells.rs` and `asked_cells_generated.rs`
 //! hold the two forwards to each other.
 //!
-//! Per element this is the arithmetic of the autograd forward on the same
-//! ISA (DESIGN.md §9, §16), so a frozen model is **bit-identical** to the
-//! tape forward of the live model it was exported from (`hire-serve`'s
-//! `tests/equivalence.rs`). Everything runs on the calling thread
+//! The tape trains through this same body: `crate::HimStack`'s one node
+//! runs [`Stack::run_blocks`] over every cell, each layer also keeping what
+//! its backward reads ([`Stack::forward_kept`]). So a frozen model is
+//! **bit-identical** to the tape forward of the live model it was exported
+//! from (DESIGN.md §9, §16; `hire-serve`'s `tests/equivalence.rs`). Everything runs on the calling thread
 //! (DESIGN.md §11): a `Server` worker owns its batch's forwards from encode
 //! to decode.
 
 use hire_data::{Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
 use hire_nn::{
-    mhsa_forward_into, mhsa_queries_into, mhsa_queries_workspace_len, mhsa_workspace_len,
-    MhsaWeights,
+    mhsa_forward_into, mhsa_queries_into, mhsa_queries_workspace_len, mhsa_train_forward,
+    mhsa_workspace_len, MhsaKept, MhsaWeights,
 };
 use hire_tensor::simd::{self, Isa};
-use hire_tensor::{linalg, NdArray};
+use hire_tensor::{linalg, NdArray, Scratch};
+use std::borrow::Borrow;
 use std::time::Instant;
 
-/// `LayerNorm::new` hard-codes this epsilon; the no-grad mirror must match.
+/// Every HIM layer norm's epsilon (`hire_nn::LayerNorm`'s).
 const LAYER_NORM_EPS: f32 = 1e-5;
 
 /// Error context of everything the forward rejects.
@@ -83,21 +86,59 @@ const LABEL: &str = "HIM forward";
 /// LayerNorm affine parameters. Always f32: they are vectors — negligible
 /// memory, and norms are sensitive to weight rounding.
 #[derive(Debug, Clone)]
-pub(crate) struct Norm {
-    pub(crate) gamma: NdArray,
-    pub(crate) beta: NdArray,
+pub(crate) struct Norm<W = NdArray> {
+    pub(crate) gamma: W,
+    pub(crate) beta: W,
 }
 
-/// One HIM block's weights (the no-grad mirror of [`crate::HimBlock`]).
+/// One HIM block's weights: owned arrays for serving, the tape's parameter
+/// tensors in a [`crate::HimStack`], or either lent as `&NdArray` to a
+/// forward.
 #[derive(Debug, Clone)]
-pub(crate) struct BlockWeights {
-    pub(crate) mbu: Option<MhsaWeights>,
-    pub(crate) mbi: Option<MhsaWeights>,
-    pub(crate) mba: Option<MhsaWeights>,
-    pub(crate) norm_mbu: Option<Norm>,
-    pub(crate) norm_mbi: Option<Norm>,
-    pub(crate) norm_mba: Option<Norm>,
+pub(crate) struct BlockWeights<W = NdArray> {
+    pub(crate) mbu: Option<MhsaWeights<W>>,
+    pub(crate) mbi: Option<MhsaWeights<W>>,
+    pub(crate) mba: Option<MhsaWeights<W>>,
+    pub(crate) norm_mbu: Option<Norm<W>>,
+    pub(crate) norm_mbi: Option<Norm<W>>,
+    pub(crate) norm_mba: Option<Norm<W>>,
     pub(crate) residual: bool,
+}
+
+impl<W> BlockWeights<W> {
+    /// The same block with every weight, matrix and vector, converted by
+    /// `f` — in `HireModel::parameters()` order: the enabled layers'
+    /// `w_q`, `w_k`, `w_v`, `w_o`, then their norms' `gamma`, `beta`.
+    pub(crate) fn map<'a, V>(&'a self, mut f: impl FnMut(&'a W) -> V) -> BlockWeights<V> {
+        let mhsa = [&self.mbu, &self.mbi, &self.mba].map(|w| w.as_ref().map(|w| w.map(&mut f)));
+        let norm = [&self.norm_mbu, &self.norm_mbi, &self.norm_mba].map(|norm| {
+            norm.as_ref().map(|norm| Norm {
+                gamma: f(&norm.gamma),
+                beta: f(&norm.beta),
+            })
+        });
+        let [mbu, mbi, mba] = mhsa;
+        let [norm_mbu, norm_mbi, norm_mba] = norm;
+        BlockWeights {
+            mbu,
+            mbi,
+            mba,
+            norm_mbu,
+            norm_mbi,
+            norm_mba,
+            residual: self.residual,
+        }
+    }
+
+    /// The three attention layers of the block, in order, each with its
+    /// norm and the axis it attends across.
+    pub(crate) fn layers(&self) -> [Layer<'_, W>; 3] {
+        [
+            (&self.mbu, &self.norm_mbu, Across::Users),
+            (&self.mbi, &self.norm_mbi, Across::Items),
+            (&self.mba, &self.norm_mba, Across::Attributes),
+        ]
+    }
 }
 
 /// A HIRE model's weights, plus the dataset schema facts needed to encode
@@ -154,35 +195,75 @@ fn entity_features(
     }
 }
 
-/// Residual-add + optional LayerNorm, mirroring `HimBlock::post`, over the
-/// first `len` floats of the two activation buffers: on entry `x` is the
-/// layer's input and `y` its attention output; on return `x` is the block
-/// stack's next input (the buffers swap roles instead of copying when there
-/// is no norm).
-fn post<'a>(
+/// Residual-add + optional LayerNorm over the first `len` floats of the
+/// two activation buffers: on entry `x` is the layer's input and `y` its
+/// attention output; on return `x` is the block stack's next input (the
+/// buffers swap roles instead of copying when there is no norm). With
+/// `kept`, the norm also writes what its backward reads into it.
+#[allow(clippy::too_many_arguments)]
+fn post<'a, W: Borrow<NdArray>>(
     x: &mut &'a mut [f32],
     y: &mut &'a mut [f32],
     len: usize,
     residual: bool,
-    norm: &Option<Norm>,
+    norm: &Option<Norm<W>>,
     isa: Isa,
+    kept: Option<(&mut [f32], &mut [f32])>,
 ) {
     if residual {
         for (o, &a) in y[..len].iter_mut().zip(&x[..len]) {
             *o += a;
         }
     }
-    match norm {
-        Some(nm) => linalg::layer_norm_last_into(
-            &y[..len],
-            nm.gamma.as_slice(),
-            nm.beta.as_slice(),
-            LAYER_NORM_EPS,
-            &mut x[..len],
-            isa,
-        ),
-        None => std::mem::swap(x, y),
+    let Some(nm) = norm else {
+        return std::mem::swap(x, y);
+    };
+    let (gamma, beta) = (nm.gamma.borrow().as_slice(), nm.beta.borrow().as_slice());
+    let (y, x) = (&y[..len], &mut x[..len]);
+    match kept {
+        Some((xhat, inv_std)) => {
+            linalg::layer_norm_train_into(y, gamma, beta, LAYER_NORM_EPS, x, xhat, inv_std, isa)
+        }
+        None => linalg::layer_norm_last_into(y, gamma, beta, LAYER_NORM_EPS, x, isa),
     }
+}
+
+/// What the training forward ([`Stack::forward_kept`]) keeps of one enabled
+/// attention layer for the backward, in reused memory: the layer's input
+/// and, after a norm, what its backward reads — `xhat`, the normalized
+/// input, and one `inv_std` a cell — in one buffer; and what the
+/// attention's backward reads.
+pub(crate) struct KeptLayer {
+    /// The input (`len` floats), then `xhat` (`len`) and `inv_std`.
+    memory: Scratch,
+    len: usize,
+    pub(crate) mhsa: MhsaKept,
+}
+
+impl KeptLayer {
+    /// The layer's input.
+    pub(crate) fn input(&self) -> &[f32] {
+        &self.memory[..self.len]
+    }
+
+    /// The norm's `(xhat, inv_std)`, if the layer has a norm.
+    pub(crate) fn norm(&self) -> Option<(&[f32], &[f32])> {
+        let kept = &self.memory[self.len..];
+        (!kept.is_empty()).then(|| kept.split_at(self.len))
+    }
+
+    fn norm_mut(&mut self) -> Option<(&mut [f32], &mut [f32])> {
+        let kept = &mut self.memory[self.len..];
+        (!kept.is_empty()).then(|| kept.split_at_mut(self.len))
+    }
+}
+
+/// What [`Stack::run_blocks`] keeps as it runs, when it is the training
+/// forward: one [`KeptLayer`] per enabled layer, in forward order; `probs`
+/// asks every layer for its softmax rows (Fig. 9).
+struct Keep {
+    layers: Vec<KeptLayer>,
+    probs: bool,
 }
 
 /// Cells of one `n × m` context in row-major order: what the forward is
@@ -312,7 +393,7 @@ pub(crate) type Ask<'a> = (&'a PredictionContext, Option<&'a [(usize, usize)]>);
 /// the users of an item column, MBI across the items of a user row, MBA
 /// across the attributes of one cell.
 #[derive(Debug, Clone, Copy)]
-enum Across {
+pub(crate) enum Across {
     Users,
     Items,
     Attributes,
@@ -333,7 +414,214 @@ struct Plan {
 
 /// One attention layer of a block: `(weights, norm, the axis it attends
 /// across)`; `None` weights mean the layer is ablated.
-type Layer<'a> = (&'a Option<MhsaWeights>, &'a Option<Norm>, Across);
+pub(crate) type Layer<'a, W> = (&'a Option<MhsaWeights<W>>, &'a Option<Norm<W>>, Across);
+
+/// The HIM blocks a forward runs, over cells of `num_attrs` attribute rows
+/// of `attr_dim` floats: the serving forward's own weights, or the weights
+/// a [`crate::HimStack`] lends its training forward.
+pub(crate) struct Stack<'a, W> {
+    pub(crate) blocks: &'a [BlockWeights<W>],
+    pub(crate) num_attrs: usize,
+    pub(crate) attr_dim: usize,
+}
+
+impl<W> Stack<'_, W> {
+    /// The `[outer, tokens, inner]` view a layer attending `across` takes
+    /// of `cells` cell rows of an `n × m` context — every cell, or what
+    /// [`Self::plan`] hands it: full columns to MBU, full rows to MBI. MBA's
+    /// rows are the `h` attribute slices of each cell.
+    pub(crate) fn view(&self, across: Across, n: usize, m: usize, cells: usize) -> [usize; 3] {
+        match across {
+            Across::Users => [1, n, cells / n],
+            Across::Items => [cells / m, m, 1],
+            Across::Attributes => [cells, self.num_attrs, 1],
+        }
+    }
+}
+
+impl<W: Borrow<NdArray>> Stack<'_, W> {
+    /// Cell width `e = h * f`.
+    pub(crate) fn embed_dim(&self) -> usize {
+        self.num_attrs * self.attr_dim
+    }
+
+    /// The enabled attention layers of every block, in forward order:
+    /// `(weights, norm, the axis it attends across, residual)`.
+    pub(crate) fn enabled(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (&MhsaWeights<W>, &Option<Norm<W>>, Across, bool)> {
+        self.blocks.iter().flat_map(|b| {
+            b.layers()
+                .into_iter()
+                .filter_map(move |(w, norm, across)| Some((w.as_ref()?, norm, across, b.residual)))
+        })
+    }
+
+    /// Floats of the largest MHSA workspace any layer asks for over every
+    /// cell of an `n × m` context on `isa` (a layer on fewer cells asks for
+    /// less; an MBU with fewer queries, no more than the composition over
+    /// every cell).
+    pub(crate) fn attention_len(&self, n: usize, m: usize, isa: Isa) -> usize {
+        self.enabled()
+            .map(|(w, _, across, _)| {
+                let view = self.view(across, n, m, n * m);
+                let len = mhsa_workspace_len(view, w, isa);
+                match across {
+                    Across::Users => len.max(mhsa_queries_workspace_len(view, n, w)),
+                    _ => len,
+                }
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The cells each enabled attention layer runs on, found by walking
+    /// the enabled layers backwards from `targets`, the cells the decoder
+    /// reads. MBA, the residual, LayerNorm and the decoder work cell by cell
+    /// and keep the set; MBI widens it to the full rows it lies in, MBU to
+    /// the full columns. Widened both ways it is every cell, so the walk
+    /// meets at most one set between `targets` and every cell — the
+    /// targets' rows or columns — and a forward asked for every cell plans
+    /// nothing. The layer that widens a set to every cell needs its keys
+    /// and values there; when it is an MBU, its queries only on the full
+    /// rows of what is read after it, if those are not every row.
+    fn plan(&self, targets: &Cells, n: usize, m: usize) -> Plan {
+        let mut k = self.enabled().count();
+        let mut plan = Plan {
+            every: 0,
+            grid_end: 0,
+            grid: Cells::All,
+            queries: false,
+        };
+        let mut widened = false;
+        for (_, _, across, _) in self.enabled().rev() {
+            let read = if widened { &plan.grid } else { targets };
+            k -= 1;
+            match read.widened(across, n, m) {
+                None => continue,
+                Some(Cells::All) => {
+                    plan.every = k + 1;
+                    if matches!(across, Across::Users) {
+                        // The full rows `read` lies in: itself, or none
+                        // short of every row.
+                        match read.widened(Across::Items, n, m) {
+                            None if widened => plan.queries = true,
+                            None => (plan.grid, plan.queries) = (read.clone(), true),
+                            Some(Cells::All) => {}
+                            Some(rows) => (plan.grid, plan.queries) = (rows, true),
+                        }
+                    }
+                    plan.grid_end = plan.grid_end.max(k + 1);
+                    break;
+                }
+                Some(grid) => (plan.grid, plan.grid_end, widened) = (grid, k + 1, true),
+            }
+        }
+        plan
+    }
+
+    /// HIM blocks over one context `[n, m, e]` held in `x`, with `y` as the
+    /// second activation buffer, for the decoder to read `targets`: each
+    /// layer runs on its [`Self::plan`] set, gathered to the front of `x`
+    /// first — an MBU the plan gives queries on `grid` once its keys and
+    /// values are projected from every cell. Returns the two buffers in
+    /// their final roles, `(result, spare)`, the result's rows holding
+    /// `targets` in order.
+    ///
+    /// With `keep` this is the training forward over every cell
+    /// ([`Self::forward_kept`]): the same kernels on the same rows, each
+    /// layer also copying its input into `keep` and keeping what its
+    /// attention's and its norm's backwards read.
+    #[allow(clippy::too_many_arguments)]
+    fn run_blocks<'a>(
+        &self,
+        mut x: &'a mut [f32],
+        mut y: &'a mut [f32],
+        workspace: &mut [f32],
+        n: usize,
+        m: usize,
+        targets: &Cells,
+        isa: Isa,
+        mut keep: Option<&mut Keep>,
+    ) -> (&'a mut [f32], &'a mut [f32]) {
+        let e = self.embed_dim();
+        let plan = self.plan(targets, n, m);
+        let all = Cells::All;
+        let mut live = &all;
+        for (k, (w, norm, across, residual)) in self.enabled().enumerate() {
+            let (len, kept) = if plan.queries && k + 1 == plan.every {
+                // Keys and values on every cell (`live` is), then the
+                // query rows `grid` to the front.
+                debug_assert!(keep.is_none(), "the training forward runs on every cell");
+                let (rows, view) = (plan.grid.count(n, m) / m, self.view(across, n, m, n * m));
+                let front = |x: &mut [f32]| live.gather_into(&plan.grid, x, e);
+                let (x, y) = (&mut x[..n * m * e], &mut y[..rows * m * e]);
+                mhsa_queries_into(x, view, rows, w, isa, workspace, y, front);
+                live = &plan.grid;
+                (rows * m * e, None)
+            } else {
+                let set = match k {
+                    k if k < plan.every => &all,
+                    k if k < plan.grid_end => &plan.grid,
+                    _ => targets,
+                };
+                live.gather_into(set, x, e);
+                live = set;
+                let cells = set.count(n, m);
+                let len = cells * e;
+                let view = self.view(across, n, m, cells);
+                let kept = match keep.as_deref_mut() {
+                    None => {
+                        mhsa_forward_into(&x[..len], view, w, isa, workspace, &mut y[..len]);
+                        None
+                    }
+                    Some(keep) => {
+                        let normed = if norm.is_some() { len + cells } else { 0 };
+                        let mut memory = Scratch::take(len + normed);
+                        let input = &mut memory[..len];
+                        input.copy_from_slice(&x[..len]);
+                        let out = &mut y[..len];
+                        let mhsa =
+                            mhsa_train_forward(input, view, w, isa, workspace, out, keep.probs);
+                        keep.layers.push(KeptLayer { memory, len, mhsa });
+                        keep.layers.last_mut().and_then(KeptLayer::norm_mut)
+                    }
+                };
+                (len, kept)
+            };
+            post(&mut x, &mut y, len, residual, norm, isa, kept);
+        }
+        live.gather_into(targets, x, e);
+        (x, y)
+    }
+
+    /// The training forward over one context's every cell: the HIM blocks
+    /// over `h` (`[n·m, e]`), by [`Self::run_blocks`] — the serving
+    /// forward's body and kernels, so the output is the frozen forward's,
+    /// bit for bit — returning the blocks' output and what each enabled
+    /// layer keeps for the backward ([`KeptLayer`], forward order). With
+    /// `probs`, every layer keeps its softmax rows.
+    pub(crate) fn forward_kept(
+        &self,
+        h: &[f32],
+        n: usize,
+        m: usize,
+        isa: Isa,
+        probs: bool,
+    ) -> (Vec<f32>, Vec<KeptLayer>) {
+        let slab = h.len();
+        let mut memory = Scratch::take(2 * slab + self.attention_len(n, m, isa));
+        let (x, rest) = memory.split_at_mut(slab);
+        let (y, workspace) = rest.split_at_mut(slab);
+        x.copy_from_slice(h);
+        let mut keep = Keep {
+            layers: Vec::with_capacity(3 * self.blocks.len()),
+            probs,
+        };
+        let (out, _) = self.run_blocks(x, y, workspace, n, m, &Cells::All, isa, Some(&mut keep));
+        (out[..slab].to_vec(), keep.layers)
+    }
+}
 
 impl HimWeights {
     /// The same model with every weight matrix converted by `f`, in
@@ -447,155 +735,20 @@ impl HimWeights {
         Ok(())
     }
 
-    /// The three attention layers of one block, in order, each with the
-    /// axis it attends across.
-    fn layers(block: &BlockWeights) -> [Layer<'_>; 3] {
-        [
-            (&block.mbu, &block.norm_mbu, Across::Users),
-            (&block.mbi, &block.norm_mbi, Across::Items),
-            (&block.mba, &block.norm_mba, Across::Attributes),
-        ]
-    }
-
-    /// The `[outer, tokens, inner]` view a layer attending `across` takes
-    /// of `cells` cell rows of an `n × m` context — every cell, or what
-    /// [`Self::plan`] hands it: full columns to MBU, full rows to MBI. MBA's
-    /// rows are the `h` attribute slices of each cell.
-    fn view(&self, across: Across, n: usize, m: usize, cells: usize) -> [usize; 3] {
-        match across {
-            Across::Users => [1, n, cells / n],
-            Across::Items => [cells / m, m, 1],
-            Across::Attributes => [cells, self.num_attrs(), 1],
+    /// The HIM blocks this model's forward runs.
+    fn stack(&self) -> Stack<'_, NdArray> {
+        Stack {
+            blocks: &self.blocks,
+            num_attrs: self.num_attrs(),
+            attr_dim: self.attr_dim,
         }
     }
 
     /// Floats of working memory one `n × m` context needs on `isa`: two
-    /// activation buffers and the largest MHSA workspace any layer asks for
-    /// over every cell (a layer on fewer cells asks for less; an MBU with
-    /// fewer queries, no more than the composition over every cell).
+    /// activation buffers and the largest MHSA workspace any layer asks
+    /// for ([`Stack::attention_len`]).
     fn memory_len(&self, n: usize, m: usize, isa: Isa) -> usize {
-        let attention = self
-            .blocks
-            .iter()
-            .flat_map(Self::layers)
-            .filter_map(|(w, _, across)| {
-                let (view, w) = (self.view(across, n, m, n * m), w.as_ref()?);
-                let len = mhsa_workspace_len(view, w, isa);
-                Some(match across {
-                    Across::Users => len.max(mhsa_queries_workspace_len(view, n, w)),
-                    _ => len,
-                })
-            })
-            .max()
-            .unwrap_or(0);
-        2 * n * m * self.embed_dim() + attention
-    }
-
-    /// The cells each enabled attention layer runs on, found by walking
-    /// the enabled layers backwards from `targets`, the cells the decoder
-    /// reads. MBA, the residual, LayerNorm and the decoder work cell by cell
-    /// and keep the set; MBI widens it to the full rows it lies in, MBU to
-    /// the full columns. Widened both ways it is every cell, so the walk
-    /// meets at most one set between `targets` and every cell — the
-    /// targets' rows or columns — and a forward asked for every cell plans
-    /// nothing. The layer that widens a set to every cell needs its keys
-    /// and values there; when it is an MBU, its queries only on the full
-    /// rows of what is read after it, if those are not every row.
-    fn plan(&self, targets: &Cells, n: usize, m: usize) -> Plan {
-        let enabled = |b| {
-            Self::layers(b)
-                .into_iter()
-                .filter_map(|(w, _, across)| w.as_ref().map(|_| across))
-        };
-        let mut k = self.blocks.iter().flat_map(enabled).count();
-        let mut plan = Plan {
-            every: 0,
-            grid_end: 0,
-            grid: Cells::All,
-            queries: false,
-        };
-        let mut widened = false;
-        for across in self.blocks.iter().rev().flat_map(|b| enabled(b).rev()) {
-            let read = if widened { &plan.grid } else { targets };
-            k -= 1;
-            match read.widened(across, n, m) {
-                None => continue,
-                Some(Cells::All) => {
-                    plan.every = k + 1;
-                    if matches!(across, Across::Users) {
-                        // The full rows `read` lies in: itself, or none
-                        // short of every row.
-                        match read.widened(Across::Items, n, m) {
-                            None if widened => plan.queries = true,
-                            None => (plan.grid, plan.queries) = (read.clone(), true),
-                            Some(Cells::All) => {}
-                            Some(rows) => (plan.grid, plan.queries) = (rows, true),
-                        }
-                    }
-                    plan.grid_end = plan.grid_end.max(k + 1);
-                    break;
-                }
-                Some(grid) => (plan.grid, plan.grid_end, widened) = (grid, k + 1, true),
-            }
-        }
-        plan
-    }
-
-    /// HIM blocks over one context `[n, m, e]` held in `x`, with `y` as the
-    /// second activation buffer, for the decoder to read `targets`: each
-    /// layer runs on its [`Self::plan`] set, gathered to the front of `x`
-    /// first — an MBU the plan gives queries on `grid` once its keys and
-    /// values are projected from every cell. Returns the two buffers in
-    /// their final roles, `(result, spare)`, the result's rows holding
-    /// `targets` in order.
-    #[allow(clippy::too_many_arguments)]
-    fn run_blocks<'a>(
-        &self,
-        mut x: &'a mut [f32],
-        mut y: &'a mut [f32],
-        workspace: &mut [f32],
-        n: usize,
-        m: usize,
-        targets: &Cells,
-        isa: Isa,
-    ) -> (&'a mut [f32], &'a mut [f32]) {
-        let e = self.embed_dim();
-        let plan = self.plan(targets, n, m);
-        let all = Cells::All;
-        let mut live = &all;
-        let layers = self.blocks.iter().flat_map(|b| {
-            Self::layers(b)
-                .into_iter()
-                .filter_map(move |(w, norm, across)| Some((w.as_ref()?, norm, across, b.residual)))
-        });
-        for (k, (w, norm, across, residual)) in layers.enumerate() {
-            let len = if plan.queries && k + 1 == plan.every {
-                // Keys and values on every cell (`live` is), then the
-                // query rows `grid` to the front.
-                let (rows, view) = (plan.grid.count(n, m) / m, self.view(across, n, m, n * m));
-                let front = |x: &mut [f32]| live.gather_into(&plan.grid, x, e);
-                let (x, y) = (&mut x[..n * m * e], &mut y[..rows * m * e]);
-                mhsa_queries_into(x, view, rows, w, isa, workspace, y, front);
-                live = &plan.grid;
-                rows * m * e
-            } else {
-                let set = match k {
-                    k if k < plan.every => &all,
-                    k if k < plan.grid_end => &plan.grid,
-                    _ => targets,
-                };
-                live.gather_into(set, x, e);
-                live = set;
-                let cells = set.count(n, m);
-                let len = cells * e;
-                let view = self.view(across, n, m, cells);
-                mhsa_forward_into(&x[..len], view, w, isa, workspace, &mut y[..len]);
-                len
-            };
-            post(&mut x, &mut y, len, residual, norm, isa);
-        }
-        live.gather_into(targets, x, e);
-        (x, y)
+        2 * n * m * self.embed_dim() + self.stack().attention_len(n, m, isa)
     }
 
     /// Decoder: `α · sigmoid(H W + b)` over the first `cells` cell rows of
@@ -672,14 +825,12 @@ impl HimWeights {
             .clone()
             .map(|(c, _)| self.memory_len(c.n(), c.m(), isa))
             .max();
-        // The call's whole working memory, one allocation sized for its
-        // largest context and reused by every context — plus 15 spare
-        // floats to start it on a 64-byte boundary. Every buffer carved
-        // from it is a multiple of 16 floats at HIM's shapes, so each
-        // starts on one too.
-        let mut memory = vec![0.0f32; most.unwrap_or(0) + 15];
-        let skip = memory.as_ptr().align_offset(64).min(15);
-        let memory = &mut memory[skip..];
+        // The call's whole working memory, sized for its largest context
+        // and reused by every context: this thread's reused memory, which
+        // starts on a 64-byte boundary. Every buffer carved from it is a
+        // multiple of 16 floats at HIM's shapes, so each starts on one too.
+        let mut memory = Scratch::take(most.unwrap_or(0));
+        let memory = &mut memory[..];
         let mut out = Vec::with_capacity(asks.size_hint().0);
         for ask in asks {
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -692,7 +843,9 @@ impl HimWeights {
             let (x, rest) = memory.split_at_mut(slab);
             let (y, workspace) = rest.split_at_mut(slab);
             self.encode_into(ctx, dataset, x)?;
-            let (hidden, spare) = self.run_blocks(x, y, workspace, n, m, &targets, isa);
+            let (hidden, spare) = self
+                .stack()
+                .run_blocks(x, y, workspace, n, m, &targets, isa, None);
             let values = self.decode(hidden, spare, targets.count(n, m), isa);
             let values = match asked {
                 None => values.to_vec(),

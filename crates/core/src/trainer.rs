@@ -16,7 +16,7 @@ use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, ContextSampler, Rating};
 use hire_nn::Module;
 use hire_optim::{clip_grad_norm, FlatThenAnneal, Lamb, Lookahead, LrSchedule, Optimizer};
-use hire_tensor::Tensor;
+use hire_tensor::{NdArray, Scratch, Tensor};
 use rand::seq::SliceRandom;
 use rand::{Rng, StateRng};
 use std::path::PathBuf;
@@ -326,7 +326,7 @@ fn train_impl(
     for step in start_step..config.steps {
         optimizer.zero_grad();
         // Algorithm 1 line 4: draw a mini-batch of prediction contexts.
-        let mut batch_loss: Option<hire_tensor::Tensor> = None;
+        let mut contexts = Vec::with_capacity(config.batch_size);
         for _ in 0..config.batch_size {
             let seed = match seed_edges {
                 Some(edges) => *edges.choose(rng).expect("non-empty seed edges"),
@@ -338,19 +338,27 @@ fn train_impl(
                     .expect("an index below num_ratings names an edge"),
             };
             let ctx = training_context(graph, sampler, seed, n, m, input_ratio, rng)?;
-            if ctx.num_targets() == 0 {
-                continue;
+            if ctx.num_targets() > 0 {
+                contexts.push(ctx);
             }
-            let loss = model.context_loss(&ctx, dataset);
-            batch_loss = Some(match batch_loss {
-                None => loss,
-                Some(acc) => acc.add(&loss),
-            });
         }
-        if let Some(total) = batch_loss {
-            let loss = total.mul_scalar(1.0 / config.batch_size as f32);
-            let loss_value = loss.item();
-            loss.backward();
+        if !contexts.is_empty() {
+            // The batch loss is the mean of its contexts' losses. Each
+            // context's graph is built and backpropagated on its own, the
+            // last first, seeded with the mean's weight — what the one
+            // graph of their sum would pass each context, in the order it
+            // would visit them — so every gradient is that graph's sum, and
+            // one context's graph is alive at a time. The loss is summed as
+            // that graph summed it.
+            let scale = 1.0 / config.batch_size as f32;
+            let mut losses = vec![0.0f32; contexts.len()];
+            for (ctx, loss) in contexts.iter().zip(&mut losses).rev() {
+                let graph = model.context_loss(ctx, dataset);
+                *loss = graph.item();
+                graph.backward_with(NdArray::from_vec(graph.shape(), vec![scale]));
+            }
+            let total = losses.into_iter().reduce(|acc, loss| acc + loss);
+            let loss_value = total.expect("a non-empty batch") * scale;
             let clip = clip_grad_norm(&params, config.grad_clip);
             let lr = schedule.lr(step) * lr_scale;
             steps.push(StepStats {
@@ -418,6 +426,8 @@ fn train_impl(
             break;
         }
     }
+    // The steps' reused memory goes back to the allocator with the run.
+    Scratch::release();
     Ok(TrainReport {
         steps,
         recoveries,

@@ -3,15 +3,16 @@
 //! per layer, one `context_loss` + `backward` on a 16×16, 2-block model made
 //! 3 467 allocations; as one node per layer it made 1 098, and 1 002 once
 //! the node's attention backward wrote its three gradients into one buffer
-//! and `tn` stopped copying its operand. Where MBA's node runs in one pass
-//! (avx2 / avx512) and keeps nothing but its input it makes 962 of 7.97 MB
-//! (avx512; 1 002 of 13.4 MB before), and no allocation reaches glibc's
-//! default `mmap` threshold: the largest is the lane backward's 107 KB of
-//! panels, where the composition's `[dQ | dK | dV]` was 885 KB. Scalar
-//! keeps the composition and its budget. Each pins its count and bytes
-//! plus 10 %, so a layer that falls back to composing tensor ops — or a
-//! backward that copies what it only reads — shows up here rather than as a
-//! slow drift in the ledger's `train.allocs_per_step`.
+//! and `tn` stopped copying its operand; 962 of 7.97 MB (avx512) once MBA's
+//! node ran in one pass. With the HIM stack one node whose every buffer,
+//! kept or scratch, is reused memory (`hire_tensor::Scratch`), shapes held
+//! inline and the loss one node, it makes 306 of 0.88 MB on every ISA —
+//! scalar's composition intermediates come from the same reused memory —
+//! and the largest allocation is one `[n·m, e]` activation, 72 KB. This
+//! pins the count and bytes plus 10 %, so a layer that falls back to
+//! composing tensor ops — or a backward that allocates what it could reuse
+//! — shows up here rather than as a slow drift in the ledger's
+//! `train.allocs_per_step`.
 //!
 //! Own test binary: the counting `#[global_allocator]` is process-wide.
 
@@ -19,7 +20,7 @@ use hire_core::{HireConfig, HireModel};
 use hire_data::{training_context, SyntheticConfig};
 use hire_graph::NeighborhoodSampler;
 use hire_nn::{Module, MultiHeadSelfAttention};
-use hire_tensor::simd::{self, Isa};
+use hire_tensor::simd;
 use hire_tensor::{AttnGrid, NdArray, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,10 +36,7 @@ const MMAP_THRESHOLD: u64 = 128 * 1024;
 
 #[test]
 fn steady_state_loss_and_backward_stay_within_their_allocation_budget() {
-    let (budget, bytes_budget) = match simd::active_isa() {
-        Isa::Scalar => (1102, 14_700_000),
-        Isa::Avx2 | Isa::Avx512 => (1058, 8_770_000),
-    };
+    let (budget, bytes_budget) = (337, 972_000);
     let dataset = SyntheticConfig::movielens_like()
         .scaled(60, 50, (10, 20))
         .generate(5);
@@ -73,13 +71,11 @@ fn steady_state_loss_and_backward_stay_within_their_allocation_budget() {
         first.calls,
         first.bytes
     );
-    if simd::active_isa() != Isa::Scalar {
-        assert!(
-            first.largest < MMAP_THRESHOLD,
-            "a training step allocated {} bytes at once",
-            first.largest
-        );
-    }
+    assert!(
+        first.largest < MMAP_THRESHOLD,
+        "a training step allocated {} bytes at once",
+        first.largest
+    );
 }
 
 /// MBA's node at `fast` (256 cells of 9 attribute rows of width 8, 4 × 8

@@ -16,6 +16,6 @@ pub use fault::{evaluate_model_isolated, EvalStatus, ModelSpec};
 pub use hire_adapter::HireRatingModel;
 pub use hire_baselines::RatingModel;
 pub use runner::{
-    evaluate_model, format_table, format_timing, EvalConfig, MetricsAtK, ModelResult,
+    evaluate_model, format_table, format_timing, EvalConfig, MetricsAtK, ModelResult, RANDOM_ROW,
 };
 pub use zoo::{baseline_specs, baselines, hire, hire_spec, hire_spec_with_train_config, SpeedTier};

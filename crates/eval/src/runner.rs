@@ -185,10 +185,16 @@ pub fn evaluate_model(
     }
 }
 
+/// The name of the row every other row's ranking is read against
+/// (`hire_baselines::Random`).
+pub const RANDOM_ROW: &str = "Random";
+
 /// Formats a comparison as a paper-style table (one row per model, one
 /// column group per cutoff). A model that evaluated no entity — a
 /// scenario with no cold entity of enough queries — prints a marker, not
-/// zeros.
+/// zeros. With a [`RANDOM_ROW`] that evaluated an entity, a last column
+/// gives each row's gain over it: NDCG at the first cutoff, less the
+/// random row's.
 pub fn format_table(title: &str, results: &[ModelResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!("## {title}\n"));
@@ -209,6 +215,13 @@ pub fn format_table(title: &str, results: &[ModelResult]) -> String {
             format!("MAP@{}", at.k)
         ));
     }
+    let random = results
+        .iter()
+        .find(|r| r.model == RANDOM_ROW && r.status.is_ok() && r.entities > 0)
+        .and_then(|r| r.at_k.first());
+    if let Some(at) = random {
+        out.push_str(&format!("{:>14}", format!("gain@{}", at.k)));
+    }
     out.push('\n');
     for r in results {
         out.push_str(&format!("{:<width$}", r.model));
@@ -224,6 +237,9 @@ pub fn format_table(title: &str, results: &[ModelResult]) -> String {
                         format!("{:.4}", at.ndcg),
                         format!("{:.4}", at.map)
                     ));
+                }
+                if let (Some(random), Some(at)) = (random, r.at_k.first()) {
+                    out.push_str(&format!("{:>14}", format!("{:+.4}", at.ndcg - random.ndcg)));
                 }
             }
             crate::fault::EvalStatus::Failed { message } => {
@@ -258,7 +274,7 @@ pub fn format_timing(title: &str, results: &[ModelResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hire_baselines::{EntityMean, GlobalMean};
+    use hire_baselines::{EntityMean, GlobalMean, Random};
     use hire_data::{ColdStartScenario, SyntheticConfig};
 
     fn setup() -> (Dataset, ColdStartSplit) {
@@ -317,6 +333,42 @@ mod tests {
         assert!(table.contains("NDCG@10"));
         let timing = format_timing("Timing", &[r]);
         assert!(timing.contains("test (s)"));
+    }
+
+    /// A constant predictor ranks every list as one tie group, as the
+    /// random row does: the tie-aware metrics score the two alike, bit for
+    /// bit, at every cutoff — a constant cannot game the tables.
+    #[test]
+    fn a_constant_predictor_is_the_random_row() {
+        let (d, s) = setup();
+        let cfg = EvalConfig {
+            max_entities: usize::MAX,
+            ..Default::default()
+        };
+        let constant = evaluate_model(&mut GlobalMean::new(), &d, &s, &cfg);
+        let random = evaluate_model(&mut Random, &d, &s, &cfg);
+        assert!(random.entities > 0);
+        assert_eq!(constant.entities, random.entities);
+        let bits = |r: &ModelResult| -> Vec<[u32; 6]> {
+            r.at_k
+                .iter()
+                .map(|m| {
+                    [
+                        m.precision,
+                        m.precision_std,
+                        m.ndcg,
+                        m.ndcg_std,
+                        m.map,
+                        m.map_std,
+                    ]
+                    .map(f32::to_bits)
+                })
+                .collect()
+        };
+        assert_eq!(bits(&constant), bits(&random));
+        let table = format_table("Gain", &[constant, random]);
+        assert!(table.contains("gain@5"), "{table}");
+        assert_eq!(table.matches("+0.0000").count(), 2, "{table}");
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Multi-head self-attention (Eq. (1)-(4) of the paper) with batched
 //! parameter sharing — the building block of the Heterogeneous Interaction
-//! Module — as **one** autograd node, of one of two kinds picked by the one
+//! Module — trained through two bodies, [`mhsa_train_forward`] and
+//! [`mhsa_backward`], which both the tape's one-node layer here and
+//! `hire-core`'s HIM stack node run. Which path a layer takes is the one
 //! predicate serving picks its forward by, [`AttnGrid::one_pass`]:
 //!
-//! * a layer that runs in one pass (MBA on avx2 / avx512): the node's
-//!   forward is serving's, [`crate::mhsa_forward_into`] into
-//!   `linalg::mhsa_one_pass_into`, and it keeps nothing — its input is on
-//!   the tape already. Its backward, [`linalg::mhsa_one_pass_backward`],
-//!   recomputes what it reads a lane group of sequences at a time and
-//!   backpropagates the group in the lanes.
+//! * a layer that runs in one pass (MBA on avx2 / avx512): the forward is
+//!   serving's, `linalg::mhsa_one_pass_into`, and it keeps nothing but its
+//!   input. Its backward, [`linalg::mhsa_one_pass_backward`], recomputes
+//!   what it reads a lane group of sequences at a time and backpropagates
+//!   the group in the lanes.
 //! * every other layer (MBU / MBI; every layer on scalar): the forward is
 //!   the composition, asked for the Q, K, V, `O` and softmax rows its
 //!   backward reads, which is written out here over `hire_tensor::linalg`:
@@ -22,19 +23,21 @@
 //! the two backwards: per element the one-pass backward runs the
 //! composition backward's chains (`tests/mhsa_tape_oracle.rs` holds them
 //! bitwise equal over generated shapes, both sides of the predicate), so
-//! tape and frozen outputs, and every gradient, are the bits whichever node
-//! a layer gets. No head-split `permute`, no `Kᵀ`, no score tensor and none
-//! of their gradients is ever materialised. [`AttentionOutput::weights`]
-//! (Fig. 9) recomputes the softmax rows from the kept input.
+//! tape and frozen outputs, and every gradient, are the bits whichever path
+//! a layer takes. No head-split `permute`, no `Kᵀ`, no score tensor and none
+//! of their gradients is ever materialised, and every buffer between the
+//! input and the returned gradients is reused memory ([`Scratch`]).
+//! [`AttentionOutput::weights`] (Fig. 9) recomputes the softmax rows from
+//! the kept input.
 
 use crate::module::Module;
 use crate::nograd::{
-    forward_aligned, mhsa_forward_over, sequence_layout, Intermediates, MhsaWeights,
+    mhsa_forward_over, mhsa_workspace_len, sequence_layout, Intermediates, MhsaWeights,
 };
-use hire_tensor::autograd::BackwardFn;
 use hire_tensor::simd::{self, Isa};
-use hire_tensor::{init, linalg, AttnGrid, NdArray, Tensor};
+use hire_tensor::{init, linalg, AttnGrid, NdArray, Scratch, Tensor};
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// Multi-head self-attention along one axis of its input.
 ///
@@ -59,15 +62,139 @@ pub struct MultiHeadSelfAttention {
     model_dim: usize,
 }
 
-/// What the composition node keeps from its forward for its backward.
-struct Saved {
+/// What one layer's training forward ([`mhsa_train_forward`]) keeps for its
+/// backward ([`mhsa_backward`]) beside its input, in one buffer of reused
+/// memory ([`Scratch`]): nothing for a layer that ran in one pass, else the
+/// composition's Q, K, V, merged-head output `O` (`[rows, width]` each) and
+/// softmax rows ([`AttnGrid::probs_len`]), in that order.
+pub struct MhsaKept {
     grid: AttnGrid,
-    /// The Q, K and V projections, `[rows, width]` each.
-    qkv: [Vec<f32>; 3],
-    /// Softmax rows, `[outer * inner, heads, t, t]`.
-    p: Vec<f32>,
-    /// The merged-head attention output `W_O` projected, `[rows, width]`.
-    o: NdArray,
+    composition: Option<Scratch>,
+}
+
+impl MhsaKept {
+    /// `[Q, K, V, O]` and the softmax rows, when the forward ran the
+    /// composition.
+    fn parts(&self) -> Option<([&[f32]; 4], &[f32])> {
+        let proj = self.grid.rows() * self.grid.width();
+        let (q, rest) = self.composition.as_ref()?.split_at(proj);
+        let (k, rest) = rest.split_at(proj);
+        let (v, rest) = rest.split_at(proj);
+        let (o, probs) = rest.split_at(proj);
+        Some(([q, k, v, o], probs))
+    }
+
+    /// The softmax rows, `[outer * inner, heads, tokens, tokens]`, when the
+    /// forward ran the composition.
+    pub fn probs(&self) -> Option<&[f32]> {
+        self.parts().map(|(_, probs)| probs)
+    }
+}
+
+/// The training forward of one layer: `y = MHSA(x)` over `x` laid out
+/// `layout` (`[outer, tokens, inner]` rows of `d` floats), serving's
+/// forward bit for bit, returning what [`mhsa_backward`] reads besides `x`.
+/// A layer [`AttnGrid::one_pass`] picks runs in one pass and keeps nothing,
+/// unless `probs` asks for its softmax rows (Fig. 9), which only the
+/// composition forms; every other layer runs the composition into kept
+/// buffers. `workspace` holds [`mhsa_workspace_len`] floats.
+pub fn mhsa_train_forward<W: Borrow<NdArray>>(
+    x: &[f32],
+    layout: [usize; 3],
+    w: &MhsaWeights<W>,
+    isa: Isa,
+    workspace: &mut [f32],
+    y: &mut [f32],
+    probs: bool,
+) -> MhsaKept {
+    let grid = w.grid(layout);
+    if !probs && grid.one_pass(w.model_dim(), isa) {
+        mhsa_forward_over(x, &grid, w, isa, workspace, y, None);
+        return MhsaKept {
+            grid,
+            composition: None,
+        };
+    }
+    let proj = grid.rows() * grid.width();
+    let mut kept = Scratch::take(4 * proj + grid.probs_len());
+    let (q, rest) = kept.split_at_mut(proj);
+    let (k, rest) = rest.split_at_mut(proj);
+    let (v, rest) = rest.split_at_mut(proj);
+    let (o, probs) = rest.split_at_mut(proj);
+    let saved = Intermediates {
+        qkv: [q, k, v],
+        o,
+        probs,
+    };
+    mhsa_forward_over(x, &grid, w, isa, workspace, y, Some(saved));
+    MhsaKept {
+        grid,
+        composition: Some(kept),
+    }
+}
+
+/// The backward of [`mhsa_train_forward`]: from the layer's input `x`, its
+/// weights, what the forward kept and `dy`, the gradient of its output, the
+/// weight gradients `[dW_Q, dW_K, dW_V, dW_O]` into `d_w` (`[d, width]` ×3,
+/// `[width, d]`) and, when `dx` is given, the input's — all overwritten.
+///
+/// A layer that ran in one pass takes
+/// [`linalg::mhsa_one_pass_backward_into`], which recomputes what it reads
+/// from `x`. The composition, with `O` the merged-head attention output
+/// (`Y = O·W_O`): `dW_O = Oᵀ·dY`, `dO = dY·W_Oᵀ`, the tile kernel turns `dO`
+/// into `G = [dQ | dK | dV]` side by side, and with `W = [W_Q | W_K | W_V]`,
+/// `[dW_Q | dW_K | dW_V] = Xᵀ·G` and `dX = G·Wᵀ`. The two are the same bits
+/// (`tests/mhsa_tape_oracle.rs`); every buffer between them is reused
+/// memory.
+pub fn mhsa_backward<W: Borrow<NdArray>>(
+    x: &[f32],
+    w: &MhsaWeights<W>,
+    kept: &MhsaKept,
+    dy: &[f32],
+    dx: Option<&mut [f32]>,
+    d_w: [&mut [f32]; 4],
+    isa: Isa,
+) {
+    let grid = &kept.grid;
+    let [w_q, w_k, w_v, w_o] = [&w.w_q, &w.w_k, &w.w_v, &w.w_o].map(|w| w.borrow().as_slice());
+    let Some(([q, k, v, o], probs)) = kept.parts() else {
+        return linalg::mhsa_one_pass_backward_into(
+            grid,
+            x,
+            [w_q, w_k, w_v, w_o],
+            dy,
+            dx,
+            d_w,
+            isa,
+        );
+    };
+    let [d_wq, d_wk, d_wv, d_wo] = d_w;
+    let (rows, width, d) = (grid.rows(), grid.width(), w.model_dim());
+    linalg::matmul_tn_into(o, dy, d_wo, rows, width, d);
+    let mut d_o = Scratch::take(rows * width);
+    linalg::matmul_nt_into(dy, w_o, &mut d_o, rows, d, width);
+    // Overwritten in full by the tile kernel.
+    let mut d_qkv = Scratch::take(rows * 3 * width);
+    linalg::attention_backward_into_with_isa(grid, q, k, v, probs, &d_o, &mut d_qkv, isa);
+    if let Some(dx) = dx {
+        let mut w_qkv = Scratch::take(d * 3 * width);
+        for (row, e) in w_qkv.chunks_exact_mut(3 * width).zip(0..d) {
+            for (part, w) in row.chunks_exact_mut(width).zip([w_q, w_k, w_v]) {
+                part.copy_from_slice(&w[e * width..][..width]);
+            }
+        }
+        linalg::matmul_nt_into(&d_qkv, &w_qkv, dx, rows, 3 * width, d);
+    }
+    let mut d_wqkv = Scratch::take(d * 3 * width);
+    linalg::matmul_tn_into(x, &d_qkv, &mut d_wqkv, rows, d, 3 * width);
+    for (which, d_w) in [d_wq, d_wk, d_wv].into_iter().enumerate() {
+        for (out, row) in d_w
+            .chunks_exact_mut(width)
+            .zip(d_wqkv.chunks_exact(3 * width))
+        {
+            out.copy_from_slice(&row[which * width..][..width]);
+        }
+    }
 }
 
 /// Output of a forward pass; also exposes the attention weights.
@@ -87,38 +214,39 @@ impl AttentionOutput {
     /// forward multiplied into `V`, bit for bit, until an optimiser step
     /// moves the weights.
     pub fn weights(&self) -> NdArray {
-        let g = &self.grid;
+        let (g, isa) = (&self.grid, simd::active_isa());
+        let layout = [g.outer, g.tokens, g.inner];
         let probs = self.inputs[0].with_value(|x| {
             with_weights(&self.inputs[1..], g.heads, g.head_dim, |w| {
-                compose(x.as_slice(), g, w).1.p
+                let mut workspace = Scratch::take(mhsa_workspace_len(layout, w, isa));
+                let mut y = Scratch::take(x.numel());
+                let kept =
+                    mhsa_train_forward(x.as_slice(), layout, w, isa, &mut workspace, &mut y, true);
+                kept.probs()
+                    .expect("the composition keeps its rows")
+                    .to_vec()
             })
         });
         NdArray::from_vec([g.outer * g.inner, g.heads, g.tokens, g.tokens], probs)
     }
 }
 
-/// Lends the four projections `[w_q, w_k, w_v, w_o]` as plain arrays.
+/// Lends the four projections `params = [w_q, w_k, w_v, w_o]` as plain
+/// arrays.
 fn with_weights<R>(
     params: &[Tensor],
     heads: usize,
     head_dim: usize,
     f: impl FnOnce(&MhsaWeights<&NdArray>) -> R,
 ) -> R {
-    params[0].with_value(|w_q| {
-        params[1].with_value(|w_k| {
-            params[2].with_value(|w_v| {
-                params[3].with_value(|w_o| {
-                    f(&MhsaWeights {
-                        w_q,
-                        w_k,
-                        w_v,
-                        w_o,
-                        heads,
-                        head_dim,
-                    })
-                })
-            })
-        })
+    let [w_q, w_k, w_v, w_o] = [0, 1, 2, 3].map(|i| params[i].borrow_value());
+    f(&MhsaWeights {
+        w_q: &*w_q,
+        w_k: &*w_k,
+        w_v: &*w_v,
+        w_o: &*w_o,
+        heads,
+        head_dim,
     })
 }
 
@@ -157,16 +285,13 @@ impl MultiHeadSelfAttention {
     /// `outer * tokens * inner` row-major rows of `model_dim` floats (its
     /// shape is otherwise free, and the output's is the same): every
     /// `(outer, inner)` pair is one sequence. Projections are row-wise, so
-    /// only the attention tiles see the layout, as a stride — which is how
-    /// HIM runs MBU `[1, n, m]`, MBI `[n, m, 1]` and MBA `[n·m, h, 1]` over
-    /// one `[n, m, e]` activation without permuting it.
+    /// only the attention tiles see the layout, as a stride.
     ///
-    /// A layer that runs in one pass ([`AttnGrid::one_pass`]: MBA on avx2 /
-    /// avx512) runs the serving forward and keeps nothing but its input,
-    /// which is on the tape already; its backward recomputes what it reads
-    /// ([`linalg::mhsa_one_pass_backward`]). Every other layer runs the
-    /// composition and keeps Q, K, V, the softmax rows and `O` for its
-    /// backward. Both backwards are the same bits.
+    /// One autograd node over [`mhsa_train_forward`] and [`mhsa_backward`]:
+    /// a layer that runs in one pass ([`AttnGrid::one_pass`]: MBA on avx2 /
+    /// avx512) keeps nothing but its input, which is on the tape already;
+    /// every other layer keeps Q, K, V, the softmax rows and `O`. Both
+    /// backwards are the same bits.
     pub fn forward_layout(&self, x: &Tensor, layout: [usize; 3]) -> AttentionOutput {
         let (heads, head_dim) = (self.heads, self.head_dim);
         let inputs = vec![
@@ -177,132 +302,46 @@ impl MultiHeadSelfAttention {
             self.w_o.clone(),
         ];
         let isa = simd::active_isa();
-        let (grid, value, backward) = x.with_value(|x| {
+        let (value, kept) = x.with_value(|x| {
             with_weights(&inputs[1..], heads, head_dim, |w| {
-                let grid = w.grid(layout);
-                let (y, backward): (Vec<f32>, BackwardFn) = if grid.one_pass(w.model_dim(), isa) {
-                    let y = forward_aligned(x.as_slice(), layout, w, isa);
-                    let backward = move |g: &NdArray, parents: &[Tensor]| {
-                        one_pass_backward(&grid, isa, g, parents)
-                    };
-                    (y, Box::new(backward))
-                } else {
-                    let (y, saved) = compose(x.as_slice(), &grid, w);
-                    (
-                        y,
-                        Box::new(move |g: &NdArray, parents: &[Tensor]| {
-                            backward(&saved, g, parents)
-                        }),
-                    )
-                };
-                (grid, NdArray::from_vec(x.shape().clone(), y), backward)
+                let mut y = NdArray::zeros(x.shape().clone());
+                let mut workspace = Scratch::take(mhsa_workspace_len(layout, w, isa));
+                let kept = mhsa_train_forward(
+                    x.as_slice(),
+                    layout,
+                    w,
+                    isa,
+                    &mut workspace,
+                    y.as_mut_slice(),
+                    false,
+                );
+                (y, kept)
             })
         });
-        let output = Tensor::from_op(value, inputs.clone(), backward);
+        let grid = kept.grid;
+        let backward = move |g: &NdArray, parents: &[Tensor]| {
+            with_weights(&parents[1..], heads, head_dim, |w| {
+                parents[0].with_value(|x| {
+                    let mut dx = parents[0]
+                        .requires_grad()
+                        .then(|| NdArray::zeros(x.shape().clone()));
+                    let dx_rows = dx.as_mut().map(NdArray::as_mut_slice);
+                    let mut d_w = [1, 2, 3, 4].map(|i| NdArray::zeros(parents[i].shape()));
+                    let [d_wq, d_wk, d_wv, d_wo] = &mut d_w;
+                    let outs = [d_wq, d_wk, d_wv, d_wo].map(NdArray::as_mut_slice);
+                    mhsa_backward(x.as_slice(), w, &kept, g.as_slice(), dx_rows, outs, isa);
+                    let [d_wq, d_wk, d_wv, d_wo] = d_w;
+                    vec![dx, Some(d_wq), Some(d_wk), Some(d_wv), Some(d_wo)]
+                })
+            })
+        };
+        let output = Tensor::from_op(value, inputs.clone(), Box::new(backward));
         AttentionOutput {
             output,
             inputs,
             grid,
         }
     }
-}
-
-/// The composition over `x` (`[rows, d]` for `grid`): the projections, the
-/// attention tiles with their softmax rows, `W_O` — the output, and what
-/// the composition node's backward reads.
-fn compose(x: &[f32], grid: &AttnGrid, w: &MhsaWeights<&NdArray>) -> (Vec<f32>, Saved) {
-    let (rows, width) = (grid.rows(), grid.width());
-    let buffer = || vec![0.0f32; rows * width];
-    let (mut q, mut o, mut k, mut v) = (buffer(), buffer(), buffer(), buffer());
-    let mut p = vec![0.0; grid.probs_len()];
-    let mut y = vec![0.0; x.len()];
-    mhsa_forward_over(
-        x,
-        grid,
-        w,
-        simd::active_isa(),
-        &mut vec![0.0; grid.scratch_len()],
-        &mut y,
-        Some(Intermediates {
-            qkv: [&mut q, &mut k, &mut v],
-            o: &mut o,
-            probs: &mut p,
-        }),
-    );
-    let saved = Saved {
-        grid: *grid,
-        qkv: [q, k, v],
-        p,
-        o: NdArray::from_vec([rows, width], o),
-    };
-    (y, saved)
-}
-
-/// The one-pass node's backward: `g = dY`, `parents = [x, w_q, w_k, w_v,
-/// w_o]` — [`linalg::mhsa_one_pass_backward`] over `x`, the one thing of
-/// the forward it reads (`dX` skipped for an `x` that takes no gradient).
-fn one_pass_backward(
-    grid: &AttnGrid,
-    isa: Isa,
-    g: &NdArray,
-    parents: &[Tensor],
-) -> Vec<Option<NdArray>> {
-    with_weights(&parents[1..], grid.heads, grid.head_dim, |w| {
-        parents[0].with_value(|x| {
-            let mut dx = parents[0].requires_grad().then(|| vec![0.0f32; x.numel()]);
-            let weights = [w.w_q, w.w_k, w.w_v, w.w_o].map(NdArray::as_slice);
-            let [d_wq, d_wk, d_wv, d_wo] = linalg::mhsa_one_pass_backward(
-                grid,
-                x.as_slice(),
-                weights,
-                g.as_slice(),
-                dx.as_deref_mut(),
-                isa,
-            );
-            let dx = dx.map(|dx| NdArray::from_vec(x.shape().clone(), dx));
-            vec![dx, Some(d_wq), Some(d_wk), Some(d_wv), Some(d_wo)]
-        })
-    })
-}
-
-/// The composition node's backward: `g = dY`, `parents = [x, w_q, w_k, w_v,
-/// w_o]`. With `O` the merged-head attention output (`Y = O·W_O`):
-/// `dW_O = Oᵀ·dY`, `dO = dY·W_Oᵀ`, the tile kernel turns `dO` into `dQ`,
-/// `dK`, `dV`, and with `G = [dQ | dK | dV]` and `W = [W_Q | W_K | W_V]`,
-/// `[dW_Q | dW_K | dW_V] = Xᵀ·G` and `dX = G·Wᵀ` (skipped for an `x` that
-/// takes no gradient).
-fn backward(saved: &Saved, g: &NdArray, parents: &[Tensor]) -> Vec<Option<NdArray>> {
-    let grid = &saved.grid;
-    let (rows, width) = (grid.rows(), grid.width());
-    let [q, k, v] = &saved.qkv;
-    with_weights(&parents[1..], grid.heads, grid.head_dim, |w| {
-        let d = w.model_dim();
-        let dy = g.reshape([rows, d]);
-        let d_wo = linalg::matmul2d_tn(&saved.o, &dy);
-        let d_o = linalg::matmul2d_nt(&dy, w.w_o);
-        // Overwritten in full by the tile kernel.
-        let mut d_qkv = vec![0.0; rows * 3 * width];
-        linalg::attention_backward_into_with_isa(
-            grid,
-            q,
-            k,
-            v,
-            &saved.p,
-            d_o.as_slice(),
-            &mut d_qkv,
-            simd::active_isa(),
-        );
-        let d_qkv = NdArray::from_vec([rows, 3 * width], d_qkv);
-        let (dx, d_wqkv) = parents[0].with_value(|x| {
-            let dx = parents[0].requires_grad().then(|| {
-                let w_qkv = linalg::concat_last(&[w.w_q, w.w_k, w.w_v]);
-                linalg::matmul2d_nt(&d_qkv, &w_qkv).reshaped(x.shape().clone())
-            });
-            (dx, linalg::matmul2d_tn(&x.reshape([rows, d]), &d_qkv))
-        });
-        let d_w = |which: usize| Some(linalg::slice_last(&d_wqkv, which * width, width));
-        vec![dx, d_w(0), d_w(1), d_w(2), Some(d_wo)]
-    })
 }
 
 impl Module for MultiHeadSelfAttention {

@@ -9,7 +9,9 @@
 //! - [`Module`] — the trainable-parameter trait consumed by `hire-optim`
 //! - [`mhsa_forward`] over [`MhsaWeights`] — the one tape-free MHSA
 //!   mirror used by serving (`hire-serve`), over owned or borrowed f32
-//!   weights
+//!   weights; [`mhsa_train_forward`] and [`mhsa_backward`], the same
+//!   forward keeping what its backward reads ([`MhsaKept`]), which the tape
+//!   layer and `hire-core`'s HIM node train through
 //! - loss functions (`loss`)
 
 mod activation;
@@ -23,7 +25,9 @@ mod nograd;
 mod norm;
 
 pub use activation::Activation;
-pub use attention::{AttentionOutput, MultiHeadSelfAttention};
+pub use attention::{
+    mhsa_backward, mhsa_train_forward, AttentionOutput, MhsaKept, MultiHeadSelfAttention,
+};
 pub use embedding::Embedding;
 pub use linear::Linear;
 pub use loss::{mse_loss, rmse};

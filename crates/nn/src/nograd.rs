@@ -26,21 +26,21 @@
 //!
 //! The serving path (`hire-serve`) calls [`mhsa_forward_into`] directly —
 //! building a backward graph per query is pure overhead and `Tensor`'s `Rc`
-//! interior forbids sharing across worker threads — and the tape's
-//! [`crate::MultiHeadSelfAttention`] runs the same body as the forward of
-//! its one autograd node: for a layer that runs in one pass, exactly
-//! serving's forward, keeping nothing (its backward recomputes what it
-//! reads); for every other, the composition, asked for Q, K, V, `O` and the
-//! softmax rows for its backward, which it computes anyway. A frozen model
-//! therefore agrees bit for bit with the live model it was exported from,
-//! on every ISA.
+//! interior forbids sharing across worker threads — and training runs the
+//! same body through [`crate::mhsa_train_forward`] (the tape's
+//! [`crate::MultiHeadSelfAttention`] and `hire-core`'s HIM stack node): for
+//! a layer that runs in one pass, exactly serving's forward, keeping
+//! nothing (its backward recomputes what it reads); for every other, the
+//! composition, asked for Q, K, V, `O` and the softmax rows for its
+//! backward, which it computes anyway. A frozen model therefore agrees bit
+//! for bit with the live model it was exported from, on every ISA.
 //!
 //! Projections and the attention tiles run on the calling thread; per
 //! element the forward is the dispatched ISA's chain (DESIGN.md §16), the
 //! same bits on every run and every batch split.
 
 use hire_tensor::simd::{self, Isa};
-use hire_tensor::{linalg, AttnGrid, NdArray};
+use hire_tensor::{linalg, AttnGrid, NdArray, Scratch};
 use std::borrow::Borrow;
 
 /// Weights of one multi-head self-attention layer: owned f32 arrays by
@@ -71,7 +71,7 @@ impl<W> MhsaWeights<W> {
     /// The same layer with every projection converted by `f` (called in
     /// `w_q`, `w_k`, `w_v`, `w_o` order) — how a layer's weights are
     /// rounded.
-    pub fn map<V>(&self, mut f: impl FnMut(&W) -> V) -> MhsaWeights<V> {
+    pub fn map<'a, V>(&'a self, mut f: impl FnMut(&'a W) -> V) -> MhsaWeights<V> {
         MhsaWeights {
             w_q: f(&self.w_q),
             w_k: f(&self.w_k),
@@ -134,8 +134,8 @@ impl<W: Borrow<NdArray>> MhsaWeights<W> {
 ///
 /// Input `[batch, t, d]` (or `[t, d]`, treated as batch 1); output has the
 /// same shape and is bit-identical to the tape path's. A convenience
-/// wrapper that allocates the workspace and the output of
-/// [`mhsa_forward_into`].
+/// wrapper around [`mhsa_forward_into`] that allocates the output and takes
+/// the workspace from this thread's reused memory.
 pub fn mhsa_forward<W: Borrow<NdArray>>(x: &NdArray, w: &MhsaWeights<W>) -> NdArray {
     mhsa_forward_with_isa(x, w, simd::active_isa())
 }
@@ -148,26 +148,16 @@ pub fn mhsa_forward_with_isa<W: Borrow<NdArray>>(
     isa: Isa,
 ) -> NdArray {
     let layout = sequence_layout(x.dims(), w.model_dim());
-    NdArray::from_vec(
-        x.shape().clone(),
-        forward_aligned(x.as_slice(), layout, w, isa),
-    )
-}
-
-/// [`mhsa_forward_into`] into a fresh output, through a workspace of its
-/// own: 15 spare floats start it on a 64-byte boundary, and its Q, K and V
-/// buffers, or the one-pass kernel's panels, are each a multiple of 16
-/// floats at HIM's shapes, so they all land on one.
-pub(crate) fn forward_aligned<W: Borrow<NdArray>>(
-    x: &[f32],
-    layout: [usize; 3],
-    w: &MhsaWeights<W>,
-    isa: Isa,
-) -> Vec<f32> {
-    let mut memory = vec![0.0f32; mhsa_workspace_len(layout, w, isa) + 15];
-    let skip = memory.as_ptr().align_offset(64).min(15);
-    let mut y = vec![0.0f32; x.len()];
-    mhsa_forward_into(x, layout, w, isa, &mut memory[skip..], &mut y);
+    let mut workspace = Scratch::take(mhsa_workspace_len(layout, w, isa));
+    let mut y = NdArray::zeros(x.shape().clone());
+    mhsa_forward_into(
+        x.as_slice(),
+        layout,
+        w,
+        isa,
+        &mut workspace,
+        y.as_mut_slice(),
+    );
     y
 }
 
@@ -294,7 +284,8 @@ pub fn mhsa_queries_into<W: Borrow<NdArray>>(
     linalg::linear_into(w_o, qo, y, isa);
 }
 
-/// What the tape's composition node keeps from its forward for its backward.
+/// Where the composition writes what its backward reads
+/// ([`crate::mhsa_train_forward`]).
 pub(crate) struct Intermediates<'a> {
     /// The Q, K and V projections, `[rows, width]` each.
     pub(crate) qkv: [&'a mut [f32]; 3],
@@ -305,15 +296,15 @@ pub(crate) struct Intermediates<'a> {
     pub(crate) probs: &'a mut [f32],
 }
 
-/// The body of [`mhsa_forward_into`], and of the tape's `mhsa` node:
+/// The body of [`mhsa_forward_into`] and of [`crate::mhsa_train_forward`]:
 /// `y = MHSA(x)` over `grid`.
 ///
 /// Without `saved`, a layer [`AttnGrid::one_pass`] picks runs in one pass
 /// (`linalg::mhsa_one_pass_into`); every other runs the composition the
 /// one-pass kernel reproduces bit for bit — the Q, K and V projections into
 /// `[rows, width]` buffers carved from `workspace`, the attention tiles over
-/// them, `W_O`. With `saved` (the tape's composition node, and Fig. 9's
-/// softmax rows) the composition runs into `saved`'s buffers, and
+/// them, `W_O`. With `saved` (a training forward's composition, and Fig.
+/// 9's softmax rows) the composition runs into `saved`'s buffers, and
 /// `workspace` needs only [`AttnGrid::scratch_len`].
 pub(crate) fn mhsa_forward_over<W: Borrow<NdArray>>(
     x: &[f32],

@@ -3,7 +3,7 @@
 //! (LAMB with β=(0.9, 0.999), ε=1e-6, wrapped in Lookahead with α=0.5, k=6).
 
 use hire_error::{HireError, HireResult};
-use hire_tensor::{NdArray, Tensor};
+use hire_tensor::{NdArray, Scratch, Tensor};
 
 /// Validates that a checkpointed state vector lines up with the optimizer's
 /// parameter list: same slot count, and every present entry shape-matches
@@ -270,61 +270,75 @@ impl Lamb {
     }
 }
 
+/// `NdArray::norm_l2` over a slice: the squares summed in `f64`, in order.
+fn norm_l2(xs: &[f32]) -> f32 {
+    (xs.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>()).sqrt() as f32
+}
+
 impl Optimizer for Lamb {
     fn step(&mut self, lr: f32) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, p) in self.params.iter().enumerate() {
-            let Some(g) = p.grad() else { continue };
-            let m = self.m[i].get_or_insert_with(|| NdArray::zeros(g.shape().clone()));
-            let v = self.v[i].get_or_insert_with(|| NdArray::zeros(g.shape().clone()));
-            for ((mi, vi), &gi) in m
-                .as_mut_slice()
-                .iter_mut()
-                .zip(v.as_mut_slice())
-                .zip(g.as_slice())
-            {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-            }
-            // r = m_hat / (sqrt(v_hat) + eps) (+ wd * w)
-            let value = p.value();
-            let mut update = NdArray::zeros(g.shape().clone());
-            for (((ui, &mi), &vi), &wi) in update
-                .as_mut_slice()
-                .iter_mut()
-                .zip(m.as_slice())
-                .zip(v.as_slice())
-                .zip(value.as_slice())
-            {
-                let m_hat = mi / bc1;
-                let v_hat = vi / bc2;
-                *ui = m_hat / (v_hat.sqrt() + self.eps) + self.weight_decay * wi;
-            }
-            // Non-finite guard: a poisoned moment entry must not leak into the
-            // weights — zero it so that coordinate skips this step.
-            if update.has_non_finite() {
-                for ui in update.as_mut_slice() {
+        let (beta1, beta2, eps, weight_decay) =
+            (self.beta1, self.beta2, self.eps, self.weight_decay);
+        for ((p, m), v) in self.params.iter().zip(&mut self.m).zip(&mut self.v) {
+            // The step reads the gradient and the weights in place; its
+            // update lives in reused memory.
+            let update = p.with_grad(|g| {
+                let g = g?;
+                let m = m.get_or_insert_with(|| NdArray::zeros(g.shape().clone()));
+                let v = v.get_or_insert_with(|| NdArray::zeros(g.shape().clone()));
+                for ((mi, vi), &gi) in m
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(v.as_mut_slice())
+                    .zip(g.as_slice())
+                {
+                    *mi = beta1 * *mi + (1.0 - beta1) * gi;
+                    *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+                }
+                // r = m_hat / (sqrt(v_hat) + eps) (+ wd * w)
+                let value = p.borrow_value();
+                let mut update = Scratch::take(g.numel());
+                for (((ui, &mi), &vi), &wi) in update
+                    .iter_mut()
+                    .zip(m.as_slice())
+                    .zip(v.as_slice())
+                    .zip(value.as_slice())
+                {
+                    let m_hat = mi / bc1;
+                    let v_hat = vi / bc2;
+                    *ui = m_hat / (v_hat.sqrt() + eps) + weight_decay * wi;
+                }
+                // Non-finite guard: a poisoned moment entry must not leak
+                // into the weights — zero it so that coordinate skips this
+                // step.
+                for ui in update.iter_mut() {
                     if !ui.is_finite() {
                         *ui = 0.0;
                     }
                 }
-            }
-            let w_norm = value.norm_l2();
-            let u_norm = update.norm_l2();
-            let mut trust = if w_norm > 0.0 && u_norm > 0.0 {
-                w_norm / u_norm
-            } else {
-                1.0
+                let w_norm = value.norm_l2();
+                let u_norm = norm_l2(&update);
+                let mut trust = if w_norm > 0.0 && u_norm > 0.0 {
+                    w_norm / u_norm
+                } else {
+                    1.0
+                };
+                // A degenerate ratio (u_norm ~ 0 with huge w_norm, or
+                // overflow) would scale the step to Inf/NaN; fall back to
+                // the neutral 1.0.
+                if !trust.is_finite() {
+                    trust = 1.0;
+                }
+                Some((update, trust))
+            });
+            let Some((update, trust)) = update else {
+                continue;
             };
-            // A degenerate ratio (u_norm ~ 0 with huge w_norm, or overflow)
-            // would scale the step to Inf/NaN; fall back to the neutral 1.0.
-            if !trust.is_finite() {
-                trust = 1.0;
-            }
             p.update_value(|val| {
-                for (x, &ui) in val.as_mut_slice().iter_mut().zip(update.as_slice()) {
+                for (x, &ui) in val.as_mut_slice().iter_mut().zip(update.iter()) {
                     *x -= lr * trust * ui;
                 }
             });
@@ -405,18 +419,18 @@ impl<O: Optimizer> Optimizer for Lookahead<O> {
         self.step_count += 1;
         if self.step_count.is_multiple_of(self.k) {
             for (p, slow) in self.inner.params().iter().zip(&mut self.slow) {
-                let fast = p.value();
-                if fast.has_non_finite() {
+                p.update_value(|fast| {
                     // Non-finite guard: never pull the slow weights toward a
-                    // diverged fast iterate — reset the fast weights from the
-                    // last good slow copy instead.
-                    p.set_value(slow.clone());
-                    continue;
-                }
-                for (s, &f) in slow.as_mut_slice().iter_mut().zip(fast.as_slice()) {
-                    *s += self.alpha * (f - *s);
-                }
-                p.set_value(slow.clone());
+                    // diverged fast iterate — reset the fast weights from
+                    // the last good slow copy instead.
+                    if !fast.has_non_finite() {
+                        for (s, &f) in slow.as_mut_slice().iter_mut().zip(fast.as_slice()) {
+                            *s += self.alpha * (f - *s);
+                        }
+                    }
+                    assert_eq!(fast.shape(), slow.shape(), "slow weights reshaped");
+                    fast.as_mut_slice().copy_from_slice(slow.as_slice());
+                });
             }
         }
     }

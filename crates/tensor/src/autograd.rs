@@ -13,6 +13,7 @@
 
 use crate::linalg;
 use crate::ndarray::NdArray;
+use crate::scratch::Scratch;
 use crate::shape::Shape;
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -128,6 +129,13 @@ impl Tensor {
     /// Copy of the current value.
     pub fn value(&self) -> NdArray {
         self.node.value.borrow().clone()
+    }
+
+    /// The value, borrowed without copying until the guard drops (for a
+    /// caller that reads many tensors at once; [`Self::with_value`] reads
+    /// one). Writing the value while a guard is alive panics.
+    pub fn borrow_value(&self) -> std::cell::Ref<'_, NdArray> {
+        self.node.value.borrow()
     }
 
     /// Runs `f` against the value without copying.
@@ -512,6 +520,20 @@ impl Tensor {
         )
     }
 
+    /// Repeats the value along its size-1 (or missing leading) axes up to
+    /// `shape`, numpy's broadcasting: the value `mul` by ones of `shape`
+    /// would give, and the same gradient — each source element's, summed
+    /// in ascending flat order — without the ones or their product.
+    pub fn broadcast_to(&self, shape: impl Into<Shape>) -> Tensor {
+        let shape = shape.into();
+        let value = self.with_value(|a| linalg::broadcast_to(a, &shape));
+        Tensor::from_op(
+            value,
+            vec![self.clone()],
+            Box::new(|g, parents| vec![Some(linalg::reduce_to_shape(g, &parents[0].shape()))]),
+        )
+    }
+
     /// Axis permutation (numpy `transpose(perm)` semantics).
     pub fn permute(&self, perm: &[usize]) -> Tensor {
         let perm_owned = perm.to_vec();
@@ -531,10 +553,12 @@ impl Tensor {
     /// Concatenates tensors along the last axis.
     pub fn concat_last(parts: &[Tensor]) -> Tensor {
         assert!(!parts.is_empty());
-        let values: Vec<NdArray> = parts.iter().map(|p| p.value()).collect();
-        let refs: Vec<&NdArray> = values.iter().collect();
+        let values: Vec<_> = parts.iter().map(Tensor::borrow_value).collect();
+        let refs: Vec<&NdArray> = values.iter().map(|v| &**v).collect();
         let value = linalg::concat_last(&refs);
         let widths: Vec<usize> = values.iter().map(|v| *v.dims().last().unwrap()).collect();
+        drop(refs);
+        drop(values);
         Tensor::from_op(
             value,
             parts.to_vec(),
@@ -724,13 +748,51 @@ impl Tensor {
     }
 
     /// Mean squared error against a constant target, restricted to positions
-    /// where `mask` is 1. `mask` must contain at least one 1.
+    /// where `mask` is 1: `Σ ((x − target)·mask)² / Σ mask`. `target` and
+    /// `mask` are shaped like `self`, and `mask` must contain at least one
+    /// 1.
+    ///
+    /// One node, the arithmetic of the chain `sub`, `mask`, `square`, `sum`,
+    /// `mul_scalar` element for element — the sum of squares in `f64` in
+    /// flat order, and each gradient element `(c·r + c·r)·mask` for `r` the
+    /// masked residual and `c` the output gradient over `Σ mask`, as the
+    /// square's two operands summed — so the loss and its gradient are that
+    /// chain's bits. It keeps the masked residuals and the mask in reused
+    /// memory.
     pub fn mse_masked(&self, target: &NdArray, mask: &NdArray) -> Tensor {
         let count = mask.sum_all();
         assert!(count > 0.0, "mse_masked needs a non-empty mask");
-        let diff = self.sub(&Tensor::constant(target.clone()));
-        let masked = diff.mask(mask);
-        masked.square().sum().mul_scalar(1.0 / count)
+        let shape = self.shape();
+        assert!(
+            target.shape() == &shape && mask.shape() == &shape,
+            "mse_masked target {} and mask {} must be shaped like the prediction, {shape}",
+            target.shape(),
+            mask.shape()
+        );
+        let (len, scale) = (mask.numel(), 1.0 / count);
+        let mut kept = Scratch::take(2 * len);
+        let (residuals, kept_mask) = kept.split_at_mut(len);
+        self.with_value(|x| {
+            let pairs = x.as_slice().iter().zip(target.as_slice());
+            for ((r, (&x, &t)), &k) in residuals.iter_mut().zip(pairs).zip(mask.as_slice()) {
+                *r = (x - t) * k;
+            }
+        });
+        kept_mask.copy_from_slice(mask.as_slice());
+        let sum = residuals.iter().map(|&r| (r * r) as f64).sum::<f64>() as f32;
+        Tensor::from_op(
+            NdArray::scalar(sum * scale),
+            vec![self.clone()],
+            Box::new(move |g, _| {
+                let c = g.item() * scale;
+                let (residuals, mask) = kept.split_at(len);
+                let mut dx = NdArray::zeros(shape.clone());
+                for ((d, &r), &k) in dx.as_mut_slice().iter_mut().zip(residuals).zip(mask) {
+                    *d = (c * r + c * r) * k;
+                }
+                vec![Some(dx)]
+            }),
+        )
     }
 }
 

@@ -18,6 +18,9 @@
 //! - `quant` — post-training weight rounding through symmetric int8
 //!   ([`round_int8`]), applied once to f32 weights, so there is one weight
 //!   format and one matmul family.
+//! - [`Scratch`] — per-thread working memory, reused call after call
+//!   instead of allocated (the kernels' scratch, the HIM forward's
+//!   workspace, what the training forward keeps for its backward).
 //! - [`simd`] — runtime-dispatched vector micro-kernels
 //!   (scalar/avx2/avx512, `HIRE_ISA` override) behind the [`linalg`]
 //!   hot paths — matmul, softmax, layer norm and the attention-tile
@@ -43,11 +46,13 @@ pub mod init;
 pub mod linalg;
 mod ndarray;
 mod quant;
+mod scratch;
 mod shape;
 pub mod simd;
 
 pub use autograd::Tensor;
 pub use ndarray::NdArray;
 pub use quant::{round_int8, QuantMode};
+pub use scratch::Scratch;
 pub use shape::Shape;
 pub use simd::AttnGrid;

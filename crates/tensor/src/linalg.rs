@@ -34,6 +34,7 @@
 //! path in one process regardless of the process-global dispatch.
 
 use crate::ndarray::NdArray;
+use crate::scratch::Scratch;
 use crate::shape::Shape;
 use crate::simd::{self, AttnGrid, Isa};
 
@@ -75,6 +76,36 @@ pub(crate) fn broadcast_zip(a: &NdArray, b: &NdArray, f: impl Fn(f32, f32) -> f3
         }
     }
     NdArray::from_vec(out_shape, out)
+}
+
+/// `a` repeated along the axes it broadcasts over to `shape` (numpy
+/// rules): each output element is the `a` element [`broadcast_zip`] would
+/// pair it with, copied.
+pub(crate) fn broadcast_to(a: &NdArray, shape: &Shape) -> NdArray {
+    assert!(
+        a.shape().broadcasts_to(shape),
+        "cannot broadcast {} to {shape}",
+        a.shape()
+    );
+    let (rank, dims) = (shape.rank(), shape.dims());
+    let strides = padded_broadcast_strides(a.shape(), rank, dims);
+    let src = a.as_slice();
+    let mut out = NdArray::zeros(shape.clone());
+    let mut index = vec![0usize; rank];
+    let mut off = 0usize;
+    for slot in out.as_mut_slice() {
+        *slot = src[off];
+        for axis in (0..rank).rev() {
+            index[axis] += 1;
+            off += strides[axis];
+            if index[axis] < dims[axis] {
+                break;
+            }
+            off -= strides[axis] * dims[axis];
+            index[axis] = 0;
+        }
+    }
+    out
 }
 
 /// Broadcast-aware strides for `shape` viewed as an array of rank `rank`
@@ -232,15 +263,21 @@ fn matmul_kernel_with_isa(
     simd::matmul_block_rows(isa, a, &packed, out, n, k, m);
 }
 
-/// `src: [rows, cols]` row-major, transposed to `[cols, rows]`.
-fn transposed(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-    debug_assert_eq!(src.len(), rows * cols);
-    let mut out = vec![0.0f32; src.len()];
+/// `src: [rows, cols]` row-major, transposed into `out: [cols, rows]`.
+fn transpose_into(src: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
+    debug_assert!(src.len() == rows * cols && out.len() == src.len());
     for (r, row) in src.chunks_exact(cols.max(1)).enumerate() {
         for (c, &x) in row.iter().enumerate() {
             out[c * rows + r] = x;
         }
     }
+}
+
+/// `src: [rows, cols]` row-major, transposed to `[cols, rows]` in reused
+/// memory.
+fn transposed(src: &[f32], rows: usize, cols: usize) -> Scratch {
+    let mut out = Scratch::take(src.len());
+    transpose_into(src, rows, cols, &mut out);
     out
 }
 
@@ -269,10 +306,39 @@ fn tn_kernel(a: &[f32], g: &[f32], out: &mut [f32], n: usize, k: usize, m: usize
     if m >= k {
         simd::matmul_tn(isa, a, g, out, n, k, m);
     } else {
-        let mut out_t = vec![0.0f32; m * k];
+        let mut out_t = Scratch::zeroed(m * k);
         simd::matmul_tn(isa, g, a, &mut out_t, n, m, k);
-        out.copy_from_slice(&transposed(&out_t, m, k));
+        transpose_into(&out_t, m, k, out);
     }
+}
+
+/// [`matmul2d_nt`] over plain row-major slices: `out[n,m] = a[n,k] ·
+/// b[m,k]ᵀ`, overwritten — the same product, bit for bit, into the
+/// caller's memory.
+pub fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+    assert!(
+        a.len() == n * k && b.len() == m * k && out.len() == n * m,
+        "matmul_nt_into shapes mismatch: a {} b {} out {} for n {n} k {k} m {m}",
+        a.len(),
+        b.len(),
+        out.len()
+    );
+    nt_kernel(a, b, out, n, k, m);
+}
+
+/// [`matmul2d_tn`] over plain row-major slices: `out[k,m] = a[n,k]ᵀ ·
+/// g[n,m]`, overwritten — the same product, bit for bit, into the
+/// caller's memory.
+pub fn matmul_tn_into(a: &[f32], g: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+    assert!(
+        a.len() == n * k && g.len() == n * m && out.len() == k * m,
+        "matmul_tn_into shapes mismatch: a {} g {} out {} for n {n} k {k} m {m}",
+        a.len(),
+        g.len(),
+        out.len()
+    );
+    out.fill(0.0);
+    tn_kernel(a, g, out, n, k, m);
 }
 
 /// `A * B^T` for 2-D `a: [n,k]` and `b: [m,k]` -> `[n,m]`. This is the
@@ -791,9 +857,9 @@ pub fn mhsa_one_pass_into(
 /// saved intermediates — `matmul2d_tn(O, dY)`, `matmul2d_nt(dY, W_O)`,
 /// [`attention_backward_into_with_isa`], `matmul2d_tn(x, G)` and
 /// `matmul2d_nt(G, [W_Q | W_K | W_V])` — so every gradient is bit-identical
-/// to it on the same ISA. Its scratch is a lane group's, not the layer's:
-/// at `fast`'s MBA the largest buffer it allocates is the lane scratch,
-/// 107 KB, below glibc's 128 KiB `mmap` threshold.
+/// to it on the same ISA. Its scratch is a lane group's, not the layer's,
+/// and comes from this thread's reused [`Scratch`]: what it allocates is
+/// the four gradients it returns.
 pub fn mhsa_one_pass_backward(
     grid: &AttnGrid,
     x: &[f32],
@@ -802,6 +868,26 @@ pub fn mhsa_one_pass_backward(
     dx: Option<&mut [f32]>,
     isa: Isa,
 ) -> [NdArray; 4] {
+    let (width, d) = (grid.width(), weights[0].len() / grid.width().max(1));
+    let mut d_w = [[d, width], [d, width], [d, width], [width, d]].map(NdArray::zeros);
+    let [d_wq, d_wk, d_wv, d_wo] = &mut d_w;
+    let outs = [d_wq, d_wk, d_wv, d_wo].map(NdArray::as_mut_slice);
+    mhsa_one_pass_backward_into(grid, x, weights, dy, dx, outs, isa);
+    d_w
+}
+
+/// [`mhsa_one_pass_backward`] into the caller's memory: the weight
+/// gradients `[dW_Q, dW_K, dW_V, dW_O]` into `d_w` (`[d, width]` ×3,
+/// `[width, d]`, overwritten), the same bits.
+pub fn mhsa_one_pass_backward_into(
+    grid: &AttnGrid,
+    x: &[f32],
+    weights: [&[f32]; 4],
+    dy: &[f32],
+    dx: Option<&mut [f32]>,
+    [d_wq, d_wk, d_wv, d_wo]: [&mut [f32]; 4],
+    isa: Isa,
+) {
     assert!(
         isa.is_available(),
         "ISA {} not available on this host",
@@ -819,20 +905,27 @@ pub fn mhsa_one_pass_backward(
         x.len() == len && dy.len() == len && dx.as_ref().is_none_or(|dx| dx.len() == len),
         "one-pass MHSA backward over {grid:?} needs x, dy and dx of {len} floats"
     );
-    let mut d_wqkv = vec![0.0f32; 3 * d * width];
-    let mut d_wo_t = vec![0.0f32; d * width];
+    assert!(
+        [&d_wq, &d_wk, &d_wv, &d_wo]
+            .iter()
+            .all(|d_w| d_w.len() == d * width),
+        "one-pass MHSA weight gradients over {grid:?} are {d} x {width} each"
+    );
+    // The kernel accumulates onto these.
+    let mut d_wqkv = Scratch::zeroed(3 * d * width);
+    let mut d_wo_t = Scratch::zeroed(d * width);
     if len > 0 {
         // `[W_Q | W_K | W_V]ᵀ`, `[3·width, d]`: the `dX` product's operand.
-        let w_qkv_t: Vec<f32> = weights[..3]
-            .iter()
-            .flat_map(|w| transposed(w, d, width))
-            .collect();
+        let mut w_qkv_t = Scratch::take(3 * d * width);
+        for (w, out) in weights[..3].iter().zip(w_qkv_t.chunks_exact_mut(d * width)) {
+            transpose_into(w, d, width, out);
+        }
         let [w_q, w_k, w_v, w_o] = weights;
         let weights = [w_q, w_k, w_v, w_o, &w_qkv_t];
         simd::mhsa_one_pass_backward(isa, grid, x, weights, dy, dx, &mut d_wqkv, &mut d_wo_t);
     }
     // `d_wqkv`'s columns run head by head, `[dW_Q | dW_K | dW_V]` of each.
-    let mut d_w = [(); 3].map(|()| vec![0.0f32; d * width]);
+    let mut d_w = [d_wq, d_wk, d_wv];
     for (k, row) in d_wqkv.chunks_exact(3 * width).enumerate() {
         for (h, head) in row.chunks_exact(3 * dk).enumerate() {
             for (d_w, part) in d_w.iter_mut().zip(head.chunks_exact(dk)) {
@@ -840,13 +933,7 @@ pub fn mhsa_one_pass_backward(
             }
         }
     }
-    let [d_wq, d_wk, d_wv] = d_w.map(|d_w| NdArray::from_vec([d, width], d_w));
-    [
-        d_wq,
-        d_wk,
-        d_wv,
-        NdArray::from_vec([width, d], transposed(&d_wo_t, d, width)),
-    ]
+    transpose_into(&d_wo_t, d, width, d_wo);
 }
 
 /// Backward of [`attention_into`]: from the projections `q`, `k`, `v` the
@@ -1042,23 +1129,40 @@ pub fn layer_norm_forward_last_with_isa(
     let rows = x.numel() / w.max(1);
     assert_eq!(gamma.dims(), &[w], "gamma must be [{w}]");
     assert_eq!(beta.dims(), &[w], "beta must be [{w}]");
-    let mut y = vec![0.0f32; x.numel()];
-    let mut xhat = vec![0.0f32; x.numel()];
+    let (mut y, mut xhat) = (
+        NdArray::zeros(x.shape().clone()),
+        NdArray::zeros(x.shape().clone()),
+    );
     let mut inv_std = vec![0.0f32; rows];
-    layer_norm_rows_into(
+    layer_norm_train_into(
         x.as_slice(),
         gamma.as_slice(),
         beta.as_slice(),
         eps,
-        &mut y,
-        Some((&mut xhat, &mut inv_std)),
+        y.as_mut_slice(),
+        xhat.as_mut_slice(),
+        &mut inv_std,
         isa,
     );
-    (
-        NdArray::from_vec(x.shape().clone(), y),
-        NdArray::from_vec(x.shape().clone(), xhat),
-        inv_std,
-    )
+    (y, xhat, inv_std)
+}
+
+/// The training form of [`layer_norm_last_into`]: `y` from the same row
+/// kernel, bit for bit, and what the backward reads — `xhat`, the
+/// normalized input (`x`'s length), and `inv_std`, one entry per row — into
+/// the caller's memory. Every element of the three is overwritten.
+#[allow(clippy::too_many_arguments)]
+pub fn layer_norm_train_into(
+    x: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    y: &mut [f32],
+    xhat: &mut [f32],
+    inv_std: &mut [f32],
+    isa: Isa,
+) {
+    layer_norm_rows_into(x, gamma, beta, eps, y, Some((xhat, inv_std)), isa);
 }
 
 /// Rows per `dgamma`/`dbeta` partial in [`layer_norm_backward_last`]: ~4k
@@ -1093,23 +1197,60 @@ pub fn layer_norm_backward_last_with_isa(
     g: &NdArray,
     isa: Isa,
 ) -> (NdArray, NdArray, NdArray) {
+    let w = gamma.numel();
+    let mut dx = NdArray::zeros(xhat.shape().clone());
+    let (mut dgamma, mut dbeta) = (NdArray::zeros([w]), NdArray::zeros([w]));
+    layer_norm_backward_into(
+        xhat.as_slice(),
+        inv_std,
+        gamma.as_slice(),
+        g.as_slice(),
+        [
+            dx.as_mut_slice(),
+            dgamma.as_mut_slice(),
+            dbeta.as_mut_slice(),
+        ],
+        isa,
+    );
+    (dx, dgamma, dbeta)
+}
+
+/// [`layer_norm_backward_last`] over plain slices, into the caller's
+/// memory: `[dx, dgamma, dbeta]` (`dx` rows of width `gamma.len()`, all
+/// three overwritten) — the same chains, bit for bit.
+pub fn layer_norm_backward_into(
+    xhat: &[f32],
+    inv_std: &[f32],
+    gamma: &[f32],
+    g: &[f32],
+    [dx, dgamma, dbeta]: [&mut [f32]; 3],
+    isa: Isa,
+) {
     assert!(
         isa.is_available(),
         "ISA {} not available on this host",
         isa.label()
     );
-    let w = *xhat
-        .dims()
-        .last()
-        .expect("layer_norm backward needs rank >= 1");
-    let rows = xhat.numel() / w.max(1);
+    let w = gamma.len();
+    let rows = xhat.len() / w.max(1);
     assert_eq!(inv_std.len(), rows, "inv_std must have one entry per row");
-    let gv = gamma.as_slice();
-    let gs = g.as_slice();
-    let xh = xhat.as_slice();
-    let mut dx = vec![0.0f32; xhat.numel()];
-    let (mut dgamma, mut dbeta) = (vec![0.0f32; w], vec![0.0f32; w]);
-    let (mut part_gamma, mut part_beta) = (vec![0.0f32; w], vec![0.0f32; w]);
+    assert!(
+        rows * w == xhat.len()
+            && g.len() == xhat.len()
+            && dx.len() == xhat.len()
+            && dgamma.len() == w
+            && dbeta.len() == w,
+        "layer norm backward over rows of {w} got xhat {}, g {}, dx {}, dgamma {}, dbeta {}",
+        xhat.len(),
+        g.len(),
+        dx.len(),
+        dgamma.len(),
+        dbeta.len()
+    );
+    dgamma.fill(0.0);
+    dbeta.fill(0.0);
+    let mut parts = Scratch::take(2 * w);
+    let (part_gamma, part_beta) = parts.split_at_mut(w);
     let grain = row_grain(w);
     for start in (0..rows).step_by(grain) {
         part_gamma.fill(0.0);
@@ -1118,24 +1259,19 @@ pub fn layer_norm_backward_last_with_isa(
         let chunk = start * w..end * w;
         simd::layer_norm_backward_rows(
             isa,
-            &xh[chunk.clone()],
+            &xhat[chunk.clone()],
             &inv_std[start..end],
-            gv,
-            &gs[chunk.clone()],
+            gamma,
+            &g[chunk.clone()],
             &mut dx[chunk],
-            &mut part_gamma,
-            &mut part_beta,
+            part_gamma,
+            part_beta,
         );
         for j in 0..w {
             dgamma[j] += part_gamma[j];
             dbeta[j] += part_beta[j];
         }
     }
-    (
-        NdArray::from_vec(xhat.shape().clone(), dx),
-        NdArray::from_vec([w], dgamma),
-        NdArray::from_vec([w], dbeta),
-    )
 }
 
 /// Zeroes NaN/±Inf entries in place, returning how many were zeroed.

@@ -3,46 +3,64 @@
 
 use std::fmt;
 
+/// Most dimensions a [`Shape`] holds.
+const MAX_RANK: usize = 8;
+
 /// The shape of a dense, row-major tensor.
 ///
 /// A scalar is represented by an empty dimension list. Dimensions of size
-/// zero are permitted (the tensor then holds no elements).
+/// zero are permitted (the tensor then holds no elements). The dimensions
+/// live inline (at most eight), so a shape — and the array or gradient it
+/// describes — costs no allocation of its own.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
-    dims: Vec<usize>,
+    /// The first `rank` entries are the dimensions; the rest stay 0.
+    dims: [usize; MAX_RANK],
+    rank: usize,
 }
 
 impl Shape {
     /// Creates a shape from a dimension list.
     pub(crate) fn new(dims: Vec<usize>) -> Self {
-        Shape { dims }
+        Shape::of(&dims)
+    }
+
+    fn of(dims: &[usize]) -> Self {
+        let rank = dims.len();
+        assert!(
+            rank <= MAX_RANK,
+            "a shape holds at most {MAX_RANK} dimensions, got {dims:?}"
+        );
+        let mut inline = [0; MAX_RANK];
+        inline[..rank].copy_from_slice(dims);
+        Shape { dims: inline, rank }
     }
 
     /// The scalar shape `[]`.
     pub(crate) fn scalar() -> Self {
-        Shape { dims: Vec::new() }
+        Shape::of(&[])
     }
 
     /// Number of dimensions (rank).
     pub(crate) fn rank(&self) -> usize {
-        self.dims.len()
+        self.rank
     }
 
     /// Dimension sizes as a slice.
     pub(crate) fn dims(&self) -> &[usize] {
-        &self.dims
+        &self.dims[..self.rank]
     }
 
     /// Total number of elements.
     pub(crate) fn numel(&self) -> usize {
-        self.dims.iter().product()
+        self.dims().iter().product()
     }
 
     /// Row-major (C order) strides, in elements.
     pub(crate) fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![0; self.dims.len()];
+        let mut strides = vec![0; self.rank];
         let mut acc = 1usize;
-        for (i, &d) in self.dims.iter().enumerate().rev() {
+        for (i, &d) in self.dims().iter().enumerate().rev() {
             strides[i] = acc;
             acc *= d;
         }
@@ -56,7 +74,7 @@ impl Shape {
         debug_assert_eq!(index.len(), self.rank(), "index rank mismatch");
         let mut off = 0usize;
         let mut acc = 1usize;
-        for (i, &d) in self.dims.iter().enumerate().rev() {
+        for (i, &d) in self.dims().iter().enumerate().rev() {
             let ix = index[i];
             debug_assert!(ix < d, "index {ix} out of bounds for dim {i} of size {d}");
             off += ix * acc;
@@ -72,10 +90,10 @@ impl Shape {
     /// the two sizes are equal or one of them is 1 (or missing).
     pub(crate) fn broadcast(&self, other: &Shape) -> Option<Shape> {
         let rank = self.rank().max(other.rank());
-        let mut dims = vec![0usize; rank];
+        let mut dims = [0usize; MAX_RANK];
         for i in 0..rank {
-            let a = dim_from_end(&self.dims, i);
-            let b = dim_from_end(&other.dims, i);
+            let a = dim_from_end(self.dims(), i);
+            let b = dim_from_end(other.dims(), i);
             let d = match (a, b) {
                 (x, y) if x == y => x,
                 (1, y) => y,
@@ -84,7 +102,7 @@ impl Shape {
             };
             dims[rank - 1 - i] = d;
         }
-        Some(Shape::new(dims))
+        Some(Shape::of(&dims[..rank]))
     }
 
     /// Whether every element of `self` maps onto `target` by broadcasting.
@@ -93,7 +111,7 @@ impl Shape {
             return false;
         }
         for i in 0..self.rank() {
-            let a = dim_from_end(&self.dims, i);
+            let a = dim_from_end(self.dims(), i);
             let b = dim_from_end(target.dims(), i);
             if a != b && a != 1 {
                 return false;
@@ -121,13 +139,13 @@ fn dim_from_end(dims: &[usize], i: usize) -> usize {
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}", self.dims)
+        write!(f, "{:?}", self.dims())
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}", self.dims)
+        write!(f, "{:?}", self.dims())
     }
 }
 
@@ -139,13 +157,13 @@ impl From<Vec<usize>> for Shape {
 
 impl From<&[usize]> for Shape {
     fn from(dims: &[usize]) -> Self {
-        Shape::new(dims.to_vec())
+        Shape::of(dims)
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(dims: [usize; N]) -> Self {
-        Shape::new(dims.to_vec())
+        Shape::of(&dims)
     }
 }
 

@@ -791,9 +791,8 @@ macro_rules! attention_lanes_kernel {
             // and `dX`; the head's Q, K, V, dO and O, the query rows in
             // flight, P and dP / dS; `[dQ | dK | dV]` of every head.
             let lens = [t * d, t * d, t * d, t * dk, t * dk, t * dk, t * dk, t * dk, MAX_ROWS * dk, MAX_ROWS * t, t * t, t * t, t * 3 * width];
-            let mut memory = vec![0.0f32; 15 + lens.iter().sum::<usize>() * LANES];
-            let skip = memory.as_ptr().align_offset(64).min(15);
-            let mut rest = &mut memory[skip..];
+            let mut memory = crate::Scratch::take(lens.iter().sum::<usize>() * LANES);
+            let mut rest = &mut memory[..];
             let [xp, dyp, dxp, q_all, kp, vp, dop, op, qp, s, pp, ds, gp] = lens.map(|len| {
                 let (panel, tail) = std::mem::take(&mut rest).split_at_mut(len * LANES);
                 rest = tail;
@@ -805,7 +804,7 @@ macro_rules! attention_lanes_kernel {
             // weight-gradient products together.
             let chunk = (LANES / inner).max(1);
             let chunk_rows = chunk * block;
-            let (mut g_rows, mut o_rows) = (vec![0.0f32; chunk_rows * 3 * width], vec![0.0f32; chunk_rows * width]);
+            let (mut g_rows, mut o_rows) = (crate::Scratch::take(chunk_rows * 3 * width), crate::Scratch::take(chunk_rows * width));
             for first_block in (0..grid.outer).step_by(chunk) {
                 let blocks = (first_block + chunk).min(grid.outer) - first_block;
                 let (row0, n, end) = (first_block * block, blocks * block, (first_block + blocks) * inner);
@@ -1389,7 +1388,7 @@ macro_rules! attention_backward_kernel {
                 return;
             }
             let (stride, out_stride) = (grid.token_stride(), 3 * grid.token_stride());
-            let mut memory = vec![0.0f32; crate::simd::attention::Panels::<LANES>::memory_len(t, dk)];
+            let mut memory = crate::Scratch::take(crate::simd::attention::Panels::<LANES>::memory_len(t, dk));
             let panels = crate::simd::attention::Panels::<LANES>::new(&mut memory, t, dk);
             let [qp, kp, vp, gp] = panels.inputs.map(|x| x.as_mut_ptr().cast::<f32>());
             let [dqp, dkp, dvp] = panels.grads.map(|x| x.as_mut_ptr().cast::<f32>());

@@ -188,10 +188,10 @@ pub(crate) const fn panel_span(jw: usize) -> usize {
 /// `j0 * k`.
 /// Identical values land in identical lanes on every ISA; only `nr`
 /// differs.
-pub(crate) fn pack_b(b: &[f32], k: usize, m: usize, nr: usize) -> Vec<f32> {
+pub(crate) fn pack_b(b: &[f32], k: usize, m: usize, nr: usize) -> crate::Scratch {
     let body = m - m % nr;
     let tail = if m > body { panel_span(m - body) } else { 0 };
-    let mut packed = vec![0.0f32; (body + tail) * k];
+    let mut packed = crate::Scratch::zeroed((body + tail) * k);
     for j0 in (0..m).step_by(nr) {
         let jw = (m - j0).min(nr);
         let span = panel_span(jw);

@@ -344,7 +344,7 @@ pub(crate) fn attention_backward_tiles(
         return;
     }
     let (stride, out_stride) = (grid.token_stride(), 3 * grid.token_stride());
-    let mut memory = vec![0.0f32; Panels::<LANES>::memory_len(t, dk)];
+    let mut memory = crate::Scratch::take(Panels::<LANES>::memory_len(t, dk));
     let mut panels = Panels::<LANES>::new(&mut memory, t, dk);
     let scale = 1.0 / (dk as f32).sqrt();
     let mut group = 0;
