@@ -627,7 +627,7 @@ fn verdicts(per_seed: &[SeedReports], summary: &[SummaryRow]) -> Vec<VerdictRow>
 }
 
 /// Mean and sample standard deviation (0 for one value), summed in f64.
-fn mean_std(values: &[f32]) -> (f32, f32) {
+pub fn mean_std(values: &[f32]) -> (f32, f32) {
     let n = values.len() as f64;
     let mean = values.iter().map(|&v| v as f64).sum::<f64>() / n;
     let var = values

@@ -6,24 +6,24 @@
 //! the online loop's round barriers. This module closes the loop:
 //!
 //! * [`write_snapshot`] captures the whole serving state — the insert
-//!   log, the online loop's cursor and round, and the model lineage — into
-//!   one checksummed snapshot under the `serving` checkpoint lineage,
-//!   logs a `SnapshotBarrier{covered}` record, and truncates WAL segments
-//!   the snapshot fully covers. Without snapshots the log only grows;
-//!   with them it stays bounded.
+//!   log, the online loop's `trained` index and round, and the model
+//!   lineage — into one checksummed snapshot under the `serving`
+//!   checkpoint lineage, logs a `SnapshotBarrier{covered}` record, and
+//!   truncates WAL segments the snapshot fully covers. Without snapshots
+//!   the log only grows; with them it stays bounded.
 //! * [`recover`] rebuilds a crashed engine from the newest snapshot plus
 //!   the WAL tail, in two steps that sharded recovery (`hire-shard`) reuses:
 //!   it folds every shard log and rebuilds shard 0, which owns the
 //!   lineage, this way. [`fold_log`] folds the records into a [`LogFold`]:
 //!   rating edges in their original commit order, the online loop's
-//!   cursor and round, and the model lineage — promotions and demotions go
-//!   through the same [`Lineage::promote`] / [`Lineage::demote`] the live
-//!   engine ran, so the recovered lineage is the crashed one by
-//!   construction. [`rebuild_engine`] replays the edges (bit-identical CSR
+//!   `trained` index and round, and the model lineage — promotions and
+//!   demotions go through the same [`Lineage::promote`] /
+//!   [`Lineage::demote`] the live engine ran, so the recovered lineage is
+//!   the crashed one by construction. [`rebuild_engine`] replays the edges (bit-identical CSR
 //!   ⇒ bit-identical deterministic context samples) and reloads every
-//!   slot's weights from the checkpoints the lineage names. The loop's
-//!   holdout is rebuilt from the replayed ratings below the cursor, by
-//!   the same arrival-index rule the live loop routes with.
+//!   slot's weights from the checkpoints the lineage names. The loop keeps
+//!   nothing else: its holdout and its pending ratings are the replayed
+//!   insert log split by the same arrival-index rule the live loop uses.
 //!
 //! Recovery reads the formats this tree writes and refuses others, typed:
 //! a serving snapshot of another format, or a log holding a record kind
@@ -52,8 +52,10 @@ use std::sync::Arc;
 pub const SERVING_TAG: &str = "serving";
 
 /// Serving-snapshot payload format version. Format 1 also carried the
-/// holdout's arrival indices; it is refused, not read.
-const SNAPSHOT_FORMAT: u8 = 2;
+/// holdout's arrival indices; format 2 has format 3's layout, but its
+/// cursor counted the ratings the loop had pulled, not those a completed
+/// round trained through. Both are refused, not read.
+const SNAPSHOT_FORMAT: u8 = 3;
 
 /// The serving state a write-ahead log folds to, on top of the serving
 /// snapshot it continues (if any). A serving snapshot persists exactly the
@@ -65,8 +67,9 @@ pub struct LogFold {
     pub covered: u64,
     /// The engine's full insert log, in commit order.
     pub ratings: Vec<Rating>,
-    /// Online-loop cursor (ratings consumed).
-    pub cursor: usize,
+    /// Insert-log index the online loop's last completed round trained
+    /// through.
+    pub trained: usize,
     /// Online-loop round counter.
     pub round: u64,
     /// Model lineage with reload sources.
@@ -95,7 +98,7 @@ impl LogFold {
                 value: *value,
             }),
             WalRecord::SnapshotBarrier { cursor, round, .. } => {
-                self.cursor = *cursor as usize;
+                self.trained = *cursor as usize;
                 self.round = *round;
             }
             WalRecord::ModelPromoted {
@@ -190,7 +193,7 @@ fn encode_snapshot(snap: &LogFold) -> HireResult<Vec<u8>> {
         w.put_u64(r.item as u64);
         w.put_f32(r.value);
     }
-    w.put_u64(snap.cursor as u64);
+    w.put_u64(snap.trained as u64);
     w.put_u64(snap.round);
     w.put_u64(snap.lineage.history.len() as u64);
     for (source, version) in &snap.lineage.history {
@@ -222,7 +225,7 @@ fn decode_snapshot(payload: &[u8], label: &str) -> HireResult<LogFold> {
             value: r.take_f32("rating value")?,
         });
     }
-    let cursor = r.take_u64("cursor")? as usize;
+    let trained = r.take_u64("trained")? as usize;
     let round = r.take_u64("round")?;
     let slots = r.take_len("history len")?;
     let mut history = Vec::with_capacity(slots);
@@ -238,7 +241,7 @@ fn decode_snapshot(payload: &[u8], label: &str) -> HireResult<LogFold> {
     Ok(LogFold {
         covered,
         ratings,
-        cursor,
+        trained,
         round,
         lineage: Lineage {
             history,
@@ -269,23 +272,18 @@ pub fn write_snapshot(engine: &ServeEngine, online: &OnlineLoop) -> HireResult<u
         ));
     };
     let keep = online.config().keep_last.max(1);
-    let (payload, covered, cursor, round) = {
+    let (payload, covered, trained, round) = {
         let state = online.freeze_state();
         let (ratings, lineage, covered) = engine.durable_capture();
         let snap = LogFold {
             covered,
             ratings,
-            cursor: state.cursor,
+            trained: state.trained,
             round: state.round,
             lineage,
             ..LogFold::default()
         };
-        (
-            encode_snapshot(&snap)?,
-            covered,
-            state.cursor as u64,
-            state.round,
-        )
+        (encode_snapshot(&snap)?, covered, state.trained, state.round)
     };
     let store = CheckpointStore::open_tagged(&dir, SERVING_TAG, keep)?;
     store.save_raw(covered, &payload)?;
@@ -295,7 +293,7 @@ pub fn write_snapshot(engine: &ServeEngine, online: &OnlineLoop) -> HireResult<u
     // snapshot does not exist.
     wal.append_durable(&WalRecord::SnapshotBarrier {
         covered: Some(covered),
-        cursor,
+        cursor: trained as u64,
         round,
     })
     .map_err(HireError::from)?;
@@ -309,8 +307,9 @@ pub struct Recovered {
     /// The rebuilt serving engine, WAL re-attached (new writes append to
     /// the same log).
     pub engine: Arc<ServeEngine>,
-    /// The rebuilt online loop: the cursor and round the crashed loop had
-    /// durably recorded, and the holdout slice they imply.
+    /// The rebuilt online loop: the `trained` index and round the crashed
+    /// loop had durably recorded. Its next round splits the replayed insert
+    /// log into the same holdout and pending ratings as the crashed loop's.
     pub online: Arc<OnlineLoop>,
     /// Total ratings in the rebuilt insert log (snapshot + WAL replay).
     pub ratings: usize,
@@ -363,9 +362,8 @@ pub fn recover(
     let online = Arc::new(OnlineLoop::recovered(
         engine.clone(),
         online_config,
-        fold.cursor,
+        fold.trained,
         fold.round,
-        &fold.ratings,
     ));
     Ok(Recovered {
         engine,
@@ -515,7 +513,7 @@ mod tests {
                     value: f32::from_bits(0x7FC0_0001), // NaN payload survives
                 },
             ],
-            cursor: 2,
+            trained: 2,
             round: 7,
             lineage: Lineage {
                 history: vec![
@@ -548,7 +546,7 @@ mod tests {
             back.ratings[1].value.to_bits(),
             snap.ratings[1].value.to_bits()
         );
-        assert_eq!(back.cursor, 2);
+        assert_eq!(back.trained, 2);
         assert_eq!(back.round, 7);
         assert_eq!(back.lineage, snap.lineage);
     }
@@ -562,7 +560,7 @@ mod tests {
                 item: 2,
                 value: 3.0,
             }],
-            cursor: 1,
+            trained: 1,
             round: 1,
             ..LogFold::default()
         };
@@ -596,36 +594,41 @@ mod tests {
     }
 
     /// A format-1 serving snapshot (which also carried the holdout's arrival
-    /// indices) is refused by recovery, typed — not read as format 2.
+    /// indices) and a format-2 one (format 3's layout, its cursor the pulled
+    /// ratings rather than the trained ones) are refused by recovery, typed
+    /// — not read as format 3.
     #[test]
     fn a_format_1_serving_snapshot_is_refused() {
-        let dir = std::env::temp_dir().join(format!("hire-format1-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut w = PayloadWriter::new();
-        w.put_u8(1); // format
-        w.put_u64(0); // covered
-        w.put_u64(0); // ratings
-        w.put_u64(0); // cursor
-        w.put_u64(0); // round
-        w.put_u64(1); // one holdout mark …
-        w.put_u64(3); // … at arrival index 3
-        w.put_u64(0); // history
-        w.put_u8(0); // current source: base
-        w.put_u64(1); // current version
-        w.put_u64(2); // next version
-        CheckpointStore::open_tagged(&dir, SERVING_TAG, 1)
-            .and_then(|store| store.save_raw(0, &w.finish()))
-            .expect("save");
-        match fold_log(&[], Some(&dir)) {
-            Err(HireError::InvalidData { message, .. }) => {
-                assert!(
-                    message.contains("unsupported snapshot format 1"),
-                    "{message}"
-                )
+        for format in [1u8, 2] {
+            let dir =
+                std::env::temp_dir().join(format!("hire-format{format}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut w = PayloadWriter::new();
+            w.put_u8(format);
+            w.put_u64(0); // covered
+            w.put_u64(0); // ratings
+            w.put_u64(0); // cursor
+            w.put_u64(0); // round
+            if format == 1 {
+                w.put_u64(1); // one holdout mark …
+                w.put_u64(3); // … at arrival index 3
             }
-            other => panic!("a format-1 snapshot must be refused, got {other:?}"),
+            w.put_u64(0); // history
+            w.put_u8(0); // current source: base
+            w.put_u64(1); // current version
+            w.put_u64(2); // next version
+            CheckpointStore::open_tagged(&dir, SERVING_TAG, 1)
+                .and_then(|store| store.save_raw(0, &w.finish()))
+                .expect("save");
+            match fold_log(&[], Some(&dir)) {
+                Err(HireError::InvalidData { message, .. }) => assert!(
+                    message.contains(&format!("unsupported snapshot format {format}")),
+                    "{message}"
+                ),
+                other => panic!("a format-{format} snapshot must be refused, got {other:?}"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -12,12 +12,17 @@
 //!         incumbent untouched, next round retries
 //! ```
 //!
-//! - **Accumulate** — ratings accepted by
-//!   [`ServeEngine::insert_rating`] are pulled through a cursor; every
-//!   `holdout_every`-th rating (by arrival index, up to a cap) is diverted
-//!   into a held-out slice (never trained on), the rest become fine-tuning
-//!   seed edges. The split is a function of the arrival index alone, so
-//!   recovery rebuilds it from the replayed insert log.
+//! The loop keeps two numbers: `trained`, the insert-log index the last
+//! completed (promoted or rejected) round trained through, and `round`,
+//! the rounds that got past accumulating. Everything else is derived.
+//!
+//! - **Accumulate** — each round reads the engine's whole insert log
+//!   ([`ServeEngine::insert_rating`]'s ratings, in arrival order) and splits
+//!   it by arrival index: every `holdout_every`-th rating (up to a cap) is
+//!   held out (never trained on); the rest at or past `trained` are pending
+//!   fine-tuning seed edges. A failed round leaves `trained` where it was,
+//!   so its ratings stay pending. Recovery replays the insert log and
+//!   restores the two numbers, so the recovered loop splits it identically.
 //! - **Fine-tune** — a fresh [`HireModel`] is warm-started from the
 //!   incumbent's frozen weights and fine-tuned on the new edges with
 //!   [`hire_core::fine_tune`]: the guard (divergence rollback, LR backoff)
@@ -35,6 +40,10 @@
 //!   weights' reload source); rejected candidates are
 //!   checkpointed under the `rejected` lineage together with their eval
 //!   report, so a rejection is auditable, not silent.
+//! - **Barrier** — every round that moved the counter, whatever its
+//!   outcome, ends by logging `trained` and `round` in one best-effort
+//!   `SnapshotBarrier` (WAL-attached engines), so a recovery from the log
+//!   alone resumes at the crashed loop's next round number.
 //! - **Demote** — [`OnlineLoop::maybe_demote`] watches the per-version
 //!   tier stats and re-installs the previous model (under a new version)
 //!   when the freshly promoted one degrades to fallback answers markedly
@@ -258,18 +267,28 @@ pub enum RoundOutcome {
 }
 
 pub(crate) struct LoopState {
-    /// Ratings already pulled from the engine's insert log; the next one
-    /// pulled has this arrival index.
-    pub(crate) cursor: usize,
-    /// Held-out shadow-eval slice (never trained on).
-    pub(crate) holdout: Vec<Rating>,
-    /// Accumulated training ratings awaiting the next fine-tune.
-    pub(crate) pending: Vec<Rating>,
-    /// Completed fine-tuning rounds (drives per-round seeds and
+    /// Insert-log index the last completed round trained through: the
+    /// ratings at or past it that are not held out are pending.
+    pub(crate) trained: usize,
+    /// Rounds that got past accumulating (drives per-round seeds and
     /// checkpoint step numbers).
     pub(crate) round: u64,
     /// Round outcomes, oldest first (for benches and tests).
     pub(crate) history: Vec<RoundOutcome>,
+}
+
+/// Splits the insert log by arrival index into the held-out slice and the
+/// ratings at or past `trained` that no completed round has trained on.
+fn split(log: &[Rating], trained: usize, every: usize) -> (Vec<Rating>, Vec<Rating>) {
+    let (mut holdout, mut pending) = (Vec::new(), Vec::new());
+    for (idx, rating) in log.iter().enumerate() {
+        if held_out(idx, every) {
+            holdout.push(*rating);
+        } else if idx >= trained {
+            pending.push(*rating);
+        }
+    }
+    (holdout, pending)
 }
 
 /// Poison recovery, mirroring the engine: state updates are plain data.
@@ -295,54 +314,32 @@ pub struct OnlineLoop {
 impl OnlineLoop {
     /// Builds a loop over `engine`.
     pub fn new(engine: Arc<ServeEngine>, config: OnlineConfig) -> Self {
-        OnlineLoop {
-            engine,
-            config,
-            faults: None,
-            state: Mutex::new(LoopState {
-                cursor: 0,
-                holdout: Vec::new(),
-                pending: Vec::new(),
-                round: 0,
-                history: Vec::new(),
-            }),
-        }
+        Self::recovered(engine, config, 0, 0)
     }
 
     /// Rebuilds a loop from recovered durable state (see `crate::durable`):
-    /// `cursor`/`round` from the newest snapshot barrier and `ratings` the
-    /// full replayed insert log. The ratings the crashed loop had already
-    /// consumed (below `cursor`) give back its holdout by [`held_out`]; the
-    /// rest are routed by the first `run_round`, as the live loop would.
+    /// `trained` and `round` from the newest round barrier or snapshot. The
+    /// first `run_round` splits the replayed insert log as the crashed loop
+    /// would have.
     pub(crate) fn recovered(
         engine: Arc<ServeEngine>,
         config: OnlineConfig,
-        cursor: usize,
+        trained: usize,
         round: u64,
-        ratings: &[Rating],
     ) -> Self {
-        let holdout = ratings
-            .iter()
-            .take(cursor)
-            .enumerate()
-            .filter(|&(idx, _)| held_out(idx, config.holdout_every))
-            .map(|(_, rating)| *rating)
-            .collect();
         OnlineLoop {
             engine,
             config,
             faults: None,
             state: Mutex::new(LoopState {
-                cursor,
-                holdout,
-                pending: Vec::new(),
+                trained,
                 round,
                 history: Vec::new(),
             }),
         }
     }
 
-    /// The loop's state, locked: `crate::durable` reads `cursor` and
+    /// The loop's state, locked: `crate::durable` reads `trained` and
     /// `round` from it while writing a serving snapshot.
     pub(crate) fn freeze_state(&self) -> MutexGuard<'_, LoopState> {
         lock(&self.state)
@@ -366,13 +363,18 @@ impl OnlineLoop {
         lock(&self.state).history.clone()
     }
 
-    /// Current held-out slice size (for observability).
+    /// Held-out ratings in the engine's insert log: the shadow-eval slice
+    /// the next round scores on (for observability).
     pub fn holdout_len(&self) -> usize {
-        lock(&self.state).holdout.len()
+        // A cursor past the end copies nothing and still reads the length.
+        let (_, len) = self.engine.inserted_since(usize::MAX);
+        (0..len)
+            .filter(|&idx| held_out(idx, self.config.holdout_every))
+            .count()
     }
 
-    /// One pass of the state machine: pull new ratings, maybe fine-tune,
-    /// shadow-eval, and swap or reject. Returns what happened; the same
+    /// One pass of the state machine: split the insert log, maybe
+    /// fine-tune, shadow-eval, and swap or reject. Returns what happened; the same
     /// outcome is appended to [`OnlineLoop::history`].
     pub fn run_round(&self) -> RoundOutcome {
         let mut state = lock(&self.state);
@@ -382,34 +384,36 @@ impl OnlineLoop {
     }
 
     fn run_round_locked(&self, state: &mut LoopState) -> RoundOutcome {
-        // Pull and route everything inserted since the last round.
-        let (fresh, cursor) = self.engine.inserted_since(state.cursor);
-        for (idx, rating) in (state.cursor..).zip(fresh) {
-            if held_out(idx, self.config.holdout_every) {
-                state.holdout.push(rating);
-            } else {
-                state.pending.push(rating);
-            }
-        }
-        state.cursor = cursor;
-        if state.pending.len() < self.config.min_new_ratings.max(1) {
+        let (log, len) = self.engine.inserted_since(0);
+        let (holdout, pending) = split(&log, state.trained, self.config.holdout_every);
+        if pending.len() < self.config.min_new_ratings.max(1) {
             return RoundOutcome::Accumulating {
-                pending: state.pending.len(),
+                pending: pending.len(),
             };
         }
-
         state.round += 1;
-        let round = state.round;
+        let outcome = self.train_eval_swap(state.round, &holdout, &pending);
+        if matches!(
+            outcome,
+            RoundOutcome::Promoted { .. } | RoundOutcome::Rejected { .. }
+        ) {
+            state.trained = len;
+        }
+        self.round_barrier(state.trained, state.round);
+        outcome
+    }
+
+    /// The round proper: fine-tune on `pending`, shadow-eval on `holdout`,
+    /// then swap or reject.
+    fn train_eval_swap(&self, round: u64, holdout: &[Rating], pending: &[Rating]) -> RoundOutcome {
         let incumbent = self.engine.current_model();
         let dataset = self.engine.dataset().clone();
         let graph = self.engine.graph_snapshot();
-        let pending = state.pending.clone();
-        let holdout = state.holdout.clone();
 
         // ── Fine-tune (crash-isolated) ────────────────────────────────
         // Everything fallible runs inside catch_unwind: a panicking or
         // erroring trainer produces an outcome, never a poisoned engine.
-        let trained = catch_unwind(AssertUnwindSafe(|| {
+        let fitted = catch_unwind(AssertUnwindSafe(|| {
             if let Some(plan) = &self.faults {
                 plan.fire(sites::TRAINER_STEP).map_err(|f| {
                     hire_error::HireError::invalid_data("OnlineLoop", f.to_string())
@@ -430,14 +434,14 @@ impl OnlineLoop {
                 &dataset,
                 &graph,
                 &NeighborhoodSampler,
-                &pending,
+                pending,
                 &tc,
                 &mut rng,
             )?;
             let frozen = FrozenModel::from_model(&model, &dataset)?;
             Ok::<_, hire_error::HireError>((frozen, report.outcome))
         }));
-        let (candidate, train_outcome) = match trained {
+        let (candidate, train_outcome) = match fitted {
             Ok(Ok(pair)) => pair,
             Ok(Err(_)) => return RoundOutcome::TrainerCrashed,
             Err(_panic) => return RoundOutcome::TrainerCrashed,
@@ -458,7 +462,7 @@ impl OnlineLoop {
                 incumbent.version(),
                 incumbent.model(),
                 &candidate,
-                &holdout,
+                holdout,
             )
         }));
         let eval = match evaled {
@@ -468,8 +472,6 @@ impl OnlineLoop {
 
         if !eval.promoted() {
             self.checkpoint(REJECTED_TAG, round, &candidate, &eval);
-            state.pending.clear();
-            self.round_barrier(state.cursor, round);
             return RoundOutcome::Rejected { eval };
         }
 
@@ -489,25 +491,21 @@ impl OnlineLoop {
             SlotSource::Unsaved
         };
         match self.engine.install_model(candidate, source) {
-            Ok(version) => {
-                state.pending.clear();
-                self.round_barrier(state.cursor, round);
-                RoundOutcome::Promoted { version, eval }
-            }
+            Ok(version) => RoundOutcome::Promoted { version, eval },
             Err(_) => RoundOutcome::SwapFailed,
         }
     }
 
-    /// Best-effort durable progress mark after a completed round: records
-    /// the loop's cursor and round number so recovery resumes routing where
-    /// the crashed loop left off instead of re-training old ratings.
-    /// `covered: None` — this barrier advances the loop cursor only; log
-    /// truncation needs a full serving snapshot (`crate::durable`).
-    fn round_barrier(&self, cursor: usize, round: u64) {
+    /// Best-effort durable progress mark after every round that moved the
+    /// counter: records `trained` and the round number, so recovery resumes
+    /// with the crashed loop's pending ratings and next round number.
+    /// `covered: None` — log truncation needs a full serving snapshot
+    /// (`crate::durable`).
+    fn round_barrier(&self, trained: usize, round: u64) {
         if let Some(wal) = self.engine.wal() {
             let _ = wal.append_durable(&WalRecord::SnapshotBarrier {
                 covered: None,
-                cursor: cursor as u64,
+                cursor: trained as u64,
                 round,
             });
         }

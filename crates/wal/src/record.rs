@@ -22,8 +22,9 @@ const TAG_SNAPSHOT_BARRIER: u8 = 5;
 ///
 /// The replay contract: applying every record in LSN order against the base
 /// graph + base model reproduces the exact live state — same CSR adjacency,
-/// same online-loop cursor (the holdout is a function of each rating's
-/// arrival index), same installed model version.
+/// same online-loop `trained` index and round (the loop's holdout and
+/// pending ratings are functions of the insert log), same installed model
+/// version.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A serve-time rating accepted by `insert_rating`. Logged *before* the
@@ -53,12 +54,13 @@ pub enum WalRecord {
     },
     /// Progress marker. With `covered = Some(c)`, a durable serving snapshot
     /// captures every record with LSN < `c` and segments wholly below `c` may
-    /// be truncated. With `covered = None` this is a lightweight online-loop
-    /// round marker that persists the cursor without a snapshot.
+    /// be truncated. With `covered = None` this is the online loop's
+    /// per-round marker, logged after every round that moved the counter.
     SnapshotBarrier {
         /// LSN prefix covered by a serving snapshot, if one was written.
         covered: Option<u64>,
-        /// Online-loop cursor (count of serve-time ratings consumed).
+        /// Insert-log index the online loop's last completed (promoted or
+        /// rejected) round trained through.
         cursor: u64,
         /// Online-loop round counter.
         round: u64,
