@@ -9,7 +9,7 @@
 use hire_bench::{cold_frac, dataset_for, maybe_write_json, DatasetKind, HarnessArgs};
 use hire_core::TrainConfig;
 use hire_data::{ColdStartScenario, ColdStartSplit};
-use hire_eval::{evaluate_model, HireRatingModel, SpeedTier};
+use hire_eval::{evaluate_model, format_metric, HireRatingModel, SpeedTier};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -40,12 +40,12 @@ fn main() {
             let r = evaluate_model(&mut model, &dataset, &split, &cfg);
             let at5 = &r.at_k[0];
             println!(
-                "{:<10}{:<8}{:>10.4}{:>10.4}{:>10.4}",
+                "{:<10}{:<8}{:>10}{:>10.4}{:>10}",
                 scenario.label(),
                 k,
-                at5.precision,
+                format_metric(at5.precision),
                 at5.ndcg,
-                at5.map
+                format_metric(at5.map)
             );
             records.push(serde_json::json!({
                 "sweep": "him_blocks", "scenario": scenario.label(), "value": k,
@@ -84,12 +84,12 @@ fn main() {
             let r = evaluate_model(&mut model, &dataset, &split, &cfg);
             let at5 = &r.at_k[0];
             println!(
-                "{:<10}{:<8}{:>10.4}{:>10.4}{:>10.4}",
+                "{:<10}{:<8}{:>10}{:>10.4}{:>10}",
                 scenario.label(),
                 size,
-                at5.precision,
+                format_metric(at5.precision),
                 at5.ndcg,
-                at5.map
+                format_metric(at5.map)
             );
             records.push(serde_json::json!({
                 "sweep": "context_size", "scenario": scenario.label(), "value": size,

@@ -8,7 +8,7 @@
 //! - **Transfer**: the rank correlation of the answers with a warm twin's
 //!   ratings when the twin's ratings are the support (`twin`), and when a
 //!   random warm entity's are (`random`). `gap` = twin − random.
-//! - **Attention** (HIRE, refit as a tape model with the same seed): per
+//! - **Attention** (HIRE, its fitted weights loaded into a tape model): per
 //!   block, layer and head, the attention mass on the evidence over its
 //!   share of the keys (`share`; 1 = no preference), and the same with the
 //!   revealed values permuted, mask kept (`permuted`).
@@ -18,13 +18,12 @@
 
 use hire_baselines::EntityMean;
 use hire_bench::{cold_frac, dataset_for, maybe_write_json, mean_std, DatasetKind, HarnessArgs};
-use hire_core::{train, HireModel};
+use hire_core::HireModel;
 use hire_data::{ColdStartScenario, ColdStartSplit};
 use hire_eval::{
-    attention_evidence, baselines, hire, support_level, support_transfer, AttentionEvidence, Layer,
-    RatingModel,
+    attention_evidence, baselines, support_level, support_transfer, AttentionEvidence,
+    HireRatingModel, Layer, RatingModel,
 };
-use hire_graph::NeighborhoodSampler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -89,13 +88,10 @@ fn main() {
             for scenario in ColdStartScenario::ALL {
                 let split = ColdStartSplit::new(&dataset, scenario, cold_frac(kind), 0.1, seed);
                 let train_graph = split.train_graph(&dataset);
-                let mut models: Vec<Box<dyn RatingModel>> = vec![Box::new(EntityMean::new())];
-                models.extend(baselines(&dataset, args.tier));
-                models.push(hire(args.tier));
-                for mut model in models {
+                let mut probe = |model: &mut dyn RatingModel| {
                     model.fit(&dataset, &train_graph, &mut StdRng::seed_from_u64(seed));
-                    let level = support_level(&*model, &dataset, &split, max_entities);
-                    let transfer = support_transfer(&*model, &dataset, &split, max_entities, seed);
+                    let level = support_level(model, &dataset, &split, max_entities);
+                    let transfer = support_transfer(model, &dataset, &split, max_entities, seed);
                     eprintln!(
                         "[{name} {} seed {seed}] {:<10} level {level:?} twin {:+.3} random {:+.3}",
                         scenario.label(),
@@ -113,22 +109,21 @@ fn main() {
                         random: transfer.random,
                         transfer_entities: transfer.entities,
                     });
+                };
+                let mut models: Vec<Box<dyn RatingModel>> = vec![Box::new(EntityMean::new())];
+                models.extend(baselines(&dataset, args.tier));
+                for mut model in models {
+                    probe(&mut *model);
                 }
-                // HIRE again as a tape model — `HireRatingModel::fit`'s
-                // construction and training, same seed — for its attention.
                 let config = args.tier.hire_config();
-                let mut rng = StdRng::seed_from_u64(seed);
-                let hire = HireModel::new(&dataset, &config, &mut rng);
-                if let Err(err) = train(
-                    &hire,
-                    &dataset,
-                    &train_graph,
-                    &NeighborhoodSampler,
-                    &args.tier.hire_train_config(),
-                    &mut rng,
-                ) {
-                    eprintln!("HIRE training failed: {err}; continuing with current weights");
-                }
+                let mut fitted =
+                    HireRatingModel::new(config.clone(), args.tier.hire_train_config());
+                probe(&mut fitted);
+                // The fitted weights as a tape model, for its attention.
+                let hire = HireModel::new(&dataset, &config, &mut StdRng::seed_from_u64(seed));
+                let weights = fitted.frozen().expect("fitted").parameters();
+                hire.load_parameters(&weights)
+                    .expect("a model of the fitted one's configuration");
                 for evidence in attention_evidence(
                     &hire,
                     &config,

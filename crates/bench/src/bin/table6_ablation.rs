@@ -43,9 +43,12 @@ fn main() {
             eprintln!("  [{label} / {}] training ...", scenario.label());
             let r = evaluate_model(&mut model, &dataset, &split, &cfg);
             let at5 = &r.at_k[0];
+            let three = |v: Option<f32>| v.map_or_else(|| "—".into(), |v| format!("{v:.3}"));
             cells.push(format!(
-                "{:.3}/{:.3}/{:.3}",
-                at5.precision, at5.ndcg, at5.map
+                "{}/{:.3}/{}",
+                three(at5.precision),
+                at5.ndcg,
+                three(at5.map)
             ));
             records.push(serde_json::json!({
                 "variant": label, "scenario": scenario.label(),

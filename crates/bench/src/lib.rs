@@ -78,7 +78,7 @@ impl HarnessArgs {
     /// Parses an explicit argument list (without the program name),
     /// returning a typed error instead of panicking or exiting — the
     /// testable core of [`HarnessArgs::parse`].
-    pub(crate) fn parse_from(argv: &[String]) -> HireResult<Self> {
+    pub fn parse_from(argv: &[String]) -> HireResult<Self> {
         let mut args = HarnessArgs {
             tier: SpeedTier::Fast,
             seed: 7,
@@ -652,11 +652,19 @@ fn summarize(per_seed: &[SeedReports]) -> Vec<SummaryRow> {
         let cutoffs = runs.first().map_or(0, |run| run.at_k.len());
         let at_k = (0..cutoffs)
             .map(|i| {
-                let stat = |f: fn(&MetricsAtK) -> f32| {
-                    mean_std(&runs.iter().map(|run| f(&run.at_k[i])).collect::<Vec<_>>())
+                // A metric some seed did not report is not reported.
+                let stat = |f: fn(&MetricsAtK) -> Option<f32>| {
+                    let values = runs.iter().map(|run| f(&run.at_k[i]));
+                    let values: Option<Vec<f32>> = values.collect();
+                    values.map_or((None, None), |v| {
+                        let (mean, std) = mean_std(&v);
+                        (Some(mean), Some(std))
+                    })
                 };
-                let ((precision, precision_std), (ndcg, ndcg_std), (map, map_std)) =
-                    (stat(|m| m.precision), stat(|m| m.ndcg), stat(|m| m.map));
+                let ((precision, precision_std), (map, map_std)) =
+                    (stat(|m| m.precision), stat(|m| m.map));
+                let ndcg: Vec<f32> = runs.iter().map(|run| run.at_k[i].ndcg).collect();
+                let (ndcg, ndcg_std) = mean_std(&ndcg);
                 MetricsAtK {
                     k: runs[0].at_k[i].k,
                     precision,
@@ -718,12 +726,13 @@ fn format_summary(title: &str, rows: &[SummaryRow], runs: usize) -> String {
             out.push_str("  [no seed evaluated an entity]");
         }
         for at in &row.at_k {
-            for (mean, std) in [
-                (at.precision, at.precision_std),
-                (at.ndcg, at.ndcg_std),
-                (at.map, at.map_std),
+            for cell in [
+                at.precision.zip(at.precision_std),
+                Some((at.ndcg, at.ndcg_std)),
+                at.map.zip(at.map_std),
             ] {
-                out.push_str(&format!("{:>16}", format!("{mean:.4}±{std:.4}")));
+                let cell = cell.map_or_else(|| "—".into(), |(m, s)| format!("{m:.4}±{s:.4}"));
+                out.push_str(&format!("{cell:>16}"));
             }
         }
         if let (Some(random), Some(at)) = (random, row.at_k.first()) {
@@ -871,10 +880,10 @@ pub fn run_sweep(
     reports
 }
 
-/// [`run_sweep`] with the standard model roster ([`default_specs`]); HIRE
-/// training checkpoints land in a per-scenario subdirectory of
-/// `--checkpoint-dir`.
-pub(crate) fn run_standard_sweep(
+/// [`run_sweep`] with the standard model roster (the random row, every
+/// applicable baseline, HIRE) — what Tables III–V run; HIRE training
+/// checkpoints land in a per-scenario subdirectory of `--checkpoint-dir`.
+pub fn run_standard_sweep(
     kind: DatasetKind,
     title: &str,
     args: &HarnessArgs,
@@ -1058,16 +1067,18 @@ mod tests {
                     model: "GlobalMean".to_string(),
                     at_k: vec![MetricsAtK {
                         k: 5,
-                        precision: 0.25,
-                        precision_std: 0.5,
+                        precision: Some(0.25),
+                        precision_std: Some(0.5),
                         ndcg: 0.75,
                         ndcg_std: 0.125,
-                        map: 0.375,
-                        map_std: 0.0625,
+                        map: None,
+                        map_std: None,
                     }],
                     fit_seconds: 1.5,
                     test_seconds: 0.25,
                     entities: 12,
+                    mae: 0.5,
+                    rmse: 0.75,
                     status: EvalStatus::Ok,
                 },
                 ModelResult {
@@ -1076,6 +1087,8 @@ mod tests {
                     fit_seconds: 0.0,
                     test_seconds: 0.0,
                     entities: 0,
+                    mae: 0.0,
+                    rmse: 0.0,
                     status: EvalStatus::Failed {
                         message: "boom".to_string(),
                     },
@@ -1090,7 +1103,9 @@ mod tests {
         assert_eq!(parsed.results.len(), 2);
         assert_eq!(parsed.results[0].model, "GlobalMean");
         assert_eq!(parsed.results[0].at_k[0].k, 5);
-        assert_eq!(parsed.results[0].at_k[0].precision, 0.25);
+        assert_eq!(parsed.results[0].at_k[0].precision, Some(0.25));
+        assert_eq!(parsed.results[0].at_k[0].map, None);
+        assert_eq!((parsed.results[0].mae, parsed.results[0].rmse), (0.5, 0.75));
         assert_eq!(parsed.results[0].entities, 12);
         assert!(parsed.results[0].status.is_ok());
         assert!(matches!(

@@ -26,7 +26,13 @@ pub fn cheap_specs() -> Vec<ModelSpec> {
 }
 
 /// One model's row of a scenario report without its wall-clock timings.
-pub type ComparableRow = (String, String, Vec<(usize, f32, f32, f32)>, usize, bool);
+pub type ComparableRow = (
+    String,
+    String,
+    Vec<(usize, Option<f32>, f32, Option<f32>)>,
+    usize,
+    bool,
+);
 
 /// Everything except wall-clock timings, flattened for comparison.
 pub fn comparable(reports: &[ScenarioReport]) -> Vec<ComparableRow> {

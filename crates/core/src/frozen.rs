@@ -19,6 +19,7 @@ use hire_data::{Dataset, PredictionContext};
 use hire_error::{HireError, HireResult};
 use hire_nn::{MhsaWeights, Module};
 use hire_tensor::{round_int8, NdArray, QuantMode};
+use std::borrow::Borrow;
 use std::path::Path;
 use std::time::Instant;
 
@@ -31,25 +32,160 @@ pub struct FrozenModel {
 }
 
 /// Pulls the next parameter off the iterator and validates its shape.
-fn take_param(
-    params: &mut std::vec::IntoIter<NdArray>,
-    name: &str,
+/// (`name` is formatted only into an error.)
+fn take_param<W: Borrow<NdArray>>(
+    params: &mut impl Iterator<Item = W>,
+    name: std::fmt::Arguments<'_>,
     expect: &[usize],
-) -> HireResult<NdArray> {
+) -> HireResult<W> {
     let p = params.next().ok_or_else(|| {
         HireError::invalid_data("FrozenModel", format!("missing parameter `{name}`"))
     })?;
-    if p.dims() != expect {
+    let dims = p.borrow().dims();
+    if dims != expect {
         return Err(HireError::invalid_data(
             "FrozenModel",
-            format!(
-                "parameter `{name}` has shape {:?}, expected {:?}",
-                p.dims(),
-                expect
-            ),
+            format!("parameter `{name}` has shape {dims:?}, expected {expect:?}"),
         ));
     }
     Ok(p)
+}
+
+/// A model's weights from a flat parameter list in
+/// `HireModel::parameters()` order — owned arrays, or the live model's
+/// lent ones — validating every shape against the dataset schema and
+/// `config`.
+pub(crate) fn him_weights<W: Borrow<NdArray>>(
+    dataset: &Dataset,
+    config: &HireConfig,
+    mut it: impl ExactSizeIterator<Item = W>,
+) -> HireResult<HimWeights<W>> {
+    let total = it.len();
+    let f = config.attr_dim;
+    let inner = config.heads * config.head_dim;
+
+    let user_cards: Vec<usize> = if dataset.user_schema.is_id_only() {
+        vec![dataset.num_users]
+    } else {
+        dataset
+            .user_schema
+            .attributes()
+            .iter()
+            .map(|a| a.cardinality)
+            .collect()
+    };
+    let item_cards: Vec<usize> = if dataset.item_schema.is_id_only() {
+        vec![dataset.num_items]
+    } else {
+        dataset
+            .item_schema
+            .attributes()
+            .iter()
+            .map(|a| a.cardinality)
+            .collect()
+    };
+    let num_attrs = user_cards.len() + item_cards.len() + 1;
+    let e = num_attrs * f;
+
+    let mut user_embeddings = Vec::with_capacity(user_cards.len());
+    for (k, &card) in user_cards.iter().enumerate() {
+        user_embeddings.push(take_param(
+            &mut it,
+            format_args!("user_emb[{k}]"),
+            &[card, f],
+        )?);
+    }
+    let mut item_embeddings = Vec::with_capacity(item_cards.len());
+    for (k, &card) in item_cards.iter().enumerate() {
+        item_embeddings.push(take_param(
+            &mut it,
+            format_args!("item_emb[{k}]"),
+            &[card, f],
+        )?);
+    }
+    let rating_embedding = take_param(
+        &mut it,
+        format_args!("rating_emb"),
+        &[dataset.rating_levels, f],
+    )?;
+
+    let mut blocks = Vec::with_capacity(config.num_blocks);
+    for b in 0..config.num_blocks {
+        let mhsa = |it: &mut _, layer: &str, dim: usize| -> HireResult<MhsaWeights<W>> {
+            let w = |it: &mut _, name: &str, shape: &[usize]| {
+                take_param(it, format_args!("block[{b}].{layer}.{name}"), shape)
+            };
+            Ok(MhsaWeights {
+                w_q: w(it, "w_q", &[dim, inner])?,
+                w_k: w(it, "w_k", &[dim, inner])?,
+                w_v: w(it, "w_v", &[dim, inner])?,
+                w_o: w(it, "w_o", &[inner, dim])?,
+                heads: config.heads,
+                head_dim: config.head_dim,
+            })
+        };
+        let norm = |it: &mut _, layer: &str| -> HireResult<Norm<W>> {
+            Ok(Norm {
+                gamma: take_param(it, format_args!("block[{b}].{layer}.gamma"), &[e])?,
+                beta: take_param(it, format_args!("block[{b}].{layer}.beta"), &[e])?,
+            })
+        };
+        let mbu = config
+            .enable_mbu
+            .then(|| mhsa(&mut it, "mbu", e))
+            .transpose()?;
+        let mbi = config
+            .enable_mbi
+            .then(|| mhsa(&mut it, "mbi", e))
+            .transpose()?;
+        let mba = config
+            .enable_mba
+            .then(|| mhsa(&mut it, "mba", f))
+            .transpose()?;
+        let norm_mbu = (config.enable_mbu && config.layer_norm)
+            .then(|| norm(&mut it, "norm_mbu"))
+            .transpose()?;
+        let norm_mbi = (config.enable_mbi && config.layer_norm)
+            .then(|| norm(&mut it, "norm_mbi"))
+            .transpose()?;
+        let norm_mba = (config.enable_mba && config.layer_norm)
+            .then(|| norm(&mut it, "norm_mba"))
+            .transpose()?;
+        blocks.push(BlockWeights {
+            mbu,
+            mbi,
+            mba,
+            norm_mbu,
+            norm_mbi,
+            norm_mba,
+            residual: config.residual,
+        });
+    }
+
+    let decoder_w = take_param(&mut it, format_args!("decoder.weight"), &[e, 1])?;
+    let decoder_b = take_param(&mut it, format_args!("decoder.bias"), &[1])?;
+    let leftover = it.count();
+    if leftover != 0 {
+        return Err(HireError::invalid_data(
+            "FrozenModel",
+            format!("{leftover} unexpected trailing parameters (of {total})"),
+        ));
+    }
+
+    Ok(HimWeights {
+        user_embeddings,
+        item_embeddings,
+        rating_embedding,
+        blocks,
+        decoder_w,
+        decoder_b,
+        alpha: dataset.max_rating(),
+        min_rating: dataset.min_rating,
+        rating_levels: dataset.rating_levels,
+        user_id_only: dataset.user_schema.is_id_only(),
+        item_id_only: dataset.item_schema.is_id_only(),
+        attr_dim: f,
+    })
 }
 
 impl FrozenModel {
@@ -61,122 +197,8 @@ impl FrozenModel {
         config: HireConfig,
         params: Vec<NdArray>,
     ) -> HireResult<Self> {
-        let total = params.len();
-        let mut it = params.into_iter();
-        let f = config.attr_dim;
-        let inner = config.heads * config.head_dim;
-
-        let user_cards: Vec<usize> = if dataset.user_schema.is_id_only() {
-            vec![dataset.num_users]
-        } else {
-            dataset
-                .user_schema
-                .attributes()
-                .iter()
-                .map(|a| a.cardinality)
-                .collect()
-        };
-        let item_cards: Vec<usize> = if dataset.item_schema.is_id_only() {
-            vec![dataset.num_items]
-        } else {
-            dataset
-                .item_schema
-                .attributes()
-                .iter()
-                .map(|a| a.cardinality)
-                .collect()
-        };
-        let num_attrs = user_cards.len() + item_cards.len() + 1;
-        let e = num_attrs * f;
-
-        let mut user_embeddings = Vec::with_capacity(user_cards.len());
-        for (k, &card) in user_cards.iter().enumerate() {
-            user_embeddings.push(take_param(&mut it, &format!("user_emb[{k}]"), &[card, f])?);
-        }
-        let mut item_embeddings = Vec::with_capacity(item_cards.len());
-        for (k, &card) in item_cards.iter().enumerate() {
-            item_embeddings.push(take_param(&mut it, &format!("item_emb[{k}]"), &[card, f])?);
-        }
-        let rating_embedding = take_param(&mut it, "rating_emb", &[dataset.rating_levels, f])?;
-
-        let mut blocks = Vec::with_capacity(config.num_blocks);
-        for b in 0..config.num_blocks {
-            let mhsa = |it: &mut std::vec::IntoIter<NdArray>,
-                        layer: &str,
-                        dim: usize|
-             -> HireResult<MhsaWeights> {
-                Ok(MhsaWeights {
-                    w_q: take_param(it, &format!("block[{b}].{layer}.w_q"), &[dim, inner])?,
-                    w_k: take_param(it, &format!("block[{b}].{layer}.w_k"), &[dim, inner])?,
-                    w_v: take_param(it, &format!("block[{b}].{layer}.w_v"), &[dim, inner])?,
-                    w_o: take_param(it, &format!("block[{b}].{layer}.w_o"), &[inner, dim])?,
-                    heads: config.heads,
-                    head_dim: config.head_dim,
-                })
-            };
-            let norm = |it: &mut std::vec::IntoIter<NdArray>, layer: &str| -> HireResult<Norm> {
-                Ok(Norm {
-                    gamma: take_param(it, &format!("block[{b}].{layer}.gamma"), &[e])?,
-                    beta: take_param(it, &format!("block[{b}].{layer}.beta"), &[e])?,
-                })
-            };
-            let mbu = config
-                .enable_mbu
-                .then(|| mhsa(&mut it, "mbu", e))
-                .transpose()?;
-            let mbi = config
-                .enable_mbi
-                .then(|| mhsa(&mut it, "mbi", e))
-                .transpose()?;
-            let mba = config
-                .enable_mba
-                .then(|| mhsa(&mut it, "mba", f))
-                .transpose()?;
-            let norm_mbu = (config.enable_mbu && config.layer_norm)
-                .then(|| norm(&mut it, "norm_mbu"))
-                .transpose()?;
-            let norm_mbi = (config.enable_mbi && config.layer_norm)
-                .then(|| norm(&mut it, "norm_mbi"))
-                .transpose()?;
-            let norm_mba = (config.enable_mba && config.layer_norm)
-                .then(|| norm(&mut it, "norm_mba"))
-                .transpose()?;
-            blocks.push(BlockWeights {
-                mbu,
-                mbi,
-                mba,
-                norm_mbu,
-                norm_mbi,
-                norm_mba,
-                residual: config.residual,
-            });
-        }
-
-        let decoder_w = take_param(&mut it, "decoder.weight", &[e, 1])?;
-        let decoder_b = take_param(&mut it, "decoder.bias", &[1])?;
-        let leftover = it.count();
-        if leftover != 0 {
-            return Err(HireError::invalid_data(
-                "FrozenModel",
-                format!("{leftover} unexpected trailing parameters (of {total})"),
-            ));
-        }
-
         Ok(FrozenModel {
-            weights: HimWeights {
-                user_embeddings,
-                item_embeddings,
-                rating_embedding,
-                blocks,
-                decoder_w,
-                decoder_b,
-                alpha: dataset.max_rating(),
-                min_rating: dataset.min_rating,
-                rating_levels: dataset.rating_levels,
-                user_id_only: dataset.user_schema.is_id_only(),
-                item_id_only: dataset.item_schema.is_id_only(),
-                attr_dim: f,
-            },
+            weights: him_weights(dataset, &config, params.into_iter())?,
             config,
         })
     }

@@ -2,12 +2,13 @@
 
 use crate::config::HireConfig;
 use crate::encoder::ContextEncoder;
-use crate::frozen::FrozenModel;
+use crate::frozen::him_weights;
 use crate::him::{HimAttention, HimStack};
 use hire_data::{Dataset, PredictionContext};
 use hire_nn::{Linear, Module};
 use hire_tensor::{NdArray, Tensor};
 use rand::Rng;
+use std::cell::Ref;
 
 /// The Heterogeneous Interaction Rating nEtwork.
 pub struct HireModel {
@@ -77,19 +78,21 @@ impl HireModel {
     }
 
     /// Inference: the predicted rating matrix as a plain array, from the
-    /// tape-free forward over the model's current weights (exported as
-    /// [`FrozenModel::from_model`] does) — bit-identical to
-    /// [`Self::forward`], without building a tape. To predict many contexts
-    /// with unchanged weights, freeze once and call
-    /// [`FrozenModel::forward_nograd`].
+    /// tape-free forward over the model's current weights, lent where they
+    /// are (no copy, no tape) — bit-identical to [`Self::forward`]. To
+    /// predict many contexts with unchanged weights, freeze once
+    /// ([`crate::FrozenModel::from_model`]) and call
+    /// [`crate::FrozenModel::forward_nograd`].
     ///
     /// # Panics
     ///
     /// If `dataset` is not the schema the model was built for, or `ctx`
     /// names an entity `dataset` does not have.
     pub fn predict(&self, ctx: &PredictionContext, dataset: &Dataset) -> NdArray {
-        FrozenModel::from_model(self, dataset)
-            .and_then(|frozen| frozen.forward_nograd(ctx, dataset))
+        let params = self.parameters();
+        let values: Vec<Ref<'_, NdArray>> = params.iter().map(Tensor::borrow_value).collect();
+        him_weights(dataset, &self.config, values.iter().map(|v| &**v))
+            .and_then(|weights| weights.forward_nograd(ctx, dataset))
             .unwrap_or_else(|e| panic!("HireModel::predict: {e}"))
     }
 

@@ -2,9 +2,9 @@
 //! → `α·sigmoid` decoder (Eq. 16), written once over [`HimWeights`], f32
 //! throughout.
 //!
-//! [`crate::FrozenModel`] is a `HimWeights` plus its configuration, and
-//! [`crate::HireModel::predict`] runs it over the live model's exported
-//! weights; [`crate::QuantizedModel`] is a `FrozenModel` whose weight
+//! [`crate::FrozenModel`] is a `HimWeights` of owned arrays plus its
+//! configuration, and [`crate::HireModel::predict`] runs it over the live
+//! model's weights, lent where they are; [`crate::QuantizedModel`] is a `FrozenModel` whose weight
 //! matrices were rounded through int8 when it was built, so it runs this
 //! same code over other numbers.
 //!
@@ -142,16 +142,17 @@ impl<W> BlockWeights<W> {
 }
 
 /// A HIRE model's weights, plus the dataset schema facts needed to encode
-/// contexts: what the tape-free forward runs on. Built by
-/// [`crate::FrozenModel`]; [`Self::map`] rewrites its weight matrices.
+/// contexts: what the tape-free forward runs on. Owned arrays in a
+/// [`crate::FrozenModel`] ([`Self::map`] rewrites its weight matrices), or
+/// the live model's, lent as `&NdArray` to one prediction.
 #[derive(Debug, Clone)]
-pub(crate) struct HimWeights {
-    pub(crate) user_embeddings: Vec<NdArray>,
-    pub(crate) item_embeddings: Vec<NdArray>,
-    pub(crate) rating_embedding: NdArray,
-    pub(crate) blocks: Vec<BlockWeights>,
-    pub(crate) decoder_w: NdArray,
-    pub(crate) decoder_b: NdArray,
+pub(crate) struct HimWeights<W = NdArray> {
+    pub(crate) user_embeddings: Vec<W>,
+    pub(crate) item_embeddings: Vec<W>,
+    pub(crate) rating_embedding: W,
+    pub(crate) blocks: Vec<BlockWeights<W>>,
+    pub(crate) decoder_w: W,
+    pub(crate) decoder_b: W,
     /// Output scale α of Eq. (16).
     pub(crate) alpha: f32,
     pub(crate) min_rating: f32,
@@ -182,8 +183,8 @@ fn row(table: &NdArray, index: usize) -> &[f32] {
 /// Writes one entity's attribute features — each table's embedding row,
 /// concatenated — into `out: [tables.len() * f]`. ID-only schemas have a
 /// single table indexed by the entity id itself.
-fn entity_features(
-    tables: &[NdArray],
+fn entity_features<W: Borrow<NdArray>>(
+    tables: &[W],
     id: usize,
     id_only: bool,
     attrs: &[Vec<usize>],
@@ -191,7 +192,7 @@ fn entity_features(
 ) {
     let f = out.len() / tables.len().max(1);
     for (k, (emb, dst)) in tables.iter().zip(out.chunks_exact_mut(f)).enumerate() {
-        dst.copy_from_slice(row(emb, if id_only { id } else { attrs[id][k] }));
+        dst.copy_from_slice(row(emb.borrow(), if id_only { id } else { attrs[id][k] }));
     }
 }
 
@@ -659,7 +660,9 @@ impl HimWeights {
             attr_dim: self.attr_dim,
         }
     }
+}
 
+impl<W: Borrow<NdArray>> HimWeights<W> {
     /// Number of attribute channels `h = h_u + h_i + 1`.
     pub(crate) fn num_attrs(&self) -> usize {
         self.user_embeddings.len() + self.item_embeddings.len() + 1
@@ -724,9 +727,9 @@ impl HimWeights {
                 if mask[i * m + j] == 1.0 {
                     let level = (ratings[i * m + j] - self.min_rating).round() as usize;
                     let level = level.min(self.rating_levels - 1);
-                    dst.copy_from_slice(row(&self.rating_embedding, level));
+                    dst.copy_from_slice(row(self.rating_embedding.borrow(), level));
                 } else {
-                    for (v, &r) in dst.iter_mut().zip(row(&self.rating_embedding, 0)) {
+                    for (v, &r) in dst.iter_mut().zip(row(self.rating_embedding.borrow(), 0)) {
                         *v = r * 0.0;
                     }
                 }
@@ -736,7 +739,7 @@ impl HimWeights {
     }
 
     /// The HIM blocks this model's forward runs.
-    fn stack(&self) -> Stack<'_, NdArray> {
+    fn stack(&self) -> Stack<'_, W> {
         Stack {
             blocks: &self.blocks,
             num_attrs: self.num_attrs(),
@@ -755,8 +758,9 @@ impl HimWeights {
     /// `x`, into the first `cells` floats of `logits`, which it returns.
     fn decode<'a>(&self, x: &[f32], logits: &'a mut [f32], cells: usize, isa: Isa) -> &'a [f32] {
         let logits = &mut logits[..cells];
-        linalg::linear_into(&self.decoder_w, &x[..cells * self.embed_dim()], logits, isa);
-        let (bias, alpha) = (self.decoder_b.as_slice()[0], self.alpha);
+        let x = &x[..cells * self.embed_dim()];
+        linalg::linear_into(self.decoder_w.borrow(), x, logits, isa);
+        let (bias, alpha) = (self.decoder_b.borrow().as_slice()[0], self.alpha);
         for v in logits.iter_mut() {
             *v = 1.0 / (1.0 + (-(*v + bias)).exp()) * alpha;
         }

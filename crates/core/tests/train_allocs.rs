@@ -14,6 +14,9 @@
 //! — shows up here rather than as a slow drift in the ledger's
 //! `train.allocs_per_step`.
 //!
+//! `steady_state_predict_stays_within_its_allocation_budget` holds
+//! `HireModel::predict` to a budget the same way.
+//!
 //! Own test binary: the counting `#[global_allocator]` is process-wide.
 
 use hire_core::{HireConfig, HireModel};
@@ -75,6 +78,46 @@ fn steady_state_loss_and_backward_stay_within_their_allocation_budget() {
         first.largest < MMAP_THRESHOLD,
         "a training step allocated {} bytes at once",
         first.largest
+    );
+}
+
+/// `HireModel::predict` runs the one tape-free forward over the live
+/// model's weights, lent where they are (`Tensor::borrow_value`): no tape,
+/// and no export of the weights into a `FrozenModel` per call. Exporting
+/// made 121 allocations of 177 KB a prediction — a copy of every weight
+/// array — for one forward; lent, it makes 30 of 4 824 bytes on every ISA:
+/// the parameter lists it lends from, the weights' shape check and the
+/// forward's own three. Pinned plus 10 %, so a prediction that copies the
+/// model again shows up here.
+#[test]
+fn steady_state_predict_stays_within_its_allocation_budget() {
+    let (budget, bytes_budget) = (33, 5_310);
+    let dataset = SyntheticConfig::movielens_like()
+        .scaled(60, 50, (10, 20))
+        .generate(5);
+    let config = HireConfig::fast().with_blocks(2).with_context_size(16, 16);
+    let mut rng = StdRng::seed_from_u64(5);
+    let model = HireModel::new(&dataset, &config, &mut rng);
+    let ctx = training_context(
+        &dataset.graph(),
+        &NeighborhoodSampler,
+        dataset.ratings[0],
+        16,
+        16,
+        0.2,
+        &mut rng,
+    )
+    .expect("context");
+
+    drop(model.predict(&ctx, &dataset));
+    let first = allocations(|| drop(model.predict(&ctx, &dataset)));
+    let again = allocations(|| drop(model.predict(&ctx, &dataset)));
+    assert_eq!(first, again, "a steady-state prediction's count repeats");
+    assert!(
+        (1..=budget).contains(&first.calls) && first.bytes <= bytes_budget,
+        "HireModel::predict made {} allocations of {} bytes, budget {budget} of {bytes_budget}",
+        first.calls,
+        first.bytes
     );
 }
 

@@ -125,17 +125,19 @@ fn placeholder_result(name: String, config: &EvalConfig, status: EvalStatus) -> 
             .iter()
             .map(|&k| MetricsAtK {
                 k,
-                precision: 0.0,
-                precision_std: 0.0,
+                precision: None,
+                precision_std: None,
                 ndcg: 0.0,
                 ndcg_std: 0.0,
-                map: 0.0,
-                map_std: 0.0,
+                map: None,
+                map_std: None,
             })
             .collect(),
         fit_seconds: 0.0,
         test_seconds: 0.0,
         entities: 0,
+        mae: 0.0,
+        rmse: 0.0,
         status,
     }
 }

@@ -54,6 +54,11 @@ impl HireRatingModel {
             fallback: 0.0,
         }
     }
+
+    /// The weights `fit` trained and froze (`None` before `fit`).
+    pub fn frozen(&self) -> Option<&FrozenModel> {
+        self.model.as_ref()
+    }
 }
 
 impl RatingModel for HireRatingModel {

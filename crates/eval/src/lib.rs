@@ -24,6 +24,7 @@ pub use probes::{
     Layer, Transfer,
 };
 pub use runner::{
-    evaluate_model, format_table, format_timing, EvalConfig, MetricsAtK, ModelResult, RANDOM_ROW,
+    evaluate_model, format_metric, format_table, format_timing, EvalConfig, MetricsAtK,
+    ModelResult, RANDOM_ROW,
 };
 pub use zoo::{baseline_specs, baselines, hire, hire_spec, hire_spec_with_train_config, SpeedTier};

@@ -1,6 +1,6 @@
 //! The experiment runner: trains a model on a cold-start split, evaluates
 //! it per cold entity, and aggregates Precision/NDCG/MAP at the paper's
-//! cutoffs.
+//! cutoffs, and MAE/RMSE over every evaluated query.
 
 use hire_baselines::RatingModel;
 use hire_data::{ColdStartSplit, Dataset};
@@ -26,28 +26,46 @@ pub struct ModelResult {
     pub test_seconds: f64,
     /// Number of cold entities evaluated.
     pub entities: usize,
+    /// Mean absolute error over every evaluated query rating.
+    pub mae: f32,
+    /// Root mean squared error over every evaluated query rating.
+    pub rmse: f32,
     /// How the evaluation ended (always `Ok` from [`evaluate_model`];
     /// [`crate::fault::evaluate_model_isolated`] records panics/timeouts).
     pub status: crate::fault::EvalStatus,
 }
 
-/// Mean/std of each ranking metric at one cutoff.
+/// Mean/std of each ranking metric at one cutoff. Precision and MAP at
+/// `k` are reported only when every evaluated list holds at least `k`
+/// candidates (`None` otherwise): on a shorter list they are capped by its
+/// length, not by the ranking. NDCG normalises by the list's own ideal, so
+/// it is always reported.
 #[derive(Debug, Clone, Serialize)]
 pub struct MetricsAtK {
     /// The cutoff `k`.
     pub k: usize,
     /// Mean precision across cold entities.
-    pub precision: f32,
+    pub precision: Option<f32>,
     /// Std of precision.
-    pub precision_std: f32,
+    pub precision_std: Option<f32>,
     /// Mean NDCG.
     pub ndcg: f32,
     /// Std of NDCG.
     pub ndcg_std: f32,
     /// Mean MAP.
-    pub map: f32,
+    pub map: Option<f32>,
     /// Std of MAP.
-    pub map_std: f32,
+    pub map_std: Option<f32>,
+}
+
+/// `key`'s number, `Some(None)` for `null`, `None` when missing or not a
+/// number.
+fn optional_f32(v: &serde::Value, key: &str) -> Option<Option<f32>> {
+    let v = v.get(key)?;
+    if v.is_null() {
+        return Some(None);
+    }
+    Some(Some(v.as_f64()? as f32))
 }
 
 impl MetricsAtK {
@@ -56,12 +74,12 @@ impl MetricsAtK {
     pub(crate) fn from_value(v: &serde::Value) -> Option<Self> {
         Some(MetricsAtK {
             k: v.get("k")?.as_i64()? as usize,
-            precision: v.get("precision")?.as_f64()? as f32,
-            precision_std: v.get("precision_std")?.as_f64()? as f32,
+            precision: optional_f32(v, "precision")?,
+            precision_std: optional_f32(v, "precision_std")?,
             ndcg: v.get("ndcg")?.as_f64()? as f32,
             ndcg_std: v.get("ndcg_std")?.as_f64()? as f32,
-            map: v.get("map")?.as_f64()? as f32,
-            map_std: v.get("map_std")?.as_f64()? as f32,
+            map: optional_f32(v, "map")?,
+            map_std: optional_f32(v, "map_std")?,
         })
     }
 }
@@ -84,6 +102,8 @@ impl ModelResult {
             fit_seconds: v.get("fit_seconds")?.as_f64()?,
             test_seconds: v.get("test_seconds")?.as_f64()?,
             entities: v.get("entities")?.as_i64()? as usize,
+            mae: v.get("mae")?.as_f64()? as f32,
+            rmse: v.get("rmse")?.as_f64()? as f32,
             status: crate::fault::EvalStatus::from_value(v.get("status")?)?,
         })
     }
@@ -135,6 +155,8 @@ pub fn evaluate_model(
 
     let mut accs: Vec<[Accumulator; 3]> = config.ks.iter().map(|_| Default::default()).collect();
     let mut entities = 0usize;
+    let mut shortest = usize::MAX;
+    let (mut abs_err, mut sq_err, mut rated) = (0.0f64, 0.0f64, 0usize);
     let mut test_time = Duration::ZERO;
     for (_entity, queries) in split.queries_by_entity() {
         if queries.len() < config.min_queries {
@@ -147,6 +169,13 @@ pub fn evaluate_model(
         let t0 = Instant::now();
         let preds = model.predict(dataset, &visible, &pairs);
         test_time += t0.elapsed();
+        shortest = shortest.min(queries.len());
+        for (&p, r) in preds.iter().zip(&queries) {
+            let err = (p - r.value) as f64;
+            abs_err += err.abs();
+            sq_err += err * err;
+            rated += 1;
+        }
         let scored: Vec<ScoredPair> = preds
             .iter()
             .zip(&queries)
@@ -168,19 +197,24 @@ pub fn evaluate_model(
             .ks
             .iter()
             .zip(&accs)
-            .map(|(&k, acc)| MetricsAtK {
-                k,
-                precision: acc[0].mean(),
-                precision_std: acc[0].std(),
-                ndcg: acc[1].mean(),
-                ndcg_std: acc[1].std(),
-                map: acc[2].mean(),
-                map_std: acc[2].std(),
+            .map(|(&k, acc)| {
+                let full = shortest >= k;
+                MetricsAtK {
+                    k,
+                    precision: full.then(|| acc[0].mean()),
+                    precision_std: full.then(|| acc[0].std()),
+                    ndcg: acc[1].mean(),
+                    ndcg_std: acc[1].std(),
+                    map: full.then(|| acc[2].mean()),
+                    map_std: full.then(|| acc[2].std()),
+                }
             })
             .collect(),
         fit_seconds,
         test_seconds: test_time.as_secs_f64(),
         entities,
+        mae: (abs_err / rated.max(1) as f64) as f32,
+        rmse: (sq_err / rated.max(1) as f64).sqrt() as f32,
         status: crate::fault::EvalStatus::Ok,
     }
 }
@@ -189,12 +223,18 @@ pub fn evaluate_model(
 /// (`hire_baselines::Random`).
 pub const RANDOM_ROW: &str = "Random";
 
+/// A metric's table cell: four decimals, or `—` where it is not reported.
+pub fn format_metric(value: Option<f32>) -> String {
+    value.map_or_else(|| "—".to_string(), |v| format!("{v:.4}"))
+}
+
 /// Formats a comparison as a paper-style table (one row per model, one
 /// column group per cutoff). A model that evaluated no entity — a
 /// scenario with no cold entity of enough queries — prints a marker, not
 /// zeros. With a [`RANDOM_ROW`] that evaluated an entity, a last column
 /// gives each row's gain over it: NDCG at the first cutoff, less the
-/// random row's.
+/// random row's. Precision and MAP print `—` at a cutoff some list is
+/// shorter than; MAE and RMSE follow the cutoffs (`—` on the random row).
 pub fn format_table(title: &str, results: &[ModelResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!("## {title}\n"));
@@ -219,6 +259,7 @@ pub fn format_table(title: &str, results: &[ModelResult]) -> String {
         .iter()
         .find(|r| r.model == RANDOM_ROW && r.status.is_ok() && r.entities > 0)
         .and_then(|r| r.at_k.first());
+    out.push_str(&format!("{:>10}{:>10}", "MAE", "RMSE"));
     if let Some(at) = random {
         out.push_str(&format!("{:>14}", format!("gain@{}", at.k)));
     }
@@ -233,11 +274,15 @@ pub fn format_table(title: &str, results: &[ModelResult]) -> String {
                 for at in &r.at_k {
                     out.push_str(&format!(
                         "{:>12}{:>12}{:>12}",
-                        format!("{:.4}", at.precision),
+                        format_metric(at.precision),
                         format!("{:.4}", at.ndcg),
-                        format!("{:.4}", at.map)
+                        format_metric(at.map)
                     ));
                 }
+                // The random row's answers are not ratings.
+                let rated = r.model != RANDOM_ROW;
+                let [mae, rmse] = [r.mae, r.rmse].map(|e| format_metric(rated.then_some(e)));
+                out.push_str(&format!("{mae:>10}{rmse:>10}"));
                 if let (Some(random), Some(at)) = (random, r.at_k.first()) {
                     out.push_str(&format!("{:>14}", format!("{:+.4}", at.ndcg - random.ndcg)));
                 }
@@ -299,8 +344,8 @@ mod tests {
         assert_eq!(r.at_k.len(), 3);
         for at in &r.at_k {
             assert!(at.ndcg >= 0.0 && at.ndcg <= 1.0);
-            assert!(at.precision >= 0.0 && at.precision <= 1.0);
-            assert!(at.map >= 0.0 && at.map <= 1.0);
+            assert!(at.precision.is_none_or(|p| (0.0..=1.0).contains(&p)));
+            assert!(at.map.is_none_or(|m| (0.0..=1.0).contains(&m)));
         }
     }
 
@@ -349,19 +394,19 @@ mod tests {
         let random = evaluate_model(&mut Random, &d, &s, &cfg);
         assert!(random.entities > 0);
         assert_eq!(constant.entities, random.entities);
-        let bits = |r: &ModelResult| -> Vec<[u32; 6]> {
+        let bits = |r: &ModelResult| -> Vec<[Option<u32>; 6]> {
             r.at_k
                 .iter()
                 .map(|m| {
                     [
                         m.precision,
                         m.precision_std,
-                        m.ndcg,
-                        m.ndcg_std,
+                        Some(m.ndcg),
+                        Some(m.ndcg_std),
                         m.map,
                         m.map_std,
                     ]
-                    .map(f32::to_bits)
+                    .map(|v| v.map(f32::to_bits))
                 })
                 .collect()
         };

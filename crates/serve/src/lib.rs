@@ -26,11 +26,12 @@
 //! - `CircuitBreaker` — sliding-window failure-rate breaker
 //!   (closed / open / half-open) that sheds model-tier load when the
 //!   frozen forward is misbehaving.
-//! - [`Server`] — a micro-batching worker pool: queries are submitted over
-//!   channels (optionally with per-query deadline budgets); a free worker
-//!   takes what is queued (at most `max_batch`, never waiting for more)
-//!   and runs it as one batch under the tightest deadline in it, on
-//!   `workers` threads, with bounded-queue backpressure
+//! - [`Server`] — a micro-batching worker pool: queries enter a bounded
+//!   queue (optionally with per-query deadline budgets) and each answer
+//!   comes back through a one-shot reply slot its [`PredictionHandle`]
+//!   waits on; a free worker takes what is queued (at most `max_batch`,
+//!   never waiting for more) and runs it as one batch under the tightest
+//!   deadline in it, on `workers` threads, with bounded-queue backpressure
 //!   ([`ServeError::Overloaded`]), panic isolation
 //!   ([`ServeError::WorkerLost`]) and typed deadline replies
 //!   ([`ServeError::DeadlineExceeded`]).

@@ -11,13 +11,21 @@
 //! is already past its deadline when a worker picks it up is answered
 //! [`ServeError::DeadlineExceeded`] without spending a forward on it —
 //! accepted queries are always answered, never silently late.
+//!
+//! Each answer travels back through a one-shot reply slot that the job
+//! and its [`PredictionHandle`] share: one allocation, written once by
+//! the worker, which wakes the caller only if it is already waiting. A
+//! job dropped unanswered closes its slot, so the handle reads
+//! [`ServeError::WorkerLost`] instead of hanging. (Not a `std::sync::mpsc`
+//! channel: its first send allocates a second, 2.3 KB block, for a value
+//! sent exactly once.)
 
 use hire_chaos::{sites, FaultPlan, InjectedFault};
 use hire_error::HireError;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -250,7 +258,7 @@ struct Job {
     query: RatingQuery,
     enqueued: Instant,
     deadline: Option<Instant>,
-    reply: mpsc::Sender<Result<Prediction, ServeError>>,
+    reply: Replier,
 }
 
 struct State {
@@ -276,17 +284,69 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// What a query's reply slot holds: the answer once it is sent, whether
+/// the caller sleeps on it, and whether the sending side is gone.
+#[derive(Debug, Default)]
+struct SlotState {
+    value: Option<Result<Prediction, ServeError>>,
+    waiting: bool,
+    closed: bool,
+}
+
+/// A one-shot reply slot, shared by a job ([`Replier`]) and its
+/// [`PredictionHandle`].
+#[derive(Debug, Default)]
+struct Slot {
+    state: Mutex<SlotState>,
+    cv: Condvar,
+}
+
+impl Slot {
+    /// Stores `value` (if any) and closes the slot; wakes the caller only
+    /// if it is already waiting.
+    fn close(&self, value: Option<Result<Prediction, ServeError>>) {
+        let mut st = lock(&self.state);
+        st.value = value;
+        st.closed = true;
+        if st.waiting {
+            self.cv.notify_all();
+        }
+    }
+}
+
+/// A job's sending side of its reply slot. Sending consumes it; dropped
+/// unsent (a worker that died with the job), it closes the slot empty, so
+/// the handle reads [`ServeError::WorkerLost`] — what a dropped channel
+/// sender reads.
+struct Replier(Option<Arc<Slot>>);
+
+impl Replier {
+    fn send(mut self, result: Result<Prediction, ServeError>) {
+        if let Some(slot) = self.0.take() {
+            slot.close(Some(result));
+        }
+    }
+}
+
+impl Drop for Replier {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.close(None);
+        }
+    }
+}
+
 /// An in-flight query: wait on it for the prediction.
 #[derive(Debug)]
 pub struct PredictionHandle {
-    rx: mpsc::Receiver<Result<Prediction, ServeError>>,
+    slot: Arc<Slot>,
 }
 
 impl PredictionHandle {
     /// Blocks until the query is answered. A dropped worker surfaces as
     /// [`ServeError::WorkerLost`], never a hang.
     pub fn wait(self) -> Result<Prediction, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::WorkerLost))
+        self.take_by(None)
     }
 
     /// Bounded wait: blocks at most `timeout` for the answer. Elapsing the
@@ -294,10 +354,36 @@ impl PredictionHandle {
     /// the handle — the query is still in flight and a later
     /// `recv_timeout`/[`PredictionHandle::wait`] can still collect it.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Prediction, ServeError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(ServeError::DeadlineExceeded),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServeError::WorkerLost),
+        // A timeout too large for an `Instant` is no bound at all.
+        self.take_by(Instant::now().checked_add(timeout))
+    }
+
+    /// The answer; `WorkerLost` once the slot is closed without one (or
+    /// its answer was already taken); `DeadlineExceeded` when `deadline`
+    /// passes first.
+    fn take_by(&self, deadline: Option<Instant>) -> Result<Prediction, ServeError> {
+        let mut st = lock(&self.slot.state);
+        loop {
+            if let Some(value) = st.value.take() {
+                return value;
+            }
+            if st.closed {
+                return Err(ServeError::WorkerLost);
+            }
+            st.waiting = true;
+            st = match deadline {
+                None => self.slot.cv.wait(st).unwrap_or_else(|p| p.into_inner()),
+                Some(deadline) => {
+                    let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                        return Err(ServeError::DeadlineExceeded);
+                    };
+                    self.slot
+                        .cv
+                        .wait_timeout(st, left)
+                        .unwrap_or_else(|p| p.into_inner())
+                        .0
+                }
+            };
         }
     }
 }
@@ -370,7 +456,7 @@ impl Server {
         query: RatingQuery,
         budget: Option<Duration>,
     ) -> Result<PredictionHandle, ServeError> {
-        let (tx, rx) = mpsc::channel();
+        let slot = Arc::<Slot>::default();
         let now = Instant::now();
         {
             let mut st = lock(&self.shared.state);
@@ -391,11 +477,11 @@ impl Server {
                 query,
                 enqueued: now,
                 deadline: budget.map(|b| now + b),
-                reply: tx,
+                reply: Replier(Some(slot.clone())),
             });
         }
         self.shared.cv.notify_one();
-        Ok(PredictionHandle { rx })
+        Ok(PredictionHandle { slot })
     }
 
     /// Blocking predict: submit + wait.
@@ -439,18 +525,21 @@ impl Drop for Server {
 /// The one reply sink: counts the job as completed, then sends its typed
 /// result — counted first, so a caller that sees its answer also sees the
 /// counter include it.
-fn reply(shared: &Shared, job: &Job, result: Result<Prediction, ServeError>) {
+fn reply(shared: &Shared, job: Job, result: Result<Prediction, ServeError>) {
     shared.completed.fetch_add(1, Ordering::Release);
-    let _ = job.reply.send(result);
+    job.reply.send(result);
 }
 
 fn worker_loop(shared: Arc<Shared>, predictor: Arc<dyn Predictor>) {
+    // Kept across batches: a batch allocates neither its job list nor its
+    // query list.
+    let mut batch: Vec<Job> = Vec::with_capacity(shared.config.max_batch);
+    let mut queries: Vec<RatingQuery> = Vec::with_capacity(shared.config.max_batch);
     loop {
         // Sleep until something is queued (or shutdown with an empty
         // queue), then take what is queued now, up to `max_batch`. A job
         // already past its deadline is answered `DeadlineExceeded` here,
         // without spending a forward, and never joins the batch.
-        let mut batch: Vec<Job> = Vec::new();
         let mut tightest: Option<Instant> = None;
         let mut st = lock(&shared.state);
         loop {
@@ -461,7 +550,7 @@ fn worker_loop(shared: Arc<Shared>, predictor: Arc<dyn Predictor>) {
                 if let Some(deadline) = job.deadline {
                     if Instant::now() >= deadline {
                         shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                        reply(&shared, &job, Err(ServeError::DeadlineExceeded));
+                        reply(&shared, job, Err(ServeError::DeadlineExceeded));
                         continue;
                     }
                     tightest = Some(tightest.map_or(deadline, |t| t.min(deadline)));
@@ -478,7 +567,8 @@ fn worker_loop(shared: Arc<Shared>, predictor: Arc<dyn Predictor>) {
         }
         drop(st);
 
-        let queries: Vec<RatingQuery> = batch.iter().map(|j| j.query).collect();
+        queries.clear();
+        queries.extend(batch.iter().map(|j| j.query));
         let result = catch_unwind(AssertUnwindSafe(|| {
             if let Some(plan) = &shared.faults {
                 plan.fire(sites::SERVER_BATCH)?;
@@ -490,8 +580,8 @@ fn worker_loop(shared: Arc<Shared>, predictor: Arc<dyn Predictor>) {
             // A misbehaving predictor returned the wrong number of answers
             // (e.g. a chaos `WrongShape` fault). Every caller gets a typed
             // error — truncating the zip would leave the surplus jobs
-            // answered `WorkerLost` by channel drop and mis-assign ratings
-            // on a short batch.
+            // answered `WorkerLost` by their dropped slots and mis-assign
+            // ratings on a short batch.
             Ok(Ok(answers)) => Err(ServeError::Model(HireError::invalid_data(
                 "Server",
                 format!(
@@ -503,12 +593,12 @@ fn worker_loop(shared: Arc<Shared>, predictor: Arc<dyn Predictor>) {
             Ok(Err(e)) => Err(e),
             Err(_panic) => {
                 // The batch is lost but the worker survives; callers get a
-                // typed error instead of a hung receiver.
+                // typed error instead of a hung handle.
                 shared.worker_panics.fetch_add(1, Ordering::Relaxed);
                 Err(ServeError::WorkerLost)
             }
         };
-        for (k, job) in batch.iter().enumerate() {
+        for (k, job) in batch.drain(..).enumerate() {
             let result = match &outcome {
                 Ok(answers) => Ok(Prediction {
                     rating: answers[k].rating,
@@ -520,5 +610,85 @@ fn worker_loop(shared: Arc<Shared>, predictor: Arc<dyn Predictor>) {
             };
             reply(&shared, job, result);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn job(slot: &Arc<Slot>) -> Job {
+        Job {
+            query: RatingQuery { user: 0, item: 0 },
+            enqueued: Instant::now(),
+            deadline: None,
+            reply: Replier(Some(slot.clone())),
+        }
+    }
+
+    fn answer(rating: f32) -> Result<Prediction, ServeError> {
+        Ok(Prediction {
+            rating,
+            latency: Duration::ZERO,
+            served_by: ServedBy::Cache,
+            version: 3,
+        })
+    }
+
+    #[test]
+    fn a_job_dropped_unsent_reads_worker_lost() {
+        let slot = Arc::<Slot>::default();
+        drop(job(&slot));
+        let handle = PredictionHandle { slot };
+        assert!(matches!(
+            handle.recv_timeout(Duration::from_secs(5)),
+            Err(ServeError::WorkerLost)
+        ));
+        assert!(matches!(handle.wait(), Err(ServeError::WorkerLost)));
+
+        // Dropped while the caller already sleeps on it: woken, not hung.
+        let slot = Arc::<Slot>::default();
+        let pending = job(&slot);
+        let handle = PredictionHandle { slot };
+        let dropper = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            drop(pending);
+        });
+        assert!(matches!(handle.wait(), Err(ServeError::WorkerLost)));
+        dropper.join().unwrap();
+    }
+
+    #[test]
+    fn a_timed_out_wait_leaves_the_handle_usable() {
+        let slot = Arc::<Slot>::default();
+        let pending = job(&slot);
+        let handle = PredictionHandle { slot };
+        assert!(matches!(
+            handle.recv_timeout(Duration::from_millis(1)),
+            Err(ServeError::DeadlineExceeded)
+        ));
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            pending.reply.send(answer(4.5));
+        });
+        let got = handle.wait().expect("the answer sent after the timeout");
+        assert_eq!(
+            (got.rating, got.served_by, got.version),
+            (4.5, ServedBy::Cache, 3)
+        );
+        sender.join().unwrap();
+    }
+
+    #[test]
+    fn an_answer_is_taken_once() {
+        let slot = Arc::<Slot>::default();
+        job(&slot).reply.send(answer(2.0));
+        let handle = PredictionHandle { slot };
+        assert_eq!(handle.recv_timeout(Duration::ZERO).unwrap().rating, 2.0);
+        // What a channel reads after its one message: the sender is gone.
+        assert!(matches!(
+            handle.recv_timeout(Duration::ZERO),
+            Err(ServeError::WorkerLost)
+        ));
     }
 }

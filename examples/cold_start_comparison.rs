@@ -7,7 +7,7 @@
 //! ```
 
 use hire::baselines::{EdgeTrainConfig, MeLU, MetaTrainConfig, NeuMF, RatingModel};
-use hire::eval::{evaluate_model, EvalConfig, HireRatingModel};
+use hire::eval::{evaluate_model, format_metric, EvalConfig, HireRatingModel};
 use hire::prelude::*;
 
 fn main() {
@@ -50,12 +50,12 @@ fn main() {
             let r = evaluate_model(model.as_mut(), &dataset, &split, &eval_cfg);
             let at5 = &r.at_k[0];
             println!(
-                "{:<10}{:<12}{:>10.4}{:>10.4}{:>10.4}",
+                "{:<10}{:<12}{:>10}{:>10.4}{:>10}",
                 scenario.label(),
                 r.model,
-                at5.precision,
+                format_metric(at5.precision),
                 at5.ndcg,
-                at5.map
+                format_metric(at5.map)
             );
         }
         println!();

@@ -2,7 +2,7 @@
 //! through splits, training and evaluation.
 
 use hire::baselines::GlobalMean;
-use hire::eval::{evaluate_model, EvalConfig, HireRatingModel};
+use hire::eval::{evaluate_model, EvalConfig, HireRatingModel, ModelResult};
 use hire::prelude::*;
 use rand::SeedableRng;
 
@@ -53,8 +53,9 @@ fn hire_beats_global_mean_on_user_cold_start() {
     // GlobalMean predicts a constant => its ranking is arbitrary. HIRE must
     // rank cold users' items better (joint NDCG + MAP margin to keep the
     // test robust to seed-level noise in either single metric).
-    let ours_score = ours.at_k[0].ndcg + ours.at_k[0].map;
-    let base_score = base.at_k[0].ndcg + base.at_k[0].map;
+    let map5 = |r: &ModelResult| r.at_k[0].map.expect("every list holds 5 candidates");
+    let ours_score = ours.at_k[0].ndcg + map5(&ours);
+    let base_score = base.at_k[0].ndcg + map5(&base);
     assert!(
         ours_score > base_score,
         "HIRE NDCG+MAP@5 {ours_score} <= GlobalMean {base_score}"
@@ -81,9 +82,9 @@ fn all_three_scenarios_produce_valid_metrics() {
         );
         for at in &r.at_k {
             assert!(
-                (0.0..=1.0).contains(&at.precision)
+                at.precision.is_none_or(|p| (0.0..=1.0).contains(&p))
                     && (0.0..=1.0).contains(&at.ndcg)
-                    && (0.0..=1.0).contains(&at.map),
+                    && at.map.is_none_or(|m| (0.0..=1.0).contains(&m)),
                 "{}: metric out of range",
                 scenario.label()
             );
