@@ -21,11 +21,12 @@
 //! latent-factor term.
 
 use hire_data::Dataset;
+use hire_graph::Rating;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Hyperparameters for [`train_hybrid`].
+/// Hyperparameters for [`HybridModel::fit`].
 #[derive(Debug, Clone)]
 pub struct HybridConfig {
     /// Content embedding dimension per attribute field.
@@ -165,82 +166,93 @@ impl HybridModel {
     }
 }
 
-/// Trains a [`HybridModel`] on the dataset's observed ratings with
-/// deterministic SGD: seeded init, seeded per-epoch shuffle, sequential
-/// updates. Same dataset + same config ⇒ bit-identical model.
+/// [`HybridModel::fit`] over every rating of the dataset, held-out
+/// queries included. It stays for the frozen `benchmark/` package, whose
+/// set-up calls it; a model that is scored on a split fits on the split's
+/// training ratings instead.
 pub fn train_hybrid(dataset: &Dataset, config: &HybridConfig) -> HybridModel {
-    let dim = config.dim.max(1);
-    let user_cards: Vec<usize> = dataset
-        .user_schema
-        .attributes()
-        .iter()
-        .map(|a| a.cardinality)
-        .collect();
-    let item_cards: Vec<usize> = dataset
-        .item_schema
-        .attributes()
-        .iter()
-        .map(|a| a.cardinality)
-        .collect();
-    let global_mean = if dataset.ratings.is_empty() {
-        (dataset.min_rating + dataset.max_rating()) * 0.5
-    } else {
-        dataset.ratings.iter().map(|r| r.value).sum::<f32>() / dataset.ratings.len() as f32
-    };
-    let mut model = HybridModel {
-        global_mean,
-        user_bias: vec![0.0; dataset.num_users],
-        item_bias: vec![0.0; dataset.num_items],
-        users: ContentSide::new(&dataset.user_attrs, &user_cards, dim, config.seed ^ 0x55),
-        items: ContentSide::new(&dataset.item_attrs, &item_cards, dim, config.seed ^ 0xAA),
-        gate: 0.0, // σ(0) = 0.5: start as an even blend
-        dim,
-        min_rating: dataset.min_rating,
-        max_rating: dataset.max_rating(),
-    };
+    HybridModel::fit(dataset, &dataset.ratings, config)
+}
 
-    let mut order: Vec<usize> = (0..dataset.ratings.len()).collect();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut p = vec![0.0f32; dim];
-    let mut q = vec![0.0f32; dim];
-    for _ in 0..config.epochs {
-        order.shuffle(&mut rng);
-        for &e in &order {
-            let r = &dataset.ratings[e];
-            let (u, i) = (r.user, r.item);
-            model.users.vector_into(u, dim, &mut p);
-            model.items.vector_into(i, dim, &mut q);
-            let dot: f32 = p.iter().zip(&q).map(|(a, b)| a * b).sum();
-            let collab = model.global_mean + model.user_bias[u] + model.item_bias[i];
-            let content = model.global_mean + dot;
-            let w = sigmoid(model.gate);
-            let pred = w * collab + (1.0 - w) * content;
-            let err = pred - r.value;
+impl HybridModel {
+    /// Trains a hybrid on `ratings` — its global mean, biases and content
+    /// embeddings see nothing else of the dataset's ratings — with
+    /// deterministic SGD: seeded init, seeded per-epoch shuffle, sequential
+    /// updates. Same ratings + same config ⇒ bit-identical model.
+    pub fn fit(dataset: &Dataset, ratings: &[Rating], config: &HybridConfig) -> HybridModel {
+        let dim = config.dim.max(1);
+        let user_cards: Vec<usize> = dataset
+            .user_schema
+            .attributes()
+            .iter()
+            .map(|a| a.cardinality)
+            .collect();
+        let item_cards: Vec<usize> = dataset
+            .item_schema
+            .attributes()
+            .iter()
+            .map(|a| a.cardinality)
+            .collect();
+        let global_mean = if ratings.is_empty() {
+            (dataset.min_rating + dataset.max_rating()) * 0.5
+        } else {
+            ratings.iter().map(|r| r.value).sum::<f32>() / ratings.len() as f32
+        };
+        let mut model = HybridModel {
+            global_mean,
+            user_bias: vec![0.0; dataset.num_users],
+            item_bias: vec![0.0; dataset.num_items],
+            users: ContentSide::new(&dataset.user_attrs, &user_cards, dim, config.seed ^ 0x55),
+            items: ContentSide::new(&dataset.item_attrs, &item_cards, dim, config.seed ^ 0xAA),
+            gate: 0.0, // σ(0) = 0.5: start as an even blend
+            dim,
+            min_rating: dataset.min_rating,
+            max_rating: dataset.max_rating(),
+        };
 
-            // Squared-error gradients, closed form.
-            let lr = config.lr;
-            let reg = config.reg;
-            model.user_bias[u] -= lr * (w * err + reg * model.user_bias[u]);
-            model.item_bias[i] -= lr * (w * err + reg * model.item_bias[i]);
-            model.gate -= lr * err * (collab - content) * w * (1.0 - w);
-            // Every field row of an entity receives the full vector
-            // gradient (p is their sum, so ∂p/∂row is the identity).
-            let gscale = lr * (1.0 - w) * err;
-            for &row in &model.users.rows[u] {
-                let slab = &mut model.users.table[row * dim..(row + 1) * dim];
-                for (s, &qj) in slab.iter_mut().zip(&q) {
-                    *s -= gscale * qj + lr * reg * *s;
+        let mut order: Vec<usize> = (0..ratings.len()).collect();
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut p = vec![0.0f32; dim];
+        let mut q = vec![0.0f32; dim];
+        for _ in 0..config.epochs {
+            order.shuffle(&mut rng);
+            for &e in &order {
+                let r = &ratings[e];
+                let (u, i) = (r.user, r.item);
+                model.users.vector_into(u, dim, &mut p);
+                model.items.vector_into(i, dim, &mut q);
+                let dot: f32 = p.iter().zip(&q).map(|(a, b)| a * b).sum();
+                let collab = model.global_mean + model.user_bias[u] + model.item_bias[i];
+                let content = model.global_mean + dot;
+                let w = sigmoid(model.gate);
+                let pred = w * collab + (1.0 - w) * content;
+                let err = pred - r.value;
+
+                // Squared-error gradients, closed form.
+                let lr = config.lr;
+                let reg = config.reg;
+                model.user_bias[u] -= lr * (w * err + reg * model.user_bias[u]);
+                model.item_bias[i] -= lr * (w * err + reg * model.item_bias[i]);
+                model.gate -= lr * err * (collab - content) * w * (1.0 - w);
+                // Every field row of an entity receives the full vector
+                // gradient (p is their sum, so ∂p/∂row is the identity).
+                let gscale = lr * (1.0 - w) * err;
+                for &row in &model.users.rows[u] {
+                    let slab = &mut model.users.table[row * dim..(row + 1) * dim];
+                    for (s, &qj) in slab.iter_mut().zip(&q) {
+                        *s -= gscale * qj + lr * reg * *s;
+                    }
                 }
-            }
-            for &row in &model.items.rows[i] {
-                let slab = &mut model.items.table[row * dim..(row + 1) * dim];
-                for (s, &pj) in slab.iter_mut().zip(&p) {
-                    *s -= gscale * pj + lr * reg * *s;
+                for &row in &model.items.rows[i] {
+                    let slab = &mut model.items.table[row * dim..(row + 1) * dim];
+                    for (s, &pj) in slab.iter_mut().zip(&p) {
+                        *s -= gscale * pj + lr * reg * *s;
+                    }
                 }
             }
         }
+        model
     }
-    model
 }
 
 #[cfg(test)]

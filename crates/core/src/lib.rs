@@ -21,7 +21,7 @@
 //! - [`train`] — Algorithm 1 with LAMB + Lookahead + flat-then-anneal LR
 //!   — and, with [`TrainConfig::resume`], bit-exact crash resume from
 //!   durable snapshots (see `hire-ckpt`)
-//! - [`train_hybrid`] — the lightweight bias + content [`HybridModel`]
+//! - [`HybridModel::fit`] — the lightweight bias + content [`HybridModel`]
 //!   served as a degradation mid-tier by `hire-serve` (DESIGN.md §13)
 //!
 //! The model is permutation equivariant over context users and items

@@ -8,10 +8,12 @@
 //! instantiates every method applicable to a dataset, and the evidence
 //! probes ([`support_level`], [`support_transfer`],
 //! [`attention_evidence`]): what a model does with the ratings a cold
-//! entity reveals.
+//! entity reveals. The ranking metrics and their aggregation are
+//! [`metrics`].
 
 mod fault;
 mod hire_adapter;
+pub mod metrics;
 mod probes;
 mod runner;
 mod zoo;

@@ -2,9 +2,9 @@
 //! it per cold entity, and aggregates Precision/NDCG/MAP at the paper's
 //! cutoffs, and MAE/RMSE over every evaluated query.
 
+use crate::metrics::{Accumulator, RankedList, ScoredPair};
 use hire_baselines::RatingModel;
 use hire_data::{ColdStartSplit, Dataset};
-use hire_metrics::{Accumulator, RankedList, ScoredPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;

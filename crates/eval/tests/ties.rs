@@ -6,7 +6,7 @@
 //! of the input it is the all-orders mean, and on untied lists the
 //! tie-aware metrics must still score bit for bit as it does.
 
-use hire_metrics::{map_at_k, ndcg_at_k, precision_at_k, ScoredPair};
+use hire_eval::metrics::{map_at_k, ndcg_at_k, precision_at_k, ScoredPair};
 use proptest::prelude::*;
 
 const THRESHOLD: f32 = 4.0;

@@ -386,12 +386,12 @@ enum Rung<'a> {
     EntityMean(&'a DegradeReason),
 }
 
-/// One `predict_batch_tagged` call on its way out: the version it is
-/// pinned to, the reply slots, and the tier counts to flush.
+/// One [`ServeEngine::answer_owned`] walk on its way out: the version it
+/// is pinned to, the caller's reply slots, and the tier counts to flush.
 struct Batch<'a> {
     queries: &'a [RatingQuery],
     version: ModelVersion,
-    out: Vec<Option<Answer>>,
+    out: &'a mut [Option<Answer>],
     counts: BTreeMap<ColdScenario, TierStats>,
 }
 
@@ -1193,11 +1193,14 @@ impl ServeEngine {
             .collect()
     }
 
-    /// Answers every query of `batch`: the memo fast path while contexts
-    /// resolve, then one descent of the batch's misses.
+    /// Answers the positions of `batch` that `owns` claims: the memo fast
+    /// path while contexts resolve, then one descent of the batch's misses.
+    /// `owns` hears every position, in batch order — after a refusal too,
+    /// which ends the walk's work but not its questions.
     fn walk(
         &self,
         slot: &ModelSlot,
+        mut owns: impl FnMut(&RatingQuery) -> bool,
         deadline: Option<Instant>,
         batch: &mut Batch,
     ) -> Result<(), ServeError> {
@@ -1206,8 +1209,12 @@ impl ServeEngine {
         // memo fast-path skips the forward entirely for contexts whose
         // prediction was already computed and not invalidated since.
         let mut pending: BTreeMap<(usize, usize), PendingQuery> = BTreeMap::new();
+        let mut refused = Ok(());
         let queries = batch.queries;
         for (i, q) in queries.iter().enumerate() {
+            if !owns(q) || refused.is_err() {
+                continue;
+            }
             if let Some(p) = pending.get_mut(&(q.user, q.item)) {
                 p.waiters.push(i);
                 continue;
@@ -1216,23 +1223,29 @@ impl ServeEngine {
             // *other* resolution failure (injected fault, sampling error,
             // panic) leaves the query without a context, so the model
             // rung is unreachable for it — but the hybrid rung needs none.
-            self.check_range(q)?;
+            if let Err(err) = self.check_range(q) {
+                refused = Err(err);
+                continue;
+            }
             match self.resolve(batch.version, q) {
                 Ok((_, _, Some(memo))) => self.answer(batch, i, memo, Rung::Memo),
-                Ok((key, ctx, None)) => {
-                    let cell = query_cell(&key, &ctx)?;
-                    let waiters = vec![i];
-                    let pending_query = PendingQuery {
-                        key,
-                        ctx,
-                        cell,
-                        waiters,
-                    };
-                    pending.insert((q.user, q.item), pending_query);
-                }
+                Ok((key, ctx, None)) => match query_cell(&key, &ctx) {
+                    Ok(cell) => {
+                        let waiters = vec![i];
+                        let miss = PendingQuery {
+                            key,
+                            ctx,
+                            cell,
+                            waiters,
+                        };
+                        pending.insert((q.user, q.item), miss);
+                    }
+                    Err(err) => refused = Err(err),
+                },
                 Err(_) => self.degrade(&[i], DegradeReason::Failure, batch),
             }
         }
+        refused?;
         if !pending.is_empty() {
             let misses: Vec<PendingQuery> = pending.into_values().collect();
             self.descend(slot, &misses, deadline, batch);
@@ -1240,24 +1253,38 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Answers `queries` on `slot` — a [`ServeEngine::current_model`] pin of
-    /// this engine's lineage, taken once by the caller: the forward, every
-    /// memo read/write, and every answer use it. A sharded engine pins once and runs
-    /// each shard's sub-batch here, so the whole batch answers under one
-    /// version.
-    pub fn predict_batch_pinned(
+    /// Answers the positions of `queries` that `owns` claims into their
+    /// `out` slots (one per query), on `slot` — a
+    /// [`ServeEngine::current_model`] pin of this engine's lineage, taken
+    /// once by the caller: the forward, every memo read/write, and every
+    /// answer use it. `owns` is asked once per position, in batch order;
+    /// the slots of positions it turns down are left as they were.
+    ///
+    /// `ServeEngine`'s own batch is this walk owning every position, then
+    /// [`collect_answers`]. A sharded engine pins its one slot once and
+    /// walks each shard over the positions that shard owns, into one
+    /// `out`, so the whole batch answers under one version and is
+    /// collected once.
+    ///
+    /// # Panics
+    ///
+    /// If `out` and `queries` differ in length.
+    pub fn answer_owned(
         &self,
         slot: &ModelSlot,
         queries: &[RatingQuery],
+        owns: impl FnMut(&RatingQuery) -> bool,
         deadline: Option<Instant>,
-    ) -> Result<Vec<Answer>, ServeError> {
+        out: &mut [Option<Answer>],
+    ) -> Result<(), ServeError> {
+        assert_eq!(out.len(), queries.len(), "one answer slot per query");
         let mut batch = Batch {
             queries,
             version: slot.version,
-            out: vec![None; queries.len()],
+            out,
             counts: BTreeMap::new(),
         };
-        let walked = self.walk(slot, deadline, &mut batch);
+        let walked = self.walk(slot, owns, deadline, &mut batch);
         // Count before replying — what a walk refused for a range violation
         // answered on its way included — so a caller that has its reply
         // also sees it counted.
@@ -1270,8 +1297,7 @@ impl ServeEngine {
                     .absorb(counted);
             }
         }
-        walked?;
-        collect_answers(batch.out)
+        walked
     }
 }
 
@@ -1304,7 +1330,9 @@ impl Predictor for ServeEngine {
     ) -> Result<Vec<Answer>, ServeError> {
         // Pin the incumbent once for the whole batch, so a hot swap that
         // lands mid-batch never mixes model versions within a batch.
-        self.predict_batch_pinned(&self.current_model(), queries, deadline)
+        let mut out = vec![None; queries.len()];
+        self.answer_owned(&self.current_model(), queries, |_| true, deadline, &mut out)?;
+        collect_answers(out)
     }
 }
 
@@ -1324,11 +1352,12 @@ fn query_cell(key: &CacheKey, ctx: &PredictionContext) -> Result<(usize, usize),
     }
 }
 
-/// Final collection rung: every position must have been answered by some
-/// tier above. A hole means an engine invariant broke; it surfaces as a
-/// typed [`ServeError::Internal`] so one bad batch degrades a reply
-/// instead of killing a serving worker.
-fn collect_answers(out: Vec<Option<Answer>>) -> Result<Vec<Answer>, ServeError> {
+/// Final collection rung, the one every batch ends in (a sharded one
+/// too): every position must have been answered by some tier above. A
+/// hole means an engine invariant broke; it surfaces as a typed
+/// [`ServeError::Internal`] so one bad batch degrades a reply instead of
+/// killing a serving worker.
+pub fn collect_answers(out: Vec<Option<Answer>>) -> Result<Vec<Answer>, ServeError> {
     out.into_iter()
         .enumerate()
         .map(|(i, answer)| {

@@ -68,7 +68,8 @@ pub use durable::{
     fold_log, rebuild_engine, recover, write_snapshot, LogFold, Recovered, SERVING_TAG,
 };
 pub use engine::{
-    ColdScenario, EngineConfig, Lineage, ModelSlot, ServeEngine, SlotSource, TierStats,
+    collect_answers, ColdScenario, EngineConfig, Lineage, ModelSlot, ServeEngine, SlotSource,
+    TierStats,
 };
 pub use hire_core::{FrozenModel, QuantizedModel};
 pub use online::{

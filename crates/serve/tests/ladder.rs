@@ -21,8 +21,8 @@
 
 use hire_baselines::{EntityMean, RatingModel};
 use hire_chaos::{sites, FaultKind, FaultPlan};
-use hire_core::{train_hybrid, HireConfig, HireModel, HybridConfig};
-use hire_data::Dataset;
+use hire_core::{HireConfig, HireModel, HybridConfig, HybridModel};
+use hire_data::{ColdStartScenario, ColdStartSplit, Dataset};
 use hire_graph::{BipartiteGraph, Rating};
 use hire_serve::{
     Answer, BreakerConfig, BreakerState, EngineConfig, FrozenModel, Predictor, RatingQuery,
@@ -66,7 +66,11 @@ fn build_engine(
         engine = engine.with_faults(plan);
     }
     if hybrid {
-        engine = engine.with_hybrid(train_hybrid(&dataset, &HybridConfig::default()));
+        // The hybrid fits on a split's training ratings, as a rung scored
+        // on held-out queries must.
+        let split = ColdStartSplit::new(&dataset, ColdStartScenario::UserCold, 0.25, 0.1, 21);
+        let fitted = HybridModel::fit(&dataset, &split.train_ratings, &HybridConfig::default());
+        engine = engine.with_hybrid(fitted);
     }
     (engine, dataset)
 }

@@ -1,15 +1,16 @@
 //! The sharded serving engine: N inner [`ServeEngine`]s behind one
 //! [`Predictor`].
 
+use crate::recovery::open_root;
 use hire_core::HybridModel;
 use hire_data::Dataset;
 use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, Rating};
 use hire_serve::{
-    Answer, CacheStats, EngineConfig, FrozenModel, ModelVersion, Predictor, RatingQuery,
-    ServeEngine, ServeError, SlotSource, TierStats,
+    collect_answers, Answer, CacheStats, EngineConfig, FrozenModel, ModelVersion, Predictor,
+    RatingQuery, ServeEngine, ServeError, SlotSource, TierStats,
 };
-use hire_wal::{shard_dir, ShardManifest, Wal, WalOptions};
+use hire_wal::WalOptions;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,7 +74,13 @@ fn mix_user(user: usize) -> u64 {
 /// - **Model.** One incumbent slot and one lineage for the whole engine,
 ///   owned by shard 0; shards 1..N are its [`ServeEngine::follower`]s and
 ///   hold no weights of their own. A batch pins the slot once and every
-///   sub-batch answers on that pin, so a batch answers under one version.
+///   shard's walk answers on that pin, so a batch answers under one
+///   version.
+/// - **Batches.** Each shard walks the whole batch in shard order and
+///   answers the positions it owns ([`ServeEngine::answer_owned`]) into
+///   one set of answer slots, collected once by
+///   [`hire_serve::collect_answers`] — the end of a `ServeEngine` batch
+///   too, so at one shard the two are one engine.
 ///   [`ShardedEngine::install_model`] and [`ShardedEngine::demote`] are
 ///   one swap on shard 0 — its `online.swap` chaos site, its log.
 ///
@@ -169,45 +176,22 @@ impl ShardedEngine {
     /// [`crate::recovery::recover_sharded`], which replays them — opening
     /// it here would silently serve without the logged state.
     pub fn with_wal_root(mut self, root: &Path, opts: WalOptions) -> HireResult<Self> {
-        let n = self.shards.len();
-        match ShardManifest::read(root).map_err(HireError::from)? {
-            Some(manifest) if manifest.shards as usize != n => {
-                return Err(HireError::invalid_data(
-                    "ShardedEngine",
-                    format!(
-                        "WAL root {} is laid out for {} shards but this engine has {n}; \
-                         changing the shard count requires a re-shard, not a reopen",
-                        root.display(),
-                        manifest.shards
-                    ),
-                ));
-            }
-            Some(_) => {}
-            None => ShardManifest { shards: n as u32 }
-                .write(root)
-                .map_err(HireError::from)?,
-        }
-        let mut wals = Vec::with_capacity(n);
-        for idx in 0..n {
-            let (wal, recovery) =
-                Wal::open(shard_dir(root, idx), opts.clone()).map_err(HireError::from)?;
-            if !recovery.records.is_empty() {
-                return Err(HireError::invalid_data(
-                    "ShardedEngine",
-                    format!(
-                        "shard {idx}'s log already holds {} records; use recover_sharded \
-                         to replay them instead of attaching over them",
-                        recovery.records.len()
-                    ),
-                ));
-            }
-            wals.push(Arc::new(wal));
+        let logs = open_root(root, self.shards.len(), opts, true)?;
+        let held = logs.iter().map(|(_, recovery)| recovery.records.len());
+        if let Some((idx, held)) = held.enumerate().find(|&(_, held)| held > 0) {
+            return Err(HireError::invalid_data(
+                "ShardedEngine",
+                format!(
+                    "shard {idx}'s log already holds {held} records; use recover_sharded \
+                     to replay them instead of attaching over them"
+                ),
+            ));
         }
         self.shards = self
             .shards
             .into_iter()
-            .zip(wals)
-            .map(|(e, w)| e.with_wal(w))
+            .zip(logs)
+            .map(|(e, (wal, _))| e.with_wal(wal))
             .collect();
         Ok(self)
     }
@@ -309,65 +293,30 @@ impl Predictor for ShardedEngine {
         queries: &[RatingQuery],
         deadline: Option<Instant>,
     ) -> Result<Vec<Answer>, ServeError> {
-        // Partition positions per owner shard, preserving batch order
-        // within each shard so per-shard answer streams are deterministic.
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, q) in queries.iter().enumerate() {
-            per_shard[self.shard_of(q.user)].push(i);
-        }
-        for (s, positions) in per_shard.iter().enumerate() {
-            self.routed[s].fetch_add(positions.len() as u64, Ordering::Relaxed);
-        }
-        // Pin the one model slot once: every sub-batch answers on it, so a
-        // swap that lands mid-batch never mixes versions across shards.
+        // Pin the one model slot once: every shard's walk answers on it, so
+        // a swap that lands mid-batch never mixes versions across shards.
         let slot = self.shards[0].current_model();
-        // Every active shard answers its whole sub-batch (forwards
-        // included) in shard order on the calling thread — the server
-        // worker that took the batch. Parallelism lives one level up, in
-        // the server's workers; the engines and kernels have none.
-        let results: Vec<(usize, Result<Vec<Answer>, ServeError>)> = per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, positions)| !positions.is_empty())
-            .map(|(s, positions)| {
-                let sub: Vec<RatingQuery> = positions.iter().map(|&i| queries[i]).collect();
-                (
-                    s,
-                    self.shards[s].predict_batch_pinned(&slot, &sub, deadline),
-                )
-            })
-            .collect();
-        let mut out: Vec<Option<Answer>> = vec![None; queries.len()];
-        // Every active shard has run; surface the lowest-indexed failing
-        // shard's error (deterministic pick): the server turns it into
-        // exactly one typed reply per submitted query, same as a
-        // single-engine batch failure.
-        for (s, result) in results {
-            let answers = result?;
-            if answers.len() != per_shard[s].len() {
-                return Err(ServeError::Internal {
-                    detail: format!(
-                        "shard {s} answered {} of {} queries",
-                        answers.len(),
-                        per_shard[s].len()
-                    ),
-                });
-            }
-            for (&i, answer) in per_shard[s].iter().zip(answers) {
-                out[i] = Some(answer);
-            }
+        let mut out = vec![None; queries.len()];
+        // Every shard walks the batch in shard order on the calling thread
+        // — the server worker that took it — answering the positions it
+        // owns. Parallelism lives one level up, in the server's workers;
+        // the engines and kernels have none. Every shard runs; the
+        // lowest-indexed failing shard's error is the batch's (a
+        // deterministic pick), which the server turns into exactly one
+        // typed reply per submitted query, as for a single engine.
+        let mut walked = Ok(());
+        for (s, shard) in self.shards.iter().enumerate() {
+            let mut owned = 0;
+            let owns = |q: &RatingQuery| {
+                let mine = self.shard_of(q.user) == s;
+                owned += u64::from(mine);
+                mine
+            };
+            let shard_walked = shard.answer_owned(&slot, queries, owns, deadline, &mut out);
+            self.routed[s].fetch_add(owned, Ordering::Relaxed);
+            walked = walked.and(shard_walked);
         }
-        let mut answers = Vec::with_capacity(out.len());
-        for (i, a) in out.into_iter().enumerate() {
-            match a {
-                Some(a) => answers.push(a),
-                None => {
-                    return Err(ServeError::Internal {
-                        detail: format!("query at batch position {i} was routed to no shard"),
-                    })
-                }
-            }
-        }
-        Ok(answers)
+        walked?;
+        collect_answers(out)
     }
 }

@@ -11,7 +11,10 @@
 //!
 //! Every query and every write goes to its user's owner shard, so a user's
 //! answers see that user's writes: `insert_rating` commits to the owner
-//! shard alone. The model is engine-wide: shard 0 owns the one incumbent
+//! shard alone. A batch adds routing and nothing else: each shard takes
+//! the engine's own walk (`ServeEngine::answer_owned`) over the positions
+//! it owns, into one set of answer slots that `hire_serve::collect_answers`
+//! collects once — the 1-shard engine is the single engine. The model is engine-wide: shard 0 owns the one incumbent
 //! slot and its lineage, the other shards follow it, and a batch pins the
 //! slot once — so a batch answers under one `ModelVersion`, and
 //! `install_model` / `demote` are one swap, logged once in shard 0's WAL.

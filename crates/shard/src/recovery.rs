@@ -24,9 +24,45 @@ use hire_data::Dataset;
 use hire_error::{HireError, HireResult};
 use hire_graph::BipartiteGraph;
 use hire_serve::{fold_log, rebuild_engine, EngineConfig, FrozenModel, Lineage, ModelVersion};
-use hire_wal::{shard_dir, ShardManifest, Wal, WalOptions};
+use hire_wal::{shard_dir, ShardManifest, Wal, WalOptions, WalRecovery};
 use std::path::Path;
 use std::sync::Arc;
+
+/// Opens the sharded WAL root at `root` for `n` shards — the one door
+/// [`ShardedEngine::with_wal_root`] and [`recover_sharded`] share. Its
+/// `MANIFEST` must name `n` shards (changing the count is a re-shard, not a
+/// reopen); a root without one is refused, or laid out for `n` when
+/// `create`. Returns every shard log, in shard order, beside what it holds.
+pub(crate) fn open_root(
+    root: &Path,
+    n: usize,
+    opts: WalOptions,
+    create: bool,
+) -> HireResult<Vec<(Arc<Wal>, WalRecovery)>> {
+    let refuse = |message: String| Err(HireError::invalid_data("sharded WAL root", message));
+    match ShardManifest::read(root).map_err(HireError::from)? {
+        Some(manifest) if manifest.shards as usize != n => {
+            return refuse(format!(
+                "{} is laid out for {} shards but {n} were asked for; changing the \
+                 shard count requires a re-shard, not a reopen",
+                root.display(),
+                manifest.shards
+            ))
+        }
+        Some(_) => {}
+        None if create => ShardManifest { shards: n as u32 }
+            .write(root)
+            .map_err(HireError::from)?,
+        None => return refuse(format!("no shard manifest at {}", root.display())),
+    }
+    (0..n)
+        .map(|idx| {
+            let (wal, recovery) =
+                Wal::open(shard_dir(root, idx), opts.clone()).map_err(HireError::from)?;
+            Ok((Arc::new(wal), recovery))
+        })
+        .collect()
+}
 
 /// What [`recover_sharded`] rebuilt.
 pub struct RecoveredShards {
@@ -56,33 +92,11 @@ pub fn recover_sharded(
     wal_root: &Path,
     wal_opts: WalOptions,
 ) -> HireResult<RecoveredShards> {
-    let manifest = ShardManifest::read(wal_root)
-        .map_err(HireError::from)?
-        .ok_or_else(|| {
-            HireError::invalid_data(
-                "recover_sharded",
-                format!("no shard manifest at {}", wal_root.display()),
-            )
-        })?;
     let n = shard_config.shards.max(1);
-    if manifest.shards as usize != n {
-        return Err(HireError::invalid_data(
-            "recover_sharded",
-            format!(
-                "manifest names {} shard logs but the config asks for {n}; \
-                 changing the shard count requires a re-shard, not a recovery",
-                manifest.shards
-            ),
-        ));
-    }
-
-    // ── Open and fold every log ───────────────────────────────────────
     let mut wals = Vec::with_capacity(n);
     let mut folds = Vec::with_capacity(n);
-    for idx in 0..n {
-        let (wal, recovery) =
-            Wal::open(shard_dir(wal_root, idx), wal_opts.clone()).map_err(HireError::from)?;
-        wals.push(Arc::new(wal));
+    for (wal, recovery) in open_root(wal_root, n, wal_opts, false)? {
+        wals.push(wal);
         folds.push(fold_log(&recovery.records, None)?);
     }
 

@@ -24,13 +24,17 @@
 //!    the lowest-indexed failing shard's error.
 //! 9. **Read-your-writes** — after a user's write, every read of that
 //!    user's hot pair equals a 1-shard engine's that took the same write.
+//! 10. **The 1-shard engine is the engine** — generated batches answer the
+//!     same bits, tiers and versions (or the same error) through a
+//!     `ServeEngine` and a 1-shard `ShardedEngine`, with equal counters.
 
 use hire_chaos::{sites, FaultKind, FaultPlan};
 use hire_core::{HireConfig, HireModel};
 use hire_data::Dataset;
-use hire_graph::Rating;
+use hire_graph::{BipartiteGraph, Rating};
 use hire_serve::{
-    EngineConfig, FrozenModel, Predictor, RatingQuery, ServeError, Server, ServerConfig, SlotSource,
+    Answer, EngineConfig, FrozenModel, Predictor, RatingQuery, ServeEngine, ServeError, Server,
+    ServerConfig, SlotSource,
 };
 use hire_shard::{ShardConfig, ShardedEngine};
 use rand::rngs::StdRng;
@@ -628,4 +632,111 @@ fn out_of_range_queries_surface_typed_errors() {
         .insert_rating(Rating::new(0, ITEMS + 5, 3.0))
         .expect_err("out-of-range item is a caller bug");
     assert!(matches!(err, ServeError::Model(_)));
+}
+
+/// What a batch answered, comparable across engines: each answer's rating
+/// bits, tier and version, or the error.
+fn outcome(reply: Result<Vec<Answer>, ServeError>) -> Result<Vec<(u32, String, u64)>, String> {
+    reply
+        .map(|answers| {
+            answers
+                .iter()
+                .map(|a| (a.rating.to_bits(), format!("{:?}", a.served_by), a.version))
+                .collect()
+        })
+        .map_err(|err| format!("{err:?}"))
+}
+
+/// A `ShardedEngine` at one shard is a `ServeEngine`, not a sibling of it.
+/// Both are built from the same inputs over a base graph in which the
+/// first users and items have no edge, so generated batches — duplicates,
+/// all four cold-start scenarios, and an out-of-range query at a random
+/// position or none — cover every rung a fault-free batch reaches: model,
+/// memo, and the refusal. Every batch must answer the same bits, tiers and
+/// versions, or fail with the same error, and the tier counters must agree
+/// afterwards.
+#[test]
+fn a_one_shard_engine_answers_as_the_serve_engine_does() {
+    const COLD_USERS: usize = 8;
+    const COLD_ITEMS: usize = 6;
+    let dataset = dataset();
+    let warm: Vec<Rating> = dataset
+        .ratings
+        .iter()
+        .copied()
+        .filter(|r| r.user >= COLD_USERS && r.item >= COLD_ITEMS)
+        .collect();
+    let graph = Arc::new(BipartiteGraph::from_ratings(USERS, ITEMS, &warm));
+    let single = ServeEngine::with_shared_graph(
+        frozen(&dataset),
+        Arc::clone(&dataset),
+        Arc::clone(&graph),
+        engine_config(),
+    );
+    let sharded = ShardedEngine::with_shared_graph(
+        frozen(&dataset),
+        Arc::clone(&dataset),
+        graph,
+        engine_config(),
+        ShardConfig::with_shards(1),
+    );
+    let mut rng = StdRng::seed_from_u64(0x1_5EED);
+    // A small pool, so batches repeat pairs within and across batches.
+    let pool: Vec<RatingQuery> = (0..24)
+        .map(|k| {
+            let (cold_user, cold_item) = (k % 2 == 0, k % 4 < 2);
+            let pick = |rng: &mut StdRng, cold: bool, cold_count: usize, count: usize| {
+                if cold {
+                    rng.gen_range(0..cold_count)
+                } else {
+                    rng.gen_range(cold_count..count)
+                }
+            };
+            RatingQuery {
+                user: pick(&mut rng, cold_user, COLD_USERS, USERS),
+                item: pick(&mut rng, cold_item, COLD_ITEMS, ITEMS),
+            }
+        })
+        .collect();
+    let mut refused = 0;
+    for case in 0..40 {
+        let len: usize = rng.gen_range(1..=12);
+        let mut batch: Vec<RatingQuery> = (0..len)
+            .map(|_| pool[rng.gen_range(0..pool.len())])
+            .collect();
+        if rng.gen_bool(0.3) {
+            let at = rng.gen_range(0..len);
+            batch[at] = if rng.gen_bool(0.5) {
+                RatingQuery {
+                    user: USERS,
+                    item: 0,
+                }
+            } else {
+                RatingQuery {
+                    user: 0,
+                    item: ITEMS + 3,
+                }
+            };
+        }
+        let expected = outcome(single.predict_batch_tagged(&batch, None));
+        refused += usize::from(expected.is_err());
+        assert_eq!(
+            outcome(sharded.predict_batch_tagged(&batch, None)),
+            expected,
+            "case {case}: {batch:?}"
+        );
+    }
+    assert!(refused > 0, "some generated batch holds a range violation");
+    let inner = &sharded.shard_engines()[0];
+    assert_eq!(inner.tier_stats(), single.tier_stats());
+    assert_eq!(inner.scenario_stats(), single.scenario_stats());
+    assert_eq!(inner.version_stats(), single.version_stats());
+    assert_eq!(
+        single.scenario_stats().len(),
+        4,
+        "every cold-start scenario was answered: {:?}",
+        single.scenario_stats()
+    );
+    let total = single.tier_stats();
+    assert!(total.model > 0 && total.cache > 0, "{total:?}");
 }

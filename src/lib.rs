@@ -13,7 +13,7 @@
 //! | [`data`] | `hire-data` | datasets, synthetic generators, cold-start splits |
 //! | [`core`] | `hire-core` | the HIRE model (HIM blocks) and trainer |
 //! | [`baselines`] | `hire-baselines` | NeuMF, Wide&Deep, DeepFM, AFN, GraphRec, HIN, MeLU, MAMO, TaNP |
-//! | [`metrics`] | `hire-metrics` | Precision/NDCG/MAP @ k |
+//! | [`metrics`] | `hire-eval` | Precision/NDCG/MAP @ k |
 //! | [`eval`] | `hire-eval` | the comparison harness used by the benches |
 //! | [`serve`] | `hire-serve` | online inference: frozen models, context cache, worker pool, degradation ladder |
 //! | [`wal`] | `hire-wal` | write-ahead log: group commit, segment rotation, crash recovery |
@@ -46,8 +46,8 @@ pub use hire_core as core;
 pub use hire_data as data;
 pub use hire_error as error;
 pub use hire_eval as eval;
+pub use hire_eval::metrics;
 pub use hire_graph as graph;
-pub use hire_metrics as metrics;
 pub use hire_nn as nn;
 pub use hire_optim as optim;
 pub use hire_serve as serve;
@@ -63,12 +63,14 @@ pub mod prelude {
         test_context, training_context, ColdStartScenario, ColdStartSplit, Dataset,
         PredictionContext, SyntheticConfig,
     };
+    pub use hire_eval::metrics::{
+        map_at_k, ndcg_at_k, precision_at_k, ranking_metrics, ScoredPair,
+    };
     pub use hire_eval::{evaluate_model, EvalConfig, HireRatingModel, SpeedTier};
     pub use hire_graph::{
         BipartiteGraph, ContextSampler, FeatureSimilaritySampler, NeighborhoodSampler,
         RandomSampler, Rating,
     };
-    pub use hire_metrics::{map_at_k, ndcg_at_k, precision_at_k, ranking_metrics, ScoredPair};
     pub use hire_nn::Module;
     pub use hire_serve::{
         BreakerConfig, BreakerState, ColdScenario, EngineConfig, EvalReport, FrozenModel,

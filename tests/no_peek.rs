@@ -11,8 +11,11 @@
 //!
 //! Every baseline the zoo builds and HIRE run at the smoke tier, on a
 //! MovieLens-like dataset (rich attributes: HIN runs) and a Douban-like one
-//! (a social graph: GraphRec runs).
+//! (a social graph: GraphRec runs). So does the serving ladder's hybrid
+//! rung (`HybridModel`), fitted on the training graph's edges; it answers
+//! from its own weights alone, so it has no visible graph to read.
 
+use hire::core::{HybridConfig, HybridModel};
 use hire::eval::{baselines, hire};
 use hire::prelude::*;
 use rand::rngs::StdRng;
@@ -55,7 +58,7 @@ fn predictions(
     let visible = split.visible_graph(dataset);
     let mut models = baselines(dataset, SpeedTier::Smoke);
     models.push(hire(SpeedTier::Smoke));
-    models
+    let mut answers: Vec<(String, Vec<u32>)> = models
         .iter_mut()
         .map(|model| {
             model.fit(dataset, &train, &mut StdRng::seed_from_u64(SEED));
@@ -66,7 +69,15 @@ fn predictions(
                 .collect();
             (model.name().to_string(), bits)
         })
-        .collect()
+        .collect();
+    let edges: Vec<Rating> = train.edges().collect();
+    let hybrid = HybridModel::fit(dataset, &edges, &HybridConfig::default());
+    let bits = pairs
+        .iter()
+        .map(|&(u, i)| hybrid.predict(u, i).to_bits())
+        .collect();
+    answers.push(("Hybrid".to_string(), bits));
+    answers
 }
 
 fn no_model_reads_the_query_ratings(config: SyntheticConfig) {
@@ -104,7 +115,9 @@ fn no_model_reads_the_query_ratings(config: SyntheticConfig) {
 
     let seen = predictions(&dataset, &split, &pairs);
     let unseen = predictions(&redrawn, &redrawn_split, &pairs);
-    assert!(seen.iter().any(|(name, _)| name == "HIRE"));
+    for wanted in ["HIRE", "Hybrid"] {
+        assert!(seen.iter().any(|(name, _)| name == wanted), "{wanted} ran");
+    }
     for ((name, a), (_, b)) in seen.iter().zip(&unseen) {
         let moved = a.iter().zip(b).filter(|(x, y)| x != y).count();
         assert_eq!(
