@@ -3,12 +3,20 @@
 //! representations aggregate raters. One aggregation layer (lite variant,
 //! DESIGN.md §2). Only applicable to datasets with a social graph (Douban),
 //! exactly as in the paper.
+//!
+//! Training splits the graph's edges in two: every other edge of each
+//! user's row is fitted, and the aggregates read only the rest. Fitting
+//! an edge that an aggregate may read would need it left out of that
+//! aggregate, and a leave-one-out aggregate falls as the target rises: on
+//! ID-only data, where the model knows the entity, GraphRec learned to
+//! read a cold user's support backwards (a higher support rating, a lower
+//! answer).
 
 use crate::common::{
     scale_to_rating, segment_mean_pool, train_on_edges, EdgeTrainConfig, FieldEmbedder, RatingModel,
 };
 use hire_data::Dataset;
-use hire_graph::BipartiteGraph;
+use hire_graph::{BipartiteGraph, Rating};
 use hire_nn::{Activation, Embedding, Linear, Mlp, Module};
 use hire_tensor::{NdArray, Tensor};
 use rand::rngs::StdRng;
@@ -49,31 +57,19 @@ impl GraphRec {
 
     /// User latent in "item space": aggregate the user's rated items with
     /// opinion (rating) embeddings, then combine with the user's features.
-    fn user_latent(
-        &self,
-        dataset: &Dataset,
-        graph: &BipartiteGraph,
-        users: &[usize],
-        exclude: Option<&[(usize, usize)]>,
-    ) -> Tensor {
+    fn user_latent(&self, dataset: &Dataset, graph: &BipartiteGraph, users: &[usize]) -> Tensor {
         let s = self.state.as_ref().unwrap();
         let mut neigh_items: Vec<usize> = Vec::new();
         let mut neigh_codes: Vec<usize> = Vec::new();
         let mut segments: Vec<usize> = Vec::with_capacity(users.len());
-        for (ix, &u) in users.iter().enumerate() {
-            let mut count = 0;
-            for &(i, v) in graph.user_neighbors(u).iter().take(self.neighbor_cap) {
-                let i = i as usize;
-                if let Some(ex) = exclude {
-                    if ex.get(ix) == Some(&(u, i)) {
-                        continue; // never aggregate the edge being predicted
-                    }
-                }
-                neigh_items.push(i);
+        for &u in users {
+            let neighbors = graph.user_neighbors(u);
+            let neighbors = &neighbors[..neighbors.len().min(self.neighbor_cap)];
+            for &(i, v) in neighbors {
+                neigh_items.push(i as usize);
                 neigh_codes.push(dataset.rating_code(v));
-                count += 1;
             }
-            segments.push(count);
+            segments.push(neighbors.len());
         }
         let agg = if neigh_items.is_empty() {
             Tensor::constant(NdArray::zeros([users.len(), s.d]))
@@ -110,38 +106,26 @@ impl GraphRec {
         if friend_ids.is_empty() {
             return base.clone();
         }
-        let friend_latents = self.user_latent(dataset, graph, &friend_ids, None);
+        let friend_latents = self.user_latent(dataset, graph, &friend_ids);
         let social_agg = segment_mean_pool(&friend_latents, &segments);
         base.add(&s.social_proj.forward(&social_agg)).relu()
     }
 
     /// Item latent: aggregate raters with opinions, combine with item
     /// features.
-    fn item_latent(
-        &self,
-        dataset: &Dataset,
-        graph: &BipartiteGraph,
-        items: &[usize],
-        exclude: Option<&[(usize, usize)]>,
-    ) -> Tensor {
+    fn item_latent(&self, dataset: &Dataset, graph: &BipartiteGraph, items: &[usize]) -> Tensor {
         let s = self.state.as_ref().unwrap();
         let mut neigh_users: Vec<usize> = Vec::new();
         let mut neigh_codes: Vec<usize> = Vec::new();
         let mut segments: Vec<usize> = Vec::with_capacity(items.len());
-        for (ix, &i) in items.iter().enumerate() {
-            let mut count = 0;
-            for &(u, v) in graph.item_neighbors(i).iter().take(self.neighbor_cap) {
-                let u = u as usize;
-                if let Some(ex) = exclude {
-                    if ex.get(ix) == Some(&(u, i)) {
-                        continue;
-                    }
-                }
-                neigh_users.push(u);
+        for &i in items {
+            let neighbors = graph.item_neighbors(i);
+            let neighbors = &neighbors[..neighbors.len().min(self.neighbor_cap)];
+            for &(u, v) in neighbors {
+                neigh_users.push(u as usize);
                 neigh_codes.push(dataset.rating_code(v));
-                count += 1;
             }
-            segments.push(count);
+            segments.push(neighbors.len());
         }
         let agg = if neigh_users.is_empty() {
             Tensor::constant(NdArray::zeros([items.len(), s.d]))
@@ -159,9 +143,9 @@ impl GraphRec {
         let s = self.state.as_ref().expect("fit before predict");
         let users: Vec<usize> = pairs.iter().map(|&(u, _)| u).collect();
         let items: Vec<usize> = pairs.iter().map(|&(_, i)| i).collect();
-        let u_base = self.user_latent(dataset, graph, &users, Some(pairs));
+        let u_base = self.user_latent(dataset, graph, &users);
         let u = self.social_latent(dataset, graph, &users, &u_base);
-        let i = self.item_latent(dataset, graph, &items, Some(pairs));
+        let i = self.item_latent(dataset, graph, &items);
         s.head
             .forward(&Tensor::concat_last(&[u, i]))
             .reshape([pairs.len()])
@@ -200,12 +184,35 @@ impl RatingModel for GraphRec {
         }
         params.extend(s.rating_emb.parameters());
         let this: &Self = self;
-        train_on_edges(dataset, train, params, self.config, rng, |d, batch| {
-            let pairs: Vec<(usize, usize)> = batch.iter().map(|r| (r.user, r.item)).collect();
-            let pred = scale_to_rating(&this.score(d, train, &pairs), d);
-            let target = NdArray::from_vec([batch.len()], batch.iter().map(|r| r.value).collect());
-            hire_nn::mse_loss(&pred, &target)
-        });
+        let (mut evidence, mut targets) = (Vec::new(), Vec::new());
+        for user in 0..train.num_users() {
+            for (k, &(item, value)) in train.user_neighbors(user).iter().enumerate() {
+                let half = if k % 2 == 0 {
+                    &mut evidence
+                } else {
+                    &mut targets
+                };
+                half.push(Rating::new(user, item as usize, value));
+            }
+        }
+        let graph_of = |edges: &[Rating]| {
+            BipartiteGraph::from_ratings(train.num_users(), train.num_items(), edges)
+        };
+        let evidence = graph_of(&evidence);
+        train_on_edges(
+            dataset,
+            &graph_of(&targets),
+            params,
+            self.config,
+            rng,
+            |d, batch| {
+                let pairs: Vec<(usize, usize)> = batch.iter().map(|r| (r.user, r.item)).collect();
+                let pred = scale_to_rating(&this.score(d, &evidence, &pairs), d);
+                let target =
+                    NdArray::from_vec([batch.len()], batch.iter().map(|r| r.value).collect());
+                hire_nn::mse_loss(&pred, &target)
+            },
+        );
     }
 
     fn predict(

@@ -12,18 +12,24 @@
 //!   truncates WAL segments the snapshot fully covers. Without snapshots
 //!   the log only grows; with them it stays bounded.
 //! * [`recover`] rebuilds a crashed engine from the newest snapshot plus
-//!   the WAL tail, in two steps that sharded recovery (`hire-shard`) reuses:
-//!   it folds every shard log and rebuilds shard 0, which owns the
-//!   lineage, this way. [`fold_log`] folds the records into a [`LogFold`]:
-//!   rating edges in their original commit order, the online loop's
-//!   `trained` index and round, and the model lineage — promotions and
-//!   demotions go through the same [`Lineage::promote`] /
+//!   the WAL tail; [`recover_sharded`] rebuilds a `ShardedEngine` from its
+//!   N shard logs. Both are one private body, `rebuild`, over their logs
+//!   (one, or one a shard — shard 0's first). [`fold_log`] folds each log's
+//!   records into a [`LogFold`] — shard 0's over the serving snapshot, if
+//!   one exists: rating edges in their original commit order, the online
+//!   loop's `trained` index and round, and the model lineage — promotions
+//!   and demotions go through the same [`Lineage::promote`] /
 //!   [`Lineage::demote`] the live engine ran, so the recovered lineage is
-//!   the crashed one by construction. [`rebuild_engine`] replays the edges (bit-identical CSR
-//!   ⇒ bit-identical deterministic context samples) and reloads every
-//!   slot's weights from the checkpoints the lineage names. The loop keeps
-//!   nothing else: its holdout and its pending ratings are the replayed
-//!   insert log split by the same arrival-index rule the live loop uses.
+//!   the crashed one by construction. Only shard 0 owns the lineage, so a
+//!   follower log holding a model record is refused, typed. `rebuild` then
+//!   replays each shard's edges (bit-identical CSR ⇒ bit-identical
+//!   deterministic context samples) and reloads every slot's weights from
+//!   the checkpoints the lineage names. The loop keeps nothing else: its
+//!   holdout and its pending ratings are the replayed insert log split by
+//!   the same arrival-index rule the live loop uses. Online-loop state and
+//!   snapshot truncation are single-engine concerns (the loop fine-tunes
+//!   one engine, not a shard fan-out), so sharded logs are never
+//!   truncated and their routing fields go unused.
 //!
 //! Recovery reads the formats this tree writes and refuses others, typed:
 //! a serving snapshot of another format, or a log holding a record kind
@@ -35,14 +41,15 @@
 //! **bit-identically** to an engine that never crashed.
 
 use crate::engine::{EngineConfig, Lineage, ServeEngine, SlotSource};
-use crate::online::{OnlineConfig, OnlineLoop, REJECTED_TAG};
+use crate::online::{OnlineConfig, OnlineLoop, KEEP_LAST, REJECTED_TAG};
 use crate::server::ModelVersion;
+use crate::sharded::{lineage_shards, ShardConfig, ShardedEngine};
 use hire_ckpt::{CheckpointStore, PayloadReader, PayloadWriter, SNAPSHOT_EXT};
 use hire_core::FrozenModel;
 use hire_data::Dataset;
 use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, Rating};
-use hire_wal::{Wal, WalOptions, WalRecord};
+use hire_wal::{shard_dir, ShardManifest, Wal, WalOptions, WalRecord, WalRecovery};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
@@ -271,7 +278,6 @@ pub fn write_snapshot(engine: &ServeEngine, online: &OnlineLoop) -> HireResult<u
             "write_snapshot needs OnlineConfig::checkpoint_dir",
         ));
     };
-    let keep = online.config().keep_last.max(1);
     let (payload, covered, trained, round) = {
         let state = online.freeze_state();
         let (ratings, lineage, covered) = engine.durable_capture();
@@ -285,7 +291,7 @@ pub fn write_snapshot(engine: &ServeEngine, online: &OnlineLoop) -> HireResult<u
         };
         (encode_snapshot(&snap)?, covered, state.trained, state.round)
     };
-    let store = CheckpointStore::open_tagged(&dir, SERVING_TAG, keep)?;
+    let store = CheckpointStore::open_tagged(&dir, SERVING_TAG, KEEP_LAST)?;
     store.save_raw(covered, &payload)?;
     // The barrier is logged only after the snapshot is durable: a crash
     // between the two leaves a barrier-less snapshot (recovery still uses
@@ -321,7 +327,7 @@ pub struct Recovered {
     /// Torn-tail bytes the WAL open repaired away.
     pub torn_bytes: u64,
     /// Versions of demotion targets dropped because their checkpointed
-    /// weights could not be reloaded (see [`rebuild_engine`]).
+    /// weights could not be reloaded.
     pub dropped_history: Vec<ModelVersion>,
 }
 
@@ -344,21 +350,22 @@ pub fn recover(
     wal_opts: WalOptions,
 ) -> HireResult<Recovered> {
     let (wal, wal_recovery) = Wal::open(wal_dir.as_ref(), wal_opts).map_err(HireError::from)?;
+    let torn_bytes = wal_recovery.truncated_bytes;
     let ckpt_dir = online_config.checkpoint_dir.clone();
-    let fold = fold_log(&wal_recovery.records, ckpt_dir.as_deref())?;
-    let (engine, dropped_history) = rebuild_engine(
-        &fold,
-        Arc::new(wal),
+    let rebuilt = rebuild(
+        vec![(Arc::new(wal), wal_recovery)],
         &base_model,
         &dataset,
-        base_graph,
+        &base_graph,
         engine_config,
         ckpt_dir.as_deref(),
     )?;
-    let engine = Arc::new(engine);
+    let shard = rebuilt.shards.into_iter().next();
+    let engine = Arc::new(shard.expect("one log, one engine"));
     if let Some(dir) = &ckpt_dir {
         prune_partial_rejected(dir);
     }
+    let fold = &rebuilt.folds[0];
     let online = Arc::new(OnlineLoop::recovered(
         engine.clone(),
         online_config,
@@ -371,9 +378,90 @@ pub fn recover(
         ratings: fold.ratings.len(),
         records_replayed: fold.replayed,
         snapshot_covered: fold.covered,
-        torn_bytes: wal_recovery.truncated_bytes,
-        dropped_history,
+        torn_bytes,
+        dropped_history: rebuilt.dropped_history,
     })
+}
+
+/// What [`recover_sharded`] rebuilt.
+pub struct RecoveredShards {
+    /// The rebuilt engine, logs re-attached.
+    pub engine: ShardedEngine,
+    /// Ratings replayed per shard.
+    pub ratings_per_shard: Vec<usize>,
+    /// The versions of demotion targets dropped because their
+    /// checkpointed weights could not be reloaded.
+    pub dropped_history: Vec<ModelVersion>,
+}
+
+/// Rebuilds a [`ShardedEngine`] from a sharded WAL root written by
+/// [`ShardedEngine::with_wal_root`]: one manifest, one log a shard. The
+/// configs and base inputs must match the crashed engine's; the manifest's
+/// shard count is validated against `shard_config` (changing the count is
+/// a re-shard, not a recovery). `ckpt_dir` is where promoted weights were
+/// checkpointed — required if any promotion was ever logged. Appends
+/// nothing.
+#[allow(clippy::too_many_arguments)] // `benchmark/` calls this signature
+pub fn recover_sharded(
+    base_model: FrozenModel,
+    dataset: Arc<Dataset>,
+    base_graph: Arc<BipartiteGraph>,
+    engine_config: EngineConfig,
+    shard_config: ShardConfig,
+    ckpt_dir: Option<&Path>,
+    wal_root: &Path,
+    wal_opts: WalOptions,
+) -> HireResult<RecoveredShards> {
+    let logs = open_root(wal_root, shard_config.shards.max(1), wal_opts, false)?;
+    let rebuilt = rebuild(
+        logs,
+        &base_model,
+        &dataset,
+        &base_graph,
+        engine_config,
+        ckpt_dir,
+    )?;
+    Ok(RecoveredShards {
+        ratings_per_shard: rebuilt.folds.iter().map(|f| f.ratings.len()).collect(),
+        engine: ShardedEngine::from_shards(rebuilt.shards),
+        dropped_history: rebuilt.dropped_history,
+    })
+}
+
+/// Opens the sharded WAL root at `root` for `n` shards — the one door
+/// [`ShardedEngine::with_wal_root`] and [`recover_sharded`] share. Its
+/// `MANIFEST` must name `n` shards (changing the count is a re-shard, not a
+/// reopen); a root without one is refused, or laid out for `n` when
+/// `create`. Returns every shard log, in shard order, beside what it holds.
+pub(crate) fn open_root(
+    root: &Path,
+    n: usize,
+    opts: WalOptions,
+    create: bool,
+) -> HireResult<Vec<(Arc<Wal>, WalRecovery)>> {
+    let refuse = |message: String| Err(HireError::invalid_data("sharded WAL root", message));
+    match ShardManifest::read(root).map_err(HireError::from)? {
+        Some(manifest) if manifest.shards as usize != n => {
+            return refuse(format!(
+                "{} is laid out for {} shards but {n} were asked for; changing the \
+                 shard count requires a re-shard, not a reopen",
+                root.display(),
+                manifest.shards
+            ))
+        }
+        Some(_) => {}
+        None if create => ShardManifest { shards: n as u32 }
+            .write(root)
+            .map_err(HireError::from)?,
+        None => return refuse(format!("no shard manifest at {}", root.display())),
+    }
+    (0..n)
+        .map(|idx| {
+            let (wal, recovery) =
+                Wal::open(shard_dir(root, idx), opts.clone()).map_err(HireError::from)?;
+            Ok((Arc::new(wal), recovery))
+        })
+        .collect()
 }
 
 /// Folds a log's surviving `records` over the newest [`SERVING_TAG`]
@@ -405,53 +493,92 @@ pub fn fold_log(records: &[(u64, WalRecord)], snapshot_dir: Option<&Path>) -> Hi
     Ok(fold)
 }
 
-/// Rebuilds the engine a [`LogFold`] describes, with `wal` re-attached.
+/// What [`rebuild`] made of its logs, in shard order.
+struct Rebuilt {
+    /// The engines, logs re-attached: shard 0 the lineage's owner, the
+    /// rest its followers.
+    shards: Vec<ServeEngine>,
+    /// What each log folded to.
+    folds: Vec<LogFold>,
+    /// Demotion targets dropped because their weights failed to load.
+    dropped_history: Vec<ModelVersion>,
+}
+
+/// The one recovery body, behind [`recover`] (one log) and
+/// [`recover_sharded`] (one log a shard, shard 0's first). Appends nothing.
 ///
-/// One copy-on-write commit per rating, in log order, retraces the crashed
-/// engine's epoch sequence — the final CSR is bit-identical, so every
-/// deterministic context sample (and therefore every answer) matches. The
-/// lineage's weights are then reloaded: `Base` sources resolve to
-/// `base_model`, `Checkpoint` sources load `{tag}-{steps:012}.hckpt` from
-/// `ckpt_dir`. A history slot whose weights fail to load is dropped — its
-/// version is returned beside the engine — while an unloadable incumbent
-/// is a typed error.
-pub fn rebuild_engine(
-    fold: &LogFold,
-    wal: Arc<Wal>,
+/// Folds every log — shard 0's over the newest serving snapshot in
+/// `ckpt_dir`, if one exists — and refuses, typed, a log other than shard
+/// 0's that holds a model record: shard 0 owns the lineage, and recovery
+/// does not guess one. Then builds the shards by the lineage rule
+/// ([`lineage_shards`]) and replays each log's ratings into its shard: one
+/// copy-on-write commit per rating, in log order, retraces the crashed
+/// shard's epoch sequence, so its final CSR is bit-identical, and with it
+/// every deterministic context sample and answer. Last, shard 0 reloads
+/// the lineage's weights: `Base` sources resolve to `base_model`,
+/// `Checkpoint` sources load `{tag}-{steps:012}.hckpt` from `ckpt_dir`. A
+/// history slot whose weights fail to load is dropped — its version is
+/// returned — while an unloadable incumbent is a typed error.
+fn rebuild(
+    logs: Vec<(Arc<Wal>, WalRecovery)>,
     base_model: &FrozenModel,
     dataset: &Arc<Dataset>,
-    base_graph: Arc<BipartiteGraph>,
+    base_graph: &Arc<BipartiteGraph>,
     engine_config: EngineConfig,
     ckpt_dir: Option<&Path>,
-) -> HireResult<(ServeEngine, Vec<ModelVersion>)> {
-    let engine = ServeEngine::with_shared_graph(
-        base_model.clone(),
-        dataset.clone(),
-        base_graph,
-        engine_config,
-    )
-    .with_wal(wal);
-    for rating in &fold.ratings {
-        engine.replay_rating(*rating);
+) -> HireResult<Rebuilt> {
+    let mut wals = Vec::with_capacity(logs.len());
+    let mut folds = Vec::with_capacity(logs.len());
+    for (idx, (wal, log)) in logs.into_iter().enumerate() {
+        wals.push(wal);
+        folds.push(fold_log(&log.records, ckpt_dir.filter(|_| idx == 0))?);
     }
-    let dropped = engine.restore_lineage(fold.lineage.clone(), |source| match source {
-        SlotSource::Base => Ok(base_model.clone()),
-        SlotSource::Checkpoint { tag, steps } => {
-            let dir = ckpt_dir.ok_or_else(|| {
-                HireError::invalid_data(
-                    "durable",
-                    "lineage references a checkpoint but no checkpoint_dir is configured",
-                )
-            })?;
-            let path = dir.join(format!("{tag}-{steps:012}.{SNAPSHOT_EXT}"));
-            FrozenModel::from_snapshot_file(&path, dataset, base_model.config())
-        }
-        SlotSource::Unsaved => Err(HireError::invalid_data(
-            "durable",
-            "lineage references weights that were never checkpointed",
-        )),
-    })?;
-    Ok((engine, dropped))
+    // Every model record moves `next_version`, so a follower log folds to
+    // the default lineage exactly when it holds none.
+    if let Some(idx) = (1..folds.len()).find(|&idx| folds[idx].lineage != Lineage::default()) {
+        return Err(HireError::invalid_data(
+            "recover_sharded",
+            format!(
+                "shard {idx}'s log holds a model record, but only shard 0 owns the \
+                 lineage; refusing to guess a lineage"
+            ),
+        ));
+    }
+    let (model, n) = (base_model.clone(), folds.len());
+    let shards: Vec<ServeEngine> = lineage_shards(model, dataset, base_graph, engine_config, n)
+        .into_iter()
+        .zip(wals)
+        .zip(&folds)
+        .map(|((shard, wal), fold)| {
+            for rating in &fold.ratings {
+                shard.replay_rating(*rating);
+            }
+            shard.with_wal(wal)
+        })
+        .collect();
+    let dropped_history =
+        shards[0].restore_lineage(folds[0].lineage.clone(), |source| match source {
+            SlotSource::Base => Ok(base_model.clone()),
+            SlotSource::Checkpoint { tag, steps } => {
+                let dir = ckpt_dir.ok_or_else(|| {
+                    HireError::invalid_data(
+                        "durable",
+                        "lineage references a checkpoint but no checkpoint_dir is configured",
+                    )
+                })?;
+                let path = dir.join(format!("{tag}-{steps:012}.{SNAPSHOT_EXT}"));
+                FrozenModel::from_snapshot_file(&path, dataset, base_model.config())
+            }
+            SlotSource::Unsaved => Err(HireError::invalid_data(
+                "durable",
+                "lineage references weights that were never checkpointed",
+            )),
+        })?;
+    Ok(Rebuilt {
+        shards,
+        folds,
+        dropped_history,
+    })
 }
 
 /// Removes partial rejected-candidate artifacts a crash can strand in the

@@ -105,7 +105,8 @@ pub enum ColdScenario {
 }
 
 impl ColdScenario {
-    /// Every scenario, in reporting order.
+    /// Every scenario, in reporting order — declaration order, so a
+    /// scenario `as usize` is its index here.
     pub const ALL: [ColdScenario; 4] = [
         ColdScenario::WarmUp,
         ColdScenario::UserCold,
@@ -253,7 +254,7 @@ struct Installed {
 
 /// The model an engine serves: the incumbent slot and the lineage behind
 /// it. One per lineage — the shards of a sharded engine share their owner's
-/// ([`ServeEngine::follower`]), so every shard answers from one set of
+/// (`ServeEngine::follower`), so every shard answers from one set of
 /// weights under one version.
 struct Incumbent {
     /// Swapped atomically (`Arc` swap under a short write lock) by an
@@ -315,7 +316,7 @@ impl TierStats {
 /// was computed from.
 pub struct ServeEngine {
     /// The incumbent model and its lineage: this engine's own, or — on a
-    /// [`ServeEngine::follower`] — its owner's.
+    /// `ServeEngine::follower` — its owner's.
     incumbent: Arc<Incumbent>,
     /// Whether installs and demotions go through this engine (and its WAL
     /// and `online.swap` site). A follower refuses them.
@@ -387,12 +388,13 @@ enum Rung<'a> {
 }
 
 /// One [`ServeEngine::answer_owned`] walk on its way out: the version it
-/// is pinned to, the caller's reply slots, and the tier counts to flush.
+/// is pinned to, the caller's reply slots, and the tier counts to flush —
+/// one per scenario, in [`ColdScenario::ALL`] order.
 struct Batch<'a> {
     queries: &'a [RatingQuery],
     version: ModelVersion,
     out: &'a mut [Option<Answer>],
-    counts: BTreeMap<ColdScenario, TierStats>,
+    counts: [TierStats; 4],
 }
 
 /// Poison recovery: cache and graph stay consistent across a panicking
@@ -445,9 +447,9 @@ impl ServeEngine {
     }
 
     /// [`ServeEngine::with_graph`] over an already-shared snapshot. The
-    /// shards of a `ShardedEngine` all start from one `Arc`'d base graph —
-    /// this constructor for the first, [`ServeEngine::follower`] for the
-    /// rest — one graph for N engines, diverging copy-on-write, chunk by
+    /// shards of a [`crate::ShardedEngine`] all start from one `Arc`'d base
+    /// graph — this constructor for the first, `ServeEngine::follower` for
+    /// the rest — one graph for N engines, diverging copy-on-write, chunk by
     /// chunk, as a shard commits online ratings.
     pub fn with_shared_graph(
         model: FrozenModel,
@@ -470,25 +472,20 @@ impl ServeEngine {
     }
 
     /// A shard serving this engine's model lineage over `graph` — its base
-    /// graph, which cold-start classification reads — with `replayed`, the
-    /// ratings a crashed run logged (empty on a fresh build), committed on
-    /// top in order, as recovery replays them. Same dataset and config as
-    /// `self`; breaker, hybrid, faults and WAL are the follower's own
-    /// (builder style). It pins the shared slot like its owner, and
+    /// graph, which cold-start classification reads. Same dataset and
+    /// config as `self`; breaker, hybrid, faults and WAL are the follower's
+    /// own (builder style). It pins the shared slot like its owner, and
     /// refuses installs and demotions: those go through the owner, which
-    /// logs them once.
-    pub fn follower(&self, graph: Arc<BipartiteGraph>, replayed: &[Rating]) -> ServeEngine {
-        let follower = Self::build(
+    /// logs them once. Built only by the lineage rule,
+    /// `crate::sharded::lineage_shards`.
+    pub(crate) fn follower(&self, graph: Arc<BipartiteGraph>) -> ServeEngine {
+        Self::build(
             Arc::clone(&self.incumbent),
             false,
             Arc::clone(&self.dataset),
             graph,
             self.config.clone(),
-        );
-        for rating in replayed {
-            follower.replay_rating(*rating);
-        }
-        follower
+        )
     }
 
     /// The one constructor body: `incumbent` is the engine's own
@@ -1016,10 +1013,7 @@ impl ServeEngine {
     /// watchdog compare fallback *rates* across versions.
     fn answer(&self, batch: &mut Batch, i: usize, rating: f32, rung: Rung) {
         let q = &batch.queries[i];
-        let stats = batch
-            .counts
-            .entry(self.scenario_of(q.user, q.item))
-            .or_default();
+        let stats = &mut batch.counts[self.scenario_of(q.user, q.item) as usize];
         let (served_by, counter) = match rung {
             Rung::Memo => (ServedBy::Cache, &mut stats.cache),
             Rung::Model => (ServedBy::Model, &mut stats.model),
@@ -1269,7 +1263,7 @@ impl ServeEngine {
     /// # Panics
     ///
     /// If `out` and `queries` differ in length.
-    pub fn answer_owned(
+    pub(crate) fn answer_owned(
         &self,
         slot: &ModelSlot,
         queries: &[RatingQuery],
@@ -1282,20 +1276,19 @@ impl ServeEngine {
             queries,
             version: slot.version,
             out,
-            counts: BTreeMap::new(),
+            counts: [TierStats::default(); 4],
         };
         let walked = self.walk(slot, owns, deadline, &mut batch);
         // Count before replying — what a walk refused for a range violation
         // answered on its way included — so a caller that has its reply
         // also sees it counted.
-        {
-            let mut tiers = lock(&self.tiers);
-            for (scenario, counted) in &batch.counts {
-                tiers
-                    .entry((batch.version, *scenario))
-                    .or_default()
-                    .absorb(counted);
-            }
+        let mut tiers = lock(&self.tiers);
+        let counted = ColdScenario::ALL.iter().zip(&batch.counts);
+        for (scenario, counted) in counted.filter(|(_, c)| **c != TierStats::default()) {
+            tiers
+                .entry((batch.version, *scenario))
+                .or_default()
+                .absorb(counted);
         }
         walked
     }
@@ -1357,7 +1350,7 @@ fn query_cell(key: &CacheKey, ctx: &PredictionContext) -> Result<(usize, usize),
 /// hole means an engine invariant broke; it surfaces as a typed
 /// [`ServeError::Internal`] so one bad batch degrades a reply instead of
 /// killing a serving worker.
-pub fn collect_answers(out: Vec<Option<Answer>>) -> Result<Vec<Answer>, ServeError> {
+pub(crate) fn collect_answers(out: Vec<Option<Answer>>) -> Result<Vec<Answer>, ServeError> {
     out.into_iter()
         .enumerate()
         .map(|(i, answer)| {

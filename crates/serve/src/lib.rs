@@ -1,7 +1,8 @@
 //! # hire-serve
 //!
 //! Online inference for the HIRE reproduction — the first subsystem of the
-//! repo that never builds an autograd tape. Five layers:
+//! repo that never builds an autograd tape. Five layers, and the sharded
+//! engine over them:
 //!
 //! - [`FrozenModel`] (re-exported from `hire-core`) — a trained
 //!   [`hire_core::HireModel`] exported to plain [`hire_tensor::NdArray`]
@@ -35,6 +36,11 @@
 //!   ([`ServeError::Overloaded`]), panic isolation
 //!   ([`ServeError::WorkerLost`]) and typed deadline replies
 //!   ([`ServeError::DeadlineExceeded`]).
+//! - [`ShardedEngine`] — N [`ServeEngine`] shards by hash of the seed user
+//!   behind one [`Predictor`], the single engine being its 1-shard case
+//!   (DESIGN.md §14): every query and write on its user's owner shard,
+//!   one model slot and lineage for all shards, owned by shard 0, one WAL
+//!   per shard under a manifest ([`ShardedEngine::with_wal_root`]).
 //!
 //! A sixth layer closes the loop from serving back to training:
 //! [`OnlineLoop`] fine-tunes a copy of the serving model on freshly
@@ -45,9 +51,10 @@
 //! ([`ServeEngine::install_model`], [`ModelSlot`], [`ModelVersion`]).
 //! Promotions and demotions are transitions of one [`Lineage`]; with a
 //! write-ahead log attached they are logged before they take effect, and
-//! [`recover`] replays the same transitions ([`fold_log`] →
-//! [`rebuild_engine`]) to rebuild an engine that answers bit-identically
-//! to one that never crashed (DESIGN.md §15).
+//! [`recover`] replays the same transitions ([`fold_log`], then one
+//! private rebuild that [`recover_sharded`] runs too, over one log a
+//! shard) to rebuild an engine that answers bit-identically to one that
+//! never crashed (DESIGN.md §15).
 //!
 //! Fault injection for all of the above lives in the `hire-chaos` crate;
 //! the serve sites are `server.batch`, `engine.resolve`, `engine.forward`,
@@ -61,15 +68,16 @@ mod durable;
 mod engine;
 mod online;
 mod server;
+mod sharded;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats};
 pub use cache::{CacheKey, CacheStats, CachedContext, ContextCache};
 pub use durable::{
-    fold_log, rebuild_engine, recover, write_snapshot, LogFold, Recovered, SERVING_TAG,
+    fold_log, recover, recover_sharded, write_snapshot, LogFold, Recovered, RecoveredShards,
+    SERVING_TAG,
 };
 pub use engine::{
-    collect_answers, ColdScenario, EngineConfig, Lineage, ModelSlot, ServeEngine, SlotSource,
-    TierStats,
+    ColdScenario, EngineConfig, Lineage, ModelSlot, ServeEngine, SlotSource, TierStats,
 };
 pub use hire_core::{FrozenModel, QuantizedModel};
 pub use online::{
@@ -79,3 +87,4 @@ pub use server::{
     Answer, ModelVersion, Prediction, PredictionHandle, Predictor, RatingQuery, ServeError,
     ServedBy, Server, ServerConfig, ServerStats,
 };
+pub use sharded::{HotKeyStats, ShardConfig, ShardStats, ShardedEngine};

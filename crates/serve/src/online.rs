@@ -77,6 +77,12 @@ pub const REJECTED_TAG: &str = "rejected";
 /// Held-out slice capacity; once full, every rating trains.
 const HOLDOUT_CAP: usize = 256;
 
+/// Snapshots retained in each lineage pruned by count (`rejected`, and
+/// `serving` in [`crate::write_snapshot`]). `candidate` files are not
+/// counted: each is kept for as long as the engine's [`crate::Lineage`]
+/// names it.
+pub(crate) const KEEP_LAST: usize = 2;
+
 /// Whether the `idx`-th serve-time rating (0-based, in arrival order) is
 /// held out: every `every`-th one, the first [`HOLDOUT_CAP`] of them. A
 /// pure function of the arrival index, so the live loop and recovery split
@@ -114,10 +120,6 @@ pub struct OnlineConfig {
     /// snapshots written by [`crate::write_snapshot`]). `None` disables
     /// all durable output.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Snapshots retained in each lineage pruned by count (`rejected`,
-    /// `serving`). `candidate` files are not counted: each is kept for as
-    /// long as the engine's [`crate::Lineage`] names it.
-    pub keep_last: usize,
     /// Base seed for per-round fine-tuning RNG streams.
     pub seed: u64,
     /// `maybe_demote` triggers when the current version's fallback rate
@@ -139,7 +141,6 @@ impl Default for OnlineConfig {
             regression_tolerance: 0.05,
             min_scenario_samples: 3,
             checkpoint_dir: None,
-            keep_last: 2,
             seed: 0x0511_11E5,
             demote_fallback_margin: 0.2,
             demote_min_answers: 20,
@@ -615,7 +616,7 @@ impl OnlineLoop {
     /// candidate's weights from this very snapshot.
     ///
     /// Retention differs by lineage. `rejected` keeps its newest
-    /// `keep_last` files. `candidate` keeps the files the engine's
+    /// [`KEEP_LAST`] files. `candidate` keeps the files the engine's
     /// [`crate::Lineage`] names — a demotion makes an *old* candidate the
     /// incumbent again, so any count-based rule can delete weights that are
     /// being served, and with them the engine's recoverability — plus the
@@ -647,11 +648,7 @@ impl OnlineLoop {
             rng_words: Vec::new(),
         };
         let by_reference = tag == CANDIDATE_TAG;
-        let keep_last = if by_reference {
-            usize::MAX
-        } else {
-            self.config.keep_last
-        };
+        let keep_last = if by_reference { usize::MAX } else { KEEP_LAST };
         let saved = CheckpointStore::open_tagged(dir, tag, keep_last)
             .and_then(|store| {
                 store.save(&snapshot)?;

@@ -1,15 +1,36 @@
 //! The sharded serving engine: N inner [`ServeEngine`]s behind one
-//! [`Predictor`].
+//! [`Predictor`], the single engine being its 1-shard case (DESIGN.md §14).
+//!
+//! Queries partition by hash of the seed user — the natural unit for the
+//! paper's neighborhood-context workload, since a query's BFS context is
+//! seeded at its user. Each shard owns its slice of the context-cache key
+//! space, its own circuit breaker and degradation ladder, and its own
+//! copy-on-write, epoch-pinned graph (`hire_graph::EpochedGraph`) started
+//! from one shared base snapshot. Every query and every write goes to its
+//! user's owner shard, so a user's answers see that user's writes.
+//!
+//! This module owns the lineage rule: shard 0 owns the engine's one model
+//! lineage and shards 1..N follow it ([`lineage_shards`], which recovery
+//! builds through too), a batch pins the one slot once, and
+//! `install_model` / `demote` are one swap on shard 0, logged once in its
+//! WAL. Sharded crash recovery is `crate::durable`'s one recovery body,
+//! which also refuses a follower log holding a model record.
+//!
+//! Every shard shares one sampling seed and one base graph, so a
+//! fault-free prediction for a given `(user, item)` is bit-identical at
+//! every shard count up to the first write. A shard then sees the base
+//! graph plus its own users' writes: a user's answers still equal a
+//! 1-shard engine's that took the same writes when those writes are the
+//! user's own. `tests/sharding.rs` locks both down.
 
-use crate::recovery::open_root;
-use hire_core::HybridModel;
+use crate::cache::CacheStats;
+use crate::durable::open_root;
+use crate::engine::{collect_answers, EngineConfig, ServeEngine, SlotSource, TierStats};
+use crate::server::{Answer, ModelVersion, Predictor, RatingQuery, ServeError};
+use hire_core::{FrozenModel, HybridModel};
 use hire_data::Dataset;
 use hire_error::{HireError, HireResult};
 use hire_graph::{BipartiteGraph, Rating};
-use hire_serve::{
-    collect_answers, Answer, CacheStats, EngineConfig, FrozenModel, ModelVersion, Predictor,
-    RatingQuery, ServeEngine, ServeError, SlotSource, TierStats,
-};
 use hire_wal::WalOptions;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,6 +70,25 @@ pub struct HotKeyStats {
     pub hot_routed: u64,
 }
 
+/// The lineage rule, written once: shard 0 serves `model` and owns the
+/// engine's one model lineage; shards 1..`n` are its followers. Every
+/// shard starts from `graph`. Construction and recovery both build their
+/// shards here.
+pub(crate) fn lineage_shards(
+    model: FrozenModel,
+    dataset: &Arc<Dataset>,
+    graph: &Arc<BipartiteGraph>,
+    config: EngineConfig,
+    n: usize,
+) -> Vec<ServeEngine> {
+    let owner =
+        ServeEngine::with_shared_graph(model, Arc::clone(dataset), Arc::clone(graph), config);
+    let followers: Vec<ServeEngine> = (1..n.max(1))
+        .map(|_| owner.follower(Arc::clone(graph)))
+        .collect();
+    std::iter::once(owner).chain(followers).collect()
+}
+
 /// SplitMix64 mix for shard routing. Depends only on the user index, so
 /// a user's queries always land on one shard (its cache partition) no
 /// matter the batch composition or history.
@@ -72,15 +112,14 @@ fn mix_user(user: usize) -> u64 {
 ///   their pinned snapshots, unblocked; none of them answers the writing
 ///   user, and none holds a context sampled from the owner's graph.
 /// - **Model.** One incumbent slot and one lineage for the whole engine,
-///   owned by shard 0; shards 1..N are its [`ServeEngine::follower`]s and
-///   hold no weights of their own. A batch pins the slot once and every
+///   owned by shard 0; shards 1..N are its followers (`lineage_shards`)
+///   and hold no weights of their own. A batch pins the slot once and every
 ///   shard's walk answers on that pin, so a batch answers under one
 ///   version.
 /// - **Batches.** Each shard walks the whole batch in shard order and
-///   answers the positions it owns ([`ServeEngine::answer_owned`]) into
-///   one set of answer slots, collected once by
-///   [`hire_serve::collect_answers`] — the end of a `ServeEngine` batch
-///   too, so at one shard the two are one engine.
+///   answers the positions it owns (`ServeEngine::answer_owned`) into one
+///   set of answer slots, collected once by `collect_answers` — the end of
+///   a `ServeEngine` batch too, so at one shard the two are one engine.
 ///   [`ShardedEngine::install_model`] and [`ShardedEngine::demote`] are
 ///   one swap on shard 0 — its `online.swap` chaos site, its log.
 ///
@@ -117,17 +156,12 @@ impl ShardedEngine {
         engine_config: EngineConfig,
         shard_config: ShardConfig,
     ) -> Self {
-        let owner =
-            ServeEngine::with_shared_graph(model, dataset, Arc::clone(&graph), engine_config);
-        let followers: Vec<ServeEngine> = (1..shard_config.shards.max(1))
-            .map(|_| owner.follower(Arc::clone(&graph), &[]))
-            .collect();
-        Self::from_shards(std::iter::once(owner).chain(followers).collect())
+        let n = shard_config.shards;
+        Self::from_shards(lineage_shards(model, &dataset, &graph, engine_config, n))
     }
 
-    /// Wraps already-built shard engines, shard 0 the lineage's owner and
-    /// the rest its followers (construction, and recovery — where each
-    /// shard was rebuilt from its own log).
+    /// Wraps [`lineage_shards`]' engines (construction, and recovery —
+    /// where each shard was rebuilt from its own log).
     pub(crate) fn from_shards(shards: Vec<ServeEngine>) -> Self {
         ShardedEngine {
             routed: shards.iter().map(|_| AtomicU64::new(0)).collect(),
@@ -173,7 +207,7 @@ impl ShardedEngine {
     /// every promotion and demotion, once.
     ///
     /// "Fresh" is enforced: a root whose logs already hold records needs
-    /// [`crate::recovery::recover_sharded`], which replays them — opening
+    /// [`crate::recover_sharded`], which replays them — opening
     /// it here would silently serve without the logged state.
     pub fn with_wal_root(mut self, root: &Path, opts: WalOptions) -> HireResult<Self> {
         let logs = open_root(root, self.shards.len(), opts, true)?;

@@ -22,9 +22,8 @@ use hire_core::{HireConfig, HireModel};
 use hire_data::Dataset;
 use hire_serve::{
     EngineConfig, FrozenModel, PredictionHandle, Predictor, RatingQuery, ServeEngine, ServedBy,
-    Server, ServerConfig,
+    Server, ServerConfig, ShardConfig, ShardedEngine,
 };
-use hire_shard::{ShardConfig, ShardedEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};

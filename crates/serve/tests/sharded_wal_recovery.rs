@@ -13,9 +13,9 @@ use hire_data::Dataset;
 use hire_error::HireError;
 use hire_graph::Rating;
 use hire_serve::{
-    fold_log, EngineConfig, FrozenModel, Lineage, Predictor, RatingQuery, ServeError, SlotSource,
+    fold_log, recover_sharded, EngineConfig, FrozenModel, Lineage, Predictor, RatingQuery,
+    RecoveredShards, ServeError, ShardConfig, ShardedEngine, SlotSource,
 };
-use hire_shard::{recover_sharded, ShardConfig, ShardedEngine};
 use hire_wal::{shard_dir, Wal, WalOptions, WalRecord};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -182,11 +182,7 @@ fn copy_tree(src: &Path, dst: &Path) {
     }
 }
 
-fn recover_copy(
-    dataset: &Arc<Dataset>,
-    root: &Path,
-    ckpt_dir: Option<&Path>,
-) -> hire_shard::RecoveredShards {
+fn recover_copy(dataset: &Arc<Dataset>, root: &Path, ckpt_dir: Option<&Path>) -> RecoveredShards {
     recover_sharded(
         frozen(dataset, 4),
         Arc::clone(dataset),

@@ -34,9 +34,8 @@ use hire_data::Dataset;
 use hire_graph::{BipartiteGraph, Rating};
 use hire_serve::{
     Answer, EngineConfig, FrozenModel, Predictor, RatingQuery, ServeEngine, ServeError, Server,
-    ServerConfig, SlotSource,
+    ServerConfig, ShardConfig, ShardedEngine, SlotSource,
 };
-use hire_shard::{ShardConfig, ShardedEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

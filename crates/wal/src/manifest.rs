@@ -1,10 +1,11 @@
 //! Sharded-log manifest: one root directory, one `MANIFEST` file naming the
 //! shard count, and one `shard-NNN/` WAL directory per shard.
 //!
-//! The manifest is the recovery root for `hire_shard::ShardedEngine`:
-//! recovery reads it, opens every shard's log, and rebuilds the shards in lockstep —
-//! refusing to serve if the shard count on disk disagrees with the serving
-//! configuration.
+//! The manifest is the recovery root for `hire_serve::ShardedEngine`:
+//! `hire_serve::recover_sharded` reads it, opens every shard's log, and
+//! rebuilds the shards in lockstep through the one recovery body
+//! `hire_serve::recover` runs too — refusing to serve if the shard count
+//! on disk disagrees with the serving configuration.
 
 use std::fs;
 use std::path::{Path, PathBuf};

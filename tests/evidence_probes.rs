@@ -8,11 +8,14 @@
 //!   a twin's support transfers exactly as much as a random user's.
 //! - Fig. 9's shares, on a hand-built context and hand-built attention:
 //!   the mass on the evidence over the evidence's share of the keys.
+//! - GraphRec reads a cold user's support the right way up: raising it
+//!   does not lower the user's answers.
 
-use hire_baselines::{EdgeTrainConfig, EntityMean, NeuMF, RatingModel};
+use hire_baselines::{EdgeTrainConfig, EntityMean, GraphRec, NeuMF, RatingModel};
 use hire_core::{HimAttention, HireConfig, HireModel};
 use hire_data::{ColdStartScenario, ColdStartSplit, Dataset, PredictionContext, SyntheticConfig};
 use hire_eval::{cell_shares, support_level, support_transfer, CellShare, Layer};
+use hire_graph::{BipartiteGraph, Rating};
 use hire_tensor::NdArray;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -168,4 +171,74 @@ fn a_real_models_rows_are_read_query_then_key() {
     let shares = cell_shares(&attns, &ctx.input_mask, 0, 0);
     assert_eq!(shares.len(), 2 * 2 * config.heads);
     assert!(shares.iter().all(|s| s.share.is_finite() && s.share >= 0.0));
+}
+
+/// A hand-built user-cold split of ID-only social data: users
+/// `0..cold` are cold, each revealing its first `revealed` ratings as
+/// support and asked the rest; every other rating trains.
+fn hand_built_user_cold(dataset: &Dataset, cold: usize, revealed: usize) -> ColdStartSplit {
+    let graph = dataset.graph();
+    let (mut train, mut support, mut query) = (Vec::new(), Vec::new(), Vec::new());
+    for user in 0..dataset.num_users {
+        for (k, &(item, value)) in graph.user_neighbors(user).iter().enumerate() {
+            let rating = Rating::new(user, item as usize, value);
+            match (user < cold, k < revealed) {
+                (false, _) => train.push(rating),
+                (true, true) => support.push(rating),
+                (true, false) => query.push(rating),
+            }
+        }
+    }
+    ColdStartSplit {
+        scenario: ColdStartScenario::UserCold,
+        train_users: (cold..dataset.num_users).collect(),
+        test_users: (0..cold).collect(),
+        train_items: (0..dataset.num_items).collect(),
+        test_items: (0..dataset.num_items).collect(),
+        train_ratings: train,
+        support_ratings: support,
+        query_ratings: query,
+    }
+}
+
+/// Raising every support rating of a hand-built user-cold split from the
+/// scale's bottom to its top does not lower any cold user's mean answer
+/// from GraphRec. It did while GraphRec fit edges it also aggregated, each
+/// left out of its own aggregate: given the user's ID, that aggregate
+/// falls as the target rises, and the model learned to read it that way.
+#[test]
+fn raising_a_cold_users_support_does_not_lower_graphrecs_answers() {
+    let dataset = SyntheticConfig::douban_like()
+        .scaled(60, 50, (12, 24))
+        .generate(7);
+    let split = hand_built_user_cold(&dataset, 10, 4);
+    let config = EdgeTrainConfig {
+        epochs: 8,
+        batch_size: 64,
+        lr: 1e-2,
+    };
+    let model = fitted(Box::new(GraphRec::new(4, config)), &dataset, &split);
+    let mean_answers = |value: f32| -> Vec<f32> {
+        let mut edges = split.train_ratings.clone();
+        edges.extend((split.support_ratings.iter()).map(|r| Rating::new(r.user, r.item, value)));
+        let visible = BipartiteGraph::from_ratings(dataset.num_users, dataset.num_items, &edges);
+        (split.queries_by_entity().iter())
+            .map(|(_, queries)| {
+                let pairs: Vec<(usize, usize)> = queries.iter().map(|r| (r.user, r.item)).collect();
+                let answers = model.predict(&dataset, &visible, &pairs);
+                answers.iter().sum::<f32>() / answers.len() as f32
+            })
+            .collect()
+    };
+    let (low, high) = (
+        mean_answers(dataset.min_rating),
+        mean_answers(dataset.max_rating()),
+    );
+    assert_eq!(low.len(), 10);
+    for (user, (lo, hi)) in low.iter().zip(&high).enumerate() {
+        assert!(
+            hi >= lo,
+            "cold user {user}: mean answer {lo} with its support at the bottom, {hi} at the top"
+        );
+    }
 }
