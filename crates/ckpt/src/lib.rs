@@ -17,8 +17,9 @@
 //! Layering: this crate knows nothing about models or optimizers — it moves
 //! plain [`NdArray`](hire_tensor::NdArray) state in and out of files.
 //! `hire-core::trainer` converts live training state to a
-//! [`TrainSnapshot`] and back; `hire-bench` layers scenario-level resume on
-//! top for benchmark sweeps.
+//! [`TrainSnapshot`] and back; `hire-eval`'s harness layers scenario-level
+//! resume on top for its sweeps, and writes its result files with
+//! [`write_atomic`] too.
 
 mod format;
 mod snapshot;
@@ -26,4 +27,4 @@ mod store;
 
 pub use format::{crc32, decode_container, encode_container, PayloadReader, PayloadWriter};
 pub use snapshot::{fingerprint, GuardSnapshot, OptimizerSnapshot, TrainSnapshot};
-pub use store::{sync_dir, CheckpointStore, LoadOutcome, SNAPSHOT_EXT};
+pub use store::{sync_dir, write_atomic, CheckpointStore, LoadOutcome, SNAPSHOT_EXT};

@@ -16,7 +16,7 @@
 use crate::snapshot::TrainSnapshot;
 use hire_error::{HireError, HireResult};
 use std::fs::{self, File};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// File extension for snapshot files.
@@ -30,6 +30,31 @@ pub fn sync_dir(dir: &Path) -> HireResult<()> {
     handle
         .sync_all()
         .map_err(|e| HireError::io(dir.display().to_string(), e))
+}
+
+/// Writes `bytes` to `path` atomically and durably: to a `<path>.tmp`
+/// sibling, fsynced, renamed over `path`, and the parent directory
+/// fsynced — so a crash at any point leaves the old file or the new one,
+/// never a torn one, and a crash right after the rename cannot roll it
+/// back. A failure names the path it happened on, so each caller can
+/// raise its own typed error.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), (PathBuf, io::Error)> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let at = |p: &Path| {
+        let p = p.to_path_buf();
+        move |e: io::Error| (p, e)
+    };
+    let mut file = File::create(&tmp).map_err(at(&tmp))?;
+    file.write_all(bytes).map_err(at(&tmp))?;
+    file.sync_all().map_err(at(&tmp))?;
+    drop(file);
+    fs::rename(&tmp, path).map_err(at(path))?;
+    match path.parent().filter(|dir| !dir.as_os_str().is_empty()) {
+        Some(dir) => File::open(dir).and_then(|d| d.sync_all()).map_err(at(dir)),
+        None => Ok(()),
+    }
 }
 
 /// Default lineage tag: plain training snapshots (`ckpt-*.hckpt`).
@@ -156,28 +181,10 @@ impl CheckpointStore {
 
     fn save_bytes(&self, steps: u64, bytes: &[u8]) -> HireResult<PathBuf> {
         let final_path = self.dir.join(self.file_name(steps));
-        let tmp_path = {
-            let mut os = final_path.as_os_str().to_os_string();
-            os.push(".tmp");
-            PathBuf::from(os)
-        };
-        {
-            let mut tmp = File::create(&tmp_path)
-                .map_err(|e| HireError::io(tmp_path.display().to_string(), e))?;
-            tmp.write_all(bytes)
-                .map_err(|e| HireError::io(tmp_path.display().to_string(), e))?;
-            // Flush file contents to stable storage before the rename makes
-            // the snapshot visible under its real name.
-            tmp.sync_all()
-                .map_err(|e| HireError::io(tmp_path.display().to_string(), e))?;
-        }
-        fs::rename(&tmp_path, &final_path)
-            .map_err(|e| HireError::io(final_path.display().to_string(), e))?;
-        // Persist the rename (the directory entry) as well; without this a
-        // power loss can roll back to a state where neither name exists.
-        // A failure here is a durability failure — the caller must not
-        // treat the snapshot as saved — so it surfaces typed, not swallowed.
-        sync_dir(&self.dir)?;
+        // A failed directory fsync is a durability failure too — the caller
+        // must not treat the snapshot as saved — so it surfaces typed.
+        write_atomic(&final_path, bytes)
+            .map_err(|(at, e)| HireError::io(at.display().to_string(), e))?;
         self.prune()?;
         Ok(final_path)
     }

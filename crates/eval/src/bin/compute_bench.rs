@@ -64,9 +64,9 @@
 //! `fast` — the CI regression gates for the SIMD layer, the copy-on-write
 //! graph, the hub-bounded BFS and the asked-cell forward.
 
-use hire_bench::write_json_atomic;
 use hire_core::{FrozenModel, HireConfig, HireModel};
 use hire_data::{test_context_with_ratio, SyntheticConfig};
+use hire_eval::write_json_atomic;
 use hire_graph::{
     BipartiteGraph, ContextSampler, ContextSelection, EpochedGraph, NeighborhoodSampler, Rating,
 };
@@ -320,11 +320,90 @@ struct HimReport {
     nograd_one_cell_ms: f64,
 }
 
+/// Host execution environment, embedded in benchmark JSON reports so a
+/// recorded number can be read against the machine that produced it.
+#[derive(Debug, Clone, Serialize)]
+struct HostInfo {
+    /// Logical CPU cores visible to this process.
+    logical_cores: usize,
+    /// SIMD/ISA capabilities detected at runtime (x86_64) or implied by
+    /// the compile target (aarch64); empty when the target supports
+    /// neither probe.
+    isa_features: Vec<String>,
+    /// Raw `HIRE_THREADS` value from the environment, if set.
+    hire_threads_env: Option<String>,
+    /// `hire-par`'s process-wide lane count — how many models of a table
+    /// train side by side. Nothing else reads it: kernels run on their
+    /// caller's thread, and serving parallelism is the server's workers.
+    compute_pool_threads: usize,
+    /// Kernel path the SIMD dispatcher resolved to for this process
+    /// (`scalar` | `avx2` | `avx512`) — the ISA every recorded
+    /// number actually ran on.
+    dispatched_kernel: String,
+    /// Raw `HIRE_ISA` override from the environment, if set (the
+    /// dispatched kernel above already reflects it).
+    hire_isa_env: Option<String>,
+}
+
+impl HostInfo {
+    /// Snapshots the current host. Reads (and, if needed, fixes from
+    /// `HIRE_THREADS`) `hire-par`'s lane count.
+    fn detect() -> Self {
+        #[allow(unused_mut)]
+        let mut isa_features: Vec<String> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        for (name, detected) in [
+            ("sse2", is_x86_feature_detected!("sse2")),
+            ("sse4.1", is_x86_feature_detected!("sse4.1")),
+            ("avx", is_x86_feature_detected!("avx")),
+            ("avx2", is_x86_feature_detected!("avx2")),
+            ("fma", is_x86_feature_detected!("fma")),
+            ("avx512f", is_x86_feature_detected!("avx512f")),
+        ] {
+            if detected {
+                isa_features.push(name.to_string());
+            }
+        }
+        #[cfg(target_arch = "aarch64")]
+        isa_features.push("neon".to_string());
+        HostInfo {
+            logical_cores: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            isa_features,
+            hire_threads_env: std::env::var("HIRE_THREADS").ok(),
+            compute_pool_threads: hire_par::global().threads(),
+            dispatched_kernel: hire_tensor::simd::active_isa().label().to_string(),
+            hire_isa_env: std::env::var("HIRE_ISA").ok(),
+        }
+    }
+
+    /// One-line host description for `compute_bench`'s stderr banner.
+    fn summary(&self) -> String {
+        format!(
+            "{} hardware thread(s), isa features {}, dispatched kernel {}{}, HIRE_THREADS={}, fan-out {} lane(s)",
+            self.logical_cores,
+            if self.isa_features.is_empty() {
+                "unknown".to_string()
+            } else {
+                self.isa_features.join("+")
+            },
+            self.dispatched_kernel,
+            match &self.hire_isa_env {
+                Some(v) => format!(" (HIRE_ISA={v})"),
+                None => String::new(),
+            },
+            self.hire_threads_env.as_deref().unwrap_or("unset"),
+            self.compute_pool_threads,
+        )
+    }
+}
+
 #[derive(Serialize)]
 struct KernelBenchReport {
     smoke: bool,
     /// Cores and ISA features of the machine that produced these numbers.
-    host: hire_bench::HostInfo,
+    host: HostInfo,
     matmul: Vec<MatmulReport>,
     mhsa: Vec<MhsaReport>,
     layer_norm: Vec<LayerNormReport>,
@@ -922,7 +1001,7 @@ fn main() {
         }
     };
 
-    let host = hire_bench::HostInfo::detect();
+    let host = HostInfo::detect();
     eprintln!("compute_bench: {}", host.summary());
 
     // HIM-realistic products: [rows, e] x [e, inner] attention projections
@@ -1134,5 +1213,37 @@ fn main() {
 
     if isa_gate_failed || commit_gate_failed || sampler_gate_failed || one_cell_gate_failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn host_info_detect_is_sane_and_serializable() {
+        let host = HostInfo::detect();
+        assert!(host.logical_cores >= 1);
+        assert!(host.compute_pool_threads >= 1);
+        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+        assert!(
+            !host.isa_features.is_empty(),
+            "sse2/neon are baseline on these targets"
+        );
+        assert!(
+            ["scalar", "avx2", "avx512"].contains(&host.dispatched_kernel.as_str()),
+            "unknown dispatched kernel {:?}",
+            host.dispatched_kernel
+        );
+        if let Ok(isa) = std::env::var("HIRE_ISA") {
+            assert_eq!(host.hire_isa_env.as_deref(), Some(isa.as_str()));
+        }
+        let summary = host.summary();
+        assert!(summary.contains(&host.dispatched_kernel));
+        assert!(summary.contains("dispatched kernel"));
+        let json = serde_json::to_string(&host).expect("serialize");
+        assert!(json.contains("logical_cores"));
+        assert!(json.contains("compute_pool_threads"));
+        assert!(json.contains("dispatched_kernel"));
     }
 }

@@ -9,9 +9,11 @@
 //! meta-learners adapt once per cold entity and then score its pairs with
 //! a small MLP.
 
-use hire_bench::{cold_frac, dataset_for, maybe_write_json, DatasetKind, HarnessArgs};
-use hire_data::{ColdStartScenario, ColdStartSplit};
-use hire_eval::{evaluate_model, format_timing};
+use hire_data::ColdStartScenario;
+use hire_eval::{
+    baseline_specs, dataset_for, evaluate_model, format_timing, hire_spec, maybe_write_json,
+    paper_split, DatasetKind, HarnessArgs,
+};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -23,22 +25,16 @@ fn main() {
         (DatasetKind::Bookcrossing, "Bookcrossing (synthetic)"),
     ] {
         let dataset = dataset_for(kind, args.tier, args.seed);
-        let split = ColdStartSplit::new(
-            &dataset,
-            ColdStartScenario::UserCold,
-            cold_frac(kind),
-            0.1,
-            args.seed,
-        );
+        let split = paper_split(&dataset, kind, ColdStartScenario::UserCold, args.seed);
         let cfg = args.eval_config();
+        let mut specs = baseline_specs(&dataset, args.tier);
+        specs.push(hire_spec(args.tier, args.tier.hire_train_config()));
         let mut results = Vec::new();
-        for mut model in hire_eval::baselines(&dataset, args.tier) {
+        for spec in specs {
+            let mut model = spec.build();
             eprintln!("  [{label}] {} ...", model.name());
             results.push(evaluate_model(model.as_mut(), &dataset, &split, &cfg));
         }
-        let mut hire = hire_eval::hire(args.tier);
-        eprintln!("  [{label}] HIRE ...");
-        results.push(evaluate_model(hire.as_mut(), &dataset, &split, &cfg));
         println!("{}", format_timing(label, &results));
         all.push((label.to_string(), results));
     }

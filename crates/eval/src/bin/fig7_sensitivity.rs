@@ -6,10 +6,12 @@
 //! Paper shape: K = 3 best on MovieLens; accuracy is not monotone in the
 //! context size.
 
-use hire_bench::{cold_frac, dataset_for, maybe_write_json, DatasetKind, HarnessArgs};
 use hire_core::TrainConfig;
-use hire_data::{ColdStartScenario, ColdStartSplit};
-use hire_eval::{evaluate_model, format_metric, HireRatingModel, SpeedTier};
+use hire_data::ColdStartScenario;
+use hire_eval::{
+    dataset_for, evaluate_model, format_metric, maybe_write_json, paper_split, DatasetKind,
+    HarnessArgs, HireRatingModel, SpeedTier,
+};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -26,13 +28,7 @@ fn main() {
         "Scenario", "K", "Pre@5", "NDCG@5", "MAP@5"
     );
     for scenario in ColdStartScenario::ALL {
-        let split = ColdStartSplit::new(
-            &dataset,
-            scenario,
-            cold_frac(DatasetKind::MovieLens),
-            0.1,
-            args.seed,
-        );
+        let split = paper_split(&dataset, DatasetKind::MovieLens, scenario, args.seed);
         for k in 1..=4usize {
             let hire_cfg = args.tier.hire_config().with_blocks(k);
             let mut model = HireRatingModel::new(hire_cfg, train_cfg.clone());
@@ -65,13 +61,7 @@ fn main() {
         SpeedTier::Full => &[16, 32, 48, 64],
     };
     for scenario in ColdStartScenario::ALL {
-        let split = ColdStartSplit::new(
-            &dataset,
-            scenario,
-            cold_frac(DatasetKind::MovieLens),
-            0.1,
-            args.seed,
-        );
+        let split = paper_split(&dataset, DatasetKind::MovieLens, scenario, args.seed);
         for &size in sizes {
             let hire_cfg = args.tier.hire_config().with_context_size(size, size);
             // keep per-step cost roughly constant across context sizes

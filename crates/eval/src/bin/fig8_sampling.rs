@@ -11,11 +11,11 @@
 //! feature-similarity is competitive for user cold-start but weaker with
 //! cold items.
 
-use hire_bench::{
-    cold_frac, dataset_for, maybe_write_json, DatasetKind, HarnessArgs, ScenarioReport,
+use hire_data::{ColdStartScenario, Dataset};
+use hire_eval::{
+    dataset_for, evaluate_model, format_table, maybe_write_json, paper_split, DatasetKind,
+    EvalConfig, HarnessArgs, HireRatingModel, ScenarioReport,
 };
-use hire_data::{ColdStartScenario, ColdStartSplit, Dataset};
-use hire_eval::{evaluate_model, format_table, EvalConfig, HireRatingModel};
 use hire_graph::{ContextSampler, FeatureSimilaritySampler, NeighborhoodSampler, RandomSampler};
 
 fn feature_sampler(dataset: &Dataset) -> FeatureSimilaritySampler {
@@ -38,13 +38,7 @@ fn main() {
     println!("# Fig. 8: Impact of sampling methods (MovieLens-1M synthetic, @5)\n");
     let mut reports = Vec::new();
     for scenario in ColdStartScenario::ALL {
-        let split = ColdStartSplit::new(
-            &dataset,
-            scenario,
-            cold_frac(DatasetKind::MovieLens),
-            0.1,
-            args.seed,
-        );
+        let split = paper_split(&dataset, DatasetKind::MovieLens, scenario, args.seed);
         let samplers: [Box<dyn ContextSampler>; 3] = [
             Box::new(NeighborhoodSampler),
             Box::new(RandomSampler),

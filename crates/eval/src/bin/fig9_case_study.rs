@@ -7,9 +7,9 @@
 //! MBA map how user attributes interact with item attributes; weight
 //! matrices are asymmetric because attention is directional (Eq. 2).
 
-use hire_bench::{cold_frac, dataset_for, DatasetKind, HarnessArgs};
 use hire_core::{train, HireModel};
-use hire_data::{test_context, ColdStartScenario, ColdStartSplit};
+use hire_data::{test_context, ColdStartScenario};
+use hire_eval::{dataset_for, paper_split, DatasetKind, HarnessArgs};
 use hire_graph::NeighborhoodSampler;
 use hire_tensor::NdArray;
 use rand::rngs::StdRng;
@@ -58,11 +58,10 @@ fn heatmap(title: &str, weights: &NdArray, view: usize, labels: &[String]) {
 fn main() {
     let args = HarnessArgs::parse();
     let dataset = dataset_for(DatasetKind::MovieLens, args.tier, args.seed);
-    let split = ColdStartSplit::new(
+    let split = paper_split(
         &dataset,
+        DatasetKind::MovieLens,
         ColdStartScenario::UserCold,
-        cold_frac(DatasetKind::MovieLens),
-        0.1,
         args.seed,
     );
     let mut rng = StdRng::seed_from_u64(args.seed);

@@ -1,7 +1,7 @@
 //! What each model does with the ratings a cold entity reveals: the
 //! evidence probes of `hire_eval` (`support_level`, `support_transfer`,
-//! `attention_evidence`) per dataset and scenario, over seeds
-//! `seed..seed + runs`.
+//! `attention_evidence`) per dataset and scenario, over `runs` seeds from
+//! `seed` on.
 //!
 //! - **Level** (every zoo model, `EntityMean` as the reference that reads
 //!   exactly 1 on UC): d answer / d support, in units of the scale.
@@ -17,12 +17,12 @@
 //! every seed's rows.
 
 use hire_baselines::EntityMean;
-use hire_bench::{cold_frac, dataset_for, maybe_write_json, mean_std, DatasetKind, HarnessArgs};
 use hire_core::HireModel;
-use hire_data::{ColdStartScenario, ColdStartSplit};
+use hire_data::ColdStartScenario;
 use hire_eval::{
-    attention_evidence, baselines, support_level, support_transfer, AttentionEvidence,
-    HireRatingModel, Layer, RatingModel,
+    attention_evidence, baselines, dataset_for, maybe_write_json, mean_std, paper_split,
+    support_level, support_transfer, AttentionEvidence, DatasetKind, HarnessArgs, HireRatingModel,
+    Layer, RatingModel,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,7 +71,6 @@ fn cell(xs: &[f32]) -> String {
 fn main() {
     let args = HarnessArgs::parse();
     let max_entities = args.eval_config().max_entities;
-    let seeds: Vec<u64> = (args.seed..args.seed + args.runs as u64).collect();
     let kinds = [
         (DatasetKind::MovieLens, "MovieLens"),
         (DatasetKind::Bookcrossing, "Bookcrossing"),
@@ -83,10 +82,10 @@ fn main() {
         attention: Vec::new(),
     };
     for (kind, name) in kinds {
-        for &seed in &seeds {
+        for seed in args.seeds() {
             let dataset = dataset_for(kind, args.tier, seed);
             for scenario in ColdStartScenario::ALL {
-                let split = ColdStartSplit::new(&dataset, scenario, cold_frac(kind), 0.1, seed);
+                let split = paper_split(&dataset, kind, scenario, seed);
                 let train_graph = split.train_graph(&dataset);
                 let mut probe = |model: &mut dyn RatingModel| {
                     model.fit(&dataset, &train_graph, &mut StdRng::seed_from_u64(seed));
@@ -144,11 +143,12 @@ fn main() {
         }
     }
 
+    // The end is printed exclusive, so it may be 2^64.
     println!(
         "# Evidence probes — tier {:?}, seeds {}..{}",
         args.tier,
         args.seed,
-        args.seed + args.runs as u64
+        u128::from(*args.seeds().end()) + 1
     );
     println!("\n## Level and transfer (mean ± std over seeds)");
     let mut by_cell: BTreeMap<(String, String, String), Vec<&ProbeRow>> = BTreeMap::new();

@@ -1,7 +1,7 @@
 //! Regenerates **Table II** (dataset profiles) for the three synthetic
 //! stand-in datasets.
 
-use hire_bench::{dataset_for, DatasetKind, HarnessArgs};
+use hire_eval::{dataset_for, DatasetKind, HarnessArgs};
 
 fn main() {
     let args = HarnessArgs::parse();

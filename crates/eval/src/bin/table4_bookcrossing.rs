@@ -1,7 +1,7 @@
 //! Regenerates **Table IV**: overall performance on the Bookcrossing
 //! stand-in.
 
-use hire_bench::{run_overall_table, DatasetKind};
+use hire_eval::{run_overall_table, DatasetKind};
 
 fn main() {
     run_overall_table(

@@ -1,7 +1,7 @@
 //! Regenerates **Table V**: overall performance on the Douban stand-in
 //! (includes the GraphRec social baseline).
 
-use hire_bench::{run_overall_table, DatasetKind};
+use hire_eval::{run_overall_table, DatasetKind};
 
 fn main() {
     run_overall_table(DatasetKind::Douban, "Table V (Douban synthetic)");

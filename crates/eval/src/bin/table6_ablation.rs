@@ -4,9 +4,11 @@
 //! Paper shape: the full model is best overall; user-only attention
 //! ("wo/ Item & Attribute") is the weakest variant.
 
-use hire_bench::{cold_frac, dataset_for, maybe_write_json, DatasetKind, HarnessArgs};
-use hire_data::{ColdStartScenario, ColdStartSplit};
-use hire_eval::{evaluate_model, HireRatingModel};
+use hire_data::ColdStartScenario;
+use hire_eval::{
+    dataset_for, evaluate_model, maybe_write_json, paper_split, DatasetKind, HarnessArgs,
+    HireRatingModel,
+};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -31,13 +33,7 @@ fn main() {
     for &(label, mbu, mbi, mba) in variants {
         let mut cells = Vec::new();
         for scenario in ColdStartScenario::ALL {
-            let split = ColdStartSplit::new(
-                &dataset,
-                scenario,
-                cold_frac(DatasetKind::MovieLens),
-                0.1,
-                args.seed,
-            );
+            let split = paper_split(&dataset, DatasetKind::MovieLens, scenario, args.seed);
             let hire_cfg = args.tier.hire_config().with_layers(mbu, mbi, mba);
             let mut model = HireRatingModel::new(hire_cfg, args.tier.hire_train_config());
             eprintln!("  [{label} / {}] training ...", scenario.label());

@@ -102,7 +102,7 @@ impl ModelSpec {
     }
 
     /// Builds the model (consumes the spec).
-    pub(crate) fn build(self) -> Box<dyn RatingModel> {
+    pub fn build(self) -> Box<dyn RatingModel> {
         (self.builder)()
     }
 }
@@ -148,7 +148,7 @@ fn placeholder_result(name: String, config: &EvalConfig, status: EvalStatus) -> 
 /// [`ModelResult::status`] says what happened. On timeout the worker thread
 /// is detached, not killed — budget overruns waste CPU but cannot corrupt
 /// the harness.
-pub fn evaluate_model_isolated(
+pub(crate) fn evaluate_model_isolated(
     spec: ModelSpec,
     dataset: &Dataset,
     split: &ColdStartSplit,

@@ -1,10 +1,12 @@
-//! Shared harness utilities for the per-table/figure benchmark binaries.
+//! What the table and figure binaries (`src/bin/`) share: their flags, the
+//! crash-safe sweep over the cold-start scenarios, and the `--runs` summary
+//! over seeds.
 //!
 //! Every binary accepts:
 //! - `--tier smoke|fast|full` — compute budget (default `fast`)
 //! - `--seed <u64>` — base RNG seed (default 7)
-//! - `--runs <n>` — Tables III–V only: run seeds `seed..seed + n` and print
-//!   each cell as mean ± std over them (default 1: one seed, one table a
+//! - `--runs <n>` — Tables III–V only: run `n` seeds from `seed` on and
+//!   print each cell as mean ± std over them (default 1: one seed, one table a
 //!   scenario, as without the flag)
 //! - `--max-entities <n>` — cold entities evaluated per scenario
 //! - `--out <path>` — also write machine-readable JSON results
@@ -18,13 +20,16 @@
 //! qualitative shape in minutes on a laptop CPU; `full` uses the paper's
 //! 32×32 / 3-HIM configuration.
 
+use crate::fault::{evaluate_model_isolated, ModelSpec};
+use crate::runner::{format_table, EvalConfig, MetricsAtK, ModelResult, RANDOM_ROW};
+use crate::tier::{dataset_for, paper_split, DatasetKind, SpeedTier};
+use crate::zoo::{baseline_specs, hire_spec};
 use hire_baselines::Random;
-use hire_data::{ColdStartScenario, ColdStartSplit, Dataset, SyntheticConfig};
+use hire_core::TrainConfig;
+use hire_data::{ColdStartScenario, Dataset};
 use hire_error::{HireError, HireResult};
-use hire_eval::{
-    evaluate_model_isolated, EvalConfig, MetricsAtK, ModelResult, ModelSpec, SpeedTier, RANDOM_ROW,
-};
 use serde::{Serialize, Value};
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -39,7 +44,8 @@ pub struct HarnessArgs {
     pub tier: SpeedTier,
     /// Base RNG seed.
     pub seed: u64,
-    /// Seeds `seed..seed + runs` a comparison table runs over (at least 1).
+    /// How many seeds, from `seed` on, a comparison table runs over (at
+    /// least 1; [`HarnessArgs::seeds`]).
     pub runs: usize,
     /// Cold entities per scenario.
     pub max_entities: usize,
@@ -148,54 +154,28 @@ impl HarnessArgs {
                 "requires --checkpoint-dir to know where the previous run's progress lives",
             ));
         }
+        if args.seed.checked_add(args.runs as u64 - 1).is_none() {
+            return Err(HireError::invalid_argument(
+                "--runs",
+                format!("seeds from {} on run past u64::MAX", args.seed),
+            ));
+        }
         Ok(args)
+    }
+
+    /// The seeds the run covers: `runs` of them from `seed` on (that they
+    /// fit in a `u64` is checked at parse).
+    pub fn seeds(&self) -> RangeInclusive<u64> {
+        self.seed..=self.seed + (self.runs as u64 - 1)
     }
 
     /// Evaluation config at these settings.
     pub fn eval_config(&self) -> EvalConfig {
         EvalConfig {
-            max_entities: match self.tier {
-                SpeedTier::Smoke => self.max_entities.min(8),
-                _ => self.max_entities,
-            },
+            max_entities: self.tier.max_entities(self.max_entities),
             seed: self.seed,
             ..Default::default()
         }
-    }
-}
-
-/// The three dataset stand-ins, scaled per tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DatasetKind {
-    /// MovieLens-1M stand-in (rich attributes).
-    MovieLens,
-    /// Douban stand-in (ID-only + social).
-    Douban,
-    /// Bookcrossing stand-in (sparse attributes, 1-10 scale).
-    Bookcrossing,
-}
-
-/// Generates a dataset stand-in at the tier's scale.
-pub fn dataset_for(kind: DatasetKind, tier: SpeedTier, seed: u64) -> Dataset {
-    let base = match kind {
-        DatasetKind::MovieLens => SyntheticConfig::movielens_like(),
-        DatasetKind::Douban => SyntheticConfig::douban_like(),
-        DatasetKind::Bookcrossing => SyntheticConfig::bookcrossing_like(),
-    };
-    let cfg = match tier {
-        SpeedTier::Smoke => base.scaled(60, 50, (10, 20)),
-        SpeedTier::Fast => base.scaled(150, 120, (20, 45)),
-        SpeedTier::Full => base,
-    };
-    cfg.generate(seed)
-}
-
-/// Cold fraction per dataset, following § VI-A (20 % of MovieLens users,
-/// 30 % for Douban/Bookcrossing).
-pub fn cold_frac(kind: DatasetKind) -> f32 {
-    match kind {
-        DatasetKind::MovieLens => 0.2,
-        _ => 0.3,
     }
 }
 
@@ -210,7 +190,7 @@ pub struct ScenarioReport {
 
 /// Runs a comparison over explicit model specs for one scenario. Every
 /// model is evaluated in panic/timeout isolation
-/// ([`evaluate_model_isolated`]): a crashing or hanging model yields a
+/// (`evaluate_model_isolated`): a crashing or hanging model yields a
 /// `failed`/`timeout` entry in the report and the remaining models still
 /// run.
 ///
@@ -233,7 +213,7 @@ pub fn run_scenario_with_specs(
     args: &HarnessArgs,
     specs: Vec<ModelSpec>,
 ) -> ScenarioReport {
-    let split = ColdStartSplit::new(dataset, scenario, cold_frac(kind), 0.1, args.seed);
+    let split = paper_split(dataset, kind, scenario, args.seed);
     let cfg = args.eval_config();
     let budget = args.model_budget.map(Duration::from_secs_f64);
     let eval_one = |spec: ModelSpec| {
@@ -270,120 +250,18 @@ pub fn run_scenario_with_specs(
     }
 }
 
-/// Host execution environment, embedded in benchmark JSON reports so a
-/// recorded number can be read against the machine that produced it.
-#[derive(Debug, Clone, Serialize)]
-pub struct HostInfo {
-    /// Logical CPU cores visible to this process.
-    pub logical_cores: usize,
-    /// SIMD/ISA capabilities detected at runtime (x86_64) or implied by
-    /// the compile target (aarch64); empty when the target supports
-    /// neither probe.
-    pub isa_features: Vec<String>,
-    /// Raw `HIRE_THREADS` value from the environment, if set.
-    pub hire_threads_env: Option<String>,
-    /// `hire-par`'s process-wide lane count — how many models of a table
-    /// train side by side. Nothing else reads it: kernels run on their
-    /// caller's thread, and serving parallelism is the server's workers.
-    pub compute_pool_threads: usize,
-    /// Kernel path the SIMD dispatcher resolved to for this process
-    /// (`scalar` | `avx2` | `avx512`) — the ISA every recorded
-    /// number actually ran on.
-    pub dispatched_kernel: String,
-    /// Raw `HIRE_ISA` override from the environment, if set (the
-    /// dispatched kernel above already reflects it).
-    pub hire_isa_env: Option<String>,
-}
-
-impl HostInfo {
-    /// Snapshots the current host. Reads (and, if needed, fixes from
-    /// `HIRE_THREADS`) `hire-par`'s lane count.
-    pub fn detect() -> Self {
-        #[allow(unused_mut)]
-        let mut isa_features: Vec<String> = Vec::new();
-        #[cfg(target_arch = "x86_64")]
-        for (name, detected) in [
-            ("sse2", is_x86_feature_detected!("sse2")),
-            ("sse4.1", is_x86_feature_detected!("sse4.1")),
-            ("avx", is_x86_feature_detected!("avx")),
-            ("avx2", is_x86_feature_detected!("avx2")),
-            ("fma", is_x86_feature_detected!("fma")),
-            ("avx512f", is_x86_feature_detected!("avx512f")),
-        ] {
-            if detected {
-                isa_features.push(name.to_string());
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        isa_features.push("neon".to_string());
-        HostInfo {
-            logical_cores: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            isa_features,
-            hire_threads_env: std::env::var("HIRE_THREADS").ok(),
-            compute_pool_threads: hire_par::global().threads(),
-            dispatched_kernel: hire_tensor::simd::active_isa().label().to_string(),
-            hire_isa_env: std::env::var("HIRE_ISA").ok(),
-        }
-    }
-
-    /// One-line host description for `compute_bench`'s stderr banner.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} hardware thread(s), isa features {}, dispatched kernel {}{}, HIRE_THREADS={}, fan-out {} lane(s)",
-            self.logical_cores,
-            if self.isa_features.is_empty() {
-                "unknown".to_string()
-            } else {
-                self.isa_features.join("+")
-            },
-            self.dispatched_kernel,
-            match &self.hire_isa_env {
-                Some(v) => format!(" (HIRE_ISA={v})"),
-                None => String::new(),
-            },
-            self.hire_threads_env.as_deref().unwrap_or("unset"),
-            self.compute_pool_threads,
-        )
-    }
-}
-
-/// Serializes `value` and writes it to `path` atomically and durably: the
-/// JSON goes to a `<path>.tmp` sibling, is fsynced, renamed over the
-/// target, and the parent directory is fsynced — so a crash mid-write can
-/// never leave a truncated result file, and a crash right after the rename
-/// cannot lose it either (the same temp/fsync/rename/dir-fsync discipline
-/// as `hire-ckpt` and `hire-wal`; see DESIGN.md §15).
+/// Serializes `value` and writes it to `path` atomically and durably
+/// ([`hire_ckpt::write_atomic`]), so a crash mid-write can never leave a
+/// truncated result file, and a crash right after the rename cannot lose
+/// it either (DESIGN.md §15).
 ///
 /// Accepts any path — including non-UTF-8 ones — and reports failures as
 /// typed [`HireError::Io`] values instead of panicking.
 pub fn write_json_atomic<T: Serialize>(path: impl AsRef<Path>, value: &T) -> HireResult<()> {
-    let path = path.as_ref();
     let json =
         serde_json::to_string_pretty(value).map_err(|e| HireError::Serialization(e.to_string()))?;
-    let tmp = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        PathBuf::from(os)
-    };
-    let io = |p: &Path| {
-        let label = p.display().to_string();
-        move |e: std::io::Error| HireError::io(label.clone(), e)
-    };
-    {
-        let mut file = std::fs::File::create(&tmp).map_err(io(&tmp))?;
-        use std::io::Write;
-        file.write_all(json.as_bytes()).map_err(io(&tmp))?;
-        file.sync_all().map_err(io(&tmp))?;
-    }
-    std::fs::rename(&tmp, path).map_err(io(path))?;
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::File::open(parent)
-            .and_then(|dir| dir.sync_all())
-            .map_err(io(parent))?;
-    }
-    Ok(())
+    hire_ckpt::write_atomic(path.as_ref(), json.as_bytes())
+        .map_err(|(at, e)| HireError::io(at.display().to_string(), e))
 }
 
 /// Writes reports as JSON when `--out` was given. Write errors are
@@ -470,27 +348,22 @@ pub fn run_overall_table(kind: DatasetKind, title: &str) {
 }
 
 /// The standard model roster: the random row, every applicable baseline,
-/// then HIRE. When a
-/// training checkpoint directory is given, the HIRE fit itself becomes
-/// durable and resume-aware (see `hire_core::TrainConfig::resume`).
-pub(crate) fn default_specs(
+/// then HIRE. When a training checkpoint directory is given, the HIRE fit
+/// itself becomes durable and resume-aware (see
+/// `hire_core::TrainConfig::resume`; `--resume` comes with one).
+fn default_specs(
     dataset: &Dataset,
     args: &HarnessArgs,
-    train_ckpt_dir: Option<PathBuf>,
+    checkpoint_dir: Option<PathBuf>,
 ) -> Vec<ModelSpec> {
     let mut specs = vec![ModelSpec::new(RANDOM_ROW, || Box::new(Random) as _)];
-    specs.extend(hire_eval::baseline_specs(dataset, args.tier));
-    match train_ckpt_dir {
-        Some(dir) => {
-            let tc = hire_core::TrainConfig {
-                checkpoint_dir: Some(dir),
-                resume: args.resume,
-                ..args.tier.hire_train_config()
-            };
-            specs.push(hire_eval::hire_spec_with_train_config(args.tier, tc));
-        }
-        None => specs.push(hire_eval::hire_spec(args.tier)),
-    }
+    specs.extend(baseline_specs(dataset, args.tier));
+    let train_config = TrainConfig {
+        checkpoint_dir,
+        resume: args.resume,
+        ..args.tier.hire_train_config()
+    };
+    specs.push(hire_spec(args.tier, train_config));
     specs
 }
 
@@ -744,8 +617,8 @@ fn format_summary(title: &str, rows: &[SummaryRow], runs: usize) -> String {
 }
 
 /// Runs `sweep` (one seed's tables, printed and, per `--out`, flushed as
-/// it goes) once at `args`, or — with `--runs N` — once per seed `seed..seed
-/// + N`, each with no `--out` of its own and its progress in a `seed-S`
+/// it goes) once at `args`, or — with `--runs N` — once per seed of
+/// [`HarnessArgs::seeds`], each with no `--out` of its own and its progress in a `seed-S`
 /// subdirectory of `--checkpoint-dir`; then prints every scenario's cells
 /// as mean ± std over the seeds and writes each seed's reports and those
 /// cells to `--out`.
@@ -758,7 +631,8 @@ fn over_seeds(
         sweep(args);
         return;
     }
-    let per_seed: Vec<SeedReports> = (args.seed..args.seed + args.runs as u64)
+    let per_seed: Vec<SeedReports> = args
+        .seeds()
         .map(|seed| {
             let run = HarnessArgs {
                 seed,
@@ -864,7 +738,7 @@ pub fn run_sweep(
         let report = reports.last().expect("just pushed");
         println!(
             "{}",
-            hire_eval::format_table(&format!("{title} — {}", report.scenario), &report.results)
+            format_table(&format!("{title} — {}", report.scenario), &report.results)
         );
         // Partial flush: finished scenarios survive a crash in a later one.
         if let Some(dir) = &args.checkpoint_dir {
@@ -1025,6 +899,25 @@ mod tests {
     }
 
     #[test]
+    fn parse_from_refuses_seeds_past_u64_max() {
+        let max = u64::MAX.to_string();
+        let err = HarnessArgs::parse_from(&argv(&["--seed", &max, "--runs", "2"]))
+            .expect_err("a second seed past u64::MAX");
+        assert!(matches!(&err, HireError::InvalidArgument { flag, .. } if flag == "--runs"));
+    }
+
+    #[test]
+    fn parse_from_lets_the_last_seed_be_u64_max() {
+        let max = u64::MAX.to_string();
+        let args = HarnessArgs::parse_from(&argv(&["--seed", &max])).expect("one seed");
+        assert_eq!(args.seeds().collect::<Vec<_>>(), [u64::MAX]);
+        let below = (u64::MAX - 2).to_string();
+        let args =
+            HarnessArgs::parse_from(&argv(&["--seed", &below, "--runs", "3"])).expect("three");
+        assert_eq!(args.seeds(), u64::MAX - 2..=u64::MAX);
+    }
+
+    #[test]
     fn parse_from_accepts_checkpoint_dir_and_resume() {
         let args =
             HarnessArgs::parse_from(&argv(&["--checkpoint-dir", "/tmp/bench-ckpt", "--resume"]))
@@ -1059,7 +952,7 @@ mod tests {
 
     #[test]
     fn scenario_report_value_round_trip() {
-        use hire_eval::{EvalStatus, MetricsAtK};
+        use crate::fault::EvalStatus;
         let report = ScenarioReport {
             scenario: "UC".to_string(),
             results: vec![
@@ -1142,33 +1035,6 @@ mod tests {
         let body = std::fs::read_to_string(&path).expect("read back");
         assert!(body.contains("42"));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn host_info_detect_is_sane_and_serializable() {
-        let host = HostInfo::detect();
-        assert!(host.logical_cores >= 1);
-        assert!(host.compute_pool_threads >= 1);
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-        assert!(
-            !host.isa_features.is_empty(),
-            "sse2/neon are baseline on these targets"
-        );
-        assert!(
-            ["scalar", "avx2", "avx512"].contains(&host.dispatched_kernel.as_str()),
-            "unknown dispatched kernel {:?}",
-            host.dispatched_kernel
-        );
-        if let Ok(isa) = std::env::var("HIRE_ISA") {
-            assert_eq!(host.hire_isa_env.as_deref(), Some(isa.as_str()));
-        }
-        let summary = host.summary();
-        assert!(summary.contains(&host.dispatched_kernel));
-        assert!(summary.contains("dispatched kernel"));
-        let json = serde_json::to_string(&host).expect("serialize");
-        assert!(json.contains("logical_cores"));
-        assert!(json.contains("compute_pool_threads"));
-        assert!(json.contains("dispatched_kernel"));
     }
 
     #[test]

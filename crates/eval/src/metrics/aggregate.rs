@@ -3,7 +3,7 @@
 
 /// Streaming mean/std accumulator (Welford).
 #[derive(Debug, Clone, Default)]
-pub struct Accumulator {
+pub(crate) struct Accumulator {
     count: usize,
     mean: f64,
     m2: f64,

@@ -72,7 +72,7 @@ fn ranked_ties(pairs: &[ScoredPair]) -> (Vec<f32>, Vec<Range<usize>>) {
 /// per metric and cutoff. The `*_at_k` functions are these methods on a
 /// list ranked for the one call, bit for bit.
 #[derive(Debug, Clone)]
-pub struct RankedList {
+pub(crate) struct RankedList {
     actual: Vec<f32>,
     groups: Vec<Range<usize>>,
     ideal: Vec<f32>,

@@ -31,7 +31,7 @@ pub struct ModelResult {
     /// Root mean squared error over every evaluated query rating.
     pub rmse: f32,
     /// How the evaluation ended (always `Ok` from [`evaluate_model`];
-    /// [`crate::fault::evaluate_model_isolated`] records panics/timeouts).
+    /// the harness's isolated run records panics/timeouts).
     pub status: crate::fault::EvalStatus,
 }
 
@@ -87,9 +87,8 @@ impl MetricsAtK {
 impl ModelResult {
     /// Parses a result back out of its serialized [`serde::Value`] form
     /// (the inverse of the `Serialize` derive); `None` for malformed input.
-    /// Used by the benchmark harness to re-read partial result files on
-    /// `--resume`.
-    pub fn from_value(v: &serde::Value) -> Option<Self> {
+    /// The harness re-reads partial result files with it on `--resume`.
+    pub(crate) fn from_value(v: &serde::Value) -> Option<Self> {
         let at_k = v
             .get("at_k")?
             .as_array()?
@@ -221,7 +220,7 @@ pub fn evaluate_model(
 
 /// The name of the row every other row's ranking is read against
 /// (`hire_baselines::Random`).
-pub const RANDOM_ROW: &str = "Random";
+pub(crate) const RANDOM_ROW: &str = "Random";
 
 /// A metric's table cell: four decimals, or `—` where it is not reported.
 pub fn format_metric(value: Option<f32>) -> String {
@@ -231,7 +230,7 @@ pub fn format_metric(value: Option<f32>) -> String {
 /// Formats a comparison as a paper-style table (one row per model, one
 /// column group per cutoff). A model that evaluated no entity — a
 /// scenario with no cold entity of enough queries — prints a marker, not
-/// zeros. With a [`RANDOM_ROW`] that evaluated an entity, a last column
+/// zeros. With a `Random` row that evaluated an entity, a last column
 /// gives each row's gain over it: NDCG at the first cutoff, less the
 /// random row's. Precision and MAP print `—` at a cutoff some list is
 /// shorter than; MAE and RMSE follow the cutoffs (`—` on the random row).

@@ -5,128 +5,16 @@
 
 use crate::fault::ModelSpec;
 use crate::hire_adapter::HireRatingModel;
+use crate::tier::SpeedTier;
 use hire_baselines::{
-    Afn, DeepFM, EdgeTrainConfig, GraphRec, HinNeighbor, Mamo, MeLU, MetaTrainConfig, NeuMF,
-    RatingModel, Tanp, TanpConfig, WideDeep,
+    Afn, DeepFM, GraphRec, HinNeighbor, Mamo, MeLU, NeuMF, RatingModel, Tanp, WideDeep,
 };
-use hire_core::{HireConfig, TrainConfig};
+use hire_core::TrainConfig;
 use hire_data::Dataset;
-
-/// Compute budget for a comparison run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpeedTier {
-    /// Seconds per model — CI smoke runs.
-    Smoke,
-    /// A few minutes per table — the default for the benchmark harness.
-    Fast,
-    /// Closest to the paper's configuration (32x32 contexts, 3 HIMs).
-    Full,
-}
-
-impl SpeedTier {
-    fn edge_config(self) -> EdgeTrainConfig {
-        match self {
-            SpeedTier::Smoke => EdgeTrainConfig {
-                epochs: 2,
-                batch_size: 128,
-                lr: 1e-2,
-            },
-            SpeedTier::Fast => EdgeTrainConfig {
-                epochs: 8,
-                batch_size: 128,
-                lr: 1e-2,
-            },
-            SpeedTier::Full => EdgeTrainConfig {
-                epochs: 20,
-                batch_size: 128,
-                lr: 5e-3,
-            },
-        }
-    }
-
-    fn meta_config(self) -> MetaTrainConfig {
-        match self {
-            SpeedTier::Smoke => MetaTrainConfig {
-                outer_steps: 5,
-                ..Default::default()
-            },
-            SpeedTier::Fast => MetaTrainConfig {
-                outer_steps: 40,
-                ..Default::default()
-            },
-            SpeedTier::Full => MetaTrainConfig {
-                outer_steps: 150,
-                ..Default::default()
-            },
-        }
-    }
-
-    fn tanp_config(self) -> TanpConfig {
-        match self {
-            SpeedTier::Smoke => TanpConfig {
-                steps: 8,
-                ..Default::default()
-            },
-            SpeedTier::Fast => TanpConfig {
-                steps: 60,
-                ..Default::default()
-            },
-            SpeedTier::Full => TanpConfig {
-                steps: 200,
-                ..Default::default()
-            },
-        }
-    }
-
-    /// The HIRE model configuration at this tier.
-    pub fn hire_config(self) -> HireConfig {
-        match self {
-            SpeedTier::Smoke => HireConfig::fast().with_blocks(1).with_context_size(8, 8),
-            SpeedTier::Fast => HireConfig::fast(),
-            SpeedTier::Full => HireConfig::paper_default(),
-        }
-    }
-
-    /// The HIRE training configuration at this tier.
-    pub fn hire_train_config(self) -> TrainConfig {
-        match self {
-            SpeedTier::Smoke => TrainConfig {
-                steps: 20,
-                batch_size: 2,
-                base_lr: 3e-3,
-                grad_clip: 1.0,
-                ..TrainConfig::paper_default()
-            },
-            SpeedTier::Fast => TrainConfig {
-                steps: 150,
-                batch_size: 4,
-                base_lr: 3e-3,
-                grad_clip: 1.0,
-                ..TrainConfig::paper_default()
-            },
-            SpeedTier::Full => TrainConfig::paper_default(),
-        }
-    }
-
-    fn field_dim(self) -> usize {
-        match self {
-            SpeedTier::Smoke => 4,
-            SpeedTier::Fast | SpeedTier::Full => 8,
-        }
-    }
-}
-
-/// Builds HIRE at the given tier.
-pub fn hire(tier: SpeedTier) -> Box<dyn RatingModel> {
-    Box::new(HireRatingModel::new(
-        tier.hire_config(),
-        tier.hire_train_config(),
-    ))
-}
 
 /// Builds every baseline applicable to `dataset` (paper's Tables III-V
 /// selection), in table order: [`baseline_specs`], built. Does not include
-/// HIRE — add it with [`hire`].
+/// HIRE — add it with [`hire_spec`].
 pub fn baselines(dataset: &Dataset, tier: SpeedTier) -> Vec<Box<dyn RatingModel>> {
     baseline_specs(dataset, tier)
         .into_iter()
@@ -173,20 +61,13 @@ pub fn baseline_specs(dataset: &Dataset, tier: SpeedTier) -> Vec<ModelSpec> {
     specs
 }
 
-/// [`hire`] as a deferred spec for the fault-isolated harness.
-pub fn hire_spec(tier: SpeedTier) -> ModelSpec {
-    ModelSpec::new("HIRE", move || hire(tier))
-}
-
-/// [`hire_spec`] with an explicit [`TrainConfig`] — used by the benchmark
-/// harness to enable durable training checkpoints (`checkpoint_dir` /
-/// `resume`) for the HIRE fit while keeping the tier's model shape.
-pub fn hire_spec_with_train_config(tier: SpeedTier, train_config: TrainConfig) -> ModelSpec {
+/// HIRE at `tier`'s model shape, trained under `train_config` — the
+/// tier's own [`SpeedTier::hire_train_config`], or that with durable
+/// training checkpoints (`checkpoint_dir` / `resume`) for a sweep that can
+/// be resumed.
+pub fn hire_spec(tier: SpeedTier, train_config: TrainConfig) -> ModelSpec {
     ModelSpec::new("HIRE", move || {
-        Box::new(crate::hire_adapter::HireRatingModel::new(
-            tier.hire_config(),
-            train_config,
-        )) as _
+        Box::new(HireRatingModel::new(tier.hire_config(), train_config)) as _
     })
 }
 

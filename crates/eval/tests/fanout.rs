@@ -4,9 +4,10 @@
 //! `--model-budget` branch — every model trains from its own fixed seed, so
 //! scheduling cannot reach a result.
 
-use hire_bench::{dataset_for, run_scenario_with_specs, DatasetKind, HarnessArgs};
 use hire_data::ColdStartScenario;
-use hire_eval::{ModelSpec, SpeedTier};
+use hire_eval::{
+    dataset_for, hire_spec, run_scenario_with_specs, DatasetKind, HarnessArgs, ModelSpec, SpeedTier,
+};
 use hire_par::with_pool;
 
 mod support;
@@ -16,7 +17,10 @@ use support::{cheap_specs, comparable, ComparableRow};
 /// kernels that run on whichever thread the harness gives it.
 fn specs() -> Vec<ModelSpec> {
     let mut specs = cheap_specs();
-    specs.push(hire_eval::hire_spec(SpeedTier::Smoke));
+    specs.push(hire_spec(
+        SpeedTier::Smoke,
+        SpeedTier::Smoke.hire_train_config(),
+    ));
     specs
 }
 

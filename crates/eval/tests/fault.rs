@@ -2,11 +2,11 @@
 //! crashing scenario must not destroy the results gathered so far.
 
 use hire_baselines::{EntityMean, GlobalMean, RatingModel};
-use hire_bench::{
-    dataset_for, run_overall_table_with, run_scenario_with_specs, DatasetKind, HarnessArgs,
-};
 use hire_data::{ColdStartScenario, Dataset};
-use hire_eval::{EvalStatus, ModelSpec, SpeedTier};
+use hire_eval::{
+    dataset_for, run_overall_table_with, run_scenario_with_specs, DatasetKind, EvalStatus,
+    HarnessArgs, ModelSpec, SpeedTier,
+};
 use hire_graph::BipartiteGraph;
 use rand::rngs::StdRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -4,9 +4,8 @@
 //! finished scenarios and re-running failed ones.
 
 use hire_baselines::{GlobalMean, RatingModel};
-use hire_bench::{run_sweep, DatasetKind, HarnessArgs};
 use hire_data::Dataset;
-use hire_eval::{EvalStatus, ModelSpec};
+use hire_eval::{run_sweep, DatasetKind, EvalStatus, HarnessArgs, ModelSpec};
 use hire_graph::BipartiteGraph;
 use rand::rngs::StdRng;
 use std::path::PathBuf;

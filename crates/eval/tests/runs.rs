@@ -3,8 +3,7 @@
 //! seed's reports beside every cell's mean ± std over them.
 
 use hire_baselines::{EntityMean, GlobalMean};
-use hire_bench::{run_overall_table_with, DatasetKind, HarnessArgs};
-use hire_eval::{ModelSpec, SpeedTier};
+use hire_eval::{run_overall_table_with, DatasetKind, HarnessArgs, ModelSpec, SpeedTier};
 use serde::Value;
 
 fn table(runs: usize, name: &str) -> Value {

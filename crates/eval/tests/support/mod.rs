@@ -1,8 +1,7 @@
 //! Helpers shared by the harness integration tests.
 
 use hire_baselines::{EntityMean, GlobalMean};
-use hire_bench::{HarnessArgs, ScenarioReport};
-use hire_eval::{ModelSpec, SpeedTier};
+use hire_eval::{HarnessArgs, ModelSpec, ScenarioReport, SpeedTier};
 
 /// Smoke-tier arguments: three entities a scenario, no budget, no files.
 pub fn args() -> HarnessArgs {

@@ -771,9 +771,10 @@ impl ServeEngine {
     /// `installed` together pins the log: no rating, promotion, or
     /// demotion record can land between reading the state and reading
     /// `next_lsn`, so replaying records at LSN ≥ the returned position on
-    /// top of the capture reconstructs any later state exactly. (Holdout
-    /// marks and barriers are the online loop's records; `crate::durable`
-    /// holds the loop's state lock around this call to pin those too.)
+    /// top of the capture reconstructs any later state exactly. (The
+    /// online loop's one record is its round barrier — trained cursor and
+    /// round; `crate::durable` holds the loop's state lock around this call
+    /// to pin that too.)
     pub(crate) fn durable_capture(&self) -> (Vec<Rating>, Lineage, u64) {
         let _write = lock(&self.write_order);
         let installed = lock(&self.incumbent.installed);

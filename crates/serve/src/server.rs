@@ -476,7 +476,8 @@ impl Server {
             st.jobs.push_back(Job {
                 query,
                 enqueued: now,
-                deadline: budget.map(|b| now + b),
+                // A budget too large for an `Instant` is no deadline at all.
+                deadline: budget.and_then(|b| now.checked_add(b)),
                 reply: Replier(Some(slot.clone())),
             });
         }

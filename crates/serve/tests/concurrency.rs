@@ -1,6 +1,6 @@
 //! Worker-pool semantics under load, shutdown, worker failure, deadline
 //! budgets, and cache/graph write races — mirroring the fault-injection
-//! style of `crates/bench/tests/fault.rs`.
+//! style of `crates/eval/tests/fault.rs`.
 
 use hire_core::{HireConfig, HireModel};
 use hire_graph::Rating;
@@ -423,6 +423,22 @@ fn worker_takes_what_is_queued_and_never_waits_for_more() {
     }
     server.shutdown();
     assert_eq!(server.stats().completed, 17);
+}
+
+/// Regression: a budget an `Instant` cannot hold (`now + budget` panicked in
+/// the caller's thread) is no deadline at all: accepted and answered.
+#[test]
+fn a_budget_past_what_an_instant_holds_is_no_deadline() {
+    let server = Server::start(
+        Arc::new(TestPredictor::new(Duration::ZERO, None)),
+        ServerConfig::default(),
+    );
+    let handle = server
+        .submit_with_deadline(RatingQuery { user: 2, item: 3 }, Some(Duration::MAX))
+        .expect("accepted");
+    assert_eq!(handle.wait().expect("answered").rating, 5.0);
+    server.shutdown();
+    assert_eq!(server.stats().deadline_expired, 0);
 }
 
 /// Regression: only the first job of a batch used to be screened against

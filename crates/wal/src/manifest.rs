@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use hire_ckpt::{decode_container, encode_container, sync_dir, PayloadReader, PayloadWriter};
+use hire_ckpt::{decode_container, encode_container, write_atomic, PayloadReader, PayloadWriter};
 
 use crate::error::{WalError, WalResult};
 
@@ -30,25 +30,16 @@ pub fn shard_dir(root: &Path, idx: usize) -> PathBuf {
 }
 
 impl ShardManifest {
-    /// Write the manifest atomically (temp → fsync → rename → dir fsync),
-    /// using the same container framing as checkpoints so a torn or
-    /// bit-flipped manifest is detected, not silently honored.
+    /// Write the manifest atomically ([`write_atomic`]: temp → fsync →
+    /// rename → dir fsync), using the same container framing as
+    /// checkpoints so a torn or bit-flipped manifest is detected, not
+    /// silently honored.
     pub fn write(&self, root: &Path) -> WalResult<()> {
         fs::create_dir_all(root).map_err(|e| WalError::io(root, e))?;
         let mut w = PayloadWriter::new();
         w.put_u32(self.shards);
         let bytes = encode_container(&w.finish());
-        let tmp = root.join(format!("{MANIFEST_FILE}.tmp"));
-        let path = root.join(MANIFEST_FILE);
-        {
-            use std::io::Write;
-            let mut file = fs::File::create(&tmp).map_err(|e| WalError::io(&tmp, e))?;
-            file.write_all(&bytes).map_err(|e| WalError::io(&tmp, e))?;
-            file.sync_all().map_err(|e| WalError::io(&tmp, e))?;
-        }
-        fs::rename(&tmp, &path).map_err(|e| WalError::io(&path, e))?;
-        sync_dir(root).map_err(|e| WalError::recovery(format!("dir fsync failed: {e}")))?;
-        Ok(())
+        write_atomic(&root.join(MANIFEST_FILE), &bytes).map_err(|(at, e)| WalError::io(at, e))
     }
 
     /// Read and validate the manifest. `Ok(None)` when no manifest exists

@@ -15,7 +15,7 @@
 //! - **C** — the base weights before any insert.
 //!
 //! Each cell prints NDCG@5 (per cold entity, then averaged) and MAE as
-//! mean ± std over the seeds, and the verdicts of `hire_bench::rank`: B
+//! mean ± std over the seeds, and the verdicts of `hire::eval::rank`: B
 //! against A (what fine-tuning buys) and A against C (what the revealed
 //! ratings buy on the served path).
 //!
@@ -25,10 +25,9 @@
 //! ```
 
 use hire::eval::metrics::{ndcg_at_k, ScoredPair};
-use hire::eval::RatingModel;
+use hire::eval::{dataset_for, mean_std, paper_split, rank, DatasetKind, RatingModel};
 use hire::prelude::*;
 use hire::serve::RoundOutcome;
-use hire_bench::{cold_frac, dataset_for, mean_std, rank, DatasetKind};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -99,7 +98,7 @@ fn score(engine: &ServeEngine, weights: &FrozenModel, entities: &[Vec<Rating>]) 
 fn run_seed(kind: DatasetKind, scenario: ColdStartScenario, seed: u64) -> SeedRun {
     let tier = SpeedTier::Fast;
     let dataset = Arc::new(dataset_for(kind, tier, seed));
-    let split = ColdStartSplit::new(&dataset, scenario, cold_frac(kind), 0.1, seed);
+    let split = paper_split(&dataset, kind, scenario, seed);
     let train_graph = split.train_graph(&dataset);
 
     let mut hire = HireRatingModel::new(tier.hire_config(), tier.hire_train_config());

@@ -6,7 +6,7 @@
 set -euo pipefail
 tier="${1:-fast}"
 cd "$(dirname "$0")/.."
-cargo build -p hire-bench --release
+cargo build -p hire-eval --release
 mkdir -p results/smoke
 for b in table2_profiles table3_movielens table4_bookcrossing table5_douban \
          fig6_efficiency fig7_sensitivity table6_ablation fig8_sampling fig9_case_study; do

@@ -27,7 +27,7 @@ out.append(f"Generated {datetime.date.today()} by `scripts/run_all_experiments.s
 for name, title in order:
     f = results / f"{name}.txt"
     if not f.exists():
-        out.append(f"\n### {title}\n\n*(not yet generated — run `cargo run -p hire-bench --release --bin {name}`)*")
+        out.append(f"\n### {title}\n\n*(not yet generated — run `cargo run -p hire-eval --release --bin {name}`)*")
         continue
     out.append(f"\n### {title}\n\n```text")
     out.append(f.read_text().rstrip())

@@ -15,7 +15,7 @@
 //! a split, a sampler, a metric — fails here until `results/` is
 //! regenerated with it and the change says why the numbers moved.
 
-use hire_bench::{run_standard_sweep, DatasetKind, HarnessArgs};
+use hire::eval::{run_standard_sweep, DatasetKind, HarnessArgs};
 use hire_tensor::simd::{active_isa, Isa};
 
 /// How far a scalar run may stray from the avx2 files, on every value.

@@ -16,7 +16,7 @@
 //! from its own weights alone, so it has no visible graph to read.
 
 use hire::core::{HybridConfig, HybridModel};
-use hire::eval::{baselines, hire};
+use hire::eval::{baselines, hire_spec};
 use hire::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,7 +57,7 @@ fn predictions(
     let train = split.train_graph(dataset);
     let visible = split.visible_graph(dataset);
     let mut models = baselines(dataset, SpeedTier::Smoke);
-    models.push(hire(SpeedTier::Smoke));
+    models.push(hire_spec(SpeedTier::Smoke, SpeedTier::Smoke.hire_train_config()).build());
     let mut answers: Vec<(String, Vec<u32>)> = models
         .iter_mut()
         .map(|model| {
